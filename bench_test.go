@@ -1,6 +1,6 @@
 // Package repro's root benchmarks regenerate the paper's evaluation
 // (Section 5). One benchmark per figure plus the in-text rate claim and the
-// DESIGN.md ablations; cmd/figures prints the same series as TSV for
+// Section 4.3 ablations; cmd/figures prints the same series as TSV for
 // plotting. Absolute times differ from the 2003 testbed by construction —
 // the reported claims are the *shapes*: exponential tree growth in the
 // diameter, growth with %dd, first rewritings arriving orders of magnitude
@@ -137,9 +137,9 @@ func BenchmarkNodeRate(b *testing.B) {
 }
 
 // BenchmarkAblationMemo toggles the Section 4.3 memoization of unproductive
-// goal expansions (DESIGN.md ablation A1). Run on a 40%-store-coverage
-// workload: the other 60% of bottom relations are dead ends whose repeated
-// subtrees memoization skips.
+// goal expansions (ablation A1 of internal/experiments). Run on a
+// 40%-store-coverage workload: the other 60% of bottom relations are dead
+// ends whose repeated subtrees memoization skips.
 func BenchmarkAblationMemo(b *testing.B) {
 	benchAblation(b, "memo-on", core.Options{})
 	benchAblation(b, "memo-off", core.Options{NoMemo: true})

@@ -1,6 +1,6 @@
 // Command figures regenerates the paper's evaluation figures as TSV series
 // (Section 5: Figures 3 and 4), plus the in-text node-generation-rate
-// measurement and the ablation sweeps documented in DESIGN.md.
+// measurement and the Section 4.3 ablation sweeps (internal/experiments).
 //
 // Usage:
 //

@@ -96,7 +96,7 @@ func (s *Set) String() string {
 // Satisfiable reports whether the conjunction has a model over a dense
 // unbounded ordered domain.
 func (s *Set) Satisfiable() bool {
-	if s == nil {
+	if s == nil || len(s.comps) == 0 {
 		return true
 	}
 	_, ok := solve(s.comps)

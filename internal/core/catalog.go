@@ -17,8 +17,10 @@ import (
 // rule is a datalog rule available for definitional expansion: an original
 // definitional peer mapping, or the "V :- Q1" half of a normalized inclusion.
 type rule struct {
-	// id is the originating description's ID (for the once-per-path rule).
-	id string
+	// id is the originating description's ID and desc its dense index in the
+	// catalog (for the once-per-path rule).
+	id   string
+	desc int
 	// cq is the rule itself.
 	cq lang.CQ
 	// fromInclusion marks V-rules: they complete an inclusion expansion
@@ -28,61 +30,90 @@ type rule struct {
 	fromInclusion bool
 }
 
+// view is the "V ⊆ Q2" half of a normalized inclusion, with the originating
+// description's dense index.
+type view struct {
+	*minicon.View
+	desc int
+}
+
 // catalog is the step-1 normalized form of a PDMS (Section 4.2): every
 // equality split into two inclusions, every inclusion Q1 ⊆ Q2 split into a
 // view V ⊆ Q2 plus a rule V :- Q1, definitional mappings kept as rules.
 // Indexed for expansion.
+//
+// newCatalog computes everything below; nothing is written afterwards, so
+// any number of builders may read one catalog concurrently. Description IDs
+// are interned to dense indexes (descs), which is what lets the ban sets and
+// reach cones be bitsets.
 type catalog struct {
 	pdms *ppl.PDMS
 	// rulesByHead indexes rules by head predicate (definitional expansion).
 	rulesByHead map[string][]*rule
 	// viewsByBodyPred indexes views by body predicate (inclusion expansion).
-	viewsByBodyPred map[string][]*minicon.View
-	// nViews counts normalized views (diagnostics).
-	nViews int
-	// reach caches, per predicate, the set of description IDs reachable
-	// from it in the dependency graph: only these descriptions can occur
-	// anywhere in a rule-goal subtree rooted at a goal over the predicate,
-	// so ban-sets restricted to this cone fully determine the subtree.
-	reach map[string]map[string]bool
-	// nextPreds maps each description ID to the predicates its expansion
-	// introduces (definitional rule body; inclusion LHS body via the
-	// V-rule).
-	nextPreds map[string][]string
-	// grounds caches the groundability fixpoint (see prune.go): rule-head
-	// predicates derivable from stored relations.
-	grounds map[string]bool
-	// descContent maps each description ID to its canonical content string,
-	// used by duplicate-description pruning (see prune.go).
-	descContent map[string]string
+	viewsByBodyPred map[string][]view
+	// descs lists the description IDs; a description's position is its
+	// dense index.
+	descs []string
+	// reach holds, per predicate, the descriptions reachable from it in the
+	// dependency graph: only these can occur anywhere in a rule-goal subtree
+	// rooted at a goal over the predicate, so ban sets restricted to this
+	// cone fully determine the subtree.
+	reach map[string]bitset
+	// groundable holds the non-stored predicates a goal over which can
+	// bottom out in stored relations (see prune.go).
+	groundable map[string]bool
+	// descContent holds each description's canonical content string, used by
+	// duplicate-description pruning (see prune.go).
+	descContent []string
 	// vpredContent maps each minted V-predicate name to its normalized
 	// inclusion's canonical content, so replicated mappings' distinct
 	// V-predicates canonicalize identically in childSig (see prune.go).
 	vpredContent map[string]string
+	// class is the query-independent half of the Theorem 3.1–3.3
+	// classification.
+	class ppl.SpecClass
 }
 
 // newCatalog normalizes the PDMS descriptions.
-func newCatalog(n *ppl.PDMS) (*catalog, error) {
+func newCatalog(n *ppl.PDMS) *catalog {
 	c := &catalog{
 		pdms:            n,
 		rulesByHead:     map[string][]*rule{},
-		viewsByBodyPred: map[string][]*minicon.View{},
+		viewsByBodyPred: map[string][]view{},
+		vpredContent:    map[string]string{},
+		class:           n.ClassifySpec(),
+	}
+	// next[d] lists the predicates description d's use introduces: a
+	// definitional rule's body, an inclusion's LHS body (via the V-rule).
+	var next [][]string
+	addDesc := func(id, kind string, cqs ...lang.CQ) int {
+		c.descs = append(c.descs, id)
+		c.descContent = append(c.descContent, canonContent(kind, cqs...))
+		next = append(next, nil)
+		return len(c.descs) - 1
+	}
+	addNext := func(d int, body []lang.Atom) {
+		for _, a := range body {
+			next[d] = append(next[d], a.Pred)
+		}
 	}
 	vnum := 0
 	// addInclusion normalizes one inclusion Q1 ⊆ Q2 originating from
-	// description id: fresh V; view V ⊆ Q2; rule V :- Q1.
-	addInclusion := func(id string, lhs, rhs lang.CQ) {
+	// description d: fresh V; view V ⊆ Q2; rule V :- Q1.
+	addInclusion := func(d int, lhs, rhs lang.CQ) {
 		vnum++
+		id := c.descs[d]
 		vpred := fmt.Sprintf("_V%d[%s]", vnum, id)
-		view := &minicon.View{
+		c.addView(view{desc: d, View: &minicon.View{
 			ID:    id,
 			Head:  lang.Atom{Pred: vpred, Args: rhs.Head.Args},
 			Body:  rhs.Body,
 			Comps: rhs.Comps,
-		}
-		c.addView(view)
+		}})
 		c.addRule(&rule{
 			id:            id,
+			desc:          d,
 			fromInclusion: true,
 			cq: lang.CQ{
 				Head:  lang.Atom{Pred: vpred, Args: lhs.Head.Args},
@@ -90,23 +121,28 @@ func newCatalog(n *ppl.PDMS) (*catalog, error) {
 				Comps: lhs.Comps,
 			},
 		})
-		c.recordNext(id, lhs.Body)
-		c.recordVpred(vpred, lhs, rhs)
+		addNext(d, lhs.Body)
+		// V-predicate names embed the description ID and a global counter,
+		// so two content-identical replicated mappings mint different
+		// V-predicates; childSig canonicalizes V-atoms through this table so
+		// the copies still sign identically. Keyed per normalized inclusion
+		// (not per description) so the two directions of an equality stay
+		// distinct.
+		c.vpredContent[vpred] = canonContent("ninc", lhs, rhs)
 	}
 	for _, m := range n.Mappings() {
 		switch m.Kind {
 		case ppl.Inclusion:
-			addInclusion(m.ID, m.LHS, m.RHS)
-			c.recordContent(m.ID, "inc", m.LHS, m.RHS)
+			addInclusion(addDesc(m.ID, "inc", m.LHS, m.RHS), m.LHS, m.RHS)
 		case ppl.Equality:
 			// Step 1: an equality is the two opposite inclusions.
-			addInclusion(m.ID, m.LHS, m.RHS)
-			addInclusion(m.ID, m.RHS, m.LHS)
-			c.recordContent(m.ID, "eq", m.LHS, m.RHS)
+			d := addDesc(m.ID, "eq", m.LHS, m.RHS)
+			addInclusion(d, m.LHS, m.RHS)
+			addInclusion(d, m.RHS, m.LHS)
 		case ppl.Definitional:
-			c.addRule(&rule{id: m.ID, cq: m.Rule})
-			c.recordNext(m.ID, m.Rule.Body)
-			c.recordContent(m.ID, "def", m.Rule)
+			d := addDesc(m.ID, "def", m.Rule)
+			c.addRule(&rule{id: m.ID, desc: d, cq: m.Rule})
+			addNext(d, m.Rule.Body)
 		}
 	}
 	for _, s := range n.Storages() {
@@ -122,10 +158,11 @@ func newCatalog(n *ppl.PDMS) (*catalog, error) {
 		}
 		rhs := s.Query
 		rhs.Head = lang.Atom{Pred: "_store", Args: s.Query.Head.Args}
-		addInclusion(s.ID, lhs, rhs)
-		c.recordContent(s.ID, "store", lhs, rhs)
+		addInclusion(addDesc(s.ID, "store", lhs, rhs), lhs, rhs)
 	}
-	return c, nil
+	c.groundable = c.groundSet()
+	c.reach = c.reachCones(next)
+	return c
 }
 
 func (c *catalog) addRule(r *rule) {
@@ -137,8 +174,7 @@ func (c *catalog) addRule(r *rule) {
 	c.rulesByHead[r.cq.Head.Pred] = append(c.rulesByHead[r.cq.Head.Pred], r)
 }
 
-func (c *catalog) addView(v *minicon.View) {
-	c.nViews++
+func (c *catalog) addView(v view) {
 	seen := map[string]bool{}
 	for _, a := range v.Body {
 		if !seen[a.Pred] {
@@ -151,49 +187,59 @@ func (c *catalog) addView(v *minicon.View) {
 // isStored reports whether pred names a stored relation (leaf predicate).
 func (c *catalog) isStored(pred string) bool { return c.pdms.IsStored(pred) }
 
-// recordNext registers the predicates a description's use introduces.
-func (c *catalog) recordNext(id string, preds []lang.Atom) {
-	if c.nextPreds == nil {
-		c.nextPreds = map[string][]string{}
-	}
-	for _, a := range preds {
-		c.nextPreds[id] = append(c.nextPreds[id], a.Pred)
-	}
-}
-
-// reachable returns the description IDs reachable from pred (cached).
-func (c *catalog) reachable(pred string) map[string]bool {
-	if c.reach == nil {
-		c.reach = map[string]map[string]bool{}
-	}
-	if r, ok := c.reach[pred]; ok {
-		return r
-	}
-	out := map[string]bool{}
-	c.reach[pred] = out // pre-publish to cut cycles
-	var visitPred func(p string)
-	seenPred := map[string]bool{}
-	visitPred = func(p string) {
-		if seenPred[p] {
-			return
-		}
-		seenPred[p] = true
-		var ids []string
+// reachCones computes reach: for every predicate with an expansion, the
+// least set holding each description applicable at it (its rules' and its
+// views') and the cones of the predicates those descriptions introduce
+// (next). Predicates are visited callees first, so one sweep settles an
+// acyclic dependency graph and a second confirms it; cycles (equalities,
+// replication loops) take a sweep per nesting level.
+func (c *catalog) reachCones(next [][]string) map[string]bitset {
+	words := (len(c.descs) + 63) / 64
+	reach := map[string]bitset{}
+	applicable := func(p string, visit func(d int)) {
 		for _, ru := range c.rulesByHead[p] {
-			ids = append(ids, ru.id)
+			visit(ru.desc)
 		}
 		for _, v := range c.viewsByBodyPred[p] {
-			ids = append(ids, v.ID)
-		}
-		for _, id := range ids {
-			if !out[id] {
-				out[id] = true
-				for _, np := range c.nextPreds[id] {
-					visitPred(np)
-				}
-			}
+			visit(v.desc)
 		}
 	}
-	visitPred(pred)
-	return out
+	var order []string
+	var walk func(p string)
+	walk = func(p string) {
+		if _, seen := reach[p]; seen {
+			return
+		}
+		reach[p] = make(bitset, words)
+		applicable(p, func(d int) {
+			for _, np := range next[d] {
+				walk(np)
+			}
+		})
+		order = append(order, p)
+	}
+	for p := range c.rulesByHead {
+		walk(p)
+	}
+	for p := range c.viewsByBodyPred {
+		walk(p)
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, p := range order {
+			cone := reach[p]
+			applicable(p, func(d int) {
+				if !cone.has(d) {
+					cone.set(d)
+					changed = true
+				}
+				for _, np := range next[d] {
+					if cone.union(reach[np]) {
+						changed = true
+					}
+				}
+			})
+		}
+	}
+	return reach
 }

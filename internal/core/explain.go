@@ -16,7 +16,7 @@ func (r *Reformulator) ExplainTree(q lang.CQ, maxLines int) (string, error) {
 	if err := r.check(q); err != nil {
 		return "", err
 	}
-	root, _, err := r.build(q)
+	root, _, err := r.build(q, nil, bitset(nil))
 	if err != nil {
 		return "", err
 	}

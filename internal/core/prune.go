@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/lang"
@@ -35,16 +35,15 @@ import (
 //     extracted rewritings carry no description IDs — the rewriting sets
 //     are equal, so only the first copy needs a subtree.
 
-// groundSet computes the set of rule-head predicates derivable from stored
-// relations: a head joins the set when some rule for it has every body
-// predicate groundable as a goal (stored, derivable, or coverable through a
-// view whose V-predicate is derivable). The fixpoint is over the normalized
-// catalog, so V-predicates participate through their V-rules. Cached — the
-// catalog's indexes are immutable after construction.
+// groundSet computes the predicates a goal over which can possibly bottom
+// out in stored relations, stored relations themselves aside. First the
+// rule-head predicates derivable from stored relations: a head joins when
+// some rule for it has every body predicate groundable as a goal (stored,
+// derivable, or coverable through a view whose V-predicate is derivable).
+// The fixpoint is over the normalized catalog, so V-predicates participate
+// through their V-rules. Then every predicate with a view whose V-predicate
+// is derivable.
 func (c *catalog) groundSet() map[string]bool {
-	if c.grounds != nil {
-		return c.grounds
-	}
 	g := map[string]bool{}
 	goalOK := func(p string) bool {
 		if g[p] || c.isStored(p) {
@@ -79,7 +78,11 @@ func (c *catalog) groundSet() map[string]bool {
 			}
 		}
 	}
-	c.grounds = g
+	for p := range c.viewsByBodyPred {
+		if goalOK(p) {
+			g[p] = true
+		}
+	}
 	return g
 }
 
@@ -88,16 +91,7 @@ func (c *catalog) groundSet() map[string]bool {
 // over it has a derivable V-predicate. False means the goal is a dead end
 // before any expansion is tried.
 func (c *catalog) groundableGoal(pred string) bool {
-	g := c.groundSet()
-	if g[pred] || c.isStored(pred) {
-		return true
-	}
-	for _, v := range c.viewsByBodyPred[pred] {
-		if g[v.Head.Pred] {
-			return true
-		}
-	}
-	return false
+	return c.groundable[pred] || c.isStored(pred)
 }
 
 // canonContent renders a kind tag plus a CQ sequence with variables
@@ -121,28 +115,6 @@ func canonContent(kind string, cqs ...lang.CQ) string {
 	return sb.String()
 }
 
-// recordContent stores the canonical content string for description id.
-func (c *catalog) recordContent(id, kind string, cqs ...lang.CQ) {
-	if c.descContent == nil {
-		c.descContent = map[string]string{}
-	}
-	c.descContent[id] = canonContent(kind, cqs...)
-}
-
-// recordVpred stores the canonical content of one normalized inclusion
-// (V ⊆ rhs with V :- lhs) under its fresh V-predicate name. V-predicate
-// names embed the description ID and a global counter, so two
-// content-identical replicated mappings mint *different* V-predicates;
-// childSig canonicalizes V-pred atoms through this table so the copies
-// still produce equal signatures. Keyed per normalized inclusion (not per
-// description) so the two directions of an equality stay distinct.
-func (c *catalog) recordVpred(vpred string, lhs, rhs lang.CQ) {
-	if c.vpredContent == nil {
-		c.vpredContent = map[string]string{}
-	}
-	c.vpredContent[vpred] = canonContent("ninc", lhs, rhs)
-}
-
 func canonTerm(sb *strings.Builder, num map[string]int, t lang.Term) {
 	if t.IsConst() {
 		sb.WriteString("=" + t.Name)
@@ -153,7 +125,8 @@ func canonTerm(sb *strings.Builder, num map[string]int, t lang.Term) {
 		i = len(num)
 		num[t.Name] = i
 	}
-	fmt.Fprintf(sb, "?%d", i)
+	sb.WriteByte('?')
+	sb.WriteString(strconv.Itoa(i))
 }
 
 // canonAtom canonicalizes one atom; vpreds, when non-nil, maps V-predicate
@@ -185,20 +158,15 @@ func canonComp(sb *strings.Builder, num map[string]int, c lang.Comparison) {
 // variables shared with the context), the originating description's
 // canonical content, and the instantiated expansion (subgoal atoms,
 // comparisons, exports, covered sibling indexes). Equal signatures under the
-// same goal node mean interchangeable expansions. ok is false when the
-// description has no recorded content (defensive: never prune then).
-func (b *builder) childSig(n *node, descID string, atoms []lang.Atom, comps []lang.Comparison, export lang.Subst, covered []int) (sig string, ok bool) {
-	content, ok := b.cat.descContent[descID]
-	if !ok {
-		return "", false
-	}
+// same goal node mean interchangeable expansions.
+func (b *builder) childSig(n *node, desc int, atoms []lang.Atom, comps []lang.Comparison, export lang.Subst, covered []int) string {
 	var sb strings.Builder
 	num := map[string]int{}
 	for _, sib := range n.parent.children {
 		canonAtom(&sb, num, sib.label, b.cat.vpredContent)
 	}
 	sb.WriteByte('#')
-	sb.WriteString(content)
+	sb.WriteString(b.cat.descContent[desc])
 	sb.WriteByte('#')
 	for _, a := range atoms {
 		canonAtom(&sb, num, a, b.cat.vpredContent)
@@ -221,7 +189,8 @@ func (b *builder) childSig(n *node, descID string, atoms []lang.Atom, comps []la
 	}
 	sb.WriteByte('#')
 	for _, ci := range covered {
-		fmt.Fprintf(&sb, "%d,", ci)
+		sb.WriteString(strconv.Itoa(ci))
+		sb.WriteByte(',')
 	}
-	return sb.String(), true
+	return sb.String()
 }

@@ -5,13 +5,18 @@ import (
 
 	"repro/internal/containment"
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/ppl"
 )
 
 // Reformulator reformulates queries over a PDMS into unions of conjunctive
-// queries over stored relations. It is safe to reuse for many queries; it is
-// not safe for concurrent use (create one per goroutine — construction is
-// cheap, the catalog is shared immutably).
+// queries over stored relations. It is immutable after New and safe for
+// concurrent use: New normalizes the descriptions into a catalog and derives
+// everything the tree construction looks up (expansion indexes, groundable
+// predicates, reach cones, the specification's classification), and each
+// call keeps what it mutates — fresh variables, memo, statistics, trace
+// span — in a builder of its own. Build one per specification and share it;
+// the PDMS must not change while its Reformulator is in use.
 type Reformulator struct {
 	pdms *ppl.PDMS
 	cat  *catalog
@@ -20,11 +25,7 @@ type Reformulator struct {
 
 // New builds a Reformulator for the PDMS with the given options.
 func New(n *ppl.PDMS, opts Options) (*Reformulator, error) {
-	cat, err := newCatalog(n)
-	if err != nil {
-		return nil, err
-	}
-	return &Reformulator{pdms: n, cat: cat, opts: opts}, nil
+	return &Reformulator{pdms: n, cat: newCatalog(n), opts: opts}, nil
 }
 
 // Result is the outcome of a full reformulation.
@@ -45,8 +46,15 @@ type Result struct {
 // rewriting (up to Options.MaxRewritings), and removes redundant disjuncts
 // unless Options.KeepRedundant is set.
 func (r *Reformulator) Reformulate(q lang.CQ) (Result, error) {
+	return r.ReformulateSpan(q, nil)
+}
+
+// ReformulateSpan is Reformulate under a trace span: sp, when non-nil,
+// receives the tree's counters and one child span per rule-goal tree node
+// expanded, nested to mirror the tree.
+func (r *Reformulator) ReformulateSpan(q lang.CQ, sp *obs.Span) (Result, error) {
 	var res Result
-	stats, err := r.Stream(q, func(cq lang.CQ) bool {
+	stats, err := r.stream(q, sp, bitset(nil), func(cq lang.CQ) bool {
 		res.UCQ.Add(cq)
 		return true
 	})
@@ -61,7 +69,7 @@ func (r *Reformulator) Reformulate(q lang.CQ) (Result, error) {
 		res.UCQ = containment.RemoveRedundant(res.UCQ)
 	}
 	res.Stats = stats
-	res.Classification = r.pdms.Classify(q)
+	res.Classification = r.cat.class.Classify(q)
 	return res, nil
 }
 
@@ -70,10 +78,16 @@ func (r *Reformulator) Reformulate(q lang.CQ) (Result, error) {
 // early (the paper's "first rewritings quickly" usage). It returns the
 // accumulated statistics.
 func (r *Reformulator) Stream(q lang.CQ, yield func(lang.CQ) bool) (Stats, error) {
+	return r.stream(q, nil, bitset(nil), yield)
+}
+
+// stream is Stream under an optional trace span, starting the root path
+// from the given empty ban set.
+func (r *Reformulator) stream(q lang.CQ, sp *obs.Span, noBans banSet, yield func(lang.CQ) bool) (Stats, error) {
 	if err := r.check(q); err != nil {
 		return Stats{}, err
 	}
-	root, b, err := r.build(q)
+	root, b, err := r.build(q, sp, noBans)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -95,7 +109,7 @@ func (r *Reformulator) BuildTree(q lang.CQ) (Stats, error) {
 	if err := r.check(q); err != nil {
 		return Stats{}, err
 	}
-	_, b, err := r.build(q)
+	_, b, err := r.build(q, nil, bitset(nil))
 	if err != nil {
 		return Stats{}, err
 	}

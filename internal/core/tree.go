@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/constraints"
@@ -53,15 +54,30 @@ type node struct {
 	// constraint is the node's constraint label c(n).
 	constraint *constraints.Set
 
-	// banned is the set of description IDs used on the path from the root
-	// to this node (nil maps are shared with the parent when unchanged).
-	banned map[string]bool
+	// banned is the set of descriptions used on the path from the root to
+	// this node (shared with the parent when unchanged).
+	banned banSet
 
 	// stored marks goal nodes over stored relations (leaves).
 	stored bool
 	// dead marks goal nodes that cannot contribute any rewriting (no
 	// expansion, not stored) — set during construction for pruning.
 	dead bool
+}
+
+// banSet is an immutable set of descriptions, by their dense catalog index:
+// the once-per-path bans of a node, or such a set restricted to a reach cone
+// for the unproductive-memo. The builder runs on bitsets; the interface
+// exists so the differential tests can run the same builder on a plain map
+// and demand identical trees.
+type banSet interface {
+	has(d int) bool
+	// with returns the set extended by d, leaving the receiver untouched.
+	with(d int) banSet
+	// within returns the members that lie in cone.
+	within(cone bitset) banSet
+	// subsetOf compares against a set of the receiver's own kind.
+	subsetOf(o banSet) bool
 }
 
 // Options configures tree construction and extraction.
@@ -105,11 +121,6 @@ type Options struct {
 	KeepRedundant bool
 	// MaxRewritings caps extraction (0 = all).
 	MaxRewritings int
-	// Trace, when non-nil, receives one child span per rule-goal tree node
-	// expanded during construction (goal nodes as "goal", their expansions
-	// as "rule"/"mcd" children), nested to mirror the tree. Nil disables
-	// tracing at the cost of nil checks only.
-	Trace *obs.Span
 }
 
 const defaultMaxNodes = 2_000_000
@@ -131,7 +142,8 @@ type Stats struct {
 // Nodes returns the total node count (the paper's Figure 3 metric).
 func (s Stats) Nodes() int { return s.GoalNodes + s.RuleNodes }
 
-// builder constructs the rule-goal tree.
+// builder constructs the rule-goal tree of one query. It owns all the
+// state a reformulation mutates; the catalog it reads is shared.
 type builder struct {
 	cat   *catalog
 	opts  Options
@@ -143,17 +155,20 @@ type builder struct {
 	// when some recorded set is a SUBSET of its own banned set: forbidding
 	// strictly more descriptions can only remove expansions, so
 	// unproductivity is monotone in the ban set.
-	memo map[string][]map[string]bool
+	memo map[string][]banSet
 	err  error
 }
 
-// build constructs the full tree for query q and returns the root.
-func (r *Reformulator) build(q lang.CQ) (*node, *builder, error) {
+// build constructs the full tree for query q and returns the root. sp, when
+// non-nil, receives one child span per rule-goal tree node expanded (goal
+// nodes as "goal", their expansions as "rule"/"mcd" children), nested to
+// mirror the tree. noBans is the empty ban set the root path starts from.
+func (r *Reformulator) build(q lang.CQ, sp *obs.Span, noBans banSet) (*node, *builder, error) {
 	b := &builder{
 		cat:  r.cat,
 		opts: r.opts,
 		vs:   lang.NewVarSupply("_x"),
-		memo: map[string][]map[string]bool{},
+		memo: map[string][]banSet{},
 	}
 	maxNodes := b.opts.MaxNodes
 	if maxNodes <= 0 {
@@ -168,7 +183,7 @@ func (r *Reformulator) build(q lang.CQ) (*node, *builder, error) {
 		parent:     root,
 		comps:      q.Comps,
 		constraint: constraints.New(q.Comps...),
-		banned:     map[string]bool{},
+		banned:     noBans,
 	}
 	b.stats.RuleNodes++
 	root.children = []*node{qr}
@@ -186,11 +201,11 @@ func (r *Reformulator) build(q lang.CQ) (*node, *builder, error) {
 		b.stats.GoalNodes++
 	}
 	// Expand each subgoal depth-first.
-	b.expandChildren(qr, maxNodes, r.opts.Trace)
+	b.expandChildren(qr, maxNodes, sp)
 	if b.err != nil {
 		return nil, nil, b.err
 	}
-	if sp := r.opts.Trace; sp != nil {
+	if sp != nil {
 		sp.SetInt("goal_nodes", int64(b.stats.GoalNodes))
 		sp.SetInt("rule_nodes", int64(b.stats.RuleNodes))
 		sp.SetInt("memo_hits", int64(b.stats.MemoHits))
@@ -292,7 +307,8 @@ func contextKey(n *node) string {
 				i = len(num)
 				num[t.Name] = i
 			}
-			fmt.Fprintf(&sb, "|?%d", i)
+			sb.WriteString("|?")
+			sb.WriteString(strconv.Itoa(i))
 		}
 		sb.WriteByte(';')
 	}
@@ -314,9 +330,9 @@ func contextKey(n *node) string {
 
 // memoUnproductive reports whether the memo proves n unproductive: some
 // recorded ban set for its label pattern is a subset of n's.
-func (b *builder) memoUnproductive(key string, banned map[string]bool) bool {
+func (b *builder) memoUnproductive(key string, banned banSet) bool {
 	for _, s := range b.memo[key] {
-		if isSubset(s, banned) {
+		if s.subsetOf(banned) {
 			return true
 		}
 	}
@@ -324,26 +340,14 @@ func (b *builder) memoUnproductive(key string, banned map[string]bool) bool {
 }
 
 // memoRecord stores an unproductive finding, dropping recorded supersets.
-func (b *builder) memoRecord(key string, banned map[string]bool) {
+func (b *builder) memoRecord(key string, banned banSet) {
 	kept := b.memo[key][:0]
 	for _, s := range b.memo[key] {
-		if !isSubset(banned, s) {
+		if !banned.subsetOf(s) {
 			kept = append(kept, s)
 		}
 	}
 	b.memo[key] = append(kept, banned)
-}
-
-func isSubset(a, b map[string]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // expand grows the subtree under goal node n depth-first and returns whether
@@ -375,19 +379,13 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		return false
 	}
 	var key string
-	var restrictedBans map[string]bool
+	var restrictedBans banSet
 	if !b.opts.NoMemo {
 		key = contextKey(n)
 		// Only descriptions reachable from this predicate can influence
 		// the subtree; restricting the ban set to that cone makes memo
 		// entries comparable across unrelated branches.
-		reach := b.cat.reachable(n.label.Pred)
-		restrictedBans = map[string]bool{}
-		for d := range n.banned {
-			if reach[d] {
-				restrictedBans[d] = true
-			}
-		}
+		restrictedBans = n.banned.within(b.cat.reach[n.label.Pred])
 		if b.memoUnproductive(key, restrictedBans) {
 			// Known unproductive under a weaker (or equal) ban set: skip
 			// building the subtree entirely.
@@ -411,7 +409,7 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 
 	// Case 1: definitional expansion (GAV-style).
 	for _, ru := range b.cat.rulesByHead[n.label.Pred] {
-		if !ru.fromInclusion && n.banned[ru.id] {
+		if !ru.fromInclusion && n.banned.has(ru.desc) {
 			continue
 		}
 		if b.definitionalChild(n, ru, maxNodes, ns, seen) {
@@ -434,12 +432,12 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		}
 	}
 	required := requiredVars(parent)
-	for _, view := range b.cat.viewsByBodyPred[n.label.Pred] {
-		if n.banned[view.ID] {
+	for _, v := range b.cat.viewsByBodyPred[n.label.Pred] {
+		if n.banned.has(v.desc) {
 			continue
 		}
-		for _, mcd := range minicon.Form(goals, selfIdx, required, view, b.vs) {
-			if b.inclusionChild(n, view, mcd, maxNodes, ns, seen) {
+		for _, mcd := range minicon.Form(goals, selfIdx, required, v.View, b.vs) {
+			if b.inclusionChild(n, v, mcd, maxNodes, ns, seen) {
 				productive = true
 			}
 			if b.err != nil {
@@ -538,7 +536,7 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 	}
 	banned := n.banned
 	if !ru.fromInclusion {
-		banned = extendBan(n.banned, ru.id)
+		banned = n.banned.with(ru.desc)
 	}
 	// Bindings the head unification imposes on the goal's own variables
 	// must flow into the final rewriting (its head and sibling atoms).
@@ -563,12 +561,10 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 				return false
 			}
 		}
-		if s, ok := b.childSig(n, ru.id, body, comps, export, nil); ok {
-			if prod, dup := seen[s]; dup {
-				b.stats.PrunedSubsumed++
-				return prod
-			}
-			sig = s
+		sig = b.childSig(n, ru.desc, body, comps, export, nil)
+		if prod, dup := seen[sig]; dup {
+			b.stats.PrunedSubsumed++
+			return prod
 		}
 	}
 	rn := &node{
@@ -605,7 +601,7 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 	// A rule node is productive when every child is stored, productive, or
 	// covered by a sibling's productive inclusion expansion (unc labels).
 	prod := ruleNodeProductive(rn)
-	if sig != "" {
+	if seen != nil {
 		seen[sig] = prod
 	}
 	return prod
@@ -614,7 +610,7 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 // inclusionChild performs one inclusion expansion of goal node n with the
 // given MCD; returns productivity. seen is the goal's duplicate-description
 // signature set (nil when pruning is disabled).
-func (b *builder) inclusionChild(n *node, view *minicon.View, mcd minicon.MCD, maxNodes int, sp *obs.Span, seen map[string]bool) bool {
+func (b *builder) inclusionChild(n *node, v view, mcd minicon.MCD, maxNodes int, sp *obs.Span, seen map[string]bool) bool {
 	comps := mcd.Comps
 	constraint := n.constraint.And(constraints.New(comps...))
 	if !b.opts.NoPruneUnsat && len(comps) > 0 && !constraint.Satisfiable() {
@@ -629,20 +625,18 @@ func (b *builder) inclusionChild(n *node, view *minicon.View, mcd minicon.MCD, m
 			b.stats.PrunedEmpty++
 			return false
 		}
-		if s, ok := b.childSig(n, view.ID, []lang.Atom{mcd.Atom}, comps, mcd.Export, mcd.Covered); ok {
-			if prod, dup := seen[s]; dup {
-				b.stats.PrunedSubsumed++
-				return prod
-			}
-			sig = s
+		sig = b.childSig(n, v.desc, []lang.Atom{mcd.Atom}, comps, mcd.Export, mcd.Covered)
+		if prod, dup := seen[sig]; dup {
+			b.stats.PrunedSubsumed++
+			return prod
 		}
 	}
-	banned := extendBan(n.banned, view.ID)
+	banned := n.banned.with(v.desc)
 	rn := &node{
 		id:         b.nextID(),
 		kind:       ruleNode,
 		parent:     n,
-		descID:     view.ID,
+		descID:     v.ID,
 		comps:      comps,
 		export:     mcd.Export,
 		constraint: constraint,
@@ -664,11 +658,11 @@ func (b *builder) inclusionChild(n *node, view *minicon.View, mcd minicon.MCD, m
 	}
 	rn.children = []*node{gn}
 	b.stats.GoalNodes++
-	rs := sp.Child("mcd", obs.Attr{K: "view", V: view.ID})
+	rs := sp.Child("mcd", obs.Attr{K: "view", V: v.ID})
 	prod := b.expand(gn, maxNodes, rs)
 	rs.End()
 	n.children = append(n.children, rn)
-	if sig != "" {
+	if seen != nil {
 		seen[sig] = prod
 	}
 	return prod
@@ -728,15 +722,5 @@ func (b *builder) orderChildren(children []*node) []*node {
 	for i, s := range sc {
 		out[i] = s.n
 	}
-	return out
-}
-
-// extendBan returns banned ∪ {id} without mutating the shared parent map.
-func extendBan(banned map[string]bool, id string) map[string]bool {
-	out := make(map[string]bool, len(banned)+1)
-	for k := range banned {
-		out[k] = true
-	}
-	out[id] = true
 	return out
 }

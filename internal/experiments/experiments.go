@@ -2,7 +2,7 @@
 // Figure 3 (rule-goal tree size vs PDMS diameter, by %definitional
 // mappings), Figure 4 (time to the 1st/10th/all rewritings vs diameter),
 // the in-text node-generation-rate claim, and the ablations of the Section
-// 4.3 optimizations that DESIGN.md calls out. cmd/figures and the root
+// 4.3 optimizations (ARCHITECTURE.md §2). cmd/figures and the root
 // benchmarks are thin wrappers over this package so they always agree.
 package experiments
 
@@ -204,7 +204,7 @@ type AblationPoint struct {
 	TimeOff  time.Duration
 }
 
-// Ablations runs the A1/A3 sweeps of DESIGN.md — memoization and priority
+// Ablations runs the A1/A3 sweeps — Section 4.3's memoization and priority
 // ordering — on a 40%-store-coverage workload: the storeless bottom
 // relations create the repeated dead-end subtrees those optimizations
 // exist for. (A2, unsat pruning, needs comparison predicates and lives in

@@ -1401,7 +1401,7 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, de
 		spanCh = make(chan *obs.Span, nb)
 		defer func() { c.traceSpan = parent }()
 	}
-	var responsesDone, batchesWritten atomic.Uint64
+	var responsesDone atomic.Uint64
 	sem := make(chan struct{}, depth)
 	abort := make(chan struct{})
 	writeErr := make(chan error, 1)
@@ -1443,7 +1443,6 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, de
 				if err := c.enc.Encode(req); err != nil {
 					return err
 				}
-				batchesWritten.Add(1)
 			}
 			return nil
 		}()
@@ -1476,28 +1475,24 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, de
 		}
 		return nil
 	}
-	if !c.broken {
-		// The error frame was well-framed. If the writer has already
-		// finished cleanly and the errored response was the last one
-		// outstanding, the stream is in sync and the connection stays
-		// usable. The check must be non-blocking: joining a writer that is
-		// mid-write would deadlock (the server stops reading requests
-		// while we stop reading its responses).
-		select {
-		case werr := <-writeErr:
-			if werr == nil && int(batchesWritten.Load()) == read+1 {
-				return readErr
-			}
-			// Writer failed, or later batches have responses in flight
-			// that will never be read: the stream is desynced.
+	if !c.broken && read+1 == nb {
+		// The error frame was well-framed and answers the last batch. The
+		// server answers a batch only after reading its request through
+		// the newline, so every request is off the writer's hands and every
+		// response has been read: the stream is in sync, and the writer is
+		// past its last write, at most not yet scheduled to post. Joining
+		// it cannot deadlock, and a non-blocking look would call a healthy
+		// connection desynced whenever the reader got here first.
+		if werr := <-writeErr; werr != nil {
 			c.broken = true
 			c.conn.Close()
-			close(abort)
-			return readErr
-		default:
 		}
+		return readErr
 	}
-	// Transport failure, or the writer is still running: kill the
+	// Transport failure, or later batches are being written or have
+	// responses in flight that will never be read: the stream is desynced.
+	// Joining a writer that is mid-write would deadlock (the server stops
+	// reading requests while we stop reading its responses), so kill the
 	// connection first — that unblocks a writer stuck in a socket write —
 	// then stop and join it.
 	c.broken = true

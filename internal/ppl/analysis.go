@@ -194,16 +194,49 @@ func (c Classification) String() string {
 //   - Cyclic inclusion graph (beyond what projection-free equalities
 //     induce) → undecidable in general (Thm 3.1(1)).
 func (n *PDMS) Classify(query lang.CQ) Classification {
-	var out Classification
+	return n.ClassifySpec().Classify(query)
+}
+
+// SpecClass is the query-independent half of Classify: the class the
+// specification alone forces and the reasons for it. It is a snapshot — a
+// later AddMapping or AddStorage does not show in it — and is safe for
+// concurrent use.
+type SpecClass struct {
+	class   Complexity
+	reasons []string
+}
+
+// Classify completes the classification for one query (the zero CQ leaves
+// the specification's own class).
+func (s SpecClass) Classify(query lang.CQ) Classification {
+	out := Classification{Class: s.class, Reasons: append([]string(nil), s.reasons...)}
+	if out.Class == Undecidable {
+		return out
+	}
+	if len(query.Comps) > 0 {
+		out.Class = maxComplexity(out.Class, CoNP)
+		out.Reasons = append(out.Reasons, "query uses comparison predicates (Thm 3.3(2))")
+	}
+	if out.Class == PTime {
+		out.Reasons = append(out.Reasons,
+			"equalities projection-free, definitional heads isolated, comparisons confined (Thms 3.2(1), 3.3(1))")
+	}
+	return out
+}
+
+// ClassifySpec runs the specification scans of Classify once, for callers
+// that classify many queries against one specification.
+func (n *PDMS) ClassifySpec() SpecClass {
+	var out SpecClass
 
 	acyclic, cycle := n.AcyclicInclusionsOnly()
 	if !acyclic {
-		out.Class = Undecidable
-		out.Reasons = append(out.Reasons,
+		out.class = Undecidable
+		out.reasons = append(out.reasons,
 			fmt.Sprintf("inclusion peer mappings are cyclic (witness: %s)", strings.Join(cycle, " -> ")))
 		return out
 	}
-	out.Reasons = append(out.Reasons, "inclusion peer mappings are acyclic (Definition 3.1)")
+	out.reasons = append(out.reasons, "inclusion peer mappings are acyclic (Definition 3.1)")
 
 	class := PTime
 
@@ -211,14 +244,14 @@ func (n *PDMS) Classify(query lang.CQ) Classification {
 	for _, m := range n.mappings {
 		if m.Kind == Equality && (m.LHS.HasProjection() || m.RHS.HasProjection()) {
 			class = maxComplexity(class, CoNP)
-			out.Reasons = append(out.Reasons,
+			out.reasons = append(out.reasons,
 				fmt.Sprintf("equality peer mapping %s contains projections (Thm 3.2)", m.ID))
 		}
 	}
 	for _, s := range n.storage {
 		if s.Kind == StorageEquality && s.Query.HasProjection() {
 			class = maxComplexity(class, CoNP)
-			out.Reasons = append(out.Reasons,
+			out.reasons = append(out.reasons,
 				fmt.Sprintf("equality storage description %s contains projections (Thm 3.2(2))", s.ID))
 		}
 	}
@@ -243,7 +276,7 @@ func (n *PDMS) Classify(query lang.CQ) Classification {
 		for _, a := range rhs {
 			if defID, ok := defHeads[a.Pred]; ok {
 				class = maxComplexity(class, CoNP)
-				out.Reasons = append(out.Reasons,
+				out.reasons = append(out.reasons,
 					fmt.Sprintf("definitional head %s (from %s) appears on RHS of %s (Thm 3.2)", a.Pred, defID, m.ID))
 			}
 		}
@@ -252,7 +285,7 @@ func (n *PDMS) Classify(query lang.CQ) Classification {
 		for _, a := range s.Query.Body {
 			if defID, ok := defHeads[a.Pred]; ok {
 				class = maxComplexity(class, CoNP)
-				out.Reasons = append(out.Reasons,
+				out.reasons = append(out.reasons,
 					fmt.Sprintf("definitional head %s (from %s) appears in storage description %s (Thm 3.2)", a.Pred, defID, s.ID))
 			}
 		}
@@ -266,21 +299,12 @@ func (n *PDMS) Classify(query lang.CQ) Classification {
 		default:
 			if len(m.LHS.Comps) > 0 || len(m.RHS.Comps) > 0 {
 				class = maxComplexity(class, CoNP)
-				out.Reasons = append(out.Reasons,
+				out.reasons = append(out.reasons,
 					fmt.Sprintf("non-definitional peer mapping %s uses comparison predicates (Thm 3.3(2))", m.ID))
 			}
 		}
 	}
-	if len(query.Comps) > 0 {
-		class = maxComplexity(class, CoNP)
-		out.Reasons = append(out.Reasons, "query uses comparison predicates (Thm 3.3(2))")
-	}
-
-	if class == PTime {
-		out.Reasons = append(out.Reasons,
-			"equalities projection-free, definitional heads isolated, comparisons confined (Thms 3.2(1), 3.3(1))")
-	}
-	out.Class = class
+	out.class = class
 	return out
 }
 

@@ -4,8 +4,8 @@
 // inclusion peer mappings, chain-query mapping bodies over relations of the
 // adjacent stratum, and storage descriptions at the bottom stratum.
 //
-// The paper leaves the generator's small print open; the concrete choices
-// here (documented in DESIGN.md §3) are:
+// The paper (PAPER.md, Section 5) leaves the generator's small print open;
+// the concrete choices here are:
 //
 //   - every peer owns one binary peer relation; peers are split across the
 //     L strata as evenly as possible;

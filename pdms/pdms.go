@@ -75,6 +75,18 @@ type Network struct {
 	invalidations uint64
 	answers       *engine.LRU
 	reforms       *engine.LRU
+	// reformer is the spec generation's core.Reformulator, shared by every
+	// reformulation-cache miss: the first miss after construction or Extend
+	// builds it (normalizing the whole specification), Extend drops it.
+	// Holders also hold mu, so the spec it was built from cannot move under
+	// them.
+	reformMu sync.Mutex
+	reformer *core.Reformulator // guarded by reformMu
+	// catalogBuilds counts reformer builds, nodesExpanded the rule-goal tree
+	// nodes of every computed reformulation, reformHist times them.
+	catalogBuilds obs.Counter
+	nodesExpanded obs.Counter
+	reformHist    *obs.Histogram
 	// tracer samples Query/QueryVia traces (off until its sampling knob is
 	// set); queryHist times every query regardless of sampling.
 	tracer    *obs.Tracer
@@ -87,14 +99,15 @@ type Network struct {
 
 func newNetwork(spec *ppl.PDMS, data *rel.Instance, opts Options) *Network {
 	return &Network{
-		spec:      spec,
-		data:      data,
-		opts:      opts,
-		eng:       engine.New(data),
-		answers:   engine.NewLRU(answerCacheSize),
-		reforms:   engine.NewLRU(reformCacheSize),
-		tracer:    obs.NewTracer(traceRingSize),
-		queryHist: obs.NewHistogram(),
+		spec:       spec,
+		data:       data,
+		opts:       opts,
+		eng:        engine.New(data),
+		answers:    engine.NewLRU(answerCacheSize),
+		reforms:    engine.NewLRU(reformCacheSize),
+		tracer:     obs.NewTracer(traceRingSize),
+		queryHist:  obs.NewHistogram(),
+		reformHist: obs.NewHistogram(),
 	}
 }
 
@@ -257,6 +270,9 @@ func (n *Network) Extend(src string) error {
 	defer func() {
 		n.specGen++
 		n.invalidations++
+		n.reformMu.Lock()
+		n.reformer = nil
+		n.reformMu.Unlock()
 	}()
 	// Merge declarations, mappings, storage and data.
 	for _, name := range res.PDMS.RelationNames() {
@@ -378,16 +394,17 @@ func (n *Network) reformulateCQLocked(q lang.CQ, sp *obs.Span) (*Reformulation, 
 		sp.SetInt("rewritings", int64(ref.Rewriting.Len()))
 		return &ref, nil
 	}
-	copts := n.opts.core()
-	copts.Trace = sp
-	r, err := core.New(n.spec, copts)
+	r, err := n.reformulatorLocked()
 	if err != nil {
 		return nil, err
 	}
-	out, err := r.Reformulate(q)
+	start := time.Now()
+	out, err := r.ReformulateSpan(q, sp)
 	if err != nil {
 		return nil, err
 	}
+	n.reformHist.Observe(time.Since(start))
+	n.nodesExpanded.Add(uint64(out.Stats.Nodes()))
 	ref := Reformulation{
 		Rewriting:      out.UCQ,
 		Stats:          out.Stats,
@@ -396,6 +413,23 @@ func (n *Network) reformulateCQLocked(q lang.CQ, sp *obs.Span) (*Reformulation, 
 	sp.SetInt("rewritings", int64(ref.Rewriting.Len()))
 	n.reforms.Put(key, ref)
 	return &ref, nil
+}
+
+// reformulatorLocked returns the spec generation's Reformulator, building it
+// on first use, with n.mu held (any mode): Extend, which changes the spec
+// and drops the Reformulator, is excluded for as long as the caller uses it.
+func (n *Network) reformulatorLocked() (*core.Reformulator, error) {
+	n.reformMu.Lock()
+	defer n.reformMu.Unlock()
+	if n.reformer == nil {
+		r, err := core.New(n.spec, n.opts.core())
+		if err != nil {
+			return nil, err
+		}
+		n.reformer = r
+		n.catalogBuilds.Inc()
+	}
+	return n.reformer, nil
 }
 
 // answerKeyLocked builds the answer-cache key for q given its
@@ -585,7 +619,9 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
 // RegisterMetrics registers this network's counters into reg: the answer
 // and reformulation cache counters as the "pdms" group, the query latency
-// histogram as "pdms.query_seconds", and the embedded engine's counters as
+// histogram as "pdms.query_seconds", the reformulation layer's as the "core"
+// group and "core.reformulate_seconds" (computed reformulations only —
+// cache hits run no reformulation), and the embedded engine's counters as
 // the "engine" group.
 func (n *Network) RegisterMetrics(reg *obs.Registry) {
 	n.eng.RegisterMetrics(reg)
@@ -593,6 +629,11 @@ func (n *Network) RegisterMetrics(reg *obs.Registry) {
 		store.RegisterMetrics(reg, n.dstore)
 	}
 	reg.RegisterHistogram("pdms.query_seconds", n.queryHist)
+	reg.RegisterHistogram("core.reformulate_seconds", n.reformHist)
+	reg.RegisterGroup("core", func(em *obs.Emitter) {
+		em.Counter("catalog_builds", n.catalogBuilds.Load())
+		em.Counter("nodes_expanded", n.nodesExpanded.Load())
+	})
 	reg.RegisterGroup("pdms", func(em *obs.Emitter) {
 		cs := n.CacheStats()
 		em.Counter("answer_cache.hits", cs.Hits)

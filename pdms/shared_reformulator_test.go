@@ -1,0 +1,157 @@
+package pdms_test
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/parser"
+	"repro/internal/swarm"
+	"repro/pdms"
+)
+
+// TestConcurrentMissesShareTheGenerationsReformulator drives the one
+// core.Reformulator a Network keeps per spec generation from eight
+// goroutines at once — every query text is distinct, so every call misses
+// the reformulation cache and builds a tree on the shared catalog — while a
+// ninth extends the specification midway. Each rewriting must equal what a
+// fresh, single-threaded core.New produces for the generation the call ran
+// under. Run with -race: it is also the proof that nothing a builder does
+// writes to the catalog.
+func TestConcurrentMissesShareTheGenerationsReformulator(t *testing.T) {
+	const workers, perWorker, peers = 8, 12, 24
+	spec, err := swarm.Generate(swarm.Params{Peers: peers, Topology: swarm.SmallWorld, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A new store at the deepest backbone peer reaches every peer's
+	// rewriting, so the two generations are told apart by any query.
+	extension := fmt.Sprintf("storage Late.store(x, y) in %s(x, y)", swarm.PeerRel(peers-1))
+
+	net, err := pdms.Load(spec.Mediator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	net.RegisterMetrics(reg)
+
+	type outcome struct {
+		text, got string
+		// before: the call returned before Extend began; after: it began
+		// after Extend returned. Neither: it overlapped, either generation.
+		before, after bool
+	}
+	var extendBegun, extendDone atomic.Bool
+	var calls atomic.Int64
+	halfway := make(chan struct{})
+	outcomes := make([][]outcome, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				text := fmt.Sprintf("q(y) :- %s(%q, y)", swarm.PeerRel((w+k)%4), fmt.Sprintf("c%d_%d", w, k))
+				after := extendDone.Load()
+				ref, err := net.Reformulate(text)
+				before := !extendBegun.Load()
+				if err != nil {
+					t.Errorf("%s: %v", text, err)
+					return
+				}
+				outcomes[w] = append(outcomes[w], outcome{text, ref.Rewriting.String(), before, after})
+				if calls.Add(1) == workers*perWorker/2 {
+					close(halfway)
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-halfway
+		extendBegun.Store(true)
+		if err := net.Extend(extension); err != nil {
+			t.Errorf("Extend: %v", err)
+		}
+		extendDone.Store(true)
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// The expectations, from a second network taken through the same two
+	// generations with nothing running beside it.
+	model, err := pdms.Load(spec.Mediator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := func() map[string]string {
+		r, err := core.New(model.Spec(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{}
+		for _, os := range outcomes {
+			for _, o := range os {
+				q, err := parser.ParseQuery(o.text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := r.Reformulate(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[o.text] = res.UCQ.String()
+			}
+		}
+		return want
+	}
+	gen0 := expect()
+	if err := model.Extend(extension); err != nil {
+		t.Fatal(err)
+	}
+	gen1 := expect()
+
+	sawBefore, sawAfter := 0, 0
+	for _, os := range outcomes {
+		for _, o := range os {
+			if gen0[o.text] == gen1[o.text] {
+				t.Fatalf("%s: the extension does not change its rewriting", o.text)
+			}
+			switch {
+			case o.before:
+				sawBefore++
+				if o.got != gen0[o.text] {
+					t.Errorf("%s ran before Extend:\n got %s\nwant %s", o.text, o.got, gen0[o.text])
+				}
+			case o.after:
+				sawAfter++
+				if o.got != gen1[o.text] {
+					t.Errorf("%s ran after Extend:\n got %s\nwant %s", o.text, o.got, gen1[o.text])
+				}
+			case o.got != gen0[o.text] && o.got != gen1[o.text]:
+				t.Errorf("%s overlapped Extend and matches neither generation:\n got %s", o.text, o.got)
+			}
+		}
+	}
+	if sawBefore == 0 || sawAfter == 0 {
+		t.Errorf("%d calls before Extend, %d after: both generations must be exercised", sawBefore, sawAfter)
+	}
+
+	snap := reg.Snapshot()
+	if got := snap.Counters["core.catalog_builds"]; got != 2 {
+		t.Errorf("core.catalog_builds = %d, want 2 (one per generation that saw a miss)", got)
+	}
+	if got := snap.Counters["pdms.reform_cache.misses"]; got != workers*perWorker {
+		t.Errorf("pdms.reform_cache.misses = %d, want %d: every text is distinct", got, workers*perWorker)
+	}
+	if snap.Counters["core.nodes_expanded"] == 0 || snap.Histograms["core.reformulate_seconds"].Count != workers*perWorker {
+		t.Errorf("core.nodes_expanded = %d, core.reformulate_seconds count = %d, want > 0 and %d",
+			snap.Counters["core.nodes_expanded"], snap.Histograms["core.reformulate_seconds"].Count, workers*perWorker)
+	}
+}
