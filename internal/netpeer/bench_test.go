@@ -13,12 +13,12 @@ import (
 	"repro/internal/store"
 )
 
-// BenchmarkBindJoin compares bind-join against legacy fetch-and-join on a
-// skewed cross-peer join: the bound side holds 8 keys, the remote relation
-// holds 20k rows of which only ~160 join. Bind-join ships the 8 keys and
-// receives ~160 rows; fetch-and-join pulls all 20k. The reported
-// rows-fetched/op and bytes-recv/op metrics make the shipping gap visible
-// next to the wall-clock difference.
+// BenchmarkBindJoin measures the wire path of a skewed cross-peer join: the
+// bound side holds 8 keys, the remote relation holds 20k rows of which only
+// ~160 join. Bind-join ships the 8 keys and receives ~160 rows; the
+// reported rows-fetched/op and bytes-recv/op metrics make the shipping
+// visible next to the wall-clock cost. Every iteration starts with a cold
+// fragment cache (see BenchmarkFragmentCacheRepeat for the warm case).
 func BenchmarkBindJoin(b *testing.B) {
 	const (
 		bigRows   = 20000
@@ -40,45 +40,27 @@ func BenchmarkBindJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-
-	for _, mode := range []struct {
-		name     string
-		fetchAll bool
-		pipeline int
-	}{
-		{"bindjoin", false, 0},     // streaming, pipelined (default depth)
-		{"bindjoin-seq", false, 1}, // streaming, sequential batch round trips
-		{"fetchall", true, 0},      // legacy whole-relation fetch baseline
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			ex := NewExecutor()
-			ex.FetchAll = mode.fetchAll
-			ex.BindPipeline = mode.pipeline
-			// This benchmark measures the wire path itself; the cross-query
-			// fragment cache would serve every iteration after the first
-			// (see BenchmarkFragmentCacheRepeat for that).
-			ex.FragmentCacheOff = true
-			defer ex.Close()
-			for _, a := range []string{addr1, addr2} {
-				if err := ex.Discover(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-			base := ex.WireStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := ex.EvalCQ(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) != boundKeys*bigRows/distinct {
-					b.Fatalf("rows = %d", len(rows))
-				}
-			}
-			b.StopTimer()
-			reportWireDeltas(b, ex.WireStats(), base)
-		})
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{addr1, addr2} {
+		if err := ex.Discover(a); err != nil {
+			b.Fatal(err)
+		}
 	}
+	base := ex.WireStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ex.frags.clear()
+		rows, err := ex.EvalCQ(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != boundKeys*bigRows/distinct {
+			b.Fatalf("rows = %d", len(rows))
+		}
+	}
+	b.StopTimer()
+	reportWireDeltas(b, ex.WireStats(), base)
 }
 
 // reportWireDeltas reports per-op wire metrics between two counter
@@ -91,68 +73,6 @@ func reportWireDeltas(b *testing.B, st, base WireStats) {
 	stalls := (st.BindBatches - st.BindBatchesPipelined) - (base.BindBatches - base.BindBatchesPipelined)
 	b.ReportMetric(float64(stalls)/float64(b.N), "seq-stalls/op")
 	b.ReportMetric(float64(st.MaxFrameBytes), "max-frame-bytes")
-}
-
-// BenchmarkBindJoinPipelined isolates the pipelining win: the bound side
-// spans several bind batches (4096 keys, 4 batches of 1024), so the
-// sequential protocol pays one full round-trip stall per batch while the
-// pipelined one ships batch i+1 during batch i's response stream. The
-// seq-stalls/op metric is the machine-readable difference (1 vs 4); over
-// loopback the wall-clock gap is noise, but on a real link each avoided
-// stall saves one RTT.
-func BenchmarkBindJoinPipelined(b *testing.B) {
-	const (
-		bigRows   = 20000
-		distinct  = 8000
-		boundKeys = 4096
-	)
-	small := map[string][]rel.Tuple{"S.keys": nil}
-	large := map[string][]rel.Tuple{"L.rows": nil}
-	for i := 0; i < boundKeys; i++ {
-		small["S.keys"] = append(small["S.keys"], rel.Tuple{fmt.Sprintf("k%d", i)})
-	}
-	for i := 0; i < bigRows; i++ {
-		large["L.rows"] = append(large["L.rows"],
-			rel.Tuple{fmt.Sprintf("k%d", i%distinct), fmt.Sprintf("p%d", i)})
-	}
-	addr1 := startServer(b, small)
-	addr2 := startServer(b, large)
-	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name     string
-		pipeline int
-	}{
-		{"pipelined", 0},
-		{"sequential", 1},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			ex := NewExecutor()
-			ex.BindPipeline = mode.pipeline
-			ex.FragmentCacheOff = true // isolate the pipelining effect
-			defer ex.Close()
-			for _, a := range []string{addr1, addr2} {
-				if err := ex.Discover(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-			base := ex.WireStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows, err := ex.EvalCQ(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) == 0 {
-					b.Fatal("no rows")
-				}
-			}
-			b.StopTimer()
-			reportWireDeltas(b, ex.WireStats(), base)
-		})
-	}
 }
 
 // BenchmarkStreamLargeResult pins the frame-ceiling fix in benchmark form:
@@ -222,7 +142,6 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 		u.Add(q)
 	}
 	ex := NewExecutor()
-	ex.FragmentCacheOff = true // measure the fan-out, not the cache
 	defer ex.Close()
 	for _, a := range []string{addr1, addr2} {
 		if err := ex.Discover(a); err != nil {
@@ -231,6 +150,7 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ex.frags.clear() // measure the fan-out, not the cache
 		rows, err := ex.EvalUCQ(u)
 		if err != nil {
 			b.Fatal(err)
@@ -243,7 +163,8 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 
 // BenchmarkFragmentCacheRepeat is the repeated-bind-join headline: the
 // same skewed cross-peer join as BenchmarkBindJoin, issued repeatedly
-// through one executor. "off" refetches every fragment per query; "reval"
+// through one executor. "cold" refetches every fragment per query (the
+// cache is cleared before each); "reval"
 // (the default FragmentTrust=0 mode) serves cached fragments after one
 // row-free gens round trip per atom; "trusted" (FragmentTrust well above
 // the benchmark duration) answers repeats with zero network traffic. The
@@ -272,16 +193,15 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name  string
-		off   bool
+		cold  bool
 		trust time.Duration
 	}{
-		{"off", true, 0},
+		{"cold", true, 0},
 		{"reval", false, 0},
 		{"trusted", false, time.Hour},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
-			ex.FragmentCacheOff = mode.off
 			ex.FragmentTrust = mode.trust
 			defer ex.Close()
 			for _, a := range []string{addr1, addr2} {
@@ -298,6 +218,9 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 			fragBase := ex.FragmentStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if mode.cold {
+					ex.frags.clear()
+				}
 				rows, err := ex.EvalCQ(q)
 				if err != nil {
 					b.Fatal(err)
@@ -426,7 +349,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
-			ex.FragmentCacheOff = true // measure the wire path every iteration
 			defer ex.Close()
 			for _, a := range []string{addr1, addr2} {
 				if err := ex.Discover(a); err != nil {
@@ -437,6 +359,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			tr.SetSampleEvery(mode.sample)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ex.frags.clear() // measure the wire path every iteration
 				root := tr.StartTrace("query")
 				rows, err := ex.EvalUCQSpan(u, root)
 				root.End()
@@ -456,8 +379,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // budget, so nearly all of it must flow through spill segments while the
 // resident tail stays within the budget. The spilled-bytes/op and
 // join-bytes metrics make the ratio visible next to the wall-clock cost;
-// the inmemory mode is the same join with spilling disabled, pinning the
-// overhead the durable path pays.
+// the inmemory mode is the same join with spilling disabled, pinning what
+// the spill segments cost.
 func BenchmarkSpilledJoinOverBudget(b *testing.B) {
 	const (
 		nKeys  = 400
@@ -490,7 +413,6 @@ func BenchmarkSpilledJoinOverBudget(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
 			defer ex.Close()
-			ex.FragmentCacheOff = true // measure the join path, not the cache
 			if mode.budget > 0 {
 				ex.SpillDir, ex.SpillBudget = b.TempDir(), mode.budget
 			}
@@ -503,6 +425,7 @@ func BenchmarkSpilledJoinOverBudget(b *testing.B) {
 			base := store.SpillStatsSnapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ex.frags.clear() // measure the join path, not the cache
 				rows, err := ex.EvalCQ(q)
 				if err != nil {
 					b.Fatal(err)

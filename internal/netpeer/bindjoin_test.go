@@ -9,6 +9,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/parser"
 	"repro/internal/rel"
+	"repro/internal/store"
 )
 
 // tuplesEqual compares two sorted answer sets.
@@ -26,7 +27,8 @@ func tuplesEqual(a, b []rel.Tuple) bool {
 
 // TestBindJoinFetchesFewerRows is the headline acceptance check: on a
 // skewed cross-peer join (small bound side, large remote side), bind-join
-// must ship at least 10x fewer rows than whole-relation fetching while
+// must ship a small fraction of the big relation — at least 10x fewer rows
+// than its cardinality, which any whole-relation fetch would move — while
 // returning exactly the oracle's answers.
 func TestBindJoinFetchesFewerRows(t *testing.T) {
 	const big = 2000
@@ -58,45 +60,33 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 		t.Fatalf("oracle rows = %d", len(want))
 	}
 
-	run := func(fetchAll bool) (rows []rel.Tuple, fetched uint64) {
-		ex := NewExecutor()
-		ex.FetchAll = fetchAll
-		defer ex.Close()
-		for _, a := range []string{addr1, addr2} {
-			if err := ex.Discover(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := ex.WireStats().RowsFetched
-		rows, err := ex.EvalCQ(q)
-		if err != nil {
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{addr1, addr2} {
+		if err := ex.Discover(a); err != nil {
 			t.Fatal(err)
 		}
-		return rows, ex.WireStats().RowsFetched - before
 	}
-
-	bindRows, bindFetched := run(false)
-	fullRows, fullFetched := run(true)
-	if !tuplesEqual(bindRows, want) {
-		t.Fatalf("bind-join answers diverge: got %v want %v", bindRows, want)
+	before := ex.WireStats().RowsFetched
+	rows, err := ex.EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !tuplesEqual(fullRows, want) {
-		t.Fatalf("fetch-all answers diverge: got %v want %v", fullRows, want)
+	if !tuplesEqual(rows, want) {
+		t.Fatalf("bind-join answers diverge: got %v want %v", rows, want)
 	}
-	if fullFetched < uint64(big) {
-		t.Fatalf("fetch-all fetched only %d rows, expected >= %d", fullFetched, big)
-	}
-	if bindFetched*10 > fullFetched {
-		t.Fatalf("bind-join fetched %d rows vs %d for fetch-all; want >= 10x reduction", bindFetched, fullFetched)
+	if fetched := ex.WireStats().RowsFetched - before; fetched*10 > big {
+		t.Fatalf("bind-join fetched %d rows of a %d-row relation; want >= 10x fewer", fetched, big)
 	}
 }
 
-// TestFetchNameCollisionRegression pins the scratch-name fix: two atoms on
-// the same predicate whose old unescaped names ("pred|pos=const...")
-// collided — R with constant "x|1=y" at position 0 versus constants
-// "x","y" at positions 0 and 1 — must not share a fetch. With the old
-// encoding the second atom silently reused the first atom's (differently
-// selected) rows and the answer went missing.
+// TestFetchNameCollisionRegression pins that two atoms on the same
+// predicate whose selection patterns would collide under an unescaped
+// "pred|pos=const..." encoding — R with constant "x|1=y" at position 0
+// versus constants "x","y" at positions 0 and 1 — never share a fetch:
+// fragment-cache keys length-prefix every constant. With an aliasing key
+// the second atom silently reuses the first atom's (differently selected)
+// rows and the answer goes missing.
 func TestFetchNameCollisionRegression(t *testing.T) {
 	addr1 := startServer(t, map[string][]rel.Tuple{
 		"C.r": {{"x|1=y", "A"}, {"x", "y"}},
@@ -108,22 +98,19 @@ func TestFetchNameCollisionRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fetchAll := range []bool{false, true} {
-		ex := NewExecutor()
-		ex.FetchAll = fetchAll
-		for _, a := range []string{addr1, addr2} {
-			if err := ex.Discover(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rows, err := ex.EvalCQ(q)
-		ex.Close()
-		if err != nil {
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{addr1, addr2} {
+		if err := ex.Discover(a); err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != 1 || rows[0][0] != "A" || rows[0][1] != "ok" {
-			t.Fatalf("fetchAll=%v: rows = %v, want [[A ok]]", fetchAll, rows)
-		}
+	}
+	rows, err := ex.EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0][0] != "A" || rows[0][1] != "ok" {
+		t.Fatalf("rows = %v, want [[A ok]]", rows)
 	}
 }
 
@@ -210,10 +197,13 @@ func TestBindJoinRepeatedVarAndConsts(t *testing.T) {
 // TestBindJoinDifferentialRandomized pins bind-join answers to the
 // single-instance engine oracle across randomized data partitions,
 // cross-peer CQs and UCQs (including constants, comparisons, repeated
-// atoms, and empty relations), for both bind-join and fetch-all paths.
+// atoms, and empty relations), with and without learned cardinalities, and
+// with the partial join held in memory, spilled on every append, or spilled
+// only where it grows large.
 func TestBindJoinDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	preds := []string{"X.p", "X.q", "Y.r", "Y.s", "Z.t"}
+	spills := map[string]uint64{} // per mode, over all trials
 
 	for trial := 0; trial < 25; trial++ {
 		// Random partition of predicates over two peers; random data.
@@ -233,17 +223,18 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 		addrs := []string{startServer(t, peerData[0]), startServer(t, peerData[1])}
 		for _, mode := range []struct {
 			name     string
-			fetchAll bool
-			discover bool // learn cardinalities → exercises the adaptive switch
+			discover bool  // learn cardinalities → exercises the adaptive switch
+			budget   int64 // spill budget in bytes; 0 keeps every buffer in memory
 		}{
-			{"bind", false, false},
-			{"bind-adaptive", false, true},
-			{"fetchall", true, false},
+			{"bind", false, 0},
+			{"bind-adaptive", true, 0},
+			{"spill-every-row", false, 1},
+			{"spill-large-partials", true, 2 << 10},
 		} {
-			fetchAll := mode.fetchAll
 			ex := NewExecutor()
-			ex.FetchAll = fetchAll
-			ex.BindPipeline = 1 + trial%3
+			if mode.budget > 0 {
+				ex.SpillDir, ex.SpillBudget = t.TempDir(), mode.budget
+			}
 			for _, p := range preds {
 				ex.Route(p, addrs[home[p]])
 			}
@@ -263,22 +254,32 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := store.SpillStatsSnapshot().Spills
 			got, err := ex.EvalUCQ(u)
 			ex.Close()
+			spills[mode.name] += store.SpillStatsSnapshot().Spills - before
 			if err != nil {
-				t.Fatalf("trial %d fetchAll=%v: %v\n%s", trial, fetchAll, err, u)
+				t.Fatalf("trial %d %s: %v\n%s", trial, mode.name, err, u)
 			}
 			if !tuplesEqual(got, want) {
-				t.Fatalf("trial %d fetchAll=%v: executor diverges from oracle on\n%s\ngot  %v\nwant %v",
-					trial, fetchAll, u, got, want)
+				t.Fatalf("trial %d %s: executor diverges from oracle on\n%s\ngot  %v\nwant %v",
+					trial, mode.name, u, got, want)
 			}
 		}
+	}
+	if spills["bind"]+spills["bind-adaptive"] != 0 {
+		t.Fatalf("unbudgeted runs spilled: %v", spills)
+	}
+	if every, large := spills["spill-every-row"], spills["spill-large-partials"]; large == 0 || large >= every {
+		t.Fatalf("spill modes not distinct: %d spills at 1 byte, %d at the mid budget", every, large)
 	}
 }
 
 // randomChainCQ builds a chain join q(x0, xk) :- p(x0, x1), p(x1, x2), ...
-// with random predicates, occasional constants at interior positions, and
-// an occasional comparison.
+// with random predicates, occasional constants at interior positions, an
+// occasional comparison against a constant and an occasional comparison
+// between two variables (x < y: ground only once both sides are bound,
+// usually by different atoms).
 func randomChainCQ(rng *rand.Rand, preds []string) lang.CQ {
 	k := 2 + rng.Intn(3)
 	vars := make([]lang.Term, k+1)
@@ -313,6 +314,9 @@ func randomChainCQ(rng *rand.Rand, preds []string) lang.CQ {
 			L:  bodyVars[rng.Intn(len(bodyVars))],
 			R:  lang.Const(fmt.Sprintf("v%d", rng.Intn(8))),
 		})
+	}
+	if rng.Intn(3) == 0 {
+		q.Comps = append(q.Comps, lang.Comparison{Op: lang.OpLT, L: vars[0], R: vars[k]})
 	}
 	return q
 }

@@ -1,0 +1,494 @@
+package netpeer
+
+import (
+	"bufio"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync/atomic"
+
+	"repro/internal/lang"
+	"repro/internal/obs"
+	"repro/internal/rel"
+	"repro/internal/wire"
+)
+
+// Client is a connection to one peer server. A Client is not safe for
+// concurrent use: the Executor multiplexes concurrent work over a
+// per-address pool of Clients, borrowing one per in-flight request.
+type Client struct {
+	conn net.Conn
+	br   *bufio.Reader
+	enc  *json.Encoder
+	// maxFrame caps one received response frame (wire.DefaultMaxFrame);
+	// chunked streaming keeps real frames around wire.ChunkMaxBytes.
+	maxFrame int
+	// counters, when non-nil, aggregates this client's traffic (set by the
+	// executor's pool so all pooled connections share one Counters).
+	counters *Counters
+	// onMeta, when non-nil, receives the cardinalities, generations and
+	// per-column distinct estimates piggybacked on final response frames
+	// (set by the executor's pool so estimates and generation observations
+	// refresh continuously). dists is nil when the serving peer predates
+	// the Distinct extension.
+	onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64)
+	// tapMeta, when non-nil, additionally receives the same piggyback for
+	// the duration of one logical call — the executor installs it around a
+	// fragment fetch to stamp the cached fragment with the generation its
+	// own response frames reported (the shared onMeta table would race with
+	// concurrent calls observing newer generations).
+	tapMeta func(preds []string, gens []uint64)
+	// traceSpan, when non-nil, marks requests on this client as traced:
+	// each request carries the span's trace ID and span ID, and the spans
+	// shipped back on final frames are adopted under it, labeled with the
+	// peer address. Installed by the borrower for one logical call; like
+	// the Client itself it is not safe for concurrent use.
+	traceSpan *obs.Span
+	// broken is set when a transport-level failure leaves the stream
+	// desynced (request written but response unread, a partial/garbled
+	// frame consumed, or a response stream abandoned mid-flight): reusing
+	// the connection could pair a later request with a stale frame, so the
+	// pool drops broken clients.
+	broken bool
+}
+
+// ErrBusy marks a shed request: the server's admission gate refused to
+// start it (in-flight limit reached, wait queue full or wait bound
+// exceeded). The request did no work, the connection stays usable, and a
+// retry after a jittered backoff is safe for any op (the executor's pool
+// does this automatically). Test with errors.Is.
+var ErrBusy = errors.New("netpeer: server busy")
+
+// clientConnWriter counts request bytes as they hit the socket.
+type clientConnWriter struct{ c *Client }
+
+func (w clientConnWriter) Write(p []byte) (int, error) {
+	n, err := w.c.conn.Write(p)
+	if w.c.counters != nil {
+		w.c.counters.bytesSent.Add(uint64(n))
+	}
+	return n, err
+}
+
+// Dial connects to a peer server.
+func Dial(addr string) (*Client, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}
+	c.enc = json.NewEncoder(clientConnWriter{c: c})
+	return c, nil
+}
+
+// Close closes the connection.
+func (c *Client) Close() error { return c.conn.Close() }
+
+// Broken reports whether a transport-level failure has desynced the
+// connection; a broken client must not be reused.
+func (c *Client) Broken() bool { return c.broken }
+
+// TraceOn installs sp as the client's trace context: subsequent requests
+// carry its trace and span IDs, and remote spans shipped back on final
+// frames are adopted under it. A nil sp turns tracing off. Returns c for
+// chaining.
+func (c *Client) TraceOn(sp *obs.Span) *Client {
+	c.traceSpan = sp
+	return c
+}
+
+// readStream consumes one response stream: zero or more non-final frames
+// and a final one. onRows (when non-nil) receives each frame's rows as
+// they arrive; an onRows error abandons the stream (unread frames desync
+// the connection, so it is closed and marked broken). A remote error frame
+// is terminal but well-framed: the connection stays usable.
+func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error) {
+	for {
+		frame, err := wire.ReadFrame(c.br, c.maxFrame)
+		if err != nil {
+			// Includes ErrFrameTooLarge: the line was consumed, but the
+			// logical response stream is now missing a frame (possibly the
+			// final marker), so the connection cannot be trusted.
+			c.broken = true
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return wire.Response{}, fmt.Errorf("netpeer: connection closed")
+			}
+			return wire.Response{}, err
+		}
+		if c.counters != nil {
+			c.counters.noteFrame(len(frame))
+		}
+		var resp wire.Response
+		if err := json.Unmarshal(frame, &resp); err != nil {
+			c.broken = true
+			return wire.Response{}, err
+		}
+		if resp.Error != "" {
+			// A remote error frame is final and well-framed: the stream
+			// stays in sync and the connection remains usable. A busy frame
+			// additionally wraps ErrBusy so pool users can retry with
+			// backoff (the request was never started on the server).
+			if resp.Busy {
+				return wire.Response{}, fmt.Errorf("%w: %s", ErrBusy, resp.Error)
+			}
+			return wire.Response{}, fmt.Errorf("netpeer: remote: %s", resp.Error)
+		}
+		if c.counters != nil {
+			c.counters.rowsFetched.Add(uint64(len(resp.Rows)))
+		}
+		if onRows != nil && len(resp.Rows) > 0 {
+			if err := onRows(resp.Rows); err != nil {
+				c.broken = true
+				c.conn.Close()
+				return wire.Response{}, err
+			}
+		}
+		if !resp.More {
+			if len(resp.Preds) > 0 {
+				if c.counters != nil && len(resp.Distinct) > 0 {
+					c.counters.distinctMeta.Add(1)
+				}
+				if c.onMeta != nil {
+					c.onMeta(resp.Preds, resp.Cards, resp.Gens, resp.Distinct)
+				}
+				if c.tapMeta != nil {
+					c.tapMeta(resp.Preds, resp.Gens)
+				}
+			}
+			if c.traceSpan != nil && len(resp.Spans) > 0 {
+				c.traceSpan.AdoptRemote(c.conn.RemoteAddr().String(), wireToSpans(resp.Spans))
+			}
+			return resp, nil
+		}
+	}
+}
+
+// roundTripStream writes one request and consumes its response stream,
+// handing each frame's rows to onRows.
+func (c *Client) roundTripStream(req wire.Request, onRows func([][]string) error) (wire.Response, error) {
+	if c.counters != nil {
+		c.counters.requests.Add(1)
+	}
+	if c.traceSpan != nil {
+		req.Trace = c.traceSpan.TraceID()
+		req.Span = c.traceSpan.ID()
+	}
+	if err := c.enc.Encode(req); err != nil {
+		c.broken = true
+		return wire.Response{}, err
+	}
+	return c.readStream(onRows)
+}
+
+// roundTrip is roundTripStream materialized: the returned response carries
+// every row of the stream.
+func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
+	var all [][]string
+	final, err := c.roundTripStream(req, func(rows [][]string) error {
+		all = append(all, rows...)
+		return nil
+	})
+	if err != nil {
+		return wire.Response{}, err
+	}
+	final.Rows = all
+	return final, nil
+}
+
+// rowsToYield adapts a per-tuple yield to readStream's per-frame callback.
+func rowsToYield(yield func(rel.Tuple) error) func([][]string) error {
+	return func(rows [][]string) error {
+		for _, r := range rows {
+			if err := yield(rel.Tuple(r)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// Catalog lists the relations the peer serves.
+func (c *Client) Catalog() ([]string, error) {
+	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Preds, nil
+}
+
+// CatalogStats lists the relations the peer serves together with their
+// current cardinalities (estimates for join ordering; they may go stale
+// without affecting correctness).
+func (c *Client) CatalogStats() (map[string]int, error) {
+	cards, _, err := c.CatalogMeta()
+	return cards, err
+}
+
+// CatalogMeta is CatalogStats plus the per-column distinct estimates the
+// peer advertises (nil per relation when the peer predates the Distinct
+// extension) — both are join-ordering hints, never correctness inputs.
+func (c *Client) CatalogMeta() (map[string]int, map[string][]float64, error) {
+	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
+	if err != nil {
+		return nil, nil, err
+	}
+	cards := make(map[string]int, len(resp.Preds))
+	dists := make(map[string][]float64, len(resp.Preds))
+	for i, p := range resp.Preds {
+		if i < len(resp.Cards) {
+			cards[p] = resp.Cards[i]
+		} else {
+			cards[p] = 0
+		}
+		if i < len(resp.Distinct) && len(resp.Distinct[i]) > 0 {
+			dists[p] = resp.Distinct[i]
+		}
+	}
+	return cards, dists, nil
+}
+
+// Gens asks the peer for the current generation (monotonic insert counter)
+// of each named relation — the fragment cache's cheap revalidation round
+// trip: no rows cross the wire, and a relation the peer does not serve
+// reports generation 0.
+func (c *Client) Gens(preds []string) (map[string]uint64, error) {
+	resp, err := c.roundTrip(wire.Request{Op: "gens", Preds: preds})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]uint64, len(resp.Preds))
+	for i, p := range resp.Preds {
+		if i < len(resp.Gens) {
+			out[p] = resp.Gens[i]
+		} else {
+			out[p] = 0
+		}
+	}
+	return out, nil
+}
+
+// Ping performs a no-op round trip, verifying the connection and the peer
+// are alive. Connection pools use it to health-check idle-too-long
+// connections before reuse.
+func (c *Client) Ping() error {
+	_, err := c.roundTrip(wire.Request{Op: "ping"})
+	return err
+}
+
+// Add inserts a batch of rows into one relation on the peer (the
+// protocol's single mutating op). The returned generation is the
+// relation's version read after the batch's last insert landed — at
+// least as new as this write, possibly newer under concurrent writers.
+// Set semantics make the op idempotent (re-inserting an existing tuple
+// is a no-op), so retrying after an ambiguous failure is safe; a busy
+// error (errors.Is(err, ErrBusy)) additionally means the batch was
+// never started.
+func (c *Client) Add(pred string, rows [][]string) (gen uint64, err error) {
+	resp, err := c.roundTrip(wire.Request{Op: "add", Pred: pred, Rows: rows})
+	if err != nil {
+		return 0, err
+	}
+	if len(resp.Gens) > 0 {
+		gen = resp.Gens[0]
+	}
+	return gen, nil
+}
+
+// Scan fetches all tuples of one relation.
+func (c *Client) Scan(pred string) ([]rel.Tuple, error) {
+	resp, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred})
+	if err != nil {
+		return nil, err
+	}
+	return wire.RowsToTuples(resp.Rows), nil
+}
+
+// ScanStream streams one relation's tuples through yield as response
+// frames arrive, without materializing the result. A yield that stalls
+// stalls the read loop — and, once the socket buffers fill, the serving
+// peer's response stream (the load generator's slow-consumer mode leans on
+// exactly this backpressure).
+func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
+	_, err := c.roundTripStream(wire.Request{Op: "scan", Pred: pred}, rowsToYield(yield))
+	return err
+}
+
+// EvalStream evaluates a conjunctive query remotely — every body atom must
+// name a relation the peer serves — invoking yield once per distinct head
+// tuple as chunks arrive, in stream (not sorted) order.
+func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
+	wq := wire.FromCQ(q)
+	_, err := c.roundTripStream(wire.Request{Op: "eval", Query: &wq}, rowsToYield(yield))
+	return err
+}
+
+// Eval is EvalStream materialized and sorted (the head tuples, distinct).
+func (c *Client) Eval(q lang.CQ) ([]rel.Tuple, error) {
+	wq := wire.FromCQ(q)
+	resp, err := c.roundTrip(wire.Request{Op: "eval", Query: &wq})
+	if err != nil {
+		return nil, err
+	}
+	return rel.DistinctSorted(wire.RowsToTuples(resp.Rows)), nil
+}
+
+// bindBatchSize and bindBatchMaxBytes cap the bound-key rows shipped per
+// bind request frame — by count and by total value bytes — so a huge
+// bound side (or individually huge key values) never produces a request
+// frame near the server's limit.
+const (
+	bindBatchSize     = 1024
+	bindBatchMaxBytes = 4 << 20
+	// bindPipelineDepth is how many bind batches a client keeps in flight:
+	// batch i+1 ships while batch i's rows stream back.
+	bindPipelineDepth = 4
+)
+
+// bindBatchStarts cuts rows into request batches: a new batch starts at
+// bindBatchSize rows or once the accumulated key bytes pass
+// bindBatchMaxBytes (a single oversized row still ships alone).
+func bindBatchStarts(rows [][]string) []int {
+	starts := []int{0}
+	rowsIn, bytesIn := 0, 0
+	for i, row := range rows {
+		sz := 0
+		for _, v := range row {
+			sz += len(v)
+		}
+		if rowsIn > 0 && (rowsIn >= bindBatchSize || bytesIn+sz > bindBatchMaxBytes) {
+			starts = append(starts, i)
+			rowsIn, bytesIn = 0, 0
+		}
+		rowsIn++
+		bytesIn += sz
+	}
+	return starts
+}
+
+// BindEvalStream fetches the tuples of atom a that match the atom's
+// constants and, at the bindCols positions, at least one of the bound-key
+// rows, invoking yield as chunks arrive. Keys ship in row- and
+// byte-bounded batches with up to bindPipelineDepth requests in flight:
+// batch i+1 is written while batch i's rows are still streaming back, so
+// consecutive batches pay no sequential round-trip stall. The stream may
+// contain duplicates across batches — callers deduplicate.
+func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yield func(rel.Tuple) error) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	wa := wire.FromAtom(a)
+	starts := bindBatchStarts(rows)
+	nb := len(starts)
+	// Per-batch trace spans: the writer creates batch i's span and hands it
+	// through spanCh — buffered to nb, so the writer never blocks on it and
+	// unread spans are simply dropped on an error exit — before encoding
+	// the request; the reader installs it as the client's adoption target
+	// while batch i's response streams back, then ends it.
+	parent := c.traceSpan
+	var spanCh chan *obs.Span
+	if parent != nil {
+		spanCh = make(chan *obs.Span, nb)
+		defer func() { c.traceSpan = parent }()
+	}
+	var responsesDone atomic.Uint64
+	sem := make(chan struct{}, bindPipelineDepth)
+	abort := make(chan struct{})
+	writeErr := make(chan error, 1)
+	go func() {
+		writeErr <- func() error {
+			for i := 0; i < nb; i++ {
+				select {
+				case sem <- struct{}{}:
+				case <-abort:
+					return nil
+				}
+				end := len(rows)
+				if i+1 < nb {
+					end = starts[i+1]
+				}
+				if c.counters != nil {
+					c.counters.requests.Add(1)
+					c.counters.bindBatches.Add(1)
+					if uint64(i) > responsesDone.Load() {
+						c.counters.bindPipelined.Add(1)
+					}
+				}
+				req := wire.Request{
+					Op:       "bind",
+					Atom:     &wa,
+					BindCols: bindCols,
+					BindRows: rows[starts[i]:end],
+				}
+				if spanCh != nil {
+					bs := parent.Child("bind.batch", obs.Attr{K: "pred", V: a.Pred})
+					bs.SetInt("batch", int64(i))
+					bs.SetInt("keys", int64(end-starts[i]))
+					if bs != nil {
+						req.Trace = bs.TraceID()
+						req.Span = bs.ID()
+					}
+					spanCh <- bs
+				}
+				if err := c.enc.Encode(req); err != nil {
+					return err
+				}
+			}
+			return nil
+		}()
+	}()
+	var readErr error
+	read := 0
+	for ; read < nb; read++ {
+		if spanCh != nil {
+			c.traceSpan = <-spanCh
+		}
+		_, err := c.readStream(rowsToYield(yield))
+		if spanCh != nil {
+			c.traceSpan.End()
+		}
+		responsesDone.Add(1)
+		select {
+		case <-sem:
+		default:
+		}
+		if err != nil {
+			readErr = err
+			break
+		}
+	}
+	if readErr == nil {
+		werr := <-writeErr
+		if werr != nil {
+			c.broken = true
+			return werr
+		}
+		return nil
+	}
+	if !c.broken && read+1 == nb {
+		// The error frame was well-framed and answers the last batch. The
+		// server answers a batch only after reading its request through
+		// the newline, so every request is off the writer's hands and every
+		// response has been read: the stream is in sync, and the writer is
+		// past its last write, at most not yet scheduled to post. Joining
+		// it cannot deadlock, and a non-blocking look would call a healthy
+		// connection desynced whenever the reader got here first.
+		if werr := <-writeErr; werr != nil {
+			c.broken = true
+			c.conn.Close()
+		}
+		return readErr
+	}
+	// Transport failure, or later batches are being written or have
+	// responses in flight that will never be read: the stream is desynced.
+	// Joining a writer that is mid-write would deadlock (the server stops
+	// reading requests while we stop reading its responses), so kill the
+	// connection first — that unblocks a writer stuck in a socket write —
+	// then stop and join it.
+	c.broken = true
+	c.conn.Close()
+	close(abort)
+	<-writeErr
+	return readErr
+}

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -17,10 +17,6 @@ import (
 
 // maxFanout caps the worker pool evaluating UCQ disjuncts concurrently.
 const maxFanout = 8
-
-// defaultBindPipeline is how many bind batches an executor keeps in flight
-// per connection: batch i+1 ships while batch i's rows stream back.
-const defaultBindPipeline = 4
 
 // defaultBusyRetries and defaultBusyBackoff shape the client-side response
 // to admission-control shedding: a shed request retries up to
@@ -50,43 +46,32 @@ const defaultIdlePingAfter = 60 * time.Second
 //     (cardinalities learned at Discover time and refreshed from the
 //     estimates piggybacked on every response).
 //   - The partial join is materialized once and extended incrementally per
-//     atom — remote rows stream chunk by chunk straight into a hash join
-//     against it, so no per-step prefix re-evaluation and no whole-fragment
-//     buffering happens (the fetched-atom prefix used to be re-joined once
-//     per cross-peer atom).
+//     atom: the atom's remote rows are grouped by join key and one
+//     sequential pass over the partial extends every match, so no per-step
+//     prefix re-evaluation happens.
 //   - Per atom the executor ships the distinct join-key values bound so
-//     far ("bind" op) in pipelined batches, unless the peer's advertised
-//     cardinality says the whole selection-pushed relation is smaller than
-//     the key set — then fetching it outright moves fewer bytes, and the
-//     executor adapts.
+//     far ("bind" op) in pipelined batches — batch i+1 is written while
+//     batch i's rows are still streaming back — unless the peer's
+//     advertised cardinality says the whole selection-pushed relation is
+//     smaller than the key set: then fetching it outright moves fewer
+//     bytes, and the executor adapts.
 //   - Fetched and probed fragments are cached *across queries* keyed by
 //     (peer, canonical atom pattern, bound-key-set hash) in a size-bounded
-//     LRU. Every response piggybacks the serving peer's per-relation
-//     generation; a cached fragment is served again only once its stamped
-//     generation is confirmed current — by a tiny row-free "gens" round
-//     trip, or for free within the FragmentTrust window — so a repeat of
-//     an identical query ships (near) zero rows while mutations on the
-//     peer invalidate exactly the fragments of the mutated relation.
+//     LRU, stamped with the relation's generation as reported by the
+//     fetch's own response frames (a fetch whose frames disagree — a
+//     mutation landed mid-fetch — is not cached). A cached fragment is
+//     served again only once its stamped generation is confirmed current —
+//     by a tiny row-free "gens" round trip, or for free within the
+//     FragmentTrust window — so a repeat of an identical query ships (near)
+//     zero rows while mutations on the peer invalidate exactly the
+//     fragments of the mutated relation.
 //
 // UCQ disjuncts are evaluated concurrently over a worker pool; all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
-// connection pools (a single Client is not safe for concurrent use).
+// connection pools (a single Client is not safe for concurrent use; pooled
+// connections idle past IdlePingAfter are pinged before reuse so a peer
+// restart is absorbed by a fresh dial instead of a first-request failure).
 type Executor struct {
-	// FetchAll forces the legacy whole-relation fetch path for cross-peer
-	// rewritings — every atom is pulled with only its constant selections
-	// pushed down, no bound keys are shipped, and the join runs afterwards
-	// over a scratch engine. For benchmarks and differential tests; leave
-	// false for streaming bind-join execution.
-	FetchAll bool
-	// BindPipeline caps the bind batches in flight per connection
-	// (0 = defaultBindPipeline; 1 = sequential batch round trips, for
-	// benchmarks isolating the pipelining win).
-	BindPipeline int
-	// FragmentCacheOff disables the cross-query bind-fragment cache: every
-	// cross-peer atom is fetched from its peer on every query, as before
-	// the cache existed. For benchmarks isolating the wire path and for
-	// differential tests of the cache itself.
-	FragmentCacheOff bool
 	// FragmentTrust is the staleness budget of the fragment cache. Zero
 	// (the default) means a cached fragment is only served after a gens
 	// round trip confirms the serving peer's generation for its relation
@@ -124,8 +109,8 @@ type Executor struct {
 	// bytes (store.TupleBytes) in memory and overflows the rest to spill
 	// segments under SpillDir, streaming them back per atom with sequential
 	// reads — joins larger than RAM complete within the budget. An empty
-	// dir or non-positive budget keeps today's pure in-memory path. Set
-	// before issuing queries.
+	// dir or non-positive budget keeps every buffer in memory; the join
+	// itself runs the same way either way. Set before issuing queries.
 	SpillDir    string
 	SpillBudget int64
 
@@ -161,8 +146,6 @@ type Executor struct {
 	// pinning shutdown behind seconds of backoff) and installs a fresh one,
 	// since a closed executor stays usable. Guarded by mu.
 	abort chan struct{}
-	// plans is shared by the per-join scratch engines of the FetchAll path.
-	plans *engine.PlanCache
 	// frags caches cross-peer atom fragments across queries.
 	frags *fragCache
 	// counters aggregates wire traffic across all pooled connections.
@@ -185,7 +168,6 @@ func NewExecutor() *Executor {
 		gens:  map[string]genObservation{},
 		pools: map[string]*pool{},
 		abort: make(chan struct{}),
-		plans: engine.NewPlanCache(256),
 		frags: newFragCache(defaultFragEntries, defaultFragBytes),
 	}
 }
@@ -223,9 +205,8 @@ func (e *Executor) Route(pred, addr string) {
 func (e *Executor) Discover(addr string) error {
 	var cards map[string]int
 	var dists map[string][]float64
-	if err := e.withClient(addr, func(c *Client) error {
-		m, d, err := c.CatalogMeta()
-		cards, dists = m, d
+	if err := e.withClient(addr, func(c *Client) (err error) {
+		cards, dists, err = c.CatalogMeta()
 		return err
 	}); err != nil {
 		return err
@@ -413,10 +394,8 @@ func (e *Executor) withClientOnce(addr string, fn func(*Client) error) error {
 // returning the distinct union of the disjuncts' answers, sorted.
 // Disjuncts are independent, so they fan out over a pool of up to
 // maxFanout workers; on error the first failing disjunct (by position)
-// wins.
-func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
-	return e.EvalUCQSpan(u, nil)
-}
+// among those that ran wins.
+func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
 
 // EvalUCQSpan is EvalUCQ with tracing: one "eval.cq" child span per
 // disjunct, each holding that disjunct's push-down or per-atom bind-join
@@ -432,34 +411,35 @@ func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	n := len(u.Disjuncts)
 	groups := make([][]rel.Tuple, n)
 	errs := make([]error, n)
+	var failed atomic.Bool
 	runOne := func(i int) {
 		cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
 		groups[i], errs[i] = e.evalCQ(u.Disjuncts[i], cs)
 		cs.SetErr(errs[i])
 		cs.End()
+		if errs[i] != nil {
+			failed.Store(true)
+		}
 	}
-	if n <= 1 {
-		for i := range u.Disjuncts {
-			runOne(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < min(n, maxFanout); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runOne(i)
-				}
-			}()
-		}
-		for i := range u.Disjuncts {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(n, maxFanout); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				runOne(i)
+			}
+		}()
 	}
+	// Fail fast: one failed disjunct fails the union, so the disjuncts not
+	// yet handed to a worker are never started (against a dead peer each
+	// would pay its own dial failure).
+	for i := 0; i < n && !failed.Load(); i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -471,92 +451,69 @@ func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 }
 
 // EvalCQ evaluates one conjunctive rewriting over the network.
-func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
-	return e.evalCQ(q, nil)
-}
+func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.evalCQ(q, nil) }
 
 // evalCQ is EvalCQ with an optional span: full push-down records one
 // "pushdown" child (the serving peer's remote spans adopt under it),
 // cross-peer execution hands the span to the bind-join's per-atom
 // instrumentation.
 func (e *Executor) evalCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
-	addrs := map[string]bool{}
+	addrs := make([]string, len(q.Body)) // serving peer of each body atom
+	pushdown := len(q.Body) > 0
 	e.mu.Lock()
-	for _, a := range q.Body {
+	for i, a := range q.Body {
 		addr, ok := e.addr[a.Pred]
 		if !ok {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("netpeer: no route for stored relation %s", a.Pred)
 		}
-		addrs[addr] = true
+		addrs[i] = addr
+		pushdown = pushdown && addr == addrs[0]
 	}
 	e.mu.Unlock()
-
-	if len(addrs) == 1 {
-		// Full push-down: one peer holds every atom.
-		var only string
-		for a := range addrs {
-			only = a
-		}
-		ps := sp.Child("pushdown", obs.Attr{K: "addr", V: only})
-		defer ps.End()
-		var rows []rel.Tuple
-		err := e.withClient(only, func(c *Client) error {
-			if ps != nil {
-				c.traceSpan = ps
-				defer func() { c.traceSpan = nil }()
-			}
-			rs, err := c.Eval(q)
-			rows = rs
-			return err
-		})
-		ps.SetErr(err)
-		ps.SetInt("rows", int64(len(rows)))
-		if err != nil {
-			return nil, err
-		}
-		return rows, nil
+	if !pushdown {
+		return e.evalStreamingBindJoin(q, addrs, sp)
 	}
-	if e.FetchAll {
-		return e.evalFetchAll(q)
-	}
-	return e.evalStreamingBindJoin(q, sp)
+	// Full push-down: one peer holds every atom.
+	ps := sp.Child("pushdown", obs.Attr{K: "addr", V: addrs[0]})
+	defer ps.End()
+	var rows []rel.Tuple
+	err := e.withClient(addrs[0], func(c *Client) (err error) {
+		c.traceSpan = ps
+		defer func() { c.traceSpan = nil }()
+		rows, err = c.Eval(q)
+		return err
+	})
+	ps.SetErr(err)
+	ps.SetInt("rows", int64(len(rows)))
+	return rows, err
 }
 
 // stepShape is the per-atom lowering of the streaming join: how one remote
-// tuple is checked against the atom's constants and repeated variables,
-// which positions join against the partial result, and which bind new
-// variables.
+// tuple is checked against the atom's repeated variables, which positions
+// join against the partial result, and which bind new variables.
 type stepShape struct {
-	// constChecks re-verify pushed constants (the server already applied
-	// them; the check keeps correctness independent of the transport).
-	constChecks []struct {
-		pos int
-		val string
-	}
 	// dupChecks pair a position with the first occurrence of the same
 	// variable inside the atom: the tuple must agree with itself.
 	dupChecks [][2]int
 	// keyPoss are the first-occurrence positions of already-bound
-	// variables (the join key), parallel to joinVars.
+	// variables (the join key); joinCols are those variables' columns in
+	// the partial's rows, in the same order.
 	keyPoss  []int
-	joinVars []string
+	joinCols []int
 	// newPoss are the first-occurrence positions of new variables,
 	// parallel to newVars.
 	newPoss []int
 	newVars []string
 }
 
-// shapeOf classifies atom a's positions given the variables bound so far.
-func shapeOf(a lang.Atom, boundVars map[string]bool) stepShape {
+// shapeOf classifies atom a's positions given varCol, the column of each
+// variable bound so far.
+func shapeOf(a lang.Atom, varCol map[string]int) stepShape {
 	var sh stepShape
 	firstPos := map[string]int{}
 	for pos, t := range a.Args {
 		if t.IsConst() {
-			sh.constChecks = append(sh.constChecks, struct {
-				pos int
-				val string
-			}{pos, t.Name})
 			continue
 		}
 		if fp, ok := firstPos[t.Name]; ok {
@@ -564,9 +521,9 @@ func shapeOf(a lang.Atom, boundVars map[string]bool) stepShape {
 			continue
 		}
 		firstPos[t.Name] = pos
-		if boundVars[t.Name] {
+		if col, bound := varCol[t.Name]; bound {
 			sh.keyPoss = append(sh.keyPoss, pos)
-			sh.joinVars = append(sh.joinVars, t.Name)
+			sh.joinCols = append(sh.joinCols, col)
 		} else {
 			sh.newPoss = append(sh.newPoss, pos)
 			sh.newVars = append(sh.newVars, t.Name)
@@ -575,373 +532,220 @@ func shapeOf(a lang.Atom, boundVars map[string]bool) stepShape {
 	return sh
 }
 
-// evalStreamingBindJoin runs a cross-peer rewriting as a streaming,
-// adaptive, pipelined bind-join. The partial join is materialized once as
-// tuples over the variables bound so far and extended in place per atom:
-// remote rows stream chunk by chunk into a hash join against it (no
-// scratch instance, no per-step prefix re-evaluation). Per atom the
-// executor ships the distinct bound join keys in pipelined batches — or,
-// when the advertised remote cardinality is smaller than the key set,
-// fetches the selection-pushed relation outright. Comparisons apply at the
-// first step that grounds them, so impossible keys are never shipped.
+// bindJoin is the state of one cross-peer rewriting's execution: the join of
+// the atoms processed so far, as rows over the variables bound so far.
+type bindJoin struct {
+	e *Executor
+	q lang.CQ
+	// varCol maps each bound variable to its column in partial's rows.
+	varCol map[string]int
+	// partial is only ever appended to and iterated: whether its rows sit
+	// in memory or stream back from spill segments is RowBuffer's concern.
+	partial *store.RowBuffer
+	// compApplied marks the comparisons already enforced on partial.
+	compApplied []bool
+}
+
+// evalStreamingBindJoin runs a cross-peer rewriting (addrs names each body
+// atom's serving peer) as the bind-join the Executor type describes: atoms
+// in planner order, one step each. Comparisons apply at the first step that
+// grounds them, so impossible keys are never shipped.
 //
 // Under a non-nil span each atom gets one "atom" child annotated with the
 // peer address, the source (fragcache / bind / fetch), key and partial-row
 // counts; the serving peer's remote spans (and the per-batch bind spans)
 // adopt under it.
-func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, sp *obs.Span) ([]rel.Tuple, error) {
 	if !q.IsSafe() {
 		return nil, fmt.Errorf("netpeer: unsafe query %s", q)
 	}
+	j := &bindJoin{e: e, q: q, varCol: map[string]int{}, compApplied: make([]bool, len(q.Comps))}
 	// Variable-free comparisons gate the whole query, exactly once.
-	compApplied := make([]bool, len(q.Comps))
 	for ci, c := range q.Comps {
 		if len(c.Vars(nil)) == 0 {
-			compApplied[ci] = true
+			j.compApplied[ci] = true
 			if !c.Op.EvalConst(c.L, c.R) {
 				return nil, nil
 			}
 		}
 	}
-
-	order := e.planOrder(q)
-	varCol := map[string]int{} // variable -> column in partial rows
-	var varOrder []string
-	boundVars := map[string]bool{}
-	// The partial join lives in a spill-capable buffer: in memory while it
-	// fits the budget (the streaming hash join below runs exactly as
-	// before), on disk past it. Seeded with the unit row: identity of the
-	// join.
-	partial := store.NewRowBuffer(e.SpillDir, e.SpillBudget)
-	var next *store.RowBuffer
-	defer func() {
-		partial.Close()
-		if next != nil {
-			next.Close()
-		}
-	}()
-	if err := partial.Append(rel.Tuple{}); err != nil {
+	// Seeded with the unit row: identity of the join.
+	j.partial = store.NewRowBuffer(e.SpillDir, e.SpillBudget)
+	defer func() { j.partial.Close() }()
+	if err := j.partial.Append(rel.Tuple{}); err != nil {
 		return nil, err
 	}
-
-	for _, bi := range order {
-		a := q.Body[bi]
-		as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred})
-		sh := shapeOf(a, boundVars)
-
-		joinCols := make([]int, len(sh.joinVars))
-		for i, v := range sh.joinVars {
-			joinCols[i] = varCol[v]
+	for _, bi := range e.planOrder(q) {
+		if err := j.step(q.Body[bi], addrs[bi], sp); err != nil {
+			return nil, err
 		}
-		var kb []byte
-		// In-memory fast path: hash the partial rows on the join columns
-		// and stream remote tuples straight into the hash join. Once the
-		// partial has spilled, remote tuples are instead grouped by join
-		// key (the remote side is the semi-join-reduced, smaller side) and
-		// the partial streams back from disk in one sequential pass per
-		// atom to extend matches.
-		inMem := partial.InMemory()
-		var hash map[string][]int
-		if inMem {
-			rows := partial.Rows()
-			hash = make(map[string][]int, len(rows))
-			for i, row := range rows {
-				kb = kb[:0]
-				for _, c := range joinCols {
-					kb = engine.AppendKeyPart(kb, row[c])
-				}
-				hash[string(kb)] = append(hash[string(kb)], i)
-			}
-		}
-
-		// Distinct bound keys — the semi-join payload — and the adaptive
-		// choice: ship keys, or fetch the (selection-pushed) relation when
-		// its advertised cardinality is smaller than the key set.
-		useBind := len(sh.joinVars) > 0
-		var keyRows [][]string
-		if useBind {
-			seenKey := map[string]bool{}
-			err := partial.Iterate(func(row rel.Tuple) error {
-				kb = kb[:0]
-				for _, c := range joinCols {
-					kb = engine.AppendKeyPart(kb, row[c])
-				}
-				if seenKey[string(kb)] {
-					return nil
-				}
-				seenKey[string(kb)] = true
-				key := make([]string, len(joinCols))
-				for j, c := range joinCols {
-					key[j] = row[c]
-				}
-				keyRows = append(keyRows, key)
-				return nil
-			})
-			if err != nil {
-				as.SetErr(err)
-				as.End()
-				return nil, err
-			}
-			if card, ok := e.cardOf(a.Pred); ok && card < len(keyRows) {
-				useBind = false
-			}
-		}
-
-		// join consumes one (already filtered, deduplicated) remote tuple.
-		// Both the wire path and the fragment-cache path feed it.
-		next = store.NewRowBuffer(e.SpillDir, e.SpillBudget)
-		var remoteByKey map[string][]rel.Tuple
-		if !inMem {
-			remoteByKey = map[string][]rel.Tuple{}
-		}
-		join := func(t rel.Tuple) error {
-			kb = kb[:0]
-			for _, p := range sh.keyPoss {
-				kb = engine.AppendKeyPart(kb, t[p])
-			}
-			if !inMem {
-				remoteByKey[string(kb)] = append(remoteByKey[string(kb)], t)
-				return nil
-			}
-			rows := partial.Rows()
-			for _, pi := range hash[string(kb)] {
-				row := rows[pi]
-				nr := make(rel.Tuple, len(varOrder)+len(sh.newPoss))
-				copy(nr, row)
-				for j, p := range sh.newPoss {
-					nr[len(varOrder)+j] = t[p]
-				}
-				if err := next.Append(nr); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-
-		addr := e.addrOf(a.Pred)
-		as.Set("addr", addr)
-		if useBind {
-			as.SetInt("keys", int64(len(keyRows)))
-		}
-
-		// Cross-query fragment cache: an identical fetch (same peer, same
-		// canonical atom pattern, same bound-key set) whose relation
-		// generation is confirmed unchanged is answered from memory — no
-		// rows cross the wire, at most one tiny gens revalidation round
-		// trip (none within the FragmentTrust window).
-		cacheable := !e.FragmentCacheOff
-		var fragKey string
-		served := false
-		if cacheable {
-			fragKey = fragmentKey(addr, a, sh.keyPoss, keyRows, useBind)
-			if rows, ok := e.fragLookup(addr, a.Pred, fragKey); ok {
-				for _, t := range rows {
-					if err := join(t); err != nil {
-						as.SetErr(err)
-						as.End()
-						return nil, err
-					}
-				}
-				served = true
-				as.Set("src", "fragcache")
-				as.SetInt("fetched", int64(len(rows)))
-			}
-		}
-
-		if !served {
-			// process filters and dedups each arriving remote tuple, feeds
-			// the join, and accumulates the fragment for caching. seenRemote
-			// dedups across bind batches and makes the one retry withClient
-			// may perform idempotent.
-			seenRemote := map[string]bool{}
-			var fragRows []rel.Tuple
-			var fragBytes int64
-			fragTooBig := false
-			fragGen, fragGenSeen, fragGenStable := uint64(0), false, true
-			process := func(t rel.Tuple) error {
-				if len(t) != a.Arity() {
-					return fmt.Errorf("netpeer: %s/%d: remote row has %d values", a.Pred, a.Arity(), len(t))
-				}
-				for _, cc := range sh.constChecks {
-					if t[cc.pos] != cc.val {
-						return nil
-					}
-				}
-				for _, d := range sh.dupChecks {
-					if t[d[0]] != t[d[1]] {
-						return nil
-					}
-				}
-				if k := t.Key(); seenRemote[k] {
-					return nil
-				} else {
-					seenRemote[k] = true
-				}
-				if cacheable && !fragTooBig {
-					fragRows = append(fragRows, t)
-					for _, v := range t {
-						fragBytes += int64(len(v))
-					}
-					if fragBytes > maxFragEntryBytes {
-						fragTooBig = true
-						fragRows = nil
-					}
-				}
-				return join(t)
-			}
-			// tap observes the generations this fetch's own final frames
-			// piggyback, to stamp the cached fragment. Distinct values
-			// across frames mean a mutation landed between bind batches:
-			// the fragment is not a point snapshot and must not be cached.
-			tap := func(preds []string, gens []uint64) {
-				for i, p := range preds {
-					if p != a.Pred || i >= len(gens) {
-						continue
-					}
-					if !fragGenSeen {
-						fragGen, fragGenSeen = gens[i], true
-					} else if gens[i] != fragGen {
-						fragGenStable = false
-					}
-				}
-			}
-
-			depth := e.BindPipeline
-			if depth <= 0 {
-				depth = defaultBindPipeline
-			}
-			var err error
-			if useBind {
-				as.Set("src", "bind")
-				err = e.withClient(addr, func(c *Client) error {
-					if cacheable {
-						c.tapMeta = tap
-						defer func() { c.tapMeta = nil }()
-					}
-					if as != nil {
-						c.traceSpan = as
-						defer func() { c.traceSpan = nil }()
-					}
-					return c.BindEvalStream(a, sh.keyPoss, keyRows, depth, process)
-				})
-			} else {
-				as.Set("src", "fetch")
-				remote := selectionQuery(a)
-				err = e.withClient(addr, func(c *Client) error {
-					if cacheable {
-						c.tapMeta = tap
-						defer func() { c.tapMeta = nil }()
-					}
-					if as != nil {
-						c.traceSpan = as
-						defer func() { c.traceSpan = nil }()
-					}
-					return c.EvalStream(remote, process)
-				})
-			}
-			as.SetInt("fetched", int64(len(seenRemote)))
-			if err != nil {
-				as.SetErr(err)
-				as.End()
-				return nil, err
-			}
-			if cacheable && !fragTooBig && fragGenSeen && fragGenStable {
-				e.frags.put(fragKey, a.Pred, fragGen, fragRows, fragBytes)
-			}
-		}
-
-		if !inMem {
-			// Spilled partial: stream it back once, sequentially, extending
-			// each row with its grouped remote matches.
-			err := partial.Iterate(func(row rel.Tuple) error {
-				kb = kb[:0]
-				for _, c := range joinCols {
-					kb = engine.AppendKeyPart(kb, row[c])
-				}
-				for _, t := range remoteByKey[string(kb)] {
-					nr := make(rel.Tuple, len(varOrder)+len(sh.newPoss))
-					copy(nr, row)
-					for j, p := range sh.newPoss {
-						nr[len(varOrder)+j] = t[p]
-					}
-					if err := next.Append(nr); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				as.SetErr(err)
-				as.End()
-				return nil, err
-			}
-		}
-
-		partial.Close()
-		partial, next = next, nil
-		for _, v := range sh.newVars {
-			varCol[v] = len(varOrder)
-			varOrder = append(varOrder, v)
-			boundVars[v] = true
-		}
-		// Apply every comparison that just became ground, pruning the
-		// partial join before its keys are shipped to the next peer.
-		for ci, c := range q.Comps {
-			if compApplied[ci] {
-				continue
-			}
-			ground := true
-			for _, v := range c.Vars(nil) {
-				if !boundVars[v.Name] {
-					ground = false
-					break
-				}
-			}
-			if !ground {
-				continue
-			}
-			compApplied[ci] = true
-			kept := store.NewRowBuffer(e.SpillDir, e.SpillBudget)
-			err := partial.Iterate(func(row rel.Tuple) error {
-				if evalComp(c, varCol, row) {
-					return kept.Append(row)
-				}
-				return nil
-			})
-			if err != nil {
-				kept.Close()
-				as.SetErr(err)
-				as.End()
-				return nil, err
-			}
-			partial.Close()
-			partial = kept
-		}
-		as.SetInt("partial", int64(partial.Len()))
-		as.End()
-		if partial.Len() == 0 {
+		if j.partial.Len() == 0 {
 			// The partial join is already empty, so the full join is too:
 			// skip the remaining fetches entirely.
 			return nil, nil
 		}
 	}
-
 	// Mirror the engine: a comparison whose variables the body never binds
 	// is an error — but only observable when a complete match exists.
 	for ci, c := range q.Comps {
-		if !compApplied[ci] {
+		if !j.compApplied[ci] {
 			return nil, fmt.Errorf("netpeer: comparison %s not bound by body", c)
 		}
 	}
+	return j.project()
+}
 
-	out := make([]rel.Tuple, 0, partial.Len())
-	err := partial.Iterate(func(row rel.Tuple) error {
-		h := make(rel.Tuple, len(q.Head.Args))
-		for i, t := range q.Head.Args {
+// step joins one atom into the partial: distinct bound keys, bind or fetch,
+// the atom's remote rows (cache or wire), one pass extending the partial.
+func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
+	as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred}, obs.Attr{K: "addr", V: addr})
+	defer func() {
+		as.SetInt("partial", int64(j.partial.Len()))
+		as.SetErr(err)
+		as.End()
+	}()
+	sh := shapeOf(a, j.varCol)
+	// The distinct bound keys are the semi-join payload. Ship them — or,
+	// when the relation's advertised cardinality is smaller than the key
+	// set, fetch the (selection-pushed) relation instead.
+	useBind := len(sh.joinCols) > 0
+	var keyRows [][]string
+	if useBind {
+		if keyRows, err = j.distinctKeys(sh.joinCols); err != nil {
+			return err
+		}
+		if card, ok := j.e.cardOf(a.Pred); ok && card < len(keyRows) {
+			useBind = false
+		} else {
+			as.SetInt("keys", int64(len(keyRows)))
+		}
+	}
+	rows, err := j.e.fragment(addr, a, sh, keyRows, useBind, as)
+	if err != nil {
+		return err
+	}
+	return j.extend(sh, rows)
+}
+
+// appendKey appends the join-key encoding of t's values at cols to b.
+func appendKey(b []byte, t rel.Tuple, cols []int) []byte {
+	for _, c := range cols {
+		b = engine.AppendKeyPart(b, t[c])
+	}
+	return b
+}
+
+// distinctKeys returns the distinct values of the partial's joinCols, in
+// first-seen order.
+func (j *bindJoin) distinctKeys(joinCols []int) ([][]string, error) {
+	var kb []byte
+	var keys [][]string
+	seen := map[string]bool{}
+	err := j.partial.Iterate(func(row rel.Tuple) error {
+		kb = appendKey(kb[:0], row, joinCols)
+		if seen[string(kb)] {
+			return nil
+		}
+		seen[string(kb)] = true
+		key := make([]string, len(joinCols))
+		for i, c := range joinCols {
+			key[i] = row[c]
+		}
+		keys = append(keys, key)
+		return nil
+	})
+	return keys, err
+}
+
+// extend replaces the partial with its join against one atom's remote rows.
+// The rows — the semi-join-reduced side — are grouped by join key; one
+// sequential pass over the partial then appends every match, widened by the
+// atom's new variables, to the next buffer. Comparisons the new variables
+// ground filter the widened rows on the way in, pruning the partial before
+// its keys are shipped to the next peer.
+func (j *bindJoin) extend(sh stepShape, rows []rel.Tuple) error {
+	var kb []byte
+	// Chains, not a slice per key: head[k] is the first row with join key k,
+	// succ[i] the next row with rows[i]'s key (0 ends a chain: row 0 heads
+	// one, so it never follows), last[h] the end of the chain row h heads.
+	head := map[string]int{}
+	succ, last := make([]int, len(rows)), make([]int, len(rows))
+	for i, t := range rows {
+		kb = appendKey(kb[:0], t, sh.keyPoss)
+		if h, ok := head[string(kb)]; ok {
+			succ[last[h]], last[h] = i, i
+		} else {
+			head[string(kb)], last[i] = i, i
+		}
+	}
+	width := len(j.varCol)
+	for i, v := range sh.newVars {
+		j.varCol[v] = width + i
+	}
+	ready := j.newlyGround()
+	next := store.NewRowBuffer(j.e.SpillDir, j.e.SpillBudget)
+	err := j.partial.Iterate(func(row rel.Tuple) error {
+		kb = appendKey(kb[:0], row, sh.joinCols)
+		i, ok := head[string(kb)]
+	match:
+		for ; ok; i, ok = succ[i], succ[i] != 0 {
+			t := rows[i]
+			nr := make(rel.Tuple, width+len(sh.newPoss))
+			copy(nr, row)
+			for k, p := range sh.newPoss {
+				nr[width+k] = t[p]
+			}
+			for _, c := range ready {
+				if !evalComp(c, j.varCol, nr) {
+					continue match
+				}
+			}
+			if err := next.Append(nr); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		next.Close()
+		return err
+	}
+	j.partial.Close()
+	j.partial = next
+	return nil
+}
+
+// newlyGround marks and returns the comparisons not yet applied whose
+// variables are all bound now.
+func (j *bindJoin) newlyGround() []lang.Comparison {
+	var ready []lang.Comparison
+next:
+	for ci, c := range j.q.Comps {
+		if j.compApplied[ci] {
+			continue
+		}
+		for _, v := range c.Vars(nil) {
+			if _, bound := j.varCol[v.Name]; !bound {
+				continue next
+			}
+		}
+		j.compApplied[ci] = true
+		ready = append(ready, c)
+	}
+	return ready
+}
+
+// project maps the completed join onto the query head: distinct, sorted.
+func (j *bindJoin) project() ([]rel.Tuple, error) {
+	head := j.q.Head.Args
+	out := make([]rel.Tuple, 0, j.partial.Len())
+	err := j.partial.Iterate(func(row rel.Tuple) error {
+		h := make(rel.Tuple, len(head))
+		for i, t := range head {
 			if t.IsConst() {
 				h[i] = t.Name
 			} else {
-				h[i] = row[varCol[t.Name]]
+				h[i] = row[j.varCol[t.Name]]
 			}
 		}
 		out = append(out, h)
@@ -953,121 +757,33 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, sp *obs.Span) ([]rel.Tuple, 
 	return rel.DistinctSorted(out), nil
 }
 
-// addrOf returns the routed address for pred ("" when unrouted; EvalCQ
-// validated routes up front).
-func (e *Executor) addrOf(pred string) string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.addr[pred]
-}
-
-// fragLookup returns the cached fragment under key, but only after
-// confirming its stamped generation is still pred's current generation at
-// addr. A generation mismatch drops the entry (counted as an
-// invalidation); a failed revalidation just misses — the subsequent fetch
-// will surface any real transport problem.
-func (e *Executor) fragLookup(addr, pred, key string) ([]rel.Tuple, bool) {
-	rows, gen, ok := e.frags.lookup(key)
-	if !ok {
-		e.frags.missed()
-		return nil, false
-	}
-	cur, err := e.currentGen(addr, pred)
-	if err != nil || cur != gen {
-		if err == nil {
-			e.frags.invalidate(key)
-		}
-		e.frags.missed()
-		return nil, false
-	}
-	e.frags.confirmHit(key)
-	return rows, true
-}
-
-// currentGen returns pred's current generation at its serving peer: from a
-// prior piggybacked observation when it falls inside the FragmentTrust
-// window, else via a gens revalidation round trip (whose response, like
-// every response, also refreshes the observation table).
-func (e *Executor) currentGen(addr, pred string) (uint64, error) {
-	if trust := e.FragmentTrust; trust > 0 {
-		e.mu.Lock()
-		obs, ok := e.gens[pred]
-		e.mu.Unlock()
-		if ok && time.Since(obs.at) <= trust {
-			return obs.gen, nil
-		}
-	}
-	e.frags.revalidated()
-	var gen uint64
-	err := e.withClient(addr, func(c *Client) error {
-		m, err := c.Gens([]string{pred})
-		if err != nil {
-			return err
-		}
-		gen = m[pred]
-		return nil
-	})
-	return gen, err
-}
-
 // evalComp evaluates comparison c over one partial-join row.
 func evalComp(c lang.Comparison, varCol map[string]int, row rel.Tuple) bool {
 	resolve := func(t lang.Term) lang.Term {
-		if t.IsConst() {
-			return t
+		if !t.IsConst() {
+			t = lang.Const(row[varCol[t.Name]])
 		}
-		return lang.Const(row[varCol[t.Name]])
+		return t
 	}
 	return c.Op.EvalConst(resolve(c.L), resolve(c.R))
 }
 
-// selectionQuery builds the remote fetch query for atom a: head = one
-// fresh variable (or the constant itself) per position, constants kept in
-// the body for push-down, so the peer returns full rows of the selection.
+// selectionQuery builds the remote fetch query for atom a: head and body
+// carry one fresh variable (or the constant itself) per position, constants
+// kept in the body for push-down, so the peer returns full rows of the
+// selection.
 func selectionQuery(a lang.Atom) lang.CQ {
 	args := make([]lang.Term, len(a.Args))
-	head := make([]lang.Term, len(a.Args))
 	for i, t := range a.Args {
-		if t.IsConst() {
-			args[i] = t
-			head[i] = t
-		} else {
-			v := lang.Var(fmt.Sprintf("c%d", i))
-			args[i] = v
-			head[i] = v
+		if !t.IsConst() {
+			t = lang.Var(fmt.Sprintf("c%d", i))
 		}
+		args[i] = t
 	}
 	return lang.CQ{
-		Head: lang.Atom{Pred: "fetch", Args: head},
+		Head: lang.Atom{Pred: "fetch", Args: args},
 		Body: []lang.Atom{{Pred: a.Pred, Args: args}},
 	}
-}
-
-// evalFetchAll is the legacy whole-relation fetch path: every atom is
-// pulled with only its constant selections pushed down, fragments land in
-// a scratch instance, and the full join (re-checking every constant,
-// repeated variable and comparison) runs through an indexed local engine.
-// Kept as the differential/benchmark baseline for the streaming bind-join.
-func (e *Executor) evalFetchAll(q lang.CQ) ([]rel.Tuple, error) {
-	scratch := rel.NewInstance()
-	eng := engine.NewWithPlanCache(scratch, e.plans)
-	localNames := make([]string, len(q.Body))
-	fetched := map[string]bool{}
-	for _, bi := range e.planOrder(q) {
-		name, err := e.fetchAtom(q.Body[bi], scratch, fetched)
-		if err != nil {
-			return nil, err
-		}
-		localNames[bi] = name
-	}
-	localBody := make([]lang.Atom, len(q.Body))
-	for i, a := range q.Body {
-		la := a.Clone()
-		la.Pred = localNames[i]
-		localBody[i] = la
-	}
-	local := lang.CQ{Head: q.Head, Body: localBody, Comps: q.Comps}
-	return eng.EvalCQ(local)
 }
 
 // planOrder orders q's body atoms with the engine planner's greedy
@@ -1086,51 +802,4 @@ func (e *Executor) planOrder(q lang.CQ) []int {
 	}
 	e.mu.Unlock()
 	return engine.OrderBodyStats(q.Body, func(pred string) engine.ColStats { return stats[pred] }, -1)
-}
-
-// selName returns a collision-free scratch-relation name for atom a's
-// selection pattern: the predicate and every constant are length-prefixed
-// (engine.AppendKeyPart), so a constant containing delimiter bytes like
-// '|' or '=' cannot alias a different pattern (e.g. R with constant
-// "x|1=y" at position 0 versus constants "x","y" at positions 0 and 1).
-func selName(a lang.Atom) string {
-	b := engine.AppendKeyPart(nil, a.Pred)
-	for i, t := range a.Args {
-		if t.IsConst() {
-			b = append(b, '|')
-			b = strconv.AppendInt(b, int64(i), 10)
-			b = append(b, '=')
-			b = engine.AppendKeyPart(b, t.Name)
-		}
-	}
-	return string(b)
-}
-
-// fetchAtom retrieves the tuples matching atom a from its peer with the
-// atom's constant positions pushed as selections, storing them in scratch
-// under a selection-specific local name it returns. Repeated atoms with
-// the same selection pattern share one fetch via the fetched set.
-func (e *Executor) fetchAtom(a lang.Atom, scratch *rel.Instance, fetched map[string]bool) (string, error) {
-	localName := selName(a)
-	if fetched[localName] {
-		return localName, nil
-	}
-	addr := e.addrOf(a.Pred)
-	remote := selectionQuery(a)
-	var rows []rel.Tuple
-	err := e.withClient(addr, func(c *Client) error {
-		rs, err := c.Eval(remote)
-		rows = rs
-		return err
-	})
-	if err != nil {
-		return "", err
-	}
-	for _, t := range rows {
-		if _, err := scratch.Add(localName, t); err != nil {
-			return "", err
-		}
-	}
-	fetched[localName] = true
-	return localName, nil
 }

@@ -4,13 +4,16 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/store"
 )
@@ -30,7 +33,7 @@ const (
 type FragmentStats struct {
 	// Hits counts atom fetches served from the cache (after the entry's
 	// generation was confirmed current); Misses counts atom fetches that
-	// went to the wire while caching was enabled.
+	// went to the wire.
 	Hits, Misses uint64
 	// Invalidations counts cached fragments dropped because the serving
 	// peer's generation for the fragment's relation had moved past the
@@ -294,6 +297,147 @@ func (fc *fragCache) stats() FragmentStats {
 		SpilledEntries: spilled,
 		MemBytes:       fc.memBytes,
 	}
+}
+
+// fragment returns the distinct tuples of atom a's relation that pass the
+// atom's constants and repeated variables and — when useBind — match one of
+// keyRows at the join positions: from the cache when an identical fetch
+// (same peer, atom pattern and bound-key set) is confirmed current, else
+// streamed in over one borrowed connection and cached for the next query.
+// The rows are shared with the cache — callers must not mutate them.
+func (e *Executor) fragment(addr string, a lang.Atom, sh stepShape, keyRows [][]string, useBind bool, as *obs.Span) ([]rel.Tuple, error) {
+	key := fragmentKey(addr, a, sh.keyPoss, keyRows, useBind)
+	if rows, ok := e.fragLookup(addr, a.Pred, key); ok {
+		as.Set("src", "fragcache")
+		as.SetInt("fetched", int64(len(rows)))
+		return rows, nil
+	}
+	f := fragFetch{a: a, sh: sh, seen: map[string]bool{}}
+	if useBind {
+		as.Set("src", "bind")
+	} else {
+		as.Set("src", "fetch")
+	}
+	err := e.withClient(addr, func(c *Client) error {
+		c.tapMeta, c.traceSpan = f.tap, as
+		defer func() { c.tapMeta, c.traceSpan = nil, nil }()
+		if useBind {
+			return c.BindEvalStream(a, sh.keyPoss, keyRows, f.row)
+		}
+		return c.EvalStream(selectionQuery(a), f.row)
+	})
+	as.SetInt("fetched", int64(len(f.rows)))
+	if err != nil {
+		return nil, err
+	}
+	if f.genSeen && !f.genMoved {
+		e.frags.put(key, a.Pred, f.gen, f.rows, f.bytes)
+	}
+	return f.rows, nil
+}
+
+// fragFetch is the receiving end of one atom's wire fetch: it keeps the
+// arriving tuples that pass the atom's own checks, once each, and notes
+// the generation the fetch's response frames report for the relation.
+type fragFetch struct {
+	a  lang.Atom
+	sh stepShape
+	// seen dedups across bind batches and makes the retries withClient may
+	// perform idempotent.
+	seen  map[string]bool
+	rows  []rel.Tuple
+	bytes int64 // tuple value bytes of rows, the cache's accounting unit
+	// gen is the generation stamp for the cached fragment. Distinct values
+	// across frames (genMoved) mean a mutation landed between bind batches:
+	// the fragment is not a point snapshot and must not be cached.
+	gen               uint64
+	genSeen, genMoved bool
+}
+
+// row filters and dedups one arriving remote tuple.
+func (f *fragFetch) row(t rel.Tuple) error {
+	if len(t) != f.a.Arity() {
+		return fmt.Errorf("netpeer: %s/%d: remote row has %d values", f.a.Pred, f.a.Arity(), len(t))
+	}
+	// The server already applied the pushed constants; re-checking keeps
+	// correctness independent of the transport.
+	for p, arg := range f.a.Args {
+		if arg.IsConst() && t[p] != arg.Name {
+			return nil
+		}
+	}
+	for _, d := range f.sh.dupChecks {
+		if t[d[0]] != t[d[1]] {
+			return nil
+		}
+	}
+	k := t.Key()
+	if f.seen[k] {
+		return nil
+	}
+	f.seen[k] = true
+	f.rows = append(f.rows, t)
+	for _, v := range t {
+		f.bytes += int64(len(v))
+	}
+	return nil
+}
+
+// tap observes the generations this fetch's own final frames piggyback
+// (the shared observation table would race with concurrent calls observing
+// newer generations).
+func (f *fragFetch) tap(preds []string, gens []uint64) {
+	for i, p := range preds {
+		if p == f.a.Pred && i < len(gens) {
+			f.genMoved = f.genMoved || (f.genSeen && gens[i] != f.gen)
+			f.gen, f.genSeen = gens[i], true
+		}
+	}
+}
+
+// fragLookup returns the cached fragment under key, but only after
+// confirming its stamped generation is still pred's current generation at
+// addr. A generation mismatch drops the entry (counted as an
+// invalidation); a failed revalidation just misses — the subsequent fetch
+// will surface any real transport problem.
+func (e *Executor) fragLookup(addr, pred, key string) ([]rel.Tuple, bool) {
+	rows, gen, ok := e.frags.lookup(key)
+	if !ok {
+		e.frags.missed()
+		return nil, false
+	}
+	cur, err := e.currentGen(addr, pred)
+	if err != nil || cur != gen {
+		if err == nil {
+			e.frags.invalidate(key)
+		}
+		e.frags.missed()
+		return nil, false
+	}
+	e.frags.confirmHit(key)
+	return rows, true
+}
+
+// currentGen returns pred's current generation at its serving peer: from a
+// prior piggybacked observation when it falls inside the FragmentTrust
+// window, else via a gens revalidation round trip (whose response, like
+// every response, also refreshes the observation table).
+func (e *Executor) currentGen(addr, pred string) (uint64, error) {
+	if trust := e.FragmentTrust; trust > 0 {
+		e.mu.Lock()
+		obs, ok := e.gens[pred]
+		e.mu.Unlock()
+		if ok && time.Since(obs.at) <= trust {
+			return obs.gen, nil
+		}
+	}
+	e.frags.revalidated()
+	var gens map[string]uint64
+	err := e.withClient(addr, func(c *Client) (err error) {
+		gens, err = c.Gens([]string{pred})
+		return err
+	})
+	return gens[pred], err
 }
 
 // fragmentKey builds the cache key of one atom fetch: the serving peer's

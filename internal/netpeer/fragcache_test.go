@@ -218,46 +218,6 @@ func TestFragmentTrustWindowSkipsRevalidation(t *testing.T) {
 	}
 }
 
-// TestFragmentCacheOffMatchesOn is a differential check: with the cache
-// disabled the executor must return exactly the same answers, and the
-// fragment counters must stay untouched.
-func TestFragmentCacheOffMatchesOn(t *testing.T) {
-	_, _, ex := crossPeerFixture(t)
-	exOff := NewExecutor()
-	exOff.FragmentCacheOff = true
-	defer exOff.Close()
-	// Share the routing by re-discovering through the same servers.
-	ex.mu.Lock()
-	routes := map[string]string{}
-	for p, a := range ex.addr {
-		routes[p] = a
-	}
-	ex.mu.Unlock()
-	for p, a := range routes {
-		exOff.Route(p, a)
-	}
-	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		on, err := ex.EvalCQ(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, err := exOff.EvalCQ(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tuplesEqual(on, off) {
-			t.Fatalf("iteration %d: cache-on %v vs cache-off %v", i, on, off)
-		}
-	}
-	if st := exOff.FragmentStats(); st.Hits+st.Misses+st.Revalidations != 0 {
-		t.Fatalf("disabled cache recorded activity: %+v", st)
-	}
-}
-
 // TestFragmentCacheEviction bounds the cache: with a one-entry budget the
 // second distinct fragment must evict the first (no unbounded growth), and
 // re-querying the first is a miss again.

@@ -83,186 +83,175 @@ func keySet(ts []rel.Tuple) map[string]bool {
 }
 
 func TestExecutorMutationInterleaving(t *testing.T) {
-	for _, mode := range []struct {
-		name     string
-		cacheOff bool
-	}{
-		{"fragment-cache", false},
-		{"cache-off", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			srv1, addr1 := startServerH(t, map[string][]rel.Tuple{
-				"S.a": {{"k0"}},
-			})
-			srv2, addr2 := startServerH(t, map[string][]rel.Tuple{
-				"L.b": {{"k0", "v0"}},
-				"L.c": {{"v0"}},
-			})
-			ledger := newWireLedger()
-			ledger.seed("S.a", rel.Tuple{"k0"})
-			ledger.seed("L.b", rel.Tuple{"k0", "v0"})
-			ledger.seed("L.c", rel.Tuple{"v0"})
-
-			ex := NewExecutor()
-			defer ex.Close()
-			ex.FragmentCacheOff = mode.cacheOff
-			for _, a := range []string{addr1, addr2} {
-				if err := ex.Discover(a); err != nil {
-					t.Fatal(err)
-				}
-			}
-			parse := func(src string) lang.CQ {
-				q, err := parser.ParseQuery(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return q
-			}
-			queries := []struct {
-				name string
-				q    lang.CQ
-			}{
-				{"join2", parse(`q(x, y) :- S.a(x), L.b(x, y)`)},
-				{"join3", parse(`q(x) :- S.a(x), L.b(x, y), L.c(y)`)},
-			}
-
-			// Metrics snapshots ride along with the harness: while mutators
-			// and queriers interleave, a sampler keeps taking registry
-			// snapshots and checks that every counter is monotone across
-			// them — a torn or non-atomic read would show up as a value
-			// regression (and as a -race report).
-			reg := obs.NewRegistry()
-			srv1.RegisterMetrics(reg)
-			ex.RegisterMetrics(reg)
-			stopSnap := make(chan struct{})
-			snapDone := make(chan struct{})
-			go func() {
-				defer close(snapDone)
-				prev := map[string]uint64{}
-				for {
-					select {
-					case <-stopSnap:
-						return
-					default:
-					}
-					snap := reg.Snapshot()
-					for k, v := range snap.Counters {
-						if v < prev[k] {
-							t.Errorf("counter %s went backwards: %d -> %d", k, prev[k], v)
-							return
-						}
-						prev[k] = v
-					}
-					time.Sleep(100 * time.Microsecond)
-				}
-			}()
-
-			const mutators, queriers, iters = 3, 4, 25
-			var wg sync.WaitGroup
-			for m := 0; m < mutators; m++ {
-				wg.Add(1)
-				go func(m int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(100 + m)))
-					for i := 0; i < iters; i++ {
-						var err error
-						switch rng.Intn(3) {
-						case 0:
-							v := fmt.Sprintf("k%d", rng.Intn(6))
-							err = ledger.around("S.a", rel.Tuple{v}, func() error {
-								return srv1.AddFact("S.a", rel.Tuple{v})
-							})
-						case 1:
-							tu := rel.Tuple{fmt.Sprintf("k%d", rng.Intn(6)), fmt.Sprintf("v%d", rng.Intn(6))}
-							err = ledger.around("L.b", tu, func() error {
-								return srv2.AddFact("L.b", tu)
-							})
-						default:
-							tu := rel.Tuple{fmt.Sprintf("v%d", rng.Intn(6))}
-							err = ledger.around("L.c", tu, func() error {
-								return srv2.AddFact("L.c", tu)
-							})
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(m)
-			}
-			for g := 0; g < queriers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(200 + g)))
-					for i := 0; i < iters; i++ {
-						qi := queries[rng.Intn(len(queries))]
-						done := ledger.build(false)
-						ans, err := ex.EvalCQ(qi.q)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						issued := ledger.build(true)
-						lo, err := rel.EvalCQ(qi.q, done)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						hi, err := rel.EvalCQ(qi.q, issued)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						ansSet, hiSet := keySet(ans), keySet(hi)
-						for _, want := range lo {
-							if !ansSet[want.Key()] {
-								t.Errorf("%s: lost %v completed before the query (stale fragment served?)", qi.name, want)
-								return
-							}
-						}
-						for _, got := range ans {
-							if !hiSet[got.Key()] {
-								t.Errorf("%s: unexplainable tuple %v (mixed-generation fragments?)", qi.name, got)
-								return
-							}
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(stopSnap)
-			<-snapDone
-			if t.Failed() {
-				return
-			}
-
-			// Quiesced: exact agreement with the oracle, and — with the
-			// cache on — a repeated query must be served from fragments.
-			final := ledger.build(true)
-			for _, qi := range queries {
-				want, err := rel.EvalCQ(qi.q, final)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ans, err := ex.EvalCQ(qi.q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !tuplesEqual(ans, want) {
-					t.Fatalf("%s: quiesced answer diverges: %v vs %v", qi.name, ans, want)
-				}
-			}
-			if !mode.cacheOff {
-				st0 := ex.FragmentStats()
-				if _, err := ex.EvalCQ(queries[0].q); err != nil {
-					t.Fatal(err)
-				}
-				st1 := ex.FragmentStats()
-				if st1.Hits <= st0.Hits {
-					t.Fatalf("quiesced repeat did not hit the fragment cache: %+v -> %+v", st0, st1)
-				}
-			}
+	t.Run("fragment-cache", func(t *testing.T) {
+		srv1, addr1 := startServerH(t, map[string][]rel.Tuple{
+			"S.a": {{"k0"}},
 		})
-	}
+		srv2, addr2 := startServerH(t, map[string][]rel.Tuple{
+			"L.b": {{"k0", "v0"}},
+			"L.c": {{"v0"}},
+		})
+		ledger := newWireLedger()
+		ledger.seed("S.a", rel.Tuple{"k0"})
+		ledger.seed("L.b", rel.Tuple{"k0", "v0"})
+		ledger.seed("L.c", rel.Tuple{"v0"})
+
+		ex := NewExecutor()
+		defer ex.Close()
+		for _, a := range []string{addr1, addr2} {
+			if err := ex.Discover(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parse := func(src string) lang.CQ {
+			q, err := parser.ParseQuery(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q
+		}
+		queries := []struct {
+			name string
+			q    lang.CQ
+		}{
+			{"join2", parse(`q(x, y) :- S.a(x), L.b(x, y)`)},
+			{"join3", parse(`q(x) :- S.a(x), L.b(x, y), L.c(y)`)},
+		}
+
+		// Metrics snapshots ride along with the harness: while mutators
+		// and queriers interleave, a sampler keeps taking registry
+		// snapshots and checks that every counter is monotone across
+		// them — a torn or non-atomic read would show up as a value
+		// regression (and as a -race report).
+		reg := obs.NewRegistry()
+		srv1.RegisterMetrics(reg)
+		ex.RegisterMetrics(reg)
+		stopSnap := make(chan struct{})
+		snapDone := make(chan struct{})
+		go func() {
+			defer close(snapDone)
+			prev := map[string]uint64{}
+			for {
+				select {
+				case <-stopSnap:
+					return
+				default:
+				}
+				snap := reg.Snapshot()
+				for k, v := range snap.Counters {
+					if v < prev[k] {
+						t.Errorf("counter %s went backwards: %d -> %d", k, prev[k], v)
+						return
+					}
+					prev[k] = v
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+
+		const mutators, queriers, iters = 3, 4, 25
+		var wg sync.WaitGroup
+		for m := 0; m < mutators; m++ {
+			wg.Add(1)
+			go func(m int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(100 + m)))
+				for i := 0; i < iters; i++ {
+					var err error
+					switch rng.Intn(3) {
+					case 0:
+						v := fmt.Sprintf("k%d", rng.Intn(6))
+						err = ledger.around("S.a", rel.Tuple{v}, func() error {
+							return srv1.AddFact("S.a", rel.Tuple{v})
+						})
+					case 1:
+						tu := rel.Tuple{fmt.Sprintf("k%d", rng.Intn(6)), fmt.Sprintf("v%d", rng.Intn(6))}
+						err = ledger.around("L.b", tu, func() error {
+							return srv2.AddFact("L.b", tu)
+						})
+					default:
+						tu := rel.Tuple{fmt.Sprintf("v%d", rng.Intn(6))}
+						err = ledger.around("L.c", tu, func() error {
+							return srv2.AddFact("L.c", tu)
+						})
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(m)
+		}
+		for g := 0; g < queriers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(200 + g)))
+				for i := 0; i < iters; i++ {
+					qi := queries[rng.Intn(len(queries))]
+					done := ledger.build(false)
+					ans, err := ex.EvalCQ(qi.q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					issued := ledger.build(true)
+					lo, err := rel.EvalCQ(qi.q, done)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					hi, err := rel.EvalCQ(qi.q, issued)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ansSet, hiSet := keySet(ans), keySet(hi)
+					for _, want := range lo {
+						if !ansSet[want.Key()] {
+							t.Errorf("%s: lost %v completed before the query (stale fragment served?)", qi.name, want)
+							return
+						}
+					}
+					for _, got := range ans {
+						if !hiSet[got.Key()] {
+							t.Errorf("%s: unexplainable tuple %v (mixed-generation fragments?)", qi.name, got)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(stopSnap)
+		<-snapDone
+		if t.Failed() {
+			return
+		}
+
+		// Quiesced: exact agreement with the oracle, and a repeated
+		// query must be served from fragments.
+		final := ledger.build(true)
+		for _, qi := range queries {
+			want, err := rel.EvalCQ(qi.q, final)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, err := ex.EvalCQ(qi.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tuplesEqual(ans, want) {
+				t.Fatalf("%s: quiesced answer diverges: %v vs %v", qi.name, ans, want)
+			}
+		}
+		st0 := ex.FragmentStats()
+		if _, err := ex.EvalCQ(queries[0].q); err != nil {
+			t.Fatal(err)
+		}
+		st1 := ex.FragmentStats()
+		if st1.Hits <= st0.Hits {
+			t.Fatalf("quiesced repeat did not hit the fragment cache: %+v -> %+v", st0, st1)
+		}
+	})
 }

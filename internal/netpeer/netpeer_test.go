@@ -191,6 +191,38 @@ func TestExecutorNoRoute(t *testing.T) {
 	}
 }
 
+// TestEvalUCQFailsFast: once a disjunct has failed the union is an error, so
+// the disjuncts not yet handed to a worker must never start — here the
+// unrouted disjunct 0 fails at once, and of the 40 routed ones (one request
+// each) only those already in flight may reach the server.
+func TestEvalUCQFailsFast(t *testing.T) {
+	srv, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"a"}}})
+	ex := NewExecutor()
+	defer ex.Close()
+	if err := ex.Discover(addr); err != nil {
+		t.Fatal(err)
+	}
+	unrouted, err := parser.ParseQuery(`q(x) :- Nowhere.r(x)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := parser.ParseQuery(`q(x) :- A.r(x)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := lang.UCQ{Disjuncts: []lang.CQ{unrouted}}
+	for i := 0; i < 40; i++ {
+		u.Add(routed)
+	}
+	before := srv.Stats().Requests
+	if _, err := ex.EvalUCQ(u); err == nil || !strings.Contains(err.Error(), "no route") {
+		t.Fatalf("err = %v, want the no-route error of disjunct 0", err)
+	}
+	if got := srv.Stats().Requests - before; got > maxFanout+4 {
+		t.Fatalf("server saw %d requests after disjunct 0 failed; want at most the ~%d in flight", got, maxFanout)
+	}
+}
+
 func TestEndToEndReformulateThenDistribute(t *testing.T) {
 	// The full pipeline: a PDMS spec reformulates a peer query into a UCQ
 	// over stored relations that live on two different peer servers; the

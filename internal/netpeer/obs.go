@@ -1,9 +1,6 @@
 package netpeer
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -42,23 +39,12 @@ func wireToSpans(ws []wire.Span) []obs.SpanData {
 	return out
 }
 
-// logw emits one structured server diagnostic: through Logger when set,
-// else formatted through the legacy Logf hook ("msg k=v k=v"). kv are
-// alternating key/value pairs, slog-style.
+// logw emits one structured server diagnostic through Logger (dropped when
+// none is set). kv are alternating key/value pairs, slog-style.
 func (s *Server) logw(msg string, kv ...any) {
 	if s.Logger != nil {
 		s.Logger.Warn(msg, kv...)
-		return
 	}
-	if s.Logf == nil {
-		return
-	}
-	var sb strings.Builder
-	sb.WriteString(msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		fmt.Fprintf(&sb, " %v=%v", kv[i], kv[i+1])
-	}
-	s.Logf("%s", sb.String())
 }
 
 // RegisterMetrics registers the server's wire-level counters as the

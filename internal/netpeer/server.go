@@ -3,91 +3,49 @@
 // JSON/TCP protocol (package wire), and an Executor evaluates reformulated
 // unions of conjunctive queries across the network.
 //
-// The protocol has seven ops (see package wire for the JSON envelopes and
-// wire/PROTOCOL.md for the normative specification):
+// The server answers the seven ops of the peer protocol (package wire lists
+// the JSON envelopes, wire/PROTOCOL.md is the normative specification):
+// "catalog" and "gens" report cardinalities and per-relation generations
+// (gens is the fragment cache's row-free revalidation round trip); "scan"
+// and "eval" stream a relation, or a conjunctive query over this peer's
+// relations — full push-down of single-peer rewritings and selection-pushed
+// per-atom fetches; "bind" is the semi-join half of bind-join execution,
+// one atom plus a batch of bound join-key rows answered by one indexed
+// probe per key (engine.ProbeByKeyBatchYield) instead of a full scan;
+// "ping" is the connection pools' liveness probe; "add" inserts a batch of
+// tuples under the same read-side locking as Server.AddFact.
 //
-//   - "catalog": list the stored relations served by this peer together
-//     with their current cardinalities and per-relation generations.
-//   - "scan": return every tuple of one relation.
-//   - "eval": evaluate a conjunctive query whose atoms all name relations
-//     served by this peer; used for full push-down of single-peer
-//     rewritings and for selection-pushed per-atom fetches.
-//   - "bind": the semi-join half of bind-join execution. The request
-//     carries one atom (constants pushed down as selections) plus a batch
-//     of bound join-key rows for the atom's BindCols positions; the server
-//     probes its indexed engine once per key (engine.ProbeByKeyBatchYield)
-//     and returns the distinct matching tuples instead of a full scan.
-//   - "gens": report the current generation (monotonic insert counter) and
-//     cardinality of the named relations — the fragment cache's row-free
-//     revalidation round trip.
-//   - "ping": no-op liveness probe, used by the connection pools' idle
-//     health checks.
-//   - "add": insert a batch of tuples into one stored relation — the
-//     mutation half of mixed read/write workloads, taking the same write
-//     lock as Server.AddFact.
+// The server practices admission control (Server.MaxInflight, MaxQueue,
+// QueueWait): requests beyond the in-flight limit wait in a bounded FIFO
+// queue, and everything beyond that is *shed* with a retryable in-band busy
+// error frame (the executor's pools back off with jitter and retry). Each
+// connection decodes at most MaxPipeline requests ahead of the one being
+// answered, so an over-eager pipeliner is held back by TCP flow control,
+// not server memory. Graceful shutdown (Drain) stops accepting, lets
+// queued and in-flight requests finish, then closes.
 //
-// The server practices admission control: with Server.MaxInflight set, at
-// most that many requests execute concurrently across all connections, up
-// to MaxQueue more wait in a FIFO queue bounded by QueueWait each, and
-// everything beyond is *shed* with an in-band busy error frame (retryable;
-// the executor's pools back off with jitter and retry). Each connection
-// additionally decodes at most MaxPipeline requests ahead of the one being
-// answered — beyond that it simply stops reading, so a client pipelining
-// thousands of requests is held back by TCP flow control rather than
-// buffering server memory. Graceful shutdown (Drain) stops accepting,
-// lets queued and in-flight requests finish, then closes.
+// Responses STREAM (see package wire): a row-bearing op answers with
+// bounded chunks followed by a final frame, produced through the engine's
+// enumeration hooks (engine.StreamCQ, engine.ProbeByKeyBatchYield) rather
+// than materialized, so results of any size flow through in O(chunk)
+// memory. The final frame piggybacks the cardinalities and generations of
+// the relations touched, captured before row production so the generation
+// is a floor (the stream carries at least everything at that generation —
+// see wire/PROTOCOL.md); the executor folds them into its join-order
+// estimates and fragment-cache staleness checks. An oversized or garbled
+// *request* frame is answered with an in-band error (the stream stays
+// framed), never a silent connection drop; genuinely broken streams are
+// counted and reported through the optional Server.Logger.
 //
-// Responses STREAM: a row-bearing op answers with bounded chunks
-// (wire.ChunkMaxRows / wire.ChunkMaxBytes) followed by a final frame, so
-// neither side ever frames a whole answer — results larger than any fixed
-// frame ceiling flow through in O(chunk) memory. The server produces rows
-// through the engine's enumeration hooks (engine.StreamCQ,
-// engine.ProbeByKeyBatchYield) rather than materializing answers, and the
-// final frame of every data response piggybacks the cardinalities and
-// generations of the relations touched (captured before row production,
-// so the generation is a floor: the stream carries at least everything at
-// that generation — see wire/PROTOCOL.md): the executor folds the
-// cardinalities into its join-order estimates and the generations into
-// its fragment-cache staleness checks. An oversized or
-// garbled *request* frame is answered with an in-band error (the stream
-// stays framed), never a silent connection drop; genuinely broken streams
-// are counted and reported through the optional Server.Logf diagnostic
-// hook.
-//
-// Cross-peer rewritings execute as a streaming, adaptive, pipelined
-// bind-join: the Executor orders atoms by the engine's selectivity
-// heuristic and maintains the partial join incrementally, streaming each
-// atom's remote rows directly into a hash join against the partial result.
-// Per atom it ships the distinct join keys bound so far ("bind" op) in
-// pipelined batches — batch i+1 is written while batch i's rows are still
-// streaming back — unless the peer's advertised cardinality says the whole
-// (selection-pushed) relation is smaller than the key set, in which case
-// it fetches the relation instead. UCQ disjuncts fan out over a worker
-// pool, multiplexed over per-address connection pools (one Client is not
-// safe for concurrent use); pooled connections idle past
-// Executor.IdlePingAfter are pinged before reuse so a peer restart is
-// absorbed by a fresh dial instead of a first-request failure. Both sides
-// keep wire-level counters (requests, rows, bytes, bind batches and how
-// many were pipelined, health pings/drops) so the shipping and stall
-// savings are measurable.
-//
-// On top of the wire path sits the executor's cross-query fragment cache —
-// the distributed half of the system's two-level cache architecture (the
-// local half is pdms.Network's generation-vector answer cache):
-//
-//   - Every fetched or probed fragment is cached under (peer address,
-//     canonical atom pattern, bound-key-set hash) in an LRU bounded by
-//     entries and bytes, stamped with the relation's generation reported
-//     by the fetch's own response frames (a fetch whose frames disagree —
-//     a mutation landed mid-fetch — is not cached).
-//   - A cached fragment is served only after its generation is confirmed
-//     current: by default via a "gens" round trip (strong consistency with
-//     the peer at revalidation time, zero rows shipped), or for free when
-//     the generation was observed within the Executor.FragmentTrust window
-//     (zero traffic, staleness bounded by the window — the TTL fallback
-//     for peers mutated outside our view).
-//   - An AddFact on the serving peer moves only that relation's
-//     generation, so fragments of other relations keep hitting.
+// Single-peer rewritings push down whole; cross-peer rewritings execute
+// as a streaming, adaptive, pipelined bind-join over per-address connection
+// pools, with the fetched fragments cached across queries and revalidated
+// by generation — the distributed half of the system's two-level cache
+// architecture (the local half is pdms.Network's generation-vector answer
+// cache). The Executor type documents the algorithm and each of its knobs.
+// Both sides keep wire-level counters (requests, rows, bytes, bind batches
+// and how many were pipelined, health pings/drops) so the shipping and
+// stall savings are measurable.
 //
 // The paper treats query execution as out of scope ("recent techniques for
 // adaptive query processing are well suited for our context"); this package
@@ -110,7 +68,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/store"
@@ -156,13 +113,10 @@ const (
 // per-server indexed engine whose indexes and compiled plans persist across
 // requests (and catch up incrementally with AddFact).
 type Server struct {
-	// Logf, when non-nil, receives server-side diagnostics for conditions
+	// Logger, when non-nil, receives server-side diagnostics for conditions
 	// that cannot be answered in-band (broken request streams, read
-	// failures). Set it before Start.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives the same diagnostics as structured
-	// records (with peer and error attributes) and takes precedence over
-	// Logf. Set it before Start.
+	// failures, accept retries) as structured records with peer and error
+	// attributes. Set it before Start.
 	Logger *slog.Logger
 	// Tracer, when non-nil, keeps the span trees of traced requests this
 	// server has answered in its ring buffer — the serving-side
@@ -244,53 +198,12 @@ type Server struct {
 	acceptRetries atomic.Uint64
 }
 
-// ServerStats is a snapshot of a server's cumulative wire-level counters.
-type ServerStats struct {
-	// Requests counts protocol requests handled (including errors).
-	Requests uint64
-	// RowsServed counts tuples returned across all response frames.
-	RowsServed uint64
-	// BytesSent and BytesRecv count response and request bytes on the wire.
-	BytesSent, BytesRecv uint64
-	// ReadErrors counts request frames that could not be read cleanly
-	// (over-limit or broken mid-line). Over-limit frames also get an
-	// in-band error response; the rest tear down the connection with a
-	// Logf diagnostic instead of dying silently.
-	ReadErrors uint64
-	// Shed counts requests refused with an in-band busy error by the
-	// admission gate (queue full or queue-wait bound exceeded).
-	Shed uint64
-	// AcceptRetries counts temporary Accept failures the listen loop rode
-	// out with backoff instead of terminating.
-	AcceptRetries uint64
-	// Inflight and Queued are instantaneous admission-gate readings:
-	// requests currently executing and currently waiting for a slot.
-	Inflight, Queued int
-}
-
 // gate returns the admission gate (nil while the server has not started
 // or runs without admission control).
 func (s *Server) gate() *admission {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.adm
-}
-
-// Stats returns a snapshot of the server's wire-level counters.
-func (s *Server) Stats() ServerStats {
-	adm := s.gate()
-	inflight, queued := adm.load()
-	return ServerStats{
-		Requests:      s.requests.Load(),
-		RowsServed:    s.rowsServed.Load(),
-		BytesSent:     s.bytesSent.Load(),
-		BytesRecv:     s.bytesRecv.Load(),
-		ReadErrors:    s.readErrors.Load(),
-		Shed:          adm.shed(),
-		AcceptRetries: s.acceptRetries.Load(),
-		Inflight:      inflight,
-		Queued:        queued,
-	}
 }
 
 // NewServer creates a server over the given instance (which the server
@@ -627,49 +540,75 @@ func (s *Server) readRequests(conn net.Conn, items chan<- connItem, handlerDone 
 	}
 }
 
-// chunker accumulates streamed rows and flushes them as bounded non-final
-// frames, keeping per-response memory O(chunk) regardless of result size.
-type chunker struct {
-	send    func(wire.Response) error
-	rows    [][]string
-	bytes   int
-	total   int         // rows streamed so far, across all frames
-	spans   []wire.Span // trace spans for the final frame (traced requests only)
-	sendErr error       // transport failure; terminal for the connection
-}
-
-// row buffers one tuple, flushing a non-final frame at the chunk bounds.
-func (c *chunker) row(t rel.Tuple) error {
-	c.rows = append(c.rows, t)
-	c.total++
-	for _, v := range t {
-		c.bytes += len(v)
+// metaOf assembles the piggyback frame for the touched relations:
+// cardinality and per-column distinct estimates (join-ordering hints) and
+// generation (the fragment cache's staleness token). Callers hold the read
+// lock. Streaming ops capture it BEFORE row production: with adds landing
+// concurrently, a generation read after the stream could include a tuple
+// the stream already walked past, and a fragment tagged with it would
+// claim completeness it doesn't have. Captured up front, the tag is a
+// floor — the append-only logs guarantee the stream carries everything at
+// or before it, and rows that land mid-stream are true tuples monotone
+// queries absorb.
+func (s *Server) metaOf(preds ...string) wire.Response {
+	m := wire.Response{
+		Preds:    preds,
+		Cards:    make([]int, len(preds)),
+		Gens:     make([]uint64, len(preds)),
+		Distinct: make([][]float64, len(preds)),
 	}
-	if len(c.rows) >= wire.ChunkMaxRows || c.bytes >= wire.ChunkMaxBytes {
-		if err := c.send(wire.Response{Rows: c.rows, More: true}); err != nil {
-			c.sendErr = err
-			return err
+	for i, p := range preds {
+		if r := s.view.Relation(p); r != nil {
+			m.Cards[i] = r.Len()
+			m.Gens[i] = r.Version()
+			m.Distinct[i] = r.Stats().Distinct
 		}
-		c.rows, c.bytes = nil, 0
 	}
-	return nil
+	return m
 }
 
-// finish emits the final frame: any buffered rows plus the piggybacked
-// cardinalities, generations and per-column distinct estimates of the
-// relations the request touched.
-func (c *chunker) finish(preds []string, cards []int, gens []uint64, dists [][]float64) error {
-	return c.send(wire.Response{Rows: c.rows, Preds: preds, Cards: cards, Gens: gens, Distinct: dists, Spans: c.spans})
+// streamRows is the shared tail of the row-bearing ops (scan, eval, bind):
+// produce's rows flow out under the child span sp as bounded non-final
+// frames — per-response memory stays O(chunk) regardless of result size —
+// then either an in-band error frame (final, superseding any rows already
+// shipped) or the final frame carrying the remaining rows, meta (captured
+// by the caller before production) and the exported trace spans. A
+// transport failure is returned as is: it is terminal for the connection.
+func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, meta wire.Response,
+	exported func() []wire.Span, produce func(yield func(rel.Tuple) error) error) error {
+	var rows [][]string
+	var bytes, total int
+	var sendErr error
+	err := produce(func(t rel.Tuple) error {
+		rows = append(rows, t)
+		total++
+		for _, v := range t {
+			bytes += len(v)
+		}
+		if len(rows) >= wire.ChunkMaxRows || bytes >= wire.ChunkMaxBytes {
+			sendErr = send(wire.Response{Rows: rows, More: true})
+			rows, bytes = nil, 0
+		}
+		return sendErr
+	})
+	sp.SetErr(err)
+	sp.SetInt("rows", int64(total))
+	sp.End()
+	if sendErr != nil {
+		return sendErr
+	}
+	if err != nil {
+		return send(wire.Response{Error: err.Error()})
+	}
+	meta.Rows, meta.Spans = rows, exported()
+	return send(meta)
 }
 
 // handleStream answers one request as a stream of frames through send. It
 // returns the first transport error, or nil once the response — success or
 // in-band error — is fully written. Row production runs under the read
-// lock, but so do concurrent adds (shards self-synchronize): with
-// append-only relations a stream observes a superset of the instance at
-// its start and a subset of the instance at its end, the sound consistency
-// contract for monotone conjunctive queries — and the one that keeps a
-// stalled stream from convoying the rest of the server (see handleAdd).
+// lock, and so do concurrent adds: handleAdd says why that is sound and
+// what it spares the server.
 func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) error {
 	// A traced request (req.Trace set) gets a detached server-side span
 	// tree; exported finishes it and flattens it for the success final
@@ -699,35 +638,11 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// metaOf assembles the piggyback payload for the touched relations:
-	// cardinality (a join-order estimate) and generation (the fragment
-	// cache's staleness token). Streaming ops capture it BEFORE row
-	// production: with adds landing concurrently, a generation read after
-	// the stream could include a tuple the stream already walked past (and
-	// so missed), and a fragment tagged with it would claim completeness it
-	// doesn't have. Captured up front, the tag is a floor — the append-only
-	// logs guarantee the stream carries everything at or before it, and any
-	// extra rows that land mid-stream are true tuples monotone queries
-	// absorb.
-	metaOf := func(preds ...string) ([]string, []int, []uint64, [][]float64) {
-		cards := make([]int, len(preds))
-		gens := make([]uint64, len(preds))
-		dists := make([][]float64, len(preds))
-		for i, p := range preds {
-			if r := s.view.Relation(p); r != nil {
-				cards[i] = r.Len()
-				gens[i] = r.Version()
-				// Per-column distinct estimates from the relation's HLL
-				// column sketches — a join-ordering hint, like Cards.
-				dists[i] = r.Stats().Distinct
-			}
-		}
-		return preds, cards, gens, dists
-	}
 	switch req.Op {
 	case "catalog":
-		preds, cards, gens, dists := metaOf(s.view.Relations()...)
-		return send(wire.Response{Preds: preds, Cards: cards, Gens: gens, Distinct: dists, Spans: exported()})
+		resp := s.metaOf(s.view.Relations()...)
+		resp.Spans = exported()
+		return send(resp)
 	case "gens":
 		// The fragment-cache revalidation round trip: tiny and row-free.
 		// Each generation read is individually current; callers compare
@@ -735,8 +650,9 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// snapshot is needed. Deliberately no Distinct piggyback: the op
 		// exists to be minimal, and column statistics ride on every other
 		// response anyway.
-		preds, cards, gens, _ := metaOf(req.Preds...)
-		return send(wire.Response{Preds: preds, Cards: cards, Gens: gens, Spans: exported()})
+		resp := s.metaOf(req.Preds...)
+		resp.Distinct, resp.Spans = nil, exported()
+		return send(resp)
 	case "ping":
 		// Liveness probe for pool health checks; deliberately touches no
 		// relation state.
@@ -745,21 +661,10 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// StreamScan walks the per-shard insert logs directly: no sort, no
 		// sorted-view materialization, O(chunk) memory end to end. Row order
 		// is per-shard insertion order (unspecified globally).
-		preds, cards, gens, dists := metaOf(req.Pred)
-		c := &chunker{send: send}
-		ss := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
-		err := s.eng.StreamScan(req.Pred, c.row)
-		ss.SetErr(err)
-		ss.SetInt("rows", int64(c.total))
-		ss.End()
-		if err != nil {
-			if c.sendErr != nil {
-				return c.sendErr
-			}
-			return send(wire.Response{Error: err.Error()})
-		}
-		c.spans = exported()
-		return c.finish(preds, cards, gens, dists)
+		sp := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
+		return s.streamRows(send, sp, s.metaOf(req.Pred), exported, func(yield func(rel.Tuple) error) error {
+			return s.eng.StreamScan(req.Pred, yield)
+		})
 	case "eval":
 		if req.Query == nil {
 			return send(wire.Response{Error: "eval: missing query"})
@@ -776,44 +681,20 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 				bodyPreds = append(bodyPreds, a.Pred)
 			}
 		}
-		preds, cards, gens, dists := metaOf(bodyPreds...)
-		c := &chunker{send: send}
-		es := root.Child("eval", obs.Attr{K: "head", V: q.Head.Pred})
-		err = s.eng.StreamCQ(q, c.row)
-		es.SetErr(err)
-		es.SetInt("rows", int64(c.total))
-		es.End()
-		if err != nil {
-			if c.sendErr != nil {
-				return c.sendErr
-			}
-			// Evaluation failed mid-stream: the error frame is final and
-			// supersedes any rows already shipped.
-			return send(wire.Response{Error: err.Error()})
-		}
-		c.spans = exported()
-		return c.finish(preds, cards, gens, dists)
+		sp := root.Child("eval", obs.Attr{K: "head", V: q.Head.Pred})
+		return s.streamRows(send, sp, s.metaOf(bodyPreds...), exported, func(yield func(rel.Tuple) error) error {
+			return s.eng.StreamCQ(q, yield)
+		})
 	case "bind":
 		pred, cols, keys, err := bindProbeArgs(req)
 		if err != nil {
 			return send(wire.Response{Error: err.Error()})
 		}
-		bindPreds, cards, gens, dists := metaOf(pred)
-		c := &chunker{send: send}
-		bs := root.Child("bind", obs.Attr{K: "pred", V: pred})
-		bs.SetInt("keys", int64(len(keys)))
-		err = s.eng.ProbeByKeyBatchYield(pred, cols, keys, c.row)
-		bs.SetErr(err)
-		bs.SetInt("rows", int64(c.total))
-		bs.End()
-		if err != nil {
-			if c.sendErr != nil {
-				return c.sendErr
-			}
-			return send(wire.Response{Error: err.Error()})
-		}
-		c.spans = exported()
-		return c.finish(bindPreds, cards, gens, dists)
+		sp := root.Child("bind", obs.Attr{K: "pred", V: pred})
+		sp.SetInt("keys", int64(len(keys)))
+		return s.streamRows(send, sp, s.metaOf(pred), exported, func(yield func(rel.Tuple) error) error {
+			return s.eng.ProbeByKeyBatchYield(pred, cols, keys, yield)
+		})
 	default:
 		return send(wire.Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
 	}
@@ -850,19 +731,13 @@ func (s *Server) handleAdd(req wire.Request, send func(wire.Response) error, exp
 		}
 		inserted++
 	}
-	var cards []int
-	var gens []uint64
-	var dists [][]float64
-	if r := s.view.Relation(req.Pred); r != nil {
-		cards = []int{r.Len()}
-		gens = []uint64{r.Version()}
-		dists = [][]float64{r.Stats().Distinct}
-	}
+	resp := s.metaOf(req.Pred)
 	s.mu.RUnlock()
 	if addErr != nil {
 		return send(wire.Response{Error: fmt.Sprintf("add: row %d of %d: %v", inserted, len(req.Rows), addErr)})
 	}
-	return send(wire.Response{Preds: []string{req.Pred}, Cards: cards, Gens: gens, Distinct: dists, Spans: exported()})
+	resp.Spans = exported()
+	return send(resp)
 }
 
 // bindProbeArgs validates one bind request and lowers it to a probe: the
@@ -931,587 +806,4 @@ func bindProbeArgs(req wire.Request) (pred string, cols []int, keys [][]string, 
 		keys = append(keys, key)
 	}
 	return a.Pred, cols, keys, nil
-}
-
-// Counters aggregates wire-level client traffic, typically shared by every
-// pooled connection of one Executor. All fields are updated atomically;
-// safe for concurrent use.
-type Counters struct {
-	requests      atomic.Uint64
-	rowsFetched   atomic.Uint64
-	bytesSent     atomic.Uint64
-	bytesRecv     atomic.Uint64
-	maxFrame      atomic.Uint64
-	bindBatches   atomic.Uint64
-	bindPipelined atomic.Uint64
-	healthPings   atomic.Uint64
-	healthDrops   atomic.Uint64
-	dials         atomic.Uint64
-	poolWaits     atomic.Uint64
-	busyRetries   atomic.Uint64
-	distinctMeta  atomic.Uint64
-}
-
-// WireStats is a snapshot of client-side wire counters.
-type WireStats struct {
-	// Requests counts protocol round trips issued.
-	Requests uint64
-	// RowsFetched counts tuples received in responses. This is the
-	// headline bind-join metric: a semi-join ships only tuples that can
-	// join, so RowsFetched drops by the join selectivity versus whole-
-	// relation fetching.
-	RowsFetched uint64
-	// BytesSent and BytesRecv count request and response bytes on the wire.
-	BytesSent, BytesRecv uint64
-	// MaxFrameBytes is the largest single response frame observed — with
-	// chunked streaming it stays near wire.ChunkMaxBytes no matter how
-	// large a result is.
-	MaxFrameBytes uint64
-	// BindBatches counts bound-key batches shipped; BindBatchesPipelined
-	// counts those written while an earlier batch's response was still
-	// streaming back. Their difference is the number of sequential
-	// round-trip stalls paid on the bind path.
-	BindBatches, BindBatchesPipelined uint64
-	// HealthPings counts idle-too-long pooled connections pinged before
-	// reuse; HealthDrops counts those the ping found dead (closed and
-	// replaced by a fresh dial instead of surfacing a first-use failure).
-	HealthPings, HealthDrops uint64
-	// Dials counts connections opened (pool misses plus broken-connection
-	// replacements). A burst against one peer keeps this near the pool's
-	// per-address connection cap instead of scaling with the burst.
-	Dials uint64
-	// PoolWaits counts borrows that blocked because the per-address
-	// connection cap was reached (the dial-storm guard working).
-	PoolWaits uint64
-	// BusyRetries counts requests re-sent after the peer shed them with an
-	// in-band busy error (each retry waits out a jittered backoff first).
-	BusyRetries uint64
-	// DistinctMeta counts final frames whose metadata piggyback carried
-	// per-column distinct estimates — nonzero means the serving peers speak
-	// the Distinct extension and the executor's join ordering is running on
-	// column statistics rather than cardinality alone.
-	DistinctMeta uint64
-}
-
-// Snapshot returns the current counter values.
-func (ct *Counters) Snapshot() WireStats {
-	return WireStats{
-		Requests:             ct.requests.Load(),
-		RowsFetched:          ct.rowsFetched.Load(),
-		BytesSent:            ct.bytesSent.Load(),
-		BytesRecv:            ct.bytesRecv.Load(),
-		MaxFrameBytes:        ct.maxFrame.Load(),
-		BindBatches:          ct.bindBatches.Load(),
-		BindBatchesPipelined: ct.bindPipelined.Load(),
-		HealthPings:          ct.healthPings.Load(),
-		HealthDrops:          ct.healthDrops.Load(),
-		Dials:                ct.dials.Load(),
-		PoolWaits:            ct.poolWaits.Load(),
-		BusyRetries:          ct.busyRetries.Load(),
-		DistinctMeta:         ct.distinctMeta.Load(),
-	}
-}
-
-// noteFrame records one received frame's size.
-func (ct *Counters) noteFrame(n int) {
-	ct.bytesRecv.Add(uint64(n) + 1)
-	for {
-		cur := ct.maxFrame.Load()
-		if uint64(n) <= cur || ct.maxFrame.CompareAndSwap(cur, uint64(n)) {
-			return
-		}
-	}
-}
-
-// Client is a connection to one peer server. A Client is not safe for
-// concurrent use: the Executor multiplexes concurrent work over a
-// per-address pool of Clients, borrowing one per in-flight request.
-type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	enc  *json.Encoder
-	// maxFrame caps one received response frame (wire.DefaultMaxFrame);
-	// chunked streaming keeps real frames around wire.ChunkMaxBytes.
-	maxFrame int
-	// counters, when non-nil, aggregates this client's traffic (set by the
-	// executor's pool so all pooled connections share one Counters).
-	counters *Counters
-	// onMeta, when non-nil, receives the cardinalities, generations and
-	// per-column distinct estimates piggybacked on final response frames
-	// (set by the executor's pool so estimates and generation observations
-	// refresh continuously). dists is nil when the serving peer predates
-	// the Distinct extension.
-	onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64)
-	// tapMeta, when non-nil, additionally receives the same piggyback for
-	// the duration of one logical call — the executor installs it around a
-	// fragment fetch to stamp the cached fragment with the generation its
-	// own response frames reported (the shared onMeta table would race with
-	// concurrent calls observing newer generations).
-	tapMeta func(preds []string, gens []uint64)
-	// traceSpan, when non-nil, marks requests on this client as traced:
-	// each request carries the span's trace ID and span ID, and the spans
-	// shipped back on final frames are adopted under it, labeled with the
-	// peer address. Installed by the borrower for one logical call; like
-	// the Client itself it is not safe for concurrent use.
-	traceSpan *obs.Span
-	// broken is set when a transport-level failure leaves the stream
-	// desynced (request written but response unread, a partial/garbled
-	// frame consumed, or a response stream abandoned mid-flight): reusing
-	// the connection could pair a later request with a stale frame, so the
-	// pool drops broken clients.
-	broken bool
-}
-
-// ErrBusy marks a shed request: the server's admission gate refused to
-// start it (in-flight limit reached, wait queue full or wait bound
-// exceeded). The request did no work, the connection stays usable, and a
-// retry after a jittered backoff is safe for any op (the executor's pool
-// does this automatically). Test with errors.Is.
-var ErrBusy = errors.New("netpeer: server busy")
-
-// clientConnWriter counts request bytes as they hit the socket.
-type clientConnWriter struct{ c *Client }
-
-func (w clientConnWriter) Write(p []byte) (int, error) {
-	n, err := w.c.conn.Write(p)
-	if w.c.counters != nil {
-		w.c.counters.bytesSent.Add(uint64(n))
-	}
-	return n, err
-}
-
-// Dial connects to a peer server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}
-	c.enc = json.NewEncoder(clientConnWriter{c: c})
-	return c, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// Broken reports whether a transport-level failure has desynced the
-// connection; a broken client must not be reused.
-func (c *Client) Broken() bool { return c.broken }
-
-// TraceOn installs sp as the client's trace context: subsequent requests
-// carry its trace and span IDs, and remote spans shipped back on final
-// frames are adopted under it. A nil sp turns tracing off. Returns c for
-// chaining.
-func (c *Client) TraceOn(sp *obs.Span) *Client {
-	c.traceSpan = sp
-	return c
-}
-
-// readStream consumes one response stream: zero or more non-final frames
-// and a final one. onRows (when non-nil) receives each frame's rows as
-// they arrive; an onRows error abandons the stream (unread frames desync
-// the connection, so it is closed and marked broken). A remote error frame
-// is terminal but well-framed: the connection stays usable.
-func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error) {
-	for {
-		frame, err := wire.ReadFrame(c.br, c.maxFrame)
-		if err != nil {
-			// Includes ErrFrameTooLarge: the line was consumed, but the
-			// logical response stream is now missing a frame (possibly the
-			// final marker), so the connection cannot be trusted.
-			c.broken = true
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return wire.Response{}, fmt.Errorf("netpeer: connection closed")
-			}
-			return wire.Response{}, err
-		}
-		if c.counters != nil {
-			c.counters.noteFrame(len(frame))
-		}
-		var resp wire.Response
-		if err := json.Unmarshal(frame, &resp); err != nil {
-			c.broken = true
-			return wire.Response{}, err
-		}
-		if resp.Error != "" {
-			// A remote error frame is final and well-framed: the stream
-			// stays in sync and the connection remains usable. A busy frame
-			// additionally wraps ErrBusy so pool users can retry with
-			// backoff (the request was never started on the server).
-			if resp.Busy {
-				return wire.Response{}, fmt.Errorf("%w: %s", ErrBusy, resp.Error)
-			}
-			return wire.Response{}, fmt.Errorf("netpeer: remote: %s", resp.Error)
-		}
-		if c.counters != nil {
-			c.counters.rowsFetched.Add(uint64(len(resp.Rows)))
-		}
-		if onRows != nil && len(resp.Rows) > 0 {
-			if err := onRows(resp.Rows); err != nil {
-				c.broken = true
-				c.conn.Close()
-				return wire.Response{}, err
-			}
-		}
-		if !resp.More {
-			if len(resp.Preds) > 0 {
-				if c.counters != nil && len(resp.Distinct) > 0 {
-					c.counters.distinctMeta.Add(1)
-				}
-				if c.onMeta != nil {
-					c.onMeta(resp.Preds, resp.Cards, resp.Gens, resp.Distinct)
-				}
-				if c.tapMeta != nil {
-					c.tapMeta(resp.Preds, resp.Gens)
-				}
-			}
-			if c.traceSpan != nil && len(resp.Spans) > 0 {
-				c.traceSpan.AdoptRemote(c.conn.RemoteAddr().String(), wireToSpans(resp.Spans))
-			}
-			return resp, nil
-		}
-	}
-}
-
-// roundTripStream writes one request and consumes its response stream,
-// handing each frame's rows to onRows.
-func (c *Client) roundTripStream(req wire.Request, onRows func([][]string) error) (wire.Response, error) {
-	if c.counters != nil {
-		c.counters.requests.Add(1)
-	}
-	if c.traceSpan != nil {
-		req.Trace = c.traceSpan.TraceID()
-		req.Span = c.traceSpan.ID()
-	}
-	if err := c.enc.Encode(req); err != nil {
-		c.broken = true
-		return wire.Response{}, err
-	}
-	return c.readStream(onRows)
-}
-
-// roundTrip is roundTripStream materialized: the returned response carries
-// every row of the stream.
-func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
-	var all [][]string
-	final, err := c.roundTripStream(req, func(rows [][]string) error {
-		all = append(all, rows...)
-		return nil
-	})
-	if err != nil {
-		return wire.Response{}, err
-	}
-	final.Rows = all
-	return final, nil
-}
-
-// rowsToYield adapts a per-tuple yield to readStream's per-frame callback.
-func rowsToYield(yield func(rel.Tuple) error) func([][]string) error {
-	return func(rows [][]string) error {
-		for _, r := range rows {
-			if err := yield(rel.Tuple(r)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// Catalog lists the relations the peer serves.
-func (c *Client) Catalog() ([]string, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Preds, nil
-}
-
-// CatalogStats lists the relations the peer serves together with their
-// current cardinalities (estimates for join ordering; they may go stale
-// without affecting correctness).
-func (c *Client) CatalogStats() (map[string]int, error) {
-	cards, _, err := c.CatalogMeta()
-	return cards, err
-}
-
-// CatalogMeta is CatalogStats plus the per-column distinct estimates the
-// peer advertises (nil per relation when the peer predates the Distinct
-// extension) — both are join-ordering hints, never correctness inputs.
-func (c *Client) CatalogMeta() (map[string]int, map[string][]float64, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
-	if err != nil {
-		return nil, nil, err
-	}
-	cards := make(map[string]int, len(resp.Preds))
-	dists := make(map[string][]float64, len(resp.Preds))
-	for i, p := range resp.Preds {
-		if i < len(resp.Cards) {
-			cards[p] = resp.Cards[i]
-		} else {
-			cards[p] = 0
-		}
-		if i < len(resp.Distinct) && len(resp.Distinct[i]) > 0 {
-			dists[p] = resp.Distinct[i]
-		}
-	}
-	return cards, dists, nil
-}
-
-// Gens asks the peer for the current generation (monotonic insert counter)
-// of each named relation — the fragment cache's cheap revalidation round
-// trip: no rows cross the wire, and a relation the peer does not serve
-// reports generation 0.
-func (c *Client) Gens(preds []string) (map[string]uint64, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "gens", Preds: preds})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]uint64, len(resp.Preds))
-	for i, p := range resp.Preds {
-		if i < len(resp.Gens) {
-			out[p] = resp.Gens[i]
-		} else {
-			out[p] = 0
-		}
-	}
-	return out, nil
-}
-
-// Ping performs a no-op round trip, verifying the connection and the peer
-// are alive. Connection pools use it to health-check idle-too-long
-// connections before reuse.
-func (c *Client) Ping() error {
-	_, err := c.roundTrip(wire.Request{Op: "ping"})
-	return err
-}
-
-// Add inserts a batch of rows into one relation on the peer (the
-// protocol's single mutating op). The returned generation is the
-// relation's version read after the batch's last insert landed — at
-// least as new as this write, possibly newer under concurrent writers.
-// Set semantics make the op idempotent (re-inserting an existing tuple
-// is a no-op), so retrying after an ambiguous failure is safe; a busy
-// error (errors.Is(err, ErrBusy)) additionally means the batch was
-// never started.
-func (c *Client) Add(pred string, rows [][]string) (gen uint64, err error) {
-	resp, err := c.roundTrip(wire.Request{Op: "add", Pred: pred, Rows: rows})
-	if err != nil {
-		return 0, err
-	}
-	if len(resp.Gens) > 0 {
-		gen = resp.Gens[0]
-	}
-	return gen, nil
-}
-
-// Scan fetches all tuples of one relation.
-func (c *Client) Scan(pred string) ([]rel.Tuple, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred})
-	if err != nil {
-		return nil, err
-	}
-	return wire.RowsToTuples(resp.Rows), nil
-}
-
-// ScanStream streams one relation's tuples through yield as response
-// frames arrive, without materializing the result. A yield that stalls
-// stalls the read loop — and, once the socket buffers fill, the serving
-// peer's response stream (the load generator's slow-consumer mode leans on
-// exactly this backpressure).
-func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
-	_, err := c.roundTripStream(wire.Request{Op: "scan", Pred: pred}, rowsToYield(yield))
-	return err
-}
-
-// EvalStream evaluates a conjunctive query remotely — every body atom must
-// name a relation the peer serves — invoking yield once per distinct head
-// tuple as chunks arrive, in stream (not sorted) order.
-func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
-	wq := wire.FromCQ(q)
-	_, err := c.roundTripStream(wire.Request{Op: "eval", Query: &wq}, rowsToYield(yield))
-	return err
-}
-
-// Eval is EvalStream materialized and sorted (the head tuples, distinct).
-func (c *Client) Eval(q lang.CQ) ([]rel.Tuple, error) {
-	wq := wire.FromCQ(q)
-	resp, err := c.roundTrip(wire.Request{Op: "eval", Query: &wq})
-	if err != nil {
-		return nil, err
-	}
-	return rel.DistinctSorted(wire.RowsToTuples(resp.Rows)), nil
-}
-
-// bindBatchSize and bindBatchMaxBytes cap the bound-key rows shipped per
-// bind request frame — by count and by total value bytes — so a huge
-// bound side (or individually huge key values) never produces a request
-// frame near the server's limit.
-const (
-	bindBatchSize     = 1024
-	bindBatchMaxBytes = 4 << 20
-)
-
-// bindBatchStarts cuts rows into request batches: a new batch starts at
-// bindBatchSize rows or once the accumulated key bytes pass
-// bindBatchMaxBytes (a single oversized row still ships alone).
-func bindBatchStarts(rows [][]string) []int {
-	starts := []int{0}
-	rowsIn, bytesIn := 0, 0
-	for i, row := range rows {
-		sz := 0
-		for _, v := range row {
-			sz += len(v)
-		}
-		if rowsIn > 0 && (rowsIn >= bindBatchSize || bytesIn+sz > bindBatchMaxBytes) {
-			starts = append(starts, i)
-			rowsIn, bytesIn = 0, 0
-		}
-		rowsIn++
-		bytesIn += sz
-	}
-	return starts
-}
-
-// BindEvalStream fetches the tuples of atom a that match the atom's
-// constants and, at the bindCols positions, at least one of the bound-key
-// rows, invoking yield as chunks arrive. Keys ship in row- and
-// byte-bounded batches with up to depth requests in flight: batch i+1 is
-// written while batch i's rows are still streaming back, so consecutive
-// batches pay no sequential round-trip stall (depth 1 degrades to the
-// sequential protocol). The stream may contain duplicates across batches —
-// callers deduplicate.
-func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, depth int, yield func(rel.Tuple) error) error {
-	if depth < 1 {
-		depth = 1
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	wa := wire.FromAtom(a)
-	starts := bindBatchStarts(rows)
-	nb := len(starts)
-	// Per-batch trace spans: the writer creates batch i's span and hands it
-	// through spanCh — buffered to nb, so the writer never blocks on it and
-	// unread spans are simply dropped on an error exit — before encoding
-	// the request; the reader installs it as the client's adoption target
-	// while batch i's response streams back, then ends it.
-	parent := c.traceSpan
-	var spanCh chan *obs.Span
-	if parent != nil {
-		spanCh = make(chan *obs.Span, nb)
-		defer func() { c.traceSpan = parent }()
-	}
-	var responsesDone atomic.Uint64
-	sem := make(chan struct{}, depth)
-	abort := make(chan struct{})
-	writeErr := make(chan error, 1)
-	go func() {
-		writeErr <- func() error {
-			for i := 0; i < nb; i++ {
-				select {
-				case sem <- struct{}{}:
-				case <-abort:
-					return nil
-				}
-				end := len(rows)
-				if i+1 < nb {
-					end = starts[i+1]
-				}
-				if c.counters != nil {
-					c.counters.requests.Add(1)
-					c.counters.bindBatches.Add(1)
-					if uint64(i) > responsesDone.Load() {
-						c.counters.bindPipelined.Add(1)
-					}
-				}
-				req := wire.Request{
-					Op:       "bind",
-					Atom:     &wa,
-					BindCols: bindCols,
-					BindRows: rows[starts[i]:end],
-				}
-				if spanCh != nil {
-					bs := parent.Child("bind.batch", obs.Attr{K: "pred", V: a.Pred})
-					bs.SetInt("batch", int64(i))
-					bs.SetInt("keys", int64(end-starts[i]))
-					if bs != nil {
-						req.Trace = bs.TraceID()
-						req.Span = bs.ID()
-					}
-					spanCh <- bs
-				}
-				if err := c.enc.Encode(req); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-	}()
-	var readErr error
-	read := 0
-	for ; read < nb; read++ {
-		if spanCh != nil {
-			c.traceSpan = <-spanCh
-		}
-		_, err := c.readStream(rowsToYield(yield))
-		if spanCh != nil {
-			c.traceSpan.End()
-		}
-		responsesDone.Add(1)
-		select {
-		case <-sem:
-		default:
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
-	}
-	if readErr == nil {
-		werr := <-writeErr
-		if werr != nil {
-			c.broken = true
-			return werr
-		}
-		return nil
-	}
-	if !c.broken && read+1 == nb {
-		// The error frame was well-framed and answers the last batch. The
-		// server answers a batch only after reading its request through
-		// the newline, so every request is off the writer's hands and every
-		// response has been read: the stream is in sync, and the writer is
-		// past its last write, at most not yet scheduled to post. Joining
-		// it cannot deadlock, and a non-blocking look would call a healthy
-		// connection desynced whenever the reader got here first.
-		if werr := <-writeErr; werr != nil {
-			c.broken = true
-			c.conn.Close()
-		}
-		return readErr
-	}
-	// Transport failure, or later batches are being written or have
-	// responses in flight that will never be read: the stream is desynced.
-	// Joining a writer that is mid-write would deadlock (the server stops
-	// reading requests while we stop reading its responses), so kill the
-	// connection first — that unblocks a writer stuck in a socket write —
-	// then stop and join it.
-	c.broken = true
-	c.conn.Close()
-	close(abort)
-	<-writeErr
-	return readErr
-}
-
-// BindEval is BindEvalStream materialized, with sequential (depth-1)
-// batch shipping.
-func (c *Client) BindEval(a lang.Atom, bindCols []int, rows [][]string) ([]rel.Tuple, error) {
-	var out []rel.Tuple
-	err := c.BindEvalStream(a, bindCols, rows, 1, func(t rel.Tuple) error {
-		out = append(out, t)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -69,14 +69,14 @@ func TestSpilledBindJoinEquivalence(t *testing.T) {
 		return rows
 	}
 
-	inMem := run(0)
-	if !tuplesEqual(inMem, want) {
+	unspilled := run(0)
+	if !tuplesEqual(unspilled, want) {
 		t.Fatalf("in-memory answers diverge from oracle")
 	}
 	before := store.SpillStatsSnapshot()
 	for _, budget := range []int64{256, 1 << 10, 8 << 10} {
-		if got := run(budget); !tuplesEqual(got, inMem) {
-			t.Fatalf("budget %d: spilled answers diverge: got %d rows, want %d", budget, len(got), len(inMem))
+		if got := run(budget); !tuplesEqual(got, unspilled) {
+			t.Fatalf("budget %d: spilled answers diverge: got %d rows, want %d", budget, len(got), len(unspilled))
 		}
 	}
 	after := store.SpillStatsSnapshot()

@@ -1,9 +1,12 @@
 package netpeer
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,10 +89,8 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	data.MustAdd("S.r", "v")
 	srv := NewServer(data)
 	srv.MaxRequestBytes = 4 * 1024
-	var logged []string
-	srv.Logf = func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}
+	var logged recordingHandler
+	srv.Logger = slog.New(&logged)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +107,11 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.BindEval(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}})
+	var got []rel.Tuple
+	err = c.BindEvalStream(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}}, func(t rel.Tuple) error {
+		got = append(got, t)
+		return nil
+	})
 	if err == nil || !strings.Contains(err.Error(), "request frame exceeds") {
 		t.Fatalf("err = %v, want in-band 'request frame exceeds' error", err)
 	}
@@ -121,9 +126,32 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	if st := srv.Stats(); st.ReadErrors != 1 {
 		t.Fatalf("ReadErrors = %d, want 1", st.ReadErrors)
 	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "request frame over") {
-		t.Fatalf("server diagnostic missing: %q", logged)
+	if msgs := logged.messages(); len(msgs) != 1 || !strings.Contains(msgs[0], "request frame over") {
+		t.Fatalf("server diagnostic missing: %q", msgs)
 	}
+}
+
+// recordingHandler is a slog.Handler keeping the message of every record
+// (the server logs from connection goroutines, hence the lock).
+type recordingHandler struct {
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (h *recordingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordingHandler) WithGroup(string) slog.Handler            { return h }
+func (h *recordingHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.msgs = append(h.msgs, r.Message)
+	return nil
+}
+
+func (h *recordingHandler) messages() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]string(nil), h.msgs...)
 }
 
 // TestOversizeResponseBreaksClientCleanly: a response frame over the
@@ -210,8 +238,7 @@ func TestAdaptiveFullFetchWhenRemoteSmaller(t *testing.T) {
 }
 
 // TestPipelinedBindBatches: a bound side spanning several bind batches
-// must overlap them (BindBatchesPipelined > 0), answer exactly, and — when
-// pipelining is disabled — pay one sequential stall per batch instead.
+// must overlap them (BindBatchesPipelined > 0) and answer exactly.
 func TestPipelinedBindBatches(t *testing.T) {
 	const (
 		keys    = 3000 // 3 batches of bindBatchSize=1024
@@ -241,39 +268,26 @@ func TestPipelinedBindBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name          string
-		depth         int
-		wantPipelined bool
-	}{
-		{"pipelined", 0, true}, // default depth
-		{"sequential", 1, false},
-	} {
-		ex := NewExecutor()
-		ex.BindPipeline = tc.depth
-		for _, a := range []string{addr1, addr2} {
-			if err := ex.Discover(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := ex.EvalCQ(q)
-		if err != nil {
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{addr1, addr2} {
+		if err := ex.Discover(a); err != nil {
 			t.Fatal(err)
 		}
-		if !tuplesEqual(got, want) {
-			t.Fatalf("%s: answers diverge (%d rows vs %d)", tc.name, len(got), len(want))
-		}
-		st := ex.WireStats()
-		ex.Close()
-		if st.BindBatches < 3 {
-			t.Fatalf("%s: BindBatches = %d, want >= 3", tc.name, st.BindBatches)
-		}
-		if tc.wantPipelined && st.BindBatchesPipelined == 0 {
-			t.Fatalf("%s: no batch overlapped an in-flight response", tc.name)
-		}
-		if !tc.wantPipelined && st.BindBatchesPipelined != 0 {
-			t.Fatalf("%s: %d batches pipelined at depth 1", tc.name, st.BindBatchesPipelined)
-		}
+	}
+	got, err := ex.EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tuplesEqual(got, want) {
+		t.Fatalf("answers diverge (%d rows vs %d)", len(got), len(want))
+	}
+	st := ex.WireStats()
+	if st.BindBatches < 3 {
+		t.Fatalf("BindBatches = %d, want >= 3", st.BindBatches)
+	}
+	if st.BindBatchesPipelined == 0 {
+		t.Fatal("no batch overlapped an in-flight response")
 	}
 }
 

@@ -70,8 +70,8 @@ func TupleBytes(t rel.Tuple) int64 {
 // sequential reads and then walks the tail, preserving append order.
 //
 // With spilling disabled (no directory or no budget) a RowBuffer is just a
-// slice with byte accounting: Rows() exposes it directly, so hot paths pay
-// nothing beyond the per-append size estimate.
+// slice with byte accounting: appends pay nothing beyond the per-row size
+// estimate and iteration walks the slice.
 //
 // A RowBuffer is single-goroutine (the executor's join loop); it is not
 // safe for concurrent use. Close removes the spill file.
@@ -101,14 +101,6 @@ func NewRowBuffer(dir string, budget int64) *RowBuffer {
 
 // Len returns the number of rows appended (spilled + in-memory).
 func (b *RowBuffer) Len() int { return b.spilled + len(b.rows) }
-
-// InMemory reports whether every row is still in memory — the fast path
-// where Rows() hands callers the backing slice directly.
-func (b *RowBuffer) InMemory() bool { return b.spilled == 0 }
-
-// Rows returns the in-memory rows. Callers must only use it when
-// InMemory() is true; after a spill it holds just the tail.
-func (b *RowBuffer) Rows() []rel.Tuple { return b.rows }
 
 // MaxInMemoryBytes returns the high-water mark of the in-memory tail's
 // accounted bytes (never exceeds budget + one row once spilling is

@@ -34,7 +34,7 @@ func TestRowBufferSpillRoundTrip(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if b.InMemory() {
+	if b.Spilled() == 0 {
 		t.Fatalf("expected a spill under a %dB budget", budget)
 	}
 	if b.Len() != len(want) {
@@ -84,11 +84,11 @@ func TestRowBufferInMemoryFastPath(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if !b.InMemory() || b.Spilled() != 0 {
+	if b.Spilled() != 0 {
 		t.Fatalf("disabled buffer spilled")
 	}
-	if len(b.Rows()) != 100 || b.Len() != 100 {
-		t.Fatalf("rows = %d / len = %d, want 100", len(b.Rows()), b.Len())
+	if b.Len() != 100 {
+		t.Fatalf("len = %d, want 100", b.Len())
 	}
 	got := collect(t, b)
 	if len(got) != 100 {
@@ -123,7 +123,7 @@ func TestRowBufferSurfacesDiskErrors(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if b.InMemory() {
+	if b.Spilled() == 0 {
 		t.Fatalf("expected spill")
 	}
 	// Destroy the spill file out from under the buffer: iteration must
