@@ -1,5 +1,5 @@
 // Command docscheck is the repository's documentation linter, run by the
-// CI docs job. It enforces three invariants over the whole tree:
+// CI docs job. It enforces four invariants over the whole tree:
 //
 //   - Every relative link in every Markdown file resolves to an existing
 //     file or directory.
@@ -8,6 +8,11 @@
 //     (lowercase, punctuation stripped, spaces to hyphens).
 //   - Every Go package has a package comment (the lightweight equivalent
 //     of revive's exported-documentation rule for this repository).
+//   - In the living design documents (identDocs — not the history files
+//     ROADMAP, CHANGES, ISSUE), every backticked `pkg.Ident` or
+//     `pkg.Type.Member` whose pkg is a package under internal/ or pdms/
+//     names a declaration that exists, so a rename or a deletion cannot
+//     leave the documents describing code that is gone.
 //
 // Usage: docscheck [root]   (root defaults to the current directory)
 //
@@ -18,6 +23,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -53,6 +59,7 @@ func run(root string) []string {
 	for _, md := range mds {
 		problems = append(problems, checkMarkdown(root, md)...)
 	}
+	problems = append(problems, checkIdentifiers(root, gos)...)
 	problems = append(problems, checkPackageComments(gos)...)
 	return problems
 }
@@ -210,4 +217,125 @@ func checkPackageComments(dirs []string) []string {
 		}
 	}
 	return problems
+}
+
+// identDocs are the documents, relative to the root, whose backticked Go
+// identifiers must resolve.
+var identDocs = []string{"ARCHITECTURE.md", filepath.Join("internal", "wire", "PROTOCOL.md")}
+
+// identRe matches a backticked exported reference: `pkg.Ident`,
+// `pkg.Type.Member`, either with an optional trailing "()". Lowercase second
+// components (metric names such as `engine.scans`, file names) do not match.
+var identRe = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z]\\w*(?:\\.\\w+)?)(?:\\(\\))?`")
+
+// checkIdentifiers resolves the identRe references of identDocs against
+// the declarations of the packages under root/internal and root/pdms
+// (matched by directory name); other package prefixes are left alone.
+func checkIdentifiers(root string, goDirs []string) []string {
+	pkgDir := map[string]string{}
+	for _, dir := range goDirs {
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			continue
+		}
+		if top, _, _ := strings.Cut(filepath.ToSlash(rel), "/"); top == "internal" || top == "pdms" {
+			pkgDir[filepath.Base(dir)] = dir
+		}
+	}
+	decls := map[string]map[string]bool{} // package -> declared "Ident" and "Type.Member"
+	var problems []string
+	for _, doc := range identDocs {
+		path := filepath.Join(root, doc)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue // a tree without the document has nothing to resolve
+		}
+		for _, m := range identRe.FindAllStringSubmatch(stripCodeBlocks(string(data)), -1) {
+			pkg, ident := m[1], m[2]
+			dir, ok := pkgDir[pkg]
+			if !ok {
+				continue
+			}
+			if decls[pkg] == nil {
+				d, err := declarations(dir)
+				if err != nil {
+					problems = append(problems, fmt.Sprintf("%s: %v", dir, err))
+				}
+				decls[pkg] = d
+			}
+			if !decls[pkg][ident] {
+				problems = append(problems, fmt.Sprintf("%s: `%s.%s` names no declaration in %s", path, pkg, ident, dir))
+			}
+		}
+	}
+	return problems
+}
+
+// declarations lists what the non-test files of the package in dir declare
+// at top level: functions, types, constants and variables by name, and
+// methods, struct fields and interface methods as "Type.Member".
+func declarations(dir string) (map[string]bool, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	out := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv != nil && len(d.Recv.List) == 1 {
+						name = receiverName(d.Recv.List[0].Type) + "." + name
+					}
+					out[name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								out[n.Name] = true
+							}
+						case *ast.TypeSpec:
+							out[sp.Name.Name] = true
+							var members *ast.FieldList
+							switch t := sp.Type.(type) {
+							case *ast.StructType:
+								members = t.Fields
+							case *ast.InterfaceType:
+								members = t.Methods
+							}
+							if members != nil {
+								for _, fld := range members.List {
+									for _, n := range fld.Names {
+										out[sp.Name.Name+"."+n.Name] = true
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out, err
+}
+
+// receiverName returns the type name of a method receiver, through a
+// pointer and type parameters.
+func receiverName(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
 }

@@ -52,6 +52,47 @@ func TestCodeBlocksAndExternalLinksIgnored(t *testing.T) {
 	}
 }
 
+// TestIdentifierReferences: backticked pkg.Ident references in the design
+// document resolve against the packages under internal/ and pdms/; other
+// prefixes, lowercase (metric) names and other documents are left alone.
+func TestIdentifierReferences(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "internal/eng/eng.go", `// Package eng evaluates.
+package eng
+
+type Engine struct{ Cap int }
+
+func (e *Engine) Eval() {}
+
+func New() *Engine { return nil }
+`)
+	write(t, dir, "README.md", "`eng.Gone` is not a design document's claim.\n")
+	for _, tc := range []struct {
+		ref  string
+		want bool // resolves (or is not this check's business)
+	}{
+		{"`eng.Engine`", true},
+		{"`eng.Engine.Eval`", true},
+		{"`eng.Engine.Eval()`", true},
+		{"`eng.Engine.Cap`", true},
+		{"`eng.New`", true},
+		{"`eng.Missing`", false},
+		{"`eng.Engine.Missing`", false},
+		{"`eng.Eval`", false}, // a method is not a package-level function
+		{"`sync.Mutex`", true},
+		{"`eng.scans`", true},
+	} {
+		write(t, dir, "ARCHITECTURE.md", "# A\n\nSee "+tc.ref+".\n")
+		problems := run(dir)
+		if tc.want && len(problems) != 0 {
+			t.Errorf("%s: unexpected problems %v", tc.ref, problems)
+		}
+		if !tc.want && (len(problems) != 1 || !strings.Contains(problems[0], "names no declaration")) {
+			t.Errorf("%s: want one unresolved-identifier problem, got %v", tc.ref, problems)
+		}
+	}
+}
+
 // TestRepoIsClean runs the linter over the actual repository: the docs CI
 // job must stay green from inside the test suite too.
 func TestRepoIsClean(t *testing.T) {

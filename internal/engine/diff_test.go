@@ -195,35 +195,3 @@ func TestDifferentialUCQWideFanout(t *testing.T) {
 		}
 	}
 }
-
-func TestDifferentialDatalog(t *testing.T) {
-	rules := []lang.CQ{
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("y")),
-			Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))}},
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("z")),
-			Body: []lang.Atom{
-				lang.NewAtom("E", lang.Var("x"), lang.Var("y")),
-				lang.NewAtom("T", lang.Var("y"), lang.Var("z"))}},
-		{Head: lang.NewAtom("Same", lang.Var("x"), lang.Var("x")),
-			Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("x"))}},
-	}
-	for seed := 0; seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(int64(2000 + seed)))
-		ins := rel.NewInstance()
-		n := 5 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			ins.MustAdd("E", fmt.Sprintf("n%d", rng.Intn(12)), fmt.Sprintf("n%d", rng.Intn(12)))
-		}
-		want, err := rel.EvalDatalog(rules, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EvalDatalog(rules, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("seed %d: datalog fixpoint mismatch", seed)
-		}
-	}
-}

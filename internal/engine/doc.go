@@ -1,8 +1,7 @@
 // Package engine is the indexed, shard-parallel query-execution subsystem:
-// it evaluates conjunctive queries (CQs), unions of conjunctive queries
-// (UCQs) and datalog programs over rel.Instance data using hash indexes,
-// statistics-driven join orders and a bounded worker pool over the storage
-// shards, replacing the naive nested-loop evaluator in package rel on every
+// it evaluates conjunctive queries (CQs) and unions of conjunctive queries
+// (UCQs) over rel.Instance data using hash indexes, statistics-driven join
+// orders and a bounded worker pool over the storage shards, replacing the naive nested-loop evaluator in package rel on every
 // hot path (pdms.Query, the netpeer server and executor, the chase oracle,
 // cmd/reform). rel.EvalCQ remains the reference oracle the engine is
 // differentially tested against — including sharded-versus-unsharded runs
@@ -30,11 +29,11 @@
 // relation's cardinality by 1/distinct(c) for every bound column c, using
 // the per-column distinct-value sketches rel maintains on insert
 // (rel.Stats) — a nearly-unique join column is recognized as sharply
-// selective while a low-distinct column no longer masquerades as such.
-// Callers without column statistics (the netpeer executor, which only sees
-// advertised cardinalities) use the uniform fallback OrderBody, the same
-// heuristic family with a fixed per-bound-argument discount. Estimates
-// affect ordering only, never correctness. Variable bindings live in a
+// selective while a low-distinct column no longer masquerades as such. A
+// column without an estimate (the netpeer executor calls OrderBodyStats
+// with whatever the peers advertised, which may be cardinalities only)
+// gets a fixed per-bound-argument discount instead. Estimates affect
+// ordering only, never correctness. Variable bindings live in a
 // flat slot array rather than substitution maps; comparison predicates are
 // attached to the earliest step that binds their variables, pruning as
 // soon as possible.
@@ -48,21 +47,18 @@
 // (discovery order is unspecified, answers are identical).
 // ProbeByKeyBatchYield fans large bound-key batches out the same way.
 // Unsharded relations, small relations and single-CPU configurations take
-// the sequential paths unchanged. EvalUCQ additionally fans independent
-// disjuncts over a bounded worker pool, the same concurrency shape the
-// distributed executor uses.
+// the sequential paths unchanged. EvalUCQ additionally lets a bounded
+// number of goroutines claim independent disjuncts, the same concurrency
+// shape the distributed executor uses.
 //
 // Plan cache. Compiled plans are cached in an LRU keyed by the query's
 // canonical form (lang.CQ.Canonical), so repeated evaluation of identical
 // rewritings — the common case once reformulation fans a query into a UCQ —
-// skips planning entirely. A PlanCache may be shared across engines: plans
-// fix only join order and probe shapes, never data, so cross-instance reuse
-// is sound (the netpeer executor shares one cache across its per-join
-// scratch engines).
+// skips planning entirely.
 //
-// Datalog. EvalDatalog runs semi-naive evaluation with one compiled plan
-// per (rule, pivot-atom) pair: the pivot scans the previous round's delta,
-// the remaining atoms probe indexes on the accumulating total instance.
+// Tracing. EvalCQSpan and EvalUCQSpan are the evaluators; EvalCQ and
+// EvalUCQ call them with a nil span, so a traced evaluation does the same
+// work as an untraced one plus the span bookkeeping.
 //
 // Streaming. StreamCQ, StreamScan and ProbeByKeyBatchYield are the
 // enumeration hooks behind the netpeer server's chunked responses: they

@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // ErrStop is returned by an Enumerate yield callback to stop enumeration
@@ -62,21 +62,6 @@ func (f *fanOut) dispatch(workers, items int, worker func(queue <-chan int)) err
 	wg.Wait()
 	return f.firstErr
 }
-
-// PlanCache caches compiled plans keyed by canonicalized query. One cache
-// may be shared by several engines (e.g. netpeer's executor creates a
-// scratch engine per cross-peer join but reuses plans across calls): a plan
-// fixes only the join order and probe shapes, never data, so reuse across
-// instances is always sound.
-type PlanCache struct {
-	lru *LRU
-}
-
-// NewPlanCache returns a plan cache holding at most capacity plans.
-func NewPlanCache(capacity int) *PlanCache { return &PlanCache{lru: NewLRU(capacity)} }
-
-// Stats reports cumulative plan-cache hits and misses.
-func (pc *PlanCache) Stats() CacheStats { return pc.lru.Stats() }
 
 // Stats are cumulative engine counters (observability and tests).
 type Stats struct {
@@ -174,11 +159,11 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 	return dst
 }
 
-// Engine evaluates conjunctive queries, unions of conjunctive queries and
-// datalog programs over a rel.Instance using lazily-built per-shard hash
-// indexes, distinct-value-statistics join ordering, and shard-parallel
-// scans and probes. It is the indexed replacement for the naive evaluator
-// in package rel (which remains the reference oracle).
+// Engine evaluates conjunctive queries and unions of conjunctive queries
+// over a rel.Instance using lazily-built per-shard hash indexes,
+// distinct-value-statistics join ordering, and shard-parallel scans and
+// probes. It is the indexed replacement for the naive evaluator in package
+// rel (which remains the reference oracle).
 //
 // Concurrency: concurrent evaluations are safe with each other, and the
 // underlying sharded relations tolerate concurrent inserts (each shard
@@ -187,19 +172,9 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 // netpeer.Server). Indexes catch up with inserts shard by shard on the
 // next probe.
 type Engine struct {
-	// data is the storage view every read path (scans, probes, indexes,
-	// stats) consumes; the engine never depends on the concrete in-memory
-	// representation behind it.
-	data store.Instance
-	// ins is the concrete instance behind data when the engine was built
-	// over one (New/NewWithPlanCache); nil for engines over other backends
-	// (NewFromStore). Only the Instance() escape hatch reads it.
-	ins   *rel.Instance
-	plans *PlanCache
-
-	// uniformCost disables the distinct-value cost model, restoring the
-	// fixed per-bound-argument discount (benchmark baseline).
-	uniformCost bool
+	data *rel.Instance
+	// plans caches compiled plans keyed by canonicalized query.
+	plans *LRU
 
 	// mu guards the two-level index map. Probes take the read lock only to
 	// locate the *index for their (relation, column-set); all bucket state
@@ -215,31 +190,10 @@ type Engine struct {
 	indexesBuilt  atomic.Uint64
 }
 
-// New returns an engine over ins with a private plan cache.
+// New returns an engine over ins.
 func New(ins *rel.Instance) *Engine {
-	return NewWithPlanCache(ins, NewPlanCache(1024))
+	return &Engine{data: ins, plans: NewLRU(1024), indexes: map[string]map[string]*index{}}
 }
-
-// NewWithPlanCache returns an engine over ins sharing the given plan cache.
-func NewWithPlanCache(ins *rel.Instance, pc *PlanCache) *Engine {
-	e := NewFromStore(store.InstanceOf(ins), pc)
-	e.ins = ins
-	return e
-}
-
-// NewFromStore returns an engine over an arbitrary storage backend sharing
-// the given plan cache (nil for a private one). Instance() returns nil for
-// such engines — there is no concrete rel.Instance behind them.
-func NewFromStore(data store.Instance, pc *PlanCache) *Engine {
-	if pc == nil {
-		pc = NewPlanCache(1024)
-	}
-	return &Engine{data: data, plans: pc, indexes: map[string]map[string]*index{}}
-}
-
-// Instance returns the concrete instance the engine was built over, or nil
-// when the engine runs over a non-rel backend (NewFromStore).
-func (e *Engine) Instance() *rel.Instance { return e.ins }
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
@@ -250,14 +204,6 @@ func (e *Engine) Stats() Stats {
 		PlansCompiled: e.plansCompiled.Load(),
 		IndexesBuilt:  e.indexesBuilt.Load(),
 	}
-}
-
-// card estimates a relation's cardinality (0 when absent).
-func (e *Engine) card(pred string) int {
-	if r := e.data.Relation(pred); r != nil {
-		return r.Len()
-	}
-	return 0
 }
 
 // colStats returns the planner statistics for pred: cardinality plus the
@@ -275,7 +221,7 @@ func (e *Engine) colStats(pred string) ColStats {
 
 // getIndex returns (creating if needed) the per-shard index set of r for
 // the bound-position set cols.
-func (e *Engine) getIndex(r store.Relation, cols []int) *index {
+func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	ck := colsKey(cols)
 	e.mu.RLock()
 	idx := e.indexes[r.Name()][ck]
@@ -306,7 +252,7 @@ func (e *Engine) getIndex(r store.Relation, cols []int) *index {
 // probeShard answers one shard's half of a probe: catch the shard index up
 // with the shard's insert log if it has grown, then look the key up. The
 // returned bucket must not be mutated.
-func probeShard(r store.Relation, idx *index, s int, key []byte) []rel.Tuple {
+func probeShard(r *rel.Relation, idx *index, s int, key []byte) []rel.Tuple {
 	ish := &idx.shards[s]
 	ish.mu.RLock()
 	if ish.consumed == r.ShardVersion(s) {
@@ -335,7 +281,7 @@ func probeShard(r store.Relation, idx *index, s int, key []byte) []rel.Tuple {
 // grown) scratch buffer for reuse — the result may alias either a shared
 // index bucket or the scratch, so callers must treat it as read-only and
 // must not retain it past the next probe that reuses the same scratch.
-func (e *Engine) probe(r store.Relation, cols []int, vals []string, kb *[]byte, scratch []rel.Tuple) ([]rel.Tuple, []rel.Tuple) {
+func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte, scratch []rel.Tuple) ([]rel.Tuple, []rel.Tuple) {
 	key := appendProbeKey((*kb)[:0], vals)
 	*kb = key
 	idx := e.getIndex(r, cols)
@@ -418,7 +364,7 @@ const probeBatchChunk = 256
 // locks keep them from contending unless the keys are skewed onto one
 // shard); the dedup set and the yield are serialized under the fan-out's
 // mutex.
-func (e *Engine) probeBatchParallel(r store.Relation, cols []int, keys [][]string, workers int, yield func(rel.Tuple) error) error {
+func (e *Engine) probeBatchParallel(r *rel.Relation, cols []int, keys [][]string, workers int, yield func(rel.Tuple) error) error {
 	f := &fanOut{}
 	seen := map[string]bool{}
 	chunks := (len(keys) + probeBatchChunk - 1) / probeBatchChunk
@@ -526,14 +472,14 @@ func colsKey(cols []int) string {
 // must key by the literal query instead, because its substitutions expose
 // the plan's variable names.
 func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
-	if v, ok := e.plans.lru.Get(key); ok {
+	if v, ok := e.plans.Get(key); ok {
 		return v.(*Plan), nil
 	}
-	p, err := e.compile(q, -1)
+	p, err := e.compile(q)
 	if err != nil {
 		return nil, err
 	}
-	e.plans.lru.Put(key, p)
+	e.plans.Put(key, p)
 	return p, nil
 }
 
@@ -551,8 +497,13 @@ func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	if err != nil {
 		return err
 	}
+	return e.stream(p, yield)
+}
+
+// stream is StreamCQ for an already-resolved plan.
+func (e *Engine) stream(p *Plan, yield func(rel.Tuple) error) error {
 	seen := map[string]bool{}
-	err = e.run(p, nil, func(slots []string) error {
+	err := e.run(p, func(slots []string) error {
 		head := make(rel.Tuple, len(p.head))
 		for i, h := range p.head {
 			if h.slot >= 0 {
@@ -575,67 +526,100 @@ func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 
 // EvalCQ evaluates a conjunctive query with set semantics and returns the
 // distinct head tuples, sorted — the indexed equivalent of rel.EvalCQ.
-func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
+func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.EvalCQSpan(q, nil) }
+
+// EvalCQSpan is EvalCQ under an optional trace span: a non-nil span gets a
+// "plan" child covering plan fetch/compilation (annotated with the chosen
+// step order) and an "exec" child covering the scan/probe run (annotated
+// with the distinct-row count).
+func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+	ps := sp.Child("plan")
+	p, err := e.plan(q.Canonical(), q)
+	ps.SetErr(err)
+	if ps != nil && err == nil {
+		ps.Set("steps", p.describe())
+	}
+	ps.End()
+	if err != nil {
+		return nil, err
+	}
+
+	es := sp.Child("exec")
 	var out []rel.Tuple
-	if err := e.StreamCQ(q, func(t rel.Tuple) error {
+	err = e.stream(p, func(t rel.Tuple) error {
 		out = append(out, t)
 		return nil
-	}); err != nil {
+	})
+	es.SetErr(err)
+	es.SetInt("rows", int64(len(out)))
+	es.End()
+	if err != nil {
 		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out, nil
 }
 
-// maxUCQFanout caps the worker pool evaluating UCQ disjuncts concurrently
+// maxUCQFanout caps the goroutines evaluating UCQ disjuncts concurrently
 // (mirrors the netpeer executor's fan-out, so local and distributed UCQ
 // evaluation share the same concurrency shape).
 const maxUCQFanout = 8
 
 // EvalUCQ evaluates a union of conjunctive queries, returning the distinct
 // union of the disjuncts' answers, sorted — the indexed equivalent of
-// rel.EvalUCQ. Disjuncts are independent and concurrent evaluations are
-// safe with each other, so they fan out over a bounded worker pool; on
-// error the first failing disjunct (by position) wins.
-func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) {
+// rel.EvalUCQ.
+func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
+
+// EvalUCQSpan is EvalUCQ under an optional trace span, which gets one
+// "eval.cq" child per disjunct (each holding its plan/exec sub-spans).
+// Disjuncts are independent and concurrent evaluations are safe with each
+// other, so up to maxUCQFanout goroutines — the caller's among them, so a
+// single disjunct starts none — claim them in position order. One failed
+// disjunct fails the union: nothing is claimed after it, and the error
+// returned is the lowest-position one among the disjuncts that ran.
+func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	if err := u.Validate(); err != nil {
+		sp.SetErr(err)
 		return nil, err
 	}
 	n := len(u.Disjuncts)
+	sp.SetInt("disjuncts", int64(n))
 	groups := make([][]rel.Tuple, n)
-	if n <= 1 {
-		for i, q := range u.Disjuncts {
-			rows, err := e.EvalCQ(q)
-			if err != nil {
-				return nil, err
-			}
-			groups[i] = rows
-		}
-		return rel.DistinctSorted(groups...), nil
-	}
 	errs := make([]error, n)
-	idx := make(chan int)
+	var next atomic.Int64
+	var failed atomic.Bool
+	claim := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
+			groups[i], errs[i] = e.EvalCQSpan(u.Disjuncts[i], cs)
+			cs.End()
+			if errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < min(n, maxUCQFanout); w++ {
+	for w := 1; w < min(n, maxUCQFanout); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				groups[i], errs[i] = e.EvalCQ(u.Disjuncts[i])
-			}
+			claim()
 		}()
 	}
-	for i := range u.Disjuncts {
-		idx <- i
-	}
-	close(idx)
+	claim()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return rel.DistinctSorted(groups...), nil
+	out := rel.DistinctSorted(groups...)
+	sp.SetInt("rows", int64(len(out)))
+	return out, nil
 }
 
 // Enumerate invokes yield once per substitution grounding every atom of
@@ -656,7 +640,7 @@ func (e *Engine) Enumerate(body []lang.Atom, comps []lang.Comparison, yield func
 	if err != nil {
 		return err
 	}
-	err = e.run(p, nil, func(slots []string) error {
+	err = e.run(p, func(slots []string) error {
 		s := lang.NewSubst()
 		for i, name := range p.slotNames {
 			s[name] = lang.Const(slots[i])
@@ -679,12 +663,12 @@ func (e *Engine) ExistsMatch(atoms []lang.Atom) (bool, error) {
 		head = a.Vars(head)
 	}
 	q := lang.CQ{Head: lang.Atom{Pred: "_exists", Args: head}, Body: atoms}
-	p, err := e.compile(q, -1)
+	p, err := e.compile(q)
 	if err != nil {
 		return false, err
 	}
 	found := false
-	err = e.run(p, nil, func([]string) error {
+	err = e.run(p, func([]string) error {
 		found = true
 		return ErrStop
 	})
@@ -692,82 +676,4 @@ func (e *Engine) ExistsMatch(atoms []lang.Atom) (bool, error) {
 		return false, err
 	}
 	return found, nil
-}
-
-// EvalDatalog computes the least fixpoint of the datalog program given by
-// rules over base using semi-naive evaluation with indexed joins: per round
-// the pivot atom scans the previous round's delta and the remaining atoms
-// probe hash indexes on the accumulating total instance. It returns a new
-// instance containing base plus all derived facts — the indexed equivalent
-// of rel.EvalDatalog.
-func EvalDatalog(rules []lang.CQ, base *rel.Instance) (*rel.Instance, error) {
-	for _, r := range rules {
-		if !r.IsSafe() {
-			return nil, fmt.Errorf("engine: unsafe rule %s", r)
-		}
-	}
-	total := base.Clone()
-	e := New(total)
-
-	// One plan per (rule, pivot): the pivot atom is forced first and reads
-	// the round's delta; the rest are ordered greedily and probe total.
-	type pivotPlan struct {
-		rule lang.CQ
-		plan *Plan
-	}
-	var plans []pivotPlan
-	for _, rule := range rules {
-		for pivot := range rule.Body {
-			p, err := e.compile(rule, pivot)
-			if err != nil {
-				return nil, err
-			}
-			plans = append(plans, pivotPlan{rule: rule, plan: p})
-		}
-	}
-
-	delta := base.Clone()
-	for {
-		// Per-round deltas are sharded like the base instance: delta pivot
-		// scans route through the same per-shard worker pool as full scans
-		// (parallelScanTarget), so a large round's delta is drained in
-		// parallel instead of single-shard.
-		next := rel.NewInstanceSharded(total.ShardCount())
-		for _, pp := range plans {
-			if delta.Relation(pp.plan.steps[0].pred) == nil {
-				continue
-			}
-			p := pp.plan
-			err := e.run(p, delta, func(slots []string) error {
-				tup := make(rel.Tuple, len(p.head))
-				for i, h := range p.head {
-					if h.slot >= 0 {
-						tup[i] = slots[h.slot]
-					} else {
-						tup[i] = h.constVal
-					}
-				}
-				if r := total.Relation(p.headPred); r == nil || !r.Contains(tup) {
-					if _, err := next.Add(p.headPred, tup); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if next.Size() == 0 {
-			return total, nil
-		}
-		for _, pred := range next.Relations() {
-			for _, t := range next.Relation(pred).Tuples() {
-				if _, err := total.Add(pred, t); err != nil {
-					return nil, err
-				}
-			}
-		}
-		delta = next
-	}
 }

@@ -152,27 +152,6 @@ func TestPlanCacheReuse(t *testing.T) {
 	}
 }
 
-func TestSharedPlanCacheAcrossEngines(t *testing.T) {
-	pc := NewPlanCache(16)
-	q := lang.CQ{
-		Head: lang.NewAtom("q", lang.Var("y")),
-		Body: []lang.Atom{lang.NewAtom("E", lang.Const("a"), lang.Var("y"))},
-	}
-	for i := 0; i < 3; i++ {
-		ins := rel.NewInstance()
-		ins.MustAdd("E", "a", fmt.Sprintf("b%d", i))
-		e := NewWithPlanCache(ins, pc)
-		rows := mustEval(t, e, q)
-		if len(rows) != 1 || rows[0][0] != fmt.Sprintf("b%d", i) {
-			t.Fatalf("engine %d rows = %v", i, rows)
-		}
-	}
-	st := pc.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("plan cache stats = %+v, want 2 hits 1 miss", st)
-	}
-}
-
 func TestUnsafeQueryRejected(t *testing.T) {
 	e := New(rel.NewInstance())
 	q := lang.CQ{Head: lang.NewAtom("q", lang.Var("x"))}
@@ -362,32 +341,37 @@ func TestEvalUCQ(t *testing.T) {
 	}
 }
 
-func TestEvalDatalogTransitiveClosure(t *testing.T) {
-	rules := []lang.CQ{
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("y")),
-			Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))}},
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("z")),
-			Body: []lang.Atom{
-				lang.NewAtom("E", lang.Var("x"), lang.Var("y")),
-				lang.NewAtom("T", lang.Var("y"), lang.Var("z"))}},
-	}
+// TestEvalUCQFailsFast: one failed disjunct fails the union, so disjuncts not
+// yet claimed when it failed are never evaluated, and the error returned is
+// the lowest-position one.
+func TestEvalUCQFailsFast(t *testing.T) {
 	ins := rel.NewInstance()
-	for i := 0; i < 20; i++ {
-		ins.MustAdd("E", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
+	ins.MustAdd("E", "a", "b")
+	e := New(ins)
+	bad := lang.CQ{ // E has arity 2
+		Head: lang.NewAtom("q", lang.Var("x")),
+		Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"))},
 	}
-	got, err := EvalDatalog(rules, ins)
-	if err != nil {
-		t.Fatal(err)
+	u := lang.UCQ{Disjuncts: []lang.CQ{bad}}
+	for i := 0; i < 40; i++ {
+		u.Disjuncts = append(u.Disjuncts, lang.CQ{
+			Head: lang.NewAtom("q", lang.Var("x")),
+			Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Const(fmt.Sprintf("c%d", i)))},
+		})
 	}
-	want, err := rel.EvalDatalog(rules, ins)
-	if err != nil {
-		t.Fatal(err)
+	_, wantErr := e.EvalCQ(bad)
+	if wantErr == nil {
+		t.Fatal("arity-mismatched disjunct accepted")
 	}
-	if got.String() != want.String() {
-		t.Fatalf("engine datalog diverges from naive:\n%s\nvs\n%s", got.String(), want.String())
+	before := e.Stats().PlansCompiled
+	_, err := e.EvalUCQ(u)
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("EvalUCQ error = %v, want disjunct 0's: %v", err, wantErr)
 	}
-	if got.Relation("T").Len() != 20*21/2 {
-		t.Fatalf("T has %d tuples", got.Relation("T").Len())
+	// Disjunct 0 plus at most one in-flight claim per other goroutine, with
+	// slack for claims that raced the failure flag.
+	if n := e.Stats().PlansCompiled - before; n > maxUCQFanout+4 {
+		t.Fatalf("compiled %d disjuncts after disjunct 0 failed, want <= %d", n, maxUCQFanout+4)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/lang"
@@ -93,10 +94,11 @@ func TestEvalCQSpanTrace(t *testing.T) {
 }
 
 // TestEvalUCQSpanTrace checks the fan-out path: one eval.cq child per
-// disjunct, each holding its own plan/exec spans, and the invalid-UCQ
-// error surfaced on the root span.
+// disjunct, each holding its own plan/exec spans, the same engine work
+// (counters and plan-cache probes) traced or not, and the invalid-UCQ error
+// surfaced on the root span.
 func TestEvalUCQSpanTrace(t *testing.T) {
-	e := obsFixture(t)
+	e, untraced := obsFixture(t), obsFixture(t)
 	mkCQ := func(c string) lang.CQ {
 		return lang.CQ{
 			Head: lang.NewAtom("q", lang.Var("y")),
@@ -111,12 +113,18 @@ func TestEvalUCQSpanTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := e.EvalUCQ(u)
+	plain, err := untraced.EvalUCQ(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(plain) {
+	if !reflect.DeepEqual(rows, plain) {
 		t.Fatalf("traced rows %v != untraced %v", rows, plain)
+	}
+	if got, want := e.Stats(), untraced.Stats(); got != want {
+		t.Fatalf("traced run's engine counters %+v != untraced %+v", got, want)
+	}
+	if got, want := e.plans.Stats(), untraced.plans.Stats(); got != want || got.Hits+got.Misses != uint64(len(u.Disjuncts)) {
+		t.Fatalf("traced run's plan-cache probes %+v != untraced %+v (one per disjunct)", got, want)
 	}
 	var cqs int
 	for _, c := range root.Children() {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // Plan is a compiled evaluation order for one conjunctive query: body atoms
@@ -16,8 +15,7 @@ import (
 // Variables live in a flat slot array instead of substitution maps. A plan
 // depends only on the query shape (plus cardinality and distinct-value
 // estimates at compile time, which affect ordering but never correctness),
-// so plans are cached and reused across evaluations and — via a shared
-// PlanCache — engines.
+// so plans are cached and reused across evaluations.
 type Plan struct {
 	steps     []planStep
 	nslots    int
@@ -42,12 +40,6 @@ type posSlot struct {
 	pos, slot int
 }
 
-// posConst pairs a tuple position with a constant value.
-type posConst struct {
-	pos int
-	val string
-}
-
 // posPos pairs two tuple positions that must hold equal values.
 type posPos struct {
 	pos, first int
@@ -56,19 +48,13 @@ type posPos struct {
 type planStep struct {
 	pred  string
 	arity int
-	// delta: this step scans the per-round delta instance handed to run
-	// (semi-naive datalog pivot) instead of the engine's instance.
-	delta bool
-	// Probe path (len(keyCols) > 0, never with delta): the index key is the
-	// projection onto keyCols, assembled from keyParts.
+	// Probe path (len(keyCols) > 0): the index key is the projection onto
+	// keyCols — every position holding a constant or a variable bound by an
+	// earlier step — assembled from keyParts. With no such position the
+	// step is a full scan.
 	keyCols  []int
 	keyParts []outPart
-	// Scan path: positions that must equal a constant.
-	checkConsts []posConst
-	// Delta-scan path: positions whose variable was bound by an earlier
-	// step (on the probe path these are key columns instead).
-	checkSlots []posSlot
-	// Both paths: repeated variables within the atom — the two tuple
+	// checkPos are repeated variables within the atom — the two tuple
 	// positions must agree (checked on the tuple itself, since the slot is
 	// not written until the binds below run).
 	checkPos []posPos
@@ -117,24 +103,11 @@ const uniformSel = 1.0 / 8
 // statsOf supplies a distinct-value estimate for it, else the uniform 1/8
 // discount. A column with many distinct values therefore makes its atom a
 // sharply selective probe, and one with few distinct values no longer
-// masquerades as selective just because something is bound. forcePivot >= 0
-// pins that atom first (datalog semi-naive); -1 orders all atoms greedily.
-func OrderBodyStats(body []lang.Atom, statsOf func(pred string) ColStats, forcePivot int) []int {
+// masquerades as selective just because something is bound.
+func OrderBodyStats(body []lang.Atom, statsOf func(pred string) ColStats) []int {
 	bound := map[string]bool{}
 	var order []int
 	taken := make([]bool, len(body))
-	bind := func(i int) {
-		order = append(order, i)
-		taken[i] = true
-		for _, t := range body[i].Args {
-			if t.IsVar() {
-				bound[t.Name] = true
-			}
-		}
-	}
-	if forcePivot >= 0 {
-		bind(forcePivot)
-	}
 	stats := map[string]ColStats{}
 	statFor := func(pred string) ColStats {
 		if st, ok := stats[pred]; ok {
@@ -167,26 +140,19 @@ func OrderBodyStats(body []lang.Atom, statsOf func(pred string) ColStats, forceP
 				best, bestCost = i, cost
 			}
 		}
-		bind(best)
+		order = append(order, best)
+		taken[best] = true
+		for _, t := range body[best].Args {
+			if t.IsVar() {
+				bound[t.Name] = true
+			}
+		}
 	}
 	return order
 }
 
-// OrderBody is OrderBodyStats with cardinalities only: every bound position
-// gets the uniform discount. Kept as the shared cost model for callers that
-// have no column statistics (netpeer's cross-peer executor only sees the
-// cardinalities peers advertise), so local and distributed join orders
-// follow the same heuristic family.
-func OrderBody(body []lang.Atom, cardOf func(pred string) int, forcePivot int) []int {
-	return OrderBodyStats(body, func(pred string) ColStats {
-		return ColStats{Card: cardOf(pred)}
-	}, forcePivot)
-}
-
-// compile builds a plan for q. forcePivot >= 0 pins body atom forcePivot as
-// the first step and marks it as a delta scan (datalog semi-naive); -1
-// orders all atoms greedily.
-func (e *Engine) compile(q lang.CQ, forcePivot int) (*Plan, error) {
+// compile builds a plan for q.
+func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 	e.plansCompiled.Add(1)
 	if !q.IsSafe() {
 		return nil, fmt.Errorf("engine: unsafe query %s", q)
@@ -209,33 +175,20 @@ func (e *Engine) compile(q lang.CQ, forcePivot int) (*Plan, error) {
 		return s
 	}
 
-	var order []int
-	if e.uniformCost {
-		order = OrderBody(q.Body, e.card, forcePivot)
-	} else {
-		order = OrderBodyStats(q.Body, e.colStats, forcePivot)
-	}
-
 	// Lower each atom to a step.
 	boundSlots := map[string]bool{} // vars bound by *earlier* steps
-	for stepIdx, bi := range order {
+	for _, bi := range OrderBodyStats(q.Body, e.colStats) {
 		a := q.Body[bi]
-		st := planStep{pred: a.Pred, arity: a.Arity(), delta: forcePivot >= 0 && stepIdx == 0}
+		st := planStep{pred: a.Pred, arity: a.Arity()}
 		firstPos := map[string]int{} // var -> position of first in-step occurrence
 		for pos, t := range a.Args {
 			switch {
 			case t.IsConst():
-				if !st.delta {
-					st.keyCols = append(st.keyCols, pos)
-					st.keyParts = append(st.keyParts, outPart{slot: -1, constVal: t.Name})
-				} else {
-					st.checkConsts = append(st.checkConsts, posConst{pos: pos, val: t.Name})
-				}
-			case boundSlots[t.Name] && !st.delta:
+				st.keyCols = append(st.keyCols, pos)
+				st.keyParts = append(st.keyParts, outPart{slot: -1, constVal: t.Name})
+			case boundSlots[t.Name]:
 				st.keyCols = append(st.keyCols, pos)
 				st.keyParts = append(st.keyParts, outPart{slot: getSlot(t.Name)})
-			case boundSlots[t.Name]:
-				st.checkSlots = append(st.checkSlots, posSlot{pos: pos, slot: getSlot(t.Name)})
 			default:
 				if fp, ok := firstPos[t.Name]; ok {
 					st.checkPos = append(st.checkPos, posPos{pos: pos, first: fp})
@@ -316,7 +269,6 @@ func compileComp(c lang.Comparison, slotOf map[string]int) compiledComp {
 type runCtx struct {
 	e     *Engine
 	p     *Plan
-	delta *rel.Instance
 	yield func(slots []string) error
 	slots []string
 	key   []byte
@@ -331,11 +283,10 @@ type runCtx struct {
 	stop *atomic.Bool
 }
 
-func newRunCtx(e *Engine, p *Plan, delta *rel.Instance, yield func([]string) error) *runCtx {
+func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
 	return &runCtx{
 		e:     e,
 		p:     p,
-		delta: delta,
 		yield: yield,
 		slots: make([]string, p.nslots),
 		bufs:  make([][]rel.Tuple, len(p.steps)),
@@ -352,17 +303,6 @@ func (rc *runCtx) step(i int) error {
 		return rc.yield(rc.slots)
 	}
 	st := &p.steps[i]
-	if st.delta {
-		r := rc.delta.Relation(st.pred)
-		if r == nil {
-			return nil
-		}
-		if r.Arity() != st.arity {
-			return fmt.Errorf("engine: atom %s/%d, delta relation has arity %d", st.pred, st.arity, r.Arity())
-		}
-		rc.e.scans.Add(1)
-		return rc.scanShards(i, st, r)
-	}
 	r := rc.e.data.Relation(st.pred)
 	if r == nil {
 		return nil
@@ -371,8 +311,15 @@ func (rc *runCtx) step(i int) error {
 		return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
 	}
 	if len(st.keyCols) == 0 {
+		// Full scan, shard by shard (the per-shard logs are distinct and
+		// cover the relation).
 		rc.e.scans.Add(1)
-		return rc.scanShards(i, st, r)
+		for s := 0; s < r.NumShards(); s++ {
+			if err := rc.feed(i, st, r.ShardAddedSince(s, 0)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	// Probe path: resolve the key parts, look up the per-shard indexes.
 	if cap(rc.vals) < len(st.keyParts) {
@@ -392,17 +339,6 @@ func (rc *runCtx) step(i int) error {
 	return rc.feed(i, st, tuples)
 }
 
-// scanShards runs step i as a full scan, shard by shard (the per-shard
-// logs are distinct and cover the relation).
-func (rc *runCtx) scanShards(i int, st *planStep, r store.Relation) error {
-	for s := 0; s < r.NumShards(); s++ {
-		if err := rc.feed(i, st, r.ShardAddedSince(s, 0)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // feed applies step i's checks and binds to each candidate tuple and
 // recurses into step i+1 for survivors.
 func (rc *runCtx) feed(i int, st *planStep, tuples []rel.Tuple) error {
@@ -410,16 +346,6 @@ next:
 	for _, tup := range tuples {
 		if rc.stop != nil && rc.stop.Load() {
 			return errCanceled
-		}
-		for _, cc := range st.checkConsts {
-			if tup[cc.pos] != cc.val {
-				continue next
-			}
-		}
-		for _, c := range st.checkSlots {
-			if tup[c.pos] != rc.slots[c.slot] {
-				continue next
-			}
 		}
 		for _, c := range st.checkPos {
 			if tup[c.pos] != tup[c.first] {
@@ -442,33 +368,28 @@ next:
 }
 
 // run executes the plan, invoking yield with the slot array for every body
-// match. delta supplies the scan source for delta steps (datalog); nil
-// otherwise. The slot array is reused across yields — callers must copy
-// what they keep. When the plan opens with a full scan of a large sharded
+// match. The slot array is reused across yields — callers must copy what
+// they keep. When the plan opens with a full scan of a large sharded
 // relation, the scan fans out across shards over a bounded worker pool
 // (yields serialized, match order unspecified); otherwise execution is
 // sequential and deterministic.
-func (e *Engine) run(p *Plan, delta *rel.Instance, yield func(slots []string) error) error {
+func (e *Engine) run(p *Plan, yield func(slots []string) error) error {
 	for _, c := range p.preComps {
 		if !c.eval(nil) {
 			return nil
 		}
 	}
-	if r, workers := e.parallelScanTarget(p, delta); r != nil {
-		return e.runParallel(p, delta, r, workers, yield)
+	if r, workers := e.parallelScanTarget(p); r != nil {
+		return e.runParallel(p, r, workers, yield)
 	}
-	return newRunCtx(e, p, delta, yield).step(0)
+	return newRunCtx(e, p, yield).step(0)
 }
 
 // parallelScanTarget reports whether the plan's first step is a full scan
 // eligible for shard fan-out, returning the scanned relation and the worker
 // count (nil/0 when the sequential path should run: probe first steps,
-// unsharded or small relations, single-worker configurations). A delta
-// first step (datalog semi-naive pivot) scans the per-round delta instance
-// and fans out under exactly the same gates — large deltas are the whole
-// cost of a semi-naive round, so they use the same shard worker pool as
-// full scans.
-func (e *Engine) parallelScanTarget(p *Plan, delta *rel.Instance) (store.Relation, int) {
+// unsharded or small relations, single-worker configurations).
+func (e *Engine) parallelScanTarget(p *Plan) (*rel.Relation, int) {
 	if len(p.steps) == 0 {
 		return nil, 0
 	}
@@ -476,17 +397,7 @@ func (e *Engine) parallelScanTarget(p *Plan, delta *rel.Instance) (store.Relatio
 	if len(st.keyCols) > 0 {
 		return nil, 0
 	}
-	var r store.Relation
-	if st.delta {
-		if delta == nil {
-			return nil, 0
-		}
-		if dr := delta.Relation(st.pred); dr != nil {
-			r = dr
-		}
-	} else {
-		r = e.data.Relation(st.pred)
-	}
+	r := e.data.Relation(st.pred)
 	if r == nil || r.Arity() != st.arity || r.NumShards() <= 1 {
 		return nil, 0
 	}
@@ -506,7 +417,7 @@ func (e *Engine) parallelScanTarget(p *Plan, delta *rel.Instance) (store.Relatio
 // yield. The first error (or ErrStop) recorded wins and flips the shared
 // stop flag, which every worker polls per tuple; run's callers apply the
 // usual ErrStop mapping, exactly as on the sequential path.
-func (e *Engine) runParallel(p *Plan, delta *rel.Instance, r store.Relation, workers int, yield func(slots []string) error) error {
+func (e *Engine) runParallel(p *Plan, r *rel.Relation, workers int, yield func(slots []string) error) error {
 	e.scans.Add(1)
 	e.parallelScans.Add(1)
 	f := &fanOut{}
@@ -519,7 +430,7 @@ func (e *Engine) runParallel(p *Plan, delta *rel.Instance, r store.Relation, wor
 		return yield(slots)
 	}
 	return f.dispatch(workers, r.NumShards(), func(queue <-chan int) {
-		rc := newRunCtx(e, p, delta, syield)
+		rc := newRunCtx(e, p, syield)
 		rc.stop = &f.stop
 		st := &p.steps[0]
 		for s := range queue {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/lang"
 	"repro/internal/rel"
 	"repro/internal/store"
 )
@@ -88,76 +87,5 @@ func TestDifferentialDiskBackedCQ(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatalf("seed %d: close: %v", seed, err)
 		}
-	}
-}
-
-// TestDatalogParallelDeltaEquivalence: with the fan-out gates dropped, the
-// semi-naive datalog rounds (whose deltas are sharded and scanned through
-// the same per-shard worker pool as base-relation scans) must compute
-// exactly the naive fixpoint.
-func TestDatalogParallelDeltaEquivalence(t *testing.T) {
-	forceParallel(t)
-	rules := []lang.CQ{
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("y")),
-			Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))}},
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("z")),
-			Body: []lang.Atom{
-				lang.NewAtom("E", lang.Var("x"), lang.Var("y")),
-				lang.NewAtom("T", lang.Var("y"), lang.Var("z"))}},
-	}
-	for seed := 0; seed < 15; seed++ {
-		rng := rand.New(rand.NewSource(int64(41000 + seed)))
-		ins := rel.NewInstanceSharded(2 + rng.Intn(7))
-		n := 30 + rng.Intn(60)
-		for i := 0; i < n; i++ {
-			ins.MustAdd("E", fmt.Sprintf("n%d", rng.Intn(16)), fmt.Sprintf("n%d", rng.Intn(16)))
-		}
-		want, err := rel.EvalDatalog(rules, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EvalDatalog(rules, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("seed %d: parallel-delta fixpoint mismatch", seed)
-		}
-	}
-}
-
-// TestParallelScanTargetDeltaStep: a compiled delta-first plan resolves its
-// parallel scan target from the per-round delta instance and fans out under
-// the same gates as a base-relation scan.
-func TestParallelScanTargetDeltaStep(t *testing.T) {
-	forceParallel(t)
-	base := rel.NewInstanceSharded(4)
-	base.MustAdd("E", "a", "b")
-	e := New(base)
-	rule := lang.CQ{
-		Head: lang.NewAtom("T", lang.Var("x"), lang.Var("y")),
-		Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))},
-	}
-	p, err := e.compile(rule, 0) // pivot 0: delta-first step
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.steps[0].delta {
-		t.Fatalf("pivot step not marked delta")
-	}
-	delta := rel.NewInstanceSharded(4)
-	for i := 0; i < 64; i++ {
-		delta.MustAdd("E", fmt.Sprintf("d%d", i), "y")
-	}
-	r, workers := e.parallelScanTarget(p, delta)
-	if r == nil || workers < 2 {
-		t.Fatalf("delta step did not fan out: r=%v workers=%d", r, workers)
-	}
-	if r.Name() != "E" || r.Version() != delta.Relation("E").Version() {
-		t.Fatalf("parallel scan target is not the delta relation: %s@%d", r.Name(), r.Version())
-	}
-	// Without a delta instance the same plan must not fan out.
-	if r, _ := e.parallelScanTarget(p, nil); r != nil {
-		t.Fatalf("delta-first plan fanned out with no delta instance")
 	}
 }

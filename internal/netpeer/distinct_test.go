@@ -13,7 +13,7 @@ import (
 // distinct estimates, a bound position's selectivity is 1/distinct — so a
 // low-distinct column stops masquerading as selective and the order flips.
 // Without them (a peer predating the extension), planOrder must degrade to
-// exactly the cardinality-only order of engine.OrderBody.
+// exactly the order engine.OrderBodyStats gives cardinalities alone.
 func TestPlanOrderUsesDistinctAndFallsBack(t *testing.T) {
 	q := lang.CQ{
 		Head: lang.Atom{Pred: "q", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
@@ -30,7 +30,9 @@ func TestPlanOrderUsesDistinctAndFallsBack(t *testing.T) {
 	// (cost ~12.6 < 41), so A.r leads — and the order must equal the shared
 	// cardinality-only cost model's.
 	got := e.planOrder(q)
-	want := engine.OrderBody(q.Body, func(pred string) int { return e.card[pred] }, -1)
+	want := engine.OrderBodyStats(q.Body, func(pred string) engine.ColStats {
+		return engine.ColStats{Card: e.card[pred]}
+	})
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("fallback order %v, cardinality-only model says %v", got, want)
 	}

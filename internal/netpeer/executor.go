@@ -401,7 +401,7 @@ func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSp
 // disjunct, each holding that disjunct's push-down or per-atom bind-join
 // spans (with the serving peers' remote spans adopted under them). A nil
 // span evaluates identically with no overhead beyond the nil checks — it
-// satisfies pdms.SpanUCQEvaluator.
+// satisfies pdms.UCQEvaluator.
 func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	if err := u.Validate(); err != nil {
 		sp.SetErr(err)
@@ -801,5 +801,5 @@ func (e *Executor) planOrder(q lang.CQ) []int {
 		stats[a.Pred] = engine.ColStats{Card: e.card[a.Pred], Distinct: e.dist[a.Pred]}
 	}
 	e.mu.Unlock()
-	return engine.OrderBodyStats(q.Body, func(pred string) engine.ColStats { return stats[pred] }, -1)
+	return engine.OrderBodyStats(q.Body, func(pred string) engine.ColStats { return stats[pred] })
 }

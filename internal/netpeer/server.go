@@ -70,7 +70,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rel"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -163,9 +162,6 @@ type Server struct {
 	// instance pointer.
 	mu   sync.RWMutex
 	data *rel.Instance // guarded by mu (all access under RLock; instance self-synchronizes)
-	// view is the storage-interface view of data the catalog/meta paths
-	// read; same guard discipline as data.
-	view store.Instance
 	eng  *engine.Engine
 
 	// reqHist times every admitted request (dequeue to final frame
@@ -214,7 +210,6 @@ func NewServer(data *rel.Instance) *Server {
 	}
 	return &Server{
 		data:          data,
-		view:          store.InstanceOf(data),
 		eng:           engine.New(data),
 		reqHist:       obs.NewHistogram(),
 		queueWaitHist: obs.NewHistogram(),
@@ -540,7 +535,7 @@ func (s *Server) readRequests(conn net.Conn, items chan<- connItem, handlerDone 
 	}
 }
 
-// metaOf assembles the piggyback frame for the touched relations:
+// metaOfLocked assembles the piggyback frame for the touched relations:
 // cardinality and per-column distinct estimates (join-ordering hints) and
 // generation (the fragment cache's staleness token). Callers hold the read
 // lock. Streaming ops capture it BEFORE row production: with adds landing
@@ -550,7 +545,7 @@ func (s *Server) readRequests(conn net.Conn, items chan<- connItem, handlerDone 
 // floor — the append-only logs guarantee the stream carries everything at
 // or before it, and rows that land mid-stream are true tuples monotone
 // queries absorb.
-func (s *Server) metaOf(preds ...string) wire.Response {
+func (s *Server) metaOfLocked(preds ...string) wire.Response {
 	m := wire.Response{
 		Preds:    preds,
 		Cards:    make([]int, len(preds)),
@@ -558,7 +553,7 @@ func (s *Server) metaOf(preds ...string) wire.Response {
 		Distinct: make([][]float64, len(preds)),
 	}
 	for i, p := range preds {
-		if r := s.view.Relation(p); r != nil {
+		if r := s.data.Relation(p); r != nil {
 			m.Cards[i] = r.Len()
 			m.Gens[i] = r.Version()
 			m.Distinct[i] = r.Stats().Distinct
@@ -640,7 +635,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	defer s.mu.RUnlock()
 	switch req.Op {
 	case "catalog":
-		resp := s.metaOf(s.view.Relations()...)
+		resp := s.metaOfLocked(s.data.Relations()...)
 		resp.Spans = exported()
 		return send(resp)
 	case "gens":
@@ -650,7 +645,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// snapshot is needed. Deliberately no Distinct piggyback: the op
 		// exists to be minimal, and column statistics ride on every other
 		// response anyway.
-		resp := s.metaOf(req.Preds...)
+		resp := s.metaOfLocked(req.Preds...)
 		resp.Distinct, resp.Spans = nil, exported()
 		return send(resp)
 	case "ping":
@@ -662,7 +657,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// sorted-view materialization, O(chunk) memory end to end. Row order
 		// is per-shard insertion order (unspecified globally).
 		sp := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
-		return s.streamRows(send, sp, s.metaOf(req.Pred), exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(send, sp, s.metaOfLocked(req.Pred), exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamScan(req.Pred, yield)
 		})
 	case "eval":
@@ -682,7 +677,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 			}
 		}
 		sp := root.Child("eval", obs.Attr{K: "head", V: q.Head.Pred})
-		return s.streamRows(send, sp, s.metaOf(bodyPreds...), exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(send, sp, s.metaOfLocked(bodyPreds...), exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamCQ(q, yield)
 		})
 	case "bind":
@@ -692,7 +687,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		}
 		sp := root.Child("bind", obs.Attr{K: "pred", V: pred})
 		sp.SetInt("keys", int64(len(keys)))
-		return s.streamRows(send, sp, s.metaOf(pred), exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(send, sp, s.metaOfLocked(pred), exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.ProbeByKeyBatchYield(pred, cols, keys, yield)
 		})
 	default:
@@ -731,7 +726,7 @@ func (s *Server) handleAdd(req wire.Request, send func(wire.Response) error, exp
 		}
 		inserted++
 	}
-	resp := s.metaOf(req.Pred)
+	resp := s.metaOfLocked(req.Pred)
 	s.mu.RUnlock()
 	if addErr != nil {
 		return send(wire.Response{Error: fmt.Sprintf("add: row %d of %d: %v", inserted, len(req.Rows), addErr)})

@@ -136,8 +136,13 @@ func (s *Span) Set(k, v string) {
 	s.mu.Unlock()
 }
 
-// SetInt is Set for integer values.
-func (s *Span) SetInt(k string, v int64) { s.Set(k, strconv.FormatInt(v, 10)) }
+// SetInt is Set for integer values. Nil-safe, and formats nothing on a nil
+// span: untraced evaluation calls it once per disjunct.
+func (s *Span) SetInt(k string, v int64) {
+	if s != nil {
+		s.Set(k, strconv.FormatInt(v, 10))
+	}
+}
 
 // SetErr records a non-nil error on the span. Nil-safe in both arguments.
 func (s *Span) SetErr(err error) {

@@ -41,9 +41,9 @@
 // Estimates are deterministic for a given data set and can only influence
 // join order, never answers.
 //
-// The naive evaluators in this package (EvalCQ, EvalUCQ, EvalDatalog)
-// remain the reference oracles that internal/engine — the indexed,
-// parallel evaluator used on every hot path — is differentially tested
-// against. See ARCHITECTURE.md at the repository root for how this layer
+// The naive evaluators in this package remain the reference oracles:
+// internal/engine — the indexed, parallel evaluator used on every hot path
+// — is differentially tested against EvalCQ and EvalUCQ, and the chase
+// against EvalDatalog. See ARCHITECTURE.md at the repository root for how this layer
 // fits under the mediator, engine and wire layers.
 package rel

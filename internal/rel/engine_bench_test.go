@@ -57,24 +57,3 @@ func BenchmarkEngineEvalCQSelective(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkEngineEvalDatalogTransitiveClosure(b *testing.B) {
-	rules := []lang.CQ{
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("y")),
-			Body: []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))}},
-		{Head: lang.NewAtom("T", lang.Var("x"), lang.Var("z")),
-			Body: []lang.Atom{
-				lang.NewAtom("E", lang.Var("x"), lang.Var("y")),
-				lang.NewAtom("T", lang.Var("y"), lang.Var("z"))}},
-	}
-	ins := rel.NewInstance()
-	for i := 0; i < 60; i++ {
-		ins.MustAdd("E", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.EvalDatalog(rules, ins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -373,15 +373,6 @@ func NewInstanceSharded(n int) *Instance {
 	return &Instance{rels: map[string]*Relation{}, nshards: n}
 }
 
-// ShardCount returns the shard count relations created by this instance
-// use (the configured count, or DefaultShards() when unset).
-func (ins *Instance) ShardCount() int {
-	if ins.nshards <= 0 {
-		return DefaultShards()
-	}
-	return clampShards(ins.nshards)
-}
-
 // SetAppendHook installs f as the instance's append-hook factory (nil
 // removes it): f is consulted for every relation the instance currently
 // holds and every relation Add creates later. Like Relation.SetAppendHook

@@ -1,18 +1,9 @@
-// Package store is the storage tier: the interface the query layers
-// consume instead of a concrete in-memory representation, plus the durable
-// and spill machinery built on one on-disk segment format.
-//
-// # Interface extraction
-//
-// Relation and Instance are the read contracts internal/engine (per-shard
-// indexes, scans, probes, planner statistics) and internal/netpeer's server
-// handlers are written against. *rel.Relation implements Relation directly;
-// InstanceOf adapts *rel.Instance. The contract preserves rel's sharded
-// semantics bit for bit — per-shard monotone generations whose sum is the
-// relation Version, insertion-ordered log suffixes via ShardAddedSince, and
-// first-column hash routing — so generation-vector cache keys (pdms answer
-// caches, the netpeer gens piggyback, fragment-cache revalidation) mean
-// exactly the same thing over any backend.
+// Package store is what the storage tier keeps on disk beneath
+// rel.Instance: the journal that makes an instance durable and the spill
+// buffer for large transient row sets, both built on one segment format.
+// Recovery rebuilds a plain *rel.Instance, which is what the engine and the
+// netpeer server read; nothing above can tell a recovered instance from one
+// that was never on disk.
 //
 // # Durable segment tier
 //

@@ -2,9 +2,13 @@ package swarm
 
 import (
 	"fmt"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/pdms"
 )
 
@@ -207,5 +211,86 @@ func TestMetricsGroupRegisters(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Gauges["swarm.peers"] != 4 || snap.Counters["swarm.runs"] != 1 {
 		t.Fatalf("swarm metrics missing or wrong: gauges %v counters %v", snap.Gauges, snap.Counters)
+	}
+}
+
+// TestMetricCatalogueMatchesDocs diffs ARCHITECTURE.md's metrics table
+// against a live snapshot of every component that registers metrics, both
+// ways: each emitted name's prefix has a row, and each backticked example
+// in a row is a name some component emits.
+func TestMetricCatalogueMatchesDocs(t *testing.T) {
+	doc, err := os.ReadFile("../../ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows look like: | `engine.*` | source | `engine.scans`, ... |
+	rows := map[string][]string{} // prefix -> example names
+	name := regexp.MustCompile("`([a-z_]+(?:\\.[a-z_]+)+)`")
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.HasSuffix(strings.TrimSpace(cells[1]), ".*`") {
+			continue
+		}
+		prefix := strings.TrimSuffix(strings.Trim(strings.TrimSpace(cells[1]), "`"), ".*")
+		rows[prefix] = []string{}
+		for _, m := range name.FindAllStringSubmatch(cells[3], -1) {
+			if strings.HasPrefix(m[1], prefix+".") {
+				rows[prefix] = append(rows[prefix], m[1])
+			}
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("no metrics table found in ARCHITECTURE.md")
+	}
+
+	spec, err := Generate(Params{Peers: 4, Topology: Chain, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	reg := obs.NewRegistry()
+	n.RegisterMetrics(reg) // swarm.* and the executor's wire.*, fragcache.*
+	n.Mediator.RegisterMetrics(reg)
+	n.Servers[0].RegisterMetrics(reg)
+	store.RegisterMetrics(reg, dir)
+	snap := reg.Snapshot()
+
+	emitted := map[string]bool{}
+	for k := range snap.Counters {
+		emitted[k] = true
+	}
+	for k := range snap.Gauges {
+		emitted[k] = true
+	}
+	for k := range snap.Histograms {
+		emitted[k] = true
+	}
+	for k := range emitted {
+		prefix, _, _ := strings.Cut(k, ".")
+		if _, ok := rows[prefix]; !ok {
+			t.Errorf("%s is emitted but ARCHITECTURE.md's metrics table has no `%s.*` row", k, prefix)
+		}
+	}
+	for prefix, examples := range rows {
+		if len(examples) == 0 {
+			t.Errorf("the `%s.*` row names no example metric", prefix)
+		}
+		for _, ex := range examples {
+			if !emitted[ex] {
+				t.Errorf("ARCHITECTURE.md lists %s, which no registered component emits", ex)
+			}
+		}
 	}
 }

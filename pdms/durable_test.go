@@ -1,6 +1,7 @@
 package pdms
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -104,4 +105,50 @@ func TestNewPanicsOnDataDir(t *testing.T) {
 		}
 	}()
 	New(Options{DataDir: t.TempDir()})
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// TestLoadFailureClosesJournal: a load that fails while merging the spec's
+// facts over the recovered data must close the journal it opened — the
+// segment files its earlier facts created — and leave the directory loadable.
+func TestLoadFailureClosesJournal(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Shards: 2}
+	n, err := LoadWithOptions(`fact R("a", "b")`, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := openFDs(t)
+	// Facts merge in relation-name order: A.new journals first (opening a
+	// segment), then R's arity disagrees with the recovered R/2.
+	if _, err := LoadWithOptions("fact A.new(\"x\")\nfact R(\"only\")", opts); err == nil {
+		t.Fatal("load with an arity-mismatched fact succeeded")
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("failed load left %d file descriptors open", after-before)
+	}
+
+	n2, err := LoadWithOptions(`fact R("c", "d")`, opts)
+	if err != nil {
+		t.Fatalf("load after a failed load: %v", err)
+	}
+	if got := n2.Data().Relation("R").Len(); got != 2 {
+		t.Fatalf("R has %d tuples after reload, want 2", got)
+	}
+	if err := n2.Close(); err != nil {
+		t.Fatalf("close after a failed load: %v", err)
+	}
 }

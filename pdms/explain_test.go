@@ -1,9 +1,11 @@
 package pdms_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/netpeer"
 	"repro/internal/obs"
 	"repro/internal/rel"
@@ -48,6 +50,23 @@ fact FH.doc("d2", "icu")
 	// Explain keeps the trace in the network's ring for /debug/traces.
 	if net.Tracer().Recorded() == 0 {
 		t.Fatal("Explain did not record the trace")
+	}
+
+	// The Via paths hand the same span to whatever evaluator they are given:
+	// a second engine over the network's data answers like Query and traces
+	// its per-disjunct plan/exec spans under "eval".
+	eng := engine.New(net.Data())
+	via, err := net.QueryVia(q, eng)
+	if err != nil || !reflect.DeepEqual(via, plain) {
+		t.Fatalf("QueryVia(engine) = %v (%v), Query = %v", via, err, plain)
+	}
+	text, via, err = net.ExplainVia(q, eng)
+	if err != nil || !reflect.DeepEqual(via, plain) {
+		t.Fatalf("ExplainVia(engine) = %v (%v), Query = %v", via, err, plain)
+	}
+	cq := strings.Index(text, "eval.cq")
+	if cq < 0 || !strings.Contains(text[cq:], "plan") || !strings.Contains(text[cq:], "exec") {
+		t.Fatalf("ExplainVia(engine) trace lacks eval.cq -> plan/exec:\n%s", text)
 	}
 }
 

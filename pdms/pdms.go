@@ -16,6 +16,7 @@
 package pdms
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -224,7 +225,8 @@ func LoadWithOptions(src string, opts Options) (*Network, error) {
 		for _, pred := range data.Relations() {
 			for _, t := range data.Relation(pred).Tuples() {
 				if _, err := recovered.Add(pred, t); err != nil {
-					return nil, fmt.Errorf("pdms: journaling %s: %w", pred, err)
+					// The facts journaled so far opened segment files.
+					return nil, errors.Join(fmt.Errorf("pdms: journaling %s: %w", pred, err), ds.Close())
 				}
 			}
 		}
@@ -471,17 +473,28 @@ func (n *Network) Query(query string) ([]Answer, error) {
 	return n.query(query, n.tracer.StartTrace("query", obs.Attr{K: "q", V: query}))
 }
 
+// reformulateText parses query and reformulates it under root's
+// "reformulate" child span, with n.mu held (any mode) — the prefix Query and
+// QueryVia share.
+func (n *Network) reformulateText(query string, root *obs.Span) (lang.CQ, *Reformulation, error) {
+	q, err := parser.ParseQuery(query)
+	if err != nil {
+		root.SetErr(err)
+		return q, nil, err
+	}
+	rs := root.Child("reformulate")
+	ref, err := n.reformulateCQLocked(q, rs)
+	rs.SetErr(err)
+	rs.End()
+	return q, ref, err
+}
+
 // query is Query under an optional (possibly nil) trace root, which it
 // always ends; the caller renders it afterwards if it wants the tree.
 func (n *Network) query(query string, root *obs.Span) ([]Answer, error) {
 	defer root.End()
 	start := time.Now()
 	defer func() { n.queryHist.Observe(time.Since(start)) }()
-	q, err := parser.ParseQuery(query)
-	if err != nil {
-		root.SetErr(err)
-		return nil, err
-	}
 	// The reformulation, the generation-vector snapshot, the cache probe,
 	// the evaluation and the cache store share one read-lock section, so no
 	// mutation can interleave: an entry keyed with generation vector v
@@ -491,10 +504,7 @@ func (n *Network) query(query string, root *obs.Span) ([]Answer, error) {
 	// pre-mutation key, which concurrent old-generation readers hit.)
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	rs := root.Child("reformulate")
-	ref, err := n.reformulateCQLocked(q, rs)
-	rs.SetErr(err)
-	rs.End()
+	q, ref, err := n.reformulateText(query, root)
 	if err != nil {
 		return nil, err
 	}
@@ -507,15 +517,11 @@ func (n *Network) query(query string, root *obs.Span) ([]Answer, error) {
 		return v.([]Answer), nil
 	}
 	es := root.Child("eval")
-	rows, err := n.eng.EvalUCQSpan(ref.Rewriting, es)
+	out, err := n.eng.EvalUCQSpan(ref.Rewriting, es)
 	es.SetErr(err)
 	es.End()
 	if err != nil {
 		return nil, err
-	}
-	out := make([]Answer, len(rows))
-	for i, t := range rows {
-		out[i] = Answer(t)
 	}
 	n.answers.Put(key, out)
 	return out, nil
@@ -535,10 +541,12 @@ func (n *Network) Explain(query string) (string, []Answer, error) {
 }
 
 // UCQEvaluator executes a reformulated union of conjunctive queries over
-// stored relations. Both the local indexed engine (*engine.Engine) and the
-// distributed *netpeer.Executor implement it.
+// stored relations, attaching its execution spans (per-disjunct evaluation,
+// bind-join batches, remote work) under sp, which is nil for an untraced
+// query. Both the local indexed engine (*engine.Engine) and the distributed
+// *netpeer.Executor implement it; the returned slice is the caller's.
 type UCQEvaluator interface {
-	EvalUCQ(u lang.UCQ) ([]rel.Tuple, error)
+	EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error)
 }
 
 // QueryVia reformulates query at this network and executes the rewriting
@@ -553,50 +561,24 @@ func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
 	return n.queryVia(query, exec, n.tracer.StartTrace("query", obs.Attr{K: "q", V: query}))
 }
 
-// SpanUCQEvaluator is a UCQEvaluator that can attach its execution spans
-// (per-disjunct evaluation, bind-join batches, remote work) under a trace
-// span. *engine.Engine and *netpeer.Executor implement it.
-type SpanUCQEvaluator interface {
-	UCQEvaluator
-	EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error)
-}
-
-// queryVia is QueryVia under an optional trace root (see query).
+// queryVia is QueryVia under an optional trace root (see query). Unlike
+// query it releases the read lock before evaluating: exec may do network
+// I/O, which must not hold up Extend and AddFact.
 func (n *Network) queryVia(query string, exec UCQEvaluator, root *obs.Span) ([]Answer, error) {
 	defer root.End()
 	start := time.Now()
 	defer func() { n.queryHist.Observe(time.Since(start)) }()
-	q, err := parser.ParseQuery(query)
-	if err != nil {
-		root.SetErr(err)
-		return nil, err
-	}
 	n.mu.RLock()
-	rs := root.Child("reformulate")
-	ref, err := n.reformulateCQLocked(q, rs)
-	rs.SetErr(err)
-	rs.End()
+	_, ref, err := n.reformulateText(query, root)
 	n.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	es := root.Child("eval")
-	var rows []rel.Tuple
-	if se, ok := exec.(SpanUCQEvaluator); ok && es != nil {
-		rows, err = se.EvalUCQSpan(ref.Rewriting, es)
-	} else {
-		rows, err = exec.EvalUCQ(ref.Rewriting)
-	}
+	out, err := exec.EvalUCQSpan(ref.Rewriting, es)
 	es.SetErr(err)
 	es.End()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Answer, len(rows))
-	for i, t := range rows {
-		out[i] = Answer(t)
-	}
-	return out, nil
+	return out, err
 }
 
 // ExplainVia runs query through exec with tracing forced and returns the
@@ -678,15 +660,7 @@ func (n *Network) CertainAnswers(query string) ([]Answer, error) {
 	}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	rows, err := chase.CertainAnswers(n.spec, n.data, q, chase.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Answer, len(rows))
-	for i, t := range rows {
-		out[i] = Answer(t)
-	}
-	return out, nil
+	return chase.CertainAnswers(n.spec, n.data, q, chase.Options{})
 }
 
 // Classify reports the data complexity of certain-answer computation for
