@@ -1,5 +1,5 @@
 // Command docscheck is the repository's documentation linter, run by the
-// CI docs job. It enforces four invariants over the whole tree:
+// CI docs job. It enforces five invariants over the whole tree:
 //
 //   - Every relative link in every Markdown file resolves to an existing
 //     file or directory.
@@ -13,12 +13,15 @@
 //     `pkg.Type.Member` whose pkg is a package under internal/ or pdms/
 //     names a declaration that exists, so a rename or a deletion cannot
 //     leave the documents describing code that is gone.
+//   - A file named in those documents (a backticked name ending in .md,
+//     .json, .ppl, .yml or .sh) or in a non-test Go comment (a *.md name)
+//     exists, so a deleted file cannot stay documented.
 //
 // Usage: docscheck [root]   (root defaults to the current directory)
 //
 // It prints one line per problem and exits nonzero if any were found, so
-// broken cross-references in ARCHITECTURE.md, PROTOCOL.md and the package
-// docs fail the build instead of rotting silently.
+// broken cross-references in ARCHITECTURE.md, internal/wire/PROTOCOL.md and
+// the package docs fail the build instead of rotting silently.
 package main
 
 import (
@@ -60,6 +63,7 @@ func run(root string) []string {
 		problems = append(problems, checkMarkdown(root, md)...)
 	}
 	problems = append(problems, checkIdentifiers(root, gos)...)
+	problems = append(problems, checkFileNames(root, gos)...)
 	problems = append(problems, checkPackageComments(gos)...)
 	return problems
 }
@@ -265,6 +269,70 @@ func checkIdentifiers(root string, goDirs []string) []string {
 			}
 			if !decls[pkg][ident] {
 				problems = append(problems, fmt.Sprintf("%s: `%s.%s` names no declaration in %s", path, pkg, ident, dir))
+			}
+		}
+	}
+	return problems
+}
+
+// docFileRe matches a backticked file name in a design document; goFileRe a
+// Markdown file name in a Go comment.
+var (
+	docFileRe = regexp.MustCompile("`([^`\\s]+\\.(?:md|json|ppl|yml|sh))`")
+	goFileRe  = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+)
+
+// resolves reports whether name exists relative to any of dirs.
+func resolves(name string, dirs ...string) bool {
+	for _, dir := range dirs {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// checkFileNames reports file names that resolve to nothing: in identDocs,
+// backticked names (relative to the root or the document's directory; names
+// with the placeholder characters <, * or { are patterns, not files); in
+// non-test Go comments, *.md names (relative to the root, the file's
+// directory or a parent of it).
+func checkFileNames(root string, goDirs []string) []string {
+	var problems []string
+	for _, doc := range identDocs {
+		path := filepath.Join(root, doc)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue
+		}
+		for _, m := range docFileRe.FindAllStringSubmatch(stripCodeBlocks(string(data)), -1) {
+			if name := m[1]; !strings.ContainsAny(name, "<*{") && !resolves(name, root, filepath.Dir(path)) {
+				problems = append(problems, fmt.Sprintf("%s: `%s` names no file", path, name))
+			}
+		}
+	}
+	for _, dir := range goDirs {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			continue // checkPackageComments reports unparsable directories
+		}
+		upToRoot := []string{dir}
+		for d := dir; d != root && d != filepath.Dir(d); {
+			d = filepath.Dir(d)
+			upToRoot = append(upToRoot, d)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, cg := range f.Comments {
+					for _, name := range goFileRe.FindAllString(cg.Text(), -1) {
+						if !resolves(name, upToRoot...) {
+							problems = append(problems, fmt.Sprintf("%s: comment names %s, which does not exist", fset.Position(cg.Pos()), name))
+						}
+					}
+				}
 			}
 		}
 	}

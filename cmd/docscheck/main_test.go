@@ -93,6 +93,53 @@ func New() *Engine { return nil }
 	}
 }
 
+// TestFileNameReferences: a file named in a design document or in a Go
+// comment must exist; patterns, history files and test files are left alone.
+func TestFileNameReferences(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "BASELINE.json", "{}\n")
+	write(t, dir, "internal/wire/limits.yml", "x: 1\n")
+	write(t, dir, "internal/wire/wire.go", "// Package wire frames. See PROTOCOL.md and NOTES.md.\npackage wire\n")
+	write(t, dir, "internal/wire/wire_test.go", "package wire\n\n// See VANISHED.md.\n")
+	write(t, dir, "internal/NOTES.md", "# Notes\n")
+	write(t, dir, "ROADMAP.md", "# R\n\n`RESULTS_9.json` was retired.\n")
+	for _, tc := range []struct {
+		doc, ref string
+		want     bool // resolves (or is not this check's business)
+	}{
+		{"ARCHITECTURE.md", "`BASELINE.json`", true},                   // at the root
+		{"internal/wire/PROTOCOL.md", "`limits.yml`", true},            // beside the document
+		{"internal/wire/PROTOCOL.md", "`BASELINE.json`", true},         // at the root, from a nested document
+		{"ARCHITECTURE.md", "`internal/wire/limits.yml`", true},        // a path from the root
+		{"ARCHITECTURE.md", "`RESULTS_9.json`", false},                 // deleted
+		{"ARCHITECTURE.md", "`limits.yml`", false},                     // exists, but not from here
+		{"ARCHITECTURE.md", "`RESULTS_<n>.json` `out/*.json`", true},   // patterns
+		{"ARCHITECTURE.md", "`out/{a,b}.sh` and RESULTS_9.json", true}, // pattern; not backticked
+	} {
+		// PROTOCOL.md must exist for wire.go's comment in every case.
+		write(t, dir, "internal/wire/PROTOCOL.md", "# P\n")
+		write(t, dir, "ARCHITECTURE.md", "# A\n")
+		write(t, dir, tc.doc, "# D\n\nSee "+tc.ref+".\n")
+		problems := run(dir)
+		if tc.want && len(problems) != 0 {
+			t.Errorf("%s in %s: unexpected problems %v", tc.ref, tc.doc, problems)
+		}
+		if !tc.want && (len(problems) != 1 || !strings.Contains(problems[0], "names no file")) {
+			t.Errorf("%s in %s: want one missing-file problem, got %v", tc.ref, tc.doc, problems)
+		}
+	}
+
+	// A Go comment's *.md name resolves beside the file, in a parent, or at
+	// the root — and is reported when it resolves nowhere.
+	if err := os.Remove(filepath.Join(dir, "internal", "NOTES.md")); err != nil {
+		t.Fatal(err)
+	}
+	problems := run(dir)
+	if len(problems) != 1 || !strings.Contains(problems[0], "wire.go") || !strings.Contains(problems[0], "NOTES.md") {
+		t.Fatalf("want one problem naming wire.go and NOTES.md, got %v", problems)
+	}
+}
+
 // TestRepoIsClean runs the linter over the actual repository: the docs CI
 // job must stay green from inside the test suite too.
 func TestRepoIsClean(t *testing.T) {

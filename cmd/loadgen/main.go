@@ -14,7 +14,7 @@
 //
 //	loadgen -addr 127.0.0.1:7410 -metrics http://127.0.0.1:9100/metrics \
 //	        -qps 100,200,400 -duration 3s -seed 2000 -mutate-every 10 \
-//	        -out BENCH_9.json
+//	        -out report.json
 //
 // Traffic is a query/mutation mix: every -mutate-every'th op is an add
 // (one row into -add-pred), the rest scan -pred (seeded with -seed rows
@@ -22,7 +22,7 @@
 // stalling -slow-ms per row — with big enough data their backpressure pins
 // admission slots, the production incident the admission gate exists for.
 //
-// With -swarm pointed at a manifest written by 'swarm -serve', the read ops
+// With -swarm pointed at a manifest written by cmd/swarm, the read ops
 // become full distributed queries instead: each one reformulates the
 // swarm's entry query at a local mediator and executes the rewriting across
 // every peer on its reformulation paths, so a deep topology's admission
@@ -79,7 +79,7 @@ type config struct {
 	out         string
 
 	// swarmManifest switches the read ops to full distributed queries
-	// against a served swarm (cmd/swarm -serve): each read reformulates the
+	// against a served swarm (cmd/swarm): each read reformulates the
 	// swarm's entry query at a local mediator and executes it across the
 	// swarm's peers, so the admission gates of *every* peer on the
 	// reformulation paths see load, not just the front door's. Mutations
@@ -122,7 +122,7 @@ type stageResult struct {
 	Server      *serverDelta `json:"server,omitempty"`
 }
 
-// report is the emitted benchmark document (BENCH_9.json).
+// report is the emitted JSON report: one stageResult per offered-QPS stage.
 type report struct {
 	Bench       int           `json:"bench"`
 	Addr        string        `json:"addr"`
@@ -154,7 +154,7 @@ func main() {
 	flag.DurationVar(&cfg.slowPerRow, "slow-ms", 2*time.Millisecond, "per-row stall of each slow consumer")
 	flag.BoolVar(&cfg.checkShed, "check-shed", true, "with -metrics: fail unless the server's shed delta equals observed busy errors")
 	flag.StringVar(&cfg.out, "out", "", "write the JSON report here (always printed to stdout)")
-	flag.StringVar(&cfg.swarmManifest, "swarm", "", "manifest written by 'swarm -serve': read ops become full distributed queries across the served swarm; -addr defaults to the swarm's entry peer")
+	flag.StringVar(&cfg.swarmManifest, "swarm", "", "manifest written by cmd/swarm: read ops become full distributed queries across the served swarm; -addr defaults to the swarm's entry peer")
 	flag.Parse()
 	if cfg.swarmManifest != "" {
 		m, spec, err := swarm.LoadManifest(cfg.swarmManifest)

@@ -140,19 +140,16 @@ func start(path string, opts options) (*daemon, error) {
 		log:      newLogger(opts.logFormat),
 	}
 
-	// With -data, the served instance is the segment journal's: replay what
-	// is on disk, attach the journal hooks, then merge the spec's facts on
-	// top (journaled, deduplicated against the recovered data).
+	// With -data, the served instance is the segment journal's: what is on
+	// disk replayed, with the spec's facts merged on top (journaled,
+	// deduplicated against the recovered data).
 	data := res.Data
 	if opts.dataDir != "" {
-		ds, err := store.Open(opts.dataDir, store.Options{})
+		replayStart := time.Now()
+		var recs []store.RelRecovery
+		data, d.store, recs, err = store.OpenInstance(opts.dataDir, 0, res.Data)
 		if err != nil {
 			return nil, err
-		}
-		replayStart := time.Now()
-		recovered, recs, err := ds.Recover(0)
-		if err != nil {
-			return nil, fmt.Errorf("replaying %s: %w", opts.dataDir, err)
 		}
 		for _, rec := range recs {
 			d.log.Info("recovered relation", "pred", rec.Pred,
@@ -161,15 +158,6 @@ func start(path string, opts options) (*daemon, error) {
 		}
 		d.log.Info("segment replay complete", "dir", opts.dataDir,
 			"relations", len(recs), "elapsed", time.Since(replayStart))
-		ds.Attach(recovered)
-		for _, pred := range res.Data.Relations() {
-			for _, t := range res.Data.Relation(pred).Tuples() {
-				if _, err := recovered.Add(pred, t); err != nil {
-					return nil, fmt.Errorf("journaling %s: %w", pred, err)
-				}
-			}
-		}
-		data, d.store = recovered, ds
 	}
 
 	d.srv = netpeer.NewServer(data)
@@ -184,6 +172,7 @@ func start(path string, opts options) (*daemon, error) {
 
 	bound, err := d.srv.Start(opts.addr)
 	if err != nil {
+		d.close() // the journal may hold unflushed frames of the spec's facts
 		return nil, err
 	}
 	d.bound = bound
@@ -196,7 +185,7 @@ func start(path string, opts options) (*daemon, error) {
 	if opts.httpAddr != "" {
 		lis, err := net.Listen("tcp", opts.httpAddr)
 		if err != nil {
-			d.srv.Close()
+			d.close()
 			return nil, err
 		}
 		d.httpAddr = lis.Addr().String()

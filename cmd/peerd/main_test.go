@@ -272,3 +272,66 @@ func TestDurableLifecycle(t *testing.T) {
 		t.Fatalf("storage.replay_micros gauge missing: %v", snap.Gauges)
 	}
 }
+
+// TestFailedDurableStartClosesJournal: a -data start that fails after the
+// journal was opened — the spec's facts disagree with a recovered relation's
+// arity, or the peer address cannot be bound — must close the segment files
+// the fact merge opened and leave the directory startable.
+func TestFailedDurableStartClosesJournal(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	writeSpec := func(src string) string {
+		path := filepath.Join(t.TempDir(), "spec.ppl")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	dataDir := t.TempDir()
+	d, err := start(writeSpec(`fact R("a", "b")`), options{addr: "127.0.0.1:0", dataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.close()
+
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	before := openFDs()
+	// Facts merge in relation-name order: A.new journals first (opening a
+	// segment), then R's arity disagrees with the recovered R/2.
+	if _, err := start(writeSpec("fact A.new(\"x\")\nfact R(\"only\")"), options{addr: "127.0.0.1:0", dataDir: dataDir}); err == nil {
+		t.Fatal("start with an arity-mismatched fact succeeded")
+	}
+	if _, err := start(writeSpec(`fact B.new("y")`), options{addr: taken.Addr().String(), dataDir: dataDir}); err == nil {
+		t.Fatal("start on a bound address succeeded")
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("failed starts left %d file descriptors open", after-before)
+	}
+
+	d2, err := start(writeSpec(`fact R("c", "d")`), options{addr: "127.0.0.1:0", dataDir: dataDir})
+	if err != nil {
+		t.Fatalf("start after failed starts: %v", err)
+	}
+	c, err := netpeer.Dial(d2.bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Scan("R")
+	c.Close()
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("scan after failed starts: %d rows, err %v; want 2", len(rows), err)
+	}
+	d2.close()
+	if err := d2.store.Err(); err != nil {
+		t.Fatalf("journal unhealthy after a clean stop: %v", err)
+	}
+}

@@ -1,82 +1,47 @@
-// Command swarm boots in-process many-peer topologies (internal/swarm) and
-// either benchmarks them or serves one for an external driver.
+// Command swarm boots one in-process many-peer topology (internal/swarm) —
+// a loopback netpeer server per peer — and keeps it up for an external
+// driver, cmd/loadgen -swarm:
 //
-// Bench mode (the default) measures the paper's scaling story end to end:
-// for each peer count × topology it generates a deterministic swarm, boots
-// one loopback netpeer server per peer, drives the entry query through
-// rule-goal-tree reformulation and distributed execution, and records
-// reformulation fan-out, pruned-vs-unpruned node counts, wire traffic and
-// latency. A second curve walks chains of growing depth. The two curves are
-// emitted as the BENCH_10.json document:
-//
-//	swarm -sizes 16,64,256 -topos chain,smallworld -depth-peers 4,6,8,10,12 \
-//	      -check -out BENCH_10.json
-//
-// -check turns the run into a gate: every measured point must show the
-// pruned tree strictly smaller than the unpruned tree from depth 3 on, both
-// prune counters firing, and distinct estimates arriving over the wire.
-//
-// Serve mode boots one swarm and keeps it up for cmd/loadgen -swarm:
-//
-//	swarm -serve -peers 64 -topology chain -max-inflight 16 -max-queue 64 \
+//	swarm -peers 64 -topology chain -max-inflight 16 -max-queue 64 \
 //	      -manifest /tmp/swarm.json
 //
 // The manifest hands the generation parameters (the spec is deterministic,
 // so the driver regenerates it), the peer addresses and the entry query to
-// the driver; the process then blocks until SIGINT/SIGTERM.
+// the driver; the process then blocks until SIGINT/SIGTERM. Measuring a
+// swarm is cmd/bench's job (the adhoc_swarm workload); the pruning and
+// oracle gates are internal/swarm's tests.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"repro/internal/swarm"
 )
 
-// report is the emitted benchmark document (BENCH_10.json): latency,
-// fan-out, node-count and wire-traffic curves versus peer count and versus
-// reformulation depth.
-type report struct {
-	Bench      int             `json:"bench"`
-	Seed       int64           `json:"seed"`
-	PeerCurve  []*swarm.Result `json:"peer_curve"`
-	DepthCurve []*swarm.Result `json:"depth_curve"`
-}
-
 func main() {
 	var (
-		serve       = flag.Bool("serve", false, "boot one swarm and serve it until SIGINT/SIGTERM (for cmd/loadgen -swarm)")
-		out         = flag.String("out", "", "bench mode: write the JSON report here (always printed to stdout)")
-		sizes       = flag.String("sizes", "16,64,256", "bench mode: comma-separated peer counts for the peer-count curve")
-		topos       = flag.String("topos", "chain,smallworld", "bench mode: comma-separated topologies for the peer-count curve")
-		depthPeers  = flag.String("depth-peers", "4,6,8,10,12", "bench mode: comma-separated chain peer counts for the depth curve (depth = peers-1)")
-		check       = flag.Bool("check", false, "bench mode: fail unless every point shows pruning dominance (depth ≥ 3), firing prune counters and wire-shipped distinct estimates")
-		seed        = flag.Int64("seed", 10, "generation seed (same seed ⇒ same swarms, byte for byte)")
-		peers       = flag.Int("peers", 64, "serve mode: peer count")
-		topology    = flag.String("topology", "chain", "serve mode: topology (chain, star, smallworld)")
-		queryLen    = flag.Int("query-len", 1, "serve mode: entry-query chain length")
-		manifest    = flag.String("manifest", "", "serve mode: write the handoff manifest here (required)")
-		maxInflight = flag.Int("max-inflight", 0, "serve mode: per-peer admission cap on concurrently executing requests (0 = admission control off)")
-		maxQueue    = flag.Int("max-queue", 0, "serve mode: per-peer admission queue length beyond the in-flight cap")
-		queueWait   = flag.Duration("queue-wait", 0, "serve mode: per-request admission-queue wait bound (0 = server default)")
+		p        swarm.Params
+		bc       swarm.BootConfig
+		topology = flag.String("topology", "chain", "topology (chain, star, smallworld)")
+		manifest = flag.String("manifest", "", "write the handoff manifest here (required)")
 	)
+	flag.Int64Var(&p.Seed, "seed", 10, "generation seed (same seed ⇒ same swarm, byte for byte)")
+	flag.IntVar(&p.Peers, "peers", 64, "peer count")
+	flag.IntVar(&p.QueryLen, "query-len", 1, "entry-query chain length")
+	flag.IntVar(&bc.MaxInflight, "max-inflight", 0, "per-peer admission cap on concurrently executing requests (0 = admission control off)")
+	flag.IntVar(&bc.MaxQueue, "max-queue", 0, "per-peer admission queue length beyond the in-flight cap")
+	flag.DurationVar(&bc.QueueWait, "queue-wait", 0, "per-request admission-queue wait bound (0 = server default)")
 	flag.Parse()
 
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	var err error
-	if *serve {
-		err = runServe(*peers, *topology, *queryLen, *seed, *manifest, swarm.BootConfig{
-			MaxInflight: *maxInflight,
-			MaxQueue:    *maxQueue,
-			QueueWait:   *queueWait,
-		})
-	} else {
-		err = runBench(*sizes, *topos, *depthPeers, *seed, *out, *check)
+	if p.Topology, err = swarm.ParseTopology(*topology); err == nil {
+		err = serve(p, bc, *manifest, stop)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "swarm:", err)
@@ -84,135 +49,14 @@ func main() {
 	}
 }
 
-// splitInts parses a comma-separated positive-integer list.
-func splitInts(flagName, s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad -%s entry %q (want integers ≥ 2)", flagName, f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// measure generates, boots, drives and tears down one swarm, returning its
-// measured Result.
-func measure(p swarm.Params) (*swarm.Result, error) {
-	spec, err := swarm.Generate(p)
-	if err != nil {
-		return nil, err
-	}
-	n, err := swarm.Boot(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer n.Close()
-	return n.Run()
-}
-
-// runBench produces the peer-count and depth curves, writes the report, and
-// applies the -check gate.
-func runBench(sizes, topos, depthPeers string, seed int64, out string, check bool) error {
-	sizeList, err := splitInts("sizes", sizes)
-	if err != nil {
-		return err
-	}
-	var topoList []swarm.Topology
-	for _, f := range strings.Split(topos, ",") {
-		tp, err := swarm.ParseTopology(strings.TrimSpace(f))
-		if err != nil {
-			return err
-		}
-		topoList = append(topoList, tp)
-	}
-	depthList, err := splitInts("depth-peers", depthPeers)
-	if err != nil {
-		return err
-	}
-
-	rep := &report{Bench: 10, Seed: seed}
-	for _, tp := range topoList {
-		for _, n := range sizeList {
-			r, err := measure(swarm.Params{Peers: n, Topology: tp, Seed: seed})
-			if err != nil {
-				return fmt.Errorf("%s/%d peers: %w", tp, n, err)
-			}
-			fmt.Fprintf(os.Stderr, "swarm: %s %d peers: depth %d, %d rewritings, nodes %d pruned / %d unpruned, %d answers in %.1fms\n",
-				r.Topology, r.Peers, r.Depth, r.Rewritings, r.NodesPruned, r.NodesUnpruned, r.Answers,
-				float64(r.LatencyNs)/1e6)
-			rep.PeerCurve = append(rep.PeerCurve, r)
-		}
-	}
-	for _, n := range depthList {
-		r, err := measure(swarm.Params{Peers: n, Topology: swarm.Chain, Seed: seed})
-		if err != nil {
-			return fmt.Errorf("depth curve, %d peers: %w", n, err)
-		}
-		fmt.Fprintf(os.Stderr, "swarm: chain depth %d: nodes %d pruned / %d unpruned\n",
-			r.Depth, r.NodesPruned, r.NodesUnpruned)
-		rep.DepthCurve = append(rep.DepthCurve, r)
-	}
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(blob))
-	if out != "" {
-		if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if check {
-		return checkReport(rep)
-	}
-	return nil
-}
-
-// checkReport is the CI gate over a finished report: pruning must strictly
-// dominate from depth 3 on with both prune counters firing, every point
-// must move real wire traffic, and the Distinct piggyback must arrive on
-// every point.
-func checkReport(rep *report) error {
-	points := append(append([]*swarm.Result(nil), rep.PeerCurve...), rep.DepthCurve...)
-	if len(points) == 0 {
-		return fmt.Errorf("check: no measured points")
-	}
-	for _, r := range points {
-		at := fmt.Sprintf("%s/%d peers (depth %d)", r.Topology, r.Peers, r.Depth)
-		if r.Requests == 0 || r.Answers == 0 {
-			return fmt.Errorf("check: %s drove no work (requests %d, answers %d)", at, r.Requests, r.Answers)
-		}
-		if r.DistinctMeta == 0 {
-			return fmt.Errorf("check: %s received no distinct piggyback", at)
-		}
-		if r.Depth < 3 {
-			continue
-		}
-		if r.NodesPruned >= r.NodesUnpruned {
-			return fmt.Errorf("check: %s pruned tree not smaller (%d ≥ %d)", at, r.NodesPruned, r.NodesUnpruned)
-		}
-		if r.PrunedSubsumed == 0 || r.PrunedEmpty == 0 {
-			return fmt.Errorf("check: %s prune counters silent (subsumed %d, empty %d)", at, r.PrunedSubsumed, r.PrunedEmpty)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "swarm: check passed over %d points\n", len(points))
-	return nil
-}
-
-// runServe boots one swarm with the given admission settings, writes the
-// handoff manifest, and blocks until SIGINT/SIGTERM.
-func runServe(peers int, topology string, queryLen int, seed int64, manifest string, bc swarm.BootConfig) error {
+// serve boots the swarm p describes with the given admission settings,
+// writes the handoff manifest, and blocks until stop delivers or closes;
+// every server and connection is shut down before it returns.
+func serve(p swarm.Params, bc swarm.BootConfig, manifest string, stop <-chan os.Signal) error {
 	if manifest == "" {
-		return fmt.Errorf("-serve requires -manifest")
+		return fmt.Errorf("-manifest is required")
 	}
-	tp, err := swarm.ParseTopology(topology)
-	if err != nil {
-		return err
-	}
-	spec, err := swarm.Generate(swarm.Params{Peers: peers, Topology: tp, QueryLen: queryLen, Seed: seed})
+	spec, err := swarm.Generate(p)
 	if err != nil {
 		return err
 	}
@@ -225,11 +69,8 @@ func runServe(peers int, topology string, queryLen int, seed int64, manifest str
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "swarm: serving %d %s peers (depth %d), entry %s, manifest %s\n",
-		peers, tp, spec.Depth, n.Addrs[0], manifest)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+		spec.Params.Peers, spec.Params.Topology, spec.Depth, n.Addrs[0], manifest)
+	<-stop
 	fmt.Fprintln(os.Stderr, "swarm: shutting down")
 	return nil
 }

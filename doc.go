@@ -3,9 +3,12 @@
 // 2003) — the Piazza PDMS schema-mediation layer — grown into a
 // production-shaped distributed query system.
 //
-// The public API lives in package repro/pdms; the root package holds the
-// benchmark harness that regenerates the paper's evaluation (Figures 3 and
-// 4, the node-rate claim, and the Section 4.3 optimization ablations).
+// The public API lives in package repro/pdms; the root package holds Go
+// benchmarks over the paper's evaluation workloads (Figures 3 and 4, the
+// node-rate claim, and the Section 4.3 optimization ablations), timing
+// internal/workload's generator and internal/core directly. cmd/figures
+// (over internal/experiments) prints the figure series themselves, and
+// cmd/bench is the repository's end-to-end benchmark.
 // ARCHITECTURE.md at the repository root is the top-to-bottom guide to
 // every layer (mediator → reformulation → engine → wire → executor) with
 // per-layer dataflow diagrams and code pointers; the peer wire protocol is
@@ -38,10 +41,9 @@
 //     fragments across queries keyed by (peer, atom pattern, bound-key-set
 //     hash), stamped with the serving peer's per-relation generation
 //     (piggybacked on every wire response) and served again only once that
-//     generation is confirmed current — via a row-free revalidation round
-//     trip, or for free within the configurable FragmentTrust window (the
-//     TTL fallback for peers mutated outside our view). A repeated
-//     identical cross-peer query ships (near) zero rows and bytes.
+//     generation is confirmed current by a row-free revalidation round
+//     trip. A repeated identical cross-peer query ships (near) zero rows
+//     and bytes.
 //
 // Distributed execution lives in internal/netpeer: peers serve stored
 // relations over TCP (chunked streaming frames, O(chunk) memory per

@@ -1,16 +1,8 @@
-// Scaleout: Section 5 in miniature, then the PR 5 storage scale-out.
-//
-// Part one generates synthetic PDMS topologies of growing diameter with
-// the paper's workload generator, reformulates the benchmark chain query,
-// and prints the rule-goal tree sizes and the time to the first/tenth/all
-// rewritings — a console rendition of Figures 3 and 4. Run cmd/figures for
-// the full TSV sweeps.
-//
-// Part two builds a sharded relation store (default one million rows),
-// runs the same queries over the unsharded and the sharded layout, and
-// prints the engine counters — the end-to-end walkthrough described in
-// README.md. Flags: -rows sets the store size, -shards the shard count
-// (0 = one per CPU), -sweep=false skips part one.
+// Scaleout: the storage scale-out walkthrough described in README.md. It
+// builds a sharded relation store (default one million rows), runs the same
+// queries over the unsharded and the sharded layout, and prints the engine
+// counters. Flags: -rows sets the store size, -shards the shard count
+// (0 = one per CPU). The paper's Figure 3/4 sweeps are cmd/figures.
 package main
 
 import (
@@ -20,104 +12,16 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/lang"
 	"repro/internal/rel"
-	"repro/internal/workload"
 )
 
 func main() {
 	rows := flag.Int("rows", 1_000_000, "rows in the sharded store walkthrough")
 	shards := flag.Int("shards", 0, "shard count (0 = one per CPU)")
-	sweep := flag.Bool("sweep", true, "run the Figure 3/4 reformulation sweep first")
 	flag.Parse()
-
-	if *sweep {
-		reformulationSweep()
-	}
 	shardedStoreWalkthrough(*rows, *shards)
-}
-
-func reformulationSweep() {
-	fmt.Println("synthetic PDMS sweep (96 peers, 10% definitional mappings)")
-	fmt.Println("diam   nodes   rewritings   t(first)     t(10th)      t(all)")
-	for d := 1; d <= 6; d++ {
-		w, err := workload.Generate(workload.Params{
-			Peers:    experiments.DefaultPeers,
-			Diameter: d,
-			DefRatio: 0.10,
-			Seed:     1,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := core.New(w.PDMS, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		var first, tenth time.Duration
-		n := 0
-		st, err := r.Stream(w.Query, func(lang.CQ) bool {
-			n++
-			switch n {
-			case 1:
-				first = time.Since(start)
-			case 10:
-				tenth = time.Since(start)
-			}
-			return true
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		all := time.Since(start)
-		if n < 10 {
-			tenth = all
-		}
-		fmt.Printf("%4d %7d %12d   %-12v %-12v %-12v\n",
-			d, st.Nodes(), n, first.Round(time.Microsecond),
-			tenth.Round(time.Microsecond), all.Round(time.Microsecond))
-	}
-
-	// End to end on one mid-size topology: generate data, reformulate,
-	// execute, and show that answers flow from the bottom-stratum stores.
-	fmt.Println("\nend-to-end on a diameter-4 PDMS with data:")
-	w, err := workload.Generate(workload.Params{
-		Peers:         experiments.DefaultPeers,
-		Diameter:      4,
-		DefRatio:      0.10,
-		FactsPerStore: 6,
-		DomainSize:    4, // small domain so chains actually join
-		Seed:          42,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r, err := core.New(w.PDMS, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := r.Reformulate(w.Query)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows, err := engine.New(w.Data).EvalUCQ(out.UCQ)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("query: %s\n", w.Query)
-	fmt.Printf("rewritings: %d   stored facts: %d   answers: %d\n",
-		out.UCQ.Len(), w.Data.Size(), len(rows))
-	for i, t := range rows {
-		if i == 5 {
-			fmt.Printf("  … and %d more\n", len(rows)-5)
-			break
-		}
-		fmt.Printf("  %s\n", t)
-	}
 }
 
 // buildStore loads n synthetic order rows into an instance with the given
@@ -144,7 +48,7 @@ func shardedStoreWalkthrough(n, shards int) {
 	if shards <= 0 {
 		shards = rel.DefaultShards()
 	}
-	fmt.Printf("\nsharded store walkthrough: %d rows, GOMAXPROCS=%d\n", n, runtime.GOMAXPROCS(0))
+	fmt.Printf("sharded store walkthrough: %d rows, GOMAXPROCS=%d\n", n, runtime.GOMAXPROCS(0))
 
 	// The filtered scan every layout runs: the 1% of orders below the id
 	// cutoff. A single-atom body keeps the planner from starting at the

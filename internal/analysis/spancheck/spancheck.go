@@ -12,8 +12,8 @@
 //     (no direct field access) need no guard.
 //
 //  2. Stable metric names. Arguments naming metrics — the first argument
-//     of Counter/Gauge/Histogram/RegisterHistogram/RegisterGroup on
-//     obs.Registry and of Counter/Gauge on obs.Emitter — must be compile-
+//     of RegisterHistogram/RegisterGroup on obs.Registry and of
+//     Counter/Gauge on obs.Emitter — must be compile-
 //     time string constants matching the lowercase-dotted contract
 //     ^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$. Dashboards and alerts key on
 //     these names; a runtime-built or mixed-case name silently forks the
@@ -47,7 +47,7 @@ var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 // metricMethods maps obs type name -> method names whose first argument
 // is a metric name.
 var metricMethods = map[string]map[string]bool{
-	"Registry": {"Counter": true, "Gauge": true, "Histogram": true, "RegisterHistogram": true, "RegisterGroup": true},
+	"Registry": {"RegisterHistogram": true, "RegisterGroup": true},
 	"Emitter":  {"Counter": true, "Gauge": true},
 }
 

@@ -71,15 +71,6 @@ func (p *plain) get() int { return p.n }
 // Registry is the metric namespace stub.
 type Registry struct{ names []string }
 
-// Counter registers a counter name.
-func (r *Registry) Counter(name string) { r.names = append(r.names, name) }
-
-// Gauge registers a gauge name.
-func (r *Registry) Gauge(name string) { r.names = append(r.names, name) }
-
-// Histogram registers a histogram name.
-func (r *Registry) Histogram(name string) { r.names = append(r.names, name) }
-
 // RegisterHistogram attaches an existing histogram.
 func (r *Registry) RegisterHistogram(name string, h any) { r.names = append(r.names, name) }
 

@@ -8,21 +8,18 @@ const goodPrefix = "engine.parallel_scans"
 
 // Register exercises legal and illegal metric names.
 func Register(r *obs.Registry, dynamic string) {
-	r.Counter("server.requests")
-	r.Counter(goodPrefix)
-	r.Gauge("fragcache.bytes")
-	r.Histogram("pdms.query_seconds")
 	r.RegisterHistogram("server.request_seconds", nil)
+	r.RegisterHistogram(goodPrefix, nil)
 	r.RegisterGroup("wire", func(em *obs.Emitter) {
 		em.Counter("rows_fetched", 1)
 		em.Gauge("max_frame_bytes", 2)
 		em.Counter("Bad_Case", 3) // want "violates the lowercase-dotted naming contract"
 		em.Gauge("trailing.", 4)  // want "violates the lowercase-dotted naming contract"
 	})
-	r.Counter("Server.Requests")    // want "violates the lowercase-dotted naming contract"
-	r.Counter("server..requests")   // want "violates the lowercase-dotted naming contract"
-	r.Counter("9starts.with.digit") // want "violates the lowercase-dotted naming contract"
-	r.Counter(dynamic)              // want "must be a compile-time string constant"
-	r.Counter("prefix." + dynamic)  // want "must be a compile-time string constant"
-	r.RegisterGroup(dynamic, nil)   // want "must be a compile-time string constant"
+	r.RegisterHistogram("Server.Requests", nil)    // want "violates the lowercase-dotted naming contract"
+	r.RegisterHistogram("server..requests", nil)   // want "violates the lowercase-dotted naming contract"
+	r.RegisterHistogram("9starts.with.digit", nil) // want "violates the lowercase-dotted naming contract"
+	r.RegisterHistogram(dynamic, nil)              // want "must be a compile-time string constant"
+	r.RegisterHistogram("prefix."+dynamic, nil)    // want "must be a compile-time string constant"
+	r.RegisterGroup(dynamic, nil)                  // want "must be a compile-time string constant"
 }

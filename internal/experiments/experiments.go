@@ -2,8 +2,10 @@
 // Figure 3 (rule-goal tree size vs PDMS diameter, by %definitional
 // mappings), Figure 4 (time to the 1st/10th/all rewritings vs diameter),
 // the in-text node-generation-rate claim, and the ablations of the Section
-// 4.3 optimizations (ARCHITECTURE.md §2). cmd/figures and the root
-// benchmarks are thin wrappers over this package so they always agree.
+// 4.3 optimizations (ARCHITECTURE.md §2). cmd/figures is the one command
+// over this package; the root benchmarks time the same generator
+// (internal/workload, at this package's DefaultPeers) and internal/core
+// directly, so they share its inputs but none of its code.
 package experiments
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/lang"
 	"repro/internal/obs"
@@ -164,12 +163,9 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 // BenchmarkFragmentCacheRepeat is the repeated-bind-join headline: the
 // same skewed cross-peer join as BenchmarkBindJoin, issued repeatedly
 // through one executor. "cold" refetches every fragment per query (the
-// cache is cleared before each); "reval"
-// (the default FragmentTrust=0 mode) serves cached fragments after one
-// row-free gens round trip per atom; "trusted" (FragmentTrust well above
-// the benchmark duration) answers repeats with zero network traffic. The
-// rows-fetched/op and bytes-recv/op metrics show the second and later
-// identical queries shipping (near) zero.
+// cache is cleared before each); "reval" serves cached fragments after one
+// row-free gens round trip per atom. The rows-fetched/op and bytes-recv/op
+// metrics show the second and later identical queries shipping (near) zero.
 func BenchmarkFragmentCacheRepeat(b *testing.B) {
 	const (
 		bigRows   = 20000
@@ -192,17 +188,14 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name  string
-		cold  bool
-		trust time.Duration
+		name string
+		cold bool
 	}{
-		{"cold", true, 0},
-		{"reval", false, 0},
-		{"trusted", false, time.Hour},
+		{"cold", true},
+		{"reval", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
-			ex.FragmentTrust = mode.trust
 			defer ex.Close()
 			for _, a := range []string{addr1, addr2} {
 				if err := ex.Discover(a); err != nil {

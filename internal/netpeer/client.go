@@ -28,17 +28,15 @@ type Client struct {
 	// counters, when non-nil, aggregates this client's traffic (set by the
 	// executor's pool so all pooled connections share one Counters).
 	counters *Counters
-	// onMeta, when non-nil, receives the cardinalities, generations and
-	// per-column distinct estimates piggybacked on final response frames
-	// (set by the executor's pool so estimates and generation observations
-	// refresh continuously). dists is nil when the serving peer predates
-	// the Distinct extension.
-	onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64)
-	// tapMeta, when non-nil, additionally receives the same piggyback for
-	// the duration of one logical call — the executor installs it around a
-	// fragment fetch to stamp the cached fragment with the generation its
-	// own response frames reported (the shared onMeta table would race with
-	// concurrent calls observing newer generations).
+	// onMeta, when non-nil, receives the cardinalities and per-column
+	// distinct estimates piggybacked on final response frames (set by the
+	// executor's pool so estimates refresh continuously). dists is nil when
+	// the serving peer predates the Distinct extension.
+	onMeta func(preds []string, cards []int, dists [][]float64)
+	// tapMeta, when non-nil, receives the relation generations piggybacked
+	// on the same frames for the duration of one logical call —
+	// the executor installs it around a fragment fetch to stamp the cached
+	// fragment with the generation its own response frames reported.
 	tapMeta func(preds []string, gens []uint64)
 	// traceSpan, when non-nil, marks requests on this client as traced:
 	// each request carries the span's trace ID and span ID, and the spans
@@ -151,7 +149,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 					c.counters.distinctMeta.Add(1)
 				}
 				if c.onMeta != nil {
-					c.onMeta(resp.Preds, resp.Cards, resp.Gens, resp.Distinct)
+					c.onMeta(resp.Preds, resp.Cards, resp.Distinct)
 				}
 				if c.tapMeta != nil {
 					c.tapMeta(resp.Preds, resp.Gens)

@@ -60,11 +60,10 @@ const defaultIdlePingAfter = 60 * time.Second
 //     LRU, stamped with the relation's generation as reported by the
 //     fetch's own response frames (a fetch whose frames disagree — a
 //     mutation landed mid-fetch — is not cached). A cached fragment is
-//     served again only once its stamped generation is confirmed current —
-//     by a tiny row-free "gens" round trip, or for free within the
-//     FragmentTrust window — so a repeat of an identical query ships (near)
-//     zero rows while mutations on the peer invalidate exactly the
-//     fragments of the mutated relation.
+//     served again only once its stamped generation is confirmed current
+//     by a tiny row-free "gens" round trip, so a repeat of an identical
+//     query ships (near) zero rows while mutations on the peer invalidate
+//     exactly the fragments of the mutated relation.
 //
 // UCQ disjuncts are evaluated concurrently over a worker pool; all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
@@ -72,17 +71,6 @@ const defaultIdlePingAfter = 60 * time.Second
 // connections idle past IdlePingAfter are pinged before reuse so a peer
 // restart is absorbed by a fresh dial instead of a first-request failure).
 type Executor struct {
-	// FragmentTrust is the staleness budget of the fragment cache. Zero
-	// (the default) means a cached fragment is only served after a gens
-	// round trip confirms the serving peer's generation for its relation
-	// is unchanged — strongly consistent with the peer at revalidation
-	// time, while still shipping no rows. A positive duration lets the
-	// executor skip even that round trip while the relation's generation
-	// was observed (on any response from the peer) within the window:
-	// repeated queries then cost zero network traffic, at the price of
-	// serving up to FragmentTrust of staleness when a peer is mutated
-	// outside our view. Set before issuing queries.
-	FragmentTrust time.Duration
 	// IdlePingAfter is the idle age beyond which pooled connections are
 	// pinged before reuse (0 = defaultIdlePingAfter; negative disables
 	// health checks). Set before issuing queries: pools capture it when
@@ -131,14 +119,6 @@ type Executor struct {
 	// Distinct extension are simply absent, and ordering falls back to
 	// cardinality alone. Guarded by mu.
 	dist map[string][]float64
-	// gens holds the latest per-relation generation observed for each
-	// routed relation, with the local time of the observation — refreshed
-	// from the piggyback on every response. Unlike card these carry a
-	// correctness contract: the fragment cache serves an entry only when
-	// its stamped generation equals a sufficiently fresh observation
-	// (within FragmentTrust, or from an explicit gens revalidation).
-	// Guarded by mu.
-	gens map[string]genObservation
 	// pools holds one connection pool per peer address. Guarded by mu.
 	pools map[string]*pool
 	// abort interrupts in-flight busy-retry backoff sleeps: Close closes
@@ -152,31 +132,16 @@ type Executor struct {
 	counters Counters
 }
 
-// genObservation is one piggybacked generation observation: the value and
-// when it was received (local clock; only compared against FragmentTrust).
-type genObservation struct {
-	gen uint64
-	at  time.Time
-}
-
 // NewExecutor creates an executor with an empty routing table.
 func NewExecutor() *Executor {
 	return &Executor{
 		addr:  map[string]string{},
 		card:  map[string]int{},
 		dist:  map[string][]float64{},
-		gens:  map[string]genObservation{},
 		pools: map[string]*pool{},
 		abort: make(chan struct{}),
 		frags: newFragCache(defaultFragEntries, defaultFragBytes),
 	}
-}
-
-// SetFragmentCacheLimits bounds the fragment cache (entries and tuple
-// value bytes); zero keeps the corresponding current bound. Shrinking
-// evicts immediately.
-func (e *Executor) SetFragmentCacheLimits(maxEntries int, maxBytes int64) {
-	e.frags.setLimits(maxEntries, maxBytes)
 }
 
 // SetFragmentCacheSpill bounds the fragment cache's *resident* bytes: past
@@ -223,12 +188,10 @@ func (e *Executor) Discover(addr string) error {
 	return nil
 }
 
-// updateMeta folds cardinalities, generations and per-column distinct
-// estimates piggybacked on responses into the estimate and observation
-// tables (only for relations already known, so a response cannot invent
-// routes).
-func (e *Executor) updateMeta(preds []string, cards []int, gens []uint64, dists [][]float64) {
-	now := time.Now()
+// updateMeta folds cardinalities and per-column distinct estimates
+// piggybacked on responses into the estimate tables (only for relations
+// already known, so a response cannot invent routes).
+func (e *Executor) updateMeta(preds []string, cards []int, dists [][]float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, p := range preds {
@@ -240,17 +203,6 @@ func (e *Executor) updateMeta(preds []string, cards []int, gens []uint64, dists 
 		}
 		if i < len(dists) && len(dists[i]) > 0 {
 			e.dist[p] = dists[i]
-		}
-		if i < len(gens) {
-			// Generations are monotonic per relation, but responses from
-			// parallel connections land here in arbitrary order: an older
-			// frame's observation must not regress a newer one (it would
-			// make the trust window spuriously invalidate fragments that
-			// are current). An equal observation still refreshes the
-			// window.
-			if obs, ok := e.gens[p]; !ok || gens[i] >= obs.gen {
-				e.gens[p] = genObservation{gen: gens[i], at: now}
-			}
 		}
 	}
 }

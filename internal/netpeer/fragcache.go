@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/lang"
@@ -43,8 +42,7 @@ type FragmentStats struct {
 	// byte budget), not staleness.
 	Evictions uint64
 	// Revalidations counts gens round trips issued to confirm a candidate
-	// entry's generation before serving it (zero-row requests; within the
-	// FragmentTrust window they are skipped entirely).
+	// entry's generation before serving it (zero-row requests).
 	Revalidations uint64
 	// Entries and Bytes describe the current cache contents.
 	Entries int
@@ -383,9 +381,7 @@ func (f *fragFetch) row(t rel.Tuple) error {
 	return nil
 }
 
-// tap observes the generations this fetch's own final frames piggyback
-// (the shared observation table would race with concurrent calls observing
-// newer generations).
+// tap observes the generations this fetch's own final frames piggyback.
 func (f *fragFetch) tap(preds []string, gens []uint64) {
 	for i, p := range preds {
 		if p == f.a.Pred && i < len(gens) {
@@ -418,19 +414,9 @@ func (e *Executor) fragLookup(addr, pred, key string) ([]rel.Tuple, bool) {
 	return rows, true
 }
 
-// currentGen returns pred's current generation at its serving peer: from a
-// prior piggybacked observation when it falls inside the FragmentTrust
-// window, else via a gens revalidation round trip (whose response, like
-// every response, also refreshes the observation table).
+// currentGen asks pred's serving peer for its current generation: one
+// row-free gens round trip.
 func (e *Executor) currentGen(addr, pred string) (uint64, error) {
-	if trust := e.FragmentTrust; trust > 0 {
-		e.mu.Lock()
-		obs, ok := e.gens[pred]
-		e.mu.Unlock()
-		if ok && time.Since(obs.at) <= trust {
-			return obs.gen, nil
-		}
-	}
 	e.frags.revalidated()
 	var gens map[string]uint64
 	err := e.withClient(addr, func(c *Client) (err error) {

@@ -3,7 +3,6 @@ package netpeer
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/parser"
 	"repro/internal/rel"
@@ -174,56 +173,12 @@ func TestFragmentCacheSurvivesUnrelatedMutation(t *testing.T) {
 	}
 }
 
-// TestFragmentTrustWindowSkipsRevalidation exercises the TTL fallback: a
-// positive FragmentTrust serves cached fragments without any round trip
-// while the generation observation is fresh — accepting up to the window
-// of staleness — and a zero window restores revalidate-always behavior.
-func TestFragmentTrustWindowSkipsRevalidation(t *testing.T) {
-	_, large, ex := crossPeerFixture(t)
-	ex.FragmentTrust = time.Hour
-	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := ex.EvalCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutate outside the executor's view: within the trust window the
-	// executor is allowed (and expected) to keep serving the cached
-	// fragments with zero network traffic.
-	if err := large.AddFact("L.rows", rel.Tuple{"k0", "fresh"}); err != nil {
-		t.Fatal(err)
-	}
-	mid := ex.WireStats()
-	again, err := ex.EvalCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tuplesEqual(first, again) {
-		t.Fatalf("trust-window answer should be the cached (stale) one: %v vs %v", first, again)
-	}
-	if d := ex.WireStats().Requests - mid.Requests; d != 0 {
-		t.Fatalf("trust-window repeat issued %d requests, want 0", d)
-	}
-	// Dropping the trust window forces revalidation, which sees the moved
-	// generation and refetches.
-	ex.FragmentTrust = 0
-	fresh, err := ex.EvalCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh) != len(first)+1 {
-		t.Fatalf("post-trust query rows = %d, want %d", len(fresh), len(first)+1)
-	}
-}
-
 // TestFragmentCacheEviction bounds the cache: with a one-entry budget the
 // second distinct fragment must evict the first (no unbounded growth), and
 // re-querying the first is a miss again.
 func TestFragmentCacheEviction(t *testing.T) {
 	_, _, ex := crossPeerFixture(t)
-	ex.SetFragmentCacheLimits(1, 0)
+	ex.frags.setLimits(1, 0)
 	q1, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,7 @@ import (
 
 // Randomized mutation interleaving across the wire: mutators AddFact into
 // the peer servers while queriers run cross-peer bind-joins through one
-// shared Executor with the fragment cache enabled (FragmentTrust zero, the
-// revalidate-always mode). As in the pdms harness, inserts-only mutation
+// shared Executor, whose fragment cache revalidates before every hit. As in the pdms harness, inserts-only mutation
 // plus monotone queries give a linearizability envelope:
 //
 //	eval(q, completed-before-start) ⊆ answer ⊆ eval(q, issued-by-end)

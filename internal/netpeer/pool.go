@@ -52,10 +52,10 @@ type idleConn struct {
 type pool struct {
 	addr     string
 	counters *Counters
-	// onMeta propagates response-piggybacked cardinalities, generations and
-	// distinct estimates from every pooled connection back to the executor's
-	// estimate and generation-observation tables.
-	onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64)
+	// onMeta propagates response-piggybacked cardinalities and distinct
+	// estimates from every pooled connection back to the executor's estimate
+	// tables.
+	onMeta func(preds []string, cards []int, dists [][]float64)
 	// pingAfter is the idle age beyond which get pings a connection before
 	// reuse (0 = never ping).
 	pingAfter time.Duration
@@ -79,7 +79,7 @@ type grant struct {
 	slot bool    // a connection slot is reserved for you; dial it
 }
 
-func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, gens []uint64, dists [][]float64), pingAfter time.Duration, maxConns int) *pool {
+func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, dists [][]float64), pingAfter time.Duration, maxConns int) *pool {
 	if maxConns <= 0 {
 		maxConns = defaultMaxConnsPerAddr
 	}

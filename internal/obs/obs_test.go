@@ -12,10 +12,16 @@ import (
 
 func TestRegistryCountersGaugesGroups(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a.hits").Add(3)
-	r.Counter("a.hits").Inc()
-	r.Gauge("a.depth").Set(7)
-	r.Gauge("a.depth").Add(-2)
+	var hits Counter
+	var depth Gauge
+	hits.Add(3)
+	hits.Inc()
+	depth.Set(7)
+	depth.Add(-2)
+	r.RegisterGroup("a", func(em *Emitter) {
+		em.Counter("hits", hits.Load())
+		em.Gauge("depth", depth.Load())
+	})
 	r.RegisterGroup("legacy", func(em *Emitter) {
 		em.Counter("reqs", 42)
 		em.Gauge("conns", 5)
@@ -39,11 +45,6 @@ func TestRegistryCountersGaugesGroups(t *testing.T) {
 	r.RegisterGroup("legacy", func(em *Emitter) { em.Counter("reqs", 43) })
 	if got := r.Snapshot().Counters["legacy.reqs"]; got != 43 {
 		t.Fatalf("after re-register legacy.reqs = %d, want 43", got)
-	}
-
-	r.Unregister("legacy")
-	if _, ok := r.Snapshot().Counters["legacy.reqs"]; ok {
-		t.Fatal("unregistered group still emitting")
 	}
 }
 
@@ -127,9 +128,11 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("engine.scans").Add(9)
-	r.Gauge("frag.bytes").Set(1024)
-	r.Histogram("query.latency").Observe(2 * time.Millisecond)
+	r.RegisterGroup("engine", func(em *Emitter) { em.Counter("scans", 9) })
+	r.RegisterGroup("frag", func(em *Emitter) { em.Gauge("bytes", 1024) })
+	h := NewHistogram()
+	h.Observe(2 * time.Millisecond)
+	r.RegisterHistogram("query.latency", h)
 	var sb strings.Builder
 	if err := r.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -304,7 +307,7 @@ func TestRingBufferEviction(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x.count").Add(5)
+	r.RegisterGroup("x", func(em *Emitter) { em.Counter("count", 5) })
 	tr := NewTracer(4)
 	tr.SetSampleEvery(1)
 	s := tr.StartTrace("probe-query")
@@ -370,7 +373,14 @@ func TestSnapshotConcurrentWithMutation(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	c := r.Counter("m.n")
+	var c Counter
+	var g Gauge
+	h := NewHistogram()
+	r.RegisterGroup("m", func(em *Emitter) {
+		em.Counter("n", c.Load())
+		em.Gauge("g", g.Load())
+	})
+	r.RegisterHistogram("m.h", h)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -380,8 +390,8 @@ func TestSnapshotConcurrentWithMutation(t *testing.T) {
 				return
 			default:
 				c.Inc()
-				r.Gauge("m.g").Add(1)
-				r.Histogram("m.h").Observe(time.Microsecond)
+				g.Add(1)
+				h.Observe(time.Microsecond)
 			}
 		}
 	}()

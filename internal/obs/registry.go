@@ -4,17 +4,15 @@
 // cross-peer query tracer whose span trees stitch remote work (shipped
 // back on wire response frames) into the posing peer's trace.
 //
-// The registry holds three kinds of instruments:
+// A component owns its instruments and registers them one of two ways:
 //
-//   - native Counters, Gauges and Histograms, mutated through atomics on
-//     the hot path (no locks, no allocation);
-//   - snapshot groups: existing stats surfaces (engine.Stats,
-//     netpeer.ServerStats, …) register a closure that emits their current
-//     counter values under a dotted prefix, so legacy counters appear in
-//     the same namespace without being rewritten.
+//   - RegisterHistogram attaches a Histogram the component observes into
+//     through atomics on the hot path (no locks, no allocation);
+//   - RegisterGroup attaches a snapshot group: a closure that emits the
+//     component's current counter and gauge values (engine.Stats,
+//     netpeer.ServerStats, …) under a dotted prefix.
 //
-// One Registry.Snapshot() (or the package-level Snapshot() over the
-// Default registry) returns everything: counters, gauges and histogram
+// One Registry.Snapshot() returns everything: counters, gauges and histogram
 // percentiles keyed by dotted name ("engine.parallel_scans",
 // "fragcache.hits", "wire.bind_batches_pipelined", …). WritePrometheus
 // renders the same snapshot in the Prometheus text exposition format, and
@@ -102,62 +100,17 @@ type SnapshotData struct {
 // lock-free (atomics); registration and snapshotting take an internal
 // mutex (cold paths). The zero value is unusable; use NewRegistry.
 type Registry struct {
-	mu sync.RWMutex
-	// The instrument namespaces are all guarded by mu.
-	counters map[string]*Counter       // guarded by mu
-	gauges   map[string]*Gauge         // guarded by mu
-	hists    map[string]*Histogram     // guarded by mu
-	groups   map[string]func(*Emitter) // guarded by mu
+	mu     sync.RWMutex
+	hists  map[string]*Histogram     // guarded by mu
+	groups map[string]func(*Emitter) // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		groups:   map[string]func(*Emitter){},
+		hists:  map[string]*Histogram{},
+		groups: map[string]func(*Emitter){},
 	}
-}
-
-// Default is the process-wide registry the package-level helpers use.
-var Default = NewRegistry()
-
-// Counter returns (creating if needed) the counter under the dotted name.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the gauge under the dotted name.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns (creating if needed) the histogram under the dotted
-// name.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
 }
 
 // RegisterHistogram attaches an existing histogram under the dotted name
@@ -181,31 +134,14 @@ func (r *Registry) RegisterGroup(prefix string, fn func(*Emitter)) {
 	r.groups[prefix] = fn
 }
 
-// Unregister removes the group, counter, gauge and histogram under name
-// (as a group name, the whole group).
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.groups, name)
-	delete(r.counters, name)
-	delete(r.gauges, name)
-	delete(r.hists, name)
-}
-
 // Snapshot returns the current value of every instrument and group.
 func (r *Registry) Snapshot() SnapshotData {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	snap := SnapshotData{
-		Counters:   make(map[string]uint64, len(r.counters)+4*len(r.groups)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
+		Counters:   make(map[string]uint64, 4*len(r.groups)),
+		Gauges:     map[string]int64{},
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		snap.Counters[name] = c.Load()
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Load()
 	}
 	for name, h := range r.hists {
 		snap.Histograms[name] = h.Snapshot()
@@ -217,9 +153,6 @@ func (r *Registry) Snapshot() SnapshotData {
 	}
 	return snap
 }
-
-// Snapshot returns the Default registry's snapshot.
-func Snapshot() SnapshotData { return Default.Snapshot() }
 
 // promName converts a dotted metric name to the Prometheus exposition
 // charset (dots and any other separator become underscores).

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
@@ -38,6 +39,9 @@ type Options struct {
 //	d.Attach(ins)                       // journal every insert from here on
 //	...
 //	d.Close()                           // flush + fsync open segments
+//
+// OpenInstance runs the first three steps (and merges a specification's
+// facts) with the Dir closed on every failure; pdms and peerd start there.
 //
 // Appends reach the journal through rel's append hooks, which run under the
 // owning shard's lock — so segment frames are written in exactly the shard
@@ -329,6 +333,35 @@ func (d *Dir) Recover(nshards int) (*rel.Instance, []RelRecovery, error) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Pred < recs[j].Pred })
 	d.replayMicro.Store(time.Since(start).Microseconds())
 	return ins, recs, nil
+}
+
+// OpenInstance is the whole startup sequence of a durable instance: open the
+// journal at path, replay it (relations created later get nshards shards,
+// see Recover), attach the journal hooks, and merge seed's tuples — the facts
+// a specification carries, nil for none — on top, journaled and deduplicated
+// against the recovered data. The caller owns the returned Dir and closes it
+// when done; on any failure after Open the Dir is closed here, because the
+// merge may already have opened segment files.
+func OpenInstance(path string, nshards int, seed *rel.Instance) (*rel.Instance, *Dir, []RelRecovery, error) {
+	d, err := Open(path, Options{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ins, recs, err := d.Recover(nshards)
+	if err != nil {
+		return nil, nil, nil, errors.Join(fmt.Errorf("replaying %s: %w", path, err), d.Close())
+	}
+	d.Attach(ins)
+	if seed != nil {
+		for _, pred := range seed.Relations() {
+			for _, t := range seed.Relation(pred).Tuples() {
+				if _, err := ins.Add(pred, t); err != nil {
+					return nil, nil, nil, errors.Join(fmt.Errorf("journaling %s: %w", pred, err), d.Close())
+				}
+			}
+		}
+	}
+	return ins, d, recs, nil
 }
 
 // segFile is one parsed segment file name.

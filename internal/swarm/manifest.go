@@ -6,7 +6,7 @@ import (
 	"os"
 )
 
-// Manifest is the on-disk handoff from a serving swarm (cmd/swarm -serve) to
+// Manifest is the on-disk handoff from a serving swarm (cmd/swarm) to
 // an external driver (cmd/loadgen -swarm): the generation parameters — which
 // fully determine the spec, so the driver regenerates it rather than
 // shipping the whole specification — plus the live peer addresses, the

@@ -2,33 +2,23 @@ package swarm
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/netpeer"
-	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/pdms"
 )
 
 // Net is a booted swarm: one loopback netpeer server per peer (storing
 // peers hold their facts, relay peers an empty instance), a spec-only entry
-// mediator, a second mediator with subtree pruning disabled (for
-// pruned-vs-unpruned differentials over the same spec), and one executor
-// discovered across every peer. Close shuts all of it down.
-//
-// Net is safe for concurrent Run calls: the mediators, executor and
-// servers are each concurrency-safe, and Net's own bookkeeping is atomic.
+// mediator, and one executor discovered across every peer. Close shuts all
+// of it down.
 type Net struct {
 	Spec     *Spec
-	Mediator *pdms.Network // pruning on (default options)
-	Unpruned *pdms.Network // DisableSubsumePruning, same spec
+	Mediator *pdms.Network
 	Exec     *netpeer.Executor
 	Servers  []*netpeer.Server
 	Addrs    []string
-
-	runs    atomic.Uint64 // queries driven through Run
-	answers atomic.Uint64 // total answer tuples those runs returned
 }
 
 // BootConfig carries per-peer server settings a booted swarm applies before
@@ -44,7 +34,7 @@ type BootConfig struct {
 }
 
 // Boot generates nothing: it takes an already generated Spec, loads the
-// mediators from its specification, starts one server per peer on a
+// mediator from its specification, starts one server per peer on a
 // loopback listener, and discovers them all into a fresh executor. On any
 // error the partially started swarm is torn down before returning.
 func Boot(spec *Spec) (*Net, error) { return BootWithConfig(spec, BootConfig{}) }
@@ -56,11 +46,7 @@ func BootWithConfig(spec *Spec, bc BootConfig) (*Net, error) {
 	if err != nil {
 		return nil, fmt.Errorf("swarm: loading mediator spec: %w", err)
 	}
-	unp, err := pdms.LoadWithOptions(spec.Mediator, pdms.Options{DisableSubsumePruning: true})
-	if err != nil {
-		return nil, fmt.Errorf("swarm: loading unpruned mediator spec: %w", err)
-	}
-	n := &Net{Spec: spec, Mediator: med, Unpruned: unp, Exec: netpeer.NewExecutor()}
+	n := &Net{Spec: spec, Mediator: med, Exec: netpeer.NewExecutor()}
 	for i := 0; i < spec.Params.Peers; i++ {
 		data := rel.NewInstance()
 		for _, t := range spec.Facts[i] {
@@ -101,91 +87,6 @@ func (n *Net) Close() {
 	}
 }
 
-// Result is one measured query drive through a swarm.
-type Result struct {
-	Topology string `json:"topology"`
-	Peers    int    `json:"peers"`
-	// Depth is the swarm's reformulation depth (entry eccentricity).
-	Depth    int   `json:"depth"`
-	QueryLen int   `json:"query_len"`
-	Seed     int64 `json:"seed"`
-
-	// Rewritings and Answers size the reformulation fan-out and the
-	// distributed result.
-	Rewritings int `json:"rewritings"`
-	Answers    int `json:"answers"`
-
-	// NodesPruned vs NodesUnpruned is the paper's Figure-3 metric for the
-	// same query over the same spec with subtree pruning on vs off;
-	// PrunedEmpty / PrunedSubsumed break down what the pruner cut.
-	NodesPruned    int `json:"nodes_pruned"`
-	NodesUnpruned  int `json:"nodes_unpruned"`
-	PrunedEmpty    int `json:"pruned_empty"`
-	PrunedSubsumed int `json:"pruned_subsumed"`
-	MemoHits       int `json:"memo_hits"`
-
-	// Wire-level deltas for this run (executor aggregates).
-	Requests     uint64 `json:"requests"`
-	BytesSent    uint64 `json:"bytes_sent"`
-	BytesRecv    uint64 `json:"bytes_recv"`
-	DistinctMeta uint64 `json:"distinct_meta"`
-
-	// ReformulateNs times the pruned reformulation alone; LatencyNs the
-	// full distributed answer (reformulation cache warm from the former).
-	ReformulateNs int64 `json:"reformulate_ns"`
-	LatencyNs     int64 `json:"latency_ns"`
-}
-
-// Run drives the spec's query from the entry peer through the swarm once
-// and returns the measurements. The pruned and unpruned reformulations are
-// both built (the latter never touches the wire — it exists for the node
-// differential); only the pruned rewriting is executed across the peers.
-func (n *Net) Run() (*Result, error) {
-	r := &Result{
-		Topology: n.Spec.Params.Topology.String(),
-		Peers:    n.Spec.Params.Peers,
-		Depth:    n.Spec.Depth,
-		QueryLen: n.Spec.Params.QueryLen,
-		Seed:     n.Spec.Params.Seed,
-	}
-
-	t0 := time.Now()
-	ref, err := n.Mediator.Reformulate(n.Spec.Query)
-	if err != nil {
-		return nil, fmt.Errorf("swarm: reformulating: %w", err)
-	}
-	r.ReformulateNs = time.Since(t0).Nanoseconds()
-	r.Rewritings = ref.Rewriting.Len()
-	r.NodesPruned = ref.Stats.Nodes()
-	r.PrunedEmpty = ref.Stats.PrunedEmpty
-	r.PrunedSubsumed = ref.Stats.PrunedSubsumed
-	r.MemoHits = ref.Stats.MemoHits
-
-	uref, err := n.Unpruned.Reformulate(n.Spec.Query)
-	if err != nil {
-		return nil, fmt.Errorf("swarm: unpruned reformulation: %w", err)
-	}
-	r.NodesUnpruned = uref.Stats.Nodes()
-
-	before := n.Exec.WireStats()
-	t1 := time.Now()
-	rows, err := n.Mediator.QueryVia(n.Spec.Query, n.Exec)
-	if err != nil {
-		return nil, fmt.Errorf("swarm: distributed query: %w", err)
-	}
-	r.LatencyNs = time.Since(t1).Nanoseconds()
-	after := n.Exec.WireStats()
-	r.Answers = len(rows)
-	r.Requests = after.Requests - before.Requests
-	r.BytesSent = after.BytesSent - before.BytesSent
-	r.BytesRecv = after.BytesRecv - before.BytesRecv
-	r.DistinctMeta = after.DistinctMeta - before.DistinctMeta
-
-	n.runs.Add(1)
-	n.answers.Add(uint64(len(rows)))
-	return r, nil
-}
-
 // Answers drives the query and returns just the sorted distinct answer
 // tuples — the differential corpus' swarm side.
 func (n *Net) Answers() ([]rel.Tuple, error) {
@@ -217,25 +118,4 @@ func OracleAnswers(spec *Spec) ([]rel.Tuple, error) {
 		out[i] = rel.Tuple(a)
 	}
 	return SortAnswers(out), nil
-}
-
-// RegisterMetrics registers the swarm's static shape and run totals as the
-// "swarm" snapshot group of reg, plus the executor's wire and fragment
-// cache groups (the per-peer server groups would collide, so servers are
-// left unregistered — their numbers aggregate on the executor side).
-func (n *Net) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterGroup("swarm", func(em *obs.Emitter) {
-		em.Gauge("peers", int64(n.Spec.Params.Peers))
-		em.Gauge("depth", int64(n.Spec.Depth))
-		stores := 0
-		for _, s := range n.Spec.Stored {
-			if s {
-				stores++
-			}
-		}
-		em.Gauge("stores", int64(stores))
-		em.Counter("runs", n.runs.Load())
-		em.Counter("answers_served", n.answers.Load())
-	})
-	n.Exec.RegisterMetrics(reg)
 }

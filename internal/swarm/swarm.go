@@ -1,10 +1,12 @@
-// Package swarm is an in-process many-peer topology harness: it generates
-// a peer data management system whose mapping graph has a chosen shape
-// (chain, star, small world), boots one loopback netpeer server per peer,
-// and drives entry-peer queries through the full pipeline — rule-goal-tree
-// reformulation at a spec-only mediator, then distributed execution across
-// the peer servers — measuring reformulation fan-out, pruning effect, wire
-// traffic and answer latency as functions of peer count and depth.
+// Package swarm generates and boots in-process many-peer topologies: a peer
+// data management system whose mapping graph has a chosen shape (chain,
+// star, small world), one loopback netpeer server per peer, and a spec-only
+// mediator, so an entry-peer query runs through the
+// full pipeline — rule-goal-tree reformulation at the mediator, then
+// distributed execution across the peer servers — and can be compared with a
+// single-process oracle over the same specification and data. This package's
+// tests hold the gates (swarm = oracle, pruned tree < unpruned tree);
+// cmd/bench measures booted swarms; cmd/swarm serves one for cmd/loadgen.
 //
 // The generated network deliberately contains the two kinds of waste the
 // core pruner (internal/core, Options.NoPruneSubsumed) removes:

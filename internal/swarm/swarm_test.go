@@ -3,11 +3,14 @@ package swarm
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/parser"
 	"repro/internal/store"
 	"repro/pdms"
 )
@@ -78,60 +81,103 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 	}
 }
 
-// TestRunCountersOnDeepChain pins the measurement contract a single Run
-// reports on a deep chain: both pruning counters fire (the generator
-// plants duplicates and a decoy by construction), the unpruned tree is
-// strictly larger, distinct estimates arrive over the wire, and the
-// answer count matches the swarm's own Answers path.
+// unprunedNodes reformulates query over med's specification with subtree
+// pruning off — the reference side of every pruned-vs-unpruned comparison —
+// and returns the rule-goal tree's node count.
+func unprunedNodes(t *testing.T, med *pdms.Network, query string) int {
+	t.Helper()
+	q, err := parser.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.New(med.Spec(), core.Options{NoPruneSubsumed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := r.Reformulate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Stats.Nodes()
+}
+
+// TestRunCountersOnDeepChain pins what one query through a booted swarm
+// must show, on a deep chain and on a 64-peer small world: both pruning
+// counters fire (the generator plants duplicates and a decoy by
+// construction), the unpruned tree is strictly larger, the query moves real
+// wire traffic, distinct estimates arrive over the wire, and the answers are
+// the oracle's.
 func TestRunCountersOnDeepChain(t *testing.T) {
-	spec, err := Generate(Params{Peers: 8, Topology: Chain, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Boot(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	r, err := n.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Depth != 7 || r.Peers != 8 || r.Topology != "chain" {
-		t.Fatalf("shape fields wrong: %+v", r)
-	}
-	if r.PrunedSubsumed == 0 {
-		t.Fatalf("replicated mappings but PrunedSubsumed = 0: %+v", r)
-	}
-	if r.PrunedEmpty == 0 {
-		t.Fatalf("entry decoy planted but PrunedEmpty = 0: %+v", r)
-	}
-	if r.NodesPruned >= r.NodesUnpruned {
-		t.Fatalf("pruned tree not smaller: %d ≥ %d", r.NodesPruned, r.NodesUnpruned)
-	}
-	if r.Rewritings == 0 || r.Requests == 0 {
-		t.Fatalf("no work measured: %+v", r)
-	}
-	if r.DistinctMeta == 0 {
-		t.Fatalf("peers shipped no distinct estimates: %+v", r)
-	}
-	got, err := n.Answers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != r.Answers {
-		t.Fatalf("Run reported %d answers, Answers returned %d", r.Answers, len(got))
+	for _, p := range []Params{
+		{Peers: 8, Topology: Chain, Seed: 42},
+		{Peers: 64, Topology: SmallWorld, Seed: 10},
+	} {
+		t.Run(fmt.Sprintf("%s/peers=%d", p.Topology, p.Peers), func(t *testing.T) {
+			spec, err := Generate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Topology == Chain && spec.Depth != p.Peers-1 {
+				t.Fatalf("chain of %d peers has depth %d", p.Peers, spec.Depth)
+			}
+			n, err := Boot(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			ref, err := n.Mediator.Reformulate(spec.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Stats.PrunedSubsumed == 0 {
+				t.Fatalf("replicated mappings but PrunedSubsumed = 0: %+v", ref.Stats)
+			}
+			if ref.Stats.PrunedEmpty == 0 {
+				t.Fatalf("entry decoy planted but PrunedEmpty = 0: %+v", ref.Stats)
+			}
+			if pruned, unpruned := ref.Stats.Nodes(), unprunedNodes(t, n.Mediator, spec.Query); pruned >= unpruned {
+				t.Fatalf("pruned tree not smaller: %d ≥ %d", pruned, unpruned)
+			}
+			before := n.Exec.WireStats()
+			got, err := n.Answers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := n.Exec.WireStats()
+			if ref.Rewriting.Len() == 0 || after.Requests == before.Requests {
+				t.Fatalf("no work measured: %d rewritings, %d requests", ref.Rewriting.Len(), after.Requests-before.Requests)
+			}
+			if after.DistinctMeta == before.DistinctMeta {
+				t.Fatal("peers shipped no distinct estimates")
+			}
+			want, err := OracleAnswers(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("swarm answers %v, oracle %v", got, want)
+			}
+		})
 	}
 }
 
-// TestPrunedDominatesUnprunedByDepth asserts the BENCH_10 headline claim
-// on chains of growing depth: from depth 3 on, the pruned build's node
-// count is strictly below the unpruned build's, and the gap only widens —
-// the duplicated near-entry prefix multiplies whole subtrees when not cut.
+// TestPrunedDominatesUnprunedByDepth asserts the pruner's headline claim on
+// chains of growing depth and on the chain and small-world swarms of 16, 64
+// and 256 peers: from depth 3 on, the pruned build's node count is strictly
+// below the unpruned build's — the duplicated near-entry prefix multiplies
+// whole subtrees when not cut — and both prune counters fire.
 func TestPrunedDominatesUnprunedByDepth(t *testing.T) {
-	prevGap := 0.0
+	var ps []Params
 	for _, peers := range []int{4, 5, 6, 8, 10} {
-		spec, err := Generate(Params{Peers: peers, Topology: Chain, Seed: 7})
+		ps = append(ps, Params{Peers: peers, Topology: Chain, Seed: 7})
+	}
+	for _, tp := range []Topology{Chain, SmallWorld} {
+		for _, peers := range []int{16, 64, 256} {
+			ps = append(ps, Params{Peers: peers, Topology: tp, Seed: 10})
+		}
+	}
+	for _, p := range ps {
+		spec, err := Generate(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,27 +185,20 @@ func TestPrunedDominatesUnprunedByDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unp, err := pdms.LoadWithOptions(spec.Mediator, pdms.Options{DisableSubsumePruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ref, err := med.Reformulate(spec.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		uref, err := unp.Reformulate(spec.Query)
-		if err != nil {
-			t.Fatal(err)
+		if spec.Depth < 3 {
+			continue
 		}
-		depth := spec.Depth
-		if depth >= 3 && ref.Stats.Nodes() >= uref.Stats.Nodes() {
-			t.Fatalf("depth %d: pruned %d ≥ unpruned %d", depth, ref.Stats.Nodes(), uref.Stats.Nodes())
+		at := fmt.Sprintf("%s/%d peers/seed %d (depth %d)", p.Topology, p.Peers, p.Seed, spec.Depth)
+		if pruned, unpruned := ref.Stats.Nodes(), unprunedNodes(t, med, spec.Query); pruned >= unpruned {
+			t.Fatalf("%s: pruned %d ≥ unpruned %d", at, pruned, unpruned)
 		}
-		gap := float64(uref.Stats.Nodes()) / float64(ref.Stats.Nodes())
-		if depth >= 3 && gap < prevGap {
-			t.Logf("depth %d: gap ratio shrank %.2f → %.2f (acceptable, but unusual)", depth, prevGap, gap)
+		if ref.Stats.PrunedSubsumed == 0 || ref.Stats.PrunedEmpty == 0 {
+			t.Fatalf("%s: prune counters silent: %+v", at, ref.Stats)
 		}
-		prevGap = gap
 	}
 }
 
@@ -188,29 +227,6 @@ func TestParamsValidation(t *testing.T) {
 		if tp.String() != s {
 			t.Fatalf("ParseTopology(%q).String() = %q", s, tp)
 		}
-	}
-}
-
-// TestMetricsGroupRegisters exercises the obs wiring: the swarm group must
-// expose the static shape and count runs.
-func TestMetricsGroupRegisters(t *testing.T) {
-	spec, err := Generate(Params{Peers: 4, Topology: Star, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Boot(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if _, err := n.Run(); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	n.RegisterMetrics(reg)
-	snap := reg.Snapshot()
-	if snap.Gauges["swarm.peers"] != 4 || snap.Counters["swarm.runs"] != 1 {
-		t.Fatalf("swarm metrics missing or wrong: gauges %v counters %v", snap.Gauges, snap.Counters)
 	}
 }
 
@@ -252,7 +268,7 @@ func TestMetricCatalogueMatchesDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if _, err := n.Run(); err != nil {
+	if _, err := n.Answers(); err != nil {
 		t.Fatal(err)
 	}
 	dir, err := store.Open(t.TempDir(), store.Options{})
@@ -261,7 +277,7 @@ func TestMetricCatalogueMatchesDocs(t *testing.T) {
 	}
 	defer dir.Close()
 	reg := obs.NewRegistry()
-	n.RegisterMetrics(reg) // swarm.* and the executor's wire.*, fragcache.*
+	n.Exec.RegisterMetrics(reg)
 	n.Mediator.RegisterMetrics(reg)
 	n.Servers[0].RegisterMetrics(reg)
 	store.RegisterMetrics(reg, dir)

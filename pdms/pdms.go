@@ -16,7 +16,6 @@
 package pdms
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -61,7 +60,6 @@ type Network struct {
 	mu   sync.RWMutex
 	spec *ppl.PDMS     // guarded by mu (Extend swaps it; queries read it)
 	data *rel.Instance // guarded by mu (all mutation goes through AddFact)
-	opts Options
 	eng  *engine.Engine
 	// specGen counts spec mutations (Extend); it keys the reformulation
 	// cache and is one component of every answer-cache key. Data mutations
@@ -98,11 +96,10 @@ type Network struct {
 	dstore *store.Dir
 }
 
-func newNetwork(spec *ppl.PDMS, data *rel.Instance, opts Options) *Network {
+func newNetwork(spec *ppl.PDMS, data *rel.Instance) *Network {
 	return &Network{
 		spec:       spec,
 		data:       data,
-		opts:       opts,
 		eng:        engine.New(data),
 		answers:    engine.NewLRU(answerCacheSize),
 		reforms:    engine.NewLRU(reformCacheSize),
@@ -112,24 +109,11 @@ func newNetwork(spec *ppl.PDMS, data *rel.Instance, opts Options) *Network {
 	}
 }
 
-// Options tunes reformulation. The zero value enables every optimization
-// from Section 4.3 of the paper and extracts all rewritings.
+// Options holds a network's deployment settings: how its stored relations
+// are partitioned and where, if anywhere, they are journaled. Reformulation
+// has no settings — every network runs the full Section 4.3 algorithm and
+// extracts every rewriting.
 type Options struct {
-	// MaxNodes caps rule-goal tree size (0 = default 2,000,000).
-	MaxNodes int
-	// MaxRewritings caps the number of conjunctive rewritings (0 = all).
-	MaxRewritings int
-	// DisableMemo, DisablePruning, DisablePriority switch off the
-	// corresponding Section 4.3 optimizations (for ablation studies).
-	DisableMemo     bool
-	DisablePruning  bool
-	DisablePriority bool
-	// DisableSubsumePruning switches off the deep-topology rule-goal-subtree
-	// pruning (hopeless-predicate and duplicate-description expansion
-	// pruning; core prune.go) — for pruned-vs-unpruned differential testing.
-	DisableSubsumePruning bool
-	// KeepRedundant keeps rewritings subsumed by others.
-	KeepRedundant bool
 	// Shards is the hash-partition count for stored relations (0 = one
 	// shard per CPU, rel.DefaultShards; 1 = the unsharded layout). Sharded
 	// relations let the engine fan scans and probes out across a bounded
@@ -145,18 +129,6 @@ type Options struct {
 	DataDir string
 }
 
-func (o Options) core() core.Options {
-	return core.Options{
-		MaxNodes:        o.MaxNodes,
-		MaxRewritings:   o.MaxRewritings,
-		NoMemo:          o.DisableMemo,
-		NoPruneUnsat:    o.DisablePruning,
-		NoPriority:      o.DisablePriority,
-		NoPruneSubsumed: o.DisableSubsumePruning,
-		KeepRedundant:   o.KeepRedundant,
-	}
-}
-
 // New returns an empty network with the given options. New cannot report
 // segment-replay errors, so it panics when opts.DataDir is set — durable
 // networks are built with Open (or Load/LoadWithOptions).
@@ -164,7 +136,7 @@ func New(opts Options) *Network {
 	if opts.DataDir != "" {
 		panic("pdms: use Open for durable networks (New cannot report replay errors)")
 	}
-	return newNetwork(ppl.New(), rel.NewInstanceSharded(opts.Shards), opts)
+	return newNetwork(ppl.New(), rel.NewInstanceSharded(opts.Shards))
 }
 
 // Open returns an empty-spec network whose stored relations are durable
@@ -176,28 +148,13 @@ func Open(opts Options) (*Network, error) {
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("pdms: Open requires Options.DataDir")
 	}
-	data, dstore, err := openDurable(opts)
+	data, dstore, _, err := store.OpenInstance(opts.DataDir, opts.Shards, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pdms: %w", err)
 	}
-	n := newNetwork(ppl.New(), data, opts)
+	n := newNetwork(ppl.New(), data)
 	n.dstore = dstore
 	return n, nil
-}
-
-// openDurable opens the segment directory, replays it, and attaches the
-// journal hooks so subsequent inserts are logged.
-func openDurable(opts Options) (*rel.Instance, *store.Dir, error) {
-	dstore, err := store.Open(opts.DataDir, store.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	data, _, err := dstore.Recover(opts.Shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	dstore.Attach(data)
-	return data, dstore, nil
 }
 
 // Load parses a PPL specification (schema declarations, mappings, storage
@@ -218,26 +175,17 @@ func LoadWithOptions(src string, opts Options) (*Network, error) {
 	data := res.Data
 	var dstore *store.Dir
 	if opts.DataDir != "" {
-		recovered, ds, err := openDurable(opts)
+		data, dstore, _, err = store.OpenInstance(opts.DataDir, opts.Shards, data)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pdms: %w", err)
 		}
-		for _, pred := range data.Relations() {
-			for _, t := range data.Relation(pred).Tuples() {
-				if _, err := recovered.Add(pred, t); err != nil {
-					// The facts journaled so far opened segment files.
-					return nil, errors.Join(fmt.Errorf("pdms: journaling %s: %w", pred, err), ds.Close())
-				}
-			}
-		}
-		data, dstore = recovered, ds
 	} else if opts.Shards > 0 && opts.Shards != rel.DefaultShards() {
 		// The parser loads into a default-sharded instance; repartition
 		// only when the caller asked for a different layout (a one-time
 		// O(rows) load cost, pointless when the counts already match).
 		data = rel.Reshard(data, opts.Shards)
 	}
-	n := newNetwork(res.PDMS, data, opts)
+	n := newNetwork(res.PDMS, data)
 	n.dstore = dstore
 	return n, nil
 }
@@ -424,7 +372,7 @@ func (n *Network) reformulatorLocked() (*core.Reformulator, error) {
 	n.reformMu.Lock()
 	defer n.reformMu.Unlock()
 	if n.reformer == nil {
-		r, err := core.New(n.spec, n.opts.core())
+		r, err := core.New(n.spec, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package pdms
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,22 +150,32 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-func TestOptionsMaxRewritings(t *testing.T) {
-	spec := `
-storage S.a(x) in A:R(x)
-storage S.b(x) in A:R(x)
-storage S.c(x) in A:R(x)
-`
-	net, err := LoadWithOptions(spec, Options{MaxRewritings: 1, KeepRedundant: true})
+// TestOptionsShardsSameAnswers: Options are deployment settings, so the
+// unsharded layout answers exactly like the default one.
+func TestOptionsShardsSameAnswers(t *testing.T) {
+	src, err := os.ReadFile("../testdata/emergency.ppl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := net.Reformulate(`q(x) :- A:R(x)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Rewriting.Len() != 1 {
-		t.Fatalf("rewriting = %v", ref.Rewriting)
+	var want []Answer
+	for i, opts := range []Options{{}, {Shards: 1}} {
+		net, err := LoadWithOptions(string(src), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := net.Query(`q(p, c) :- ECC:SkilledPerson(p, c, w)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if want = got; len(want) == 0 {
+				t.Fatal("no answers to compare")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v answers %v, %+v answers %v", opts, got, Options{}, want)
+		}
 	}
 }
 
