@@ -40,15 +40,15 @@
 //   - Distributed: the netpeer Executor caches fetched/probed bind-join
 //     fragments across queries keyed by (peer, atom pattern, bound-key-set
 //     hash), stamped with the serving peer's per-relation generation
-//     (piggybacked on every wire response) and served again only once that
-//     generation is confirmed current by a row-free revalidation round
-//     trip. A repeated identical cross-peer query ships (near) zero rows
-//     and bytes.
+//     (piggybacked on every wire response). The next fetch of a cached
+//     fragment carries that generation, and the peer answers "unchanged"
+//     with no rows while it is current. A repeated identical cross-peer
+//     query ships zero rows in one request per atom.
 //
 // Distributed execution lives in internal/netpeer: peers serve stored
 // relations over TCP (chunked streaming frames, O(chunk) memory per
-// response), and cross-peer rewritings run as streaming, adaptive,
-// pipelined bind-joins — the executor ships the distinct join keys bound
+// response), and cross-peer rewritings run as streaming, adaptive
+// bind-joins — the executor ships the distinct join keys bound
 // so far and the remote peer probes its per-shard hash indexes, so only
 // tuples that can join cross the wire. UCQ disjuncts fan out over a worker
 // pool on per-address connection pools with idle health checks;

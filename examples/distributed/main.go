@@ -112,7 +112,6 @@ func main() {
 	st := ex.WireStats()
 	fmt.Printf("\nwire traffic: %d requests, %d rows fetched, %d B sent, %d B received\n",
 		st.Requests, st.RowsFetched, st.BytesSent, st.BytesRecv)
-	fmt.Printf("streaming: largest frame %d B; %d bind batches shipped, %d pipelined (stalls paid: %d)\n",
-		st.MaxFrameBytes, st.BindBatches, st.BindBatchesPipelined,
-		st.BindBatches-st.BindBatchesPipelined)
+	fmt.Printf("streaming: largest frame %d B; %d bind batches shipped\n",
+		st.MaxFrameBytes, st.BindBatches)
 }

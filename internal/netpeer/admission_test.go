@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,8 +208,7 @@ func TestAddOp(t *testing.T) {
 
 // TestPipelinedResponsesStayOrdered writes a burst of requests on one
 // connection before reading anything, then checks every response comes
-// back in request order (the reader/handler split must preserve FIFO per
-// connection).
+// back in request order (the connection's one loop answers FIFO).
 func TestPipelinedResponsesStayOrdered(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	conn, err := net.Dial("tcp", addr)
@@ -219,7 +219,7 @@ func TestPipelinedResponsesStayOrdered(t *testing.T) {
 
 	// gens echoes the requested predicate list, so each response is
 	// attributable to its request.
-	const n = 40 // several times MaxPipeline: the burst must survive backpressure
+	const n = 40 // the whole burst sits in the socket before the first answer
 	var batch []byte
 	for i := 0; i < n; i++ {
 		b, err := json.Marshal(wire.Request{Op: "gens", Preds: []string{fmt.Sprintf("p%d", i)}})
@@ -267,8 +267,8 @@ func TestDrainFinishesPipelinedWork(t *testing.T) {
 	if _, err := conn.Write(batch); err != nil {
 		t.Fatal(err)
 	}
-	// Give the server a moment to decode the burst into its pipeline, then
-	// drain concurrently with reading the answers.
+	// Give the server a moment to read the burst, then drain concurrently
+	// with reading the answers.
 	time.Sleep(50 * time.Millisecond)
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- srv.Drain(5 * time.Second) }()
@@ -291,13 +291,73 @@ func TestDrainFinishesPipelinedWork(t *testing.T) {
 	}
 }
 
+// TestOneGoroutinePerConnection: a connection is served by one loop —
+// read, admit, handle, write — with no read-ahead goroutine beside it, so
+// 50 idle connections cost the server 50 goroutines, not 100.
+func TestOneGoroutinePerConnection(t *testing.T) {
+	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
+	const conns, slack = 50, 10
+	before := runtime.NumGoroutine()
+	for i := 0; i < conns; i++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew > conns+slack {
+		t.Fatalf("%d idle connections grew the goroutine count by %d, want at most %d", conns, grew, conns+slack)
+	}
+}
+
+// TestPoolKeepsBurstConnections: the pool's one bound is the total
+// connection cap (idle + borrowed), so a second 16-way burst against the
+// same peer reuses every connection the first one opened — no new dials.
+func TestPoolKeepsBurstConnections(t *testing.T) {
+	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
+	ex := NewExecutor()
+	t.Cleanup(func() { ex.Close() })
+	const width = 16
+	burst := func() uint64 {
+		before := ex.WireStats().Dials
+		var borrowed, done sync.WaitGroup
+		borrowed.Add(width)
+		for i := 0; i < width; i++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				err := ex.withClient(addr, func(c *Client) error {
+					// Hold the connection until all 16 are borrowed at once.
+					borrowed.Done()
+					borrowed.Wait()
+					return c.Ping()
+				})
+				if err != nil {
+					t.Errorf("ping: %v", err)
+				}
+			}()
+		}
+		done.Wait()
+		return ex.WireStats().Dials - before
+	}
+	if d := burst(); d != width {
+		t.Fatalf("first burst dialed %d connections, want %d", d, width)
+	}
+	if d := burst(); d != 0 {
+		t.Fatalf("second burst dialed %d connections, want 0 (the first burst's were closed)", d)
+	}
+}
+
 // TestPoolCapsDialStorm floods one pool from many goroutines and checks
 // the per-address connection cap holds: dials stay at or below the cap
 // while excess borrowers wait (counted) instead of opening sockets.
 func TestPoolCapsDialStorm(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ex := NewExecutor()
-	ex.MaxConnsPerAddr = 4
+	ex.maxConnsPerAddr = 4
 	t.Cleanup(func() { ex.Close() })
 	if err := ex.Discover(addr); err != nil {
 		t.Fatal(err)
@@ -370,8 +430,8 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 	}
 
 	ex := NewExecutor()
-	ex.BusyRetries = 10000 // effectively retry-until-admitted for this test
-	ex.BusyBackoff = time.Millisecond
+	ex.busyRetries = 10000 // effectively retry-until-admitted for this test
+	ex.busyBackoff = time.Millisecond
 	t.Cleanup(func() { ex.Close() })
 	ex.Route("A.big", addr)
 
@@ -419,7 +479,7 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 func TestPoolHandsConnectionToWaiter(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
-	p := newPool(addr, ctrs, nil, 0, 1)
+	p := newPool(addr, ctrs, nil, defaultIdlePingAfter, 1)
 	t.Cleanup(func() { p.close() })
 
 	c, reused, err := p.get()
@@ -483,7 +543,7 @@ func TestPoolHandsConnectionToWaiter(t *testing.T) {
 func TestRedialWaitHandsOffAndCountsOnce(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
-	p := newPool(addr, ctrs, nil, 0, 1)
+	p := newPool(addr, ctrs, nil, defaultIdlePingAfter, 1)
 	t.Cleanup(func() { p.close() })
 
 	c, _, err := p.get()
@@ -578,8 +638,8 @@ func TestCloseAbortsBusyBackoff(t *testing.T) {
 
 	ex := NewExecutor()
 	t.Cleanup(func() { ex.Close() })
-	ex.BusyRetries = 1 << 20 // never exhausted while the slot stays pinned
-	ex.BusyBackoff = maxBusyBackoff
+	ex.busyRetries = 1 << 20 // never exhausted while the slot stays pinned
+	ex.busyBackoff = maxBusyBackoff
 	ex.Route("A.big", addr)
 	errCh := make(chan error, 1)
 	go func() {

@@ -63,14 +63,11 @@ func BenchmarkBindJoin(b *testing.B) {
 }
 
 // reportWireDeltas reports per-op wire metrics between two counter
-// snapshots: the shipping savings (rows/bytes) and the sequential
-// round-trip stalls paid on the bind path (batches minus the batches that
-// overlapped an in-flight response).
+// snapshots: the shipping savings (rows/bytes) and the requests paid.
 func reportWireDeltas(b *testing.B, st, base WireStats) {
 	b.ReportMetric(float64(st.RowsFetched-base.RowsFetched)/float64(b.N), "rows-fetched/op")
 	b.ReportMetric(float64(st.BytesRecv-base.BytesRecv)/float64(b.N), "bytes-recv/op")
-	stalls := (st.BindBatches - st.BindBatchesPipelined) - (base.BindBatches - base.BindBatchesPipelined)
-	b.ReportMetric(float64(stalls)/float64(b.N), "seq-stalls/op")
+	b.ReportMetric(float64(st.Requests-base.Requests)/float64(b.N), "requests/op")
 	b.ReportMetric(float64(st.MaxFrameBytes), "max-frame-bytes")
 }
 
@@ -163,8 +160,8 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 // BenchmarkFragmentCacheRepeat is the repeated-bind-join headline: the
 // same skewed cross-peer join as BenchmarkBindJoin, issued repeatedly
 // through one executor. "cold" refetches every fragment per query (the
-// cache is cleared before each); "reval" serves cached fragments after one
-// row-free gens round trip per atom. The rows-fetched/op and bytes-recv/op
+// cache is cleared before each); "warm" serves cached fragments after one
+// row-free unchanged answer per atom. The rows-fetched/op and bytes-recv/op
 // metrics show the second and later identical queries shipping (near) zero.
 func BenchmarkFragmentCacheRepeat(b *testing.B) {
 	const (
@@ -192,7 +189,7 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 		cold bool
 	}{
 		{"cold", true},
-		{"reval", false},
+		{"warm", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ex := NewExecutor()
@@ -228,7 +225,6 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 			if n := frag.Hits + frag.Misses - fragBase.Hits - fragBase.Misses; n > 0 {
 				b.ReportMetric(float64(frag.Hits-fragBase.Hits)/float64(n), "frag-hit-rate")
 			}
-			b.ReportMetric(float64(frag.Revalidations-fragBase.Revalidations)/float64(b.N), "revalidations/op")
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 
 	"repro/internal/lang"
 	"repro/internal/obs"
@@ -33,11 +32,16 @@ type Client struct {
 	// executor's pool so estimates refresh continuously). dists is nil when
 	// the serving peer predates the Distinct extension.
 	onMeta func(preds []string, cards []int, dists [][]float64)
-	// tapMeta, when non-nil, receives the relation generations piggybacked
-	// on the same frames for the duration of one logical call —
-	// the executor installs it around a fragment fetch to stamp the cached
-	// fragment with the generation its own response frames reported.
-	tapMeta func(preds []string, gens []uint64)
+	// tapMeta, when non-nil, receives the same final frames for the
+	// duration of one logical call — the executor installs it around a
+	// fragment fetch to learn the generation its own response frames
+	// reported and whether the peer answered unchanged.
+	tapMeta func(final *wire.Response)
+	// ifGen, when non-nil, makes the next fragment fetch conditional on a
+	// cached copy at that generation: EvalStream sends it, BindEvalStream
+	// sends it with its first batch. Installed for one logical call, like
+	// tapMeta.
+	ifGen *uint64
 	// traceSpan, when non-nil, marks requests on this client as traced:
 	// each request carries the span's trace ID and span ID, and the spans
 	// shipped back on final frames are adopted under it, labeled with the
@@ -101,7 +105,8 @@ func (c *Client) TraceOn(sp *obs.Span) *Client {
 // and a final one. onRows (when non-nil) receives each frame's rows as
 // they arrive; an onRows error abandons the stream (unread frames desync
 // the connection, so it is closed and marked broken). A remote error frame
-// is terminal but well-framed: the connection stays usable.
+// is terminal but well-framed: the connection stays usable. An unchanged
+// final frame delivers no rows, even if a broken peer put some in it.
 func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error) {
 	for {
 		frame, err := wire.ReadFrame(c.br, c.maxFrame)
@@ -136,7 +141,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 		if c.counters != nil {
 			c.counters.rowsFetched.Add(uint64(len(resp.Rows)))
 		}
-		if onRows != nil && len(resp.Rows) > 0 {
+		if onRows != nil && len(resp.Rows) > 0 && !resp.Unchanged {
 			if err := onRows(resp.Rows); err != nil {
 				c.broken = true
 				c.conn.Close()
@@ -152,7 +157,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 					c.onMeta(resp.Preds, resp.Cards, resp.Distinct)
 				}
 				if c.tapMeta != nil {
-					c.tapMeta(resp.Preds, resp.Gens)
+					c.tapMeta(&resp)
 				}
 			}
 			if c.traceSpan != nil && len(resp.Spans) > 0 {
@@ -247,26 +252,6 @@ func (c *Client) CatalogMeta() (map[string]int, map[string][]float64, error) {
 	return cards, dists, nil
 }
 
-// Gens asks the peer for the current generation (monotonic insert counter)
-// of each named relation — the fragment cache's cheap revalidation round
-// trip: no rows cross the wire, and a relation the peer does not serve
-// reports generation 0.
-func (c *Client) Gens(preds []string) (map[string]uint64, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "gens", Preds: preds})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]uint64, len(resp.Preds))
-	for i, p := range resp.Preds {
-		if i < len(resp.Gens) {
-			out[p] = resp.Gens[i]
-		} else {
-			out[p] = 0
-		}
-	}
-	return out, nil
-}
-
 // Ping performs a no-op round trip, verifying the connection and the peer
 // are alive. Connection pools use it to health-check idle-too-long
 // connections before reuse.
@@ -318,7 +303,7 @@ func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
 // tuple as chunks arrive, in stream (not sorted) order.
 func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
 	wq := wire.FromCQ(q)
-	_, err := c.roundTripStream(wire.Request{Op: "eval", Query: &wq}, rowsToYield(yield))
+	_, err := c.roundTripStream(wire.Request{Op: "eval", Query: &wq, IfGen: c.ifGen}, rowsToYield(yield))
 	return err
 }
 
@@ -339,9 +324,6 @@ func (c *Client) Eval(q lang.CQ) ([]rel.Tuple, error) {
 const (
 	bindBatchSize     = 1024
 	bindBatchMaxBytes = 4 << 20
-	// bindPipelineDepth is how many bind batches a client keeps in flight:
-	// batch i+1 ships while batch i's rows stream back.
-	bindPipelineDepth = 4
 )
 
 // bindBatchStarts cuts rows into request batches: a new batch starts at
@@ -368,125 +350,46 @@ func bindBatchStarts(rows [][]string) []int {
 // BindEvalStream fetches the tuples of atom a that match the atom's
 // constants and, at the bindCols positions, at least one of the bound-key
 // rows, invoking yield as chunks arrive. Keys ship in row- and
-// byte-bounded batches with up to bindPipelineDepth requests in flight:
-// batch i+1 is written while batch i's rows are still streaming back, so
-// consecutive batches pay no sequential round-trip stall. The stream may
-// contain duplicates across batches — callers deduplicate.
+// byte-bounded batches, one request after another. A conditional call
+// (the borrower installed ifGen) sends the generation with the first batch
+// only: an unchanged answer ends the call, so the remaining batches are
+// never sent. The stream may contain duplicates across batches — callers
+// deduplicate.
 func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yield func(rel.Tuple) error) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	wa := wire.FromAtom(a)
 	starts := bindBatchStarts(rows)
-	nb := len(starts)
-	// Per-batch trace spans: the writer creates batch i's span and hands it
-	// through spanCh — buffered to nb, so the writer never blocks on it and
-	// unread spans are simply dropped on an error exit — before encoding
-	// the request; the reader installs it as the client's adoption target
-	// while batch i's response streams back, then ends it.
+	// Each batch gets its own trace span, installed as the adoption target
+	// of the serving peer's spans while the batch's response streams back.
 	parent := c.traceSpan
-	var spanCh chan *obs.Span
-	if parent != nil {
-		spanCh = make(chan *obs.Span, nb)
-		defer func() { c.traceSpan = parent }()
+	defer func() { c.traceSpan = parent }()
+	ifGen := c.ifGen
+	for i, start := range starts {
+		end := len(rows)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		bs := parent.Child("bind.batch", obs.Attr{K: "pred", V: a.Pred})
+		bs.SetInt("batch", int64(i))
+		bs.SetInt("keys", int64(end-start))
+		c.traceSpan = bs
+		if c.counters != nil {
+			c.counters.bindBatches.Add(1)
+		}
+		final, err := c.roundTripStream(wire.Request{
+			Op:       "bind",
+			Atom:     &wa,
+			BindCols: bindCols,
+			BindRows: rows[start:end],
+			IfGen:    ifGen,
+		}, rowsToYield(yield))
+		bs.End()
+		if err != nil || final.Unchanged {
+			return err
+		}
+		ifGen = nil
 	}
-	var responsesDone atomic.Uint64
-	sem := make(chan struct{}, bindPipelineDepth)
-	abort := make(chan struct{})
-	writeErr := make(chan error, 1)
-	go func() {
-		writeErr <- func() error {
-			for i := 0; i < nb; i++ {
-				select {
-				case sem <- struct{}{}:
-				case <-abort:
-					return nil
-				}
-				end := len(rows)
-				if i+1 < nb {
-					end = starts[i+1]
-				}
-				if c.counters != nil {
-					c.counters.requests.Add(1)
-					c.counters.bindBatches.Add(1)
-					if uint64(i) > responsesDone.Load() {
-						c.counters.bindPipelined.Add(1)
-					}
-				}
-				req := wire.Request{
-					Op:       "bind",
-					Atom:     &wa,
-					BindCols: bindCols,
-					BindRows: rows[starts[i]:end],
-				}
-				if spanCh != nil {
-					bs := parent.Child("bind.batch", obs.Attr{K: "pred", V: a.Pred})
-					bs.SetInt("batch", int64(i))
-					bs.SetInt("keys", int64(end-starts[i]))
-					if bs != nil {
-						req.Trace = bs.TraceID()
-						req.Span = bs.ID()
-					}
-					spanCh <- bs
-				}
-				if err := c.enc.Encode(req); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-	}()
-	var readErr error
-	read := 0
-	for ; read < nb; read++ {
-		if spanCh != nil {
-			c.traceSpan = <-spanCh
-		}
-		_, err := c.readStream(rowsToYield(yield))
-		if spanCh != nil {
-			c.traceSpan.End()
-		}
-		responsesDone.Add(1)
-		select {
-		case <-sem:
-		default:
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
-	}
-	if readErr == nil {
-		werr := <-writeErr
-		if werr != nil {
-			c.broken = true
-			return werr
-		}
-		return nil
-	}
-	if !c.broken && read+1 == nb {
-		// The error frame was well-framed and answers the last batch. The
-		// server answers a batch only after reading its request through
-		// the newline, so every request is off the writer's hands and every
-		// response has been read: the stream is in sync, and the writer is
-		// past its last write, at most not yet scheduled to post. Joining
-		// it cannot deadlock, and a non-blocking look would call a healthy
-		// connection desynced whenever the reader got here first.
-		if werr := <-writeErr; werr != nil {
-			c.broken = true
-			c.conn.Close()
-		}
-		return readErr
-	}
-	// Transport failure, or later batches are being written or have
-	// responses in flight that will never be read: the stream is desynced.
-	// Joining a writer that is mid-write would deadlock (the server stops
-	// reading requests while we stop reading its responses), so kill the
-	// connection first — that unblocks a writer stuck in a socket write —
-	// then stop and join it.
-	c.broken = true
-	c.conn.Close()
-	close(abort)
-	<-writeErr
-	return readErr
+	return nil
 }

@@ -47,19 +47,18 @@ func (s *Server) Stats() ServerStats {
 // pooled connection of one Executor. All fields are updated atomically;
 // safe for concurrent use.
 type Counters struct {
-	requests      atomic.Uint64
-	rowsFetched   atomic.Uint64
-	bytesSent     atomic.Uint64
-	bytesRecv     atomic.Uint64
-	maxFrame      atomic.Uint64
-	bindBatches   atomic.Uint64
-	bindPipelined atomic.Uint64
-	healthPings   atomic.Uint64
-	healthDrops   atomic.Uint64
-	dials         atomic.Uint64
-	poolWaits     atomic.Uint64
-	busyRetries   atomic.Uint64
-	distinctMeta  atomic.Uint64
+	requests     atomic.Uint64
+	rowsFetched  atomic.Uint64
+	bytesSent    atomic.Uint64
+	bytesRecv    atomic.Uint64
+	maxFrame     atomic.Uint64
+	bindBatches  atomic.Uint64
+	healthPings  atomic.Uint64
+	healthDrops  atomic.Uint64
+	dials        atomic.Uint64
+	poolWaits    atomic.Uint64
+	busyRetries  atomic.Uint64
+	distinctMeta atomic.Uint64
 }
 
 // WireStats is a snapshot of client-side wire counters.
@@ -77,11 +76,8 @@ type WireStats struct {
 	// chunked streaming it stays near wire.ChunkMaxBytes no matter how
 	// large a result is.
 	MaxFrameBytes uint64
-	// BindBatches counts bound-key batches shipped; BindBatchesPipelined
-	// counts those written while an earlier batch's response was still
-	// streaming back. Their difference is the number of sequential
-	// round-trip stalls paid on the bind path.
-	BindBatches, BindBatchesPipelined uint64
+	// BindBatches counts bound-key batches shipped, one bind request each.
+	BindBatches uint64
 	// HealthPings counts idle-too-long pooled connections pinged before
 	// reuse; HealthDrops counts those the ping found dead (closed and
 	// replaced by a fresh dial instead of surfacing a first-use failure).
@@ -106,19 +102,18 @@ type WireStats struct {
 // Snapshot returns the current counter values.
 func (ct *Counters) Snapshot() WireStats {
 	return WireStats{
-		Requests:             ct.requests.Load(),
-		RowsFetched:          ct.rowsFetched.Load(),
-		BytesSent:            ct.bytesSent.Load(),
-		BytesRecv:            ct.bytesRecv.Load(),
-		MaxFrameBytes:        ct.maxFrame.Load(),
-		BindBatches:          ct.bindBatches.Load(),
-		BindBatchesPipelined: ct.bindPipelined.Load(),
-		HealthPings:          ct.healthPings.Load(),
-		HealthDrops:          ct.healthDrops.Load(),
-		Dials:                ct.dials.Load(),
-		PoolWaits:            ct.poolWaits.Load(),
-		BusyRetries:          ct.busyRetries.Load(),
-		DistinctMeta:         ct.distinctMeta.Load(),
+		Requests:      ct.requests.Load(),
+		RowsFetched:   ct.rowsFetched.Load(),
+		BytesSent:     ct.bytesSent.Load(),
+		BytesRecv:     ct.bytesRecv.Load(),
+		MaxFrameBytes: ct.maxFrame.Load(),
+		BindBatches:   ct.bindBatches.Load(),
+		HealthPings:   ct.healthPings.Load(),
+		HealthDrops:   ct.healthDrops.Load(),
+		Dials:         ct.dials.Load(),
+		PoolWaits:     ct.poolWaits.Load(),
+		BusyRetries:   ct.busyRetries.Load(),
+		DistinctMeta:  ct.distinctMeta.Load(),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
 // TestPlanOrderUsesDistinctAndFallsBack pins the two halves of the Distinct
@@ -45,6 +46,38 @@ func TestPlanOrderUsesDistinctAndFallsBack(t *testing.T) {
 	e.dist["A.r"] = []float64{2, 100}
 	if got := e.planOrder(q); got[0] != 1 {
 		t.Fatalf("distinct-aware order should lead with B.s: %v", got)
+	}
+}
+
+// TestDistinctOnlyOnFoldedReplies: the per-column distinct estimates cost
+// a sketch merge per relation, so only the replies the executor folds them
+// from carry them — a bind reply does, add and gens replies do not.
+func TestDistinctOnlyOnFoldedReplies(t *testing.T) {
+	addr := startServer(t, map[string][]rel.Tuple{"A.r": {{"1", "x"}, {"2", "x"}}})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wa := wire.FromAtom(lang.NewAtom("A.r", lang.Var("k"), lang.Var("v")))
+	for _, tc := range []struct {
+		req      wire.Request
+		distinct bool
+	}{
+		{wire.Request{Op: "add", Pred: "A.r", Rows: [][]string{{"3", "y"}}}, false},
+		{wire.Request{Op: "gens", Preds: []string{"A.r"}}, false},
+		{wire.Request{Op: "bind", Atom: &wa, BindCols: []int{0}, BindRows: [][]string{{"1"}}}, true},
+	} {
+		resp, err := c.roundTrip(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.req.Op, err)
+		}
+		if len(resp.Gens) != 1 {
+			t.Fatalf("%s reply lost its generation: %+v", tc.req.Op, resp)
+		}
+		if got := len(resp.Distinct) == 1 && len(resp.Distinct[0]) == 2; got != tc.distinct {
+			t.Fatalf("%s reply distinct = %v, want present=%v", tc.req.Op, resp.Distinct, tc.distinct)
+		}
 	}
 }
 

@@ -39,8 +39,7 @@ const defaultIdlePingAfter = 60 * time.Second
 // Executor evaluates reformulated unions of conjunctive queries across the
 // peer network. It routes each conjunctive rewriting to the single peer
 // serving all its stored relations when possible (full push-down); when a
-// rewriting spans peers it runs a streaming, adaptive, pipelined
-// bind-join:
+// rewriting spans peers it runs a streaming, adaptive bind-join:
 //
 //   - Atoms are ordered by the engine planner's selectivity heuristic
 //     (cardinalities learned at Discover time and refreshed from the
@@ -50,48 +49,30 @@ const defaultIdlePingAfter = 60 * time.Second
 //     sequential pass over the partial extends every match, so no per-step
 //     prefix re-evaluation happens.
 //   - Per atom the executor ships the distinct join-key values bound so
-//     far ("bind" op) in pipelined batches — batch i+1 is written while
-//     batch i's rows are still streaming back — unless the peer's
-//     advertised cardinality says the whole selection-pushed relation is
-//     smaller than the key set: then fetching it outright moves fewer
-//     bytes, and the executor adapts.
+//     far ("bind" op) in batches, one request after another, unless the
+//     peer's advertised cardinality says the whole selection-pushed
+//     relation is smaller than the key set: then fetching it outright
+//     moves fewer bytes, and the executor adapts.
 //   - Fetched and probed fragments are cached *across queries* keyed by
-//     (peer, canonical atom pattern, bound-key-set hash) in a size-bounded
+//     (peer, canonical atom pattern, bound-key-set hash) in a byte-bounded
 //     LRU, stamped with the relation's generation as reported by the
 //     fetch's own response frames (a fetch whose frames disagree — a
-//     mutation landed mid-fetch — is not cached). A cached fragment is
-//     served again only once its stamped generation is confirmed current
-//     by a tiny row-free "gens" round trip, so a repeat of an identical
-//     query ships (near) zero rows while mutations on the peer invalidate
-//     exactly the fragments of the mutated relation.
+//     mutation landed mid-fetch — is not cached). The next fetch of a
+//     cached fragment carries its generation, and the peer answers
+//     "unchanged" with no rows while that generation is current: a repeat
+//     of an identical query ships zero rows in one request per atom,
+//     while mutations on the peer refresh exactly the fragments of the
+//     mutated relation.
 //
 // UCQ disjuncts are evaluated concurrently over a worker pool; all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
 // connection pools (a single Client is not safe for concurrent use; pooled
-// connections idle past IdlePingAfter are pinged before reuse so a peer
-// restart is absorbed by a fresh dial instead of a first-request failure).
+// connections idle past defaultIdlePingAfter are pinged before reuse so a
+// peer restart is absorbed by a fresh dial instead of a first-request
+// failure). A request shed by a peer's admission gate is retried after a
+// full-jitter exponential backoff — it never started, so the retry is
+// safe for any op.
 type Executor struct {
-	// IdlePingAfter is the idle age beyond which pooled connections are
-	// pinged before reuse (0 = defaultIdlePingAfter; negative disables
-	// health checks). Set before issuing queries: pools capture it when
-	// first created for an address.
-	IdlePingAfter time.Duration
-	// MaxConnsPerAddr caps total open connections (idle + borrowed) per
-	// peer address (0 = defaultMaxConnsPerAddr). Borrowers beyond the cap
-	// wait for a slot instead of dialing — the dial-storm guard. Set
-	// before issuing queries: pools capture it when first created.
-	MaxConnsPerAddr int
-	// BusyRetries is how many times a request shed by a peer's admission
-	// gate (in-band busy error) is retried after a jittered exponential
-	// backoff before the error surfaces (0 = defaultBusyRetries; negative
-	// disables retries). A shed request never started on the server, so
-	// the retry is safe for any op. Set before issuing queries.
-	BusyRetries int
-	// BusyBackoff is the base of the busy-retry backoff: retry i (from 0)
-	// sleeps a uniform random duration in (0, BusyBackoff<<i] — full
-	// jitter, so a shed burst does not come back as a synchronized burst
-	// (0 = defaultBusyBackoff). Set before issuing queries.
-	BusyBackoff time.Duration
 	// SpillDir / SpillBudget bound the memory of the materialized partial
 	// join: each partial-join buffer keeps at most SpillBudget accounted
 	// bytes (store.TupleBytes) in memory and overflows the rest to spill
@@ -101,6 +82,15 @@ type Executor struct {
 	// itself runs the same way either way. Set before issuing queries.
 	SpillDir    string
 	SpillBudget int64
+
+	// idlePingAfter, maxConnsPerAddr, busyRetries and busyBackoff hold the
+	// default* constants of the same names; NewExecutor sets them, and
+	// tests shrink them before issuing queries (pools capture the first
+	// two when first created for an address).
+	idlePingAfter   time.Duration
+	maxConnsPerAddr int
+	busyRetries     int
+	busyBackoff     time.Duration
 
 	mu sync.Mutex
 	// addr maps each stored relation to the address of the serving peer.
@@ -135,12 +125,16 @@ type Executor struct {
 // NewExecutor creates an executor with an empty routing table.
 func NewExecutor() *Executor {
 	return &Executor{
-		addr:  map[string]string{},
-		card:  map[string]int{},
-		dist:  map[string][]float64{},
-		pools: map[string]*pool{},
-		abort: make(chan struct{}),
-		frags: newFragCache(defaultFragEntries, defaultFragBytes),
+		idlePingAfter:   defaultIdlePingAfter,
+		maxConnsPerAddr: defaultMaxConnsPerAddr,
+		busyRetries:     defaultBusyRetries,
+		busyBackoff:     defaultBusyBackoff,
+		addr:            map[string]string{},
+		card:            map[string]int{},
+		dist:            map[string][]float64{},
+		pools:           map[string]*pool{},
+		abort:           make(chan struct{}),
+		frags:           newFragCache(defaultFragBytes),
 	}
 }
 
@@ -245,18 +239,11 @@ func (e *Executor) Close() error {
 
 // pool returns (creating if needed) the connection pool for addr.
 func (e *Executor) pool(addr string) *pool {
-	pingAfter := e.IdlePingAfter
-	if pingAfter == 0 {
-		pingAfter = defaultIdlePingAfter
-	}
-	if pingAfter < 0 {
-		pingAfter = 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	p, ok := e.pools[addr]
 	if !ok {
-		p = newPool(addr, &e.counters, e.updateMeta, pingAfter, e.MaxConnsPerAddr)
+		p = newPool(addr, &e.counters, e.updateMeta, e.idlePingAfter, e.maxConnsPerAddr)
 		e.pools[addr] = p
 	}
 	return p
@@ -271,17 +258,6 @@ func (e *Executor) pool(addr string) *pool {
 // the pending busy error surfaces immediately rather than holding the
 // caller (and shutdown) for the remaining backoff budget.
 func (e *Executor) withClient(addr string, fn func(*Client) error) error {
-	retries := e.BusyRetries
-	switch {
-	case retries == 0:
-		retries = defaultBusyRetries
-	case retries < 0:
-		retries = 0
-	}
-	backoff := e.BusyBackoff
-	if backoff <= 0 {
-		backoff = defaultBusyBackoff
-	}
 	// Captured once at call start: a Close during any later backoff (or
 	// between attempts) of this call closes exactly this channel, while
 	// calls arriving after Close get the replacement and retry as usual.
@@ -291,15 +267,15 @@ func (e *Executor) withClient(addr string, fn func(*Client) error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = e.withClientOnce(addr, fn)
-		if err == nil || !errors.Is(err, ErrBusy) || attempt >= retries {
+		if err == nil || !errors.Is(err, ErrBusy) || attempt >= e.busyRetries {
 			return err
 		}
 		e.counters.busyRetries.Add(1)
-		// Full jitter: a uniform sleep in (0, backoff<<attempt] decorrelates
-		// the retries of a shed burst instead of replaying it in lockstep.
-		// The step is capped so high retry budgets neither overflow the
-		// shift nor sleep unboundedly.
-		step := backoff
+		// Full jitter: a uniform sleep in (0, busyBackoff<<attempt]
+		// decorrelates the retries of a shed burst instead of replaying it
+		// in lockstep. The step is capped so high retry budgets neither
+		// overflow the shift nor sleep unboundedly.
+		step := e.busyBackoff
 		for i := 0; i < attempt && step < maxBusyBackoff; i++ {
 			step <<= 1
 		}

@@ -15,41 +15,39 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
-// Defaults for the executor's cross-query fragment cache. The byte budget
-// counts tuple value bytes (the dominant cost); entries whose fragment
-// exceeds maxFragEntryBytes are not cached at all — one huge fragment must
-// not evict the whole working set for a single future hit.
+// The executor's cross-query fragment cache is bounded by bytes alone,
+// accounted as store.TupleBytes per row plus the key's length — the unit
+// RowBuffer spill budgets use. A fragment over maxFragEntryBytes is not
+// cached at all: one huge fragment must not evict the whole working set
+// for a single future hit.
 const (
-	defaultFragEntries = 512
-	defaultFragBytes   = 64 << 20
-	maxFragEntryBytes  = defaultFragBytes / 8
+	defaultFragBytes  = 64 << 20
+	maxFragEntryBytes = defaultFragBytes / 8
 )
 
 // FragmentStats is a snapshot of the executor's cross-query fragment-cache
 // counters.
 type FragmentStats struct {
-	// Hits counts atom fetches served from the cache (after the entry's
-	// generation was confirmed current); Misses counts atom fetches that
-	// went to the wire.
+	// Hits counts atom fetches the serving peer answered unchanged, served
+	// from the cache; Misses counts atom fetches whose rows crossed the
+	// wire.
 	Hits, Misses uint64
-	// Invalidations counts cached fragments dropped because the serving
+	// Invalidations counts cached fragments replaced because the serving
 	// peer's generation for the fragment's relation had moved past the
 	// generation the fragment was fetched at.
 	Invalidations uint64
-	// Evictions counts entries dropped by LRU capacity pressure (entry or
-	// byte budget), not staleness.
+	// Evictions counts entries dropped by the LRU byte budget, not
+	// staleness.
 	Evictions uint64
-	// Revalidations counts gens round trips issued to confirm a candidate
-	// entry's generation before serving it (zero-row requests).
-	Revalidations uint64
 	// Entries and Bytes describe the current cache contents.
 	Entries int
 	Bytes   int64
 	// SpilledEntries counts entries whose rows currently live in a spill
-	// file instead of memory; MemBytes is the tuple bytes actually resident
-	// (Bytes minus the spilled portion).
+	// file instead of memory; MemBytes is the accounted bytes actually
+	// resident (Bytes minus the spilled portion).
 	SpilledEntries int
 	MemBytes       int64
 }
@@ -61,17 +59,16 @@ type FragmentStats struct {
 // the spill file at path file (rows == nil) and stream back per lookup.
 type fragEntry struct {
 	key   string
-	pred  string
 	gen   uint64
 	bytes int64
 	rows  []rel.Tuple
 	file  string
 }
 
-// fragCache is a size-bounded (entries and bytes) LRU of fragEntries,
-// safe for concurrent use. Staleness is the executor's call — the cache
-// only stores generations and drops entries on demand — because deciding
-// freshness may involve a revalidation round trip the cache cannot issue.
+// fragCache is a byte-bounded LRU of fragEntries, safe for concurrent use.
+// Staleness is the serving peer's call — the executor sends an entry's
+// generation with the fetch that would refresh it — so the cache only
+// stores generations and records the outcome.
 //
 // With a spill configuration set, the cache additionally bounds *resident*
 // bytes: when memBytes exceeds memBudget, the coldest in-memory entries
@@ -80,12 +77,11 @@ type fragEntry struct {
 // back from disk — so a large cold working set trades latency for memory
 // instead of being evicted outright.
 type fragCache struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	ll         *list.List
-	items      map[string]*list.Element
-	bytes      int64
+	mu       sync.Mutex
+	maxBytes int64
+	ll       *list.List
+	items    map[string]*list.Element
+	bytes    int64
 	// spillDir/memBudget configure cold-entry spilling (zero values keep
 	// everything resident); memBytes tracks the resident portion of bytes.
 	// Guarded by mu.
@@ -93,30 +89,15 @@ type fragCache struct {
 	memBudget int64
 	memBytes  int64
 
-	hits, misses, invalidations, evictions, revalidations uint64
+	hits, misses, invalidations, evictions uint64
 }
 
-func newFragCache(maxEntries int, maxBytes int64) *fragCache {
+func newFragCache(maxBytes int64) *fragCache {
 	return &fragCache{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		ll:         list.New(),
-		items:      map[string]*list.Element{},
+		maxBytes: maxBytes,
+		ll:       list.New(),
+		items:    map[string]*list.Element{},
 	}
-}
-
-// setLimits adjusts the capacity bounds, evicting immediately if the cache
-// is over the new budget.
-func (fc *fragCache) setLimits(maxEntries int, maxBytes int64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if maxEntries > 0 {
-		fc.maxEntries = maxEntries
-	}
-	if maxBytes > 0 {
-		fc.maxBytes = maxBytes
-	}
-	fc.evictOverLocked()
 }
 
 // setSpill configures cold-entry spilling: once resident tuple bytes exceed
@@ -130,10 +111,10 @@ func (fc *fragCache) setSpill(dir string, memBudget int64) {
 }
 
 // lookup returns the entry under key without deciding whether it is fresh:
-// the caller compares gen against the peer's current generation and then
-// reports the outcome via confirmHit or invalidate. A spilled entry's rows
-// stream back from its file; an unreadable spill file drops the entry and
-// misses. The returned rows are shared — callers must not mutate them.
+// the caller sends gen with its fetch and then reports the outcome via hit
+// or missed. A spilled entry's rows stream back from its file; an
+// unreadable spill file drops the entry and misses. The returned rows are
+// shared — callers must not mutate them.
 func (fc *fragCache) lookup(key string) (rows []rel.Tuple, gen uint64, ok bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -153,9 +134,9 @@ func (fc *fragCache) lookup(key string) (rows []rel.Tuple, gen uint64, ok bool) 
 	return ent.rows, ent.gen, true
 }
 
-// confirmHit records a generation-confirmed cache hit and promotes the
+// hit records a fetch the serving peer answered unchanged and promotes the
 // entry to most-recently-used.
-func (fc *fragCache) confirmHit(key string) {
+func (fc *fragCache) hit(key string) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	if el, ok := fc.items[key]; ok {
@@ -164,34 +145,27 @@ func (fc *fragCache) confirmHit(key string) {
 	fc.hits++
 }
 
-// invalidate drops the entry under key because its generation went stale.
-func (fc *fragCache) invalidate(key string) {
+// missed records a fetch whose rows crossed the wire. A stale entry — one
+// the fetch carried the generation of, which the peer did not confirm — is
+// dropped and counted as an invalidation.
+func (fc *fragCache) missed(key string, stale bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if el, ok := fc.items[key]; ok {
+	fc.misses++
+	if el, ok := fc.items[key]; stale && ok {
 		fc.removeLocked(el)
 		fc.invalidations++
 	}
 }
 
-// missed records one cache miss (cold key or just-invalidated entry).
-func (fc *fragCache) missed() {
-	fc.mu.Lock()
-	fc.misses++
-	fc.mu.Unlock()
-}
-
-// revalidated records one gens round trip issued on behalf of the cache.
-func (fc *fragCache) revalidated() {
-	fc.mu.Lock()
-	fc.revalidations++
-	fc.mu.Unlock()
-}
-
 // put stores a fragment, evicting least-recently-used entries while over
-// either capacity bound. Oversized fragments are dropped silently: caching
-// them would wipe the rest of the working set.
-func (fc *fragCache) put(key, pred string, gen uint64, rows []rel.Tuple, bytes int64) {
+// the byte budget. Oversized fragments are dropped silently: caching them
+// would wipe the rest of the working set.
+func (fc *fragCache) put(key string, gen uint64, rows []rel.Tuple) {
+	bytes := int64(len(key))
+	for _, t := range rows {
+		bytes += store.TupleBytes(t)
+	}
 	if bytes > maxFragEntryBytes {
 		return
 	}
@@ -211,7 +185,7 @@ func (fc *fragCache) put(key, pred string, gen uint64, rows []rel.Tuple, bytes i
 		fc.memBytes += bytes
 		fc.ll.MoveToFront(el)
 	} else {
-		fc.items[key] = fc.ll.PushFront(&fragEntry{key: key, pred: pred, gen: gen, rows: rows, bytes: bytes})
+		fc.items[key] = fc.ll.PushFront(&fragEntry{key: key, gen: gen, rows: rows, bytes: bytes})
 		fc.bytes += bytes
 		fc.memBytes += bytes
 	}
@@ -220,7 +194,7 @@ func (fc *fragCache) put(key, pred string, gen uint64, rows []rel.Tuple, bytes i
 }
 
 func (fc *fragCache) evictOverLocked() {
-	for fc.ll.Len() > fc.maxEntries || fc.bytes > fc.maxBytes {
+	for fc.bytes > fc.maxBytes {
 		oldest := fc.ll.Back()
 		if oldest == nil {
 			return
@@ -289,7 +263,6 @@ func (fc *fragCache) stats() FragmentStats {
 		Misses:         fc.misses,
 		Invalidations:  fc.invalidations,
 		Evictions:      fc.evictions,
-		Revalidations:  fc.revalidations,
 		Entries:        fc.ll.Len(),
 		Bytes:          fc.bytes,
 		SpilledEntries: spilled,
@@ -299,17 +272,15 @@ func (fc *fragCache) stats() FragmentStats {
 
 // fragment returns the distinct tuples of atom a's relation that pass the
 // atom's constants and repeated variables and — when useBind — match one of
-// keyRows at the join positions: from the cache when an identical fetch
-// (same peer, atom pattern and bound-key set) is confirmed current, else
-// streamed in over one borrowed connection and cached for the next query.
-// The rows are shared with the cache — callers must not mutate them.
+// keyRows at the join positions, over one borrowed connection. When an
+// identical fetch (same peer, atom pattern and bound-key set) is cached,
+// the fetch carries the entry's generation, and a peer that answers
+// unchanged ships no rows: the cached ones are served. Otherwise the rows
+// stream in and are cached for the next query. The rows are shared with
+// the cache — callers must not mutate them.
 func (e *Executor) fragment(addr string, a lang.Atom, sh stepShape, keyRows [][]string, useBind bool, as *obs.Span) ([]rel.Tuple, error) {
 	key := fragmentKey(addr, a, sh.keyPoss, keyRows, useBind)
-	if rows, ok := e.fragLookup(addr, a.Pred, key); ok {
-		as.Set("src", "fragcache")
-		as.SetInt("fetched", int64(len(rows)))
-		return rows, nil
-	}
+	cached, gen, ok := e.frags.lookup(key)
 	f := fragFetch{a: a, sh: sh, seen: map[string]bool{}}
 	if useBind {
 		as.Set("src", "bind")
@@ -318,7 +289,10 @@ func (e *Executor) fragment(addr string, a lang.Atom, sh stepShape, keyRows [][]
 	}
 	err := e.withClient(addr, func(c *Client) error {
 		c.tapMeta, c.traceSpan = f.tap, as
-		defer func() { c.tapMeta, c.traceSpan = nil, nil }()
+		if ok {
+			c.ifGen = &gen
+		}
+		defer func() { c.tapMeta, c.traceSpan, c.ifGen = nil, nil, nil }()
 		if useBind {
 			return c.BindEvalStream(a, sh.keyPoss, keyRows, f.row)
 		}
@@ -328,8 +302,15 @@ func (e *Executor) fragment(addr string, a lang.Atom, sh stepShape, keyRows [][]
 	if err != nil {
 		return nil, err
 	}
+	if ok && f.unchanged {
+		e.frags.hit(key)
+		as.Set("src", "fragcache")
+		as.SetInt("fetched", int64(len(cached)))
+		return cached, nil
+	}
+	e.frags.missed(key, ok)
 	if f.genSeen && !f.genMoved {
-		e.frags.put(key, a.Pred, f.gen, f.rows, f.bytes)
+		e.frags.put(key, f.gen, f.rows)
 	}
 	return f.rows, nil
 }
@@ -342,14 +323,16 @@ type fragFetch struct {
 	sh stepShape
 	// seen dedups across bind batches and makes the retries withClient may
 	// perform idempotent.
-	seen  map[string]bool
-	rows  []rel.Tuple
-	bytes int64 // tuple value bytes of rows, the cache's accounting unit
+	seen map[string]bool
+	rows []rel.Tuple
 	// gen is the generation stamp for the cached fragment. Distinct values
 	// across frames (genMoved) mean a mutation landed between bind batches:
 	// the fragment is not a point snapshot and must not be cached.
 	gen               uint64
 	genSeen, genMoved bool
+	// unchanged reports that the peer confirmed the cached copy's
+	// generation instead of sending rows.
+	unchanged bool
 }
 
 // row filters and dedups one arriving remote tuple.
@@ -375,55 +358,19 @@ func (f *fragFetch) row(t rel.Tuple) error {
 	}
 	f.seen[k] = true
 	f.rows = append(f.rows, t)
-	for _, v := range t {
-		f.bytes += int64(len(v))
-	}
 	return nil
 }
 
-// tap observes the generations this fetch's own final frames piggyback.
-func (f *fragFetch) tap(preds []string, gens []uint64) {
-	for i, p := range preds {
-		if p == f.a.Pred && i < len(gens) {
-			f.genMoved = f.genMoved || (f.genSeen && gens[i] != f.gen)
-			f.gen, f.genSeen = gens[i], true
+// tap observes the final frames of this fetch: the generations they
+// piggyback and whether the peer answered unchanged.
+func (f *fragFetch) tap(final *wire.Response) {
+	f.unchanged = final.Unchanged
+	for i, p := range final.Preds {
+		if p == f.a.Pred && i < len(final.Gens) {
+			f.genMoved = f.genMoved || (f.genSeen && final.Gens[i] != f.gen)
+			f.gen, f.genSeen = final.Gens[i], true
 		}
 	}
-}
-
-// fragLookup returns the cached fragment under key, but only after
-// confirming its stamped generation is still pred's current generation at
-// addr. A generation mismatch drops the entry (counted as an
-// invalidation); a failed revalidation just misses — the subsequent fetch
-// will surface any real transport problem.
-func (e *Executor) fragLookup(addr, pred, key string) ([]rel.Tuple, bool) {
-	rows, gen, ok := e.frags.lookup(key)
-	if !ok {
-		e.frags.missed()
-		return nil, false
-	}
-	cur, err := e.currentGen(addr, pred)
-	if err != nil || cur != gen {
-		if err == nil {
-			e.frags.invalidate(key)
-		}
-		e.frags.missed()
-		return nil, false
-	}
-	e.frags.confirmHit(key)
-	return rows, true
-}
-
-// currentGen asks pred's serving peer for its current generation: one
-// row-free gens round trip.
-func (e *Executor) currentGen(addr, pred string) (uint64, error) {
-	e.frags.revalidated()
-	var gens map[string]uint64
-	err := e.withClient(addr, func(c *Client) (err error) {
-		gens, err = c.Gens([]string{pred})
-		return err
-	})
-	return gens[pred], err
 }
 
 // fragmentKey builds the cache key of one atom fetch: the serving peer's

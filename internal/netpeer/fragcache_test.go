@@ -2,10 +2,14 @@ package netpeer
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/rel"
+	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // startServerH is startServer returning the server handle too, so tests
@@ -29,12 +33,11 @@ func startServerH(t testing.TB, facts map[string][]rel.Tuple) (*Server, string) 
 	return srv, addr
 }
 
-// crossPeerFixture starts the canonical two-peer join fixture: a small
-// bound side on one peer, a larger probed side on the other.
-func crossPeerFixture(t testing.TB) (small, large *Server, ex *Executor) {
-	t.Helper()
-	sm := map[string][]rel.Tuple{"S.keys": nil}
-	lg := map[string][]rel.Tuple{"L.rows": nil}
+// crossPeerData is the canonical two-peer join fixture: a small bound side
+// and a larger probed side.
+func crossPeerData() (sm, lg map[string][]rel.Tuple) {
+	sm = map[string][]rel.Tuple{"S.keys": nil}
+	lg = map[string][]rel.Tuple{"L.rows": nil}
 	for i := 0; i < 4; i++ {
 		sm["S.keys"] = append(sm["S.keys"], rel.Tuple{fmt.Sprintf("k%d", i)})
 	}
@@ -42,6 +45,26 @@ func crossPeerFixture(t testing.TB) (small, large *Server, ex *Executor) {
 		lg["L.rows"] = append(lg["L.rows"],
 			rel.Tuple{fmt.Sprintf("k%d", i%100), fmt.Sprintf("p%d", i)})
 	}
+	return sm, lg
+}
+
+// instanceOf merges per-peer facts into one single-site oracle instance.
+func instanceOf(peers ...map[string][]rel.Tuple) *rel.Instance {
+	ins := rel.NewInstance()
+	for _, m := range peers {
+		for pred, ts := range m {
+			for _, tu := range ts {
+				ins.MustAdd(pred, tu...)
+			}
+		}
+	}
+	return ins
+}
+
+// crossPeerFixture serves crossPeerData's sides from two peers.
+func crossPeerFixture(t testing.TB) (small, large *Server, ex *Executor) {
+	t.Helper()
+	sm, lg := crossPeerData()
 	small, addr1 := startServerH(t, sm)
 	large, addr2 := startServerH(t, lg)
 	ex = NewExecutor()
@@ -56,8 +79,9 @@ func crossPeerFixture(t testing.TB) (small, large *Server, ex *Executor) {
 
 // TestFragmentCacheRepeatQueryShipsNoRows is the acceptance check for the
 // cross-query fragment cache: the second identical cross-peer query must
-// be answered from cached fragments — zero rows shipped, only the tiny
-// gens revalidation round trips — and must return the identical answer.
+// be answered from cached fragments — zero rows shipped, one row-free
+// request per atom confirming its generation — and must return the
+// identical answer.
 func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	_, _, ex := crossPeerFixture(t)
 	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
@@ -88,11 +112,11 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	if st.Hits < 2 {
 		t.Fatalf("fragment hits = %d, want >= 2 (one per atom): %+v", st.Hits, st)
 	}
-	if st.Revalidations == 0 {
-		t.Fatalf("expected gens revalidations before serving cached fragments: %+v", st)
+	if d := after.Requests - mid.Requests; d != 2 {
+		t.Fatalf("second identical query issued %d requests, want 2 (one per atom)", d)
 	}
-	// The revalidation round trips are row-free and tiny next to the
-	// fragment shipping they replace.
+	// The unchanged answers are row-free and tiny next to the fragment
+	// shipping they replace.
 	if d := after.BytesRecv - mid.BytesRecv; d >= (mid.BytesRecv-0)/4 {
 		t.Fatalf("second query received %d bytes, first received %d — not near zero", d, mid.BytesRecv)
 	}
@@ -173,31 +197,173 @@ func TestFragmentCacheSurvivesUnrelatedMutation(t *testing.T) {
 	}
 }
 
-// TestFragmentCacheEviction bounds the cache: with a one-entry budget the
-// second distinct fragment must evict the first (no unbounded growth), and
-// re-querying the first is a miss again.
+// TestFragmentCacheEviction pins the cache's one bound, bytes: 600 small
+// distinct fragments all stay cached under the executor's default budget
+// (no entry count caps it), and a budget below their accounted total
+// evicts least-recently-used entries first.
 func TestFragmentCacheEviction(t *testing.T) {
-	_, _, ex := crossPeerFixture(t)
-	ex.frags.setLimits(1, 0)
-	q1, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
+	rows := []rel.Tuple{{"k", "v"}}
+	key := func(i int) string { return fmt.Sprintf("frag%03d", i) }
+	ex := NewExecutor()
+	defer ex.Close()
+	for i := 0; i < 600; i++ {
+		ex.frags.put(key(i), 1, rows)
+	}
+	if st := ex.FragmentStats(); st.Entries != 600 || st.Evictions != 0 {
+		t.Fatalf("600 one-row fragments under the default budget: %+v", st)
+	}
+
+	// Room for 100 entries: 150 puts evict 50, least recently used first —
+	// key 0 was hit after the first 100 puts, so keys 1..50 go.
+	per := int64(len(key(0))) + store.TupleBytes(rows[0])
+	fc := newFragCache(100 * per)
+	for i := 0; i < 150; i++ {
+		if i == 100 {
+			fc.hit(key(0))
+		}
+		fc.put(key(i), 1, rows)
+	}
+	st := fc.stats()
+	if st.Entries != 100 || st.Evictions != 50 || st.Bytes != 100*per {
+		t.Fatalf("after 150 puts into room for 100: %+v", st)
+	}
+	for i := 0; i < 150; i++ {
+		_, _, ok := fc.lookup(key(i))
+		if want := i == 0 || i > 50; ok != want {
+			t.Fatalf("%s cached = %v, want %v (LRU order broken)", key(i), ok, want)
+		}
+	}
+}
+
+// TestFragmentCacheStaleEntryCostsOneRequest: the generation check rides
+// inside the fetch, so a cached fragment whose relation moved costs only
+// the fetch that refreshes it — a warm re-run after a mutation issues one
+// request per atom and answers like the oracle.
+func TestFragmentCacheStaleEntryCostsOneRequest(t *testing.T) {
+	_, large, ex := crossPeerFixture(t)
+	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := parser.ParseQuery(`q(y) :- S.keys(x), L.rows(x, y)`)
+	if _, err := ex.EvalCQ(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := large.AddFact("L.rows", rel.Tuple{"k1", "fresh"}); err != nil {
+		t.Fatal(err)
+	}
+	sm, lg := crossPeerData()
+	want, err := engine.New(instanceOf(sm, lg, map[string][]rel.Tuple{"L.rows": {{"k1", "fresh"}}})).EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.EvalCQ(q1); err != nil {
+	before := ex.WireStats().Requests
+	got, err := ex.EvalCQ(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.EvalCQ(q2); err != nil {
+	if d := ex.WireStats().Requests - before; d != 2 {
+		t.Fatalf("warm re-run after a mutation issued %d requests, want 2 (one per atom)", d)
+	}
+	if !tuplesEqual(got, want) {
+		t.Fatalf("answer after mutation diverges from the oracle: %d rows vs %d", len(got), len(want))
+	}
+	if st := ex.FragmentStats(); st.Invalidations != 1 || st.Hits != 1 {
+		t.Fatalf("want the S.keys fragment hit and the L.rows one refreshed: %+v", st)
+	}
+}
+
+// TestIfGenCompatibility: a server that predates ifGen ignores it and
+// answers every conditional fetch with rows — the executor stays exact and
+// counts the refetches as misses. A current server still streams rows for
+// a request without ifGen, answers unchanged only while the generation
+// matches (generation 0 included), and still answers gens for older
+// clients.
+func TestIfGenCompatibility(t *testing.T) {
+	keys := []rel.Tuple{{"k0"}, {"k1"}}
+	var sawIfGen atomic.Bool
+	old := startStub(t, nil, func(req wire.Request) wire.Response {
+		if req.IfGen != nil {
+			sawIfGen.Store(true)
+		}
+		meta := wire.Response{Preds: []string{"S.keys"}, Cards: []int{len(keys)}, Gens: []uint64{uint64(len(keys))}}
+		switch req.Op {
+		case "catalog":
+			return meta
+		case "eval":
+			meta.Rows = wire.TuplesToRows(keys)
+			return meta
+		}
+		return wire.Response{Error: "unexpected op " + req.Op}
+	})
+	_, lg := crossPeerData()
+	srv, addr := startServerH(t, lg)
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{old, addr} {
+		if err := ex.Discover(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := parser.ParseQuery(`q(x, y) :- S.keys(x), L.rows(x, y)`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := ex.FragmentStats()
-	if st.Entries > 1 {
-		t.Fatalf("cache holds %d entries, limit 1", st.Entries)
+	want, err := engine.New(instanceOf(map[string][]rel.Tuple{"S.keys": keys}, lg)).EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("expected evictions under a one-entry budget: %+v", st)
+	for i := 0; i < 2; i++ {
+		got, err := ex.EvalCQ(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tuplesEqual(got, want) {
+			t.Fatalf("run %d against the old server diverges: %v vs %v", i, got, want)
+		}
+	}
+	if !sawIfGen.Load() {
+		t.Fatal("the repeat never sent ifGen to the old server")
+	}
+	// Cold: two misses. Repeat: the old server's S.keys refetch misses,
+	// L.rows hits.
+	if st := ex.FragmentStats(); st.Misses != 3 || st.Hits != 1 {
+		t.Fatalf("fragment stats against the old server: %+v", st)
+	}
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	scan := func(pred string, ifGen *uint64) wire.Response {
+		t.Helper()
+		resp, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred, IfGen: ifGen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	plain := scan("L.rows", nil)
+	if len(plain.Rows) != len(lg["L.rows"]) || plain.Unchanged {
+		t.Fatalf("scan without ifGen: %d rows, unchanged=%v", len(plain.Rows), plain.Unchanged)
+	}
+	gen := plain.Gens[0]
+	if same := scan("L.rows", &gen); !same.Unchanged || len(same.Rows) != 0 || same.Gens[0] != gen {
+		t.Fatalf("scan with the current generation: %d rows, unchanged=%v", len(same.Rows), same.Unchanged)
+	}
+	stale := gen - 1
+	if moved := scan("L.rows", &stale); moved.Unchanged || len(moved.Rows) != len(lg["L.rows"]) {
+		t.Fatalf("scan with a stale generation: %d rows, unchanged=%v", len(moved.Rows), moved.Unchanged)
+	}
+	var zero uint64
+	if absent := scan("L.absent", &zero); !absent.Unchanged {
+		t.Fatal("ifGen 0 on an empty relation was not answered unchanged: presence, not value, marks the request")
+	}
+	gens, err := c.roundTrip(wire.Request{Op: "gens", Preds: []string{"L.rows"}})
+	if err != nil || len(gens.Gens) != 1 || gens.Gens[0] != gen {
+		t.Fatalf("gens op: %+v (%v), want generation %d", gens, err, gen)
+	}
+	if srv.Stats().ReadErrors != 0 {
+		t.Fatalf("server read errors: %+v", srv.Stats())
 	}
 }

@@ -47,8 +47,9 @@ func fuzzClient(data []byte) *Client {
 // and the cardinality/generation/span piggyback paths — and checks its
 // invariants: no panic, rows handed to onRows exactly match the fetched
 // counter, remote error frames leave the connection usable while
-// transport-level failures mark it broken, and a clean return is always a
-// final frame.
+// transport-level failures mark it broken, a clean return is always a
+// final frame, and an unchanged final frame leaves the connection usable
+// and delivers no rows.
 func FuzzResponseStream(f *testing.F) {
 	seed := func(frames ...wire.Response) []byte {
 		var buf bytes.Buffer
@@ -65,6 +66,12 @@ func FuzzResponseStream(f *testing.F) {
 	))
 	f.Add(seed(wire.Response{Error: "boom"}))
 	f.Add(seed(wire.Response{Spans: []wire.Span{{ID: 1, Name: "eval"}, {ID: 2, Parent: 1, Name: "scan"}}}))
+	f.Add(seed(wire.Response{Unchanged: true, Preds: []string{"p"}, Cards: []int{3}, Gens: []uint64{7}}))
+	f.Add(seed(wire.Response{Unchanged: true, Rows: [][]string{{"stray"}}, Preds: []string{"p"}, Gens: []uint64{0}}))
+	f.Add(seed(
+		wire.Response{Rows: [][]string{{"a"}}, More: true},
+		wire.Response{Unchanged: true, Preds: []string{"p"}, Gens: []uint64{7}},
+	))
 	f.Add([]byte("not json\n"))
 	f.Add([]byte(`{"more":true}`))                                           // truncated: no final frame
 	f.Add([]byte("{\"rows\":[[\"" + strings.Repeat("x", 1<<16) + "\"]]}\n")) // over the fuzz frame cap
@@ -91,6 +98,10 @@ func FuzzResponseStream(f *testing.F) {
 				}
 				if c.Broken() {
 					t.Fatal("clean return but client marked broken")
+				}
+				// An unchanged final frame delivers none of its rows.
+				if fetched := c.counters.Snapshot().RowsFetched; resp.Unchanged && uint64(got+len(resp.Rows)) > fetched {
+					t.Fatalf("unchanged frame delivered rows: onRows saw %d, %d fetched, %d in the final frame", got, fetched, len(resp.Rows))
 				}
 			} else if strings.HasPrefix(err.Error(), "netpeer: remote:") {
 				// A remote error frame is well-framed: connection usable.

@@ -29,7 +29,7 @@ func TestIdlePingDetectsServerRestart(t *testing.T) {
 	defer ex.Close()
 	// Treat every idle connection as idle-too-long so the test does not
 	// have to wait out a real idle window.
-	ex.IdlePingAfter = time.Nanosecond
+	ex.idlePingAfter = time.Nanosecond
 	if err := ex.Discover(addr); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestIdlePingKeepsHealthyConnection(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"X.r": {{"alive"}}})
 	ex := NewExecutor()
 	defer ex.Close()
-	ex.IdlePingAfter = time.Nanosecond
+	ex.idlePingAfter = time.Nanosecond
 	if err := ex.Discover(addr); err != nil {
 		t.Fatal(err)
 	}

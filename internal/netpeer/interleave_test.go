@@ -15,8 +15,9 @@ import (
 
 // Randomized mutation interleaving across the wire: mutators AddFact into
 // the peer servers while queriers run cross-peer bind-joins through one
-// shared Executor, whose fragment cache revalidates before every hit. As in the pdms harness, inserts-only mutation
-// plus monotone queries give a linearizability envelope:
+// shared Executor, whose fragment cache serves a hit only when the serving
+// peer answers the fetch unchanged. As in the pdms harness, inserts-only
+// mutation plus monotone queries give a linearizability envelope:
 //
 //	eval(q, completed-before-start) ⊆ answer ⊆ eval(q, issued-by-end)
 //

@@ -81,7 +81,6 @@ func (e *Executor) RegisterMetrics(reg *obs.Registry) {
 		em.Counter("bytes_recv", ws.BytesRecv)
 		em.Gauge("max_frame_bytes", int64(ws.MaxFrameBytes))
 		em.Counter("bind_batches", ws.BindBatches)
-		em.Counter("bind_batches_pipelined", ws.BindBatchesPipelined)
 		em.Counter("health_pings", ws.HealthPings)
 		em.Counter("health_drops", ws.HealthDrops)
 		em.Counter("dials", ws.Dials)
@@ -95,7 +94,6 @@ func (e *Executor) RegisterMetrics(reg *obs.Registry) {
 		em.Counter("misses", fs.Misses)
 		em.Counter("invalidations", fs.Invalidations)
 		em.Counter("evictions", fs.Evictions)
-		em.Counter("revalidations", fs.Revalidations)
 		em.Gauge("entries", int64(fs.Entries))
 		em.Gauge("bytes", fs.Bytes)
 	})

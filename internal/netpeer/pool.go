@@ -6,16 +6,11 @@ import (
 	"time"
 )
 
-// maxIdlePerAddr caps how many idle connections a pool keeps per address;
-// connections returned beyond the cap are closed (releasing their slot
-// under the total-connection cap below).
-const maxIdlePerAddr = 8
-
 // defaultMaxConnsPerAddr caps the total connections (idle + borrowed) a
-// pool opens to one address. Before this cap existed, get fell through to
-// dial whenever the idle list was momentarily empty, so a 1k-client burst
-// opened 1k sockets to one peer; now borrowers beyond the cap wait for a
-// slot instead.
+// pool opens to one address — the pool's one bound. Before this cap
+// existed, get fell through to dial whenever the idle list was momentarily
+// empty, so a 1k-client burst opened 1k sockets to one peer; now borrowers
+// beyond the cap wait for a slot instead.
 const defaultMaxConnsPerAddr = 64
 
 // idleConn is one pooled connection plus the moment it went idle, so get
@@ -34,8 +29,9 @@ type idleConn struct {
 // written, response unread) — are closed on return instead of pooled, so a
 // later borrower can never read a stale frame.
 //
-// The pool bounds *total* connections per address (maxConns), not just
-// idle ones: every open connection holds a slot, and a borrower finding no
+// The pool bounds *total* connections per address (maxConns), idle and
+// borrowed alike, and nothing else: every open connection holds a slot, a
+// returned connection stays idle until reused, and a borrower finding no
 // idle connection either dials (slot free) or waits for one (cap reached,
 // counted in PoolWaits). Waiters are served strict FIFO by direct
 // ownership transfer: a returned connection or a released slot is handed
@@ -57,7 +53,7 @@ type pool struct {
 	// tables.
 	onMeta func(preds []string, cards []int, dists [][]float64)
 	// pingAfter is the idle age beyond which get pings a connection before
-	// reuse (0 = never ping).
+	// reuse.
 	pingAfter time.Duration
 	// maxConns caps total open connections (idle + borrowed) to addr.
 	maxConns int
@@ -80,9 +76,6 @@ type grant struct {
 }
 
 func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, dists [][]float64), pingAfter time.Duration, maxConns int) *pool {
-	if maxConns <= 0 {
-		maxConns = defaultMaxConnsPerAddr
-	}
 	return &pool{addr: addr, counters: counters, onMeta: onMeta, pingAfter: pingAfter, maxConns: maxConns}
 }
 
@@ -109,7 +102,7 @@ func (p *pool) get() (c *Client, reused bool, err error) {
 			p.idle[n-1] = idleConn{}
 			p.idle = p.idle[:n-1]
 			p.mu.Unlock()
-			if p.pingAfter > 0 && time.Since(ic.since) >= p.pingAfter {
+			if time.Since(ic.since) >= p.pingAfter {
 				p.counters.healthPings.Add(1)
 				if err := ic.c.Ping(); err != nil {
 					p.counters.healthDrops.Add(1)
@@ -244,8 +237,8 @@ func (p *pool) popWaiterLocked() chan grant {
 // put returns a connection for reuse. With a borrower waiting, a healthy
 // connection transfers to it directly (never parked on the idle list where
 // an arrival could steal it); broken connections, and any returned after
-// the pool closed or beyond the idle cap, are closed instead and their
-// slot released (which in turn may hand the slot to a waiter).
+// the pool closed, are closed instead and their slot released (which in
+// turn may hand the slot to a waiter).
 func (p *pool) put(c *Client) {
 	if c == nil {
 		return
@@ -265,12 +258,6 @@ func (p *pool) put(c *Client) {
 	if w := p.popWaiterLocked(); w != nil {
 		p.mu.Unlock()
 		w <- grant{c: c}
-		return
-	}
-	if len(p.idle) >= maxIdlePerAddr {
-		p.mu.Unlock()
-		c.Close()
-		p.releaseSlot()
 		return
 	}
 	p.idle = append(p.idle, idleConn{c: c, since: time.Now()})

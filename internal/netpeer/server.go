@@ -6,7 +6,8 @@
 // The server answers the seven ops of the peer protocol (package wire lists
 // the JSON envelopes, wire/PROTOCOL.md is the normative specification):
 // "catalog" and "gens" report cardinalities and per-relation generations
-// (gens is the fragment cache's row-free revalidation round trip); "scan"
+// (gens is kept for older clients; current ones validate cached fragments
+// inside the fetch itself, through the request's ifGen); "scan"
 // and "eval" stream a relation, or a conjunctive query over this peer's
 // relations — full push-down of single-peer rewritings and selection-pushed
 // per-atom fetches; "bind" is the semi-join half of bind-join execution,
@@ -19,10 +20,10 @@
 // QueueWait): requests beyond the in-flight limit wait in a bounded FIFO
 // queue, and everything beyond that is *shed* with a retryable in-band busy
 // error frame (the executor's pools back off with jitter and retry). Each
-// connection decodes at most MaxPipeline requests ahead of the one being
-// answered, so an over-eager pipeliner is held back by TCP flow control,
-// not server memory. Graceful shutdown (Drain) stops accepting, lets
-// queued and in-flight requests finish, then closes.
+// connection is one loop — read a request, admit it, answer it — so
+// requests a client pipelines wait in the socket and are held back by TCP
+// flow control, not server memory. Graceful shutdown (Drain) stops
+// accepting, lets queued and in-flight requests finish, then closes.
 //
 // Responses STREAM (see package wire): a row-bearing op answers with
 // bounded chunks followed by a final frame, produced through the engine's
@@ -32,20 +33,21 @@
 // the relations touched, captured before row production so the generation
 // is a floor (the stream carries at least everything at that generation —
 // see wire/PROTOCOL.md); the executor folds them into its join-order
-// estimates and fragment-cache staleness checks. An oversized or garbled
+// estimates and stamps its cached fragments with them. A request carrying
+// the generation of the caller's cached copy is answered "unchanged", with
+// no rows, while that generation is still current. An oversized or garbled
 // *request* frame is answered with an in-band error (the stream stays
 // framed), never a silent connection drop; genuinely broken streams are
 // counted and reported through the optional Server.Logger.
 //
 // Single-peer rewritings push down whole; cross-peer rewritings execute
-// as a streaming, adaptive, pipelined bind-join over per-address connection
-// pools, with the fetched fragments cached across queries and revalidated
-// by generation — the distributed half of the system's two-level cache
+// as a streaming, adaptive bind-join over per-address connection pools,
+// with the fetched fragments cached across queries and validated by
+// generation — the distributed half of the system's two-level cache
 // architecture (the local half is pdms.Network's generation-vector answer
-// cache). The Executor type documents the algorithm and each of its knobs.
-// Both sides keep wire-level counters (requests, rows, bytes, bind batches
-// and how many were pipelined, health pings/drops) so the shipping and
-// stall savings are measurable.
+// cache). The Executor type documents the algorithm. Both sides keep
+// wire-level counters (requests, rows, bytes, bind batches, health
+// pings/drops) so the shipping savings are measurable.
 //
 // The paper treats query execution as out of scope ("recent techniques for
 // adaptive query processing are well suited for our context"); this package
@@ -93,12 +95,6 @@ const defaultWriteTimeout = 60 * time.Second
 // being shed instead of timing out blind.
 const defaultQueueWait = time.Second
 
-// defaultMaxPipeline is how many requests one connection may have decoded
-// ahead of the one currently being answered. Past it the connection's read
-// loop pauses, so a pipelining client is throttled by TCP flow control
-// instead of server memory.
-const defaultMaxPipeline = 8
-
 // acceptBackoffMin and acceptBackoffMax bound the retry backoff of the
 // accept loop after a temporary Accept failure (EMFILE under connection
 // storms, ECONNABORTED, ...). The backoff doubles per consecutive failure
@@ -121,15 +117,6 @@ type Server struct {
 	// server has answered in its ring buffer — the serving-side
 	// /debug/traces view. Untraced requests are never recorded.
 	Tracer *obs.Tracer
-	// MaxRequestBytes caps one request frame (0 = defaultMaxRequestBytes).
-	// An over-limit frame is consumed through its newline and answered
-	// with an in-band error response — the connection survives.
-	MaxRequestBytes int
-	// WriteTimeout bounds each response-frame write (0 =
-	// defaultWriteTimeout, negative = no deadline). A client that stops
-	// reading is disconnected after one timeout instead of pinning the
-	// server's read lock.
-	WriteTimeout time.Duration
 	// MaxInflight caps requests executing concurrently across all
 	// connections; requests beyond it wait in a bounded FIFO queue and are
 	// shed with an in-band busy error once the queue is full or the wait
@@ -143,12 +130,14 @@ type Server struct {
 	// QueueWait bounds one request's admission wait (0 = defaultQueueWait).
 	// Set before Start.
 	QueueWait time.Duration
-	// MaxPipeline caps requests decoded ahead per connection while earlier
-	// ones are still being answered (0 = defaultMaxPipeline). Once the
-	// read-ahead buffer is full the connection stops reading — TCP flow
-	// control, not server memory, absorbs an over-eager pipeliner. Set
-	// before Start.
-	MaxPipeline int
+
+	// maxRequestBytes caps one request frame: an over-limit frame is
+	// consumed through its newline and answered with an in-band error, and
+	// the connection survives. writeTimeout bounds each response-frame
+	// write, so a client that stops reading is disconnected instead of
+	// pinning the server's read lock. NewServer sets both from the defaults.
+	maxRequestBytes int
+	writeTimeout    time.Duration
 
 	// mu guards the lifecycle fields below (lis, cancel, adm) with brief
 	// exclusive sections; data paths — streams and inserts alike — only
@@ -180,8 +169,9 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// draining is set by Drain: the listener is gone, connections finish
-	// the requests they have read (including pipelined read-ahead) and
-	// unblocked idle reads exit cleanly instead of counting as errors.
+	// the requests they have read (including pipelined ones already in
+	// their read buffer) and unblocked idle reads exit cleanly instead of
+	// counting as errors.
 	draining atomic.Bool
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{} // guarded by connMu (live connections, for Drain's read-deadline nudge)
@@ -209,11 +199,13 @@ func NewServer(data *rel.Instance) *Server {
 		data = rel.NewInstance()
 	}
 	return &Server{
-		data:          data,
-		eng:           engine.New(data),
-		reqHist:       obs.NewHistogram(),
-		queueWaitHist: obs.NewHistogram(),
-		conns:         map[net.Conn]struct{}{},
+		maxRequestBytes: defaultMaxRequestBytes,
+		writeTimeout:    defaultWriteTimeout,
+		data:            data,
+		eng:             engine.New(data),
+		reqHist:         obs.NewHistogram(),
+		queueWaitHist:   obs.NewHistogram(),
+		conns:           map[net.Conn]struct{}{},
 	}
 }
 
@@ -281,7 +273,7 @@ func (s *Server) Close() error {
 
 // Drain shuts the server down gracefully: stop accepting new connections,
 // let every request already read — executing, queued for admission, or
-// decoded ahead in a connection's pipeline — finish, then close. Clients
+// waiting in a connection's read buffer — finish, then close. Clients
 // idle at a frame boundary are disconnected cleanly. Connections still
 // busy after timeout are cut off by the final Close. Drain does not shed
 // queued work: admission waiters are granted or shed by their own
@@ -377,39 +369,27 @@ func (w serverConnWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// connItem is one unit of per-connection work handed from the read loop to
-// the handler: a decoded request, or an in-band error to answer in order.
-type connItem struct {
-	req wire.Request
-	// errMsg, when non-empty, short-circuits handling: the handler answers
-	// with this in-band error frame instead of dispatching req (over-limit
-	// frames, undecodable JSON). The stream stays framed either way.
-	errMsg string
-}
-
+// serveConn is a connection's one loop: read a request, admit it, answer
+// it, repeat. Requests a client pipelines wait in the socket and br, so
+// TCP flow control — not server memory — holds back an over-eager
+// pipeliner, and responses leave strictly in request order.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
-	// Close the connection when the server shuts down so the reads below
-	// unblock and Close's WaitGroup drains even with idle clients.
+	// Close the connection when the server shuts down so the read below
+	// unblocks and Close's WaitGroup drains even with idle clients.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 	s.trackConn(conn, true)
 	defer s.trackConn(conn, false)
+	br := bufio.NewReaderSize(conn, 64*1024)
 	bw := bufio.NewWriterSize(serverConnWriter{s: s, conn: conn}, 64*1024)
 	enc := json.NewEncoder(bw)
-	writeTimeout := s.WriteTimeout
-	if writeTimeout == 0 {
-		writeTimeout = defaultWriteTimeout
-	}
 	// send writes one response frame and flushes it to the socket, so the
 	// client makes progress chunk by chunk. Each frame gets its own write
 	// deadline: response streams run under the server's read lock, and a
 	// client that stops draining must cost a dropped connection, not a
-	// wedged lock. Only this (handler) goroutine calls send, so responses
-	// stay in request order even with the read loop decoding ahead.
+	// wedged lock.
 	send := func(resp wire.Response) error {
-		if writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		s.rowsServed.Add(uint64(len(resp.Rows)))
 		if err := enc.Encode(resp); err != nil {
 			return err
@@ -417,31 +397,14 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		return bw.Flush()
 	}
 
-	// Pipelining split: a read loop decodes up to MaxPipeline requests
-	// ahead while this goroutine answers them strictly in order. The
-	// channel bound is the per-connection pipelining limit — when it fills,
-	// the read loop stops reading and TCP flow control pushes back on the
-	// client.
-	depth := s.MaxPipeline
-	if depth <= 0 {
-		depth = defaultMaxPipeline
-	}
-	items := make(chan connItem, depth)
-	// handlerDone unblocks a read loop stuck sending on items after the
-	// handler bails out mid-queue (transport failure on a response write).
-	handlerDone := make(chan struct{})
-	defer close(handlerDone)
-	go s.readRequests(conn, items, handlerDone)
-
 	adm := s.gate()
-	for it := range items {
-		select {
-		case <-ctx.Done():
+	for {
+		req, errMsg, ok := s.readRequest(conn, br)
+		if !ok || ctx.Err() != nil {
 			return
-		default:
 		}
-		if it.errMsg != "" {
-			if send(wire.Response{Error: it.errMsg}) != nil {
+		if errMsg != "" {
+			if send(wire.Response{Error: errMsg}) != nil {
 				return
 			}
 			continue
@@ -462,7 +425,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			return // shutting down
 		}
 		reqStart := time.Now()
-		err := s.handleStream(it.req, send)
+		err := s.handleStream(req, send)
 		s.reqHist.Observe(time.Since(reqStart))
 		adm.release()
 		if err != nil {
@@ -471,106 +434,103 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// readRequests is a connection's read loop: it decodes frames into items
-// until EOF, a terminal read failure, or the handler's exit. In-band
-// recoverable failures (over-limit frames, bad JSON) flow through the
-// channel so the handler answers them in order.
-func (s *Server) readRequests(conn net.Conn, items chan<- connItem, handlerDone <-chan struct{}) {
-	defer close(items)
-	br := bufio.NewReaderSize(conn, 64*1024)
-	maxFrame := s.MaxRequestBytes
-	if maxFrame <= 0 {
-		maxFrame = defaultMaxRequestBytes
-	}
-	push := func(it connItem) bool {
-		select {
-		case items <- it:
-			return true
-		case <-handlerDone:
-			return false
-		}
-	}
-	for {
-		frame, err := wire.ReadFrame(br, maxFrame)
-		switch {
-		case err == nil:
-		case errors.Is(err, wire.ErrFrameTooLarge):
-			// The oversized line was consumed through its newline, so the
-			// stream is still framed: answer in-band instead of dropping
-			// the connection (the old fixed-buffer scanner died here with
-			// no diagnostic on either side).
-			s.requests.Add(1)
-			s.readErrors.Add(1)
-			s.logw("netpeer: request frame over limit", "peer", conn.RemoteAddr(), "limit", maxFrame)
-			if !push(connItem{errMsg: fmt.Sprintf("request frame exceeds %d bytes", maxFrame)}) {
-				return
-			}
-			continue
-		case errors.Is(err, io.EOF):
-			return // clean disconnect at a frame boundary
-		default:
-			var ne net.Error
-			if s.draining.Load() && errors.As(err, &ne) && ne.Timeout() {
-				// Drain's read-deadline nudge: the client is idle at a
-				// frame boundary (any buffered pipelined requests were
-				// already decoded above); wind the connection down quietly.
-				return
-			}
-			s.readErrors.Add(1)
-			s.logw("netpeer: reading request", "peer", conn.RemoteAddr(), "err", err)
-			return
-		}
+// readRequest reads and decodes a connection's next request. ok is false
+// at a clean disconnect or a terminal read failure. Recoverable failures
+// (an over-limit frame, bad JSON) come back as errMsg, to be answered
+// in-band so the stream stays framed.
+func (s *Server) readRequest(conn net.Conn, br *bufio.Reader) (req wire.Request, errMsg string, ok bool) {
+	frame, err := wire.ReadFrame(br, s.maxRequestBytes)
+	switch {
+	case err == nil:
+	case errors.Is(err, wire.ErrFrameTooLarge):
+		// The oversized line was consumed through its newline, so the
+		// stream is still framed: answer in-band instead of dropping the
+		// connection (the old fixed-buffer scanner died here with no
+		// diagnostic on either side).
 		s.requests.Add(1)
-		s.bytesRecv.Add(uint64(len(frame) + 1))
-		var req wire.Request
-		if err := json.Unmarshal(frame, &req); err != nil {
-			if !push(connItem{errMsg: fmt.Sprintf("bad request: %v", err)}) {
-				return
-			}
-			continue
+		s.readErrors.Add(1)
+		s.logw("netpeer: request frame over limit", "peer", conn.RemoteAddr(), "limit", s.maxRequestBytes)
+		return req, fmt.Sprintf("request frame exceeds %d bytes", s.maxRequestBytes), true
+	case errors.Is(err, io.EOF):
+		return req, "", false // clean disconnect at a frame boundary
+	default:
+		var ne net.Error
+		if s.draining.Load() && errors.As(err, &ne) && ne.Timeout() {
+			// Drain's read-deadline nudge: the client is idle at a frame
+			// boundary (requests already in br were read above); wind the
+			// connection down quietly.
+			return req, "", false
 		}
-		if !push(connItem{req: req}) {
-			return
-		}
+		s.readErrors.Add(1)
+		s.logw("netpeer: reading request", "peer", conn.RemoteAddr(), "err", err)
+		return req, "", false
 	}
+	s.requests.Add(1)
+	s.bytesRecv.Add(uint64(len(frame) + 1))
+	if err := json.Unmarshal(frame, &req); err != nil {
+		return req, fmt.Sprintf("bad request: %v", err), true
+	}
+	return req, "", true
 }
 
 // metaOfLocked assembles the piggyback frame for the touched relations:
-// cardinality and per-column distinct estimates (join-ordering hints) and
-// generation (the fragment cache's staleness token). Callers hold the read
-// lock. Streaming ops capture it BEFORE row production: with adds landing
-// concurrently, a generation read after the stream could include a tuple
-// the stream already walked past, and a fragment tagged with it would
-// claim completeness it doesn't have. Captured up front, the tag is a
-// floor — the append-only logs guarantee the stream carries everything at
-// or before it, and rows that land mid-stream are true tuples monotone
-// queries absorb.
+// cardinality (a join-ordering hint) and generation (the fragment cache's
+// staleness token). Callers hold the read lock. Streaming ops capture it
+// BEFORE row production: with adds landing concurrently, a generation read
+// after the stream could include a tuple the stream already walked past,
+// and a fragment tagged with it would claim completeness it doesn't have.
+// Captured up front, the tag is a floor — the append-only logs guarantee
+// the stream carries everything at or before it, and rows that land
+// mid-stream are true tuples monotone queries absorb.
 func (s *Server) metaOfLocked(preds ...string) wire.Response {
 	m := wire.Response{
-		Preds:    preds,
-		Cards:    make([]int, len(preds)),
-		Gens:     make([]uint64, len(preds)),
-		Distinct: make([][]float64, len(preds)),
+		Preds: preds,
+		Cards: make([]int, len(preds)),
+		Gens:  make([]uint64, len(preds)),
 	}
 	for i, p := range preds {
 		if r := s.data.Relation(p); r != nil {
 			m.Cards[i] = r.Len()
 			m.Gens[i] = r.Version()
-			m.Distinct[i] = r.Stats().Distinct
 		}
 	}
 	return m
 }
 
-// streamRows is the shared tail of the row-bearing ops (scan, eval, bind):
-// produce's rows flow out under the child span sp as bounded non-final
-// frames — per-response memory stays O(chunk) regardless of result size —
-// then either an in-band error frame (final, superseding any rows already
-// shipped) or the final frame carrying the remaining rows, meta (captured
-// by the caller before production) and the exported trace spans. A
-// transport failure is returned as is: it is terminal for the connection.
-func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, meta wire.Response,
+// addDistinctLocked adds the per-column distinct estimates of m's
+// relations, the join-ordering hint the executor folds from catalog and
+// row-bearing replies. Merging every shard's sketches costs microseconds
+// per relation, so the replies nobody folds it from (add, gens, unchanged)
+// go without. Callers hold the read lock.
+func (s *Server) addDistinctLocked(m *wire.Response) {
+	m.Distinct = make([][]float64, len(m.Preds))
+	for i, p := range m.Preds {
+		if r := s.data.Relation(p); r != nil {
+			m.Distinct[i] = r.Stats().Distinct
+		}
+	}
+}
+
+// streamRows is the shared tail of the row-bearing ops (scan, eval, bind),
+// which read preds. It captures their metadata first; when the request
+// reads one relation and its ifGen still equals that relation's
+// generation, the answer is a single unchanged final frame with no rows.
+// Otherwise produce's rows flow out under the child span sp as bounded
+// non-final frames — per-response memory stays O(chunk) regardless of
+// result size — then either an in-band error frame (final, superseding
+// any rows already shipped) or the final frame carrying the remaining
+// rows, the metadata and the exported trace spans. A transport failure is
+// returned as is: it is terminal for the connection.
+func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, ifGen *uint64, preds []string,
 	exported func() []wire.Span, produce func(yield func(rel.Tuple) error) error) error {
+	meta := s.metaOfLocked(preds...)
+	if ifGen != nil && len(preds) == 1 && meta.Gens[0] == *ifGen {
+		sp.Set("unchanged", "true")
+		sp.End()
+		meta.Unchanged, meta.Spans = true, exported()
+		return send(meta)
+	}
+	s.addDistinctLocked(&meta)
 	var rows [][]string
 	var bytes, total int
 	var sendErr error
@@ -636,17 +596,16 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	switch req.Op {
 	case "catalog":
 		resp := s.metaOfLocked(s.data.Relations()...)
+		s.addDistinctLocked(&resp)
 		resp.Spans = exported()
 		return send(resp)
 	case "gens":
-		// The fragment-cache revalidation round trip: tiny and row-free.
-		// Each generation read is individually current; callers compare
-		// them per predicate against cached floors, so no cross-predicate
-		// snapshot is needed. Deliberately no Distinct piggyback: the op
-		// exists to be minimal, and column statistics ride on every other
-		// response anyway.
+		// Older clients' fragment-cache revalidation round trip: tiny and
+		// row-free. Each generation read is individually current; callers
+		// compare them per predicate against cached floors, so no
+		// cross-predicate snapshot is needed.
 		resp := s.metaOfLocked(req.Preds...)
-		resp.Distinct, resp.Spans = nil, exported()
+		resp.Spans = exported()
 		return send(resp)
 	case "ping":
 		// Liveness probe for pool health checks; deliberately touches no
@@ -657,7 +616,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// sorted-view materialization, O(chunk) memory end to end. Row order
 		// is per-shard insertion order (unspecified globally).
 		sp := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
-		return s.streamRows(send, sp, s.metaOfLocked(req.Pred), exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(send, sp, req.IfGen, []string{req.Pred}, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamScan(req.Pred, yield)
 		})
 	case "eval":
@@ -677,7 +636,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 			}
 		}
 		sp := root.Child("eval", obs.Attr{K: "head", V: q.Head.Pred})
-		return s.streamRows(send, sp, s.metaOfLocked(bodyPreds...), exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(send, sp, req.IfGen, bodyPreds, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamCQ(q, yield)
 		})
 	case "bind":
@@ -687,7 +646,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		}
 		sp := root.Child("bind", obs.Attr{K: "pred", V: pred})
 		sp.SetInt("keys", int64(len(keys)))
-		return s.streamRows(send, sp, s.metaOfLocked(pred), exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(send, sp, req.IfGen, []string{pred}, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.ProbeByKeyBatchYield(pred, cols, keys, yield)
 		})
 	default:
@@ -709,7 +668,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 // would convoy the whole server behind any stalled response stream —
 // streams hold the read lock end to end, so one slow consumer plus one
 // pending writer would block every later reader on this write-preferring
-// RWMutex for as long as the stall lasts (bounded only by WriteTimeout).
+// RWMutex for as long as the stall lasts (bounded only by writeTimeout).
 // Append-only relations keep concurrent streams sound: a stream observes a
 // superset of its start-state and a subset of its end-state, which is
 // exactly right for monotone conjunctive queries.

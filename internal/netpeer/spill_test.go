@@ -133,20 +133,18 @@ func TestSpilledBindJoinWithComparisonsAndCache(t *testing.T) {
 // than the cached fragments, cold entries must move to spill files (visible
 // in FragmentStats.SpilledEntries and MemBytes) and still serve hits.
 func TestFragmentCacheSpillServesColdEntries(t *testing.T) {
-	fc := newFragCache(64, 1<<20)
+	fc := newFragCache(1 << 20)
 	dir := t.TempDir()
 	var rows []rel.Tuple
 	for i := 0; i < 50; i++ {
 		rows = append(rows, rel.Tuple{fmt.Sprintf("v%04d", i), "payload-payload"})
 	}
-	var bytes int64
+	bytes := int64(len("key0")) // one entry's accounted size
 	for _, tu := range rows {
-		for _, v := range tu {
-			bytes += int64(len(v))
-		}
+		bytes += store.TupleBytes(tu)
 	}
 	for i := 0; i < 8; i++ {
-		fc.put(fmt.Sprintf("key%d", i), "P.r", 7, rows, bytes)
+		fc.put(fmt.Sprintf("key%d", i), 7, rows)
 	}
 	fc.setSpill(dir, 2*bytes) // room for ~2 resident entries
 	st := fc.stats()

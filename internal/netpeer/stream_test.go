@@ -88,7 +88,7 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	data := rel.NewInstance()
 	data.MustAdd("S.r", "v")
 	srv := NewServer(data)
-	srv.MaxRequestBytes = 4 * 1024
+	srv.maxRequestBytes = 4 * 1024
 	var logged recordingHandler
 	srv.Logger = slog.New(&logged)
 	addr, err := srv.Start("127.0.0.1:0")
@@ -237,9 +237,11 @@ func TestAdaptiveFullFetchWhenRemoteSmaller(t *testing.T) {
 	}
 }
 
-// TestPipelinedBindBatches: a bound side spanning several bind batches
-// must overlap them (BindBatchesPipelined > 0) and answer exactly.
-func TestPipelinedBindBatches(t *testing.T) {
+// TestMultiBatchBind: a bound side spanning several bind batches ships
+// them one request after another and answers exactly. A warm repeat sends
+// the cached generation with the first batch only, and the peer's
+// unchanged answer ends the call: one request, zero rows.
+func TestMultiBatchBind(t *testing.T) {
 	const (
 		keys    = 3000 // 3 batches of bindBatchSize=1024
 		bigRows = 9000
@@ -258,7 +260,7 @@ func TestPipelinedBindBatches(t *testing.T) {
 		oracle.MustAdd("D.rows", tu...)
 	}
 	addr1 := startServer(t, small)
-	addr2 := startServer(t, large)
+	srv, addr2 := startServerH(t, large)
 	q, err := parser.ParseQuery(`q(x, y) :- C.keys(x), D.rows(x, y)`)
 	if err != nil {
 		t.Fatal(err)
@@ -275,19 +277,33 @@ func TestPipelinedBindBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ex.EvalCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tuplesEqual(got, want) {
-		t.Fatalf("answers diverge (%d rows vs %d)", len(got), len(want))
-	}
-	st := ex.WireStats()
-	if st.BindBatches < 3 {
-		t.Fatalf("BindBatches = %d, want >= 3", st.BindBatches)
-	}
-	if st.BindBatchesPipelined == 0 {
-		t.Fatal("no batch overlapped an in-flight response")
+	// Every request the D.rows peer sees is a bind batch: 3 cold, and warm
+	// only the first, answered unchanged.
+	for _, run := range []struct {
+		name    string
+		batches uint64
+	}{
+		{"cold", 3},
+		{"warm", 1},
+	} {
+		requests, before := srv.Stats().Requests, ex.WireStats()
+		got, err := ex.EvalCQ(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tuplesEqual(got, want) {
+			t.Fatalf("%s: answers diverge (%d rows vs %d)", run.name, len(got), len(want))
+		}
+		after := ex.WireStats()
+		if d := srv.Stats().Requests - requests; d != run.batches {
+			t.Fatalf("%s: D.rows peer saw %d requests, want %d", run.name, d, run.batches)
+		}
+		if d := after.BindBatches - before.BindBatches; d != run.batches {
+			t.Fatalf("%s: %d bind batches, want %d", run.name, d, run.batches)
+		}
+		if d := after.RowsFetched - before.RowsFetched; run.name == "warm" && d != 0 {
+			t.Fatalf("warm repeat fetched %d rows, want 0", d)
+		}
 	}
 }
 
@@ -304,7 +320,7 @@ func TestSlowClientCannotWedgeServer(t *testing.T) {
 		data.MustAdd("W.big", fmt.Sprintf("k%d", i), pad)
 	}
 	srv := NewServer(data)
-	srv.WriteTimeout = 200 * time.Millisecond
+	srv.writeTimeout = 200 * time.Millisecond
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@
 //
 // One Registry.Snapshot() returns everything: counters, gauges and histogram
 // percentiles keyed by dotted name ("engine.parallel_scans",
-// "fragcache.hits", "wire.bind_batches_pipelined", …). WritePrometheus
+// "fragcache.hits", "wire.bind_batches", …). WritePrometheus
 // renders the same snapshot in the Prometheus text exposition format, and
 // Handler serves both plus recent traces and pprof over HTTP — the
 // operational front door mounted by cmd/peerd.

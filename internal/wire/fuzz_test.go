@@ -170,6 +170,85 @@ func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
+// legacyRequest mirrors Request as compiled before IfGen existed. Decoding
+// into it simulates a server running the old binary.
+type legacyRequest struct {
+	Op       string     `json:"op"`
+	Pred     string     `json:"pred,omitempty"`
+	BindCols []int      `json:"bindCols,omitempty"`
+	BindRows [][]string `json:"bindRows,omitempty"`
+}
+
+// FuzzIfGenUnchanged pins the compatibility contract of the conditional
+// fetch in both directions, FuzzDistinctPiggyback's pattern. New client →
+// old server: a request carrying ifGen decodes into the pre-ifGen shape
+// with every other field intact, so the old server serves it as an
+// ordinary fetch. Old client → new server: a request without the field
+// decodes with IfGen nil, and any value that is sent — 0 included —
+// survives as present. New server → old client: an unchanged frame decodes
+// with its metadata intact. Old server → new client: a frame without the
+// field never claims unchanged.
+func FuzzIfGenUnchanged(f *testing.F) {
+	f.Add("scan", "A.r", uint64(0), true)
+	f.Add("bind", "B.s", uint64(1<<63), false)
+	f.Add("", "", uint64(7), true)
+	f.Fuzz(func(t *testing.T, op, pred string, gen uint64, unchanged bool) {
+		data, err := json.Marshal(Request{Op: op, Pred: pred, BindCols: []int{0}, BindRows: [][]string{{pred}}, IfGen: &gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Request
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("new server rejects new client request: %v", err)
+		}
+		if back.IfGen == nil || *back.IfGen != gen {
+			t.Fatalf("ifGen %d did not round-trip as present: %v", gen, back.IfGen)
+		}
+		var old legacyRequest
+		if err := json.Unmarshal(data, &old); err != nil {
+			t.Fatalf("old server rejects new client request: %v", err)
+		}
+		if old.Op != back.Op || old.Pred != back.Pred || len(old.BindRows) != 1 || old.BindRows[0][0] != back.BindRows[0][0] {
+			t.Fatalf("ifGen disturbed legacy request fields: %+v vs %+v", old, back)
+		}
+		oldData, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh Request
+		if err := json.Unmarshal(oldData, &fresh); err != nil {
+			t.Fatalf("new server rejects old client request %q: %v", oldData, err)
+		}
+		if fresh.IfGen != nil || fresh.Op != back.Op || fresh.Pred != back.Pred {
+			t.Fatalf("old client request decoded as %+v", fresh)
+		}
+
+		data, err = json.Marshal(Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := json.Unmarshal(data, &resp); err != nil || resp.Unchanged != unchanged || resp.Gens[0] != gen {
+			t.Fatalf("response did not round-trip: %+v (%v)", resp, err)
+		}
+		var oldResp legacyResponse
+		if err := json.Unmarshal(data, &oldResp); err != nil {
+			t.Fatalf("old client rejects new server frame: %v", err)
+		}
+		if len(oldResp.Rows) != 0 || len(oldResp.Gens) != 1 || oldResp.Gens[0] != gen || oldResp.Preds[0] != resp.Preds[0] {
+			t.Fatalf("unchanged disturbed legacy response fields: %+v", oldResp)
+		}
+		oldData, err = json.Marshal(oldResp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromOld Response
+		if err := json.Unmarshal(oldData, &fromOld); err != nil || fromOld.Unchanged {
+			t.Fatalf("old server frame %q decoded as %+v (%v)", oldData, fromOld, err)
+		}
+	})
+}
+
 // FuzzRequestDecode feeds arbitrary bytes through the request frame
 // decoding path the server runs on every line: JSON into wire.Request,
 // then lowering the embedded query/atom to lang values. Nothing here may

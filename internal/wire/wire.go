@@ -19,9 +19,9 @@
 //	                                  shipped bindRows key batches
 //	{"op":"gens", "preds":[…]}        report the current generation (insert
 //	                                  counter) and cardinality of each named
-//	                                  relation — the cheap revalidation
-//	                                  round trip of the executor's
-//	                                  cross-query fragment cache
+//	                                  relation — kept for older clients,
+//	                                  which validate cached fragments
+//	                                  with it
 //	{"op":"ping"}                     no-op liveness probe; connection pools
 //	                                  use it to health-check idle-too-long
 //	                                  connections before reuse
@@ -42,20 +42,23 @@
 // trailing rows plus, piggybacked, the current cardinalities *and
 // per-relation generations* of the relations the request touched
 // ("preds"/"cards"/"gens"). The querying executor folds the cardinalities
-// into its join-order estimates and the generations into its fragment
-// cache's staleness checks: a cached fragment of relation R fetched at
-// generation g is served again only while R's generation is still g. An
-// error frame ({"error":…}) is always final and may arrive mid-stream, in
-// which case the rows already received must be discarded. Single-frame ops
-// (catalog, gens, ping, errors) are just a stream of length one.
+// into its join-order estimates and stamps its cached fragments with the
+// generations. A scan, bind or one-relation eval may carry "ifGen", the
+// generation of the caller's cached copy: while the relation's generation
+// still equals it, the server answers one final frame with "unchanged"
+// set and no rows, so validating a cached fragment costs no extra round
+// trip. An error frame ({"error":…}) is always final and may arrive
+// mid-stream, in which case the rows already received must be discarded.
+// Single-frame ops (catalog, gens, ping, add, errors) are just a stream of
+// length one.
 //
 // The bind op is the semi-join half of cross-peer bind-join execution: the
 // querying peer ships the distinct join-key values it has bound so far
 // (in batches) instead of pulling the whole selection-pushed relation, and
-// the serving peer answers each batch from its hash indexes. Batches
-// pipeline: a client may write bind request i+1 while the frames of
-// request i are still streaming back; the server answers strictly in
-// request order, so frames never interleave across requests.
+// the serving peer answers each batch from its hash indexes. The server
+// answers a connection's requests strictly in order, so frames never
+// interleave across requests; the reference client sends one request at a
+// time.
 //
 // PROTOCOL.md in this directory is the normative specification: frame
 // layout, per-op request/response contracts, error-frame and streaming
@@ -243,6 +246,12 @@ type Request struct {
 	// Span is the caller-side span ID the returned remote spans should be
 	// parented under. Meaningful only with Trace set.
 	Span uint64 `json:"span,omitempty"`
+	// IfGen, when present, makes a request that reads exactly one relation
+	// (scan, bind, an eval over one relation) conditional: if the relation's
+	// generation still equals *IfGen, the server answers one final frame
+	// with the metadata and Unchanged set, and no rows. Presence, not
+	// value, marks the request — generation 0 is a valid stamp.
+	IfGen *uint64 `json:"ifGen,omitempty"`
 }
 
 // Span is the serializable form of one server-side trace span, shipped on
@@ -283,6 +292,11 @@ type Response struct {
 	// More marks a non-final frame: further frames for the same request
 	// follow on the stream.
 	More bool `json:"more,omitempty"`
+	// Unchanged marks the final frame answering a request whose IfGen
+	// equals the relation's current generation: the caller's cached rows
+	// are still complete, so none were produced. A receiver ignores any
+	// rows such a frame carries.
+	Unchanged bool `json:"unchanged,omitempty"`
 	// Preds carries the catalog listing and, on the final frame of eval/
 	// scan/bind responses, the names of the relations the request touched.
 	Preds []string `json:"preds,omitempty"`
@@ -295,8 +309,8 @@ type Response struct {
 	// the frame. Unlike Cards they carry a correctness contract: a cached
 	// fragment of relation R stamped with generation g holds exactly R's
 	// matching tuples for as long as R's generation stays g, so the
-	// executor's fragment cache serves an entry only after seeing (or
-	// revalidating to) an equal generation.
+	// executor's fragment cache serves an entry only after the serving peer
+	// answers a fetch carrying IfGen g with Unchanged.
 	Gens []uint64 `json:"gens,omitempty"`
 	// Distinct carries per-column distinct-value estimates parallel to
 	// Preds (one slice per relation, one estimate per column, from the

@@ -504,7 +504,7 @@ type UCQEvaluator interface {
 // the network). Reformulations are cached as usual; answers are not,
 // because remote data is outside the local generation counters — caching
 // on the distributed path is the executor's job (its bind-fragment cache
-// revalidates against the serving peers' per-relation generations).
+// validates against the serving peers' per-relation generations).
 func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
 	return n.queryVia(query, exec, n.tracer.StartTrace("query", obs.Attr{K: "q", V: query}))
 }
