@@ -168,7 +168,9 @@ func start(path string, opts options) (*daemon, error) {
 	d.srv.MaxQueue = opts.maxQueue
 	d.srv.QueueWait = opts.queueWait
 	d.srv.RegisterMetrics(d.registry)
-	store.RegisterMetrics(d.registry, d.store)
+	if d.store != nil {
+		d.store.RegisterMetrics(d.registry)
+	}
 
 	bound, err := d.srv.Start(opts.addr)
 	if err != nil {

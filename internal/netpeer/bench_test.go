@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // BenchmarkBindJoin measures the wire path of a skewed cross-peer join: the
@@ -357,85 +356,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				}
 				if len(rows) != keys*bigRows/distinct {
 					b.Fatalf("rows = %d", len(rows))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSpilledJoinOverBudget is the larger-than-RAM-budget join at
-// smoke scale: the materialized partial join is ~100x the executor's spill
-// budget, so nearly all of it must flow through spill segments while the
-// resident tail stays within the budget. The spilled-bytes/op and
-// join-bytes metrics make the ratio visible next to the wall-clock cost;
-// the inmemory mode is the same join with spilling disabled, pinning what
-// the spill segments cost.
-func BenchmarkSpilledJoinOverBudget(b *testing.B) {
-	const (
-		nKeys  = 400
-		fanout = 8
-		budget = 16 << 10
-	)
-	left := map[string][]rel.Tuple{"SB.left": nil}
-	right := map[string][]rel.Tuple{"SB.right": nil}
-	for i := 0; i < nKeys; i++ {
-		left["SB.left"] = append(left["SB.left"],
-			rel.Tuple{fmt.Sprintf("k%d", i), fmt.Sprintf("left-payload-%06d", i)})
-		for j := 0; j < fanout; j++ {
-			right["SB.right"] = append(right["SB.right"],
-				rel.Tuple{fmt.Sprintf("k%d", i), fmt.Sprintf("right-payload-%06d-%02d", i, j)})
-		}
-	}
-	addr1 := startServer(b, left)
-	addr2 := startServer(b, right)
-	q, err := parser.ParseQuery(`q(x, p, r) :- SB.left(x, p), SB.right(x, r)`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name   string
-		budget int64
-	}{
-		{"spilled", budget},
-		{"inmemory", 0},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			ex := NewExecutor()
-			defer ex.Close()
-			if mode.budget > 0 {
-				ex.SpillDir, ex.SpillBudget = b.TempDir(), mode.budget
-			}
-			for _, a := range []string{addr1, addr2} {
-				if err := ex.Discover(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var joinBytes int64
-			base := store.SpillStatsSnapshot()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ex.frags.clear() // measure the join path, not the cache
-				rows, err := ex.EvalCQ(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) != nKeys*fanout {
-					b.Fatalf("rows = %d", len(rows))
-				}
-				if joinBytes == 0 {
-					for _, t := range rows {
-						joinBytes += store.TupleBytes(t)
-					}
-				}
-			}
-			b.StopTimer()
-			st := store.SpillStatsSnapshot()
-			b.ReportMetric(float64(joinBytes), "join-bytes")
-			b.ReportMetric(float64(st.Bytes-base.Bytes)/float64(b.N), "spilled-bytes/op")
-			b.ReportMetric(float64(st.Loads-base.Loads)/float64(b.N), "spill-loads/op")
-			if mode.budget > 0 {
-				if spilled := int64(st.Bytes-base.Bytes) / int64(b.N); spilled < joinBytes/2 {
-					b.Fatalf("join stayed in memory: %dB spilled of %dB (budget %d)", spilled, joinBytes, mode.budget)
 				}
 			}
 		})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/parser"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // tuplesEqual compares two sorted answer sets.
@@ -197,13 +196,10 @@ func TestBindJoinRepeatedVarAndConsts(t *testing.T) {
 // TestBindJoinDifferentialRandomized pins bind-join answers to the
 // single-instance engine oracle across randomized data partitions,
 // cross-peer CQs and UCQs (including constants, comparisons, repeated
-// atoms, and empty relations), with and without learned cardinalities, and
-// with the partial join held in memory, spilled on every append, or spilled
-// only where it grows large.
+// atoms, and empty relations), with and without learned cardinalities.
 func TestBindJoinDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	preds := []string{"X.p", "X.q", "Y.r", "Y.s", "Z.t"}
-	spills := map[string]uint64{} // per mode, over all trials
 
 	for trial := 0; trial < 25; trial++ {
 		// Random partition of predicates over two peers; random data.
@@ -223,18 +219,12 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 		addrs := []string{startServer(t, peerData[0]), startServer(t, peerData[1])}
 		for _, mode := range []struct {
 			name     string
-			discover bool  // learn cardinalities → exercises the adaptive switch
-			budget   int64 // spill budget in bytes; 0 keeps every buffer in memory
+			discover bool // learn cardinalities → exercises the adaptive switch
 		}{
-			{"bind", false, 0},
-			{"bind-adaptive", true, 0},
-			{"spill-every-row", false, 1},
-			{"spill-large-partials", true, 2 << 10},
+			{"bind", false},
+			{"bind-adaptive", true},
 		} {
 			ex := NewExecutor()
-			if mode.budget > 0 {
-				ex.SpillDir, ex.SpillBudget = t.TempDir(), mode.budget
-			}
 			for _, p := range preds {
 				ex.Route(p, addrs[home[p]])
 			}
@@ -254,10 +244,8 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := store.SpillStatsSnapshot().Spills
 			got, err := ex.EvalUCQ(u)
 			ex.Close()
-			spills[mode.name] += store.SpillStatsSnapshot().Spills - before
 			if err != nil {
 				t.Fatalf("trial %d %s: %v\n%s", trial, mode.name, err, u)
 			}
@@ -267,11 +255,56 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 			}
 		}
 	}
-	if spills["bind"]+spills["bind-adaptive"] != 0 {
-		t.Fatalf("unbudgeted runs spilled: %v", spills)
+}
+
+// TestBindJoinComparisonsAndCacheRepeat runs cross-peer queries with
+// comparisons (exercising the filter-into-the-next-partial pruning path)
+// twice each: both rounds must equal the oracle, and the repeat must be
+// served from the fragment cache.
+func TestBindJoinComparisonsAndCacheRepeat(t *testing.T) {
+	left := map[string][]rel.Tuple{"SP.left": nil}
+	right := map[string][]rel.Tuple{"SP.right": nil}
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("k%d", i)
+		left["SP.left"] = append(left["SP.left"], rel.Tuple{k, fmt.Sprintf("payload-left-%06d", i)})
+		for j := 0; j < 3; j++ {
+			right["SP.right"] = append(right["SP.right"], rel.Tuple{k, fmt.Sprintf("payload-right-%06d-%02d", i, j)})
+		}
 	}
-	if every, large := spills["spill-every-row"], spills["spill-large-partials"]; large == 0 || large >= every {
-		t.Fatalf("spill modes not distinct: %d spills at 1 byte, %d at the mid budget", every, large)
+	e := engine.New(instanceOf(left, right))
+	queries := []string{
+		`q(x, p, r) :- SP.left(x, p), SP.right(x, r), x != "k3"`,
+		`q(x) :- SP.left(x, p), SP.right(x, r), p < r`,
+		`q(p, r) :- SP.left(x, p), SP.right(x, r), x >= "k2", x <= "k8"`,
+	}
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, a := range []string{startServer(t, left), startServer(t, right)} {
+		if err := ex.Discover(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for _, qs := range queries {
+			q, err := parser.ParseQuery(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.EvalCQ(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ex.EvalCQ(q)
+			if err != nil {
+				t.Fatalf("round %d %s: %v", round, qs, err)
+			}
+			if !tuplesEqual(got, want) {
+				t.Fatalf("round %d %s: got %d rows, want %d", round, qs, len(got), len(want))
+			}
+		}
+	}
+	if st := ex.FragmentStats(); st.Hits == 0 {
+		t.Fatalf("second round never hit the fragment cache: %+v", st)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestPlanOrderUsesDistinctAndFallsBack(t *testing.T) {
 
 // TestDistinctOnlyOnFoldedReplies: the per-column distinct estimates cost
 // a sketch merge per relation, so only the replies the executor folds them
-// from carry them — a bind reply does, add and gens replies do not.
+// from carry them — a bind reply does, add and unchanged replies do not.
 func TestDistinctOnlyOnFoldedReplies(t *testing.T) {
 	addr := startServer(t, map[string][]rel.Tuple{"A.r": {{"1", "x"}, {"2", "x"}}})
 	c, err := Dial(addr)
@@ -60,12 +60,13 @@ func TestDistinctOnlyOnFoldedReplies(t *testing.T) {
 	}
 	defer c.Close()
 	wa := wire.FromAtom(lang.NewAtom("A.r", lang.Var("k"), lang.Var("v")))
+	gen := uint64(3) // the generation after the add below
 	for _, tc := range []struct {
 		req      wire.Request
 		distinct bool
 	}{
 		{wire.Request{Op: "add", Pred: "A.r", Rows: [][]string{{"3", "y"}}}, false},
-		{wire.Request{Op: "gens", Preds: []string{"A.r"}}, false},
+		{wire.Request{Op: "scan", Pred: "A.r", IfGen: &gen}, false},
 		{wire.Request{Op: "bind", Atom: &wa, BindCols: []int{0}, BindRows: [][]string{{"1"}}}, true},
 	} {
 		resp, err := c.roundTrip(tc.req)
@@ -74,6 +75,9 @@ func TestDistinctOnlyOnFoldedReplies(t *testing.T) {
 		}
 		if len(resp.Gens) != 1 {
 			t.Fatalf("%s reply lost its generation: %+v", tc.req.Op, resp)
+		}
+		if tc.req.IfGen != nil && !resp.Unchanged {
+			t.Fatalf("scan with the current generation %d was not answered unchanged: %+v", gen, resp)
 		}
 		if got := len(resp.Distinct) == 1 && len(resp.Distinct[0]) == 2; got != tc.distinct {
 			t.Fatalf("%s reply distinct = %v, want present=%v", tc.req.Op, resp.Distinct, tc.distinct)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/rel"
-	"repro/internal/store"
 )
 
 // maxFanout caps the worker pool evaluating UCQ disjuncts concurrently.
@@ -73,16 +72,6 @@ const defaultIdlePingAfter = 60 * time.Second
 // full-jitter exponential backoff — it never started, so the retry is
 // safe for any op.
 type Executor struct {
-	// SpillDir / SpillBudget bound the memory of the materialized partial
-	// join: each partial-join buffer keeps at most SpillBudget accounted
-	// bytes (store.TupleBytes) in memory and overflows the rest to spill
-	// segments under SpillDir, streaming them back per atom with sequential
-	// reads — joins larger than RAM complete within the budget. An empty
-	// dir or non-positive budget keeps every buffer in memory; the join
-	// itself runs the same way either way. Set before issuing queries.
-	SpillDir    string
-	SpillBudget int64
-
 	// idlePingAfter, maxConnsPerAddr, busyRetries and busyBackoff hold the
 	// default* constants of the same names; NewExecutor sets them, and
 	// tests shrink them before issuing queries (pools capture the first
@@ -136,15 +125,6 @@ func NewExecutor() *Executor {
 		abort:           make(chan struct{}),
 		frags:           newFragCache(defaultFragBytes),
 	}
-}
-
-// SetFragmentCacheSpill bounds the fragment cache's *resident* bytes: past
-// memBudget, the coldest entries move their rows to spill files under dir
-// (store's segment frame format) and stream back on their next hit, so a
-// large cold working set costs disk instead of RAM. An empty dir or
-// non-positive budget keeps every entry resident.
-func (e *Executor) SetFragmentCacheSpill(dir string, memBudget int64) {
-	e.frags.setSpill(dir, memBudget)
 }
 
 // FragmentStats returns a snapshot of the cross-query fragment-cache
@@ -217,9 +197,8 @@ func (e *Executor) WireStats() WireStats { return e.counters.Snapshot() }
 // Close closes all pooled connections, aborts in-flight busy-retry
 // backoff sleeps (their callers see the busy error immediately instead of
 // pinning Close behind up to seconds of backoff), and drops the fragment
-// cache (deleting its spill files). The executor stays usable: later calls
-// dial fresh connections, refill the cache, and retry busy errors as
-// usual.
+// cache. The executor stays usable: later calls dial fresh connections,
+// refill the cache, and retry busy errors as usual.
 func (e *Executor) Close() error {
 	e.mu.Lock()
 	pools := e.pools
@@ -466,10 +445,8 @@ type bindJoin struct {
 	e *Executor
 	q lang.CQ
 	// varCol maps each bound variable to its column in partial's rows.
-	varCol map[string]int
-	// partial is only ever appended to and iterated: whether its rows sit
-	// in memory or stream back from spill segments is RowBuffer's concern.
-	partial *store.RowBuffer
+	varCol  map[string]int
+	partial []rel.Tuple
 	// compApplied marks the comparisons already enforced on partial.
 	compApplied []bool
 }
@@ -498,16 +475,12 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, sp *obs.Span
 		}
 	}
 	// Seeded with the unit row: identity of the join.
-	j.partial = store.NewRowBuffer(e.SpillDir, e.SpillBudget)
-	defer func() { j.partial.Close() }()
-	if err := j.partial.Append(rel.Tuple{}); err != nil {
-		return nil, err
-	}
+	j.partial = []rel.Tuple{{}}
 	for _, bi := range e.planOrder(q) {
 		if err := j.step(q.Body[bi], addrs[bi], sp); err != nil {
 			return nil, err
 		}
-		if j.partial.Len() == 0 {
+		if len(j.partial) == 0 {
 			// The partial join is already empty, so the full join is too:
 			// skip the remaining fetches entirely.
 			return nil, nil
@@ -520,7 +493,7 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, sp *obs.Span
 			return nil, fmt.Errorf("netpeer: comparison %s not bound by body", c)
 		}
 	}
-	return j.project()
+	return j.project(), nil
 }
 
 // step joins one atom into the partial: distinct bound keys, bind or fetch,
@@ -528,7 +501,7 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, sp *obs.Span
 func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 	as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred}, obs.Attr{K: "addr", V: addr})
 	defer func() {
-		as.SetInt("partial", int64(j.partial.Len()))
+		as.SetInt("partial", int64(len(j.partial)))
 		as.SetErr(err)
 		as.End()
 	}()
@@ -539,9 +512,7 @@ func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 	useBind := len(sh.joinCols) > 0
 	var keyRows [][]string
 	if useBind {
-		if keyRows, err = j.distinctKeys(sh.joinCols); err != nil {
-			return err
-		}
+		keyRows = j.distinctKeys(sh.joinCols)
 		if card, ok := j.e.cardOf(a.Pred); ok && card < len(keyRows) {
 			useBind = false
 		} else {
@@ -552,7 +523,8 @@ func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 	if err != nil {
 		return err
 	}
-	return j.extend(sh, rows)
+	j.extend(sh, rows)
+	return nil
 }
 
 // appendKey appends the join-key encoding of t's values at cols to b.
@@ -565,14 +537,14 @@ func appendKey(b []byte, t rel.Tuple, cols []int) []byte {
 
 // distinctKeys returns the distinct values of the partial's joinCols, in
 // first-seen order.
-func (j *bindJoin) distinctKeys(joinCols []int) ([][]string, error) {
+func (j *bindJoin) distinctKeys(joinCols []int) [][]string {
 	var kb []byte
 	var keys [][]string
 	seen := map[string]bool{}
-	err := j.partial.Iterate(func(row rel.Tuple) error {
+	for _, row := range j.partial {
 		kb = appendKey(kb[:0], row, joinCols)
 		if seen[string(kb)] {
-			return nil
+			continue
 		}
 		seen[string(kb)] = true
 		key := make([]string, len(joinCols))
@@ -580,18 +552,17 @@ func (j *bindJoin) distinctKeys(joinCols []int) ([][]string, error) {
 			key[i] = row[c]
 		}
 		keys = append(keys, key)
-		return nil
-	})
-	return keys, err
+	}
+	return keys
 }
 
 // extend replaces the partial with its join against one atom's remote rows.
 // The rows — the semi-join-reduced side — are grouped by join key; one
 // sequential pass over the partial then appends every match, widened by the
-// atom's new variables, to the next buffer. Comparisons the new variables
+// atom's new variables, to the next partial. Comparisons the new variables
 // ground filter the widened rows on the way in, pruning the partial before
 // its keys are shipped to the next peer.
-func (j *bindJoin) extend(sh stepShape, rows []rel.Tuple) error {
+func (j *bindJoin) extend(sh stepShape, rows []rel.Tuple) {
 	var kb []byte
 	// Chains, not a slice per key: head[k] is the first row with join key k,
 	// succ[i] the next row with rows[i]'s key (0 ends a chain: row 0 heads
@@ -611,8 +582,8 @@ func (j *bindJoin) extend(sh stepShape, rows []rel.Tuple) error {
 		j.varCol[v] = width + i
 	}
 	ready := j.newlyGround()
-	next := store.NewRowBuffer(j.e.SpillDir, j.e.SpillBudget)
-	err := j.partial.Iterate(func(row rel.Tuple) error {
+	var next []rel.Tuple
+	for _, row := range j.partial {
 		kb = appendKey(kb[:0], row, sh.joinCols)
 		i, ok := head[string(kb)]
 	match:
@@ -628,19 +599,10 @@ func (j *bindJoin) extend(sh stepShape, rows []rel.Tuple) error {
 					continue match
 				}
 			}
-			if err := next.Append(nr); err != nil {
-				return err
-			}
+			next = append(next, nr)
 		}
-		return nil
-	})
-	if err != nil {
-		next.Close()
-		return err
 	}
-	j.partial.Close()
 	j.partial = next
-	return nil
 }
 
 // newlyGround marks and returns the comparisons not yet applied whose
@@ -664,10 +626,10 @@ next:
 }
 
 // project maps the completed join onto the query head: distinct, sorted.
-func (j *bindJoin) project() ([]rel.Tuple, error) {
+func (j *bindJoin) project() []rel.Tuple {
 	head := j.q.Head.Args
-	out := make([]rel.Tuple, 0, j.partial.Len())
-	err := j.partial.Iterate(func(row rel.Tuple) error {
+	out := make([]rel.Tuple, 0, len(j.partial))
+	for _, row := range j.partial {
 		h := make(rel.Tuple, len(head))
 		for i, t := range head {
 			if t.IsConst() {
@@ -677,12 +639,8 @@ func (j *bindJoin) project() ([]rel.Tuple, error) {
 			}
 		}
 		out = append(out, h)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return rel.DistinctSorted(out), nil
+	return rel.DistinctSorted(out)
 }
 
 // evalComp evaluates comparison c over one partial-join row.

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -14,19 +13,29 @@ import (
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/rel"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 // The executor's cross-query fragment cache is bounded by bytes alone,
-// accounted as store.TupleBytes per row plus the key's length — the unit
-// RowBuffer spill budgets use. A fragment over maxFragEntryBytes is not
-// cached at all: one huge fragment must not evict the whole working set
-// for a single future hit.
+// accounted as tupleBytes per row plus the key's length. A fragment over
+// maxFragEntryBytes is not cached at all: one huge fragment must not evict
+// the whole working set for a single future hit.
 const (
 	defaultFragBytes  = 64 << 20
 	maxFragEntryBytes = defaultFragBytes / 8
 )
+
+// tupleBytes estimates the memory one cached row holds: the string payload
+// plus a fixed per-value overhead approximating Go's slice and string
+// headers. It deliberately overestimates slightly, so the byte budget
+// evicts early rather than late.
+func tupleBytes(t rel.Tuple) int64 {
+	n := int64(24) // slice header + growth slack
+	for _, v := range t {
+		n += int64(len(v)) + 16
+	}
+	return n
+}
 
 // FragmentStats is a snapshot of the executor's cross-query fragment-cache
 // counters.
@@ -45,49 +54,28 @@ type FragmentStats struct {
 	// Entries and Bytes describe the current cache contents.
 	Entries int
 	Bytes   int64
-	// SpilledEntries counts entries whose rows currently live in a spill
-	// file instead of memory; MemBytes is the accounted bytes actually
-	// resident (Bytes minus the spilled portion).
-	SpilledEntries int
-	MemBytes       int64
 }
 
 // fragEntry is one cached fragment: the post-filter, deduplicated remote
 // tuples of one (peer, atom pattern, bound-key set) fetch, stamped with the
 // serving peer's generation for the fragment's relation at fetch time.
-// Either rows is resident in memory (file == "") or the rows were moved to
-// the spill file at path file (rows == nil) and stream back per lookup.
 type fragEntry struct {
 	key   string
 	gen   uint64
 	bytes int64
 	rows  []rel.Tuple
-	file  string
 }
 
 // fragCache is a byte-bounded LRU of fragEntries, safe for concurrent use.
 // Staleness is the serving peer's call — the executor sends an entry's
 // generation with the fetch that would refresh it — so the cache only
 // stores generations and records the outcome.
-//
-// With a spill configuration set, the cache additionally bounds *resident*
-// bytes: when memBytes exceeds memBudget, the coldest in-memory entries
-// move their rows to spill files (store's frame format) and count only
-// toward the total byte cap. A spilled entry still hits — its rows stream
-// back from disk — so a large cold working set trades latency for memory
-// instead of being evicted outright.
 type fragCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	ll       *list.List
 	items    map[string]*list.Element
 	bytes    int64
-	// spillDir/memBudget configure cold-entry spilling (zero values keep
-	// everything resident); memBytes tracks the resident portion of bytes.
-	// Guarded by mu.
-	spillDir  string
-	memBudget int64
-	memBytes  int64
 
 	hits, misses, invalidations, evictions uint64
 }
@@ -100,21 +88,9 @@ func newFragCache(maxBytes int64) *fragCache {
 	}
 }
 
-// setSpill configures cold-entry spilling: once resident tuple bytes exceed
-// memBudget, the least-recently-used in-memory entries move to spill files
-// under dir. Applies retroactively to the current contents.
-func (fc *fragCache) setSpill(dir string, memBudget int64) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	fc.spillDir, fc.memBudget = dir, memBudget
-	fc.spillOverLocked()
-}
-
 // lookup returns the entry under key without deciding whether it is fresh:
 // the caller sends gen with its fetch and then reports the outcome via hit
-// or missed. A spilled entry's rows stream back from its file; an
-// unreadable spill file drops the entry and misses. The returned rows are
-// shared — callers must not mutate them.
+// or missed. The returned rows are shared — callers must not mutate them.
 func (fc *fragCache) lookup(key string) (rows []rel.Tuple, gen uint64, ok bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -123,14 +99,6 @@ func (fc *fragCache) lookup(key string) (rows []rel.Tuple, gen uint64, ok bool) 
 		return nil, 0, false
 	}
 	ent := el.Value.(*fragEntry)
-	if ent.file != "" {
-		loaded, err := store.LoadSpillRows(ent.file)
-		if err != nil {
-			fc.removeLocked(el)
-			return nil, 0, false
-		}
-		return loaded, ent.gen, true
-	}
 	return ent.rows, ent.gen, true
 }
 
@@ -164,7 +132,7 @@ func (fc *fragCache) missed(key string, stale bool) {
 func (fc *fragCache) put(key string, gen uint64, rows []rel.Tuple) {
 	bytes := int64(len(key))
 	for _, t := range rows {
-		bytes += store.TupleBytes(t)
+		bytes += tupleBytes(t)
 	}
 	if bytes > maxFragEntryBytes {
 		return
@@ -175,22 +143,13 @@ func (fc *fragCache) put(key string, gen uint64, rows []rel.Tuple) {
 		// Replace in place (a refetch after invalidation reuses the key).
 		ent := el.Value.(*fragEntry)
 		fc.bytes += bytes - ent.bytes
-		if ent.file != "" {
-			os.Remove(ent.file)
-			ent.file = ""
-		} else {
-			fc.memBytes -= ent.bytes
-		}
 		ent.gen, ent.rows, ent.bytes = gen, rows, bytes
-		fc.memBytes += bytes
 		fc.ll.MoveToFront(el)
 	} else {
 		fc.items[key] = fc.ll.PushFront(&fragEntry{key: key, gen: gen, rows: rows, bytes: bytes})
 		fc.bytes += bytes
-		fc.memBytes += bytes
 	}
 	fc.evictOverLocked()
-	fc.spillOverLocked()
 }
 
 func (fc *fragCache) evictOverLocked() {
@@ -204,30 +163,7 @@ func (fc *fragCache) evictOverLocked() {
 	}
 }
 
-// spillOverLocked moves the coldest resident entries to spill files until
-// resident bytes fit the memory budget (no-op without a spill config). A
-// spill failure stops the sweep — the entry stays resident, and capacity
-// eviction still bounds the cache.
-func (fc *fragCache) spillOverLocked() {
-	if fc.spillDir == "" || fc.memBudget <= 0 {
-		return
-	}
-	for el := fc.ll.Back(); el != nil && fc.memBytes > fc.memBudget; {
-		ent := el.Value.(*fragEntry)
-		prev := el.Prev()
-		if ent.file == "" && ent.bytes > 0 {
-			path, err := store.SpillRows(fc.spillDir, ent.rows)
-			if err != nil {
-				return
-			}
-			ent.file, ent.rows = path, nil
-			fc.memBytes -= ent.bytes
-		}
-		el = prev
-	}
-}
-
-// clear drops every entry, deleting spill files. Counters survive.
+// clear drops every entry. Counters survive.
 func (fc *fragCache) clear() {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -241,32 +177,19 @@ func (fc *fragCache) removeLocked(el *list.Element) {
 	fc.ll.Remove(el)
 	delete(fc.items, ent.key)
 	fc.bytes -= ent.bytes
-	if ent.file != "" {
-		os.Remove(ent.file)
-	} else {
-		fc.memBytes -= ent.bytes
-	}
 }
 
 // stats returns a snapshot of the cache counters and current size.
 func (fc *fragCache) stats() FragmentStats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	spilled := 0
-	for el := fc.ll.Front(); el != nil; el = el.Next() {
-		if el.Value.(*fragEntry).file != "" {
-			spilled++
-		}
-	}
 	return FragmentStats{
-		Hits:           fc.hits,
-		Misses:         fc.misses,
-		Invalidations:  fc.invalidations,
-		Evictions:      fc.evictions,
-		Entries:        fc.ll.Len(),
-		Bytes:          fc.bytes,
-		SpilledEntries: spilled,
-		MemBytes:       fc.memBytes,
+		Hits:          fc.hits,
+		Misses:        fc.misses,
+		Invalidations: fc.invalidations,
+		Evictions:     fc.evictions,
+		Entries:       fc.ll.Len(),
+		Bytes:         fc.bytes,
 	}
 }
 

@@ -2,13 +2,13 @@ package netpeer
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/rel"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -215,7 +215,7 @@ func TestFragmentCacheEviction(t *testing.T) {
 
 	// Room for 100 entries: 150 puts evict 50, least recently used first —
 	// key 0 was hit after the first 100 puts, so keys 1..50 go.
-	per := int64(len(key(0))) + store.TupleBytes(rows[0])
+	per := int64(len(key(0))) + tupleBytes(rows[0])
 	fc := newFragCache(100 * per)
 	for i := 0; i < 150; i++ {
 		if i == 100 {
@@ -276,8 +276,8 @@ func TestFragmentCacheStaleEntryCostsOneRequest(t *testing.T) {
 // answers every conditional fetch with rows — the executor stays exact and
 // counts the refetches as misses. A current server still streams rows for
 // a request without ifGen, answers unchanged only while the generation
-// matches (generation 0 included), and still answers gens for older
-// clients.
+// matches (generation 0 included), and answers the retired gens op with an
+// in-band unknown-op error.
 func TestIfGenCompatibility(t *testing.T) {
 	keys := []rel.Tuple{{"k0"}, {"k1"}}
 	var sawIfGen atomic.Bool
@@ -359,9 +359,13 @@ func TestIfGenCompatibility(t *testing.T) {
 	if absent := scan("L.absent", &zero); !absent.Unchanged {
 		t.Fatal("ifGen 0 on an empty relation was not answered unchanged: presence, not value, marks the request")
 	}
-	gens, err := c.roundTrip(wire.Request{Op: "gens", Preds: []string{"L.rows"}})
-	if err != nil || len(gens.Gens) != 1 || gens.Gens[0] != gen {
-		t.Fatalf("gens op: %+v (%v), want generation %d", gens, err, gen)
+	// The retired gens op gets the in-band unknown-op error, and the
+	// connection stays usable.
+	if _, err := c.roundTrip(wire.Request{Op: "gens"}); err == nil || !strings.Contains(err.Error(), `unknown op "gens"`) {
+		t.Fatalf("gens op: %v, want an unknown op error", err)
+	}
+	if again := scan("L.rows", nil); len(again.Rows) != len(lg["L.rows"]) {
+		t.Fatalf("scan after the gens error: %d rows", len(again.Rows))
 	}
 	if srv.Stats().ReadErrors != 0 {
 		t.Fatalf("server read errors: %+v", srv.Stats())

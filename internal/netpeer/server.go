@@ -3,11 +3,9 @@
 // JSON/TCP protocol (package wire), and an Executor evaluates reformulated
 // unions of conjunctive queries across the network.
 //
-// The server answers the seven ops of the peer protocol (package wire lists
+// The server answers the six ops of the peer protocol (package wire lists
 // the JSON envelopes, wire/PROTOCOL.md is the normative specification):
-// "catalog" and "gens" report cardinalities and per-relation generations
-// (gens is kept for older clients; current ones validate cached fragments
-// inside the fetch itself, through the request's ifGen); "scan"
+// "catalog" reports cardinalities and per-relation generations; "scan"
 // and "eval" stream a relation, or a conjunctive query over this peer's
 // relations — full push-down of single-peer rewritings and selection-pushed
 // per-atom fetches; "bind" is the semi-join half of bind-join execution,
@@ -500,8 +498,8 @@ func (s *Server) metaOfLocked(preds ...string) wire.Response {
 // addDistinctLocked adds the per-column distinct estimates of m's
 // relations, the join-ordering hint the executor folds from catalog and
 // row-bearing replies. Merging every shard's sketches costs microseconds
-// per relation, so the replies nobody folds it from (add, gens, unchanged)
-// go without. Callers hold the read lock.
+// per relation, so the replies nobody folds it from (add, unchanged) go
+// without. Callers hold the read lock.
 func (s *Server) addDistinctLocked(m *wire.Response) {
 	m.Distinct = make([][]float64, len(m.Preds))
 	for i, p := range m.Preds {
@@ -597,14 +595,6 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	case "catalog":
 		resp := s.metaOfLocked(s.data.Relations()...)
 		s.addDistinctLocked(&resp)
-		resp.Spans = exported()
-		return send(resp)
-	case "gens":
-		// Older clients' fragment-cache revalidation round trip: tiny and
-		// row-free. Each generation read is individually current; callers
-		// compare them per predicate against cached floors, so no
-		// cross-predicate snapshot is needed.
-		resp := s.metaOfLocked(req.Preds...)
 		resp.Spans = exported()
 		return send(resp)
 	case "ping":

@@ -546,21 +546,14 @@ func unescapeRel(name string) (string, error) {
 	return url.PathUnescape(name)
 }
 
-// RegisterMetrics registers the storage.* snapshot group on reg: segment
-// and replay counters from d (which may be nil when only spill structures
-// are in use) plus the package-wide spill counters.
-func RegisterMetrics(reg *obs.Registry, d *Dir) {
+// RegisterMetrics registers d's segment and replay counters on reg as the
+// storage.* snapshot group.
+func (d *Dir) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterGroup("storage", func(em *obs.Emitter) {
-		if d != nil {
-			em.Counter("segments", d.segments.Load())
-			em.Counter("bytes_written", d.bytesOut.Load())
-			em.Counter("truncations", d.truncations.Load())
-			em.Counter("recovered_tuples", d.recovered.Load())
-			em.Gauge("replay_micros", d.replayMicro.Load())
-		}
-		em.Counter("spills", spillCount.Load())
-		em.Counter("spill_bytes", spillBytesTotal.Load())
-		em.Counter("spill_rows", spillRowsTotal.Load())
-		em.Counter("spill_loads", spillLoads.Load())
+		em.Counter("segments", d.segments.Load())
+		em.Counter("bytes_written", d.bytesOut.Load())
+		em.Counter("truncations", d.truncations.Load())
+		em.Counter("recovered_tuples", d.recovered.Load())
+		em.Gauge("replay_micros", d.replayMicro.Load())
 	})
 }

@@ -280,7 +280,7 @@ func TestMetricCatalogueMatchesDocs(t *testing.T) {
 	n.Exec.RegisterMetrics(reg)
 	n.Mediator.RegisterMetrics(reg)
 	n.Servers[0].RegisterMetrics(reg)
-	store.RegisterMetrics(reg, dir)
+	dir.RegisterMetrics(reg)
 	snap := reg.Snapshot()
 
 	emitted := map[string]bool{}

@@ -3,7 +3,7 @@
 // the request/response envelopes of the peer protocol.
 //
 // The protocol is newline-delimited JSON over TCP: one request per line,
-// answered by a *stream* of one or more response frames. Seven request
+// answered by a *stream* of one or more response frames. Six request
 // kinds:
 //
 //	{"op":"eval", "query":{…}}        evaluate a CQ over this peer's stored
@@ -17,11 +17,6 @@
 //	                                  match the atom's constants and, at the
 //	                                  bindCols positions, any one of the
 //	                                  shipped bindRows key batches
-//	{"op":"gens", "preds":[…]}        report the current generation (insert
-//	                                  counter) and cardinality of each named
-//	                                  relation — kept for older clients,
-//	                                  which validate cached fragments
-//	                                  with it
 //	{"op":"ping"}                     no-op liveness probe; connection pools
 //	                                  use it to health-check idle-too-long
 //	                                  connections before reuse
@@ -49,7 +44,7 @@
 // set and no rows, so validating a cached fragment costs no extra round
 // trip. An error frame ({"error":…}) is always final and may arrive
 // mid-stream, in which case the rows already received must be discarded.
-// Single-frame ops (catalog, gens, ping, add, errors) are just a stream of
+// Single-frame ops (catalog, ping, add, errors) are just a stream of
 // length one.
 //
 // The bind op is the semi-join half of cross-peer bind-join execution: the
@@ -217,7 +212,7 @@ func (q CQ) ToCQ() (lang.CQ, error) {
 
 // Request is one protocol request.
 type Request struct {
-	// Op is "eval", "scan", "catalog", "bind", "gens", "add" or "ping".
+	// Op is "eval", "scan", "catalog", "bind", "add" or "ping".
 	Op string `json:"op"`
 	// Query is the CQ for eval.
 	Query *CQ `json:"query,omitempty"`
@@ -225,8 +220,6 @@ type Request struct {
 	Pred string `json:"pred,omitempty"`
 	// Rows is the batch of tuples an add request inserts into Pred.
 	Rows [][]string `json:"rows,omitempty"`
-	// Preds lists the relations whose generations a gens request asks for.
-	Preds []string `json:"preds,omitempty"`
 	// Atom is the atom to probe for bind: constant arguments are pushed
 	// down as selections; variable arguments are unconstrained unless their
 	// position appears in BindCols.

@@ -556,7 +556,7 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 func (n *Network) RegisterMetrics(reg *obs.Registry) {
 	n.eng.RegisterMetrics(reg)
 	if n.dstore != nil {
-		store.RegisterMetrics(reg, n.dstore)
+		n.dstore.RegisterMetrics(reg)
 	}
 	reg.RegisterHistogram("pdms.query_seconds", n.queryHist)
 	reg.RegisterHistogram("core.reformulate_seconds", n.reformHist)
