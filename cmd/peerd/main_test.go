@@ -212,8 +212,8 @@ func TestAdmissionFlags(t *testing.T) {
 	if _, ok := snap.Histograms["server.queue_wait_seconds"]; !ok {
 		t.Fatal("server.queue_wait_seconds histogram missing")
 	}
-	if st := d.srv.Stats(); st.Shed != 0 {
-		t.Fatalf("unexpected shed count %d in idle test", st.Shed)
+	if n := snap.Counters["server.shed"]; n != 0 {
+		t.Fatalf("unexpected shed count %d in idle test", n)
 	}
 }
 

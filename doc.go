@@ -51,6 +51,6 @@
 // bind-joins — the executor ships the distinct join keys bound
 // so far and the remote peer probes its per-shard hash indexes, so only
 // tuples that can join cross the wire. UCQ disjuncts fan out over a worker
-// pool on per-address connection pools with idle health checks;
+// pool on per-address connection pools, redialing a dead reused connection;
 // pdms.Network.QueryVia plugs the mediator into that executor.
 package repro

@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"repro/internal/netpeer"
+	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/pdms"
 )
@@ -109,9 +110,12 @@ func main() {
 		fmt.Printf("  doctor=%s medic=%s shift=%s\n", t[0], t[1], t[2])
 	}
 
-	st := ex.WireStats()
+	reg := obs.NewRegistry()
+	ex.RegisterMetrics(reg)
+	snap := reg.Snapshot()
 	fmt.Printf("\nwire traffic: %d requests, %d rows fetched, %d B sent, %d B received\n",
-		st.Requests, st.RowsFetched, st.BytesSent, st.BytesRecv)
+		snap.Counters["wire.requests"], snap.Counters["wire.rows_fetched"],
+		snap.Counters["wire.bytes_sent"], snap.Counters["wire.bytes_recv"])
 	fmt.Printf("streaming: largest frame %d B; %d bind batches shipped\n",
-		st.MaxFrameBytes, st.BindBatches)
+		snap.Gauges["wire.max_frame_bytes"], snap.Counters["wire.bind_batches"])
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
@@ -94,13 +95,16 @@ func shardedStoreWalkthrough(n, shards int) {
 		probeTime := time.Since(start)
 
 		st := ins.Relation("orders").Stats()
-		est := e.Stats()
+		reg := obs.NewRegistry()
+		e.RegisterMetrics(reg)
+		est := reg.Snapshot().Counters
 		fmt.Printf("\n  shards=%d\n", nsh)
 		fmt.Printf("    load: %v   filtered scan: %v (%d answers)   probe 10k keys: %v (%d hits)\n",
 			loaded.Round(time.Millisecond), scanned.Round(time.Millisecond), len(ans),
 			probeTime.Round(time.Millisecond), probed)
 		fmt.Printf("    engine counters: probes=%d scans=%d parallel-scans=%d indexes=%d plans=%d\n",
-			est.Probes, est.Scans, est.ParallelScans, est.IndexesBuilt, est.PlansCompiled)
+			est["engine.probes"], est["engine.scans"], est["engine.parallel_scans"],
+			est["engine.indexes_built"], est["engine.plans_compiled"])
 		fmt.Printf("    orders stats: rows=%d shard-rows=%v\n", st.Rows, st.ShardRows)
 		fmt.Printf("    distinct estimates: order_id=%.0f customer=%.0f region=%.0f\n",
 			st.Distinct[0], st.Distinct[1], st.Distinct[2])

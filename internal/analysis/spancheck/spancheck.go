@@ -1,5 +1,5 @@
 // Package spancheck enforces the two API contracts of the observability
-// layer (PR 6):
+// layer:
 //
 //  1. Nil-receiver safety. A type whose doc comment promises "safe on a
 //     nil receiver" (obs.Span, obs.Tracer — sampling off means nil spans
@@ -11,10 +11,10 @@
 //     `if recv == nil { return ... }` guard; methods that only delegate
 //     (no direct field access) need no guard.
 //
-//  2. Stable metric names. Arguments naming metrics — the first argument
-//     of RegisterHistogram/RegisterGroup on obs.Registry and of
-//     Counter/Gauge on obs.Emitter — must be compile-
-//     time string constants matching the lowercase-dotted contract
+//  2. Stable metric names. The first argument of RegisterCounter,
+//     RegisterGauge and RegisterHistogram on obs.Registry — a metric's full
+//     dotted name, at its one registration site — must be a compile-time
+//     string constant matching the lowercase-dotted contract
 //     ^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$. Dashboards and alerts key on
 //     these names; a runtime-built or mixed-case name silently forks the
 //     time series.
@@ -44,12 +44,9 @@ var nilSafeRe = regexp.MustCompile(`(?i)nil receiver`)
 // metricNameRe is the lowercase-dotted naming contract.
 var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 
-// metricMethods maps obs type name -> method names whose first argument
-// is a metric name.
-var metricMethods = map[string]map[string]bool{
-	"Registry": {"RegisterHistogram": true, "RegisterGroup": true},
-	"Emitter":  {"Counter": true, "Gauge": true},
-}
+// metricMethods are the obs.Registry methods whose first argument is a
+// metric name.
+var metricMethods = map[string]bool{"RegisterCounter": true, "RegisterGauge": true, "RegisterHistogram": true}
 
 func run(pass *analysis.Pass) error {
 	checkNilGuards(pass)
@@ -207,16 +204,15 @@ func checkMetricNames(pass *analysis.Pass) {
 			if !ok {
 				return true
 			}
-			recvType := obsTypeOf(pass, method.X)
-			if recvType == "" || !metricMethods[recvType][method.Sel.Name] {
+			if !metricMethods[method.Sel.Name] || !isObsRegistry(pass, method.X) {
 				return true
 			}
 			arg := call.Args[0]
 			tv, ok := pass.TypesInfo.Types[arg]
 			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 				pass.Reportf(arg.Pos(),
-					"metric name passed to %s.%s must be a compile-time string constant (dashboards key on stable names)",
-					recvType, method.Sel.Name)
+					"metric name passed to Registry.%s must be a compile-time string constant (dashboards key on stable names)",
+					method.Sel.Name)
 				return true
 			}
 			name := constant.StringVal(tv.Value)
@@ -229,12 +225,12 @@ func checkMetricNames(pass *analysis.Pass) {
 	}
 }
 
-// obsTypeOf returns "Registry" or "Emitter" when e's type is (a pointer
-// to) that named type declared in a package named obs, else "".
-func obsTypeOf(pass *analysis.Pass, e ast.Expr) string {
+// isObsRegistry reports whether e's type is (a pointer to) the Registry
+// type declared in a package named obs.
+func isObsRegistry(pass *analysis.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok {
-		return ""
+		return false
 	}
 	t := tv.Type
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
@@ -244,18 +240,12 @@ func obsTypeOf(pass *analysis.Pass, e ast.Expr) string {
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return ""
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return ""
+	if obj.Pkg() == nil || obj.Name() != "Registry" {
+		return false
 	}
 	pkg := obj.Pkg().Path()
-	if pkg != "obs" && !strings.HasSuffix(pkg, "/obs") {
-		return ""
-	}
-	if _, ok := metricMethods[obj.Name()]; !ok {
-		return ""
-	}
-	return obj.Name()
+	return pkg == "obs" || strings.HasSuffix(pkg, "/obs")
 }

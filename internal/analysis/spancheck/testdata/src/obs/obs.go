@@ -71,17 +71,11 @@ func (p *plain) get() int { return p.n }
 // Registry is the metric namespace stub.
 type Registry struct{ names []string }
 
+// RegisterCounter attaches an existing counter.
+func (r *Registry) RegisterCounter(name string, c any) { r.names = append(r.names, name) }
+
+// RegisterGauge attaches an existing gauge.
+func (r *Registry) RegisterGauge(name string, g any) { r.names = append(r.names, name) }
+
 // RegisterHistogram attaches an existing histogram.
 func (r *Registry) RegisterHistogram(name string, h any) { r.names = append(r.names, name) }
-
-// RegisterGroup registers a snapshot group under a prefix.
-func (r *Registry) RegisterGroup(prefix string, fn func(*Emitter)) { r.names = append(r.names, prefix) }
-
-// Emitter receives one group's values.
-type Emitter struct{ names []string }
-
-// Counter emits one counter value.
-func (em *Emitter) Counter(name string, v uint64) { em.names = append(em.names, name) }
-
-// Gauge emits one gauge value.
-func (em *Emitter) Gauge(name string, v int64) { em.names = append(em.names, name) }

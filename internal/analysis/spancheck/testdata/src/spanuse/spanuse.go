@@ -3,23 +3,21 @@ package spanuse
 
 import "obs"
 
-// goodPrefix is a named constant: still compile-time checkable.
-const goodPrefix = "engine.parallel_scans"
+// goodName is a named constant: still compile-time checkable.
+const goodName = "engine.parallel_scans"
 
 // Register exercises legal and illegal metric names.
 func Register(r *obs.Registry, dynamic string) {
 	r.RegisterHistogram("server.request_seconds", nil)
-	r.RegisterHistogram(goodPrefix, nil)
-	r.RegisterGroup("wire", func(em *obs.Emitter) {
-		em.Counter("rows_fetched", 1)
-		em.Gauge("max_frame_bytes", 2)
-		em.Counter("Bad_Case", 3) // want "violates the lowercase-dotted naming contract"
-		em.Gauge("trailing.", 4)  // want "violates the lowercase-dotted naming contract"
-	})
-	r.RegisterHistogram("Server.Requests", nil)    // want "violates the lowercase-dotted naming contract"
-	r.RegisterHistogram("server..requests", nil)   // want "violates the lowercase-dotted naming contract"
-	r.RegisterHistogram("9starts.with.digit", nil) // want "violates the lowercase-dotted naming contract"
-	r.RegisterHistogram(dynamic, nil)              // want "must be a compile-time string constant"
-	r.RegisterHistogram("prefix."+dynamic, nil)    // want "must be a compile-time string constant"
-	r.RegisterGroup(dynamic, nil)                  // want "must be a compile-time string constant"
+	r.RegisterCounter(goodName, nil)
+	r.RegisterCounter("wire.rows_fetched", nil)
+	r.RegisterGauge("wire.max_frame_bytes", nil)
+	r.RegisterCounter("wire.Bad_Case", nil)     // want "violates the lowercase-dotted naming contract"
+	r.RegisterGauge("wire.trailing.", nil)      // want "violates the lowercase-dotted naming contract"
+	r.RegisterHistogram("Server.Requests", nil) // want "violates the lowercase-dotted naming contract"
+	r.RegisterCounter("server..requests", nil)  // want "violates the lowercase-dotted naming contract"
+	r.RegisterGauge("9starts.with.digit", nil)  // want "violates the lowercase-dotted naming contract"
+	r.RegisterHistogram(dynamic, nil)           // want "must be a compile-time string constant"
+	r.RegisterCounter("prefix."+dynamic, nil)   // want "must be a compile-time string constant"
+	r.RegisterGauge(dynamic, nil)               // want "must be a compile-time string constant"
 }

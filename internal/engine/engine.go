@@ -63,22 +63,6 @@ func (f *fanOut) dispatch(workers, items int, worker func(queue <-chan int)) err
 	return f.firstErr
 }
 
-// Stats are cumulative engine counters (observability and tests).
-type Stats struct {
-	// Probes counts index-probe step entries; Scans counts full-scan step
-	// entries (one per step entry, regardless of how many shards the scan
-	// fans out over).
-	Probes, Scans uint64
-	// ParallelScans counts scan steps that fanned out over the shard worker
-	// pool (a subset of Scans).
-	ParallelScans uint64
-	// PlansCompiled counts plan compilations (cache misses).
-	PlansCompiled uint64
-	// IndexesBuilt counts distinct (relation, column-set) indexes created;
-	// an index covers every shard of its relation.
-	IndexesBuilt uint64
-}
-
 // parallelScanMinRows gates shard fan-out for full scans: below it the
 // sequential path wins (goroutine + merge overhead beats the work saved).
 // Var, not const, so tests can force the parallel path on small fixtures.
@@ -183,27 +167,24 @@ type Engine struct {
 	mu      sync.RWMutex
 	indexes map[string]map[string]*index // pred -> column-set key -> index; guarded by mu
 
-	probes        atomic.Uint64
-	scans         atomic.Uint64
-	parallelScans atomic.Uint64
-	plansCompiled atomic.Uint64
-	indexesBuilt  atomic.Uint64
+	// probes counts index-probe step entries and scans full-scan step
+	// entries (one per step entry, however many shards a scan fans out
+	// over); parallelScans counts the scan steps that fanned out over the
+	// shard worker pool (a subset of scans).
+	probes, scans, parallelScans obs.Counter
+	// plansCompiled counts plan compilations; planHits and planMisses count
+	// the plan cache's lookups.
+	plansCompiled, planHits, planMisses obs.Counter
+	// indexesBuilt counts distinct (relation, column-set) indexes created;
+	// an index covers every shard of its relation.
+	indexesBuilt obs.Counter
 }
 
 // New returns an engine over ins.
 func New(ins *rel.Instance) *Engine {
-	return &Engine{data: ins, plans: NewLRU(1024), indexes: map[string]map[string]*index{}}
-}
-
-// Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Probes:        e.probes.Load(),
-		Scans:         e.scans.Load(),
-		ParallelScans: e.parallelScans.Load(),
-		PlansCompiled: e.plansCompiled.Load(),
-		IndexesBuilt:  e.indexesBuilt.Load(),
-	}
+	e := &Engine{data: ins, indexes: map[string]map[string]*index{}}
+	e.plans = NewLRU(1024, &e.planHits, &e.planMisses)
+	return e
 }
 
 // colStats returns the planner statistics for pred: cardinality plus the

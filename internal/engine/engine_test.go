@@ -32,12 +32,11 @@ func TestEvalCQSelectiveProbe(t *testing.T) {
 	if len(rows) != 1 || rows[0][0] != "b7" {
 		t.Fatalf("rows = %v", rows)
 	}
-	st := e.Stats()
-	if st.Probes == 0 {
-		t.Fatalf("selective query should probe an index, stats %+v", st)
+	if e.probes.Load() == 0 {
+		t.Fatal("selective query should probe an index")
 	}
-	if st.Scans != 0 {
-		t.Fatalf("selective query should not scan, stats %+v", st)
+	if n := e.scans.Load(); n != 0 {
+		t.Fatalf("selective query should not scan, scanned %d times", n)
 	}
 }
 
@@ -98,9 +97,8 @@ func TestIncrementalIndexMaintenance(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("after insert rows = %v", rows)
 	}
-	st := e.Stats()
-	if st.IndexesBuilt != 1 {
-		t.Fatalf("expected one index (incrementally maintained), built %d", st.IndexesBuilt)
+	if n := e.indexesBuilt.Load(); n != 1 {
+		t.Fatalf("expected one index (incrementally maintained), built %d", n)
 	}
 }
 
@@ -147,7 +145,7 @@ func TestPlanCacheReuse(t *testing.T) {
 		Body: []lang.Atom{lang.NewAtom("E", lang.Var("u"), lang.Var("v"))},
 	}
 	mustEval(t, e, q2)
-	if n := e.Stats().PlansCompiled; n != 1 {
+	if n := e.plansCompiled.Load(); n != 1 {
 		t.Fatalf("plans compiled = %d, want 1", n)
 	}
 }
@@ -363,14 +361,14 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("arity-mismatched disjunct accepted")
 	}
-	before := e.Stats().PlansCompiled
+	before := e.plansCompiled.Load()
 	_, err := e.EvalUCQ(u)
 	if err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("EvalUCQ error = %v, want disjunct 0's: %v", err, wantErr)
 	}
 	// Disjunct 0 plus at most one in-flight claim per other goroutine, with
 	// slack for claims that raced the failure flag.
-	if n := e.Stats().PlansCompiled - before; n > maxUCQFanout+4 {
+	if n := e.plansCompiled.Load() - before; n > maxUCQFanout+4 {
 		t.Fatalf("compiled %d disjuncts after disjunct 0 failed, want <= %d", n, maxUCQFanout+4)
 	}
 }

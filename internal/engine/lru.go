@@ -3,18 +3,20 @@ package engine
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // LRU is a synchronized fixed-capacity least-recently-used cache. It backs
-// the engine's compiled-plan cache and the pdms answer cache; values are
-// opaque. The zero value is unusable; use NewLRU.
+// the engine's compiled-plan cache and the pdms answer and reformulation
+// caches; values are opaque. The zero value is unusable; use NewLRU.
 type LRU struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List
-	items  map[string]*list.Element
-	hits   uint64
-	misses uint64
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List
+	items map[string]*list.Element
+	// hits and misses are the owner's counters, counted by Get.
+	hits, misses *obs.Counter
 }
 
 type lruEntry struct {
@@ -23,12 +25,12 @@ type lruEntry struct {
 }
 
 // NewLRU returns an empty cache holding at most capacity entries
-// (minimum 1).
-func NewLRU(capacity int) *LRU {
+// (minimum 1) that counts every Get into hits or misses.
+func NewLRU(capacity int, hits, misses *obs.Counter) *LRU {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &LRU{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
+	return &LRU{cap: capacity, ll: list.New(), items: map[string]*list.Element{}, hits: hits, misses: misses}
 }
 
 // Get returns the cached value and whether it was present, promoting the
@@ -38,10 +40,10 @@ func (c *LRU) Get(key string) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		c.misses.Inc()
 		return nil, false
 	}
-	c.hits++
+	c.hits.Inc()
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruEntry).val, true
 }
@@ -69,24 +71,4 @@ func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Purge drops every entry (hit/miss counters are kept).
-func (c *LRU) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = map[string]*list.Element{}
-}
-
-// CacheStats reports cumulative hit/miss counts.
-type CacheStats struct {
-	Hits, Misses uint64
-}
-
-// Stats returns cumulative hit/miss counts.
-func (c *LRU) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses}
 }

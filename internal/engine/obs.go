@@ -8,21 +8,15 @@ import (
 )
 
 // RegisterMetrics registers the engine's cumulative counters, and its plan
-// cache's, as the "engine" snapshot group of reg, so one obs snapshot
-// reports them under stable dotted names (engine.probes,
-// engine.parallel_scans, engine.plan_cache.hits, …).
+// cache's, on reg under the engine.* names.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterGroup("engine", func(em *obs.Emitter) {
-		st := e.Stats()
-		em.Counter("probes", st.Probes)
-		em.Counter("scans", st.Scans)
-		em.Counter("parallel_scans", st.ParallelScans)
-		em.Counter("plans_compiled", st.PlansCompiled)
-		em.Counter("indexes_built", st.IndexesBuilt)
-		pc := e.plans.Stats()
-		em.Counter("plan_cache.hits", pc.Hits)
-		em.Counter("plan_cache.misses", pc.Misses)
-	})
+	reg.RegisterCounter("engine.probes", &e.probes)
+	reg.RegisterCounter("engine.scans", &e.scans)
+	reg.RegisterCounter("engine.parallel_scans", &e.parallelScans)
+	reg.RegisterCounter("engine.plans_compiled", &e.plansCompiled)
+	reg.RegisterCounter("engine.indexes_built", &e.indexesBuilt)
+	reg.RegisterCounter("engine.plan_cache.hits", &e.planHits)
+	reg.RegisterCounter("engine.plan_cache.misses", &e.planMisses)
 }
 
 // describe summarizes the plan's step order for trace annotations:

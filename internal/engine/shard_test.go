@@ -113,7 +113,7 @@ func TestDifferentialShardedUCQ(t *testing.T) {
 
 // TestParallelScanCountersAndEquivalence: a join opening with a full scan
 // over a sharded relation takes the parallel path (visible in
-// Stats.ParallelScans) and returns exactly the unsharded answer.
+// engine.parallel_scans) and returns exactly the unsharded answer.
 func TestParallelScanCountersAndEquivalence(t *testing.T) {
 	forceParallel(t)
 	one := rel.NewInstanceSharded(1)
@@ -146,11 +146,11 @@ func TestParallelScanCountersAndEquivalence(t *testing.T) {
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("sharded join diverges: %d vs %d rows", len(got), len(want))
 	}
-	if st := eN.Stats(); st.ParallelScans == 0 {
-		t.Fatalf("expected a parallel scan, stats %+v", st)
+	if eN.parallelScans.Load() == 0 {
+		t.Fatal("expected a parallel scan")
 	}
-	if st := e1.Stats(); st.ParallelScans != 0 {
-		t.Fatalf("unsharded engine must stay sequential, stats %+v", st)
+	if n := e1.parallelScans.Load(); n != 0 {
+		t.Fatalf("unsharded engine must stay sequential, ran %d parallel scans", n)
 	}
 }
 
@@ -283,8 +283,8 @@ func TestProbeRouting(t *testing.T) {
 			t.Fatalf("probe mismatch on %s: %v vs %v", q, got, want)
 		}
 	}
-	if st := e.Stats(); st.Probes == 0 || st.Scans != 0 {
-		t.Fatalf("both queries must probe, stats %+v", st)
+	if probes, scans := e.probes.Load(), e.scans.Load(); probes == 0 || scans != 0 {
+		t.Fatalf("both queries must probe: probes %d, scans %d", probes, scans)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -27,22 +26,31 @@ type admission struct {
 	maxInflight int
 	maxQueue    int
 	maxWait     time.Duration
+	// m is the owning server's admission instruments; m.inflight is the
+	// gate's in-flight count itself, written only under mu.
+	m *admissionMetrics
 
-	// waitHist times successful queue waits (admitted requests only; a shed
-	// request's wait is not a service latency).
-	waitHist *obs.Histogram
-	// shedCount counts requests refused with a busy error, for any reason
-	// (queue full, wait bound exceeded).
-	shedCount atomic.Uint64
-
-	mu       sync.Mutex
-	inflight int             // guarded by mu
-	queue    []chan struct{} // guarded by mu (FIFO; head at index 0, closed to grant)
+	mu    sync.Mutex
+	queue []chan struct{} // guarded by mu (FIFO; head at index 0, closed to grant)
 }
 
-// newAdmission builds a gate; maxInflight must be positive (a nil gate is
-// the admission-off mode).
-func newAdmission(maxInflight, maxQueue int, maxWait time.Duration, waitHist *obs.Histogram) *admission {
+// admissionMetrics are the instruments a server's admission gate updates.
+// The server holds them, so they exist (at zero) before the gate does.
+type admissionMetrics struct {
+	// wait times successful queue waits (admitted requests only; a shed
+	// request's wait is not a service latency).
+	wait obs.Histogram
+	// shed counts requests refused with a busy error, for any reason
+	// (queue full, wait bound exceeded).
+	shed obs.Counter
+	// inflight and queued are the requests executing and waiting for a
+	// slot.
+	inflight, queued obs.Gauge
+}
+
+// newAdmission builds a gate updating m; maxInflight must be positive (a
+// nil gate is the admission-off mode).
+func newAdmission(maxInflight, maxQueue int, maxWait time.Duration, m *admissionMetrics) *admission {
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
@@ -53,7 +61,7 @@ func newAdmission(maxInflight, maxQueue int, maxWait time.Duration, waitHist *ob
 		maxInflight: maxInflight,
 		maxQueue:    maxQueue,
 		maxWait:     maxWait,
-		waitHist:    waitHist,
+		m:           m,
 	}
 }
 
@@ -68,18 +76,19 @@ func (g *admission) acquire(ctx context.Context) error {
 	g.mu.Lock()
 	// Fast path only when nobody is queued, so a burst cannot barge past
 	// requests already waiting.
-	if g.inflight < g.maxInflight && len(g.queue) == 0 {
-		g.inflight++
+	if g.m.inflight.Load() < int64(g.maxInflight) && len(g.queue) == 0 {
+		g.m.inflight.Add(1)
 		g.mu.Unlock()
 		return nil
 	}
 	if len(g.queue) >= g.maxQueue {
 		g.mu.Unlock()
-		g.shedCount.Add(1)
+		g.m.shed.Inc()
 		return errShed
 	}
 	granted := make(chan struct{})
 	g.queue = append(g.queue, granted)
+	g.m.queued.Set(int64(len(g.queue)))
 	g.mu.Unlock()
 
 	start := time.Now()
@@ -87,7 +96,7 @@ func (g *admission) acquire(ctx context.Context) error {
 	defer timer.Stop()
 	select {
 	case <-granted:
-		g.waitHist.Observe(time.Since(start))
+		g.m.wait.Observe(time.Since(start))
 		return nil
 	case <-timer.C:
 	case <-ctx.Done():
@@ -99,17 +108,18 @@ func (g *admission) acquire(ctx context.Context) error {
 	for i, w := range g.queue {
 		if w == granted {
 			g.queue = append(g.queue[:i], g.queue[i+1:]...)
+			g.m.queued.Set(int64(len(g.queue)))
 			g.mu.Unlock()
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			g.shedCount.Add(1)
+			g.m.shed.Inc()
 			return errShed
 		}
 	}
 	g.mu.Unlock()
 	<-granted // already closed
-	g.waitHist.Observe(time.Since(start))
+	g.m.wait.Observe(time.Since(start))
 	return nil
 }
 
@@ -125,30 +135,11 @@ func (g *admission) release() {
 		copy(g.queue, g.queue[1:])
 		g.queue[len(g.queue)-1] = nil
 		g.queue = g.queue[:len(g.queue)-1]
+		g.m.queued.Set(int64(len(g.queue)))
 		g.mu.Unlock()
 		close(granted)
 		return
 	}
-	g.inflight--
+	g.m.inflight.Add(-1)
 	g.mu.Unlock()
-}
-
-// load reports the current in-flight and queued request counts. A nil gate
-// reports zeros.
-func (g *admission) load() (inflight, queued int) {
-	if g == nil {
-		return 0, 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight, len(g.queue)
-}
-
-// shed reports the cumulative count of requests refused busy. A nil gate
-// reports zero.
-func (g *admission) shed() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.shedCount.Load()
 }

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/wire"
 )
@@ -24,7 +23,7 @@ import (
 // the slot is released, and a waiter beyond the queue bound must shed
 // immediately.
 func TestAdmissionGateFIFO(t *testing.T) {
-	g := newAdmission(1, 3, 5*time.Second, obs.NewHistogram())
+	g := newAdmission(1, 3, 5*time.Second, &admissionMetrics{})
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 	order := make(chan int, 3)
 	for i := 0; i < 3; i++ {
 		i := i
-		_, prev := g.load()
+		prev := g.m.queued.Load()
 		go func() {
 			if err := g.acquire(context.Background()); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
@@ -44,7 +43,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 		// so arrival order is deterministic.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if _, queued := g.load(); queued > prev {
+			if g.m.queued.Load() > prev {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -53,7 +52,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if inflight, queued := g.load(); inflight != 1 || queued != 3 {
+	if inflight, queued := g.m.inflight.Load(), g.m.queued.Load(); inflight != 1 || queued != 3 {
 		t.Fatalf("load = (%d, %d), want (1, 3)", inflight, queued)
 	}
 
@@ -65,8 +64,8 @@ func TestAdmissionGateFIFO(t *testing.T) {
 	if time.Since(start) > time.Second {
 		t.Fatal("shed acquire blocked instead of failing fast")
 	}
-	if g.shed() != 1 {
-		t.Fatalf("shed = %d, want 1", g.shed())
+	if n := g.m.shed.Load(); n != 1 {
+		t.Fatalf("shed = %d, want 1", n)
 	}
 
 	// Each release grants the oldest waiter: completion order == arrival
@@ -83,7 +82,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 		}
 	}
 	g.release()
-	if inflight, queued := g.load(); inflight != 0 || queued != 0 {
+	if inflight, queued := g.m.inflight.Load(), g.m.queued.Load(); inflight != 0 || queued != 0 {
 		t.Fatalf("final load = (%d, %d), want (0, 0)", inflight, queued)
 	}
 }
@@ -91,7 +90,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 // TestAdmissionGateWaitBound sheds a queued request once its wait exceeds
 // the bound, and honors context cancellation while queued.
 func TestAdmissionGateWaitBound(t *testing.T) {
-	g := newAdmission(1, 2, 50*time.Millisecond, obs.NewHistogram())
+	g := newAdmission(1, 2, 50*time.Millisecond, &admissionMetrics{})
 	if err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestAdmissionGateWaitBound(t *testing.T) {
 		t.Fatalf("cancelled acquire = %v", err)
 	}
 	g.release()
-	if inflight, queued := g.load(); inflight != 0 || queued != 0 {
+	if inflight, queued := g.m.inflight.Load(), g.m.queued.Load(); inflight != 0 || queued != 0 {
 		t.Fatalf("load = (%d, %d) after drain, want (0, 0)", inflight, queued)
 	}
 }
@@ -162,8 +161,8 @@ func TestAcceptLoopRetriesTemporaryErrors(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after injected accept failures: %v", err)
 	}
-	if got := srv.Stats().AcceptRetries; got < 5 {
-		t.Fatalf("AcceptRetries = %d, want >= 5", got)
+	if got := srv.acceptRetries.Load(); got < 5 {
+		t.Fatalf("server.accept_retries = %d, want >= 5", got)
 	}
 }
 
@@ -201,8 +200,8 @@ func TestAddOp(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("connection broken after in-band add errors: %v", err)
 	}
-	if srv.Stats().Requests < 4 {
-		t.Fatalf("requests = %d, want >= 4", srv.Stats().Requests)
+	if srv.requests.Load() < 4 {
+		t.Fatalf("requests = %d, want >= 4", srv.requests.Load())
 	}
 }
 
@@ -286,8 +285,8 @@ func TestDrainFinishesPipelinedWork(t *testing.T) {
 	if err := <-drainErr; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if got := srv.Stats().ReadErrors; got != 0 {
-		t.Fatalf("ReadErrors = %d after graceful drain, want 0", got)
+	if got := srv.readErrors.Load(); got != 0 {
+		t.Fatalf("server.read_errors = %d after graceful drain, want 0", got)
 	}
 }
 
@@ -322,7 +321,7 @@ func TestPoolKeepsBurstConnections(t *testing.T) {
 	t.Cleanup(func() { ex.Close() })
 	const width = 16
 	burst := func() uint64 {
-		before := ex.WireStats().Dials
+		before := ex.counters.dials.Load()
 		var borrowed, done sync.WaitGroup
 		borrowed.Add(width)
 		for i := 0; i < width; i++ {
@@ -341,7 +340,7 @@ func TestPoolKeepsBurstConnections(t *testing.T) {
 			}()
 		}
 		done.Wait()
-		return ex.WireStats().Dials - before
+		return ex.counters.dials.Load() - before
 	}
 	if d := burst(); d != width {
 		t.Fatalf("first burst dialed %d connections, want %d", d, width)
@@ -375,12 +374,11 @@ func TestPoolCapsDialStorm(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ws := ex.WireStats()
-	if ws.Dials > 4 {
-		t.Fatalf("Dials = %d with cap 4: dial storm not contained", ws.Dials)
+	if dials := ex.counters.dials.Load(); dials > 4 {
+		t.Fatalf("wire.dials = %d with cap 4: dial storm not contained", dials)
 	}
-	if ws.PoolWaits == 0 {
-		t.Fatalf("PoolWaits = 0 with %d borrowers over cap 4", borrowers)
+	if ex.counters.poolWaits.Load() == 0 {
+		t.Fatalf("wire.pool_waits = 0 with %d borrowers over cap 4", borrowers)
 	}
 }
 
@@ -422,7 +420,7 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Inflight != 1 {
+	for srv.admMetrics.inflight.Load() != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow consumer never occupied the slot")
 		}
@@ -448,26 +446,26 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 	}
 	// Let the workers shed against the pinned slot, then release it by
 	// draining the slow consumer.
-	for srv.Stats().Shed < workers {
+	for srv.admMetrics.shed.Load() < workers {
 		if time.Now().After(deadline) {
-			t.Fatalf("shed stuck at %d with the slot pinned", srv.Stats().Shed)
+			t.Fatalf("shed stuck at %d with the slot pinned", srv.admMetrics.shed.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	go io.Copy(io.Discard, slow)
 	wg.Wait()
 
-	st, ws := srv.Stats(), ex.WireStats()
-	if st.Shed == 0 {
+	shed, retries := srv.admMetrics.shed.Load(), ex.counters.busyRetries.Load()
+	if shed == 0 {
 		t.Fatal("no sheds despite pinned slot")
 	}
 	// Shed accounting: every busy frame the server sent was received by
 	// exactly one caller, which (having never surfaced an error) retried.
-	if st.Shed != ws.BusyRetries {
-		t.Fatalf("server shed %d but clients retried %d", st.Shed, ws.BusyRetries)
+	if shed != retries {
+		t.Fatalf("server shed %d but clients retried %d", shed, retries)
 	}
-	if st.Queued != 0 {
-		t.Fatalf("gate not drained: queued=%d", st.Queued)
+	if queued := srv.admMetrics.queued.Load(); queued != 0 {
+		t.Fatalf("gate not drained: queued=%d", queued)
 	}
 }
 
@@ -479,7 +477,7 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 func TestPoolHandsConnectionToWaiter(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
-	p := newPool(addr, ctrs, nil, defaultIdlePingAfter, 1)
+	p := newPool(addr, ctrs, nil, 1)
 	t.Cleanup(func() { p.close() })
 
 	c, reused, err := p.get()
@@ -543,7 +541,7 @@ func TestPoolHandsConnectionToWaiter(t *testing.T) {
 func TestRedialWaitHandsOffAndCountsOnce(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
-	p := newPool(addr, ctrs, nil, defaultIdlePingAfter, 1)
+	p := newPool(addr, ctrs, nil, 1)
 	t.Cleanup(func() { p.close() })
 
 	c, _, err := p.get()
@@ -629,7 +627,7 @@ func TestCloseAbortsBusyBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Inflight != 1 {
+	for srv.admMetrics.inflight.Load() != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow consumer never occupied the slot")
 		}
@@ -647,7 +645,7 @@ func TestCloseAbortsBusyBackoff(t *testing.T) {
 	}()
 	// Wait until the caller is inside the retry loop (the counter bumps
 	// just before each backoff sleep), then close under it.
-	for ex.WireStats().BusyRetries == 0 {
+	for ex.counters.busyRetries.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request never shed into the retry loop")
 		}

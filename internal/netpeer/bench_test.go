@@ -45,7 +45,7 @@ func BenchmarkBindJoin(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	base := ex.WireStats()
+	base := executorCounts(ex)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex.frags.clear()
@@ -58,16 +58,34 @@ func BenchmarkBindJoin(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportWireDeltas(b, ex.WireStats(), base)
+	reportWireDeltas(b, ex, base)
 }
 
-// reportWireDeltas reports per-op wire metrics between two counter
-// snapshots: the shipping savings (rows/bytes) and the requests paid.
-func reportWireDeltas(b *testing.B, st, base WireStats) {
-	b.ReportMetric(float64(st.RowsFetched-base.RowsFetched)/float64(b.N), "rows-fetched/op")
-	b.ReportMetric(float64(st.BytesRecv-base.BytesRecv)/float64(b.N), "bytes-recv/op")
-	b.ReportMetric(float64(st.Requests-base.Requests)/float64(b.N), "requests/op")
-	b.ReportMetric(float64(st.MaxFrameBytes), "max-frame-bytes")
+// executorCounts reads every counter ex registers, by metric name.
+func executorCounts(ex *Executor) map[string]uint64 {
+	reg := obs.NewRegistry()
+	ex.RegisterMetrics(reg)
+	return reg.Snapshot().Counters
+}
+
+// reportWireDeltas reports per-op wire metrics since the base reading: the
+// shipping savings (rows/bytes) and the requests paid.
+func reportWireDeltas(b *testing.B, ex *Executor, base map[string]uint64) {
+	now := executorCounts(ex)
+	perOp := func(name string) float64 { return float64(now[name]-base[name]) / float64(b.N) }
+	b.ReportMetric(perOp("wire.rows_fetched"), "rows-fetched/op")
+	b.ReportMetric(perOp("wire.bytes_recv"), "bytes-recv/op")
+	b.ReportMetric(perOp("wire.requests"), "requests/op")
+	b.ReportMetric(float64(ex.counters.maxFrame.Load()), "max-frame-bytes")
+}
+
+// reportFragHitRate reports the fragment-cache hit rate since the base
+// reading.
+func reportFragHitRate(b *testing.B, ex *Executor, base map[string]uint64) {
+	hits := ex.frags.hits.Load() - base["fragcache.hits"]
+	if n := hits + ex.frags.misses.Load() - base["fragcache.misses"]; n > 0 {
+		b.ReportMetric(float64(hits)/float64(n), "frag-hit-rate")
+	}
 }
 
 // BenchmarkStreamLargeResult pins the frame-ceiling fix in benchmark form:
@@ -95,7 +113,7 @@ func BenchmarkStreamLargeResult(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := ex.WireStats()
+	base := executorCounts(ex)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ans, err := ex.EvalCQ(q)
@@ -107,7 +125,7 @@ func BenchmarkStreamLargeResult(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportWireDeltas(b, ex.WireStats(), base)
+	reportWireDeltas(b, ex, base)
 }
 
 // BenchmarkBindJoinUCQFanout measures the parallel disjunct fan-out: eight
@@ -203,8 +221,7 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 			if _, err := ex.EvalCQ(q); err != nil {
 				b.Fatal(err)
 			}
-			base := ex.WireStats()
-			fragBase := ex.FragmentStats()
+			base := executorCounts(ex)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if mode.cold {
@@ -219,11 +236,8 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportWireDeltas(b, ex.WireStats(), base)
-			frag := ex.FragmentStats()
-			if n := frag.Hits + frag.Misses - fragBase.Hits - fragBase.Misses; n > 0 {
-				b.ReportMetric(float64(frag.Hits-fragBase.Hits)/float64(n), "frag-hit-rate")
-			}
+			reportWireDeltas(b, ex, base)
+			reportFragHitRate(b, ex, base)
 		})
 	}
 }
@@ -272,8 +286,7 @@ func BenchmarkFragmentCacheUnderMutation(b *testing.B) {
 			if _, err := ex.EvalCQ(q); err != nil {
 				b.Fatal(err)
 			}
-			base := ex.WireStats()
-			fragBase := ex.FragmentStats()
+			base := executorCounts(ex)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tu := rel.Tuple{fmt.Sprintf("m%d", i)}
@@ -288,12 +301,9 @@ func BenchmarkFragmentCacheUnderMutation(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportWireDeltas(b, ex.WireStats(), base)
-			frag := ex.FragmentStats()
-			if n := frag.Hits + frag.Misses - fragBase.Hits - fragBase.Misses; n > 0 {
-				b.ReportMetric(float64(frag.Hits-fragBase.Hits)/float64(n), "frag-hit-rate")
-			}
-			b.ReportMetric(float64(frag.Invalidations-fragBase.Invalidations)/float64(b.N), "invalidations/op")
+			reportWireDeltas(b, ex, base)
+			reportFragHitRate(b, ex, base)
+			b.ReportMetric(float64(ex.frags.invalidations.Load()-base["fragcache.invalidations"])/float64(b.N), "invalidations/op")
 		})
 	}
 }

@@ -66,7 +66,7 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := ex.WireStats().RowsFetched
+	before := ex.counters.rowsFetched.Load()
 	rows, err := ex.EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 	if !tuplesEqual(rows, want) {
 		t.Fatalf("bind-join answers diverge: got %v want %v", rows, want)
 	}
-	if fetched := ex.WireStats().RowsFetched - before; fetched*10 > big {
+	if fetched := ex.counters.rowsFetched.Load() - before; fetched*10 > big {
 		t.Fatalf("bind-join fetched %d rows of a %d-row relation; want >= 10x fewer", fetched, big)
 	}
 }
@@ -137,7 +137,7 @@ func TestBindJoinEmptyBoundSideShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ex.WireStats().RowsFetched
+	before := ex.counters.rowsFetched.Load()
 	rows, err := ex.EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestBindJoinEmptyBoundSideShortCircuits(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 	// Only E.small's single row may have crossed the wire.
-	if got := ex.WireStats().RowsFetched - before; got > 1 {
+	if got := ex.counters.rowsFetched.Load() - before; got > 1 {
 		t.Fatalf("fetched %d rows; the big side should never be touched", got)
 	}
 }
@@ -303,8 +303,8 @@ func TestBindJoinComparisonsAndCacheRepeat(t *testing.T) {
 			}
 		}
 	}
-	if st := ex.FragmentStats(); st.Hits == 0 {
-		t.Fatalf("second round never hit the fragment cache: %+v", st)
+	if ex.frags.hits.Load() == 0 {
+		t.Fatal("second round never hit the fragment cache")
 	}
 }
 

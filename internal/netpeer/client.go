@@ -121,7 +121,8 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 			return wire.Response{}, err
 		}
 		if c.counters != nil {
-			c.counters.noteFrame(len(frame))
+			c.counters.bytesRecv.Add(uint64(len(frame)) + 1)
+			c.counters.maxFrame.Max(int64(len(frame)))
 		}
 		var resp wire.Response
 		if err := json.Unmarshal(frame, &resp); err != nil {
@@ -253,8 +254,7 @@ func (c *Client) CatalogMeta() (map[string]int, map[string][]float64, error) {
 }
 
 // Ping performs a no-op round trip, verifying the connection and the peer
-// are alive. Connection pools use it to health-check idle-too-long
-// connections before reuse.
+// are alive.
 func (c *Client) Ping() error {
 	_, err := c.roundTrip(wire.Request{Op: "ping"})
 	return err

@@ -60,7 +60,7 @@ func TestSlowStreamDoesNotConvoyServer(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var prev uint64
 	for {
-		cur := srv.Stats().BytesSent
+		cur := srv.bytesSent.Load()
 		if cur > 0 && cur == prev {
 			break // stream started and has stopped making progress
 		}

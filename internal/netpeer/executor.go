@@ -29,12 +29,6 @@ const (
 	maxBusyBackoff = time.Second
 )
 
-// defaultIdlePingAfter is the idle age beyond which a pooled connection is
-// health-checked (pinged) before reuse. Long enough that busy workloads
-// never pay it, short enough that a peer restart between bursts is caught
-// by the ping instead of the first real request.
-const defaultIdlePingAfter = 60 * time.Second
-
 // Executor evaluates reformulated unions of conjunctive queries across the
 // peer network. It routes each conjunctive rewriting to the single peer
 // serving all its stored relations when possible (full push-down); when a
@@ -65,18 +59,17 @@ const defaultIdlePingAfter = 60 * time.Second
 //
 // UCQ disjuncts are evaluated concurrently over a worker pool; all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
-// connection pools (a single Client is not safe for concurrent use; pooled
-// connections idle past defaultIdlePingAfter are pinged before reuse so a
-// peer restart is absorbed by a fresh dial instead of a first-request
-// failure). A request shed by a peer's admission gate is retried after a
-// full-jitter exponential backoff — it never started, so the retry is
-// safe for any op.
+// connection pools (a single Client is not safe for concurrent use). A
+// pooled connection that fails at the transport level — say, because the
+// peer restarted while it sat idle — is retried once on a fresh dial for
+// the idempotent read ops (see withClientOnce). A request shed by a peer's
+// admission gate is retried after a full-jitter exponential backoff — it
+// never started, so the retry is safe for any op.
 type Executor struct {
-	// idlePingAfter, maxConnsPerAddr, busyRetries and busyBackoff hold the
-	// default* constants of the same names; NewExecutor sets them, and
-	// tests shrink them before issuing queries (pools capture the first
-	// two when first created for an address).
-	idlePingAfter   time.Duration
+	// maxConnsPerAddr, busyRetries and busyBackoff hold the default*
+	// constants of the same names; NewExecutor sets them, and tests shrink
+	// them before issuing queries (pools capture the first when first
+	// created for an address).
 	maxConnsPerAddr int
 	busyRetries     int
 	busyBackoff     time.Duration
@@ -114,7 +107,6 @@ type Executor struct {
 // NewExecutor creates an executor with an empty routing table.
 func NewExecutor() *Executor {
 	return &Executor{
-		idlePingAfter:   defaultIdlePingAfter,
 		maxConnsPerAddr: defaultMaxConnsPerAddr,
 		busyRetries:     defaultBusyRetries,
 		busyBackoff:     defaultBusyBackoff,
@@ -126,10 +118,6 @@ func NewExecutor() *Executor {
 		frags:           newFragCache(defaultFragBytes),
 	}
 }
-
-// FragmentStats returns a snapshot of the cross-query fragment-cache
-// counters.
-func (e *Executor) FragmentStats() FragmentStats { return e.frags.stats() }
 
 // Route declares that the peer at addr serves the given stored relation.
 func (e *Executor) Route(pred, addr string) {
@@ -190,10 +178,6 @@ func (e *Executor) cardOf(pred string) (int, bool) {
 	return n, ok
 }
 
-// WireStats returns a snapshot of the executor's cumulative wire counters
-// (aggregated across every pooled connection, past and present).
-func (e *Executor) WireStats() WireStats { return e.counters.Snapshot() }
-
 // Close closes all pooled connections, aborts in-flight busy-retry
 // backoff sleeps (their callers see the busy error immediately instead of
 // pinning Close behind up to seconds of backoff), and drops the fragment
@@ -222,7 +206,7 @@ func (e *Executor) pool(addr string) *pool {
 	defer e.mu.Unlock()
 	p, ok := e.pools[addr]
 	if !ok {
-		p = newPool(addr, &e.counters, e.updateMeta, e.idlePingAfter, e.maxConnsPerAddr)
+		p = newPool(addr, &e.counters, e.updateMeta, e.maxConnsPerAddr)
 		e.pools[addr] = p
 	}
 	return p

@@ -37,25 +37,6 @@ func tupleBytes(t rel.Tuple) int64 {
 	return n
 }
 
-// FragmentStats is a snapshot of the executor's cross-query fragment-cache
-// counters.
-type FragmentStats struct {
-	// Hits counts atom fetches the serving peer answered unchanged, served
-	// from the cache; Misses counts atom fetches whose rows crossed the
-	// wire.
-	Hits, Misses uint64
-	// Invalidations counts cached fragments replaced because the serving
-	// peer's generation for the fragment's relation had moved past the
-	// generation the fragment was fetched at.
-	Invalidations uint64
-	// Evictions counts entries dropped by the LRU byte budget, not
-	// staleness.
-	Evictions uint64
-	// Entries and Bytes describe the current cache contents.
-	Entries int
-	Bytes   int64
-}
-
 // fragEntry is one cached fragment: the post-filter, deduplicated remote
 // tuples of one (peer, atom pattern, bound-key set) fetch, stamped with the
 // serving peer's generation for the fragment's relation at fetch time.
@@ -75,9 +56,16 @@ type fragCache struct {
 	maxBytes int64
 	ll       *list.List
 	items    map[string]*list.Element
-	bytes    int64
+	// entries and bytes describe the current contents; they are written
+	// under mu, and bytes is the budget's running total.
+	entries, bytes obs.Gauge
 
-	hits, misses, invalidations, evictions uint64
+	// hits counts atom fetches the serving peer answered unchanged, served
+	// from the cache; misses counts atom fetches whose rows crossed the
+	// wire. invalidations counts cached fragments dropped because the
+	// peer's generation for the fragment's relation had moved on, and
+	// evictions the entries dropped by the byte budget.
+	hits, misses, invalidations, evictions obs.Counter
 }
 
 func newFragCache(maxBytes int64) *fragCache {
@@ -110,7 +98,7 @@ func (fc *fragCache) hit(key string) {
 	if el, ok := fc.items[key]; ok {
 		fc.ll.MoveToFront(el)
 	}
-	fc.hits++
+	fc.hits.Inc()
 }
 
 // missed records a fetch whose rows crossed the wire. A stale entry — one
@@ -119,10 +107,10 @@ func (fc *fragCache) hit(key string) {
 func (fc *fragCache) missed(key string, stale bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.misses++
+	fc.misses.Inc()
 	if el, ok := fc.items[key]; stale && ok {
 		fc.removeLocked(el)
-		fc.invalidations++
+		fc.invalidations.Inc()
 	}
 }
 
@@ -142,24 +130,25 @@ func (fc *fragCache) put(key string, gen uint64, rows []rel.Tuple) {
 	if el, ok := fc.items[key]; ok {
 		// Replace in place (a refetch after invalidation reuses the key).
 		ent := el.Value.(*fragEntry)
-		fc.bytes += bytes - ent.bytes
+		fc.bytes.Add(bytes - ent.bytes)
 		ent.gen, ent.rows, ent.bytes = gen, rows, bytes
 		fc.ll.MoveToFront(el)
 	} else {
 		fc.items[key] = fc.ll.PushFront(&fragEntry{key: key, gen: gen, rows: rows, bytes: bytes})
-		fc.bytes += bytes
+		fc.bytes.Add(bytes)
+		fc.entries.Set(int64(fc.ll.Len()))
 	}
 	fc.evictOverLocked()
 }
 
 func (fc *fragCache) evictOverLocked() {
-	for fc.bytes > fc.maxBytes {
+	for fc.bytes.Load() > fc.maxBytes {
 		oldest := fc.ll.Back()
 		if oldest == nil {
 			return
 		}
 		fc.removeLocked(oldest)
-		fc.evictions++
+		fc.evictions.Inc()
 	}
 }
 
@@ -176,21 +165,8 @@ func (fc *fragCache) removeLocked(el *list.Element) {
 	ent := el.Value.(*fragEntry)
 	fc.ll.Remove(el)
 	delete(fc.items, ent.key)
-	fc.bytes -= ent.bytes
-}
-
-// stats returns a snapshot of the cache counters and current size.
-func (fc *fragCache) stats() FragmentStats {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return FragmentStats{
-		Hits:          fc.hits,
-		Misses:        fc.misses,
-		Invalidations: fc.invalidations,
-		Evictions:     fc.evictions,
-		Entries:       fc.ll.Len(),
-		Bytes:         fc.bytes,
-	}
+	fc.bytes.Add(-ent.bytes)
+	fc.entries.Set(int64(fc.ll.Len()))
 }
 
 // fragment returns the distinct tuples of atom a's relation that pass the

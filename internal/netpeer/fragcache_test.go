@@ -95,7 +95,8 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	if len(first) != 16 {
 		t.Fatalf("first answer has %d rows, want 16", len(first))
 	}
-	mid := ex.WireStats()
+	ct := &ex.counters
+	midRows, midReqs, midBytes := ct.rowsFetched.Load(), ct.requests.Load(), ct.bytesRecv.Load()
 
 	again, err := ex.EvalCQ(q)
 	if err != nil {
@@ -104,21 +105,19 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	if !tuplesEqual(first, again) {
 		t.Fatalf("cached answer diverges: %v vs %v", first, again)
 	}
-	after := ex.WireStats()
-	if d := after.RowsFetched - mid.RowsFetched; d != 0 {
+	if d := ct.rowsFetched.Load() - midRows; d != 0 {
 		t.Fatalf("second identical query fetched %d rows, want 0", d)
 	}
-	st := ex.FragmentStats()
-	if st.Hits < 2 {
-		t.Fatalf("fragment hits = %d, want >= 2 (one per atom): %+v", st.Hits, st)
+	if hits := ex.frags.hits.Load(); hits < 2 {
+		t.Fatalf("fragment hits = %d, want >= 2 (one per atom)", hits)
 	}
-	if d := after.Requests - mid.Requests; d != 2 {
+	if d := ct.requests.Load() - midReqs; d != 2 {
 		t.Fatalf("second identical query issued %d requests, want 2 (one per atom)", d)
 	}
 	// The unchanged answers are row-free and tiny next to the fragment
 	// shipping they replace.
-	if d := after.BytesRecv - mid.BytesRecv; d >= (mid.BytesRecv-0)/4 {
-		t.Fatalf("second query received %d bytes, first received %d — not near zero", d, mid.BytesRecv)
+	if d := ct.bytesRecv.Load() - midBytes; d >= midBytes/4 {
+		t.Fatalf("second query received %d bytes, first received %d — not near zero", d, midBytes)
 	}
 }
 
@@ -154,8 +153,8 @@ func TestFragmentCacheInvalidatedByMutation(t *testing.T) {
 	if !found {
 		t.Fatalf("mutated tuple missing from %v", again)
 	}
-	if st := ex.FragmentStats(); st.Invalidations == 0 {
-		t.Fatalf("expected a fragment invalidation after the mutation: %+v", st)
+	if ex.frags.invalidations.Load() == 0 {
+		t.Fatal("expected a fragment invalidation after the mutation")
 	}
 }
 
@@ -180,7 +179,7 @@ func TestFragmentCacheSurvivesUnrelatedMutation(t *testing.T) {
 	if err := small.AddFact("S.other", rel.Tuple{"noise1"}); err != nil {
 		t.Fatal(err)
 	}
-	mid := ex.FragmentStats()
+	midInv, midHits := ex.frags.invalidations.Load(), ex.frags.hits.Load()
 	again, err := ex.EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
@@ -188,12 +187,11 @@ func TestFragmentCacheSurvivesUnrelatedMutation(t *testing.T) {
 	if !tuplesEqual(first, again) {
 		t.Fatalf("answers diverge: %v vs %v", first, again)
 	}
-	st := ex.FragmentStats()
-	if st.Invalidations != mid.Invalidations {
-		t.Fatalf("unrelated mutation invalidated a fragment: %+v -> %+v", mid, st)
+	if inv := ex.frags.invalidations.Load(); inv != midInv {
+		t.Fatalf("unrelated mutation invalidated a fragment: invalidations %d -> %d", midInv, inv)
 	}
-	if st.Hits < mid.Hits+2 {
-		t.Fatalf("cached fragments did not survive the unrelated mutation: %+v -> %+v", mid, st)
+	if hits := ex.frags.hits.Load(); hits < midHits+2 {
+		t.Fatalf("cached fragments did not survive the unrelated mutation: hits %d -> %d", midHits, hits)
 	}
 }
 
@@ -209,8 +207,8 @@ func TestFragmentCacheEviction(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		ex.frags.put(key(i), 1, rows)
 	}
-	if st := ex.FragmentStats(); st.Entries != 600 || st.Evictions != 0 {
-		t.Fatalf("600 one-row fragments under the default budget: %+v", st)
+	if n, ev := ex.frags.entries.Load(), ex.frags.evictions.Load(); n != 600 || ev != 0 {
+		t.Fatalf("600 one-row fragments under the default budget: %d entries, %d evictions", n, ev)
 	}
 
 	// Room for 100 entries: 150 puts evict 50, least recently used first —
@@ -223,9 +221,8 @@ func TestFragmentCacheEviction(t *testing.T) {
 		}
 		fc.put(key(i), 1, rows)
 	}
-	st := fc.stats()
-	if st.Entries != 100 || st.Evictions != 50 || st.Bytes != 100*per {
-		t.Fatalf("after 150 puts into room for 100: %+v", st)
+	if n, ev, bytes := fc.entries.Load(), fc.evictions.Load(), fc.bytes.Load(); n != 100 || ev != 50 || bytes != 100*per {
+		t.Fatalf("after 150 puts into room for 100: %d entries, %d evictions, %d bytes", n, ev, bytes)
 	}
 	for i := 0; i < 150; i++ {
 		_, _, ok := fc.lookup(key(i))
@@ -256,19 +253,19 @@ func TestFragmentCacheStaleEntryCostsOneRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ex.WireStats().Requests
+	before := ex.counters.requests.Load()
 	got, err := ex.EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := ex.WireStats().Requests - before; d != 2 {
+	if d := ex.counters.requests.Load() - before; d != 2 {
 		t.Fatalf("warm re-run after a mutation issued %d requests, want 2 (one per atom)", d)
 	}
 	if !tuplesEqual(got, want) {
 		t.Fatalf("answer after mutation diverges from the oracle: %d rows vs %d", len(got), len(want))
 	}
-	if st := ex.FragmentStats(); st.Invalidations != 1 || st.Hits != 1 {
-		t.Fatalf("want the S.keys fragment hit and the L.rows one refreshed: %+v", st)
+	if inv, hits := ex.frags.invalidations.Load(), ex.frags.hits.Load(); inv != 1 || hits != 1 {
+		t.Fatalf("want the S.keys fragment hit and the L.rows one refreshed: %d invalidations, %d hits", inv, hits)
 	}
 }
 
@@ -326,8 +323,8 @@ func TestIfGenCompatibility(t *testing.T) {
 	}
 	// Cold: two misses. Repeat: the old server's S.keys refetch misses,
 	// L.rows hits.
-	if st := ex.FragmentStats(); st.Misses != 3 || st.Hits != 1 {
-		t.Fatalf("fragment stats against the old server: %+v", st)
+	if misses, hits := ex.frags.misses.Load(), ex.frags.hits.Load(); misses != 3 || hits != 1 {
+		t.Fatalf("fragment cache against the old server: %d misses, %d hits", misses, hits)
 	}
 
 	c, err := Dial(addr)
@@ -367,7 +364,7 @@ func TestIfGenCompatibility(t *testing.T) {
 	if again := scan("L.rows", nil); len(again.Rows) != len(lg["L.rows"]) {
 		t.Fatalf("scan after the gens error: %d rows", len(again.Rows))
 	}
-	if srv.Stats().ReadErrors != 0 {
-		t.Fatalf("server read errors: %+v", srv.Stats())
+	if n := srv.readErrors.Load(); n != 0 {
+		t.Fatalf("server read errors: %d", n)
 	}
 }

@@ -100,7 +100,7 @@ func FuzzResponseStream(f *testing.F) {
 					t.Fatal("clean return but client marked broken")
 				}
 				// An unchanged final frame delivers none of its rows.
-				if fetched := c.counters.Snapshot().RowsFetched; resp.Unchanged && uint64(got+len(resp.Rows)) > fetched {
+				if fetched := c.counters.rowsFetched.Load(); resp.Unchanged && uint64(got+len(resp.Rows)) > fetched {
 					t.Fatalf("unchanged frame delivered rows: onRows saw %d, %d fetched, %d in the final frame", got, fetched, len(resp.Rows))
 				}
 			} else if strings.HasPrefix(err.Error(), "netpeer: remote:") {
@@ -111,10 +111,10 @@ func FuzzResponseStream(f *testing.F) {
 			} else if err != errAbandon && !c.Broken() {
 				t.Fatalf("transport error %v left client unbroken", err)
 			}
-			if want := c.counters.Snapshot().RowsFetched; uint64(got) > want {
+			if want := c.counters.rowsFetched.Load(); uint64(got) > want {
 				t.Fatalf("onRows saw %d rows, counters recorded %d", got, want)
 			}
-			if max := c.counters.Snapshot().MaxFrameBytes; max > uint64(c.maxFrame) {
+			if max := c.counters.maxFrame.Load(); max > int64(c.maxFrame) {
 				t.Fatalf("recorded frame of %d bytes above the %d cap", max, c.maxFrame)
 			}
 		}

@@ -37,9 +37,9 @@ func pinServerSlots(t *testing.T, srv *Server, addr, bigPred string, n int) (rel
 		conns[i] = conn
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Inflight != n {
+	for srv.admMetrics.inflight.Load() != int64(n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("pinners occupied %d slots, want %d", srv.Stats().Inflight, n)
+			t.Fatalf("pinners occupied %d slots, want %d", srv.admMetrics.inflight.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -179,7 +179,7 @@ func TestHammerThousandClients(t *testing.T) {
 	// queue (and time out) or shed, so this wave drives the busy path hard.
 	release := pinServerSlots(t, srv, addr, "A.big", 2)
 	runWave(0, clients/2)
-	shedPinned := srv.Stats().Shed
+	shedPinned := srv.admMetrics.shed.Load()
 	if shedPinned < 100 {
 		t.Errorf("shed = %d while slots were pinned, want >= 100", shedPinned)
 	}
@@ -189,7 +189,6 @@ func TestHammerThousandClients(t *testing.T) {
 	close(stopSnap)
 	<-snapDone
 
-	st := srv.Stats()
 	total := ok.Load() + busy.Load()
 	if total != clients*opsPerClient {
 		t.Fatalf("accounted %d outcomes, want %d (a request vanished without a busy error)", total, clients*opsPerClient)
@@ -197,16 +196,17 @@ func TestHammerThousandClients(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("no request succeeded after the slots were released")
 	}
-	if st.Shed != busy.Load() {
-		t.Fatalf("server shed %d, clients observed %d busy errors", st.Shed, busy.Load())
+	shed := srv.admMetrics.shed.Load()
+	if shed != busy.Load() {
+		t.Fatalf("server shed %d, clients observed %d busy errors", shed, busy.Load())
 	}
 	// The two pinner scans ride on top of the hammer's requests.
-	if st.Requests != clients*opsPerClient+2 {
-		t.Fatalf("server requests = %d, want %d", st.Requests, clients*opsPerClient+2)
+	if n := srv.requests.Load(); n != clients*opsPerClient+2 {
+		t.Fatalf("server requests = %d, want %d", n, clients*opsPerClient+2)
 	}
-	if st.Inflight != 0 || st.Queued != 0 {
-		t.Fatalf("gate not drained after hammer: inflight=%d queued=%d", st.Inflight, st.Queued)
+	if inflight, queued := srv.admMetrics.inflight.Load(), srv.admMetrics.queued.Load(); inflight != 0 || queued != 0 {
+		t.Fatalf("gate not drained after hammer: inflight=%d queued=%d", inflight, queued)
 	}
 	t.Logf("hammer: %d ok, %d busy, shed=%d, accept_retries=%d",
-		ok.Load(), busy.Load(), st.Shed, st.AcceptRetries)
+		ok.Load(), busy.Load(), shed, srv.acceptRetries.Load())
 }

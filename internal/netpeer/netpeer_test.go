@@ -214,11 +214,11 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		u.Add(routed)
 	}
-	before := srv.Stats().Requests
+	before := srv.requests.Load()
 	if _, err := ex.EvalUCQ(u); err == nil || !strings.Contains(err.Error(), "no route") {
 		t.Fatalf("err = %v, want the no-route error of disjunct 0", err)
 	}
-	if got := srv.Stats().Requests - before; got > maxFanout+4 {
+	if got := srv.requests.Load() - before; got > maxFanout+4 {
 		t.Fatalf("server saw %d requests after disjunct 0 failed; want at most the ~%d in flight", got, maxFanout)
 	}
 }

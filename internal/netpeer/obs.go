@@ -47,54 +47,43 @@ func (s *Server) logw(msg string, kv ...any) {
 	}
 }
 
-// RegisterMetrics registers the server's wire-level counters as the
-// "server" snapshot group of reg, its request-latency histogram as
-// "server.request_seconds", and its embedded engine's counters as the
-// "engine" group.
+// RegisterMetrics registers the server's instruments on reg under the
+// server.* names, and its embedded engine's under engine.*.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterGroup("server", func(em *obs.Emitter) {
-		st := s.Stats()
-		em.Counter("requests", st.Requests)
-		em.Counter("rows_served", st.RowsServed)
-		em.Counter("bytes_sent", st.BytesSent)
-		em.Counter("bytes_recv", st.BytesRecv)
-		em.Counter("read_errors", st.ReadErrors)
-		em.Counter("shed", st.Shed)
-		em.Counter("accept_retries", st.AcceptRetries)
-		em.Gauge("inflight", int64(st.Inflight))
-		em.Gauge("queued", int64(st.Queued))
-	})
-	reg.RegisterHistogram("server.request_seconds", s.reqHist)
-	reg.RegisterHistogram("server.queue_wait_seconds", s.queueWaitHist)
+	reg.RegisterCounter("server.requests", &s.requests)
+	reg.RegisterCounter("server.rows_served", &s.rowsServed)
+	reg.RegisterCounter("server.bytes_sent", &s.bytesSent)
+	reg.RegisterCounter("server.bytes_recv", &s.bytesRecv)
+	reg.RegisterCounter("server.read_errors", &s.readErrors)
+	reg.RegisterCounter("server.accept_retries", &s.acceptRetries)
+	reg.RegisterCounter("server.shed", &s.admMetrics.shed)
+	reg.RegisterGauge("server.inflight", &s.admMetrics.inflight)
+	reg.RegisterGauge("server.queued", &s.admMetrics.queued)
+	reg.RegisterHistogram("server.request_seconds", &s.reqHist)
+	reg.RegisterHistogram("server.queue_wait_seconds", &s.admMetrics.wait)
 	s.eng.RegisterMetrics(reg)
 }
 
-// RegisterMetrics registers the executor's aggregated wire counters as the
-// "wire" snapshot group of reg and its fragment-cache counters as the
-// "fragcache" group.
+// RegisterMetrics registers the executor's wire counters, aggregated over
+// every pooled connection, on reg under the wire.* names, and its fragment
+// cache's under fragcache.*.
 func (e *Executor) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterGroup("wire", func(em *obs.Emitter) {
-		ws := e.WireStats()
-		em.Counter("requests", ws.Requests)
-		em.Counter("rows_fetched", ws.RowsFetched)
-		em.Counter("bytes_sent", ws.BytesSent)
-		em.Counter("bytes_recv", ws.BytesRecv)
-		em.Gauge("max_frame_bytes", int64(ws.MaxFrameBytes))
-		em.Counter("bind_batches", ws.BindBatches)
-		em.Counter("health_pings", ws.HealthPings)
-		em.Counter("health_drops", ws.HealthDrops)
-		em.Counter("dials", ws.Dials)
-		em.Counter("pool_waits", ws.PoolWaits)
-		em.Counter("busy_retries", ws.BusyRetries)
-		em.Counter("distinct_meta", ws.DistinctMeta)
-	})
-	reg.RegisterGroup("fragcache", func(em *obs.Emitter) {
-		fs := e.FragmentStats()
-		em.Counter("hits", fs.Hits)
-		em.Counter("misses", fs.Misses)
-		em.Counter("invalidations", fs.Invalidations)
-		em.Counter("evictions", fs.Evictions)
-		em.Gauge("entries", int64(fs.Entries))
-		em.Gauge("bytes", fs.Bytes)
-	})
+	ct := &e.counters
+	reg.RegisterCounter("wire.requests", &ct.requests)
+	reg.RegisterCounter("wire.rows_fetched", &ct.rowsFetched)
+	reg.RegisterCounter("wire.bytes_sent", &ct.bytesSent)
+	reg.RegisterCounter("wire.bytes_recv", &ct.bytesRecv)
+	reg.RegisterGauge("wire.max_frame_bytes", &ct.maxFrame)
+	reg.RegisterCounter("wire.bind_batches", &ct.bindBatches)
+	reg.RegisterCounter("wire.dials", &ct.dials)
+	reg.RegisterCounter("wire.pool_waits", &ct.poolWaits)
+	reg.RegisterCounter("wire.busy_retries", &ct.busyRetries)
+	reg.RegisterCounter("wire.distinct_meta", &ct.distinctMeta)
+	fc := e.frags
+	reg.RegisterCounter("fragcache.hits", &fc.hits)
+	reg.RegisterCounter("fragcache.misses", &fc.misses)
+	reg.RegisterCounter("fragcache.invalidations", &fc.invalidations)
+	reg.RegisterCounter("fragcache.evictions", &fc.evictions)
+	reg.RegisterGauge("fragcache.entries", &fc.entries)
+	reg.RegisterGauge("fragcache.bytes", &fc.bytes)
 }

@@ -3,7 +3,6 @@ package netpeer
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // defaultMaxConnsPerAddr caps the total connections (idle + borrowed) a
@@ -12,14 +11,6 @@ import (
 // empty, so a 1k-client burst opened 1k sockets to one peer; now borrowers
 // beyond the cap wait for a slot instead.
 const defaultMaxConnsPerAddr = 64
-
-// idleConn is one pooled connection plus the moment it went idle, so get
-// can health-check connections that sat unused long enough for the peer to
-// have restarted or an intermediary to have dropped the flow.
-type idleConn struct {
-	c     *Client
-	since time.Time
-}
 
 // pool is a small per-address connection pool. A Client is not safe for
 // concurrent use, so concurrent executor work (parallel UCQ disjuncts,
@@ -33,18 +24,12 @@ type idleConn struct {
 // borrowed alike, and nothing else: every open connection holds a slot, a
 // returned connection stays idle until reused, and a borrower finding no
 // idle connection either dials (slot free) or waits for one (cap reached,
-// counted in PoolWaits). Waiters are served strict FIFO by direct
+// counted in wire.pool_waits). Waiters are served strict FIFO by direct
 // ownership transfer: a returned connection or a released slot is handed
 // to the oldest waiter while the pool lock is held, never parked where a
 // newly arriving borrower could steal it — wake-and-retry would let
 // arrivals barge past woken waiters indefinitely under sustained
 // contention.
-//
-// Connections idle for at least pingAfter are pinged (a no-op protocol
-// round trip) before being handed out: a connection that died while idle
-// is detected and replaced by a fresh dial here, instead of surfacing its
-// failure to the borrower's first real request and leaning on the
-// idempotent-retry path.
 type pool struct {
 	addr     string
 	counters *Counters
@@ -52,14 +37,11 @@ type pool struct {
 	// estimates from every pooled connection back to the executor's estimate
 	// tables.
 	onMeta func(preds []string, cards []int, dists [][]float64)
-	// pingAfter is the idle age beyond which get pings a connection before
-	// reuse.
-	pingAfter time.Duration
 	// maxConns caps total open connections (idle + borrowed) to addr.
 	maxConns int
 
 	mu      sync.Mutex
-	idle    []idleConn   // guarded by mu
+	idle    []*Client    // guarded by mu
 	active  int          // guarded by mu (open connections: idle + borrowed)
 	waiters []chan grant // guarded by mu (FIFO; head handed each returned conn or released slot)
 	closed  bool         // guarded by mu
@@ -75,89 +57,63 @@ type grant struct {
 	slot bool    // a connection slot is reserved for you; dial it
 }
 
-func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, dists [][]float64), pingAfter time.Duration, maxConns int) *pool {
-	return &pool{addr: addr, counters: counters, onMeta: onMeta, pingAfter: pingAfter, maxConns: maxConns}
+func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, dists [][]float64), maxConns int) *pool {
+	return &pool{addr: addr, counters: counters, onMeta: onMeta, maxConns: maxConns}
 }
 
 // get returns a connection to the pool's address, reusing an idle one when
-// available. An idle connection older than pingAfter is health-checked
-// first; dead ones are dropped (counted in HealthDrops) and the next idle
-// connection — or a fresh dial — is tried instead. With no idle connection
-// and the per-address cap reached, get blocks until a returned connection
-// or freed slot is handed to it (FIFO; at most one PoolWaits count per
-// call, however long the wait). reused reports whether the connection
-// predates this call: a reused connection may still die between the ping
-// and the request, so callers issuing idempotent requests may retry once
-// on a fresh dial (see Executor.withClient).
+// available. With no idle connection and the per-address cap reached, get
+// blocks until a returned connection or freed slot is handed to it (FIFO;
+// one wire.pool_waits count however long the wait). reused reports whether
+// the connection predates this call: a reused connection may have died
+// while idle, so callers issuing idempotent requests may retry once on a
+// fresh dial (see Executor.withClientOnce).
 func (p *pool) get() (c *Client, reused bool, err error) {
-	waited := false
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, false, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
-		}
-		if n := len(p.idle); n > 0 {
-			ic := p.idle[n-1]
-			p.idle[n-1] = idleConn{}
-			p.idle = p.idle[:n-1]
-			p.mu.Unlock()
-			if time.Since(ic.since) >= p.pingAfter {
-				p.counters.healthPings.Add(1)
-				if err := ic.c.Ping(); err != nil {
-					p.counters.healthDrops.Add(1)
-					ic.c.Close()
-					p.releaseSlot()
-					continue
-				}
-			}
-			return ic.c, true, nil
-		}
-		if p.active < p.maxConns {
-			p.active++
-			p.mu.Unlock()
-			c, err = p.dial()
-			if err != nil {
-				p.releaseSlot()
-				return nil, false, err
-			}
-			return c, false, nil
-		}
-		// Cap reached and nothing idle: queue for a handed-off connection
-		// or slot. Whatever arrives is already ours — no retry race with
-		// borrowers that show up while we were asleep.
-		w := make(chan grant, 1)
-		p.waiters = append(p.waiters, w)
+	p.mu.Lock()
+	if p.closed {
 		p.mu.Unlock()
-		if !waited {
-			waited = true
-			p.counters.poolWaits.Add(1)
-		}
-		g := <-w
-		switch {
-		case g.c != nil:
-			// Handed straight from a put: it was in use moments ago, so no
-			// idle-age health check applies.
-			return g.c, true, nil
-		case g.slot:
-			c, err = p.dial()
-			if err != nil {
-				p.releaseSlot()
-				return nil, false, err
-			}
-			return c, false, nil
-		default:
-			return nil, false, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
-		}
+		return nil, false, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
+	}
+	if n := len(p.idle); n > 0 {
+		c = p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return c, true, nil
+	}
+	if p.active < p.maxConns {
+		p.active++
+		p.mu.Unlock()
+		c, err = p.dial()
+		return c, false, err
+	}
+	// Cap reached and nothing idle: queue for a handed-off connection or
+	// slot. Whatever arrives is already ours — no retry race with borrowers
+	// that show up while we were asleep.
+	w := make(chan grant, 1)
+	p.waiters = append(p.waiters, w)
+	p.mu.Unlock()
+	p.counters.poolWaits.Add(1)
+	g := <-w
+	switch {
+	case g.c != nil:
+		return g.c, true, nil
+	case g.slot:
+		c, err = p.dial()
+		return c, false, err
+	default:
+		return nil, false, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
 	}
 }
 
 // dial opens a fresh connection wired to the pool's shared counters and
 // meta feedback hook. The caller must already hold a connection slot
-// (get's cap check, or redial's explicit acquire).
+// (get's cap check, or redial's explicit acquire), which a failed dial
+// releases.
 func (p *pool) dial() (*Client, error) {
 	c, err := Dial(p.addr)
 	if err != nil {
+		p.releaseSlot()
 		return nil, err
 	}
 	p.counters.dials.Add(1)
@@ -167,9 +123,9 @@ func (p *pool) dial() (*Client, error) {
 }
 
 // redial acquires a connection slot (waiting under the cap like get, one
-// PoolWaits count per call) and dials fresh, bypassing the idle list — the
-// broken-reused-connection retry path, where the borrower specifically
-// must not get another stale pooled connection. A pooled connection handed
+// wire.pool_waits count per call) and dials fresh, bypassing the idle list
+// — the broken-reused-connection retry path, where the borrower
+// specifically must not get another stale pooled connection. A pooled connection handed
 // to a waiting redial is closed and its slot reused for the fresh dial.
 func (p *pool) redial() (*Client, error) {
 	p.mu.Lock()
@@ -180,12 +136,7 @@ func (p *pool) redial() (*Client, error) {
 	if p.active < p.maxConns {
 		p.active++
 		p.mu.Unlock()
-		c, err := p.dial()
-		if err != nil {
-			p.releaseSlot()
-			return nil, err
-		}
-		return c, nil
+		return p.dial()
 	}
 	w := make(chan grant, 1)
 	p.waiters = append(p.waiters, w)
@@ -199,12 +150,7 @@ func (p *pool) redial() (*Client, error) {
 	} else if !g.slot {
 		return nil, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
 	}
-	c, err := p.dial()
-	if err != nil {
-		p.releaseSlot()
-		return nil, err
-	}
-	return c, nil
+	return p.dial()
 }
 
 // releaseSlot returns one connection slot, handing it to the oldest waiter
@@ -260,7 +206,7 @@ func (p *pool) put(c *Client) {
 		w <- grant{c: c}
 		return
 	}
-	p.idle = append(p.idle, idleConn{c: c, since: time.Now()})
+	p.idle = append(p.idle, c)
 	p.mu.Unlock()
 }
 
@@ -280,8 +226,8 @@ func (p *pool) close() error {
 		close(w)
 	}
 	var first error
-	for _, ic := range idle {
-		if err := ic.c.Close(); err != nil && first == nil {
+	for _, c := range idle {
+		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -11,8 +11,8 @@
 // per-atom fetches; "bind" is the semi-join half of bind-join execution,
 // one atom plus a batch of bound join-key rows answered by one indexed
 // probe per key (engine.ProbeByKeyBatchYield) instead of a full scan;
-// "ping" is the connection pools' liveness probe; "add" inserts a batch of
-// tuples under the same read-side locking as Server.AddFact.
+// "ping" is a liveness probe that touches no relation; "add" inserts a
+// batch of tuples under the same read-side locking as Server.AddFact.
 //
 // The server practices admission control (Server.MaxInflight, MaxQueue,
 // QueueWait): requests beyond the in-flight limit wait in a bounded FIFO
@@ -44,8 +44,9 @@
 // generation — the distributed half of the system's two-level cache
 // architecture (the local half is pdms.Network's generation-vector answer
 // cache). The Executor type documents the algorithm. Both sides keep
-// wire-level counters (requests, rows, bytes, bind batches, health
-// pings/drops) so the shipping savings are measurable.
+// wire-level counters as obs instruments (requests, rows and bytes on the
+// server; those plus bind batches, dials and busy retries on the executor),
+// registered by RegisterMetrics, so the shipping savings are measurable.
 //
 // The paper treats query execution as out of scope ("recent techniques for
 // adaptive query processing are well suited for our context"); this package
@@ -152,12 +153,11 @@ type Server struct {
 	eng  *engine.Engine
 
 	// reqHist times every admitted request (dequeue to final frame
-	// written, admission wait included), exported as
-	// server.request_seconds by RegisterMetrics.
-	reqHist *obs.Histogram
-	// queueWaitHist times successful admission-queue waits, exported as
-	// server.queue_wait_seconds by RegisterMetrics.
-	queueWaitHist *obs.Histogram
+	// written, admission wait included).
+	reqHist obs.Histogram
+	// admMetrics are the admission gate's instruments, held here so they
+	// register (at zero) whether or not the gate exists.
+	admMetrics admissionMetrics
 	// adm is the admission gate, built by ServeListener from MaxInflight/
 	// MaxQueue/QueueWait (nil = admission off).
 	adm *admission // guarded by mu (ServeListener publishes; read via gate)
@@ -174,12 +174,18 @@ type Server struct {
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{} // guarded by connMu (live connections, for Drain's read-deadline nudge)
 
-	requests      atomic.Uint64
-	rowsServed    atomic.Uint64
-	bytesSent     atomic.Uint64
-	bytesRecv     atomic.Uint64
-	readErrors    atomic.Uint64
-	acceptRetries atomic.Uint64
+	// requests counts protocol requests handled (including errors) and
+	// rowsServed the tuples returned across all response frames; bytesSent
+	// and bytesRecv count response and request bytes on the wire.
+	requests, rowsServed, bytesSent, bytesRecv obs.Counter
+	// readErrors counts request frames that could not be read cleanly
+	// (over-limit or broken mid-line). Over-limit frames also get an
+	// in-band error response; the rest tear down the connection with a
+	// Logger diagnostic instead of dying silently.
+	readErrors obs.Counter
+	// acceptRetries counts temporary Accept failures the listen loop rode
+	// out with backoff instead of terminating.
+	acceptRetries obs.Counter
 }
 
 // gate returns the admission gate (nil while the server has not started
@@ -201,8 +207,6 @@ func NewServer(data *rel.Instance) *Server {
 		writeTimeout:    defaultWriteTimeout,
 		data:            data,
 		eng:             engine.New(data),
-		reqHist:         obs.NewHistogram(),
-		queueWaitHist:   obs.NewHistogram(),
 		conns:           map[net.Conn]struct{}{},
 	}
 }
@@ -239,7 +243,7 @@ func (s *Server) ServeListener(lis net.Listener) {
 	s.lis = lis
 	s.cancel = cancel
 	if s.MaxInflight > 0 {
-		s.adm = newAdmission(s.MaxInflight, s.MaxQueue, s.QueueWait, s.queueWaitHist)
+		s.adm = newAdmission(s.MaxInflight, s.MaxQueue, s.QueueWait, &s.admMetrics)
 	}
 	s.mu.Unlock()
 	s.wg.Add(1)
@@ -598,8 +602,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		resp.Spans = exported()
 		return send(resp)
 	case "ping":
-		// Liveness probe for pool health checks; deliberately touches no
-		// relation state.
+		// Liveness probe; deliberately touches no relation state.
 		return send(wire.Response{Spans: exported()})
 	case "scan":
 		// StreamScan walks the per-shard insert logs directly: no sort, no

@@ -49,12 +49,11 @@ func TestStreamLargeResultRegression(t *testing.T) {
 	if len(got) != rows {
 		t.Fatalf("scan rows = %d, want %d", len(got), rows)
 	}
-	st := c.counters.Snapshot()
-	if st.BytesRecv < 16*1024*1024 {
-		t.Fatalf("fixture too small: received %d bytes, want > 16MiB", st.BytesRecv)
+	if n := c.counters.bytesRecv.Load(); n < 16*1024*1024 {
+		t.Fatalf("fixture too small: received %d bytes, want > 16MiB", n)
 	}
-	if st.MaxFrameBytes > 2*wire.ChunkMaxBytes {
-		t.Fatalf("frame of %d bytes escaped the chunk bound %d", st.MaxFrameBytes, wire.ChunkMaxBytes)
+	if n := c.counters.maxFrame.Load(); n > 2*wire.ChunkMaxBytes {
+		t.Fatalf("frame of %d bytes escaped the chunk bound %d", n, wire.ChunkMaxBytes)
 	}
 
 	// Executor eval push-down over the same relation.
@@ -74,8 +73,8 @@ func TestStreamLargeResultRegression(t *testing.T) {
 	if len(ans) != rows {
 		t.Fatalf("eval rows = %d, want %d", len(ans), rows)
 	}
-	if est := ex.WireStats(); est.MaxFrameBytes > 2*wire.ChunkMaxBytes {
-		t.Fatalf("executor frame of %d bytes escaped the chunk bound", est.MaxFrameBytes)
+	if n := ex.counters.maxFrame.Load(); n > 2*wire.ChunkMaxBytes {
+		t.Fatalf("executor frame of %d bytes escaped the chunk bound", n)
 	}
 }
 
@@ -123,8 +122,8 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	if err != nil || len(preds) != 1 {
 		t.Fatalf("connection unusable after oversize request: %v (%v)", preds, err)
 	}
-	if st := srv.Stats(); st.ReadErrors != 1 {
-		t.Fatalf("ReadErrors = %d, want 1", st.ReadErrors)
+	if n := srv.readErrors.Load(); n != 1 {
+		t.Fatalf("server.read_errors = %d, want 1", n)
 	}
 	if msgs := logged.messages(); len(msgs) != 1 || !strings.Contains(msgs[0], "request frame over") {
 		t.Fatalf("server diagnostic missing: %q", msgs)
@@ -227,13 +226,12 @@ func TestAdaptiveFullFetchWhenRemoteSmaller(t *testing.T) {
 	if !tuplesEqual(got, want) {
 		t.Fatalf("adaptive path diverges: got %d rows, want %d", len(got), len(want))
 	}
-	st := ex.WireStats()
-	if st.BindBatches != 1 {
-		t.Fatalf("BindBatches = %d, want exactly 1 (B.mid bind; C.late must full-fetch)", st.BindBatches)
+	if n := ex.counters.bindBatches.Load(); n != 1 {
+		t.Fatalf("wire.bind_batches = %d, want exactly 1 (B.mid bind; C.late must full-fetch)", n)
 	}
 	// 15 A.small + 150 B.mid bind results + all 40 C.late rows.
-	if st.RowsFetched != 15+150+40 {
-		t.Fatalf("RowsFetched = %d, want %d", st.RowsFetched, 15+150+40)
+	if n := ex.counters.rowsFetched.Load(); n != 15+150+40 {
+		t.Fatalf("wire.rows_fetched = %d, want %d", n, 15+150+40)
 	}
 }
 
@@ -286,7 +284,8 @@ func TestMultiBatchBind(t *testing.T) {
 		{"cold", 3},
 		{"warm", 1},
 	} {
-		requests, before := srv.Stats().Requests, ex.WireStats()
+		requests := srv.requests.Load()
+		batches, rows := ex.counters.bindBatches.Load(), ex.counters.rowsFetched.Load()
 		got, err := ex.EvalCQ(q)
 		if err != nil {
 			t.Fatal(err)
@@ -294,14 +293,13 @@ func TestMultiBatchBind(t *testing.T) {
 		if !tuplesEqual(got, want) {
 			t.Fatalf("%s: answers diverge (%d rows vs %d)", run.name, len(got), len(want))
 		}
-		after := ex.WireStats()
-		if d := srv.Stats().Requests - requests; d != run.batches {
+		if d := srv.requests.Load() - requests; d != run.batches {
 			t.Fatalf("%s: D.rows peer saw %d requests, want %d", run.name, d, run.batches)
 		}
-		if d := after.BindBatches - before.BindBatches; d != run.batches {
+		if d := ex.counters.bindBatches.Load() - batches; d != run.batches {
 			t.Fatalf("%s: %d bind batches, want %d", run.name, d, run.batches)
 		}
-		if d := after.RowsFetched - before.RowsFetched; run.name == "warm" && d != 0 {
+		if d := ex.counters.rowsFetched.Load() - rows; run.name == "warm" && d != 0 {
 			t.Fatalf("warm repeat fetched %d rows, want 0", d)
 		}
 	}

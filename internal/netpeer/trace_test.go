@@ -187,10 +187,10 @@ func TestUntracedEvalMatchesTraced(t *testing.T) {
 	}
 }
 
-// TestStatsReadWhileServing hammers every stats surface — registry
-// snapshots, raw Stats/WireStats/FragmentStats — concurrently with live
-// cross-peer queries. Counters must be readable without torn values
-// (monotone across snapshots) and the whole test must pass under -race.
+// TestStatsReadWhileServing hammers the registry's snapshots concurrently
+// with live cross-peer queries. Counters must be readable without torn
+// values (monotone across snapshots) and the whole test must pass under
+// -race.
 func TestStatsReadWhileServing(t *testing.T) {
 	srv1, addr1 := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}, {"2", "b"}}})
 	_, addr2 := startServerH(t, map[string][]rel.Tuple{"B.s": {{"a", "x"}, {"b", "y"}}})
@@ -234,9 +234,6 @@ func TestStatsReadWhileServing(t *testing.T) {
 					}
 					prev[k] = v
 				}
-				srv1.Stats()
-				ex.WireStats()
-				ex.FragmentStats()
 			}
 		}()
 	}

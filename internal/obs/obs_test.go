@@ -10,22 +10,21 @@ import (
 	"time"
 )
 
-func TestRegistryCountersGaugesGroups(t *testing.T) {
+// TestRegisterCounterGauge pins the registration contract: each kind lands
+// in its own snapshot map, a snapshot reads the instruments' live values,
+// and re-registering a name replaces the previous instrument.
+func TestRegisterCounterGauge(t *testing.T) {
 	r := NewRegistry()
-	var hits Counter
+	var hits, reqs Counter
 	var depth Gauge
+	r.RegisterCounter("a.hits", &hits)
+	r.RegisterGauge("a.depth", &depth)
+	r.RegisterCounter("legacy.reqs", &reqs)
 	hits.Add(3)
 	hits.Inc()
 	depth.Set(7)
 	depth.Add(-2)
-	r.RegisterGroup("a", func(em *Emitter) {
-		em.Counter("hits", hits.Load())
-		em.Gauge("depth", depth.Load())
-	})
-	r.RegisterGroup("legacy", func(em *Emitter) {
-		em.Counter("reqs", 42)
-		em.Gauge("conns", 5)
-	})
+	reqs.Add(42)
 
 	snap := r.Snapshot()
 	if got := snap.Counters["a.hits"]; got != 4 {
@@ -37,14 +36,58 @@ func TestRegistryCountersGaugesGroups(t *testing.T) {
 	if got := snap.Counters["legacy.reqs"]; got != 42 {
 		t.Fatalf("legacy.reqs = %d, want 42", got)
 	}
-	if got := snap.Gauges["legacy.conns"]; got != 5 {
-		t.Fatalf("legacy.conns = %d, want 5", got)
+	if _, ok := snap.Gauges["a.hits"]; ok {
+		t.Fatal("a counter leaked into the gauges map")
+	}
+	if _, ok := snap.Counters["a.depth"]; ok {
+		t.Fatal("a gauge leaked into the counters map")
+	}
+	if len(snap.Counters) != 2 || len(snap.Gauges) != 1 || len(snap.Histograms) != 0 {
+		t.Fatalf("snapshot sizes = %d/%d/%d, want 2/1/0", len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
 	}
 
-	// Re-registering a group replaces it.
-	r.RegisterGroup("legacy", func(em *Emitter) { em.Counter("reqs", 43) })
-	if got := r.Snapshot().Counters["legacy.reqs"]; got != 43 {
+	// Later updates show in the next snapshot without re-registering.
+	hits.Inc()
+	depth.Max(3) // below the current 5: no change
+	depth.Max(9)
+	snap = r.Snapshot()
+	if got := snap.Counters["a.hits"]; got != 5 {
+		t.Fatalf("a.hits after Inc = %d, want 5", got)
+	}
+	if got := snap.Gauges["a.depth"]; got != 9 {
+		t.Fatalf("a.depth after Max = %d, want 9", got)
+	}
+
+	// Re-registering a name replaces the instrument.
+	var reqs2 Counter
+	reqs2.Add(43)
+	r.RegisterCounter("legacy.reqs", &reqs2)
+	var depth2 Gauge
+	r.RegisterGauge("a.depth", &depth2)
+	snap = r.Snapshot()
+	if got := snap.Counters["legacy.reqs"]; got != 43 {
 		t.Fatalf("after re-register legacy.reqs = %d, want 43", got)
+	}
+	if got := snap.Gauges["a.depth"]; got != 0 {
+		t.Fatalf("after re-register a.depth = %d, want 0", got)
+	}
+}
+
+func TestGaugeMaxConcurrent(t *testing.T) {
+	var g Gauge
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				g.Max(int64(w*1000 + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := g.Load(); got != 7999 {
+		t.Fatalf("max = %d, want 7999", got)
 	}
 }
 
@@ -128,8 +171,12 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterGroup("engine", func(em *Emitter) { em.Counter("scans", 9) })
-	r.RegisterGroup("frag", func(em *Emitter) { em.Gauge("bytes", 1024) })
+	var scans Counter
+	scans.Add(9)
+	r.RegisterCounter("engine.scans", &scans)
+	var bytes Gauge
+	bytes.Set(1024)
+	r.RegisterGauge("frag.bytes", &bytes)
 	h := NewHistogram()
 	h.Observe(2 * time.Millisecond)
 	r.RegisterHistogram("query.latency", h)
@@ -307,7 +354,9 @@ func TestRingBufferEviction(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterGroup("x", func(em *Emitter) { em.Counter("count", 5) })
+	var count Counter
+	count.Add(5)
+	r.RegisterCounter("x.count", &count)
 	tr := NewTracer(4)
 	tr.SetSampleEvery(1)
 	s := tr.StartTrace("probe-query")
@@ -376,10 +425,8 @@ func TestSnapshotConcurrentWithMutation(t *testing.T) {
 	var c Counter
 	var g Gauge
 	h := NewHistogram()
-	r.RegisterGroup("m", func(em *Emitter) {
-		em.Counter("n", c.Load())
-		em.Gauge("g", g.Load())
-	})
+	r.RegisterCounter("m.n", &c)
+	r.RegisterGauge("m.g", &g)
 	r.RegisterHistogram("m.h", h)
 	wg.Add(1)
 	go func() {

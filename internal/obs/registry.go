@@ -4,13 +4,11 @@
 // cross-peer query tracer whose span trees stitch remote work (shipped
 // back on wire response frames) into the posing peer's trace.
 //
-// A component owns its instruments and registers them one of two ways:
-//
-//   - RegisterHistogram attaches a Histogram the component observes into
-//     through atomics on the hot path (no locks, no allocation);
-//   - RegisterGroup attaches a snapshot group: a closure that emits the
-//     component's current counter and gauge values (engine.Stats,
-//     netpeer.ServerStats, …) under a dotted prefix.
+// A component owns its instruments — Counter, Gauge and Histogram fields it
+// updates through atomics on the hot path (no locks, no allocation) — and
+// registers each one under its full dotted name with RegisterCounter,
+// RegisterGauge or RegisterHistogram. The instrument is the value's only
+// holder: a snapshot reads it directly and takes no component lock.
 //
 // One Registry.Snapshot() returns everything: counters, gauges and histogram
 // percentiles keyed by dotted name ("engine.parallel_scans",
@@ -53,22 +51,14 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Emitter receives one snapshot group's values during Registry.Snapshot.
-// The group's dotted prefix is prepended to every emitted name.
-type Emitter struct {
-	prefix   string
-	counters map[string]uint64
-	gauges   map[string]int64
-}
-
-// Counter emits one cumulative counter value under the group's prefix.
-func (em *Emitter) Counter(name string, v uint64) {
-	em.counters[em.prefix+"."+name] = v
-}
-
-// Gauge emits one instantaneous value under the group's prefix.
-func (em *Emitter) Gauge(name string, v int64) {
-	em.gauges[em.prefix+"."+name] = v
+// Max raises the value to n if n is larger (a high-water mark).
+func (g *Gauge) Max(n int64) {
+	for {
+		cur := g.v.Load()
+		if n <= cur || g.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
 }
 
 // HistogramSnapshot is one histogram's state at snapshot time. Quantiles
@@ -88,7 +78,7 @@ type HistogramSnapshot struct {
 }
 
 // SnapshotData is one consistent-enough view of a registry: every instrument
-// and group read at one moment (individual values are atomically read;
+// read at one moment (individual values are atomically read;
 // cross-counter skew is bounded by the snapshot's own duration).
 type SnapshotData struct {
 	Counters   map[string]uint64            `json:"counters"`
@@ -100,56 +90,62 @@ type SnapshotData struct {
 // lock-free (atomics); registration and snapshotting take an internal
 // mutex (cold paths). The zero value is unusable; use NewRegistry.
 type Registry struct {
-	mu     sync.RWMutex
-	hists  map[string]*Histogram     // guarded by mu
-	groups map[string]func(*Emitter) // guarded by mu
+	mu       sync.RWMutex
+	counters map[string]*Counter   // guarded by mu
+	gauges   map[string]*Gauge     // guarded by mu
+	hists    map[string]*Histogram // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		hists:  map[string]*Histogram{},
-		groups: map[string]func(*Emitter){},
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		hists:    map[string]*Histogram{},
 	}
 }
 
-// RegisterHistogram attaches an existing histogram under the dotted name
-// (replacing any previous registration), so a component can own its
-// histogram and expose it through any registry.
+// RegisterCounter attaches a component's counter under the dotted name.
+// Re-registering a name replaces the previous instrument, so tests and
+// reconstructed components can re-register safely; the same holds for
+// RegisterGauge and RegisterHistogram.
+func (r *Registry) RegisterCounter(name string, c *Counter) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = c
+}
+
+// RegisterGauge attaches a component's gauge under the dotted name.
+func (r *Registry) RegisterGauge(name string, g *Gauge) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gauges[name] = g
+}
+
+// RegisterHistogram attaches a component's histogram under the dotted name.
 func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.hists[name] = h
 }
 
-// RegisterGroup registers a snapshot group: fn is invoked on every
-// Snapshot and emits the group's current values under the dotted prefix.
-// Re-registering a prefix replaces the previous group (so tests and
-// reconstructed components can re-register safely). fn must be safe to
-// call concurrently with the component's own work — the existing stats
-// surfaces all snapshot atomics or take their own locks.
-func (r *Registry) RegisterGroup(prefix string, fn func(*Emitter)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.groups[prefix] = fn
-}
-
-// Snapshot returns the current value of every instrument and group.
+// Snapshot returns the current value of every instrument.
 func (r *Registry) Snapshot() SnapshotData {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	snap := SnapshotData{
-		Counters:   make(map[string]uint64, 4*len(r.groups)),
-		Gauges:     map[string]int64{},
+		Counters:   make(map[string]uint64, len(r.counters)),
+		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+	}
+	for name, c := range r.counters {
+		snap.Counters[name] = c.Load()
+	}
+	for name, g := range r.gauges {
+		snap.Gauges[name] = g.Load()
 	}
 	for name, h := range r.hists {
 		snap.Histograms[name] = h.Snapshot()
-	}
-	em := &Emitter{counters: snap.Counters, gauges: snap.Gauges}
-	for prefix, fn := range r.groups {
-		em.prefix = prefix
-		fn(em)
 	}
 	return snap
 }

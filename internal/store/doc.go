@@ -12,6 +12,6 @@
 // Recovery truncates a torn tail in a shard's final segment at the last
 // intact frame and rejects corruption anywhere else. Appends flow through
 // rel's append hooks under the shard lock; frames buffer in memory until
-// Flush/Sync/Close or segment rotation. Dir.RegisterMetrics exposes the
-// storage.* snapshot group (segments, bytes, truncations, replay time).
+// Flush/Sync/Close or segment rotation. Dir.RegisterMetrics registers the
+// storage.* instruments (segments, bytes, truncations, replay time).
 package store

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -65,11 +64,11 @@ type Dir struct {
 	// wounded journal for a healthy one. Guarded by mu.
 	failedErr error
 
-	segments    atomic.Uint64 // segment files created
-	bytesOut    atomic.Uint64 // frame bytes appended (pre-buffering)
-	truncations atomic.Uint64 // torn tails truncated during recovery
-	recovered   atomic.Uint64 // tuples replayed by Recover
-	replayMicro atomic.Int64  // wall time of the last Recover, microseconds
+	segments    obs.Counter // segment files created
+	bytesOut    obs.Counter // frame bytes appended (pre-buffering)
+	truncations obs.Counter // torn tails truncated during recovery
+	recovered   obs.Counter // tuples replayed by Recover
+	replayMicro obs.Gauge   // wall time of the last Recover, microseconds
 }
 
 // Open creates (if needed) the journal directory at path and returns a Dir
@@ -331,7 +330,7 @@ func (d *Dir) Recover(nshards int) (*rel.Instance, []RelRecovery, error) {
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Pred < recs[j].Pred })
-	d.replayMicro.Store(time.Since(start).Microseconds())
+	d.replayMicro.Set(time.Since(start).Microseconds())
 	return ins, recs, nil
 }
 
@@ -546,14 +545,12 @@ func unescapeRel(name string) (string, error) {
 	return url.PathUnescape(name)
 }
 
-// RegisterMetrics registers d's segment and replay counters on reg as the
-// storage.* snapshot group.
+// RegisterMetrics registers d's segment and replay counters on reg under
+// the storage.* names.
 func (d *Dir) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterGroup("storage", func(em *obs.Emitter) {
-		em.Counter("segments", d.segments.Load())
-		em.Counter("bytes_written", d.bytesOut.Load())
-		em.Counter("truncations", d.truncations.Load())
-		em.Counter("recovered_tuples", d.recovered.Load())
-		em.Gauge("replay_micros", d.replayMicro.Load())
-	})
+	reg.RegisterCounter("storage.segments", &d.segments)
+	reg.RegisterCounter("storage.bytes_written", &d.bytesOut)
+	reg.RegisterCounter("storage.truncations", &d.truncations)
+	reg.RegisterCounter("storage.recovered_tuples", &d.recovered)
+	reg.RegisterGauge("storage.replay_micros", &d.replayMicro)
 }

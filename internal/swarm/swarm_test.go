@@ -138,16 +138,18 @@ func TestRunCountersOnDeepChain(t *testing.T) {
 			if pruned, unpruned := ref.Stats.Nodes(), unprunedNodes(t, n.Mediator, spec.Query); pruned >= unpruned {
 				t.Fatalf("pruned tree not smaller: %d ≥ %d", pruned, unpruned)
 			}
-			before := n.Exec.WireStats()
+			reg := obs.NewRegistry()
+			n.Exec.RegisterMetrics(reg)
+			before := reg.Snapshot().Counters
 			got, err := n.Answers()
 			if err != nil {
 				t.Fatal(err)
 			}
-			after := n.Exec.WireStats()
-			if ref.Rewriting.Len() == 0 || after.Requests == before.Requests {
-				t.Fatalf("no work measured: %d rewritings, %d requests", ref.Rewriting.Len(), after.Requests-before.Requests)
+			after := reg.Snapshot().Counters
+			if requests := after["wire.requests"] - before["wire.requests"]; ref.Rewriting.Len() == 0 || requests == 0 {
+				t.Fatalf("no work measured: %d rewritings, %d requests", ref.Rewriting.Len(), requests)
 			}
-			if after.DistinctMeta == before.DistinctMeta {
+			if after["wire.distinct_meta"] == before["wire.distinct_meta"] {
 				t.Fatal("peers shipped no distinct estimates")
 			}
 			want, err := OracleAnswers(spec)
@@ -230,10 +232,66 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
+// metricCatalogue is the exact (name, kind) set an executor, a mediator, a
+// server and a store.Dir register. cmd/bench and dashboards key on these
+// names, so one that vanishes, appears, or changes kind must be a
+// deliberate edit here.
+var metricCatalogue = map[string]string{
+	"core.catalog_builds":       "counter",
+	"core.nodes_expanded":       "counter",
+	"core.reformulate_seconds":  "histogram",
+	"engine.indexes_built":      "counter",
+	"engine.parallel_scans":     "counter",
+	"engine.plan_cache.hits":    "counter",
+	"engine.plan_cache.misses":  "counter",
+	"engine.plans_compiled":     "counter",
+	"engine.probes":             "counter",
+	"engine.scans":              "counter",
+	"fragcache.bytes":           "gauge",
+	"fragcache.entries":         "gauge",
+	"fragcache.evictions":       "counter",
+	"fragcache.hits":            "counter",
+	"fragcache.invalidations":   "counter",
+	"fragcache.misses":          "counter",
+	"pdms.answer_cache.hits":    "counter",
+	"pdms.answer_cache.misses":  "counter",
+	"pdms.invalidations":        "counter",
+	"pdms.query_seconds":        "histogram",
+	"pdms.reform_cache.hits":    "counter",
+	"pdms.reform_cache.misses":  "counter",
+	"server.accept_retries":     "counter",
+	"server.bytes_recv":         "counter",
+	"server.bytes_sent":         "counter",
+	"server.inflight":           "gauge",
+	"server.queue_wait_seconds": "histogram",
+	"server.queued":             "gauge",
+	"server.read_errors":        "counter",
+	"server.request_seconds":    "histogram",
+	"server.requests":           "counter",
+	"server.rows_served":        "counter",
+	"server.shed":               "counter",
+	"storage.bytes_written":     "counter",
+	"storage.recovered_tuples":  "counter",
+	"storage.replay_micros":     "gauge",
+	"storage.segments":          "counter",
+	"storage.truncations":       "counter",
+	"wire.bind_batches":         "counter",
+	"wire.busy_retries":         "counter",
+	"wire.bytes_recv":           "counter",
+	"wire.bytes_sent":           "counter",
+	"wire.dials":                "counter",
+	"wire.distinct_meta":        "counter",
+	"wire.max_frame_bytes":      "gauge",
+	"wire.pool_waits":           "counter",
+	"wire.requests":             "counter",
+	"wire.rows_fetched":         "counter",
+}
+
 // TestMetricCatalogueMatchesDocs diffs ARCHITECTURE.md's metrics table
 // against a live snapshot of every component that registers metrics, both
 // ways: each emitted name's prefix has a row, and each backticked example
-// in a row is a name some component emits.
+// in a row is a name some component emits. The snapshot's (name, kind)
+// set must also equal metricCatalogue exactly.
 func TestMetricCatalogueMatchesDocs(t *testing.T) {
 	doc, err := os.ReadFile("../../ARCHITECTURE.md")
 	if err != nil {
@@ -284,14 +342,27 @@ func TestMetricCatalogueMatchesDocs(t *testing.T) {
 	snap := reg.Snapshot()
 
 	emitted := map[string]bool{}
+	kinds := map[string]string{}
 	for k := range snap.Counters {
-		emitted[k] = true
+		emitted[k], kinds[k] = true, "counter"
 	}
 	for k := range snap.Gauges {
-		emitted[k] = true
+		emitted[k], kinds[k] = true, "gauge"
 	}
 	for k := range snap.Histograms {
-		emitted[k] = true
+		emitted[k], kinds[k] = true, "histogram"
+	}
+	for k, kind := range kinds {
+		if want, ok := metricCatalogue[k]; !ok {
+			t.Errorf("%s (%s) is emitted but not in metricCatalogue", k, kind)
+		} else if kind != want {
+			t.Errorf("%s is emitted as a %s, metricCatalogue says %s", k, kind, want)
+		}
+	}
+	for k, want := range metricCatalogue {
+		if _, ok := kinds[k]; !ok {
+			t.Errorf("metricCatalogue lists %s (%s), which no registered component emits", k, want)
+		}
 	}
 	for k := range emitted {
 		prefix, _, _ := strings.Cut(k, ".")

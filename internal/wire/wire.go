@@ -17,9 +17,7 @@
 //	                                  match the atom's constants and, at the
 //	                                  bindCols positions, any one of the
 //	                                  shipped bindRows key batches
-//	{"op":"ping"}                     no-op liveness probe; connection pools
-//	                                  use it to health-check idle-too-long
-//	                                  connections before reuse
+//	{"op":"ping"}                     no-op liveness probe
 //	{"op":"add", "pred":"FH.doc",     insert a batch of tuples into one
 //	 "rows":[[…]]}                    stored relation (creating it on first
 //	                                  use) — the mutation half of mixed

@@ -84,7 +84,7 @@ func BenchmarkQueryUnderMutation(b *testing.B) {
 		if _, err := net.Query(q); err != nil {
 			b.Fatal(err)
 		}
-		st0 := net.CacheStats()
+		hits0, misses0, inv0 := net.answerHits.Load(), net.answerMisses.Load(), net.invalidations.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := net.AddFact("W.w", fmt.Sprintf("log%d", i)); err != nil {
@@ -95,14 +95,14 @@ func BenchmarkQueryUnderMutation(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		reportHitRate(b, net.CacheStats(), st0)
+		reportHitRate(b, net, hits0, misses0, inv0)
 	})
 	b.Run("mutate-touched", func(b *testing.B) {
 		net := load(b)
 		if _, err := net.Query(q); err != nil {
 			b.Fatal(err)
 		}
-		st0 := net.CacheStats()
+		hits0, misses0, inv0 := net.answerHits.Load(), net.answerMisses.Load(), net.invalidations.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := net.AddFact("P0.r", fmt.Sprintf("extra%d", i), "v9"); err != nil {
@@ -113,16 +113,16 @@ func BenchmarkQueryUnderMutation(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		reportHitRate(b, net.CacheStats(), st0)
+		reportHitRate(b, net, hits0, misses0, inv0)
 	})
 }
 
-// reportHitRate reports the answer-cache hit rate and invalidation count
-// between two stat snapshots, normalized per benchmark op.
-func reportHitRate(b *testing.B, st, base QueryCacheStats) {
-	hits, misses := st.Hits-base.Hits, st.Misses-base.Misses
+// reportHitRate reports net's answer-cache hit rate and invalidation count
+// since the given counter readings, normalized per benchmark op.
+func reportHitRate(b *testing.B, net *Network, hits0, misses0, inv0 uint64) {
+	hits, misses := net.answerHits.Load()-hits0, net.answerMisses.Load()-misses0
 	if hits+misses > 0 {
 		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
 	}
-	b.ReportMetric(float64(st.Invalidations-base.Invalidations)/float64(b.N), "invalidations/op")
+	b.ReportMetric(float64(net.invalidations.Load()-inv0)/float64(b.N), "invalidations/op")
 }

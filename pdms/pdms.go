@@ -68,12 +68,15 @@ type Network struct {
 	// embed per relation. Stale keys simply never match and age out of the
 	// LRUs. Guarded by mu.
 	specGen uint64
-	// invalidations counts generation-bumping mutation events (AddFact
-	// that inserted a new tuple, every Extend) for observability; written
-	// under the write lock, read under either lock. Guarded by mu.
-	invalidations uint64
-	answers       *engine.LRU
-	reforms       *engine.LRU
+	// invalidations counts generation-bumping mutation events: AddFact
+	// calls that inserted a new tuple, plus every Extend. Each one changed
+	// the keys of the cached answers touching the mutated relation(s);
+	// duplicate inserts bump nothing and leave the cache warm.
+	invalidations obs.Counter
+	// answers and reforms count their lookups into these hit and miss
+	// counters.
+	answers, reforms                                   *engine.LRU
+	answerHits, answerMisses, reformHits, reformMisses obs.Counter
 	// reformer is the spec generation's core.Reformulator, shared by every
 	// reformulation-cache miss: the first miss after construction or Extend
 	// builds it (normalizing the whole specification), Extend drops it.
@@ -97,16 +100,17 @@ type Network struct {
 }
 
 func newNetwork(spec *ppl.PDMS, data *rel.Instance) *Network {
-	return &Network{
+	n := &Network{
 		spec:       spec,
 		data:       data,
 		eng:        engine.New(data),
-		answers:    engine.NewLRU(answerCacheSize),
-		reforms:    engine.NewLRU(reformCacheSize),
 		tracer:     obs.NewTracer(traceRingSize),
 		queryHist:  obs.NewHistogram(),
 		reformHist: obs.NewHistogram(),
 	}
+	n.answers = engine.NewLRU(answerCacheSize, &n.answerHits, &n.answerMisses)
+	n.reforms = engine.NewLRU(reformCacheSize, &n.reformHits, &n.reformMisses)
+	return n
 }
 
 // Options holds a network's deployment settings: how its stored relations
@@ -219,7 +223,7 @@ func (n *Network) Extend(src string) error {
 	// mentions.
 	defer func() {
 		n.specGen++
-		n.invalidations++
+		n.invalidations.Inc()
 		n.reformMu.Lock()
 		n.reformer = nil
 		n.reformMu.Unlock()
@@ -279,7 +283,7 @@ func (n *Network) AddFact(stored string, values ...string) error {
 	}
 	added, err := n.data.Add(stored, rel.Tuple(values))
 	if err == nil && added {
-		n.invalidations++
+		n.invalidations.Inc()
 	}
 	return err
 }
@@ -547,12 +551,12 @@ func (n *Network) ExplainVia(query string, exec UCQEvaluator) (string, []Answer,
 // them at /debug/traces).
 func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
-// RegisterMetrics registers this network's counters into reg: the answer
-// and reformulation cache counters as the "pdms" group, the query latency
-// histogram as "pdms.query_seconds", the reformulation layer's as the "core"
-// group and "core.reformulate_seconds" (computed reformulations only —
-// cache hits run no reformulation), and the embedded engine's counters as
-// the "engine" group.
+// RegisterMetrics registers this network's instruments on reg: the answer
+// and reformulation cache counters under pdms.*, the query latency
+// histogram as pdms.query_seconds, the reformulation layer's under core.*
+// (core.reformulate_seconds times computed reformulations only — cache hits
+// run no reformulation), the embedded engine's under engine.*, and the
+// journal's, when durable, under storage.*.
 func (n *Network) RegisterMetrics(reg *obs.Registry) {
 	n.eng.RegisterMetrics(reg)
 	if n.dstore != nil {
@@ -560,41 +564,13 @@ func (n *Network) RegisterMetrics(reg *obs.Registry) {
 	}
 	reg.RegisterHistogram("pdms.query_seconds", n.queryHist)
 	reg.RegisterHistogram("core.reformulate_seconds", n.reformHist)
-	reg.RegisterGroup("core", func(em *obs.Emitter) {
-		em.Counter("catalog_builds", n.catalogBuilds.Load())
-		em.Counter("nodes_expanded", n.nodesExpanded.Load())
-	})
-	reg.RegisterGroup("pdms", func(em *obs.Emitter) {
-		cs := n.CacheStats()
-		em.Counter("answer_cache.hits", cs.Hits)
-		em.Counter("answer_cache.misses", cs.Misses)
-		em.Counter("invalidations", cs.Invalidations)
-		rs := n.reforms.Stats()
-		em.Counter("reform_cache.hits", rs.Hits)
-		em.Counter("reform_cache.misses", rs.Misses)
-	})
-}
-
-// QueryCacheStats reports cumulative answer-cache counters.
-type QueryCacheStats struct {
-	// Hits and Misses count answer-cache probes. With per-relation
-	// generation keys, a miss happens on a cold query, after a mutation of
-	// a relation the query's rewriting touches, or after any Extend.
-	Hits, Misses uint64
-	// Invalidations counts generation-bumping mutation events: AddFact
-	// calls that inserted a new tuple plus every Extend. Each one changed
-	// the keys of the cached answers touching the mutated relation(s) —
-	// duplicate inserts bump nothing and leave the cache warm.
-	Invalidations uint64
-}
-
-// CacheStats returns cumulative answer-cache counters.
-func (n *Network) CacheStats() QueryCacheStats {
-	n.mu.RLock()
-	inv := n.invalidations
-	n.mu.RUnlock()
-	st := n.answers.Stats()
-	return QueryCacheStats{Hits: st.Hits, Misses: st.Misses, Invalidations: inv}
+	reg.RegisterCounter("core.catalog_builds", &n.catalogBuilds)
+	reg.RegisterCounter("core.nodes_expanded", &n.nodesExpanded)
+	reg.RegisterCounter("pdms.answer_cache.hits", &n.answerHits)
+	reg.RegisterCounter("pdms.answer_cache.misses", &n.answerMisses)
+	reg.RegisterCounter("pdms.invalidations", &n.invalidations)
+	reg.RegisterCounter("pdms.reform_cache.hits", &n.reformHits)
+	reg.RegisterCounter("pdms.reform_cache.misses", &n.reformMisses)
 }
 
 // CertainAnswers computes certain answers directly via the chase oracle
