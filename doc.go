@@ -51,6 +51,7 @@
 // bind-joins — the executor ships the distinct join keys bound
 // so far and the remote peer probes its per-shard hash indexes, so only
 // tuples that can join cross the wire. UCQ disjuncts fan out over a worker
-// pool on per-address connection pools, redialing a dead reused connection;
+// pool on per-address connection pools, redialing a dead reused connection,
+// and share one fetch of each distinct atom fragment per query;
 // pdms.Network.QueryVia plugs the mediator into that executor.
 package repro

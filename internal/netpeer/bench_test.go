@@ -174,6 +174,32 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalUCQSharedAtoms measures join_mixed's DC:OnCall union: six
+// disjuncts over three hospital and two fire-district peers, whose twelve
+// atom steps need five distinct fetches. One fetch serves every disjunct
+// that needs it, so requests/op reads 5; the cache stays warm, as in the
+// benchmark's steady state, so each request is an unchanged answer.
+func BenchmarkEvalUCQSharedAtoms(b *testing.B) {
+	const perLoc = 4
+	_, ex, u := onCallFixture(b, perLoc)
+	if _, err := ex.EvalUCQ(u); err != nil {
+		b.Fatal(err)
+	}
+	base := executorCounts(ex)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := ex.EvalUCQ(u)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 3*perLoc*2*perLoc {
+			b.Fatalf("rows = %d", len(rows))
+		}
+	}
+	b.StopTimer()
+	reportWireDeltas(b, ex, base)
+}
+
 // BenchmarkFragmentCacheRepeat is the repeated-bind-join headline: the
 // same skewed cross-peer join as BenchmarkBindJoin, issued repeatedly
 // through one executor. "cold" refetches every fragment per query (the

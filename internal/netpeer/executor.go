@@ -56,6 +56,13 @@ const (
 //     of an identical query ships zero rows in one request per atom,
 //     while mutations on the peer refresh exactly the fragments of the
 //     mutated relation.
+//   - Within one query, fetches are shared *across disjuncts* under the
+//     same key: the rewritings of one rule-goal tree share goal nodes, so
+//     one stored atom with one bound-key set turns up in several
+//     disjuncts. The first disjunct that needs a key fetches it, through
+//     the cache as above; every other one waits for that fetch and reuses
+//     its rows or error. A query sends one request per distinct fetch, not
+//     one per disjunct's atom.
 //
 // UCQ disjuncts are evaluated concurrently over a worker pool; all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
@@ -293,6 +300,11 @@ func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSp
 // spans (with the serving peers' remote spans adopted under them). A nil
 // span evaluates identically with no overhead beyond the nil checks — it
 // satisfies pdms.UCQEvaluator.
+//
+// The disjuncts share one table of atom fetches (see fragment): each
+// distinct (peer, atom pattern, bound-key set) fetch is sent once per call,
+// and a disjunct that needs a fetch another one started waits for it; its
+// atom span reads src=shared.
 func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	if err := u.Validate(); err != nil {
 		sp.SetErr(err)
@@ -303,9 +315,10 @@ func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	groups := make([][]rel.Tuple, n)
 	errs := make([]error, n)
 	var failed atomic.Bool
+	fl := &flights{}
 	runOne := func(i int) {
 		cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
-		groups[i], errs[i] = e.evalCQ(u.Disjuncts[i], cs)
+		groups[i], errs[i] = e.evalCQ(u.Disjuncts[i], fl, cs)
 		cs.SetErr(errs[i])
 		cs.End()
 		if errs[i] != nil {
@@ -342,13 +355,13 @@ func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 }
 
 // EvalCQ evaluates one conjunctive rewriting over the network.
-func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.evalCQ(q, nil) }
+func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.evalCQ(q, &flights{}, nil) }
 
-// evalCQ is EvalCQ with an optional span: full push-down records one
-// "pushdown" child (the serving peer's remote spans adopt under it),
-// cross-peer execution hands the span to the bind-join's per-atom
-// instrumentation.
-func (e *Executor) evalCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+// evalCQ is EvalCQ over the calling query's fetch table fl, with an
+// optional span: full push-down records one "pushdown" child (the serving
+// peer's remote spans adopt under it), cross-peer execution hands the span
+// to the bind-join's per-atom instrumentation.
+func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
 	addrs := make([]string, len(q.Body)) // serving peer of each body atom
 	pushdown := len(q.Body) > 0
 	e.mu.Lock()
@@ -363,7 +376,7 @@ func (e *Executor) evalCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	}
 	e.mu.Unlock()
 	if !pushdown {
-		return e.evalStreamingBindJoin(q, addrs, sp)
+		return e.evalStreamingBindJoin(q, addrs, fl, sp)
 	}
 	// Full push-down: one peer holds every atom.
 	ps := sp.Child("pushdown", obs.Attr{K: "addr", V: addrs[0]})
@@ -428,6 +441,8 @@ func shapeOf(a lang.Atom, varCol map[string]int) stepShape {
 type bindJoin struct {
 	e *Executor
 	q lang.CQ
+	// fl is the fetch table of the query this rewriting belongs to.
+	fl *flights
 	// varCol maps each bound variable to its column in partial's rows.
 	varCol  map[string]int
 	partial []rel.Tuple
@@ -441,14 +456,14 @@ type bindJoin struct {
 // grounds them, so impossible keys are never shipped.
 //
 // Under a non-nil span each atom gets one "atom" child annotated with the
-// peer address, the source (fragcache / bind / fetch), key and partial-row
-// counts; the serving peer's remote spans (and the per-batch bind spans)
-// adopt under it.
-func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, sp *obs.Span) ([]rel.Tuple, error) {
+// peer address, the source (fragcache / bind / fetch / shared), key and
+// partial-row counts; the serving peer's remote spans (and the per-batch
+// bind spans) adopt under it.
+func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
 	if !q.IsSafe() {
 		return nil, fmt.Errorf("netpeer: unsafe query %s", q)
 	}
-	j := &bindJoin{e: e, q: q, varCol: map[string]int{}, compApplied: make([]bool, len(q.Comps))}
+	j := &bindJoin{e: e, q: q, fl: fl, varCol: map[string]int{}, compApplied: make([]bool, len(q.Comps))}
 	// Variable-free comparisons gate the whole query, exactly once.
 	for ci, c := range q.Comps {
 		if len(c.Vars(nil)) == 0 {
@@ -481,7 +496,8 @@ func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, sp *obs.Span
 }
 
 // step joins one atom into the partial: distinct bound keys, bind or fetch,
-// the atom's remote rows (cache or wire), one pass extending the partial.
+// the atom's remote rows (another disjunct's fetch, cache or wire), one pass
+// extending the partial.
 func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 	as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred}, obs.Attr{K: "addr", V: addr})
 	defer func() {
@@ -503,7 +519,7 @@ func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 			as.SetInt("keys", int64(len(keyRows)))
 		}
 	}
-	rows, err := j.e.fragment(addr, a, sh, keyRows, useBind, as)
+	rows, err := j.e.fragment(j.fl, addr, a, sh, keyRows, useBind, as)
 	if err != nil {
 		return err
 	}

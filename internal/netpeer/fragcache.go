@@ -64,8 +64,10 @@ type fragCache struct {
 	// from the cache; misses counts atom fetches whose rows crossed the
 	// wire. invalidations counts cached fragments dropped because the
 	// peer's generation for the fragment's relation had moved on, and
-	// evictions the entries dropped by the byte budget.
-	hits, misses, invalidations, evictions obs.Counter
+	// evictions the entries dropped by the byte budget. shared counts atom
+	// fetches served by another fetch of the same query (see fragment);
+	// they reach neither the cache nor the wire.
+	hits, misses, invalidations, evictions, shared obs.Counter
 }
 
 func newFragCache(maxBytes int64) *fragCache {
@@ -169,16 +171,73 @@ func (fc *fragCache) removeLocked(el *list.Element) {
 	fc.entries.Set(int64(fc.ll.Len()))
 }
 
+// flights is one query's table of atom fetches, keyed by fragmentKey. The
+// first disjunct to need a key fetches it; every other disjunct of the
+// query that needs the same key waits for that flight and reuses its rows
+// or its error. Safe for concurrent use.
+type flights struct {
+	mu sync.Mutex
+	// m holds every flight the query has started. Guarded by mu.
+	m map[string]*flight
+}
+
+// flight is one fetch in a query's table: done closes once rows and err
+// are set.
+type flight struct {
+	done chan struct{}
+	rows []rel.Tuple
+	err  error
+}
+
+// join returns key's flight, creating it when the query has none yet;
+// first reports that the caller created it, so it must fetch, set rows and
+// err, and close done.
+func (fl *flights) join(key string) (f *flight, first bool) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if started, ok := fl.m[key]; ok {
+		return started, false
+	}
+	if fl.m == nil {
+		fl.m = map[string]*flight{}
+	}
+	f = &flight{done: make(chan struct{})}
+	fl.m[key] = f
+	return f, true
+}
+
 // fragment returns the distinct tuples of atom a's relation that pass the
 // atom's constants and repeated variables and — when useBind — match one of
-// keyRows at the join positions, over one borrowed connection. When an
-// identical fetch (same peer, atom pattern and bound-key set) is cached,
-// the fetch carries the entry's generation, and a peer that answers
-// unchanged ships no rows: the cached ones are served. Otherwise the rows
-// stream in and are cached for the next query. The rows are shared with
-// the cache — callers must not mutate them.
-func (e *Executor) fragment(addr string, a lang.Atom, sh stepShape, keyRows [][]string, useBind bool, as *obs.Span) ([]rel.Tuple, error) {
+// keyRows at the join positions. Within one query each distinct fetch
+// (same peer, atom pattern and bound-key set) goes out once: the first
+// caller runs fetchFragment, and every later caller with the same key waits
+// for that flight and reuses its rows or error, counted in shared and
+// labelled src=shared on its span. Sharing is sound because a union's
+// disjuncts already read their peers at different moments: a fetch made
+// during the query stays inside the query's monotone envelope whichever
+// disjunct consumes it. The rows are shared with the table and the cache —
+// callers must not mutate them.
+func (e *Executor) fragment(fl *flights, addr string, a lang.Atom, sh stepShape, keyRows [][]string, useBind bool, as *obs.Span) ([]rel.Tuple, error) {
 	key := fragmentKey(addr, a, sh.keyPoss, keyRows, useBind)
+	f, first := fl.join(key)
+	if first {
+		f.rows, f.err = e.fetchFragment(key, addr, a, sh, keyRows, useBind, as)
+		close(f.done)
+		return f.rows, f.err
+	}
+	<-f.done
+	e.frags.shared.Inc()
+	as.Set("src", "shared")
+	as.SetInt("fetched", int64(len(f.rows)))
+	return f.rows, f.err
+}
+
+// fetchFragment is one atom fetch under cache key key, over one borrowed
+// connection. When the fragment is cached the fetch carries the entry's
+// generation, and a peer that answers unchanged ships no rows: the cached
+// ones are served. Otherwise the rows stream in and are cached for the next
+// query.
+func (e *Executor) fetchFragment(key, addr string, a lang.Atom, sh stepShape, keyRows [][]string, useBind bool, as *obs.Span) ([]rel.Tuple, error) {
 	cached, gen, ok := e.frags.lookup(key)
 	f := fragFetch{a: a, sh: sh, seen: map[string]bool{}}
 	if useBind {

@@ -16,7 +16,8 @@ import (
 // Randomized mutation interleaving across the wire: mutators AddFact into
 // the peer servers while queriers run cross-peer bind-joins through one
 // shared Executor, whose fragment cache serves a hit only when the serving
-// peer answers the fetch unchanged. As in the pdms harness, inserts-only
+// peer answers the fetch unchanged, and whose unions share one fetch among
+// the disjuncts that need it. As in the pdms harness, inserts-only
 // mutation plus monotone queries give a linearizability envelope:
 //
 //	eval(q, completed-before-start) ⊆ answer ⊆ eval(q, issued-by-end)
@@ -103,19 +104,28 @@ func TestExecutorMutationInterleaving(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		parse := func(src string) lang.CQ {
-			q, err := parser.ParseQuery(src)
-			if err != nil {
-				t.Fatal(err)
+		union := func(srcs ...string) lang.UCQ {
+			var u lang.UCQ
+			for _, src := range srcs {
+				q, err := parser.ParseQuery(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u.Add(q)
 			}
-			return q
+			return u
 		}
+		// "shared" is a union whose disjuncts share atoms, as rewritings of
+		// one rule-goal tree do: while the planner puts S.a first, one S.a
+		// fetch serves all three and the first two bind L.b under the same
+		// key set, so a fetch made for one disjunct answers another.
 		queries := []struct {
 			name string
-			q    lang.CQ
+			u    lang.UCQ
 		}{
-			{"join2", parse(`q(x, y) :- S.a(x), L.b(x, y)`)},
-			{"join3", parse(`q(x) :- S.a(x), L.b(x, y), L.c(y)`)},
+			{"join2", union(`q(x, y) :- S.a(x), L.b(x, y)`)},
+			{"join3", union(`q(x) :- S.a(x), L.b(x, y), L.c(y)`)},
+			{"shared", union(`q(x, y) :- S.a(x), L.b(x, y)`, `q(x, y) :- S.a(x), L.b(x, y), L.c(y)`, `q(x, y) :- S.a(x), L.c(y)`)},
 		}
 
 		// Metrics snapshots ride along with the harness: while mutators
@@ -190,18 +200,18 @@ func TestExecutorMutationInterleaving(t *testing.T) {
 				for i := 0; i < iters; i++ {
 					qi := queries[rng.Intn(len(queries))]
 					done := ledger.build(false)
-					ans, err := ex.EvalCQ(qi.q)
+					ans, err := ex.EvalUCQ(qi.u)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					issued := ledger.build(true)
-					lo, err := rel.EvalCQ(qi.q, done)
+					lo, err := rel.EvalUCQ(qi.u, done)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					hi, err := rel.EvalCQ(qi.q, issued)
+					hi, err := rel.EvalUCQ(qi.u, issued)
 					if err != nil {
 						t.Error(err)
 						return
@@ -233,11 +243,11 @@ func TestExecutorMutationInterleaving(t *testing.T) {
 		// query must be served from fragments.
 		final := ledger.build(true)
 		for _, qi := range queries {
-			want, err := rel.EvalCQ(qi.q, final)
+			want, err := rel.EvalUCQ(qi.u, final)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ans, err := ex.EvalCQ(qi.q)
+			ans, err := ex.EvalUCQ(qi.u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,11 +256,14 @@ func TestExecutorMutationInterleaving(t *testing.T) {
 			}
 		}
 		hits0 := ex.frags.hits.Load()
-		if _, err := ex.EvalCQ(queries[0].q); err != nil {
+		if _, err := ex.EvalCQ(queries[0].u.Disjuncts[0]); err != nil {
 			t.Fatal(err)
 		}
 		if hits1 := ex.frags.hits.Load(); hits1 <= hits0 {
 			t.Fatalf("quiesced repeat did not hit the fragment cache: hits %d -> %d", hits0, hits1)
+		}
+		if ex.frags.shared.Load() == 0 {
+			t.Fatal("the shared union's disjuncts never shared a fetch")
 		}
 	})
 }

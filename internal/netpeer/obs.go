@@ -81,6 +81,7 @@ func (e *Executor) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("wire.distinct_meta", &ct.distinctMeta)
 	fc := e.frags
 	reg.RegisterCounter("fragcache.hits", &fc.hits)
+	reg.RegisterCounter("fragcache.shared", &fc.shared)
 	reg.RegisterCounter("fragcache.misses", &fc.misses)
 	reg.RegisterCounter("fragcache.invalidations", &fc.invalidations)
 	reg.RegisterCounter("fragcache.evictions", &fc.evictions)

@@ -253,6 +253,7 @@ var metricCatalogue = map[string]string{
 	"fragcache.hits":            "counter",
 	"fragcache.invalidations":   "counter",
 	"fragcache.misses":          "counter",
+	"fragcache.shared":          "counter",
 	"pdms.answer_cache.hits":    "counter",
 	"pdms.answer_cache.misses":  "counter",
 	"pdms.invalidations":        "counter",
