@@ -25,7 +25,7 @@ package chase
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/engine"
@@ -250,7 +250,8 @@ func Nulls(inst *rel.Instance) int {
 	return len(seen)
 }
 
-// SortTuples sorts tuples lexicographically (helper for test comparisons).
+// SortTuples sorts tuples in column-wise (rel.Compare) order (helper for
+// test comparisons).
 func SortTuples(ts []rel.Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
+	slices.SortFunc(ts, rel.Compare)
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,25 +108,13 @@ type idxShard struct {
 	buckets map[string][]rel.Tuple
 }
 
-// AppendKeyPart appends one key component with a length prefix, so
-// composite keys are collision-free even for values containing the
-// delimiter bytes themselves ("a\x00b","c" vs "a","b\x00c"). Probe-path key
-// assembly must use this same encoding. It is exported for other packages
-// that need collision-free composite names (netpeer's executor encodes
-// per-atom selection patterns with it).
-func AppendKeyPart(dst []byte, v string) []byte {
-	dst = strconv.AppendInt(dst, int64(len(v)), 10)
-	dst = append(dst, ':')
-	return append(dst, v...)
-}
-
 func bucketKey(t rel.Tuple, cols []int) string {
 	if len(cols) == 1 {
 		return t[cols[0]]
 	}
 	var key []byte
 	for _, c := range cols {
-		key = AppendKeyPart(key, t[c])
+		key = rel.AppendKeyPart(key, t[c])
 	}
 	return string(key)
 }
@@ -138,7 +126,7 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 		return append(dst, vals[0]...)
 	}
 	for _, v := range vals {
-		dst = AppendKeyPart(dst, v)
+		dst = rel.AppendKeyPart(dst, v)
 	}
 	return dst
 }
@@ -465,14 +453,14 @@ func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 }
 
 // StreamCQ invokes yield once per distinct head tuple of q, in discovery
-// order (no sort, no result materialization beyond the dedup set), so
-// callers can forward rows incrementally — the netpeer server streams
-// eval results over the wire through this hook instead of buffering the
-// whole answer. When the plan opens with a full scan of a large sharded
-// relation the scan fans out across shards, making discovery order
-// unspecified; yields are always serialized. Returning ErrStop from yield
-// ends the stream without error. The yielded tuple is freshly allocated;
-// callers may keep it.
+// order (no sort, no result materialization beyond a dedup set, which a
+// head binding every body variable does without), so callers can forward
+// rows incrementally — the netpeer server streams eval results over the
+// wire through this hook instead of buffering the whole answer. When the
+// plan opens with a full scan of a large sharded relation the scan fans out
+// across shards, making discovery order unspecified; yields are always
+// serialized. Returning ErrStop from yield ends the stream without error.
+// The yielded tuple is freshly allocated; callers may keep it.
 func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	p, err := e.plan(q.Canonical(), q)
 	if err != nil {
@@ -481,9 +469,15 @@ func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	return e.stream(p, yield)
 }
 
-// stream is StreamCQ for an already-resolved plan.
+// stream is StreamCQ for an already-resolved plan. Every body match is a
+// distinct slot assignment, so when the head binds every slot
+// (p.headBindsAll) distinct matches are distinct head tuples and no dedup
+// set is kept; a projection that drops a variable keeps one.
 func (e *Engine) stream(p *Plan, yield func(rel.Tuple) error) error {
-	seen := map[string]bool{}
+	var seen map[string]bool
+	if !p.headBindsAll {
+		seen = map[string]bool{}
+	}
 	err := e.run(p, func(slots []string) error {
 		head := make(rel.Tuple, len(p.head))
 		for i, h := range p.head {
@@ -493,11 +487,14 @@ func (e *Engine) stream(p *Plan, yield func(rel.Tuple) error) error {
 				head[i] = h.constVal
 			}
 		}
-		if k := head.Key(); !seen[k] {
+		if seen != nil {
+			k := head.Key()
+			if seen[k] {
+				return nil
+			}
 			seen[k] = true
-			return yield(head)
 		}
-		return nil
+		return yield(head)
 	})
 	if errors.Is(err, ErrStop) {
 		return nil
@@ -506,7 +503,8 @@ func (e *Engine) stream(p *Plan, yield func(rel.Tuple) error) error {
 }
 
 // EvalCQ evaluates a conjunctive query with set semantics and returns the
-// distinct head tuples, sorted — the indexed equivalent of rel.EvalCQ.
+// distinct head tuples in column-wise (rel.Compare) order — the indexed
+// equivalent of rel.EvalCQ.
 func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.EvalCQSpan(q, nil) }
 
 // EvalCQSpan is EvalCQ under an optional trace span: a non-nil span gets a
@@ -537,7 +535,7 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, rel.Compare)
 	return out, nil
 }
 
@@ -547,8 +545,8 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 const maxUCQFanout = 8
 
 // EvalUCQ evaluates a union of conjunctive queries, returning the distinct
-// union of the disjuncts' answers, sorted — the indexed equivalent of
-// rel.EvalUCQ.
+// union of the disjuncts' answers in column-wise (rel.Compare) order — the
+// indexed equivalent of rel.EvalUCQ.
 func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
 
 // EvalUCQSpan is EvalUCQ under an optional trace span, which gets one

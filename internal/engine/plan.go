@@ -22,6 +22,9 @@ type Plan struct {
 	slotNames []string // slot -> variable name
 	headPred  string
 	head      []outPart
+	// headBindsAll reports that the head reads every slot: distinct body
+	// matches then emit distinct head tuples.
+	headBindsAll bool
 	// preComps are variable-free comparisons, checked once per run.
 	preComps []compiledComp
 	// lateComps are comparisons with variables never bound by the body;
@@ -238,6 +241,7 @@ func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 
 	// Head emission. Safety guarantees every head variable is bound.
 	p.head = make([]outPart, len(q.Head.Args))
+	headSlots := map[int]bool{}
 	for i, t := range q.Head.Args {
 		if t.IsConst() {
 			p.head[i] = outPart{slot: -1, constVal: t.Name}
@@ -247,9 +251,11 @@ func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 				return nil, fmt.Errorf("engine: unbound head variable %s in %s", t, q)
 			}
 			p.head[i] = outPart{slot: s}
+			headSlots[s] = true
 		}
 	}
 	p.nslots = len(p.slotNames)
+	p.headBindsAll = len(headSlots) == p.nslots
 	return p, nil
 }
 

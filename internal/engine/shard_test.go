@@ -111,6 +111,75 @@ func TestDifferentialShardedUCQ(t *testing.T) {
 	}
 }
 
+// TestStreamDedupSetSkipped pins when StreamCQ may drop its dedup set: a
+// head that binds every body variable turns distinct body matches into
+// distinct head tuples, so the engine keeps no set; a head that drops a
+// variable must still deduplicate. Each query runs on a sharded relation
+// through the parallel scan and on the unsharded layout, against the naive
+// evaluator; EvalCQ sorts the stream without deduplicating it again, so a
+// tuple enumerated twice would show up as a repeated answer.
+func TestStreamDedupSetSkipped(t *testing.T) {
+	forceParallel(t)
+	v, c := lang.Var, lang.Const
+	r := func(a, b lang.Term) lang.Atom { return lang.NewAtom("R", a, b) }
+	for _, tc := range []struct {
+		name      string
+		head      []lang.Term
+		body      []lang.Atom
+		bindsAll  bool
+		scanFirst bool // the plan opens with a full scan (parallel when sharded)
+	}{
+		{"self-join", []lang.Term{v("x"), v("y"), v("z")}, []lang.Atom{r(v("x"), v("y")), r(v("y"), v("z"))}, true, true},
+		{"repeated variable", []lang.Term{v("x")}, []lang.Atom{r(v("x"), v("x"))}, true, true},
+		{"constant in head", []lang.Term{v("x"), c("tag"), v("y")}, []lang.Atom{r(v("x"), v("y"))}, true, true},
+		{"constant in body", []lang.Term{v("y"), v("x")}, []lang.Atom{r(c("n1"), v("x")), r(v("x"), v("y"))}, true, false},
+		{"projection", []lang.Term{v("y")}, []lang.Atom{r(v("x"), v("y"))}, false, true},
+		{"join projection", []lang.Term{v("x"), v("z")}, []lang.Atom{r(v("x"), v("y")), r(v("y"), v("z"))}, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			one, many := rel.NewInstanceSharded(1), rel.NewInstanceSharded(8)
+			for i := 0; i < 400; i++ {
+				a, b := fmt.Sprintf("n%d", rng.Intn(40)), fmt.Sprintf("n%d", rng.Intn(40))
+				if i%10 == 0 {
+					b = a
+				}
+				one.MustAdd("R", a, b)
+				many.MustAdd("R", a, b)
+			}
+			q := lang.CQ{Head: lang.Atom{Pred: "q", Args: tc.head}, Body: tc.body}
+			want, err := rel.EvalCQ(q, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) < 2 {
+				t.Fatalf("fixture too small: %d answers", len(want))
+			}
+			for _, ins := range []*rel.Instance{one, many} {
+				e := New(ins)
+				p, err := e.plan(q.Canonical(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.headBindsAll != tc.bindsAll {
+					t.Fatalf("headBindsAll = %v, want %v", p.headBindsAll, tc.bindsAll)
+				}
+				got, err := e.EvalCQ(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d shards: %d answers, naive %d:\nengine %v\nnaive  %v",
+						ins.Relation("R").NumShards(), len(got), len(want), got, want)
+				}
+				if ran := e.parallelScans.Load() > 0; ran != (ins == many && tc.scanFirst) {
+					t.Fatalf("%d shards: parallel scan ran = %v", ins.Relation("R").NumShards(), ran)
+				}
+			}
+		})
+	}
+}
+
 // TestParallelScanCountersAndEquivalence: a join opening with a full scan
 // over a sharded relation takes the parallel path (visible in
 // engine.parallel_scans) and returns exactly the unsharded answer.

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/rel"
@@ -344,15 +343,15 @@ func (f *fragFetch) tap(final *wire.Response) {
 // selection fetch uses the bare pattern; bind fetches with different key
 // sets get distinct entries.
 func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, bind bool) string {
-	b := engine.AppendKeyPart([]byte(nil), addr)
+	b := rel.AppendKeyPart([]byte(nil), addr)
 	b = append(b, '|')
-	b = engine.AppendKeyPart(b, a.Pred)
+	b = rel.AppendKeyPart(b, a.Pred)
 	firstPos := map[string]int{}
 	for i, t := range a.Args {
 		b = append(b, '|')
 		if t.IsConst() {
 			b = append(b, '=')
-			b = engine.AppendKeyPart(b, t.Name)
+			b = rel.AppendKeyPart(b, t.Name)
 			continue
 		}
 		if fp, ok := firstPos[t.Name]; ok {
@@ -375,7 +374,7 @@ func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, b
 	for i, row := range keyRows {
 		var kb []byte
 		for _, v := range row {
-			kb = engine.AppendKeyPart(kb, v)
+			kb = rel.AppendKeyPart(kb, v)
 		}
 		enc[i] = string(kb)
 	}

@@ -296,3 +296,39 @@ func TestExecutorRepeatedAtomSharedFetch(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 }
+
+// TestNULValuesRoundTrip: values may contain NUL (PROTOCOL.md), so two rows
+// that only a NUL-joined key would confuse must both be stored by an add and
+// come back from a scan and from an eval. Their first columns agree, so
+// they share a shard and its tuple set.
+func TestNULValuesRoundTrip(t *testing.T) {
+	addr := startServer(t, map[string][]rel.Tuple{"A.r": {{"z", "z", "z"}}})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a, b := rel.Tuple{"k", "a\x00b", "c"}, rel.Tuple{"k", "a", "b\x00c"}
+	if _, err := c.Add("A.r", [][]string{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Scan("A.r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rel.DistinctSorted(rows)
+	if len(got) != 3 || !got[0].Equal(b) || !got[1].Equal(a) {
+		t.Fatalf("scan = %q, want %q, %q and the seed row", rows, a, b)
+	}
+	q := lang.CQ{
+		Head: lang.NewAtom("q", lang.Var("y"), lang.Var("z")),
+		Body: []lang.Atom{lang.NewAtom("A.r", lang.Const("k"), lang.Var("y"), lang.Var("z"))},
+	}
+	ans, err := c.Eval(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans) != 2 || !ans[0].Equal(b[1:]) || !ans[1].Equal(a[1:]) {
+		t.Fatalf("eval = %q, want [%q %q]", ans, b[1:], a[1:])
+	}
+}

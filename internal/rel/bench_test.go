@@ -69,3 +69,16 @@ func BenchmarkEvalDatalogTransitiveClosure(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDistinctSorted unions bulk_stream's answer shape: three peers'
+// groups of 2,500 (id, 48-byte payload) rows.
+func BenchmarkDistinctSorted(b *testing.B) {
+	groups := answerGroups(3, 2500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := DistinctSorted(groups...); len(out) == 0 {
+			b.Fatal("empty union")
+		}
+	}
+}

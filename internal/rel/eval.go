@@ -2,15 +2,16 @@ package rel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/lang"
 )
 
 // EvalCQ evaluates a conjunctive query over the instance with set semantics
-// and returns the distinct head tuples, sorted. Comparison predicates are
-// applied as filters once both sides are bound (and re-checked at the end).
-// The query must be safe; unsafe queries return an error.
+// and returns the distinct head tuples in column-wise (Compare) order.
+// Comparison predicates are applied as filters once both sides are bound
+// (and re-checked at the end). The query must be safe; unsafe queries
+// return an error.
 func EvalCQ(q lang.CQ, ins *Instance) ([]Tuple, error) {
 	if !q.IsSafe() {
 		return nil, fmt.Errorf("rel: unsafe query %s", q)
@@ -35,7 +36,7 @@ func EvalCQ(q lang.CQ, ins *Instance) ([]Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, Compare)
 	return out, nil
 }
 

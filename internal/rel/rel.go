@@ -1,9 +1,12 @@
 package rel
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,8 +15,46 @@ import (
 // Tuple is a row of constant values.
 type Tuple []string
 
-// Key returns a canonical map key for the tuple.
-func (t Tuple) Key() string { return strings.Join(t, "\x00") }
+// AppendKeyPart appends one key component with a length prefix, so
+// composite keys are collision-free even for values containing any
+// delimiter byte ("a\x00b","c" vs "a","b\x00c"). It is the one composite-key
+// encoding: Tuple.Key, the engine's index keys and netpeer's fragment and
+// join keys all build on it.
+func AppendKeyPart(dst []byte, v string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(v)), 10)
+	dst = append(dst, ':')
+	return append(dst, v...)
+}
+
+// appendKey appends Key's encoding of t to dst.
+func (t Tuple) appendKey(dst []byte) []byte {
+	for _, v := range t {
+		dst = AppendKeyPart(dst, v)
+	}
+	return dst
+}
+
+// Key returns a map key for the tuple: its values, each length-prefixed
+// (AppendKeyPart), so distinct tuples always get distinct keys.
+func (t Tuple) Key() string {
+	// Encoding into a stack buffer leaves the string as the one allocation
+	// for keys up to its size.
+	var buf [128]byte
+	return string(t.appendKey(buf[:0]))
+}
+
+// Compare orders tuples column by column with strings.Compare, a tuple
+// that is a prefix of another sorting first. It is the one canonical tuple
+// order: Relation.Tuples, DistinctSorted and every evaluator's sorted
+// answers use it.
+func Compare(t, u Tuple) int {
+	for i := range min(len(t), len(u)) {
+		if c := strings.Compare(t[i], u[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(t), len(u))
+}
 
 // String renders the tuple as (v1, ..., vn).
 func (t Tuple) String() string { return "(" + strings.Join(t, ", ") + ")" }
@@ -270,8 +311,10 @@ func (r *Relation) ShardLen(s int) int {
 // Contains reports tuple membership (routed to the owning shard).
 func (r *Relation) Contains(t Tuple) bool {
 	s := r.shards[r.shardIdx(t)]
+	var buf [128]byte
+	k := t.appendKey(buf[:0])
 	s.mu.Lock()
-	_, ok := s.tuples[t.Key()]
+	_, ok := s.tuples[string(k)]
 	s.mu.Unlock()
 	return ok
 }
@@ -287,7 +330,7 @@ func (r *Relation) Len() int {
 	return n
 }
 
-// Tuples returns the tuples in deterministic (sorted) order, gathered
+// Tuples returns the tuples in column-wise (Compare) order, gathered
 // across shards. The result is cached per Version and shared: callers must
 // not mutate it.
 func (r *Relation) Tuples() []Tuple {
@@ -305,27 +348,19 @@ func (r *Relation) Tuples() []Tuple {
 	for s := range r.shards {
 		out = append(out, r.ShardAddedSince(s, 0)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, Compare)
 	r.sorted, r.sortedVer = out, v
 	return out
 }
 
 // DistinctSorted returns the distinct union of the given tuple groups in
-// canonical (Tuple.Key) order — the answer-set semantics every UCQ
-// evaluator shares.
+// column-wise (Compare) order — the answer-set semantics every UCQ
+// evaluator shares. It concatenates, sorts and drops adjacent repeats, so
+// it builds no key strings and no set; the groups are left untouched.
 func DistinctSorted(groups ...[]Tuple) []Tuple {
-	seen := map[string]bool{}
-	var out []Tuple
-	for _, g := range groups {
-		for _, t := range g {
-			if k := t.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	out := slices.Concat(groups...)
+	slices.SortFunc(out, Compare)
+	return slices.CompactFunc(out, Tuple.Equal)
 }
 
 // Instance maps predicate names to relations. The zero value is unusable;

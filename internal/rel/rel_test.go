@@ -26,13 +26,45 @@ func TestRelationInsertDedup(t *testing.T) {
 }
 
 func TestTupleKeyCollisionResistance(t *testing.T) {
-	// ("a","b") vs ("a\x00b") must not collide given the separator; arity
-	// differs so relations would differ anyway, but Key must still differ
-	// for map use across mixed arities.
-	a := Tuple{"a", "b"}
-	b := Tuple{"a\x00b"}
-	if a.Key() == b.Key() {
-		t.Skip("known ambiguity") // documents the separator choice
+	// Values may hold any byte, NUL included (wire PROTOCOL.md), so no
+	// separator choice can keep a joined key injective; the length-prefixed
+	// Key must tell every pair apart.
+	for _, pair := range [][2]Tuple{
+		{{"a", "b"}, {"a\x00b"}},
+		{{"a\x00b", "c"}, {"a", "b\x00c"}},
+		{{"", "\x00"}, {"\x00", ""}},
+		{{"1:a"}, {"a"}},
+		{{"1:a", ""}, {"a", "0:"}},
+	} {
+		if a, b := pair[0], pair[1]; a.Key() == b.Key() {
+			t.Errorf("%q and %q share key %q", a, b, a.Key())
+		}
+	}
+	if (Tuple{"a", "b"}).Key() != (Tuple{"a", "b"}).Key() {
+		t.Error("equal tuples must share a key")
+	}
+}
+
+// TestRelationInsertNULValues: two tuples that only a NUL-joined key would
+// confuse are both stored, counted and found, on the one-shard layout where
+// they share a tuple set.
+func TestRelationInsertNULValues(t *testing.T) {
+	r := NewRelationSharded("R", 2, 1)
+	a, b := Tuple{"a\x00b", "c"}, Tuple{"a", "b\x00c"}
+	for _, tu := range []Tuple{a, b} {
+		if nw, err := r.Insert(tu); err != nil || !nw {
+			t.Fatalf("insert %q: new=%v err=%v", tu, nw, err)
+		}
+	}
+	if nw, err := r.Insert(Tuple{"a", "b\x00c"}); err != nil || nw {
+		t.Fatalf("re-insert: new=%v err=%v", nw, err)
+	}
+	if r.Len() != 2 || !r.Contains(a) || !r.Contains(b) || r.Contains(Tuple{"a", "b"}) {
+		t.Fatalf("Len=%d Contains(a)=%v Contains(b)=%v", r.Len(), r.Contains(a), r.Contains(b))
+	}
+	got := r.Tuples()
+	if len(got) != 2 || !got[0].Equal(b) || !got[1].Equal(a) {
+		t.Fatalf("Tuples = %q, want [%q %q]", got, b, a)
 	}
 }
 

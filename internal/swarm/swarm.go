@@ -29,7 +29,7 @@ package swarm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/rel"
@@ -259,10 +259,10 @@ func (s *Spec) OracleSource() string {
 	return b.String()
 }
 
-// SortAnswers sorts tuples lexicographically in place and returns them —
-// both query paths already return sorted distinct answers, but differential
-// tests should not depend on that.
+// SortAnswers sorts tuples in column-wise (rel.Compare) order in place and
+// returns them — both query paths already return sorted distinct answers,
+// but differential tests should not depend on that.
 func SortAnswers(ts []rel.Tuple) []rel.Tuple {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
+	slices.SortFunc(ts, rel.Compare)
 	return ts
 }
