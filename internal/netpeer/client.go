@@ -21,6 +21,11 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	enc  *json.Encoder
+	// frame is the buffer each response frame is read into, reused across
+	// frames (dropped by recycle after an oversized one), and dec decodes
+	// it; decoded responses never alias frame.
+	frame []byte
+	dec   wire.Decoder
 	// maxFrame caps one received response frame (wire.DefaultMaxFrame);
 	// chunked streaming keeps real frames around wire.ChunkMaxBytes.
 	maxFrame int
@@ -62,6 +67,22 @@ type Client struct {
 // retry after a jittered backoff is safe for any op (the executor's pool
 // does this automatically). Test with errors.Is.
 var ErrBusy = errors.New("netpeer: server busy")
+
+// maxKeptFrameBytes caps the frame buffers a connection keeps between
+// frames (the client's read buffer and the server's encode buffer): a
+// buffer that a frame grew past it is dropped, so a frame near
+// wire.DefaultMaxFrame does not stay pinned for the life of a pooled
+// connection.
+const maxKeptFrameBytes = 2 * wire.ChunkMaxBytes
+
+// recycle empties buf for the next frame, or drops it once a frame grew it
+// past maxKeptFrameBytes.
+func recycle(buf []byte) []byte {
+	if cap(buf) > maxKeptFrameBytes {
+		return nil
+	}
+	return buf[:0]
+}
 
 // clientConnWriter counts request bytes as they hit the socket.
 type clientConnWriter struct{ c *Client }
@@ -109,7 +130,8 @@ func (c *Client) TraceOn(sp *obs.Span) *Client {
 // final frame delivers no rows, even if a broken peer put some in it.
 func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error) {
 	for {
-		frame, err := wire.ReadFrame(c.br, c.maxFrame)
+		var err error
+		c.frame, err = wire.AppendFrame(c.frame[:0], c.br, c.maxFrame)
 		if err != nil {
 			// Includes ErrFrameTooLarge: the line was consumed, but the
 			// logical response stream is now missing a frame (possibly the
@@ -121,11 +143,13 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 			return wire.Response{}, err
 		}
 		if c.counters != nil {
-			c.counters.bytesRecv.Add(uint64(len(frame)) + 1)
-			c.counters.maxFrame.Max(int64(len(frame)))
+			c.counters.bytesRecv.Add(uint64(len(c.frame)) + 1)
+			c.counters.maxFrame.Max(int64(len(c.frame)))
 		}
 		var resp wire.Response
-		if err := json.Unmarshal(frame, &resp); err != nil {
+		err = c.dec.Decode(c.frame, &resp)
+		c.frame = recycle(c.frame)
+		if err != nil {
 			c.broken = true
 			return wire.Response{}, err
 		}

@@ -359,18 +359,6 @@ func (s *Server) acceptLoop(ctx context.Context, lis net.Listener) {
 	}
 }
 
-// serverConnWriter counts response bytes as they hit the socket.
-type serverConnWriter struct {
-	s    *Server
-	conn net.Conn
-}
-
-func (w serverConnWriter) Write(p []byte) (int, error) {
-	n, err := w.conn.Write(p)
-	w.s.bytesSent.Add(uint64(n))
-	return n, err
-}
-
 // serveConn is a connection's one loop: read a request, admit it, answer
 // it, repeat. Requests a client pipelines wait in the socket and br, so
 // TCP flow control — not server memory — holds back an over-eager
@@ -383,20 +371,24 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	s.trackConn(conn, true)
 	defer s.trackConn(conn, false)
 	br := bufio.NewReaderSize(conn, 64*1024)
-	bw := bufio.NewWriterSize(serverConnWriter{s: s, conn: conn}, 64*1024)
-	enc := json.NewEncoder(bw)
-	// send writes one response frame and flushes it to the socket, so the
-	// client makes progress chunk by chunk. Each frame gets its own write
-	// deadline: response streams run under the server's read lock, and a
-	// client that stops draining must cost a dropped connection, not a
-	// wedged lock.
+	// buf is the connection's frame buffer, reused across frames.
+	var buf []byte
+	// send encodes one response frame into buf and writes it to the socket
+	// in one call, so the client makes progress chunk by chunk. Each frame
+	// gets its own write deadline: response streams run under the server's
+	// read lock, and a client that stops draining must cost a dropped
+	// connection, not a wedged lock.
 	send := func(resp wire.Response) error {
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		s.rowsServed.Add(uint64(len(resp.Rows)))
-		if err := enc.Encode(resp); err != nil {
+		var err error
+		if buf, err = wire.AppendResponse(buf, &resp); err != nil {
 			return err
 		}
-		return bw.Flush()
+		n, err := conn.Write(buf)
+		s.bytesSent.Add(uint64(n))
+		buf = recycle(buf)
+		return err
 	}
 
 	adm := s.gate()
@@ -544,7 +536,8 @@ func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, ifGen 
 		}
 		if len(rows) >= wire.ChunkMaxRows || bytes >= wire.ChunkMaxBytes {
 			sendErr = send(wire.Response{Rows: rows, More: true})
-			rows, bytes = nil, 0
+			// send has encoded the chunk, so its slice is free again.
+			rows, bytes = rows[:0], 0
 		}
 		return sendErr
 	})

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -69,21 +68,22 @@ func readFrame(br *bufio.Reader) ([]byte, int64, error) {
 	return payload, consumed, nil
 }
 
-// encodeTuple renders one tuple as a frame payload (a JSON string array,
-// the wire row encoding).
-func encodeTuple(t rel.Tuple) ([]byte, error) {
+// encodeTuple appends one tuple's frame payload to dst: a JSON string
+// array in the wire row encoding, byte for byte what json.Marshal writes.
+func encodeTuple(dst []byte, t rel.Tuple) []byte {
 	if t == nil {
 		// JSON has no distinct encoding for a nil slice; normalize so the
 		// empty tuple round-trips.
 		t = rel.Tuple{}
 	}
-	return json.Marshal([]string(t))
+	return wire.AppendRow(dst, t)
 }
 
-// decodeTuple parses a tuple frame payload.
+// decodeTuple parses a tuple frame payload exactly as json.Unmarshal would;
+// the tuple's values share one string.
 func decodeTuple(payload []byte) (rel.Tuple, error) {
-	var vals []string
-	if err := json.Unmarshal(payload, &vals); err != nil {
+	vals, err := wire.DecodeRow(payload)
+	if err != nil {
 		return nil, errBadFrame{"tuple payload: " + err.Error()}
 	}
 	return rel.Tuple(vals), nil

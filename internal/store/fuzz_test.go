@@ -15,8 +15,7 @@ func validSegmentBytes(tuples ...rel.Tuple) []byte {
 	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: 2, Shard: 0, Shards: 1, GenLo: 0})
 	out := appendFrame(nil, hdr)
 	for _, t := range tuples {
-		p, _ := encodeTuple(t)
-		out = appendFrame(out, p)
+		out = appendFrame(out, encodeTuple(nil, t))
 	}
 	return out
 }

@@ -35,6 +35,7 @@ type segWriter struct {
 	bw    *bufio.Writer
 	bytes int64 // bytes appended so far, including the header frame
 	buf   []byte
+	row   []byte // the tuple payload being framed, reused
 }
 
 // createSegment creates path (which must not exist) and writes its header.
@@ -65,12 +66,9 @@ func (w *segWriter) writeFrame(payload []byte) error {
 
 // appendTuple appends one tuple frame and returns the frame's size.
 func (w *segWriter) appendTuple(t rel.Tuple) (int64, error) {
-	payload, err := encodeTuple(t)
-	if err != nil {
-		return 0, err
-	}
+	w.row = encodeTuple(w.row[:0], t)
 	before := w.bytes
-	if err := w.writeFrame(payload); err != nil {
+	if err := w.writeFrame(w.row); err != nil {
 		return w.bytes - before, err
 	}
 	return w.bytes - before, nil

@@ -1,0 +1,633 @@
+package wire
+
+import (
+	"encoding/json"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+)
+
+// The response codec. Response frames carry the rows of every answer, so
+// they are encoded and decoded by hand rather than through reflection. The
+// codec is byte-identical to encoding/json in both directions:
+// AppendResponse writes exactly what json.Encoder.Encode writes, and
+// Decoder.Decode yields exactly what json.Unmarshal yields, for every
+// input. Only the common shape takes the hand-written path — the exact
+// field names, strings without escapes, plain integers. Everything else
+// (an escape, a case-variant, duplicate or unknown key, null, a
+// non-integer number, a syntax error) goes to encoding/json, for that one
+// value or for the whole frame, so the semantics stay encoding/json's
+// without a second JSON parser. Distinct and Spans ride only on final
+// frames and always go through encoding/json.
+
+// AppendResponse appends r's frame to dst: exactly the bytes
+// json.Encoder.Encode writes for r, trailing newline included, with its
+// HTML-safe escaping (<, >, &, U+2028 and U+2029 as \u escapes, invalid
+// UTF-8 as U+FFFD). The only error is encoding/json's refusal of a
+// non-finite Distinct estimate; dst is then returned unextended.
+func AppendResponse(dst []byte, r *Response) ([]byte, error) {
+	orig := len(dst)
+	dst = append(dst, '{')
+	open := len(dst)
+	if r.Error != "" {
+		dst = appendField(dst, open, `"error":`)
+		dst = appendString(dst, r.Error)
+	}
+	if r.Busy {
+		dst = appendField(dst, open, `"busy":true`)
+	}
+	if len(r.Rows) > 0 {
+		dst = appendField(dst, open, `"rows":[`)
+		for i, row := range r.Rows {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = AppendRow(dst, row)
+		}
+		dst = append(dst, ']')
+	}
+	if r.More {
+		dst = appendField(dst, open, `"more":true`)
+	}
+	if r.Unchanged {
+		dst = appendField(dst, open, `"unchanged":true`)
+	}
+	if len(r.Preds) > 0 {
+		dst = AppendRow(appendField(dst, open, `"preds":`), r.Preds)
+	}
+	if len(r.Cards) > 0 {
+		dst = appendField(dst, open, `"cards":[`)
+		for i, n := range r.Cards {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(n), 10)
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Gens) > 0 {
+		dst = appendField(dst, open, `"gens":[`)
+		for i, g := range r.Gens {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, g, 10)
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Distinct) > 0 {
+		b, err := json.Marshal(r.Distinct)
+		if err != nil {
+			return dst[:orig], err
+		}
+		dst = append(appendField(dst, open, `"distinct":`), b...)
+	}
+	if len(r.Spans) > 0 {
+		b, err := json.Marshal(r.Spans)
+		if err != nil {
+			return dst[:orig], err
+		}
+		dst = append(appendField(dst, open, `"spans":`), b...)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendField appends a field's key (and whatever of its value is fixed),
+// preceded by a comma unless it is the first field after the brace at
+// open-1.
+func appendField(dst []byte, open int, key string) []byte {
+	if len(dst) > open {
+		dst = append(dst, ',')
+	}
+	return append(dst, key...)
+}
+
+// AppendRow appends row as a JSON array of strings, exactly as
+// json.Marshal encodes a []string: a nil row is null.
+func AppendRow(dst []byte, row []string) []byte {
+	if row == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, v)
+	}
+	return append(dst, ']')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// htmlSafe reports the bytes encoding/json copies into a string unescaped
+// on their own: printable ASCII except the quote, the backslash and the
+// HTML-sensitive <, > and &. (A byte of a multi-byte rune is not safe on
+// its own; 256 entries let a byte index the table unchecked.)
+var htmlSafe = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendString appends s as a JSON string, escaped exactly as
+// encoding/json escapes it with HTML escaping on.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if htmlSafe[s[i]] {
+			i++
+			continue
+		}
+		if b := s[i]; b < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				// The other control bytes, and <, > and &.
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			i++
+			start = i
+			continue
+		}
+		if c == 0x2028 || c == 0x2029 { // LINE and PARAGRAPH SEPARATOR
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// Decoder decodes response frames. Every string of a frame's rows is a
+// substring of one string holding the whole frame, and the rows share one
+// []string of values, so a row frame costs a constant number of
+// allocations however many rows it carries. A retained row therefore
+// keeps its whole frame's string alive. The zero Decoder is ready to use;
+// it keeps scratch space between frames, so it is not safe for concurrent
+// use.
+type Decoder struct {
+	// vals collects a frame's row values before their exact-size copy,
+	// and ends each row's end offset in vals. Both are emptied after every
+	// frame — vals cleared, so it pins no frame — and dropped once a frame
+	// grows them past maxScratchBytes.
+	vals []string
+	ends []int
+}
+
+// maxScratchBytes bounds the scratch a Decoder keeps between frames, as
+// AppendFrame's callers bound their frame buffers: a frame near
+// DefaultMaxFrame must not stay pinned once decoded.
+const maxScratchBytes = 2 * ChunkMaxBytes
+
+// Decode decodes one frame (without its newline) into r, overwriting it:
+// afterwards r holds exactly what json.Unmarshal(frame, r) leaves in a
+// zero Response, and the error is nil exactly when json.Unmarshal's is.
+// The result does not alias frame.
+func (d *Decoder) Decode(frame []byte, r *Response) error {
+	*r = Response{}
+	ok := d.decode(frame, r)
+	clear(d.vals)
+	d.vals, d.ends = d.vals[:0], d.ends[:0]
+	if cap(d.vals)*16 > maxScratchBytes {
+		d.vals = nil
+	}
+	if cap(d.ends)*8 > maxScratchBytes {
+		d.ends = nil
+	}
+	if ok {
+		return nil
+	}
+	*r = Response{}
+	return json.Unmarshal(frame, r)
+}
+
+// Field indexes of Response, as bits of the decoder's seen-keys mask.
+const (
+	fieldError = iota
+	fieldBusy
+	fieldRows
+	fieldMore
+	fieldUnchanged
+	fieldPreds
+	fieldCards
+	fieldGens
+	fieldDistinct
+	fieldSpans
+)
+
+// decode is the hand-written path. It reports false whenever the frame
+// leaves its common shape; Decode then hands the whole frame to
+// encoding/json.
+func (d *Decoder) decode(frame []byte, r *Response) bool {
+	p := scanner{s: string(frame), b: frame}
+	p.space()
+	if !p.eat('{') {
+		return false
+	}
+	p.space()
+	if p.eat('}') {
+		return p.end()
+	}
+	var seen uint16
+	for {
+		f := p.key()
+		if f < 0 || seen&(1<<f) != 0 {
+			return false
+		}
+		seen |= 1 << f
+		p.space()
+		if !p.eat(':') {
+			return false
+		}
+		p.space()
+		ok := false
+		switch f {
+		case fieldError:
+			// Error and Preds outlive the frame (in error messages and the
+			// executor's estimates), so they get strings of their own.
+			var v string
+			if v, ok = p.str(); ok {
+				r.Error = strings.Clone(v)
+			}
+		case fieldBusy:
+			r.Busy, ok = p.boolean()
+		case fieldRows:
+			r.Rows, ok = d.rows(&p)
+		case fieldMore:
+			r.More, ok = p.boolean()
+		case fieldUnchanged:
+			r.Unchanged, ok = p.boolean()
+		case fieldPreds:
+			if r.Preds, ok = p.row(make([]string, 0)); ok {
+				for i, v := range r.Preds {
+					r.Preds[i] = strings.Clone(v)
+				}
+			}
+		case fieldCards:
+			r.Cards, ok = p.ints()
+		case fieldGens:
+			r.Gens, ok = p.uints()
+		case fieldDistinct:
+			ok = p.value(&r.Distinct)
+		case fieldSpans:
+			ok = p.value(&r.Spans)
+		}
+		if !ok {
+			return false
+		}
+		p.space()
+		if p.eat('}') {
+			return p.end()
+		}
+		if !p.eat(',') {
+			return false
+		}
+		p.space()
+	}
+}
+
+// rows decodes the rows array: every value into d.vals, then one
+// exact-size copy that the returned rows share.
+func (d *Decoder) rows(p *scanner) ([][]string, bool) {
+	if !p.array(func() bool {
+		var ok bool
+		d.vals, ok = p.row(d.vals)
+		d.ends = append(d.ends, len(d.vals))
+		return ok
+	}) {
+		return nil, false
+	}
+	vals := make([]string, len(d.vals))
+	copy(vals, d.vals)
+	rows := make([][]string, len(d.ends))
+	start := 0
+	for i, end := range d.ends {
+		rows[i] = vals[start:end:end]
+		start = end
+	}
+	return rows, true
+}
+
+// DecodeRow decodes one JSON array of strings, giving exactly what
+// json.Unmarshal gives for a nil []string. The values are substrings of
+// one string holding data.
+func DecodeRow(data []byte) ([]string, error) {
+	p := scanner{s: string(data), b: data}
+	var buf [8]string
+	p.space()
+	if vals, ok := p.row(buf[:0]); ok && p.end() {
+		row := make([]string, len(vals))
+		copy(row, vals)
+		return row, nil
+	}
+	var row []string
+	err := json.Unmarshal(data, &row)
+	return row, err
+}
+
+// scanner walks one frame. s and b hold the same bytes: decoded strings
+// are substrings of s, and b hands a value to encoding/json uncopied.
+type scanner struct {
+	s string
+	b []byte
+	i int
+}
+
+func (p *scanner) space() {
+	for p.i < len(p.s) {
+		switch p.s[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c if it is next.
+func (p *scanner) eat(c byte) bool {
+	if p.i < len(p.s) && p.s[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace is left.
+func (p *scanner) end() bool {
+	p.space()
+	return p.i == len(p.s)
+}
+
+// key consumes an object key and its quotes, returning the Response field
+// it names exactly, or -1 for anything else (escaped, case-variant or
+// unknown keys all fall back to encoding/json).
+func (p *scanner) key() int {
+	if !p.eat('"') {
+		return -1
+	}
+	start := p.i
+	for p.i < len(p.s) && p.s[p.i] != '"' && p.s[p.i] != '\\' {
+		p.i++
+	}
+	if !p.eat('"') {
+		return -1
+	}
+	switch p.s[start : p.i-1] {
+	case "error":
+		return fieldError
+	case "busy":
+		return fieldBusy
+	case "rows":
+		return fieldRows
+	case "more":
+		return fieldMore
+	case "unchanged":
+		return fieldUnchanged
+	case "preds":
+		return fieldPreds
+	case "cards":
+		return fieldCards
+	case "gens":
+		return fieldGens
+	case "distinct":
+		return fieldDistinct
+	case "spans":
+		return fieldSpans
+	}
+	return -1
+}
+
+// plain reports the ASCII bytes a JSON string carries verbatim: everything
+// but the control bytes, the quote and the backslash. (Bytes from 0x80 up
+// are checked as UTF-8; 256 entries let a byte index the table unchecked.)
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str consumes a string. One without escapes and of valid UTF-8 — what
+// encoding/json would copy verbatim too — is a substring of the frame;
+// any other goes through encoding/json on its own.
+func (p *scanner) str() (string, bool) {
+	if !p.eat('"') {
+		return "", false
+	}
+	start := p.i
+	for p.i < len(p.s) {
+		c := p.s[p.i]
+		if plain[c] {
+			p.i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			if c == '"' {
+				p.i++
+				return p.s[start : p.i-1], true
+			}
+			break
+		}
+		r, size := utf8.DecodeRuneInString(p.s[p.i:])
+		if r == utf8.RuneError && size == 1 {
+			break
+		}
+		p.i += size
+	}
+	// An escape, a control byte or invalid UTF-8: find the closing quote
+	// and let encoding/json unquote the token.
+	for p.i < len(p.s) && p.s[p.i] != '"' {
+		if p.s[p.i] == '\\' {
+			p.i++
+		}
+		p.i++
+	}
+	if !p.eat('"') {
+		return "", false
+	}
+	var v string
+	if json.Unmarshal(p.b[start-1:p.i], &v) != nil {
+		return "", false
+	}
+	return v, true
+}
+
+// row consumes an array of strings, appending its values to vals.
+func (p *scanner) row(vals []string) ([]string, bool) {
+	if !p.eat('[') {
+		return vals, false
+	}
+	p.space()
+	if p.eat(']') {
+		return vals, true
+	}
+	for {
+		v, ok := p.str()
+		if !ok {
+			return vals, false
+		}
+		vals = append(vals, v)
+		p.space()
+		if p.eat(']') {
+			return vals, true
+		}
+		if !p.eat(',') {
+			return vals, false
+		}
+		p.space()
+	}
+}
+
+func (p *scanner) boolean() (bool, bool) {
+	rest := p.s[p.i:]
+	switch {
+	case strings.HasPrefix(rest, "true"):
+		p.i += len("true")
+		return true, true
+	case strings.HasPrefix(rest, "false"):
+		p.i += len("false")
+		return false, true
+	}
+	return false, false
+}
+
+// digits consumes a plain unsigned integer of at most max digits: no sign,
+// fraction, exponent or leading zero (a longer one falls back, so the
+// value cannot overflow).
+func (p *scanner) digits(max int) (uint64, bool) {
+	start := p.i
+	var n uint64
+	for p.i < len(p.s) && p.s[p.i] >= '0' && p.s[p.i] <= '9' {
+		n = n*10 + uint64(p.s[p.i]-'0')
+		p.i++
+	}
+	l := p.i - start
+	return n, l > 0 && l <= max && (l == 1 || p.s[start] != '0')
+}
+
+// ints consumes an array of plain integers, as []int.
+func (p *scanner) ints() ([]int, bool) {
+	out := make([]int, 0)
+	ok := p.array(func() bool {
+		neg := p.eat('-')
+		n, ok := p.digits(18)
+		if neg {
+			out = append(out, -int(n))
+		} else {
+			out = append(out, int(n))
+		}
+		return ok
+	})
+	return out, ok
+}
+
+// uints consumes an array of plain non-negative integers, as []uint64.
+func (p *scanner) uints() ([]uint64, bool) {
+	out := make([]uint64, 0)
+	ok := p.array(func() bool {
+		n, ok := p.digits(19)
+		out = append(out, n)
+		return ok
+	})
+	return out, ok
+}
+
+// array consumes an array whose elements elem consumes.
+func (p *scanner) array(elem func() bool) bool {
+	if !p.eat('[') {
+		return false
+	}
+	p.space()
+	if p.eat(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		p.space()
+		if p.eat(']') {
+			return true
+		}
+		if !p.eat(',') {
+			return false
+		}
+		p.space()
+	}
+}
+
+// value decodes the next JSON value into v through encoding/json.
+func (p *scanner) value(v any) bool {
+	start := p.i
+	return p.skip() && json.Unmarshal(p.b[start:p.i], v) == nil
+}
+
+// skip consumes one JSON value without checking it: a string, a bracketed
+// container, or a scalar running to the next delimiter. encoding/json
+// checks whatever it spans.
+func (p *scanner) skip() bool {
+	start, depth := p.i, 0
+	for p.i < len(p.s) {
+		switch p.s[p.i] {
+		case '"':
+			p.i++
+			for p.i < len(p.s) && p.s[p.i] != '"' {
+				if p.s[p.i] == '\\' {
+					p.i++
+				}
+				p.i++
+			}
+			if !p.eat('"') {
+				return false
+			}
+		case '[', '{':
+			depth++
+			p.i++
+		case ']', '}':
+			if depth == 0 {
+				return p.i > start
+			}
+			depth--
+			p.i++
+		case ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return p.i > start
+			}
+			p.i++
+		default:
+			p.i++
+		}
+		if depth == 0 && (p.s[p.i-1] == '"' || p.s[p.i-1] == ']' || p.s[p.i-1] == '}') {
+			return true
+		}
+	}
+	return depth == 0 && p.i > start
+}

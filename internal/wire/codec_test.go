@@ -1,0 +1,292 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// encodeJSON is the reference encoding AppendResponse must reproduce.
+func encodeJSON(t testing.TB, r *Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkAppend fails unless AppendResponse writes exactly json.Encoder's
+// bytes for r, after a prefix it must leave alone.
+func checkAppend(t testing.TB, r *Response) {
+	t.Helper()
+	want := encodeJSON(t, r)
+	got, err := AppendResponse([]byte("prefix"), r)
+	if err != nil {
+		t.Fatalf("AppendResponse(%+v): %v", r, err)
+	}
+	if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+		t.Fatalf("AppendResponse(%+v)\n got %q\nwant %q", r, got, want)
+	}
+}
+
+// checkDecode fails unless Decode agrees with json.Unmarshal on frame: both
+// fail or neither does, and the results are deeply equal either way.
+func checkDecode(t testing.TB, d *Decoder, frame []byte) {
+	t.Helper()
+	var want Response
+	wantErr := json.Unmarshal(frame, &want)
+	got := Response{Error: "stale", Rows: [][]string{{"stale"}}, More: true}
+	gotErr := d.Decode(frame, &got)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("frame %q: Decode err %v, json.Unmarshal err %v", frame, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame %q:\nDecode         %#v\njson.Unmarshal %#v", frame, got, want)
+	}
+}
+
+// awkwardStrings are values whose JSON encoding differs from their bytes,
+// or which the decoder must not take verbatim.
+var awkwardStrings = []string{
+	"", "plain", "k42", "NUL\x00byte", "<a href=\"x\">&amp;</a>", "tab\tnl\ncr\r",
+	"\b\f\x1f\x7f", "back\\slash", "sep\u2028para\u2029", "bad\xffutf8\xc3", "\xed\xa0\x80",
+	"\u00e9\U0001f600", "\ufffd",
+}
+
+func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
+	var every strings.Builder
+	for b := 0; b < 256; b++ {
+		every.WriteByte(byte(b))
+	}
+	corpus := []Response{
+		{},
+		{Error: "boom <&>", Busy: true},
+		{Rows: [][]string{{"a", "b"}, {}, nil, {every.String()}}, More: true},
+		{Rows: [][]string{}, Preds: []string{}, Cards: []int{}, Gens: []uint64{}},
+		{Unchanged: true, Preds: []string{"A.r", "B.s"}, Cards: []int{0, -7, 1 << 62}, Gens: []uint64{0, 1<<64 - 1}},
+		{Preds: []string{"p"}, Distinct: [][]float64{{1.5, 1e21, 0.000001}, nil}},
+		{Spans: []Span{{ID: 1, Name: "scan<x>", Dur: 5, Attrs: []SpanAttr{{K: "k", V: "\u2028"}}}}},
+	}
+	for _, s := range awkwardStrings {
+		corpus = append(corpus, Response{Error: s, Rows: [][]string{{s, s + s}}, Preds: []string{s}})
+	}
+	for i := range corpus {
+		checkAppend(t, &corpus[i])
+	}
+	for _, row := range [][]string{nil, {}, {every.String()}, awkwardStrings} {
+		want, _ := json.Marshal(row)
+		if got := AppendRow(nil, row); !bytes.Equal(got, want) {
+			t.Fatalf("AppendRow(%q) = %q, want %q", row, got, want)
+		}
+	}
+}
+
+func TestAppendResponseNonFiniteDistinct(t *testing.T) {
+	r := Response{Rows: [][]string{{"a"}}, Distinct: [][]float64{{zero / zero}}}
+	got, err := AppendResponse([]byte("keep"), &r)
+	if err == nil || string(got) != "keep" {
+		t.Fatalf("got %q, %v; want the prefix back and an error", got, err)
+	}
+}
+
+var zero float64
+
+// decodeCorpus is the frames the decoder must agree with encoding/json on:
+// every shape the hand-written path takes, and every way of leaving it.
+var decodeCorpus = []string{
+	`{}`, ` { } `, `null`, ``, `[]`, `"x"`, `{"rows":[]}`, `{"rows":[[]]}`, `{"rows":[[],["a"]]}`,
+	`{"rows":[["a","b"],["c","d"]],"more":true}`,
+	`{"rows":null}`, `{"rows":[null]}`, `{"rows":[["a",null]]}`, `{"rows":[["a"],null]}`,
+	`{"Rows":[["a"]]}`, `{"ROWS":[["a"]],"rows":[["b"]]}`, `{"rows":[["a"]],"rows":[["b","c"]]}`,
+	`{"r\u006fws":[["a"]]}`, `{"rows":[["\u00e9\ud83d\ude00","\ud800","a\\b\"c\/"]]}`,
+	"{\"rows\":[[\"bad\xff\",\"ok\"]]}", "{\"rows\":[[\"ctl\x01\"]]}", "{\"rows\":[[\"sep\u2028\"]]}",
+	`{"rows":[["a"]],"zzFromTheFuture":{"x":[1,"]"]}}`, `{"future":1,"rows":[["a"]]}`,
+	" {\n\t\"rows\" : [ [ \"a\" , \"b\" ] , [ ] ] ,\r\"more\" : true } \n",
+	`{"cards":[1e3]}`, `{"cards":[-0]}`, `{"cards":[0,-1,9223372036854775807]}`, `{"cards":[9223372036854775808]}`,
+	`{"cards":[1.0]}`, `{"cards":[01]}`, `{"cards":[-]}`, `{"cards":["1"]}`, `{"cards":[]}`,
+	`{"gens":[18446744073709551615]}`, `{"gens":[18446744073709551616]}`, `{"gens":[-1]}`, `{"gens":[-0]}`,
+	`{"busy":true,"error":"x"}`, `{"busy":null}`, `{"more":1}`, `{"more":truex}`, `{"unchanged":false}`,
+	`{"error":"boom \u003c\u0026\u003e"}`, `{"error":""}`, `{"error":null}`,
+	`{"preds":["A.r"],"cards":[3],"gens":[7],"distinct":[[1.5,2],null]}`,
+	`{"distinct":[[1,"x"]]}`, `{"distinct":{}}`, `{"distinct":[[1,2]}`, `{"distinct":}`, `{"distinct":[[1e400]]}`,
+	`{"spans":[{"id":1,"name":"eval","dur":3,"attrs":[{"k":"a","v":"]"}]}]}`, `{"spans":[{"id":-1}]}`,
+	`{"rows":[["a"]]} x`, `{"rows":[["a"]],}`, `{"rows":[["a"]]`, `{"rows":[["a"`, `{"rows" [["a"]]}`,
+	`{"rows":[["a"]] "more":true}`, `{,}`, `{"rows":[["a"],]}`, `{"rows":[["a",]]}`,
+}
+
+func TestDecodeMatchesUnmarshal(t *testing.T) {
+	var d Decoder
+	for _, frame := range decodeCorpus {
+		checkDecode(t, &d, []byte(frame))
+	}
+	// Every frame AppendResponse writes decodes back to what encoding/json
+	// makes of it.
+	for _, s := range awkwardStrings {
+		frame, _ := AppendResponse(nil, &Response{Error: s, Rows: [][]string{{s}, {}, nil}, Preds: []string{s}, Cards: []int{-1}})
+		checkDecode(t, &d, frame[:len(frame)-1])
+	}
+}
+
+// TestDecodeRowsCapped checks that the rows sharing a frame's values slice
+// are each capped at their own end, so an append to one cannot overwrite
+// the next.
+func TestDecodeRowsCapped(t *testing.T) {
+	var d Decoder
+	var r Response
+	if err := d.Decode([]byte(`{"rows":[["a","b"],["c"]]}`), &r); err != nil {
+		t.Fatal(err)
+	}
+	_ = append(r.Rows[0], "x")
+	if r.Rows[1][0] != "c" || cap(r.Rows[0]) != 2 {
+		t.Fatalf("appending to row 0 (cap %d) changed row 1 to %q", cap(r.Rows[0]), r.Rows[1])
+	}
+}
+
+func TestDecodeRowMatchesUnmarshal(t *testing.T) {
+	corpus := []string{`[]`, `null`, ` [ "a" , "b" ] `, `["a",null]`, `[1]`, `["a"] x`, `[`, ``,
+		`["\u0041","` + strings.Repeat("x", 100) + `"]`, "[\"bad\xff\"]", `["a","b","c","d","e","f","g","h","i"]`}
+	for _, s := range awkwardStrings {
+		b, _ := json.Marshal([]string{s, s})
+		corpus = append(corpus, string(b))
+	}
+	for _, data := range corpus {
+		var want []string
+		wantErr := json.Unmarshal([]byte(data), &want)
+		got, gotErr := DecodeRow([]byte(data))
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeRow(%q) = %#v, %v; json.Unmarshal gives %#v, %v", data, got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// rowFrame is a non-final frame of n rows in bulk_stream's shape: an
+// 8-byte id and a 48-byte payload.
+func rowFrame(n int) *Response {
+	rows := make([][]string, n)
+	for i := range rows {
+		id := strconv.Itoa(10000000 + i)
+		rows[i] = []string{id, "k" + id + strings.Repeat("p", 48-len(id)-1)}
+	}
+	return &Response{Rows: rows, More: true}
+}
+
+// TestDecodeAllocsConstant pins the decoder's allocation profile: with a
+// reused Decoder a row frame costs the same few allocations at 10 rows as
+// at 1024 (one string for the frame, one values slice, one rows slice).
+func TestDecodeAllocsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		frame, err := AppendResponse(nil, rowFrame(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = frame[:len(frame)-1]
+		var d Decoder
+		var r Response
+		return testing.AllocsPerRun(20, func() {
+			if err := d.Decode(frame, &r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := allocs(10), allocs(ChunkMaxRows)
+	if small != big || big > 3 {
+		t.Fatalf("allocs per frame: %v at 10 rows, %v at %d rows; want the same, at most 3", small, big, ChunkMaxRows)
+	}
+}
+
+// TestDecoderDropsOversizedScratch checks that one huge frame does not stay
+// pinned in a Decoder's scratch, while a normal one keeps it for reuse.
+func TestDecoderDropsOversizedScratch(t *testing.T) {
+	var d Decoder
+	var r Response
+	frame, _ := AppendResponse(nil, rowFrame(ChunkMaxRows))
+	if err := d.Decode(frame, &r); err != nil {
+		t.Fatal(err)
+	}
+	if cap(d.vals) == 0 || cap(d.ends) == 0 {
+		t.Fatal("scratch of a normal frame was not kept")
+	}
+	for _, v := range d.vals[:cap(d.vals)] {
+		if v != "" {
+			t.Fatal("scratch still references the last frame's values")
+		}
+	}
+	huge := &Response{Rows: make([][]string, maxScratchBytes/8+1)}
+	for i := range huge.Rows {
+		huge.Rows[i] = []string{""}
+	}
+	frame, _ = AppendResponse(nil, huge)
+	if err := d.Decode(frame, &r); err != nil || len(r.Rows) != len(huge.Rows) {
+		t.Fatalf("huge frame: %d rows, %v", len(r.Rows), err)
+	}
+	if d.vals != nil || d.ends != nil {
+		t.Fatalf("scratch of cap %d/%d kept after an oversized frame", cap(d.vals), cap(d.ends))
+	}
+}
+
+// sinkBytes and sinkResp keep benchmark results live.
+var (
+	sinkBytes []byte
+	sinkResp  Response
+)
+
+// BenchmarkDecodeResponse decodes one full bulk_stream-shaped frame (1024
+// rows of an 8-byte id and a 48-byte payload), through the codec and
+// through encoding/json.
+func BenchmarkDecodeResponse(b *testing.B) {
+	frame, err := AppendResponse(nil, rowFrame(ChunkMaxRows))
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame = frame[:len(frame)-1]
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		var d Decoder
+		for b.Loop() {
+			if err := d.Decode(frame, &sinkResp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding_json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		for b.Loop() {
+			sinkResp = Response{}
+			if err := json.Unmarshal(frame, &sinkResp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkAppendResponse encodes the same frame into a reused buffer,
+// through the codec and through a json.Encoder.
+func BenchmarkAppendResponse(b *testing.B) {
+	r := rowFrame(ChunkMaxRows)
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var err error
+			if sinkBytes, err = AppendResponse(sinkBytes[:0], r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding_json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for b.Loop() {
+			buf.Reset()
+			if err := enc.Encode(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -96,7 +96,9 @@ type legacyResponse struct {
 // → new client: a frame without the field must decode with Distinct nil —
 // the executor's explicit cardinality-only fallback signal — even when the
 // frame carries fields newer still. And the field itself must round-trip
-// exactly for every finite estimate a sketch can produce.
+// exactly for every finite estimate a sketch can produce. The new side is
+// the response codec (AppendResponse, Decoder); the old side, like every
+// peer that predates the codec, is encoding/json.
 func FuzzDistinctPiggyback(f *testing.F) {
 	f.Add("A.r", 7, uint64(3), 4.0, 2.5, "future")
 	f.Add("", 0, uint64(0), 0.0, -1.0, "")
@@ -108,7 +110,7 @@ func FuzzDistinctPiggyback(f *testing.F) {
 			Gens:     []uint64{gen, gen + 1},
 			Distinct: [][]float64{{d0, d1}, nil},
 		}
-		data, err := json.Marshal(resp)
+		data, err := AppendResponse(nil, &resp)
 		if err != nil {
 			// encoding/json refuses non-finite floats; nothing else here
 			// can fail.
@@ -118,8 +120,9 @@ func FuzzDistinctPiggyback(f *testing.F) {
 			return
 		}
 		// Round trip through the new decoder.
+		var dec Decoder
 		var back Response
-		if err := json.Unmarshal(data, &back); err != nil {
+		if err := dec.Decode(data, &back); err != nil {
 			t.Fatalf("new client rejects new server frame: %v", err)
 		}
 		if len(back.Distinct) != 2 || len(back.Distinct[0]) != 2 ||
@@ -153,7 +156,7 @@ func FuzzDistinctPiggyback(f *testing.F) {
 		}
 		for _, frame := range [][]byte{oldData, withFuture} {
 			var fresh Response
-			if err := json.Unmarshal(frame, &fresh); err != nil {
+			if err := dec.Decode(frame, &fresh); err != nil {
 				t.Fatalf("new client rejects old server frame %q: %v", frame, err)
 			}
 			if fresh.Distinct != nil {
@@ -223,12 +226,13 @@ func FuzzIfGenUnchanged(f *testing.F) {
 			t.Fatalf("old client request decoded as %+v", fresh)
 		}
 
-		data, err = json.Marshal(Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}})
+		data, err = AppendResponse(nil, &Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var dec Decoder
 		var resp Response
-		if err := json.Unmarshal(data, &resp); err != nil || resp.Unchanged != unchanged || resp.Gens[0] != gen {
+		if err := dec.Decode(data, &resp); err != nil || resp.Unchanged != unchanged || resp.Gens[0] != gen {
 			t.Fatalf("response did not round-trip: %+v (%v)", resp, err)
 		}
 		var oldResp legacyResponse
@@ -243,7 +247,7 @@ func FuzzIfGenUnchanged(f *testing.F) {
 			t.Fatal(err)
 		}
 		var fromOld Response
-		if err := json.Unmarshal(oldData, &fromOld); err != nil || fromOld.Unchanged {
+		if err := dec.Decode(oldData, &fromOld); err != nil || fromOld.Unchanged {
 			t.Fatalf("old server frame %q decoded as %+v (%v)", oldData, fromOld, err)
 		}
 	})
@@ -285,5 +289,52 @@ func FuzzRequestDecode(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzResponseCodec checks the response codec against encoding/json in both
+// directions. Decoding: for arbitrary frame bytes, Decoder.Decode and
+// json.Unmarshal both fail or both succeed, and leave deeply equal
+// Responses. Encoding: for a Response built from the fuzzed strings, card,
+// generation and flags, AppendResponse writes exactly json.Marshal's bytes
+// plus the newline, and the frame decodes back as encoding/json reads it.
+func FuzzResponseCodec(f *testing.F) {
+	for _, frame := range decodeCorpus {
+		f.Add([]byte(frame), "a", "<&>", 1, uint64(2), byte(0))
+	}
+	f.Add([]byte(`{"rows":[["a"]]}`), "sep\u2028", "bad\xff\xc3", -7, uint64(1<<63), byte(0xff))
+	f.Fuzz(func(t *testing.T, frame []byte, s, u string, card int, gen uint64, flags byte) {
+		var d Decoder
+		checkDecode(t, &d, frame)
+
+		r := Response{
+			Rows:      [][]string{{s, u}, {u}},
+			More:      flags&1 != 0,
+			Unchanged: flags&2 != 0,
+			Preds:     []string{s},
+			Cards:     []int{card},
+			Gens:      []uint64{gen},
+		}
+		if flags&4 != 0 {
+			r.Error, r.Busy = u, flags&8 != 0
+		}
+		if flags&16 != 0 {
+			r.Rows = append(r.Rows, nil, []string{})
+		}
+		if flags&32 != 0 {
+			r.Rows, r.Preds, r.Cards, r.Gens = nil, nil, nil, nil
+		}
+		want, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendResponse(nil, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("AppendResponse(%+v)\n got %q\nwant %q", r, got, want)
+		}
+		checkDecode(t, &d, got)
 	})
 }

@@ -53,6 +53,15 @@
 // interleave across requests; the reference client sends one request at a
 // time.
 //
+// Response frames, which carry every row, go through this package's own
+// codec rather than reflection: AppendResponse encodes a frame, Decoder
+// decodes one, and AppendFrame reads one into a reused buffer. The codec
+// is byte-identical to encoding/json in both directions — it writes what
+// json.Encoder writes and yields what json.Unmarshal yields, handing
+// anything outside the common shape to encoding/json itself. Its row
+// halves, AppendRow and DecodeRow, also encode the segment journal's
+// tuples (internal/store). Requests stay on encoding/json.
+//
 // PROTOCOL.md in this directory is the normative specification: frame
 // layout, per-op request/response contracts, error-frame and streaming
 // semantics, the metadata piggyback, size limits and the compatibility
@@ -345,22 +354,28 @@ const (
 // connection. io.EOF is returned only at a clean frame boundary; a partial
 // trailing line is io.ErrUnexpectedEOF.
 func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
-	var buf []byte
+	return AppendFrame(nil, br, max)
+}
+
+// AppendFrame is ReadFrame appending the frame to dst, so a caller can
+// reuse one buffer across frames. On error it returns dst unextended.
+func AppendFrame(dst []byte, br *bufio.Reader, max int) ([]byte, error) {
+	buf := dst
 	for {
 		chunk, err := br.ReadSlice('\n')
 		if len(chunk) > 0 && (err == nil || errors.Is(err, bufio.ErrBufferFull)) {
-			if len(buf)+len(chunk) > max {
+			if len(buf)-len(dst)+len(chunk) > max {
 				// Keep consuming to the newline so framing survives.
 				for err == nil || errors.Is(err, bufio.ErrBufferFull) {
 					if n := len(chunk); n > 0 && chunk[n-1] == '\n' {
-						return nil, ErrFrameTooLarge
+						return dst, ErrFrameTooLarge
 					}
 					chunk, err = br.ReadSlice('\n')
 				}
 				if errors.Is(err, io.EOF) {
-					return nil, io.ErrUnexpectedEOF
+					return dst, io.ErrUnexpectedEOF
 				}
-				return nil, err
+				return dst, err
 			}
 			buf = append(buf, chunk...)
 			if buf[len(buf)-1] == '\n' {
@@ -369,17 +384,17 @@ func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
 			continue
 		}
 		if errors.Is(err, io.EOF) {
-			if len(buf) > 0 || len(chunk) > 0 {
-				return nil, io.ErrUnexpectedEOF
+			if len(buf) > len(dst) || len(chunk) > 0 {
+				return dst, io.ErrUnexpectedEOF
 			}
-			return nil, io.EOF
+			return dst, io.EOF
 		}
 		if err == nil {
 			// ReadSlice returned no bytes and no error; never happens, but
 			// avoid spinning.
 			continue
 		}
-		return nil, err
+		return dst, err
 	}
 }
 
