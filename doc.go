@@ -20,9 +20,8 @@
 // shard per CPU by default), scans and bound-key probe batches fan out
 // across shards over a bounded worker pool, per-shard hash indexes are
 // maintained incrementally from per-shard insert logs, and the greedy join
-// planner orders atoms by per-column distinct-value statistics
-// (HyperLogLog sketches maintained on insert) instead of a fixed
-// per-bound-argument discount. The naive evaluator in internal/rel remains
+// planner orders atoms by cardinality, discounted by 1/8 per bound
+// argument. The naive evaluator in internal/rel remains
 // the differential-testing oracle, including sharded-versus-unsharded runs
 // over a randomized query corpus.
 //

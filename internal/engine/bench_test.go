@@ -146,52 +146,3 @@ func BenchmarkShardedProbe(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPlannerStats: two relations of equal cardinality whose join
-// columns differ only in distinct-value count. Cardinalities alone tie them
-// and would join through the 50-rows-per-key relation first (a 100k-row
-// intermediate); the distinct-value model sees the nearly-unique column and
-// filters through it first (a 20-row intermediate).
-func BenchmarkPlannerStats(b *testing.B) {
-	const (
-		aRows   = 2000
-		fanout  = 50
-		overlap = 20
-	)
-	ins := rel.NewInstance()
-	for i := 0; i < aRows; i++ {
-		ins.MustAdd("A", fmt.Sprintf("a%d", i), fmt.Sprintf("y%d", i))
-	}
-	for i := 0; i < aRows; i++ {
-		for j := 0; j < fanout; j++ {
-			ins.MustAdd("Fat", fmt.Sprintf("y%d", i), fmt.Sprintf("z%d", i*fanout+j))
-		}
-	}
-	for i := 0; i < aRows*fanout; i++ {
-		y := fmt.Sprintf("ly%d", i) // disjoint from A
-		if i < overlap {
-			y = fmt.Sprintf("y%d", i*100) // the few joinable values
-		}
-		ins.MustAdd("Lean", y, fmt.Sprintf("w%d", i))
-	}
-	q := lang.CQ{
-		Head: lang.NewAtom("q", lang.Var("x"), lang.Var("z"), lang.Var("w")),
-		Body: []lang.Atom{
-			lang.NewAtom("A", lang.Var("x"), lang.Var("y")),
-			lang.NewAtom("Fat", lang.Var("y"), lang.Var("z")),
-			lang.NewAtom("Lean", lang.Var("y"), lang.Var("w")),
-		},
-	}
-	stats := New(ins)
-	want, err := stats.EvalCQ(q)
-	if err != nil || len(want) != overlap*fanout {
-		b.Fatalf("fixture: %d rows (%v)", len(want), err)
-	}
-	b.Run("stats", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := stats.EvalCQ(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -25,18 +25,13 @@
 // Planning. A conjunctive query is compiled to a Plan: body atoms are
 // greedily reordered by estimated result size and each atom is lowered to
 // either an index probe (some positions bound by constants or earlier
-// steps) or a full scan (none). The cost model (OrderBodyStats) scales a
-// relation's cardinality by 1/distinct(c) for every bound column c, using
-// the per-column distinct-value sketches rel maintains on insert
-// (rel.Stats) — a nearly-unique join column is recognized as sharply
-// selective while a low-distinct column no longer masquerades as such. A
-// column without an estimate (the netpeer executor calls OrderBodyStats
-// with whatever the peers advertised, which may be cardinalities only)
-// gets a fixed per-bound-argument discount instead. Estimates affect
-// ordering only, never correctness. Variable bindings live in a
-// flat slot array rather than substitution maps; comparison predicates are
-// attached to the earliest step that binds their variables, pruning as
-// soon as possible.
+// steps) or a full scan (none). The cost model (OrderBody) is a relation's
+// cardinality scaled by 1/8 for every bound position; the netpeer executor
+// orders its bind-joins with the same function, fed the cardinalities the
+// serving peers advertise. Estimates affect ordering only, never
+// correctness. Variable bindings live in a flat slot array rather than
+// substitution maps; comparison predicates are attached to the earliest
+// step that binds their variables, pruning as soon as possible.
 //
 // Parallelism. A plan whose first step is a full scan of a large sharded
 // relation fans the scan out across the relation's shards over a bounded

@@ -175,17 +175,13 @@ func New(ins *rel.Instance) *Engine {
 	return e
 }
 
-// colStats returns the planner statistics for pred: cardinality plus the
-// per-column distinct-value estimates maintained by the backend's
-// insert-time sketches. Absent relations report zero cardinality and no
-// column stats.
-func (e *Engine) colStats(pred string) ColStats {
-	r := e.data.Relation(pred)
-	if r == nil {
-		return ColStats{}
+// card returns pred's cardinality, the planner's one statistic; an absent
+// relation has none.
+func (e *Engine) card(pred string) int {
+	if r := e.data.Relation(pred); r != nil {
+		return r.Len()
 	}
-	st := r.Stats()
-	return ColStats{Card: st.Rows, Distinct: st.Distinct}
+	return 0
 }
 
 // getIndex returns (creating if needed) the per-shard index set of r for

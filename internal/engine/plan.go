@@ -13,9 +13,9 @@ import (
 // any of its positions are bound at that point) or a full scan, with
 // comparison predicates attached to the earliest step that grounds them.
 // Variables live in a flat slot array instead of substitution maps. A plan
-// depends only on the query shape (plus cardinality and distinct-value
-// estimates at compile time, which affect ordering but never correctness),
-// so plans are cached and reused across evaluations.
+// depends only on the query shape (plus the relations' cardinalities at
+// compile time, which affect ordering but never correctness), so plans are
+// cached and reused across evaluations.
 type Plan struct {
 	steps     []planStep
 	nslots    int
@@ -84,42 +84,20 @@ func (c compiledComp) eval(slots []string) bool {
 	return c.op.EvalConst(lang.Const(lv), lang.Const(rv))
 }
 
-// ColStats is the planner's per-relation statistics input: the relation's
-// cardinality and, when available, the approximate distinct-value count per
-// column (rel.Stats). A nil or short Distinct falls back to the uniform
-// per-bound-argument discount for the uncovered positions.
-type ColStats struct {
-	Card     int
-	Distinct []float64
-}
+// boundSel is the selectivity of one bound position: binding an argument
+// (by a constant or a variable bound by an earlier atom) keeps an eighth of
+// a relation.
+const boundSel = 1.0 / 8
 
-// uniformSel is the fallback per-bound-position selectivity used when no
-// distinct-value statistic covers a column — the pre-statistics cost
-// model's fixed discount (one eighth per bound argument).
-const uniformSel = 1.0 / 8
-
-// OrderBodyStats returns an evaluation order for the body atoms under the
+// OrderBody returns an evaluation order for the body atoms under the
 // engine's greedy selectivity heuristic: repeatedly take the atom with the
-// lowest estimated result cardinality, where binding a position (by a
-// constant or a variable bound by an earlier atom) scales the atom's
-// cardinality by that column's selectivity — 1/distinct(column) when
-// statsOf supplies a distinct-value estimate for it, else the uniform 1/8
-// discount. A column with many distinct values therefore makes its atom a
-// sharply selective probe, and one with few distinct values no longer
-// masquerades as selective just because something is bound.
-func OrderBodyStats(body []lang.Atom, statsOf func(pred string) ColStats) []int {
+// lowest estimated result size, (card(pred) + 1) · (1/8)^bound, where bound
+// counts the atom's positions bound by a constant or by a variable of an
+// earlier atom. Ties keep body order.
+func OrderBody(body []lang.Atom, card func(pred string) int) []int {
 	bound := map[string]bool{}
 	var order []int
 	taken := make([]bool, len(body))
-	stats := map[string]ColStats{}
-	statFor := func(pred string) ColStats {
-		if st, ok := stats[pred]; ok {
-			return st
-		}
-		st := statsOf(pred)
-		stats[pred] = st
-		return st
-	}
 	for len(order) < len(body) {
 		best := -1
 		bestCost := 0.0
@@ -127,17 +105,11 @@ func OrderBodyStats(body []lang.Atom, statsOf func(pred string) ColStats) []int 
 			if taken[i] {
 				continue
 			}
-			st := statFor(a.Pred)
-			cost := float64(st.Card) + 1
-			for pos, t := range a.Args {
-				if !t.IsConst() && !bound[t.Name] {
-					continue
+			cost := float64(card(a.Pred)) + 1
+			for _, t := range a.Args {
+				if t.IsConst() || bound[t.Name] {
+					cost *= boundSel
 				}
-				sel := uniformSel
-				if pos < len(st.Distinct) && st.Distinct[pos] >= 1 {
-					sel = 1 / st.Distinct[pos]
-				}
-				cost *= sel
 			}
 			if best < 0 || cost < bestCost {
 				best, bestCost = i, cost
@@ -180,7 +152,7 @@ func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 
 	// Lower each atom to a step.
 	boundSlots := map[string]bool{} // vars bound by *earlier* steps
-	for _, bi := range OrderBodyStats(q.Body, e.colStats) {
+	for _, bi := range OrderBody(q.Body, e.card) {
 		a := q.Body[bi]
 		st := planStep{pred: a.Pred, arity: a.Arity()}
 		firstPos := map[string]int{} // var -> position of first in-step occurrence

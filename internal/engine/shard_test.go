@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -471,28 +472,27 @@ func TestParallelScanConcurrentInsert(t *testing.T) {
 	}
 }
 
-// TestOrderBodyStatsSelectivity: with equal cardinalities the uniform
-// fallback discount cannot tell a nearly-unique join column from a 5-value one; the
-// distinct-value model must order the selective atom first.
-func TestOrderBodyStatsSelectivity(t *testing.T) {
+// TestOrderBodyCardinalityOnly: the smallest relation leads, each bound
+// position discounts an atom by 1/8, and atoms whose cost ties keep body
+// order.
+func TestOrderBodyCardinalityOnly(t *testing.T) {
 	body := []lang.Atom{
 		lang.NewAtom("A", lang.Var("x"), lang.Var("y")),
-		lang.NewAtom("Fat", lang.Var("y"), lang.Var("z")),  // 5 distinct y
-		lang.NewAtom("Lean", lang.Var("y"), lang.Var("w")), // ~unique y
+		lang.NewAtom("Fat", lang.Var("y"), lang.Var("z")),
+		lang.NewAtom("Lean", lang.Var("y"), lang.Var("w")),
 	}
-	stats := map[string]ColStats{
-		"A":    {Card: 10},
-		"Fat":  {Card: 50000, Distinct: []float64{5, 25000}},
-		"Lean": {Card: 50000, Distinct: []float64{50000, 50000}},
+	cards := map[string]int{"A": 10, "Fat": 50000, "Lean": 50000}
+	order := OrderBody(body, func(p string) int { return cards[p] })
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("order = %v, want [0 1 2] (A first, then Fat and Lean tied in body order)", order)
 	}
-	order := OrderBodyStats(body, func(p string) ColStats { return stats[p] })
-	if order[0] != 0 || order[1] != 2 || order[2] != 1 {
-		t.Fatalf("stats order = %v, want [0 2 1] (Lean before Fat)", order)
+	// A constant's 1/8 discount outweighs a relation 4x smaller.
+	sel := []lang.Atom{
+		lang.NewAtom("Small", lang.Var("x"), lang.Var("y")),
+		lang.NewAtom("Big", lang.Const("c"), lang.Var("x")),
 	}
-	// Without distinct estimates Fat and Lean tie on equal cardinality and
-	// fall back to body order, picking the exploding atom first.
-	uni := OrderBodyStats(body, func(p string) ColStats { return ColStats{Card: stats[p].Card} })
-	if uni[1] != 1 {
-		t.Fatalf("uniform order = %v, want Fat (1) second — the blind spot stats fix", uni)
+	cards = map[string]int{"Small": 100, "Big": 400}
+	if got := OrderBody(sel, func(p string) int { return cards[p] }); !slices.Equal(got, []int{1, 0}) {
+		t.Fatalf("order = %v, want [1 0] (the selection leads)", got)
 	}
 }

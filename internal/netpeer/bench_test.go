@@ -61,6 +61,63 @@ func BenchmarkBindJoin(b *testing.B) {
 	reportWireDeltas(b, ex, base)
 }
 
+// hopFixture serves P3.s, 32 rows ("v<i>", "w<i>") in 2 shards, over
+// loopback and returns a client connected to it.
+func hopFixture(b *testing.B) *Client {
+	data := rel.NewInstanceSharded(2)
+	for i := 0; i < 32; i++ {
+		data.MustAdd("P3.s", fmt.Sprintf("v%d", i), fmt.Sprintf("w%d", i))
+	}
+	srv := NewServer(data)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	c, err := Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c
+}
+
+// BenchmarkEvalHop is the fixed cost of one hop: one Client.Eval of a
+// single-atom selection, q(y) :- P3.s("v<i>", y), answered with one row.
+// BenchmarkPing is its floor, the bare round trip.
+func BenchmarkEvalHop(b *testing.B) {
+	c := hopFixture(b)
+	qs := make([]lang.CQ, 32)
+	for i := range qs {
+		q, err := parser.ParseQuery(fmt.Sprintf(`q(y) :- P3.s("v%d", y)`, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs[i] = q
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		rows, err := c.Eval(qs[i%len(qs)])
+		if err != nil || len(rows) != 1 {
+			b.Fatalf("rows = %v (%v)", rows, err)
+		}
+		i++
+	}
+}
+
+// BenchmarkPing is one bare Client.Ping round trip on BenchmarkEvalHop's
+// connection setup.
+func BenchmarkPing(b *testing.B) {
+	c := hopFixture(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := c.Ping(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // executorCounts reads every counter ex registers, by metric name.
 func executorCounts(ex *Executor) map[string]uint64 {
 	reg := obs.NewRegistry()

@@ -3,6 +3,7 @@ package netpeer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -352,4 +353,29 @@ func randomChainCQ(rng *rand.Rand, preds []string) lang.CQ {
 		q.Comps = append(q.Comps, lang.Comparison{Op: lang.OpLT, L: vars[0], R: vars[k]})
 	}
 	return q
+}
+
+// TestPlanOrderIsCardinalityOnly pins the executor's join order to the
+// engine's cost model over the serving peers' cardinalities: A.r's
+// constant earns a 1/8 discount (cost ~12.6 < 41), so A.r leads.
+func TestPlanOrderIsCardinalityOnly(t *testing.T) {
+	q := lang.CQ{
+		Head: lang.Atom{Pred: "q", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
+		Body: []lang.Atom{
+			{Pred: "A.r", Args: []lang.Term{lang.Const("c"), lang.Var("x")}},
+			{Pred: "B.s", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
+		},
+	}
+	e := NewExecutor()
+	defer e.Close()
+	e.card["A.r"], e.card["B.s"] = 100, 40
+
+	got := e.planOrder(q)
+	want := engine.OrderBody(q.Body, func(pred string) int { return e.card[pred] })
+	if !slices.Equal(got, want) {
+		t.Fatalf("planOrder %v, cardinality-only model says %v", got, want)
+	}
+	if got[0] != 0 {
+		t.Fatalf("cardinality-only order should lead with A.r: %v", got)
+	}
 }

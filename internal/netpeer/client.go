@@ -32,11 +32,10 @@ type Client struct {
 	// counters, when non-nil, aggregates this client's traffic (set by the
 	// executor's pool so all pooled connections share one Counters).
 	counters *Counters
-	// onMeta, when non-nil, receives the cardinalities and per-column
-	// distinct estimates piggybacked on final response frames (set by the
-	// executor's pool so estimates refresh continuously). dists is nil when
-	// the serving peer predates the Distinct extension.
-	onMeta func(preds []string, cards []int, dists [][]float64)
+	// onMeta, when non-nil, receives the cardinalities piggybacked on final
+	// response frames (set by the executor's pool so estimates refresh
+	// continuously).
+	onMeta func(preds []string, cards []int)
 	// tapMeta, when non-nil, receives the same final frames for the
 	// duration of one logical call — the executor installs it around a
 	// fragment fetch to learn the generation its own response frames
@@ -175,11 +174,8 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 		}
 		if !resp.More {
 			if len(resp.Preds) > 0 {
-				if c.counters != nil && len(resp.Distinct) > 0 {
-					c.counters.distinctMeta.Add(1)
-				}
 				if c.onMeta != nil {
-					c.onMeta(resp.Preds, resp.Cards, resp.Distinct)
+					c.onMeta(resp.Preds, resp.Cards)
 				}
 				if c.tapMeta != nil {
 					c.tapMeta(&resp)
@@ -250,31 +246,19 @@ func (c *Client) Catalog() ([]string, error) {
 // current cardinalities (estimates for join ordering; they may go stale
 // without affecting correctness).
 func (c *Client) CatalogStats() (map[string]int, error) {
-	cards, _, err := c.CatalogMeta()
-	return cards, err
-}
-
-// CatalogMeta is CatalogStats plus the per-column distinct estimates the
-// peer advertises (nil per relation when the peer predates the Distinct
-// extension) — both are join-ordering hints, never correctness inputs.
-func (c *Client) CatalogMeta() (map[string]int, map[string][]float64, error) {
 	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cards := make(map[string]int, len(resp.Preds))
-	dists := make(map[string][]float64, len(resp.Preds))
 	for i, p := range resp.Preds {
 		if i < len(resp.Cards) {
 			cards[p] = resp.Cards[i]
 		} else {
 			cards[p] = 0
 		}
-		if i < len(resp.Distinct) && len(resp.Distinct[i]) > 0 {
-			dists[p] = resp.Distinct[i]
-		}
 	}
-	return cards, dists, nil
+	return cards, nil
 }
 
 // Ping performs a no-op round trip, verifying the connection and the peer

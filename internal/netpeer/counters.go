@@ -22,8 +22,4 @@ type Counters struct {
 	// busyRetries counts requests re-sent after the peer shed them with an
 	// in-band busy error (each retry waits out a jittered backoff first).
 	busyRetries obs.Counter
-	// distinctMeta counts final frames whose metadata carried per-column
-	// distinct estimates: nonzero means the serving peers speak the
-	// Distinct extension and join ordering runs on column statistics.
-	distinctMeta obs.Counter
 }

@@ -91,13 +91,6 @@ type Executor struct {
 	// choice (stale values shift the plan, never the answer). Guarded by
 	// mu.
 	card map[string]int
-	// dist holds per-relation per-column distinct-value estimates, seeded
-	// by Discover and refreshed from the Distinct piggyback on every
-	// response. Like card they only steer the join order (via
-	// engine.OrderBodyStats); relations whose serving peer predates the
-	// Distinct extension are simply absent, and ordering falls back to
-	// cardinality alone. Guarded by mu.
-	dist map[string][]float64
 	// pools holds one connection pool per peer address. Guarded by mu.
 	pools map[string]*pool
 	// abort interrupts in-flight busy-retry backoff sleeps: Close closes
@@ -119,7 +112,6 @@ func NewExecutor() *Executor {
 		busyBackoff:     defaultBusyBackoff,
 		addr:            map[string]string{},
 		card:            map[string]int{},
-		dist:            map[string][]float64{},
 		pools:           map[string]*pool{},
 		abort:           make(chan struct{}),
 		frags:           newFragCache(defaultFragBytes),
@@ -134,13 +126,11 @@ func (e *Executor) Route(pred, addr string) {
 }
 
 // Discover connects to addr, asks for its catalog, and routes every served
-// relation to it, recording cardinalities (and per-column distinct
-// estimates, when the peer advertises them) for join ordering.
+// relation to it, recording cardinalities for join ordering.
 func (e *Executor) Discover(addr string) error {
 	var cards map[string]int
-	var dists map[string][]float64
 	if err := e.withClient(addr, func(c *Client) (err error) {
-		cards, dists, err = c.CatalogMeta()
+		cards, err = c.CatalogStats()
 		return err
 	}); err != nil {
 		return err
@@ -150,17 +140,14 @@ func (e *Executor) Discover(addr string) error {
 	for p, n := range cards {
 		e.addr[p] = addr
 		e.card[p] = n
-		if d, ok := dists[p]; ok {
-			e.dist[p] = d
-		}
 	}
 	return nil
 }
 
-// updateMeta folds cardinalities and per-column distinct estimates
-// piggybacked on responses into the estimate tables (only for relations
-// already known, so a response cannot invent routes).
-func (e *Executor) updateMeta(preds []string, cards []int, dists [][]float64) {
+// updateMeta folds cardinalities piggybacked on responses into the
+// estimate table (only for relations already known, so a response cannot
+// invent routes).
+func (e *Executor) updateMeta(preds []string, cards []int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, p := range preds {
@@ -169,9 +156,6 @@ func (e *Executor) updateMeta(preds []string, cards []int, dists [][]float64) {
 		}
 		if i < len(cards) {
 			e.card[p] = cards[i]
-		}
-		if i < len(dists) && len(dists[i]) > 0 {
-			e.dist[p] = dists[i]
 		}
 	}
 }
@@ -673,19 +657,11 @@ func selectionQuery(a lang.Atom) lang.CQ {
 }
 
 // planOrder orders q's body atoms with the engine planner's greedy
-// selectivity heuristic (engine.OrderBodyStats), feeding it the serving
-// peers' cardinalities and per-column distinct estimates (advertised at
-// Discover time, refreshed from the piggyback on every response). Relations
-// without a distinct advertisement — a peer predating the Distinct
-// extension — get ColStats with a nil Distinct, which OrderBodyStats treats
-// with the uniform per-bound-position discount: exactly the old
-// cardinality-only ordering.
+// selectivity heuristic (engine.OrderBody), feeding it the serving peers'
+// cardinalities (advertised at Discover time, refreshed from the piggyback
+// on every response).
 func (e *Executor) planOrder(q lang.CQ) []int {
-	stats := make(map[string]engine.ColStats, len(q.Body))
 	e.mu.Lock()
-	for _, a := range q.Body {
-		stats[a.Pred] = engine.ColStats{Card: e.card[a.Pred], Distinct: e.dist[a.Pred]}
-	}
-	e.mu.Unlock()
-	return engine.OrderBodyStats(q.Body, func(pred string) engine.ColStats { return stats[pred] })
+	defer e.mu.Unlock()
+	return engine.OrderBody(q.Body, func(pred string) int { return e.card[pred] })
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/lang"
 	"repro/internal/parser"
 	"repro/internal/rel"
 	"repro/internal/wire"
@@ -88,6 +89,10 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Snapshot after Discover, so its catalog replies count toward neither
+	// query.
+	ct := &ex.counters
+	startBytes := ct.bytesRecv.Load()
 	first, err := ex.EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +100,8 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	if len(first) != 16 {
 		t.Fatalf("first answer has %d rows, want 16", len(first))
 	}
-	ct := &ex.counters
 	midRows, midReqs, midBytes := ct.rowsFetched.Load(), ct.requests.Load(), ct.bytesRecv.Load()
+	firstBytes := midBytes - startBytes
 
 	again, err := ex.EvalCQ(q)
 	if err != nil {
@@ -114,10 +119,40 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	if d := ct.requests.Load() - midReqs; d != 2 {
 		t.Fatalf("second identical query issued %d requests, want 2 (one per atom)", d)
 	}
-	// The unchanged answers are row-free and tiny next to the fragment
-	// shipping they replace.
-	if d := ct.bytesRecv.Load() - midBytes; d >= midBytes/4 {
-		t.Fatalf("second query received %d bytes, first received %d — not near zero", d, midBytes)
+	// The unchanged answers are two row-free metadata frames: under half
+	// of what the first query's 20 rows and their metadata took.
+	if d := ct.bytesRecv.Load() - midBytes; d >= firstBytes/2 {
+		t.Fatalf("second query received %d bytes, first received %d — not near zero", d, firstBytes)
+	}
+}
+
+// TestRepliesCarryGeneration: every reply that names a relation carries
+// its generation — add and bind replies, and a scan conditional on the
+// current generation, which is answered unchanged.
+func TestRepliesCarryGeneration(t *testing.T) {
+	addr := startServer(t, map[string][]rel.Tuple{"A.r": {{"1", "x"}, {"2", "x"}}})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wa := wire.FromAtom(lang.NewAtom("A.r", lang.Var("k"), lang.Var("v")))
+	gen := uint64(3) // the generation after the add below
+	for _, req := range []wire.Request{
+		{Op: "add", Pred: "A.r", Rows: [][]string{{"3", "y"}}},
+		{Op: "scan", Pred: "A.r", IfGen: &gen},
+		{Op: "bind", Atom: &wa, BindCols: []int{0}, BindRows: [][]string{{"1"}}},
+	} {
+		resp, err := c.roundTrip(req)
+		if err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+		if len(resp.Gens) != 1 || resp.Gens[0] != gen {
+			t.Fatalf("%s reply carries generations %v, want [%d]", req.Op, resp.Gens, gen)
+		}
+		if req.IfGen != nil && !resp.Unchanged {
+			t.Fatalf("scan with the current generation %d was not answered unchanged: %+v", gen, resp)
+		}
 	}
 }
 

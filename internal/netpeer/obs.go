@@ -78,7 +78,6 @@ func (e *Executor) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("wire.dials", &ct.dials)
 	reg.RegisterCounter("wire.pool_waits", &ct.poolWaits)
 	reg.RegisterCounter("wire.busy_retries", &ct.busyRetries)
-	reg.RegisterCounter("wire.distinct_meta", &ct.distinctMeta)
 	fc := e.frags
 	reg.RegisterCounter("fragcache.hits", &fc.hits)
 	reg.RegisterCounter("fragcache.shared", &fc.shared)

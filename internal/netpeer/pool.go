@@ -33,10 +33,9 @@ const defaultMaxConnsPerAddr = 64
 type pool struct {
 	addr     string
 	counters *Counters
-	// onMeta propagates response-piggybacked cardinalities and distinct
-	// estimates from every pooled connection back to the executor's estimate
-	// tables.
-	onMeta func(preds []string, cards []int, dists [][]float64)
+	// onMeta propagates response-piggybacked cardinalities from every
+	// pooled connection back to the executor's estimate table.
+	onMeta func(preds []string, cards []int)
 	// maxConns caps total open connections (idle + borrowed) to addr.
 	maxConns int
 
@@ -57,7 +56,7 @@ type grant struct {
 	slot bool    // a connection slot is reserved for you; dial it
 }
 
-func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int, dists [][]float64), maxConns int) *pool {
+func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int), maxConns int) *pool {
 	return &pool{addr: addr, counters: counters, onMeta: onMeta, maxConns: maxConns}
 }
 

@@ -381,10 +381,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	send := func(resp wire.Response) error {
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		s.rowsServed.Add(uint64(len(resp.Rows)))
-		var err error
-		if buf, err = wire.AppendResponse(buf, &resp); err != nil {
-			return err
-		}
+		buf = wire.AppendResponse(buf, &resp)
 		n, err := conn.Write(buf)
 		s.bytesSent.Add(uint64(n))
 		buf = recycle(buf)
@@ -491,20 +488,6 @@ func (s *Server) metaOfLocked(preds ...string) wire.Response {
 	return m
 }
 
-// addDistinctLocked adds the per-column distinct estimates of m's
-// relations, the join-ordering hint the executor folds from catalog and
-// row-bearing replies. Merging every shard's sketches costs microseconds
-// per relation, so the replies nobody folds it from (add, unchanged) go
-// without. Callers hold the read lock.
-func (s *Server) addDistinctLocked(m *wire.Response) {
-	m.Distinct = make([][]float64, len(m.Preds))
-	for i, p := range m.Preds {
-		if r := s.data.Relation(p); r != nil {
-			m.Distinct[i] = r.Stats().Distinct
-		}
-	}
-}
-
 // streamRows is the shared tail of the row-bearing ops (scan, eval, bind),
 // which read preds. It captures their metadata first; when the request
 // reads one relation and its ifGen still equals that relation's
@@ -524,7 +507,6 @@ func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, ifGen 
 		meta.Unchanged, meta.Spans = true, exported()
 		return send(meta)
 	}
-	s.addDistinctLocked(&meta)
 	var rows [][]string
 	var bytes, total int
 	var sendErr error
@@ -591,7 +573,6 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	switch req.Op {
 	case "catalog":
 		resp := s.metaOfLocked(s.data.Relations()...)
-		s.addDistinctLocked(&resp)
 		resp.Spans = exported()
 		return send(resp)
 	case "ping":

@@ -31,16 +31,6 @@
 // (ShardVersion / ShardAddedSince): tuples are never deleted, so a shard's
 // log suffix is exactly what that shard gained since a given version.
 //
-// # Statistics
-//
-// Each shard also maintains one small HyperLogLog sketch per column,
-// updated on every insert and merged across shards by Relation.Stats. The
-// resulting approximate distinct-value counts feed the engine planner's
-// selectivity model (a bound column with d distinct values keeps roughly
-// 1/d of a relation), replacing the fixed per-bound-argument discount.
-// Estimates are deterministic for a given data set and can only influence
-// join order, never answers.
-//
 // The naive evaluators in this package remain the reference oracles:
 // internal/engine — the indexed, parallel evaluator used on every hot path
 // — is differentially tested against EvalCQ and EvalUCQ, and the chase

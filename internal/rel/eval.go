@@ -125,9 +125,8 @@ func EvalDatalog(rules []lang.CQ, base *Instance) (*Instance, error) {
 	// delta holds the facts derived in the previous round.
 	delta := base.Clone()
 	for round := 0; ; round++ {
-		// Single-shard: per-round deltas are scanned whole and their
-		// stats never read, so the sharded layout's routing and sketch
-		// work would be pure overhead.
+		// Single-shard: per-round deltas are scanned whole, so the
+		// sharded layout's routing would be pure overhead.
 		next := NewInstanceSharded(1)
 		for _, rule := range rules {
 			// Semi-naive: at least one body atom must match the delta.

@@ -73,7 +73,7 @@ func (t Tuple) Equal(u Tuple) bool {
 }
 
 // maxShards caps the shard count of one relation; beyond this, per-shard
-// fixed costs (index maps, sketch registers, worker scheduling) outweigh any
+// fixed costs (index maps, worker scheduling) outweigh any
 // remaining parallelism.
 const maxShards = 256
 
@@ -95,7 +95,7 @@ func clampShards(n int) int {
 	return n
 }
 
-// fnv64a is the FNV-1a hash shards and distinct-value sketches share.
+// fnv64a is the FNV-1a hash that routes a tuple to its shard.
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -117,9 +117,9 @@ func ShardOf(v string, n int) int {
 }
 
 // shard is one hash partition of a relation: its own tuple set, append-only
-// insert log, monotonic generation counter and per-column distinct-value
-// sketches, all guarded by the shard's own mutex so inserts and index
-// catch-ups on different shards never contend.
+// insert log and monotonic generation counter, all guarded by the shard's
+// own mutex so inserts and index catch-ups on different shards never
+// contend.
 type shard struct {
 	mu sync.Mutex
 	// tuples is the shard's tuple set, guarded by mu.
@@ -129,9 +129,6 @@ type shard struct {
 	// gen counts this shard's inserts (== len(log)). Atomic so generation
 	// reads (cache keys, piggybacks) never take the shard lock.
 	gen atomic.Uint64
-	// distinct holds one sketch per column, updated on every insert;
-	// guarded by mu.
-	distinct []sketch
 }
 
 // Relation is a named set of tuples of fixed arity, hash-partitioned over
@@ -196,7 +193,7 @@ func NewRelationSharded(name string, arity, n int) *Relation {
 	n = clampShards(n)
 	r := &Relation{name: name, arity: arity, shards: make([]*shard, n)}
 	for i := range r.shards {
-		r.shards[i] = &shard{tuples: map[string]Tuple{}, distinct: make([]sketch, arity)}
+		r.shards[i] = &shard{tuples: map[string]Tuple{}}
 	}
 	return r
 }
@@ -207,8 +204,12 @@ func (r *Relation) NumShards() int { return len(r.shards) }
 // ShardFor returns the shard index a tuple whose first column is v lives in.
 func (r *Relation) ShardFor(v string) int { return ShardOf(v, len(r.shards)) }
 
-func (r *Relation) shardIdx(t Tuple) int {
-	if len(r.shards) == 1 || len(t) == 0 {
+// ShardOfTuple returns the shard index tuple t lives in: its first column's
+// shard, and shard 0 for a tuple of arity 0. Insert places every tuple
+// here, so a check that a tuple sits in the right shard (journal replay's)
+// must ask this, not ShardFor.
+func (r *Relation) ShardOfTuple(t Tuple) int {
+	if len(t) == 0 {
 		return 0
 	}
 	return ShardOf(t[0], len(r.shards))
@@ -216,22 +217,12 @@ func (r *Relation) shardIdx(t Tuple) int {
 
 // Insert adds a tuple (set semantics). It reports whether the tuple was new
 // and returns an error on arity mismatch. Inserts to different shards
-// proceed in parallel; the insert also updates the shard's per-column
-// distinct-value sketches and bumps its generation counter.
+// proceed in parallel; the insert bumps its shard's generation counter.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("rel: %s arity %d, tuple %v has %d values", r.name, r.arity, t, len(t))
 	}
-	// Hash the first column once: it both routes the tuple to its shard
-	// and feeds column 0's distinct sketch.
-	var h0 uint64
-	si := 0
-	if len(t) > 0 {
-		h0 = fnv64a(t[0])
-		if len(r.shards) > 1 {
-			si = int(h0 % uint64(len(r.shards)))
-		}
-	}
+	si := r.ShardOfTuple(t)
 	s := r.shards[si]
 	k := t.Key()
 	s.mu.Lock()
@@ -243,13 +234,6 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	copy(cp, t)
 	s.tuples[k] = cp
 	s.log = append(s.log, cp)
-	for i, v := range cp {
-		h := h0
-		if i > 0 {
-			h = fnv64a(v)
-		}
-		s.distinct[i].add(h)
-	}
 	s.gen.Add(1)
 	if h := r.hook; h != nil {
 		// Still under the shard lock: the hook sees inserts in exactly the
@@ -310,7 +294,7 @@ func (r *Relation) ShardLen(s int) int {
 
 // Contains reports tuple membership (routed to the owning shard).
 func (r *Relation) Contains(t Tuple) bool {
-	s := r.shards[r.shardIdx(t)]
+	s := r.shards[r.ShardOfTuple(t)]
 	var buf [128]byte
 	k := t.appendKey(buf[:0])
 	s.mu.Lock()
@@ -429,8 +413,8 @@ func (ins *Instance) SetAppendHook(f HookFactory) {
 }
 
 // Clone returns a deep copy of the instance, preserving every relation's
-// shard layout, per-shard logs and generation counters, and statistics
-// sketches (so generation-keyed caches and planner estimates carry over).
+// shard layout, per-shard logs and generation counters (so
+// generation-keyed caches carry over).
 // The copy carries no append hooks.
 func (ins *Instance) Clone() *Instance {
 	ins.mu.RLock()
@@ -447,16 +431,11 @@ func (ins *Instance) Clone() *Instance {
 			for k, t := range s.tuples {
 				tuples[k] = t
 			}
-			distinct := make([]sketch, len(s.distinct))
-			for c := range s.distinct {
-				distinct[c] = s.distinct[c].clone()
-			}
 			ns := &shard{
 				tuples: tuples,
 				// Full-slice expression: later appends to either log must
 				// not share backing storage.
-				log:      s.log[:len(s.log):len(s.log)],
-				distinct: distinct,
+				log: s.log[:len(s.log):len(s.log)],
 			}
 			ns.gen.Store(s.gen.Load())
 			s.mu.Unlock()
@@ -469,7 +448,7 @@ func (ins *Instance) Clone() *Instance {
 
 // Reshard returns a copy of ins whose relations are repartitioned over n
 // shards (n <= 0 selects DefaultShards()). Tuple contents are preserved;
-// per-shard logs, generations and sketches are rebuilt by reinsertion, so
+// per-shard logs and generations are rebuilt by reinsertion, so
 // the copy starts a fresh generation history.
 func Reshard(ins *Instance, n int) *Instance {
 	rels := map[string]*Relation{}

@@ -96,16 +96,15 @@ func TestShardPartitioning(t *testing.T) {
 
 // TestSkewedKeysSingleShard: a pathological first column (one value) lands
 // every tuple in one shard; correctness is unaffected and the skew is
-// visible in Stats.ShardRows.
+// visible in ShardLen.
 func TestSkewedKeysSingleShard(t *testing.T) {
 	r := NewRelationSharded("R", 2, 8)
 	for i := 0; i < 500; i++ {
 		r.Insert(Tuple{"hot", fmt.Sprintf("v%d", i)})
 	}
-	st := r.Stats()
 	nonEmpty := 0
-	for _, rows := range st.ShardRows {
-		if rows > 0 {
+	for s := range r.NumShards() {
+		if rows := r.ShardLen(s); rows > 0 {
 			nonEmpty++
 			if rows != 500 {
 				t.Fatalf("skewed shard holds %d rows, want 500", rows)
@@ -113,7 +112,7 @@ func TestSkewedKeysSingleShard(t *testing.T) {
 		}
 	}
 	if nonEmpty != 1 {
-		t.Fatalf("%d shards populated by a single-value key, want 1 (ShardRows %v)", nonEmpty, st.ShardRows)
+		t.Fatalf("%d shards populated by a single-value key, want 1", nonEmpty)
 	}
 	if r.Len() != 500 || len(r.Tuples()) != 500 {
 		t.Fatalf("Len=%d Tuples=%d", r.Len(), len(r.Tuples()))
@@ -211,7 +210,7 @@ func TestConcurrentShardInserts(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			r.Len()
 			r.Version()
-			r.Stats()
+			r.ShardLen(i % r.NumShards())
 			r.Tuples()
 		}
 	}()

@@ -445,12 +445,8 @@ func (d *Dir) recoverRelation(ins *rel.Instance, pred, dir string) (*RelRecovery
 				if len(t) != hdr.Arity {
 					return fmt.Errorf("store: %s: replayed tuple %v has %d values, want %d", pred, t, len(t), hdr.Arity)
 				}
-				sv := ""
-				if len(t) > 0 {
-					sv = t[0]
-				}
-				if r.ShardFor(sv) != s {
-					return fmt.Errorf("store: %s: replayed tuple %v routes to shard %d, found in shard %d", pred, t, r.ShardFor(sv), s)
+				if home := r.ShardOfTuple(t); home != s {
+					return fmt.Errorf("store: %s: replayed tuple %v routes to shard %d, found in shard %d", pred, t, home, s)
 				}
 				fresh, err := r.Insert(t)
 				if err != nil {

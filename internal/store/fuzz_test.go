@@ -9,10 +9,16 @@ import (
 	"repro/internal/rel"
 )
 
-// validSegmentBytes builds a well-formed single-shard segment for seeding the
-// fuzzer.
+// validSegmentBytes builds a well-formed segment of shard 0 of an
+// arity-2, single-shard relation for seeding the fuzzer.
 func validSegmentBytes(tuples ...rel.Tuple) []byte {
-	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: 2, Shard: 0, Shards: 1, GenLo: 0})
+	return segmentBytes(2, 1, tuples...)
+}
+
+// segmentBytes builds a well-formed segment of shard 0 of a relation with
+// the given arity and shard count.
+func segmentBytes(arity, shards int, tuples ...rel.Tuple) []byte {
+	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: arity, Shard: 0, Shards: shards, GenLo: 0})
 	out := appendFrame(nil, hdr)
 	for _, t := range tuples {
 		out = appendFrame(out, encodeTuple(nil, t))
@@ -35,6 +41,9 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add(dup) // duplicated tail tuple
 	f.Add([]byte{})
 	f.Add([]byte("9:{\"bad\":1}\n"))
+	// Arity 0: the one tuple lives in shard 0 at every shard count.
+	f.Add(segmentBytes(0, 1, rel.Tuple{}))
+	f.Add(segmentBytes(0, 2, rel.Tuple{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		segDir := filepath.Join(dir, escapeRel("edge"))

@@ -17,16 +17,14 @@ import (
 // (an escape, a case-variant, duplicate or unknown key, null, a
 // non-integer number, a syntax error) goes to encoding/json, for that one
 // value or for the whole frame, so the semantics stay encoding/json's
-// without a second JSON parser. Distinct and Spans ride only on final
-// frames and always go through encoding/json.
+// without a second JSON parser. Spans ride only on final frames of traced
+// requests and always go through encoding/json.
 
 // AppendResponse appends r's frame to dst: exactly the bytes
 // json.Encoder.Encode writes for r, trailing newline included, with its
 // HTML-safe escaping (<, >, &, U+2028 and U+2029 as \u escapes, invalid
-// UTF-8 as U+FFFD). The only error is encoding/json's refusal of a
-// non-finite Distinct estimate; dst is then returned unextended.
-func AppendResponse(dst []byte, r *Response) ([]byte, error) {
-	orig := len(dst)
+// UTF-8 as U+FFFD).
+func AppendResponse(dst []byte, r *Response) []byte {
 	dst = append(dst, '{')
 	open := len(dst)
 	if r.Error != "" {
@@ -75,21 +73,13 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		}
 		dst = append(dst, ']')
 	}
-	if len(r.Distinct) > 0 {
-		b, err := json.Marshal(r.Distinct)
-		if err != nil {
-			return dst[:orig], err
-		}
-		dst = append(appendField(dst, open, `"distinct":`), b...)
-	}
 	if len(r.Spans) > 0 {
-		b, err := json.Marshal(r.Spans)
-		if err != nil {
-			return dst[:orig], err
-		}
+		// A Span holds only strings and integers, which encoding/json
+		// always marshals.
+		b, _ := json.Marshal(r.Spans)
 		dst = append(appendField(dst, open, `"spans":`), b...)
 	}
-	return append(dst, '}', '\n'), nil
+	return append(dst, '}', '\n')
 }
 
 // appendField appends a field's key (and whatever of its value is fixed),
@@ -238,7 +228,6 @@ const (
 	fieldPreds
 	fieldCards
 	fieldGens
-	fieldDistinct
 	fieldSpans
 )
 
@@ -294,8 +283,6 @@ func (d *Decoder) decode(frame []byte, r *Response) bool {
 			r.Cards, ok = p.ints()
 		case fieldGens:
 			r.Gens, ok = p.uints()
-		case fieldDistinct:
-			ok = p.value(&r.Distinct)
 		case fieldSpans:
 			ok = p.value(&r.Spans)
 		}
@@ -417,8 +404,6 @@ func (p *scanner) key() int {
 		return fieldCards
 	case "gens":
 		return fieldGens
-	case "distinct":
-		return fieldDistinct
 	case "spans":
 		return fieldSpans
 	}

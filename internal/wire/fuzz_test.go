@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"testing"
 )
 
@@ -76,9 +75,9 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// legacyResponse mirrors Response as compiled before the Distinct (and, for
-// good measure, Spans) piggyback fields existed. Decoding into it simulates
-// a client running the old binary.
+// legacyResponse mirrors Response as compiled before the Unchanged and
+// Spans fields existed. Decoding into it simulates a client running the
+// old binary.
 type legacyResponse struct {
 	Error string     `json:"error,omitempty"`
 	Busy  bool       `json:"busy,omitempty"`
@@ -87,90 +86,6 @@ type legacyResponse struct {
 	Preds []string   `json:"preds,omitempty"`
 	Cards []int      `json:"cards,omitempty"`
 	Gens  []uint64   `json:"gens,omitempty"`
-}
-
-// FuzzDistinctPiggyback pins the compatibility contract of the Distinct
-// response field in both directions. New server → old client: a frame
-// carrying Distinct must decode losslessly into the pre-Distinct Response
-// shape (unknown fields are skipped, nothing else is disturbed). Old server
-// → new client: a frame without the field must decode with Distinct nil —
-// the executor's explicit cardinality-only fallback signal — even when the
-// frame carries fields newer still. And the field itself must round-trip
-// exactly for every finite estimate a sketch can produce. The new side is
-// the response codec (AppendResponse, Decoder); the old side, like every
-// peer that predates the codec, is encoding/json.
-func FuzzDistinctPiggyback(f *testing.F) {
-	f.Add("A.r", 7, uint64(3), 4.0, 2.5, "future")
-	f.Add("", 0, uint64(0), 0.0, -1.0, "")
-	f.Add("B.s", -1, uint64(1<<63), 1e18, 0.25, `{"x":1}`)
-	f.Fuzz(func(t *testing.T, pred string, card int, gen uint64, d0, d1 float64, future string) {
-		resp := Response{
-			Preds:    []string{pred, pred + "2"},
-			Cards:    []int{card, card + 1},
-			Gens:     []uint64{gen, gen + 1},
-			Distinct: [][]float64{{d0, d1}, nil},
-		}
-		data, err := AppendResponse(nil, &resp)
-		if err != nil {
-			// encoding/json refuses non-finite floats; nothing else here
-			// can fail.
-			if isFinite(d0) && isFinite(d1) {
-				t.Fatalf("marshal failed on finite input: %v", err)
-			}
-			return
-		}
-		// Round trip through the new decoder.
-		var dec Decoder
-		var back Response
-		if err := dec.Decode(data, &back); err != nil {
-			t.Fatalf("new client rejects new server frame: %v", err)
-		}
-		if len(back.Distinct) != 2 || len(back.Distinct[0]) != 2 ||
-			back.Distinct[0][0] != d0 || back.Distinct[0][1] != d1 {
-			t.Fatalf("distinct did not round-trip: %v", back.Distinct)
-		}
-		// New server → old client: the legacy shape must take the frame and
-		// keep every pre-existing field.
-		var old legacyResponse
-		if err := json.Unmarshal(data, &old); err != nil {
-			t.Fatalf("old client rejects new server frame: %v", err)
-		}
-		// Compare strings against the decoded frame, not the raw fuzz input:
-		// Marshal itself replaces invalid UTF-8 with U+FFFD on the way out.
-		if len(old.Preds) != 2 || old.Preds[0] != back.Preds[0] || old.Cards[0] != card || old.Gens[0] != gen {
-			t.Fatalf("piggyback disturbed legacy fields: %+v", old)
-		}
-		// Old server → new client: re-encode the legacy shape (no distinct
-		// key) with a field from the future bolted on; the new decoder must
-		// accept it and report Distinct absent.
-		oldData, err := json.Marshal(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		withFuture, err := json.Marshal(struct {
-			legacyResponse
-			Future string `json:"zzFromTheFuture,omitempty"`
-		}{old, future})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, frame := range [][]byte{oldData, withFuture} {
-			var fresh Response
-			if err := dec.Decode(frame, &fresh); err != nil {
-				t.Fatalf("new client rejects old server frame %q: %v", frame, err)
-			}
-			if fresh.Distinct != nil {
-				t.Fatalf("distinct invented from %q: %v", frame, fresh.Distinct)
-			}
-			if len(fresh.Preds) != 2 || fresh.Preds[0] != back.Preds[0] || fresh.Cards[0] != card || fresh.Gens[0] != gen {
-				t.Fatalf("old frame lost fields: %+v", fresh)
-			}
-		}
-	})
-}
-
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // legacyRequest mirrors Request as compiled before IfGen existed. Decoding
@@ -183,14 +98,13 @@ type legacyRequest struct {
 }
 
 // FuzzIfGenUnchanged pins the compatibility contract of the conditional
-// fetch in both directions, FuzzDistinctPiggyback's pattern. New client →
-// old server: a request carrying ifGen decodes into the pre-ifGen shape
-// with every other field intact, so the old server serves it as an
-// ordinary fetch. Old client → new server: a request without the field
-// decodes with IfGen nil, and any value that is sent — 0 included —
-// survives as present. New server → old client: an unchanged frame decodes
-// with its metadata intact. Old server → new client: a frame without the
-// field never claims unchanged.
+// fetch in both directions. New client → old server: a request carrying
+// ifGen decodes into the pre-ifGen shape with every other field intact, so
+// the old server serves it as an ordinary fetch. Old client → new server:
+// a request without the field decodes with IfGen nil, and any value that
+// is sent — 0 included — survives as present. New server → old client: an
+// unchanged frame decodes with its metadata intact. Old server → new
+// client: a frame without the field never claims unchanged.
 func FuzzIfGenUnchanged(f *testing.F) {
 	f.Add("scan", "A.r", uint64(0), true)
 	f.Add("bind", "B.s", uint64(1<<63), false)
@@ -226,10 +140,7 @@ func FuzzIfGenUnchanged(f *testing.F) {
 			t.Fatalf("old client request decoded as %+v", fresh)
 		}
 
-		data, err = AppendResponse(nil, &Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		data = AppendResponse(nil, &Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}})
 		var dec Decoder
 		var resp Response
 		if err := dec.Decode(data, &resp); err != nil || resp.Unchanged != unchanged || resp.Gens[0] != gen {
@@ -328,10 +239,7 @@ func FuzzResponseCodec(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AppendResponse(nil, &r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := AppendResponse(nil, &r)
 		if !bytes.Equal(got, append(want, '\n')) {
 			t.Fatalf("AppendResponse(%+v)\n got %q\nwant %q", r, got, want)
 		}

@@ -312,14 +312,6 @@ type Response struct {
 	// executor's fragment cache serves an entry only after the serving peer
 	// answers a fetch carrying IfGen g with Unchanged.
 	Gens []uint64 `json:"gens,omitempty"`
-	// Distinct carries per-column distinct-value estimates parallel to
-	// Preds (one slice per relation, one estimate per column, from the
-	// serving peer's HyperLogLog column sketches). Like Cards it is a
-	// planning hint only: the querying executor folds it into its
-	// join-order selectivities and falls back to cardinality-only ordering
-	// when it is absent. Servers that predate the field never send it;
-	// clients that predate it ignore it (unknown JSON fields are skipped).
-	Distinct [][]float64 `json:"distinct,omitempty"`
 	// Spans carries the serving peer's trace spans for this request,
 	// present only on the final frame of a request that carried a Trace ID
 	// and only when the server sampled it. Clients that predate the field
