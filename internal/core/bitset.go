@@ -27,20 +27,8 @@ func (s bitset) union(o bitset) bool {
 	return grew
 }
 
-// with, within and subsetOf make bitset the builder's banSet.
-
-func (s bitset) with(i int) banSet {
-	n := len(s)
-	if w := i>>6 + 1; w > n {
-		n = w
-	}
-	out := make(bitset, n)
-	copy(out, s)
-	out.set(i)
-	return out
-}
-
-func (s bitset) within(cone bitset) banSet {
+// within returns the members of s that lie in cone.
+func (s bitset) within(cone bitset) bitset {
 	n := len(s)
 	if len(cone) < n {
 		n = len(cone)
@@ -52,8 +40,8 @@ func (s bitset) within(cone bitset) banSet {
 	return out
 }
 
-func (s bitset) subsetOf(other banSet) bool {
-	o := other.(bitset)
+// subsetOf reports whether every member of s is in o.
+func (s bitset) subsetOf(o bitset) bool {
 	for w, x := range s {
 		if w >= len(o) {
 			if x != 0 {

@@ -4,25 +4,92 @@
 // descriptions) expansions, chains through arbitrarily long paths of peer
 // mappings, and extracts reformulations as a union of conjunctive queries
 // over stored relations.
+//
+// The tree is built on integers: New interns the specification's predicates
+// and constants into a table frozen from then on, each reformulation numbers
+// its own variables, and names come back only where terms leave the
+// package — in the rewritings, ExplainTree and trace attributes.
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/lang"
-	"repro/internal/minicon"
 	"repro/internal/ppl"
 )
+
+// term is an interned term: a variable id (≥ 0) or a constant, whose id c
+// is stored as ^c (< 0).
+type term int32
+
+// noTerm marks an unbound slot in a substitution.
+const noTerm term = math.MinInt32
+
+func constTerm(id int) term { return ^term(id) }
+
+func (t term) isVar() bool { return t >= 0 }
+
+// atom is an interned atom. pred indexes catalog.preds; the rule-goal
+// tree's root, labelled by the query head, uses -1.
+type atom struct {
+	pred int32
+	args []term
+}
+
+// has reports whether t is an argument of a.
+func (a atom) has(t term) bool {
+	for _, x := range a.args {
+		if x == t {
+			return true
+		}
+	}
+	return false
+}
+
+// firstVar reports whether a.args[i] is a variable not already seen earlier
+// in a, so that ranging over a's arguments with it visits each distinct
+// variable once, in order of first occurrence.
+func (a atom) firstVar(i int) bool {
+	t := a.args[i]
+	if !t.isVar() {
+		return false
+	}
+	for _, x := range a.args[:i] {
+		if x == t {
+			return false
+		}
+	}
+	return true
+}
+
+// comparison is an interned comparison predicate.
+type comparison struct {
+	op   lang.CompOp
+	l, r term
+}
+
+// binding maps variable v to term t.
+type binding struct{ v, t term }
+
+// compiled is a rule or view over its own variables 0..len(names)-1; names
+// holds their source names, the stems of the fresh names a reformulation
+// prints for them.
+type compiled struct {
+	names []string
+	head  atom
+	body  []atom
+	comps []comparison
+}
 
 // rule is a datalog rule available for definitional expansion: an original
 // definitional peer mapping, or the "V :- Q1" half of a normalized inclusion.
 type rule struct {
+	compiled
 	// id is the originating description's ID and desc its dense index in the
 	// catalog (for the once-per-path rule).
 	id   string
 	desc int
-	// cq is the rule itself.
-	cq lang.CQ
 	// fromInclusion marks V-rules: they complete an inclusion expansion
 	// that already consumed the description's path budget, so they are
 	// exempt from the once-per-path check (their head predicate is a fresh
@@ -30,17 +97,41 @@ type rule struct {
 	fromInclusion bool
 }
 
-// view is the "V ⊆ Q2" half of a normalized inclusion, with the originating
-// description's dense index.
+// view is the "V ⊆ Q2" half of a normalized inclusion: head V(Ā), body Q2.
 type view struct {
-	*minicon.View
+	compiled
+	id   string
 	desc int
+	// headVar marks the variables that occur in the head.
+	headVar []bool
+}
+
+// predInfo is what the catalog knows about one predicate.
+type predInfo struct {
+	name   string
+	stored bool
+	// rules and views index the expansions of a goal over the predicate:
+	// the rules with it as head, the views with it in their body.
+	rules []*rule
+	views []*view
+	// ground reports whether a goal over the predicate can possibly bottom
+	// out in stored relations (see prune.go).
+	ground bool
+	// reach holds the descriptions reachable from the predicate in the
+	// dependency graph: only these can occur anywhere in a rule-goal subtree
+	// rooted at a goal over it, so ban sets restricted to this cone fully
+	// determine the subtree.
+	reach bitset
+	// vclass is, for a minted V-predicate, the content class of its
+	// normalized inclusion, so replicated mappings' distinct V-predicates
+	// sign identically in childSig (see prune.go); -1 otherwise.
+	vclass int32
 }
 
 // catalog is the step-1 normalized form of a PDMS (Section 4.2): every
 // equality split into two inclusions, every inclusion Q1 ⊆ Q2 split into a
 // view V ⊆ Q2 plus a rule V :- Q1, definitional mappings kept as rules.
-// Indexed for expansion.
+// Indexed for expansion, over interned symbols.
 //
 // newCatalog computes everything below; nothing is written afterwards, so
 // any number of builders may read one catalog concurrently. Description IDs
@@ -48,28 +139,18 @@ type view struct {
 // reach cones be bitsets.
 type catalog struct {
 	pdms *ppl.PDMS
-	// rulesByHead indexes rules by head predicate (definitional expansion).
-	rulesByHead map[string][]*rule
-	// viewsByBodyPred indexes views by body predicate (inclusion expansion).
-	viewsByBodyPred map[string][]view
+	// preds and consts are the frozen symbol tables; predID and constID
+	// invert them.
+	preds   []predInfo
+	predID  map[string]int32
+	consts  []string
+	constID map[string]int
 	// descs lists the description IDs; a description's position is its
 	// dense index.
 	descs []string
-	// reach holds, per predicate, the descriptions reachable from it in the
-	// dependency graph: only these can occur anywhere in a rule-goal subtree
-	// rooted at a goal over the predicate, so ban sets restricted to this
-	// cone fully determine the subtree.
-	reach map[string]bitset
-	// groundable holds the non-stored predicates a goal over which can
-	// bottom out in stored relations (see prune.go).
-	groundable map[string]bool
-	// descContent holds each description's canonical content string, used by
-	// duplicate-description pruning (see prune.go).
-	descContent []string
-	// vpredContent maps each minted V-predicate name to its normalized
-	// inclusion's canonical content, so replicated mappings' distinct
-	// V-predicates canonicalize identically in childSig (see prune.go).
-	vpredContent map[string]string
+	// descClass holds each description's content class: descriptions with
+	// equal canonical content share one (see prune.go).
+	descClass []int32
 	// class is the query-independent half of the Theorem 3.1–3.3
 	// classification.
 	class ppl.SpecClass
@@ -78,24 +159,35 @@ type catalog struct {
 // newCatalog normalizes the PDMS descriptions.
 func newCatalog(n *ppl.PDMS) *catalog {
 	c := &catalog{
-		pdms:            n,
-		rulesByHead:     map[string][]*rule{},
-		viewsByBodyPred: map[string][]view{},
-		vpredContent:    map[string]string{},
-		class:           n.ClassifySpec(),
+		pdms:    n,
+		predID:  map[string]int32{},
+		constID: map[string]int{},
+		class:   n.ClassifySpec(),
+	}
+	for _, name := range n.RelationNames() {
+		c.pred(name)
+	}
+	classes := map[string]int32{}
+	classOf := func(content string) int32 {
+		k, ok := classes[content]
+		if !ok {
+			k = int32(len(classes))
+			classes[content] = k
+		}
+		return k
 	}
 	// next[d] lists the predicates description d's use introduces: a
 	// definitional rule's body, an inclusion's LHS body (via the V-rule).
-	var next [][]string
+	var next [][]int32
 	addDesc := func(id, kind string, cqs ...lang.CQ) int {
 		c.descs = append(c.descs, id)
-		c.descContent = append(c.descContent, canonContent(kind, cqs...))
+		c.descClass = append(c.descClass, classOf(canonContent(kind, cqs...)))
 		next = append(next, nil)
 		return len(c.descs) - 1
 	}
-	addNext := func(d int, body []lang.Atom) {
+	addNext := func(d int, body []atom) {
 		for _, a := range body {
-			next[d] = append(next[d], a.Pred)
+			next[d] = append(next[d], a.pred)
 		}
 	}
 	vnum := 0
@@ -105,30 +197,23 @@ func newCatalog(n *ppl.PDMS) *catalog {
 		vnum++
 		id := c.descs[d]
 		vpred := fmt.Sprintf("_V%d[%s]", vnum, id)
-		c.addView(view{desc: d, View: &minicon.View{
-			ID:    id,
-			Head:  lang.Atom{Pred: vpred, Args: rhs.Head.Args},
-			Body:  rhs.Body,
-			Comps: rhs.Comps,
-		}})
-		c.addRule(&rule{
-			id:            id,
-			desc:          d,
-			fromInclusion: true,
-			cq: lang.CQ{
-				Head:  lang.Atom{Pred: vpred, Args: lhs.Head.Args},
-				Body:  lhs.Body,
-				Comps: lhs.Comps,
-			},
-		})
-		addNext(d, lhs.Body)
+		v := c.newView(id, d, lang.CQ{Head: lang.Atom{Pred: vpred, Args: rhs.Head.Args}, Body: rhs.Body, Comps: rhs.Comps})
+		seen := map[int32]bool{}
+		for _, a := range v.body {
+			if !seen[a.pred] {
+				seen[a.pred] = true
+				c.preds[a.pred].views = append(c.preds[a.pred].views, v)
+			}
+		}
+		ru := c.addRule(id, d, lang.CQ{Head: lang.Atom{Pred: vpred, Args: lhs.Head.Args}, Body: lhs.Body, Comps: lhs.Comps})
+		ru.fromInclusion = true
+		addNext(d, ru.body)
 		// V-predicate names embed the description ID and a global counter,
 		// so two content-identical replicated mappings mint different
-		// V-predicates; childSig canonicalizes V-atoms through this table so
-		// the copies still sign identically. Keyed per normalized inclusion
-		// (not per description) so the two directions of an equality stay
-		// distinct.
-		c.vpredContent[vpred] = canonContent("ninc", lhs, rhs)
+		// V-predicates; their content class lets childSig sign the copies
+		// identically. Keyed per normalized inclusion (not per description)
+		// so the two directions of an equality stay distinct.
+		c.preds[v.head.pred].vclass = classOf(canonContent("ninc", lhs, rhs))
 	}
 	for _, m := range n.Mappings() {
 		switch m.Kind {
@@ -141,8 +226,7 @@ func newCatalog(n *ppl.PDMS) *catalog {
 			addInclusion(d, m.RHS, m.LHS)
 		case ppl.Definitional:
 			d := addDesc(m.ID, "def", m.Rule)
-			c.addRule(&rule{id: m.ID, desc: d, cq: m.Rule})
-			addNext(d, m.Rule.Body)
+			addNext(d, c.addRule(m.ID, d, m.Rule).body)
 		}
 	}
 	for _, s := range n.Storages() {
@@ -160,57 +244,113 @@ func newCatalog(n *ppl.PDMS) *catalog {
 		rhs.Head = lang.Atom{Pred: "_store", Args: s.Query.Head.Args}
 		addInclusion(addDesc(s.ID, "store", lhs, rhs), lhs, rhs)
 	}
-	c.groundable = c.groundSet()
-	c.reach = c.reachCones(next)
+	c.groundSet()
+	c.reachCones(next)
 	return c
 }
 
-func (c *catalog) addRule(r *rule) {
-	if !r.cq.IsSafe() {
+// pred interns a predicate name.
+func (c *catalog) pred(name string) int32 {
+	p, ok := c.predID[name]
+	if !ok {
+		p = int32(len(c.preds))
+		c.predID[name] = p
+		c.preds = append(c.preds, predInfo{name: name, stored: c.pdms.IsStored(name), vclass: -1})
+	}
+	return p
+}
+
+// constant interns a constant.
+func (c *catalog) constant(name string) term {
+	id, ok := c.constID[name]
+	if !ok {
+		id = len(c.consts)
+		c.constID[name] = id
+		c.consts = append(c.consts, name)
+	}
+	return constTerm(id)
+}
+
+// compile interns q's symbols through pred and constant and numbers its
+// variables by first occurrence (head, body, comparisons).
+func compile(q lang.CQ, pred func(string) int32, constant func(string) term) compiled {
+	var out compiled
+	local := map[string]term{}
+	tm := func(t lang.Term) term {
+		if t.IsConst() {
+			return constant(t.Name)
+		}
+		v, ok := local[t.Name]
+		if !ok {
+			v = term(len(out.names))
+			local[t.Name] = v
+			out.names = append(out.names, t.Name)
+		}
+		return v
+	}
+	at := func(a lang.Atom) atom {
+		args := make([]term, len(a.Args))
+		for i, t := range a.Args {
+			args[i] = tm(t)
+		}
+		return atom{pred: pred(a.Pred), args: args}
+	}
+	out.head = at(q.Head)
+	for _, a := range q.Body {
+		out.body = append(out.body, at(a))
+	}
+	for _, cmp := range q.Comps {
+		out.comps = append(out.comps, comparison{op: cmp.Op, l: tm(cmp.L), r: tm(cmp.R)})
+	}
+	return out
+}
+
+func (c *catalog) newView(id string, d int, q lang.CQ) *view {
+	v := &view{id: id, desc: d, compiled: compile(q, c.pred, c.constant)}
+	v.headVar = make([]bool, len(v.names))
+	for _, t := range v.head.args {
+		if t.isVar() {
+			v.headVar[t] = true
+		}
+	}
+	return v
+}
+
+func (c *catalog) addRule(id string, d int, q lang.CQ) *rule {
+	if !q.IsSafe() {
 		// Mappings are validated at AddMapping time; this is a defensive
 		// invariant for rules synthesized here.
-		panic(fmt.Sprintf("core: unsafe normalized rule %s", r.cq))
+		panic(fmt.Sprintf("core: unsafe normalized rule %s", q))
 	}
-	c.rulesByHead[r.cq.Head.Pred] = append(c.rulesByHead[r.cq.Head.Pred], r)
+	ru := &rule{id: id, desc: d, compiled: compile(q, c.pred, c.constant)}
+	h := &c.preds[ru.head.pred]
+	h.rules = append(h.rules, ru)
+	return ru
 }
 
-func (c *catalog) addView(v view) {
-	seen := map[string]bool{}
-	for _, a := range v.Body {
-		if !seen[a.Pred] {
-			seen[a.Pred] = true
-			c.viewsByBodyPred[a.Pred] = append(c.viewsByBodyPred[a.Pred], v)
-		}
-	}
-}
-
-// isStored reports whether pred names a stored relation (leaf predicate).
-func (c *catalog) isStored(pred string) bool { return c.pdms.IsStored(pred) }
-
-// reachCones computes reach: for every predicate with an expansion, the
-// least set holding each description applicable at it (its rules' and its
-// views') and the cones of the predicates those descriptions introduce
-// (next). Predicates are visited callees first, so one sweep settles an
-// acyclic dependency graph and a second confirms it; cycles (equalities,
-// replication loops) take a sweep per nesting level.
-func (c *catalog) reachCones(next [][]string) map[string]bitset {
+// reachCones computes each predicate's reach: the least set holding each
+// description applicable at it (its rules' and its views') and the cones of
+// the predicates those descriptions introduce (next). Predicates are visited
+// callees first, so one sweep settles an acyclic dependency graph and a
+// second confirms it; cycles (equalities, replication loops) take a sweep
+// per nesting level.
+func (c *catalog) reachCones(next [][]int32) {
 	words := (len(c.descs) + 63) / 64
-	reach := map[string]bitset{}
-	applicable := func(p string, visit func(d int)) {
-		for _, ru := range c.rulesByHead[p] {
+	applicable := func(p int32, visit func(d int)) {
+		for _, ru := range c.preds[p].rules {
 			visit(ru.desc)
 		}
-		for _, v := range c.viewsByBodyPred[p] {
+		for _, v := range c.preds[p].views {
 			visit(v.desc)
 		}
 	}
-	var order []string
-	var walk func(p string)
-	walk = func(p string) {
-		if _, seen := reach[p]; seen {
+	var order []int32
+	var walk func(p int32)
+	walk = func(p int32) {
+		if c.preds[p].reach != nil {
 			return
 		}
-		reach[p] = make(bitset, words)
+		c.preds[p].reach = make(bitset, words)
 		applicable(p, func(d int) {
 			for _, np := range next[d] {
 				walk(np)
@@ -218,28 +358,26 @@ func (c *catalog) reachCones(next [][]string) map[string]bitset {
 		})
 		order = append(order, p)
 	}
-	for p := range c.rulesByHead {
-		walk(p)
-	}
-	for p := range c.viewsByBodyPred {
-		walk(p)
+	for p := range c.preds {
+		if len(c.preds[p].rules) > 0 || len(c.preds[p].views) > 0 {
+			walk(int32(p))
+		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, p := range order {
-			cone := reach[p]
+			cone := c.preds[p].reach
 			applicable(p, func(d int) {
 				if !cone.has(d) {
 					cone.set(d)
 					changed = true
 				}
 				for _, np := range next[d] {
-					if cone.union(reach[np]) {
+					if cone.union(c.preds[np].reach) {
 						changed = true
 					}
 				}
 			})
 		}
 	}
-	return reach
 }

@@ -16,7 +16,7 @@ func (r *Reformulator) ExplainTree(q lang.CQ, maxLines int) (string, error) {
 	if err := r.check(q); err != nil {
 		return "", err
 	}
-	root, _, err := r.build(q, nil, bitset(nil))
+	root, b, err := r.build(q, nil)
 	if err != nil {
 		return "", err
 	}
@@ -43,7 +43,7 @@ func (r *Reformulator) ExplainTree(q lang.CQ, maxLines int) (string, error) {
 			case len(n.children) == 0 && depth > 0:
 				marker = "  [covered by sibling]"
 			}
-			fmt.Fprintf(&sb, "%sgoal %s%s\n", indent, n.label, marker)
+			fmt.Fprintf(&sb, "%sgoal %s%s\n", indent, b.langAtom(n.label), marker)
 		case ruleNode:
 			desc := n.descID
 			if desc == "" {
@@ -53,16 +53,20 @@ func (r *Reformulator) ExplainTree(q lang.CQ, maxLines int) (string, error) {
 			if len(n.unc) > 0 {
 				var covers []string
 				for _, u := range n.unc {
-					covers = append(covers, u.label.String())
+					covers = append(covers, b.langAtom(u.label).String())
 				}
 				extras = append(extras, "unc={"+strings.Join(covers, ", ")+"}")
 			}
 			if len(n.export) > 0 {
-				extras = append(extras, "export="+n.export.String())
+				export := lang.NewSubst()
+				for _, e := range n.export {
+					export[b.langTerm(e.v).Name] = b.langTerm(e.t)
+				}
+				extras = append(extras, "export="+export.String())
 			}
 			if len(n.comps) > 0 {
 				var cs []string
-				for _, c := range n.comps {
+				for _, c := range b.langComps(n.comps) {
 					cs = append(cs, c.String())
 				}
 				extras = append(extras, "where "+strings.Join(cs, " AND "))

@@ -1,112 +1,188 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/constraints"
 	"repro/internal/lang"
 )
 
-// partial is an in-progress conjunctive rewriting during step-3 extraction:
-// stored-relation atoms collected from leaves, accumulated comparison
-// predicates, and the composition of MCD export substitutions.
-type partial struct {
-	atoms  []lang.Atom
-	comps  []lang.Comparison
-	export lang.Subst
+// mark records the extent of extraction's accumulator — the atoms, comps
+// and covers stacks and the trail of the export bindings — and undoTo
+// returns to it.
+type mark struct{ atoms, comps, trail, covers int }
+
+func (b *builder) mark() mark {
+	return mark{len(b.atoms), len(b.comps), len(b.trail), len(b.covers)}
 }
 
-func emptyPartial() partial {
-	return partial{export: lang.NewSubst()}
-}
-
-// merge combines two partials; ok is false when their exports conflict.
-func (p partial) merge(q partial) (partial, bool) {
-	out := partial{
-		atoms:  append(append([]lang.Atom{}, p.atoms...), q.atoms...),
-		comps:  append(append([]lang.Comparison{}, p.comps...), q.comps...),
-		export: p.export.Clone(),
+func (b *builder) undoTo(m mark) {
+	b.atoms, b.comps = b.atoms[:m.atoms], b.comps[:m.comps]
+	b.undo(m.trail)
+	for _, g := range b.covers[m.covers:] {
+		g.covered = false
 	}
-	for k, v := range q.export {
-		if !out.export.Bind(k, v) {
-			return partial{}, false
+	b.covers = b.covers[:m.covers]
+}
+
+// pushRule adds rule node rn's comparisons and export to the accumulator;
+// false means the export conflicts with one already bound.
+func (b *builder) pushRule(rn *node) bool {
+	b.comps = append(b.comps, rn.comps...)
+	for _, e := range rn.export {
+		if cur := b.sub[e.v]; cur != noTerm {
+			if cur != e.t {
+				return false
+			}
+			continue
 		}
+		b.bind(e.v, e.t)
 	}
-	return out, true
+	return true
 }
 
-// withAtom returns p extended with one leaf atom.
-func (p partial) withAtom(a lang.Atom) partial {
-	return partial{
-		atoms:  append(append([]lang.Atom{}, p.atoms...), a),
-		comps:  p.comps,
-		export: p.export,
-	}
+// coverGoal marks goal g covered until the enclosing mark is undone.
+func (b *builder) coverGoal(g *node) {
+	g.covered = true
+	b.covers = append(b.covers, g)
 }
 
-// extract enumerates the conjunctive rewritings of the tree rooted at root
-// (built for query q), invoking yield for each; yield returning false stops
-// the enumeration. Each rewriting's body refers only to stored relations.
-func (b *builder) extract(root *node, q lang.CQ, yield func(lang.CQ) bool) {
-	queryRule := root.children[0]
-	b.coverRule(queryRule, func(p partial) bool {
-		return b.emit(q, p, yield)
-	})
+// extract enumerates the conjunctive rewritings of the tree rooted at root,
+// invoking yield for each; yield returning false stops the enumeration.
+// Each rewriting's body refers only to stored relations.
+func (b *builder) extract(root *node, yield func(lang.CQ) bool) {
+	b.yield = yield
+	b.coverRule(root.children[0], emitCont)
 }
 
-// emit finalizes one full cover into a conjunctive rewriting, filtering
-// unsatisfiable combinations, and forwards it to yield. Returns false to
-// stop enumeration.
-func (b *builder) emit(q lang.CQ, p partial, yield func(lang.CQ) bool) bool {
-	head := p.export.ApplyAtom(q.Head)
-	body := make([]lang.Atom, len(p.atoms))
-	for i, a := range p.atoms {
-		body[i] = p.export.ApplyAtom(a)
+// cont is a continuation of the solvers below: what to do with the
+// accumulator once the current goal or rule node is solved. Continuations
+// live on the builder's conts stack and are named by their index there;
+// emitCont, the last, emits the complete cover.
+type cont struct {
+	// rn, when set, is an inclusion rule node whose comparisons and
+	// export come next (solveRule); otherwise cover is a rule node whose
+	// covering continues after resolver cr covered goal next (cover).
+	rn, cover, cr, next *node
+	k                   int
+}
+
+const emitCont = -1
+
+// push puts c on the continuation stack and returns its index; the caller
+// pops it when the call it was made for returns.
+func (b *builder) push(c cont) int {
+	b.conts = append(b.conts, c)
+	return len(b.conts) - 1
+}
+
+func (b *builder) pop(k int) { b.conts = b.conts[:k] }
+
+// resume runs continuation k.
+func (b *builder) resume(k int) bool {
+	if k == emitCont {
+		return b.emit()
 	}
-	comps := p.export.ApplyComparisons(p.comps)
-	// All accumulated comparisons participate in the satisfiability check …
-	if len(comps) > 0 && !constraints.New(comps...).Satisfiable() {
-		b.stats.DiscardUnsat++
-		return true
-	}
-	// … but only those over variables visible in the rewriting (or ground)
-	// can be carried into the output; the rest constrain view-internal
-	// values that the stored data satisfies by construction.
-	visible := map[string]bool{}
-	for _, v := range head.Vars(nil) {
-		visible[v.Name] = true
-	}
-	for _, a := range body {
-		for _, v := range a.Vars(nil) {
-			visible[v.Name] = true
+	c := b.conts[k]
+	m := b.mark()
+	var ok bool
+	if c.rn != nil {
+		ok = !b.pushRule(c.rn) || b.resume(c.k) // conflicting exports: skip combination
+	} else {
+		if len(c.cr.unc) == 0 {
+			b.coverGoal(c.next)
 		}
+		for _, u := range c.cr.unc {
+			if !u.covered {
+				b.coverGoal(u)
+			}
+		}
+		ok = b.cover(c.cover, c.k)
+	}
+	b.undoTo(m)
+	return ok
+}
+
+// emit finalizes the accumulator's full cover into a conjunctive rewriting,
+// filtering unsatisfiable and unsafe combinations, and forwards it to
+// yield. Returns false to stop enumeration.
+func (b *builder) emit() bool {
+	n := len(b.head.args)
+	for _, a := range b.atoms {
+		n += len(a.args)
+	}
+	args := make([]lang.Term, n)
+	resolve := func(a atom) lang.Atom {
+		out := args[:len(a.args):len(a.args)]
+		args = args[len(a.args):]
+		for i, t := range a.args {
+			out[i] = b.langTerm(b.apply(t))
+		}
+		return lang.Atom{Pred: b.predName(a.pred), Args: out}
+	}
+	head := resolve(b.head)
+	body := make([]lang.Atom, len(b.atoms))
+	for i, a := range b.atoms {
+		body[i] = resolve(a)
+	}
+	inBody := func(t lang.Term) bool {
+		for _, a := range body {
+			if a.HasVar(t) {
+				return true
+			}
+		}
+		return false
 	}
 	var kept []lang.Comparison
-	for _, c := range comps {
-		if (c.L.IsConst() || visible[c.L.Name]) && (c.R.IsConst() || visible[c.R.Name]) {
-			kept = append(kept, c)
+	if len(b.comps) > 0 {
+		comps := make([]lang.Comparison, len(b.comps))
+		for i, c := range b.comps {
+			comps[i] = lang.Comparison{Op: c.op, L: b.langTerm(b.apply(c.l)), R: b.langTerm(b.apply(c.r))}
+		}
+		// All accumulated comparisons participate in the satisfiability
+		// check …
+		if !constraints.New(comps...).Satisfiable() {
+			b.stats.DiscardUnsat++
+			return true
+		}
+		// … but only those over variables visible in the rewriting (or
+		// ground) can be carried into the output; the rest constrain
+		// view-internal values that the stored data satisfies by
+		// construction.
+		visible := func(t lang.Term) bool { return t.IsConst() || head.HasVar(t) || inBody(t) }
+		for _, c := range comps {
+			if visible(c.L) && visible(c.R) {
+				kept = append(kept, c)
+			}
 		}
 	}
-	out := lang.CQ{Head: head, Body: body, Comps: kept}
-	if !out.IsSafe() {
-		// Defensive: required-variable tracking should prevent this; an
-		// unsafe rewriting cannot be evaluated, so drop it.
-		b.stats.DiscardUnsat++
-		return true
+	for _, t := range head.Args {
+		if t.IsVar() && !inBody(t) {
+			// Defensive: required-variable tracking should prevent this; an
+			// unsafe rewriting cannot be evaluated, so drop it.
+			b.stats.DiscardUnsat++
+			return true
+		}
 	}
 	b.stats.Rewritings++
-	return yield(out)
+	return b.yield(lang.CQ{Head: head, Body: body, Comps: kept})
 }
 
 // solveGoal enumerates the partial solutions of a single goal node standing
-// alone (stored leaf or any of its expansions).
-func (b *builder) solveGoal(n *node, yield func(partial) bool) bool {
+// alone (stored leaf or any of its expansions), calling k with each pushed
+// onto the accumulator.
+func (b *builder) solveGoal(n *node, k int) bool {
 	if n.stored {
-		return yield(emptyPartial().withAtom(n.label))
+		b.atoms = append(b.atoms, n.label)
+		ok := b.resume(k)
+		b.atoms = b.atoms[:len(b.atoms)-1]
+		return ok
 	}
 	if n.dead {
 		return true
 	}
 	for _, rn := range n.children {
-		if !b.solveRule(rn, yield) {
+		if !b.solveRule(rn, k) {
 			return false
 		}
 	}
@@ -119,116 +195,77 @@ func (b *builder) solveGoal(n *node, yield func(partial) bool) bool {
 // are that child's solutions extended with the node's comparisons and MCD
 // export. Definitional (and query) rule nodes require a full cover of their
 // children (coverRule).
-func (b *builder) solveRule(rn *node, yield func(partial) bool) bool {
+func (b *builder) solveRule(rn *node, k int) bool {
 	if len(rn.unc) > 0 {
-		gn := rn.children[0]
-		return b.solveGoal(gn, func(p partial) bool {
-			p2 := partial{
-				atoms:  p.atoms,
-				comps:  append(append([]lang.Comparison{}, p.comps...), rn.comps...),
-				export: p.export,
-			}
-			if len(rn.export) > 0 {
-				merged := p2.export.Clone()
-				for k, v := range rn.export {
-					if !merged.Bind(k, v) {
-						return true // conflicting exports: skip combination
-					}
-				}
-				p2.export = merged
-			}
-			return yield(p2)
-		})
+		if len(rn.comps) == 0 && len(rn.export) == 0 {
+			return b.solveGoal(rn.children[0], k) // nothing to add
+		}
+		i := b.push(cont{rn: rn, k: k})
+		ok := b.solveGoal(rn.children[0], i)
+		b.pop(i)
+		return ok
 	}
-	return b.coverRule(rn, yield)
-}
-
-// coverage returns the goal nodes a resolver rule node covers: its unc label
-// for inclusion expansions (which always includes its own parent goal), or
-// just its parent for definitional expansions.
-func coverage(cr *node) []*node {
-	if len(cr.unc) > 0 {
-		return cr.unc
-	}
-	return []*node{cr.parent}
+	return b.coverRule(rn, k)
 }
 
 // coverRule enumerates the ways to cover ALL goal children of a definitional
-// (or query) rule node, per step 3 of Section 4.2: pick for the first
-// uncovered child a resolver — the child's own stored leaf, one of its rule
-// children, or a sibling's inclusion expansion whose unc label covers it —
-// and recurse. Every resolver set is enumerated exactly once because each
-// resolver is chosen at its first-in-order uncovered goal.
-func (b *builder) coverRule(rn *node, yield func(partial) bool) bool {
-	children := rn.children
-	base := emptyPartial()
-	base.comps = append(base.comps, rn.comps...)
-	for k, v := range rn.export {
-		base.export[k] = v
-	}
+// (or query) rule node, per step 3 of Section 4.2, after pushing the node's
+// own comparisons and export.
+func (b *builder) coverRule(rn *node, k int) bool {
+	m := b.mark()
+	ok := !b.pushRule(rn) || b.cover(rn, k)
+	b.undoTo(m)
+	return ok
+}
 
-	covered := make(map[*node]bool, len(children))
-	var rec func(acc partial, yield func(partial) bool) bool
-	rec = func(acc partial, yield func(partial) bool) bool {
-		var next *node
-		for _, c := range children {
-			if !covered[c] {
-				next = c
-				break
-			}
+// cover picks for rn's first uncovered child a resolver — the child's own
+// stored leaf, one of its rule children, or a sibling's inclusion expansion
+// whose unc label covers it — and recurses. Every resolver set is
+// enumerated exactly once because each resolver is chosen at its
+// first-in-order uncovered goal; goals already covered are not covered
+// again (Remark 4.1 tolerates it, we avoid it).
+func (b *builder) cover(rn *node, k int) bool {
+	var next *node
+	for _, c := range rn.children {
+		if !c.covered {
+			next = c
+			break
 		}
-		if next == nil {
-			return yield(acc)
-		}
-		if next.stored {
-			covered[next] = true
-			ok := rec(acc.withAtom(next.label), yield)
-			covered[next] = false
-			return ok
-		}
-		// Candidate resolvers: any rule child of any sibling (including
-		// next itself) whose coverage includes next.
-		for _, sib := range children {
-			for _, cr := range sib.children {
-				includesNext := false
-				for _, u := range coverage(cr) {
-					if u == next {
-						includesNext = true
-						break
-					}
-				}
-				if !includesNext {
-					continue
-				}
-				// Newly covered goals (covering an already-covered goal
-				// again would be redundant — Remark 4.1 tolerates it, we
-				// avoid it).
-				var newly []*node
-				for _, u := range coverage(cr) {
-					if !covered[u] {
-						newly = append(newly, u)
-					}
-				}
-				ok := b.solveRule(cr, func(p partial) bool {
-					merged, mok := acc.merge(p)
-					if !mok {
-						return true
-					}
-					for _, u := range newly {
-						covered[u] = true
-					}
-					cont := rec(merged, yield)
-					for _, u := range newly {
-						covered[u] = false
-					}
-					return cont
-				})
-				if !ok {
-					return false
-				}
-			}
-		}
-		return true
 	}
-	return rec(base, yield)
+	if next == nil {
+		return b.resume(k)
+	}
+	if next.stored {
+		m := b.mark()
+		b.atoms = append(b.atoms, next.label)
+		b.coverGoal(next)
+		ok := b.cover(rn, k)
+		b.undoTo(m)
+		return ok
+	}
+	// Candidate resolvers: any rule child of any sibling (including next
+	// itself) whose coverage — its unc label for an inclusion expansion,
+	// its parent for a definitional one — includes next.
+	for _, sib := range rn.children {
+		for _, cr := range sib.children {
+			if !coversGoal(cr, next) {
+				continue
+			}
+			i := b.push(cont{cover: rn, cr: cr, next: next, k: k})
+			ok := b.solveRule(cr, i)
+			b.pop(i)
+			if !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// coversGoal reports whether resolver cr covers goal g.
+func coversGoal(cr, g *node) bool {
+	if len(cr.unc) == 0 {
+		return cr.parent == g
+	}
+	return slices.Contains(cr.unc, g)
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"encoding/binary"
 	"strconv"
 	"strings"
 
@@ -35,22 +36,20 @@ import (
 //     extracted rewritings carry no description IDs — the rewriting sets
 //     are equal, so only the first copy needs a subtree.
 
-// groundSet computes the predicates a goal over which can possibly bottom
-// out in stored relations, stored relations themselves aside. First the
-// rule-head predicates derivable from stored relations: a head joins when
-// some rule for it has every body predicate groundable as a goal (stored,
-// derivable, or coverable through a view whose V-predicate is derivable).
-// The fixpoint is over the normalized catalog, so V-predicates participate
-// through their V-rules. Then every predicate with a view whose V-predicate
-// is derivable.
-func (c *catalog) groundSet() map[string]bool {
-	g := map[string]bool{}
-	goalOK := func(p string) bool {
-		if g[p] || c.isStored(p) {
+// groundSet computes each predicate's ground flag. First the rule-head
+// predicates derivable from stored relations: a head joins when some rule
+// for it has every body predicate groundable as a goal (stored, derivable,
+// or coverable through a view whose V-predicate is derivable). The fixpoint
+// is over the normalized catalog, so V-predicates participate through their
+// V-rules. Then every predicate with a view whose V-predicate is derivable.
+func (c *catalog) groundSet() {
+	derivable := make([]bool, len(c.preds))
+	goalOK := func(p int32) bool {
+		if derivable[p] || c.preds[p].stored {
 			return true
 		}
-		for _, v := range c.viewsByBodyPred[p] {
-			if g[v.Head.Pred] {
+		for _, v := range c.preds[p].views {
+			if derivable[v.head.pred] {
 				return true
 			}
 		}
@@ -58,40 +57,29 @@ func (c *catalog) groundSet() map[string]bool {
 	}
 	for changed := true; changed; {
 		changed = false
-		for head, rules := range c.rulesByHead {
-			if g[head] {
+		for head := range c.preds {
+			if derivable[head] {
 				continue
 			}
-			for _, ru := range rules {
+			for _, ru := range c.preds[head].rules {
 				ok := true
-				for _, a := range ru.cq.Body {
-					if !goalOK(a.Pred) {
+				for _, a := range ru.body {
+					if !goalOK(a.pred) {
 						ok = false
 						break
 					}
 				}
 				if ok {
-					g[head] = true
+					derivable[head] = true
 					changed = true
 					break
 				}
 			}
 		}
 	}
-	for p := range c.viewsByBodyPred {
-		if goalOK(p) {
-			g[p] = true
-		}
+	for p := range c.preds {
+		c.preds[p].ground = goalOK(int32(p))
 	}
-	return g
-}
-
-// groundableGoal reports whether a goal over pred can possibly bottom out in
-// stored relations: pred is stored, some rule chain derives it, or some view
-// over it has a derivable V-predicate. False means the goal is a dead end
-// before any expansion is tried.
-func (c *catalog) groundableGoal(pred string) bool {
-	return c.groundable[pred] || c.isStored(pred)
 }
 
 // canonContent renders a kind tag plus a CQ sequence with variables
@@ -101,96 +89,141 @@ func canonContent(kind string, cqs ...lang.CQ) string {
 	var sb strings.Builder
 	sb.WriteString(kind)
 	num := map[string]int{}
+	term := func(t lang.Term) {
+		if t.IsConst() {
+			sb.WriteString("=" + t.Name)
+			return
+		}
+		i, ok := num[t.Name]
+		if !ok {
+			i = len(num)
+			num[t.Name] = i
+		}
+		sb.WriteByte('?')
+		sb.WriteString(strconv.Itoa(i))
+	}
+	atom := func(a lang.Atom) {
+		sb.WriteString(a.Pred)
+		for _, t := range a.Args {
+			sb.WriteByte('~')
+			term(t)
+		}
+		sb.WriteByte(';')
+	}
 	for _, cq := range cqs {
 		sb.WriteByte('|')
-		canonAtom(&sb, num, cq.Head, nil)
+		atom(cq.Head)
 		for _, a := range cq.Body {
-			canonAtom(&sb, num, a, nil)
+			atom(a)
 		}
 		sb.WriteByte('|')
 		for _, cmp := range cq.Comps {
-			canonComp(&sb, num, cmp)
+			term(cmp.L)
+			sb.WriteString(cmp.Op.String())
+			term(cmp.R)
+			sb.WriteByte(';')
 		}
 	}
 	return sb.String()
 }
 
-func canonTerm(sb *strings.Builder, num map[string]int, t lang.Term) {
-	if t.IsConst() {
-		sb.WriteString("=" + t.Name)
+// The memo's contextKey and childSig are byte keys over integers, built in
+// the builder's keybuf: every field a uvarint, every list preceded by its
+// length, variables numbered by first occurrence within the key (canon),
+// so equal keys mean isomorphic inputs.
+
+func (b *builder) putInt(x uint64) { b.keybuf = binary.AppendUvarint(b.keybuf, x) }
+
+func (b *builder) putTerm(t term) {
+	if !t.isVar() {
+		b.putInt(uint64(^t)<<1 | 1)
 		return
 	}
-	i, ok := num[t.Name]
-	if !ok {
-		i = len(num)
-		num[t.Name] = i
+	if b.canon[t] < 0 {
+		b.canon[t] = int32(len(b.numbered))
+		b.numbered = append(b.numbered, t)
 	}
-	sb.WriteByte('?')
-	sb.WriteString(strconv.Itoa(i))
+	b.putInt(uint64(b.canon[t]) << 1)
 }
 
-// canonAtom canonicalizes one atom; vpreds, when non-nil, maps V-predicate
-// names to their normalized-inclusion content so content-identical
-// replicated mappings (whose minted V-predicate names differ) render
-// identically.
-func canonAtom(sb *strings.Builder, num map[string]int, a lang.Atom, vpreds map[string]string) {
-	if content, ok := vpreds[a.Pred]; ok {
-		sb.WriteString("V{" + content + "}")
+// putAtom writes a; with content set, a V-predicate is written as its
+// normalized inclusion's content class instead of its name.
+func (b *builder) putAtom(a atom, content bool) {
+	if content && a.pred >= 0 && b.cat.preds[a.pred].vclass >= 0 {
+		b.putInt(uint64(b.cat.preds[a.pred].vclass)<<1 | 1)
 	} else {
-		sb.WriteString(a.Pred)
+		b.putInt(uint64(a.pred+1) << 1)
 	}
-	for _, t := range a.Args {
-		sb.WriteByte('~')
-		canonTerm(sb, num, t)
+	b.putInt(uint64(len(a.args)))
+	for _, t := range a.args {
+		b.putTerm(t)
 	}
-	sb.WriteByte(';')
 }
 
-func canonComp(sb *strings.Builder, num map[string]int, c lang.Comparison) {
-	canonTerm(sb, num, c.L)
-	sb.WriteString(c.Op.String())
-	canonTerm(sb, num, c.R)
-	sb.WriteByte(';')
+// endKey forgets the key's variable numbering and returns the key.
+func (b *builder) endKey() []byte {
+	for _, v := range b.numbered {
+		b.canon[v] = -1
+	}
+	b.numbered = b.numbered[:0]
+	return b.keybuf
 }
 
 // childSig canonicalizes a candidate expansion of goal n for duplicate-
 // description pruning: the parent rule node's goal labels (pinning the
-// variables shared with the context), the originating description's
-// canonical content, and the instantiated expansion (subgoal atoms,
-// comparisons, exports, covered sibling indexes). Equal signatures under the
-// same goal node mean interchangeable expansions.
-func (b *builder) childSig(n *node, desc int, atoms []lang.Atom, comps []lang.Comparison, export lang.Subst, covered []int) string {
-	var sb strings.Builder
-	num := map[string]int{}
-	for _, sib := range n.parent.children {
-		canonAtom(&sb, num, sib.label, b.cat.vpredContent)
+// variables shared with the context), the originating description's content
+// class, and the instantiated expansion (subgoal atoms, comparisons,
+// exports, covered sibling indexes). Equal signatures under the same goal
+// node mean interchangeable expansions. Exports are written as listed: a
+// definitional export follows the goal label's variables, an MCD's those of
+// its covered goals in order, so two expansions that cover the same goals
+// list equal exports identically.
+func (b *builder) childSig(n *node, desc int, atoms []atom, comps []comparison, export []binding, covered []int) []byte {
+	b.keybuf = b.keybuf[:0]
+	sibs := n.parent.children
+	b.putInt(uint64(len(sibs)))
+	for _, sib := range sibs {
+		b.putAtom(sib.label, true)
 	}
-	sb.WriteByte('#')
-	sb.WriteString(b.cat.descContent[desc])
-	sb.WriteByte('#')
+	b.putInt(uint64(b.cat.descClass[desc]))
+	b.putInt(uint64(len(atoms)))
 	for _, a := range atoms {
-		canonAtom(&sb, num, a, b.cat.vpredContent)
+		b.putAtom(a, true)
 	}
-	sb.WriteByte('#')
-	for _, cmp := range comps {
-		canonComp(&sb, num, cmp)
+	b.putInt(uint64(len(comps)))
+	for _, c := range comps {
+		b.putInt(uint64(c.op))
+		b.putTerm(c.l)
+		b.putTerm(c.r)
 	}
-	sb.WriteByte('#')
-	keys := make([]string, 0, len(export))
-	for k := range export {
-		keys = append(keys, k)
+	b.putInt(uint64(len(export)))
+	for _, e := range export {
+		b.putTerm(e.v)
+		b.putTerm(e.t)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		canonTerm(&sb, num, export[k])
-		sb.WriteByte(';')
-	}
-	sb.WriteByte('#')
+	b.putInt(uint64(len(covered)))
 	for _, ci := range covered {
-		sb.WriteString(strconv.Itoa(ci))
-		sb.WriteByte(',')
+		b.putInt(uint64(ci))
 	}
-	return sb.String()
+	return b.endKey()
+}
+
+// seenSig looks key up among the signatures of the expansions built so far
+// under the current goal (sigs[from:]).
+func (b *builder) seenSig(from int, key []byte) (prod, ok bool) {
+	for _, s := range b.sigs[from:] {
+		if bytes.Equal(b.sigBytes[s.off:s.end], key) {
+			return s.prod, true
+		}
+	}
+	return false, false
+}
+
+// addSig records key as the signature of an expansion about to be built
+// and returns its slot, whose productivity the caller fills in.
+func (b *builder) addSig(key []byte) int {
+	off := len(b.sigBytes)
+	b.sigBytes = append(b.sigBytes, key...)
+	b.sigs = append(b.sigs, sigEntry{off: off, end: len(b.sigBytes)})
+	return len(b.sigs) - 1
 }

@@ -12,11 +12,13 @@ import (
 // Reformulator reformulates queries over a PDMS into unions of conjunctive
 // queries over stored relations. It is immutable after New and safe for
 // concurrent use: New normalizes the descriptions into a catalog and derives
-// everything the tree construction looks up (expansion indexes, groundable
-// predicates, reach cones, the specification's classification), and each
-// call keeps what it mutates — fresh variables, memo, statistics, trace
-// span — in a builder of its own. Build one per specification and share it;
-// the PDMS must not change while its Reformulator is in use.
+// everything the tree construction looks up (the frozen symbol table,
+// expansion indexes, groundable predicates, reach cones, the
+// specification's classification), and each call keeps what it mutates in
+// a builder of its own: its variable ids and the constants of its query the
+// catalog does not know, the substitution and its trail, the memo, the
+// tree's arenas, statistics and trace span. Build one per specification
+// and share it; the PDMS must not change while its Reformulator is in use.
 type Reformulator struct {
 	pdms *ppl.PDMS
 	cat  *catalog
@@ -54,7 +56,7 @@ func (r *Reformulator) Reformulate(q lang.CQ) (Result, error) {
 // expanded, nested to mirror the tree.
 func (r *Reformulator) ReformulateSpan(q lang.CQ, sp *obs.Span) (Result, error) {
 	var res Result
-	stats, err := r.stream(q, sp, bitset(nil), func(cq lang.CQ) bool {
+	stats, err := r.stream(q, sp, func(cq lang.CQ) bool {
 		res.UCQ.Add(cq)
 		return true
 	})
@@ -78,22 +80,21 @@ func (r *Reformulator) ReformulateSpan(q lang.CQ, sp *obs.Span) (Result, error) 
 // early (the paper's "first rewritings quickly" usage). It returns the
 // accumulated statistics.
 func (r *Reformulator) Stream(q lang.CQ, yield func(lang.CQ) bool) (Stats, error) {
-	return r.stream(q, nil, bitset(nil), yield)
+	return r.stream(q, nil, yield)
 }
 
-// stream is Stream under an optional trace span, starting the root path
-// from the given empty ban set.
-func (r *Reformulator) stream(q lang.CQ, sp *obs.Span, noBans banSet, yield func(lang.CQ) bool) (Stats, error) {
+// stream is Stream under an optional trace span.
+func (r *Reformulator) stream(q lang.CQ, sp *obs.Span, yield func(lang.CQ) bool) (Stats, error) {
 	if err := r.check(q); err != nil {
 		return Stats{}, err
 	}
-	root, b, err := r.build(q, sp, noBans)
+	root, b, err := r.build(q, sp)
 	if err != nil {
 		return Stats{}, err
 	}
 	limit := r.opts.MaxRewritings
 	n := 0
-	b.extract(root, q, func(cq lang.CQ) bool {
+	b.extract(root, func(cq lang.CQ) bool {
 		if !yield(cq) {
 			return false
 		}
@@ -109,7 +110,7 @@ func (r *Reformulator) BuildTree(q lang.CQ) (Stats, error) {
 	if err := r.check(q); err != nil {
 		return Stats{}, err
 	}
-	_, b, err := r.build(q, nil, bitset(nil))
+	_, b, err := r.build(q, nil)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -72,6 +72,63 @@ func BenchmarkSwarmBuildTree(b *testing.B) {
 	}
 }
 
+// BenchmarkSwarmExtract times step 3 alone: every rewriting extracted from
+// trees built once.
+func BenchmarkSwarmExtract(b *testing.B) {
+	spec, qs := swarmBench(b)
+	r, err := core.New(spec, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	extract := make([]func(func(lang.CQ) bool), len(qs))
+	for i, q := range qs {
+		if extract[i], err = r.Extractor(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		extract[i%len(qs)](func(lang.CQ) bool { return true })
+	}
+}
+
+// maxAllocsPerNode bounds TestSwarmReformulateAllocs: a full Reformulate on
+// the swarm fixture measured 1.6 allocations per tree node, plus 25 %
+// headroom. Most of them are redundancy elimination's.
+const maxAllocsPerNode = 2.0
+
+// TestSwarmReformulateAllocs pins the cost of a reformulation in
+// allocations per rule-goal tree node: tree, extraction, redundancy
+// elimination and classification of each swarm fixture query.
+func TestSwarmReformulateAllocs(t *testing.T) {
+	spec, qs := swarmBench(t)
+	r, err := core.New(spec, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := 0
+	for _, q := range qs {
+		st, err := r.BuildTree(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes += st.Nodes()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(qs), func() {
+		if _, err := r.Reformulate(qs[i%len(qs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	perNode := allocs * float64(len(qs)) / float64(nodes)
+	t.Logf("%.0f allocations per query, %.2f per node", allocs, perNode)
+	if perNode > maxAllocsPerNode {
+		t.Errorf("%.2f allocations per tree node, bound %.1f", perNode, maxAllocsPerNode)
+	}
+}
+
 // BenchmarkSwarmCatalog times core.New: what the mediator pays once per
 // spec generation.
 func BenchmarkSwarmCatalog(b *testing.B) {

@@ -1,14 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/constraints"
 	"repro/internal/lang"
-	"repro/internal/minicon"
 	"repro/internal/obs"
 )
 
@@ -22,25 +21,24 @@ const (
 
 // node is a rule-goal tree node.
 type node struct {
-	id   int
 	kind nodeKind
 
 	// label is the atom of a goal node.
-	label lang.Atom
+	label atom
 
 	// descID is the description that created a rule node (empty for the
 	// query's own rule node).
 	descID string
 	// comps are the comparison predicates contributed by the description
 	// instance at this rule node (already instantiated).
-	comps []lang.Comparison
+	comps []comparison
 	// export carries bindings the expansion forces on the goal's own
 	// variables, to be applied to the final rewriting: for inclusion
 	// expansions the MCD export; for definitional expansions the bindings
 	// the head unification imposes on the goal label (e.g. unifying goal
 	// SkilledPerson(p, c) with rule head SkilledPerson(p, "Doctor") binds
 	// c to "Doctor").
-	export lang.Subst
+	export []binding
 	// unc, for rule nodes created by an inclusion expansion, lists the
 	// sibling goal nodes of the parent that the MCD covers (always
 	// including the parent goal itself) — the paper's unc(n) label.
@@ -51,33 +49,22 @@ type node struct {
 	children []*node
 	parent   *node
 
-	// constraint is the node's constraint label c(n).
+	// constraint is the node's constraint label c(n); nil is the empty
+	// conjunction.
 	constraint *constraints.Set
 
 	// banned is the set of descriptions used on the path from the root to
 	// this node (shared with the parent when unchanged).
-	banned banSet
+	banned bitset
 
 	// stored marks goal nodes over stored relations (leaves).
 	stored bool
 	// dead marks goal nodes that cannot contribute any rewriting (no
 	// expansion, not stored) — set during construction for pruning.
 	dead bool
-}
-
-// banSet is an immutable set of descriptions, by their dense catalog index:
-// the once-per-path bans of a node, or such a set restricted to a reach cone
-// for the unproductive-memo. The builder runs on bitsets; the interface
-// exists so the differential tests can run the same builder on a plain map
-// and demand identical trees.
-type banSet interface {
-	has(d int) bool
-	// with returns the set extended by d, leaving the receiver untouched.
-	with(d int) banSet
-	// within returns the members that lie in cone.
-	within(cone bitset) banSet
-	// subsetOf compares against a set of the receiver's own kind.
-	subsetOf(o banSet) bool
+	// covered is scratch for ruleNodeProductive and extraction: set while
+	// the goal counts as covered in its rule node.
+	covered bool
 }
 
 // Options configures tree construction and extraction.
@@ -142,62 +129,136 @@ type Stats struct {
 // Nodes returns the total node count (the paper's Figure 3 metric).
 func (s Stats) Nodes() int { return s.GoalNodes + s.RuleNodes }
 
-// builder constructs the rule-goal tree of one query. It owns all the
-// state a reformulation mutates; the catalog it reads is shared.
+// builder constructs the rule-goal tree of one query and extracts its
+// rewritings. It owns all the state a reformulation mutates; the catalog it
+// reads is shared and never written.
 type builder struct {
 	cat   *catalog
 	opts  Options
-	vs    *lang.VarSupply
 	stats Stats
-	nid   int
-	// memo records, per canonical goal-label pattern, the banned-description
-	// sets under which the goal proved unproductive. A goal is skippable
-	// when some recorded set is a SUBSET of its own banned set: forbidding
-	// strictly more descriptions can only remove expansions, so
-	// unproductivity is monotone in the ban set.
-	memo map[string][]banSet
-	err  error
+	err   error
+	// query is the query being reformulated, head its interned head (the
+	// root's label).
+	query lang.CQ
+	head  atom
+
+	// names holds each variable's name stem, by id. The first nq are the
+	// query's own variables, printed under their names; the others print
+	// as stem#id (printed caches these).
+	names   []string
+	nq      int
+	printed []string
+	// consts holds the query's constants the catalog does not know; their
+	// ids follow the catalog's.
+	consts []string
+
+	// sub is a substitution by variable id (noTerm where unbound) and trail
+	// the variables bound in it, in order: undo unbinds back to a mark.
+	// Head unification runs on it while the tree is built, and extraction's
+	// export map afterwards.
+	sub   []term
+	trail []term
+
+	// memo records, per contextKey, the ban sets (restricted to the goal
+	// predicate's reach cone) under which the goal proved unproductive. A
+	// goal is skippable when some recorded set is a SUBSET of its own
+	// banned set: forbidding strictly more descriptions can only remove
+	// expansions, so unproductivity is monotone in the ban set.
+	memo map[string][]bitset
+
+	// keybuf holds the key being built; canon numbers its variables (by
+	// id, -1 when unnumbered) and numbered lists them for endKey.
+	keybuf   []byte
+	canon    []int32
+	numbered []term
+	// sigs is a stack of the duplicate-description signatures of the
+	// expansions built under the goals on the current path, their bytes
+	// in sigBytes.
+	sigs     []sigEntry
+	sigBytes []byte
+
+	// kids is a stack of the rule nodes built under the goals on the
+	// current path; a goal takes its own when its expansion ends.
+	kids []*node
+	// order is a stack of rule-node children in expansion order, body
+	// scratch for instantiated subgoals, mcds a stack of MCD lists.
+	order []*node
+	body  []atom
+	mcds  []mcd
+	f     former
+
+	// Extraction (extract.go) accumulates one rewriting at a time on
+	// stacks: stored atoms, comparisons and covered goals, with the
+	// rule nodes' exports composed in sub. Every push is undone back to a
+	// mark, so atoms and comparisons come out in push order. conts is the
+	// solvers' stack of continuations and yield the consumer.
+	atoms  []atom
+	comps  []comparison
+	covers []*node
+	conts  []cont
+	yield  func(lang.CQ) bool
+
+	// The tree is carved from these arenas.
+	nodes []node
+	terms []term
+	binds []binding
+	ptrs  []*node
+	ints  []int
+	words []uint64
+}
+
+// sigEntry is one recorded signature: sigBytes[off:end], and whether its
+// expansion proved productive.
+type sigEntry struct {
+	off, end int
+	prod     bool
+}
+
+// carve returns n zeroed elements from the chunked arena *a. Slices carved
+// earlier stay valid: a full chunk is left to them, not reallocated. Chunks
+// double from 16 elements to 512, so a small tree allocates little.
+func carve[T any](a *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(*a)-len(*a) < n {
+		*a = make([]T, 0, max(n, min(max(2*cap(*a), 16), 512)))
+	}
+	l := len(*a)
+	*a = (*a)[:l+n]
+	return (*a)[l : l+n : l+n]
 }
 
 // build constructs the full tree for query q and returns the root. sp, when
 // non-nil, receives one child span per rule-goal tree node expanded (goal
 // nodes as "goal", their expansions as "rule"/"mcd" children), nested to
-// mirror the tree. noBans is the empty ban set the root path starts from.
-func (r *Reformulator) build(q lang.CQ, sp *obs.Span, noBans banSet) (*node, *builder, error) {
-	b := &builder{
-		cat:  r.cat,
-		opts: r.opts,
-		vs:   lang.NewVarSupply("_x"),
-		memo: map[string][]banSet{},
-	}
+// mirror the tree.
+func (r *Reformulator) build(q lang.CQ, sp *obs.Span) (*node, *builder, error) {
+	b := &builder{cat: r.cat, opts: r.opts, query: q, memo: map[string][]bitset{}}
 	maxNodes := b.opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = defaultMaxNodes
 	}
-
-	root := &node{id: b.nextID(), kind: goalNode, label: q.Head, constraint: constraints.New()}
+	cq, err := b.compileQuery(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	root := b.newNode(goalNode, nil)
+	root.label, b.head = cq.head, cq.head
 	b.stats.GoalNodes++
-	qr := &node{
-		id:         b.nextID(),
-		kind:       ruleNode,
-		parent:     root,
-		comps:      q.Comps,
-		constraint: constraints.New(q.Comps...),
-		banned:     noBans,
+	qr := b.newNode(ruleNode, root)
+	qr.comps = cq.comps
+	if len(q.Comps) > 0 {
+		qr.constraint = constraints.New(q.Comps...)
 	}
 	b.stats.RuleNodes++
-	root.children = []*node{qr}
-	for _, g := range q.Body {
-		gn := &node{
-			id:         b.nextID(),
-			kind:       goalNode,
-			parent:     qr,
-			label:      g,
-			constraint: qr.constraint,
-			banned:     qr.banned,
-			stored:     b.cat.isStored(g.Pred),
-		}
-		qr.children = append(qr.children, gn)
+	root.children = carve(&b.ptrs, 1)
+	root.children[0] = qr
+	qr.children = carve(&b.ptrs, len(cq.body))
+	for i, g := range cq.body {
+		gn := b.newNode(goalNode, qr)
+		gn.label, gn.constraint, gn.stored = g, qr.constraint, b.cat.preds[g.pred].stored
+		qr.children[i] = gn
 		b.stats.GoalNodes++
 	}
 	// Expand each subgoal depth-first.
@@ -216,6 +277,122 @@ func (r *Reformulator) build(q lang.CQ, sp *obs.Span, noBans banSet) (*node, *bu
 	return root, b, nil
 }
 
+// compileQuery interns q: its variables become ids 0..nq-1 in order of
+// first occurrence, its head the root's label.
+func (b *builder) compileQuery(q lang.CQ) (compiled, error) {
+	cq := compile(q, func(name string) int32 {
+		if p, ok := b.cat.predID[name]; ok {
+			return p
+		}
+		return -1
+	}, b.constant)
+	for i, a := range cq.body {
+		if a.pred < 0 {
+			return compiled{}, fmt.Errorf("core: unknown predicate %s", q.Body[i].Pred)
+		}
+	}
+	cq.head.pred = -1
+	b.fresh(cq.names)
+	b.nq = len(cq.names)
+	return cq, nil
+}
+
+// constant returns the id of a query constant: the catalog's when the
+// specification mentions it, else one of the builder's own.
+func (b *builder) constant(name string) term {
+	if id, ok := b.cat.constID[name]; ok {
+		return constTerm(id)
+	}
+	id := slices.Index(b.consts, name)
+	if id < 0 {
+		id = len(b.consts)
+		b.consts = append(b.consts, name)
+	}
+	return constTerm(len(b.cat.consts) + id)
+}
+
+// fresh renames a block of variables apart: it gives them the next free
+// ids and returns the first.
+func (b *builder) fresh(stems []string) term {
+	base := term(len(b.names))
+	b.names = append(b.names, stems...)
+	for range stems {
+		b.sub = append(b.sub, noTerm)
+		b.canon = append(b.canon, -1)
+	}
+	return base
+}
+
+// shift renames a compiled rule's or view's term into the block at base.
+func shift(t, base term) term {
+	if t.isVar() {
+		return t + base
+	}
+	return t
+}
+
+// apply returns t's image under sub, walking chains of bindings.
+func (b *builder) apply(t term) term {
+	for t.isVar() {
+		n := b.sub[t]
+		if n == noTerm || n == t {
+			return t
+		}
+		t = n
+	}
+	return t
+}
+
+func (b *builder) bind(v, t term) {
+	b.sub[v] = t
+	b.trail = append(b.trail, v)
+}
+
+// undo unbinds every variable bound since the trail was mark long.
+func (b *builder) undo(mark int) {
+	for _, v := range b.trail[mark:] {
+		b.sub[v] = noTerm
+	}
+	b.trail = b.trail[:mark]
+}
+
+// unify extends sub to a most general unifier of x and y.
+func (b *builder) unify(x, y term) bool {
+	x, y = b.apply(x), b.apply(y)
+	switch {
+	case x == y:
+	case x.isVar():
+		b.bind(x, y)
+	case y.isVar():
+		b.bind(y, x)
+	default: // distinct constants
+		return false
+	}
+	return true
+}
+
+func (b *builder) newNode(kind nodeKind, parent *node) *node {
+	n := &carve(&b.nodes, 1)[0]
+	n.kind, n.parent = kind, parent
+	return n
+}
+
+// ban returns ban set s extended by description d.
+func (b *builder) ban(s bitset, d int) bitset {
+	out := bitset(carve(&b.words, max(len(s), d>>6+1)))
+	copy(out, s)
+	out.set(d)
+	return out
+}
+
+// child starts a trace span under sp, allocating nothing when untraced.
+func child(sp *obs.Span, name, k, v string) *obs.Span {
+	if sp == nil {
+		return nil
+	}
+	return sp.Child(name, obs.Attr{K: k, V: v})
+}
+
 // expandChildren expands every goal child of rule node rn in priority
 // order, applying the Section 4.3 useless-path rule: after expanding a
 // child gn whose only reformulation route is a single inclusion view, if
@@ -223,9 +400,11 @@ func (r *Reformulator) build(q lang.CQ, sp *obs.Span, noBans banSet) (*node, *bu
 // own expansions are redundant and it is left unexpanded (extraction covers
 // it through gn's unc labels).
 func (b *builder) expandChildren(rn *node, maxNodes int, sp *obs.Span) {
-	skip := map[*node]bool{}
-	for _, gn := range b.orderChildren(rn.children) {
-		if skip[gn] {
+	start, end := b.orderChildren(rn.children)
+	var skip *node
+	for i := start; i < end; i++ {
+		gn := b.order[i]
+		if gn == skip {
 			b.stats.UselessSkipped++
 			continue
 		}
@@ -235,10 +414,11 @@ func (b *builder) expandChildren(rn *node, maxNodes int, sp *obs.Span) {
 		}
 		if !b.opts.NoUselessPath && len(rn.children) == 2 {
 			if other := b.uselessSibling(rn, gn); other != nil {
-				skip[other] = true
+				skip = other
 			}
 		}
 	}
+	b.order = b.order[:start]
 }
 
 // uselessSibling returns gn's sibling when the useless-path conditions hold
@@ -250,11 +430,8 @@ func (b *builder) uselessSibling(rn *node, gn *node) *node {
 	if gn.stored || gn.dead || len(gn.children) == 0 {
 		return nil
 	}
-	if len(b.cat.rulesByHead[gn.label.Pred]) > 0 {
+	if p := &b.cat.preds[gn.label.pred]; len(p.rules) > 0 || len(p.views) != 1 {
 		return nil // a definitional expansion would not cover the sibling
-	}
-	if len(b.cat.viewsByBodyPred[gn.label.Pred]) != 1 {
-		return nil
 	}
 	var other *node
 	for _, c := range rn.children {
@@ -266,23 +443,11 @@ func (b *builder) uselessSibling(rn *node, gn *node) *node {
 		return nil
 	}
 	for _, cr := range gn.children {
-		covers := false
-		for _, u := range cr.unc {
-			if u == other {
-				covers = true
-				break
-			}
-		}
-		if !covers {
+		if !slices.Contains(cr.unc, other) {
 			return nil
 		}
 	}
 	return other
-}
-
-func (b *builder) nextID() int {
-	b.nid++
-	return b.nid
 }
 
 // contextKey canonicalizes a goal node for the unproductive-memo. A goal's
@@ -292,62 +457,31 @@ func (b *builder) nextID() int {
 // canonicalizes [parent-goal label; self label; sibling labels in order]
 // with variables numbered by first occurrence — two goals with equal keys
 // have isomorphic expansion problems.
-func contextKey(n *node) string {
-	var sb strings.Builder
-	num := map[string]int{}
-	writeAtom := func(a lang.Atom) {
-		sb.WriteString(a.Pred)
-		for _, t := range a.Args {
-			if t.IsConst() {
-				sb.WriteString("|=" + t.Name)
-				continue
-			}
-			i, ok := num[t.Name]
-			if !ok {
-				i = len(num)
-				num[t.Name] = i
-			}
-			sb.WriteString("|?")
-			sb.WriteString(strconv.Itoa(i))
-		}
-		sb.WriteByte(';')
-	}
-	if n.parent != nil && n.parent.parent != nil {
-		writeAtom(n.parent.parent.label)
-	}
-	sb.WriteByte('@')
-	writeAtom(n.label)
-	sb.WriteByte('@')
-	if n.parent != nil {
-		for _, sib := range n.parent.children {
-			if sib != n {
-				writeAtom(sib.label)
-			}
+func (b *builder) contextKey(n *node) []byte {
+	b.keybuf = b.keybuf[:0]
+	b.putAtom(n.parent.parent.label, false)
+	b.putAtom(n.label, false)
+	b.putInt(uint64(len(n.parent.children)))
+	for _, sib := range n.parent.children {
+		if sib != n {
+			b.putAtom(sib.label, false)
 		}
 	}
-	return sb.String()
+	return b.endKey()
 }
 
 // memoUnproductive reports whether the memo proves n unproductive: some
-// recorded ban set for its label pattern is a subset of n's.
-func (b *builder) memoUnproductive(key string, banned banSet) bool {
-	for _, s := range b.memo[key] {
-		if s.subsetOf(banned) {
-			return true
-		}
-	}
-	return false
+// recorded ban set for its context is a subset of n's. Recorded sets lie in
+// the goal predicate's cone, so comparing against n's whole ban set is
+// comparing against its restriction to the cone.
+func (b *builder) memoUnproductive(key []byte, banned bitset) bool {
+	return slices.ContainsFunc(b.memo[string(key)], func(s bitset) bool { return s.subsetOf(banned) })
 }
 
 // memoRecord stores an unproductive finding, dropping recorded supersets.
-func (b *builder) memoRecord(key string, banned banSet) {
-	kept := b.memo[key][:0]
-	for _, s := range b.memo[key] {
-		if !banned.subsetOf(s) {
-			kept = append(kept, s)
-		}
-	}
-	b.memo[key] = append(kept, banned)
+func (b *builder) memoRecord(key []byte, banned bitset) {
+	kept := slices.DeleteFunc(b.memo[string(key)], func(s bitset) bool { return banned.subsetOf(s) })
+	b.memo[string(key)] = append(kept, banned)
 }
 
 // expand grows the subtree under goal node n depth-first and returns whether
@@ -364,9 +498,10 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		b.err = fmt.Errorf("core: node budget exceeded (%d nodes); the PDMS may be too deep or too replicated — raise Options.MaxNodes", maxNodes)
 		return false
 	}
-	ns := sp.Child("goal", obs.Attr{K: "pred", V: n.label.Pred})
+	pi := &b.cat.preds[n.label.pred]
+	ns := child(sp, "goal", "pred", pi.name)
 	defer ns.End()
-	if !b.opts.NoPruneSubsumed && !b.cat.groundableGoal(n.label.Pred) {
+	if !b.opts.NoPruneSubsumed && !pi.ground {
 		// No chain of rules and views grounds this predicate in stored
 		// relations: the subtree cannot contribute a rewriting, and no
 		// sibling MCD can cover the goal either (see prune.go). Dead
@@ -378,41 +513,32 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		ns.Set("pruned", "empty")
 		return false
 	}
-	var key string
-	var restrictedBans banSet
-	if !b.opts.NoMemo {
-		key = contextKey(n)
-		// Only descriptions reachable from this predicate can influence
-		// the subtree; restricting the ban set to that cone makes memo
-		// entries comparable across unrelated branches.
-		restrictedBans = n.banned.within(b.cat.reach[n.label.Pred])
-		if b.memoUnproductive(key, restrictedBans) {
-			// Known unproductive under a weaker (or equal) ban set: skip
-			// building the subtree entirely.
-			b.stats.MemoHits++
-			n.dead = true
-			b.stats.DeadEnds++
-			ns.Set("memo", "hit")
-			ns.Set("dead", "true")
-			return false
-		}
+	if !b.opts.NoMemo && len(b.memo) > 0 && b.memoUnproductive(b.contextKey(n), n.banned) {
+		// Known unproductive under a weaker (or equal) ban set: skip
+		// building the subtree entirely.
+		b.stats.MemoHits++
+		n.dead = true
+		b.stats.DeadEnds++
+		ns.Set("memo", "hit")
+		ns.Set("dead", "true")
+		return false
 	}
 
 	productive := false
 
-	// seen records signatures of already-built expansions of n for
-	// duplicate-description pruning (nil when disabled).
-	var seen map[string]bool
+	// sigs is where the signatures of n's expansions start on the stack
+	// (-1 when duplicate-description pruning is off), kids its children.
+	sigs, sigOff, kids := -1, len(b.sigBytes), len(b.kids)
 	if !b.opts.NoPruneSubsumed {
-		seen = map[string]bool{}
+		sigs = len(b.sigs)
 	}
 
 	// Case 1: definitional expansion (GAV-style).
-	for _, ru := range b.cat.rulesByHead[n.label.Pred] {
+	for _, ru := range pi.rules {
 		if !ru.fromInclusion && n.banned.has(ru.desc) {
 			continue
 		}
-		if b.definitionalChild(n, ru, maxNodes, ns, seen) {
+		if b.definitionalChild(n, ru, maxNodes, ns, sigs) {
 			productive = true
 		}
 		if b.err != nil {
@@ -423,28 +549,27 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 	// Case 2: inclusion expansion (LAV-style) via MCDs against the
 	// conjunction formed by n and its siblings.
 	parent := n.parent
-	goals := make([]lang.Atom, len(parent.children))
-	selfIdx := -1
-	for i, sib := range parent.children {
-		goals[i] = sib.label
-		if sib == n {
-			selfIdx = i
-		}
-	}
-	required := requiredVars(parent)
-	for _, v := range b.cat.viewsByBodyPred[n.label.Pred] {
+	for _, v := range pi.views {
 		if n.banned.has(v.desc) {
 			continue
 		}
-		for _, mcd := range minicon.Form(goals, selfIdx, required, v.View, b.vs) {
-			if b.inclusionChild(n, v, mcd, maxNodes, ns, seen) {
+		start, end := b.formMCDs(parent.children, n, parent.parent.label, v)
+		for i := start; i < end; i++ {
+			if b.inclusionChild(n, v, b.mcds[i], maxNodes, ns, sigs) {
 				productive = true
 			}
 			if b.err != nil {
 				return false
 			}
 		}
+		b.mcds = b.mcds[:start]
 	}
+	if sigs >= 0 {
+		b.sigs, b.sigBytes = b.sigs[:sigs], b.sigBytes[:sigOff]
+	}
+	n.children = carve(&b.ptrs, len(b.kids)-kids)
+	copy(n.children, b.kids[kids:])
+	b.kids = b.kids[:kids]
 
 	if productive && !b.opts.NoPropagateUp {
 		if !b.propagateUp(n) {
@@ -457,7 +582,10 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		b.stats.DeadEnds++
 		ns.Set("dead", "true")
 		if !b.opts.NoMemo {
-			b.memoRecord(key, restrictedBans)
+			// Only descriptions reachable from this predicate can influence
+			// the subtree; restricting the ban set to that cone makes memo
+			// entries comparable across unrelated branches.
+			b.memoRecord(b.contextKey(n), n.banned.within(pi.reach))
 		}
 	}
 	return productive
@@ -471,12 +599,19 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 // for dead-end detection because any rewriting through n goes through some
 // expansion, and all of them entail the hoisted constraints.
 func (b *builder) propagateUp(n *node) bool {
-	vars := n.label.Vars(nil)
-	var meet *constraints.Set
 	for _, rn := range n.children {
 		if len(rn.comps) == 0 {
 			return true // an unconstrained expansion exists: nothing to hoist
 		}
+	}
+	var vars []lang.Term
+	for i, t := range n.label.args {
+		if n.label.firstVar(i) {
+			vars = append(vars, b.langTerm(t))
+		}
+	}
+	var meet *constraints.Set
+	for _, rn := range n.children {
 		proj := rn.constraint.Project(vars)
 		if meet == nil {
 			meet = proj
@@ -505,55 +640,68 @@ func (b *builder) propagateUp(n *node) bool {
 	return true
 }
 
-// requiredVars computes the variable names the context of rule node r still
-// needs from any MCD formed over r's children: the variables of r's parent
-// goal label (the only channel connecting the local conjunction to the rest
-// of the tree) — for the query's rule node, the query head variables.
-func requiredVars(r *node) map[string]bool {
-	out := map[string]bool{}
-	if r.parent != nil {
-		for _, v := range r.parent.label.Vars(nil) {
-			out[v.Name] = true
-		}
+// constrain returns n's constraint label conjoined with comps, and whether
+// the expansion survives unsatisfiable-label pruning.
+func (b *builder) constrain(n *node, comps []comparison) (*constraints.Set, bool) {
+	if len(comps) == 0 {
+		return n.constraint, true
 	}
-	return out
+	c := n.constraint.And(constraints.New(b.langComps(comps)...))
+	if !b.opts.NoPruneUnsat && !c.Satisfiable() {
+		b.stats.PrunedUnsat++
+		return nil, false
+	}
+	return c, true
 }
 
 // definitionalChild performs one definitional expansion of goal node n with
-// rule ru; returns productivity of the new subtree. seen is the goal's
-// duplicate-description signature set (nil when pruning is disabled).
-func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Span, seen map[string]bool) bool {
-	fresh, _ := ru.cq.Rename(b.vs)
-	sigma, ok := lang.Unify(fresh.Head, n.label, nil)
-	if !ok {
+// rule ru; returns productivity of the new subtree. sigs is where n's
+// expansion signatures start (-1 when pruning is disabled).
+func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Span, sigs int) bool {
+	if len(ru.head.args) != len(n.label.args) {
 		return false
 	}
-	comps := sigma.ApplyComparisons(fresh.Comps)
-	constraint := n.constraint.And(constraints.New(comps...))
-	if !b.opts.NoPruneUnsat && len(comps) > 0 && !constraint.Satisfiable() {
-		b.stats.PrunedUnsat++
-		return false
+	base := b.fresh(ru.names)
+	mark := len(b.trail)
+	for i, t := range ru.head.args {
+		if !b.unify(shift(t, base), n.label.args[i]) {
+			b.undo(mark)
+			return false
+		}
 	}
-	banned := n.banned
-	if !ru.fromInclusion {
-		banned = n.banned.with(ru.desc)
+	var comps []comparison
+	if len(ru.comps) > 0 {
+		comps = make([]comparison, len(ru.comps))
+		for i, c := range ru.comps {
+			comps[i] = comparison{op: c.op, l: b.apply(shift(c.l, base)), r: b.apply(shift(c.r, base))}
+		}
 	}
 	// Bindings the head unification imposes on the goal's own variables
 	// must flow into the final rewriting (its head and sibling atoms).
-	export := lang.NewSubst()
-	for _, v := range n.label.Vars(nil) {
-		if img := sigma.Apply(v); img != v {
-			export[v.Name] = img
+	export := carve(&b.binds, len(n.label.args))[:0]
+	for i, v := range n.label.args {
+		if img := b.apply(v); n.label.firstVar(i) && img != v {
+			export = append(export, binding{v, img})
 		}
 	}
-	body := make([]lang.Atom, len(fresh.Body))
-	for i, g := range fresh.Body {
-		body[i] = sigma.ApplyAtom(g)
+	b.body = b.body[:0]
+	for _, g := range ru.body {
+		args := carve(&b.terms, len(g.args))
+		for i, t := range g.args {
+			args[i] = b.apply(shift(t, base))
+		}
+		b.body = append(b.body, atom{pred: g.pred, args: args})
 	}
-	var sig string
-	if seen != nil {
-		for _, ga := range body {
-			if !b.cat.groundableGoal(ga.Pred) {
+	b.undo(mark)
+
+	constraint, ok := b.constrain(n, comps)
+	if !ok {
+		return false
+	}
+	slot := -1
+	if sigs >= 0 {
+		for _, ga := range b.body {
+			if !b.cat.preds[ga.pred].ground {
 				// A subgoal over a never-groundable predicate can neither be
 				// productive nor covered by a sibling MCD (see prune.go):
 				// the whole rule node is hopeless before construction.
@@ -561,109 +709,87 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 				return false
 			}
 		}
-		sig = b.childSig(n, ru.desc, body, comps, export, nil)
-		if prod, dup := seen[sig]; dup {
+		key := b.childSig(n, ru.desc, b.body, comps, export, nil)
+		if prod, dup := b.seenSig(sigs, key); dup {
 			b.stats.PrunedSubsumed++
 			return prod
 		}
+		slot = b.addSig(key)
 	}
-	rn := &node{
-		id:         b.nextID(),
-		kind:       ruleNode,
-		parent:     n,
-		descID:     ru.id,
-		comps:      comps,
-		export:     export,
-		constraint: constraint,
-		banned:     banned,
+	banned := n.banned
+	if !ru.fromInclusion {
+		banned = b.ban(n.banned, ru.desc)
 	}
+	rn := b.newNode(ruleNode, n)
+	rn.descID, rn.comps, rn.export, rn.constraint, rn.banned = ru.id, comps, export, constraint, banned
 	b.stats.RuleNodes++
-	for _, ga := range body {
-		gn := &node{
-			id:         b.nextID(),
-			kind:       goalNode,
-			parent:     rn,
-			label:      ga,
-			constraint: constraint,
-			banned:     banned,
-			stored:     b.cat.isStored(ga.Pred),
-		}
-		rn.children = append(rn.children, gn)
+	rn.children = carve(&b.ptrs, len(b.body))
+	for i, ga := range b.body {
+		gn := b.newNode(goalNode, rn)
+		gn.label, gn.constraint, gn.banned, gn.stored = ga, constraint, banned, b.cat.preds[ga.pred].stored
+		rn.children[i] = gn
 		b.stats.GoalNodes++
 	}
-	rs := sp.Child("rule", obs.Attr{K: "desc", V: ru.id})
+	rs := child(sp, "rule", "desc", ru.id)
 	b.expandChildren(rn, maxNodes, rs)
 	rs.End()
 	if b.err != nil {
 		return false
 	}
-	n.children = append(n.children, rn)
+	b.kids = append(b.kids, rn)
 	// A rule node is productive when every child is stored, productive, or
 	// covered by a sibling's productive inclusion expansion (unc labels).
 	prod := ruleNodeProductive(rn)
-	if seen != nil {
-		seen[sig] = prod
+	if slot >= 0 {
+		b.sigs[slot].prod = prod
 	}
 	return prod
 }
 
 // inclusionChild performs one inclusion expansion of goal node n with the
-// given MCD; returns productivity. seen is the goal's duplicate-description
-// signature set (nil when pruning is disabled).
-func (b *builder) inclusionChild(n *node, v view, mcd minicon.MCD, maxNodes int, sp *obs.Span, seen map[string]bool) bool {
-	comps := mcd.Comps
-	constraint := n.constraint.And(constraints.New(comps...))
-	if !b.opts.NoPruneUnsat && len(comps) > 0 && !constraint.Satisfiable() {
-		b.stats.PrunedUnsat++
+// given MCD; returns productivity. sigs is where n's expansion signatures
+// start (-1 when pruning is disabled).
+func (b *builder) inclusionChild(n *node, v *view, m mcd, maxNodes int, sp *obs.Span, sigs int) bool {
+	constraint, ok := b.constrain(n, m.comps)
+	if !ok {
 		return false
 	}
-	var sig string
-	if seen != nil {
-		if !b.cat.groundableGoal(mcd.Atom.Pred) {
+	slot := -1
+	if sigs >= 0 {
+		if !b.cat.preds[m.atom.pred].ground {
 			// The view's V-predicate never grounds out: the MCD subtree is
 			// hopeless before construction.
 			b.stats.PrunedEmpty++
 			return false
 		}
-		sig = b.childSig(n, v.desc, []lang.Atom{mcd.Atom}, comps, mcd.Export, mcd.Covered)
-		if prod, dup := seen[sig]; dup {
+		b.body = append(b.body[:0], m.atom)
+		key := b.childSig(n, v.desc, b.body, m.comps, m.export, m.covered)
+		if prod, dup := b.seenSig(sigs, key); dup {
 			b.stats.PrunedSubsumed++
 			return prod
 		}
+		slot = b.addSig(key)
 	}
-	banned := n.banned.with(v.desc)
-	rn := &node{
-		id:         b.nextID(),
-		kind:       ruleNode,
-		parent:     n,
-		descID:     v.ID,
-		comps:      comps,
-		export:     mcd.Export,
-		constraint: constraint,
-		banned:     banned,
-	}
+	banned := b.ban(n.banned, v.desc)
+	rn := b.newNode(ruleNode, n)
+	rn.descID, rn.comps, rn.export, rn.constraint, rn.banned = v.id, m.comps, m.export, constraint, banned
 	b.stats.RuleNodes++
 	// unc: the sibling goal nodes covered by the MCD.
-	for _, ci := range mcd.Covered {
-		rn.unc = append(rn.unc, n.parent.children[ci])
+	rn.unc = carve(&b.ptrs, len(m.covered))
+	for i, ci := range m.covered {
+		rn.unc[i] = n.parent.children[ci]
 	}
-	gn := &node{
-		id:         b.nextID(),
-		kind:       goalNode,
-		parent:     rn,
-		label:      mcd.Atom,
-		constraint: constraint,
-		banned:     banned,
-		stored:     b.cat.isStored(mcd.Atom.Pred),
-	}
-	rn.children = []*node{gn}
+	gn := b.newNode(goalNode, rn)
+	gn.label, gn.constraint, gn.banned, gn.stored = m.atom, constraint, banned, b.cat.preds[m.atom.pred].stored
+	rn.children = carve(&b.ptrs, 1)
+	rn.children[0] = gn
 	b.stats.GoalNodes++
-	rs := sp.Child("mcd", obs.Attr{K: "view", V: v.ID})
+	rs := child(sp, "mcd", "view", v.id)
 	prod := b.expand(gn, maxNodes, rs)
 	rs.End()
-	n.children = append(n.children, rn)
-	if seen != nil {
-		seen[sig] = prod
+	b.kids = append(b.kids, rn)
+	if slot >= 0 {
+		b.sigs[slot].prod = prod
 	}
 	return prod
 }
@@ -671,56 +797,95 @@ func (b *builder) inclusionChild(n *node, v view, mcd minicon.MCD, maxNodes int,
 // ruleNodeProductive reports whether every child of rn is either productive
 // itself or covered by some sibling's productive inclusion expansion.
 func ruleNodeProductive(rn *node) bool {
-	covered := map[*node]bool{}
+	live := func(g *node) bool { return g.stored || !g.dead }
 	for _, child := range rn.children {
-		if child.stored || !child.dead {
-			covered[child] = true
-			// Inclusion expansions of productive children may cover dead
-			// siblings.
-			for _, cr := range child.children {
-				if len(cr.unc) == 0 {
-					continue
-				}
-				if len(cr.children) == 1 && (cr.children[0].stored || !cr.children[0].dead) {
-					for _, u := range cr.unc {
-						covered[u] = true
-					}
+		if !live(child) {
+			continue
+		}
+		child.covered = true
+		// Inclusion expansions of productive children may cover dead
+		// siblings.
+		for _, cr := range child.children {
+			if len(cr.unc) > 0 && len(cr.children) == 1 && live(cr.children[0]) {
+				for _, u := range cr.unc {
+					u.covered = true
 				}
 			}
 		}
 	}
+	ok := true
 	for _, child := range rn.children {
-		if !covered[child] {
-			return false
-		}
+		ok = ok && child.covered
+		child.covered = false
 	}
-	return true
+	return ok
 }
 
-// orderChildren returns the expansion order for a rule node's children:
-// with the priority scheme enabled, children with the fewest applicable
-// descriptions first (dead ends surface early, maximizing memo/prune
-// benefit); otherwise document order.
-func (b *builder) orderChildren(children []*node) []*node {
-	if b.opts.NoPriority || len(children) < 2 {
-		return children
+// orderChildren pushes a rule node's children onto the order stack in
+// expansion order and returns their span there: with the priority scheme
+// enabled, children with the fewest applicable descriptions first (dead
+// ends surface early, maximizing memo/prune benefit), ties in document
+// order; otherwise document order.
+func (b *builder) orderChildren(children []*node) (start, end int) {
+	start = len(b.order)
+	b.order = append(b.order, children...)
+	end = len(b.order)
+	if b.opts.NoPriority {
+		return start, end
 	}
-	type scored struct {
-		n     *node
-		score int
-	}
-	sc := make([]scored, len(children))
-	for i, c := range children {
-		s := 0
-		if !c.stored {
-			s = len(b.cat.rulesByHead[c.label.Pred]) + len(b.cat.viewsByBodyPred[c.label.Pred])
+	score := func(c *node) int {
+		if c.stored {
+			return 0
 		}
-		sc[i] = scored{c, s}
+		p := &b.cat.preds[c.label.pred]
+		return len(p.rules) + len(p.views)
 	}
-	sort.SliceStable(sc, func(i, j int) bool { return sc[i].score < sc[j].score })
-	out := make([]*node, len(children))
-	for i, s := range sc {
-		out[i] = s.n
+	slices.SortStableFunc(b.order[start:end], func(x, y *node) int { return cmp.Compare(score(x), score(y)) })
+	return start, end
+}
+
+// langTerm, langAtom and langComps turn interned symbols back into names,
+// at the edges: rewritings out, ExplainTree, and the constraints package.
+
+func (b *builder) langTerm(t term) lang.Term {
+	if !t.isVar() {
+		id := int(^t)
+		if id < len(b.cat.consts) {
+			return lang.Const(b.cat.consts[id])
+		}
+		return lang.Const(b.consts[id-len(b.cat.consts)])
+	}
+	if int(t) < b.nq {
+		return lang.Var(b.names[t])
+	}
+	for len(b.printed) <= int(t) {
+		b.printed = append(b.printed, "")
+	}
+	if b.printed[t] == "" {
+		b.printed[t] = b.names[t] + "#" + strconv.Itoa(int(t))
+	}
+	return lang.Var(b.printed[t])
+}
+
+func (b *builder) predName(p int32) string {
+	if p < 0 {
+		return b.query.Head.Pred
+	}
+	return b.cat.preds[p].name
+}
+
+func (b *builder) langAtom(a atom) lang.Atom {
+	args := make([]lang.Term, len(a.args))
+	for i, t := range a.args {
+		args[i] = b.langTerm(t)
+	}
+	return lang.Atom{Pred: b.predName(a.pred), Args: args}
+}
+
+func (b *builder) langComps(cs []comparison) []lang.Comparison {
+	out := make([]lang.Comparison, len(cs))
+	for i, c := range cs {
+		out[i] = lang.Comparison{Op: c.op, L: b.langTerm(c.l), R: b.langTerm(c.r)}
 	}
 	return out
 }
