@@ -49,8 +49,8 @@
 // response), and cross-peer rewritings run as streaming, adaptive
 // bind-joins — the executor ships the distinct join keys bound
 // so far and the remote peer probes its per-shard hash indexes, so only
-// tuples that can join cross the wire. UCQ disjuncts fan out over a worker
-// pool on per-address connection pools, redialing a dead reused connection,
+// tuples that can join cross the wire. UCQ disjuncts fan out through the
+// engine's one union loop on per-address connection pools, redialing a dead reused connection,
 // and share one fetch of each distinct atom fragment per query;
 // pdms.Network.QueryVia plugs the mediator into that executor.
 package repro

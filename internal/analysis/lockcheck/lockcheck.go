@@ -9,7 +9,7 @@
 // mutex field, spelled with the syntactically identical base expression
 // `x`, appears earlier in the source. Functions whose name ends in
 // "Locked" are exempt — that suffix is the repo's existing convention for
-// "caller holds the lock" (see pdms.reformulateCQLocked). Fresh, not yet
+// "caller holds the lock" (see pdms.reformulateLocked). Fresh, not yet
 // published values should be built with composite literals (which the
 // checker does not treat as field accesses) rather than field-at-a-time
 // writes.

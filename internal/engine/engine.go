@@ -535,24 +535,35 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	return out, nil
 }
 
-// maxUCQFanout caps the goroutines evaluating UCQ disjuncts concurrently
-// (mirrors the netpeer executor's fan-out, so local and distributed UCQ
-// evaluation share the same concurrency shape).
-const maxUCQFanout = 8
+// MaxUnionFanout caps the goroutines EvalUnion runs a union's disjuncts
+// on, the caller's among them; the engine and the distributed executor
+// share it, so local and remote unions have the same concurrency shape.
+const MaxUnionFanout = 8
 
 // EvalUCQ evaluates a union of conjunctive queries, returning the distinct
 // union of the disjuncts' answers in column-wise (rel.Compare) order — the
 // indexed equivalent of rel.EvalUCQ.
 func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
 
-// EvalUCQSpan is EvalUCQ under an optional trace span, which gets one
-// "eval.cq" child per disjunct (each holding its plan/exec sub-spans).
-// Disjuncts are independent and concurrent evaluations are safe with each
-// other, so up to maxUCQFanout goroutines — the caller's among them, so a
-// single disjunct starts none — claim them in position order. One failed
-// disjunct fails the union: nothing is claimed after it, and the error
-// returned is the lowest-position one among the disjuncts that ran.
+// EvalUCQSpan is EvalUCQ under an optional trace span: EvalUnion over the
+// engine's EvalCQSpan, so each disjunct's "eval.cq" span holds its
+// plan/exec sub-spans.
 func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
+	return EvalUnion(u, sp, e.EvalCQSpan)
+}
+
+// EvalUnion evaluates a union of conjunctive queries through evalCQ and
+// returns the distinct union of the disjuncts' answers in column-wise
+// (rel.Compare) order. It is the one union loop of every UCQ evaluator:
+// sp (nil for an untraced query) gets the "disjuncts" and "rows"
+// attributes and one "eval.cq" child per disjunct, which evalCQ receives
+// and which carries that disjunct's error. evalCQ must be safe for
+// concurrent calls: up to MaxUnionFanout goroutines — the caller's among
+// them, so a single disjunct starts none — claim the disjuncts in position
+// order. One failed disjunct fails the union: nothing is claimed after it,
+// and the error returned is the lowest-position one among the disjuncts
+// that ran.
+func EvalUnion(u lang.UCQ, sp *obs.Span, evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
 	if err := u.Validate(); err != nil {
 		sp.SetErr(err)
 		return nil, err
@@ -570,7 +581,8 @@ func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 				return
 			}
 			cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
-			groups[i], errs[i] = e.EvalCQSpan(u.Disjuncts[i], cs)
+			groups[i], errs[i] = evalCQ(u.Disjuncts[i], cs)
+			cs.SetErr(errs[i])
 			cs.End()
 			if errs[i] != nil {
 				failed.Store(true)
@@ -578,7 +590,7 @@ func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(n, maxUCQFanout); w++ {
+	for w := 1; w < min(n, MaxUnionFanout); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
@@ -368,8 +369,25 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	}
 	// Disjunct 0 plus at most one in-flight claim per other goroutine, with
 	// slack for claims that raced the failure flag.
-	if n := e.plansCompiled.Load() - before; n > maxUCQFanout+4 {
-		t.Fatalf("compiled %d disjuncts after disjunct 0 failed, want <= %d", n, maxUCQFanout+4)
+	if n := e.plansCompiled.Load() - before; n > MaxUnionFanout+4 {
+		t.Fatalf("compiled %d disjuncts after disjunct 0 failed, want <= %d", n, MaxUnionFanout+4)
+	}
+	// Traced, the failing disjunct's own eval.cq span carries its error,
+	// not just the plan span under it; disjunct 0 is the only one that can
+	// fail.
+	root := obs.NewTracer(1).ForceTrace("query")
+	if _, err := e.EvalUCQSpan(u, root); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("traced EvalUCQSpan error = %v, want disjunct 0's: %v", err, wantErr)
+	}
+	root.End()
+	var failedSpans []string
+	for _, c := range root.Children() {
+		if msg, ok := c.AttrMap()["error"]; ok && c.Name() == "eval.cq" {
+			failedSpans = append(failedSpans, msg)
+		}
+	}
+	if len(failedSpans) != 1 || failedSpans[0] != wantErr.Error() {
+		t.Fatalf("eval.cq spans with an error = %q, want disjunct 0's alone:\n%s", failedSpans, root.Render())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -13,9 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rel"
 )
-
-// maxFanout caps the worker pool evaluating UCQ disjuncts concurrently.
-const maxFanout = 8
 
 // defaultBusyRetries and defaultBusyBackoff shape the client-side response
 // to admission-control shedding: a shed request retries up to
@@ -64,7 +60,7 @@ const (
 //     its rows or error. A query sends one request per distinct fetch, not
 //     one per disjunct's atom.
 //
-// UCQ disjuncts are evaluated concurrently over a worker pool; all methods
+// UCQ disjuncts are evaluated concurrently (engine.EvalUnion); all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
 // connection pools (a single Client is not safe for concurrent use). A
 // pooled connection that fails at the transport level — say, because the
@@ -274,9 +270,9 @@ func (e *Executor) withClientOnce(addr string, fn func(*Client) error) error {
 
 // EvalUCQ evaluates a union of conjunctive rewritings over the network,
 // returning the distinct union of the disjuncts' answers, sorted.
-// Disjuncts are independent, so they fan out over a pool of up to
-// maxFanout workers; on error the first failing disjunct (by position)
-// among those that ran wins.
+// Disjuncts are independent, so they fan out as engine.EvalUnion does; on
+// error the first failing disjunct (by position) among those that ran
+// wins.
 func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
 
 // EvalUCQSpan is EvalUCQ with tracing: one "eval.cq" child span per
@@ -288,54 +284,13 @@ func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSp
 // The disjuncts share one table of atom fetches (see fragment): each
 // distinct (peer, atom pattern, bound-key set) fetch is sent once per call,
 // and a disjunct that needs a fetch another one started waits for it; its
-// atom span reads src=shared.
+// atom span reads src=shared. Fail-fast matters here: against a dead peer
+// every disjunct not yet started would pay its own dial failure.
 func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
-	if err := u.Validate(); err != nil {
-		sp.SetErr(err)
-		return nil, err
-	}
-	sp.SetInt("disjuncts", int64(len(u.Disjuncts)))
-	n := len(u.Disjuncts)
-	groups := make([][]rel.Tuple, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
 	fl := &flights{}
-	runOne := func(i int) {
-		cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
-		groups[i], errs[i] = e.evalCQ(u.Disjuncts[i], fl, cs)
-		cs.SetErr(errs[i])
-		cs.End()
-		if errs[i] != nil {
-			failed.Store(true)
-		}
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(n, maxFanout); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	// Fail fast: one failed disjunct fails the union, so the disjuncts not
-	// yet handed to a worker are never started (against a dead peer each
-	// would pay its own dial failure).
-	for i := 0; i < n && !failed.Load(); i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := rel.DistinctSorted(groups...)
-	sp.SetInt("rows", int64(len(out)))
-	return out, nil
+	return engine.EvalUnion(u, sp, func(q lang.CQ, cs *obs.Span) ([]rel.Tuple, error) {
+		return e.evalCQ(q, fl, cs)
+	})
 }
 
 // EvalCQ evaluates one conjunctive rewriting over the network.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/parser"
 	"repro/internal/rel"
@@ -218,8 +219,8 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	if _, err := ex.EvalUCQ(u); err == nil || !strings.Contains(err.Error(), "no route") {
 		t.Fatalf("err = %v, want the no-route error of disjunct 0", err)
 	}
-	if got := srv.requests.Load() - before; got > maxFanout+4 {
-		t.Fatalf("server saw %d requests after disjunct 0 failed; want at most the ~%d in flight", got, maxFanout)
+	if got := srv.requests.Load() - before; got > engine.MaxUnionFanout+4 {
+		t.Fatalf("server saw %d requests after disjunct 0 failed; want at most the ~%d in flight", got, engine.MaxUnionFanout)
 	}
 }
 

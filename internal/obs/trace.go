@@ -441,8 +441,9 @@ func (t *Tracer) StartTrace(name string, attrs ...Attr) *Span {
 	return t.force(name, attrs)
 }
 
-// ForceTrace starts a trace regardless of the sampling knob (pdms.Explain
-// uses it to trace one specific query on demand).
+// ForceTrace starts a trace regardless of the sampling knob, to trace one
+// specific operation on demand (a test's, say); queries through pdms are
+// traced by setting the knob and read back from Recent.
 func (t *Tracer) ForceTrace(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil

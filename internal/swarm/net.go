@@ -87,23 +87,16 @@ func (n *Net) Close() {
 	}
 }
 
-// Answers drives the query and returns just the sorted distinct answer
-// tuples — the differential corpus' swarm side.
+// Answers drives the query and returns its answers as the pipeline does:
+// distinct, in column-wise (rel.Compare) order — the differential corpus'
+// swarm side.
 func (n *Net) Answers() ([]rel.Tuple, error) {
-	rows, err := n.Mediator.QueryVia(n.Spec.Query, n.Exec)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]rel.Tuple, len(rows))
-	for i, a := range rows {
-		out[i] = rel.Tuple(a)
-	}
-	return SortAnswers(out), nil
+	return n.Mediator.QueryVia(n.Spec.Query, n.Exec)
 }
 
 // OracleAnswers evaluates the spec's query on the single-process oracle —
 // the same specification with every peer's facts loaded into one local
-// network — and returns the sorted distinct answers.
+// network — and returns its distinct answers in rel.Compare order.
 func OracleAnswers(spec *Spec) ([]rel.Tuple, error) {
 	net, err := pdms.Load(spec.OracleSource())
 	if err != nil {
@@ -113,9 +106,5 @@ func OracleAnswers(spec *Spec) ([]rel.Tuple, error) {
 	if err != nil {
 		return nil, fmt.Errorf("swarm: oracle query: %w", err)
 	}
-	out := make([]rel.Tuple, len(rows))
-	for i, a := range rows {
-		out[i] = rel.Tuple(a)
-	}
-	return SortAnswers(out), nil
+	return rows, nil
 }

@@ -29,7 +29,6 @@ package swarm
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 
 	"repro/internal/rel"
@@ -257,12 +256,4 @@ func (s *Spec) OracleSource() string {
 		}
 	}
 	return b.String()
-}
-
-// SortAnswers sorts tuples in column-wise (rel.Compare) order in place and
-// returns them — both query paths already return sorted distinct answers,
-// but differential tests should not depend on that.
-func SortAnswers(ts []rel.Tuple) []rel.Tuple {
-	slices.SortFunc(ts, rel.Compare)
-	return ts
 }

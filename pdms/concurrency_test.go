@@ -2,8 +2,14 @@ package pdms
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/lang"
+	"repro/internal/obs"
+	"repro/internal/rel"
 )
 
 // TestConcurrentQueryAndMutation exercises the Network's lock discipline:
@@ -84,5 +90,76 @@ fact A.r("1")
 	st := net.Stats()
 	if st.Inclusions != 4 {
 		t.Fatalf("inclusions = %d, want 4", st.Inclusions)
+	}
+}
+
+// parkedEvaluator is a UCQEvaluator that signals entered when QueryVia
+// hands it a rewriting, then parks until release is closed and answers
+// rows.
+type parkedEvaluator struct {
+	entered, release chan struct{}
+	rows             []rel.Tuple
+}
+
+func (p *parkedEvaluator) EvalUCQSpan(lang.UCQ, *obs.Span) ([]rel.Tuple, error) {
+	close(p.entered)
+	<-p.release
+	return p.rows, nil
+}
+
+// TestQueryViaReleasesLockBeforeEvaluating pins QueryVia's lock rule for
+// evaluators other than the network's own engine: the read lock is
+// released before evaluation, so a slow (remote) evaluation cannot hold up
+// AddFact and Extend on the same network.
+func TestQueryViaReleasesLockBeforeEvaluating(t *testing.T) {
+	net, err := Load(`storage A.r(x) in A:R(x)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &parkedEvaluator{
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+		rows:    []rel.Tuple{{"remote"}},
+	}
+	type result struct {
+		rows []Answer
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rows, err := net.QueryVia(`q(x) :- A:R(x)`, ev)
+		done <- result{rows, err}
+	}()
+	const deadline = 10 * time.Second
+	select {
+	case <-ev.entered:
+	case <-time.After(deadline):
+		t.Fatal("QueryVia never reached the evaluator")
+	}
+	mutated := make(chan error, 1)
+	go func() {
+		if err := net.AddFact("A.r", "1"); err != nil {
+			mutated <- err
+			return
+		}
+		mutated <- net.Extend(`storage B.s(x) in A:R(x)`)
+	}()
+	select {
+	case err := <-mutated:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(deadline):
+		close(ev.release)
+		t.Fatal("AddFact/Extend blocked behind a parked remote evaluation: QueryVia holds the read lock across it")
+	}
+	close(ev.release)
+	select {
+	case r := <-done:
+		if r.err != nil || !reflect.DeepEqual(r.rows, ev.rows) {
+			t.Fatalf("QueryVia = %v, %v; want the evaluator's rows %v", r.rows, r.err, ev.rows)
+		}
+	case <-time.After(deadline):
+		t.Fatal("QueryVia did not return after the evaluator was released")
 	}
 }

@@ -12,9 +12,29 @@ import (
 	"repro/pdms"
 )
 
-// TestExplainLocal renders a forced trace of one local query: mediator
+// traced runs one query with every query sampled, and returns its answers
+// with the rendered trace the network recorded for it — what cmd/peerd
+// serves at /debug/traces.
+func traced(t *testing.T, net *pdms.Network, run func() ([]pdms.Answer, error)) (string, []pdms.Answer) {
+	t.Helper()
+	tr := net.Tracer()
+	tr.SetSampleEvery(1)
+	defer tr.SetSampleEvery(0)
+	before := tr.Recorded()
+	ans, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Recorded() - before; got != 1 {
+		t.Fatalf("query recorded %d traces, want 1", got)
+	}
+	return tr.Recent(1)[0].Render(), ans
+}
+
+// TestExplainLocal renders sampled traces of one local query: mediator
 // reformulation (with its rule-goal nodes), planning and evaluation must
-// all appear, and the answers must match a plain Query.
+// all appear, through the network's own engine and through any other, and
+// a repeat through the network's engine is an answer-cache hit.
 func TestExplainLocal(t *testing.T) {
 	net, err := pdms.Load(`
 storage FH.doc(s, l) in FH:Doctor(s, l)
@@ -26,47 +46,40 @@ fact FH.doc("d2", "icu")
 		t.Fatal(err)
 	}
 	q := `q(s) :- H:Doctor(s, l)`
-	text, ans, err := net.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := net.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans) != len(plain) {
-		t.Fatalf("Explain answers %v != Query answers %v", ans, plain)
+	query := func() ([]pdms.Answer, error) { return net.Query(q) }
+	text, plain := traced(t, net, query)
+	if len(plain) != 2 {
+		t.Fatalf("Query answers = %v, want 2 rows", plain)
 	}
 	for _, want := range []string{"trace ", "reformulate", "goal", "eval", "plan"} {
 		if !strings.Contains(text, want) {
-			t.Fatalf("Explain output missing %q:\n%s", want, text)
+			t.Fatalf("trace missing %q:\n%s", want, text)
 		}
 	}
 	// The rendered tree mirrors the rule-goal tree: the posed goal node
 	// carries its predicate.
 	if !strings.Contains(text, "pred=H:Doctor") {
-		t.Fatalf("Explain output missing the goal node's predicate:\n%s", text)
-	}
-	// Explain keeps the trace in the network's ring for /debug/traces.
-	if net.Tracer().Recorded() == 0 {
-		t.Fatal("Explain did not record the trace")
+		t.Fatalf("trace missing the goal node's predicate:\n%s", text)
 	}
 
-	// The Via paths hand the same span to whatever evaluator they are given:
-	// a second engine over the network's data answers like Query and traces
-	// its per-disjunct plan/exec spans under "eval".
+	// Any other evaluator gets the same span: a second engine over the
+	// network's data answers like Query and traces its per-disjunct
+	// plan/exec spans under "eval".
 	eng := engine.New(net.Data())
-	via, err := net.QueryVia(q, eng)
-	if err != nil || !reflect.DeepEqual(via, plain) {
-		t.Fatalf("QueryVia(engine) = %v (%v), Query = %v", via, err, plain)
-	}
-	text, via, err = net.ExplainVia(q, eng)
-	if err != nil || !reflect.DeepEqual(via, plain) {
-		t.Fatalf("ExplainVia(engine) = %v (%v), Query = %v", via, err, plain)
+	text, via := traced(t, net, func() ([]pdms.Answer, error) { return net.QueryVia(q, eng) })
+	if !reflect.DeepEqual(via, plain) {
+		t.Fatalf("QueryVia(engine) = %v, Query = %v", via, plain)
 	}
 	cq := strings.Index(text, "eval.cq")
 	if cq < 0 || !strings.Contains(text[cq:], "plan") || !strings.Contains(text[cq:], "exec") {
-		t.Fatalf("ExplainVia(engine) trace lacks eval.cq -> plan/exec:\n%s", text)
+		t.Fatalf("QueryVia(engine) trace lacks eval.cq -> plan/exec:\n%s", text)
+	}
+
+	// Only the network's own engine is cached: the repeat is a hit and
+	// evaluates nothing.
+	text, again := traced(t, net, query)
+	if !reflect.DeepEqual(again, plain) || !strings.Contains(text, "answer_cache=hit") || strings.Contains(text, "eval.cq") {
+		t.Fatalf("repeated Query answered %v with trace:\n%s", again, text)
 	}
 }
 
@@ -167,10 +180,9 @@ define DC:OnCall(d, m, s) :- H:Doctor(d, s), FS:Medic(m, s)
 		}
 	}
 
-	text, rows, err := net.ExplainVia(`q(d, m) :- DC:OnCall(d, m, "day")`, ex)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text, rows := traced(t, net, func() ([]pdms.Answer, error) {
+		return net.QueryVia(`q(d, m) :- DC:OnCall(d, m, "day")`, ex)
+	})
 	if len(rows) != 1 || rows[0][1] != "m1" {
 		t.Fatalf("rows = %v", rows)
 	}

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// These tests pin the stale-generation cache fix: Query/ReformulateCQ used
+// These tests pin the stale-generation cache fix: Query/Reformulate used
 // to snapshot the generation under one RLock, release it, and compute
 // under a second RLock — an Extend/AddFact interleaved between the two
 // stored a post-mutation result under the pre-mutation cache key. The

@@ -304,40 +304,41 @@ type Reformulation struct {
 }
 
 // Reformulate reformulates a textual query ("q(x) :- H:Doctor(x, l)") into
-// a union of conjunctive queries over stored relations.
+// a union of conjunctive queries over stored relations. Results are cached
+// per canonicalized query until the specification changes (Extend); the
+// returned struct is the caller's, but its slices are shared — treat the
+// rewriting as read-only.
 func (n *Network) Reformulate(query string) (*Reformulation, error) {
-	q, err := parser.ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	return n.ReformulateCQ(q)
-}
-
-// testHookPostKey, when non-nil, runs right after Query/ReformulateCQ
-// computes its generation-stamped cache key, while the read lock is held.
-// The cache-race regression tests use it to try to interleave a mutation
-// at the worst possible moment: because the key snapshot and the
-// computation now share one lock section, the mutation must block until
-// the computation (and its cache Put) finish.
-var testHookPostKey func()
-
-// ReformulateCQ is Reformulate for an already-parsed query. Results are
-// cached per canonicalized query until the specification changes (Extend);
-// the returned struct is the caller's, but its slices are shared — treat
-// the rewriting as read-only.
-func (n *Network) ReformulateCQ(q lang.CQ) (*Reformulation, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.reformulateCQLocked(q, nil)
+	_, ref, err := n.reformulateLocked(query, nil)
+	return ref, err
 }
 
-// reformulateCQLocked is ReformulateCQ with n.mu already held (any mode).
+// testHookPostKey, when non-nil, runs right after reformulateLocked or
+// QueryVia's engine branch computes its generation-stamped cache key, while
+// the read lock is held. The cache-race regression tests use it to try to
+// interleave a mutation at the worst possible moment: because the key
+// snapshot and the computation share one lock section, the mutation must
+// block until the computation (and its cache Put) finish.
+var testHookPostKey func()
+
+// reformulateLocked parses query and reformulates it under root's
+// "reformulate" child span (root may be nil), with n.mu held (any mode).
 // The generation snapshot, the cache probe, the computation and the cache
-// store all happen inside one lock section: an Extend cannot interleave,
-// so an entry keyed with generation g always reflects generation-g state
-// (the old code snapshotted the generation under a separate RLock and
-// could store a post-Extend rewriting under the pre-Extend key).
-func (n *Network) reformulateCQLocked(q lang.CQ, sp *obs.Span) (*Reformulation, error) {
+// store all happen inside the caller's lock section: an Extend cannot
+// interleave, so an entry keyed with generation g always reflects
+// generation-g state.
+func (n *Network) reformulateLocked(query string, root *obs.Span) (q lang.CQ, _ *Reformulation, err error) {
+	if q, err = parser.ParseQuery(query); err != nil {
+		root.SetErr(err)
+		return q, nil, err
+	}
+	sp := root.Child("reformulate")
+	defer func() {
+		sp.SetErr(err)
+		sp.End()
+	}()
 	key := fmt.Sprintf("%d|%s", n.specGen, q.Canonical())
 	if testHookPostKey != nil {
 		testHookPostKey()
@@ -346,16 +347,16 @@ func (n *Network) reformulateCQLocked(q lang.CQ, sp *obs.Span) (*Reformulation, 
 		ref := v.(Reformulation)
 		sp.Set("cached", "true")
 		sp.SetInt("rewritings", int64(ref.Rewriting.Len()))
-		return &ref, nil
+		return q, &ref, nil
 	}
 	r, err := n.reformulatorLocked()
 	if err != nil {
-		return nil, err
+		return q, nil, err
 	}
 	start := time.Now()
 	out, err := r.ReformulateSpan(q, sp)
 	if err != nil {
-		return nil, err
+		return q, nil, err
 	}
 	n.reformHist.Observe(time.Since(start))
 	n.nodesExpanded.Add(uint64(out.Stats.Nodes()))
@@ -366,7 +367,7 @@ func (n *Network) reformulateCQLocked(q lang.CQ, sp *obs.Span) (*Reformulation, 
 	}
 	sp.SetInt("rewritings", int64(ref.Rewriting.Len()))
 	n.reforms.Put(key, ref)
-	return &ref, nil
+	return q, &ref, nil
 }
 
 // reformulatorLocked returns the spec generation's Reformulator, building it
@@ -417,86 +418,20 @@ func (n *Network) answerKeyLocked(q lang.CQ, ref *Reformulation) string {
 
 // Query reformulates and executes a textual query over the stored data,
 // returning the certain answers (all of them when the specification is in
-// the tractable fragment). Execution runs through the indexed engine;
-// answers are cached under the generation vector of the relations the
-// rewriting touches and served until one of *those* relations (or the
-// specification) mutates. Callers must not mutate the returned slice.
-func (n *Network) Query(query string) ([]Answer, error) {
-	return n.query(query, n.tracer.StartTrace("query", obs.Attr{K: "q", V: query}))
-}
-
-// reformulateText parses query and reformulates it under root's
-// "reformulate" child span, with n.mu held (any mode) — the prefix Query and
-// QueryVia share.
-func (n *Network) reformulateText(query string, root *obs.Span) (lang.CQ, *Reformulation, error) {
-	q, err := parser.ParseQuery(query)
-	if err != nil {
-		root.SetErr(err)
-		return q, nil, err
-	}
-	rs := root.Child("reformulate")
-	ref, err := n.reformulateCQLocked(q, rs)
-	rs.SetErr(err)
-	rs.End()
-	return q, ref, err
-}
-
-// query is Query under an optional (possibly nil) trace root, which it
-// always ends; the caller renders it afterwards if it wants the tree.
-func (n *Network) query(query string, root *obs.Span) ([]Answer, error) {
-	defer root.End()
-	start := time.Now()
-	defer func() { n.queryHist.Observe(time.Since(start)) }()
-	// The reformulation, the generation-vector snapshot, the cache probe,
-	// the evaluation and the cache store share one read-lock section, so no
-	// mutation can interleave: an entry keyed with generation vector v
-	// always holds the vector-v answer. (The old code released the lock
-	// between the snapshot and the computation; an interleaved
-	// Extend/AddFact then stored a post-mutation answer under the
-	// pre-mutation key, which concurrent old-generation readers hit.)
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	q, ref, err := n.reformulateText(query, root)
-	if err != nil {
-		return nil, err
-	}
-	key := n.answerKeyLocked(q, ref)
-	if testHookPostKey != nil {
-		testHookPostKey()
-	}
-	if v, ok := n.answers.Get(key); ok {
-		root.Set("answer_cache", "hit")
-		return v.([]Answer), nil
-	}
-	es := root.Child("eval")
-	out, err := n.eng.EvalUCQSpan(ref.Rewriting, es)
-	es.SetErr(err)
-	es.End()
-	if err != nil {
-		return nil, err
-	}
-	n.answers.Put(key, out)
-	return out, nil
-}
-
-// Explain runs query with tracing forced (regardless of the sampling
-// knob) and returns the rendered trace tree alongside the answers: the
-// reformulation's rule-goal expansion, planning, and evaluation stages,
-// with timings.
-func (n *Network) Explain(query string) (string, []Answer, error) {
-	root := n.tracer.ForceTrace("query", obs.Attr{K: "q", V: query})
-	ans, err := n.query(query, root)
-	if err != nil {
-		return root.Render(), nil, err
-	}
-	return root.Render(), ans, nil
-}
+// the tractable fragment). It is QueryVia through the network's own
+// indexed engine, so its answers are cached under the generation vector of
+// the relations the rewriting touches and served until one of *those*
+// relations (or the specification) mutates. Callers must not mutate the
+// returned slice.
+func (n *Network) Query(query string) ([]Answer, error) { return n.QueryVia(query, n.eng) }
 
 // UCQEvaluator executes a reformulated union of conjunctive queries over
 // stored relations, attaching its execution spans (per-disjunct evaluation,
 // bind-join batches, remote work) under sp, which is nil for an untraced
 // query. Both the local indexed engine (*engine.Engine) and the distributed
-// *netpeer.Executor implement it; the returned slice is the caller's.
+// *netpeer.Executor implement it. An evaluator returns a fresh slice, but
+// QueryVia through the network's own engine may return a cached one shared
+// with other callers.
 type UCQEvaluator interface {
 	EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error)
 }
@@ -505,45 +440,61 @@ type UCQEvaluator interface {
 // through exec — typically a *netpeer.Executor, so the stored relations
 // may live on remote peers instead of in this network's local instance
 // (the full paper pipeline: pose at a peer, reformulate, execute across
-// the network). Reformulations are cached as usual; answers are not,
-// because remote data is outside the local generation counters — caching
-// on the distributed path is the executor's job (its bind-fragment cache
-// validates against the serving peers' per-relation generations).
+// the network). Reformulations are cached for every evaluator. The traces
+// it samples (see Tracer) cover reformulation and evaluation, remote spans
+// included.
+//
+// Only the network's own engine reads the instance whose generation
+// vector keys the answer cache, and that decides both the caching and the
+// locking:
+//   - exec is the network's engine: the reformulation, the key snapshot,
+//     the cache probe, the evaluation and the cache store share one
+//     read-lock section, so an entry keyed with generation vector v always
+//     holds the vector-v answer.
+//   - any other evaluator: nothing is cached (remote data is outside the
+//     local generation counters; the executor's fragment cache validates
+//     against the serving peers' generations instead), and the read lock
+//     is released before evaluating, because exec may do network I/O that
+//     must not hold up Extend and AddFact.
 func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
-	return n.queryVia(query, exec, n.tracer.StartTrace("query", obs.Attr{K: "q", V: query}))
-}
-
-// queryVia is QueryVia under an optional trace root (see query). Unlike
-// query it releases the read lock before evaluating: exec may do network
-// I/O, which must not hold up Extend and AddFact.
-func (n *Network) queryVia(query string, exec UCQEvaluator, root *obs.Span) ([]Answer, error) {
+	root := n.tracer.StartTrace("query", obs.Attr{K: "q", V: query})
 	defer root.End()
 	start := time.Now()
 	defer func() { n.queryHist.Observe(time.Since(start)) }()
 	n.mu.RLock()
-	_, ref, err := n.reformulateText(query, root)
-	n.mu.RUnlock()
+	q, ref, err := n.reformulateLocked(query, root)
+	if err != nil {
+		n.mu.RUnlock()
+		return nil, err
+	}
+	if exec != n.eng {
+		n.mu.RUnlock()
+		return evalSpan(exec, ref.Rewriting, root)
+	}
+	defer n.mu.RUnlock()
+	key := n.answerKeyLocked(q, ref)
+	if testHookPostKey != nil {
+		testHookPostKey()
+	}
+	if v, ok := n.answers.Get(key); ok {
+		root.Set("answer_cache", "hit")
+		return v.([]Answer), nil
+	}
+	out, err := evalSpan(exec, ref.Rewriting, root)
 	if err != nil {
 		return nil, err
 	}
+	n.answers.Put(key, out)
+	return out, nil
+}
+
+// evalSpan evaluates u through exec under root's "eval" child span.
+func evalSpan(exec UCQEvaluator, u lang.UCQ, root *obs.Span) ([]Answer, error) {
 	es := root.Child("eval")
-	out, err := exec.EvalUCQSpan(ref.Rewriting, es)
+	out, err := exec.EvalUCQSpan(u, es)
 	es.SetErr(err)
 	es.End()
 	return out, err
-}
-
-// ExplainVia runs query through exec with tracing forced and returns the
-// rendered trace tree — for a *netpeer.Executor this shows the stitched
-// cross-peer span tree, with each serving peer's spans grafted under the
-// bind-join batches that produced them — alongside the answers.
-func (n *Network) ExplainVia(query string, exec UCQEvaluator) (string, []Answer, error) {
-	root := n.tracer.ForceTrace("query", obs.Attr{K: "q", V: query})
-	ans, err := n.queryVia(query, exec, root)
-	if err != nil {
-		return root.Render(), nil, err
-	}
-	return root.Render(), ans, nil
 }
 
 // Tracer exposes the network's query tracer: set its sampling knob to
