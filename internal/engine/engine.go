@@ -435,12 +435,14 @@ func colsKey(cols []int) string {
 // miss. EvalCQ/EvalUCQ key by the alpha-renamed canonical form (answers are
 // invariant under variable renaming and emission is slot-based); Enumerate
 // must key by the literal query instead, because its substitutions expose
-// the plan's variable names.
+// the plan's variable names. A cached plan outlives q, whose strings may be
+// substrings of a whole request frame (wire.DecodeRequest), so it is
+// compiled from a copy that owns its strings.
 func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 	if v, ok := e.plans.Get(key); ok {
 		return v.(*Plan), nil
 	}
-	p, err := e.compile(q)
+	p, err := e.compile(ownStrings(q))
 	if err != nil {
 		return nil, err
 	}
@@ -552,6 +554,15 @@ func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	return EvalUnion(u, sp, e.EvalCQSpan)
 }
 
+// testHookClaimed and testHookFailed, when non-nil, run inside EvalUnion:
+// the first once a goroutine has claimed disjunct i and before evaluating
+// it, the second right after a failed disjunct stops new claims. Tests set
+// them to order claims against a failure deterministically.
+var (
+	testHookClaimed func(i int)
+	testHookFailed  func()
+)
+
 // EvalUnion evaluates a union of conjunctive queries through evalCQ and
 // returns the distinct union of the disjuncts' answers in column-wise
 // (rel.Compare) order. It is the one union loop of every UCQ evaluator:
@@ -580,12 +591,18 @@ func EvalUnion(u lang.UCQ, sp *obs.Span, evalCQ func(lang.CQ, *obs.Span) ([]rel.
 			if i >= n {
 				return
 			}
+			if testHookClaimed != nil {
+				testHookClaimed(i)
+			}
 			cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
 			groups[i], errs[i] = evalCQ(u.Disjuncts[i], cs)
 			cs.SetErr(errs[i])
 			cs.End()
 			if errs[i] != nil {
 				failed.Store(true)
+				if testHookFailed != nil {
+					testHookFailed()
+				}
 			}
 		}
 	}

@@ -362,8 +362,20 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("arity-mismatched disjunct accepted")
 	}
+	// The worst schedule, made deterministic: every claim after disjunct 0
+	// waits until disjunct 0's failure has stopped new claims, as if the
+	// goroutine evaluating disjunct 0 were descheduled while the others
+	// claimed on.
+	failedCh := make(chan struct{})
+	testHookClaimed = func(i int) {
+		if i > 0 {
+			<-failedCh
+		}
+	}
+	testHookFailed = func() { close(failedCh) }
 	before := e.plansCompiled.Load()
 	_, err := e.EvalUCQ(u)
+	testHookClaimed, testHookFailed = nil, nil
 	if err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("EvalUCQ error = %v, want disjunct 0's: %v", err, wantErr)
 	}

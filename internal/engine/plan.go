@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/lang"
@@ -124,6 +125,27 @@ func OrderBody(body []lang.Atom, card func(pred string) int) []int {
 		}
 	}
 	return order
+}
+
+// ownStrings returns a deep copy of q whose predicate names, variable
+// names and constants each have an allocation of their own.
+func ownStrings(q lang.CQ) lang.CQ {
+	q = q.Clone()
+	own := func(a *lang.Atom) {
+		a.Pred = strings.Clone(a.Pred)
+		for i := range a.Args {
+			a.Args[i].Name = strings.Clone(a.Args[i].Name)
+		}
+	}
+	own(&q.Head)
+	for i := range q.Body {
+		own(&q.Body[i])
+	}
+	for i := range q.Comps {
+		q.Comps[i].L.Name = strings.Clone(q.Comps[i].L.Name)
+		q.Comps[i].R.Name = strings.Clone(q.Comps[i].R.Name)
+	}
+	return q
 }
 
 // compile builds a plan for q.

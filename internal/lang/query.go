@@ -2,6 +2,8 @@ package lang
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -160,47 +162,48 @@ func (q CQ) Preds() []string {
 // renaming (the converse does not hold for body reorderings; callers that
 // need order insensitivity should sort bodies first).
 func (q CQ) Canonical() string {
-	num := map[string]int{}
-	next := 0
-	canonTerm := func(t Term) string {
+	// A variable's number is its index in vars, the names in order of
+	// first occurrence; queries have few, so a scan beats a map.
+	var arr [128]byte
+	var seen [16]string
+	buf, vars := arr[:0], seen[:0]
+	term := func(t Term) {
 		if t.IsConst() {
-			return "=" + t.Name
+			buf = append(append(buf, '='), t.Name...)
+			return
 		}
-		i, ok := num[t.Name]
-		if !ok {
-			i = next
-			next++
-			num[t.Name] = i
+		i := slices.Index(vars, t.Name)
+		if i < 0 {
+			i = len(vars)
+			vars = append(vars, t.Name)
 		}
-		return fmt.Sprintf("?%d", i)
+		buf = strconv.AppendInt(append(buf, '?'), int64(i), 10)
 	}
-	var sb strings.Builder
-	writeAtom := func(a Atom) {
-		sb.WriteString(a.Pred)
-		sb.WriteByte('(')
+	atom := func(a Atom) {
+		buf = append(append(buf, a.Pred...), '(')
 		for i, t := range a.Args {
 			if i > 0 {
-				sb.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			sb.WriteString(canonTerm(t))
+			term(t)
 		}
-		sb.WriteByte(')')
+		buf = append(buf, ')')
 	}
-	writeAtom(q.Head)
-	sb.WriteString(":-")
+	atom(q.Head)
+	buf = append(buf, ":-"...)
 	for i, a := range q.Body {
 		if i > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		writeAtom(a)
+		atom(a)
 	}
 	for _, c := range q.Comps {
-		sb.WriteByte(',')
-		sb.WriteString(canonTerm(c.L))
-		sb.WriteString(c.Op.String())
-		sb.WriteString(canonTerm(c.R))
+		buf = append(buf, ',')
+		term(c.L)
+		buf = append(buf, c.Op.String()...)
+		term(c.R)
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // UCQ is a union of conjunctive queries sharing a head predicate and arity.

@@ -2,7 +2,6 @@ package netpeer
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,7 +19,9 @@ import (
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
-	enc  *json.Encoder
+	// out is the buffer each request is encoded into, reused across
+	// requests like frame.
+	out []byte
 	// frame is the buffer each response frame is read into, reused across
 	// frames (dropped by recycle after an oversized one), and dec decodes
 	// it; decoded responses never alias frame.
@@ -68,10 +69,9 @@ type Client struct {
 var ErrBusy = errors.New("netpeer: server busy")
 
 // maxKeptFrameBytes caps the frame buffers a connection keeps between
-// frames (the client's read buffer and the server's encode buffer): a
-// buffer that a frame grew past it is dropped, so a frame near
-// wire.DefaultMaxFrame does not stay pinned for the life of a pooled
-// connection.
+// frames (each side's request and response buffers): a buffer that a frame
+// grew past it is dropped, so a frame near wire.DefaultMaxFrame does not
+// stay pinned for the life of a pooled connection.
 const maxKeptFrameBytes = 2 * wire.ChunkMaxBytes
 
 // recycle empties buf for the next frame, or drops it once a frame grew it
@@ -83,26 +83,13 @@ func recycle(buf []byte) []byte {
 	return buf[:0]
 }
 
-// clientConnWriter counts request bytes as they hit the socket.
-type clientConnWriter struct{ c *Client }
-
-func (w clientConnWriter) Write(p []byte) (int, error) {
-	n, err := w.c.conn.Write(p)
-	if w.c.counters != nil {
-		w.c.counters.bytesSent.Add(uint64(n))
-	}
-	return n, err
-}
-
 // Dial connects to a peer server.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}
-	c.enc = json.NewEncoder(clientConnWriter{c: c})
-	return c, nil
+	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}, nil
 }
 
 // Close closes the connection.
@@ -189,8 +176,9 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 	}
 }
 
-// roundTripStream writes one request and consumes its response stream,
-// handing each frame's rows to onRows.
+// roundTripStream writes one request, encoded into c.out and sent in one
+// counted Write, and consumes its response stream, handing each frame's
+// rows to onRows.
 func (c *Client) roundTripStream(req wire.Request, onRows func([][]string) error) (wire.Response, error) {
 	if c.counters != nil {
 		c.counters.requests.Add(1)
@@ -199,7 +187,13 @@ func (c *Client) roundTripStream(req wire.Request, onRows func([][]string) error
 		req.Trace = c.traceSpan.TraceID()
 		req.Span = c.traceSpan.ID()
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.out = wire.AppendRequest(c.out, &req)
+	n, err := c.conn.Write(c.out)
+	c.out = recycle(c.out)
+	if c.counters != nil {
+		c.counters.bytesSent.Add(uint64(n))
+	}
+	if err != nil {
 		c.broken = true
 		return wire.Response{}, err
 	}

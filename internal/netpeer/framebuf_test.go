@@ -2,6 +2,7 @@ package netpeer
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -51,5 +52,54 @@ func TestClientDropsOversizedFrameBuffer(t *testing.T) {
 	}
 	if c.frame != nil {
 		t.Fatalf("frame buffer of cap %d kept after an oversized frame", cap(c.frame))
+	}
+}
+
+// TestRequestBuffersReusedAndDropped checks the request buffers of both
+// sides over a real connection: the client keeps its encode buffer across
+// normal requests and drops it after an add far above the chunk bound, and
+// rows inserted from the server's reused read buffer survive the requests
+// read into it afterwards.
+func TestRequestBuffersReusedAndDropped(t *testing.T) {
+	addr := startServer(t, nil)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Add("A.r", [][]string{{"small", "1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if kept := cap(c.out); kept == 0 || kept > maxKeptFrameBytes {
+		t.Fatalf("request buffer cap %d after a small request; want it kept", kept)
+	}
+	huge := strings.Repeat("y", 2*maxKeptFrameBytes)
+	if _, err := c.Add("A.r", [][]string{{huge, "2"}}); err != nil {
+		t.Fatal(err)
+	}
+	if c.out != nil {
+		t.Fatalf("request buffer of cap %d kept after an oversized request", cap(c.out))
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Add("A.r", [][]string{{strings.Repeat("z", 64), strconv.Itoa(3 + i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.Scan("A.r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"1": "small", "2": huge, "3": strings.Repeat("z", 64)}
+	seen := 0
+	for _, tup := range got {
+		if w, ok := want[tup[1]]; ok {
+			seen++
+			if tup[0] != w {
+				t.Fatalf("row %s came back as %d bytes %.20q", tup[1], len(tup[0]), tup[0])
+			}
+		}
+	}
+	if len(got) != 5 || seen != 3 {
+		t.Fatalf("scan returned %d rows, %d of them checked; want 5 and 3", len(got), seen)
 	}
 }

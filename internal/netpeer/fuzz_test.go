@@ -37,9 +37,7 @@ func (c *fuzzConn) SetWriteDeadline(time.Time) error { return nil }
 // frame cap so oversize handling is reachable from short inputs.
 func fuzzClient(data []byte) *Client {
 	conn := &fuzzConn{r: bytes.NewReader(data)}
-	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 4096), maxFrame: 1 << 16, counters: &Counters{}}
-	c.enc = json.NewEncoder(clientConnWriter{c: c})
-	return c
+	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 4096), maxFrame: 1 << 16, counters: &Counters{}}
 }
 
 // FuzzResponseStream feeds arbitrary bytes to the client-side response

@@ -57,13 +57,13 @@ package netpeer
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -371,9 +371,10 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	s.trackConn(conn, true)
 	defer s.trackConn(conn, false)
 	br := bufio.NewReaderSize(conn, 64*1024)
-	// buf is the connection's frame buffer, reused across frames.
-	var buf []byte
-	// send encodes one response frame into buf and writes it to the socket
+	// in and out are the connection's request and response frame buffers,
+	// each reused across frames.
+	var in, out []byte
+	// send encodes one response frame into out and writes it to the socket
 	// in one call, so the client makes progress chunk by chunk. Each frame
 	// gets its own write deadline: response streams run under the server's
 	// read lock, and a client that stops draining must cost a dropped
@@ -381,16 +382,16 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	send := func(resp wire.Response) error {
 		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		s.rowsServed.Add(uint64(len(resp.Rows)))
-		buf = wire.AppendResponse(buf, &resp)
-		n, err := conn.Write(buf)
+		out = wire.AppendResponse(out, &resp)
+		n, err := conn.Write(out)
 		s.bytesSent.Add(uint64(n))
-		buf = recycle(buf)
+		out = recycle(out)
 		return err
 	}
 
 	adm := s.gate()
 	for {
-		req, errMsg, ok := s.readRequest(conn, br)
+		req, errMsg, ok := s.readRequest(conn, br, &in)
 		if !ok || ctx.Err() != nil {
 			return
 		}
@@ -425,12 +426,13 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// readRequest reads and decodes a connection's next request. ok is false
-// at a clean disconnect or a terminal read failure. Recoverable failures
-// (an over-limit frame, bad JSON) come back as errMsg, to be answered
-// in-band so the stream stays framed.
-func (s *Server) readRequest(conn net.Conn, br *bufio.Reader) (req wire.Request, errMsg string, ok bool) {
-	frame, err := wire.ReadFrame(br, s.maxRequestBytes)
+// readRequest reads a connection's next request into *in, the
+// connection's reused request buffer, and decodes it. ok is false at a
+// clean disconnect or a terminal read failure. Recoverable failures (an
+// over-limit frame, bad JSON) come back as errMsg, to be answered in-band
+// so the stream stays framed.
+func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req wire.Request, errMsg string, ok bool) {
+	frame, err := wire.AppendFrame(*in, br, s.maxRequestBytes)
 	switch {
 	case err == nil:
 	case errors.Is(err, wire.ErrFrameTooLarge):
@@ -458,7 +460,9 @@ func (s *Server) readRequest(conn net.Conn, br *bufio.Reader) (req wire.Request,
 	}
 	s.requests.Add(1)
 	s.bytesRecv.Add(uint64(len(frame) + 1))
-	if err := json.Unmarshal(frame, &req); err != nil {
+	err = wire.DecodeRequest(frame, &req)
+	*in = recycle(frame)
+	if err != nil {
 		return req, fmt.Sprintf("bad request: %v", err), true
 	}
 	return req, "", true
@@ -602,7 +606,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 				bodyPreds = append(bodyPreds, a.Pred)
 			}
 		}
-		sp := root.Child("eval", obs.Attr{K: "head", V: q.Head.Pred})
+		sp := root.Child("eval", obs.Attr{K: "head", V: kept(root, q.Head.Pred)})
 		return s.streamRows(send, sp, req.IfGen, bodyPreds, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamCQ(q, yield)
 		})
@@ -611,7 +615,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		if err != nil {
 			return send(wire.Response{Error: err.Error()})
 		}
-		sp := root.Child("bind", obs.Attr{K: "pred", V: pred})
+		sp := root.Child("bind", obs.Attr{K: "pred", V: kept(root, pred)})
 		sp.SetInt("keys", int64(len(keys)))
 		return s.streamRows(send, sp, req.IfGen, []string{pred}, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.ProbeByKeyBatchYield(pred, cols, keys, yield)
@@ -619,6 +623,17 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	default:
 		return send(wire.Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
 	}
+}
+
+// kept copies v for an attribute of root's span tree. The strings of a
+// request's query and atom are substrings of its frame (wire.DecodeRequest),
+// and a traced request's tree outlives the request in the Tracer's ring; an
+// untraced request keeps no span, so v is returned as is.
+func kept(root *obs.Span, v string) string {
+	if root == nil {
+		return v
+	}
+	return strings.Clone(v)
 }
 
 // handleAdd applies one add request: insert req.Rows into req.Pred (rows

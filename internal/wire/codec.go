@@ -2,23 +2,25 @@ package wire
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 )
 
-// The response codec. Response frames carry the rows of every answer, so
-// they are encoded and decoded by hand rather than through reflection. The
-// codec is byte-identical to encoding/json in both directions:
-// AppendResponse writes exactly what json.Encoder.Encode writes, and
-// Decoder.Decode yields exactly what json.Unmarshal yields, for every
-// input. Only the common shape takes the hand-written path — the exact
-// field names, strings without escapes, plain integers. Everything else
-// (an escape, a case-variant, duplicate or unknown key, null, a
-// non-integer number, a syntax error) goes to encoding/json, for that one
-// value or for the whole frame, so the semantics stay encoding/json's
-// without a second JSON parser. Spans ride only on final frames of traced
-// requests and always go through encoding/json.
+// The frame codec. Every frame of the protocol — the rows of every
+// answer, and every request a hop sends — is encoded and decoded by hand
+// rather than through reflection. The codec is byte-identical to
+// encoding/json in both directions: AppendResponse and AppendRequest write
+// exactly what json.Encoder.Encode writes, and Decoder.Decode and
+// DecodeRequest yield exactly what json.Unmarshal yields, for every input.
+// Only the common shape takes the hand-written path — the exact field
+// names, strings without escapes, plain integers. Everything else (an
+// escape, a case-variant, duplicate or unknown key, null, a non-integer
+// number, a syntax error) goes to encoding/json, for that one value or for
+// the whole frame, so the semantics stay encoding/json's without a second
+// JSON parser. Spans ride only on final frames of traced requests and
+// always go through encoding/json.
 
 // AppendResponse appends r's frame to dst: exactly the bytes
 // json.Encoder.Encode writes for r, trailing newline included, with its
@@ -35,14 +37,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		dst = appendField(dst, open, `"busy":true`)
 	}
 	if len(r.Rows) > 0 {
-		dst = appendField(dst, open, `"rows":[`)
-		for i, row := range r.Rows {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendRow(dst, row)
-		}
-		dst = append(dst, ']')
+		dst = appendRows(appendField(dst, open, `"rows":`), r.Rows)
 	}
 	if r.More {
 		dst = appendField(dst, open, `"more":true`)
@@ -54,14 +49,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		dst = AppendRow(appendField(dst, open, `"preds":`), r.Preds)
 	}
 	if len(r.Cards) > 0 {
-		dst = appendField(dst, open, `"cards":[`)
-		for i, n := range r.Cards {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(n), 10)
-		}
-		dst = append(dst, ']')
+		dst = appendInts(appendField(dst, open, `"cards":`), r.Cards)
 	}
 	if len(r.Gens) > 0 {
 		dst = appendField(dst, open, `"gens":[`)
@@ -106,6 +94,123 @@ func AppendRow(dst []byte, row []string) []byte {
 		dst = appendString(dst, v)
 	}
 	return append(dst, ']')
+}
+
+// appendRows appends rows as a JSON array of string arrays.
+func appendRows(dst []byte, rows [][]string) []byte {
+	dst = append(dst, '[')
+	for i, row := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendRow(dst, row)
+	}
+	return append(dst, ']')
+}
+
+// appendInts appends ns as a JSON array of integers.
+func appendInts(dst []byte, ns []int) []byte {
+	dst = append(dst, '[')
+	for i, n := range ns {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	return append(dst, ']')
+}
+
+// AppendRequest appends r's frame to dst: exactly the bytes
+// json.Encoder.Encode writes for r, trailing newline included, escaped as
+// AppendResponse escapes. Op is always written; every other field only
+// when set, as its omitempty tag says.
+func AppendRequest(dst []byte, r *Request) []byte {
+	dst = appendString(append(dst, `{"op":`...), r.Op)
+	if r.Query != nil {
+		dst = appendCQ(append(dst, `,"query":`...), r.Query)
+	}
+	if r.Pred != "" {
+		dst = appendString(append(dst, `,"pred":`...), r.Pred)
+	}
+	if len(r.Rows) > 0 {
+		dst = appendRows(append(dst, `,"rows":`...), r.Rows)
+	}
+	if r.Atom != nil {
+		dst = appendAtom(append(dst, `,"atom":`...), r.Atom)
+	}
+	if len(r.BindCols) > 0 {
+		dst = appendInts(append(dst, `,"bindCols":`...), r.BindCols)
+	}
+	if len(r.BindRows) > 0 {
+		dst = appendRows(append(dst, `,"bindRows":`...), r.BindRows)
+	}
+	if r.Trace != "" {
+		dst = appendString(append(dst, `,"trace":`...), r.Trace)
+	}
+	if r.Span != 0 {
+		dst = strconv.AppendUint(append(dst, `,"span":`...), r.Span, 10)
+	}
+	if r.IfGen != nil {
+		dst = strconv.AppendUint(append(dst, `,"ifGen":`...), *r.IfGen, 10)
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendCQ appends q as encoding/json marshals a CQ: a nil Body is null,
+// and Comps appears only when non-empty.
+func appendCQ(dst []byte, q *CQ) []byte {
+	dst = appendAtom(append(dst, `{"head":`...), &q.Head)
+	dst = append(dst, `,"body":`...)
+	if q.Body == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range q.Body {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendAtom(dst, &q.Body[i])
+		}
+		dst = append(dst, ']')
+	}
+	if len(q.Comps) > 0 {
+		dst = append(dst, `,"comps":[`...)
+		for i, c := range q.Comps {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(append(dst, `{"op":`...), c.Op)
+			dst = appendTerm(append(dst, `,"l":`...), c.L)
+			dst = appendTerm(append(dst, `,"r":`...), c.R)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// appendAtom appends a as encoding/json marshals an Atom: nil Args are
+// null.
+func appendAtom(dst []byte, a *Atom) []byte {
+	dst = appendString(append(dst, `{"p":`...), a.Pred)
+	dst = append(dst, `,"a":`...)
+	if a.Args == nil {
+		return append(dst, "null}"...)
+	}
+	dst = append(dst, '[')
+	for i, t := range a.Args {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendTerm(dst, t)
+	}
+	return append(dst, ']', '}')
+}
+
+func appendTerm(dst []byte, t Term) []byte {
+	dst = appendString(append(dst, `{"k":`...), t.Kind)
+	dst = appendString(append(dst, `,"v":`...), t.Value)
+	return append(dst, '}')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -218,7 +323,7 @@ func (d *Decoder) Decode(frame []byte, r *Response) error {
 	return json.Unmarshal(frame, r)
 }
 
-// Field indexes of Response, as bits of the decoder's seen-keys mask.
+// Field indexes of Response, positions in responseKeys.
 const (
 	fieldError = iota
 	fieldBusy
@@ -231,32 +336,15 @@ const (
 	fieldSpans
 )
 
+var responseKeys = []string{"error", "busy", "rows", "more", "unchanged", "preds", "cards", "gens", "spans"}
+
 // decode is the hand-written path. It reports false whenever the frame
 // leaves its common shape; Decode then hands the whole frame to
 // encoding/json.
 func (d *Decoder) decode(frame []byte, r *Response) bool {
 	p := scanner{s: string(frame), b: frame}
 	p.space()
-	if !p.eat('{') {
-		return false
-	}
-	p.space()
-	if p.eat('}') {
-		return p.end()
-	}
-	var seen uint16
-	for {
-		f := p.key()
-		if f < 0 || seen&(1<<f) != 0 {
-			return false
-		}
-		seen |= 1 << f
-		p.space()
-		if !p.eat(':') {
-			return false
-		}
-		p.space()
-		ok := false
+	return p.object(responseKeys, func(f int) (ok bool) {
 		switch f {
 		case fieldError:
 			// Error and Preds outlive the frame (in error messages and the
@@ -286,18 +374,8 @@ func (d *Decoder) decode(frame []byte, r *Response) bool {
 		case fieldSpans:
 			ok = p.value(&r.Spans)
 		}
-		if !ok {
-			return false
-		}
-		p.space()
-		if p.eat('}') {
-			return p.end()
-		}
-		if !p.eat(',') {
-			return false
-		}
-		p.space()
-	}
+		return ok
+	}) && p.end()
 }
 
 // rows decodes the rows array: every value into d.vals, then one
@@ -339,6 +417,183 @@ func DecodeRow(data []byte) ([]string, error) {
 	return row, err
 }
 
+// DecodeRequest decodes one request frame (without its newline) into r,
+// overwriting it: afterwards r holds exactly what json.Unmarshal(frame, r)
+// leaves in a zero Request, and the error is exactly json.Unmarshal's.
+// The result does not alias frame. The strings of Query, Atom and BindRows
+// are substrings of one string holding the frame, so whoever keeps one past
+// the request copies it; Op is one too. Pred, Trace and every value of Rows
+// — the strings a server keeps, as relation names, trace IDs and inserted
+// tuples — each get their own allocation, and every row of Rows its own
+// slice.
+func DecodeRequest(frame []byte, r *Request) error {
+	*r = Request{}
+	p := scanner{s: string(frame), b: frame}
+	p.space()
+	if p.request(r) && p.end() {
+		return nil
+	}
+	*r = Request{}
+	return json.Unmarshal(frame, r)
+}
+
+// Field indexes of Request, positions in requestKeys.
+const (
+	reqOp = iota
+	reqQuery
+	reqPred
+	reqRows
+	reqAtom
+	reqBindCols
+	reqBindRows
+	reqTrace
+	reqSpan
+	reqIfGen
+)
+
+var (
+	requestKeys = []string{"op", "query", "pred", "rows", "atom", "bindCols", "bindRows", "trace", "span", "ifGen"}
+	cqKeys      = []string{"head", "body", "comps"}
+	atomKeys    = []string{"p", "a"}
+	termKeys    = []string{"k", "v"}
+	compKeys    = []string{"op", "l", "r"}
+)
+
+// request is DecodeRequest's hand-written path.
+func (p *scanner) request(r *Request) bool {
+	return p.object(requestKeys, func(f int) (ok bool) {
+		var v string
+		switch f {
+		case reqOp:
+			r.Op, ok = p.str()
+		case reqQuery:
+			r.Query = new(CQ)
+			ok = p.cq(r.Query)
+		case reqPred:
+			v, ok = p.str()
+			r.Pred = strings.Clone(v)
+		case reqRows:
+			r.Rows, ok = p.ownedRows()
+		case reqAtom:
+			r.Atom = new(Atom)
+			ok = p.atom(r.Atom)
+		case reqBindCols:
+			r.BindCols, ok = p.ints()
+		case reqBindRows:
+			r.BindRows, ok = p.sharedRows()
+		case reqTrace:
+			v, ok = p.str()
+			r.Trace = strings.Clone(v)
+		case reqSpan:
+			r.Span, ok = p.digits(19)
+		case reqIfGen:
+			r.IfGen = new(uint64)
+			*r.IfGen, ok = p.digits(19)
+		}
+		return ok
+	})
+}
+
+func (p *scanner) cq(q *CQ) bool {
+	return p.object(cqKeys, func(f int) bool {
+		switch f {
+		case 0:
+			return p.atom(&q.Head)
+		case 1:
+			q.Body = make([]Atom, 0) // [] decodes as empty, not nil
+			return p.array(func() bool {
+				q.Body = append(q.Body, Atom{})
+				return p.atom(&q.Body[len(q.Body)-1])
+			})
+		default:
+			q.Comps = make([]Comparison, 0)
+			return p.array(func() bool {
+				q.Comps = append(q.Comps, Comparison{})
+				return p.comparison(&q.Comps[len(q.Comps)-1])
+			})
+		}
+	})
+}
+
+func (p *scanner) atom(a *Atom) bool {
+	return p.object(atomKeys, func(f int) (ok bool) {
+		if f == 0 {
+			a.Pred, ok = p.str()
+			return ok
+		}
+		a.Args = make([]Term, 0, 4) // room for a typical atom's arguments
+		return p.array(func() bool {
+			a.Args = append(a.Args, Term{})
+			return p.term(&a.Args[len(a.Args)-1])
+		})
+	})
+}
+
+func (p *scanner) term(t *Term) bool {
+	return p.object(termKeys, func(f int) (ok bool) {
+		if f == 0 {
+			t.Kind, ok = p.str()
+		} else {
+			t.Value, ok = p.str()
+		}
+		return ok
+	})
+}
+
+func (p *scanner) comparison(c *Comparison) bool {
+	return p.object(compKeys, func(f int) (ok bool) {
+		switch f {
+		case 0:
+			c.Op, ok = p.str()
+		case 1:
+			ok = p.term(&c.L)
+		default:
+			ok = p.term(&c.R)
+		}
+		return ok
+	})
+}
+
+// sharedRows consumes an array of string arrays whose rows share one
+// values slice, each capped at its own end.
+func (p *scanner) sharedRows() ([][]string, bool) {
+	vals := make([]string, 0, 8)
+	var ends []int
+	if !p.array(func() bool {
+		var ok bool
+		vals, ok = p.row(vals)
+		ends = append(ends, len(vals))
+		return ok
+	}) {
+		return nil, false
+	}
+	rows := make([][]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		rows[i] = vals[start:end:end]
+		start = end
+	}
+	return rows, true
+}
+
+// ownedRows consumes an array of string arrays into rows that each have a
+// slice of their own and values that each have their own allocation, as
+// encoding/json gives them: a kept row pins nothing else.
+func (p *scanner) ownedRows() ([][]string, bool) {
+	rows := make([][]string, 0)
+	var buf [8]string
+	ok := p.array(func() bool {
+		vals, ok := p.row(buf[:0])
+		row := make([]string, len(vals))
+		for i, v := range vals {
+			row[i] = strings.Clone(v)
+		}
+		rows = append(rows, row)
+		return ok
+	})
+	return rows, ok
+}
+
 // scanner walks one frame. s and b hold the same bytes: decoded strings
 // are substrings of s, and b hands a value to encoding/json uncopied.
 type scanner struct {
@@ -373,10 +628,48 @@ func (p *scanner) end() bool {
 	return p.i == len(p.s)
 }
 
-// key consumes an object key and its quotes, returning the Response field
-// it names exactly, or -1 for anything else (escaped, case-variant or
-// unknown keys all fall back to encoding/json).
-func (p *scanner) key() int {
+// object consumes an object whose keys are all among keys, each at most
+// once, handing the value of keys[i] to field(i) with the scanner at its
+// first byte. A key outside keys — escaped, case-variant or unknown — or a
+// repeated one stops the hand-written path, as does a false from field.
+// keys holds at most 16 names.
+func (p *scanner) object(keys []string, field func(i int) bool) bool {
+	if !p.eat('{') {
+		return false
+	}
+	p.space()
+	if p.eat('}') {
+		return true
+	}
+	var seen uint16
+	for {
+		i := p.key(keys)
+		if i < 0 || seen&(1<<i) != 0 {
+			return false
+		}
+		seen |= 1 << i
+		p.space()
+		if !p.eat(':') {
+			return false
+		}
+		p.space()
+		if !field(i) {
+			return false
+		}
+		p.space()
+		if p.eat('}') {
+			return true
+		}
+		if !p.eat(',') {
+			return false
+		}
+		p.space()
+	}
+}
+
+// key consumes an object key and its quotes, returning its index in keys,
+// or -1 for a key that is not exactly one of them.
+func (p *scanner) key(keys []string) int {
 	if !p.eat('"') {
 		return -1
 	}
@@ -387,27 +680,7 @@ func (p *scanner) key() int {
 	if !p.eat('"') {
 		return -1
 	}
-	switch p.s[start : p.i-1] {
-	case "error":
-		return fieldError
-	case "busy":
-		return fieldBusy
-	case "rows":
-		return fieldRows
-	case "more":
-		return fieldMore
-	case "unchanged":
-		return fieldUnchanged
-	case "preds":
-		return fieldPreds
-	case "cards":
-		return fieldCards
-	case "gens":
-		return fieldGens
-	case "spans":
-		return fieldSpans
-	}
-	return -1
+	return slices.Index(keys, p.s[start:p.i-1])
 }
 
 // plain reports the ASCII bytes a JSON string carries verbatim: everything

@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // encodeJSON is the reference encoding AppendResponse must reproduce.
@@ -266,4 +268,233 @@ func BenchmarkAppendResponse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// encodeRequestJSON is the reference encoding AppendRequest must reproduce.
+func encodeRequestJSON(t testing.TB, r *Request) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkRequestDecode fails unless DecodeRequest agrees with json.Unmarshal
+// on frame: the same error or none, and deeply equal results either way.
+func checkRequestDecode(t testing.TB, frame []byte) {
+	t.Helper()
+	var want Request
+	wantErr := json.Unmarshal(frame, &want)
+	got := Request{Op: "stale", Rows: [][]string{{"stale"}}, IfGen: new(uint64)}
+	gotErr := DecodeRequest(frame, &got)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("frame %q: DecodeRequest err %v, json.Unmarshal err %v", frame, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame %q:\nDecodeRequest  %#v\njson.Unmarshal %#v", frame, got, want)
+	}
+}
+
+func TestAppendRequestMatchesEncodingJSON(t *testing.T) {
+	gen := uint64(0)
+	corpus := []Request{
+		{},
+		{Op: "catalog"},
+		{Op: "ping", Trace: "t<1>", Span: 1<<64 - 1},
+		{Op: "scan", Pred: "A.r", IfGen: &gen},
+		{Op: "add", Pred: "A.r", Rows: [][]string{{"a", "b"}, {}, nil}},
+		{Op: "add", Rows: [][]string{}},
+		{Op: "eval", Query: &CQ{}},
+		{Op: "eval", Query: &CQ{Head: Atom{Args: []Term{}}, Body: []Atom{}, Comps: []Comparison{}}},
+		{Op: "eval", Query: &CQ{
+			Head:  Atom{Pred: "q", Args: []Term{{Kind: "var", Value: "y"}}},
+			Body:  []Atom{{Pred: "P3.s", Args: []Term{{Kind: "const", Value: "v1"}, {Kind: "var", Value: "y"}}}, {Pred: "B"}},
+			Comps: []Comparison{{Op: "<=", L: Term{Kind: "var", Value: "y"}, R: Term{Kind: "const", Value: "9"}}},
+		}, IfGen: &gen},
+		{Op: "bind", Atom: &Atom{Pred: "A.r"}, BindCols: []int{0, -3, 1 << 62}, BindRows: [][]string{{"k"}, {}, nil}},
+		{Op: "bind", Atom: &Atom{Args: []Term{}}, BindCols: []int{}, BindRows: [][]string{}},
+	}
+	for _, s := range awkwardStrings {
+		corpus = append(corpus, Request{
+			Op:       s,
+			Query:    &CQ{Head: Atom{Pred: s, Args: []Term{{Kind: s, Value: s}}}, Comps: []Comparison{{Op: s}}},
+			Pred:     s,
+			Rows:     [][]string{{s}},
+			Atom:     &Atom{Pred: s},
+			BindRows: [][]string{{s, s}},
+			Trace:    s,
+		})
+	}
+	for i := range corpus {
+		want := encodeRequestJSON(t, &corpus[i])
+		got := AppendRequest([]byte("prefix"), &corpus[i])
+		if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+			t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q", corpus[i], got, want)
+		}
+		checkRequestDecode(t, got)
+		checkRequestDecode(t, got[len("prefix"):len(got)-1])
+	}
+}
+
+// requestCorpus is the request frames DecodeRequest must agree with
+// encoding/json on: every shape the hand-written path takes, and every way
+// of leaving it.
+var requestCorpus = []string{
+	`{}`, ` { } `, `null`, ``, `[]`, `"x"`, `{"op":"ping"}`, `{"op":""}`, `{"op":1}`, `{"op":null}`,
+	`{"op":"scan","pred":"A.r","ifGen":0}`, `{"op":"scan","pred":"A.r","ifGen":null}`, `{"ifGen":-1}`, `{"ifGen":1.5}`,
+	`{"span":18446744073709551615}`, `{"span":18446744073709551616}`, `{"span":01}`, `{"span":-0}`, `{"span":1e3}`,
+	`{"op":"eval","query":{"head":{"p":"q","a":[{"k":"var","v":"y"}]},"body":[{"p":"P3.s","a":[{"k":"const","v":"v1"},{"k":"var","v":"y"}]}]},"ifGen":7}`,
+	`{"op":"eval","query":{}}`, `{"query":{"head":{}}}`, `{"query":{"body":[]}}`, `{"query":{"body":[{}]}}`, `{"query":{"comps":[]}}`,
+	`{"query":{"comps":[{"op":"<","l":{"k":"const","v":"1"},"r":{"k":"var","v":"x"}}]}}`, `{"query":{"comps":[{}]}}`,
+	`{"query":null}`, `{"query":{"head":{"p":"q","a":null}}}`, `{"query":{"body":null}}`, `{"query":{"body":[null]}}`,
+	`{"query":{"head":{"p":"q"}},"query":{"body":[]}}`, `{"query":{"Head":{"p":"q"}}}`, `{"query":{"head":{"P":"q"}}}`,
+	`{"query":{"head":{"p":"q","a":[{"k":"var","v":"x","x":1}]}}}`, `{"query":{"head":{"p":"q","a":[{"k":"var","k":"const"}]}}}`,
+	`{"query":[]}`, `{"query":{"head":[]}}`, `{"query":{"head":{"p":"q","a":[[]]}}}`, `{"query":{"head":{"p":"q","a":{}}}}`,
+	`{"op":"bind","atom":{"p":"A.r","a":[{"k":"const","v":"1"},{"k":"var","v":"y"}]},"bindCols":[1],"bindRows":[["a"],["b"]]}`,
+	`{"atom":null}`, `{"atom":{}}`, `{"bindCols":[]}`, `{"bindCols":[-1,0,9223372036854775807]}`, `{"bindCols":[9223372036854775808]}`,
+	`{"bindCols":[1.0]}`, `{"bindCols":["1"]}`, `{"bindRows":[]}`, `{"bindRows":[[]]}`, `{"bindRows":[[],["a","b"],[]]}`,
+	`{"bindRows":[null]}`, `{"bindRows":[["a",null]]}`, `{"bindRows":null}`,
+	`{"op":"add","pred":"A.r","rows":[["a","b"],[]]}`, `{"rows":[]}`, `{"rows":[null]}`, `{"rows":[["a"],["b","c","d","e","f","g","h","i","j"]]}`,
+	`{"OP":"ping"}`, `{"Op":"ping","op":"scan"}`, `{"op":"ping","op":"scan"}`, `{"o\u0070":"ping"}`, `{"op":"p\u0069ng"}`,
+	`{"op":"eval","zzFromTheFuture":{"x":[1,"]"]}}`, `{"future":1,"op":"ping"}`, `{"op":"ping","trace":"abc","span":12}`,
+	"{\"op\":\"bad\xff\"}", "{\"op\":\"ctl\x01\"}", "{\"op\":\"sep\u2028\"}", `{"pred":"\ud800"}`, `{"trace":"a\\b\"c\/"}`,
+	" {\n\t\"op\" : \"eval\" ,\r\"query\" : { \"head\" : { \"p\" : \"q\" , \"a\" : [ ] } , \"body\" : [ ] } , \"ifGen\" : 3 } \n",
+	`{"op":"ping"} x`, `{"op":"ping",}`, `{"op":"ping"`, `{"op":"pi`, `{"op" "ping"}`, `{"op":"ping" "pred":"a"}`, `{,}`,
+	`{"query":{"body":[{"p":"a"},]}}`, `{"bindRows":[["a",]]}`, `{"bindCols":[1,]}`, `{"op":"ping"}}`,
+}
+
+func TestDecodeRequestMatchesUnmarshal(t *testing.T) {
+	for _, frame := range requestCorpus {
+		checkRequestDecode(t, []byte(frame))
+	}
+}
+
+// TestDecodeRequestOwnsKeptStrings checks which decoded strings may share
+// the frame's string: Op and the query's, atom's and bind rows' strings
+// may; Pred, Trace and the values of add rows, which a server keeps, may
+// not, and no two add rows share a backing array.
+func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
+	frame := []byte(`{"op":"add","query":{"head":{"p":"q","a":[]}},"pred":"A.r","rows":[["a","bb"],["c"]],"bindRows":[["k"]],"trace":"t1"}`)
+	var r Request
+	if err := DecodeRequest(frame, &r); err != nil {
+		t.Fatal(err)
+	}
+	// Op is frame[7:10] on the hand-written path, so the frame's string
+	// starts 7 bytes before Op's.
+	base := uintptr(unsafe.Pointer(unsafe.StringData(r.Op))) - 7
+	inFrame := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= base && p < base+uintptr(len(frame))
+	}
+	if !inFrame(r.Query.Head.Pred) || !inFrame(r.BindRows[0][0]) {
+		t.Fatal("query and bind strings were copied: the hand-written path was not taken")
+	}
+	for _, s := range []string{r.Pred, r.Trace, r.Rows[0][0], r.Rows[0][1], r.Rows[1][0]} {
+		if inFrame(s) {
+			t.Fatalf("%q is a substring of the frame; it would pin it", s)
+		}
+	}
+	_ = append(r.Rows[0], "x")
+	if r.Rows[1][0] != "c" {
+		t.Fatal("add rows share a backing array")
+	}
+}
+
+// evalRequest is an adhoc_swarm-shaped eval hop: one stored atom with a
+// constant, conditional on a cached generation.
+func evalRequest() *Request {
+	gen := uint64(7)
+	return &Request{Op: "eval", Query: &CQ{
+		Head: Atom{Pred: "q", Args: []Term{{Kind: "var", Value: "y"}}},
+		Body: []Atom{{Pred: "P17.s", Args: []Term{{Kind: "const", Value: "v12"}, {Kind: "var", Value: "y"}}}},
+	}, IfGen: &gen}
+}
+
+// bindRequest is a bind probe shipping n one-column keys.
+func bindRequest(n int) *Request {
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{"k" + strconv.Itoa(10000000+i)}
+	}
+	return &Request{Op: "bind", Atom: &Atom{Pred: "P3.s", Args: []Term{{Kind: "var", Value: "x"}, {Kind: "var", Value: "y"}}},
+		BindCols: []int{0}, BindRows: rows}
+}
+
+// TestDecodeRequestAllocs pins the eval hop's decoding cost: the frame's
+// string, the query, its body slice and its two argument slices, and
+// ifGen.
+func TestDecodeRequestAllocs(t *testing.T) {
+	frame := AppendRequest(nil, evalRequest())
+	var r Request
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := DecodeRequest(frame, &r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("decoding an eval request costs %v allocations, want at most 6", allocs)
+	}
+}
+
+// sinkReq keeps benchmark results live.
+var sinkReq Request
+
+// BenchmarkAppendRequest encodes an adhoc_swarm-shaped eval request and a
+// 1,024-key bind request into a reused buffer, through the codec and
+// through a json.Encoder.
+func BenchmarkAppendRequest(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		r    *Request
+	}{{"eval", evalRequest()}, {"bind1024", bindRequest(1024)}} {
+		b.Run(c.name+"/codec", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sinkBytes = AppendRequest(sinkBytes[:0], c.r)
+			}
+		})
+		b.Run(c.name+"/encoding_json", func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			for b.Loop() {
+				buf.Reset()
+				if err := enc.Encode(c.r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeRequest decodes the same two requests, through the codec
+// and through encoding/json.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		r    *Request
+	}{{"eval", evalRequest()}, {"bind1024", bindRequest(1024)}} {
+		frame := AppendRequest(nil, c.r)
+		frame = frame[:len(frame)-1]
+		b.Run(c.name+"/codec", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for b.Loop() {
+				if err := DecodeRequest(frame, &sinkReq); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/encoding_json", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for b.Loop() {
+				sinkReq = Request{}
+				if err := json.Unmarshal(frame, &sinkReq); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -164,43 +164,111 @@ func FuzzIfGenUnchanged(f *testing.F) {
 	})
 }
 
-// FuzzRequestDecode feeds arbitrary bytes through the request frame
-// decoding path the server runs on every line: JSON into wire.Request,
-// then lowering the embedded query/atom to lang values. Nothing here may
-// panic, whatever the bytes.
+// FuzzRequestDecode checks the request codec against encoding/json in both
+// directions, on the decoding path the server runs on every line.
+// Decoding: for arbitrary frame bytes, DecodeRequest and json.Unmarshal
+// give the same error (or none) and deeply equal Requests; a decoded query
+// or atom then survives the lowering to lang values and back. Encoding: for
+// a Request built from the fuzzed strings and integers, with flags choosing
+// which fields are unset, nil or empty, AppendRequest writes exactly
+// json.Encoder.Encode's bytes, and the frame decodes back as encoding/json
+// reads it.
 func FuzzRequestDecode(f *testing.F) {
-	f.Add([]byte(`{"op":"catalog"}`))
-	f.Add([]byte(`{"op":"scan","pred":"A.r"}`))
-	f.Add([]byte(`{"op":"gens","preds":["A.r","B.s"]}`))
-	f.Add([]byte(`{"op":"eval","query":{"head":{"p":"q","a":[{"k":"var","v":"x"}]},"body":[{"p":"A.r","a":[{"k":"var","v":"x"}]}]}}`))
-	f.Add([]byte(`{"op":"bind","atom":{"p":"A.r","a":[{"k":"const","v":"1"}]},"bindCols":[0],"bindRows":[["1"]]}`))
-	f.Add([]byte(`{"op":"eval","query":{"head":{"p":"q"},"comps":[{"op":"<","l":{"k":"const","v":"1"},"r":{"k":"var","v":"x"}}]}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, frame := range []string{
+		`{"op":"catalog"}`,
+		`{"op":"scan","pred":"A.r"}`,
+		`{"op":"gens","preds":["A.r","B.s"]}`,
+		`{"op":"eval","query":{"head":{"p":"q","a":[{"k":"var","v":"x"}]},"body":[{"p":"A.r","a":[{"k":"var","v":"x"}]}]}}`,
+		`{"op":"bind","atom":{"p":"A.r","a":[{"k":"const","v":"1"}]},"bindCols":[0],"bindRows":[["1"]]}`,
+		`{"op":"eval","query":{"head":{"p":"q"},"comps":[{"op":"<","l":{"k":"const","v":"1"},"r":{"k":"var","v":"x"}}]}}`,
+	} {
+		f.Add([]byte(frame), "a", "<&>", 1, uint64(2), byte(0))
+	}
+	f.Add([]byte(`{"op":"add","pred":"A.r","rows":[["a"],[]]}`), "sep\u2028", "bad\xff\xc3", -7, uint64(1<<63), byte(0xff))
+	f.Fuzz(func(t *testing.T, frame []byte, s, u string, n int, g uint64, flags byte) {
+		checkRequestDecode(t, frame)
 		var req Request
-		if err := json.Unmarshal(data, &req); err != nil {
-			return
+		if DecodeRequest(frame, &req) == nil {
+			checkLowering(t, &req)
 		}
-		if req.Query != nil {
-			q, err := req.Query.ToCQ()
-			if err == nil {
-				// A decodable query must survive the wire round trip.
-				back, err := FromCQ(q).ToCQ()
-				if err != nil {
-					t.Fatalf("re-encoding decoded query failed: %v", err)
-				}
-				if back.Canonical() != q.Canonical() {
-					t.Fatalf("wire round trip changed query: %q vs %q", back.Canonical(), q.Canonical())
-				}
-			}
+
+		r := fuzzRequest(s, u, n, g, flags)
+		got := AppendRequest(nil, &r)
+		if want := encodeRequestJSON(t, &r); !bytes.Equal(got, want) {
+			t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q", r, got, want)
 		}
-		if req.Atom != nil {
-			if a, err := req.Atom.ToAtom(); err == nil {
-				if _, err := FromAtom(a).ToAtom(); err != nil {
-					t.Fatalf("re-encoding decoded atom failed: %v", err)
-				}
-			}
-		}
+		checkRequestDecode(t, got)
 	})
+}
+
+// fuzzRequest builds a Request touching every field from the fuzzed
+// values; each flag bit unsets, nils or empties some fields.
+func fuzzRequest(s, u string, n int, g uint64, flags byte) Request {
+	r := Request{
+		Op: s,
+		Query: &CQ{
+			Head:  Atom{Pred: s, Args: []Term{{Kind: "var", Value: u}}},
+			Body:  []Atom{{Pred: u, Args: []Term{{Kind: "const", Value: s}, {Kind: u, Value: ""}}}},
+			Comps: []Comparison{{Op: u, L: Term{Kind: "const", Value: s}, R: Term{Kind: "var", Value: u}}},
+		},
+		Pred:     u,
+		Rows:     [][]string{{s, u}, {}, nil},
+		Atom:     &Atom{Pred: s, Args: []Term{{Kind: "const", Value: u}, {Kind: "var", Value: s}}},
+		BindCols: []int{n, 0},
+		BindRows: [][]string{{u}, nil},
+		Trace:    s,
+		Span:     g,
+		IfGen:    &g,
+	}
+	if flags&1 != 0 {
+		r.Query = nil
+	}
+	if flags&2 != 0 && r.Query != nil {
+		r.Query.Head.Args, r.Query.Body, r.Query.Comps = nil, nil, nil
+	}
+	if flags&4 != 0 {
+		r.Atom.Args = []Term{}
+	}
+	if flags&8 != 0 {
+		r.Atom = nil
+	}
+	if flags&16 != 0 {
+		r.Rows, r.BindCols, r.BindRows = nil, nil, nil
+	}
+	if flags&32 != 0 {
+		r.Rows, r.BindCols, r.BindRows = [][]string{}, []int{}, [][]string{{}}
+	}
+	if flags&64 != 0 {
+		r.IfGen = nil
+	}
+	if flags&128 != 0 {
+		r.Trace, r.Span = "", 0
+	}
+	return r
+}
+
+// checkLowering checks that a decoded query or atom that lowers to lang
+// values survives the wire round trip.
+func checkLowering(t *testing.T, req *Request) {
+	t.Helper()
+	if req.Query != nil {
+		if q, err := req.Query.ToCQ(); err == nil {
+			back, err := FromCQ(q).ToCQ()
+			if err != nil {
+				t.Fatalf("re-encoding decoded query failed: %v", err)
+			}
+			if back.Canonical() != q.Canonical() {
+				t.Fatalf("wire round trip changed query: %q vs %q", back.Canonical(), q.Canonical())
+			}
+		}
+	}
+	if req.Atom != nil {
+		if a, err := req.Atom.ToAtom(); err == nil {
+			if _, err := FromAtom(a).ToAtom(); err != nil {
+				t.Fatalf("re-encoding decoded atom failed: %v", err)
+			}
+		}
+	}
 }
 
 // FuzzResponseCodec checks the response codec against encoding/json in both

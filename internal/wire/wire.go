@@ -53,14 +53,14 @@
 // interleave across requests; the reference client sends one request at a
 // time.
 //
-// Response frames, which carry every row, go through this package's own
-// codec rather than reflection: AppendResponse encodes a frame, Decoder
-// decodes one, and AppendFrame reads one into a reused buffer. The codec
-// is byte-identical to encoding/json in both directions — it writes what
-// json.Encoder writes and yields what json.Unmarshal yields, handing
-// anything outside the common shape to encoding/json itself. Its row
-// halves, AppendRow and DecodeRow, also encode the segment journal's
-// tuples (internal/store). Requests stay on encoding/json.
+// Every frame goes through this package's own codec rather than
+// reflection: AppendRequest and DecodeRequest encode and decode a request,
+// AppendResponse and Decoder a response frame, and AppendFrame reads
+// either into a reused buffer. The codec is byte-identical to
+// encoding/json in both directions — it writes what json.Encoder writes
+// and yields what json.Unmarshal yields, handing anything outside the
+// common shape to encoding/json itself. Its row halves, AppendRow and
+// DecodeRow, also encode the segment journal's tuples (internal/store).
 //
 // PROTOCOL.md in this directory is the normative specification: frame
 // layout, per-op request/response contracts, error-frame and streaming

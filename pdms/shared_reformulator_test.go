@@ -46,7 +46,7 @@ func TestConcurrentMissesShareTheGenerationsReformulator(t *testing.T) {
 	}
 	var extendBegun, extendDone atomic.Bool
 	var calls atomic.Int64
-	halfway := make(chan struct{})
+	halfway, extended := make(chan struct{}), make(chan struct{})
 	outcomes := make([][]outcome, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -54,6 +54,12 @@ func TestConcurrentMissesShareTheGenerationsReformulator(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for k := 0; k < perWorker; k++ {
+				if k == perWorker-1 {
+					// Each worker's last call waits for Extend to return,
+					// so the second generation is exercised however fast
+					// the other calls run.
+					<-extended
+				}
 				text := fmt.Sprintf("q(y) :- %s(%q, y)", swarm.PeerRel((w+k)%4), fmt.Sprintf("c%d_%d", w, k))
 				after := extendDone.Load()
 				ref, err := net.Reformulate(text)
@@ -78,6 +84,7 @@ func TestConcurrentMissesShareTheGenerationsReformulator(t *testing.T) {
 			t.Errorf("Extend: %v", err)
 		}
 		extendDone.Store(true)
+		close(extended)
 	}()
 	wg.Wait()
 	if t.Failed() {
