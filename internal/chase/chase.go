@@ -25,7 +25,6 @@ package chase
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/engine"
@@ -248,10 +247,4 @@ func Nulls(inst *rel.Instance) int {
 		}
 	}
 	return len(seen)
-}
-
-// SortTuples sorts tuples in column-wise (rel.Compare) order (helper for
-// test comparisons).
-func SortTuples(ts []rel.Tuple) {
-	slices.SortFunc(ts, rel.Compare)
 }

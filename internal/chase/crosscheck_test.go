@@ -85,8 +85,8 @@ func TestChaseAgreesWithDatalogOnGAVSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			SortTuples(got)
-			SortTuples(want)
+			rel.SortTuples(got)
+			rel.SortTuples(want)
 			if len(got) != len(want) {
 				t.Fatalf("chase %v != datalog %v\nspec:\n%s", got, want, src)
 			}

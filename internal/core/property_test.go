@@ -176,8 +176,8 @@ func compareWithOracle(t *testing.T, w *workload.Workload) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chase.SortTuples(got)
-	chase.SortTuples(want)
+	rel.SortTuples(got)
+	rel.SortTuples(want)
 	if len(got) != len(want) {
 		t.Fatalf("answers differ:\n got %v\nwant %v\nquery %s\nUCQ:\n%v",
 			got, want, w.Query, out.UCQ)

@@ -51,8 +51,8 @@ func evalReformulated(t *testing.T, res Result, data *rel.Instance) []rel.Tuple 
 // assertSameTuples compares two tuple sets.
 func assertSameTuples(t *testing.T, got, want []rel.Tuple, label string) {
 	t.Helper()
-	chase.SortTuples(got)
-	chase.SortTuples(want)
+	rel.SortTuples(got)
+	rel.SortTuples(want)
 	if len(got) != len(want) {
 		t.Fatalf("%s: got %v, want %v", label, got, want)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
@@ -160,6 +161,9 @@ func TestDifferentialUCQ(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: mismatch on\n%s\nnaive  %v\nengine %v", seed, u, want, got)
 		}
+		if checked, err := sortedDistinctUnion(t, u, e.EvalCQSpan); err != nil || !reflect.DeepEqual(checked, want) {
+			t.Fatalf("seed %d: through the checked union: %v, %v; want %v", seed, checked, err, want)
+		}
 	}
 }
 
@@ -193,5 +197,24 @@ func TestDifferentialUCQWideFanout(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: mismatch on\n%s\nnaive  %v\nengine %v", seed, u, want, got)
 		}
+		if checked, err := sortedDistinctUnion(t, u, e.EvalCQSpan); err != nil || !reflect.DeepEqual(checked, want) {
+			t.Fatalf("seed %d: through the checked union: %v, %v; want %v", seed, checked, err, want)
+		}
 	}
+}
+
+// sortedDistinctUnion is EvalUnion over evalCQ, failing t unless every
+// disjunct's answer holds distinct tuples in rel.Compare order — the
+// precondition EvalUnion merges on.
+func sortedDistinctUnion(t *testing.T, u lang.UCQ, evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
+	return EvalUnion(u, nil, func(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+		rows, err := evalCQ(q, sp)
+		for i := 1; i < len(rows); i++ {
+			if rel.Compare(rows[i-1], rows[i]) >= 0 {
+				t.Errorf("disjunct %s: answer %v not strictly before %v", q, rows[i-1], rows[i])
+				break
+			}
+		}
+		return rows, err
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -533,7 +532,7 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(out, rel.Compare)
+	rel.SortTuples(out)
 	return out, nil
 }
 
@@ -565,7 +564,10 @@ var (
 
 // EvalUnion evaluates a union of conjunctive queries through evalCQ and
 // returns the distinct union of the disjuncts' answers in column-wise
-// (rel.Compare) order. It is the one union loop of every UCQ evaluator:
+// (rel.Compare) order. evalCQ must return distinct tuples in rel.Compare
+// order: EvalUnion merges the disjuncts' answers with rel.MergeDistinct
+// rather than re-sorting them. It is the one union loop of every UCQ
+// evaluator:
 // sp (nil for an untraced query) gets the "disjuncts" and "rows"
 // attributes and one "eval.cq" child per disjunct, which evalCQ receives
 // and which carries that disjunct's error. evalCQ must be safe for
@@ -621,7 +623,7 @@ func EvalUnion(u lang.UCQ, sp *obs.Span, evalCQ func(lang.CQ, *obs.Span) ([]rel.
 			return nil, err
 		}
 	}
-	out := rel.DistinctSorted(groups...)
+	out := rel.MergeDistinct(groups...)
 	sp.SetInt("rows", int64(len(out)))
 	return out, nil
 }

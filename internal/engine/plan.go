@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/lang"
@@ -265,7 +266,8 @@ func compileComp(c lang.Comparison, slotOf map[string]int) compiledComp {
 
 // runCtx is the per-evaluation (per-worker, on the parallel path) state of
 // one plan execution: the slot array, reusable key and probe-merge buffers,
-// and an optional cancellation flag shared with sibling workers.
+// and an optional cancellation flag shared with sibling workers. Contexts
+// are pooled, so the buffers carry over from one run to the next.
 type runCtx struct {
 	e     *Engine
 	p     *Plan
@@ -273,9 +275,10 @@ type runCtx struct {
 	slots []string
 	key   []byte
 	vals  []string
-	// bufs holds one probe-merge scratch buffer per plan step: step i's
-	// iteration over a merged probe result finishes before any other probe
-	// at depth i runs in the same context, so per-depth reuse is safe.
+	// bufs holds one probe-merge scratch buffer per plan step (and may be
+	// longer than the plan): step i's iteration over a merged probe result
+	// finishes before any other probe at depth i runs in the same context,
+	// so per-depth reuse is safe.
 	bufs [][]rel.Tuple
 	// stop, when non-nil, is the shared cancellation flag of a parallel
 	// scan; checked per tuple so sibling workers drain quickly after an
@@ -283,14 +286,43 @@ type runCtx struct {
 	stop *atomic.Bool
 }
 
+// maxKeptProbeRows caps the probe-merge buffers a pooled runCtx keeps: a
+// buffer that a probe grew past it is dropped, as netpeer's recycle drops
+// frame buffers, so one huge probe does not stay pinned in the pool.
+const maxKeptProbeRows = 1 << 14
+
+var runCtxPool = sync.Pool{New: func() any { return new(runCtx) }}
+
+// newRunCtx takes a context from the pool and sets it up for one run of p;
+// release returns it.
 func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
-	return &runCtx{
-		e:     e,
-		p:     p,
-		yield: yield,
-		slots: make([]string, p.nslots),
-		bufs:  make([][]rel.Tuple, len(p.steps)),
+	rc := runCtxPool.Get().(*runCtx)
+	rc.e, rc.p, rc.yield = e, p, yield
+	if cap(rc.slots) < p.nslots {
+		rc.slots = make([]string, p.nslots)
 	}
+	rc.slots = rc.slots[:p.nslots]
+	if n := len(p.steps) - len(rc.bufs); n > 0 {
+		rc.bufs = append(rc.bufs, make([][]rel.Tuple, n)...)
+	}
+	return rc
+}
+
+// release clears what rc holds of the run, so a pooled context pins no
+// rows, and returns it to the pool.
+func (rc *runCtx) release() {
+	for i, b := range rc.bufs {
+		if cap(b) > maxKeptProbeRows {
+			rc.bufs[i] = nil
+			continue
+		}
+		clear(b[:cap(b)])
+		rc.bufs[i] = b[:0]
+	}
+	clear(rc.slots)
+	clear(rc.vals)
+	rc.e, rc.p, rc.yield, rc.stop = nil, nil, nil, nil
+	runCtxPool.Put(rc)
 }
 
 // step executes plan step i and everything below it.
@@ -382,7 +414,10 @@ func (e *Engine) run(p *Plan, yield func(slots []string) error) error {
 	if r, workers := e.parallelScanTarget(p); r != nil {
 		return e.runParallel(p, r, workers, yield)
 	}
-	return newRunCtx(e, p, yield).step(0)
+	rc := newRunCtx(e, p, yield)
+	err := rc.step(0)
+	rc.release()
+	return err
 }
 
 // parallelScanTarget reports whether the plan's first step is a full scan
@@ -431,6 +466,7 @@ func (e *Engine) runParallel(p *Plan, r *rel.Relation, workers int, yield func(s
 	}
 	return f.dispatch(workers, r.NumShards(), func(queue <-chan int) {
 		rc := newRunCtx(e, p, syield)
+		defer rc.release()
 		rc.stop = &f.stop
 		st := &p.steps[0]
 		for s := range queue {

@@ -176,10 +176,10 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 	}
 }
 
-// roundTripStream writes one request, encoded into c.out and sent in one
+// roundTrip writes one request, encoded into c.out and sent in one
 // counted Write, and consumes its response stream, handing each frame's
-// rows to onRows.
-func (c *Client) roundTripStream(req wire.Request, onRows func([][]string) error) (wire.Response, error) {
+// rows to onRows (nil drops them: the op returns none).
+func (c *Client) roundTrip(req wire.Request, onRows func([][]string) error) (wire.Response, error) {
 	if c.counters != nil {
 		c.counters.requests.Add(1)
 	}
@@ -200,19 +200,27 @@ func (c *Client) roundTripStream(req wire.Request, onRows func([][]string) error
 	return c.readStream(onRows)
 }
 
-// roundTrip is roundTripStream materialized: the returned response carries
-// every row of the stream.
-func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
-	var all [][]string
-	final, err := c.roundTripStream(req, func(rows [][]string) error {
-		all = append(all, rows...)
+// fetch runs req and returns every row of its response stream, in stream
+// order, in one slice of exactly that size: the frames' rows are kept as
+// the decoder made them and gathered once the stream ends.
+func (c *Client) fetch(req wire.Request) ([]rel.Tuple, error) {
+	var frames [][][]string
+	n := 0
+	_, err := c.roundTrip(req, func(rows [][]string) error {
+		frames = append(frames, rows)
+		n += len(rows)
 		return nil
 	})
 	if err != nil {
-		return wire.Response{}, err
+		return nil, err
 	}
-	final.Rows = all
-	return final, nil
+	out := make([]rel.Tuple, 0, n)
+	for _, rows := range frames {
+		for _, r := range rows {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 // rowsToYield adapts a per-tuple yield to readStream's per-frame callback.
@@ -229,7 +237,7 @@ func rowsToYield(yield func(rel.Tuple) error) func([][]string) error {
 
 // Catalog lists the relations the peer serves.
 func (c *Client) Catalog() ([]string, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
+	resp, err := c.roundTrip(wire.Request{Op: "catalog"}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +248,7 @@ func (c *Client) Catalog() ([]string, error) {
 // current cardinalities (estimates for join ordering; they may go stale
 // without affecting correctness).
 func (c *Client) CatalogStats() (map[string]int, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "catalog"})
+	resp, err := c.roundTrip(wire.Request{Op: "catalog"}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +266,7 @@ func (c *Client) CatalogStats() (map[string]int, error) {
 // Ping performs a no-op round trip, verifying the connection and the peer
 // are alive.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(wire.Request{Op: "ping"})
+	_, err := c.roundTrip(wire.Request{Op: "ping"}, nil)
 	return err
 }
 
@@ -271,7 +279,7 @@ func (c *Client) Ping() error {
 // error (errors.Is(err, ErrBusy)) additionally means the batch was
 // never started.
 func (c *Client) Add(pred string, rows [][]string) (gen uint64, err error) {
-	resp, err := c.roundTrip(wire.Request{Op: "add", Pred: pred, Rows: rows})
+	resp, err := c.roundTrip(wire.Request{Op: "add", Pred: pred, Rows: rows}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -283,11 +291,7 @@ func (c *Client) Add(pred string, rows [][]string) (gen uint64, err error) {
 
 // Scan fetches all tuples of one relation.
 func (c *Client) Scan(pred string) ([]rel.Tuple, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred})
-	if err != nil {
-		return nil, err
-	}
-	return wire.RowsToTuples(resp.Rows), nil
+	return c.fetch(wire.Request{Op: "scan", Pred: pred})
 }
 
 // ScanStream streams one relation's tuples through yield as response
@@ -296,7 +300,7 @@ func (c *Client) Scan(pred string) ([]rel.Tuple, error) {
 // peer's response stream (the load generator's slow-consumer mode leans on
 // exactly this backpressure).
 func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
-	_, err := c.roundTripStream(wire.Request{Op: "scan", Pred: pred}, rowsToYield(yield))
+	_, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred}, rowsToYield(yield))
 	return err
 }
 
@@ -305,18 +309,19 @@ func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
 // tuple as chunks arrive, in stream (not sorted) order.
 func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
 	wq := wire.FromCQ(q)
-	_, err := c.roundTripStream(wire.Request{Op: "eval", Query: &wq, IfGen: c.ifGen}, rowsToYield(yield))
+	_, err := c.roundTrip(wire.Request{Op: "eval", Query: &wq, IfGen: c.ifGen}, rowsToYield(yield))
 	return err
 }
 
-// Eval is EvalStream materialized and sorted (the head tuples, distinct).
+// Eval is EvalStream materialized: the distinct head tuples in rel.Compare
+// order, sorted in place in the one slice fetch gathers them into.
 func (c *Client) Eval(q lang.CQ) ([]rel.Tuple, error) {
 	wq := wire.FromCQ(q)
-	resp, err := c.roundTrip(wire.Request{Op: "eval", Query: &wq})
+	ts, err := c.fetch(wire.Request{Op: "eval", Query: &wq})
 	if err != nil {
 		return nil, err
 	}
-	return rel.DistinctSorted(wire.RowsToTuples(resp.Rows)), nil
+	return rel.SortDistinct(ts), nil
 }
 
 // bindBatchSize and bindBatchMaxBytes cap the bound-key rows shipped per
@@ -380,7 +385,7 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yi
 		if c.counters != nil {
 			c.counters.bindBatches.Add(1)
 		}
-		final, err := c.roundTripStream(wire.Request{
+		final, err := c.roundTrip(wire.Request{
 			Op:       "bind",
 			Atom:     &wa,
 			BindCols: bindCols,

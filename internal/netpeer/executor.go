@@ -564,7 +564,8 @@ next:
 	return ready
 }
 
-// project maps the completed join onto the query head: distinct, sorted.
+// project maps the completed join onto the query head: distinct, sorted
+// in place.
 func (j *bindJoin) project() []rel.Tuple {
 	head := j.q.Head.Args
 	out := make([]rel.Tuple, 0, len(j.partial))
@@ -579,7 +580,7 @@ func (j *bindJoin) project() []rel.Tuple {
 		}
 		out = append(out, h)
 	}
-	return rel.DistinctSorted(out)
+	return rel.SortDistinct(out)
 }
 
 // evalComp evaluates comparison c over one partial-join row.

@@ -143,7 +143,7 @@ func TestRepliesCarryGeneration(t *testing.T) {
 		{Op: "scan", Pred: "A.r", IfGen: &gen},
 		{Op: "bind", Atom: &wa, BindCols: []int{0}, BindRows: [][]string{{"1"}}},
 	} {
-		resp, err := c.roundTrip(req)
+		resp, err := c.roundTrip(req, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", req.Op, err)
 		}
@@ -367,12 +367,19 @@ func TestIfGenCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// scan returns the final frame, its Rows set to every row the stream
+	// delivered.
 	scan := func(pred string, ifGen *uint64) wire.Response {
 		t.Helper()
-		resp, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred, IfGen: ifGen})
+		var rows [][]string
+		resp, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred, IfGen: ifGen}, func(frame [][]string) error {
+			rows = append(rows, frame...)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		resp.Rows = rows
 		return resp
 	}
 	plain := scan("L.rows", nil)
@@ -393,7 +400,7 @@ func TestIfGenCompatibility(t *testing.T) {
 	}
 	// The retired gens op gets the in-band unknown-op error, and the
 	// connection stays usable.
-	if _, err := c.roundTrip(wire.Request{Op: "gens"}); err == nil || !strings.Contains(err.Error(), `unknown op "gens"`) {
+	if _, err := c.roundTrip(wire.Request{Op: "gens"}, nil); err == nil || !strings.Contains(err.Error(), `unknown op "gens"`) {
 		t.Fatalf("gens op: %v, want an unknown op error", err)
 	}
 	if again := scan("L.rows", nil); len(again.Rows) != len(lg["L.rows"]) {

@@ -3,6 +3,8 @@ package rel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/lang"
@@ -81,4 +83,42 @@ func BenchmarkDistinctSorted(b *testing.B) {
 			b.Fatal("empty union")
 		}
 	}
+}
+
+// BenchmarkMergeDistinct merges the same three groups as
+// BenchmarkDistinctSorted, each first sorted and made distinct, as
+// EvalUnion receives them.
+func BenchmarkMergeDistinct(b *testing.B) {
+	groups := answerGroups(3, 2500)
+	for i, g := range groups {
+		groups[i] = SortDistinct(slices.Clone(g))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := MergeDistinct(groups...); len(out) == 0 {
+			b.Fatal("empty union")
+		}
+	}
+}
+
+// BenchmarkRelationInsert loads 10,000 bulk_stream-shaped rows (id, one
+// of 30 keys, 48-byte payload) into a fresh relation per op.
+func BenchmarkRelationInsert(b *testing.B) {
+	const n = 10_000
+	rows := make([]Tuple, n)
+	for j, g := range answerGroups(1, n)[0] {
+		rows[j] = Tuple{g[0], "k" + strconv.Itoa(j%30), g[1]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewRelation("log", 3)
+		for _, t := range rows {
+			if _, err := r.Insert(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }

@@ -145,3 +145,47 @@ func TestCompare(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeDistinct pins MergeDistinct on the group shapes EvalUnion
+// hands it: no groups, one group, empty groups, overlapping groups, and
+// 84 groups, adhoc_swarm's rewriting count.
+func TestMergeDistinct(t *testing.T) {
+	a, b, c := Tuple{"a"}, Tuple{"b"}, Tuple{"c"}
+	many := make([][]Tuple, 84)
+	var manyWant []Tuple
+	for g := range many {
+		// Group g holds the values g .. g+2: neighbours overlap by two.
+		for v := g; v < g+3; v++ {
+			many[g] = append(many[g], Tuple{fmt.Sprintf("v%03d", v), "x"})
+		}
+		manyWant = append(manyWant, Tuple{fmt.Sprintf("v%03d", g), "x"})
+	}
+	manyWant = append(manyWant, Tuple{"v084", "x"}, Tuple{"v085", "x"})
+	for _, c := range []struct {
+		name   string
+		groups [][]Tuple
+		want   []Tuple
+	}{
+		{"no groups", nil, nil},
+		{"one group", [][]Tuple{{a, b}}, []Tuple{a, b}},
+		{"empty groups", [][]Tuple{nil, {}, nil}, nil},
+		{"empty groups around one", [][]Tuple{nil, {a, c}, {}}, []Tuple{a, c}},
+		{"overlapping", [][]Tuple{{a, b}, {b, c}, {a, c}}, []Tuple{a, b, c}},
+		{"equal groups", [][]Tuple{{a, b}, {a, b}}, []Tuple{a, b}},
+		{"84 groups", many, manyWant},
+	} {
+		got := MergeDistinct(c.groups...)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("%s: %d rows in a slice of capacity %d, want exact size", c.name, len(got), cap(got))
+		}
+	}
+	// The result is a new slice: writing it leaves the groups alone.
+	g := []Tuple{a, b}
+	MergeDistinct(g)[0] = c
+	if !g[0].Equal(a) {
+		t.Fatal("MergeDistinct's result aliases its input group")
+	}
+}

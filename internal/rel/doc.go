@@ -20,6 +20,29 @@
 // engine route a probe whose bound-position set includes column 0 to the
 // single shard that can hold matches.
 //
+// # Rows
+//
+// A row's bytes are stored once. Insert copies a new row, in its Tuple.Key
+// encoding, into its shard's append-only byte arena; that copy is the
+// tuple set's key, and the stored row's values are substrings of it, in a
+// header carved from a per-shard []string arena. The log, the tuple set
+// and the engine's indexes share these rows. Each arena's chunks start at
+// the size of the shard's first row and double up to 64 KiB, so a small
+// relation stays small; handed-out bytes and headers are never written
+// again, and a header's capacity is clipped to its length. Insert's caller
+// keeps its own row. Clone shares the rows stored so far but starts fresh
+// arenas, so neither side's later inserts touch the other's chunks. A
+// value a caller keeps pins its whole chunk.
+//
+// # Answer sets
+//
+// Compare is the one tuple order and SortTuples the one sort kernel: an
+// LSD radix sort on the first 8 bytes of column 0 (big-endian,
+// zero-padded) that calls Compare only inside runs of equal keys.
+// SortDistinct and DistinctSorted build on it. MergeDistinct unions groups
+// that are each already sorted and distinct — the disjuncts' answers in
+// engine.EvalUnion — with a k-way heap merge instead of a re-sort.
+//
 // # Generations
 //
 // Every shard counts its inserts; Relation.Version folds (sums) the

@@ -4,12 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Tuple is a row of constant values.
@@ -129,6 +129,66 @@ type shard struct {
 	// gen counts this shard's inserts (== len(log)). Atomic so generation
 	// reads (cache keys, piggybacks) never take the shard lock.
 	gen atomic.Uint64
+	// keys and vals are the shard's row arenas, guarded by mu: each stored
+	// row's Key encoding is copied into keys once, and its values are
+	// substrings of that copy held in a header carved from vals.
+	keys arena[byte]
+	vals arena[string]
+}
+
+// arenaChunkBytes caps the size of one arena chunk.
+const arenaChunkBytes = 64 << 10
+
+// arena hands out pieces of append-only chunks that are never written
+// again once handed out. Chunks start at the size of the first request and
+// double up to arenaChunkBytes, so a small relation stays small; a request
+// larger than that gets a chunk of its own size.
+type arena[T any] struct {
+	free []T // the current chunk's unused tail
+	size int // the current chunk's length
+}
+
+// take returns n fresh elements, their capacity clipped to n so an append
+// to them cannot reach a neighbour.
+func (a *arena[T]) take(n int) []T {
+	if len(a.free) < n {
+		var zero T
+		a.size = max(n, min(2*a.size, arenaChunkBytes/int(unsafe.Sizeof(zero))))
+		a.free = make([]T, a.size)
+	}
+	p := a.free[:n:n]
+	a.free = a.free[n:]
+	return p
+}
+
+// storeLocked copies t, whose Key encoding is key, into the shard's
+// arenas and returns the stored key and row: the key bytes are the one
+// copy, and the row's values are substrings of them. Callers hold s.mu.
+func (s *shard) storeLocked(key []byte, t Tuple) (string, Tuple) {
+	b := s.keys.take(len(key))
+	copy(b, key)
+	k := unsafe.String(unsafe.SliceData(b), len(b))
+	if len(t) == 0 {
+		return k, Tuple{}
+	}
+	row := Tuple(s.vals.take(len(t)))
+	off := 0
+	for i, v := range t {
+		off += keyPrefixLen(len(v))
+		row[i] = k[off : off+len(v)]
+		off += len(v)
+	}
+	return k, row
+}
+
+// keyPrefixLen is the length of AppendKeyPart's prefix for a value of n
+// bytes: n's decimal digits and the colon.
+func keyPrefixLen(n int) int {
+	d := 2
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // Relation is a named set of tuples of fixed arity, hash-partitioned over
@@ -159,7 +219,7 @@ type Relation struct {
 
 // AppendHook observes one successful insert. It is invoked under the owning
 // shard's lock, after the tuple has been appended to the shard log and the
-// shard generation bumped, with the shard index, the (defensively copied)
+// shard generation bumped, with the shard index, the stored (arena-backed)
 // tuple, and the shard's new generation — in exactly that shard's log order.
 // A non-nil error aborts Insert with that error; the tuple remains inserted
 // in memory, so hook errors mean "applied but possibly not durable" and
@@ -216,23 +276,25 @@ func (r *Relation) ShardOfTuple(t Tuple) int {
 }
 
 // Insert adds a tuple (set semantics). It reports whether the tuple was new
-// and returns an error on arity mismatch. Inserts to different shards
-// proceed in parallel; the insert bumps its shard's generation counter.
+// and returns an error on arity mismatch. A new tuple is copied into its
+// shard's arenas, so the caller keeps ownership of t and its values.
+// Inserts to different shards proceed in parallel; the insert bumps its
+// shard's generation counter.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("rel: %s arity %d, tuple %v has %d values", r.name, r.arity, t, len(t))
 	}
 	si := r.ShardOfTuple(t)
 	s := r.shards[si]
-	k := t.Key()
+	var buf [128]byte
+	k := t.appendKey(buf[:0])
 	s.mu.Lock()
-	if _, ok := s.tuples[k]; ok {
+	if _, ok := s.tuples[string(k)]; ok {
 		s.mu.Unlock()
 		return false, nil
 	}
-	cp := make(Tuple, len(t))
-	copy(cp, t)
-	s.tuples[k] = cp
+	key, cp := s.storeLocked(k, t)
+	s.tuples[key] = cp
 	s.log = append(s.log, cp)
 	s.gen.Add(1)
 	if h := r.hook; h != nil {
@@ -328,23 +390,13 @@ func (r *Relation) Tuples() []Tuple {
 	if r.sorted != nil && r.sortedVer == v {
 		return r.sorted
 	}
-	var out []Tuple
+	out := make([]Tuple, 0, v)
 	for s := range r.shards {
 		out = append(out, r.ShardAddedSince(s, 0)...)
 	}
-	slices.SortFunc(out, Compare)
+	SortTuples(out)
 	r.sorted, r.sortedVer = out, v
 	return out
-}
-
-// DistinctSorted returns the distinct union of the given tuple groups in
-// column-wise (Compare) order — the answer-set semantics every UCQ
-// evaluator shares. It concatenates, sorts and drops adjacent repeats, so
-// it builds no key strings and no set; the groups are left untouched.
-func DistinctSorted(groups ...[]Tuple) []Tuple {
-	out := slices.Concat(groups...)
-	slices.SortFunc(out, Compare)
-	return slices.CompactFunc(out, Tuple.Equal)
 }
 
 // Instance maps predicate names to relations. The zero value is unusable;
@@ -431,6 +483,8 @@ func (ins *Instance) Clone() *Instance {
 			for k, t := range s.tuples {
 				tuples[k] = t
 			}
+			// The copy shares the source's stored rows, which are never
+			// written again, but gets arenas of its own.
 			ns := &shard{
 				tuples: tuples,
 				// Full-slice expression: later appends to either log must

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/rel"
@@ -168,6 +170,44 @@ func TestArityZeroSurvivesReplay(t *testing.T) {
 	defer d2.Close()
 	if r := got.Relation("flag"); r == nil || r.Len() != 1 {
 		t.Fatalf("recovered %v (%+v), want flag with its one tuple", got.Relations(), recs)
+	}
+}
+
+// TestArenaRowsRoundTrip: rows the relation copied into its arenas —
+// empty values, NUL bytes, a value larger than an arena chunk — journal
+// and replay byte for byte, even after the caller rewrote the rows it
+// inserted.
+func TestArenaRowsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	ins, d, _, err := OpenInstance(dir, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []rel.Tuple{
+		{"", ""},
+		{"a\x00b", "\x00"},
+		{strings.Repeat("big", 30_000), "x"},
+		{"k", strings.Repeat("\x00", 300)},
+	}
+	for _, w := range want {
+		row := slices.Clone(w)
+		if _, err := ins.Add("r", row); err != nil {
+			t.Fatal(err)
+		}
+		row[0], row[1] = "rewritten", "rewritten"
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, d2, _, err := OpenInstance(dir, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	insEqual(t, ins, got)
+	rel.SortTuples(want)
+	if rows := got.Relation("r").Tuples(); !slices.EqualFunc(rows, want, rel.Tuple.Equal) {
+		t.Fatalf("replayed %q, want %q", rows, want)
 	}
 }
 

@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/rel"
 	"repro/internal/store"
 	"repro/pdms"
 )
@@ -77,8 +80,50 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 					t.Fatalf("answer %d: swarm %v, oracle %v", i, got[i], want[i])
 				}
 			}
+
+			// Both sides again, every disjunct's answer checked for
+			// EvalUnion's precondition: the executor's evalCQ on the swarm
+			// side, the engine's on the oracle side.
+			checked, err := n.Mediator.QueryVia(spec.Query, sortedDistinctUnion{t, func(q lang.CQ, _ *obs.Span) ([]rel.Tuple, error) {
+				return n.Exec.EvalCQ(q)
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := pdms.Load(spec.OracleSource())
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracleChecked, err := oracle.QueryVia(spec.Query, sortedDistinctUnion{t, engine.New(oracle.Data()).EvalCQSpan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(checked, want) || !reflect.DeepEqual(oracleChecked, want) {
+				t.Fatalf("through the checked union: swarm %v, oracle %v, want %v", checked, oracleChecked, want)
+			}
 		})
 	}
+}
+
+// sortedDistinctUnion is a pdms.UCQEvaluator running engine.EvalUnion
+// over evalCQ, failing t unless every disjunct's answer holds distinct
+// tuples in rel.Compare order — the precondition EvalUnion merges on.
+type sortedDistinctUnion struct {
+	t      *testing.T
+	evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)
+}
+
+func (c sortedDistinctUnion) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
+	return engine.EvalUnion(u, sp, func(q lang.CQ, cs *obs.Span) ([]rel.Tuple, error) {
+		rows, err := c.evalCQ(q, cs)
+		for i := 1; i < len(rows); i++ {
+			if rel.Compare(rows[i-1], rows[i]) >= 0 {
+				c.t.Errorf("disjunct %s: answer %v not strictly before %v", q, rows[i-1], rows[i])
+				break
+			}
+		}
+		return rows, err
+	})
 }
 
 // unprunedNodes reformulates query over med's specification with subtree

@@ -390,15 +390,6 @@ func AppendFrame(dst []byte, br *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
-// RowsToTuples converts response rows.
-func RowsToTuples(rows [][]string) []rel.Tuple {
-	out := make([]rel.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = rel.Tuple(r)
-	}
-	return out
-}
-
 // TuplesToRows converts tuples for a response.
 func TuplesToRows(ts []rel.Tuple) [][]string {
 	out := make([][]string, len(ts))

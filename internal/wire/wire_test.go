@@ -68,9 +68,9 @@ func TestComparisonOps(t *testing.T) {
 
 func TestTupleHelpers(t *testing.T) {
 	ts := []rel.Tuple{{"a", "b"}, {"c"}}
-	back := RowsToTuples(TuplesToRows(ts))
-	if len(back) != 2 || !back[0].Equal(ts[0]) || !back[1].Equal(ts[1]) {
-		t.Fatalf("round trip: %v", back)
+	rows := TuplesToRows(ts)
+	if len(rows) != 2 || !ts[0].Equal(rows[0]) || !ts[1].Equal(rows[1]) {
+		t.Fatalf("TuplesToRows: %v", rows)
 	}
 }
 
