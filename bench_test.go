@@ -1,8 +1,9 @@
 // Package repro's root benchmarks regenerate the paper's evaluation
-// (Section 5). One benchmark per figure plus the in-text rate claim and the
-// Section 4.3 ablations; cmd/figures prints the same series as TSV for
-// plotting. Absolute times differ from the 2003 testbed by construction —
-// the reported claims are the *shapes*: exponential tree growth in the
+// (Section 5). One benchmark per figure plus the in-text rate claim and an
+// end-to-end run; cmd/figures prints the same series as TSV for plotting.
+// The Section 4.3 optimizations always run, so there is no ablation sweep.
+// Absolute times differ from the 2003 testbed by construction — the
+// reported claims are the *shapes*: exponential tree growth in the
 // diameter, growth with %dd, first rewritings arriving orders of magnitude
 // before the full union, and step 3 (extraction) dominating step 2 (tree
 // construction).
@@ -133,86 +134,6 @@ func BenchmarkNodeRate(b *testing.B) {
 	perOp := b.Elapsed().Seconds() / float64(b.N)
 	if perOp > 0 {
 		b.ReportMetric(float64(nodes)/perOp, "nodes/sec")
-	}
-}
-
-// BenchmarkAblationMemo toggles the Section 4.3 memoization of unproductive
-// goal expansions (ablation A1 of internal/experiments). Run on a
-// 40%-store-coverage workload: the other 60% of bottom relations are dead
-// ends whose repeated subtrees memoization skips.
-func BenchmarkAblationMemo(b *testing.B) {
-	benchAblation(b, "memo-on", core.Options{})
-	benchAblation(b, "memo-off", core.Options{NoMemo: true})
-}
-
-// BenchmarkAblationPriority toggles the priority expansion order (A3) on
-// the same dead-end-rich workload (priority surfaces dead ends earlier,
-// seeding the memo sooner).
-func BenchmarkAblationPriority(b *testing.B) {
-	benchAblation(b, "priority-on", core.Options{})
-	benchAblation(b, "priority-off", core.Options{NoPriority: true})
-}
-
-func benchAblation(b *testing.B, name string, opts core.Options) {
-	b.Run(name, func(b *testing.B) {
-		w, err := workload.Generate(workload.Params{
-			Peers: experiments.DefaultPeers, Diameter: 6, DefRatio: 0.25,
-			StoreCoverage: 0.4, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := core.New(w.PDMS, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var nodes int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st, err := r.BuildTree(w.Query)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes = st.Nodes()
-		}
-		b.ReportMetric(float64(nodes), "nodes")
-	})
-}
-
-// BenchmarkAblationPruning toggles unsatisfiable-constraint dead-end pruning
-// (A2) on a range-partitioned workload where pruning actually bites: stores
-// partition A:R by disjoint ranges and the query selects one range.
-func BenchmarkAblationPruning(b *testing.B) {
-	spec := rangePartitionedSpec(16)
-	for _, tc := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"pruning-on", core.Options{}},
-		{"pruning-off", core.Options{NoPruneUnsat: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			r, err := core.New(spec.PDMS, tc.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var nodes, rewritings int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				st, err := r.Stream(spec.Query, func(lang.CQ) bool {
-					n++
-					return true
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rewritings = n
-				nodes = st.Nodes()
-			}
-			b.ReportMetric(float64(rewritings), "rewritings")
-			b.ReportMetric(float64(nodes), "nodes")
-		})
 	}
 }
 

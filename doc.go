@@ -4,11 +4,12 @@
 // production-shaped distributed query system.
 //
 // The public API lives in package repro/pdms; the root package holds Go
-// benchmarks over the paper's evaluation workloads (Figures 3 and 4, the
-// node-rate claim, and the Section 4.3 optimization ablations), timing
-// internal/workload's generator and internal/core directly. cmd/figures
-// (over internal/experiments) prints the figure series themselves, and
-// cmd/bench is the repository's end-to-end benchmark.
+// benchmarks over the paper's evaluation workloads (Figures 3 and 4 and the
+// node-rate claim; the Section 4.3 optimizations always run, so there is no
+// ablation sweep), timing internal/workload's generator and internal/core
+// directly. cmd/figures (over internal/experiments) prints the figure
+// series themselves, and cmd/bench is the repository's end-to-end
+// benchmark.
 // ARCHITECTURE.md at the repository root is the top-to-bottom guide to
 // every layer (mediator → reformulation → engine → wire → executor) with
 // per-layer dataflow diagrams and code pointers; the peer wire protocol is

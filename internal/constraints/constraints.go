@@ -175,22 +175,5 @@ func (s *Set) Project(keep []lang.Term) *Set {
 	return out
 }
 
-// EvalGround evaluates a fully ground conjunction (no variables); it returns
-// false if any conjunct has a variable.
-func (s *Set) EvalGround() bool {
-	if s == nil {
-		return true
-	}
-	for _, c := range s.comps {
-		if c.L.IsVar() || c.R.IsVar() {
-			return false
-		}
-		if !c.Op.EvalConst(c.L, c.R) {
-			return false
-		}
-	}
-	return true
-}
-
 // Const is a convenience re-export of lang.Const for callers of this package.
 func Const(v string) lang.Term { return lang.Const(v) }

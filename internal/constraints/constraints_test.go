@@ -140,22 +140,6 @@ func TestProjectEquality(t *testing.T) {
 	}
 }
 
-func TestEvalGround(t *testing.T) {
-	if !New(c(k("1"), lang.OpLT, k("2")), c(k("a"), lang.OpEQ, k("a"))).EvalGround() {
-		t.Fatal("ground true conjunction")
-	}
-	if New(c(k("1"), lang.OpGT, k("2"))).EvalGround() {
-		t.Fatal("ground false conjunction")
-	}
-	if New(c(v("x"), lang.OpEQ, k("1"))).EvalGround() {
-		t.Fatal("non-ground must be false")
-	}
-	var nilSet *Set
-	if !nilSet.EvalGround() {
-		t.Fatal("nil set is trivially true")
-	}
-}
-
 func TestApplySubst(t *testing.T) {
 	s := New(c(v("x"), lang.OpLT, v("y")))
 	sub := lang.Subst{"x": k("1"), "y": k("0")}

@@ -1,6 +1,6 @@
 // Package containment implements conjunctive-query containment via
-// containment mappings (the classical Chandra–Merlin technique), query
-// minimization, and union-of-CQ containment.
+// containment mappings (the classical Chandra–Merlin technique) and
+// redundancy elimination over unions of conjunctive queries.
 //
 // The reformulation engine uses containment to discard redundant rewritings
 // (a produced conjunctive rewriting that is contained in another contributes
@@ -76,11 +76,6 @@ func mapsInto(q2, q1 lang.CQ, c1 *constraints.Set, empty1 bool) bool {
 	})
 }
 
-// Equivalent reports mutual containment.
-func Equivalent(q1, q2 lang.CQ) bool {
-	return Contains(q1, q2) && Contains(q2, q1)
-}
-
 // findMapping searches for an extension of base mapping every atom of from
 // onto some atom of onto (variables of onto are rigid), subject to accept.
 func findMapping(from, onto []lang.Atom, base lang.Subst, accept func(lang.Subst) bool) bool {
@@ -103,55 +98,6 @@ func findMapping(from, onto []lang.Atom, base lang.Subst, accept func(lang.Subst
 		return false
 	}
 	return rec(0, base)
-}
-
-// Minimize returns an equivalent query with a minimal body (the core): it
-// repeatedly tries to drop a body atom, keeping the drop whenever the
-// reduced query still contains the original. Comparison predicates are kept
-// verbatim. The head is unchanged.
-func Minimize(q lang.CQ) lang.CQ {
-	cur := q.Clone()
-	for changed := true; changed; {
-		changed = false
-		for i := range cur.Body {
-			if len(cur.Body) == 1 {
-				break
-			}
-			reduced := cur.Clone()
-			reduced.Body = append(reduced.Body[:i], reduced.Body[i+1:]...)
-			if !reduced.IsSafe() {
-				continue
-			}
-			// reduced has fewer atoms so cur ⊆ reduced always; the drop is
-			// sound when reduced ⊆ cur too.
-			if Contains(reduced, cur) {
-				cur = reduced
-				changed = true
-				break
-			}
-		}
-	}
-	return cur
-}
-
-// ContainsUCQ reports whether the union u2 contains the union u1:
-// every disjunct of u1 must be contained in some disjunct of u2 (this
-// criterion is sound and complete for UCQs without comparisons, by
-// Sagiv–Yannakakis).
-func ContainsUCQ(u1, u2 lang.UCQ) bool {
-	for _, d1 := range u1.Disjuncts {
-		found := false
-		for _, d2 := range u2.Disjuncts {
-			if Contains(d1, d2) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // RemoveRedundant drops every disjunct of u that is contained in another

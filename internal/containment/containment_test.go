@@ -96,45 +96,6 @@ func TestContainsUnsatisfiableLHS(t *testing.T) {
 	}
 }
 
-func TestMinimizeDropsRedundantAtom(t *testing.T) {
-	// q(x) :- R(x,y), R(x,z)  minimizes to  q(x) :- R(x,y).
-	q := lang.CQ{Head: atom("q", v("x")), Body: []lang.Atom{
-		atom("R", v("x"), v("y")), atom("R", v("x"), v("z"))}}
-	m := Minimize(q)
-	if len(m.Body) != 1 {
-		t.Fatalf("Minimize kept %d atoms: %v", len(m.Body), m)
-	}
-	if !Equivalent(q, m) {
-		t.Fatal("minimized query not equivalent")
-	}
-}
-
-func TestMinimizeKeepsCore(t *testing.T) {
-	// q(x) :- R(x,y), S(y): nothing droppable.
-	q := lang.CQ{Head: atom("q", v("x")), Body: []lang.Atom{
-		atom("R", v("x"), v("y")), atom("S", v("y"))}}
-	m := Minimize(q)
-	if len(m.Body) != 2 {
-		t.Fatalf("Minimize dropped a needed atom: %v", m)
-	}
-}
-
-func TestContainsUCQ(t *testing.T) {
-	mk := func(pred string) lang.CQ {
-		return lang.CQ{Head: atom("q", v("x")), Body: []lang.Atom{atom(pred, v("x"))}}
-	}
-	var u1, u2 lang.UCQ
-	u1.Add(mk("A"))
-	u2.Add(mk("A"))
-	u2.Add(mk("B"))
-	if !ContainsUCQ(u1, u2) {
-		t.Fatal("A ⊆ A∪B failed")
-	}
-	if ContainsUCQ(u2, u1) {
-		t.Fatal("A∪B ⊄ A")
-	}
-}
-
 func TestRemoveRedundant(t *testing.T) {
 	gen := lang.CQ{Head: atom("q", v("x")), Body: []lang.Atom{atom("R", v("x"), v("y"))}}
 	spec := lang.CQ{Head: atom("q", v("x")), Body: []lang.Atom{atom("R", v("x"), k("a"))}}

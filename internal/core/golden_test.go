@@ -27,17 +27,15 @@ const goldenPath = "testdata/rewritings.golden"
 
 const goldenTextMax = 20
 
-// goldenOptions are the option sets every golden case runs under: the memo
-// and the subtree pruning on and off, and redundancy elimination off (so the
+// goldenOptions are the option sets every golden case runs under: the
+// defaults, the subtree pruning off, and redundancy elimination off (so the
 // extraction order itself is pinned).
 var goldenOptions = []struct {
 	label string
 	opts  core.Options
 }{
 	{"default", core.Options{}},
-	{"nomemo", core.Options{NoMemo: true}},
 	{"noprune", core.Options{NoPruneSubsumed: true}},
-	{"nomemo+noprune", core.Options{NoMemo: true, NoPruneSubsumed: true}},
 	{"keepredundant", core.Options{KeepRedundant: true}},
 }
 
@@ -89,10 +87,23 @@ storage S.high(x, y) in A:T(x, y), x > 10
 	},
 }
 
+// cyclicSpec is a cycle of inclusions over one relation name whose
+// expansions keep revisiting the same goal contexts under growing ban sets:
+// the unproductive-memo fires on it under the default options, which no
+// generated case does (the hopeless-predicate prune gets there first).
+const cyclicSpec = `
+include P0:R(x, y) in P1:R(y, x)
+include P2:R(x, y), P1:R(y, z) in P0:R(x, z)
+include P1:R(x, y), P1:R(y, z) in P2:R(x, z)
+storage S0.s(x, y) in P0:R(x, y)
+`
+
+const cyclicQuery = `q(x, z) :- P2:R(x, y), P2:R(y, z)`
+
 // goldenCorpus lists every golden case: swarm topologies with their
-// per-peer queries, the §5 workload generator, the interning traps, and
-// FuzzPPLReformulate's committed corpus (replicated mappings, decoys,
-// equalities, definitional layers, comparisons).
+// per-peer queries, the §5 workload generator, the interning traps, the
+// cyclic memo spec, and FuzzPPLReformulate's committed corpus (replicated
+// mappings, decoys, equalities, definitional layers, comparisons).
 func goldenCorpus(tb testing.TB) []goldenCase {
 	tb.Helper()
 	var out []goldenCase
@@ -146,6 +157,11 @@ func goldenCorpus(tb testing.TB) []goldenCase {
 			out = append(out, goldenCase{"trap " + ts.label + ": " + text, res.PDMS, mustQuery(tb, text)})
 		}
 	}
+	cyc, err := parser.Parse(cyclicSpec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out = append(out, goldenCase{"cyclic: " + cyclicQuery, cyc.PDMS, mustQuery(tb, cyclicQuery)})
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzPPLReformulate", "*"))
 	if err != nil || len(files) == 0 {
 		tb.Fatalf("no fuzz corpus: %v", err)
@@ -330,5 +346,7 @@ func TestRewritingsMatchGoldenOnSwarmCorpus(t *testing.T) { assertGolden(t, "swa
 func TestRewritingsMatchGoldenOnWorkloadCorpus(t *testing.T) { assertGolden(t, "workload ") }
 
 func TestRewritingsMatchGoldenOnInterningTraps(t *testing.T) { assertGolden(t, "trap ") }
+
+func TestRewritingsMatchGoldenOnCyclicSpec(t *testing.T) { assertGolden(t, "cyclic: ") }
 
 func TestRewritingsMatchGoldenOnFuzzSeeds(t *testing.T) { assertGolden(t, "fuzz ") }

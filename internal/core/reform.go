@@ -34,8 +34,10 @@ func New(n *ppl.PDMS, opts Options) (*Reformulator, error) {
 type Result struct {
 	// UCQ is the reformulated query: a union of conjunctive queries over
 	// stored relations. Evaluating it over the stored data yields certain
-	// answers; when the PDMS is in the tractable fragment (see
-	// Classification) it yields exactly the certain answers.
+	// answers, but not always all of them: outside the tractable fragment
+	// (see Classification) no rewriting can promise that, and within it a
+	// recursive definitional mapping needs unfoldings of any depth, which
+	// a finite union does not hold.
 	UCQ lang.UCQ
 	// Stats reports tree-size and extraction metrics.
 	Stats Stats

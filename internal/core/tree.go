@@ -67,26 +67,14 @@ type node struct {
 	covered bool
 }
 
-// Options configures tree construction and extraction.
+// Options configures tree construction and extraction. The Section 4.3
+// optimizations (memoization, unsatisfiable-label pruning, priority
+// expansion, the useless-path rule, upward constraint propagation) always
+// run; only the deep-topology pruning can be switched off.
 type Options struct {
 	// MaxNodes caps the number of tree nodes; 0 means the default
 	// (2,000,000). Construction stops with an error when exceeded.
 	MaxNodes int
-	// NoPruneUnsat disables dead-end pruning via unsatisfiable constraint
-	// labels (Section 4.3); pruning is on by default.
-	NoPruneUnsat bool
-	// NoMemo disables memoization of unproductive goal expansions
-	// (Section 4.3); memoization is on by default.
-	NoMemo bool
-	// NoPriority disables the priority scheme that expands low-fanout
-	// subgoals first to surface dead ends early (Section 4.3); on by
-	// default.
-	NoPriority bool
-	// NoUselessPath disables the Section 4.3 useless-path rule: when a
-	// subgoal's only reformulation route is a single inclusion view and
-	// every resulting MCD also covers its (sole) sibling, the sibling's
-	// own expansions are all redundant and are skipped. On by default.
-	NoUselessPath bool
 	// NoPruneSubsumed disables the deep-topology subtree pruning (see
 	// prune.go): hopeless-predicate pruning (a goal whose predicate can
 	// never bottom out in stored relations is marked dead without building
@@ -96,12 +84,6 @@ type Options struct {
 	// mappings make these common). Both prunes leave the extracted rewriting
 	// set unchanged; on by default.
 	NoPruneSubsumed bool
-	// NoPropagateUp disables upward constraint propagation (the paper's
-	// predicate-move-around remark in Section 4.2): comparisons implied by
-	// EVERY expansion of a goal are hoisted into the goal's own label; if
-	// the strengthened label contradicts the context, the goal is a dead
-	// end even though each child alone looked viable. On by default.
-	NoPropagateUp bool
 	// KeepRedundant disables containment-based redundancy elimination of
 	// the final union (cheap minimization is on by default only in
 	// Reformulate, never in streaming).
@@ -412,7 +394,7 @@ func (b *builder) expandChildren(rn *node, maxNodes int, sp *obs.Span) {
 		if b.err != nil {
 			return
 		}
-		if !b.opts.NoUselessPath && len(rn.children) == 2 {
+		if len(rn.children) == 2 {
 			if other := b.uselessSibling(rn, gn); other != nil {
 				skip = other
 			}
@@ -513,7 +495,7 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		ns.Set("pruned", "empty")
 		return false
 	}
-	if !b.opts.NoMemo && len(b.memo) > 0 && b.memoUnproductive(b.contextKey(n), n.banned) {
+	if len(b.memo) > 0 && b.memoUnproductive(b.contextKey(n), n.banned) {
 		// Known unproductive under a weaker (or equal) ban set: skip
 		// building the subtree entirely.
 		b.stats.MemoHits++
@@ -571,7 +553,7 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 	copy(n.children, b.kids[kids:])
 	b.kids = b.kids[:kids]
 
-	if productive && !b.opts.NoPropagateUp {
+	if productive {
 		if !b.propagateUp(n) {
 			productive = false
 			b.stats.PrunedUnsat++
@@ -581,12 +563,10 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		n.dead = true
 		b.stats.DeadEnds++
 		ns.Set("dead", "true")
-		if !b.opts.NoMemo {
-			// Only descriptions reachable from this predicate can influence
-			// the subtree; restricting the ban set to that cone makes memo
-			// entries comparable across unrelated branches.
-			b.memoRecord(b.contextKey(n), n.banned.within(pi.reach))
-		}
+		// Only descriptions reachable from this predicate can influence
+		// the subtree; restricting the ban set to that cone makes memo
+		// entries comparable across unrelated branches.
+		b.memoRecord(b.contextKey(n), n.banned.within(pi.reach))
 	}
 	return productive
 }
@@ -647,7 +627,7 @@ func (b *builder) constrain(n *node, comps []comparison) (*constraints.Set, bool
 		return n.constraint, true
 	}
 	c := n.constraint.And(constraints.New(b.langComps(comps)...))
-	if !b.opts.NoPruneUnsat && !c.Satisfiable() {
+	if !c.Satisfiable() {
 		b.stats.PrunedUnsat++
 		return nil, false
 	}
@@ -822,17 +802,14 @@ func ruleNodeProductive(rn *node) bool {
 }
 
 // orderChildren pushes a rule node's children onto the order stack in
-// expansion order and returns their span there: with the priority scheme
-// enabled, children with the fewest applicable descriptions first (dead
-// ends surface early, maximizing memo/prune benefit), ties in document
-// order; otherwise document order.
+// expansion order and returns their span there, by the Section 4.3
+// priority scheme: children with the fewest applicable descriptions first
+// (dead ends surface early, maximizing memo/prune benefit), ties in
+// document order.
 func (b *builder) orderChildren(children []*node) (start, end int) {
 	start = len(b.order)
 	b.order = append(b.order, children...)
 	end = len(b.order)
-	if b.opts.NoPriority {
-		return start, end
-	}
 	score := func(c *node) int {
 		if c.stored {
 			return 0

@@ -1,11 +1,12 @@
 // Package experiments reproduces the paper's evaluation (Section 5):
 // Figure 3 (rule-goal tree size vs PDMS diameter, by %definitional
 // mappings), Figure 4 (time to the 1st/10th/all rewritings vs diameter),
-// the in-text node-generation-rate claim, and the ablations of the Section
-// 4.3 optimizations (ARCHITECTURE.md §2). cmd/figures is the one command
-// over this package; the root benchmarks time the same generator
-// (internal/workload, at this package's DefaultPeers) and internal/core
-// directly, so they share its inputs but none of its code.
+// and the in-text node-generation-rate claim. The Section 4.3
+// optimizations always run (ARCHITECTURE.md §2), so there is no ablation
+// sweep. cmd/figures is the one command over this package; the root
+// benchmarks time the same generator (internal/workload, at this package's
+// DefaultPeers) and internal/core directly, so they share its inputs but
+// none of its code.
 package experiments
 
 import (
@@ -32,14 +33,14 @@ type Fig3Point struct {
 
 // Figure3 sweeps tree size over diameters and definitional ratios,
 // averaging `runs` generator seeds per point (the paper averages 100 runs).
-func Figure3(peers int, diameters []int, ratios []float64, runs int, opts core.Options) ([]Fig3Point, error) {
+func Figure3(peers int, diameters []int, ratios []float64, runs int) ([]Fig3Point, error) {
 	var out []Fig3Point
 	for _, dd := range ratios {
 		for _, d := range diameters {
 			var nodes float64
 			var dur time.Duration
 			for run := 0; run < runs; run++ {
-				st, elapsed, err := buildOne(peers, d, dd, int64(run), opts)
+				st, elapsed, err := buildOne(peers, d, dd, int64(run))
 				if err != nil {
 					return nil, err
 				}
@@ -57,22 +58,17 @@ func Figure3(peers int, diameters []int, ratios []float64, runs int, opts core.O
 	return out, nil
 }
 
-func buildOne(peers, diameter int, dd float64, seed int64, opts core.Options) (core.Stats, time.Duration, error) {
-	return buildOneCov(peers, diameter, dd, 1.0, seed, opts)
-}
-
-func buildOneCov(peers, diameter int, dd, coverage float64, seed int64, opts core.Options) (core.Stats, time.Duration, error) {
+func buildOne(peers, diameter int, dd float64, seed int64) (core.Stats, time.Duration, error) {
 	w, err := workload.Generate(workload.Params{
-		Peers:         peers,
-		Diameter:      diameter,
-		DefRatio:      dd,
-		StoreCoverage: coverage,
-		Seed:          seed,
+		Peers:    peers,
+		Diameter: diameter,
+		DefRatio: dd,
+		Seed:     seed,
 	})
 	if err != nil {
 		return core.Stats{}, 0, err
 	}
-	r, err := core.New(w.PDMS, opts)
+	r, err := core.New(w.PDMS, core.Options{})
 	if err != nil {
 		return core.Stats{}, 0, err
 	}
@@ -95,13 +91,13 @@ type Fig4Point struct {
 
 // Figure4 measures streaming extraction latency at a fixed definitional
 // ratio (the paper uses 10%), averaging `runs` seeds per diameter.
-func Figure4(peers int, diameters []int, dd float64, runs int, opts core.Options) ([]Fig4Point, error) {
+func Figure4(peers int, diameters []int, dd float64, runs int) ([]Fig4Point, error) {
 	var out []Fig4Point
 	for _, d := range diameters {
 		var first, tenth, all time.Duration
 		var rewritings int
 		for run := 0; run < runs; run++ {
-			p, err := streamOne(peers, d, dd, int64(run), opts)
+			p, err := streamOne(peers, d, dd, int64(run))
 			if err != nil {
 				return nil, err
 			}
@@ -121,7 +117,7 @@ func Figure4(peers int, diameters []int, dd float64, runs int, opts core.Options
 	return out, nil
 }
 
-func streamOne(peers, diameter int, dd float64, seed int64, opts core.Options) (Fig4Point, error) {
+func streamOne(peers, diameter int, dd float64, seed int64) (Fig4Point, error) {
 	w, err := workload.Generate(workload.Params{
 		Peers:    peers,
 		Diameter: diameter,
@@ -131,7 +127,7 @@ func streamOne(peers, diameter int, dd float64, seed int64, opts core.Options) (
 	if err != nil {
 		return Fig4Point{}, err
 	}
-	r, err := core.New(w.PDMS, opts)
+	r, err := core.New(w.PDMS, core.Options{})
 	if err != nil {
 		return Fig4Point{}, err
 	}
@@ -181,7 +177,7 @@ func NodeRate(peers int, diameters []int, dd float64, runs int) ([]RatePoint, er
 		var nodes int
 		var dur time.Duration
 		for run := 0; run < runs; run++ {
-			st, elapsed, err := buildOne(peers, d, dd, int64(run), core.Options{})
+			st, elapsed, err := buildOne(peers, d, dd, int64(run))
 			if err != nil {
 				return nil, err
 			}
@@ -195,68 +191,6 @@ func NodeRate(peers int, diameters []int, dd float64, runs int) ([]RatePoint, er
 		out = append(out, rp)
 	}
 	return out, nil
-}
-
-// Ablation compares tree construction with one optimization toggled off.
-type AblationPoint struct {
-	Diameter int
-	Name     string
-	On, Off  core.Stats
-	TimeOn   time.Duration
-	TimeOff  time.Duration
-}
-
-// Ablations runs the A1/A3 sweeps — Section 4.3's memoization and priority
-// ordering — on a 40%-store-coverage workload: the storeless bottom
-// relations create the repeated dead-end subtrees those optimizations
-// exist for. (A2, unsat pruning, needs comparison predicates and lives in
-// BenchmarkAblationPruning over the range-partitioned spec.)
-func Ablations(peers int, diameters []int, dd float64, runs int) ([]AblationPoint, error) {
-	const coverage = 0.4
-	var out []AblationPoint
-	toggles := []struct {
-		name string
-		off  core.Options
-	}{
-		{"memo", core.Options{NoMemo: true}},
-		{"priority", core.Options{NoPriority: true}},
-	}
-	for _, tg := range toggles {
-		for _, d := range diameters {
-			var p AblationPoint
-			p.Diameter = d
-			p.Name = tg.name
-			for run := 0; run < runs; run++ {
-				stOn, tOn, err := buildOneCov(peers, d, dd, coverage, int64(run), core.Options{})
-				if err != nil {
-					return nil, err
-				}
-				stOff, tOff, err := buildOneCov(peers, d, dd, coverage, int64(run), tg.off)
-				if err != nil {
-					return nil, err
-				}
-				p.On = addStats(p.On, stOn)
-				p.Off = addStats(p.Off, stOff)
-				p.TimeOn += tOn
-				p.TimeOff += tOff
-			}
-			p.TimeOn /= time.Duration(runs)
-			p.TimeOff /= time.Duration(runs)
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
-func addStats(a, b core.Stats) core.Stats {
-	a.GoalNodes += b.GoalNodes
-	a.RuleNodes += b.RuleNodes
-	a.PrunedUnsat += b.PrunedUnsat
-	a.MemoHits += b.MemoHits
-	a.DeadEnds += b.DeadEnds
-	a.Rewritings += b.Rewritings
-	a.DiscardUnsat += b.DiscardUnsat
-	return a
 }
 
 // FormatFig3 renders Figure 3 points as TSV.

@@ -3,12 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestFigure3SmallSweep(t *testing.T) {
-	pts, err := Figure3(24, []int{1, 2, 3}, []float64{0, 0.25}, 2, core.Options{})
+	pts, err := Figure3(24, []int{1, 2, 3}, []float64{0, 0.25}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +32,7 @@ func TestFigure3SmallSweep(t *testing.T) {
 }
 
 func TestFigure4SmallSweep(t *testing.T) {
-	pts, err := Figure4(24, []int{1, 2, 3}, 0.10, 2, core.Options{})
+	pts, err := Figure4(24, []int{1, 2, 3}, 0.10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,25 +61,6 @@ func TestNodeRatePositive(t *testing.T) {
 	for _, p := range pts {
 		if p.Nodes <= 0 || p.NodesPerSec <= 0 {
 			t.Fatalf("rate point = %+v", p)
-		}
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	pts, err := Ablations(24, []int{3}, 0.25, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.On.Nodes() == 0 || p.Off.Nodes() == 0 {
-			t.Fatalf("empty stats: %+v", p)
-		}
-		// Memo-off can never build FEWER nodes than memo-on.
-		if p.Name == "memo" && p.Off.Nodes() < p.On.Nodes() {
-			t.Fatalf("memo increased node count: %+v", p)
 		}
 	}
 }

@@ -235,15 +235,6 @@ func rowsToYield(yield func(rel.Tuple) error) func([][]string) error {
 	}
 }
 
-// Catalog lists the relations the peer serves.
-func (c *Client) Catalog() ([]string, error) {
-	resp, err := c.roundTrip(wire.Request{Op: "catalog"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Preds, nil
-}
-
 // CatalogStats lists the relations the peer serves together with their
 // current cardinalities (estimates for join ordering; they may go stale
 // without affecting correctness).

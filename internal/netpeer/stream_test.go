@@ -118,7 +118,7 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 		t.Fatal("well-framed in-band error must not break the connection")
 	}
 	// The same connection keeps working.
-	preds, err := c.Catalog()
+	preds, err := c.CatalogStats()
 	if err != nil || len(preds) != 1 {
 		t.Fatalf("connection unusable after oversize request: %v (%v)", preds, err)
 	}
@@ -167,7 +167,7 @@ func TestOversizeResponseBreaksClientCleanly(t *testing.T) {
 	}
 	defer c.Close()
 	c.maxFrame = 16 * 1024
-	if _, err := c.Catalog(); err == nil {
+	if _, err := c.CatalogStats(); err == nil {
 		t.Fatal("oversize response frame did not surface an error")
 	}
 	if !c.Broken() {
@@ -352,7 +352,7 @@ func TestSlowClientCannotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if preds, err := c.Catalog(); err != nil || len(preds) != 1 {
+	if preds, err := c.CatalogStats(); err != nil || len(preds) != 1 {
 		t.Fatalf("catalog after stalled peer: %v (%v)", preds, err)
 	}
 }

@@ -143,8 +143,9 @@ func findCycle(adj map[string]map[string]bool) (bool, []string) {
 type Complexity uint8
 
 const (
-	// PTime: all certain answers computable in polynomial time; the
-	// reformulation algorithm is complete.
+	// PTime: all certain answers computable in polynomial time.
+	// Reformulation is sound; a recursive definitional mapping needs
+	// unfoldings of any depth, so a finite union can miss some answers.
 	PTime Complexity = iota
 	// CoNP: finding all certain answers is co-NP-complete; reformulation
 	// remains sound but may be incomplete.

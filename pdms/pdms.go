@@ -297,9 +297,11 @@ type Reformulation struct {
 	Rewriting lang.UCQ
 	// Stats reports rule-goal tree metrics.
 	Stats core.Stats
-	// Classification is the Theorem 3.1–3.3 complexity classification; the
-	// rewriting is complete (all certain answers) exactly when this is
-	// PTIME.
+	// Classification is the Theorem 3.1–3.3 complexity classification.
+	// The rewriting's answers are always certain answers, but not always
+	// all of them: outside PTIME no rewriting can promise that, and within
+	// it a recursive definitional mapping needs unfoldings of any depth,
+	// which a finite union does not hold.
 	Classification ppl.Classification
 }
 
@@ -417,8 +419,8 @@ func (n *Network) answerKeyLocked(q lang.CQ, ref *Reformulation) string {
 }
 
 // Query reformulates and executes a textual query over the stored data,
-// returning the certain answers (all of them when the specification is in
-// the tractable fragment). It is QueryVia through the network's own
+// returning certain answers (possibly not all of them: see
+// Reformulation.Classification). It is QueryVia through the network's own
 // indexed engine, so its answers are cached under the generation vector of
 // the relations the rewriting touches and served until one of *those*
 // relations (or the specification) mutates. Callers must not mutate the
