@@ -5,8 +5,7 @@ import (
 )
 
 // solve decides satisfiability of a conjunction of comparisons over a dense
-// unbounded ordered domain. It returns a class assignment (term -> class
-// index) as a witness when satisfiable. The algorithm:
+// unbounded ordered domain. The algorithm:
 //
 //  1. Union equality-related terms (union-find); a class holding two
 //     distinct constants is inconsistent.
@@ -17,7 +16,7 @@ import (
 //  3. Merge classes related by x <= y and y <= x and repeat until fixpoint
 //     (each merge reduces the class count, so this terminates).
 //  4. Check != constraints and constant-order consistency on the result.
-func solve(comps []lang.Comparison) (map[lang.Term]int, bool) {
+func solve(comps []lang.Comparison) bool {
 	uf := newUnionFind()
 	type edge struct {
 		from, to lang.Term
@@ -29,7 +28,7 @@ func solve(comps []lang.Comparison) (map[lang.Term]int, bool) {
 	for _, c := range comps {
 		if c.L.IsConst() && c.R.IsConst() {
 			if !c.Op.EvalConst(c.L, c.R) {
-				return nil, false
+				return false
 			}
 			continue
 		}
@@ -54,7 +53,7 @@ func solve(comps []lang.Comparison) (map[lang.Term]int, bool) {
 	for {
 		roots, classConst, ok := uf.classes()
 		if !ok {
-			return nil, false // two distinct constants in one class
+			return false // two distinct constants in one class
 		}
 		n := len(roots)
 		idx := make(map[lang.Term]int, n)
@@ -111,7 +110,7 @@ func solve(comps []lang.Comparison) (map[lang.Term]int, bool) {
 		}
 		for i := 0; i < n; i++ {
 			if lt[i][i] {
-				return nil, false // strict cycle
+				return false // strict cycle
 			}
 		}
 		// Merge mutually-<= classes and restart if anything merged.
@@ -129,7 +128,7 @@ func solve(comps []lang.Comparison) (map[lang.Term]int, bool) {
 		}
 		for _, ne := range neqs {
 			if uf.find(ne[0]) == uf.find(ne[1]) {
-				return nil, false
+				return false
 			}
 		}
 		// Entailed order among constant classes must match intrinsic order.
@@ -145,18 +144,14 @@ func solve(comps []lang.Comparison) (map[lang.Term]int, bool) {
 				}
 				cmp := lang.CompareConst(ci, cj)
 				if le[i][j] && cmp > 0 {
-					return nil, false
+					return false
 				}
 				if lt[i][j] && cmp >= 0 {
-					return nil, false
+					return false
 				}
 			}
 		}
-		witness := make(map[lang.Term]int, len(uf.parent))
-		for t := range uf.parent {
-			witness[t] = idx[uf.find(t)]
-		}
-		return witness, true
+		return true
 	}
 }
 

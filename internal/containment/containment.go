@@ -25,17 +25,16 @@ import (
 // mapping from q2 into q1 that preserves the head, and (when comparisons are
 // present) checking that q1's constraints imply the image of q2's.
 func Contains(q1, q2 lang.CQ) bool {
-	c1 := constraints.New(q1.Comps...)
-	return mapsInto(renameApart(q2), q1, c1, !c1.Satisfiable())
+	return mapsInto(renameApart(q2), q1, !constraints.Satisfiable(q1.Comps))
 }
 
 // renameApart renames q's variables to _cm0, _cm1, … in order of first
 // occurrence. A containment mapping treats the contained query's variables
 // as rigid (they are the canonical-database constants), so sharing names
-// across the two queries would corrupt the search. Plain numbered names are
-// used (not FreshLike): suffix-preserving names could collide with
-// "#"-suffixed variables another supply produced — e.g. in rewritings from
-// the reformulation engine.
+// across the two queries would corrupt the search. The names are plain
+// numbers, keeping no part of the original: a suffix-preserving scheme could
+// collide with the "#"-suffixed variables of the reformulation engine's
+// rewritings.
 func renameApart(q lang.CQ) lang.CQ {
 	ren := lang.NewSubst()
 	for i, v := range q.Vars() {
@@ -44,9 +43,9 @@ func renameApart(q lang.CQ) lang.CQ {
 	return q.Apply(ren)
 }
 
-// mapsInto reports q1 ⊆ q2 for a q2 already renamed apart from q1; c1 is
-// the conjunction of q1's comparisons and empty1 says it is unsatisfiable.
-func mapsInto(q2, q1 lang.CQ, c1 *constraints.Set, empty1 bool) bool {
+// mapsInto reports q1 ⊆ q2 for a q2 already renamed apart from q1; empty1
+// says q1's comparisons are unsatisfiable.
+func mapsInto(q2, q1 lang.CQ, empty1 bool) bool {
 	if q1.Head.Arity() != q2.Head.Arity() {
 		return false
 	}
@@ -68,7 +67,7 @@ func mapsInto(q2, q1 lang.CQ, c1 *constraints.Set, empty1 bool) bool {
 	return findMapping(q2.Body, q1.Body, base, func(s lang.Subst) bool {
 		// Constraint side-condition: c(q1) must imply s(c(q2)).
 		for _, c := range q2.Comps {
-			if !c1.Implies(s.ApplyComparison(c)) {
+			if !constraints.Implies(q1.Comps, s.ApplyComparison(c)) {
 				return false
 			}
 		}
@@ -104,7 +103,7 @@ func findMapping(from, onto []lang.Atom, base lang.Subst, accept func(lang.Subst
 // (retained) disjunct, returning a minimal equivalent union. Deterministic:
 // earlier disjuncts win ties.
 //
-// Every disjunct is prepared once (renamed apart, comparisons conjoined,
+// Every disjunct is prepared once (renamed apart, comparisons checked,
 // body predicates folded into a signature), and a pair is rejected from the
 // signatures alone when the containing side has a body predicate the
 // contained side lacks — no containment mapping can place that atom — so
@@ -144,9 +143,8 @@ type disjunct struct {
 	cq lang.CQ
 	// apart is cq renamed apart: the form it takes as the containing side.
 	apart lang.CQ
-	// comps conjoins cq's comparisons; empty records that they are
-	// unsatisfiable, which makes cq contained in every query of its arity.
-	comps *constraints.Set
+	// empty records that cq's comparisons are unsatisfiable, which makes cq
+	// contained in every query of its arity.
 	empty bool
 	// sig has one bit set per body atom, chosen by hashing the atom's
 	// predicate and arity.
@@ -154,8 +152,7 @@ type disjunct struct {
 }
 
 func prepare(q lang.CQ) disjunct {
-	d := disjunct{cq: q, apart: renameApart(q), comps: constraints.New(q.Comps...)}
-	d.empty = !d.comps.Satisfiable()
+	d := disjunct{cq: q, apart: renameApart(q), empty: !constraints.Satisfiable(q.Comps)}
 	for _, a := range q.Body {
 		d.sig |= 1 << (predHash(a) & 63)
 	}
@@ -179,5 +176,5 @@ func (d *disjunct) containedIn(e *disjunct) bool {
 	if !d.empty && e.sig&^d.sig != 0 {
 		return false
 	}
-	return mapsInto(e.apart, d.cq, d.comps, d.empty)
+	return mapsInto(e.apart, d.cq, d.empty)
 }

@@ -66,7 +66,7 @@ func (r *Reformulator) ExplainTree(q lang.CQ, maxLines int) (string, error) {
 			}
 			if len(n.comps) > 0 {
 				var cs []string
-				for _, c := range b.langComps(n.comps) {
+				for _, c := range b.langComps(nil, n.comps) {
 					cs = append(cs, c.String())
 				}
 				extras = append(extras, "where "+strings.Join(cs, " AND "))

@@ -141,7 +141,7 @@ func (b *builder) emit() bool {
 		}
 		// All accumulated comparisons participate in the satisfiability
 		// check …
-		if !constraints.New(comps...).Satisfiable() {
+		if !constraints.Satisfiable(comps) {
 			b.stats.DiscardUnsat++
 			return true
 		}

@@ -45,7 +45,7 @@ func form(t *testing.T, goals []lang.Atom, target int, required []string, head l
 	start, end := b.formMCDs(nodes, nodes[target], cq.head, view)
 	var out []langMCD
 	for _, m := range b.mcds[start:end] {
-		lm := langMCD{covered: m.covered, atom: b.langAtom(m.atom), export: lang.NewSubst(), comps: b.langComps(m.comps)}
+		lm := langMCD{covered: m.covered, atom: b.langAtom(m.atom), export: lang.NewSubst(), comps: b.langComps(nil, m.comps)}
 		for _, e := range m.export {
 			lm.export[b.langTerm(e.v).Name] = b.langTerm(e.t)
 		}

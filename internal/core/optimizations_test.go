@@ -125,8 +125,9 @@ func judge(t *testing.T, n *ppl.PDMS, data *rel.Instance, q lang.CQ, opts Option
 }
 
 // TestPropagateUpNeutralWithoutComparisons: on comparison-free workloads
-// the constraint machinery (label pruning, upward propagation) must never
-// fire, and the answers must be the chase's.
+// the constraint machinery (unsatisfiable-label pruning during
+// construction, unsatisfiable-rewriting discards during extraction) must
+// never fire, and the answers must be the chase's.
 func TestPropagateUpNeutralWithoutComparisons(t *testing.T) {
 	w, err := workload.Generate(workload.Params{
 		Peers: 12, Diameter: 3, DefRatio: 0.25, FactsPerStore: 3, DomainSize: 3, Seed: 4,

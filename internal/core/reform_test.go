@@ -284,6 +284,28 @@ fact S.high("15")
 	if out.Stats.PrunedUnsat != 1 || out.Stats.DiscardUnsat != 0 || out.Stats.Nodes() != 7 {
 		t.Fatalf("stats = %+v (nodes %d), want 1 pruned, 0 discarded, 7 nodes", out.Stats, out.Stats.Nodes())
 	}
+
+	// The contradicting comparison can come from an intermediate rule node
+	// rather than the query: A:T's definition adds x > 10, which rules out
+	// the low store under it. A label read from the query alone would
+	// build the low branch and discard its rewriting at extraction.
+	src = `
+define A:T(x) :- B:S(x), x > 10
+storage S.low(x) in B:S(x), x < 5
+storage S.high(x) in B:S(x), x > 20
+fact S.low("3")
+fact S.high("30")
+`
+	rows, out = oracleCheck(t, src, `q(x) :- A:T(x)`, Options{})
+	if len(rows) != 1 || rows[0][0] != "30" {
+		t.Fatalf("rows = %v", rows)
+	}
+	if u := out.UCQ.String(); out.UCQ.Len() != 1 || strings.Contains(u, "S.low") || !strings.Contains(u, "S.high") {
+		t.Fatalf("want one rewriting over S.high only:\n%v", out.UCQ)
+	}
+	if out.Stats.PrunedUnsat != 1 || out.Stats.DiscardUnsat != 0 || out.Stats.Nodes() != 9 {
+		t.Fatalf("stats = %+v (nodes %d), want 1 pruned, 0 discarded, 9 nodes", out.Stats, out.Stats.Nodes())
+	}
 }
 
 func TestStreamFirstKStops(t *testing.T) {

@@ -49,10 +49,6 @@ type node struct {
 	children []*node
 	parent   *node
 
-	// constraint is the node's constraint label c(n); nil is the empty
-	// conjunction.
-	constraint *constraints.Set
-
 	// banned is the set of descriptions used on the path from the root to
 	// this node (shared with the parent when unchanged).
 	banned bitset
@@ -69,8 +65,8 @@ type node struct {
 
 // Options configures tree construction and extraction. The Section 4.3
 // optimizations (memoization, unsatisfiable-label pruning, priority
-// expansion, the useless-path rule, upward constraint propagation) always
-// run; only the deep-topology pruning can be switched off.
+// expansion, the useless-path rule) always run; only the deep-topology
+// pruning can be switched off.
 type Options struct {
 	// MaxNodes caps the number of tree nodes; 0 means the default
 	// (2,000,000). Construction stops with an error when exceeded.
@@ -180,6 +176,9 @@ type builder struct {
 	conts  []cont
 	yield  func(lang.CQ) bool
 
+	// label is scratch for constrain's constraint labels.
+	label []lang.Comparison
+
 	// The tree is carved from these arenas.
 	nodes []node
 	terms []term
@@ -230,16 +229,13 @@ func (r *Reformulator) build(q lang.CQ, sp *obs.Span) (*node, *builder, error) {
 	b.stats.GoalNodes++
 	qr := b.newNode(ruleNode, root)
 	qr.comps = cq.comps
-	if len(q.Comps) > 0 {
-		qr.constraint = constraints.New(q.Comps...)
-	}
 	b.stats.RuleNodes++
 	root.children = carve(&b.ptrs, 1)
 	root.children[0] = qr
 	qr.children = carve(&b.ptrs, len(cq.body))
 	for i, g := range cq.body {
 		gn := b.newNode(goalNode, qr)
-		gn.label, gn.constraint, gn.stored = g, qr.constraint, b.cat.preds[g.pred].stored
+		gn.label, gn.stored = g, b.cat.preds[g.pred].stored
 		qr.children[i] = gn
 		b.stats.GoalNodes++
 	}
@@ -553,12 +549,6 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 	copy(n.children, b.kids[kids:])
 	b.kids = b.kids[:kids]
 
-	if productive {
-		if !b.propagateUp(n) {
-			productive = false
-			b.stats.PrunedUnsat++
-		}
-	}
 	if !productive {
 		n.dead = true
 		b.stats.DeadEnds++
@@ -571,67 +561,25 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 	return productive
 }
 
-// propagateUp hoists comparisons implied by EVERY live expansion of n into
-// n's own constraint (the least subsuming conjunction of the expansion
-// disjunction, projected onto n's variables — the paper's upward
-// predicate-move-around remark). It reports false when the strengthened
-// label contradicts n's context, making n a dead end. The hoisting is sound
-// for dead-end detection because any rewriting through n goes through some
-// expansion, and all of them entail the hoisted constraints.
-func (b *builder) propagateUp(n *node) bool {
-	for _, rn := range n.children {
-		if len(rn.comps) == 0 {
-			return true // an unconstrained expansion exists: nothing to hoist
-		}
-	}
-	var vars []lang.Term
-	for i, t := range n.label.args {
-		if n.label.firstVar(i) {
-			vars = append(vars, b.langTerm(t))
-		}
-	}
-	var meet *constraints.Set
-	for _, rn := range n.children {
-		proj := rn.constraint.Project(vars)
-		if meet == nil {
-			meet = proj
-			continue
-		}
-		// Keep only comparisons the new projection also implies.
-		kept := &constraints.Set{}
-		for _, c := range meet.Comparisons() {
-			if proj.Implies(c) {
-				kept.Add(c)
-			}
-		}
-		meet = kept
-		if meet.Len() == 0 {
-			return true
-		}
-	}
-	if meet == nil || meet.Len() == 0 {
+// constrain reports whether an expansion of goal n that contributes comps
+// survives unsatisfiable-label pruning. The label c(n) is read off the tree
+// path: it is the comparisons of every rule node above n, the root rule
+// node's being the query's own. An expansion without comparisons leaves the
+// label as satisfiable as it was.
+func (b *builder) constrain(n *node, comps []comparison) bool {
+	if len(comps) == 0 {
 		return true
 	}
-	strengthened := n.constraint.And(meet)
-	if !strengthened.Satisfiable() {
+	label := b.langComps(b.label[:0], comps)
+	for rn := n.parent; rn != nil; rn = rn.parent.parent {
+		label = b.langComps(label, rn.comps)
+	}
+	b.label = label
+	if !constraints.Satisfiable(label) {
+		b.stats.PrunedUnsat++
 		return false
 	}
-	n.constraint = strengthened
 	return true
-}
-
-// constrain returns n's constraint label conjoined with comps, and whether
-// the expansion survives unsatisfiable-label pruning.
-func (b *builder) constrain(n *node, comps []comparison) (*constraints.Set, bool) {
-	if len(comps) == 0 {
-		return n.constraint, true
-	}
-	c := n.constraint.And(constraints.New(b.langComps(comps)...))
-	if !c.Satisfiable() {
-		b.stats.PrunedUnsat++
-		return nil, false
-	}
-	return c, true
 }
 
 // definitionalChild performs one definitional expansion of goal node n with
@@ -674,8 +622,7 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 	}
 	b.undo(mark)
 
-	constraint, ok := b.constrain(n, comps)
-	if !ok {
+	if !b.constrain(n, comps) {
 		return false
 	}
 	slot := -1
@@ -701,12 +648,12 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 		banned = b.ban(n.banned, ru.desc)
 	}
 	rn := b.newNode(ruleNode, n)
-	rn.descID, rn.comps, rn.export, rn.constraint, rn.banned = ru.id, comps, export, constraint, banned
+	rn.descID, rn.comps, rn.export, rn.banned = ru.id, comps, export, banned
 	b.stats.RuleNodes++
 	rn.children = carve(&b.ptrs, len(b.body))
 	for i, ga := range b.body {
 		gn := b.newNode(goalNode, rn)
-		gn.label, gn.constraint, gn.banned, gn.stored = ga, constraint, banned, b.cat.preds[ga.pred].stored
+		gn.label, gn.banned, gn.stored = ga, banned, b.cat.preds[ga.pred].stored
 		rn.children[i] = gn
 		b.stats.GoalNodes++
 	}
@@ -730,8 +677,7 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 // given MCD; returns productivity. sigs is where n's expansion signatures
 // start (-1 when pruning is disabled).
 func (b *builder) inclusionChild(n *node, v *view, m mcd, maxNodes int, sp *obs.Span, sigs int) bool {
-	constraint, ok := b.constrain(n, m.comps)
-	if !ok {
+	if !b.constrain(n, m.comps) {
 		return false
 	}
 	slot := -1
@@ -752,7 +698,7 @@ func (b *builder) inclusionChild(n *node, v *view, m mcd, maxNodes int, sp *obs.
 	}
 	banned := b.ban(n.banned, v.desc)
 	rn := b.newNode(ruleNode, n)
-	rn.descID, rn.comps, rn.export, rn.constraint, rn.banned = v.id, m.comps, m.export, constraint, banned
+	rn.descID, rn.comps, rn.export, rn.banned = v.id, m.comps, m.export, banned
 	b.stats.RuleNodes++
 	// unc: the sibling goal nodes covered by the MCD.
 	rn.unc = carve(&b.ptrs, len(m.covered))
@@ -760,7 +706,7 @@ func (b *builder) inclusionChild(n *node, v *view, m mcd, maxNodes int, sp *obs.
 		rn.unc[i] = n.parent.children[ci]
 	}
 	gn := b.newNode(goalNode, rn)
-	gn.label, gn.constraint, gn.banned, gn.stored = m.atom, constraint, banned, b.cat.preds[m.atom.pred].stored
+	gn.label, gn.banned, gn.stored = m.atom, banned, b.cat.preds[m.atom.pred].stored
 	rn.children = carve(&b.ptrs, 1)
 	rn.children[0] = gn
 	b.stats.GoalNodes++
@@ -859,10 +805,10 @@ func (b *builder) langAtom(a atom) lang.Atom {
 	return lang.Atom{Pred: b.predName(a.pred), Args: args}
 }
 
-func (b *builder) langComps(cs []comparison) []lang.Comparison {
-	out := make([]lang.Comparison, len(cs))
-	for i, c := range cs {
-		out[i] = lang.Comparison{Op: c.op, L: b.langTerm(c.l), R: b.langTerm(c.r)}
+// langComps appends cs, named, to dst.
+func (b *builder) langComps(dst []lang.Comparison, cs []comparison) []lang.Comparison {
+	for _, c := range cs {
+		dst = append(dst, lang.Comparison{Op: c.op, L: b.langTerm(c.l), R: b.langTerm(c.r)})
 	}
-	return out
+	return dst
 }

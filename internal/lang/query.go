@@ -52,22 +52,6 @@ func (q CQ) Vars() []Term {
 // HeadVars returns the distinct variables of the head.
 func (q CQ) HeadVars() []Term { return q.Head.Vars(nil) }
 
-// ExistentialVars returns the distinct variables occurring in the body or
-// comparisons but not in the head.
-func (q CQ) ExistentialVars() []Term {
-	head := map[Term]bool{}
-	for _, v := range q.HeadVars() {
-		head[v] = true
-	}
-	var out []Term
-	for _, v := range q.Vars() {
-		if !head[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // IsSafe reports whether every head variable appears in the body (range
 // restriction). Queries must be safe to be evaluable.
 func (q CQ) IsSafe() bool {
@@ -108,16 +92,6 @@ func (q CQ) Apply(s Subst) CQ {
 		Body:  s.ApplyAtoms(q.Body),
 		Comps: s.ApplyComparisons(q.Comps),
 	}
-}
-
-// Rename returns a copy of q with every variable replaced by a fresh one
-// from vs, plus the renaming substitution used.
-func (q CQ) Rename(vs *VarSupply) (CQ, Subst) {
-	s := NewSubst()
-	for _, v := range q.Vars() {
-		s[v.Name] = vs.FreshLike(v)
-	}
-	return q.Apply(s), s
 }
 
 // String renders the query as "Head :- Body, Comps." (":- ." for facts).

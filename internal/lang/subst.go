@@ -24,16 +24,6 @@ func (s Subst) Clone() Subst {
 	return c
 }
 
-// Bind adds the binding v -> t, returning false if v is already bound to a
-// different term.
-func (s Subst) Bind(v string, t Term) bool {
-	if old, ok := s[v]; ok {
-		return old == t
-	}
-	s[v] = t
-	return true
-}
-
 // Apply returns the image of a term under s (walking chains of variable
 // bindings to a fixed point).
 func (s Subst) Apply(t Term) Term {
@@ -161,40 +151,4 @@ func Match(pattern, target Atom, base Subst) (Subst, bool) {
 		}
 	}
 	return s, true
-}
-
-// VarSupply produces globally fresh variables. It is not safe for concurrent
-// use; each reformulation run owns its own supply.
-type VarSupply struct {
-	prefix string
-	n      int
-}
-
-// NewVarSupply returns a supply generating variables named prefix0, prefix1, …
-// The conventional prefix "_x" cannot collide with parsed user variables,
-// which may not start with '_'.
-func NewVarSupply(prefix string) *VarSupply {
-	if prefix == "" {
-		prefix = "_x"
-	}
-	return &VarSupply{prefix: prefix}
-}
-
-// Fresh returns the next fresh variable.
-func (vs *VarSupply) Fresh() Term {
-	t := Var(fmt.Sprintf("%s%d", vs.prefix, vs.n))
-	vs.n++
-	return t
-}
-
-// FreshLike returns a fresh variable whose name hints at the original (for
-// readable output), still guaranteed unique.
-func (vs *VarSupply) FreshLike(orig Term) Term {
-	base := orig.Name
-	if i := strings.IndexByte(base, '#'); i >= 0 {
-		base = base[:i]
-	}
-	t := Var(fmt.Sprintf("%s#%d", base, vs.n))
-	vs.n++
-	return t
 }

@@ -265,22 +265,6 @@ func (op CompOp) String() string {
 	}
 }
 
-// Flip returns the operator with its operands swapped: a op b  ==  b op.Flip() a.
-func (op CompOp) Flip() CompOp {
-	switch op {
-	case OpLT:
-		return OpGT
-	case OpLE:
-		return OpGE
-	case OpGT:
-		return OpLT
-	case OpGE:
-		return OpLE
-	default: // = and != are symmetric
-		return op
-	}
-}
-
 // Negate returns the complementary operator: NOT (a op b) == a op.Negate() b.
 func (op CompOp) Negate() CompOp {
 	switch op {

@@ -335,6 +335,9 @@ func (p *parser) factStmt() error {
 		}
 		tup[i] = t.Name
 	}
+	if d := p.res.PDMS.Relation(a.Pred); d != nil && d.Arity != len(tup) {
+		return p.errHere("fact %s has %d values, relation declared with arity %d", a.Pred, len(tup), d.Arity)
+	}
 	p.declareAtoms([]lang.Atom{a})
 	_, err = p.res.Data.Add(a.Pred, tup)
 	return err

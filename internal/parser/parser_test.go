@@ -203,6 +203,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad escape", `fact A.r("\q")`, "bad escape"},
 		{"stray bang", `fact A.r(!)`, "unexpected '!'"},
 		{"arity clash", "fact A.r(\"1\")\nfact A.r(\"1\",\"2\")", "arity"},
+		{"fact arity vs storage", "storage A.r(x, y) in A:R(x, y)\nfact A.r(\"\")", "declared with arity 2"},
 		{"qualified term", `query q(x) :- A:R(A:S, x)`, "cannot be a term"},
 	}
 	for _, tc := range cases {

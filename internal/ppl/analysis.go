@@ -20,67 +20,50 @@ import (
 // opposite inclusions, which the paper notes "automatically create cycles" —
 // callers interested in Theorem 3.2 should use Classify instead).
 func (n *PDMS) AcyclicInclusions() (bool, []string) {
-	adj := map[string]map[string]bool{}
-	addArc := func(from, to string) {
-		if adj[from] == nil {
-			adj[from] = map[string]bool{}
-		}
-		adj[from][to] = true
-	}
-	addSide := func(lhs, rhs []lang.Atom) {
-		for _, a := range lhs {
-			for _, b := range rhs {
-				addArc(a.Pred, b.Pred)
-			}
-		}
-	}
-	for _, m := range n.mappings {
-		switch m.Kind {
-		case Inclusion:
-			addSide(m.LHS.Body, m.RHS.Body)
-		case Equality:
-			addSide(m.LHS.Body, m.RHS.Body)
-			addSide(m.RHS.Body, m.LHS.Body)
-		}
-	}
-	for _, s := range n.storage {
-		addSide([]lang.Atom{s.Stored}, s.Query.Body)
-		if s.Kind == StorageEquality {
-			addSide(s.Query.Body, []lang.Atom{s.Stored})
-		}
-	}
-	return findCycle(adj)
+	return findCycle(n.inclusionGraph(true))
 }
 
 // AcyclicInclusionsOnly is AcyclicInclusions restricted to pure inclusion
 // descriptions (equalities excluded), which is the graph Theorem 3.2
 // requires to be acyclic.
 func (n *PDMS) AcyclicInclusionsOnly() (bool, []string) {
+	return findCycle(n.inclusionGraph(false))
+}
+
+// inclusionGraph builds the Definition 3.1 graph as adjacency sets. With
+// equalities, equality mappings and storage equalities contribute their
+// arcs in both directions; without, only inclusion mappings and storage
+// containments contribute.
+func (n *PDMS) inclusionGraph(equalities bool) map[string]map[string]bool {
 	adj := map[string]map[string]bool{}
-	addArc := func(from, to string) {
-		if adj[from] == nil {
-			adj[from] = map[string]bool{}
-		}
-		adj[from][to] = true
-	}
-	addSide := func(lhs, rhs []lang.Atom) {
+	addArcs := func(lhs, rhs []lang.Atom) {
 		for _, a := range lhs {
 			for _, b := range rhs {
-				addArc(a.Pred, b.Pred)
+				if adj[a.Pred] == nil {
+					adj[a.Pred] = map[string]bool{}
+				}
+				adj[a.Pred][b.Pred] = true
 			}
 		}
 	}
 	for _, m := range n.mappings {
-		if m.Kind == Inclusion {
-			addSide(m.LHS.Body, m.RHS.Body)
+		if m.Kind == Inclusion || equalities && m.Kind == Equality {
+			addArcs(m.LHS.Body, m.RHS.Body)
+		}
+		if equalities && m.Kind == Equality {
+			addArcs(m.RHS.Body, m.LHS.Body)
 		}
 	}
 	for _, s := range n.storage {
-		if s.Kind == StorageContainment {
-			addSide([]lang.Atom{s.Stored}, s.Query.Body)
+		stored := []lang.Atom{s.Stored}
+		if equalities || s.Kind == StorageContainment {
+			addArcs(stored, s.Query.Body)
+		}
+		if equalities && s.Kind == StorageEquality {
+			addArcs(s.Query.Body, stored)
 		}
 	}
-	return findCycle(adj)
+	return adj
 }
 
 // findCycle returns (true, nil) when adj is acyclic, else (false, cycle).

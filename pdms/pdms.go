@@ -270,7 +270,8 @@ func (n *Network) Spec() *ppl.PDMS { return n.spec }
 //lint:ignore lockcheck deliberate read-only escape hatch: the instance pointer never changes after construction; the doc comment above warns against mutating through it
 func (n *Network) Data() *rel.Instance { return n.data }
 
-// AddFact inserts a tuple into a stored relation. The insert advances that
+// AddFact inserts a tuple into a stored relation; it must have the
+// relation's declared arity. The insert advances that
 // relation's generation counter, invalidating exactly the cached answers
 // whose rewriting mentions it; cached answers for queries over other
 // relations survive. A duplicate insert is a no-op and keeps the whole
@@ -278,8 +279,12 @@ func (n *Network) Data() *rel.Instance { return n.data }
 func (n *Network) AddFact(stored string, values ...string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.spec.IsStored(stored) {
+	d := n.spec.Relation(stored)
+	if d == nil || d.Kind != ppl.StoredRelation {
 		return fmt.Errorf("pdms: %q is not a declared stored relation", stored)
+	}
+	if len(values) != d.Arity {
+		return fmt.Errorf("pdms: fact %s has %d values, relation declared with arity %d", stored, len(values), d.Arity)
 	}
 	added, err := n.data.Add(stored, rel.Tuple(values))
 	if err == nil && added {

@@ -79,6 +79,11 @@ func TestAddFact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A first fact of the wrong arity would create A.r at that arity and
+	// leave every query over it unevaluable.
+	if err := net.AddFact("A.r", "v", "w"); err == nil || !strings.Contains(err.Error(), "declared with arity 1") {
+		t.Fatalf("fact of arity 2 into a relation of arity 1: err = %v", err)
+	}
 	if err := net.AddFact("A.r", "v"); err != nil {
 		t.Fatal(err)
 	}
