@@ -18,9 +18,9 @@
 // Query execution — which the paper leaves out of scope — runs through the
 // indexed engine in internal/engine over the sharded storage layer in
 // internal/rel: relations are hash-partitioned by first-column key (one
-// shard per CPU by default), scans and bound-key probe batches fan out
-// across shards over a bounded worker pool, per-shard hash indexes are
-// maintained incrementally from per-shard insert logs, and the greedy join
+// shard per CPU by default), a plan runs sequentially over the shards,
+// per-shard hash indexes are maintained incrementally from per-shard
+// insert logs, and the greedy join
 // planner orders atoms by cardinality, discounted by 1/8 per bound
 // argument. The naive evaluator in internal/rel remains
 // the differential-testing oracle, including sharded-versus-unsharded runs

@@ -4,7 +4,7 @@ package spanuse
 import "obs"
 
 // goodName is a named constant: still compile-time checkable.
-const goodName = "engine.parallel_scans"
+const goodName = "engine.scans"
 
 // Register exercises legal and illegal metric names.
 func Register(r *obs.Registry, dynamic string) {

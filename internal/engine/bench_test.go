@@ -81,8 +81,8 @@ func shardCountsUnderTest() []int {
 // BenchmarkShardedScan: a scan-driven hash join — R and S have equal
 // cardinality (so the planner's tie-break scans R, the first body atom)
 // and each scanned R tuple probes S's index, with 1% of probes landing.
-// The opening 100k-row scan is the part that fans out across shards; the
-// per-tuple probe work below it is what the workers parallelize.
+// The opening 100k-row scan walks the shards one after another, each
+// scanned tuple probing S's per-shard indexes.
 func BenchmarkShardedScan(b *testing.B) {
 	const rows = 100000
 	q := lang.CQ{
@@ -116,8 +116,8 @@ func BenchmarkShardedScan(b *testing.B) {
 }
 
 // BenchmarkShardedProbe: a 20k-key ProbeByKeyBatch over a 200k-row
-// relation — the server-side bind-join substrate — fanned out across the
-// per-shard indexes.
+// relation — the server-side bind-join substrate — each key routed to its
+// shard's index.
 func BenchmarkShardedProbe(b *testing.B) {
 	const rows, nkeys = 200000, 20000
 	keys := make([][]string, nkeys)

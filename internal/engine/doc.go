@@ -1,11 +1,11 @@
-// Package engine is the indexed, shard-parallel query-execution subsystem:
-// it evaluates conjunctive queries (CQs) and unions of conjunctive queries
-// (UCQs) over rel.Instance data using hash indexes, statistics-driven join
-// orders and a bounded worker pool over the storage shards, replacing the naive nested-loop evaluator in package rel on every
-// hot path (pdms.Query, the netpeer server and executor, the chase oracle,
-// cmd/reform). rel.EvalCQ remains the reference oracle the engine is
-// differentially tested against — including sharded-versus-unsharded runs
-// over the randomized corpus in shard_test.go.
+// Package engine is the indexed query-execution subsystem: it evaluates
+// conjunctive queries (CQs) and unions of conjunctive queries (UCQs) over
+// rel.Instance data using per-shard hash indexes and cardinality join
+// orders (OrderBody), replacing the naive nested-loop evaluator in package
+// rel on every hot path (pdms.Query, the netpeer server and executor, the
+// chase oracle, cmd/reform). rel.EvalCQ remains the reference oracle the
+// engine is differentially tested against — including sharded-versus-
+// unsharded runs over the randomized corpus in shard_test.go.
 //
 // # Architecture
 //
@@ -33,16 +33,9 @@
 // substitution maps; comparison predicates are attached to the earliest
 // step that binds their variables, pruning as soon as possible.
 //
-// Parallelism. A plan whose first step is a full scan of a large sharded
-// relation fans the scan out across the relation's shards over a bounded
-// worker pool (one worker per CPU by default): each worker drains whole
-// shards through its own slot array and funnels matches into one
-// serialized yield, so downstream join work — the expensive part —
-// parallelizes while callers still observe a single ordered-enough stream
-// (discovery order is unspecified, answers are identical).
-// ProbeByKeyBatchYield fans large bound-key batches out the same way.
-// Unsharded relations, small relations and single-CPU configurations take
-// the sequential paths unchanged. EvalUCQ additionally lets a bounded
+// Execution. A plan runs sequentially on the calling goroutine: a full
+// scan walks the relation's shards one after another, and
+// ProbeByKeyBatchYield probes its keys in order. EvalUCQ lets a bounded
 // number of goroutines claim independent disjuncts, the same concurrency
 // shape the distributed executor uses.
 //

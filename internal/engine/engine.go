@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,72 +16,6 @@ import (
 // ErrStop is returned by an Enumerate yield callback to stop enumeration
 // early without error.
 var ErrStop = errors.New("engine: stop enumeration")
-
-// errCanceled unwinds a parallel worker once another worker has already
-// recorded the run's outcome; it is never returned to callers.
-var errCanceled = errors.New("engine: canceled")
-
-// fanOut is the shared scaffolding of the engine's bounded shard fan-outs
-// (parallel scans, parallel probe batches): a serialized-yield mutex, a
-// stop flag every worker polls, and first-error-wins bookkeeping. The
-// recorded error may be ErrStop — each call site applies its own ErrStop
-// policy, but the cancellation machinery stays in one place.
-type fanOut struct {
-	yieldMu  sync.Mutex
-	stop     atomic.Bool
-	once     sync.Once
-	firstErr error
-}
-
-// fail records the outcome (first call wins) and drains the pool.
-func (f *fanOut) fail(err error) {
-	f.once.Do(func() { f.firstErr = err })
-	f.stop.Store(true)
-}
-
-// dispatch feeds items 0..items-1 through an unbuffered queue to workers
-// goroutines running worker, waits for them, and returns the recorded
-// outcome. Workers must skip (not abandon) queue items once f.stop is set
-// so the feeder never blocks.
-func (f *fanOut) dispatch(workers, items int, worker func(queue <-chan int)) error {
-	queue := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(queue)
-		}()
-	}
-	for i := 0; i < items; i++ {
-		queue <- i
-	}
-	close(queue)
-	wg.Wait()
-	return f.firstErr
-}
-
-// parallelScanMinRows gates shard fan-out for full scans: below it the
-// sequential path wins (goroutine + merge overhead beats the work saved).
-// Var, not const, so tests can force the parallel path on small fixtures.
-var parallelScanMinRows = 4096
-
-// parallelProbeMinKeys gates shard fan-out for ProbeByKeyBatchYield the
-// same way, by bound-key count.
-var parallelProbeMinKeys = 64
-
-// scanWorkersOverride, when > 0, fixes the shard worker-pool size (tests
-// force parallelism on single-CPU machines with it); 0 means one worker
-// per schedulable CPU.
-var scanWorkersOverride = 0
-
-// scanWorkers returns the bounded worker-pool size for shard fan-out.
-func scanWorkers() int {
-	if scanWorkersOverride > 0 {
-		return scanWorkersOverride
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // index is a set of per-shard hash indexes over one relation for one
 // bound-position set: per shard, the key projects the tuple onto cols and
@@ -131,10 +64,9 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 }
 
 // Engine evaluates conjunctive queries and unions of conjunctive queries
-// over a rel.Instance using lazily-built per-shard hash indexes,
-// distinct-value-statistics join ordering, and shard-parallel scans and
-// probes. It is the indexed replacement for the naive evaluator in package
-// rel (which remains the reference oracle).
+// over a rel.Instance using lazily-built per-shard hash indexes and
+// cardinality join ordering (OrderBody). It is the indexed replacement for
+// the naive evaluator in package rel (which remains the reference oracle).
 //
 // Concurrency: concurrent evaluations are safe with each other, and the
 // underlying sharded relations tolerate concurrent inserts (each shard
@@ -155,10 +87,8 @@ type Engine struct {
 	indexes map[string]map[string]*index // pred -> column-set key -> index; guarded by mu
 
 	// probes counts index-probe step entries and scans full-scan step
-	// entries (one per step entry, however many shards a scan fans out
-	// over); parallelScans counts the scan steps that fanned out over the
-	// shard worker pool (a subset of scans).
-	probes, scans, parallelScans obs.Counter
+	// entries (one per step entry, however many shards a scan walks).
+	probes, scans obs.Counter
 	// plansCompiled counts plan compilations; planHits and planMisses count
 	// the plan cache's lookups.
 	plansCompiled, planHits, planMisses obs.Counter
@@ -270,10 +200,8 @@ func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte, s
 // steps use. Every key must supply len(cols) values. Tuples stream out as
 // the keys are probed — nothing beyond the dedup set is materialized —
 // which is the server-side substrate for netpeer's chunked bind responses.
-// Large batches over a sharded relation fan the probing out across a
-// bounded worker pool; yields are serialized, but their order across keys
-// is then unspecified. Returning ErrStop from yield ends the stream without
-// error.
+// Keys are probed one after another, in order. Returning ErrStop from yield
+// ends the stream without error.
 func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, yield func(rel.Tuple) error) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("engine: ProbeByKeyBatch on %s needs at least one column", pred)
@@ -291,10 +219,6 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 		if len(key) != len(cols) {
 			return fmt.Errorf("engine: ProbeByKeyBatch key %v has %d values, want %d", key, len(key), len(cols))
 		}
-	}
-	workers := min(scanWorkers(), r.NumShards())
-	if r.NumShards() > 1 && workers > 1 && len(keys) >= parallelProbeMinKeys {
-		return e.probeBatchParallel(r, cols, keys, workers, yield)
 	}
 	seen := map[string]bool{}
 	var kb []byte
@@ -318,71 +242,8 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 	return nil
 }
 
-// probeBatchChunk is how many keys one parallel probe task claims at a
-// time: large enough to amortize channel traffic, small enough to balance
-// skewed batches.
-const probeBatchChunk = 256
-
-// probeBatchParallel fans a large bound-key batch out over the shard worker
-// pool. Each worker probes its keys' shards independently (per-shard index
-// locks keep them from contending unless the keys are skewed onto one
-// shard); the dedup set and the yield are serialized under the fan-out's
-// mutex.
-func (e *Engine) probeBatchParallel(r *rel.Relation, cols []int, keys [][]string, workers int, yield func(rel.Tuple) error) error {
-	f := &fanOut{}
-	seen := map[string]bool{}
-	chunks := (len(keys) + probeBatchChunk - 1) / probeBatchChunk
-	err := f.dispatch(workers, chunks, func(queue <-chan int) {
-		var kb []byte
-		var scratch []rel.Tuple
-		for ci := range queue {
-			if f.stop.Load() {
-				continue
-			}
-			start := ci * probeBatchChunk
-			end := min(start+probeBatchChunk, len(keys))
-			for _, key := range keys[start:end] {
-				if f.stop.Load() {
-					break
-				}
-				e.probes.Add(1)
-				var tuples []rel.Tuple
-				tuples, scratch = e.probe(r, cols, key, &kb, scratch)
-				if len(tuples) == 0 {
-					continue
-				}
-				f.yieldMu.Lock()
-				// Re-check under the mutex: a sibling may have recorded
-				// ErrStop (or an error) while this worker was blocked on
-				// the lock, and the stream contract forbids yielding past
-				// that point.
-				if f.stop.Load() {
-					f.yieldMu.Unlock()
-					break
-				}
-				for _, t := range tuples {
-					if k := t.Key(); !seen[k] {
-						seen[k] = true
-						if err := yield(t); err != nil {
-							f.fail(err)
-							break
-						}
-					}
-				}
-				f.yieldMu.Unlock()
-			}
-		}
-	})
-	// ProbeByKeyBatchYield's contract: ErrStop ends the stream cleanly.
-	if err != nil && !errors.Is(err, ErrStop) {
-		return err
-	}
-	return nil
-}
-
 // ProbeByKeyBatch is ProbeByKeyBatchYield materialized: it returns the
-// distinct matching tuples as a slice (in unspecified order for large
-// batches over sharded relations).
+// distinct matching tuples as a slice, in the order they were yielded.
 func (e *Engine) ProbeByKeyBatch(pred string, cols []int, keys [][]string) ([]rel.Tuple, error) {
 	var out []rel.Tuple
 	err := e.ProbeByKeyBatchYield(pred, cols, keys, func(t rel.Tuple) error {
@@ -453,10 +314,8 @@ func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 // order (no sort, no result materialization beyond a dedup set, which a
 // head binding every body variable does without), so callers can forward
 // rows incrementally — the netpeer server streams eval results over the
-// wire through this hook instead of buffering the whole answer. When the
-// plan opens with a full scan of a large sharded relation the scan fans out
-// across shards, making discovery order unspecified; yields are always
-// serialized. Returning ErrStop from yield ends the stream without error.
+// wire through this hook instead of buffering the whole answer. Returning
+// ErrStop from yield ends the stream without error.
 // The yielded tuple is freshly allocated; callers may keep it.
 func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	p, err := e.plan(q.Canonical(), q)

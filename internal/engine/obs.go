@@ -12,7 +12,6 @@ import (
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("engine.probes", &e.probes)
 	reg.RegisterCounter("engine.scans", &e.scans)
-	reg.RegisterCounter("engine.parallel_scans", &e.parallelScans)
 	reg.RegisterCounter("engine.plans_compiled", &e.plansCompiled)
 	reg.RegisterCounter("engine.indexes_built", &e.indexesBuilt)
 	reg.RegisterCounter("engine.plan_cache.hits", &e.planHits)

@@ -42,8 +42,8 @@ func TestRegisterMetrics(t *testing.T) {
 	if snap.Counters["engine.plans_compiled"] == 0 {
 		t.Fatalf("engine.plans_compiled not reported: %v", snap.Counters)
 	}
-	for _, key := range []string{"engine.scans", "engine.parallel_scans",
-		"engine.indexes_built", "engine.plan_cache.hits", "engine.plan_cache.misses"} {
+	for _, key := range []string{"engine.scans", "engine.indexes_built",
+		"engine.plan_cache.hits", "engine.plan_cache.misses"} {
 		if _, ok := snap.Counters[key]; !ok {
 			t.Fatalf("%s missing from snapshot: %v", key, snap.Counters)
 		}

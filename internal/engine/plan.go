@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/lang"
 	"repro/internal/rel"
@@ -264,10 +263,9 @@ func compileComp(c lang.Comparison, slotOf map[string]int) compiledComp {
 	return compiledComp{op: c.Op, l: part(c.L), r: part(c.R)}
 }
 
-// runCtx is the per-evaluation (per-worker, on the parallel path) state of
-// one plan execution: the slot array, reusable key and probe-merge buffers,
-// and an optional cancellation flag shared with sibling workers. Contexts
-// are pooled, so the buffers carry over from one run to the next.
+// runCtx is the per-evaluation state of one plan execution: the slot
+// array and reusable key and probe-merge buffers. Contexts are pooled, so
+// the buffers carry over from one run to the next.
 type runCtx struct {
 	e     *Engine
 	p     *Plan
@@ -280,10 +278,6 @@ type runCtx struct {
 	// finishes before any other probe at depth i runs in the same context,
 	// so per-depth reuse is safe.
 	bufs [][]rel.Tuple
-	// stop, when non-nil, is the shared cancellation flag of a parallel
-	// scan; checked per tuple so sibling workers drain quickly after an
-	// error or early stop.
-	stop *atomic.Bool
 }
 
 // maxKeptProbeRows caps the probe-merge buffers a pooled runCtx keeps: a
@@ -321,7 +315,7 @@ func (rc *runCtx) release() {
 	}
 	clear(rc.slots)
 	clear(rc.vals)
-	rc.e, rc.p, rc.yield, rc.stop = nil, nil, nil, nil
+	rc.e, rc.p, rc.yield = nil, nil, nil
 	runCtxPool.Put(rc)
 }
 
@@ -376,9 +370,6 @@ func (rc *runCtx) step(i int) error {
 func (rc *runCtx) feed(i int, st *planStep, tuples []rel.Tuple) error {
 next:
 	for _, tup := range tuples {
-		if rc.stop != nil && rc.stop.Load() {
-			return errCanceled
-		}
 		for _, c := range st.checkPos {
 			if tup[c.pos] != tup[c.first] {
 				continue next
@@ -401,82 +392,16 @@ next:
 
 // run executes the plan, invoking yield with the slot array for every body
 // match. The slot array is reused across yields — callers must copy what
-// they keep. When the plan opens with a full scan of a large sharded
-// relation, the scan fans out across shards over a bounded worker pool
-// (yields serialized, match order unspecified); otherwise execution is
-// sequential and deterministic.
+// they keep. Execution is sequential: a scan walks the relation's shards
+// one after another, so match order is deterministic for a given instance.
 func (e *Engine) run(p *Plan, yield func(slots []string) error) error {
 	for _, c := range p.preComps {
 		if !c.eval(nil) {
 			return nil
 		}
 	}
-	if r, workers := e.parallelScanTarget(p); r != nil {
-		return e.runParallel(p, r, workers, yield)
-	}
 	rc := newRunCtx(e, p, yield)
 	err := rc.step(0)
 	rc.release()
 	return err
-}
-
-// parallelScanTarget reports whether the plan's first step is a full scan
-// eligible for shard fan-out, returning the scanned relation and the worker
-// count (nil/0 when the sequential path should run: probe first steps,
-// unsharded or small relations, single-worker configurations).
-func (e *Engine) parallelScanTarget(p *Plan) (*rel.Relation, int) {
-	if len(p.steps) == 0 {
-		return nil, 0
-	}
-	st := &p.steps[0]
-	if len(st.keyCols) > 0 {
-		return nil, 0
-	}
-	r := e.data.Relation(st.pred)
-	if r == nil || r.Arity() != st.arity || r.NumShards() <= 1 {
-		return nil, 0
-	}
-	workers := min(scanWorkers(), r.NumShards())
-	// Version (a loop of atomic loads) equals Len under set semantics —
-	// the generation counts exactly the distinct inserts — and skips the
-	// per-shard mutex round-trips Len would pay on this per-query path.
-	if workers <= 1 || r.Version() < uint64(parallelScanMinRows) {
-		return nil, 0
-	}
-	return r, workers
-}
-
-// runParallel executes the plan with its opening scan fanned out across
-// r's shards: each worker owns a private runCtx (slots, buffers) and
-// drains whole shards, funneling matches through the fan-out's serialized
-// yield. The first error (or ErrStop) recorded wins and flips the shared
-// stop flag, which every worker polls per tuple; run's callers apply the
-// usual ErrStop mapping, exactly as on the sequential path.
-func (e *Engine) runParallel(p *Plan, r *rel.Relation, workers int, yield func(slots []string) error) error {
-	e.scans.Add(1)
-	e.parallelScans.Add(1)
-	f := &fanOut{}
-	syield := func(slots []string) error {
-		f.yieldMu.Lock()
-		defer f.yieldMu.Unlock()
-		if f.stop.Load() {
-			return errCanceled
-		}
-		return yield(slots)
-	}
-	return f.dispatch(workers, r.NumShards(), func(queue <-chan int) {
-		rc := newRunCtx(e, p, syield)
-		defer rc.release()
-		rc.stop = &f.stop
-		st := &p.steps[0]
-		for s := range queue {
-			if f.stop.Load() {
-				continue
-			}
-			err := rc.feed(0, st, r.ShardAddedSince(s, 0))
-			if err != nil && err != errCanceled {
-				f.fail(err)
-			}
-		}
-	})
 }

@@ -12,18 +12,6 @@ import (
 	"repro/internal/rel"
 )
 
-// forceParallel drops the fan-out gates so the parallel scan/probe paths
-// run on small fixtures and single-CPU machines (the -race build exercises
-// real goroutines regardless of core count).
-func forceParallel(t *testing.T) {
-	t.Helper()
-	minRows, minKeys, workers := parallelScanMinRows, parallelProbeMinKeys, scanWorkersOverride
-	parallelScanMinRows, parallelProbeMinKeys, scanWorkersOverride = 0, 1, 4
-	t.Cleanup(func() {
-		parallelScanMinRows, parallelProbeMinKeys, scanWorkersOverride = minRows, minKeys, workers
-	})
-}
-
 // buildShardPair inserts one random data set into two instances that differ
 // only in shard count.
 func buildShardPair(rng *rand.Rand, domain, shards int) (*rel.Instance, *rel.Instance) {
@@ -44,11 +32,9 @@ func buildShardPair(rng *rand.Rand, domain, shards int) (*rel.Instance, *rel.Ins
 }
 
 // TestDifferentialShardedCQ: over the randomized CQ corpus, a sharded
-// engine (with forced parallel fan-out) must agree exactly with the
-// unsharded engine and the naive oracle — including after mid-test
-// mutations of both instances.
+// engine must agree exactly with the unsharded engine and the naive
+// oracle — including after mid-test mutations of both instances.
 func TestDifferentialShardedCQ(t *testing.T) {
-	forceParallel(t)
 	for seed := 0; seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(int64(9000 + seed)))
 		domain := 3 + rng.Intn(5)
@@ -84,9 +70,8 @@ func TestDifferentialShardedCQ(t *testing.T) {
 }
 
 // TestDifferentialShardedUCQ: same for unions, driving the disjunct worker
-// pool and the per-disjunct parallel scans together.
+// pool over sharded instances.
 func TestDifferentialShardedUCQ(t *testing.T) {
-	forceParallel(t)
 	for seed := 0; seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(int64(12000 + seed)))
 		domain := 3 + rng.Intn(5)
@@ -115,12 +100,11 @@ func TestDifferentialShardedUCQ(t *testing.T) {
 // TestStreamDedupSetSkipped pins when StreamCQ may drop its dedup set: a
 // head that binds every body variable turns distinct body matches into
 // distinct head tuples, so the engine keeps no set; a head that drops a
-// variable must still deduplicate. Each query runs on a sharded relation
-// through the parallel scan and on the unsharded layout, against the naive
-// evaluator; EvalCQ sorts the stream without deduplicating it again, so a
-// tuple enumerated twice would show up as a repeated answer.
+// variable must still deduplicate. Each query runs on a sharded and on the
+// unsharded layout, against the naive evaluator; EvalCQ sorts the stream
+// without deduplicating it again, so a tuple enumerated twice would show
+// up as a repeated answer.
 func TestStreamDedupSetSkipped(t *testing.T) {
-	forceParallel(t)
 	v, c := lang.Var, lang.Const
 	r := func(a, b lang.Term) lang.Atom { return lang.NewAtom("R", a, b) }
 	for _, tc := range []struct {
@@ -128,7 +112,7 @@ func TestStreamDedupSetSkipped(t *testing.T) {
 		head      []lang.Term
 		body      []lang.Atom
 		bindsAll  bool
-		scanFirst bool // the plan opens with a full scan (parallel when sharded)
+		scanFirst bool // the plan opens with a full scan
 	}{
 		{"self-join", []lang.Term{v("x"), v("y"), v("z")}, []lang.Atom{r(v("x"), v("y")), r(v("y"), v("z"))}, true, true},
 		{"repeated variable", []lang.Term{v("x")}, []lang.Atom{r(v("x"), v("x"))}, true, true},
@@ -173,8 +157,8 @@ func TestStreamDedupSetSkipped(t *testing.T) {
 					t.Fatalf("%d shards: %d answers, naive %d:\nengine %v\nnaive  %v",
 						ins.Relation("R").NumShards(), len(got), len(want), got, want)
 				}
-				if ran := e.parallelScans.Load() > 0; ran != (ins == many && tc.scanFirst) {
-					t.Fatalf("%d shards: parallel scan ran = %v", ins.Relation("R").NumShards(), ran)
+				if ran := e.scans.Load() > 0; ran != tc.scanFirst {
+					t.Fatalf("%d shards: scan ran = %v", ins.Relation("R").NumShards(), ran)
 				}
 			}
 		})
@@ -182,10 +166,10 @@ func TestStreamDedupSetSkipped(t *testing.T) {
 }
 
 // TestParallelScanCountersAndEquivalence: a join opening with a full scan
-// over a sharded relation takes the parallel path (visible in
-// engine.parallel_scans) and returns exactly the unsharded answer.
+// over an 8-shard relation walks the shards sequentially, counts one
+// engine.scans entry per evaluation, and returns exactly the unsharded and
+// the naive answer.
 func TestParallelScanCountersAndEquivalence(t *testing.T) {
-	forceParallel(t)
 	one := rel.NewInstanceSharded(1)
 	many := rel.NewInstanceSharded(8)
 	for i := 0; i < 3000; i++ {
@@ -204,6 +188,10 @@ func TestParallelScanCountersAndEquivalence(t *testing.T) {
 			lang.NewAtom("S", lang.Var("y"), lang.Var("w")),
 		},
 	}
+	naive, err := rel.EvalCQ(q, one)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e1, eN := New(one), New(many)
 	want, err := e1.EvalCQ(q)
 	if err != nil {
@@ -213,21 +201,20 @@ func TestParallelScanCountersAndEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded join diverges: %d vs %d rows", len(got), len(want))
+	if len(naive) == 0 || !reflect.DeepEqual(want, naive) || !reflect.DeepEqual(got, naive) {
+		t.Fatalf("sharded join diverges: sharded %d, unsharded %d, naive %d rows", len(got), len(want), len(naive))
 	}
-	if eN.parallelScans.Load() == 0 {
-		t.Fatal("expected a parallel scan")
-	}
-	if n := e1.parallelScans.Load(); n != 0 {
-		t.Fatalf("unsharded engine must stay sequential, ran %d parallel scans", n)
+	for _, e := range []*Engine{e1, eN} {
+		if n := e.scans.Load(); n != 1 {
+			t.Fatalf("engine.scans = %d, want 1 (one opening scan per evaluation)", n)
+		}
 	}
 }
 
-// TestParallelScanEarlyStop: ErrStop from a streaming yield ends a parallel
-// scan cleanly (no error, no goroutine leak, bounded yields).
+// TestParallelScanEarlyStop: ErrStop from a streaming yield ends a scan
+// over an 8-shard relation cleanly, after exactly the yields made, and a
+// yield error propagates.
 func TestParallelScanEarlyStop(t *testing.T) {
-	forceParallel(t)
 	ins := rel.NewInstanceSharded(8)
 	for i := 0; i < 2000; i++ {
 		ins.MustAdd("R", fmt.Sprintf("k%d", i), "v")
@@ -248,54 +235,67 @@ func TestParallelScanEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 5 {
-		t.Fatalf("yields after ErrStop: %d, want 5 (yields are serialized)", n)
+		t.Fatalf("yields after ErrStop: %d, want 5", n)
 	}
 	// A yield error (not ErrStop) must surface.
 	boom := fmt.Errorf("boom")
 	if err := e.StreamCQ(q, func(rel.Tuple) error { return boom }); err != boom {
-		t.Fatalf("yield error not propagated through parallel scan: %v", err)
+		t.Fatalf("yield error not propagated through the scan: %v", err)
 	}
 }
 
-// TestParallelProbeBatch: a large bound-key batch takes the parallel path
-// and yields exactly the sequential distinct set (order aside).
+// TestParallelProbeBatch: a large bound-key batch over an 8-shard
+// relation yields exactly the distinct set of the unsharded layout and of a
+// naive filter; ErrStop ends the batch without error and a yield error
+// propagates.
 func TestParallelProbeBatch(t *testing.T) {
-	ins := rel.NewInstanceSharded(8)
+	one := rel.NewInstanceSharded(1)
+	many := rel.NewInstanceSharded(8)
 	for i := 0; i < 4000; i++ {
-		ins.MustAdd("R", fmt.Sprintf("k%d", i%500), fmt.Sprintf("v%d", i))
+		k, v := fmt.Sprintf("k%d", i%500), fmt.Sprintf("v%d", i)
+		one.MustAdd("R", k, v)
+		many.MustAdd("R", k, v)
 	}
 	keys := make([][]string, 0, 600)
+	asked := map[string]bool{}
 	for i := 0; i < 600; i++ {
 		keys = append(keys, []string{fmt.Sprintf("k%d", i)}) // 100 misses
+		asked[keys[i][0]] = true
 	}
-	seq := New(ins)
-	want, err := seq.ProbeByKeyBatch("R", []int{0}, keys)
-	if err != nil {
-		t.Fatal(err)
+	var naive []rel.Tuple
+	for _, tu := range one.Relation("R").Tuples() {
+		if asked[tu[0]] {
+			naive = append(naive, tu)
+		}
 	}
-	forceParallel(t)
-	par := New(ins)
-	got, err := par.ProbeByKeyBatch("R", []int{0}, keys)
-	if err != nil {
-		t.Fatal(err)
+	naive = rel.DistinctSorted(naive)
+	for _, ins := range []*rel.Instance{one, many} {
+		got, err := New(ins).ProbeByKeyBatch("R", []int{0}, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(naive) || !reflect.DeepEqual(rel.DistinctSorted(got), naive) {
+			t.Fatalf("%d shards: probe set diverges: %d vs %d naive tuples",
+				ins.Relation("R").NumShards(), len(got), len(naive))
+		}
 	}
-	if !reflect.DeepEqual(rel.DistinctSorted(got), rel.DistinctSorted(want)) {
-		t.Fatalf("parallel probe set diverges: %d vs %d tuples", len(got), len(want))
-	}
-	// ErrStop stops the batch without error.
+	e := New(many)
 	n := 0
-	if err := par.ProbeByKeyBatchYield("R", []int{0}, keys, func(rel.Tuple) error {
+	if err := e.ProbeByKeyBatchYield("R", []int{0}, keys, func(rel.Tuple) error {
 		n++
 		return ErrStop
-	}); err != nil || n == 0 {
-		t.Fatalf("ErrStop through parallel batch: n=%d err=%v", n, err)
+	}); err != nil || n != 1 {
+		t.Fatalf("ErrStop through the batch: n=%d err=%v", n, err)
+	}
+	boom := fmt.Errorf("boom")
+	if err := e.ProbeByKeyBatchYield("R", []int{0}, keys, func(rel.Tuple) error { return boom }); err != boom {
+		t.Fatalf("yield error not propagated through the batch: %v", err)
 	}
 }
 
-// TestSkewedShardScanAndProbe: every key hashing to one shard must not
-// break the parallel paths (one worker does all the work, the rest drain).
+// TestSkewedShardScanAndProbe: every key hashing to one shard of eight
+// (seven empty shards) must not change scan or probe answers.
 func TestSkewedShardScanAndProbe(t *testing.T) {
-	forceParallel(t)
 	one := rel.NewInstanceSharded(1)
 	many := rel.NewInstanceSharded(8)
 	for i := 0; i < 1000; i++ {
@@ -306,6 +306,10 @@ func TestSkewedShardScanAndProbe(t *testing.T) {
 		Head: lang.NewAtom("q", lang.Var("y")),
 		Body: []lang.Atom{lang.NewAtom("R", lang.Var("x"), lang.Var("y"))},
 	}
+	naive, err := rel.EvalCQ(q, one)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := New(one).EvalCQ(q)
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +318,8 @@ func TestSkewedShardScanAndProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("skewed scan diverges: %d vs %d rows", len(got), len(want))
+	if len(naive) != 1000 || !reflect.DeepEqual(want, naive) || !reflect.DeepEqual(got, naive) {
+		t.Fatalf("skewed scan diverges: sharded %d, unsharded %d, naive %d rows", len(got), len(want), len(naive))
 	}
 	probed, err := New(many).ProbeByKeyBatch("R", []int{0}, [][]string{{"hot"}, {"cold"}})
 	if err != nil || len(probed) != 1000 {
@@ -388,13 +392,12 @@ func TestStreamScan(t *testing.T) {
 	}
 }
 
-// TestParallelScanConcurrentInsert runs parallel scans while a writer
-// inserts concurrently (run with -race): every answer must respect the
-// monotone envelope eval(inserted-before-start) ⊆ answer ⊆
+// TestParallelScanConcurrentInsert runs scans over an 8-shard relation
+// while a writer inserts concurrently (run with -race): every answer must
+// respect the monotone envelope eval(inserted-before-start) ⊆ answer ⊆
 // eval(inserted-by-end) — sharded relations are append-only, so a scan can
 // never lose a pre-existing tuple or invent one.
 func TestParallelScanConcurrentInsert(t *testing.T) {
-	forceParallel(t)
 	ins := rel.NewInstanceSharded(8)
 	base := map[string]bool{}
 	for i := 0; i < 500; i++ {
@@ -409,26 +412,34 @@ func TestParallelScanConcurrentInsert(t *testing.T) {
 	}
 	r := ins.Relation("R")
 
+	// The writer records a tuple in the ledger before inserting it and
+	// counts it in returned once Insert returns: a tuple whose Insert has
+	// published it but not yet returned is inserted by the end of a scan
+	// that sees it, but not before the start of one that does not.
 	var mu sync.Mutex
-	var ledger []rel.Tuple // writer's inserts, in publish order
+	var ledger []rel.Tuple // writer's inserts, in the order they began
+	returned := 0          // how many of them have returned
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 400; i++ {
 			tu := rel.Tuple{fmt.Sprintf("live%d", i), "v"}
+			mu.Lock()
+			ledger = append(ledger, tu)
+			mu.Unlock()
 			if _, err := r.Insert(tu); err != nil {
 				t.Error(err)
 				return
 			}
 			mu.Lock()
-			ledger = append(ledger, tu)
+			returned++
 			mu.Unlock()
 		}
 	}()
 
 	for iter := 0; iter < 40; iter++ {
 		mu.Lock()
-		n0 := len(ledger)
+		n0 := returned
 		mu.Unlock()
 		rows, err := e.EvalCQ(q)
 		if err != nil {

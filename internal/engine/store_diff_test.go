@@ -54,10 +54,9 @@ func diskBackedPair(t *testing.T, rng *rand.Rand, domain, shards int) (*rel.Inst
 
 // TestDifferentialDiskBackedCQ runs the sharded differential corpus against
 // the disk-backed layout: the engine over a segment-recovered instance (with
-// forced parallel fan-out and journaled mid-test mutations) must agree
-// exactly with the naive oracle over a plain in-memory copy.
+// journaled mid-test mutations) must agree exactly with the naive oracle
+// over a plain in-memory copy.
 func TestDifferentialDiskBackedCQ(t *testing.T) {
-	forceParallel(t)
 	for seed := 0; seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(int64(31000 + seed)))
 		domain := 3 + rng.Intn(5)

@@ -11,7 +11,7 @@
 // holder: a snapshot reads it directly and takes no component lock.
 //
 // One Registry.Snapshot() returns everything: counters, gauges and histogram
-// percentiles keyed by dotted name ("engine.parallel_scans",
+// percentiles keyed by dotted name ("engine.scans",
 // "fragcache.hits", "wire.bind_batches", …). WritePrometheus
 // renders the same snapshot in the Prometheus text exposition format, and
 // Handler serves both plus recent traces and pprof over HTTP — the

@@ -28,6 +28,13 @@ func Parse(src string) (*Result, error) {
 			return nil, err
 		}
 	}
+	// Facts are checked once the whole file is read, so a fact may come
+	// before the storage description it must satisfy.
+	for _, f := range p.facts {
+		if err := p.res.PDMS.CheckFact(f.pred, f.tup); err != nil {
+			return nil, fmt.Errorf("%d:%d: %w", f.line, f.col, err)
+		}
+	}
 	return p.res, nil
 }
 
@@ -48,9 +55,17 @@ func ParseQuery(src string) (lang.CQ, error) {
 }
 
 type parser struct {
-	lx  *lexer
-	tok token
-	res *Result
+	lx    *lexer
+	tok   token
+	res   *Result
+	facts []fact
+}
+
+// fact is one fact statement, kept with its position for Parse's check.
+type fact struct {
+	line, col int
+	pred      string
+	tup       rel.Tuple
 }
 
 func (p *parser) advance() error {
@@ -321,6 +336,7 @@ func (p *parser) storageStmt() error {
 
 // factStmt: fact Peer.Rel(const, ...)
 func (p *parser) factStmt() error {
+	line, col := p.tok.line, p.tok.col
 	if err := p.advance(); err != nil {
 		return err
 	}
@@ -335,10 +351,8 @@ func (p *parser) factStmt() error {
 		}
 		tup[i] = t.Name
 	}
-	if d := p.res.PDMS.Relation(a.Pred); d != nil && d.Arity != len(tup) {
-		return p.errHere("fact %s has %d values, relation declared with arity %d", a.Pred, len(tup), d.Arity)
-	}
 	p.declareAtoms([]lang.Atom{a})
+	p.facts = append(p.facts, fact{line, col, a.Pred, tup})
 	_, err = p.res.Data.Add(a.Pred, tup)
 	return err
 }

@@ -204,6 +204,8 @@ func TestParseErrors(t *testing.T) {
 		{"stray bang", `fact A.r(!)`, "unexpected '!'"},
 		{"arity clash", "fact A.r(\"1\")\nfact A.r(\"1\",\"2\")", "arity"},
 		{"fact arity vs storage", "storage A.r(x, y) in A:R(x, y)\nfact A.r(\"\")", "declared with arity 2"},
+		{"fact vs storage comparison", "storage P1.s(x, y) in A:R(x, y), x >= 10\nfact P1.s(\"9\", \"A\")", "2:1: ppl: fact P1.s"},
+		{"fact before its storage", "fact P1.s(\"9\", \"A\")\nstorage P1.s(x, y) in A:R(x, y), x >= 10", "1:1: ppl: fact P1.s"},
 		{"qualified term", `query q(x) :- A:R(A:S, x)`, "cannot be a term"},
 	}
 	for _, tc := range cases {

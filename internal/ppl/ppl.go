@@ -184,7 +184,10 @@ type PDMS struct {
 	relations map[string]*RelationDecl
 	mappings  []*Mapping
 	storage   []*Storage
-	nextID    int
+	// compared holds, per stored relation, its storage descriptions that
+	// carry comparisons: the ones CheckFact must test a row against.
+	compared map[string][]*Storage
+	nextID   int
 }
 
 // New returns an empty PDMS specification.
@@ -192,6 +195,7 @@ func New() *PDMS {
 	return &PDMS{
 		peers:     map[string]bool{},
 		relations: map[string]*RelationDecl{},
+		compared:  map[string][]*Storage{},
 	}
 }
 
@@ -300,6 +304,45 @@ func (n *PDMS) AddStorage(s *Storage) error {
 		}
 	}
 	n.storage = append(n.storage, s)
+	if len(s.Query.Comps) > 0 {
+		n.compared[s.Stored.Pred] = append(n.compared[s.Stored.Pred], s)
+	}
+	return nil
+}
+
+// CheckFact reports whether values may be a row of pred: when pred is
+// declared, values must match its arity, and the row must satisfy every
+// comparison of pred's storage descriptions whose variables all occur in
+// the stored atom. A row that fails a comparison contradicts its storage
+// description, so no consistent instance holds it.
+func (n *PDMS) CheckFact(pred string, values []string) error {
+	if d := n.relations[pred]; d != nil && d.Arity != len(values) {
+		return fmt.Errorf("ppl: fact %s has %d values, relation declared with arity %d", pred, len(values), d.Arity)
+	}
+	for _, s := range n.compared[pred] {
+		value := func(t lang.Term) (lang.Term, bool) {
+			if t.IsConst() {
+				return t, true
+			}
+			for i, a := range s.Stored.Args {
+				if a == t {
+					return lang.Const(values[i]), true
+				}
+			}
+			return t, false
+		}
+		for _, c := range s.Query.Comps {
+			l, okL := value(c.L)
+			r, okR := value(c.R)
+			if okL && okR && !c.Op.EvalConst(l, r) {
+				fact := lang.Atom{Pred: pred, Args: make([]lang.Term, len(values))}
+				for i, v := range values {
+					fact.Args[i] = lang.Const(v)
+				}
+				return fmt.Errorf("ppl: fact %s violates storage %s: %s", fact, s.ID, c)
+			}
+		}
+	}
 	return nil
 }
 

@@ -187,6 +187,40 @@ func TestValidateQuery(t *testing.T) {
 	}
 }
 
+// TestCheckFact: a row must match its relation's declared arity and every
+// comparison of its storage descriptions that reads only stored-atom
+// variables; a comparison over a variable the stored atom lacks cannot be
+// tested on the row and is skipped.
+func TestCheckFact(t *testing.T) {
+	n := smallPDMS(t)
+	cq := q(atom("_store", v("x"), v("y")), atom("B:S", v("x"), v("z")), atom("A:R", v("z"), v("y")))
+	cq.Comps = []lang.Comparison{
+		{Op: lang.OpGE, L: v("x"), R: lang.Const("10")},
+		{Op: lang.OpNE, L: v("y"), R: v("x")},
+		{Op: lang.OpLT, L: v("z"), R: lang.Const("0")},
+	}
+	if err := n.AddStorage(&Storage{Kind: StorageContainment, Stored: atom("B.data", v("x"), v("y")), Query: cq}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		row  []string
+		want string // substring of the error; "" accepts the row
+	}{
+		{[]string{"10", "a"}, ""},
+		{[]string{"9", "a"}, "x >= 10"},
+		{[]string{"12", "12"}, "y != x"},
+		{[]string{"10"}, "declared with arity 2"},
+	} {
+		err := n.CheckFact("B.data", tc.row)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Fatalf("CheckFact(%q) = %v, want %q", tc.row, err, tc.want)
+		}
+	}
+	if err := n.CheckFact("Undeclared.r", []string{"1"}); err != nil {
+		t.Fatalf("undeclared relation: %v", err)
+	}
+}
+
 func TestAcyclicInclusionsSimple(t *testing.T) {
 	n := smallPDMS(t)
 	if ok, _ := n.AcyclicInclusions(); !ok {

@@ -13,9 +13,9 @@
 // (rel.ShardOf; N defaults to one shard per CPU, see DefaultShards, and
 // N = 1 reproduces the unsharded layout exactly). Each shard owns its own
 // tuple set, append-only insert log and generation counter behind its own
-// mutex, so inserts to different shards — and the index catch-ups and
-// parallel scans internal/engine runs over them — never contend on one
-// lock. The partitioning column is the first because join keys and pushed
+// mutex, so inserts to different shards — and the index catch-ups that
+// concurrent evaluations in internal/engine run over them — never contend
+// on one lock. The partitioning column is the first because join keys and pushed
 // constants land there most often in this codebase's workloads, letting the
 // engine route a probe whose bound-position set includes column 0 to the
 // single shard that can hold matches.
@@ -55,7 +55,7 @@
 // log suffix is exactly what that shard gained since a given version.
 //
 // The naive evaluators in this package remain the reference oracles:
-// internal/engine — the indexed, parallel evaluator used on every hot path
+// internal/engine — the indexed evaluator used on every hot path
 // — is differentially tested against EvalCQ and EvalUCQ, and the chase
 // against EvalDatalog. See ARCHITECTURE.md at the repository root for how this layer
 // fits under the mediator, engine and wire layers.

@@ -73,14 +73,15 @@ func (t Tuple) Equal(u Tuple) bool {
 }
 
 // maxShards caps the shard count of one relation; beyond this, per-shard
-// fixed costs (index maps, worker scheduling) outweigh any
-// remaining parallelism.
+// fixed costs (index maps, one log walk per shard in every scan) outweigh
+// what spreading locks any further saves.
 const maxShards = 256
 
 // DefaultShards is the shard count NewRelation and NewInstance use: one
-// shard per schedulable CPU (runtime.GOMAXPROCS), so parallel scans can keep
-// every core busy, clamped to [1, 256]. A single-CPU process therefore gets
-// the unsharded (N=1) layout automatically.
+// shard per schedulable CPU (runtime.GOMAXPROCS), so inserts and index
+// catch-ups running on every core at once spread over as many locks,
+// clamped to [1, 256]. A single-CPU process therefore gets the unsharded
+// (N=1) layout automatically.
 func DefaultShards() int {
 	return clampShards(runtime.GOMAXPROCS(0))
 }

@@ -282,7 +282,6 @@ var metricCatalogue = map[string]string{
 	"core.nodes_expanded":       "counter",
 	"core.reformulate_seconds":  "histogram",
 	"engine.indexes_built":      "counter",
-	"engine.parallel_scans":     "counter",
 	"engine.plan_cache.hits":    "counter",
 	"engine.plan_cache.misses":  "counter",
 	"engine.plans_compiled":     "counter",

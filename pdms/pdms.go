@@ -119,9 +119,9 @@ func newNetwork(spec *ppl.PDMS, data *rel.Instance) *Network {
 // extracts every rewriting.
 type Options struct {
 	// Shards is the hash-partition count for stored relations (0 = one
-	// shard per CPU, rel.DefaultShards; 1 = the unsharded layout). Sharded
-	// relations let the engine fan scans and probes out across a bounded
-	// worker pool; answers are identical for every setting.
+	// shard per CPU, rel.DefaultShards; 1 = the unsharded layout). Shards
+	// spread inserts and index catch-ups over per-shard locks; answers are
+	// identical for every setting.
 	Shards int
 	// DataDir makes stored relations durable: inserts are journaled to
 	// append-only segment files under this directory (internal/store) and
@@ -207,7 +207,9 @@ func (n *Network) Close() error {
 
 // Extend parses additional PPL statements into an existing network — the
 // paper's ad hoc extensibility: new peers, mappings and data can join at
-// any time (Example 1.1's Earthquake Command Center scenario).
+// any time (Example 1.1's Earthquake Command Center scenario). A fact that
+// contradicts a storage description's comparisons, in the extension or
+// already in the network, rejects the whole extension.
 func (n *Network) Extend(src string) error {
 	res, err := parser.Parse(src)
 	if err != nil {
@@ -215,6 +217,22 @@ func (n *Network) Extend(src string) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	// Reject a row that would contradict the extended specification before
+	// merging anything. Parse checked the extension's facts against its own
+	// storage descriptions; what is left is those facts against this
+	// network's descriptions, and this network's rows against the new ones.
+	for _, pred := range res.Data.Relations() {
+		if err := checkFacts(n.spec, pred, res.Data.Relation(pred)); err != nil {
+			return err
+		}
+	}
+	for _, s := range res.PDMS.Storages() {
+		if r := n.data.Relation(s.Stored.Pred); r != nil && len(s.Query.Comps) > 0 {
+			if err := checkFacts(res.PDMS, s.Stored.Pred, r); err != nil {
+				return err
+			}
+		}
+	}
 	// Invalidate caches even when the merge fails partway: declarations or
 	// mappings may already have been applied, and serving pre-Extend cached
 	// answers against a partially-extended spec would be stale. Bumping the
@@ -256,6 +274,16 @@ func (n *Network) Extend(src string) error {
 	return nil
 }
 
+// checkFacts runs spec's fact check over every row of r, stored as pred.
+func checkFacts(spec *ppl.PDMS, pred string, r *rel.Relation) error {
+	for _, t := range r.Tuples() {
+		if err := spec.CheckFact(pred, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Spec exposes the underlying PPL specification (read-only use intended).
 //
 //lint:ignore lockcheck deliberate read-only escape hatch: the pointer is swapped atomically-enough under Extend's lock and callers are documented not to mutate through it
@@ -271,7 +299,8 @@ func (n *Network) Spec() *ppl.PDMS { return n.spec }
 func (n *Network) Data() *rel.Instance { return n.data }
 
 // AddFact inserts a tuple into a stored relation; it must have the
-// relation's declared arity. The insert advances that
+// relation's declared arity and satisfy the comparisons of the relation's
+// storage descriptions (ppl.PDMS.CheckFact). The insert advances that
 // relation's generation counter, invalidating exactly the cached answers
 // whose rewriting mentions it; cached answers for queries over other
 // relations survive. A duplicate insert is a no-op and keeps the whole
@@ -283,8 +312,8 @@ func (n *Network) AddFact(stored string, values ...string) error {
 	if d == nil || d.Kind != ppl.StoredRelation {
 		return fmt.Errorf("pdms: %q is not a declared stored relation", stored)
 	}
-	if len(values) != d.Arity {
-		return fmt.Errorf("pdms: fact %s has %d values, relation declared with arity %d", stored, len(values), d.Arity)
+	if err := n.spec.CheckFact(stored, values); err != nil {
+		return err
 	}
 	added, err := n.data.Add(stored, rel.Tuple(values))
 	if err == nil && added {

@@ -99,6 +99,64 @@ func TestAddFact(t *testing.T) {
 	}
 }
 
+// TestFactViolatingStorageComparison: a fact outside its storage
+// description's comparisons contradicts the specification — the chase
+// would keep it as a certain answer while the reformulation, which adds
+// the comparisons, drops it. Load, Extend and AddFact all reject it, and
+// a rejected Extend merges nothing. Facts inside the range are accepted
+// on every path, and Query then agrees with CertainAnswers.
+func TestFactViolatingStorageComparison(t *testing.T) {
+	const storage = `storage P1.s(x, y) in A:R(x, y), x >= 10, x < 70`
+	const query = `A(x) :- A:R(x, A)`
+	if _, err := Load(storage + "\nfact P1.s(\"9\", \"A\")"); err == nil || !strings.Contains(err.Error(), "x >= 10") {
+		t.Fatalf("Load of a violating fact: err = %v", err)
+	}
+	// The check runs after the whole file is read: a fact may come first.
+	if _, err := Load("fact P1.s(\"9\", \"A\")\n" + storage); err == nil {
+		t.Fatal("Load of a violating fact before its storage description succeeded")
+	}
+	net, err := Load(storage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Extend(`fact P1.s("9", "A")`); err == nil || !strings.Contains(err.Error(), "x >= 10") {
+		t.Fatalf("Extend with a violating fact: err = %v", err)
+	}
+	if err := net.AddFact("P1.s", "9", "A"); err == nil || !strings.Contains(err.Error(), "x >= 10") {
+		t.Fatalf("AddFact of a violating fact: err = %v", err)
+	}
+	if err := net.AddFact("P1.s", "70", "A"); err == nil || !strings.Contains(err.Error(), "x < 70") {
+		t.Fatalf("AddFact at the excluded bound: err = %v", err)
+	}
+	if err := net.Extend(`fact P1.s("15", "A")`); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.AddFact("P1.s", "69", "A"); err != nil {
+		t.Fatal(err)
+	}
+	// A new storage description the network's rows already violate.
+	if err := net.Extend(`storage P1.s(x, y) in A:R(x, y), x < 20`); err == nil || !strings.Contains(err.Error(), "x < 20") {
+		t.Fatalf("Extend with a description existing rows violate: err = %v", err)
+	}
+	if n := len(net.Spec().Storages()); n != 1 {
+		t.Fatalf("rejected Extend merged a storage description: %d descriptions", n)
+	}
+	if c, err := net.Classify(query); err != nil || c.Class != ppl.PTime {
+		t.Fatalf("Classify = %v, %v; want PTIME", c, err)
+	}
+	got, err := net.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := net.CertainAnswers(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Query = %v, CertainAnswers = %v; want both [(15) (69)]", got, want)
+	}
+}
+
 func TestReformulateExposesStatsAndClass(t *testing.T) {
 	net, err := Load(quickSpec)
 	if err != nil {
