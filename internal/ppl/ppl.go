@@ -184,10 +184,7 @@ type PDMS struct {
 	relations map[string]*RelationDecl
 	mappings  []*Mapping
 	storage   []*Storage
-	// compared holds, per stored relation, its storage descriptions that
-	// carry comparisons: the ones CheckFact must test a row against.
-	compared map[string][]*Storage
-	nextID   int
+	nextID    int
 }
 
 // New returns an empty PDMS specification.
@@ -195,7 +192,6 @@ func New() *PDMS {
 	return &PDMS{
 		peers:     map[string]bool{},
 		relations: map[string]*RelationDecl{},
-		compared:  map[string][]*Storage{},
 	}
 }
 
@@ -304,9 +300,6 @@ func (n *PDMS) AddStorage(s *Storage) error {
 		}
 	}
 	n.storage = append(n.storage, s)
-	if len(s.Query.Comps) > 0 {
-		n.compared[s.Stored.Pred] = append(n.compared[s.Stored.Pred], s)
-	}
 	return nil
 }
 
@@ -319,7 +312,10 @@ func (n *PDMS) CheckFact(pred string, values []string) error {
 	if d := n.relations[pred]; d != nil && d.Arity != len(values) {
 		return fmt.Errorf("ppl: fact %s has %d values, relation declared with arity %d", pred, len(values), d.Arity)
 	}
-	for _, s := range n.compared[pred] {
+	for _, s := range n.storage {
+		if s.Stored.Pred != pred {
+			continue
+		}
 		value := func(t lang.Term) (lang.Term, bool) {
 			if t.IsConst() {
 				return t, true

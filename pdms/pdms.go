@@ -16,6 +16,7 @@
 package pdms
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -170,7 +171,8 @@ func Load(src string) (*Network, error) {
 // LoadWithOptions is Load with explicit options. With Options.DataDir set,
 // the on-disk segments are replayed first and the specification's facts are
 // merged (and journaled) on top — loading the same spec over the same
-// directory is idempotent for its facts.
+// directory is idempotent for its facts. A replayed row that violates a
+// comparison of the specification's storage descriptions fails the load.
 func LoadWithOptions(src string, opts Options) (*Network, error) {
 	res, err := parser.Parse(src)
 	if err != nil {
@@ -182,6 +184,11 @@ func LoadWithOptions(src string, opts Options) (*Network, error) {
 		data, dstore, _, err = store.OpenInstance(opts.DataDir, opts.Shards, data)
 		if err != nil {
 			return nil, fmt.Errorf("pdms: %w", err)
+		}
+		// Parse checked the spec's facts; the replayed rows were written
+		// under whatever spec the directory had before.
+		if err := checkStored(res.PDMS, data); err != nil {
+			return nil, errors.Join(err, dstore.Close())
 		}
 	} else if opts.Shards > 0 && opts.Shards != rel.DefaultShards() {
 		// The parser loads into a default-sharded instance; repartition
@@ -226,12 +233,8 @@ func (n *Network) Extend(src string) error {
 			return err
 		}
 	}
-	for _, s := range res.PDMS.Storages() {
-		if r := n.data.Relation(s.Stored.Pred); r != nil && len(s.Query.Comps) > 0 {
-			if err := checkFacts(res.PDMS, s.Stored.Pred, r); err != nil {
-				return err
-			}
-		}
+	if err := checkStored(res.PDMS, n.data); err != nil {
+		return err
 	}
 	// Invalidate caches even when the merge fails partway: declarations or
 	// mappings may already have been applied, and serving pre-Extend cached
@@ -267,6 +270,20 @@ func (n *Network) Extend(src string) error {
 	for _, pred := range res.Data.Relations() {
 		for _, t := range res.Data.Relation(pred).Tuples() {
 			if _, err := n.data.Add(pred, t); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkStored runs spec's fact check over data's rows of every relation
+// that has a storage description with comparisons in spec: the rows such a
+// description can contradict.
+func checkStored(spec *ppl.PDMS, data *rel.Instance) error {
+	for _, s := range spec.Storages() {
+		if r := data.Relation(s.Stored.Pred); r != nil && len(s.Query.Comps) > 0 {
+			if err := checkFacts(spec, s.Stored.Pred, r); err != nil {
 				return err
 			}
 		}

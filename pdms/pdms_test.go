@@ -155,6 +155,30 @@ func TestFactViolatingStorageComparison(t *testing.T) {
 	if len(got) != 2 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Query = %v, CertainAnswers = %v; want both [(15) (69)]", got, want)
 	}
+	// A journaled row written under a spec without the comparison is
+	// rejected when the directory is reloaded with one that has it.
+	dir := t.TempDir()
+	loose := `storage P1.s(x, y) in A:R(x, y)`
+	durable, err := LoadWithOptions(loose, Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.AddFact("P1.s", "9", "A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadWithOptions(storage, Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), "x >= 10") {
+		t.Fatalf("LoadWithOptions over a violating journal: err = %v", err)
+	}
+	durable, err = LoadWithOptions(loose, Options{DataDir: dir})
+	if err != nil {
+		t.Fatalf("reload after the rejected one: %v", err)
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReformulateExposesStatsAndClass(t *testing.T) {
