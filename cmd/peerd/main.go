@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -147,9 +148,14 @@ func start(path string, opts options) (*daemon, error) {
 	if opts.dataDir != "" {
 		replayStart := time.Now()
 		var recs []store.RelRecovery
-		data, d.store, recs, err = store.OpenInstance(opts.dataDir, 0, res.Data)
+		data, d.store, recs, err = store.OpenInstance(opts.dataDir, res.Data)
 		if err != nil {
 			return nil, err
+		}
+		// Parse checked the spec's facts; the replayed rows were written
+		// under whatever spec the directory had before.
+		if err := res.PDMS.CheckStored(data); err != nil {
+			return nil, errors.Join(err, d.store.Close())
 		}
 		for _, rec := range recs {
 			d.log.Info("recovered relation", "pred", rec.Pred,

@@ -335,3 +335,46 @@ func TestFailedDurableStartClosesJournal(t *testing.T) {
 		t.Fatalf("journal unhealthy after a clean stop: %v", err)
 	}
 }
+
+// TestReplayedRowViolatingSpecFailsStart: a row journaled under a spec
+// without a storage comparison contradicts a later spec that has one, so
+// a -data start with the later spec must fail, name the fact, and leave
+// the journal closed and the directory startable under the first spec.
+func TestReplayedRowViolatingSpecFailsStart(t *testing.T) {
+	writeSpec := func(src string) string {
+		path := filepath.Join(t.TempDir(), "spec.ppl")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const loose = `storage A.r(x, y) in A:R(x, y)`
+	dataDir := t.TempDir()
+	d, err := start(writeSpec(loose+"\nfact A.r(\"9\", \"a\")"), options{addr: "127.0.0.1:0", dataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.close()
+
+	strict := writeSpec(`storage A.r(x, y) in A:R(x, y), x >= 10, x < 70`)
+	if d, err := start(strict, options{addr: "127.0.0.1:0", dataDir: dataDir}); err == nil {
+		d.close()
+		t.Fatal("start served a replayed row its spec contradicts")
+	} else if !strings.Contains(err.Error(), `A.r(9, "a")`) || !strings.Contains(err.Error(), "x >= 10") {
+		t.Fatalf("start error %q does not name the fact and the comparison it violates", err)
+	}
+
+	d2, err := start(writeSpec(loose), options{addr: "127.0.0.1:0", dataDir: dataDir})
+	if err != nil {
+		t.Fatalf("start under the original spec after the rejection: %v", err)
+	}
+	defer d2.close()
+	c, err := netpeer.Dial(d2.bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if rows, err := c.Scan("A.r"); err != nil || len(rows) != 1 {
+		t.Fatalf("scan after the rejected start: %v, err %v; want the one journaled row", rows, err)
+	}
+}

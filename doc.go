@@ -16,19 +16,17 @@
 // specified normatively in internal/wire/PROTOCOL.md.
 //
 // Query execution — which the paper leaves out of scope — runs through the
-// indexed engine in internal/engine over the sharded storage layer in
-// internal/rel: relations are hash-partitioned by first-column key (one
-// shard per CPU by default), a plan runs sequentially over the shards,
-// per-shard hash indexes are maintained incrementally from per-shard
-// insert logs, and the greedy join
-// planner orders atoms by cardinality, discounted by 1/8 per bound
-// argument. The naive evaluator in internal/rel remains
-// the differential-testing oracle, including sharded-versus-unsharded runs
-// over a randomized query corpus.
+// indexed engine in internal/engine over the storage layer in
+// internal/rel: every relation is one partition (one tuple set, one
+// append-only insert log, one lock), a plan runs sequentially, hash
+// indexes are maintained incrementally from the insert logs, and the
+// greedy join planner orders atoms by cardinality, discounted by 1/8 per
+// bound argument. The naive evaluator in internal/rel remains the
+// differential-testing oracle over a randomized query corpus.
 //
 // Caching is two-level, both levels invalidated at per-relation
 // granularity by generation counters (each relation's monotonic insert
-// count — with sharding, the fold of its per-shard counters):
+// count):
 //
 //   - Local: pdms.Network caches query answers keyed by the canonical
 //     query, the spec generation, and the generation *vector* of exactly
@@ -49,7 +47,7 @@
 // relations over TCP (chunked streaming frames, O(chunk) memory per
 // response), and cross-peer rewritings run as streaming, adaptive
 // bind-joins — the executor ships the distinct join keys bound
-// so far and the remote peer probes its per-shard hash indexes, so only
+// so far and the remote peer probes its hash indexes, so only
 // tuples that can join cross the wire. UCQ disjuncts fan out through the
 // engine's one union loop on per-address connection pools, redialing a dead reused connection,
 // and share one fetch of each distinct atom fragment per query;

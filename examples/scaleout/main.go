@@ -1,7 +1,6 @@
-// Scaleout: the storage scale-out walkthrough described in README.md. It
-// builds a sharded relation store (default one million rows, one shard per
-// CPU), runs a filtered scan and a 10k-key probe batch over it, and prints
-// the engine counters. The -rows flag sets the store size. The paper's
+// Scaleout: the storage walkthrough described in README.md. It builds a
+// relation store (default one million rows), runs a filtered scan and a
+// 10k-key probe batch over it, and prints the engine counters. The -rows flag sets the store size. The paper's
 // Figure 3/4 sweeps are cmd/figures.
 package main
 
@@ -19,14 +18,13 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 1_000_000, "rows in the sharded store walkthrough")
+	rows := flag.Int("rows", 1_000_000, "rows in the store walkthrough")
 	flag.Parse()
-	shardedStoreWalkthrough(*rows)
+	storeWalkthrough(*rows)
 }
 
-// buildStore loads n synthetic order rows into an instance at the default
-// shard layout: orders(order_id, customer, region) plus a small regions
-// dimension table.
+// buildStore loads n synthetic order rows into an instance:
+// orders(order_id, customer, region) plus a small regions dimension table.
 func buildStore(n int) *rel.Instance {
 	ins := rel.NewInstance()
 	for i := 0; i < n; i++ {
@@ -41,11 +39,11 @@ func buildStore(n int) *rel.Instance {
 	return ins
 }
 
-func shardedStoreWalkthrough(n int) {
+func storeWalkthrough(n int) {
 	if n < 100 {
 		log.Fatalf("-rows %d: need at least 100 rows for the walkthrough's 1%% cutoff and probe keys", n)
 	}
-	fmt.Printf("sharded store walkthrough: %d rows, GOMAXPROCS=%d\n", n, runtime.GOMAXPROCS(0))
+	fmt.Printf("store walkthrough: %d rows, GOMAXPROCS=%d\n", n, runtime.GOMAXPROCS(0))
 
 	// The filtered scan: the 1% of orders below the id cutoff. A
 	// single-atom body keeps the planner from starting at the tiny
@@ -89,20 +87,14 @@ func shardedStoreWalkthrough(n int) {
 	}
 	probeTime := time.Since(start)
 
-	orders := ins.Relation("orders")
-	shardRows := make([]int, orders.NumShards())
-	for s := range shardRows {
-		shardRows[s] = orders.ShardLen(s)
-	}
 	reg := obs.NewRegistry()
 	e.RegisterMetrics(reg)
 	est := reg.Snapshot().Counters
-	fmt.Printf("\n  shards=%d\n", orders.NumShards())
-	fmt.Printf("    load: %v   filtered scan: %v (%d answers)   probe 10k keys: %v (%d hits)\n",
+	fmt.Printf("\n    load: %v   filtered scan: %v (%d answers)   probe 10k keys: %v (%d hits)\n",
 		loaded.Round(time.Millisecond), scanned.Round(time.Millisecond), len(ans),
 		probeTime.Round(time.Millisecond), probed)
 	fmt.Printf("    engine counters: probes=%d scans=%d indexes=%d plans=%d\n",
 		est["engine.probes"], est["engine.scans"],
 		est["engine.indexes_built"], est["engine.plans_compiled"])
-	fmt.Printf("    orders: rows=%d shard-rows=%v\n", orders.Len(), shardRows)
+	fmt.Printf("    orders: rows=%d\n", ins.Relation("orders").Len())
 }

@@ -1,26 +1,22 @@
 // Package engine is the indexed query-execution subsystem: it evaluates
 // conjunctive queries (CQs) and unions of conjunctive queries (UCQs) over
-// rel.Instance data using per-shard hash indexes and cardinality join
-// orders (OrderBody), replacing the naive nested-loop evaluator in package
-// rel on every hot path (pdms.Query, the netpeer server and executor, the
-// chase oracle, cmd/reform). rel.EvalCQ remains the reference oracle the
-// engine is differentially tested against — including sharded-versus-
-// unsharded runs over the randomized corpus in shard_test.go.
+// rel.Instance data using hash indexes and cardinality join orders
+// (OrderBody), replacing the naive nested-loop evaluator in package rel on
+// every hot path (pdms.Query, the netpeer server and executor, the chase
+// oracle, cmd/reform). rel.EvalCQ remains the reference oracle the engine
+// is differentially tested against over randomized corpora (diff_test.go,
+// relation_test.go).
 //
 // # Architecture
 //
 // Indexes. Each relation gets hash indexes lazily, one per bound-position
-// set actually probed, with one sub-index per storage shard: the key is the
-// tuple's projection onto the probed columns, the value a bucket of that
-// shard's matching tuples. Relations expose per-shard append-only insert
-// logs (rel.Relation.ShardVersion / ShardAddedSince), so each shard's
-// sub-index is maintained incrementally under the shard's own lock — a
-// probe first consumes the log suffix its sub-index has not seen, then
-// answers from the buckets. Tuples are never deleted (set semantics,
-// monotone growth), which is what makes the log-suffix catch-up complete.
-// A probe whose bound-position set includes the partitioning column
-// (column 0) is routed to the single shard that can hold matches; other
-// probes consult every shard and merge.
+// set actually probed: the key is the tuple's projection onto the probed
+// columns, the value a bucket of matching tuples. Relations expose an
+// append-only insert log (rel.Relation.Version / AddedSince), so an index
+// is maintained incrementally under its own lock — a probe first consumes
+// the log suffix the index has not seen, then answers from the buckets.
+// Tuples are never deleted (set semantics, monotone growth), which is what
+// makes the log-suffix catch-up complete.
 //
 // Planning. A conjunctive query is compiled to a Plan: body atoms are
 // greedily reordered by estimated result size and each atom is lowered to
@@ -34,7 +30,7 @@
 // step that binds their variables, pruning as soon as possible.
 //
 // Execution. A plan runs sequentially on the calling goroutine: a full
-// scan walks the relation's shards one after another, and
+// scan walks the relation's insert log in order, and
 // ProbeByKeyBatchYield probes its keys in order. EvalUCQ lets a bounded
 // number of goroutines claim independent disjuncts, the same concurrency
 // shape the distributed executor uses.
@@ -50,12 +46,12 @@
 //
 // Streaming. StreamCQ, StreamScan and ProbeByKeyBatchYield are the
 // enumeration hooks behind the netpeer server's chunked responses: they
-// yield distinct tuples as the plan runs (or the shard logs are walked),
+// yield distinct tuples as the plan runs (or the insert log is walked),
 // materializing nothing beyond the dedup set, so results larger than
 // memory-comfortable frames flow out incrementally.
 //
-// Invalidation. The engine itself never serves stale data — per-shard
-// indexes catch up from the shard logs on every probe. Answer-level
+// Invalidation. The engine itself never serves stale data — indexes
+// catch up from the insert logs on every probe. Answer-level
 // caching (and its generation-vector invalidation) lives one layer up, in
 // pdms.Network; see ARCHITECTURE.md at the repository root for the
 // full-stack picture.

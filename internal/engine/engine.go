@@ -17,24 +17,18 @@ import (
 // early without error.
 var ErrStop = errors.New("engine: stop enumeration")
 
-// index is a set of per-shard hash indexes over one relation for one
-// bound-position set: per shard, the key projects the tuple onto cols and
-// buckets hold the matching tuples of that shard. Indexes are built lazily
-// on first probe and each shard's half is maintained incrementally by
-// consuming that shard's append-only insert log — under the shard's own
-// lock, so probes routed to different shards never contend.
+// index is a hash index over one relation for one bound-position set: the
+// key projects a tuple onto cols and each bucket holds the matching
+// tuples. Indexes are built lazily on first probe and maintained
+// incrementally by consuming the relation's append-only insert log.
 type index struct {
-	cols   []int
-	shards []idxShard
-}
-
-type idxShard struct {
-	// mu's read lock covers the fast path (sub-index already caught up
-	// with its shard's log), so concurrent probes of one shard proceed in
-	// parallel; the write lock is only taken to consume new log entries.
+	cols []int
+	// mu's read lock covers the fast path (index already caught up with
+	// the log), so concurrent probes proceed in parallel; the write lock
+	// is only taken to consume new log entries.
 	mu sync.RWMutex
-	// consumed is how many log entries this sub-index has folded in,
-	// guarded by mu.
+	// consumed is how many log entries the index has folded in, guarded
+	// by mu.
 	consumed uint64
 	// buckets maps composite probe keys to matching tuples, guarded by mu.
 	buckets map[string][]rel.Tuple
@@ -64,16 +58,15 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 }
 
 // Engine evaluates conjunctive queries and unions of conjunctive queries
-// over a rel.Instance using lazily-built per-shard hash indexes and
+// over a rel.Instance using lazily-built hash indexes and
 // cardinality join ordering (OrderBody). It is the indexed replacement for
 // the naive evaluator in package rel (which remains the reference oracle).
 //
 // Concurrency: concurrent evaluations are safe with each other, and the
-// underlying sharded relations tolerate concurrent inserts (each shard
+// underlying relations tolerate concurrent inserts (each relation
 // self-synchronizes); callers that need one atomic point-in-time answer
 // across mutations still serialize them externally (pdms.Network,
-// netpeer.Server). Indexes catch up with inserts shard by shard on the
-// next probe.
+// netpeer.Server). Indexes catch up with inserts on the next probe.
 type Engine struct {
 	data *rel.Instance
 	// plans caches compiled plans keyed by canonicalized query.
@@ -81,19 +74,17 @@ type Engine struct {
 
 	// mu guards the two-level index map. Probes take the read lock only to
 	// locate the *index for their (relation, column-set); all bucket state
-	// is then guarded per shard inside the index, so concurrent probes of
-	// different shards proceed in parallel.
+	// is then guarded by the index's own lock.
 	mu      sync.RWMutex
 	indexes map[string]map[string]*index // pred -> column-set key -> index; guarded by mu
 
 	// probes counts index-probe step entries and scans full-scan step
-	// entries (one per step entry, however many shards a scan walks).
+	// entries.
 	probes, scans obs.Counter
 	// plansCompiled counts plan compilations; planHits and planMisses count
 	// the plan cache's lookups.
 	plansCompiled, planHits, planMisses obs.Counter
-	// indexesBuilt counts distinct (relation, column-set) indexes created;
-	// an index covers every shard of its relation.
+	// indexesBuilt counts distinct (relation, column-set) indexes created.
 	indexesBuilt obs.Counter
 }
 
@@ -113,8 +104,8 @@ func (e *Engine) card(pred string) int {
 	return 0
 }
 
-// getIndex returns (creating if needed) the per-shard index set of r for
-// the bound-position set cols.
+// getIndex returns (creating if needed) the index of r for the
+// bound-position set cols.
 func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	ck := colsKey(cols)
 	e.mu.RLock()
@@ -132,71 +123,44 @@ func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	}
 	idx = byCols[ck]
 	if idx == nil {
-		idx = &index{cols: cols, shards: make([]idxShard, r.NumShards())}
-		for i := range idx.shards {
-			//lint:ignore lockcheck the index is freshly built and unpublished; no probe can reach its shard locks until byCols[ck] is set below
-			idx.shards[i].buckets = map[string][]rel.Tuple{}
-		}
+		idx = &index{cols: cols, buckets: map[string][]rel.Tuple{}}
 		byCols[ck] = idx
 		e.indexesBuilt.Add(1)
 	}
 	return idx
 }
 
-// probeShard answers one shard's half of a probe: catch the shard index up
-// with the shard's insert log if it has grown, then look the key up. The
-// returned bucket must not be mutated.
-func probeShard(r *rel.Relation, idx *index, s int, key []byte) []rel.Tuple {
-	ish := &idx.shards[s]
-	ish.mu.RLock()
-	if ish.consumed == r.ShardVersion(s) {
-		b := ish.buckets[string(key)]
-		ish.mu.RUnlock()
-		return b
-	}
-	ish.mu.RUnlock()
-	ish.mu.Lock()
-	added := r.ShardAddedSince(s, ish.consumed)
-	for _, t := range added {
-		k := bucketKey(t, idx.cols)
-		ish.buckets[k] = append(ish.buckets[k], t)
-	}
-	ish.consumed += uint64(len(added))
-	b := ish.buckets[string(key)]
-	ish.mu.Unlock()
-	return b
-}
-
 // probe returns the tuples of r whose projection onto cols equals vals
-// (one value per column). When cols includes the partitioning column 0 the
-// probe is routed to the single shard that can hold matches and returns
-// that shard's bucket directly; otherwise every shard is consulted and the
-// matches are merged into scratch. It returns the result and the (possibly
-// grown) scratch buffer for reuse — the result may alias either a shared
-// index bucket or the scratch, so callers must treat it as read-only and
-// must not retain it past the next probe that reuses the same scratch.
-func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte, scratch []rel.Tuple) ([]rel.Tuple, []rel.Tuple) {
+// (one value per column): it catches the index up with r's insert log if
+// the log has grown, then looks the key up. The returned bucket is shared
+// with the index and must not be mutated. kb is the caller's key buffer,
+// reused across probes.
+func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte) []rel.Tuple {
 	key := appendProbeKey((*kb)[:0], vals)
 	*kb = key
 	idx := e.getIndex(r, cols)
-	if r.NumShards() == 1 {
-		return probeShard(r, idx, 0, key), scratch
+	idx.mu.RLock()
+	if idx.consumed == r.Version() {
+		b := idx.buckets[string(key)]
+		idx.mu.RUnlock()
+		return b
 	}
-	for i, c := range cols {
-		if c == 0 {
-			return probeShard(r, idx, r.ShardFor(vals[i]), key), scratch
-		}
+	idx.mu.RUnlock()
+	idx.mu.Lock()
+	added := r.AddedSince(idx.consumed)
+	for _, t := range added {
+		k := bucketKey(t, idx.cols)
+		idx.buckets[k] = append(idx.buckets[k], t)
 	}
-	scratch = scratch[:0]
-	for s := 0; s < r.NumShards(); s++ {
-		scratch = append(scratch, probeShard(r, idx, s, key)...)
-	}
-	return scratch, scratch
+	idx.consumed += uint64(len(added))
+	b := idx.buckets[string(key)]
+	idx.mu.Unlock()
+	return b
 }
 
 // ProbeByKeyBatchYield invokes yield once per distinct tuple of pred whose
 // projection onto cols equals one of keys, building (or incrementally
-// catching up) the same lazy per-shard hash indexes that regular probe
+// catching up) the same lazy hash indexes that regular probe
 // steps use. Every key must supply len(cols) values. Tuples stream out as
 // the keys are probed — nothing beyond the dedup set is materialized —
 // which is the server-side substrate for netpeer's chunked bind responses.
@@ -222,12 +186,9 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 	}
 	seen := map[string]bool{}
 	var kb []byte
-	var scratch []rel.Tuple
 	for _, key := range keys {
 		e.probes.Add(1)
-		var tuples []rel.Tuple
-		tuples, scratch = e.probe(r, cols, key, &kb, scratch)
-		for _, t := range tuples {
+		for _, t := range e.probe(r, cols, key, &kb) {
 			if k := t.Key(); !seen[k] {
 				seen[k] = true
 				if err := yield(t); err != nil {
@@ -256,9 +217,8 @@ func (e *Engine) ProbeByKeyBatch(pred string, cols []int, keys [][]string) ([]re
 	return out, nil
 }
 
-// StreamScan invokes yield once per tuple of pred, shard by shard in
-// insertion order within each shard (no sort, no materialization — the
-// per-shard logs are already distinct). It is the streaming substrate for
+// StreamScan invokes yield once per tuple of pred, in insertion order (no
+// sort, no materialization — the insert log is already distinct). It is the streaming substrate for
 // the netpeer server's "scan" op. Returning ErrStop from yield ends the
 // stream without error. An absent relation yields nothing.
 func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
@@ -267,14 +227,12 @@ func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 		return nil
 	}
 	e.scans.Add(1)
-	for s := 0; s < r.NumShards(); s++ {
-		for _, t := range r.ShardAddedSince(s, 0) {
-			if err := yield(t); err != nil {
-				if errors.Is(err, ErrStop) {
-					return nil
-				}
-				return err
+	for _, t := range r.AddedSince(0) {
+		if err := yield(t); err != nil {
+			if errors.Is(err, ErrStop) {
+				return nil
 			}
+			return err
 		}
 	}
 	return nil

@@ -264,8 +264,8 @@ func compileComp(c lang.Comparison, slotOf map[string]int) compiledComp {
 }
 
 // runCtx is the per-evaluation state of one plan execution: the slot
-// array and reusable key and probe-merge buffers. Contexts are pooled, so
-// the buffers carry over from one run to the next.
+// array and reusable key buffers. Contexts are pooled, so the buffers
+// carry over from one run to the next.
 type runCtx struct {
 	e     *Engine
 	p     *Plan
@@ -273,17 +273,7 @@ type runCtx struct {
 	slots []string
 	key   []byte
 	vals  []string
-	// bufs holds one probe-merge scratch buffer per plan step (and may be
-	// longer than the plan): step i's iteration over a merged probe result
-	// finishes before any other probe at depth i runs in the same context,
-	// so per-depth reuse is safe.
-	bufs [][]rel.Tuple
 }
-
-// maxKeptProbeRows caps the probe-merge buffers a pooled runCtx keeps: a
-// buffer that a probe grew past it is dropped, as netpeer's recycle drops
-// frame buffers, so one huge probe does not stay pinned in the pool.
-const maxKeptProbeRows = 1 << 14
 
 var runCtxPool = sync.Pool{New: func() any { return new(runCtx) }}
 
@@ -296,23 +286,12 @@ func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
 		rc.slots = make([]string, p.nslots)
 	}
 	rc.slots = rc.slots[:p.nslots]
-	if n := len(p.steps) - len(rc.bufs); n > 0 {
-		rc.bufs = append(rc.bufs, make([][]rel.Tuple, n)...)
-	}
 	return rc
 }
 
 // release clears what rc holds of the run, so a pooled context pins no
 // rows, and returns it to the pool.
 func (rc *runCtx) release() {
-	for i, b := range rc.bufs {
-		if cap(b) > maxKeptProbeRows {
-			rc.bufs[i] = nil
-			continue
-		}
-		clear(b[:cap(b)])
-		rc.bufs[i] = b[:0]
-	}
 	clear(rc.slots)
 	clear(rc.vals)
 	rc.e, rc.p, rc.yield = nil, nil, nil
@@ -337,17 +316,11 @@ func (rc *runCtx) step(i int) error {
 		return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
 	}
 	if len(st.keyCols) == 0 {
-		// Full scan, shard by shard (the per-shard logs are distinct and
-		// cover the relation).
+		// Full scan: the insert log is distinct and covers the relation.
 		rc.e.scans.Add(1)
-		for s := 0; s < r.NumShards(); s++ {
-			if err := rc.feed(i, st, r.ShardAddedSince(s, 0)); err != nil {
-				return err
-			}
-		}
-		return nil
+		return rc.feed(i, st, r.AddedSince(0))
 	}
-	// Probe path: resolve the key parts, look up the per-shard indexes.
+	// Probe path: resolve the key parts, look up the index.
 	if cap(rc.vals) < len(st.keyParts) {
 		rc.vals = make([]string, len(st.keyParts))
 	}
@@ -360,9 +333,7 @@ func (rc *runCtx) step(i int) error {
 		}
 	}
 	rc.e.probes.Add(1)
-	tuples, scratch := rc.e.probe(r, st.keyCols, vals, &rc.key, rc.bufs[i])
-	rc.bufs[i] = scratch
-	return rc.feed(i, st, tuples)
+	return rc.feed(i, st, rc.e.probe(r, st.keyCols, vals, &rc.key))
 }
 
 // feed applies step i's checks and binds to each candidate tuple and
@@ -392,8 +363,8 @@ next:
 
 // run executes the plan, invoking yield with the slot array for every body
 // match. The slot array is reused across yields — callers must copy what
-// they keep. Execution is sequential: a scan walks the relation's shards
-// one after another, so match order is deterministic for a given instance.
+// they keep. Execution is sequential: a scan walks the relation's insert
+// log in order, so match order is deterministic for a given instance.
 func (e *Engine) run(p *Plan, yield func(slots []string) error) error {
 	for _, c := range p.preComps {
 		if !c.eval(nil) {

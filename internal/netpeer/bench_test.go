@@ -61,10 +61,10 @@ func BenchmarkBindJoin(b *testing.B) {
 	reportWireDeltas(b, ex, base)
 }
 
-// hopFixture serves P3.s, 32 rows ("v<i>", "w<i>") in 2 shards, over
-// loopback and returns a client connected to it.
+// hopFixture serves P3.s, 32 rows ("v<i>", "w<i>"), over loopback and
+// returns a client connected to it.
 func hopFixture(b *testing.B) *Client {
-	data := rel.NewInstanceSharded(2)
+	data := rel.NewInstance()
 	for i := 0; i < 32; i++ {
 		data.MustAdd("P3.s", fmt.Sprintf("v%d", i), fmt.Sprintf("w%d", i))
 	}

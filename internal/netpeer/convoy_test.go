@@ -20,7 +20,7 @@ import (
 // WriteTimeout (60s by default). The admission gate cannot help: the
 // convoyed requests already hold their slots.
 //
-// With inserts moved to the read side (shards self-synchronize), a stalled
+// With inserts moved to the read side (relations self-synchronize), a stalled
 // stream costs only its own connection. The test pins a stream, then
 // requires a mutation and an unrelated scan to complete promptly.
 func TestSlowStreamDoesNotConvoyServer(t *testing.T) {

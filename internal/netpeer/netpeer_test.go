@@ -296,8 +296,8 @@ func TestExecutorRepeatedAtomSharedFetch(t *testing.T) {
 
 // TestNULValuesRoundTrip: values may contain NUL (PROTOCOL.md), so two rows
 // that only a NUL-joined key would confuse must both be stored by an add and
-// come back from a scan and from an eval. Their first columns agree, so
-// they share a shard and its tuple set.
+// come back from a scan and from an eval; they share the relation's one
+// tuple set.
 func TestNULValuesRoundTrip(t *testing.T) {
 	addr := startServer(t, map[string][]rel.Tuple{"A.r": {{"z", "z", "z"}}})
 	c, err := Dial(addr)

@@ -145,7 +145,7 @@ type Server struct {
 	// consumer plus one pending writer would convoy every later reader
 	// behind this write-preferring RWMutex (see handleAdd). Read-side
 	// inserts are safe because the instance itself self-synchronizes:
-	// relation shards carry their own locks and rel.Instance serializes
+	// each relation carries its own lock and rel.Instance serializes
 	// first-use relation creation internally, so this RLock only pins the
 	// instance pointer.
 	mu   sync.RWMutex
@@ -212,10 +212,10 @@ func NewServer(data *rel.Instance) *Server {
 }
 
 // AddFact inserts a tuple into a served relation. Inserts self-synchronize
-// inside the instance — at the shard level for tuples, under rel.Instance's
-// own lock for first-use relation creation — so this never waits for (or
-// convoys behind) an in-flight response stream; the read lock only pins
-// the instance pointer.
+// inside the instance — under each relation's lock for tuples, under
+// rel.Instance's own lock for first-use relation creation — so this never
+// waits for (or convoys behind) an in-flight response stream; the read
+// lock only pins the instance pointer.
 func (s *Server) AddFact(pred string, t rel.Tuple) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -583,9 +583,9 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// Liveness probe; deliberately touches no relation state.
 		return send(wire.Response{Spans: exported()})
 	case "scan":
-		// StreamScan walks the per-shard insert logs directly: no sort, no
+		// StreamScan walks the relation's insert log directly: no sort, no
 		// sorted-view materialization, O(chunk) memory end to end. Row order
-		// is per-shard insertion order (unspecified globally).
+		// is insertion order (unspecified by the protocol).
 		sp := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
 		return s.streamRows(send, sp, req.IfGen, []string{req.Pred}, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamScan(req.Pred, yield)
@@ -637,16 +637,16 @@ func kept(root *obs.Span, v string) string {
 }
 
 // handleAdd applies one add request: insert req.Rows into req.Pred (rows
-// become visible individually as each shard-level insert lands — the batch
-// is not an atomic unit of visibility), then answer with a single final
+// become visible individually as each insert lands — the batch is not an
+// atomic unit of visibility), then answer with a single final
 // frame whose piggyback metadata (cardinality, generation) is read after
 // the last insert, so the client's fragment cache sees a generation at
 // least as new as its own write. A failed row stops the batch; rows before
 // it stay inserted (the in-band error reports how many landed).
 //
 // Inserts deliberately run under the read lock (tuple inserts synchronize
-// at the shard level, and rel.Instance internally serializes the map write
-// when a new predicate materializes a relation): an exclusive lock here
+// under each relation's lock, and rel.Instance internally serializes the
+// map write when a new predicate materializes a relation): an exclusive lock here
 // would convoy the whole server behind any stalled response stream —
 // streams hold the read lock end to end, so one slow consumer plus one
 // pending writer would block every later reader on this write-preferring

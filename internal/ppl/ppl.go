@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/lang"
+	"repro/internal/rel"
 )
 
 // RelationKind distinguishes peer (virtual) relations from stored relations.
@@ -336,6 +337,26 @@ func (n *PDMS) CheckFact(pred string, values []string) error {
 					fact.Args[i] = lang.Const(v)
 				}
 				return fmt.Errorf("ppl: fact %s violates storage %s: %s", fact, s.ID, c)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckStored runs CheckFact over data's rows of every relation that has a
+// storage description with comparisons; a description without comparisons
+// cannot contradict a row of the right arity. Rows written under another
+// specification — a replayed journal, a network being extended — go
+// through it before they are served.
+func (n *PDMS) CheckStored(data *rel.Instance) error {
+	for _, s := range n.storage {
+		r := data.Relation(s.Stored.Pred)
+		if r == nil || len(s.Query.Comps) == 0 {
+			continue
+		}
+		for _, t := range r.Tuples() {
+			if err := n.CheckFact(s.Stored.Pred, t); err != nil {
+				return err
 			}
 		}
 	}

@@ -24,52 +24,46 @@ func callerRow(buf []byte, cuts ...int) Tuple {
 // copy of the row. Overwriting the caller's []string and the bytes its
 // values came from changes nothing the relation reports.
 func TestInsertOwnsItsCopy(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		r := NewRelationSharded("r", 3, shards)
-		var want []Tuple
-		for i, vals := range [][]string{
-			{"alpha", "", "beta\x00gamma"},
-			{"", "", ""},
-			{strings.Repeat("long", arenaChunkBytes/3), "x", "y"},
-			{"alpha", "b", "c"},
-		} {
-			buf := []byte(strings.Join(vals, ""))
-			cuts := []int{len(vals[0]), len(vals[0]) + len(vals[1]), len(buf)}
-			row := callerRow(buf, cuts...)
-			if ok, err := r.Insert(row); !ok || err != nil {
-				t.Fatalf("row %d: Insert = %v, %v", i, ok, err)
-			}
-			want = append(want, Tuple(slices.Clone(vals)))
-			for j := range buf {
-				buf[j] = '#'
-			}
-			row[0], row[2] = "overwritten", "overwritten"
+	r := NewRelation("r", 3)
+	var want []Tuple
+	for i, vals := range [][]string{
+		{"alpha", "", "beta\x00gamma"},
+		{"", "", ""},
+		{strings.Repeat("long", arenaChunkBytes/3), "x", "y"},
+		{"alpha", "b", "c"},
+	} {
+		buf := []byte(strings.Join(vals, ""))
+		cuts := []int{len(vals[0]), len(vals[0]) + len(vals[1]), len(buf)}
+		row := callerRow(buf, cuts...)
+		if ok, err := r.Insert(row); !ok || err != nil {
+			t.Fatalf("row %d: Insert = %v, %v", i, ok, err)
 		}
-		SortTuples(want)
-		if got := r.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
-			t.Fatalf("%d shards: Tuples after overwriting the caller's rows: %q, want %q", shards, got, want)
+		want = append(want, Tuple(slices.Clone(vals)))
+		for j := range buf {
+			buf[j] = '#'
 		}
-		var logged []Tuple
-		for s := range r.NumShards() {
-			logged = append(logged, r.ShardAddedSince(s, 0)...)
+		row[0], row[2] = "overwritten", "overwritten"
+	}
+	logged := r.AddedSince(0)
+	if !slices.EqualFunc(logged, want, Tuple.Equal) {
+		t.Fatalf("AddedSince after overwriting the caller's rows: %q, want %q", logged, want)
+	}
+	SortTuples(want)
+	if got := r.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
+		t.Fatalf("Tuples after overwriting the caller's rows: %q, want %q", got, want)
+	}
+	for _, w := range want {
+		if !r.Contains(w) {
+			t.Fatalf("Contains(%q) = false", w)
 		}
-		SortTuples(logged)
-		if !slices.EqualFunc(logged, want, Tuple.Equal) {
-			t.Fatalf("%d shards: ShardAddedSince: %q, want %q", shards, logged, want)
-		}
-		for _, w := range want {
-			if !r.Contains(w) {
-				t.Fatalf("%d shards: Contains(%q) = false", shards, w)
-			}
-		}
-		// A stored row's header is clipped: appending to it cannot write
-		// over the row stored after it.
-		for _, stored := range logged {
-			_ = append(stored, "spill")
-		}
-		if got := r.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
-			t.Fatalf("%d shards: an append to a stored row reached its neighbour: %q", shards, got)
-		}
+	}
+	// A stored row's header is clipped: appending to it cannot write over
+	// the row stored after it.
+	for _, stored := range logged {
+		_ = append(stored, "spill")
+	}
+	if got := r.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
+		t.Fatalf("an append to a stored row reached its neighbour: %q", got)
 	}
 }
 
@@ -80,7 +74,7 @@ func TestInsertOwnsItsCopy(t *testing.T) {
 // both sides then insert rows of equal size, so arenas shared by mistake
 // would put the two sides' rows on the same bytes.
 func TestCloneArenasIndependent(t *testing.T) {
-	src := NewInstanceSharded(1)
+	src := NewInstance()
 	shared := []Tuple{{"a", "aa"}, {"b", "bb"}}
 	for _, tu := range shared {
 		src.MustAdd("p", tu...)
@@ -105,9 +99,9 @@ func TestCloneArenasIndependent(t *testing.T) {
 // TestAppendHookSeesStoredTuple: the hook receives the relation's stored
 // row — the one the log holds — not the caller's.
 func TestAppendHookSeesStoredTuple(t *testing.T) {
-	r := NewRelationSharded("r", 2, 1)
+	r := NewRelation("r", 2)
 	var hooked Tuple
-	r.SetAppendHook(func(_ int, tu Tuple, _ uint64) error {
+	r.SetAppendHook(func(tu Tuple, _ uint64) error {
 		hooked = tu
 		return nil
 	})
@@ -115,7 +109,7 @@ func TestAppendHookSeesStoredTuple(t *testing.T) {
 	if _, err := r.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	stored := r.ShardAddedSince(0, 0)[0]
+	stored := r.AddedSince(0)[0]
 	if !hooked.Equal(row) {
 		t.Fatalf("hook got %q, want %q", hooked, row)
 	}

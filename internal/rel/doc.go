@@ -1,5 +1,5 @@
-// Package rel is the relational execution substrate: sharded instances of
-// stored relations, set-semantics evaluation of conjunctive queries and
+// Package rel is the relational execution substrate: instances of stored
+// relations, set-semantics evaluation of conjunctive queries and
 // unions of conjunctive queries, and semi-naive datalog evaluation.
 //
 // The paper defers query execution ("the precise method of evaluating Q' is
@@ -7,27 +7,23 @@
 // reformulated queries can actually be answered over stored relations, and
 // so the chase-based certain-answer oracle has an evaluator to run on.
 //
-// # Shards
+// # Relations
 //
-// A Relation is hash-partitioned over N shards by its first column's value
-// (rel.ShardOf; N defaults to one shard per CPU, see DefaultShards, and
-// N = 1 reproduces the unsharded layout exactly). Each shard owns its own
-// tuple set, append-only insert log and generation counter behind its own
-// mutex, so inserts to different shards — and the index catch-ups that
-// concurrent evaluations in internal/engine run over them — never contend
-// on one lock. The partitioning column is the first because join keys and pushed
-// constants land there most often in this codebase's workloads, letting the
-// engine route a probe whose bound-position set includes column 0 to the
-// single shard that can hold matches.
+// A Relation is one partition: one tuple set, one append-only insert log,
+// one pair of row arenas and one generation counter, behind one mutex.
+// Inserts, lookups and the index catch-ups that concurrent evaluations in
+// internal/engine run over a relation all take that lock briefly; the log
+// is append-only and its handed-out prefixes are never written again, so
+// a scan walks a log suffix without holding the lock.
 //
 // # Rows
 //
 // A row's bytes are stored once. Insert copies a new row, in its Tuple.Key
-// encoding, into its shard's append-only byte arena; that copy is the
+// encoding, into the relation's append-only byte arena; that copy is the
 // tuple set's key, and the stored row's values are substrings of it, in a
-// header carved from a per-shard []string arena. The log, the tuple set
+// header carved from the relation's []string arena. The log, the tuple set
 // and the engine's indexes share these rows. Each arena's chunks start at
-// the size of the shard's first row and double up to 64 KiB, so a small
+// the size of the relation's first row and double up to 64 KiB, so a small
 // relation stays small; handed-out bytes and headers are never written
 // again, and a header's capacity is clipped to its length. Insert's caller
 // keeps its own row. Clone shares the rows stored so far but starts fresh
@@ -45,14 +41,13 @@
 //
 // # Generations
 //
-// Every shard counts its inserts; Relation.Version folds (sums) the
-// per-shard counters into the same monotonic per-relation insert count the
-// system has always used, so the generation-vector answer cache
-// (pdms.Network) and the netpeer gens piggyback are unchanged in meaning
-// and granularity. Derived structures that must catch up incrementally —
-// the engine's lazy hash indexes — consume the per-shard vector instead
-// (ShardVersion / ShardAddedSince): tuples are never deleted, so a shard's
-// log suffix is exactly what that shard gained since a given version.
+// Every relation counts its inserts: Relation.Version is the monotonic
+// per-relation insert count that the generation-vector answer cache
+// (pdms.Network) and the netpeer gens piggyback are keyed by. Derived
+// structures that must catch up incrementally — the engine's lazy hash
+// indexes — read the log suffix since the version they last saw
+// (AddedSince): tuples are never deleted, so that suffix is exactly what
+// the relation gained.
 //
 // The naive evaluators in this package remain the reference oracles:
 // internal/engine — the indexed evaluator used on every hot path

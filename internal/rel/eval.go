@@ -125,9 +125,7 @@ func EvalDatalog(rules []lang.CQ, base *Instance) (*Instance, error) {
 	// delta holds the facts derived in the previous round.
 	delta := base.Clone()
 	for round := 0; ; round++ {
-		// Single-shard: per-round deltas are scanned whole, so the
-		// sharded layout's routing would be pure overhead.
-		next := NewInstanceSharded(1)
+		next := NewInstance()
 		for _, rule := range rules {
 			// Semi-naive: at least one body atom must match the delta.
 			for pivot := range rule.Body {

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -36,7 +37,7 @@ func TestInstanceConcurrentCreate(t *testing.T) {
 		wg.Add(1)
 		go func(pred string) {
 			defer wg.Done()
-			if r := ins.EnsureRelation(pred, 1, 0); r == nil {
+			if r := ins.EnsureRelation(pred, 1); r == nil {
 				t.Errorf("ensure %s returned nil", pred)
 			}
 		}(pred)
@@ -78,15 +79,16 @@ func TestInstanceConcurrentCreate(t *testing.T) {
 }
 
 // TestArenaConcurrentInsertReadClone races inserts into a relation's
-// arenas against log readers and clones: readers walk the stored rows'
-// bytes while writers carve new rows from the same chunks, and each clone
-// starts arenas of its own while the source keeps writing. Under -race any
-// write to bytes a stored row already holds is a report; afterwards every
-// clone holds a prefix of the source's rows, intact.
+// arenas against log readers and clones, all on the relation's one mutex:
+// readers walk the stored rows' bytes while writers carve new rows from
+// the same chunks, and each clone starts arenas of its own while the
+// source keeps writing. Under -race any write to bytes a stored row
+// already holds is a report; afterwards every clone holds a prefix of the
+// source's rows, intact.
 func TestArenaConcurrentInsertReadClone(t *testing.T) {
 	const writers, rows = 4, 300
-	ins := NewInstanceSharded(2)
-	ins.EnsureRelation("p", 2, 0)
+	ins := NewInstance()
+	ins.EnsureRelation("p", 2)
 	r := ins.Relation("p")
 	row := func(w, i int) Tuple { return Tuple{fmt.Sprintf("w%d_%d", w, i), fmt.Sprintf("payload-%d-%d", w, i*i)} }
 	var wg sync.WaitGroup
@@ -114,12 +116,10 @@ func TestArenaConcurrentInsertReadClone(t *testing.T) {
 				return
 			default:
 			}
-			for s := range r.NumShards() {
-				for _, tu := range r.ShardAddedSince(s, 0) {
-					if !r.Contains(tu) || len(tu[1]) < len("payload-") {
-						t.Errorf("stored row %q unreadable", tu)
-						return
-					}
+			for _, tu := range r.AddedSince(0) {
+				if !r.Contains(tu) || len(tu[1]) < len("payload-") {
+					t.Errorf("stored row %q unreadable", tu)
+					return
 				}
 			}
 		}
@@ -153,11 +153,18 @@ func TestArenaConcurrentInsertReadClone(t *testing.T) {
 	if got := r.Len(); got != writers*rows {
 		t.Fatalf("source holds %d rows, want %d", got, writers*rows)
 	}
+	src := r.AddedSince(0)
 	for c := range clones {
 		for _, tu := range c.Relation("p").Tuples() {
 			if !want[tu.String()] && !tu.Equal(Tuple{"clone-only", "x"}) {
 				t.Fatalf("clone holds %q, which no writer inserted", tu)
 			}
+		}
+		// The clone's log is a prefix of the source's, then its own row.
+		cl := c.Relation("p").AddedSince(0)
+		n := len(cl) - 1
+		if n < 0 || n > len(src) || !cl[n].Equal(Tuple{"clone-only", "x"}) || !slices.EqualFunc(cl[:n], src[:n], Tuple.Equal) {
+			t.Fatalf("clone log of %d rows is not a prefix of the source's %d plus its own row", len(cl), len(src))
 		}
 	}
 	if r.Contains(Tuple{"clone-only", "x"}) {

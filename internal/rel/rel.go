@@ -3,7 +3,6 @@ package rel
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,71 +71,6 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// maxShards caps the shard count of one relation; beyond this, per-shard
-// fixed costs (index maps, one log walk per shard in every scan) outweigh
-// what spreading locks any further saves.
-const maxShards = 256
-
-// DefaultShards is the shard count NewRelation and NewInstance use: one
-// shard per schedulable CPU (runtime.GOMAXPROCS), so inserts and index
-// catch-ups running on every core at once spread over as many locks,
-// clamped to [1, 256]. A single-CPU process therefore gets the unsharded
-// (N=1) layout automatically.
-func DefaultShards() int {
-	return clampShards(runtime.GOMAXPROCS(0))
-}
-
-func clampShards(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > maxShards {
-		return maxShards
-	}
-	return n
-}
-
-// fnv64a is the FNV-1a hash that routes a tuple to its shard.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// ShardOf returns the shard index (in [0, n)) that a first-column value v
-// routes to under n-way hash partitioning. Exported so the engine can route
-// probes whose bound-position set includes column 0 to the single shard
-// that can hold matches; it must stay in lockstep with Insert's placement.
-func ShardOf(v string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(fnv64a(v) % uint64(n))
-}
-
-// shard is one hash partition of a relation: its own tuple set, append-only
-// insert log and monotonic generation counter, all guarded by the shard's
-// own mutex so inserts and index catch-ups on different shards never
-// contend.
-type shard struct {
-	mu sync.Mutex
-	// tuples is the shard's tuple set, guarded by mu.
-	tuples map[string]Tuple
-	// log is the shard's append-only insert log, guarded by mu.
-	log []Tuple
-	// gen counts this shard's inserts (== len(log)). Atomic so generation
-	// reads (cache keys, piggybacks) never take the shard lock.
-	gen atomic.Uint64
-	// keys and vals are the shard's row arenas, guarded by mu: each stored
-	// row's Key encoding is copied into keys once, and its values are
-	// substrings of that copy held in a header carved from vals.
-	keys arena[byte]
-	vals arena[string]
-}
-
 // arenaChunkBytes caps the size of one arena chunk.
 const arenaChunkBytes = 64 << 10
 
@@ -162,17 +96,17 @@ func (a *arena[T]) take(n int) []T {
 	return p
 }
 
-// storeLocked copies t, whose Key encoding is key, into the shard's
+// storeLocked copies t, whose Key encoding is key, into the relation's
 // arenas and returns the stored key and row: the key bytes are the one
-// copy, and the row's values are substrings of them. Callers hold s.mu.
-func (s *shard) storeLocked(key []byte, t Tuple) (string, Tuple) {
-	b := s.keys.take(len(key))
+// copy, and the row's values are substrings of them. Callers hold r.mu.
+func (r *Relation) storeLocked(key []byte, t Tuple) (string, Tuple) {
+	b := r.keys.take(len(key))
 	copy(b, key)
 	k := unsafe.String(unsafe.SliceData(b), len(b))
 	if len(t) == 0 {
 		return k, Tuple{}
 	}
-	row := Tuple(s.vals.take(len(t)))
+	row := Tuple(r.vals.take(len(t)))
 	off := 0
 	for i, v := range t {
 		off += keyPrefixLen(len(v))
@@ -192,16 +126,30 @@ func keyPrefixLen(n int) int {
 	return d
 }
 
-// Relation is a named set of tuples of fixed arity, hash-partitioned over
-// NumShards() shards by the first column's value. Insert, Contains, Len,
-// Tuples and the per-shard accessors are individually safe for concurrent
-// use (each shard self-synchronizes); a reader that needs one atomic
-// point-in-time view across inserts still requires external synchronization,
-// which is what pdms.Network's and netpeer.Server's locks provide.
+// Relation is a named set of tuples of fixed arity: one tuple set, one
+// append-only insert log, one pair of row arenas and one generation
+// counter, all behind one mutex. Insert, Contains, Len, Tuples, Version and
+// AddedSince are individually safe for concurrent use; a reader that needs
+// one atomic point-in-time view across inserts still requires external
+// synchronization, which is what pdms.Network's and netpeer.Server's locks
+// provide.
 type Relation struct {
-	name   string
-	arity  int
-	shards []*shard
+	name  string
+	arity int
+
+	mu sync.Mutex
+	// tuples is the relation's tuple set, guarded by mu.
+	tuples map[string]Tuple
+	// log is the append-only insert log, guarded by mu.
+	log []Tuple
+	// gen counts inserts (== len(log)). Atomic so generation reads (cache
+	// keys, piggybacks) never take the lock.
+	gen atomic.Uint64
+	// keys and vals are the row arenas, guarded by mu: each stored row's
+	// Key encoding is copied into keys once, and its values are substrings
+	// of that copy held in a header carved from vals.
+	keys arena[byte]
+	vals arena[string]
 
 	// hook, when non-nil, observes every successful insert (see
 	// SetAppendHook). It must be installed before the relation is shared
@@ -218,14 +166,14 @@ type Relation struct {
 	sortedVer uint64
 }
 
-// AppendHook observes one successful insert. It is invoked under the owning
-// shard's lock, after the tuple has been appended to the shard log and the
-// shard generation bumped, with the shard index, the stored (arena-backed)
-// tuple, and the shard's new generation — in exactly that shard's log order.
-// A non-nil error aborts Insert with that error; the tuple remains inserted
-// in memory, so hook errors mean "applied but possibly not durable" and
-// callers (the storage tier) must treat the backing journal as failed.
-type AppendHook func(shard int, t Tuple, gen uint64) error
+// AppendHook observes one successful insert. It is invoked under the
+// relation's lock, after the tuple has been appended to the log and the
+// generation bumped, with the stored (arena-backed) tuple and the new
+// generation — in exactly the log's order. A non-nil error aborts Insert
+// with that error; the tuple remains inserted in memory, so hook errors
+// mean "applied but possibly not durable" and callers (the storage tier)
+// must treat the backing journal as failed.
+type AppendHook func(t Tuple, gen uint64) error
 
 // Name returns the relation's predicate name (fixed at creation).
 func (r *Relation) Name() string { return r.name }
@@ -238,148 +186,81 @@ func (r *Relation) Arity() int { return r.arity }
 // Insert reads the hook without synchronization.
 func (r *Relation) SetAppendHook(h AppendHook) { r.hook = h }
 
-// NewRelation creates an empty relation with DefaultShards() shards.
+// NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
-	return NewRelationSharded(name, arity, 0)
-}
-
-// NewRelationSharded creates an empty relation with n hash partitions
-// (n <= 0 selects DefaultShards(); n is clamped to at most 256). n = 1
-// reproduces the unsharded layout: one tuple set, one log, one generation
-// counter.
-func NewRelationSharded(name string, arity, n int) *Relation {
-	if n <= 0 {
-		n = DefaultShards()
-	}
-	n = clampShards(n)
-	r := &Relation{name: name, arity: arity, shards: make([]*shard, n)}
-	for i := range r.shards {
-		r.shards[i] = &shard{tuples: map[string]Tuple{}}
-	}
-	return r
-}
-
-// NumShards returns the relation's shard count (fixed at creation).
-func (r *Relation) NumShards() int { return len(r.shards) }
-
-// ShardFor returns the shard index a tuple whose first column is v lives in.
-func (r *Relation) ShardFor(v string) int { return ShardOf(v, len(r.shards)) }
-
-// ShardOfTuple returns the shard index tuple t lives in: its first column's
-// shard, and shard 0 for a tuple of arity 0. Insert places every tuple
-// here, so a check that a tuple sits in the right shard (journal replay's)
-// must ask this, not ShardFor.
-func (r *Relation) ShardOfTuple(t Tuple) int {
-	if len(t) == 0 {
-		return 0
-	}
-	return ShardOf(t[0], len(r.shards))
+	return &Relation{name: name, arity: arity, tuples: map[string]Tuple{}}
 }
 
 // Insert adds a tuple (set semantics). It reports whether the tuple was new
-// and returns an error on arity mismatch. A new tuple is copied into its
-// shard's arenas, so the caller keeps ownership of t and its values.
-// Inserts to different shards proceed in parallel; the insert bumps its
-// shard's generation counter.
+// and returns an error on arity mismatch. A new tuple is copied into the
+// relation's arenas, so the caller keeps ownership of t and its values.
+// The insert bumps the generation counter.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("rel: %s arity %d, tuple %v has %d values", r.name, r.arity, t, len(t))
 	}
-	si := r.ShardOfTuple(t)
-	s := r.shards[si]
 	var buf [128]byte
 	k := t.appendKey(buf[:0])
-	s.mu.Lock()
-	if _, ok := s.tuples[string(k)]; ok {
-		s.mu.Unlock()
+	r.mu.Lock()
+	if _, ok := r.tuples[string(k)]; ok {
+		r.mu.Unlock()
 		return false, nil
 	}
-	key, cp := s.storeLocked(k, t)
-	s.tuples[key] = cp
-	s.log = append(s.log, cp)
-	s.gen.Add(1)
+	key, cp := r.storeLocked(k, t)
+	r.tuples[key] = cp
+	r.log = append(r.log, cp)
+	r.gen.Add(1)
 	if h := r.hook; h != nil {
-		// Still under the shard lock: the hook sees inserts in exactly the
-		// shard log's order, which is what lets the durable tier mirror the
-		// log frame for frame.
-		if err := h(si, cp, s.gen.Load()); err != nil {
-			s.mu.Unlock()
+		// Still under the lock: the hook sees inserts in exactly the log's
+		// order, which is what lets the durable tier mirror the log frame
+		// for frame.
+		if err := h(cp, r.gen.Load()); err != nil {
+			r.mu.Unlock()
 			return true, err
 		}
 	}
-	s.mu.Unlock()
+	r.mu.Unlock()
 	return true, nil
 }
 
-// Version returns the number of inserts so far: the fold (sum) of the
-// per-shard generation counters, so it is exactly the pre-sharding single
-// counter — monotonic, bumped once per new tuple, never by duplicates.
-// Cache keys and the netpeer gens piggyback are built from this value; the
-// per-shard vector behind it is exposed by ShardVersion for derived
-// structures (engine indexes) that catch up shard by shard.
-func (r *Relation) Version() uint64 {
-	var v uint64
-	for _, s := range r.shards {
-		v += s.gen.Load()
-	}
-	return v
-}
+// Version returns the number of inserts so far: monotonic, bumped once per
+// new tuple, never by duplicates. Cache keys and the netpeer gens
+// piggyback are built from this value; together with AddedSince it lets
+// derived structures (engine indexes) catch up incrementally.
+func (r *Relation) Version() uint64 { return r.gen.Load() }
 
-// ShardVersion returns shard s's generation: the number of inserts it has
-// absorbed. Together with ShardAddedSince it lets derived structures (hash
-// indexes, materialized views) catch up incrementally per shard: tuples are
-// never deleted, so shard s's log suffix log[v:] is exactly what changed in
-// that shard since its version v.
-func (r *Relation) ShardVersion(s int) uint64 { return r.shards[s].gen.Load() }
-
-// ShardAddedSince returns the tuples inserted into shard s after its
-// version v, in that shard's insertion order. Callers must not mutate the
-// result. ShardAddedSince(s, 0) enumerates the whole shard without paying a
-// sort; concatenated over all shards it enumerates the whole relation
-// (distinct by construction, in no particular global order).
-func (r *Relation) ShardAddedSince(s int, v uint64) []Tuple {
-	sh := r.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if v > uint64(len(sh.log)) {
+// AddedSince returns the tuples inserted after version v, in insertion
+// order. Callers must not mutate the result. Tuples are never deleted, so
+// the log suffix log[v:] is exactly what changed since version v, and
+// AddedSince(0) enumerates the whole relation without paying a sort.
+func (r *Relation) AddedSince(v uint64) []Tuple {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v > uint64(len(r.log)) {
 		return nil
 	}
-	return sh.log[v:]
+	return r.log[v:]
 }
 
-// ShardLen returns the number of tuples in shard s (skew observability).
-func (r *Relation) ShardLen(s int) int {
-	sh := r.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.tuples)
-}
-
-// Contains reports tuple membership (routed to the owning shard).
+// Contains reports tuple membership.
 func (r *Relation) Contains(t Tuple) bool {
-	s := r.shards[r.ShardOfTuple(t)]
 	var buf [128]byte
 	k := t.appendKey(buf[:0])
-	s.mu.Lock()
-	_, ok := s.tuples[string(k)]
-	s.mu.Unlock()
+	r.mu.Lock()
+	_, ok := r.tuples[string(k)]
+	r.mu.Unlock()
 	return ok
 }
 
 // Len returns the cardinality.
 func (r *Relation) Len() int {
-	n := 0
-	for _, s := range r.shards {
-		s.mu.Lock()
-		n += len(s.tuples)
-		s.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.tuples)
 }
 
-// Tuples returns the tuples in column-wise (Compare) order, gathered
-// across shards. The result is cached per Version and shared: callers must
-// not mutate it.
+// Tuples returns the tuples in column-wise (Compare) order. The result is
+// cached per Version and shared: callers must not mutate it.
 func (r *Relation) Tuples() []Tuple {
 	r.sortedMu.Lock()
 	defer r.sortedMu.Unlock()
@@ -391,25 +272,21 @@ func (r *Relation) Tuples() []Tuple {
 	if r.sorted != nil && r.sortedVer == v {
 		return r.sorted
 	}
-	out := make([]Tuple, 0, v)
-	for s := range r.shards {
-		out = append(out, r.ShardAddedSince(s, 0)...)
-	}
+	out := append(make([]Tuple, 0, v), r.AddedSince(0)...)
 	SortTuples(out)
 	r.sorted, r.sortedVer = out, v
 	return out
 }
 
 // Instance maps predicate names to relations. The zero value is unusable;
-// use NewInstance. Relations created on first Add inherit the instance's
-// shard count.
+// use NewInstance.
 //
 // The relation map self-synchronizes: lookups take the read side of an
 // internal RWMutex and lazy creation (Add on a new predicate) the write
 // side, so concurrent Adds, catalog walks and generation reads are safe
 // without external locking. The lock covers map *membership* only —
-// relation contents self-synchronize at the shard level — so no caller
-// ever holds it across tuple work.
+// relation contents self-synchronize under each relation's own lock — so
+// no caller ever holds it across tuple work.
 type Instance struct {
 	// mu guards the relation map and the hook factory. Creation is the
 	// only write: two concurrent Adds to a fresh predicate must not both
@@ -417,9 +294,6 @@ type Instance struct {
 	// tuples), and a map insert must not race a concurrent reader.
 	mu   sync.RWMutex
 	rels map[string]*Relation // guarded by mu
-	// nshards is the shard count for relations this instance creates
-	// (0 = DefaultShards()). Immutable after construction.
-	nshards int
 	// hooks, when non-nil, supplies the append hook for every relation the
 	// instance holds or later creates (see SetAppendHook). Guarded by mu:
 	// creation paths read it under the write lock they already hold.
@@ -427,22 +301,14 @@ type Instance struct {
 }
 
 // HookFactory returns the append hook for one relation of an instance,
-// given its predicate name, arity and shard count — or nil for none. The
-// storage tier uses this to journal every relation an instance creates,
-// including those materialized lazily by Add.
-type HookFactory func(pred string, arity, shards int) AppendHook
+// given its predicate name and arity — or nil for none. The storage tier
+// uses this to journal every relation an instance creates, including those
+// materialized lazily by Add.
+type HookFactory func(pred string, arity int) AppendHook
 
-// NewInstance returns an empty instance whose relations use DefaultShards()
-// hash partitions.
+// NewInstance returns an empty instance.
 func NewInstance() *Instance {
-	return NewInstanceSharded(0)
-}
-
-// NewInstanceSharded returns an empty instance whose relations are created
-// with n hash partitions (n <= 0 selects DefaultShards(); 1 reproduces the
-// unsharded layout).
-func NewInstanceSharded(n int) *Instance {
-	return &Instance{rels: map[string]*Relation{}, nshards: n}
+	return &Instance{rels: map[string]*Relation{}}
 }
 
 // SetAppendHook installs f as the instance's append-hook factory (nil
@@ -450,8 +316,8 @@ func NewInstanceSharded(n int) *Instance {
 // holds and every relation Add creates later. Like Relation.SetAppendHook
 // it must be called before the instance is shared across goroutines (the
 // per-relation hook fields are read without synchronization by Insert).
-// Clones and reshards never inherit hooks — they are independent in-memory
-// copies, not views of the journaled instance.
+// Clones never inherit hooks — they are independent in-memory copies, not
+// views of the journaled instance.
 func (ins *Instance) SetAppendHook(f HookFactory) {
 	ins.mu.Lock()
 	defer ins.mu.Unlock()
@@ -461,66 +327,38 @@ func (ins *Instance) SetAppendHook(f HookFactory) {
 			r.SetAppendHook(nil)
 			continue
 		}
-		r.SetAppendHook(f(name, r.arity, r.NumShards()))
+		r.SetAppendHook(f(name, r.arity))
 	}
 }
 
 // Clone returns a deep copy of the instance, preserving every relation's
-// shard layout, per-shard logs and generation counters (so
-// generation-keyed caches carry over).
-// The copy carries no append hooks.
+// log order and generation counter (so generation-keyed caches carry
+// over). The copy carries no append hooks.
 func (ins *Instance) Clone() *Instance {
 	ins.mu.RLock()
 	defer ins.mu.RUnlock()
 	rels := make(map[string]*Relation, len(ins.rels))
 	for name, r := range ins.rels {
-		nr := NewRelationSharded(name, r.arity, r.NumShards())
-		for i, s := range r.shards {
-			// Build the copy in locals and publish it fully formed: the
-			// fresh shard is unshared, so only the source shard's lock is
-			// needed.
-			s.mu.Lock()
-			tuples := make(map[string]Tuple, len(s.tuples))
-			for k, t := range s.tuples {
-				tuples[k] = t
-			}
-			// The copy shares the source's stored rows, which are never
-			// written again, but gets arenas of its own.
-			ns := &shard{
-				tuples: tuples,
-				// Full-slice expression: later appends to either log must
-				// not share backing storage.
-				log: s.log[:len(s.log):len(s.log)],
-			}
-			ns.gen.Store(s.gen.Load())
-			s.mu.Unlock()
-			nr.shards[i] = ns
+		// Build the copy fully formed before publishing it: the fresh
+		// relation is unshared, so only the source's lock is needed.
+		r.mu.Lock()
+		tuples := make(map[string]Tuple, len(r.tuples))
+		for k, t := range r.tuples {
+			tuples[k] = t
 		}
+		// The copy shares the source's stored rows, which are never written
+		// again, but gets arenas of its own.
+		nr := &Relation{
+			name: name, arity: r.arity, tuples: tuples,
+			// Full-slice expression: later appends to either log must not
+			// share backing storage.
+			log: r.log[:len(r.log):len(r.log)],
+		}
+		nr.gen.Store(r.gen.Load())
+		r.mu.Unlock()
 		rels[name] = nr
 	}
-	return &Instance{rels: rels, nshards: ins.nshards}
-}
-
-// Reshard returns a copy of ins whose relations are repartitioned over n
-// shards (n <= 0 selects DefaultShards()). Tuple contents are preserved;
-// per-shard logs and generations are rebuilt by reinsertion, so
-// the copy starts a fresh generation history.
-func Reshard(ins *Instance, n int) *Instance {
-	rels := map[string]*Relation{}
-	for _, name := range ins.Relations() {
-		r := ins.Relation(name)
-		nr := NewRelationSharded(name, r.arity, n)
-		for s := range r.shards {
-			for _, t := range r.ShardAddedSince(s, 0) {
-				if _, err := nr.Insert(t); err != nil {
-					// Arity is preserved by construction; unreachable.
-					panic(err)
-				}
-			}
-		}
-		rels[name] = nr
-	}
-	return &Instance{rels: rels, nshards: n}
+	return &Instance{rels: rels}
 }
 
 // Relation returns the named relation, or nil if absent.
@@ -543,7 +381,7 @@ func (ins *Instance) Relations() []string {
 }
 
 // Gen returns the per-relation generation of pred: the number of inserts
-// it has absorbed (Relation.Version, the fold of the per-shard counters),
+// it has absorbed (Relation.Version),
 // or 0 when the relation is absent. A relation that exists but holds no
 // tuples is indistinguishable from an absent one, which is sound for
 // generation keying: both denote the same (empty) contents. Callers key
@@ -557,40 +395,34 @@ func (ins *Instance) Gen(pred string) uint64 {
 }
 
 // EnsureRelation returns the named relation, creating it empty with the
-// given arity and n hash partitions if absent (n <= 0 selects the
-// instance's shard count). Recovery uses it to rebuild relations with their
-// recorded shard layout regardless of the instance default. Creation is
-// serialized under the instance lock, so concurrent ensurers agree on one
-// relation.
-func (ins *Instance) EnsureRelation(pred string, arity, n int) *Relation {
+// given arity if absent. Recovery uses it to rebuild relations with their
+// recorded arity. Creation is serialized under the instance lock, so
+// concurrent ensurers agree on one relation.
+func (ins *Instance) EnsureRelation(pred string, arity int) *Relation {
 	ins.mu.Lock()
 	defer ins.mu.Unlock()
-	return ins.ensureLocked(pred, arity, n)
+	return ins.ensureLocked(pred, arity)
 }
 
 // ensureLocked returns the named relation, creating it (with its hook, if
 // a factory is installed) when absent. Callers hold ins.mu exclusively.
-func (ins *Instance) ensureLocked(pred string, arity, n int) *Relation {
+func (ins *Instance) ensureLocked(pred string, arity int) *Relation {
 	if r, ok := ins.rels[pred]; ok {
 		return r
 	}
-	if n <= 0 {
-		n = ins.nshards
-	}
-	r := NewRelationSharded(pred, arity, n)
+	r := NewRelation(pred, arity)
 	if ins.hooks != nil {
-		r.SetAppendHook(ins.hooks(pred, r.arity, r.NumShards()))
+		r.SetAppendHook(ins.hooks(pred, r.arity))
 	}
 	ins.rels[pred] = r
 	return r
 }
 
-// Add inserts a tuple into pred, creating the relation on first use (with
-// the instance's shard count). It reports whether the tuple was new.
-// Lookups take the instance lock's read side and first-use creation its
-// write side (double-checked, so racing creators converge on one
-// relation); the tuple insert itself runs outside the instance lock —
-// shards self-synchronize — so concurrent Adds to an existing relation
+// Add inserts a tuple into pred, creating the relation on first use. It
+// reports whether the tuple was new. Lookups take the instance lock's read
+// side and first-use creation its write side (double-checked, so racing
+// creators converge on one relation); the tuple insert itself runs outside
+// the instance lock — relations self-synchronize — so concurrent Adds
 // never serialize here.
 func (ins *Instance) Add(pred string, t Tuple) (bool, error) {
 	ins.mu.RLock()
@@ -598,7 +430,7 @@ func (ins *Instance) Add(pred string, t Tuple) (bool, error) {
 	ins.mu.RUnlock()
 	if !ok {
 		ins.mu.Lock()
-		r = ins.ensureLocked(pred, len(t), ins.nshards)
+		r = ins.ensureLocked(pred, len(t))
 		ins.mu.Unlock()
 	}
 	return r.Insert(t)

@@ -46,10 +46,9 @@ func TestTupleKeyCollisionResistance(t *testing.T) {
 }
 
 // TestRelationInsertNULValues: two tuples that only a NUL-joined key would
-// confuse are both stored, counted and found, on the one-shard layout where
-// they share a tuple set.
+// confuse are both stored, counted and found in the one tuple set.
 func TestRelationInsertNULValues(t *testing.T) {
-	r := NewRelationSharded("R", 2, 1)
+	r := NewRelation("R", 2)
 	a, b := Tuple{"a\x00b", "c"}, Tuple{"a", "b\x00c"}
 	for _, tu := range []Tuple{a, b} {
 		if nw, err := r.Insert(tu); err != nil || !nw {

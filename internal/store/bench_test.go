@@ -9,7 +9,7 @@ import (
 
 // BenchmarkSegmentReplay measures crash-recovery cost: journal a fixed
 // workload once, then time Recover reconstructing the instance from the
-// segments. Small MaxSegmentBytes forces a multi-segment journal per shard
+// segments. Small MaxSegmentBytes forces a multi-segment journal per relation
 // so the per-segment header/ordering machinery is on the measured path.
 func BenchmarkSegmentReplay(b *testing.B) {
 	const nRows = 5000
@@ -18,7 +18,7 @@ func BenchmarkSegmentReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ins := rel.NewInstanceSharded(8)
+	ins := rel.NewInstance()
 	d.Attach(ins)
 	for i := 0; i < nRows; i++ {
 		ins.MustAdd("edge", fmt.Sprintf("n%05d", i), fmt.Sprintf("n%05d", (i*7)%nRows))
@@ -34,7 +34,7 @@ func BenchmarkSegmentReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		recovered, recs, err := rd.Recover(8)
+		recovered, recs, err := rd.Recover(0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,42 +15,42 @@ import (
 	"repro/internal/rel"
 )
 
-// defaultMaxSegmentBytes is the rotation threshold for one shard's open
+// defaultMaxSegmentBytes is the rotation threshold for one relation's open
 // segment: large enough that sequential replay is dominated by decoding,
 // small enough that torn-tail truncation never discards much.
 const defaultMaxSegmentBytes = 8 << 20
 
 // Options configure a Dir.
 type Options struct {
-	// MaxSegmentBytes rotates a shard's open segment once it grows past
+	// MaxSegmentBytes rotates a relation's open segment once it grows past
 	// this many bytes (0 = defaultMaxSegmentBytes). Rotation syncs the
 	// finished segment, so only the open tail segment is ever torn.
 	MaxSegmentBytes int64
 }
 
 // Dir is a durable journal for one rel.Instance: every relation gets a
-// subdirectory holding per-shard sequences of append-only segment files
-// that mirror the in-memory insert logs frame for frame. Open + Recover +
+// subdirectory holding a sequence of append-only segment files that
+// mirrors its in-memory insert log frame for frame. Open + Recover +
 // Attach is the lifecycle:
 //
 //	d, _ := store.Open(path, store.Options{})
-//	ins, recs, err := d.Recover(shards) // replay segments -> bit-identical instance
-//	d.Attach(ins)                       // journal every insert from here on
+//	ins, recs, err := d.Recover(0) // replay segments -> bit-identical instance
+//	d.Attach(ins)                  // journal every insert from here on
 //	...
-//	d.Close()                           // flush + fsync open segments
+//	d.Close()                      // flush + fsync open segments
 //
 // OpenInstance runs the first three steps (and merges a specification's
 // facts) with the Dir closed on every failure; pdms and peerd start there.
 //
 // Appends reach the journal through rel's append hooks, which run under the
-// owning shard's lock — so segment frames are written in exactly the shard
-// log's order and the per-segment generation ranges tile each shard's log.
+// relation's lock — so segment frames are written in exactly the log's
+// order and the per-segment generation ranges tile the relation's log.
 // Journaling is asynchronous with respect to the disk: frames sit in a
 // buffered writer until Flush/Sync/Close (or rotation), trading a bounded
 // crash-loss window for insert-path speed; recovery's torn-tail truncation
 // makes that window safe.
 //
-// A Dir is safe for concurrent appends (per-shard locking); Recover and
+// A Dir is safe for concurrent appends (per-relation locking); Recover and
 // Attach are startup-time calls that must complete before the instance is
 // shared.
 type Dir struct {
@@ -84,97 +84,79 @@ func Open(path string, opts Options) (*Dir, error) {
 	return &Dir{root: path, maxSeg: maxSeg, rels: map[string]*relLog{}}, nil
 }
 
-// relLog is one relation's journal state.
-type relLog struct {
-	d      *Dir
-	pred   string
-	arity  int
-	shards int
-	logs   []*shardLog
-}
-
-// shardLog is one shard's journal state: the open segment writer and the
+// relLog is one relation's journal state: the open segment writer and the
 // number of inserts journaled.
-type shardLog struct {
-	rl    *relLog
-	shard int
+type relLog struct {
+	d     *Dir
+	pred  string
+	arity int
 
 	mu sync.Mutex
 	// w is the open segment writer (nil until the first append after open
 	// or rotation), guarded by mu.
 	w *segWriter
-	// count is the number of inserts journaled for this shard — equal to
-	// the shard's in-memory generation once every hook call has returned.
-	// Guarded by mu.
+	// count is the number of inserts journaled — equal to the relation's
+	// in-memory generation once every hook call has returned. Guarded by
+	// mu.
 	count uint64
-}
-
-func newRelLog(d *Dir, pred string, arity, shards int) *relLog {
-	rl := &relLog{d: d, pred: pred, arity: arity, shards: shards}
-	rl.logs = make([]*shardLog, shards)
-	for i := range rl.logs {
-		rl.logs[i] = &shardLog{rl: rl, shard: i}
-	}
-	return rl
 }
 
 func (rl *relLog) dir() string { return filepath.Join(rl.d.root, escapeRel(rl.pred)) }
 
 // append journals one insert; it runs inside rel's append hook, under the
-// owning shard's in-memory lock.
-func (sl *shardLog) append(t rel.Tuple, gen uint64) error {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if gen != sl.count+1 {
-		err := fmt.Errorf("store: %s shard %d: insert generation %d, journal at %d (journal gap)",
-			sl.rl.pred, sl.shard, gen, sl.count)
-		sl.rl.d.fail(err)
+// relation's in-memory lock.
+func (rl *relLog) append(t rel.Tuple, gen uint64) error {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if gen != rl.count+1 {
+		err := fmt.Errorf("store: %s: insert generation %d, journal at %d (journal gap)",
+			rl.pred, gen, rl.count)
+		rl.d.fail(err)
 		return err
 	}
-	if sl.w == nil {
-		if err := sl.openSegmentLocked(); err != nil {
-			sl.rl.d.fail(err)
+	if rl.w == nil {
+		if err := rl.openSegmentLocked(); err != nil {
+			rl.d.fail(err)
 			return err
 		}
 	}
-	n, err := sl.w.appendTuple(t)
-	sl.rl.d.bytesOut.Add(uint64(n))
+	n, err := rl.w.appendTuple(t)
+	rl.d.bytesOut.Add(uint64(n))
 	if err != nil {
-		sl.rl.d.fail(err)
+		rl.d.fail(err)
 		return err
 	}
-	sl.count = gen
-	if sl.w.bytes >= sl.rl.d.maxSeg {
+	rl.count = gen
+	if rl.w.bytes >= rl.d.maxSeg {
 		// Rotate: sync and close the finished segment so only the open
 		// tail is ever exposed to torn writes; the next append opens a
 		// fresh segment at the current generation.
-		if err := sl.w.close(); err != nil {
-			sl.rl.d.fail(err)
+		if err := rl.w.close(); err != nil {
+			rl.d.fail(err)
 			return err
 		}
-		sl.w = nil
+		rl.w = nil
 	}
 	return nil
 }
 
-// openSegmentLocked creates the next segment file for this shard, starting
-// at the current journaled generation. Caller holds sl.mu.
-func (sl *shardLog) openSegmentLocked() error {
-	rl := sl.rl
+// openSegmentLocked creates the relation's next segment file, starting at
+// the current journaled generation. Caller holds rl.mu.
+func (rl *relLog) openSegmentLocked() error {
 	if err := os.MkdirAll(rl.dir(), 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(rl.dir(), segFileName(sl.shard, sl.count))
+	path := filepath.Join(rl.dir(), segFileName(rl.count))
 	w, err := createSegment(path, segHeader{
 		Magic: segMagic, Rel: rl.pred, Arity: rl.arity,
-		Shard: sl.shard, Shards: rl.shards, GenLo: sl.count,
+		Shard: 0, Shards: 1, GenLo: rl.count,
 	})
 	if err != nil {
 		return err
 	}
 	rl.d.segments.Add(1)
 	rl.d.bytesOut.Add(uint64(w.bytes))
-	sl.w = w
+	rl.w = w
 	return nil
 }
 
@@ -193,18 +175,20 @@ func (d *Dir) Err() error {
 	return d.failedErr
 }
 
-// forEachShardLog snapshots the registered shard logs under d.mu and visits
-// them outside it (visiting takes per-shard locks that appends also take).
-func (d *Dir) forEachShardLog(visit func(*shardLog) error) error {
+// forEachRelLog snapshots the registered relation logs under d.mu and
+// visits them outside it (visiting takes the per-relation locks that
+// appends also take). It returns the first journal append error or,
+// failing that, the first visit error.
+func (d *Dir) forEachRelLog(visit func(*relLog) error) error {
 	d.mu.Lock()
-	var logs []*shardLog
+	logs := make([]*relLog, 0, len(d.rels))
 	for _, rl := range d.rels {
-		logs = append(logs, rl.logs...)
+		logs = append(logs, rl)
 	}
 	first := d.failedErr
 	d.mu.Unlock()
-	for _, sl := range logs {
-		if err := visit(sl); err != nil && first == nil {
+	for _, rl := range logs {
+		if err := visit(rl); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -213,39 +197,39 @@ func (d *Dir) forEachShardLog(visit func(*shardLog) error) error {
 
 // Flush pushes every open segment's buffered frames to the OS (no fsync).
 func (d *Dir) Flush() error {
-	return d.forEachShardLog(func(sl *shardLog) error {
-		sl.mu.Lock()
-		defer sl.mu.Unlock()
-		if sl.w == nil {
+	return d.forEachRelLog(func(rl *relLog) error {
+		rl.mu.Lock()
+		defer rl.mu.Unlock()
+		if rl.w == nil {
 			return nil
 		}
-		return sl.w.flush()
+		return rl.w.flush()
 	})
 }
 
 // Sync flushes and fsyncs every open segment.
 func (d *Dir) Sync() error {
-	return d.forEachShardLog(func(sl *shardLog) error {
-		sl.mu.Lock()
-		defer sl.mu.Unlock()
-		if sl.w == nil {
+	return d.forEachRelLog(func(rl *relLog) error {
+		rl.mu.Lock()
+		defer rl.mu.Unlock()
+		if rl.w == nil {
 			return nil
 		}
-		return sl.w.sync()
+		return rl.w.sync()
 	})
 }
 
 // Close syncs and closes every open segment. The Dir must not be appended
 // to afterwards.
 func (d *Dir) Close() error {
-	return d.forEachShardLog(func(sl *shardLog) error {
-		sl.mu.Lock()
-		defer sl.mu.Unlock()
-		if sl.w == nil {
+	return d.forEachRelLog(func(rl *relLog) error {
+		rl.mu.Lock()
+		defer rl.mu.Unlock()
+		if rl.w == nil {
 			return nil
 		}
-		err := sl.w.close()
-		sl.w = nil
+		err := rl.w.close()
+		rl.w = nil
 		return err
 	})
 }
@@ -257,33 +241,30 @@ func (d *Dir) Close() error {
 // insert fail with a journal-gap error rather than silently diverging.
 // Must be called before ins is shared across goroutines.
 func (d *Dir) Attach(ins *rel.Instance) {
-	ins.SetAppendHook(func(pred string, arity, shards int) rel.AppendHook {
+	ins.SetAppendHook(func(pred string, arity int) rel.AppendHook {
 		d.mu.Lock()
 		rl := d.rels[pred]
 		if rl == nil {
-			rl = newRelLog(d, pred, arity, shards)
+			rl = &relLog{d: d, pred: pred, arity: arity}
 			d.rels[pred] = rl
 		}
 		d.mu.Unlock()
-		if rl.arity != arity || rl.shards != shards {
-			mismatch := fmt.Errorf("store: relation %s journaled as %d columns x %d shards, attached as %d x %d",
-				pred, rl.arity, rl.shards, arity, shards)
-			return func(int, rel.Tuple, uint64) error { return mismatch }
+		if rl.arity != arity {
+			mismatch := fmt.Errorf("store: relation %s journaled with %d columns, attached with %d",
+				pred, rl.arity, arity)
+			return func(rel.Tuple, uint64) error { return mismatch }
 		}
-		return func(shard int, t rel.Tuple, gen uint64) error {
-			return rl.logs[shard].append(t, gen)
-		}
+		return rl.append
 	})
 }
 
 // RelRecovery describes one relation's replay outcome.
 type RelRecovery struct {
-	// Pred, Arity and Shards identify the recovered relation.
-	Pred   string
-	Arity  int
-	Shards int
+	// Pred and Arity identify the recovered relation.
+	Pred  string
+	Arity int
 	// Tuples is the number of tuples replayed; Gen the recovered
-	// generation (sum of per-shard generations — equal to Tuples).
+	// generation (equal to Tuples).
 	Tuples int
 	Gen    uint64
 	// Segments is the number of segment files read.
@@ -294,20 +275,21 @@ type RelRecovery struct {
 
 // Recover replays every relation's segments into a fresh instance and
 // registers the recovered generations so subsequent appends continue the
-// journal seamlessly. Relations are rebuilt with their recorded shard
-// counts; relations the instance creates later default to nshards
-// (<= 0 selects rel.DefaultShards()). Replay order within a shard is the
-// original insert order, and inserts re-route deterministically, so the
+// journal seamlessly. Replay order is the original insert order, so the
 // result is bit-identical to the journaled instance: same tuples, same
-// per-shard log order, same per-shard generations.
+// log order, same generations. The int parameter is unused; it remains
+// only so existing callers keep compiling.
 //
-// A torn or garbled tail in a shard's final segment is truncated at the
+// A torn or garbled tail in a relation's final segment is truncated at the
 // last intact frame (the crash-window loss); the same defect in any earlier
 // segment, a generation gap between segments, or a duplicated frame is
-// corruption beyond the crash model and fails recovery.
-func (d *Dir) Recover(nshards int) (*rel.Instance, []RelRecovery, error) {
+// corruption beyond the crash model and fails recovery. So is a segment of
+// a foreign layout — a file named for a partition other than 0, or a
+// header recording more than one partition: Recover fails naming the file
+// rather than skip it or replay it in part.
+func (d *Dir) Recover(int) (*rel.Instance, []RelRecovery, error) {
 	start := time.Now()
-	ins := rel.NewInstanceSharded(nshards)
+	ins := rel.NewInstance()
 	entries, err := os.ReadDir(d.root)
 	if err != nil {
 		return nil, nil, err
@@ -335,18 +317,18 @@ func (d *Dir) Recover(nshards int) (*rel.Instance, []RelRecovery, error) {
 }
 
 // OpenInstance is the whole startup sequence of a durable instance: open the
-// journal at path, replay it (relations created later get nshards shards,
-// see Recover), attach the journal hooks, and merge seed's tuples — the facts
+// journal at path, replay it (see Recover), attach the journal hooks, and
+// merge seed's tuples — the facts
 // a specification carries, nil for none — on top, journaled and deduplicated
 // against the recovered data. The caller owns the returned Dir and closes it
 // when done; on any failure after Open the Dir is closed here, because the
 // merge may already have opened segment files.
-func OpenInstance(path string, nshards int, seed *rel.Instance) (*rel.Instance, *Dir, []RelRecovery, error) {
+func OpenInstance(path string, seed *rel.Instance) (*rel.Instance, *Dir, []RelRecovery, error) {
 	d, err := Open(path, Options{})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ins, recs, err := d.Recover(nshards)
+	ins, recs, err := d.Recover(0)
 	if err != nil {
 		return nil, nil, nil, errors.Join(fmt.Errorf("replaying %s: %w", path, err), d.Close())
 	}
@@ -370,8 +352,10 @@ type segFile struct {
 	genLo uint64
 }
 
-func segFileName(shard int, genLo uint64) string {
-	return fmt.Sprintf("s%d-%016d.seg", shard, genLo)
+// segFileName names the segment starting at generation genLo. The "s0-"
+// prefix is the partition number earlier layouts wrote; it is always 0.
+func segFileName(genLo uint64) string {
+	return fmt.Sprintf("s0-%016d.seg", genLo)
 }
 
 func parseSegFileName(name string) (segFile, bool) {
@@ -393,93 +377,85 @@ func (d *Dir) recoverRelation(ins *rel.Instance, pred, dir string) (*RelRecovery
 	if err != nil {
 		return nil, err
 	}
-	byShard := map[int][]segFile{}
+	var segs []segFile
 	for _, ent := range entries {
 		sf, ok := parseSegFileName(ent.Name())
 		if !ok {
 			continue
 		}
-		byShard[sf.shard] = append(byShard[sf.shard], sf)
+		if sf.shard != 0 {
+			return nil, fmt.Errorf("store: %s: segment %s belongs to partition %d; only single-partition journals replay", pred, filepath.Join(dir, sf.name), sf.shard)
+		}
+		segs = append(segs, sf)
 	}
-	if len(byShard) == 0 {
+	if len(segs) == 0 {
 		return nil, nil
 	}
-	// The header of the first readable segment fixes the relation's shape;
+	sort.Slice(segs, func(i, j int) bool { return segs[i].genLo < segs[j].genLo })
+	// The header of the first readable segment fixes the relation's arity;
 	// every other segment must agree.
 	var hdr *segHeader
 	rec := RelRecovery{Pred: pred}
 	var r *rel.Relation
-	var shardIdxs []int
-	for s := range byShard {
-		shardIdxs = append(shardIdxs, s)
-		sort.Slice(byShard[s], func(i, j int) bool { return byShard[s][i].genLo < byShard[s][j].genLo })
-	}
-	sort.Ints(shardIdxs)
-	for _, s := range shardIdxs {
-		segs := byShard[s]
-		var gen uint64
-		for i, sf := range segs {
-			last := i == len(segs)-1
-			path := filepath.Join(dir, sf.name)
-			if sf.genLo != gen {
-				return nil, fmt.Errorf("store: %s shard %d: segment %s starts at generation %d, journal at %d (missing segment?)",
-					pred, s, sf.name, sf.genLo, gen)
-			}
-			onHeader := func(h segHeader) error {
-				if h.Rel != pred || h.Shard != s || h.GenLo != sf.genLo {
-					return fmt.Errorf("store: %s shard %d: segment %s header disagrees with its name", pred, s, sf.name)
-				}
-				if hdr == nil {
-					hdr = &h
-					r = ins.EnsureRelation(pred, h.Arity, h.Shards)
-					if r.Arity() != h.Arity || r.NumShards() != h.Shards {
-						return fmt.Errorf("store: %s already exists with a different shape", pred)
-					}
-					rec.Arity, rec.Shards = h.Arity, h.Shards
-				} else if h.Arity != hdr.Arity || h.Shards != hdr.Shards {
-					return fmt.Errorf("store: %s shard %d: segment %s disagrees on arity/shards", pred, s, sf.name)
-				}
-				return nil
-			}
-			apply := func(t rel.Tuple) error {
-				if len(t) != hdr.Arity {
-					return fmt.Errorf("store: %s: replayed tuple %v has %d values, want %d", pred, t, len(t), hdr.Arity)
-				}
-				if home := r.ShardOfTuple(t); home != s {
-					return fmt.Errorf("store: %s: replayed tuple %v routes to shard %d, found in shard %d", pred, t, home, s)
-				}
-				fresh, err := r.Insert(t)
-				if err != nil {
-					return err
-				}
-				if !fresh {
-					return fmt.Errorf("store: %s: duplicated tuple %v in journal", pred, t)
-				}
-				return nil
-			}
-			sc, ioerr := scanSegment(path, onHeader, apply)
-			if ioerr != nil {
-				return nil, ioerr
-			}
-			gen = sf.genLo + uint64(sc.tuples)
-			rec.Tuples += sc.tuples
-			rec.Segments++
-			if sc.err != nil {
-				if !last {
-					return nil, fmt.Errorf("store: %s shard %d: segment %s corrupt before the journal tail: %w", pred, s, sf.name, sc.err)
-				}
-				// Torn tail: cut the final segment back to its last intact
-				// frame. If not even the header survived, drop the file.
-				torn := tornBytes(path, sc)
-				if err := truncateSegment(path, sc); err != nil {
-					return nil, err
-				}
-				d.truncations.Add(1)
-				rec.TruncatedBytes += torn
-			}
+	var gen uint64
+	for i, sf := range segs {
+		last := i == len(segs)-1
+		path := filepath.Join(dir, sf.name)
+		if sf.genLo != gen {
+			return nil, fmt.Errorf("store: %s: segment %s starts at generation %d, journal at %d (missing segment?)",
+				pred, sf.name, sf.genLo, gen)
 		}
-		if r != nil && r.ShardVersion(s) != gen {
-			return nil, fmt.Errorf("store: %s shard %d: replayed generation %d, relation at %d", pred, s, gen, r.ShardVersion(s))
+		onHeader := func(h segHeader) error {
+			if h.Rel != pred || h.Shard != 0 || h.GenLo != sf.genLo {
+				return fmt.Errorf("store: %s: segment %s header disagrees with its name", pred, path)
+			}
+			if h.Shards != 1 {
+				return fmt.Errorf("store: %s: segment %s records %d partitions; only single-partition journals replay", pred, path, h.Shards)
+			}
+			if hdr == nil {
+				hdr = &h
+				r = ins.EnsureRelation(pred, h.Arity)
+				if r.Arity() != h.Arity {
+					return fmt.Errorf("store: %s already exists with a different arity", pred)
+				}
+				rec.Arity = h.Arity
+			} else if h.Arity != hdr.Arity {
+				return fmt.Errorf("store: %s: segment %s disagrees on arity", pred, sf.name)
+			}
+			return nil
+		}
+		apply := func(t rel.Tuple) error {
+			if len(t) != hdr.Arity {
+				return fmt.Errorf("store: %s: replayed tuple %v has %d values, want %d", pred, t, len(t), hdr.Arity)
+			}
+			fresh, err := r.Insert(t)
+			if err != nil {
+				return err
+			}
+			if !fresh {
+				return fmt.Errorf("store: %s: duplicated tuple %v in journal", pred, t)
+			}
+			return nil
+		}
+		sc, ioerr := scanSegment(path, onHeader, apply)
+		if ioerr != nil {
+			return nil, ioerr
+		}
+		gen = sf.genLo + uint64(sc.tuples)
+		rec.Tuples += sc.tuples
+		rec.Segments++
+		if sc.err != nil {
+			if !last {
+				return nil, fmt.Errorf("store: %s: segment %s corrupt before the journal tail: %w", pred, sf.name, sc.err)
+			}
+			// Torn tail: cut the final segment back to its last intact
+			// frame. If not even the header survived, drop the file.
+			torn := tornBytes(path, sc)
+			if err := truncateSegment(path, sc); err != nil {
+				return nil, err
+			}
+			d.truncations.Add(1)
+			rec.TruncatedBytes += torn
 		}
 	}
 	if hdr == nil {
@@ -487,23 +463,20 @@ func (d *Dir) recoverRelation(ins *rel.Instance, pred, dir string) (*RelRecovery
 		// resurrect, nothing recovered.
 		return nil, nil
 	}
-	rec.Gen = r.Version()
+	if r.Version() != gen {
+		return nil, fmt.Errorf("store: %s: replayed generation %d, relation at %d", pred, gen, r.Version())
+	}
+	rec.Gen = gen
 	d.recovered.Add(uint64(rec.Tuples))
 	// Continue the journal where the replay ended.
 	d.mu.Lock()
-	rl := newRelLog(d, pred, hdr.Arity, hdr.Shards)
-	for s, sl := range rl.logs {
-		sl.mu.Lock()
-		sl.count = r.ShardVersion(s)
-		sl.mu.Unlock()
-	}
-	d.rels[pred] = rl
+	d.rels[pred] = &relLog{d: d, pred: pred, arity: hdr.Arity, count: gen}
 	d.mu.Unlock()
 	return &rec, nil
 }
 
 // truncateSegment applies the torn-tail policy to the final segment of a
-// shard: cut back to the last intact frame, or remove the file entirely
+// relation: cut back to the last intact frame, or remove the file entirely
 // when not even the header frame survived.
 func truncateSegment(path string, sc segScan) error {
 	if !sc.hdrOK {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,29 +15,26 @@ import (
 	"repro/internal/rel"
 )
 
-// relsEqual asserts b is bit-identical to a: same tuples, same per-shard
-// log order, same per-shard generations and sizes.
+// relsEqual asserts b is bit-identical to a: same tuples, same log order,
+// same generation and size.
 func relsEqual(t *testing.T, a, b *rel.Relation) {
 	t.Helper()
-	if a.Name() != b.Name() || a.Arity() != b.Arity() || a.NumShards() != b.NumShards() {
-		t.Fatalf("shape mismatch: %s/%d x%d vs %s/%d x%d",
-			a.Name(), a.Arity(), a.NumShards(), b.Name(), b.Arity(), b.NumShards())
+	if a.Name() != b.Name() || a.Arity() != b.Arity() {
+		t.Fatalf("shape mismatch: %s/%d vs %s/%d", a.Name(), a.Arity(), b.Name(), b.Arity())
 	}
-	for s := 0; s < a.NumShards(); s++ {
-		if a.ShardVersion(s) != b.ShardVersion(s) {
-			t.Fatalf("%s shard %d: generation %d vs %d", a.Name(), s, a.ShardVersion(s), b.ShardVersion(s))
-		}
-		if a.ShardLen(s) != b.ShardLen(s) {
-			t.Fatalf("%s shard %d: %d tuples vs %d", a.Name(), s, a.ShardLen(s), b.ShardLen(s))
-		}
-		al, bl := a.ShardAddedSince(s, 0), b.ShardAddedSince(s, 0)
-		if len(al) != len(bl) {
-			t.Fatalf("%s shard %d: log length %d vs %d", a.Name(), s, len(al), len(bl))
-		}
-		for i := range al {
-			if !al[i].Equal(bl[i]) {
-				t.Fatalf("%s shard %d log[%d]: %v vs %v", a.Name(), s, i, al[i], bl[i])
-			}
+	if a.Version() != b.Version() {
+		t.Fatalf("%s: generation %d vs %d", a.Name(), a.Version(), b.Version())
+	}
+	if a.Len() != b.Len() {
+		t.Fatalf("%s: %d tuples vs %d", a.Name(), a.Len(), b.Len())
+	}
+	al, bl := a.AddedSince(0), b.AddedSince(0)
+	if len(al) != len(bl) {
+		t.Fatalf("%s: log length %d vs %d", a.Name(), len(al), len(bl))
+	}
+	for i := range al {
+		if !al[i].Equal(bl[i]) {
+			t.Fatalf("%s log[%d]: %v vs %v", a.Name(), i, al[i], bl[i])
 		}
 	}
 }
@@ -54,12 +52,12 @@ func insEqual(t *testing.T, a, b *rel.Instance) {
 	}
 }
 
-// fill inserts deterministic pseudo-random tuples and returns the per-
-// (pred, shard) insert ledger — the shadow the monotone envelope is checked
+// fill inserts deterministic pseudo-random tuples and returns the
+// per-relation insert ledger — the shadow the monotone envelope is checked
 // against.
-func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][][]rel.Tuple {
+func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][]rel.Tuple {
 	t.Helper()
-	shadow := map[string][][]rel.Tuple{}
+	shadow := map[string][]rel.Tuple{}
 	preds := []struct {
 		name  string
 		arity int
@@ -75,12 +73,7 @@ func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][][
 			t.Fatalf("add: %v", err)
 		}
 		if added {
-			r := ins.Relation(p.name)
-			s := r.ShardOfTuple(tup)
-			if shadow[p.name] == nil {
-				shadow[p.name] = make([][]rel.Tuple, r.NumShards())
-			}
-			shadow[p.name][s] = append(shadow[p.name][s], tup)
+			shadow[p.name] = append(shadow[p.name], tup)
 		}
 	}
 	return shadow
@@ -88,12 +81,12 @@ func fill(t *testing.T, ins *rel.Instance, rng *rand.Rand, n int) map[string][][
 
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	// A tiny rotation threshold forces several segments per shard.
+	// A tiny rotation threshold forces several segments per relation.
 	d, err := Open(dir, Options{MaxSegmentBytes: 512})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	ins, recs, err := d.Recover(4)
+	ins, recs, err := d.Recover(0)
 	if err != nil {
 		t.Fatalf("recover empty: %v", err)
 	}
@@ -111,7 +104,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	got, recs, err := d2.Recover(4)
+	got, recs, err := d2.Recover(0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -141,19 +134,19 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen 2: %v", err)
 	}
-	got3, _, err := d3.Recover(4)
+	got3, _, err := d3.Recover(0)
 	if err != nil {
 		t.Fatalf("recover 2: %v", err)
 	}
 	insEqual(t, got, got3)
 }
 
-// TestArityZeroSurvivesReplay: a tuple of arity 0 lives in shard 0, which
-// with two shards is not the shard the empty string hashes to; replay must
-// keep it rather than cut its frame as a torn tail.
+// TestArityZeroSurvivesReplay: the one tuple of an arity-0 relation
+// journals as an empty frame payload; replay must keep it rather than cut
+// its frame as a torn tail.
 func TestArityZeroSurvivesReplay(t *testing.T) {
 	dir := t.TempDir()
-	ins, d, _, err := OpenInstance(dir, 2, nil)
+	ins, d, _, err := OpenInstance(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +156,7 @@ func TestArityZeroSurvivesReplay(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, d2, recs, err := OpenInstance(dir, 2, nil)
+	got, d2, recs, err := OpenInstance(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +172,7 @@ func TestArityZeroSurvivesReplay(t *testing.T) {
 // inserted.
 func TestArenaRowsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ins, d, _, err := OpenInstance(dir, 2, nil)
+	ins, d, _, err := OpenInstance(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +192,7 @@ func TestArenaRowsRoundTrip(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, d2, _, err := OpenInstance(dir, 2, nil)
+	got, d2, _, err := OpenInstance(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +204,11 @@ func TestArenaRowsRoundTrip(t *testing.T) {
 	}
 }
 
-// shardSegments returns the segment paths of one relation shard in
-// generation order.
-func shardSegments(t *testing.T, root, pred string, shard int) []string {
+// relSegments returns the segment paths of one relation in generation
+// order.
+func relSegments(t *testing.T, root, pred string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(root, escapeRel(pred), fmt.Sprintf("s%d-*.seg", shard)))
+	paths, err := filepath.Glob(filepath.Join(root, escapeRel(pred), "*.seg"))
 	if err != nil {
 		t.Fatalf("glob: %v", err)
 	}
@@ -224,11 +217,11 @@ func shardSegments(t *testing.T, root, pred string, shard int) []string {
 }
 
 // TestCrashRecoveryMonotoneEnvelope simulates crashes at randomized points:
-// the journal is flushed after every insert, then the victim shard's final
-// segment is truncated at an arbitrary byte offset. The recovered relation
-// must be a per-shard prefix of the shadow ledger — nothing fabricated,
-// nothing reordered, no torn tuple resurrected — and recovery must be
-// idempotent.
+// the journal is flushed, then the victim relation's final segment is
+// truncated at an arbitrary byte offset. Every recovered relation must be
+// a prefix of the shadow ledger — nothing fabricated, nothing reordered,
+// no torn tuple resurrected — the relations not crashed must be whole, and
+// recovery must be idempotent.
 func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		trial := trial
@@ -239,31 +232,21 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			ins, _, err := d.Recover(3)
+			ins, _, err := d.Recover(0)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
 			d.Attach(ins)
 			shadow := fill(t, ins, rng, 120)
 			// Crash model: everything written so far reached the OS (the
-			// per-insert Flush below), but the process died mid-append —
-			// simulated by chopping the tail segment at a random offset.
+			// Flush below), but the process died mid-append — simulated by
+			// chopping the tail segment at a random offset.
 			if err := d.Flush(); err != nil {
 				t.Fatalf("flush: %v", err)
 			}
 			preds := ins.Relations()
-			pred := preds[rng.Intn(len(preds))]
-			// The victim is a shard that wrote segments: a relation holds
-			// at least one tuple, but not necessarily in every shard (an
-			// arity-0 relation holds one).
-			var victims []int
-			for s := range ins.Relation(pred).NumShards() {
-				if len(shardSegments(t, dir, pred, s)) > 0 {
-					victims = append(victims, s)
-				}
-			}
-			victim := victims[rng.Intn(len(victims))]
-			segs := shardSegments(t, dir, pred, victim)
+			victim := preds[rng.Intn(len(preds))]
+			segs := relSegments(t, dir, victim)
 			last := segs[len(segs)-1]
 			fi, err := os.Stat(last)
 			if err != nil {
@@ -278,7 +261,7 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			got, _, err := d2.Recover(3)
+			got, _, err := d2.Recover(0)
 			if err != nil {
 				t.Fatalf("recover after crash: %v", err)
 			}
@@ -289,25 +272,21 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 					// segment whose header was cut.
 					continue
 				}
-				for s := 0; s < gr.NumShards(); s++ {
-					want := shadow[p][s]
-					gl := gr.ShardAddedSince(s, 0)
-					if len(gl) > len(want) {
-						t.Fatalf("%s shard %d: recovered %d tuples, ledger has %d", p, s, len(gl), len(want))
+				want := shadow[p]
+				gl := gr.AddedSince(0)
+				if len(gl) > len(want) {
+					t.Fatalf("%s: recovered %d tuples, ledger has %d", p, len(gl), len(want))
+				}
+				if p != victim && len(gl) != len(want) {
+					t.Fatalf("%s: lost %d tuples outside the crashed relation", p, len(want)-len(gl))
+				}
+				for i := range gl {
+					if !gl[i].Equal(want[i]) {
+						t.Fatalf("%s log[%d]: %v, ledger %v (prefix violated)", p, i, gl[i], want[i])
 					}
-					if p != pred || s != victim {
-						if len(gl) != len(want) {
-							t.Fatalf("%s shard %d: lost %d tuples outside the crashed shard", p, s, len(want)-len(gl))
-						}
-					}
-					for i := range gl {
-						if !gl[i].Equal(want[i]) {
-							t.Fatalf("%s shard %d log[%d]: %v, ledger %v (prefix violated)", p, s, i, gl[i], want[i])
-						}
-					}
-					if gr.ShardVersion(s) != uint64(len(gl)) {
-						t.Fatalf("%s shard %d: generation %d, log %d", p, s, gr.ShardVersion(s), len(gl))
-					}
+				}
+				if gr.Version() != uint64(len(gl)) {
+					t.Fatalf("%s: generation %d, log %d", p, gr.Version(), len(gl))
 				}
 			}
 			// Idempotence: recovering the (now truncated) journal again
@@ -316,7 +295,7 @@ func TestCrashRecoveryMonotoneEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen 2: %v", err)
 			}
-			got2, _, err := d3.Recover(3)
+			got2, _, err := d3.Recover(0)
 			if err != nil {
 				t.Fatalf("re-recover: %v", err)
 			}
@@ -331,7 +310,7 @@ func TestRecoverRejectsMidJournalCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	ins, _, err := d.Recover(1)
+	ins, _, err := d.Recover(0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -342,7 +321,7 @@ func TestRecoverRejectsMidJournalCorruption(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	segs := shardSegments(t, dir, "edge", 0)
+	segs := relSegments(t, dir, "edge")
 	if len(segs) < 2 {
 		t.Fatalf("want >= 2 segments, got %d", len(segs))
 	}
@@ -361,7 +340,7 @@ func TestRecoverRejectsMidJournalCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if _, _, err := d2.Recover(1); err == nil {
+	if _, _, err := d2.Recover(0); err == nil {
 		t.Fatalf("recovery accepted mid-journal corruption")
 	}
 }
@@ -374,7 +353,7 @@ func TestJournalGapDetected(t *testing.T) {
 	}
 	// Attach an instance that already holds un-journaled data: the next
 	// insert must fail loudly instead of writing a gapped journal.
-	ins := rel.NewInstanceSharded(1)
+	ins := rel.NewInstance()
 	ins.MustAdd("edge", "a", "b")
 	d.Attach(ins)
 	if _, err := ins.Add("edge", rel.Tuple{"c", "d"}); err == nil {
@@ -382,5 +361,148 @@ func TestJournalGapDetected(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Fatalf("journal gap did not mark the Dir failed")
+	}
+}
+
+// writeSegment writes one well-formed segment file of relation "edge"
+// under root, with the given name and header partition fields.
+func writeSegment(t *testing.T, root, name string, shard, shards int, genLo uint64, tuples ...rel.Tuple) string {
+	t.Helper()
+	dir := filepath.Join(root, escapeRel("edge"))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: 2, Shard: shard, Shards: shards, GenLo: genLo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := appendFrame(nil, hdr)
+	for _, tu := range tuples {
+		data = appendFrame(data, encodeTuple(nil, tu))
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRecoverRejectsForeignLayout: a journal written with more than one
+// partition per relation fails recovery with an error naming the foreign
+// file — whether the file's name or its header gives the layout away — and
+// the file is left as it was: never skipped, never partly replayed.
+func TestRecoverRejectsForeignLayout(t *testing.T) {
+	rows := []rel.Tuple{{"a", "b"}, {"c", "d"}}
+	for _, tc := range []struct {
+		name          string
+		file          string
+		shard, shards int
+	}{
+		{"second partition's file", "s1-0000000000000000.seg", 1, 2},
+		{"header of two partitions", "s0-0000000000000000.seg", 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			if tc.file != "s0-0000000000000000.seg" {
+				// A healthy partition-0 segment beside the foreign one.
+				writeSegment(t, root, "s0-0000000000000000.seg", 0, 1, 0, rows...)
+			}
+			path := writeSegment(t, root, tc.file, tc.shard, tc.shards, 0, rows...)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := Open(root, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, _, err := d.Recover(0)
+			if err == nil {
+				t.Fatalf("recovered %v from a foreign layout", ins)
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %q does not name %s", err, path)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil || !slices.Equal(before, after) {
+				t.Fatalf("recovery altered the foreign segment (%v)", err)
+			}
+		})
+	}
+}
+
+// journalFixture replays the insert sequence that wrote
+// testdata/journal, a one-partition journal committed before relations
+// lost their hash partitions: 200-byte segments, so edge and label.of span
+// several of them.
+func journalFixture(ins *rel.Instance) {
+	for i := 0; i < 40; i++ {
+		ins.MustAdd("edge", fmt.Sprintf("n%02d", (i*7)%40), fmt.Sprintf("n%02d", i))
+		if i%3 == 0 {
+			ins.MustAdd("label.of", fmt.Sprintf("n%02d", i), "kind", fmt.Sprintf("v%d", i%5))
+		}
+	}
+	ins.MustAdd("flag")
+}
+
+// TestCommittedJournalReplays: the committed one-partition journal
+// replays to the tuples, log order and generations of the insert sequence
+// that wrote it, and the same sequence journaled now writes the same files
+// byte for byte.
+func TestCommittedJournalReplays(t *testing.T) {
+	fixture := filepath.Join("testdata", "journal")
+	root := t.TempDir()
+	if err := os.CopyFS(root, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, recs, err := d.Recover(0)
+	if err != nil {
+		t.Fatalf("recover the committed journal: %v", err)
+	}
+	want := rel.NewInstance()
+	journalFixture(want)
+	insEqual(t, want, got)
+	for _, rec := range recs {
+		if rec.TruncatedBytes != 0 || rec.Gen != want.Relation(rec.Pred).Version() {
+			t.Fatalf("%s: %+v, want generation %d and nothing truncated", rec.Pred, rec, want.Relation(rec.Pred).Version())
+		}
+	}
+
+	fresh := t.TempDir()
+	d2, err := Open(fresh, Options{MaxSegmentBytes: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, _, err := d2.Recover(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2.Attach(ins)
+	journalFixture(ins)
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := func(root string) map[string]string {
+		out := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			name, _ := filepath.Rel(root, path)
+			out[name] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if a, b := files(fixture), files(fresh); !reflect.DeepEqual(a, b) {
+		t.Fatalf("journaling the fixture's inserts wrote %d files that differ from the committed %d", len(b), len(a))
 	}
 }

@@ -9,14 +9,15 @@ import (
 	"repro/internal/rel"
 )
 
-// validSegmentBytes builds a well-formed segment of shard 0 of an
-// arity-2, single-shard relation for seeding the fuzzer.
+// validSegmentBytes builds a well-formed segment of an arity-2 relation
+// for seeding the fuzzer.
 func validSegmentBytes(tuples ...rel.Tuple) []byte {
 	return segmentBytes(2, 1, tuples...)
 }
 
-// segmentBytes builds a well-formed segment of shard 0 of a relation with
-// the given arity and shard count.
+// segmentBytes builds a segment of a relation with the given arity whose
+// header records the given partition count (1 is the only count recovery
+// accepts).
 func segmentBytes(arity, shards int, tuples ...rel.Tuple) []byte {
 	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: arity, Shard: 0, Shards: shards, GenLo: 0})
 	out := appendFrame(nil, hdr)
@@ -27,7 +28,7 @@ func segmentBytes(arity, shards int, tuples ...rel.Tuple) []byte {
 }
 
 // FuzzSegmentReplay feeds arbitrary bytes to recovery as the content of a
-// shard's only (and therefore final) segment. Whatever the bytes — truncated
+// relation's only (and therefore final) segment. Whatever the bytes — truncated
 // tails, garbled frames, duplicated tuples, hostile headers — recovery must
 // either succeed or fail cleanly: no panic, and on success a second recovery
 // of the (post-truncation) directory must reproduce the identical instance,
@@ -41,7 +42,8 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add(dup) // duplicated tail tuple
 	f.Add([]byte{})
 	f.Add([]byte("9:{\"bad\":1}\n"))
-	// Arity 0: the one tuple lives in shard 0 at every shard count.
+	// Arity 0: the one tuple is an empty payload. A header of two
+	// partitions is a foreign layout, which recovery must reject.
 	f.Add(segmentBytes(0, 1, rel.Tuple{}))
 	f.Add(segmentBytes(0, 2, rel.Tuple{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -50,14 +52,14 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err := os.MkdirAll(segDir, 0o755); err != nil {
 			t.Fatalf("mkdir: %v", err)
 		}
-		if err := os.WriteFile(filepath.Join(segDir, segFileName(0, 0)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(segDir, segFileName(0)), data, 0o644); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		d, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		ins, recs, err := d.Recover(1)
+		ins, recs, err := d.Recover(0)
 		if err != nil {
 			return // clean rejection is a valid outcome
 		}
@@ -76,7 +78,7 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		ins2, _, err := d2.Recover(1)
+		ins2, _, err := d2.Recover(0)
 		if err != nil {
 			t.Fatalf("recovery accepted the journal once but not twice: %v", err)
 		}
@@ -84,11 +86,8 @@ func FuzzSegmentReplay(f *testing.F) {
 			t.Fatalf("re-recovery diverged:\n%s\nvs\n%s", ins, ins2)
 		}
 		for _, pred := range ins.Relations() {
-			a, b := ins.Relation(pred), ins2.Relation(pred)
-			for s := 0; s < a.NumShards(); s++ {
-				if a.ShardVersion(s) != b.ShardVersion(s) {
-					t.Fatalf("%s shard %d generation diverged on re-recovery", pred, s)
-				}
+			if ins.Relation(pred).Version() != ins2.Relation(pred).Version() {
+				t.Fatalf("%s generation diverged on re-recovery", pred)
 			}
 		}
 	})

@@ -14,11 +14,13 @@ import (
 const segMagic = "pdms-seg1"
 
 // segHeader is the first frame of every segment file: enough to make each
-// segment self-describing for recovery. GenLo is the owning shard's
-// generation when the segment was opened, so the segment covers the
-// generation range (GenLo, GenLo+tuples] — the ranges of a shard's segments
-// tile its insert log exactly, which is what keeps generation-vector cache
-// keys and the wire gens piggyback meaningful across restarts.
+// segment self-describing for recovery. GenLo is the relation's generation
+// when the segment was opened, so the segment covers the generation range
+// (GenLo, GenLo+tuples] — the ranges of a relation's segments tile its
+// insert log exactly, which is what keeps generation-vector cache keys and
+// the wire gens piggyback meaningful across restarts. Shard and Shards
+// record a partition layout relations no longer have: every segment is
+// written with 0 and 1, and recovery rejects any other values.
 type segHeader struct {
 	Magic  string `json:"magic"`
 	Rel    string `json:"rel"`

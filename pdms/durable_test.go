@@ -18,7 +18,7 @@ fact FH.doc("d2", "icu")
 // queries over the recovered instance answer identically.
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Shards: 4}
+	opts := Options{DataDir: dir}
 	n, err := LoadWithOptions(durableSpec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func openFDs(t *testing.T) int {
 // segment files its earlier facts created — and leave the directory loadable.
 func TestLoadFailureClosesJournal(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Shards: 2}
+	opts := Options{DataDir: dir}
 	n, err := LoadWithOptions(`fact R("a", "b")`, opts)
 	if err != nil {
 		t.Fatal(err)

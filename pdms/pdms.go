@@ -114,16 +114,10 @@ func newNetwork(spec *ppl.PDMS, data *rel.Instance) *Network {
 	return n
 }
 
-// Options holds a network's deployment settings: how its stored relations
-// are partitioned and where, if anywhere, they are journaled. Reformulation
-// has no settings — every network runs the full Section 4.3 algorithm and
-// extracts every rewriting.
+// Options holds a network's deployment settings: where, if anywhere, its
+// stored relations are journaled. Reformulation has no settings — every
+// network runs the full Section 4.3 algorithm and extracts every rewriting.
 type Options struct {
-	// Shards is the hash-partition count for stored relations (0 = one
-	// shard per CPU, rel.DefaultShards; 1 = the unsharded layout). Shards
-	// spread inserts and index catch-ups over per-shard locks; answers are
-	// identical for every setting.
-	Shards int
 	// DataDir makes stored relations durable: inserts are journaled to
 	// append-only segment files under this directory (internal/store) and
 	// construction replays existing segments into a bit-identical instance
@@ -141,7 +135,7 @@ func New(opts Options) *Network {
 	if opts.DataDir != "" {
 		panic("pdms: use Open for durable networks (New cannot report replay errors)")
 	}
-	return newNetwork(ppl.New(), rel.NewInstanceSharded(opts.Shards))
+	return newNetwork(ppl.New(), rel.NewInstance())
 }
 
 // Open returns an empty-spec network whose stored relations are durable
@@ -153,7 +147,7 @@ func Open(opts Options) (*Network, error) {
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("pdms: Open requires Options.DataDir")
 	}
-	data, dstore, _, err := store.OpenInstance(opts.DataDir, opts.Shards, nil)
+	data, dstore, _, err := store.OpenInstance(opts.DataDir, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pdms: %w", err)
 	}
@@ -181,20 +175,15 @@ func LoadWithOptions(src string, opts Options) (*Network, error) {
 	data := res.Data
 	var dstore *store.Dir
 	if opts.DataDir != "" {
-		data, dstore, _, err = store.OpenInstance(opts.DataDir, opts.Shards, data)
+		data, dstore, _, err = store.OpenInstance(opts.DataDir, data)
 		if err != nil {
 			return nil, fmt.Errorf("pdms: %w", err)
 		}
 		// Parse checked the spec's facts; the replayed rows were written
 		// under whatever spec the directory had before.
-		if err := checkStored(res.PDMS, data); err != nil {
+		if err := res.PDMS.CheckStored(data); err != nil {
 			return nil, errors.Join(err, dstore.Close())
 		}
-	} else if opts.Shards > 0 && opts.Shards != rel.DefaultShards() {
-		// The parser loads into a default-sharded instance; repartition
-		// only when the caller asked for a different layout (a one-time
-		// O(rows) load cost, pointless when the counts already match).
-		data = rel.Reshard(data, opts.Shards)
 	}
 	n := newNetwork(res.PDMS, data)
 	n.dstore = dstore
@@ -229,11 +218,13 @@ func (n *Network) Extend(src string) error {
 	// storage descriptions; what is left is those facts against this
 	// network's descriptions, and this network's rows against the new ones.
 	for _, pred := range res.Data.Relations() {
-		if err := checkFacts(n.spec, pred, res.Data.Relation(pred)); err != nil {
-			return err
+		for _, t := range res.Data.Relation(pred).Tuples() {
+			if err := n.spec.CheckFact(pred, t); err != nil {
+				return err
+			}
 		}
 	}
-	if err := checkStored(res.PDMS, n.data); err != nil {
+	if err := res.PDMS.CheckStored(n.data); err != nil {
 		return err
 	}
 	// Invalidate caches even when the merge fails partway: declarations or
@@ -272,30 +263,6 @@ func (n *Network) Extend(src string) error {
 			if _, err := n.data.Add(pred, t); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// checkStored runs spec's fact check over data's rows of every relation
-// that has a storage description with comparisons in spec: the rows such a
-// description can contradict.
-func checkStored(spec *ppl.PDMS, data *rel.Instance) error {
-	for _, s := range spec.Storages() {
-		if r := data.Relation(s.Stored.Pred); r != nil && len(s.Query.Comps) > 0 {
-			if err := checkFacts(spec, s.Stored.Pred, r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// checkFacts runs spec's fact check over every row of r, stored as pred.
-func checkFacts(spec *ppl.PDMS, pred string, r *rel.Relation) error {
-	for _, t := range r.Tuples() {
-		if err := spec.CheckFact(pred, t); err != nil {
-			return err
 		}
 	}
 	return nil

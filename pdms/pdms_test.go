@@ -1,7 +1,6 @@
 package pdms
 
 import (
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -234,35 +233,6 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := net.Query(`q(x) :- Un:Known(x)`); err == nil {
 		t.Fatal("unknown relation accepted")
-	}
-}
-
-// TestOptionsShardsSameAnswers: Options are deployment settings, so the
-// unsharded layout answers exactly like the default one.
-func TestOptionsShardsSameAnswers(t *testing.T) {
-	src, err := os.ReadFile("../testdata/emergency.ppl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Answer
-	for i, opts := range []Options{{}, {Shards: 1}} {
-		net, err := LoadWithOptions(string(src), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := net.Query(`q(p, c) :- ECC:SkilledPerson(p, c, w)`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			if want = got; len(want) == 0 {
-				t.Fatal("no answers to compare")
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v answers %v, %+v answers %v", opts, got, Options{}, want)
-		}
 	}
 }
 
