@@ -167,6 +167,9 @@ func start(path string, opts options) (*daemon, error) {
 	}
 
 	d.srv = netpeer.NewServer(data)
+	// Rows written over the wire meet the same storage comparisons as the
+	// spec's facts and the replayed journal.
+	d.srv.CheckRow = res.PDMS.CheckFact
 	d.tracer.SetSampleEvery(opts.traceSample)
 	d.srv.Logger = d.log.With("component", "server")
 	d.srv.Tracer = d.tracer

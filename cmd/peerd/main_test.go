@@ -378,3 +378,43 @@ func TestReplayedRowViolatingSpecFailsStart(t *testing.T) {
 		t.Fatalf("scan after the rejected start: %v, err %v; want the one journaled row", rows, err)
 	}
 }
+
+// TestAddedRowViolatingSpecRejected: a row written over the wire meets the
+// spec's storage comparisons, as the spec's facts and replayed rows do. An
+// add batch stops at the first contradicted row with an in-band error that
+// names the fact; the rows before it stay inserted, the rest never land.
+func TestAddedRowViolatingSpecRejected(t *testing.T) {
+	spec := filepath.Join(t.TempDir(), "spec.ppl")
+	src := "storage A.r(x, y) in A:R(x, y), x >= 10, x < 70\nfact A.r(\"20\", \"a\")\n"
+	if err := os.WriteFile(spec, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := start(spec, options{addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	c, err := netpeer.Dial(d.bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Add("A.r", [][]string{{"30", "b"}, {"9", "bad"}, {"40", "c"}})
+	if err == nil {
+		t.Fatal("an add of a row the spec contradicts succeeded")
+	}
+	if !strings.Contains(err.Error(), `A.r(9, "bad")`) || !strings.Contains(err.Error(), "row 1 of 3") {
+		t.Fatalf("add error %q does not name the fact and its position", err)
+	}
+	rows, err := c.Scan("A.r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, r := range rows {
+		got[r[0]] = true
+	}
+	if len(rows) != 2 || !got["20"] || !got["30"] {
+		t.Fatalf("rows after the rejected batch: %v; want the fact and the row before the rejected one", rows)
+	}
+}

@@ -17,9 +17,10 @@
 //
 // Query execution — which the paper leaves out of scope — runs through the
 // indexed engine in internal/engine over the storage layer in
-// internal/rel: every relation is one partition (one tuple set, one
-// append-only insert log, one lock), a plan runs sequentially, hash
-// indexes are maintained incrementally from the insert logs, and the
+// internal/rel: every relation is one partition (its rows stored once in
+// an append-only arena, pointer-free tables over them, one lock), a plan
+// runs sequentially, hash indexes are maintained incrementally from the
+// relations' rows, and the
 // greedy join planner orders atoms by cardinality, discounted by 1/8 per
 // bound argument. The naive evaluator in internal/rel remains the
 // differential-testing oracle over a randomized query corpus.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/lang"
@@ -121,4 +122,39 @@ func BenchmarkProbeBatch(b *testing.B) {
 			b.Fatalf("n=%d err=%v", n, err)
 		}
 	}
+}
+
+// BenchmarkStoredRowsGC times one forced garbage collection over a
+// bulk-shaped instance: three 75k-row relations of (id, key, 48-hex-digit
+// payload) rows over 30 keys, each with its column-1 index built. The
+// stored rows and their index buckets hold no pointer, so the collector's
+// work should not grow with the row count.
+func BenchmarkStoredRowsGC(b *testing.B) {
+	const rels, rows, keys = 3, 75000, 30
+	ins := rel.NewInstance()
+	for k := range rels {
+		pred := fmt.Sprintf("A%d.log", k)
+		for j := range rows {
+			x := uint64(k)<<40 + uint64(j)
+			ins.MustAdd(pred, fmt.Sprintf("a%d_%d", k, j), fmt.Sprintf("k%d", j%keys),
+				fmt.Sprintf("%016x%016x%016x", x*0x9e3779b97f4a7c15, x*0xbf58476d1ce4e5b9, x*0x94d049bb133111eb))
+		}
+	}
+	e := New(ins)
+	for k := range rels {
+		q := lang.CQ{
+			Head: lang.NewAtom("q", lang.Var("i"), lang.Var("p")),
+			Body: []lang.Atom{lang.NewAtom(fmt.Sprintf("A%d.log", k), lang.Var("i"), lang.Const("k3"), lang.Var("p"))},
+		}
+		if out, err := e.EvalCQ(q); err != nil || len(out) != rows/keys {
+			b.Fatalf("fixture: %d rows (%v)", len(out), err)
+		}
+	}
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(e)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lang"
@@ -217,4 +218,96 @@ func sortedDistinctUnion(t *testing.T, u lang.UCQ, evalCQ func(lang.CQ, *obs.Spa
 		}
 		return rows, err
 	})
+}
+
+// TestDifferentialAcrossResizes grows one relation through several arena
+// chunks — rows longer than a chunk get one of their own — and several
+// tuple-set regrowths between evaluations of the same union on one engine,
+// whose indexes catch up across them. A writer inserts each batch while
+// the union runs, so under -race probes and scans read stored rows while
+// inserts write the same chunk. Every answer lies between the naive
+// oracle's before and after the batch, and equals it once the batch is in.
+func TestDifferentialAcrossResizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var domain []string
+	for i := range 30 {
+		domain = append(domain, fmt.Sprintf("c%d", i))
+	}
+	for i := range 6 {
+		domain = append(domain, fmt.Sprintf("long%d-%s", i, strings.Repeat("x", 300)))
+	}
+	domain = append(domain, "huge-"+strings.Repeat("h", 70<<10))
+	ins := rel.NewInstance()
+	for i := range 10 {
+		ins.MustAdd("S2", domain[i], domain[rng.Intn(len(domain))])
+	}
+	v, c := lang.Var, lang.Const
+	u := lang.UCQ{Disjuncts: []lang.CQ{{
+		Head: lang.NewAtom("q", v("x"), v("z")),
+		Body: []lang.Atom{lang.NewAtom("S2", v("x"), v("y")), lang.NewAtom("R2", v("y"), v("z"))},
+	}, {
+		Head: lang.NewAtom("q", v("x"), v("z")),
+		Body: []lang.Atom{lang.NewAtom("R2", c("c3"), v("z")), lang.NewAtom("R2", v("z"), v("x"))},
+	}, {
+		Head: lang.NewAtom("q", v("x"), v("x")),
+		Body: []lang.Atom{lang.NewAtom("R2", v("x"), v("x"))},
+	}}}
+	e := New(ins)
+	r := ins.EnsureRelation("R2", 2)
+	var before []rel.Tuple
+	for round := range 12 {
+		batch := make([]rel.Tuple, 100)
+		for i := range batch {
+			batch[i] = rel.Tuple{domain[rng.Intn(len(domain))], domain[rng.Intn(len(domain))]}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, tu := range batch {
+				if _, err := r.Insert(tu); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		during, err := e.EvalUCQ(u)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := rel.EvalUCQ(u, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !isSubset(before, during) || !isSubset(during, after) {
+			t.Fatalf("round %d: %d answers during the batch, outside [%d, %d] before and after", round, len(during), len(before), len(after))
+		}
+		got, err := e.EvalUCQ(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, after) {
+			t.Fatalf("round %d (%d rows): engine %d answers, naive %d", round, r.Len(), len(got), len(after))
+		}
+		before = after
+	}
+	// Past 512 rows the tuple set has regrown from 8 slots to 1024.
+	if r.Len() < 512 {
+		t.Fatalf("R2 grew to %d rows only", r.Len())
+	}
+}
+
+// isSubset reports whether every tuple of sub is in sup; both are sorted
+// and distinct.
+func isSubset(sub, sup []rel.Tuple) bool {
+	i := 0
+	for _, tu := range sub {
+		for i < len(sup) && rel.Compare(sup[i], tu) < 0 {
+			i++
+		}
+		if i == len(sup) || !sup[i].Equal(tu) {
+			return false
+		}
+	}
+	return true
 }

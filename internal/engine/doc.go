@@ -10,13 +10,16 @@
 // # Architecture
 //
 // Indexes. Each relation gets hash indexes lazily, one per bound-position
-// set actually probed: the key is the tuple's projection onto the probed
-// columns, the value a bucket of matching tuples. Relations expose an
-// append-only insert log (rel.Relation.Version / AddedSince), so an index
-// is maintained incrementally under its own lock — a probe first consumes
-// the log suffix the index has not seen, then answers from the buckets.
-// Tuples are never deleted (set semantics, monotone growth), which is what
-// makes the log-suffix catch-up complete.
+// set actually probed: the key is a row's projection onto the probed
+// columns, the value a bucket of the matching rows' locations (rel.Loc:
+// chunk, offset, length — fixed size, no pointer). An index is maintained
+// incrementally under its own lock: a probe first folds in the rows of a
+// fresh rel.Rows snapshot past the last catch-up, then answers from the
+// buckets. The index keeps that snapshot, so a probe of a caught-up index
+// takes only the index's read lock, never the relation's. Tuples are
+// never deleted (set semantics, monotone growth), which is what makes the
+// catch-up complete. A plan step decodes from each candidate row's bytes
+// only the values up to the last position it checks or binds.
 //
 // Planning. A conjunctive query is compiled to a Plan: body atoms are
 // greedily reordered by estimated result size and each atom is lowered to
@@ -30,7 +33,7 @@
 // step that binds their variables, pruning as soon as possible.
 //
 // Execution. A plan runs sequentially on the calling goroutine: a full
-// scan walks the relation's insert log in order, and
+// scan walks a rel.Rows snapshot in insertion order, and
 // ProbeByKeyBatchYield probes its keys in order. EvalUCQ lets a bounded
 // number of goroutines claim independent disjuncts, the same concurrency
 // shape the distributed executor uses.
@@ -46,12 +49,14 @@
 //
 // Streaming. StreamCQ, StreamScan and ProbeByKeyBatchYield are the
 // enumeration hooks behind the netpeer server's chunked responses: they
-// yield distinct tuples as the plan runs (or the insert log is walked),
+// yield distinct tuples as the plan runs (or the rows are walked),
 // materializing nothing beyond the dedup set, so results larger than
-// memory-comfortable frames flow out incrementally.
+// memory-comfortable frames flow out incrementally. StreamScan and
+// ProbeByKeyBatchYield yield one reused view of each stored row, valid
+// only during the call; StreamCQ yields tuples the caller may keep.
 //
 // Invalidation. The engine itself never serves stale data — indexes
-// catch up from the insert logs on every probe. Answer-level
+// catch up from the relations' rows on every probe. Answer-level
 // caching (and its generation-vector invalidation) lives one layer up, in
 // pdms.Network; see ARCHITECTURE.md at the repository root for the
 // full-stack picture.

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,35 +19,58 @@ import (
 var ErrStop = errors.New("engine: stop enumeration")
 
 // index is a hash index over one relation for one bound-position set: the
-// key projects a tuple onto cols and each bucket holds the matching
-// tuples. Indexes are built lazily on first probe and maintained
-// incrementally by consuming the relation's append-only insert log.
+// key projects a row onto cols and each bucket holds the matching rows'
+// locations. Indexes are built lazily on first probe and maintained
+// incrementally from the relation's rows past the last catch-up.
 type index struct {
 	cols []int
+	// width is the number of leading columns a row decodes to reach every
+	// column of cols.
+	width int
 	// mu's read lock covers the fast path (index already caught up with
-	// the log), so concurrent probes proceed in parallel; the write lock
-	// is only taken to consume new log entries.
+	// the relation), so concurrent probes proceed in parallel and take no
+	// relation lock; the write lock is only taken to fold in new rows.
 	mu sync.RWMutex
-	// consumed is how many log entries the index has folded in, guarded
-	// by mu.
+	// consumed is how many rows the index has folded in, guarded by mu.
 	consumed uint64
-	// buckets maps composite probe keys to matching tuples, guarded by mu.
-	buckets map[string][]rel.Tuple
+	// rows is the relation snapshot of the last catch-up, guarded by mu:
+	// every bucket's locations lie in its chunks.
+	rows rel.Rows
+	// buckets maps composite probe keys to the locations of the matching
+	// rows, guarded by mu. A single-column key is the value itself, a
+	// substring of the relation's arena.
+	buckets map[string][]rel.Loc
 }
 
-func bucketKey(t rel.Tuple, cols []int) string {
-	if len(cols) == 1 {
-		return t[cols[0]]
+// catchUpLocked folds rows past idx.consumed into the buckets. vals is
+// scratch of at least idx.width values. Callers hold idx.mu.
+func (idx *index) catchUpLocked(rows rel.Rows, vals []string) {
+	vals = vals[:idx.width]
+	var kb []byte
+	for _, l := range rows.Locs()[idx.consumed:] {
+		rel.SplitKey(rows.Key(l), vals)
+		var k string
+		if len(idx.cols) == 1 {
+			k = vals[idx.cols[0]]
+		} else {
+			kb = kb[:0]
+			for _, c := range idx.cols {
+				kb = rel.AppendKeyPart(kb, vals[c])
+			}
+			if b, ok := idx.buckets[string(kb)]; ok {
+				idx.buckets[string(kb)] = append(b, l)
+				continue
+			}
+			k = string(kb)
+		}
+		idx.buckets[k] = append(idx.buckets[k], l)
 	}
-	var key []byte
-	for _, c := range cols {
-		key = rel.AppendKeyPart(key, t[c])
-	}
-	return string(key)
+	idx.consumed = uint64(rows.Len())
+	idx.rows = rows
 }
 
 // appendProbeKey assembles the composite probe key for vals (one value per
-// probed column) into dst, in the same encoding bucketKey uses.
+// probed column) into dst, in the encoding the index buckets use.
 func appendProbeKey(dst []byte, vals []string) []byte {
 	if len(vals) == 1 {
 		return append(dst, vals[0]...)
@@ -123,49 +147,43 @@ func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	}
 	idx = byCols[ck]
 	if idx == nil {
-		idx = &index{cols: cols, buckets: map[string][]rel.Tuple{}}
+		idx = &index{cols: cols, width: slices.Max(cols) + 1, buckets: map[string][]rel.Loc{}}
 		byCols[ck] = idx
 		e.indexesBuilt.Add(1)
 	}
 	return idx
 }
 
-// probe returns the tuples of r whose projection onto cols equals vals
-// (one value per column): it catches the index up with r's insert log if
-// the log has grown, then looks the key up. The returned bucket is shared
-// with the index and must not be mutated. kb is the caller's key buffer,
-// reused across probes.
-func (e *Engine) probe(r *rel.Relation, cols []int, vals []string, kb *[]byte) []rel.Tuple {
-	key := appendProbeKey((*kb)[:0], vals)
-	*kb = key
+// probe returns the locations of r's rows whose projection onto cols has
+// the probe key k (appendProbeKey), and the snapshot they lie in: it
+// catches the index up with r if r has grown, then looks the key up. The
+// returned bucket is shared with the index and must not be mutated. vals
+// is scratch of r's arity.
+func (e *Engine) probe(r *rel.Relation, cols []int, k []byte, vals []string) (rel.Rows, []rel.Loc) {
 	idx := e.getIndex(r, cols)
 	idx.mu.RLock()
 	if idx.consumed == r.Version() {
-		b := idx.buckets[string(key)]
+		rows, b := idx.rows, idx.buckets[string(k)]
 		idx.mu.RUnlock()
-		return b
+		return rows, b
 	}
 	idx.mu.RUnlock()
 	idx.mu.Lock()
-	added := r.AddedSince(idx.consumed)
-	for _, t := range added {
-		k := bucketKey(t, idx.cols)
-		idx.buckets[k] = append(idx.buckets[k], t)
-	}
-	idx.consumed += uint64(len(added))
-	b := idx.buckets[string(key)]
+	idx.catchUpLocked(r.Rows(), vals)
+	rows, b := idx.rows, idx.buckets[string(k)]
 	idx.mu.Unlock()
-	return b
+	return rows, b
 }
 
 // ProbeByKeyBatchYield invokes yield once per distinct tuple of pred whose
 // projection onto cols equals one of keys, building (or incrementally
-// catching up) the same lazy hash indexes that regular probe
-// steps use. Every key must supply len(cols) values. Tuples stream out as
-// the keys are probed — nothing beyond the dedup set is materialized —
-// which is the server-side substrate for netpeer's chunked bind responses.
-// Keys are probed one after another, in order. Returning ErrStop from yield
-// ends the stream without error.
+// catching up) the same lazy hash indexes that regular probe steps use.
+// Every key must supply len(cols) values. Tuples stream out as the keys are
+// probed — nothing beyond the set of keys seen is materialized — which is
+// the server-side substrate for netpeer's chunked bind responses. Keys are
+// probed one after another, in order. The yielded tuple is a view that is
+// valid only during the call: a caller that keeps it must copy it.
+// Returning ErrStop from yield ends the stream without error.
 func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, yield func(rel.Tuple) error) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("engine: ProbeByKeyBatch on %s needs at least one column", pred)
@@ -184,19 +202,31 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 			return fmt.Errorf("engine: ProbeByKeyBatch key %v has %d values, want %d", key, len(key), len(cols))
 		}
 	}
-	seen := map[string]bool{}
+	// A row has one projection onto cols, so distinct keys match disjoint
+	// rows: skipping repeated keys is what keeps the tuples distinct.
+	var seen map[string]struct{}
+	if len(keys) > 1 {
+		seen = make(map[string]struct{}, len(keys))
+	}
 	var kb []byte
+	view := make(rel.Tuple, r.Arity())
 	for _, key := range keys {
 		e.probes.Add(1)
-		for _, t := range e.probe(r, cols, key, &kb) {
-			if k := t.Key(); !seen[k] {
-				seen[k] = true
-				if err := yield(t); err != nil {
-					if errors.Is(err, ErrStop) {
-						return nil
-					}
-					return err
+		kb = appendProbeKey(kb[:0], key)
+		if seen != nil {
+			if _, ok := seen[string(kb)]; ok {
+				continue
+			}
+			seen[string(kb)] = struct{}{}
+		}
+		rows, locs := e.probe(r, cols, kb, view)
+		for _, l := range locs {
+			rel.SplitKey(rows.Key(l), view)
+			if err := yield(view); err != nil {
+				if errors.Is(err, ErrStop) {
+					return nil
 				}
+				return err
 			}
 		}
 	}
@@ -204,11 +234,19 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 }
 
 // ProbeByKeyBatch is ProbeByKeyBatchYield materialized: it returns the
-// distinct matching tuples as a slice, in the order they were yielded.
+// distinct matching tuples as a slice, in the order they were yielded. The
+// caller owns the result.
 func (e *Engine) ProbeByKeyBatch(pred string, cols []int, keys [][]string) ([]rel.Tuple, error) {
 	var out []rel.Tuple
+	var vals []string // the unused tail of the current block of values
 	err := e.ProbeByKeyBatchYield(pred, cols, keys, func(t rel.Tuple) error {
-		out = append(out, t)
+		if len(vals) < len(t) {
+			vals = make([]string, 256*len(t))
+		}
+		c := rel.Tuple(vals[:len(t):len(t)])
+		copy(c, t)
+		vals = vals[len(t):]
+		out = append(out, c)
 		return nil
 	})
 	if err != nil {
@@ -218,17 +256,22 @@ func (e *Engine) ProbeByKeyBatch(pred string, cols []int, keys [][]string) ([]re
 }
 
 // StreamScan invokes yield once per tuple of pred, in insertion order (no
-// sort, no materialization — the insert log is already distinct). It is the streaming substrate for
-// the netpeer server's "scan" op. Returning ErrStop from yield ends the
-// stream without error. An absent relation yields nothing.
+// sort, no materialization — the relation's rows are already distinct). It
+// is the streaming substrate for the netpeer server's "scan" op. The
+// yielded tuple is a view that is valid only during the call: a caller
+// that keeps it must copy it. Returning ErrStop from yield ends the stream
+// without error. An absent relation yields nothing.
 func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	r := e.data.Relation(pred)
 	if r == nil {
 		return nil
 	}
 	e.scans.Add(1)
-	for _, t := range r.AddedSince(0) {
-		if err := yield(t); err != nil {
+	rows := r.Rows()
+	view := make(rel.Tuple, r.Arity())
+	for _, l := range rows.Locs() {
+		rel.SplitKey(rows.Key(l), view)
+		if err := yield(view); err != nil {
 			if errors.Is(err, ErrStop) {
 				return nil
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/lang"
@@ -245,7 +246,8 @@ func TestStreamCQ(t *testing.T) {
 }
 
 // ProbeByKeyBatchYield streams the same distinct tuples ProbeByKeyBatch
-// materializes and honors ErrStop.
+// materializes and honors ErrStop. The yielded tuple is a view valid
+// during the call, so the test copies what it keeps.
 func TestProbeByKeyBatchYield(t *testing.T) {
 	ins := rel.NewInstance()
 	ins.MustAdd("R", "k1", "a")
@@ -260,7 +262,7 @@ func TestProbeByKeyBatchYield(t *testing.T) {
 	}
 	var got []rel.Tuple
 	if err := e.ProbeByKeyBatchYield("R", []int{0}, keys, func(tu rel.Tuple) error {
-		got = append(got, tu)
+		got = append(got, slices.Clone(tu))
 		return nil
 	}); err != nil {
 		t.Fatal(err)

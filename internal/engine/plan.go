@@ -20,6 +20,7 @@ import (
 type Plan struct {
 	steps     []planStep
 	nslots    int
+	maxArity  int      // the widest step's arity, the size of a row's scratch
 	slotNames []string // slot -> variable name
 	headPred  string
 	head      []outPart
@@ -64,6 +65,9 @@ type planStep struct {
 	checkPos []posPos
 	// binds writes tuple positions into freshly-bound slots.
 	binds []posSlot
+	// width is the number of leading values a candidate row decodes: one
+	// past the last position checkPos and binds read.
+	width int
 	// comps become fully ground after this step's binds.
 	comps []compiledComp
 }
@@ -193,11 +197,13 @@ func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 					firstPos[t.Name] = pos
 					st.binds = append(st.binds, posSlot{pos: pos, slot: getSlot(t.Name)})
 				}
+				st.width = pos + 1
 			}
 		}
 		for v := range firstPos {
 			boundSlots[v] = true
 		}
+		p.maxArity = max(p.maxArity, st.arity)
 		p.steps = append(p.steps, st)
 	}
 
@@ -264,8 +270,9 @@ func compileComp(c lang.Comparison, slotOf map[string]int) compiledComp {
 }
 
 // runCtx is the per-evaluation state of one plan execution: the slot
-// array and reusable key buffers. Contexts are pooled, so the buffers
-// carry over from one run to the next.
+// array, reusable key buffers and the scratch a candidate row decodes
+// into. Contexts are pooled, so the buffers carry over from one run to the
+// next.
 type runCtx struct {
 	e     *Engine
 	p     *Plan
@@ -273,6 +280,7 @@ type runCtx struct {
 	slots []string
 	key   []byte
 	vals  []string
+	row   []string
 }
 
 var runCtxPool = sync.Pool{New: func() any { return new(runCtx) }}
@@ -286,6 +294,10 @@ func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
 		rc.slots = make([]string, p.nslots)
 	}
 	rc.slots = rc.slots[:p.nslots]
+	if cap(rc.row) < p.maxArity {
+		rc.row = make([]string, p.maxArity)
+	}
+	rc.row = rc.row[:p.maxArity]
 	return rc
 }
 
@@ -294,6 +306,7 @@ func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
 func (rc *runCtx) release() {
 	clear(rc.slots)
 	clear(rc.vals)
+	clear(rc.row)
 	rc.e, rc.p, rc.yield = nil, nil, nil
 	runCtxPool.Put(rc)
 }
@@ -316,9 +329,10 @@ func (rc *runCtx) step(i int) error {
 		return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
 	}
 	if len(st.keyCols) == 0 {
-		// Full scan: the insert log is distinct and covers the relation.
+		// Full scan: the relation's rows are distinct.
 		rc.e.scans.Add(1)
-		return rc.feed(i, st, r.AddedSince(0))
+		rows := r.Rows()
+		return rc.feed(i, st, rows, rows.Locs())
 	}
 	// Probe path: resolve the key parts, look up the index.
 	if cap(rc.vals) < len(st.keyParts) {
@@ -332,22 +346,28 @@ func (rc *runCtx) step(i int) error {
 			vals[j] = part.constVal
 		}
 	}
+	rc.key = appendProbeKey(rc.key[:0], vals)
 	rc.e.probes.Add(1)
-	return rc.feed(i, st, rc.e.probe(r, st.keyCols, vals, &rc.key))
+	rows, locs := rc.e.probe(r, st.keyCols, rc.key, rc.row)
+	return rc.feed(i, st, rows, locs)
 }
 
-// feed applies step i's checks and binds to each candidate tuple and
-// recurses into step i+1 for survivors.
-func (rc *runCtx) feed(i int, st *planStep, tuples []rel.Tuple) error {
+// feed applies step i's checks and binds to each candidate row of rows at
+// locs and recurses into step i+1 for survivors. A row decodes only the
+// values up to st.width; the key columns a probe matched are not among
+// those it reads.
+func (rc *runCtx) feed(i int, st *planStep, rows rel.Rows, locs []rel.Loc) error {
+	row := rc.row[:st.width]
 next:
-	for _, tup := range tuples {
+	for _, l := range locs {
+		rel.SplitKey(rows.Key(l), row)
 		for _, c := range st.checkPos {
-			if tup[c.pos] != tup[c.first] {
+			if row[c.pos] != row[c.first] {
 				continue next
 			}
 		}
 		for _, b := range st.binds {
-			rc.slots[b.slot] = tup[b.pos]
+			rc.slots[b.slot] = row[b.pos]
 		}
 		for _, c := range st.comps {
 			if !c.eval(rc.slots) {
@@ -363,8 +383,8 @@ next:
 
 // run executes the plan, invoking yield with the slot array for every body
 // match. The slot array is reused across yields — callers must copy what
-// they keep. Execution is sequential: a scan walks the relation's insert
-// log in order, so match order is deterministic for a given instance.
+// they keep. Execution is sequential: a scan walks the relation's rows in
+// insertion order, so match order is deterministic for a given instance.
 func (e *Engine) run(p *Plan, yield func(slots []string) error) error {
 	for _, c := range p.preComps {
 		if !c.eval(nil) {

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -202,6 +204,49 @@ func TestAddOp(t *testing.T) {
 	}
 	if srv.requests.Load() < 4 {
 		t.Fatalf("requests = %d, want >= 4", srv.requests.Load())
+	}
+}
+
+// TestCheckRowRejectsAddedRows: the server's row check runs before every
+// insert, over the wire and through AddFact. An add batch stops at the
+// first rejected row with the check's error in-band; rows before it stay
+// inserted and the connection survives.
+func TestCheckRowRejectsAddedRows(t *testing.T) {
+	data := rel.NewInstance()
+	data.MustAdd("A.r", "1", "a")
+	srv := NewServer(data)
+	srv.CheckRow = func(pred string, values []string) error {
+		if values[1] == "bad" {
+			return fmt.Errorf("%s%v contradicted", pred, values)
+		}
+		return nil
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Add("A.r", [][]string{{"2", "b"}, {"3", "bad"}, {"4", "d"}})
+	if err == nil || !strings.Contains(err.Error(), "A.r[3 bad] contradicted") || !strings.Contains(err.Error(), "row 1 of 3") {
+		t.Fatalf("add with a rejected row: %v", err)
+	}
+	if err := srv.AddFact("A.r", rel.Tuple{"5", "bad"}); err == nil {
+		t.Fatal("AddFact inserted a rejected row")
+	}
+	if err := srv.AddFact("A.r", rel.Tuple{"6", "f"}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Scan("A.r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.DistinctSorted(rows); !reflect.DeepEqual(got, []rel.Tuple{{"1", "a"}, {"2", "b"}, {"6", "f"}}) {
+		t.Fatalf("rows after the rejections: %v", got)
 	}
 }
 

@@ -129,6 +129,12 @@ type Server struct {
 	// QueueWait bounds one request's admission wait (0 = defaultQueueWait).
 	// Set before Start.
 	QueueWait time.Duration
+	// CheckRow, when non-nil, judges every row written through AddFact or
+	// an add request before it is inserted: a non-nil error rejects the
+	// row, and an add request answers with that error in-band, naming the
+	// row's position (rows before it stay inserted). cmd/peerd sets it to
+	// the spec's ppl.PDMS.CheckFact. Set before Start.
+	CheckRow func(pred string, values []string) error
 
 	// maxRequestBytes caps one request frame: an over-limit frame is
 	// consumed through its newline and answered with an in-band error, and
@@ -217,6 +223,11 @@ func NewServer(data *rel.Instance) *Server {
 // waits for (or convoys behind) an in-flight response stream; the read
 // lock only pins the instance pointer.
 func (s *Server) AddFact(pred string, t rel.Tuple) error {
+	if s.CheckRow != nil {
+		if err := s.CheckRow(pred, t); err != nil {
+			return err
+		}
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	_, err := s.data.Add(pred, t)
@@ -512,18 +523,26 @@ func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, ifGen 
 		return send(meta)
 	}
 	var rows [][]string
+	// vals holds the chunk's values: a scan or a bind yields a view of
+	// each stored row, valid only during the call, so the row is copied.
+	var vals []string
 	var bytes, total int
 	var sendErr error
 	err := produce(func(t rel.Tuple) error {
-		rows = append(rows, t)
+		if cap(vals)-len(vals) < len(t) {
+			// Grow geometrically: most responses are a few rows.
+			vals = make([]string, 0, max(len(t), 16, 2*cap(vals)))
+		}
+		vals = append(vals, t...)
+		rows = append(rows, vals[len(vals)-len(t):len(vals):len(vals)])
 		total++
 		for _, v := range t {
 			bytes += len(v)
 		}
 		if len(rows) >= wire.ChunkMaxRows || bytes >= wire.ChunkMaxBytes {
 			sendErr = send(wire.Response{Rows: rows, More: true})
-			// send has encoded the chunk, so its slice is free again.
-			rows, bytes = rows[:0], 0
+			// send has encoded the chunk, so its slices are free again.
+			rows, vals, bytes = rows[:0], vals[:0], 0
 		}
 		return sendErr
 	})
@@ -641,8 +660,9 @@ func kept(root *obs.Span, v string) string {
 // atomic unit of visibility), then answer with a single final
 // frame whose piggyback metadata (cardinality, generation) is read after
 // the last insert, so the client's fragment cache sees a generation at
-// least as new as its own write. A failed row stops the batch; rows before
-// it stay inserted (the in-band error reports how many landed).
+// least as new as its own write. A failed row — one CheckRow rejects, or
+// one of the wrong arity — stops the batch; rows before it stay inserted
+// (the in-band error reports how many landed).
 //
 // Inserts deliberately run under the read lock (tuple inserts synchronize
 // under each relation's lock, and rel.Instance internally serializes the
@@ -662,6 +682,11 @@ func (s *Server) handleAdd(req wire.Request, send func(wire.Response) error, exp
 	var inserted int
 	var addErr error
 	for _, row := range req.Rows {
+		if s.CheckRow != nil {
+			if addErr = s.CheckRow(req.Pred, row); addErr != nil {
+				break
+			}
+		}
 		if _, addErr = s.data.Add(req.Pred, rel.Tuple(row)); addErr != nil {
 			break
 		}

@@ -1,7 +1,9 @@
 package rel
 
 import (
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -44,9 +46,8 @@ func TestInsertOwnsItsCopy(t *testing.T) {
 		}
 		row[0], row[2] = "overwritten", "overwritten"
 	}
-	logged := r.AddedSince(0)
-	if !slices.EqualFunc(logged, want, Tuple.Equal) {
-		t.Fatalf("AddedSince after overwriting the caller's rows: %q, want %q", logged, want)
+	if logged := insertLog(r); !slices.EqualFunc(logged, want, Tuple.Equal) {
+		t.Fatalf("rows after overwriting the caller's rows: %q, want %q", logged, want)
 	}
 	SortTuples(want)
 	if got := r.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
@@ -57,13 +58,14 @@ func TestInsertOwnsItsCopy(t *testing.T) {
 			t.Fatalf("Contains(%q) = false", w)
 		}
 	}
-	// A stored row's header is clipped: appending to it cannot write over
-	// the row stored after it.
-	for _, stored := range logged {
-		_ = append(stored, "spill")
+	// A built row's header is clipped: appending to it cannot write over
+	// the row built after it.
+	built := r.Tuples()
+	for _, row := range built {
+		_ = append(row, "spill")
 	}
-	if got := r.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
-		t.Fatalf("an append to a stored row reached its neighbour: %q", got)
+	if !slices.EqualFunc(built, want, Tuple.Equal) {
+		t.Fatalf("an append to a built row reached its neighbour: %q", built)
 	}
 }
 
@@ -96,29 +98,86 @@ func TestCloneArenasIndependent(t *testing.T) {
 	}
 }
 
-// TestAppendHookSeesStoredTuple: the hook receives the relation's stored
-// row — the one the log holds — not the caller's.
+// TestAppendHookSeesStoredTuple: the hook receives a view of the
+// relation's stored row — its values lie in the row's arena bytes — not the
+// caller's.
 func TestAppendHookSeesStoredTuple(t *testing.T) {
 	r := NewRelation("r", 2)
 	var hooked Tuple
 	r.SetAppendHook(func(tu Tuple, _ uint64) error {
-		hooked = tu
+		hooked = slices.Clone(tu)
 		return nil
 	})
 	row := Tuple{"key", "value"}
 	if _, err := r.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	stored := r.AddedSince(0)[0]
+	rs := r.Rows()
+	stored := rs.Key(rs.Locs()[0])
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(stored)))
 	if !hooked.Equal(row) {
 		t.Fatalf("hook got %q, want %q", hooked, row)
 	}
 	for i := range row {
-		if unsafe.StringData(hooked[i]) != unsafe.StringData(stored[i]) {
-			t.Fatalf("hook value %d is not the stored value", i)
-		}
-		if unsafe.StringData(hooked[i]) == unsafe.StringData(row[i]) {
-			t.Fatalf("hook value %d is the caller's value", i)
+		if d := uintptr(unsafe.Pointer(unsafe.StringData(hooked[i]))); d < lo || d >= lo+uintptr(len(stored)) {
+			t.Fatalf("hook value %d is not in the stored row", i)
 		}
 	}
+}
+
+// TestInsertAllocsPerRow: a stored row costs no heap object of its own.
+// Filling a fresh relation with a batch of new rows allocates the relation
+// and the arena chunks, location table and tuple set it grows into — fewer
+// than one object per 32 rows.
+func TestInsertAllocsPerRow(t *testing.T) {
+	const runs, batch = 4, 4096
+	rows := make([]Tuple, batch)
+	for i := range rows {
+		rows[i] = Tuple{"id" + strconv.Itoa(i), "k" + strconv.Itoa(i%30), strings.Repeat("p", 40)}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := NewRelation("r", 3)
+		for _, row := range rows {
+			if ok, err := r.Insert(row); !ok || err != nil {
+				t.Fatalf("Insert(%v) = %v, %v", row, ok, err)
+			}
+		}
+	})
+	perRow := allocs / batch
+	if perRow >= 1.0/32 {
+		t.Fatalf("%.0f allocations for %d rows: %.4f per row, want < 1/32", allocs, batch, perRow)
+	}
+	t.Logf("%.0f allocations for %d rows (%.4f per row)", allocs, batch, perRow)
+}
+
+// TestStoredRowTablesPointerFree: the per-row tables — the location table,
+// the tuple set and the engine's index buckets, which hold Locs — are of
+// pointer-free element types, so the garbage collector never scans them.
+func TestStoredRowTablesPointerFree(t *testing.T) {
+	var r Relation
+	for _, typ := range []reflect.Type{reflect.TypeOf(r.locs), reflect.TypeOf(r.set)} {
+		if elem := typ.Elem(); hasPointers(elem) {
+			t.Fatalf("%v holds pointers", elem)
+		}
+	}
+}
+
+// hasPointers reports whether values of typ contain a pointer.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }

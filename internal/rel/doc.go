@@ -9,26 +9,33 @@
 //
 // # Relations
 //
-// A Relation is one partition: one tuple set, one append-only insert log,
-// one pair of row arenas and one generation counter, behind one mutex.
-// Inserts, lookups and the index catch-ups that concurrent evaluations in
-// internal/engine run over a relation all take that lock briefly; the log
-// is append-only and its handed-out prefixes are never written again, so
-// a scan walks a log suffix without holding the lock.
+// A Relation is one partition: its rows, a location table, a tuple set and
+// one generation counter, behind one mutex. Inserts, lookups and the
+// snapshots that concurrent evaluations in internal/engine take all hold
+// that lock briefly; stored bytes are never written again, so a Rows
+// snapshot is read without the lock while inserts go on.
 //
 // # Rows
 //
-// A row's bytes are stored once. Insert copies a new row, in its Tuple.Key
-// encoding, into the relation's append-only byte arena; that copy is the
-// tuple set's key, and the stored row's values are substrings of it, in a
-// header carved from the relation's []string arena. The log, the tuple set
-// and the engine's indexes share these rows. Each arena's chunks start at
-// the size of the relation's first row and double up to 64 KiB, so a small
-// relation stays small; handed-out bytes and headers are never written
-// again, and a header's capacity is clipped to its length. Insert's caller
-// keeps its own row. Clone shares the rows stored so far but starts fresh
-// arenas, so neither side's later inserts touch the other's chunks. A
-// value a caller keeps pins its whole chunk.
+// A row is stored once, as its Tuple.Key bytes in the relation's chunked
+// append-only byte arena, and nothing kept per row holds a pointer, so the
+// garbage collector never scans the rows:
+//   - the location table maps row id to a Loc (chunk, offset, length).
+//     Row ids are insertion order, so the table is the insert log;
+//   - the tuple set is an open-addressing []uint64 of (hash tag, row id)
+//     entries, hashed with hash/maphash and compared against the arena
+//     bytes. A tag's top bits are its home slot, so the set doubles
+//     without rehashing a row.
+//
+// Chunks start at the size of the relation's first row and double up to
+// 64 KiB; a longer row gets a chunk of its own. Tuples exist only at the
+// API edge: SplitKey decodes a row's values as substrings of its bytes,
+// Tuples builds its result on each call, and the append hook sees a view
+// valid only during the call. Insert's caller keeps its own row. Clone
+// shares the chunks and location table stored so far and copies the tuple
+// set; the clone's next row opens a chunk of its own, so neither side's
+// later inserts touch the other's chunks. A value a caller keeps pins its
+// whole chunk.
 //
 // # Answer sets
 //
@@ -45,9 +52,9 @@
 // per-relation insert count that the generation-vector answer cache
 // (pdms.Network) and the netpeer gens piggyback are keyed by. Derived
 // structures that must catch up incrementally — the engine's lazy hash
-// indexes — read the log suffix since the version they last saw
-// (AddedSince): tuples are never deleted, so that suffix is exactly what
-// the relation gained.
+// indexes — read the rows of a Rows snapshot past the version they last
+// saw: tuples are never deleted, so those rows are exactly what the
+// relation gained.
 //
 // The naive evaluators in this package remain the reference oracles:
 // internal/engine — the indexed evaluator used on every hot path

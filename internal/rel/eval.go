@@ -45,53 +45,7 @@ func EvalCQ(q lang.CQ, ins *Instance) ([]Tuple, error) {
 // atoms that bind their variables (checked lazily: a comparison is applied
 // as soon as it becomes ground, all are verified at the end).
 func evalBody(q lang.CQ, ins *Instance, yield func(lang.Subst) error) error {
-	var rec func(i int, s lang.Subst) error
-	rec = func(i int, s lang.Subst) error {
-		// Prune on any ground comparison that fails.
-		for _, c := range q.Comps {
-			g := s.ApplyComparison(c)
-			if g.L.IsConst() && g.R.IsConst() && !g.Op.EvalConst(g.L, g.R) {
-				return nil
-			}
-		}
-		if i == len(q.Body) {
-			// All atoms matched; comparisons must now be fully ground.
-			for _, c := range q.Comps {
-				g := s.ApplyComparison(c)
-				if g.L.IsVar() || g.R.IsVar() {
-					return fmt.Errorf("rel: comparison %s not bound by body in %s", c, q)
-				}
-			}
-			return yield(s)
-		}
-		atom := q.Body[i]
-		r := ins.Relation(atom.Pred)
-		if r == nil {
-			return nil // empty relation: no matches
-		}
-		if r.arity != atom.Arity() {
-			return fmt.Errorf("rel: atom %s arity %d, relation has %d", atom, atom.Arity(), r.arity)
-		}
-	next:
-		for _, tup := range r.Tuples() {
-			s2 := s.Clone()
-			for j, arg := range atom.Args {
-				bound := s2.Apply(arg)
-				if bound.IsConst() {
-					if bound.Name != tup[j] {
-						continue next
-					}
-					continue
-				}
-				s2[bound.Name] = lang.Const(tup[j])
-			}
-			if err := rec(i+1, s2); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0, lang.NewSubst())
+	return evalBodyPivot(q, ins, nil, -1, yield)
 }
 
 // EvalUCQ evaluates a union of conjunctive queries, returning the distinct
@@ -168,8 +122,11 @@ func EvalDatalog(rules []lang.CQ, base *Instance) (*Instance, error) {
 }
 
 // evalBodyPivot is evalBody where body atom `pivot` ranges over delta and
-// the rest over total.
+// the rest over total; a negative pivot ranges every atom over total. Each
+// atom's relation is read once per call.
 func evalBodyPivot(q lang.CQ, total, delta *Instance, pivot int, yield func(lang.Subst) error) error {
+	rows := make([][]Tuple, len(q.Body))
+	read := make([]bool, len(q.Body))
 	var rec func(i int, s lang.Subst) error
 	rec = func(i int, s lang.Subst) error {
 		for _, c := range q.Comps {
@@ -188,19 +145,21 @@ func evalBodyPivot(q lang.CQ, total, delta *Instance, pivot int, yield func(lang
 			return yield(s)
 		}
 		atom := q.Body[i]
-		src := total
-		if i == pivot {
-			src = delta
-		}
-		r := src.Relation(atom.Pred)
-		if r == nil {
-			return nil
-		}
-		if r.arity != atom.Arity() {
-			return fmt.Errorf("rel: atom %s arity %d, relation has %d", atom, atom.Arity(), r.arity)
+		if !read[i] {
+			src := total
+			if i == pivot {
+				src = delta
+			}
+			if r := src.Relation(atom.Pred); r != nil {
+				if r.arity != atom.Arity() {
+					return fmt.Errorf("rel: atom %s arity %d, relation has %d", atom, atom.Arity(), r.arity)
+				}
+				rows[i] = r.Tuples()
+			}
+			read[i] = true
 		}
 	next:
-		for _, tup := range r.Tuples() {
+		for _, tup := range rows[i] {
 			s2 := s.Clone()
 			for j, arg := range atom.Args {
 				bound := s2.Apply(arg)

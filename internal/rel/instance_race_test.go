@@ -116,7 +116,7 @@ func TestArenaConcurrentInsertReadClone(t *testing.T) {
 				return
 			default:
 			}
-			for _, tu := range r.AddedSince(0) {
+			for _, tu := range insertLog(r) {
 				if !r.Contains(tu) || len(tu[1]) < len("payload-") {
 					t.Errorf("stored row %q unreadable", tu)
 					return
@@ -153,7 +153,7 @@ func TestArenaConcurrentInsertReadClone(t *testing.T) {
 	if got := r.Len(); got != writers*rows {
 		t.Fatalf("source holds %d rows, want %d", got, writers*rows)
 	}
-	src := r.AddedSince(0)
+	src := insertLog(r)
 	for c := range clones {
 		for _, tu := range c.Relation("p").Tuples() {
 			if !want[tu.String()] && !tu.Equal(Tuple{"clone-only", "x"}) {
@@ -161,7 +161,7 @@ func TestArenaConcurrentInsertReadClone(t *testing.T) {
 			}
 		}
 		// The clone's log is a prefix of the source's, then its own row.
-		cl := c.Relation("p").AddedSince(0)
+		cl := insertLog(c.Relation("p"))
 		n := len(cl) - 1
 		if n < 0 || n > len(src) || !cl[n].Equal(Tuple{"clone-only", "x"}) || !slices.EqualFunc(cl[:n], src[:n], Tuple.Equal) {
 			t.Fatalf("clone log of %d rows is not a prefix of the source's %d plus its own row", len(cl), len(src))

@@ -7,9 +7,21 @@ import (
 	"testing"
 )
 
-// TestInsertLogAndVersion: a relation keeps one log in insertion order,
-// Version counts distinct inserts, AddedSince(v) is the log suffix past v,
-// and Tuples is sorted.
+// insertLog decodes r's rows in insertion order.
+func insertLog(r *Relation) []Tuple {
+	rs := r.Rows()
+	out := make([]Tuple, 0, rs.Len())
+	for _, l := range rs.Locs() {
+		t := make(Tuple, r.Arity())
+		SplitKey(rs.Key(l), t)
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestInsertLogAndVersion: a relation keeps its rows in insertion order,
+// Version counts distinct inserts, a Rows snapshot past version v holds
+// exactly the rows inserted since, and Tuples is sorted.
 func TestInsertLogAndVersion(t *testing.T) {
 	r := NewRelation("R", 2)
 	ins := []Tuple{{"b", "2"}, {"a", "1"}, {"c", "3"}}
@@ -21,23 +33,30 @@ func TestInsertLogAndVersion(t *testing.T) {
 	if r.Insert(Tuple{"b", "2"}); r.Version() != 3 {
 		t.Fatalf("Version = %d after 3 distinct inserts + 1 dup, want 3", r.Version())
 	}
-	if log := r.AddedSince(0); !reflect.DeepEqual(log, ins) {
+	if log := insertLog(r); !reflect.DeepEqual(log, ins) {
 		t.Fatalf("log not in insertion order: %v", log)
 	}
-	if got := r.AddedSince(2); len(got) != 1 || !got[0].Equal(ins[2]) {
-		t.Fatalf("AddedSince(2) = %v", got)
+	rs := r.Rows()
+	if rs.Len() != 3 {
+		t.Fatalf("Rows().Len() = %d, want 3", rs.Len())
 	}
-	if got := r.AddedSince(4); got != nil {
-		t.Fatalf("AddedSince past the log = %v, want nil", got)
+	r.Insert(Tuple{"d", "4"})
+	if rs.Len() != 3 || len(rs.Locs()) != 3 {
+		t.Fatal("a snapshot grew with a later insert")
 	}
-	if got := r.Tuples(); len(got) != 3 || got[0][0] != "a" {
+	got := make(Tuple, 2)
+	SplitKey(r.Rows().Key(r.Rows().Locs()[3]), got)
+	if !got.Equal(Tuple{"d", "4"}) {
+		t.Fatalf("the row past the snapshot = %v", got)
+	}
+	if got := r.Tuples(); len(got) != 4 || got[0][0] != "a" {
 		t.Fatalf("Tuples = %v, want sorted", got)
 	}
 }
 
-// TestShardedCloneIndependent: clones preserve contents, log order and
+// TestCloneKeepsInsertOrder: clones preserve contents, insertion order and
 // generation, and diverge after mutation.
-func TestShardedCloneIndependent(t *testing.T) {
+func TestCloneKeepsInsertOrder(t *testing.T) {
 	ins := NewInstance()
 	for i := 0; i < 100; i++ {
 		ins.MustAdd("R", fmt.Sprintf("k%d", (i*37)%100), "v")
@@ -47,7 +66,7 @@ func TestShardedCloneIndependent(t *testing.T) {
 	if cr.Version() != r.Version() {
 		t.Fatalf("clone generation %d, source %d", cr.Version(), r.Version())
 	}
-	if !reflect.DeepEqual(cr.AddedSince(0), r.AddedSince(0)) {
+	if !reflect.DeepEqual(insertLog(cr), insertLog(r)) {
 		t.Fatal("clone log differs")
 	}
 	cp.MustAdd("R", "new", "v")
@@ -59,10 +78,10 @@ func TestShardedCloneIndependent(t *testing.T) {
 	}
 }
 
-// TestConcurrentShardInserts: concurrent inserts (multiple writers) into
-// one relation, serialized by its one mutex, are safe and lose nothing,
-// while readers take the same lock. Run with -race.
-func TestConcurrentShardInserts(t *testing.T) {
+// TestConcurrentInserts: concurrent inserts (multiple writers) into one
+// relation, serialized by its one mutex, are safe and lose nothing, while
+// readers take the same lock. Run with -race.
+func TestConcurrentInserts(t *testing.T) {
 	r := NewRelation("R", 2)
 	const writers, per = 4, 500
 	var wg sync.WaitGroup
@@ -85,8 +104,9 @@ func TestConcurrentShardInserts(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			r.Len()
 			r.Version()
-			r.AddedSince(uint64(i))
+			r.Rows()
 			r.Tuples()
+			r.Contains(Tuple{fmt.Sprintf("w0-%d", i), "v"})
 		}
 	}()
 	wg.Wait()
@@ -96,7 +116,7 @@ func TestConcurrentShardInserts(t *testing.T) {
 	}
 	// Each writer's rows appear in the log in the order it inserted them.
 	next := make([]int, writers)
-	for _, tu := range r.AddedSince(0) {
+	for _, tu := range insertLog(r) {
 		var w, i int
 		if _, err := fmt.Sscanf(tu[0], "w%d-%d", &w, &i); err != nil || i != next[w] {
 			t.Fatalf("log row %v out of its writer's order (want index %d)", tu, next[w])
@@ -105,8 +125,9 @@ func TestConcurrentShardInserts(t *testing.T) {
 	}
 }
 
-// TestTuplesCacheFreshness: the sorted view must track growth (regression
-// for the version-tagged cache replacing insert-time invalidation).
+// TestTuplesCacheFreshness: the sorted view tracks growth, and each call
+// builds its own result, so a caller that writes to one cannot change what
+// the next call returns.
 func TestTuplesCacheFreshness(t *testing.T) {
 	r := NewRelation("R", 1)
 	r.Insert(Tuple{"b"})
@@ -118,8 +139,8 @@ func TestTuplesCacheFreshness(t *testing.T) {
 	if len(got) != 2 || got[0][0] != "a" {
 		t.Fatalf("Tuples after growth = %v, want sorted fresh view", got)
 	}
-	// Unchanged relation: cached slice is reused.
-	if &got[0] != &r.Tuples()[0] {
-		t.Fatal("sorted view not cached across calls at the same version")
+	got[0][0], got[1] = "overwritten", nil
+	if again := r.Tuples(); len(again) != 2 || again[0][0] != "a" || again[1][0] != "b" {
+		t.Fatalf("Tuples after a caller wrote to an earlier result = %v", again)
 	}
 }

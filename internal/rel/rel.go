@@ -3,6 +3,9 @@ package rel
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,108 +74,116 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// arenaChunkBytes caps the size of one arena chunk.
+// SplitKey fills dst with the first len(dst) values of key, a Tuple.Key
+// encoding of at least that many values. The values are substrings of key.
+// It is Key's inverse, and it decodes no further than dst reaches.
+func SplitKey(key string, dst []string) {
+	off := 0
+	for i := range dst {
+		n := int(key[off] - '0')
+		off++
+		for c := key[off]; c != ':'; c = key[off] {
+			n = n*10 + int(c-'0')
+			off++
+		}
+		off++
+		dst[i] = key[off : off+n]
+		off += n
+	}
+}
+
+// arenaChunkBytes caps the size of one arena chunk; a longer row gets a
+// chunk of its own.
 const arenaChunkBytes = 64 << 10
 
-// arena hands out pieces of append-only chunks that are never written
-// again once handed out. Chunks start at the size of the first request and
-// double up to arenaChunkBytes, so a small relation stays small; a request
-// larger than that gets a chunk of its own size.
-type arena[T any] struct {
-	free []T // the current chunk's unused tail
-	size int // the current chunk's length
+// maxRows caps a relation's row count: row ids are 32-bit.
+const maxRows = math.MaxUint32 - 1
+
+// hashSeed seeds every relation's tuple-set hash, so a Clone's copied table
+// stays valid.
+var hashSeed = maphash.MakeSeed()
+
+// Loc locates one stored row: its Tuple.Key bytes are at offset off of
+// chunk chunk, n bytes long. A Loc holds no pointer, so the garbage
+// collector never scans a table of them.
+type Loc struct{ chunk, off, n uint32 }
+
+// Rows is a snapshot of a relation's first Len rows, in insertion order. A
+// snapshot never changes: it is read without the relation's lock while
+// inserts go on.
+type Rows struct {
+	// chunks are the arena chunks the rows lie in. A chunk's bytes are
+	// written once, before the row that holds them is published, and never
+	// again.
+	chunks []string
+	locs   []Loc
 }
 
-// take returns n fresh elements, their capacity clipped to n so an append
-// to them cannot reach a neighbour.
-func (a *arena[T]) take(n int) []T {
-	if len(a.free) < n {
-		var zero T
-		a.size = max(n, min(2*a.size, arenaChunkBytes/int(unsafe.Sizeof(zero))))
-		a.free = make([]T, a.size)
-	}
-	p := a.free[:n:n]
-	a.free = a.free[n:]
-	return p
-}
+// Len returns the number of rows in the snapshot.
+func (rs Rows) Len() int { return len(rs.locs) }
 
-// storeLocked copies t, whose Key encoding is key, into the relation's
-// arenas and returns the stored key and row: the key bytes are the one
-// copy, and the row's values are substrings of them. Callers hold r.mu.
-func (r *Relation) storeLocked(key []byte, t Tuple) (string, Tuple) {
-	b := r.keys.take(len(key))
-	copy(b, key)
-	k := unsafe.String(unsafe.SliceData(b), len(b))
-	if len(t) == 0 {
-		return k, Tuple{}
-	}
-	row := Tuple(r.vals.take(len(t)))
-	off := 0
-	for i, v := range t {
-		off += keyPrefixLen(len(v))
-		row[i] = k[off : off+len(v)]
-		off += len(v)
-	}
-	return k, row
-}
+// Locs returns the rows' locations in insertion order. Callers must not
+// mutate the result.
+func (rs Rows) Locs() []Loc { return rs.locs }
 
-// keyPrefixLen is the length of AppendKeyPart's prefix for a value of n
-// bytes: n's decimal digits and the colon.
-func keyPrefixLen(n int) int {
-	d := 2
-	for ; n >= 10; n /= 10 {
-		d++
-	}
-	return d
-}
+// Key returns the Tuple.Key encoding of the row at l; SplitKey decodes it.
+func (rs Rows) Key(l Loc) string { return rs.chunks[l.chunk][l.off : l.off+l.n] }
 
-// Relation is a named set of tuples of fixed arity: one tuple set, one
-// append-only insert log, one pair of row arenas and one generation
-// counter, all behind one mutex. Insert, Contains, Len, Tuples, Version and
-// AddedSince are individually safe for concurrent use; a reader that needs
-// one atomic point-in-time view across inserts still requires external
-// synchronization, which is what pdms.Network's and netpeer.Server's locks
-// provide.
+// Relation is a named set of tuples of fixed arity, behind one mutex. Each
+// row is stored once, as its Tuple.Key bytes in an append-only chunked
+// arena; a location table indexed by row id (insertion order, so it is the
+// insert log) and an open-addressing tuple set of row ids hold no pointer.
+// Insert, Contains, Len, Tuples, Version and Rows are individually safe for
+// concurrent use; a reader that needs one atomic point-in-time view across
+// inserts still requires external synchronization, which is what
+// pdms.Network's and netpeer.Server's locks provide.
 type Relation struct {
 	name  string
 	arity int
 
 	mu sync.Mutex
-	// tuples is the relation's tuple set, guarded by mu.
-	tuples map[string]Tuple
-	// log is the append-only insert log, guarded by mu.
-	log []Tuple
-	// gen counts inserts (== len(log)). Atomic so generation reads (cache
+	// chunks are the arena's chunks, guarded by mu. An element is set once,
+	// when its chunk is allocated.
+	chunks []string
+	// free is the unwritten tail of chunk freeChunk, which starts at byte
+	// freeOff; all three guarded by mu. Rows are copied into free.
+	free      []byte
+	freeChunk uint32
+	freeOff   uint32
+	// size is the length of the last small chunk allocated, guarded by mu:
+	// chunks start at the size of the first row and double up to
+	// arenaChunkBytes.
+	size int
+	// locs maps row id to row location, guarded by mu. It only grows, and
+	// its elements are never written again.
+	locs []Loc
+	// set is the tuple set, guarded by mu: an open-addressing table of
+	// (hash tag << 32 | row id + 1) entries, 0 for an empty slot. The tag
+	// is the top 32 bits of the row's maphash, and an entry's home slot is
+	// the tag's top bits, so the table regrows without rehashing rows.
+	set []uint64
+	// setBits is log2(len(set)), guarded by mu.
+	setBits uint
+	// gen counts inserts (== len(locs)). Atomic so generation reads (cache
 	// keys, piggybacks) never take the lock.
 	gen atomic.Uint64
-	// keys and vals are the row arenas, guarded by mu: each stored row's
-	// Key encoding is copied into keys once, and its values are substrings
-	// of that copy held in a header carved from vals.
-	keys arena[byte]
-	vals arena[string]
+	// view is the reused tuple the append hook sees, guarded by mu.
+	view Tuple
 
 	// hook, when non-nil, observes every successful insert (see
 	// SetAppendHook). It must be installed before the relation is shared
 	// across goroutines; Insert reads it without synchronization.
 	hook AppendHook
-
-	// sortedMu guards the cached deterministic (sorted) tuple order; the
-	// cache is tagged with the Version it was built at and rebuilt when the
-	// relation has grown past it.
-	sortedMu sync.Mutex
-	// sorted is the cached sorted order, guarded by sortedMu.
-	sorted []Tuple
-	// sortedVer is the Version sorted was built at, guarded by sortedMu.
-	sortedVer uint64
 }
 
 // AppendHook observes one successful insert. It is invoked under the
-// relation's lock, after the tuple has been appended to the log and the
-// generation bumped, with the stored (arena-backed) tuple and the new
-// generation — in exactly the log's order. A non-nil error aborts Insert
-// with that error; the tuple remains inserted in memory, so hook errors
-// mean "applied but possibly not durable" and callers (the storage tier)
-// must treat the backing journal as failed.
+// relation's lock, after the row has been stored and the generation
+// bumped, with the stored row and the new generation — in exactly the
+// insertion order. The tuple is a view that is valid only during the call:
+// a hook that keeps it must copy it. A non-nil error aborts Insert with
+// that error; the tuple remains inserted in memory, so hook errors mean
+// "applied but possibly not durable" and callers (the storage tier) must
+// treat the backing journal as failed.
 type AppendHook func(t Tuple, gen uint64) error
 
 // Name returns the relation's predicate name (fixed at creation).
@@ -188,12 +199,75 @@ func (r *Relation) SetAppendHook(h AppendHook) { r.hook = h }
 
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
-	return &Relation{name: name, arity: arity, tuples: map[string]Tuple{}}
+	return &Relation{name: name, arity: arity}
+}
+
+// keyLocked returns the stored Key bytes of row id. Callers hold r.mu.
+func (r *Relation) keyLocked(id uint64) string {
+	l := r.locs[id]
+	return r.chunks[l.chunk][l.off : l.off+l.n]
+}
+
+// findLocked looks key, whose maphash is h, up in the tuple set. It returns
+// the slot holding key's row, or the empty slot where it would go, and
+// whether the row is there. The set must be non-empty. Callers hold r.mu.
+func (r *Relation) findLocked(key []byte, h uint64) (int, bool) {
+	tag := h >> 32
+	mask := len(r.set) - 1
+	for i := int(tag >> (32 - r.setBits)); ; i = (i + 1) & mask {
+		e := r.set[i]
+		if e == 0 {
+			return i, false
+		}
+		if e>>32 == tag && r.keyLocked(e&math.MaxUint32-1) == string(key) {
+			return i, true
+		}
+	}
+}
+
+// growSetLocked doubles the tuple set (or creates it), re-placing every
+// entry by its tag. Callers hold r.mu.
+func (r *Relation) growSetLocked() {
+	old := r.set
+	r.setBits = max(3, r.setBits+1)
+	r.set = make([]uint64, 1<<r.setBits)
+	mask := len(r.set) - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := int(e >> 32 >> (32 - r.setBits))
+		for r.set[i] != 0 {
+			i = (i + 1) & mask
+		}
+		r.set[i] = e
+	}
+}
+
+// storeLocked copies key into the arena and returns its location. Callers
+// hold r.mu.
+func (r *Relation) storeLocked(key []byte) Loc {
+	n := len(key)
+	if n > arenaChunkBytes {
+		b := append([]byte(nil), key...)
+		r.chunks = append(r.chunks, unsafe.String(unsafe.SliceData(b), n))
+		return Loc{chunk: uint32(len(r.chunks) - 1), n: uint32(n)}
+	}
+	if r.chunks == nil || len(r.free) < n {
+		r.size = max(n, min(2*r.size, arenaChunkBytes))
+		b := make([]byte, r.size)
+		r.chunks = append(r.chunks, unsafe.String(unsafe.SliceData(b), len(b)))
+		r.free, r.freeChunk, r.freeOff = b, uint32(len(r.chunks)-1), 0
+	}
+	copy(r.free, key)
+	l := Loc{chunk: r.freeChunk, off: r.freeOff, n: uint32(n)}
+	r.free, r.freeOff = r.free[n:], r.freeOff+uint32(n)
+	return l
 }
 
 // Insert adds a tuple (set semantics). It reports whether the tuple was new
 // and returns an error on arity mismatch. A new tuple is copied into the
-// relation's arenas, so the caller keeps ownership of t and its values.
+// relation's arena, so the caller keeps ownership of t and its values.
 // The insert bumps the generation counter.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != r.arity {
@@ -201,20 +275,33 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	}
 	var buf [128]byte
 	k := t.appendKey(buf[:0])
+	h := maphash.Bytes(hashSeed, k)
 	r.mu.Lock()
-	if _, ok := r.tuples[string(k)]; ok {
+	if len(r.locs) >= maxRows || len(k) > math.MaxUint32 {
+		r.mu.Unlock()
+		return false, fmt.Errorf("rel: %s: row of %d bytes does not fit after %d rows", r.name, len(k), len(r.locs))
+	}
+	if 4*(len(r.locs)+1) > 3*len(r.set) {
+		r.growSetLocked()
+	}
+	slot, found := r.findLocked(k, h)
+	if found {
 		r.mu.Unlock()
 		return false, nil
 	}
-	key, cp := r.storeLocked(k, t)
-	r.tuples[key] = cp
-	r.log = append(r.log, cp)
-	r.gen.Add(1)
-	if h := r.hook; h != nil {
-		// Still under the lock: the hook sees inserts in exactly the log's
-		// order, which is what lets the durable tier mirror the log frame
-		// for frame.
-		if err := h(cp, r.gen.Load()); err != nil {
+	id := len(r.locs)
+	r.locs = append(r.locs, r.storeLocked(k))
+	r.set[slot] = h>>32<<32 | uint64(id+1)
+	gen := r.gen.Add(1)
+	if hook := r.hook; hook != nil {
+		// Still under the lock: the hook sees inserts in exactly the
+		// insertion order, which is what lets the durable tier mirror the
+		// relation frame for frame.
+		if r.view == nil {
+			r.view = make(Tuple, r.arity)
+		}
+		SplitKey(r.keyLocked(uint64(id)), r.view)
+		if err := hook(r.view, gen); err != nil {
 			r.mu.Unlock()
 			return true, err
 		}
@@ -225,56 +312,49 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 
 // Version returns the number of inserts so far: monotonic, bumped once per
 // new tuple, never by duplicates. Cache keys and the netpeer gens
-// piggyback are built from this value; together with AddedSince it lets
-// derived structures (engine indexes) catch up incrementally.
+// piggyback are built from this value; together with Rows it lets derived
+// structures (engine indexes) catch up incrementally.
 func (r *Relation) Version() uint64 { return r.gen.Load() }
 
-// AddedSince returns the tuples inserted after version v, in insertion
-// order. Callers must not mutate the result. Tuples are never deleted, so
-// the log suffix log[v:] is exactly what changed since version v, and
-// AddedSince(0) enumerates the whole relation without paying a sort.
-func (r *Relation) AddedSince(v uint64) []Tuple {
+// Rows returns a snapshot of the relation's rows. Tuples are never
+// deleted, so the rows past a snapshot's first v are exactly what the
+// relation gained since Version v.
+func (r *Relation) Rows() Rows {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if v > uint64(len(r.log)) {
-		return nil
-	}
-	return r.log[v:]
+	return Rows{chunks: r.chunks[:len(r.chunks):len(r.chunks)], locs: r.locs[:len(r.locs):len(r.locs)]}
 }
 
 // Contains reports tuple membership.
 func (r *Relation) Contains(t Tuple) bool {
 	var buf [128]byte
 	k := t.appendKey(buf[:0])
+	h := maphash.Bytes(hashSeed, k)
 	r.mu.Lock()
-	_, ok := r.tuples[string(k)]
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.set == nil {
+		return false
+	}
+	_, ok := r.findLocked(k, h)
 	return ok
 }
 
 // Len returns the cardinality.
-func (r *Relation) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.tuples)
-}
+func (r *Relation) Len() int { return int(r.gen.Load()) }
 
-// Tuples returns the tuples in column-wise (Compare) order. The result is
-// cached per Version and shared: callers must not mutate it.
+// Tuples returns the tuples in column-wise (Compare) order, built on each
+// call: the caller owns the result. The values are substrings of the
+// relation's arena.
 func (r *Relation) Tuples() []Tuple {
-	r.sortedMu.Lock()
-	defer r.sortedMu.Unlock()
-	// Read the version before snapshotting: a cache built here can only
-	// ever hold tuples beyond v, never miss one at v, so a stale entry is
-	// impossible (any extra tuple implies a later Version() > v, which
-	// forces a rebuild).
-	v := r.Version()
-	if r.sorted != nil && r.sortedVer == v {
-		return r.sorted
+	rs := r.Rows()
+	out := make([]Tuple, rs.Len())
+	vals := make([]string, rs.Len()*r.arity)
+	for i, l := range rs.locs {
+		t := Tuple(vals[i*r.arity : (i+1)*r.arity : (i+1)*r.arity])
+		SplitKey(rs.Key(l), t)
+		out[i] = t
 	}
-	out := append(make([]Tuple, 0, v), r.AddedSince(0)...)
 	SortTuples(out)
-	r.sorted, r.sortedVer = out, v
 	return out
 }
 
@@ -332,7 +412,7 @@ func (ins *Instance) SetAppendHook(f HookFactory) {
 }
 
 // Clone returns a deep copy of the instance, preserving every relation's
-// log order and generation counter (so generation-keyed caches carry
+// insertion order and generation counter (so generation-keyed caches carry
 // over). The copy carries no append hooks.
 func (ins *Instance) Clone() *Instance {
 	ins.mu.RLock()
@@ -342,17 +422,16 @@ func (ins *Instance) Clone() *Instance {
 		// Build the copy fully formed before publishing it: the fresh
 		// relation is unshared, so only the source's lock is needed.
 		r.mu.Lock()
-		tuples := make(map[string]Tuple, len(r.tuples))
-		for k, t := range r.tuples {
-			tuples[k] = t
-		}
-		// The copy shares the source's stored rows, which are never written
-		// again, but gets arenas of its own.
+		// The copy shares the source's chunks and row locations, which are
+		// never written again; full-slice expressions make either side's
+		// later appends reallocate. Its free tail is empty, so its first
+		// row opens a chunk of its own.
 		nr := &Relation{
-			name: name, arity: r.arity, tuples: tuples,
-			// Full-slice expression: later appends to either log must not
-			// share backing storage.
-			log: r.log[:len(r.log):len(r.log)],
+			name: name, arity: r.arity,
+			chunks: r.chunks[:len(r.chunks):len(r.chunks)],
+			locs:   r.locs[:len(r.locs):len(r.locs)],
+			set:    slices.Clone(r.set), setBits: r.setBits,
+			size: r.size,
 		}
 		nr.gen.Store(r.gen.Load())
 		r.mu.Unlock()
