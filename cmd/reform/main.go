@@ -78,9 +78,9 @@ func run(path, queryArg string, exec bool, first int, tree bool) error {
 		}
 		dur := time.Since(start)
 		fmt.Printf("  classification: %s\n", out.Classification)
-		fmt.Printf("  tree: %d nodes (%d goal, %d rule), %d pruned, %d memo hits, %d dead ends\n",
+		fmt.Printf("  tree: %d nodes (%d goal, %d rule), %d pruned, %d memo hits, %d dead ends, %d recursion cuts\n",
 			out.Stats.Nodes(), out.Stats.GoalNodes, out.Stats.RuleNodes,
-			out.Stats.PrunedUnsat, out.Stats.MemoHits, out.Stats.DeadEnds)
+			out.Stats.PrunedUnsat, out.Stats.MemoHits, out.Stats.DeadEnds, out.Stats.RecursionCuts)
 		fmt.Printf("  rewritings: %d (in %v)\n", out.UCQ.Len(), dur)
 		for _, d := range out.UCQ.Disjuncts {
 			fmt.Printf("    %s\n", d)

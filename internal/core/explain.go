@@ -45,9 +45,9 @@ func (r *Reformulator) ExplainTree(q lang.CQ, maxLines int) (string, error) {
 			}
 			fmt.Fprintf(&sb, "%sgoal %s%s\n", indent, b.langAtom(n.label), marker)
 		case ruleNode:
-			desc := n.descID
-			if desc == "" {
-				desc = "query"
+			desc := "query"
+			if n.desc >= 0 {
+				desc = b.cat.descs[n.desc]
 			}
 			var extras []string
 			if len(n.unc) > 0 {

@@ -48,7 +48,7 @@ type mcd struct {
 type former struct {
 	view     *view
 	goals    []*node
-	required atom
+	required []term
 	covered  []bool
 	bind     []binding
 	uf       []binding
@@ -78,9 +78,10 @@ var dcStem = []string{"dc"}
 
 // formMCDs computes all MCDs for goal target with respect to its sibling
 // conjunction goals and the view, pushing them onto b.mcds; they are
-// b.mcds[start:end]. required is the atom whose variables the surrounding
-// context must be able to recover.
-func (b *builder) formMCDs(goals []*node, target *node, required atom, v *view) (start, end int) {
+// b.mcds[start:end]. required lists the variables the context outside the
+// goals needs (their rule node's need): they must map to view head
+// variables or constants.
+func (b *builder) formMCDs(goals []*node, target *node, required []term, v *view) (start, end int) {
 	f := &b.f
 	f.view, f.goals, f.required, f.base = v, goals, required, noTerm
 	f.covered = f.covered[:0]
@@ -194,7 +195,7 @@ func (b *builder) close() {
 				continue
 			}
 			// x maps to an existential witness. It must not be required …
-			if f.required.has(x) {
+			if slices.Contains(f.required, x) {
 				return
 			}
 			// … and every goal mentioning x must be covered by this MCD.

@@ -42,7 +42,7 @@ func form(t *testing.T, goals []lang.Atom, target int, required []string, head l
 	for i := range cq.body {
 		nodes[i] = &node{label: cq.body[i]}
 	}
-	start, end := b.formMCDs(nodes, nodes[target], cq.head, view)
+	start, end := b.formMCDs(nodes, nodes[target], cq.head.args, view)
 	var out []langMCD
 	for _, m := range b.mcds[start:end] {
 		lm := langMCD{covered: m.covered, atom: b.langAtom(m.atom), export: lang.NewSubst(), comps: b.langComps(nil, m.comps)}

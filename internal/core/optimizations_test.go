@@ -59,11 +59,11 @@ fact S.w2("k", "c")
 	oracleCheck(t, src, `q(x, y) :- A:P1(x, s), A:P2(s, y)`, Options{})
 }
 
-// TestPropagateUpKillsConflictingGoal: every expansion of A:R carries a
+// TestUnsatLabelKillsConflictingGoal: every expansion of A:R carries a
 // range constraint incompatible with the query's, so A:R is a dead end
 // found during construction: its two expansions are pruned by their
 // unsatisfiable labels and the tree stops at 3 nodes.
-func TestPropagateUpKillsConflictingGoal(t *testing.T) {
+func TestUnsatLabelKillsConflictingGoal(t *testing.T) {
 	src := `
 storage S.low(x) in A:R(x), x < 10
 storage S.mid(x) in A:R(x), x < 50
@@ -124,11 +124,11 @@ func judge(t *testing.T, n *ppl.PDMS, data *rel.Instance, q lang.CQ, opts Option
 	return out.Stats
 }
 
-// TestPropagateUpNeutralWithoutComparisons: on comparison-free workloads
+// TestUnsatPruningNeutralWithoutComparisons: on comparison-free workloads
 // the constraint machinery (unsatisfiable-label pruning during
 // construction, unsatisfiable-rewriting discards during extraction) must
 // never fire, and the answers must be the chase's.
-func TestPropagateUpNeutralWithoutComparisons(t *testing.T) {
+func TestUnsatPruningNeutralWithoutComparisons(t *testing.T) {
 	w, err := workload.Generate(workload.Params{
 		Peers: 12, Diameter: 3, DefRatio: 0.25, FactsPerStore: 3, DomainSize: 3, Seed: 4,
 	})
@@ -171,14 +171,34 @@ fact S0.s("c", "c")
 	}
 }
 
+// TestMemoSkipsDeadEndsUnderComparisons: B:S(x) is a dead end below the
+// first rule, whose x < 5 contradicts the storage description's x > 10,
+// and a live goal below the second rule, whose context is otherwise the
+// same. The memo key leaves out the constraint label, so the dead end must
+// not be recorded: answering the second goal from the memo lost the
+// certain answer (20).
+func TestMemoSkipsDeadEndsUnderComparisons(t *testing.T) {
+	src := `
+define A:R(x) :- B:S(x), x < 5
+define A:R(x) :- B:S(x)
+storage S.s(x) in B:S(x), x > 10
+fact S.s("20")
+`
+	rows, out := oracleCheck(t, src, `q(x) :- A:R(x)`, Options{})
+	if len(rows) != 1 || out.Stats.MemoHits != 0 {
+		t.Fatalf("rows %v, stats %+v; want the certain answer (20) and no memo hit", rows, out.Stats)
+	}
+}
+
 // TestMemoFiresOnDeadEndWorkload: with reduced store coverage, repeated
 // dead-end patterns produce memo hits once the hopeless-predicate prune
-// (which otherwise kills them first, leaving a 4-node tree) is off: 18 hits
-// and 156 nodes, where building each again makes 300. The memo key is the
-// full expansion context (parent label, self label, siblings), so contexts
-// must actually recur for hits: pure-inclusion workloads (dd=0) have
-// single-child rule nodes below the query, whose contexts repeat across
-// replicated paths.
+// (which otherwise kills them first, leaving a 4-node tree) is off: 13 hits
+// and 120 nodes, where building each again makes 300. The memo key is the
+// full expansion context (self label, siblings, the variables the context
+// needs), so contexts must actually recur for hits: pure-inclusion
+// workloads (dd=0) have single-child rule nodes below the query, whose
+// contexts repeat across replicated paths. The key names no parent goal, so
+// a dead context found under one parent answers for every other.
 func TestMemoFiresOnDeadEndWorkload(t *testing.T) {
 	w, err := workload.Generate(workload.Params{
 		Peers: 20, Diameter: 5, DefRatio: 0, StoreCoverage: 0.4, Seed: 6,
@@ -186,8 +206,8 @@ func TestMemoFiresOnDeadEndWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := judge(t, w.PDMS, w.Data, w.Query, Options{NoPruneSubsumed: true}); st.MemoHits != 18 || st.Nodes() != 156 {
-		t.Fatalf("stats = %+v (nodes %d), want 18 memo hits, 156 nodes", st, st.Nodes())
+	if st := judge(t, w.PDMS, w.Data, w.Query, Options{NoPruneSubsumed: true}); st.MemoHits != 13 || st.Nodes() != 120 {
+		t.Fatalf("stats = %+v (nodes %d), want 13 memo hits, 120 nodes", st, st.Nodes())
 	}
 }
 

@@ -144,6 +144,84 @@ fact LH.beds("b1")
 	}
 }
 
+// TestLocalExistentialMapsToViewExistential: an MCD may map a goal
+// variable to a view's existential variable unless the rewriting needs it
+// outside the goal's subtree (MiniCon's rule). Query A(0) leaves A
+// existential, so B:S(0, A), reached through V(0, A), may use the first
+// mapping, whose A is existential, and the tree reaches C.t. Requiring
+// every variable of the parent goal's label used to block that MCD on the
+// inclusion and the definitional path alike, losing the rewriting over
+// C.t. When A is distinguished, or joined with a goal outside the
+// subtree, the MCD stays blocked and only the D.r rewritings remain. The
+// chase judges each case.
+func TestLocalExistentialMapsToViewExistential(t *testing.T) {
+	src := `
+include C:T(x, w) in B:S(0, A)
+include B:S(x, y) in A:R(x, y)
+storage C.t(x, y) in C:T(x, y)
+storage D.r(x, y) in A:R(x, y)
+fact C.t("", "")
+fact D.r("0", "5")
+fact D.r("5", "1")
+`
+	for _, c := range []struct {
+		query      string
+		rewritings int
+	}{
+		{`A(0) :- A:R(0, A)`, 2},
+		{`q(A) :- A:R(0, A)`, 1},
+		{`q(z) :- A:R(0, A), A:R(A, z)`, 1},
+	} {
+		rows, out := oracleCheck(t, src, c.query, Options{})
+		if len(rows) != 1 || out.Stats.Rewritings != c.rewritings {
+			t.Fatalf("%s: rows %v, %d rewritings %v; want 1 row, %d rewritings", c.query, rows, out.Stats.Rewritings, out.UCQ, c.rewritings)
+		}
+	}
+	// Without D.r, the C.t rewriting alone answers A(0), whether B:S(0, A)
+	// is reached through an inclusion or a definitional expansion.
+	for _, via := range []string{`include B:S(x, y) in A:R(x, y)`, `define A:R(x, y) :- B:S(x, y)`} {
+		rows, _ := oracleCheck(t, via+`
+include C:T(x, w) in B:S(0, A)
+storage C.t(x, y) in C:T(x, y)
+fact C.t("", "")
+`, `A(0) :- A:R(0, A)`, Options{})
+		if len(rows) != 1 {
+			t.Fatalf("via %s: rows = %v, want the certain answer (0)", via, rows)
+		}
+	}
+}
+
+// TestRecursionCutCounted: the once-per-path rule lets the recursive rule
+// of a transitive closure unfold once on each path, so the union covers
+// paths of one and two edges only. Of the chain's 10 certain answers the
+// rewritings find 7. The counter records the one cut: the recursive rule,
+// banned below its own expansion. Nothing else about the tree changes.
+func TestRecursionCutCounted(t *testing.T) {
+	src := `
+define G:T(x, z) :- G:E(x, z)
+define G:T(x, z) :- G:E(x, y), G:T(y, z)
+storage S.e(x, y) in G:E(x, y)
+fact S.e("1", "2")
+fact S.e("2", "3")
+fact S.e("3", "4")
+fact S.e("4", "5")
+`
+	r, res := setup(t, src, Options{})
+	out := reform(t, r, `q(x, z) :- G:T(x, z)`)
+	rows := evalReformulated(t, out, res.Data)
+	q, err := parser.ParseQuery(`q(x, z) :- G:T(x, z)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := chase.CertainAnswers(res.PDMS, res.Data, q, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 7 || len(want) != 10 || out.Stats.RecursionCuts != 1 {
+		t.Fatalf("%d answers (chase %d), stats %+v; want 7 of 10 and 1 recursion cut", len(rows), len(want), out.Stats)
+	}
+}
+
 func TestTransitiveChainGAVandLAV(t *testing.T) {
 	// Example 1.1's transitive evaluation: C stores data; inclusions chain
 	// C → B → A; the query at A must reach C's store.

@@ -21,14 +21,9 @@ const (
 
 // node is a rule-goal tree node.
 type node struct {
-	kind nodeKind
-
 	// label is the atom of a goal node.
 	label atom
 
-	// descID is the description that created a rule node (empty for the
-	// query's own rule node).
-	descID string
 	// comps are the comparison predicates contributed by the description
 	// instance at this rule node (already instantiated).
 	comps []comparison
@@ -43,6 +38,11 @@ type node struct {
 	// sibling goal nodes of the parent that the MCD covers (always
 	// including the parent goal itself) — the paper's unc(n) label.
 	unc []*node
+	// need, for a rule node, lists the variables of its subgoals that the
+	// rewriting needs outside the subtree of its goal (see needed): the
+	// only ones an MCD formed for a subgoal must map to view head
+	// variables.
+	need []term
 
 	// children: for a goal node, its alternative expansions (rule nodes);
 	// for a rule node, its subgoals (goal nodes).
@@ -53,6 +53,10 @@ type node struct {
 	// this node (shared with the parent when unchanged).
 	banned bitset
 
+	// desc is the catalog index of the description that created a rule
+	// node (-1 for the query's own rule node).
+	desc int32
+	kind nodeKind
 	// stored marks goal nodes over stored relations (leaves).
 	stored bool
 	// dead marks goal nodes that cannot contribute any rewriting (no
@@ -98,6 +102,7 @@ type Stats struct {
 	PrunedEmpty    int // expansions skipped over never-groundable predicates
 	PrunedSubsumed int // duplicate-description expansions skipped
 	MemoHits       int // goal expansions skipped by the unproductive-memo
+	RecursionCuts  int // definitional expansions cut: description already used on the path
 	DeadEnds       int // goal nodes with no productive expansion
 	UselessSkipped int // subgoals skipped by the useless-path rule
 	Rewritings     int // conjunctive rewritings emitted
@@ -176,8 +181,10 @@ type builder struct {
 	conts  []cont
 	yield  func(lang.CQ) bool
 
-	// label is scratch for constrain's constraint labels.
+	// label is scratch for constrain's constraint labels, vars for
+	// needed's variable list.
 	label []lang.Comparison
+	vars  []term
 
 	// The tree is carved from these arenas.
 	nodes []node
@@ -228,7 +235,8 @@ func (r *Reformulator) build(q lang.CQ, sp *obs.Span) (*node, *builder, error) {
 	root.label, b.head = cq.head, cq.head
 	b.stats.GoalNodes++
 	qr := b.newNode(ruleNode, root)
-	qr.comps = cq.comps
+	qr.desc, qr.comps = -1, cq.comps
+	qr.need = b.needed(root, nil, cq.body, cq.comps, nil)
 	b.stats.RuleNodes++
 	root.children = carve(&b.ptrs, 1)
 	root.children[0] = qr
@@ -431,13 +439,12 @@ func (b *builder) uselessSibling(rn *node, gn *node) *node {
 // contextKey canonicalizes a goal node for the unproductive-memo. A goal's
 // expansions depend not only on its own label but on its whole rule-node
 // context: its siblings (MCD closure may need to cover them) and the
-// required variables (the parent goal's label). The key therefore
-// canonicalizes [parent-goal label; self label; sibling labels in order]
+// variables the context needs (its rule node's need). The key therefore
+// canonicalizes [self label; sibling labels in order; needed variables]
 // with variables numbered by first occurrence — two goals with equal keys
 // have isomorphic expansion problems.
 func (b *builder) contextKey(n *node) []byte {
 	b.keybuf = b.keybuf[:0]
-	b.putAtom(n.parent.parent.label, false)
 	b.putAtom(n.label, false)
 	b.putInt(uint64(len(n.parent.children)))
 	for _, sib := range n.parent.children {
@@ -445,7 +452,67 @@ func (b *builder) contextKey(n *node) []byte {
 			b.putAtom(sib.label, false)
 		}
 	}
+	// The needed variables all occur in the labels just written, so their
+	// numbers, ascending, name them.
+	for i, v := range b.numbered {
+		if slices.Contains(n.parent.need, v) {
+			b.putInt(uint64(i))
+		}
+	}
 	return b.endKey()
+}
+
+// needed returns the variables of body, the subgoals goal n expands into,
+// that the rewriting needs outside n's subtree — MiniCon's rule for which
+// goal variables must stay recoverable. A variable is needed when the rule
+// node above n needs it, when it occurs in a sibling of n the expansion
+// does not cover (covered indexes the siblings an MCD covers), in the
+// expansion's comparisons, or as the image of a needed variable under the
+// expansion's export. The root, labelled by the query head, needs the
+// head's variables. A variable used only inside n's subtree is not needed,
+// so an MCD may map it to a view's existential variable.
+func (b *builder) needed(n *node, covered []int, body []atom, comps []comparison, export []binding) []term {
+	b.vars = b.vars[:0]
+	for _, a := range body {
+		for i, t := range a.args {
+			if !a.firstVar(i) || slices.Contains(b.vars, t) {
+				continue
+			}
+			need := neededOutside(n, covered, t)
+			for _, c := range comps {
+				need = need || c.l == t || c.r == t
+			}
+			for _, e := range export {
+				need = need || e.t == t && neededOutside(n, covered, e.v)
+			}
+			if need {
+				b.vars = append(b.vars, t)
+			}
+		}
+	}
+	out := carve(&b.terms, len(b.vars))
+	copy(out, b.vars)
+	return out
+}
+
+// neededOutside reports whether the rewriting needs variable t outside
+// goal n's subtree when n's expansion covers the siblings indexed by
+// covered: the rule node above n needs t, or an uncovered sibling holds it.
+// At the root, the head's variables are needed.
+func neededOutside(n *node, covered []int, t term) bool {
+	rn := n.parent
+	if rn == nil {
+		return n.label.has(t)
+	}
+	if slices.Contains(rn.need, t) {
+		return true
+	}
+	for i, sib := range rn.children {
+		if sib != n && sib.label.has(t) && !slices.Contains(covered, i) {
+			return true
+		}
+	}
+	return false
 }
 
 // memoUnproductive reports whether the memo proves n unproductive: some
@@ -514,6 +581,9 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 	// Case 1: definitional expansion (GAV-style).
 	for _, ru := range pi.rules {
 		if !ru.fromInclusion && n.banned.has(ru.desc) {
+			// The once-per-path rule cuts a recursive definition here; a
+			// finite union cannot hold its fixpoint.
+			b.stats.RecursionCuts++
 			continue
 		}
 		if b.definitionalChild(n, ru, maxNodes, ns, sigs) {
@@ -531,7 +601,7 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		if n.banned.has(v.desc) {
 			continue
 		}
-		start, end := b.formMCDs(parent.children, n, parent.parent.label, v)
+		start, end := b.formMCDs(parent.children, n, parent.need, v)
 		for i := start; i < end; i++ {
 			if b.inclusionChild(n, v, b.mcds[i], maxNodes, ns, sigs) {
 				productive = true
@@ -555,10 +625,25 @@ func (b *builder) expand(n *node, maxNodes int, sp *obs.Span) bool {
 		ns.Set("dead", "true")
 		// Only descriptions reachable from this predicate can influence
 		// the subtree; restricting the ban set to that cone makes memo
-		// entries comparable across unrelated branches.
-		b.memoRecord(b.contextKey(n), n.banned.within(pi.reach))
+		// entries comparable across unrelated branches. The key leaves out
+		// the constraint label, so a goal under comparisons, whose
+		// expansions the label may have pruned, records nothing.
+		if !labelled(n) {
+			b.memoRecord(b.contextKey(n), n.banned.within(pi.reach))
+		}
 	}
 	return productive
+}
+
+// labelled reports whether goal n's constraint label is non-empty: some
+// rule node above it carries comparisons.
+func labelled(n *node) bool {
+	for rn := n.parent; rn != nil; rn = rn.parent.parent {
+		if len(rn.comps) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // constrain reports whether an expansion of goal n that contributes comps
@@ -648,7 +733,8 @@ func (b *builder) definitionalChild(n *node, ru *rule, maxNodes int, sp *obs.Spa
 		banned = b.ban(n.banned, ru.desc)
 	}
 	rn := b.newNode(ruleNode, n)
-	rn.descID, rn.comps, rn.export, rn.banned = ru.id, comps, export, banned
+	rn.desc, rn.comps, rn.export, rn.banned = int32(ru.desc), comps, export, banned
+	rn.need = b.needed(n, nil, b.body, comps, export)
 	b.stats.RuleNodes++
 	rn.children = carve(&b.ptrs, len(b.body))
 	for i, ga := range b.body {
@@ -680,6 +766,7 @@ func (b *builder) inclusionChild(n *node, v *view, m mcd, maxNodes int, sp *obs.
 	if !b.constrain(n, m.comps) {
 		return false
 	}
+	b.body = append(b.body[:0], m.atom)
 	slot := -1
 	if sigs >= 0 {
 		if !b.cat.preds[m.atom.pred].ground {
@@ -688,7 +775,6 @@ func (b *builder) inclusionChild(n *node, v *view, m mcd, maxNodes int, sp *obs.
 			b.stats.PrunedEmpty++
 			return false
 		}
-		b.body = append(b.body[:0], m.atom)
 		key := b.childSig(n, v.desc, b.body, m.comps, m.export, m.covered)
 		if prod, dup := b.seenSig(sigs, key); dup {
 			b.stats.PrunedSubsumed++
@@ -698,7 +784,8 @@ func (b *builder) inclusionChild(n *node, v *view, m mcd, maxNodes int, sp *obs.
 	}
 	banned := b.ban(n.banned, v.desc)
 	rn := b.newNode(ruleNode, n)
-	rn.descID, rn.comps, rn.export, rn.banned = v.id, m.comps, m.export, banned
+	rn.desc, rn.comps, rn.export, rn.banned = int32(v.desc), m.comps, m.export, banned
+	rn.need = b.needed(n, m.covered, b.body, m.comps, m.export)
 	b.stats.RuleNodes++
 	// unc: the sibling goal nodes covered by the MCD.
 	rn.unc = carve(&b.ptrs, len(m.covered))

@@ -434,17 +434,7 @@ func TestPoolCapsDialStorm(t *testing.T) {
 // server's shed counter and the client pool's retry counter agree exactly.
 func TestBusyRetryMasksShedding(t *testing.T) {
 	data := rel.NewInstance()
-	// Enough bytes that streaming the scan overflows the loopback socket
-	// buffers: the unread response blocks the server mid-stream, holding
-	// the admission slot for as long as the consumer stalls.
-	row := make(rel.Tuple, 2)
-	row[1] = string(make([]byte, 256))
-	for i := 0; i < 40000; i++ {
-		row[0] = fmt.Sprintf("k%06d", i)
-		if _, err := data.Add("A.big", row); err != nil {
-			t.Fatal(err)
-		}
-	}
+	addPinnable(t, data, "A.big")
 	srv := NewServer(data)
 	srv.MaxInflight = 1
 	srv.MaxQueue = 0
@@ -455,22 +445,9 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	// The slow consumer: request the big scan, read nothing yet.
-	slow, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	b, _ := json.Marshal(wire.Request{Op: "scan", Pred: "A.big"})
-	if _, err := slow.Write(append(b, '\n')); err != nil {
-		t.Fatal(err)
-	}
+	slow := slowConsumer(t, addr, "A.big")
+	waitFor(t, "the slow consumer to occupy the slot", func() bool { return srv.admMetrics.inflight.Load() == 1 })
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.admMetrics.inflight.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow consumer never occupied the slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
 
 	ex := NewExecutor()
 	ex.busyRetries = 10000 // effectively retry-until-admitted for this test
@@ -642,17 +619,7 @@ func TestRedialWaitHandsOffAndCountsOnce(t *testing.T) {
 // rest of its (effectively unbounded) retry budget.
 func TestCloseAbortsBusyBackoff(t *testing.T) {
 	data := rel.NewInstance()
-	// Enough bytes that streaming the scan overflows the loopback socket
-	// buffers: the unread response blocks the server mid-stream, holding
-	// the admission slot for as long as the consumer stalls.
-	row := make(rel.Tuple, 2)
-	row[1] = string(make([]byte, 256))
-	for i := 0; i < 40000; i++ {
-		row[0] = fmt.Sprintf("k%06d", i)
-		if _, err := data.Add("A.big", row); err != nil {
-			t.Fatal(err)
-		}
-	}
+	addPinnable(t, data, "A.big")
 	srv := NewServer(data)
 	srv.MaxInflight = 1
 	srv.MaxQueue = 0
@@ -662,22 +629,9 @@ func TestCloseAbortsBusyBackoff(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	slow, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	b, _ := json.Marshal(wire.Request{Op: "scan", Pred: "A.big"})
-	if _, err := slow.Write(append(b, '\n')); err != nil {
-		t.Fatal(err)
-	}
+	slow := slowConsumer(t, addr, "A.big")
+	waitFor(t, "the slow consumer to occupy the slot", func() bool { return srv.admMetrics.inflight.Load() == 1 })
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.admMetrics.inflight.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow consumer never occupied the slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
 
 	ex := NewExecutor()
 	t.Cleanup(func() { ex.Close() })

@@ -1,14 +1,11 @@
 package netpeer
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	"repro/internal/rel"
-	"repro/internal/wire"
 )
 
 // TestSlowStreamDoesNotConvoyServer is the regression test for a convoy
@@ -30,14 +27,7 @@ func TestSlowStreamDoesNotConvoyServer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Big enough that streaming it write-blocks once the reader stalls.
-	big := rel.Tuple{"", string(make([]byte, 256))}
-	for i := 0; i < 40000; i++ {
-		big[0] = fmt.Sprintf("b%06d", i)
-		if _, err := data.Add("A.big", big); err != nil {
-			t.Fatal(err)
-		}
-	}
+	addPinnable(t, data, "A.big")
 	srv := NewServer(data)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -48,15 +38,7 @@ func TestSlowStreamDoesNotConvoyServer(t *testing.T) {
 	// The slow consumer: request the big scan, read nothing. The server's
 	// stream stalls once the socket buffers fill — detected as bytes_sent
 	// going flat while the response is still unfinished.
-	slow, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { slow.Close() })
-	b, _ := json.Marshal(wire.Request{Op: "scan", Pred: "A.big"})
-	if _, err := slow.Write(append(b, '\n')); err != nil {
-		t.Fatal(err)
-	}
+	slowConsumer(t, addr, "A.big")
 	deadline := time.Now().Add(10 * time.Second)
 	var prev uint64
 	for {

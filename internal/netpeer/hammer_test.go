@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,33 +17,61 @@ import (
 	"repro/internal/wire"
 )
 
+// addPinnable adds to data a relation pred big enough that its scan
+// overflows the loopback socket buffers: a client that requests it and
+// stops reading blocks the server mid-stream, holding the request's
+// admission slot for as long as it stalls. Its 20 MB of frames are five
+// times the default maximum TCP send buffer; the payload needs no JSON
+// escaping, so draining it stays cheap.
+func addPinnable(t testing.TB, data *rel.Instance, pred string) {
+	t.Helper()
+	row := rel.Tuple{"", strings.Repeat("x", 512)}
+	for i := 0; i < 40000; i++ {
+		row[0] = fmt.Sprintf("b%06d", i)
+		if _, err := data.Add(pred, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// slowConsumer dials addr and sends a scan of bigPred, reading nothing:
+// once the server is blocked streaming the answer, the connection pins
+// one admission slot. It is closed at cleanup.
+func slowConsumer(t *testing.T, addr, bigPred string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	b, _ := json.Marshal(wire.Request{Op: "scan", Pred: bigPred})
+	if _, err := conn.Write(append(b, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// waitFor polls cond, which reads a server's or an executor's own gauges
+// and counters, until it holds; after 10 s it fails the test naming what.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // pinServerSlots occupies n admission slots of the server at addr with
-// slow consumers: each sends a scan of bigPred and reads nothing, so the
-// server blocks streaming the response and the slot stays held. It returns
-// a release function that drains the consumers (freeing the slots) and
-// waits for them to finish.
+// slow consumers (see slowConsumer). It returns a release function that
+// drains the consumers (freeing the slots) and waits for them to finish.
 func pinServerSlots(t *testing.T, srv *Server, addr, bigPred string, n int) (release func()) {
 	t.Helper()
 	conns := make([]net.Conn, n)
 	for i := range conns {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		b, _ := json.Marshal(wire.Request{Op: "scan", Pred: bigPred})
-		if _, err := conn.Write(append(b, '\n')); err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = conn
+		conns[i] = slowConsumer(t, addr, bigPred)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.admMetrics.inflight.Load() != int64(n) {
-		if time.Now().After(deadline) {
-			t.Fatalf("pinners occupied %d slots, want %d", srv.admMetrics.inflight.Load(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("pinners to occupy %d slots", n), func() bool { return srv.admMetrics.inflight.Load() == int64(n) })
 	return func() {
 		var wg sync.WaitGroup
 		for _, conn := range conns {
@@ -88,16 +117,7 @@ func TestHammerThousandClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A relation big enough that its scan overflows the loopback socket
-	// buffers when the client stops reading — the pinners' lever.
-	big := make(rel.Tuple, 2)
-	big[1] = string(make([]byte, 256))
-	for i := 0; i < 40000; i++ {
-		big[0] = fmt.Sprintf("b%06d", i)
-		if _, err := data.Add("A.big", big); err != nil {
-			t.Fatal(err)
-		}
-	}
+	addPinnable(t, data, "A.big") // the pinners' lever
 	srv := NewServer(data)
 	srv.MaxInflight = 2
 	srv.MaxQueue = 8
@@ -204,9 +224,11 @@ func TestHammerThousandClients(t *testing.T) {
 	if n := srv.requests.Load(); n != clients*opsPerClient+2 {
 		t.Fatalf("server requests = %d, want %d", n, clients*opsPerClient+2)
 	}
-	if inflight, queued := srv.admMetrics.inflight.Load(), srv.admMetrics.queued.Load(); inflight != 0 || queued != 0 {
-		t.Fatalf("gate not drained after hammer: inflight=%d queued=%d", inflight, queued)
-	}
+	// A slot is released after its response is written, so the last client
+	// can return before the server releases: wait for the drain.
+	waitFor(t, "the gate to drain after the hammer", func() bool {
+		return srv.admMetrics.inflight.Load() == 0 && srv.admMetrics.queued.Load() == 0
+	})
 	t.Logf("hammer: %d ok, %d busy, shed=%d, accept_retries=%d",
 		ok.Load(), busy.Load(), shed, srv.acceptRetries.Load())
 }

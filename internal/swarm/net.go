@@ -2,7 +2,6 @@ package swarm
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/netpeer"
 	"repro/internal/rel"
@@ -21,27 +20,11 @@ type Net struct {
 	Addrs    []string
 }
 
-// BootConfig carries per-peer server settings a booted swarm applies before
-// starting each server. The zero value boots servers with admission control
-// off — exactly the harness' differential-test configuration.
-type BootConfig struct {
-	// MaxInflight / MaxQueue / QueueWait configure every peer server's
-	// admission gate (netpeer.Server semantics: 0 MaxInflight disables
-	// admission control).
-	MaxInflight int
-	MaxQueue    int
-	QueueWait   time.Duration
-}
-
 // Boot generates nothing: it takes an already generated Spec, loads the
 // mediator from its specification, starts one server per peer on a
 // loopback listener, and discovers them all into a fresh executor. On any
 // error the partially started swarm is torn down before returning.
-func Boot(spec *Spec) (*Net, error) { return BootWithConfig(spec, BootConfig{}) }
-
-// BootWithConfig is Boot with per-peer server settings (admission control
-// for served swarms driven by an external load generator).
-func BootWithConfig(spec *Spec, bc BootConfig) (*Net, error) {
+func Boot(spec *Spec) (*Net, error) {
 	med, err := pdms.Load(spec.Mediator)
 	if err != nil {
 		return nil, fmt.Errorf("swarm: loading mediator spec: %w", err)
@@ -56,9 +39,6 @@ func BootWithConfig(spec *Spec, bc BootConfig) (*Net, error) {
 			}
 		}
 		srv := netpeer.NewServer(data)
-		srv.MaxInflight = bc.MaxInflight
-		srv.MaxQueue = bc.MaxQueue
-		srv.QueueWait = bc.QueueWait
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			n.Close()

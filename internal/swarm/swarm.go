@@ -5,8 +5,8 @@
 // full pipeline — rule-goal-tree reformulation at the mediator, then
 // distributed execution across the peer servers — and can be compared with a
 // single-process oracle over the same specification and data. This package's
-// tests hold the gates (swarm = oracle, pruned tree < unpruned tree);
-// cmd/bench measures booted swarms; cmd/swarm serves one for cmd/loadgen.
+// tests hold the gates (swarm = oracle, pruned tree < unpruned tree), and
+// cmd/bench measures booted swarms.
 //
 // The generated network deliberately contains the two kinds of waste the
 // core pruner (internal/core, Options.NoPruneSubsumed) removes:

@@ -259,18 +259,6 @@ func TestParamsValidation(t *testing.T) {
 			t.Fatalf("Generate(%+v) succeeded, want error", p)
 		}
 	}
-	if _, err := ParseTopology("ring"); err == nil {
-		t.Fatal("ParseTopology(ring) succeeded")
-	}
-	for _, s := range []string{"chain", "star", "smallworld"} {
-		tp, err := ParseTopology(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tp.String() != s {
-			t.Fatalf("ParseTopology(%q).String() = %q", s, tp)
-		}
-	}
 }
 
 // metricCatalogue is the exact (name, kind) set an executor, a mediator, a

@@ -3,7 +3,6 @@ package swarm
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // Topology selects the shape of the mapping graph a swarm generates. All
@@ -28,7 +27,7 @@ const (
 	SmallWorld
 )
 
-// String returns the name ParseTopology accepts.
+// String returns the topology's name.
 func (t Topology) String() string {
 	switch t {
 	case Chain:
@@ -39,19 +38,6 @@ func (t Topology) String() string {
 		return "smallworld"
 	}
 	return fmt.Sprintf("topology(%d)", int(t))
-}
-
-// ParseTopology parses a topology name (as printed by String).
-func ParseTopology(s string) (Topology, error) {
-	switch strings.ToLower(s) {
-	case "chain":
-		return Chain, nil
-	case "star":
-		return Star, nil
-	case "smallworld", "small-world", "sw":
-		return SmallWorld, nil
-	}
-	return 0, fmt.Errorf("swarm: unknown topology %q (want chain, star or smallworld)", s)
 }
 
 // Edge is one directed mapping edge: data stored under Child is visible at
