@@ -1,7 +1,7 @@
 // Command peerd runs one peer's storage server: it loads the facts from a
-// PPL specification file and serves the stored relations over the
-// newline-delimited JSON/TCP peer protocol (see internal/wire), which the
-// distributed executor consumes.
+// PPL specification file and serves the stored relations over the TCP
+// peer protocol (see internal/wire: JSON requests, JSON response envelopes
+// and binary row blocks), which the distributed executor consumes.
 //
 // Usage:
 //

@@ -51,9 +51,10 @@
 // enumeration hooks behind the netpeer server's chunked responses: they
 // yield distinct tuples as the plan runs (or the rows are walked),
 // materializing nothing beyond the dedup set, so results larger than
-// memory-comfortable frames flow out incrementally. StreamScan and
-// ProbeByKeyBatchYield yield one reused view of each stored row, valid
-// only during the call; StreamCQ yields tuples the caller may keep.
+// memory-comfortable frames flow out incrementally. All three share one
+// contract: each yields one reused view, valid only during the call, so a
+// caller that keeps a tuple copies it (EvalCQSpan copies the head tuples
+// into one exact-size slice of values, ProbeByKeyBatch into blocks).
 //
 // Invalidation. The engine itself never serves stale data — indexes
 // catch up from the relations' rows on every probe. Answer-level

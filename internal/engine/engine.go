@@ -316,8 +316,9 @@ func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 // head binding every body variable does without), so callers can forward
 // rows incrementally — the netpeer server streams eval results over the
 // wire through this hook instead of buffering the whole answer. Returning
-// ErrStop from yield ends the stream without error.
-// The yielded tuple is freshly allocated; callers may keep it.
+// ErrStop from yield ends the stream without error. The yielded tuple is
+// one reused view that is valid only during the call, as StreamScan's and
+// ProbeByKeyBatchYield's are: a caller that keeps it must copy it.
 func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	p, err := e.plan(q.Canonical(), q)
 	if err != nil {
@@ -329,14 +330,15 @@ func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 // stream is StreamCQ for an already-resolved plan. Every body match is a
 // distinct slot assignment, so when the head binds every slot
 // (p.headBindsAll) distinct matches are distinct head tuples and no dedup
-// set is kept; a projection that drops a variable keeps one.
+// set is kept; a projection that drops a variable keeps one. Every head
+// tuple is yielded through one reused view.
 func (e *Engine) stream(p *Plan, yield func(rel.Tuple) error) error {
 	var seen map[string]bool
 	if !p.headBindsAll {
 		seen = map[string]bool{}
 	}
+	head := make(rel.Tuple, len(p.head))
 	err := e.run(p, func(slots []string) error {
-		head := make(rel.Tuple, len(p.head))
 		for i, h := range p.head {
 			if h.slot >= 0 {
 				head[i] = slots[h.slot]
@@ -381,16 +383,25 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	}
 
 	es := sp.Child("exec")
-	var out []rel.Tuple
+	var vals []string // every head tuple's values, back to back
+	n := 0
 	err = e.stream(p, func(t rel.Tuple) error {
-		out = append(out, t)
+		vals = append(vals, t...)
+		n++
 		return nil
 	})
 	es.SetErr(err)
-	es.SetInt("rows", int64(len(out)))
+	es.SetInt("rows", int64(n))
 	es.End()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
+	}
+	// One exact-size copy, so the answers keep no slack.
+	vals = append(make([]string, 0, len(vals)), vals...)
+	out := make([]rel.Tuple, n)
+	a := len(p.head)
+	for i := range out {
+		out[i] = vals[i*a : (i+1)*a : (i+1)*a]
 	}
 	rel.SortTuples(out)
 	return out, nil

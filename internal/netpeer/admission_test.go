@@ -266,7 +266,7 @@ func TestPipelinedResponsesStayOrdered(t *testing.T) {
 	const n = 40 // the whole burst sits in the socket before the first answer
 	var batch []byte
 	for i := 0; i < n; i++ {
-		b, err := json.Marshal(wire.Request{Op: "scan", Pred: fmt.Sprintf("p%d", i)})
+		b, err := json.Marshal(wire.Request{Op: "scan", V: wire.Version, Pred: fmt.Sprintf("p%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestDrainFinishesPipelinedWork(t *testing.T) {
 	defer conn.Close()
 	var batch []byte
 	for i := 0; i < 3; i++ {
-		b, err := json.Marshal(wire.Request{Op: "scan", Pred: fmt.Sprintf("p%d", i)})
+		b, err := json.Marshal(wire.Request{Op: "scan", V: wire.Version, Pred: fmt.Sprintf("p%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,13 +22,13 @@ type Client struct {
 	// out is the buffer each request is encoded into, reused across
 	// requests like frame.
 	out []byte
-	// frame is the buffer each response frame is read into, reused across
-	// frames (dropped by recycle after an oversized one), and dec decodes
-	// it; decoded responses never alias frame.
+	// frame is the buffer each response frame — envelope and row block —
+	// is read into, reused across frames (dropped by recycle after an
+	// oversized one); decoded responses never alias it.
 	frame []byte
-	dec   wire.Decoder
-	// maxFrame caps one received response frame (wire.DefaultMaxFrame);
-	// chunked streaming keeps real frames around wire.ChunkMaxBytes.
+	// maxFrame caps one received response frame, envelope and row block
+	// together (wire.DefaultMaxFrame); chunked streaming keeps real frames
+	// around wire.ChunkMaxBytes.
 	maxFrame int
 	// counters, when non-nil, aggregates this client's traffic (set by the
 	// executor's pool so all pooled connections share one Counters).
@@ -116,12 +116,16 @@ func (c *Client) TraceOn(sp *obs.Span) *Client {
 // final frame delivers no rows, even if a broken peer put some in it.
 func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error) {
 	for {
+		var resp wire.Response
 		var err error
-		c.frame, err = wire.AppendFrame(c.frame[:0], c.br, c.maxFrame)
+		c.frame, err = wire.ReadResponse(c.br, c.frame, c.maxFrame, &resp)
+		n := len(c.frame)
+		c.frame = recycle(c.frame)
 		if err != nil {
-			// Includes ErrFrameTooLarge: the line was consumed, but the
-			// logical response stream is now missing a frame (possibly the
-			// final marker), so the connection cannot be trusted.
+			// Includes an oversized frame, a short or garbled row block and
+			// a version 1 frame: the logical response stream is now missing
+			// a frame (possibly the final marker) or is out of step, so the
+			// connection cannot be trusted.
 			c.broken = true
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return wire.Response{}, fmt.Errorf("netpeer: connection closed")
@@ -129,15 +133,8 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 			return wire.Response{}, err
 		}
 		if c.counters != nil {
-			c.counters.bytesRecv.Add(uint64(len(c.frame)) + 1)
-			c.counters.maxFrame.Max(int64(len(c.frame)))
-		}
-		var resp wire.Response
-		err = c.dec.Decode(c.frame, &resp)
-		c.frame = recycle(c.frame)
-		if err != nil {
-			c.broken = true
-			return wire.Response{}, err
+			c.counters.bytesRecv.Add(uint64(n) + 1)
+			c.counters.maxFrame.Max(int64(n))
 		}
 		if resp.Error != "" {
 			// A remote error frame is final and well-framed: the stream
@@ -183,6 +180,7 @@ func (c *Client) roundTrip(req wire.Request, onRows func([][]string) error) (wir
 	if c.counters != nil {
 		c.counters.requests.Add(1)
 	}
+	req.V = wire.Version
 	if c.traceSpan != nil {
 		req.Trace = c.traceSpan.TraceID()
 		req.Span = c.traceSpan.ID()

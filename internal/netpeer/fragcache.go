@@ -28,9 +28,9 @@ const (
 // plus a fixed per-value overhead approximating Go's slice and string
 // headers. It deliberately overestimates slightly, so the byte budget
 // evicts early rather than late. A row from the wire shares its values
-// with the rest of its response frame (wire.Decoder decodes a frame's rows
-// as substrings of one string), so a cached row keeps that whole string
-// alive. The estimate stays honest because a fragment keeps every row of
+// with the rest of its response frame (wire.ReadResponse decodes a frame's
+// row block into substrings of one string holding the block), so a cached
+// row keeps that whole string alive. The estimate stays honest because a fragment keeps every row of
 // its frames: fragFetch.row drops a row only when a misbehaving server
 // sends one the atom rejects, or a duplicate across bind batches.
 func tupleBytes(t rel.Tuple) int64 {

@@ -23,7 +23,7 @@ func TestRecycleDropsOversizedBuffers(t *testing.T) {
 // far above the chunk bound has been read through it, so one hostile frame
 // does not stay pinned for the life of a pooled connection.
 func TestClientDropsOversizedFrameBuffer(t *testing.T) {
-	frame := func(r wire.Response) []byte { return wire.AppendResponse(nil, &r) }
+	frame := encodeFrame
 	huge := strings.Repeat("x", 2*maxKeptFrameBytes)
 	stream := bytes.Join([][]byte{
 		frame(wire.Response{Rows: [][]string{{"a", "b"}}, More: true}),

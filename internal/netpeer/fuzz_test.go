@@ -3,7 +3,6 @@ package netpeer
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -47,15 +46,15 @@ func fuzzClient(data []byte) *Client {
 // counter, remote error frames leave the connection usable while
 // transport-level failures mark it broken, a clean return is always a
 // final frame, and an unchanged final frame leaves the connection usable
-// and delivers no rows.
+// and delivers no rows, and a version 1 frame, an over-cap or short row
+// block all mark the connection broken.
 func FuzzResponseStream(f *testing.F) {
 	seed := func(frames ...wire.Response) []byte {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
+		var buf []byte
 		for _, fr := range frames {
-			enc.Encode(fr)
+			buf = append(buf, encodeFrame(fr)...)
 		}
-		return buf.Bytes()
+		return buf
 	}
 	f.Add(seed(wire.Response{}))
 	f.Add(seed(
@@ -71,8 +70,12 @@ func FuzzResponseStream(f *testing.F) {
 		wire.Response{Unchanged: true, Preds: []string{"p"}, Gens: []uint64{7}},
 	))
 	f.Add([]byte("not json\n"))
-	f.Add([]byte(`{"more":true}`))                                           // truncated: no final frame
-	f.Add([]byte("{\"rows\":[[\"" + strings.Repeat("x", 1<<16) + "\"]]}\n")) // over the fuzz frame cap
+	f.Add([]byte(`{"more":true}`))                                                               // truncated: no final frame
+	f.Add(seed(wire.Response{Rows: [][]string{{strings.Repeat("x", 1<<16)}}}))                   // over the fuzz frame cap
+	f.Add([]byte("{\"rowBytes\":65537}\n"))                                                      // a block announced above the cap
+	f.Add(bytes.TrimSuffix(seed(wire.Response{Rows: [][]string{{"abc", "def"}}}), []byte("ef"))) // a block cut mid-value
+	f.Add([]byte(`{"rows":[["a"]],"more":true}` + "\n" + `{"preds":["p"]}` + "\n"))              // a version 1 rows frame
+	f.Add(seed(wire.Response{Rows: [][]string{{"\xff\xfe", "\n\"<&>\x00\u2028", ""}, {}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, abandon := range []int{-1, 1} {

@@ -44,7 +44,7 @@ func slowConsumer(t *testing.T, addr, bigPred string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	b, _ := json.Marshal(wire.Request{Op: "scan", Pred: bigPred})
+	b, _ := json.Marshal(wire.Request{Op: "scan", V: wire.Version, Pred: bigPred})
 	if _, err := conn.Write(append(b, '\n')); err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // drains the consumers (freeing the slots) and waits for them to finish.
 func pinServerSlots(t *testing.T, srv *Server, addr, bigPred string, n int) (release func()) {
 	t.Helper()
+	// A request's client can read its final frame before the server has
+	// released its slot; a pinner arriving then would be shed.
+	waitFor(t, "earlier requests to release their slots", func() bool { return srv.admMetrics.inflight.Load() == 0 })
 	conns := make([]net.Conn, n)
 	for i := range conns {
 		conns[i] = slowConsumer(t, addr, bigPred)

@@ -119,6 +119,15 @@ type stubAction struct {
 	closeConn bool
 }
 
+// encodeFrame is r's response frame, its rows in the row block.
+func encodeFrame(r wire.Response) []byte {
+	var block []byte
+	for _, row := range r.Rows {
+		block = wire.AppendBlockRow(block, row)
+	}
+	return wire.AppendResponse(nil, &r, block)
+}
+
 // stubServer speaks raw newline-delimited frames with per-connection
 // scripts: connection i (0-based) runs script[i] if present before falling
 // back to proper protocol handling for the rest of its life. Connections
@@ -173,13 +182,12 @@ func (s *stubServer) accept() {
 					return
 				}
 			}
-			enc := json.NewEncoder(conn)
 			for sc.Scan() {
 				var req wire.Request
 				if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
 					return
 				}
-				if err := enc.Encode(s.respond(req)); err != nil {
+				if _, err := conn.Write(encodeFrame(s.respond(req))); err != nil {
 					return
 				}
 			}
@@ -204,12 +212,9 @@ func evalGoodRespond(req wire.Request) wire.Response {
 // next call read the stale frame as its response and silently returned
 // wrong rows ("stale" instead of "good").
 func TestTransportErrorDropsDesyncedConnection(t *testing.T) {
-	stale, err := json.Marshal(wire.Response{Rows: [][]string{{"stale"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := encodeFrame(wire.Response{Rows: [][]string{{"stale"}}})
 	addr := startStub(t, [][]stubAction{
-		{{reply: "this is not json\n" + string(stale) + "\n"}},
+		{{reply: "this is not json\n" + string(stale)}},
 	}, evalGoodRespond)
 
 	ex := NewExecutor()
@@ -240,12 +245,9 @@ func TestTransportErrorDropsDesyncedConnection(t *testing.T) {
 // request is an idempotent read), not surface a spurious error. The stub's
 // first connection serves one request correctly and then hangs up.
 func TestIdleConnectionRedialOnReuse(t *testing.T) {
-	good, err := json.Marshal(wire.Response{Rows: [][]string{{"good"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := encodeFrame(wire.Response{Rows: [][]string{{"good"}}})
 	addr := startStub(t, [][]stubAction{
-		{{reply: string(good) + "\n"}, {closeConn: true}},
+		{{reply: string(good)}, {closeConn: true}},
 	}, evalGoodRespond)
 
 	ex := NewExecutor()

@@ -1,10 +1,11 @@
 // Package netpeer turns the PDMS into an actually distributed system: each
-// peer runs a Server exposing its stored relations over a newline-delimited
-// JSON/TCP protocol (package wire), and an Executor evaluates reformulated
-// unions of conjunctive queries across the network.
+// peer runs a Server exposing its stored relations over a TCP protocol of
+// JSON requests and JSON envelopes followed by binary row blocks (package
+// wire), and an Executor evaluates reformulated unions of conjunctive
+// queries across the network.
 //
 // The server answers the six ops of the peer protocol (package wire lists
-// the JSON envelopes, wire/PROTOCOL.md is the normative specification):
+// the envelopes, wire/PROTOCOL.md is the normative specification):
 // "catalog" reports cardinalities and per-relation generations; "scan"
 // and "eval" stream a relation, or a conjunctive query over this peer's
 // relations — full push-down of single-peer rewritings and selection-pushed
@@ -25,13 +26,16 @@
 //
 // Responses STREAM (see package wire): a row-bearing op answers with
 // bounded chunks followed by a final frame, produced through the engine's
-// enumeration hooks (engine.StreamCQ, engine.ProbeByKeyBatchYield) rather
-// than materialized, so results of any size flow through in O(chunk)
-// memory. The final frame piggybacks the cardinalities and generations of
-// the relations touched, captured before row production so the generation
-// is a floor (the stream carries at least everything at that generation —
-// see wire/PROTOCOL.md); the executor folds them into its join-order
-// estimates and stamps its cached fragments with them. A request carrying
+// enumeration hooks (engine.StreamCQ, engine.StreamScan,
+// engine.ProbeByKeyBatchYield) rather than materialized — each yielded
+// view goes straight into the frame's row block — so results of any size
+// flow through in O(chunk) memory. A request of another protocol version
+// is answered with an in-band error naming both versions. The final frame
+// piggybacks the cardinalities and generations of the relations touched,
+// captured before row production so the generation is a floor (the
+// stream carries at least everything at that generation — see
+// wire/PROTOCOL.md); the executor folds them into its join-order estimates
+// and stamps its cached fragments with them. A request carrying
 // the generation of the caller's cached copy is answered "unchanged", with
 // no rows, while that generation is still current. An oversized or garbled
 // *request* frame is answered with an in-band error (the stream stays
@@ -382,23 +386,9 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	s.trackConn(conn, true)
 	defer s.trackConn(conn, false)
 	br := bufio.NewReaderSize(conn, 64*1024)
-	// in and out are the connection's request and response frame buffers,
-	// each reused across frames.
-	var in, out []byte
-	// send encodes one response frame into out and writes it to the socket
-	// in one call, so the client makes progress chunk by chunk. Each frame
-	// gets its own write deadline: response streams run under the server's
-	// read lock, and a client that stops draining must cost a dropped
-	// connection, not a wedged lock.
-	send := func(resp wire.Response) error {
-		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		s.rowsServed.Add(uint64(len(resp.Rows)))
-		out = wire.AppendResponse(out, &resp)
-		n, err := conn.Write(out)
-		s.bytesSent.Add(uint64(n))
-		out = recycle(out)
-		return err
-	}
+	// in is the connection's request frame buffer, reused across frames.
+	var in []byte
+	w := &frameWriter{s: s, conn: conn}
 
 	adm := s.gate()
 	for {
@@ -407,7 +397,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		if errMsg != "" {
-			if send(wire.Response{Error: errMsg}) != nil {
+			if w.send(wire.Response{Error: errMsg}) != nil {
 				return
 			}
 			continue
@@ -417,7 +407,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		// retryable in-band busy frame and costs the server nothing else.
 		if err := adm.acquire(ctx); err != nil {
 			if errors.Is(err, errShed) {
-				if send(wire.Response{
+				if w.send(wire.Response{
 					Error: fmt.Sprintf("server busy: %d in flight, %d queued", s.MaxInflight, s.MaxQueue),
 					Busy:  true,
 				}) != nil {
@@ -428,7 +418,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			return // shutting down
 		}
 		reqStart := time.Now()
-		err := s.handleStream(req, send)
+		err := s.handleStream(req, w)
 		s.reqHist.Observe(time.Since(reqStart))
 		adm.release()
 		if err != nil {
@@ -440,8 +430,8 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 // readRequest reads a connection's next request into *in, the
 // connection's reused request buffer, and decodes it. ok is false at a
 // clean disconnect or a terminal read failure. Recoverable failures (an
-// over-limit frame, bad JSON) come back as errMsg, to be answered in-band
-// so the stream stays framed.
+// over-limit frame, bad JSON, another protocol version) come back as
+// errMsg, to be answered in-band so the stream stays framed.
 func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req wire.Request, errMsg string, ok bool) {
 	frame, err := wire.AppendFrame(*in, br, s.maxRequestBytes)
 	switch {
@@ -476,7 +466,38 @@ func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req w
 	if err != nil {
 		return req, fmt.Sprintf("bad request: %v", err), true
 	}
+	if req.V != wire.Version {
+		// A request without "v" is version 1. The error frame is plain
+		// JSON, so an old client reads it and the connection stays framed.
+		return req, fmt.Sprintf("protocol version %d request; this server speaks version %d", max(req.V, 1), wire.Version), true
+	}
 	return req, "", true
+}
+
+// frameWriter writes one connection's response frames. Each frame is
+// encoded into out and written in one call, so the client makes progress
+// chunk by chunk, under its own write deadline: response streams run under
+// the server's read lock, and a client that stops draining must cost a
+// dropped connection, not a wedged lock.
+type frameWriter struct {
+	s    *Server
+	conn net.Conn
+	// out is the encode buffer, and block the row block of the frame being
+	// built, holding rows rows; both are reused across frames.
+	out, block []byte
+	rows       int
+}
+
+// send writes resp as one frame, carrying the rows appended since the last
+// send, and starts the next frame empty.
+func (w *frameWriter) send(resp wire.Response) error {
+	w.conn.SetWriteDeadline(time.Now().Add(w.s.writeTimeout))
+	w.s.rowsServed.Add(uint64(w.rows))
+	w.out = wire.AppendResponse(w.out, &resp, w.block)
+	n, err := w.conn.Write(w.out)
+	w.s.bytesSent.Add(uint64(n))
+	w.out, w.block, w.rows = recycle(w.out), recycle(w.block), 0
+	return err
 }
 
 // metaOfLocked assembles the piggyback frame for the touched relations:
@@ -507,42 +528,31 @@ func (s *Server) metaOfLocked(preds ...string) wire.Response {
 // which read preds. It captures their metadata first; when the request
 // reads one relation and its ifGen still equals that relation's
 // generation, the answer is a single unchanged final frame with no rows.
-// Otherwise produce's rows flow out under the child span sp as bounded
-// non-final frames — per-response memory stays O(chunk) regardless of
-// result size — then either an in-band error frame (final, superseding
-// any rows already shipped) or the final frame carrying the remaining
-// rows, the metadata and the exported trace spans. A transport failure is
-// returned as is: it is terminal for the connection.
-func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, ifGen *uint64, preds []string,
+// Otherwise produce's rows go straight into w's row block under the child
+// span sp and flow out as bounded non-final frames — per-response memory
+// stays O(chunk) regardless of result size — then either an in-band error
+// frame (final, superseding any rows already shipped) or the final frame
+// carrying the remaining rows, the metadata and the exported trace spans.
+// A transport failure is returned as is: it is terminal for the
+// connection.
+func (s *Server) streamRows(w *frameWriter, sp *obs.Span, ifGen *uint64, preds []string,
 	exported func() []wire.Span, produce func(yield func(rel.Tuple) error) error) error {
 	meta := s.metaOfLocked(preds...)
 	if ifGen != nil && len(preds) == 1 && meta.Gens[0] == *ifGen {
 		sp.Set("unchanged", "true")
 		sp.End()
 		meta.Unchanged, meta.Spans = true, exported()
-		return send(meta)
+		return w.send(meta)
 	}
-	var rows [][]string
-	// vals holds the chunk's values: a scan or a bind yields a view of
-	// each stored row, valid only during the call, so the row is copied.
-	var vals []string
-	var bytes, total int
+	var total int
 	var sendErr error
 	err := produce(func(t rel.Tuple) error {
-		if cap(vals)-len(vals) < len(t) {
-			// Grow geometrically: most responses are a few rows.
-			vals = make([]string, 0, max(len(t), 16, 2*cap(vals)))
-		}
-		vals = append(vals, t...)
-		rows = append(rows, vals[len(vals)-len(t):len(vals):len(vals)])
+		// t is a view valid only during the call; the block copies it.
+		w.block = wire.AppendBlockRow(w.block, t)
+		w.rows++
 		total++
-		for _, v := range t {
-			bytes += len(v)
-		}
-		if len(rows) >= wire.ChunkMaxRows || bytes >= wire.ChunkMaxBytes {
-			sendErr = send(wire.Response{Rows: rows, More: true})
-			// send has encoded the chunk, so its slices are free again.
-			rows, vals, bytes = rows[:0], vals[:0], 0
+		if w.rows >= wire.ChunkMaxRows || len(w.block) >= wire.ChunkMaxBytes {
+			sendErr = w.send(wire.Response{More: true})
 		}
 		return sendErr
 	})
@@ -553,18 +563,19 @@ func (s *Server) streamRows(send func(wire.Response) error, sp *obs.Span, ifGen 
 		return sendErr
 	}
 	if err != nil {
-		return send(wire.Response{Error: err.Error()})
+		w.block, w.rows = w.block[:0], 0 // the error frame supersedes them
+		return w.send(wire.Response{Error: err.Error()})
 	}
-	meta.Rows, meta.Spans = rows, exported()
-	return send(meta)
+	meta.Spans = exported()
+	return w.send(meta)
 }
 
-// handleStream answers one request as a stream of frames through send. It
+// handleStream answers one request as a stream of frames through w. It
 // returns the first transport error, or nil once the response — success or
 // in-band error — is fully written. Row production runs under the read
 // lock, and so do concurrent adds: handleAdd says why that is sound and
 // what it spares the server.
-func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) error {
+func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 	// A traced request (req.Trace set) gets a detached server-side span
 	// tree; exported finishes it and flattens it for the success final
 	// frame, parented under the caller's span ID from the request. Error
@@ -589,7 +600,7 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 		// The one mutating op: it manages its own (read-side) locking, so
 		// it branches off before the read lock the streaming ops hold for
 		// their whole response.
-		return s.handleAdd(req, send, exported)
+		return s.handleAdd(req, w, exported)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -597,25 +608,25 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 	case "catalog":
 		resp := s.metaOfLocked(s.data.Relations()...)
 		resp.Spans = exported()
-		return send(resp)
+		return w.send(resp)
 	case "ping":
 		// Liveness probe; deliberately touches no relation state.
-		return send(wire.Response{Spans: exported()})
+		return w.send(wire.Response{Spans: exported()})
 	case "scan":
 		// StreamScan walks the relation's insert log directly: no sort, no
 		// sorted-view materialization, O(chunk) memory end to end. Row order
 		// is insertion order (unspecified by the protocol).
 		sp := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
-		return s.streamRows(send, sp, req.IfGen, []string{req.Pred}, exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(w, sp, req.IfGen, []string{req.Pred}, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamScan(req.Pred, yield)
 		})
 	case "eval":
 		if req.Query == nil {
-			return send(wire.Response{Error: "eval: missing query"})
+			return w.send(wire.Response{Error: "eval: missing query"})
 		}
 		q, err := req.Query.ToCQ()
 		if err != nil {
-			return send(wire.Response{Error: err.Error()})
+			return w.send(wire.Response{Error: err.Error()})
 		}
 		seen := map[string]bool{}
 		var bodyPreds []string
@@ -626,21 +637,21 @@ func (s *Server) handleStream(req wire.Request, send func(wire.Response) error) 
 			}
 		}
 		sp := root.Child("eval", obs.Attr{K: "head", V: kept(root, q.Head.Pred)})
-		return s.streamRows(send, sp, req.IfGen, bodyPreds, exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(w, sp, req.IfGen, bodyPreds, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamCQ(q, yield)
 		})
 	case "bind":
 		pred, cols, keys, err := bindProbeArgs(req)
 		if err != nil {
-			return send(wire.Response{Error: err.Error()})
+			return w.send(wire.Response{Error: err.Error()})
 		}
 		sp := root.Child("bind", obs.Attr{K: "pred", V: kept(root, pred)})
 		sp.SetInt("keys", int64(len(keys)))
-		return s.streamRows(send, sp, req.IfGen, []string{pred}, exported, func(yield func(rel.Tuple) error) error {
+		return s.streamRows(w, sp, req.IfGen, []string{pred}, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.ProbeByKeyBatchYield(pred, cols, keys, yield)
 		})
 	default:
-		return send(wire.Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
+		return w.send(wire.Response{Error: fmt.Sprintf("unknown op %q", req.Op)})
 	}
 }
 
@@ -674,9 +685,9 @@ func kept(root *obs.Span, v string) string {
 // Append-only relations keep concurrent streams sound: a stream observes a
 // superset of its start-state and a subset of its end-state, which is
 // exactly right for monotone conjunctive queries.
-func (s *Server) handleAdd(req wire.Request, send func(wire.Response) error, exported func() []wire.Span) error {
+func (s *Server) handleAdd(req wire.Request, w *frameWriter, exported func() []wire.Span) error {
 	if req.Pred == "" {
-		return send(wire.Response{Error: "add: missing pred"})
+		return w.send(wire.Response{Error: "add: missing pred"})
 	}
 	s.mu.RLock()
 	var inserted int
@@ -695,10 +706,10 @@ func (s *Server) handleAdd(req wire.Request, send func(wire.Response) error, exp
 	resp := s.metaOfLocked(req.Pred)
 	s.mu.RUnlock()
 	if addErr != nil {
-		return send(wire.Response{Error: fmt.Sprintf("add: row %d of %d: %v", inserted, len(req.Rows), addErr)})
+		return w.send(wire.Response{Error: fmt.Sprintf("add: row %d of %d: %v", inserted, len(req.Rows), addErr)})
 	}
 	resp.Spans = exported()
-	return send(resp)
+	return w.send(resp)
 }
 
 // bindProbeArgs validates one bind request and lowers it to a probe: the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -156,10 +157,13 @@ func (h *recordingHandler) messages() []string {
 // TestOversizeResponseBreaksClientCleanly: a response frame over the
 // client's limit cannot be trusted (the lost frame may have been the final
 // marker), so the client surfaces an error and marks the connection
-// broken instead of silently desyncing.
+// broken instead of silently desyncing. That holds for an envelope line
+// over the limit and for a row block announced over it; the block fails
+// before any of it is read or allocated.
 func TestOversizeResponseBreaksClientCleanly(t *testing.T) {
 	addr := startStub(t, [][]stubAction{
 		{{reply: strings.Repeat("z", 64*1024) + "\n"}},
+		{{reply: fmt.Sprintf(`{"rowBytes":%d,"more":true}`+"\n", wire.DefaultMaxFrame)}},
 	}, evalGoodRespond)
 	c, err := Dial(addr)
 	if err != nil {
@@ -172,6 +176,25 @@ func TestOversizeResponseBreaksClientCleanly(t *testing.T) {
 	}
 	if !c.Broken() {
 		t.Fatal("client must be broken after an oversize response frame")
+	}
+
+	c2, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = c2.Scan("X.r")
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("row block over the frame limit gave %v", err)
+	}
+	if !c2.Broken() {
+		t.Fatal("client must be broken after an oversize row block")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a %d-byte row block allocated %d bytes", wire.DefaultMaxFrame, grew)
 	}
 }
 
@@ -331,7 +354,7 @@ func TestSlowClientCannotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stall.Close()
-	if _, err := stall.Write([]byte(`{"op":"scan","pred":"W.big"}` + "\n")); err != nil {
+	if _, err := stall.Write([]byte(`{"op":"scan","v":2,"pred":"W.big"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the server fill the socket buffers

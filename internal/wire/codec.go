@@ -1,32 +1,39 @@
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 )
 
-// The frame codec. Every frame of the protocol — the rows of every
-// answer, and every request a hop sends — is encoded and decoded by hand
-// rather than through reflection. The codec is byte-identical to
-// encoding/json in both directions: AppendResponse and AppendRequest write
-// exactly what json.Encoder.Encode writes, and Decoder.Decode and
-// DecodeRequest yield exactly what json.Unmarshal yields, for every input.
-// Only the common shape takes the hand-written path — the exact field
-// names, strings without escapes, plain integers. Everything else (an
-// escape, a case-variant, duplicate or unknown key, null, a non-integer
-// number, a syntax error) goes to encoding/json, for that one value or for
-// the whole frame, so the semantics stay encoding/json's without a second
-// JSON parser. Spans ride only on final frames of traced requests and
-// always go through encoding/json.
+// The frame codec. Every frame of the protocol — every request a hop
+// sends, and the envelope and row block of every response — is encoded and
+// decoded by hand rather than through reflection. Requests and response
+// envelopes are byte-identical to encoding/json in both directions:
+// AppendResponse and AppendRequest write exactly what json.Encoder.Encode
+// writes for the envelope, and decodeResponse and DecodeRequest yield
+// exactly what json.Unmarshal yields, for every input. Only the common
+// shape takes the hand-written path — the exact field names, strings
+// without escapes, plain integers. Everything else (an escape, a
+// case-variant, duplicate or unknown key, null, a non-integer number, a
+// syntax error) goes to encoding/json, for that one value or for the whole
+// frame, so the semantics stay encoding/json's without a second JSON
+// parser. Spans ride only on final frames of traced requests and always go
+// through encoding/json. A response's rows are not JSON: they travel in
+// the row block after the envelope (AppendBlockRow, decodeRows).
 
-// AppendResponse appends r's frame to dst: exactly the bytes
-// json.Encoder.Encode writes for r, trailing newline included, with its
-// HTML-safe escaping (<, >, &, U+2028 and U+2029 as \u escapes, invalid
-// UTF-8 as U+FFFD).
-func AppendResponse(dst []byte, r *Response) []byte {
+// AppendResponse appends r's frame to dst: the envelope line, exactly the
+// bytes json.Encoder.Encode writes for r with its Rows left out and, when
+// block is non-empty, RowBytes set to len(block); then block itself.
+// Strings are escaped HTML-safe (<, >, &, U+2028 and U+2029 as \u escapes,
+// invalid UTF-8 as U+FFFD). AppendResponse reads neither r.Rows nor
+// r.RowBytes: a frame's rows are the rows AppendBlockRow appended to block.
+func AppendResponse(dst []byte, r *Response, block []byte) []byte {
 	dst = append(dst, '{')
 	open := len(dst)
 	if r.Error != "" {
@@ -36,8 +43,8 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	if r.Busy {
 		dst = appendField(dst, open, `"busy":true`)
 	}
-	if len(r.Rows) > 0 {
-		dst = appendRows(appendField(dst, open, `"rows":`), r.Rows)
+	if len(block) > 0 {
+		dst = strconv.AppendInt(appendField(dst, open, `"rowBytes":`), int64(len(block)), 10)
 	}
 	if r.More {
 		dst = appendField(dst, open, `"more":true`)
@@ -67,7 +74,17 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		b, _ := json.Marshal(r.Spans)
 		dst = append(appendField(dst, open, `"spans":`), b...)
 	}
-	return append(dst, '}', '\n')
+	return append(append(dst, '}', '\n'), block...)
+}
+
+// AppendBlockRow appends row to a row block: uvarint(len(row)), then for
+// each value uvarint(len(value)) and the value's bytes, whatever they are.
+func AppendBlockRow(block []byte, row []string) []byte {
+	block = binary.AppendUvarint(block, uint64(len(row)))
+	for _, v := range row {
+		block = append(binary.AppendUvarint(block, uint64(len(v))), v...)
+	}
+	return block
 }
 
 // appendField appends a field's key (and whatever of its value is fixed),
@@ -126,6 +143,9 @@ func appendInts(dst []byte, ns []int) []byte {
 // when set, as its omitempty tag says.
 func AppendRequest(dst []byte, r *Request) []byte {
 	dst = appendString(append(dst, `{"op":`...), r.Op)
+	if r.V != 0 {
+		dst = strconv.AppendInt(append(dst, `,"v":`...), int64(r.V), 10)
+	}
 	if r.Query != nil {
 		dst = appendCQ(append(dst, `,"query":`...), r.Query)
 	}
@@ -280,47 +300,51 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// Decoder decodes response frames. Every string of a frame's rows is a
-// substring of one string holding the whole frame, and the rows share one
-// []string of values, so a row frame costs a constant number of
-// allocations however many rows it carries. A retained row therefore
-// keeps its whole frame's string alive. The zero Decoder is ready to use;
-// it keeps scratch space between frames, so it is not safe for concurrent
-// use.
-type Decoder struct {
-	// vals collects a frame's row values before their exact-size copy,
-	// and ends each row's end offset in vals. Both are emptied after every
-	// frame — vals cleared, so it pins no frame — and dropped once a frame
-	// grows them past maxScratchBytes.
-	vals []string
-	ends []int
-}
+// errVersion1 reports a response envelope with a "rows" key: the frame
+// of a peer that speaks protocol version 1, which sent rows as JSON.
+var errVersion1 = fmt.Errorf(`wire: response frame carries JSON "rows", a protocol version 1 frame; this peer speaks version %d`, Version)
 
-// maxScratchBytes bounds the scratch a Decoder keeps between frames, as
-// AppendFrame's callers bound their frame buffers: a frame near
-// DefaultMaxFrame must not stay pinned once decoded.
-const maxScratchBytes = 2 * ChunkMaxBytes
+// errBadBlock reports a row block that does not parse to exactly its
+// announced length.
+var errBadBlock = errors.New("wire: malformed row block")
 
-// Decode decodes one frame (without its newline) into r, overwriting it:
-// afterwards r holds exactly what json.Unmarshal(frame, r) leaves in a
-// zero Response, and the error is nil exactly when json.Unmarshal's is.
-// The result does not alias frame.
-func (d *Decoder) Decode(frame []byte, r *Response) error {
+// decodeResponse decodes one response envelope (without its newline) into
+// r, overwriting it: afterwards r holds exactly what json.Unmarshal(frame,
+// r) leaves in a zero Response, and the error is nil exactly when
+// json.Unmarshal's is — except that a "rows" key, in any case, is
+// errVersion1 and a negative rowBytes is an error. The result does not
+// alias frame.
+func decodeResponse(frame []byte, r *Response) error {
 	*r = Response{}
-	ok := d.decode(frame, r)
-	clear(d.vals)
-	d.vals, d.ends = d.vals[:0], d.ends[:0]
-	if cap(d.vals)*16 > maxScratchBytes {
-		d.vals = nil
+	p := scanner{s: string(frame), b: frame}
+	v1 := false
+	ok := p.response(r, &v1)
+	switch {
+	case v1:
+		*r = Response{}
+		return errVersion1
+	case ok:
+		return nil
 	}
-	if cap(d.ends)*8 > maxScratchBytes {
-		d.ends = nil
-	}
-	if ok {
+	// Off the hand-written path. The outer Rows shadows Response.Rows, so
+	// a "rows" key in any case lands in it, present even when null.
+	*r = Response{}
+	env := struct {
+		*Response
+		Rows json.RawMessage `json:"rows"`
+	}{Response: r}
+	err := json.Unmarshal(frame, &env)
+	switch {
+	case err != nil:
+	case env.Rows != nil:
+		err = errVersion1
+	case r.RowBytes < 0:
+		err = fmt.Errorf("wire: negative rowBytes %d", r.RowBytes)
+	default:
 		return nil
 	}
 	*r = Response{}
-	return json.Unmarshal(frame, r)
+	return err
 }
 
 // Field indexes of Response, positions in responseKeys.
@@ -328,6 +352,7 @@ const (
 	fieldError = iota
 	fieldBusy
 	fieldRows
+	fieldRowBytes
 	fieldMore
 	fieldUnchanged
 	fieldPreds
@@ -336,13 +361,12 @@ const (
 	fieldSpans
 )
 
-var responseKeys = []string{"error", "busy", "rows", "more", "unchanged", "preds", "cards", "gens", "spans"}
+var responseKeys = []string{"error", "busy", "rows", "rowBytes", "more", "unchanged", "preds", "cards", "gens", "spans"}
 
-// decode is the hand-written path. It reports false whenever the frame
-// leaves its common shape; Decode then hands the whole frame to
-// encoding/json.
-func (d *Decoder) decode(frame []byte, r *Response) bool {
-	p := scanner{s: string(frame), b: frame}
+// response is decodeResponse's hand-written path. It reports false
+// whenever the frame leaves its common shape, and sets *v1 on a "rows"
+// key.
+func (p *scanner) response(r *Response, v1 *bool) bool {
 	p.space()
 	return p.object(responseKeys, func(f int) (ok bool) {
 		switch f {
@@ -356,7 +380,11 @@ func (d *Decoder) decode(frame []byte, r *Response) bool {
 		case fieldBusy:
 			r.Busy, ok = p.boolean()
 		case fieldRows:
-			r.Rows, ok = d.rows(&p)
+			*v1 = true
+		case fieldRowBytes:
+			var n uint64
+			n, ok = p.digits(18)
+			r.RowBytes = int(n)
 		case fieldMore:
 			r.More, ok = p.boolean()
 		case fieldUnchanged:
@@ -378,26 +406,71 @@ func (d *Decoder) decode(frame []byte, r *Response) bool {
 	}) && p.end()
 }
 
-// rows decodes the rows array: every value into d.vals, then one
-// exact-size copy that the returned rows share.
-func (d *Decoder) rows(p *scanner) ([][]string, bool) {
-	if !p.array(func() bool {
-		var ok bool
-		d.vals, ok = p.row(d.vals)
-		d.ends = append(d.ends, len(d.vals))
-		return ok
-	}) {
-		return nil, false
+// decodeRows decodes a row block that must parse to exactly len(block)
+// bytes, with every uvarint in its shortest form, so a block decodes to
+// one list of rows and that list encodes back to the same bytes. Every
+// value is a substring of one string holding the block, and the rows share
+// one []string of values, each row capped at its own end: a block costs
+// three allocations however many rows it carries, and a retained row keeps
+// the whole block's string alive.
+func decodeRows(block []byte) ([][]string, error) {
+	nrows, nvals, ok := scanBlock(block)
+	if !ok {
+		return nil, errBadBlock
 	}
-	vals := make([]string, len(d.vals))
-	copy(vals, d.vals)
-	rows := make([][]string, len(d.ends))
-	start := 0
-	for i, end := range d.ends {
-		rows[i] = vals[start:end:end]
-		start = end
+	s := string(block)
+	vals := make([]string, nvals)
+	rows := make([][]string, nrows)
+	i, v := 0, 0
+	for r := range rows {
+		arity, n := uvarint(block[i:])
+		i += n
+		start := v
+		for range arity {
+			l, n := uvarint(block[i:])
+			i += n
+			vals[v] = s[i : i+int(l)]
+			i += int(l)
+			v++
+		}
+		rows[r] = vals[start:v:v]
 	}
-	return rows, true
+	return rows, nil
+}
+
+// scanBlock checks that block is a whole number of well-formed rows and
+// counts them and their values.
+func scanBlock(block []byte) (nrows, nvals int, ok bool) {
+	for i := 0; i < len(block); nrows++ {
+		arity, n := uvarint(block[i:])
+		if n <= 0 || arity > uint64(len(block)-i-n) {
+			// Every value takes at least its length byte.
+			return 0, 0, false
+		}
+		i += n
+		for range arity {
+			l, n := uvarint(block[i:])
+			if n <= 0 || l > uint64(len(block)-i-n) {
+				return 0, 0, false
+			}
+			i += n + int(l)
+		}
+		nvals += int(arity)
+	}
+	return nrows, nvals, true
+}
+
+// uvarint is binary.Uvarint refusing any encoding longer than the
+// shortest: a final byte of zero after the first.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1 // most lengths and arities
+	}
+	x, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return x, n
 }
 
 // DecodeRow decodes one JSON array of strings, giving exactly what
@@ -440,6 +513,7 @@ func DecodeRequest(frame []byte, r *Request) error {
 // Field indexes of Request, positions in requestKeys.
 const (
 	reqOp = iota
+	reqV
 	reqQuery
 	reqPred
 	reqRows
@@ -452,7 +526,7 @@ const (
 )
 
 var (
-	requestKeys = []string{"op", "query", "pred", "rows", "atom", "bindCols", "bindRows", "trace", "span", "ifGen"}
+	requestKeys = []string{"op", "v", "query", "pred", "rows", "atom", "bindCols", "bindRows", "trace", "span", "ifGen"}
 	cqKeys      = []string{"head", "body", "comps"}
 	atomKeys    = []string{"p", "a"}
 	termKeys    = []string{"k", "v"}
@@ -466,6 +540,10 @@ func (p *scanner) request(r *Request) bool {
 		switch f {
 		case reqOp:
 			r.Op, ok = p.str()
+		case reqV:
+			var v uint64
+			v, ok = p.digits(18)
+			r.V = int(v)
 		case reqQuery:
 			r.Query = new(CQ)
 			ok = p.cq(r.Query)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -140,10 +141,9 @@ func FuzzIfGenUnchanged(f *testing.F) {
 			t.Fatalf("old client request decoded as %+v", fresh)
 		}
 
-		data = AppendResponse(nil, &Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}})
-		var dec Decoder
+		data = AppendResponse(nil, &Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}}, nil)
 		var resp Response
-		if err := dec.Decode(data, &resp); err != nil || resp.Unchanged != unchanged || resp.Gens[0] != gen {
+		if err := decodeResponse(data, &resp); err != nil || resp.Unchanged != unchanged || resp.Gens[0] != gen {
 			t.Fatalf("response did not round-trip: %+v (%v)", resp, err)
 		}
 		var oldResp legacyResponse
@@ -158,7 +158,7 @@ func FuzzIfGenUnchanged(f *testing.F) {
 			t.Fatal(err)
 		}
 		var fromOld Response
-		if err := dec.Decode(oldData, &fromOld); err != nil || fromOld.Unchanged {
+		if err := decodeResponse(oldData, &fromOld); err != nil || fromOld.Unchanged {
 			t.Fatalf("old server frame %q decoded as %+v (%v)", oldData, fromOld, err)
 		}
 	})
@@ -206,6 +206,7 @@ func FuzzRequestDecode(f *testing.F) {
 func fuzzRequest(s, u string, n int, g uint64, flags byte) Request {
 	r := Request{
 		Op: s,
+		V:  n,
 		Query: &CQ{
 			Head:  Atom{Pred: s, Args: []Term{{Kind: "var", Value: u}}},
 			Body:  []Atom{{Pred: u, Args: []Term{{Kind: "const", Value: s}, {Kind: u, Value: ""}}}},
@@ -271,20 +272,25 @@ func checkLowering(t *testing.T, req *Request) {
 	}
 }
 
-// FuzzResponseCodec checks the response codec against encoding/json in both
-// directions. Decoding: for arbitrary frame bytes, Decoder.Decode and
-// json.Unmarshal both fail or both succeed, and leave deeply equal
-// Responses. Encoding: for a Response built from the fuzzed strings, card,
-// generation and flags, AppendResponse writes exactly json.Marshal's bytes
-// plus the newline, and the frame decodes back as encoding/json reads it.
+// FuzzResponseCodec checks the response codec. Envelopes: for arbitrary
+// frame bytes, decodeResponse and json.Unmarshal both fail or both
+// succeed and leave deeply equal Responses, except that a "rows" key is a
+// version 1 frame and an error. Frames: for a Response built from the
+// fuzzed strings, card, generation and flags, AppendResponse writes
+// exactly json.Marshal's bytes for the envelope — for the whole frame when
+// it has no rows — and reading the frame gives its rows back byte for
+// byte. Every truncation of the frame is an error. A single-byte garble
+// of the block is an error or a different well-formed block, one that
+// encodes back to exactly the garbled bytes: the decoder never panics and
+// never accepts a block it has read only part of.
 func FuzzResponseCodec(f *testing.F) {
 	for _, frame := range decodeCorpus {
 		f.Add([]byte(frame), "a", "<&>", 1, uint64(2), byte(0))
 	}
-	f.Add([]byte(`{"rows":[["a"]]}`), "sep\u2028", "bad\xff\xc3", -7, uint64(1<<63), byte(0xff))
+	f.Add([]byte(`{"rowBytes":3}`), "sep\u2028", "bad\xff\xc3", -7, uint64(1<<63), byte(0xff))
+	f.Add([]byte(`{"more":true}`), strings.Repeat("x", 200), "\x00\n\"", 0, uint64(0), byte(16))
 	f.Fuzz(func(t *testing.T, frame []byte, s, u string, card int, gen uint64, flags byte) {
-		var d Decoder
-		checkDecode(t, &d, frame)
+		checkDecode(t, frame)
 
 		r := Response{
 			Rows:      [][]string{{s, u}, {u}},
@@ -303,14 +309,40 @@ func FuzzResponseCodec(f *testing.F) {
 		if flags&32 != 0 {
 			r.Rows, r.Preds, r.Cards, r.Gens = nil, nil, nil, nil
 		}
-		want, err := json.Marshal(&r)
+		block := blockOf(r.Rows)
+		env := r
+		env.Rows, env.RowBytes = nil, len(block)
+		want, err := json.Marshal(&env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := AppendResponse(nil, &r)
-		if !bytes.Equal(got, append(want, '\n')) {
+		got := AppendResponse(nil, &r, block)
+		if !bytes.Equal(got, append(append(want, '\n'), block...)) {
 			t.Fatalf("AppendResponse(%+v)\n got %q\nwant %q", r, got, want)
 		}
-		checkDecode(t, &d, got)
+		if len(block) == 0 {
+			if plain, _ := json.Marshal(&r); !bytes.Equal(got, append(plain, '\n')) {
+				t.Fatalf("frame without rows %q differs from encoding/json's %q", got, plain)
+			}
+		}
+		checkDecode(t, want)
+		back, err := readFrame(got, DefaultMaxFrame)
+		if err != nil || !sameRows(back.Rows, r.Rows) {
+			t.Fatalf("rows %q read back as %q (%v)", r.Rows, back.Rows, err)
+		}
+		for n := range len(got) {
+			if cut, err := readFrame(got[:n], DefaultMaxFrame); err == nil {
+				t.Fatalf("frame cut to %d of %d bytes read as %+v", n, len(got), cut)
+			}
+		}
+		for i := range block {
+			for _, mask := range []byte{0x01, 0x80, flags | 0x40} {
+				garbled := bytes.Clone(block)
+				garbled[i] ^= mask
+				if rows, err := decodeRows(garbled); err == nil && !bytes.Equal(blockOf(rows), garbled) {
+					t.Fatalf("garbled block %q read as %q, which encodes to %q", garbled, rows, blockOf(rows))
+				}
+			}
+		}
 	})
 }

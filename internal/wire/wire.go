@@ -1,10 +1,11 @@
-// Package wire defines the JSON message format peers use on the network:
-// serializable forms of terms, atoms, conjunctive queries and tuples, plus
-// the request/response envelopes of the peer protocol.
+// Package wire defines the message format peers use on the network:
+// serializable forms of terms, atoms, conjunctive queries and tuples, the
+// request/response envelopes of the peer protocol, and the binary row
+// block that carries a response's rows.
 //
-// The protocol is newline-delimited JSON over TCP: one request per line,
-// answered by a *stream* of one or more response frames. Six request
-// kinds:
+// The protocol (version 2, Version) runs over TCP: one JSON request per
+// line, answered by a *stream* of one or more response frames. Every
+// request carries "v":2. Six request kinds:
 //
 //	{"op":"eval", "query":{…}}        evaluate a CQ over this peer's stored
 //	                                  relations, returning the head tuples
@@ -23,14 +24,19 @@
 //	                                  use) — the mutation half of mixed
 //	                                  read/write workloads
 //
+// A response frame is a JSON envelope line. When the frame carries rows,
+// the envelope holds "rowBytes":N and exactly N bytes of row block follow
+// its newline: per row uvarint(arity), then per value uvarint(len) and the
+// value's bytes. Values cross the wire byte for byte, whatever they hold.
+//
 // A server under admission control may answer any request with a *busy*
 // error frame ({"error":…,"busy":true}): the request was shed before doing
 // any work and is safe to retry after a backoff — the connection stays
 // usable.
 //
 // Responses are chunked: a row-bearing op (eval, scan, bind) answers with
-// zero or more non-final frames {"rows":[…],"more":true} — each bounded in
-// rows and bytes, so neither side ever frames an answer-sized message —
+// zero or more non-final frames {"rowBytes":N,"more":true} — each bounded
+// in rows and bytes, so neither side ever frames an answer-sized message —
 // followed by exactly one final frame (no "more") that carries any
 // trailing rows plus, piggybacked, the current cardinalities *and
 // per-relation generations* of the relations the request touched
@@ -55,12 +61,15 @@
 //
 // Every frame goes through this package's own codec rather than
 // reflection: AppendRequest and DecodeRequest encode and decode a request,
-// AppendResponse and Decoder a response frame, and AppendFrame reads
-// either into a reused buffer. The codec is byte-identical to
-// encoding/json in both directions — it writes what json.Encoder writes
-// and yields what json.Unmarshal yields, handing anything outside the
-// common shape to encoding/json itself. Its row halves, AppendRow and
-// DecodeRow, also encode the segment journal's tuples (internal/store).
+// AppendResponse and ReadResponse write and read a response frame, and
+// AppendBlockRow builds a frame's row block one row at a time. Requests
+// and response envelopes are byte-identical to encoding/json in both
+// directions — the codec writes what json.Encoder writes and yields what
+// json.Unmarshal yields, handing anything outside the common shape to
+// encoding/json itself — but a response's rows are not JSON: they travel
+// in the row block. The JSON row halves, AppendRow and DecodeRow, encode
+// the segment journal's tuples (internal/store) and the rows of add
+// requests.
 //
 // PROTOCOL.md in this directory is the normative specification: frame
 // layout, per-op request/response contracts, error-frame and streaming
@@ -73,6 +82,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/lang"
 	"repro/internal/rel"
@@ -217,10 +227,18 @@ func (q CQ) ToCQ() (lang.CQ, error) {
 	return out, nil
 }
 
+// Version is the protocol version this package speaks. Every request
+// carries it in V; a request without "v" is version 1, whose responses
+// carried their rows as JSON.
+const Version = 2
+
 // Request is one protocol request.
 type Request struct {
 	// Op is "eval", "scan", "catalog", "bind", "add" or "ping".
 	Op string `json:"op"`
+	// V is the protocol version the request speaks. A server answers any
+	// value other than Version with an error frame naming both versions.
+	V int `json:"v,omitempty"`
 	// Query is the CQ for eval.
 	Query *CQ `json:"query,omitempty"`
 	// Pred is the relation for scan and add.
@@ -287,8 +305,15 @@ type Response struct {
 	// after a backoff; the connection remains usable. Meaningful only with
 	// Error set.
 	Busy bool `json:"busy,omitempty"`
-	// Rows carries one bounded chunk of eval/scan/bind results.
+	// Rows carries one bounded chunk of eval/scan/bind results. ReadResponse
+	// fills it from the frame's row block; it is never part of the
+	// envelope, and a received envelope with a "rows" key is a version 1
+	// frame, which ReadResponse rejects.
 	Rows [][]string `json:"rows,omitempty"`
+	// RowBytes is the length of the row block that follows the envelope
+	// line. AppendResponse writes it from the block it is given, and
+	// ReadResponse reads that many bytes after the envelope.
+	RowBytes int `json:"rowBytes,omitempty"`
 	// More marks a non-final frame: further frames for the same request
 	// follow on the stream.
 	More bool `json:"more,omitempty"`
@@ -324,16 +349,16 @@ type Response struct {
 // newline, so the stream is still framed and usable.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// DefaultMaxFrame is the sanity ceiling ReadFrame callers use by default.
-// It bounds a single *line*, not a result: chunked responses keep normal
-// frames near ChunkMaxBytes, so only a pathological or hostile peer ever
-// approaches it.
+// DefaultMaxFrame is the sanity ceiling ReadFrame and ReadResponse callers
+// use by default. It bounds a single frame — a line, or a response's
+// envelope plus its row block — not a result: chunked responses keep
+// normal frames near ChunkMaxBytes, so only a pathological or hostile peer
+// ever approaches it.
 const DefaultMaxFrame = 1 << 30
 
 // ChunkMaxRows and ChunkMaxBytes bound one response chunk: a frame is
-// flushed once it holds ChunkMaxRows rows or its rows total at least
-// ChunkMaxBytes of values. Both sides therefore buffer O(chunk), never
-// O(result).
+// flushed once it holds ChunkMaxRows rows or its row block reaches
+// ChunkMaxBytes. Both sides therefore buffer O(chunk), never O(result).
 const (
 	ChunkMaxRows  = 1024
 	ChunkMaxBytes = 1 << 20
@@ -388,6 +413,60 @@ func AppendFrame(dst []byte, br *bufio.Reader, max int) ([]byte, error) {
 		}
 		return dst, err
 	}
+}
+
+// ReadResponse reads one response frame from br into r, overwriting it,
+// and returns the buffer holding the frame. The envelope line is appended
+// to buf[:0] as AppendFrame appends it; the row block its rowBytes
+// announces is then read with io.ReadFull after the envelope, in the same
+// buffer, so a caller reuses one buffer across frames. The returned
+// buffer's length is the frame's size on the wire less the newline.
+//
+// limit caps the frame, envelope and block together. A block that would
+// pass it fails before any of it is read or allocated, and the block is
+// read in steps, so a peer that announces more than it sends costs at most
+// what it sent. The rows are decoded as decodeRows says: every value is a
+// substring of one string holding the block, and r.Rows never aliases buf.
+// A response envelope with a "rows" key is a version 1 frame and an error.
+// io.EOF is returned only at a clean frame boundary; a frame cut short is
+// io.ErrUnexpectedEOF. After an error r is zero, and after any error but
+// io.EOF the stream is no longer framed.
+func ReadResponse(br *bufio.Reader, buf []byte, limit int, r *Response) (_ []byte, err error) {
+	defer func() {
+		if err != nil {
+			*r = Response{}
+		}
+	}()
+	buf, err = AppendFrame(buf[:0], br, limit)
+	if err != nil {
+		return buf, err
+	}
+	env := len(buf)
+	if err := decodeResponse(buf, r); err != nil {
+		return buf, err
+	}
+	n := r.RowBytes
+	if n == 0 {
+		return buf, nil
+	}
+	if n > limit-env {
+		return buf, fmt.Errorf("wire: row block of %d bytes after a %d-byte envelope exceeds the %d-byte frame limit", n, env, limit)
+	}
+	for len(buf) < env+n {
+		// Double what has arrived, from 64 KiB: a normal block is one step.
+		step := min(env+n-len(buf), max(len(buf)-env, 64<<10))
+		buf = slices.Grow(buf, step)
+		m, err := io.ReadFull(br, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	r.Rows, err = decodeRows(buf[env:])
+	return buf, err
 }
 
 // TuplesToRows converts tuples for a response.
