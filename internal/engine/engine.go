@@ -297,7 +297,7 @@ func colsKey(cols []int) string {
 // invariant under variable renaming and emission is slot-based); Enumerate
 // must key by the literal query instead, because its substitutions expose
 // the plan's variable names. A cached plan outlives q, whose strings may be
-// substrings of a whole request frame (wire.DecodeRequest), so it is
+// substrings of a whole request frame (wire.ReadRequest), so it is
 // compiled from a copy that owns its strings.
 func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 	if v, ok := e.plans.Get(key); ok {

@@ -378,7 +378,7 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yi
 			Op:       "bind",
 			Atom:     &wa,
 			BindCols: bindCols,
-			BindRows: rows[start:end],
+			Rows:     rows[start:end],
 			IfGen:    ifGen,
 		}, rowsToYield(yield))
 		bs.End()

@@ -141,7 +141,7 @@ func TestRepliesCarryGeneration(t *testing.T) {
 	for _, req := range []wire.Request{
 		{Op: "add", Pred: "A.r", Rows: [][]string{{"3", "y"}}},
 		{Op: "scan", Pred: "A.r", IfGen: &gen},
-		{Op: "bind", Atom: &wa, BindCols: []int{0}, BindRows: [][]string{{"1"}}},
+		{Op: "bind", Atom: &wa, BindCols: []int{0}, Rows: [][]string{{"1"}}},
 	} {
 		resp, err := c.roundTrip(req, nil)
 		if err != nil {

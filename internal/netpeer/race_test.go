@@ -2,7 +2,6 @@ package netpeer
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -170,21 +169,21 @@ func (s *stubServer) accept() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
-			sc := bufio.NewScanner(conn)
+			br := bufio.NewReader(conn)
+			var req wire.Request
 			for _, act := range actions {
 				if act.closeConn {
 					return
 				}
-				if !sc.Scan() {
+				if _, err := wire.ReadRequest(br, nil, wire.DefaultMaxFrame, &req); err != nil {
 					return
 				}
 				if _, err := conn.Write([]byte(act.reply)); err != nil {
 					return
 				}
 			}
-			for sc.Scan() {
-				var req wire.Request
-				if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+			for {
+				if _, err := wire.ReadRequest(br, nil, wire.DefaultMaxFrame, &req); err != nil {
 					return
 				}
 				if _, err := conn.Write(encodeFrame(s.respond(req))); err != nil {

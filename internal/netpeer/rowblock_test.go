@@ -22,15 +22,18 @@ var awkwardValues = []string{
 
 // TestRowsComeBackByteExact stores awkward values directly in a peer and
 // reads them back through scan, eval and bind: every answer must equal
-// the stored tuples byte for byte. (Under JSON rows "\xff\xfe" came back
-// as "��".)
+// the stored tuples byte for byte. The same values then go the other way,
+// as add rows read back by scan, and as a bind key. (Under JSON rows
+// "\xff\xfe" came back as "��", in answers and in add rows and bind keys
+// alike.)
 func TestRowsComeBackByteExact(t *testing.T) {
 	var stored []rel.Tuple
-	var keys [][]string
+	var keys, rows [][]string
 	for i, v := range awkwardValues {
 		k := fmt.Sprintf("k%d", i)
 		stored = append(stored, rel.Tuple{k, v, v + v})
 		keys = append(keys, []string{k})
+		rows = append(rows, stored[i])
 	}
 	addr := startServer(t, map[string][]rel.Tuple{"A.r": stored})
 	c, err := Dial(addr)
@@ -76,12 +79,33 @@ func TestRowsComeBackByteExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("bind", bound)
+
+	bound = bound[:0]
+	if err := c.BindEvalStream(lang.NewAtom("A.r", x, y, z), []int{1}, [][]string{{"\xff\xfe"}}, func(tu rel.Tuple) error {
+		bound = append(bound, tu)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(bound) != 1 || !bound[0].Equal(stored[0]) {
+		t.Fatalf("bind on the key %q: %q, want %q", "\xff\xfe", bound, stored[0])
+	}
+
+	if _, err := c.Add("B.r", rows); err != nil {
+		t.Fatal(err)
+	}
+	added, err := c.Scan("B.r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("add, then scan", added)
 }
 
 // TestWireCountersMatchSocket checks the traffic counters of both sides
-// over a scan several frames long: the client's received bytes, envelopes
-// and row blocks together, equal the server's sent bytes; both sides count
-// every row once; and the largest frame stays near the chunk bound.
+// over a scan several frames long, an add and a bind of several batches:
+// each side's received bytes, envelopes and row blocks together, equal the
+// other side's sent bytes; both sides count every scanned row once; and
+// the largest frame stays near the chunk bound.
 func TestWireCountersMatchSocket(t *testing.T) {
 	const n = 3*wire.ChunkMaxRows + 7
 	rows := make([]rel.Tuple, n)
@@ -106,11 +130,34 @@ func TestWireCountersMatchSocket(t *testing.T) {
 	if max := c.counters.maxFrame.Load(); max < int64(wire.ChunkMaxRows*50) || max > wire.ChunkMaxBytes {
 		t.Fatalf("wire.max_frame_bytes = %d, want one full chunk of rows", max)
 	}
+
+	if _, err := c.Add("B.r", [][]string{{"a\nb", "\xff"}, {"c", strings.Repeat("d", 300)}}); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]string, 2*bindBatchSize+5)
+	for i := range keys {
+		keys[i] = []string{fmt.Sprintf("id%06d", i)}
+	}
+	var bound int
+	if err := c.BindEvalStream(lang.NewAtom("A.r", lang.Var("x"), lang.Var("y")), []int{0}, keys, func(rel.Tuple) error {
+		bound++
+		return nil
+	}); err != nil || bound != len(keys) {
+		t.Fatalf("bind: %d rows, %v", bound, err)
+	}
+	if batches := c.counters.bindBatches.Load(); batches != 3 {
+		t.Fatalf("the bind went out in %d batches, want 3", batches)
+	}
+	waitFor(t, "the server to count its last frame", func() bool { return srv.bytesSent.Load() == c.counters.bytesRecv.Load() })
+	if recv, sent := srv.bytesRecv.Load(), c.counters.bytesSent.Load(); recv != sent {
+		t.Fatalf("server.bytes_recv %d, wire.bytes_sent %d; want them equal", recv, sent)
+	}
 }
 
-// TestVersion1RequestAnsweredWithError sends requests without "v", and
-// with a future version, to a current server: each is answered with a JSON
-// error frame naming both versions, and the connection stays usable.
+// TestVersion1RequestAnsweredWithError sends requests without "v", of
+// version 2 (one with JSON rows), and of a future version, to a current
+// server: each is answered with a JSON error frame naming both versions,
+// and the connection stays usable.
 func TestVersion1RequestAnsweredWithError(t *testing.T) {
 	addr := startServer(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	conn, err := net.Dial("tcp", addr)
@@ -132,14 +179,16 @@ func TestVersion1RequestAnsweredWithError(t *testing.T) {
 	}
 	for _, c := range []struct{ req, v string }{
 		{`{"op":"scan","pred":"A.r"}`, "version 1"},
-		{`{"op":"scan","v":3,"pred":"A.r"}`, "version 3"},
+		{`{"op":"scan","v":2,"pred":"A.r"}`, "version 2"},
+		{`{"op":"add","v":2,"pred":"A.r","rows":[["2","b"]]}`, "version 2"},
+		{`{"op":"scan","v":4,"pred":"A.r"}`, "version 4"},
 	} {
 		line := exchange(c.req)
-		if !strings.HasPrefix(line, `{"error":`) || !strings.Contains(line, c.v) || !strings.Contains(line, "version 2") {
-			t.Fatalf("%s answered %q; want an error frame naming %s and version 2", c.req, line, c.v)
+		if !strings.HasPrefix(line, `{"error":`) || !strings.Contains(line, c.v) || !strings.Contains(line, "version 3") {
+			t.Fatalf("%s answered %q; want an error frame naming %s and version 3", c.req, line, c.v)
 		}
 	}
-	if line := exchange(`{"op":"ping","v":2}`); line != "{}\n" {
+	if line := exchange(`{"op":"ping","v":3}`); line != "{}\n" {
 		t.Fatalf("ping after the version errors answered %q", line)
 	}
 }
@@ -157,10 +206,41 @@ func TestVersion1ResponseBreaksClient(t *testing.T) {
 	}
 	defer c.Close()
 	_, err = c.Scan("X.r")
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 3") {
 		t.Fatalf("version 1 frame gave %v; want an error naming both versions", err)
 	}
 	if !c.Broken() {
 		t.Fatal("client must be broken after a version 1 frame")
+	}
+}
+
+// TestOversizeEnvelopeClosesConnection sends a request envelope over the
+// server's limit. The server cannot know whether a row block follows the
+// line, so it answers in-band and then closes the connection rather than
+// read the block as the next request.
+func TestOversizeEnvelopeClosesConnection(t *testing.T) {
+	srv := NewServer(nil)
+	srv.maxRequestBytes = 1024
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := wire.AppendRequest(nil, &wire.Request{Op: "add", V: wire.Version, Pred: strings.Repeat("p", 2048), Rows: [][]string{{"{\"op\":\"ping\",\"v\":3}\n"}}})
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	line, err := br.ReadString('\n')
+	if err != nil || !strings.Contains(line, "request frame exceeds 1024 bytes") {
+		t.Fatalf("answered %q, %v; want the in-band over-limit error", line, err)
+	}
+	if rest, err := br.ReadString('\n'); err == nil {
+		t.Fatalf("the connection stayed open and answered %q", rest)
 	}
 }

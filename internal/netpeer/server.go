@@ -140,11 +140,13 @@ type Server struct {
 	// the spec's ppl.PDMS.CheckFact. Set before Start.
 	CheckRow func(pred string, values []string) error
 
-	// maxRequestBytes caps one request frame: an over-limit frame is
-	// consumed through its newline and answered with an in-band error, and
-	// the connection survives. writeTimeout bounds each response-frame
-	// write, so a client that stops reading is disconnected instead of
-	// pinning the server's read lock. NewServer sets both from the defaults.
+	// maxRequestBytes caps one request frame, envelope and row block: an
+	// over-limit request is consumed (its block read and dropped) and
+	// answered with an in-band error, and the connection survives unless
+	// the envelope line itself was over. writeTimeout bounds each
+	// response-frame write, so a client that stops reading is disconnected
+	// instead of pinning the server's read lock. NewServer sets both from
+	// the defaults.
 	maxRequestBytes int
 	writeTimeout    time.Duration
 
@@ -392,12 +394,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 
 	adm := s.gate()
 	for {
-		req, errMsg, ok := s.readRequest(conn, br, &in)
+		req, errMsg, closeAfter, ok := s.readRequest(conn, br, &in)
 		if !ok || ctx.Err() != nil {
 			return
 		}
 		if errMsg != "" {
-			if w.send(wire.Response{Error: errMsg}) != nil {
+			if w.send(wire.Response{Error: errMsg}) != nil || closeAfter {
 				return
 			}
 			continue
@@ -430,48 +432,48 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 // readRequest reads a connection's next request into *in, the
 // connection's reused request buffer, and decodes it. ok is false at a
 // clean disconnect or a terminal read failure. Recoverable failures (an
-// over-limit frame, bad JSON, another protocol version) come back as
-// errMsg, to be answered in-band so the stream stays framed.
-func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req wire.Request, errMsg string, ok bool) {
-	frame, err := wire.AppendFrame(*in, br, s.maxRequestBytes)
+// over-limit request, one that does not decode, another protocol version)
+// come back as errMsg, to be answered in-band so the stream stays framed;
+// after an envelope line over the limit, whose row block may follow
+// unread, closeAfter says to close the connection once that answer is out.
+func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req wire.Request, errMsg string, closeAfter, ok bool) {
+	frame, err := wire.ReadRequest(br, *in, s.maxRequestBytes, &req)
+	*in = recycle(frame)
 	switch {
-	case err == nil:
+	case err == nil, errors.Is(err, wire.ErrBadRequest):
+		s.requests.Add(1)
+		s.bytesRecv.Add(uint64(len(frame) + 1))
+		if err != nil {
+			return req, err.Error(), false, true
+		}
 	case errors.Is(err, wire.ErrFrameTooLarge):
-		// The oversized line was consumed through its newline, so the
-		// stream is still framed: answer in-band instead of dropping the
-		// connection (the old fixed-buffer scanner died here with no
-		// diagnostic on either side).
+		// The over-limit request was consumed, so the stream is still
+		// framed when its envelope was read: answer in-band instead of
+		// dropping the connection silently.
 		s.requests.Add(1)
 		s.readErrors.Add(1)
 		s.logw("netpeer: request frame over limit", "peer", conn.RemoteAddr(), "limit", s.maxRequestBytes)
-		return req, fmt.Sprintf("request frame exceeds %d bytes", s.maxRequestBytes), true
+		return req, fmt.Sprintf("request frame exceeds %d bytes", s.maxRequestBytes), req.RowBytes == 0, true
 	case errors.Is(err, io.EOF):
-		return req, "", false // clean disconnect at a frame boundary
+		return req, "", false, false // clean disconnect at a frame boundary
 	default:
 		var ne net.Error
 		if s.draining.Load() && errors.As(err, &ne) && ne.Timeout() {
 			// Drain's read-deadline nudge: the client is idle at a frame
 			// boundary (requests already in br were read above); wind the
 			// connection down quietly.
-			return req, "", false
+			return req, "", false, false
 		}
 		s.readErrors.Add(1)
 		s.logw("netpeer: reading request", "peer", conn.RemoteAddr(), "err", err)
-		return req, "", false
-	}
-	s.requests.Add(1)
-	s.bytesRecv.Add(uint64(len(frame) + 1))
-	err = wire.DecodeRequest(frame, &req)
-	*in = recycle(frame)
-	if err != nil {
-		return req, fmt.Sprintf("bad request: %v", err), true
+		return req, "", false, false
 	}
 	if req.V != wire.Version {
 		// A request without "v" is version 1. The error frame is plain
 		// JSON, so an old client reads it and the connection stays framed.
-		return req, fmt.Sprintf("protocol version %d request; this server speaks version %d", max(req.V, 1), wire.Version), true
+		return req, fmt.Sprintf("protocol version %d request; this server speaks version %d", max(req.V, 1), wire.Version), false, true
 	}
-	return req, "", true
+	return req, "", false, true
 }
 
 // frameWriter writes one connection's response frames. Each frame is
@@ -656,7 +658,7 @@ func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 }
 
 // kept copies v for an attribute of root's span tree. The strings of a
-// request's query and atom are substrings of its frame (wire.DecodeRequest),
+// request's query and atom are substrings of its frame (wire.ReadRequest),
 // and a traced request's tree outlives the request in the Tracer's ring; an
 // untraced request keeps no span, so v is returned as is.
 func kept(root *obs.Span, v string) string {
@@ -762,8 +764,8 @@ func bindProbeArgs(req wire.Request) (pred string, cols []int, keys [][]string, 
 	for i, kc := range kcs {
 		cols[i] = kc.col
 	}
-	keys = make([][]string, 0, len(req.BindRows))
-	for _, row := range req.BindRows {
+	keys = make([][]string, 0, len(req.Rows))
+	for _, row := range req.Rows {
 		if len(row) != len(req.BindCols) {
 			return "", nil, nil, fmt.Errorf("bind: row has %d values, want %d", len(row), len(req.BindCols))
 		}

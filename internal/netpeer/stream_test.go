@@ -354,7 +354,7 @@ func TestSlowClientCannotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stall.Close()
-	if _, err := stall.Write([]byte(`{"op":"scan","v":2,"pred":"W.big"}` + "\n")); err != nil {
+	if _, err := stall.Write([]byte(`{"op":"scan","v":3,"pred":"W.big"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the server fill the socket buffers

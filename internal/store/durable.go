@@ -147,10 +147,7 @@ func (rl *relLog) openSegmentLocked() error {
 		return err
 	}
 	path := filepath.Join(rl.dir(), segFileName(rl.count))
-	w, err := createSegment(path, segHeader{
-		Magic: segMagic, Rel: rl.pred, Arity: rl.arity,
-		Shard: 0, Shards: 1, GenLo: rl.count,
-	})
+	w, err := createSegment(path, segHeader{Magic: segMagic, Rel: rl.pred, Arity: rl.arity, GenLo: rl.count})
 	if err != nil {
 		return err
 	}
@@ -283,10 +280,10 @@ type RelRecovery struct {
 // A torn or garbled tail in a relation's final segment is truncated at the
 // last intact frame (the crash-window loss); the same defect in any earlier
 // segment, a generation gap between segments, or a duplicated frame is
-// corruption beyond the crash model and fails recovery. So is a segment of
-// a foreign layout — a file named for a partition other than 0, or a
-// header recording more than one partition: Recover fails naming the file
-// rather than skip it or replay it in part.
+// corruption beyond the crash model and fails recovery. So is a file of a
+// foreign layout — a .seg file not named s0-<genLo>.seg, or a segment of
+// the earlier pdms-seg1 format, the final one included: Recover fails
+// naming the file rather than skip it, replay it in part or truncate it.
 func (d *Dir) Recover(int) (*rel.Instance, []RelRecovery, error) {
 	start := time.Now()
 	ins := rel.NewInstance()
@@ -348,26 +345,22 @@ func OpenInstance(path string, seed *rel.Instance) (*rel.Instance, *Dir, []RelRe
 // segFile is one parsed segment file name.
 type segFile struct {
 	name  string
-	shard int
 	genLo uint64
 }
 
 // segFileName names the segment starting at generation genLo. The "s0-"
-// prefix is the partition number earlier layouts wrote; it is always 0.
+// prefix is the partition number earlier layouts wrote; it is always 0,
+// and kept so that a pdms-seg1 journal's files are found and refused
+// rather than skipped.
 func segFileName(genLo uint64) string {
 	return fmt.Sprintf("s0-%016d.seg", genLo)
 }
 
+// parseSegFileName parses a name segFileName writes.
 func parseSegFileName(name string) (segFile, bool) {
-	var shard int
 	var genLo uint64
-	if !strings.HasSuffix(name, ".seg") {
-		return segFile{}, false
-	}
-	if _, err := fmt.Sscanf(name, "s%d-%016d.seg", &shard, &genLo); err != nil || shard < 0 {
-		return segFile{}, false
-	}
-	return segFile{name: name, shard: shard, genLo: genLo}, true
+	_, err := fmt.Sscanf(name, "s0-%d.seg", &genLo)
+	return segFile{name: name, genLo: genLo}, err == nil && name == segFileName(genLo)
 }
 
 // recoverRelation replays one relation directory. It returns nil (and no
@@ -379,12 +372,12 @@ func (d *Dir) recoverRelation(ins *rel.Instance, pred, dir string) (*RelRecovery
 	}
 	var segs []segFile
 	for _, ent := range entries {
-		sf, ok := parseSegFileName(ent.Name())
-		if !ok {
+		if !strings.HasSuffix(ent.Name(), ".seg") {
 			continue
 		}
-		if sf.shard != 0 {
-			return nil, fmt.Errorf("store: %s: segment %s belongs to partition %d; only single-partition journals replay", pred, filepath.Join(dir, sf.name), sf.shard)
+		sf, ok := parseSegFileName(ent.Name())
+		if !ok {
+			return nil, fmt.Errorf("store: %s: segment %s is not named s0-<generation>.seg; only single-partition journals replay", pred, filepath.Join(dir, ent.Name()))
 		}
 		segs = append(segs, sf)
 	}
@@ -406,11 +399,8 @@ func (d *Dir) recoverRelation(ins *rel.Instance, pred, dir string) (*RelRecovery
 				pred, sf.name, sf.genLo, gen)
 		}
 		onHeader := func(h segHeader) error {
-			if h.Rel != pred || h.Shard != 0 || h.GenLo != sf.genLo {
+			if h.Rel != pred || h.GenLo != sf.genLo {
 				return fmt.Errorf("store: %s: segment %s header disagrees with its name", pred, path)
-			}
-			if h.Shards != 1 {
-				return fmt.Errorf("store: %s: segment %s records %d partitions; only single-partition journals replay", pred, path, h.Shards)
 			}
 			if hdr == nil {
 				hdr = &h

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -376,21 +375,13 @@ func TestJournalGapDetected(t *testing.T) {
 	}
 }
 
-// writeSegment writes one well-formed segment file of relation "edge"
-// under root, with the given name and header partition fields.
-func writeSegment(t *testing.T, root, name string, shard, shards int, genLo uint64, tuples ...rel.Tuple) string {
+// writeSegment writes one segment file of relation "edge" under root,
+// with the given name, holding data.
+func writeSegment(t *testing.T, root, name string, data []byte) string {
 	t.Helper()
 	dir := filepath.Join(root, escapeRel("edge"))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
-	}
-	hdr, err := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: 2, Shard: shard, Shards: shards, GenLo: genLo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := appendFrame(nil, hdr)
-	for _, tu := range tuples {
-		data = appendFrame(data, encodeTuple(nil, tu))
 	}
 	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -399,31 +390,34 @@ func writeSegment(t *testing.T, root, name string, shard, shards int, genLo uint
 	return path
 }
 
-// TestRecoverRejectsForeignLayout: a journal written with more than one
-// partition per relation fails recovery with an error naming the foreign
-// file — whether the file's name or its header gives the layout away — and
-// the file is left as it was: never skipped, never partly replayed.
+// seg1Bytes is a segment of "edge" in the pdms-seg1 format: a header with
+// the partition fields, and its tuples as JSON string arrays.
+const seg1Bytes = "75:{\"magic\":\"pdms-seg1\",\"rel\":\"edge\",\"arity\":2,\"shard\":0,\"shards\":1,\"genLo\":0}\n" +
+	"9:[\"a\",\"b\"]\n9:[\"c\",\"d\"]\n"
+
+// TestRecoverRejectsForeignLayout: a segment written in an earlier layout
+// fails recovery with an error naming the file — a pdms-seg1 segment,
+// final or not, and a file of a second partition — and the file is left
+// as it was: never skipped, never partly replayed, never cut as a torn
+// tail.
 func TestRecoverRejectsForeignLayout(t *testing.T) {
-	rows := []rel.Tuple{{"a", "b"}, {"c", "d"}}
+	seg2 := segmentBytes(2, rel.Tuple{"a", "b"}, rel.Tuple{"c", "d"})
 	for _, tc := range []struct {
-		name          string
-		file          string
-		shard, shards int
+		name string
+		file string
+		want []string
 	}{
-		{"second partition's file", "s1-0000000000000000.seg", 1, 2},
-		{"header of two partitions", "s0-0000000000000000.seg", 0, 2},
+		{"second partition's file", "s1-0000000000000000.seg", []string{"s0-<generation>.seg"}},
+		{"header of two partitions", "s0-0000000000000000.seg", []string{seg1Magic, segMagic}},
+		{"final pdms-seg1 segment", "s0-0000000000000002.seg", []string{seg1Magic, segMagic}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
 			if tc.file != "s0-0000000000000000.seg" {
-				// A healthy partition-0 segment beside the foreign one.
-				writeSegment(t, root, "s0-0000000000000000.seg", 0, 1, 0, rows...)
+				// A healthy first segment beside the foreign one.
+				writeSegment(t, root, "s0-0000000000000000.seg", seg2)
 			}
-			path := writeSegment(t, root, tc.file, tc.shard, tc.shards, 0, rows...)
-			before, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			path := writeSegment(t, root, tc.file, []byte(seg1Bytes))
 			d, err := Open(root, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -432,21 +426,67 @@ func TestRecoverRejectsForeignLayout(t *testing.T) {
 			if err == nil {
 				t.Fatalf("recovered %v from a foreign layout", ins)
 			}
-			if !strings.Contains(err.Error(), path) {
-				t.Fatalf("error %q does not name %s", err, path)
+			for _, w := range append(tc.want, path) {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not name %s", err, w)
+				}
 			}
 			after, err := os.ReadFile(path)
-			if err != nil || !slices.Equal(before, after) {
+			if err != nil || string(after) != seg1Bytes {
 				t.Fatalf("recovery altered the foreign segment (%v)", err)
 			}
 		})
 	}
 }
 
-// journalFixture replays the insert sequence that wrote
-// testdata/journal, a one-partition journal committed before relations
-// lost their hash partitions: 200-byte segments, so edge and label.of span
-// several of them.
+// journalFiles reads every file under root, by path relative to it.
+func journalFiles(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		name, _ := filepath.Rel(root, path)
+		out[name] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCommittedSeg1JournalRejected: testdata/journal-seg1, the journal
+// the pdms-seg1 format wrote for journalFixture's inserts, fails recovery
+// with an error naming a segment and both formats, and every file is left
+// byte for byte as it was.
+func TestCommittedSeg1JournalRejected(t *testing.T) {
+	root := t.TempDir()
+	if err := os.CopyFS(root, os.DirFS(filepath.Join("testdata", "journal-seg1"))); err != nil {
+		t.Fatal(err)
+	}
+	before := journalFiles(t, root)
+	d, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, _, err := d.Recover(0)
+	if err == nil {
+		t.Fatalf("recovered %v from a pdms-seg1 journal", ins)
+	}
+	if msg := err.Error(); !strings.Contains(msg, root) || !strings.Contains(msg, ".seg") || !strings.Contains(msg, seg1Magic) || !strings.Contains(msg, segMagic) {
+		t.Fatalf("error %q does not name the segment and both formats", err)
+	}
+	if after := journalFiles(t, root); !reflect.DeepEqual(before, after) {
+		t.Fatal("recovery altered the pdms-seg1 journal")
+	}
+}
+
+// journalFixture replays the insert sequence that wrote testdata/journal
+// (and, in the pdms-seg1 format, testdata/journal-seg1): 200-byte
+// segments, so edge and label.of span several of them.
 func journalFixture(ins *rel.Instance) {
 	for i := 0; i < 40; i++ {
 		ins.MustAdd("edge", fmt.Sprintf("n%02d", (i*7)%40), fmt.Sprintf("n%02d", i))
@@ -457,10 +497,9 @@ func journalFixture(ins *rel.Instance) {
 	ins.MustAdd("flag")
 }
 
-// TestCommittedJournalReplays: the committed one-partition journal
-// replays to the tuples, log order and generations of the insert sequence
-// that wrote it, and the same sequence journaled now writes the same files
-// byte for byte.
+// TestCommittedJournalReplays: the committed journal replays to the
+// tuples, log order and generations of the insert sequence that wrote it,
+// and the same sequence journaled now writes the same files byte for byte.
 func TestCommittedJournalReplays(t *testing.T) {
 	fixture := filepath.Join("testdata", "journal")
 	root := t.TempDir()
@@ -498,23 +537,7 @@ func TestCommittedJournalReplays(t *testing.T) {
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files := func(root string) map[string]string {
-		out := map[string]string{}
-		err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
-			if err != nil || e.IsDir() {
-				return err
-			}
-			b, err := os.ReadFile(path)
-			name, _ := filepath.Rel(root, path)
-			out[name] = string(b)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	if a, b := files(fixture), files(fresh); !reflect.DeepEqual(a, b) {
+	if a, b := journalFiles(t, fixture), journalFiles(t, fresh); !reflect.DeepEqual(a, b) {
 		t.Fatalf("journaling the fixture's inserts wrote %d files that differ from the committed %d", len(b), len(a))
 	}
 }

@@ -2,30 +2,22 @@ package store
 
 import (
 	"bufio"
-	"bytes"
-	"fmt"
+	"errors"
+	"io"
+	"slices"
 	"strconv"
-
-	"repro/internal/rel"
-	"repro/internal/wire"
 )
 
 // Segment frame encoding: every record — the header and each tuple — is one
-// length-prefixed, newline-terminated frame
+// length-prefixed frame
 //
-//	<decimal payload length> ':' <JSON payload> '\n'
+//	<decimal payload length> ':' <payload> '\n'
 //
-// The payload reuses the wire protocol's encoding (a JSON value per frame;
-// tuples are the same JSON string arrays wire.Response.Rows carries), and
-// the newline framing is read with wire.ReadFrame, inheriting its torn-tail
-// semantics exactly: io.EOF only at a clean frame boundary, a partial
-// trailing line surfaces as io.ErrUnexpectedEOF. The redundant length
-// prefix catches the remaining corruption class newline framing alone
-// cannot — a tail whose bytes were garbled but still contain a newline.
-
-// maxSegFrameBytes bounds one segment frame; far above any real tuple, it
-// only stops a corrupt length/garbled tail from allocating unbounded memory.
-const maxSegFrameBytes = 16 << 20
+// A tuple's payload is the one-row block wire.AppendBlockRow writes, the
+// wire protocol's row encoding, so values are stored byte for byte; the
+// header's payload is JSON. A frame is read by its length prefix, never by
+// its newline (a value may hold one): the newline after the payload is a
+// check byte, which catches a garbled length prefix.
 
 // appendFrame appends one encoded frame carrying payload to dst.
 func appendFrame(dst, payload []byte) []byte {
@@ -35,56 +27,33 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, '\n')
 }
 
-// errBadFrame reports a structurally invalid frame (bad prefix, length
-// mismatch, or undecodable payload) — the signature of a torn or garbled
-// segment tail.
-type errBadFrame struct{ reason string }
+// errBadFrame reports a frame cut short or garbled, or a payload that does
+// not decode — the signature of a torn segment tail.
+var errBadFrame = errors.New("store: torn or garbled segment frame")
 
-func (e errBadFrame) Error() string { return "store: bad segment frame: " + e.reason }
-
-// readFrame reads one frame, returning its payload and the exact number of
-// bytes consumed from the stream (prefix, payload and newline — the torn-
-// tail truncation offsets are built from this). Errors are io.EOF at a
-// clean boundary, io.ErrUnexpectedEOF on a partial trailing line, an
-// errBadFrame on structural corruption, or an underlying read error.
-func readFrame(br *bufio.Reader) ([]byte, int64, error) {
-	line, err := wire.ReadFrame(br, maxSegFrameBytes)
+// readFrame reads one frame from br, whose stream holds left more bytes,
+// into buf, reused across frames. It returns the payload and the exact
+// number of bytes the frame took (prefix, payload and newline — the
+// torn-tail truncation offsets are built from this). The error is io.EOF
+// at a clean frame boundary and errBadFrame otherwise. A frame is never
+// read past left, so a garbled length allocates no more than the file
+// holds.
+func readFrame(br *bufio.Reader, buf []byte, left int64) ([]byte, int64, error) {
+	prefix, err := br.ReadSlice(':')
 	if err != nil {
-		return nil, 0, err
+		if errors.Is(err, io.EOF) && len(prefix) == 0 {
+			return buf, 0, io.EOF
+		}
+		return buf, 0, errBadFrame
 	}
-	consumed := int64(len(line)) + 1 // wire.ReadFrame strips the newline
-	i := bytes.IndexByte(line, ':')
-	if i < 0 {
-		return nil, consumed, errBadFrame{"no length prefix"}
+	p := int64(len(prefix))
+	n, err := strconv.ParseInt(string(prefix[:p-1]), 10, 64)
+	if err != nil || n < 0 || n >= left-p {
+		return buf, 0, errBadFrame
 	}
-	n, perr := strconv.Atoi(string(line[:i]))
-	if perr != nil || n < 0 {
-		return nil, consumed, errBadFrame{"unparseable length prefix"}
+	buf = slices.Grow(buf[:0], int(n)+1)[:n+1]
+	if _, err := io.ReadFull(br, buf); err != nil || buf[n] != '\n' {
+		return buf, 0, errBadFrame
 	}
-	payload := line[i+1:]
-	if len(payload) != n {
-		return nil, consumed, errBadFrame{fmt.Sprintf("length prefix %d, payload %d bytes", n, len(payload))}
-	}
-	return payload, consumed, nil
-}
-
-// encodeTuple appends one tuple's frame payload to dst: a JSON string
-// array in the wire row encoding, byte for byte what json.Marshal writes.
-func encodeTuple(dst []byte, t rel.Tuple) []byte {
-	if t == nil {
-		// JSON has no distinct encoding for a nil slice; normalize so the
-		// empty tuple round-trips.
-		t = rel.Tuple{}
-	}
-	return wire.AppendRow(dst, t)
-}
-
-// decodeTuple parses a tuple frame payload exactly as json.Unmarshal would;
-// the tuple's values share one string.
-func decodeTuple(payload []byte) (rel.Tuple, error) {
-	vals, err := wire.DecodeRow(payload)
-	if err != nil {
-		return nil, errBadFrame{"tuple payload: " + err.Error()}
-	}
-	return rel.Tuple(vals), nil
+	return buf[:n], p + n + 1, nil
 }

@@ -1,28 +1,23 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
-// validSegmentBytes builds a well-formed segment of an arity-2 relation
-// for seeding the fuzzer.
-func validSegmentBytes(tuples ...rel.Tuple) []byte {
-	return segmentBytes(2, 1, tuples...)
-}
-
-// segmentBytes builds a segment of a relation with the given arity whose
-// header records the given partition count (1 is the only count recovery
-// accepts).
-func segmentBytes(arity, shards int, tuples ...rel.Tuple) []byte {
-	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: arity, Shard: 0, Shards: shards, GenLo: 0})
+// segmentBytes builds a well-formed segment of "edge", a relation of the
+// given arity, for seeding the fuzzer.
+func segmentBytes(arity int, tuples ...rel.Tuple) []byte {
+	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: arity, GenLo: 0})
 	out := appendFrame(nil, hdr)
 	for _, t := range tuples {
-		out = appendFrame(out, encodeTuple(nil, t))
+		out = appendFrame(out, wire.AppendBlockRow(nil, t))
 	}
 	return out
 }
@@ -30,22 +25,31 @@ func segmentBytes(arity, shards int, tuples ...rel.Tuple) []byte {
 // FuzzSegmentReplay feeds arbitrary bytes to recovery as the content of a
 // relation's only (and therefore final) segment. Whatever the bytes — truncated
 // tails, garbled frames, duplicated tuples, hostile headers — recovery must
-// either succeed or fail cleanly: no panic, and on success a second recovery
-// of the (post-truncation) directory must reproduce the identical instance,
-// so no torn tuple is ever resurrected.
+// either succeed or fail cleanly: no panic, a failure leaves the file as it
+// was, and on success a second recovery of the (post-truncation) directory
+// must reproduce the identical instance, so no torn tuple is ever
+// resurrected. The committed corpus is in the pdms-seg1 format, so it
+// exercises the rejection.
 func FuzzSegmentReplay(f *testing.F) {
-	whole := validSegmentBytes(rel.Tuple{"a", "b"}, rel.Tuple{"c", "d"}, rel.Tuple{"e", "f"})
+	whole := segmentBytes(2, rel.Tuple{"a", "b"}, rel.Tuple{"c", "d"}, rel.Tuple{"e", "f"})
 	f.Add(whole)
 	f.Add(whole[:len(whole)-4])            // torn mid-frame
 	f.Add(append([]byte("12:"), whole...)) // garbled prefix
-	dup := validSegmentBytes(rel.Tuple{"a", "b"}, rel.Tuple{"a", "b"})
+	dup := segmentBytes(2, rel.Tuple{"a", "b"}, rel.Tuple{"a", "b"})
 	f.Add(dup) // duplicated tail tuple
 	f.Add([]byte{})
 	f.Add([]byte("9:{\"bad\":1}\n"))
-	// Arity 0: the one tuple is an empty payload. A header of two
-	// partitions is a foreign layout, which recovery must reject.
-	f.Add(segmentBytes(0, 1, rel.Tuple{}))
-	f.Add(segmentBytes(0, 2, rel.Tuple{}))
+	// Arity 0: the one tuple is the one-byte block of an empty row.
+	f.Add(segmentBytes(0, rel.Tuple{}))
+	f.Add([]byte(seg1Bytes)) // the earlier format, which recovery must reject
+	// A row torn inside its values, a value's length garbled into a
+	// two-byte uvarint, and values holding a newline, a colon and invalid
+	// UTF-8.
+	f.Add(whole[:len(whole)-3])
+	garbled := bytes.Clone(whole)
+	garbled[bytes.LastIndexByte(garbled, 'e')-1] = 0x81
+	f.Add(garbled)
+	f.Add(segmentBytes(2, rel.Tuple{"a\nb", "\xff\xfe"}, rel.Tuple{"\n", "9:"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		segDir := filepath.Join(dir, escapeRel("edge"))
@@ -61,7 +65,11 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 		ins, recs, err := d.Recover(0)
 		if err != nil {
-			return // clean rejection is a valid outcome
+			// Clean rejection is a valid outcome, and touches nothing.
+			if after, rerr := os.ReadFile(filepath.Join(segDir, segFileName(0))); rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("recovery failed (%v) and altered the segment (%v)", err, rerr)
+			}
+			return
 		}
 		for _, rec := range recs {
 			r := ins.Relation(rec.Pred)

@@ -4,30 +4,34 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
 // segMagic identifies the segment format; bumped on incompatible changes.
-const segMagic = "pdms-seg1"
+// seg1Magic is the format before tuples became row blocks (they were JSON
+// string arrays): recovery refuses such a segment, naming it, rather than
+// read it or cut it as a torn tail.
+const (
+	segMagic  = "pdms-seg2"
+	seg1Magic = "pdms-seg1"
+)
 
 // segHeader is the first frame of every segment file: enough to make each
 // segment self-describing for recovery. GenLo is the relation's generation
 // when the segment was opened, so the segment covers the generation range
 // (GenLo, GenLo+tuples] — the ranges of a relation's segments tile its
 // insert log exactly, which is what keeps generation-vector cache keys and
-// the wire gens piggyback meaningful across restarts. Shard and Shards
-// record a partition layout relations no longer have: every segment is
-// written with 0 and 1, and recovery rejects any other values.
+// the wire gens piggyback meaningful across restarts.
 type segHeader struct {
-	Magic  string `json:"magic"`
-	Rel    string `json:"rel"`
-	Arity  int    `json:"arity"`
-	Shard  int    `json:"shard"`
-	Shards int    `json:"shards"`
-	GenLo  uint64 `json:"genLo"`
+	Magic string `json:"magic"`
+	Rel   string `json:"rel"`
+	Arity int    `json:"arity"`
+	GenLo uint64 `json:"genLo"`
 }
 
 // segWriter appends frames to one open segment file through a buffered
@@ -37,7 +41,7 @@ type segWriter struct {
 	bw    *bufio.Writer
 	bytes int64 // bytes appended so far, including the header frame
 	buf   []byte
-	row   []byte // the tuple payload being framed, reused
+	row   []byte // the tuple's row block being framed, reused
 }
 
 // createSegment creates path (which must not exist) and writes its header.
@@ -68,7 +72,7 @@ func (w *segWriter) writeFrame(payload []byte) error {
 
 // appendTuple appends one tuple frame and returns the frame's size.
 func (w *segWriter) appendTuple(t rel.Tuple) (int64, error) {
-	w.row = encodeTuple(w.row[:0], t)
+	w.row = wire.AppendBlockRow(w.row[:0], t)
 	before := w.bytes
 	if err := w.writeFrame(w.row); err != nil {
 		return w.bytes - before, err
@@ -112,48 +116,50 @@ type segScan struct {
 	err error
 }
 
-// scanSegment reads path frame by frame: onHeader (if non-nil) sees the
-// decoded header before any tuple, then apply is called for each decoded
-// tuple. The scan stops at the first defect — framing, decoding, or an
-// apply error — recording it in segScan.err rather than failing, so the
-// caller can apply the torn-tail policy (truncate the final segment, reject
-// corruption anywhere else). The returned error is reserved for I/O
-// failures and onHeader rejections, which abort recovery outright.
+// scanSegment reads path frame by frame: onHeader sees the decoded header
+// before any tuple, then apply is called for each decoded tuple. The scan
+// stops at the first defect — framing, decoding, or an apply error —
+// recording it in segScan.err rather than failing, so the caller can apply
+// the torn-tail policy (truncate the final segment, reject corruption
+// anywhere else). The returned error is reserved for I/O failures, a
+// pdms-seg1 header and onHeader rejections, which abort recovery outright.
 func scanSegment(path string, onHeader func(segHeader) error, apply func(rel.Tuple) error) (segScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return segScan{}, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return segScan{}, err
+	}
 	br := bufio.NewReaderSize(f, 1<<20)
 	var sc segScan
 	var off int64
+	var buf []byte
 	readOne := func() ([]byte, error) {
-		payload, consumed, err := readFrame(br)
-		off += consumed
+		payload, n, err := readFrame(br, buf, fi.Size()-off)
+		buf = payload
+		off += n
 		return payload, err
 	}
 	payload, err := readOne()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			// Zero-length file: a crash between file creation and the
-			// header flush.
-			sc.err = io.ErrUnexpectedEOF
-		} else {
-			sc.err = err
-		}
-		return sc, nil
+	if err == nil {
+		err = json.Unmarshal(payload, &sc.hdr)
 	}
-	if err := json.Unmarshal(payload, &sc.hdr); err != nil || sc.hdr.Magic != segMagic {
-		sc.err = errBadFrame{"invalid segment header"}
+	if err != nil || sc.hdr.Magic != segMagic {
+		if err == nil && sc.hdr.Magic == seg1Magic {
+			return sc, fmt.Errorf("store: segment %s is in the %s format, which this journal no longer reads; it writes and reads %s", path, seg1Magic, segMagic)
+		}
+		// A zero-length file is a crash between file creation and the
+		// header flush.
+		sc.err = errBadFrame
 		return sc, nil
 	}
 	sc.hdrOK = true
 	sc.goodBytes = off
-	if onHeader != nil {
-		if err := onHeader(sc.hdr); err != nil {
-			return sc, err
-		}
+	if err := onHeader(sc.hdr); err != nil {
+		return sc, err
 	}
 	for {
 		payload, err := readOne()
@@ -164,12 +170,12 @@ func scanSegment(path string, onHeader func(segHeader) error, apply func(rel.Tup
 			sc.err = err
 			return sc, nil
 		}
-		t, err := decodeTuple(payload)
-		if err != nil {
-			sc.err = err
+		rows, err := wire.DecodeRows(payload)
+		if err != nil || len(rows) != 1 {
+			sc.err = errBadFrame
 			return sc, nil
 		}
-		if err := apply(t); err != nil {
+		if err := apply(rows[0]); err != nil {
 			sc.err = err
 			return sc, nil
 		}

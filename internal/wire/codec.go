@@ -5,27 +5,28 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 )
 
-// The frame codec. Every frame of the protocol — every request a hop
-// sends, and the envelope and row block of every response — is encoded and
-// decoded by hand rather than through reflection. Requests and response
-// envelopes are byte-identical to encoding/json in both directions:
-// AppendResponse and AppendRequest write exactly what json.Encoder.Encode
-// writes for the envelope, and decodeResponse and DecodeRequest yield
-// exactly what json.Unmarshal yields, for every input. Only the common
-// shape takes the hand-written path — the exact field names, strings
-// without escapes, plain integers. Everything else (an escape, a
-// case-variant, duplicate or unknown key, null, a non-integer number, a
-// syntax error) goes to encoding/json, for that one value or for the whole
-// frame, so the semantics stay encoding/json's without a second JSON
-// parser. Spans ride only on final frames of traced requests and always go
-// through encoding/json. A response's rows are not JSON: they travel in
-// the row block after the envelope (AppendBlockRow, decodeRows).
+// The frame codec. Every frame of the protocol — the envelope and row
+// block of every request and every response — is encoded and decoded by
+// hand rather than through reflection. Envelopes are byte-identical to
+// encoding/json in both directions: AppendResponse and AppendRequest write
+// exactly what json.Encoder.Encode writes for the envelope, and
+// decodeResponse and decodeRequest yield exactly what json.Unmarshal
+// yields, for every input. Only the common shape takes the hand-written
+// path — the exact field names, strings without escapes, plain integers.
+// Everything else (an escape, a case-variant, duplicate or unknown key,
+// null, a non-integer number, a syntax error) goes to encoding/json, for
+// that one value or for the whole frame, so the semantics stay
+// encoding/json's without a second JSON parser. Spans ride only on final
+// frames of traced requests and always go through encoding/json. Rows are
+// never JSON: they travel in the row block after the envelope
+// (AppendBlockRow, DecodeRows).
 
 // AppendResponse appends r's frame to dst: the envelope line, exactly the
 // bytes json.Encoder.Encode writes for r with its Rows left out and, when
@@ -53,7 +54,7 @@ func AppendResponse(dst []byte, r *Response, block []byte) []byte {
 		dst = appendField(dst, open, `"unchanged":true`)
 	}
 	if len(r.Preds) > 0 {
-		dst = AppendRow(appendField(dst, open, `"preds":`), r.Preds)
+		dst = appendStrings(appendField(dst, open, `"preds":`), r.Preds)
 	}
 	if len(r.Cards) > 0 {
 		dst = appendInts(appendField(dst, open, `"cards":`), r.Cards)
@@ -97,14 +98,10 @@ func appendField(dst []byte, open int, key string) []byte {
 	return append(dst, key...)
 }
 
-// AppendRow appends row as a JSON array of strings, exactly as
-// json.Marshal encodes a []string: a nil row is null.
-func AppendRow(dst []byte, row []string) []byte {
-	if row == nil {
-		return append(dst, "null"...)
-	}
+// appendStrings appends ss as a JSON array of strings.
+func appendStrings(dst []byte, ss []string) []byte {
 	dst = append(dst, '[')
-	for i, v := range row {
+	for i, v := range ss {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -113,16 +110,17 @@ func AppendRow(dst []byte, row []string) []byte {
 	return append(dst, ']')
 }
 
-// appendRows appends rows as a JSON array of string arrays.
-func appendRows(dst []byte, rows [][]string) []byte {
-	dst = append(dst, '[')
-	for i, row := range rows {
-		if i > 0 {
-			dst = append(dst, ',')
+// blockLen is the length of the row block carrying rows: a uvarint takes
+// one byte per 7 bits of its value.
+func blockLen(rows [][]string) int {
+	n := 0
+	for _, row := range rows {
+		n += (bits.Len(uint(len(row))|1) + 6) / 7
+		for _, v := range row {
+			n += (bits.Len(uint(len(v))|1)+6)/7 + len(v)
 		}
-		dst = AppendRow(dst, row)
 	}
-	return append(dst, ']')
+	return n
 }
 
 // appendInts appends ns as a JSON array of integers.
@@ -137,10 +135,11 @@ func appendInts(dst []byte, ns []int) []byte {
 	return append(dst, ']')
 }
 
-// AppendRequest appends r's frame to dst: exactly the bytes
-// json.Encoder.Encode writes for r, trailing newline included, escaped as
-// AppendResponse escapes. Op is always written; every other field only
-// when set, as its omitempty tag says.
+// AppendRequest appends r's frame to dst: the envelope line, exactly the
+// bytes json.Encoder.Encode writes for r with RowBytes set to the length
+// of the row block carrying r.Rows, escaped as AppendResponse escapes;
+// then that block. Op is always written; every other field only when set,
+// as its omitempty tag says. AppendRequest does not read r.RowBytes.
 func AppendRequest(dst []byte, r *Request) []byte {
 	dst = appendString(append(dst, `{"op":`...), r.Op)
 	if r.V != 0 {
@@ -152,17 +151,14 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	if r.Pred != "" {
 		dst = appendString(append(dst, `,"pred":`...), r.Pred)
 	}
-	if len(r.Rows) > 0 {
-		dst = appendRows(append(dst, `,"rows":`...), r.Rows)
-	}
 	if r.Atom != nil {
 		dst = appendAtom(append(dst, `,"atom":`...), r.Atom)
 	}
 	if len(r.BindCols) > 0 {
 		dst = appendInts(append(dst, `,"bindCols":`...), r.BindCols)
 	}
-	if len(r.BindRows) > 0 {
-		dst = appendRows(append(dst, `,"bindRows":`...), r.BindRows)
+	if len(r.Rows) > 0 {
+		dst = strconv.AppendInt(append(dst, `,"rowBytes":`...), int64(blockLen(r.Rows)), 10)
 	}
 	if r.Trace != "" {
 		dst = appendString(append(dst, `,"trace":`...), r.Trace)
@@ -173,7 +169,11 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	if r.IfGen != nil {
 		dst = strconv.AppendUint(append(dst, `,"ifGen":`...), *r.IfGen, 10)
 	}
-	return append(dst, '}', '\n')
+	dst = append(dst, '}', '\n')
+	for _, row := range r.Rows {
+		dst = AppendBlockRow(dst, row)
+	}
+	return dst
 }
 
 // appendCQ appends q as encoding/json marshals a CQ: a nil Body is null,
@@ -390,7 +390,7 @@ func (p *scanner) response(r *Response, v1 *bool) bool {
 		case fieldUnchanged:
 			r.Unchanged, ok = p.boolean()
 		case fieldPreds:
-			if r.Preds, ok = p.row(make([]string, 0)); ok {
+			if r.Preds, ok = p.strs(make([]string, 0)); ok {
 				for i, v := range r.Preds {
 					r.Preds[i] = strings.Clone(v)
 				}
@@ -406,14 +406,14 @@ func (p *scanner) response(r *Response, v1 *bool) bool {
 	}) && p.end()
 }
 
-// decodeRows decodes a row block that must parse to exactly len(block)
+// DecodeRows decodes a row block that must parse to exactly len(block)
 // bytes, with every uvarint in its shortest form, so a block decodes to
 // one list of rows and that list encodes back to the same bytes. Every
 // value is a substring of one string holding the block, and the rows share
 // one []string of values, each row capped at its own end: a block costs
-// three allocations however many rows it carries, and a retained row keeps
-// the whole block's string alive.
-func decodeRows(block []byte) ([][]string, error) {
+// three allocations however many rows it carries, a retained row keeps
+// the whole block's string alive, and no row aliases block.
+func DecodeRows(block []byte) ([][]string, error) {
 	nrows, nvals, ok := scanBlock(block)
 	if !ok {
 		return nil, errBadBlock
@@ -473,41 +473,45 @@ func uvarint(b []byte) (uint64, int) {
 	return x, n
 }
 
-// DecodeRow decodes one JSON array of strings, giving exactly what
-// json.Unmarshal gives for a nil []string. The values are substrings of
-// one string holding data.
-func DecodeRow(data []byte) ([]string, error) {
-	p := scanner{s: string(data), b: data}
-	var buf [8]string
-	p.space()
-	if vals, ok := p.row(buf[:0]); ok && p.end() {
-		row := make([]string, len(vals))
-		copy(row, vals)
-		return row, nil
-	}
-	var row []string
-	err := json.Unmarshal(data, &row)
-	return row, err
-}
+// errJSONRows reports a request envelope with a "rows" or "bindRows" key,
+// as versions 1 and 2 sent rows.
+var errJSONRows = fmt.Errorf(`wire: request carries its rows as JSON, a protocol version 2 request; this peer speaks version %d`, Version)
 
-// DecodeRequest decodes one request frame (without its newline) into r,
-// overwriting it: afterwards r holds exactly what json.Unmarshal(frame, r)
-// leaves in a zero Request, and the error is exactly json.Unmarshal's.
-// The result does not alias frame. The strings of Query, Atom and BindRows
-// are substrings of one string holding the frame, so whoever keeps one past
-// the request copies it; Op is one too. Pred, Trace and every value of Rows
-// — the strings a server keeps, as relation names, trace IDs and inserted
-// tuples — each get their own allocation, and every row of Rows its own
-// slice.
-func DecodeRequest(frame []byte, r *Request) error {
+// decodeRequest decodes one request envelope (without its newline) into
+// r, overwriting it: afterwards r holds exactly what json.Unmarshal(frame,
+// r) leaves in a zero Request, and the error is exactly json.Unmarshal's —
+// except that a "rows" or "bindRows" key, in any case, is errJSONRows and
+// a negative rowBytes is an error. The result does not alias frame. Op
+// and the strings of Query and Atom are substrings of one string holding
+// the frame, so whoever keeps one past the request copies it; Pred and
+// Trace, which a server keeps, get their own allocations.
+func decodeRequest(frame []byte, r *Request) error {
 	*r = Request{}
 	p := scanner{s: string(frame), b: frame}
 	p.space()
 	if p.request(r) && p.end() {
 		return nil
 	}
+	// Off the hand-written path, which a "rows" or "bindRows" key leaves
+	// too: the outer fields catch one in any case, even when null.
 	*r = Request{}
-	return json.Unmarshal(frame, r)
+	env := struct {
+		*Request
+		Rows     json.RawMessage `json:"rows"`
+		BindRows json.RawMessage `json:"bindRows"`
+	}{Request: r}
+	err := json.Unmarshal(frame, &env)
+	switch {
+	case err != nil:
+	case env.Rows != nil || env.BindRows != nil:
+		err = errJSONRows
+	case r.RowBytes < 0:
+		err = fmt.Errorf("wire: negative rowBytes %d", r.RowBytes)
+	default:
+		return nil
+	}
+	*r = Request{}
+	return err
 }
 
 // Field indexes of Request, positions in requestKeys.
@@ -516,24 +520,23 @@ const (
 	reqV
 	reqQuery
 	reqPred
-	reqRows
 	reqAtom
 	reqBindCols
-	reqBindRows
+	reqRowBytes
 	reqTrace
 	reqSpan
 	reqIfGen
 )
 
 var (
-	requestKeys = []string{"op", "v", "query", "pred", "rows", "atom", "bindCols", "bindRows", "trace", "span", "ifGen"}
+	requestKeys = []string{"op", "v", "query", "pred", "atom", "bindCols", "rowBytes", "trace", "span", "ifGen"}
 	cqKeys      = []string{"head", "body", "comps"}
 	atomKeys    = []string{"p", "a"}
 	termKeys    = []string{"k", "v"}
 	compKeys    = []string{"op", "l", "r"}
 )
 
-// request is DecodeRequest's hand-written path.
+// request is decodeRequest's hand-written path.
 func (p *scanner) request(r *Request) bool {
 	return p.object(requestKeys, func(f int) (ok bool) {
 		var v string
@@ -550,15 +553,15 @@ func (p *scanner) request(r *Request) bool {
 		case reqPred:
 			v, ok = p.str()
 			r.Pred = strings.Clone(v)
-		case reqRows:
-			r.Rows, ok = p.ownedRows()
 		case reqAtom:
 			r.Atom = new(Atom)
 			ok = p.atom(r.Atom)
 		case reqBindCols:
 			r.BindCols, ok = p.ints()
-		case reqBindRows:
-			r.BindRows, ok = p.sharedRows()
+		case reqRowBytes:
+			var n uint64
+			n, ok = p.digits(18)
+			r.RowBytes = int(n)
 		case reqTrace:
 			v, ok = p.str()
 			r.Trace = strings.Clone(v)
@@ -630,46 +633,6 @@ func (p *scanner) comparison(c *Comparison) bool {
 		}
 		return ok
 	})
-}
-
-// sharedRows consumes an array of string arrays whose rows share one
-// values slice, each capped at its own end.
-func (p *scanner) sharedRows() ([][]string, bool) {
-	vals := make([]string, 0, 8)
-	var ends []int
-	if !p.array(func() bool {
-		var ok bool
-		vals, ok = p.row(vals)
-		ends = append(ends, len(vals))
-		return ok
-	}) {
-		return nil, false
-	}
-	rows := make([][]string, len(ends))
-	start := 0
-	for i, end := range ends {
-		rows[i] = vals[start:end:end]
-		start = end
-	}
-	return rows, true
-}
-
-// ownedRows consumes an array of string arrays into rows that each have a
-// slice of their own and values that each have their own allocation, as
-// encoding/json gives them: a kept row pins nothing else.
-func (p *scanner) ownedRows() ([][]string, bool) {
-	rows := make([][]string, 0)
-	var buf [8]string
-	ok := p.array(func() bool {
-		vals, ok := p.row(buf[:0])
-		row := make([]string, len(vals))
-		for i, v := range vals {
-			row[i] = strings.Clone(v)
-		}
-		rows = append(rows, row)
-		return ok
-	})
-	return rows, ok
 }
 
 // scanner walks one frame. s and b hold the same bytes: decoded strings
@@ -816,8 +779,8 @@ func (p *scanner) str() (string, bool) {
 	return v, true
 }
 
-// row consumes an array of strings, appending its values to vals.
-func (p *scanner) row(vals []string) ([]string, bool) {
+// strs consumes an array of strings, appending its values to vals.
+func (p *scanner) strs(vals []string) ([]string, bool) {
 	if !p.eat('[') {
 		return vals, false
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"strconv"
@@ -150,12 +149,6 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("AppendResponse(%+v) = %q, want %q", r, got, want)
 		}
 	}
-	for _, row := range [][]string{nil, {}, {every.String()}, awkwardStrings} {
-		want, _ := json.Marshal(row)
-		if got := AppendRow(nil, row); !bytes.Equal(got, want) {
-			t.Fatalf("AppendRow(%q) = %q, want %q", row, got, want)
-		}
-	}
 }
 
 // TestBlockLayout pins the row block's bytes: per row uvarint(arity), then
@@ -232,7 +225,7 @@ func TestReadResponseRejects(t *testing.T) {
 			t.Fatalf("%s: read %+v, %v; want error %v", c.name, r, err, c.want)
 		}
 	}
-	if _, err := readFrame([]byte(`{"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+	if _, err := readFrame([]byte(`{"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 3") {
 		t.Fatalf("version 1 frame error %q does not name both versions", err)
 	}
 	if r, err := readFrame(good, len(good)-1); err != nil || len(r.Rows) != 1 {
@@ -259,7 +252,7 @@ func TestReadResponseAnnouncedBlockUnread(t *testing.T) {
 // are each capped at their own end, so an append to one cannot overwrite
 // the next.
 func TestDecodeRowsCapped(t *testing.T) {
-	rows, err := decodeRows(blockOf([][]string{{"a", "b"}, {"c"}}))
+	rows, err := DecodeRows(blockOf([][]string{{"a", "b"}, {"c"}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,23 +264,6 @@ func TestDecodeRowsCapped(t *testing.T) {
 	base := uintptr(unsafe.Pointer(unsafe.StringData(rows[0][0])))
 	if p := uintptr(unsafe.Pointer(unsafe.StringData(rows[1][0]))); p != base+5 {
 		t.Fatalf("row 1's value is at %d bytes from row 0's, want 5", p-base)
-	}
-}
-
-func TestDecodeRowMatchesUnmarshal(t *testing.T) {
-	corpus := []string{`[]`, `null`, ` [ "a" , "b" ] `, `["a",null]`, `[1]`, `["a"] x`, `[`, ``,
-		`["\u0041","` + strings.Repeat("x", 100) + `"]`, "[\"bad\xff\"]", `["a","b","c","d","e","f","g","h","i"]`}
-	for _, s := range awkwardStrings {
-		b, _ := json.Marshal([]string{s, s})
-		corpus = append(corpus, string(b))
-	}
-	for _, data := range corpus {
-		var want []string
-		wantErr := json.Unmarshal([]byte(data), &want)
-		got, gotErr := DecodeRow([]byte(data))
-		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("DecodeRow(%q) = %#v, %v; json.Unmarshal gives %#v, %v", data, got, gotErr, want, wantErr)
-		}
 	}
 }
 
@@ -409,7 +385,8 @@ func BenchmarkAppendResponse(b *testing.B) {
 	})
 }
 
-// encodeRequestJSON is the reference encoding AppendRequest must reproduce.
+// encodeRequestJSON is the reference encoding of an envelope AppendRequest
+// must reproduce.
 func encodeRequestJSON(t testing.TB, r *Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -419,19 +396,79 @@ func encodeRequestJSON(t testing.TB, r *Request) []byte {
 	return buf.Bytes()
 }
 
-// checkRequestDecode fails unless DecodeRequest agrees with json.Unmarshal
-// on frame: the same error or none, and deeply equal results either way.
+// readRequest reads one request frame from data through ReadRequest.
+func readRequest(data []byte, limit int) (Request, error) {
+	var r Request
+	_, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)), nil, limit, &r)
+	return r, err
+}
+
+// unmarshalRequest is what encoding/json makes of a request envelope, and
+// whether it has a "rows" or "bindRows" key in any case: JSON rows, as
+// versions 1 and 2 sent them.
+func unmarshalRequest(frame []byte) (r Request, jsonRows bool, err error) {
+	env := struct {
+		*Request
+		Rows     json.RawMessage `json:"rows"`
+		BindRows json.RawMessage `json:"bindRows"`
+	}{Request: &r}
+	err = json.Unmarshal(frame, &env)
+	return r, env.Rows != nil || env.BindRows != nil, err
+}
+
+// checkRequestDecode fails unless decodeRequest agrees with json.Unmarshal
+// on an envelope: it fails with json.Unmarshal's error when there is one,
+// with errJSONRows on an otherwise valid envelope with JSON rows, and on a
+// negative rowBytes; and otherwise gives a deeply equal Request.
 func checkRequestDecode(t testing.TB, frame []byte) {
 	t.Helper()
-	var want Request
-	wantErr := json.Unmarshal(frame, &want)
+	want, jsonRows, wantErr := unmarshalRequest(frame)
 	got := Request{Op: "stale", Rows: [][]string{{"stale"}}, IfGen: new(uint64)}
-	gotErr := DecodeRequest(frame, &got)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("frame %q: DecodeRequest err %v, json.Unmarshal err %v", frame, gotErr, wantErr)
+	gotErr := decodeRequest(frame, &got)
+	var ok bool
+	switch {
+	case wantErr != nil:
+		ok = gotErr != nil && gotErr.Error() == wantErr.Error()
+	case jsonRows:
+		ok = gotErr == errJSONRows
+	case want.RowBytes < 0:
+		ok = gotErr != nil
+	default:
+		ok = gotErr == nil
+	}
+	if !ok {
+		t.Fatalf("frame %q: decodeRequest err %v; json.Unmarshal err %v, JSON rows %v", frame, gotErr, wantErr, jsonRows)
+	}
+	if gotErr != nil {
+		want = Request{}
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("frame %q:\nDecodeRequest  %#v\njson.Unmarshal %#v", frame, got, want)
+		t.Fatalf("frame %q:\ndecodeRequest  %#v\njson.Unmarshal %#v", frame, got, want)
+	}
+}
+
+// checkAppendRequest fails unless AppendRequest writes, after a prefix it
+// must leave alone, exactly json.Encoder's bytes for r's envelope — r
+// without Rows and with RowBytes the block's length — followed by the
+// block, and unless ReadRequest gives r back: the envelope as
+// encoding/json reads it, the rows byte for byte.
+func checkAppendRequest(t testing.TB, r *Request) {
+	t.Helper()
+	block := blockOf(r.Rows)
+	env := *r
+	env.Rows, env.RowBytes = nil, len(block)
+	envelope := encodeRequestJSON(t, &env)
+	got := AppendRequest([]byte("prefix"), r)
+	if !bytes.Equal(got[len("prefix"):], append(bytes.Clone(envelope), block...)) || string(got[:len("prefix")]) != "prefix" {
+		t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q + block %q", r, got, envelope, block)
+	}
+	checkRequestDecode(t, envelope[:len(envelope)-1])
+	back, err := readRequest(got[len("prefix"):], DefaultMaxFrame)
+	want, _, _ := unmarshalRequest(envelope)
+	rows := back.Rows
+	back.Rows = nil
+	if err != nil || !sameRows(rows, r.Rows) || !reflect.DeepEqual(back, want) {
+		t.Fatalf("request %+v read back as %+v, rows %q (%v)", r, back, rows, err)
 	}
 }
 
@@ -444,7 +481,7 @@ func TestAppendRequestMatchesEncodingJSON(t *testing.T) {
 		{Op: "scan", V: Version, Pred: "A.r", IfGen: &gen},
 		{Op: "ping", V: -3},
 		{Op: "add", Pred: "A.r", Rows: [][]string{{"a", "b"}, {}, nil}},
-		{Op: "add", Rows: [][]string{}},
+		{Op: "add", Rows: [][]string{}, RowBytes: 7},
 		{Op: "eval", Query: &CQ{}},
 		{Op: "eval", Query: &CQ{Head: Atom{Args: []Term{}}, Body: []Atom{}, Comps: []Comparison{}}},
 		{Op: "eval", Query: &CQ{
@@ -452,36 +489,78 @@ func TestAppendRequestMatchesEncodingJSON(t *testing.T) {
 			Body:  []Atom{{Pred: "P3.s", Args: []Term{{Kind: "const", Value: "v1"}, {Kind: "var", Value: "y"}}}, {Pred: "B"}},
 			Comps: []Comparison{{Op: "<=", L: Term{Kind: "var", Value: "y"}, R: Term{Kind: "const", Value: "9"}}},
 		}, IfGen: &gen},
-		{Op: "bind", Atom: &Atom{Pred: "A.r"}, BindCols: []int{0, -3, 1 << 62}, BindRows: [][]string{{"k"}, {}, nil}},
-		{Op: "bind", Atom: &Atom{Args: []Term{}}, BindCols: []int{}, BindRows: [][]string{}},
+		{Op: "bind", Atom: &Atom{Pred: "A.r"}, BindCols: []int{0, -3, 1 << 62}, Rows: [][]string{{"k"}, {}, nil}},
+		{Op: "bind", Atom: &Atom{Args: []Term{}}, BindCols: []int{}, Rows: [][]string{}},
 	}
 	for _, s := range awkwardStrings {
 		corpus = append(corpus, Request{
-			Op:       s,
-			Query:    &CQ{Head: Atom{Pred: s, Args: []Term{{Kind: s, Value: s}}}, Comps: []Comparison{{Op: s}}},
-			Pred:     s,
-			Rows:     [][]string{{s}},
-			Atom:     &Atom{Pred: s},
-			BindRows: [][]string{{s, s}},
-			Trace:    s,
+			Op:    s,
+			Query: &CQ{Head: Atom{Pred: s, Args: []Term{{Kind: s, Value: s}}}, Comps: []Comparison{{Op: s}}},
+			Pred:  s,
+			Atom:  &Atom{Pred: s},
+			Rows:  [][]string{{s, s}, {s}},
+			Trace: s,
 		})
 	}
 	for i := range corpus {
-		want := encodeRequestJSON(t, &corpus[i])
-		got := AppendRequest([]byte("prefix"), &corpus[i])
-		if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
-			t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q", corpus[i], got, want)
-		}
-		checkRequestDecode(t, got)
-		checkRequestDecode(t, got[len("prefix"):len(got)-1])
+		checkAppendRequest(t, &corpus[i])
 	}
 }
 
-// requestCorpus is the request frames DecodeRequest must agree with
+// TestReadRequest checks what ReadRequest does with requests it cannot
+// take: JSON rows and a malformed block are bad requests, a block over the
+// limit is read and dropped, and an envelope over it is consumed through
+// its newline. Each leaves the stream framed where the request's end is
+// known, so the next request reads intact.
+func TestReadRequest(t *testing.T) {
+	next := AppendRequest(nil, &Request{Op: "ping", V: Version})
+	add := AppendRequest(nil, &Request{Op: "add", V: Version, Pred: "A.r", Rows: [][]string{{"\xff\xfe", "a\nb"}}})
+	cases := []struct {
+		name     string
+		frame    string
+		limit    int
+		want     error
+		rowBytes int
+	}{
+		{"version 2 add", `{"op":"add","v":2,"pred":"A.r","rows":[["a"]]}` + "\n", DefaultMaxFrame, ErrBadRequest, 0},
+		{"version 2 bind", `{"op":"bind","v":2,"BINDROWS":[["a"]]}` + "\n", DefaultMaxFrame, ErrBadRequest, 0},
+		{"bad JSON", `{"op":` + "\n", DefaultMaxFrame, ErrBadRequest, 0},
+		{"parses short", "{\"op\":\"add\",\"rowBytes\":3}\n\x01\x00\x01", DefaultMaxFrame, ErrBadRequest, 0},
+		{"long uvarint", "{\"op\":\"add\",\"rowBytes\":4}\n\x01\x81\x00a", DefaultMaxFrame, ErrBadRequest, 0},
+		{"block over the limit", string(add), len(add) - 2, ErrFrameTooLarge, len(add) - bytes.IndexByte(add, '\n') - 1},
+		{"envelope over the limit", string(add), 10, ErrFrameTooLarge, 0},
+	}
+	for _, c := range cases {
+		br := bufio.NewReader(bytes.NewReader(append([]byte(c.frame), next...)))
+		var r Request
+		_, err := ReadRequest(br, nil, c.limit, &r)
+		if !errors.Is(err, c.want) || r.Rows != nil || r.RowBytes != c.rowBytes {
+			t.Fatalf("%s: read %+v, %v; want error %v and rowBytes %d", c.name, r, err, c.want, c.rowBytes)
+		}
+		if c.name == "envelope over the limit" {
+			continue // the block is still unread: a server closes
+		}
+		if _, err := ReadRequest(br, nil, DefaultMaxFrame, &r); err != nil || r.Op != "ping" {
+			t.Fatalf("%s: the next request read as %+v, %v", c.name, r, err)
+		}
+	}
+	if _, err := readRequest([]byte(`{"op":"add","v":2,"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("version 2 request error %q does not name both versions", err)
+	}
+	if r, err := readRequest(add, len(add)-1); err != nil || !sameRows(r.Rows, [][]string{{"\xff\xfe", "a\nb"}}) {
+		t.Fatalf("a request at the limit: %+v, %v", r, err)
+	}
+	if _, err := readRequest(add[:len(add)-1], DefaultMaxFrame); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a request cut short: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// requestCorpus is the request envelopes decodeRequest must agree with
 // encoding/json on: every shape the hand-written path takes, and every way
-// of leaving it.
+// of leaving it. An envelope with a "rows" or "bindRows" key is a version
+// 1 or 2 request.
 var requestCorpus = []string{
-	`{}`, ` { } `, `null`, ``, `[]`, `"x"`, `{"op":"ping"}`, `{"op":"ping","v":2}`, `{"v":0}`, `{"v":-1}`, `{"v":1.5}`, `{"v":"2"}`, `{"op":""}`, `{"op":1}`, `{"op":null}`,
+	`{}`, ` { } `, `null`, ``, `[]`, `"x"`, `{"op":"ping"}`, `{"op":"ping","v":3}`, `{"v":0}`, `{"v":-1}`, `{"v":1.5}`, `{"v":"2"}`, `{"op":""}`, `{"op":1}`, `{"op":null}`,
 	`{"op":"scan","pred":"A.r","ifGen":0}`, `{"op":"scan","pred":"A.r","ifGen":null}`, `{"ifGen":-1}`, `{"ifGen":1.5}`,
 	`{"span":18446744073709551615}`, `{"span":18446744073709551616}`, `{"span":01}`, `{"span":-0}`, `{"span":1e3}`,
 	`{"op":"eval","query":{"head":{"p":"q","a":[{"k":"var","v":"y"}]},"body":[{"p":"P3.s","a":[{"k":"const","v":"v1"},{"k":"var","v":"y"}]}]},"ifGen":7}`,
@@ -491,17 +570,19 @@ var requestCorpus = []string{
 	`{"query":{"head":{"p":"q"}},"query":{"body":[]}}`, `{"query":{"Head":{"p":"q"}}}`, `{"query":{"head":{"P":"q"}}}`,
 	`{"query":{"head":{"p":"q","a":[{"k":"var","v":"x","x":1}]}}}`, `{"query":{"head":{"p":"q","a":[{"k":"var","k":"const"}]}}}`,
 	`{"query":[]}`, `{"query":{"head":[]}}`, `{"query":{"head":{"p":"q","a":[[]]}}}`, `{"query":{"head":{"p":"q","a":{}}}}`,
-	`{"op":"bind","atom":{"p":"A.r","a":[{"k":"const","v":"1"},{"k":"var","v":"y"}]},"bindCols":[1],"bindRows":[["a"],["b"]]}`,
+	`{"op":"bind","v":3,"atom":{"p":"A.r","a":[{"k":"const","v":"1"},{"k":"var","v":"y"}]},"bindCols":[1],"rowBytes":6}`,
 	`{"atom":null}`, `{"atom":{}}`, `{"bindCols":[]}`, `{"bindCols":[-1,0,9223372036854775807]}`, `{"bindCols":[9223372036854775808]}`,
-	`{"bindCols":[1.0]}`, `{"bindCols":["1"]}`, `{"bindRows":[]}`, `{"bindRows":[[]]}`, `{"bindRows":[[],["a","b"],[]]}`,
-	`{"bindRows":[null]}`, `{"bindRows":[["a",null]]}`, `{"bindRows":null}`,
-	`{"op":"add","pred":"A.r","rows":[["a","b"],[]]}`, `{"rows":[]}`, `{"rows":[null]}`, `{"rows":[["a"],["b","c","d","e","f","g","h","i","j"]]}`,
+	`{"bindCols":[1.0]}`, `{"bindCols":["1"]}`,
+	`{"rowBytes":0}`, `{"rowBytes":-1}`, `{"rowBytes":1.0}`, `{"rowBytes":null}`, `{"rowBytes":9223372036854775807}`, `{"rowbytes":3}`, `{"rowBytes":1,"rowBytes":2}`,
+	`{"op":"add","pred":"A.r","rows":[["a","b"],[]]}`, `{"rows":[]}`, `{"rows":null}`, `{"rows":[null]}`, `{"Rows":[["a"]]}`, `{"r\u006fws":[]}`,
+	`{"op":"bind","atom":{"p":"A.r","a":[{"k":"const","v":"1"},{"k":"var","v":"y"}]},"bindCols":[1],"bindRows":[["a"],["b"]]}`,
+	`{"bindRows":[]}`, `{"bindRows":null}`, `{"BINDROWS":[["a"]]}`, `{"bindrows":1,"op":"x"}`, `{"rows":[["a"]],"op":`, `{"op":1,"rows":[]}`,
 	`{"OP":"ping"}`, `{"Op":"ping","op":"scan"}`, `{"op":"ping","op":"scan"}`, `{"o\u0070":"ping"}`, `{"op":"p\u0069ng"}`,
 	`{"op":"eval","zzFromTheFuture":{"x":[1,"]"]}}`, `{"future":1,"op":"ping"}`, `{"op":"ping","trace":"abc","span":12}`,
 	"{\"op\":\"bad\xff\"}", "{\"op\":\"ctl\x01\"}", "{\"op\":\"sep\u2028\"}", `{"pred":"\ud800"}`, `{"trace":"a\\b\"c\/"}`,
 	" {\n\t\"op\" : \"eval\" ,\r\"query\" : { \"head\" : { \"p\" : \"q\" , \"a\" : [ ] } , \"body\" : [ ] } , \"ifGen\" : 3 } \n",
 	`{"op":"ping"} x`, `{"op":"ping",}`, `{"op":"ping"`, `{"op":"pi`, `{"op" "ping"}`, `{"op":"ping" "pred":"a"}`, `{,}`,
-	`{"query":{"body":[{"p":"a"},]}}`, `{"bindRows":[["a",]]}`, `{"bindCols":[1,]}`, `{"op":"ping"}}`,
+	`{"query":{"body":[{"p":"a"},]}}`, `{"bindCols":[1,]}`, `{"op":"ping"}}`,
 }
 
 func TestDecodeRequestMatchesUnmarshal(t *testing.T) {
@@ -511,33 +592,41 @@ func TestDecodeRequestMatchesUnmarshal(t *testing.T) {
 }
 
 // TestDecodeRequestOwnsKeptStrings checks which decoded strings may share
-// the frame's string: Op and the query's, atom's and bind rows' strings
-// may; Pred, Trace and the values of add rows, which a server keeps, may
-// not, and no two add rows share a backing array.
+// the frame's string: Op and the query's and atom's strings may; Pred and
+// Trace, which a server keeps, may not. The rows are substrings of the
+// block's own string, never of the envelope's or the read buffer.
 func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
-	frame := []byte(`{"op":"add","query":{"head":{"p":"q","a":[]}},"pred":"A.r","rows":[["a","bb"],["c"]],"bindRows":[["k"]],"trace":"t1"}`)
+	frame := AppendRequest(nil, &Request{Op: "add", Query: &CQ{Head: Atom{Pred: "q", Args: []Term{}}, Body: []Atom{}}, Pred: "A.r",
+		Rows: [][]string{{"a", "bb"}, {"c"}}, Trace: "t1"})
 	var r Request
-	if err := DecodeRequest(frame, &r); err != nil {
+	buf, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)), nil, DefaultMaxFrame, &r)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Op is frame[7:10] on the hand-written path, so the frame's string
+	// Op is frame[7:10] on the hand-written path, so the envelope's string
 	// starts 7 bytes before Op's.
 	base := uintptr(unsafe.Pointer(unsafe.StringData(r.Op))) - 7
-	inFrame := func(s string) bool {
+	env := uintptr(bytes.IndexByte(frame, '\n'))
+	inEnvelope := func(s string) bool {
 		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-		return p >= base && p < base+uintptr(len(frame))
+		return p >= base && p < base+env
 	}
-	if !inFrame(r.Query.Head.Pred) || !inFrame(r.BindRows[0][0]) {
-		t.Fatal("query and bind strings were copied: the hand-written path was not taken")
+	inBuf := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+		return p >= start && p < start+uintptr(cap(buf))
+	}
+	if !inEnvelope(r.Query.Head.Pred) {
+		t.Fatal("query strings were copied: the hand-written path was not taken")
 	}
 	for _, s := range []string{r.Pred, r.Trace, r.Rows[0][0], r.Rows[0][1], r.Rows[1][0]} {
-		if inFrame(s) {
-			t.Fatalf("%q is a substring of the frame; it would pin it", s)
+		if inEnvelope(s) || inBuf(s) {
+			t.Fatalf("%q is a substring of the envelope or the read buffer; it would pin it", s)
 		}
 	}
 	_ = append(r.Rows[0], "x")
 	if r.Rows[1][0] != "c" {
-		t.Fatal("add rows share a backing array")
+		t.Fatal("appending to one row overwrote the next")
 	}
 }
 
@@ -545,7 +634,7 @@ func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
 // constant, conditional on a cached generation.
 func evalRequest() *Request {
 	gen := uint64(7)
-	return &Request{Op: "eval", Query: &CQ{
+	return &Request{Op: "eval", V: Version, Query: &CQ{
 		Head: Atom{Pred: "q", Args: []Term{{Kind: "var", Value: "y"}}},
 		Body: []Atom{{Pred: "P17.s", Args: []Term{{Kind: "const", Value: "v12"}, {Kind: "var", Value: "y"}}}},
 	}, IfGen: &gen}
@@ -557,8 +646,27 @@ func bindRequest(n int) *Request {
 	for i := range rows {
 		rows[i] = []string{"k" + strconv.Itoa(10000000+i)}
 	}
-	return &Request{Op: "bind", Atom: &Atom{Pred: "P3.s", Args: []Term{{Kind: "var", Value: "x"}, {Kind: "var", Value: "y"}}},
-		BindCols: []int{0}, BindRows: rows}
+	return &Request{Op: "bind", V: Version, Atom: &Atom{Pred: "P3.s", Args: []Term{{Kind: "var", Value: "x"}, {Kind: "var", Value: "y"}}},
+		BindCols: []int{0}, Rows: rows}
+}
+
+// version2Request is r as protocol version 2 framed it: rows in the JSON
+// envelope, under "rows" for add and "bindRows" for bind.
+type version2Request struct {
+	Request
+	Rows     [][]string `json:"rows,omitempty"`
+	BindRows [][]string `json:"bindRows,omitempty"`
+}
+
+func asVersion2(r *Request) *version2Request {
+	v2 := &version2Request{Request: *r}
+	v2.V, v2.Request.Rows = 2, nil
+	if r.Op == "bind" {
+		v2.BindRows = r.Rows
+	} else {
+		v2.Rows = r.Rows
+	}
+	return v2
 }
 
 // TestDecodeRequestAllocs pins the eval hop's decoding cost: the frame's
@@ -566,9 +674,10 @@ func bindRequest(n int) *Request {
 // ifGen.
 func TestDecodeRequestAllocs(t *testing.T) {
 	frame := AppendRequest(nil, evalRequest())
+	frame = frame[:len(frame)-1]
 	var r Request
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := DecodeRequest(frame, &r); err != nil {
+		if err := decodeRequest(frame, &r); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -580,14 +689,17 @@ func TestDecodeRequestAllocs(t *testing.T) {
 // sinkReq keeps benchmark results live.
 var sinkReq Request
 
-// BenchmarkAppendRequest encodes an adhoc_swarm-shaped eval request and a
-// 1,024-key bind request into a reused buffer, through the codec and
-// through a json.Encoder.
+// requestCases are the requests the request benchmarks encode and decode:
+// an adhoc_swarm-shaped eval hop, and a bind batch of 256 keys.
+var requestCases = []struct {
+	name string
+	r    *Request
+}{{"eval", evalRequest()}, {"bind256", bindRequest(256)}}
+
+// BenchmarkAppendRequest encodes each request into a reused buffer through
+// the codec, and its version 2 JSON frame through a json.Encoder.
 func BenchmarkAppendRequest(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		r    *Request
-	}{{"eval", evalRequest()}, {"bind1024", bindRequest(1024)}} {
+	for _, c := range requestCases {
 		b.Run(c.name+"/codec", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
@@ -598,9 +710,10 @@ func BenchmarkAppendRequest(b *testing.B) {
 			b.ReportAllocs()
 			var buf bytes.Buffer
 			enc := json.NewEncoder(&buf)
+			v2 := asVersion2(c.r)
 			for b.Loop() {
 				buf.Reset()
-				if err := enc.Encode(c.r); err != nil {
+				if err := enc.Encode(v2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -608,32 +721,37 @@ func BenchmarkAppendRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeRequest decodes the same two requests, through the codec
-// and through encoding/json.
+// BenchmarkDecodeRequest reads each request through ReadRequest from a
+// reused reader into a reused buffer, as a server reads its connection,
+// and decodes its version 2 JSON frame through encoding/json.
 func BenchmarkDecodeRequest(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		r    *Request
-	}{{"eval", evalRequest()}, {"bind1024", bindRequest(1024)}} {
-		frame := AppendRequest(nil, c.r)
-		frame = frame[:len(frame)-1]
+	for _, c := range requestCases {
 		b.Run(c.name+"/codec", func(b *testing.B) {
 			b.ReportAllocs()
+			frame := AppendRequest(nil, c.r)
 			b.SetBytes(int64(len(frame)))
+			var src bytes.Reader
+			br := bufio.NewReaderSize(&src, 64*1024)
+			var buf []byte
 			for b.Loop() {
-				if err := DecodeRequest(frame, &sinkReq); err != nil {
+				src.Reset(frame)
+				br.Reset(&src)
+				var err error
+				if buf, err = ReadRequest(br, buf, DefaultMaxFrame, &sinkReq); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(c.name+"/encoding_json", func(b *testing.B) {
 			b.ReportAllocs()
+			frame, _ := json.Marshal(asVersion2(c.r))
 			b.SetBytes(int64(len(frame)))
 			for b.Loop() {
-				sinkReq = Request{}
-				if err := json.Unmarshal(frame, &sinkReq); err != nil {
+				v2 := version2Request{}
+				if err := json.Unmarshal(frame, &v2); err != nil {
 					b.Fatal(err)
 				}
+				sinkReq = v2.Request
 			}
 		})
 	}

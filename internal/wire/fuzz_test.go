@@ -92,10 +92,9 @@ type legacyResponse struct {
 // legacyRequest mirrors Request as compiled before IfGen existed. Decoding
 // into it simulates a server running the old binary.
 type legacyRequest struct {
-	Op       string     `json:"op"`
-	Pred     string     `json:"pred,omitempty"`
-	BindCols []int      `json:"bindCols,omitempty"`
-	BindRows [][]string `json:"bindRows,omitempty"`
+	Op       string `json:"op"`
+	Pred     string `json:"pred,omitempty"`
+	BindCols []int  `json:"bindCols,omitempty"`
 }
 
 // FuzzIfGenUnchanged pins the compatibility contract of the conditional
@@ -111,7 +110,7 @@ func FuzzIfGenUnchanged(f *testing.F) {
 	f.Add("bind", "B.s", uint64(1<<63), false)
 	f.Add("", "", uint64(7), true)
 	f.Fuzz(func(t *testing.T, op, pred string, gen uint64, unchanged bool) {
-		data, err := json.Marshal(Request{Op: op, Pred: pred, BindCols: []int{0}, BindRows: [][]string{{pred}}, IfGen: &gen})
+		data, err := json.Marshal(Request{Op: op, Pred: pred, BindCols: []int{0}, IfGen: &gen})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +125,7 @@ func FuzzIfGenUnchanged(f *testing.F) {
 		if err := json.Unmarshal(data, &old); err != nil {
 			t.Fatalf("old server rejects new client request: %v", err)
 		}
-		if old.Op != back.Op || old.Pred != back.Pred || len(old.BindRows) != 1 || old.BindRows[0][0] != back.BindRows[0][0] {
+		if old.Op != back.Op || old.Pred != back.Pred || len(old.BindCols) != 1 || old.BindCols[0] != back.BindCols[0] {
 			t.Fatalf("ifGen disturbed legacy request fields: %+v vs %+v", old, back)
 		}
 		oldData, err := json.Marshal(old)
@@ -165,14 +164,16 @@ func FuzzIfGenUnchanged(f *testing.F) {
 }
 
 // FuzzRequestDecode checks the request codec against encoding/json in both
-// directions, on the decoding path the server runs on every line.
-// Decoding: for arbitrary frame bytes, DecodeRequest and json.Unmarshal
-// give the same error (or none) and deeply equal Requests; a decoded query
-// or atom then survives the lowering to lang values and back. Encoding: for
-// a Request built from the fuzzed strings and integers, with flags choosing
-// which fields are unset, nil or empty, AppendRequest writes exactly
-// json.Encoder.Encode's bytes, and the frame decodes back as encoding/json
-// reads it.
+// directions, on the decoding path the server runs on every request.
+// Decoding: for arbitrary envelope bytes, decodeRequest and json.Unmarshal
+// give the same error (or none) and deeply equal Requests, except that a
+// "rows" or "bindRows" key in any case, and a negative rowBytes, are
+// errors; a decoded query or atom then survives the lowering to lang
+// values and back. Encoding: for a Request built from the fuzzed strings
+// and integers, with flags choosing which fields are unset, nil or empty,
+// AppendRequest writes exactly json.Encoder.Encode's bytes for the
+// envelope followed by the row block, and ReadRequest gives the envelope
+// back as encoding/json reads it and the rows byte for byte.
 func FuzzRequestDecode(f *testing.F) {
 	for _, frame := range []string{
 		`{"op":"catalog"}`,
@@ -188,16 +189,12 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte, s, u string, n int, g uint64, flags byte) {
 		checkRequestDecode(t, frame)
 		var req Request
-		if DecodeRequest(frame, &req) == nil {
+		if decodeRequest(frame, &req) == nil {
 			checkLowering(t, &req)
 		}
 
 		r := fuzzRequest(s, u, n, g, flags)
-		got := AppendRequest(nil, &r)
-		if want := encodeRequestJSON(t, &r); !bytes.Equal(got, want) {
-			t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q", r, got, want)
-		}
-		checkRequestDecode(t, got)
+		checkAppendRequest(t, &r)
 	})
 }
 
@@ -213,10 +210,9 @@ func fuzzRequest(s, u string, n int, g uint64, flags byte) Request {
 			Comps: []Comparison{{Op: u, L: Term{Kind: "const", Value: s}, R: Term{Kind: "var", Value: u}}},
 		},
 		Pred:     u,
-		Rows:     [][]string{{s, u}, {}, nil},
 		Atom:     &Atom{Pred: s, Args: []Term{{Kind: "const", Value: u}, {Kind: "var", Value: s}}},
 		BindCols: []int{n, 0},
-		BindRows: [][]string{{u}, nil},
+		Rows:     [][]string{{s, u}, {}, nil, {u}},
 		Trace:    s,
 		Span:     g,
 		IfGen:    &g,
@@ -234,10 +230,10 @@ func fuzzRequest(s, u string, n int, g uint64, flags byte) Request {
 		r.Atom = nil
 	}
 	if flags&16 != 0 {
-		r.Rows, r.BindCols, r.BindRows = nil, nil, nil
+		r.Rows, r.BindCols = nil, nil
 	}
 	if flags&32 != 0 {
-		r.Rows, r.BindCols, r.BindRows = [][]string{}, []int{}, [][]string{{}}
+		r.Rows, r.BindCols = [][]string{{}}, []int{}
 	}
 	if flags&64 != 0 {
 		r.IfGen = nil
@@ -339,7 +335,7 @@ func FuzzResponseCodec(f *testing.F) {
 			for _, mask := range []byte{0x01, 0x80, flags | 0x40} {
 				garbled := bytes.Clone(block)
 				garbled[i] ^= mask
-				if rows, err := decodeRows(garbled); err == nil && !bytes.Equal(blockOf(rows), garbled) {
+				if rows, err := DecodeRows(garbled); err == nil && !bytes.Equal(blockOf(rows), garbled) {
 					t.Fatalf("garbled block %q read as %q, which encodes to %q", garbled, rows, blockOf(rows))
 				}
 			}

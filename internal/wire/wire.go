@@ -1,11 +1,11 @@
 // Package wire defines the message format peers use on the network:
 // serializable forms of terms, atoms, conjunctive queries and tuples, the
 // request/response envelopes of the peer protocol, and the binary row
-// block that carries a response's rows.
+// block that carries the rows of requests and responses.
 //
-// The protocol (version 2, Version) runs over TCP: one JSON request per
-// line, answered by a *stream* of one or more response frames. Every
-// request carries "v":2. Six request kinds:
+// The protocol (version 3, Version) runs over TCP: one request frame at a
+// time, answered by a *stream* of one or more response frames. Every
+// request carries "v":3. Six request kinds:
 //
 //	{"op":"eval", "query":{…}}        evaluate a CQ over this peer's stored
 //	                                  relations, returning the head tuples
@@ -14,20 +14,22 @@
 //	                                  with their current cardinalities and
 //	                                  per-relation generations
 //	{"op":"bind", "atom":{…},         bind-join probe: return the distinct
-//	 "bindCols":[…], "bindRows":[…]}  tuples of the atom's relation that
-//	                                  match the atom's constants and, at the
+//	 "bindCols":[…], "rowBytes":N}    tuples of the atom's relation that
+//	 + key rows                       match the atom's constants and, at the
 //	                                  bindCols positions, any one of the
-//	                                  shipped bindRows key batches
+//	                                  shipped key rows
 //	{"op":"ping"}                     no-op liveness probe
 //	{"op":"add", "pred":"FH.doc",     insert a batch of tuples into one
-//	 "rows":[[…]]}                    stored relation (creating it on first
+//	 "rowBytes":N} + tuples           stored relation (creating it on first
 //	                                  use) — the mutation half of mixed
 //	                                  read/write workloads
 //
-// A response frame is a JSON envelope line. When the frame carries rows,
-// the envelope holds "rowBytes":N and exactly N bytes of row block follow
-// its newline: per row uvarint(arity), then per value uvarint(len) and the
-// value's bytes. Values cross the wire byte for byte, whatever they hold.
+// Requests and responses share one frame shape: a JSON envelope line and,
+// when the frame carries rows, "rowBytes":N in the envelope and exactly N
+// bytes of row block after its newline: per row uvarint(arity), then per
+// value uvarint(len) and the value's bytes. Values cross the wire byte for
+// byte, whatever they hold. The row block is also the payload of the
+// segment journal's tuple frames (internal/store).
 //
 // A server under admission control may answer any request with a *busy*
 // error frame ({"error":…,"busy":true}): the request was shed before doing
@@ -60,16 +62,14 @@
 // time.
 //
 // Every frame goes through this package's own codec rather than
-// reflection: AppendRequest and DecodeRequest encode and decode a request,
-// AppendResponse and ReadResponse write and read a response frame, and
-// AppendBlockRow builds a frame's row block one row at a time. Requests
-// and response envelopes are byte-identical to encoding/json in both
-// directions — the codec writes what json.Encoder writes and yields what
-// json.Unmarshal yields, handing anything outside the common shape to
-// encoding/json itself — but a response's rows are not JSON: they travel
-// in the row block. The JSON row halves, AppendRow and DecodeRow, encode
-// the segment journal's tuples (internal/store) and the rows of add
-// requests.
+// reflection: AppendRequest and ReadRequest write and read a request,
+// AppendResponse and ReadResponse a response frame, AppendBlockRow builds
+// a row block one row at a time, and DecodeRows is the one decoder of a
+// row block, which both readers and the journal's replay share. Envelopes
+// are byte-identical to encoding/json in both directions — the codec
+// writes what json.Encoder writes and yields what json.Unmarshal yields,
+// handing anything outside the common shape to encoding/json itself — but
+// rows are never JSON: they travel in the row block.
 //
 // PROTOCOL.md in this directory is the normative specification: frame
 // layout, per-op request/response contracts, error-frame and streaming
@@ -228,9 +228,9 @@ func (q CQ) ToCQ() (lang.CQ, error) {
 }
 
 // Version is the protocol version this package speaks. Every request
-// carries it in V; a request without "v" is version 1, whose responses
-// carried their rows as JSON.
-const Version = 2
+// carries it in V; a request without "v" is version 1. Version 2 carried
+// a request's rows as JSON, and version 1 a response's too.
+const Version = 3
 
 // Request is one protocol request.
 type Request struct {
@@ -243,18 +243,22 @@ type Request struct {
 	Query *CQ `json:"query,omitempty"`
 	// Pred is the relation for scan and add.
 	Pred string `json:"pred,omitempty"`
-	// Rows is the batch of tuples an add request inserts into Pred.
-	Rows [][]string `json:"rows,omitempty"`
 	// Atom is the atom to probe for bind: constant arguments are pushed
 	// down as selections; variable arguments are unconstrained unless their
 	// position appears in BindCols.
 	Atom *Atom `json:"atom,omitempty"`
-	// BindCols lists the variable positions of Atom bound by BindRows.
+	// BindCols lists the variable positions of Atom bound by a bind
+	// request's key rows.
 	BindCols []int `json:"bindCols,omitempty"`
-	// BindRows is one batch of bound join keys: each row supplies one value
-	// per BindCols entry. A tuple matches the batch when its projection onto
-	// BindCols equals at least one row.
-	BindRows [][]string `json:"bindRows,omitempty"`
+	// Rows are an add request's tuples, inserted into Pred, or one batch of
+	// a bind request's join keys, one value per BindCols entry: a tuple
+	// matches the batch when its projection onto BindCols equals a row.
+	// They travel in the frame's row block, never in the envelope.
+	Rows [][]string `json:"-"`
+	// RowBytes is the length of the row block that follows the envelope
+	// line. AppendRequest writes it from Rows, and ReadRequest reads that
+	// many bytes after the envelope.
+	RowBytes int `json:"rowBytes,omitempty"`
 	// Trace optionally carries the caller's trace ID. A server that
 	// understands it times the request's server-side work and ships the
 	// resulting spans back on the final response frame; servers predating
@@ -308,7 +312,8 @@ type Response struct {
 	// Rows carries one bounded chunk of eval/scan/bind results. ReadResponse
 	// fills it from the frame's row block; it is never part of the
 	// envelope, and a received envelope with a "rows" key is a version 1
-	// frame, which ReadResponse rejects.
+	// frame, which ReadResponse rejects. (The tag serves only a caller
+	// that marshals a Response through encoding/json itself.)
 	Rows [][]string `json:"rows,omitempty"`
 	// RowBytes is the length of the row block that follows the envelope
 	// line. AppendResponse writes it from the block it is given, and
@@ -345,9 +350,14 @@ type Response struct {
 }
 
 // ErrFrameTooLarge is returned by ReadFrame when one line exceeds the
-// caller's limit. The oversized line has been consumed through its
-// newline, so the stream is still framed and usable.
+// caller's limit, and by ReadRequest when a request does. The oversized
+// line has been consumed through its newline (and a request's announced
+// row block read and discarded), so the stream is still framed.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
+
+// ErrBadRequest is wrapped by the errors ReadRequest returns for a request
+// it read whole but could not decode: the stream is still framed.
+var ErrBadRequest = errors.New("bad request")
 
 // DefaultMaxFrame is the sanity ceiling ReadFrame and ReadResponse callers
 // use by default. It bounds a single frame — a line, or a response's
@@ -371,12 +381,12 @@ const (
 // connection. io.EOF is returned only at a clean frame boundary; a partial
 // trailing line is io.ErrUnexpectedEOF.
 func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
-	return AppendFrame(nil, br, max)
+	return appendFrame(nil, br, max)
 }
 
-// AppendFrame is ReadFrame appending the frame to dst, so a caller can
+// appendFrame is ReadFrame appending the frame to dst, so a caller can
 // reuse one buffer across frames. On error it returns dst unextended.
-func AppendFrame(dst []byte, br *bufio.Reader, max int) ([]byte, error) {
+func appendFrame(dst []byte, br *bufio.Reader, max int) ([]byte, error) {
 	buf := dst
 	for {
 		chunk, err := br.ReadSlice('\n')
@@ -389,10 +399,7 @@ func AppendFrame(dst []byte, br *bufio.Reader, max int) ([]byte, error) {
 					}
 					chunk, err = br.ReadSlice('\n')
 				}
-				if errors.Is(err, io.EOF) {
-					return dst, io.ErrUnexpectedEOF
-				}
-				return dst, err
+				return dst, unexpected(err)
 			}
 			buf = append(buf, chunk...)
 			if buf[len(buf)-1] == '\n' {
@@ -415,29 +422,54 @@ func AppendFrame(dst []byte, br *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
+// unexpected turns io.EOF, met inside a frame, into io.ErrUnexpectedEOF.
+func unexpected(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// appendBlock appends to buf the n-byte row block that follows an
+// envelope. It reads in steps, doubling what has arrived from 64 KiB (a
+// normal block is one step), so a peer that announces more than it sends
+// costs at most what it sent.
+func appendBlock(buf []byte, br *bufio.Reader, n int) ([]byte, error) {
+	start, end := len(buf), len(buf)+n
+	for len(buf) < end {
+		step := min(end-len(buf), max(len(buf)-start, 64<<10))
+		buf = slices.Grow(buf, step)
+		m, err := io.ReadFull(br, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, unexpected(err)
+		}
+	}
+	return buf, nil
+}
+
 // ReadResponse reads one response frame from br into r, overwriting it,
 // and returns the buffer holding the frame. The envelope line is appended
-// to buf[:0] as AppendFrame appends it; the row block its rowBytes
-// announces is then read with io.ReadFull after the envelope, in the same
-// buffer, so a caller reuses one buffer across frames. The returned
-// buffer's length is the frame's size on the wire less the newline.
+// to buf[:0]; the row block its rowBytes announces is then read after the
+// envelope, in the same buffer, so a caller reuses one buffer across
+// frames. The returned buffer's length is the frame's size on the wire
+// less the newline.
 //
 // limit caps the frame, envelope and block together. A block that would
 // pass it fails before any of it is read or allocated, and the block is
 // read in steps, so a peer that announces more than it sends costs at most
-// what it sent. The rows are decoded as decodeRows says: every value is a
-// substring of one string holding the block, and r.Rows never aliases buf.
-// A response envelope with a "rows" key is a version 1 frame and an error.
-// io.EOF is returned only at a clean frame boundary; a frame cut short is
-// io.ErrUnexpectedEOF. After an error r is zero, and after any error but
-// io.EOF the stream is no longer framed.
+// what it sent. The rows are decoded as DecodeRows says, so r.Rows never
+// aliases buf. A response envelope with a "rows" key is a version 1 frame
+// and an error. io.EOF is returned only at a clean frame boundary; a frame
+// cut short is io.ErrUnexpectedEOF. After an error r is zero, and after
+// any error but io.EOF the stream is no longer framed.
 func ReadResponse(br *bufio.Reader, buf []byte, limit int, r *Response) (_ []byte, err error) {
 	defer func() {
 		if err != nil {
 			*r = Response{}
 		}
 	}()
-	buf, err = AppendFrame(buf[:0], br, limit)
+	buf, err = appendFrame(buf[:0], br, limit)
 	if err != nil {
 		return buf, err
 	}
@@ -452,21 +484,54 @@ func ReadResponse(br *bufio.Reader, buf []byte, limit int, r *Response) (_ []byt
 	if n > limit-env {
 		return buf, fmt.Errorf("wire: row block of %d bytes after a %d-byte envelope exceeds the %d-byte frame limit", n, env, limit)
 	}
-	for len(buf) < env+n {
-		// Double what has arrived, from 64 KiB: a normal block is one step.
-		step := min(env+n-len(buf), max(len(buf)-env, 64<<10))
-		buf = slices.Grow(buf, step)
-		m, err := io.ReadFull(br, buf[len(buf):len(buf)+step])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return buf, err
-		}
+	if buf, err = appendBlock(buf, br, n); err != nil {
+		return buf, err
 	}
-	r.Rows, err = decodeRows(buf[env:])
+	r.Rows, err = DecodeRows(buf[env:])
 	return buf, err
+}
+
+// ReadRequest is ReadResponse for a request frame, with the rows decoded
+// into r.Rows. limit caps the frame, envelope and block together; both
+// over-limit cases are ErrFrameTooLarge. An envelope line over it is
+// consumed through its newline and r is zero: whether a block follows is
+// unknown, so a server closes the connection after answering. A block
+// that would pass it is read and dropped, and r keeps the envelope
+// (RowBytes set): the stream is still framed. A request read whole that
+// does not decode — an envelope with a "rows" or "bindRows" key, in any
+// case, is a version 2 request — is an error wrapping ErrBadRequest, and
+// the stream is still framed. After any other error but io.EOF it is
+// not, and r is zero.
+func ReadRequest(br *bufio.Reader, buf []byte, limit int, r *Request) (_ []byte, err error) {
+	*r = Request{}
+	buf, err = appendFrame(buf[:0], br, limit)
+	if err != nil {
+		return buf, err
+	}
+	env := len(buf)
+	if err := decodeRequest(buf, r); err != nil {
+		return buf, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	n := r.RowBytes
+	if n == 0 {
+		return buf, nil
+	}
+	if n > limit-env {
+		if _, err := br.Discard(n); err != nil {
+			*r = Request{}
+			return buf, unexpected(err)
+		}
+		return buf, ErrFrameTooLarge
+	}
+	if buf, err = appendBlock(buf, br, n); err != nil {
+		*r = Request{}
+		return buf, err
+	}
+	if r.Rows, err = DecodeRows(buf[env:]); err != nil {
+		*r = Request{}
+		return buf, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	return buf, nil
 }
 
 // TuplesToRows converts tuples for a response.

@@ -75,25 +75,22 @@ func TestTupleHelpers(t *testing.T) {
 	}
 }
 
-// A bind request — atom plus bound-key batch — survives the JSON round
-// trip with every field intact.
+// A bind request — atom plus bound-key batch — survives the round trip
+// through its JSON envelope and row block with every field intact.
 func TestBindRequestRoundTripJSON(t *testing.T) {
 	a := FromAtom(lang.NewAtom("P.r", lang.Const("k"), lang.Var("x"), lang.Var("y")))
 	req := Request{
 		Op:       "bind",
+		V:        Version,
 		Atom:     &a,
 		BindCols: []int{1, 2},
-		BindRows: [][]string{{"v1", "w1"}, {"v|2", "w=3"}},
+		Rows:     [][]string{{"v1", "w1"}, {"v|2", "w=3"}, {"\xff\xfe", "\n"}},
 	}
-	data, err := json.Marshal(req)
+	back, err := readRequest(AppendRequest(nil, &req), DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Request
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Op != "bind" || back.Atom == nil {
+	if back.Op != "bind" || back.V != Version || back.Atom == nil {
 		t.Fatalf("round trip: %+v", back)
 	}
 	la, err := back.Atom.ToAtom()
@@ -103,8 +100,8 @@ func TestBindRequestRoundTripJSON(t *testing.T) {
 	if len(back.BindCols) != 2 || back.BindCols[0] != 1 || back.BindCols[1] != 2 {
 		t.Fatalf("bindCols: %v", back.BindCols)
 	}
-	if len(back.BindRows) != 2 || back.BindRows[1][0] != "v|2" || back.BindRows[1][1] != "w=3" {
-		t.Fatalf("bindRows: %v", back.BindRows)
+	if !reflect.DeepEqual(back.Rows, req.Rows) {
+		t.Fatalf("rows: %q, want %q", back.Rows, req.Rows)
 	}
 }
 

@@ -61,6 +61,35 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableValuesByteExact: a stored value that is not valid UTF-8
+// replays from the journal byte for byte, so the reloaded network answers
+// the same tuple. (With JSON tuples in the journal it came back as "��".)
+func TestDurableValuesByteExact(t *testing.T) {
+	const spec = "storage S.r(x) in A:R(x)\n"
+	opts := Options{DataDir: t.TempDir()}
+	for round := range 2 {
+		n, err := LoadWithOptions(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			if err := n.AddFact("S.r", "\xff\xfe"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := n.Query(`q(x) :- A:R(x)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || len(got[0]) != 1 || got[0][0] != "\xff\xfe" {
+			t.Fatalf("round %d answers %q, want [[%q]]", round, got, "\xff\xfe")
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestOpenRecoversFactsWithoutSpec: Open replays the journal into an
 // empty-spec network; re-extending the spec makes the data queryable again.
 func TestOpenRecoversFactsWithoutSpec(t *testing.T) {
