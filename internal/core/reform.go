@@ -74,6 +74,10 @@ func (r *Reformulator) ReformulateSpan(q lang.CQ, sp *obs.Span) (Result, error) 
 	}
 	res.Stats = stats
 	res.Classification = r.cat.class.Classify(q)
+	if stats.RecursionCuts > 0 {
+		res.Classification.Reasons = append(res.Classification.Reasons, fmt.Sprintf(
+			"a definitional cycle was unfolded only once per path (recursion cuts: %d), so the union is a sound subset of the certain answers", stats.RecursionCuts))
+	}
 	return res, nil
 }
 

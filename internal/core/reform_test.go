@@ -220,6 +220,19 @@ fact S.e("4", "5")
 	if len(rows) != 7 || len(want) != 10 || out.Stats.RecursionCuts != 1 {
 		t.Fatalf("%d answers (chase %d), stats %+v; want 7 of 10 and 1 recursion cut", len(rows), len(want), out.Stats)
 	}
+	// The classification says the union is a sound subset, and why; a
+	// query with no cut keeps its classification's text.
+	if c := out.Classification.String(); !strings.Contains(c, "a definitional cycle was unfolded only once per path (recursion cuts: 1), so the union is a sound subset") {
+		t.Fatalf("classification %q does not name the recursion cut", c)
+	}
+	plain := reform(t, r, `q(x, y) :- G:E(x, y)`)
+	pq, err := parser.ParseQuery(`q(x, y) :- G:E(x, y)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.PDMS.Classify(pq).String(); plain.Stats.RecursionCuts != 0 || plain.Classification.String() != want {
+		t.Fatalf("a query without a cut is classified %q, want %q", plain.Classification, want)
+	}
 }
 
 func TestTransitiveChainGAVandLAV(t *testing.T) {

@@ -166,7 +166,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 				}
 			}
 			if c.traceSpan != nil && len(resp.Spans) > 0 {
-				c.traceSpan.AdoptRemote(c.conn.RemoteAddr().String(), wireToSpans(resp.Spans))
+				c.traceSpan.AdoptRemote(c.conn.RemoteAddr().String(), resp.Spans)
 			}
 			return resp, nil
 		}
@@ -286,8 +286,7 @@ func (c *Client) Scan(pred string) ([]rel.Tuple, error) {
 // ScanStream streams one relation's tuples through yield as response
 // frames arrive, without materializing the result. A yield that stalls
 // stalls the read loop — and, once the socket buffers fill, the serving
-// peer's response stream (the load generator's slow-consumer mode leans on
-// exactly this backpressure).
+// peer's response stream: a slow consumer pushes back on its server.
 func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
 	_, err := c.roundTrip(wire.Request{Op: "scan", Pred: pred}, rowsToYield(yield))
 	return err
@@ -297,16 +296,14 @@ func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
 // name a relation the peer serves — invoking yield once per distinct head
 // tuple as chunks arrive, in stream (not sorted) order.
 func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
-	wq := wire.FromCQ(q)
-	_, err := c.roundTrip(wire.Request{Op: "eval", Query: &wq, IfGen: c.ifGen}, rowsToYield(yield))
+	_, err := c.roundTrip(wire.Request{Op: "eval", Query: &q, IfGen: c.ifGen}, rowsToYield(yield))
 	return err
 }
 
 // Eval is EvalStream materialized: the distinct head tuples in rel.Compare
 // order, sorted in place in the one slice fetch gathers them into.
 func (c *Client) Eval(q lang.CQ) ([]rel.Tuple, error) {
-	wq := wire.FromCQ(q)
-	ts, err := c.fetch(wire.Request{Op: "eval", Query: &wq})
+	ts, err := c.fetch(wire.Request{Op: "eval", Query: &q})
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +352,6 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yi
 	if len(rows) == 0 {
 		return nil
 	}
-	wa := wire.FromAtom(a)
 	starts := bindBatchStarts(rows)
 	// Each batch gets its own trace span, installed as the adoption target
 	// of the serving peer's spans while the batch's response streams back.
@@ -376,7 +372,7 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yi
 		}
 		final, err := c.roundTrip(wire.Request{
 			Op:       "bind",
-			Atom:     &wa,
+			Atom:     &a,
 			BindCols: bindCols,
 			Rows:     rows[start:end],
 			IfGen:    ifGen,

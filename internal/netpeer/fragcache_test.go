@@ -136,12 +136,12 @@ func TestRepliesCarryGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	wa := wire.FromAtom(lang.NewAtom("A.r", lang.Var("k"), lang.Var("v")))
+	a := lang.NewAtom("A.r", lang.Var("k"), lang.Var("v"))
 	gen := uint64(3) // the generation after the add below
 	for _, req := range []wire.Request{
 		{Op: "add", Pred: "A.r", Rows: [][]string{{"3", "y"}}},
 		{Op: "scan", Pred: "A.r", IfGen: &gen},
-		{Op: "bind", Atom: &wa, BindCols: []int{0}, Rows: [][]string{{"1"}}},
+		{Op: "bind", Atom: &a, BindCols: []int{0}, Rows: [][]string{{"1"}}},
 	} {
 		resp, err := c.roundTrip(req, nil)
 		if err != nil {

@@ -62,7 +62,7 @@ func FuzzResponseStream(f *testing.F) {
 		wire.Response{Preds: []string{"p"}, Cards: []int{3}, Gens: []uint64{7}},
 	))
 	f.Add(seed(wire.Response{Error: "boom"}))
-	f.Add(seed(wire.Response{Spans: []wire.Span{{ID: 1, Name: "eval"}, {ID: 2, Parent: 1, Name: "scan"}}}))
+	f.Add(seed(wire.Response{Spans: []obs.SpanData{{ID: 1, Name: "eval"}, {ID: 2, Parent: 1, Name: "scan"}}}))
 	f.Add(seed(wire.Response{Unchanged: true, Preds: []string{"p"}, Cards: []int{3}, Gens: []uint64{7}}))
 	f.Add(seed(wire.Response{Unchanged: true, Rows: [][]string{{"stray"}}, Preds: []string{"p"}, Gens: []uint64{0}}))
 	f.Add(seed(

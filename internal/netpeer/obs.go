@@ -1,43 +1,6 @@
 package netpeer
 
-import (
-	"repro/internal/obs"
-	"repro/internal/wire"
-)
-
-// spansToWire converts exported trace spans to their wire form for the
-// final-frame piggyback.
-func spansToWire(sd []obs.SpanData) []wire.Span {
-	if len(sd) == 0 {
-		return nil
-	}
-	out := make([]wire.Span, len(sd))
-	for i, d := range sd {
-		w := wire.Span{ID: d.ID, Parent: d.Parent, Name: d.Name, Start: d.Start, Dur: d.Dur}
-		for _, a := range d.Attrs {
-			w.Attrs = append(w.Attrs, wire.SpanAttr{K: a.K, V: a.V})
-		}
-		out[i] = w
-	}
-	return out
-}
-
-// wireToSpans converts received wire spans back to trace span data for
-// adoption into the caller's trace.
-func wireToSpans(ws []wire.Span) []obs.SpanData {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]obs.SpanData, len(ws))
-	for i, w := range ws {
-		d := obs.SpanData{ID: w.ID, Parent: w.Parent, Name: w.Name, Start: w.Start, Dur: w.Dur}
-		for _, a := range w.Attrs {
-			d.Attrs = append(d.Attrs, obs.Attr{K: a.K, V: a.V})
-		}
-		out[i] = d
-	}
-	return out
-}
+import "repro/internal/obs"
 
 // logw emits one structured server diagnostic through Logger (dropped when
 // none is set). kv are alternating key/value pairs, slog-style.

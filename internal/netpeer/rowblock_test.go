@@ -23,9 +23,10 @@ var awkwardValues = []string{
 // TestRowsComeBackByteExact stores awkward values directly in a peer and
 // reads them back through scan, eval and bind: every answer must equal
 // the stored tuples byte for byte. The same values then go the other way,
-// as add rows read back by scan, and as a bind key. (Under JSON rows
-// "\xff\xfe" came back as "��", in answers and in add rows and bind keys
-// alike.)
+// as add rows read back by scan, as a bind key, and as a query constant in
+// an eval's body and a bind's atom. (Under JSON rows "\xff\xfe" came back
+// as "��", in answers and in add rows and bind keys alike; under JSON
+// queries the constant arrived as "��" and selected nothing.)
 func TestRowsComeBackByteExact(t *testing.T) {
 	var stored []rel.Tuple
 	var keys, rows [][]string
@@ -89,6 +90,28 @@ func TestRowsComeBackByteExact(t *testing.T) {
 	}
 	if len(bound) != 1 || !bound[0].Equal(stored[0]) {
 		t.Fatalf("bind on the key %q: %q, want %q", "\xff\xfe", bound, stored[0])
+	}
+
+	selected, err := c.Eval(lang.CQ{
+		Head: lang.NewAtom("q", x, lang.Const("\xff\xfe"), z),
+		Body: []lang.Atom{lang.NewAtom("A.r", x, lang.Const("\xff\xfe"), z)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(selected) != 1 || !selected[0].Equal(stored[0]) {
+		t.Fatalf("eval on the constant %q: %q, want %q", "\xff\xfe", selected, stored[0])
+	}
+
+	bound = bound[:0]
+	if err := c.BindEvalStream(lang.NewAtom("A.r", x, lang.Const("\xff\xfe"), z), []int{0}, keys, func(tu rel.Tuple) error {
+		bound = append(bound, tu)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(bound) != 1 || !bound[0].Equal(stored[0]) {
+		t.Fatalf("bind with the atom constant %q: %q, want %q", "\xff\xfe", bound, stored[0])
 	}
 
 	if _, err := c.Add("B.r", rows); err != nil {
@@ -155,9 +178,10 @@ func TestWireCountersMatchSocket(t *testing.T) {
 }
 
 // TestVersion1RequestAnsweredWithError sends requests without "v", of
-// version 2 (one with JSON rows), and of a future version, to a current
-// server: each is answered with a JSON error frame naming both versions,
-// and the connection stays usable.
+// version 2 (one with JSON rows), of version 3 (an eval with its query in
+// the envelope, and a bind whose block holds only a key row), and of a
+// future version, to a current server: each is answered with a JSON error
+// frame naming both versions, and the connection stays usable.
 func TestVersion1RequestAnsweredWithError(t *testing.T) {
 	addr := startServer(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	conn, err := net.Dial("tcp", addr)
@@ -168,7 +192,7 @@ func TestVersion1RequestAnsweredWithError(t *testing.T) {
 	br := bufio.NewReader(conn)
 	exchange := func(req string) string {
 		t.Helper()
-		if _, err := conn.Write([]byte(req + "\n")); err != nil {
+		if _, err := conn.Write([]byte(req)); err != nil {
 			t.Fatal(err)
 		}
 		line, err := br.ReadString('\n')
@@ -177,18 +201,23 @@ func TestVersion1RequestAnsweredWithError(t *testing.T) {
 		}
 		return line
 	}
+	current := fmt.Sprintf("version %d", wire.Version)
 	for _, c := range []struct{ req, v string }{
-		{`{"op":"scan","pred":"A.r"}`, "version 1"},
-		{`{"op":"scan","v":2,"pred":"A.r"}`, "version 2"},
-		{`{"op":"add","v":2,"pred":"A.r","rows":[["2","b"]]}`, "version 2"},
-		{`{"op":"scan","v":4,"pred":"A.r"}`, "version 4"},
+		{`{"op":"scan","pred":"A.r"}` + "\n", "version 1"},
+		{`{"op":"scan","v":2,"pred":"A.r"}` + "\n", "version 2"},
+		{`{"op":"add","v":2,"pred":"A.r","rows":[["2","b"]]}` + "\n", "version 2"},
+		{`{"op":"eval","v":3,"query":{"head":{"p":"q","a":[{"k":"var","v":"x"}]},"body":[{"p":"A.r","a":[{"k":"var","v":"x"},{"k":"const","v":"a"}]}]}}` + "\n", "version 3"},
+		// An arity-0 key row, which as version 4's atom row is malformed:
+		// the version error still comes first.
+		{`{"op":"bind","v":3,"atom":{"p":"A.r","a":[{"k":"var","v":"x"}]},"bindCols":[0],"rowBytes":1}` + "\n\x00", "version 3"},
+		{fmt.Sprintf(`{"op":"scan","v":%d,"pred":"A.r"}`, wire.Version+1) + "\n", fmt.Sprintf("version %d", wire.Version+1)},
 	} {
 		line := exchange(c.req)
-		if !strings.HasPrefix(line, `{"error":`) || !strings.Contains(line, c.v) || !strings.Contains(line, "version 3") {
-			t.Fatalf("%s answered %q; want an error frame naming %s and version 3", c.req, line, c.v)
+		if !strings.HasPrefix(line, `{"error":`) || !strings.Contains(line, c.v) || !strings.Contains(line, current) {
+			t.Fatalf("%q answered %q; want an error frame naming %s and %s", c.req, line, c.v, current)
 		}
 	}
-	if line := exchange(`{"op":"ping","v":3}`); line != "{}\n" {
+	if line := exchange(fmt.Sprintf(`{"op":"ping","v":%d}`, wire.Version) + "\n"); line != "{}\n" {
 		t.Fatalf("ping after the version errors answered %q", line)
 	}
 }
@@ -206,7 +235,7 @@ func TestVersion1ResponseBreaksClient(t *testing.T) {
 	}
 	defer c.Close()
 	_, err = c.Scan("X.r")
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 3") {
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", wire.Version)) {
 		t.Fatalf("version 1 frame gave %v; want an error naming both versions", err)
 	}
 	if !c.Broken() {
@@ -231,7 +260,7 @@ func TestOversizeEnvelopeClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req := wire.AppendRequest(nil, &wire.Request{Op: "add", V: wire.Version, Pred: strings.Repeat("p", 2048), Rows: [][]string{{"{\"op\":\"ping\",\"v\":3}\n"}}})
+	req := wire.AppendRequest(nil, &wire.Request{Op: "add", V: wire.Version, Pred: strings.Repeat("p", 2048), Rows: [][]string{{fmt.Sprintf(`{"op":"ping","v":%d}`, wire.Version) + "\n"}}})
 	if _, err := conn.Write(req); err != nil {
 		t.Fatal(err)
 	}

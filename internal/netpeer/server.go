@@ -538,7 +538,7 @@ func (s *Server) metaOfLocked(preds ...string) wire.Response {
 // A transport failure is returned as is: it is terminal for the
 // connection.
 func (s *Server) streamRows(w *frameWriter, sp *obs.Span, ifGen *uint64, preds []string,
-	exported func() []wire.Span, produce func(yield func(rel.Tuple) error) error) error {
+	exported func() []obs.SpanData, produce func(yield func(rel.Tuple) error) error) error {
 	meta := s.metaOfLocked(preds...)
 	if ifGen != nil && len(preds) == 1 && meta.Gens[0] == *ifGen {
 		sp.Set("unchanged", "true")
@@ -590,13 +590,13 @@ func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 	if req.Trace != "" && (s.Tracer == nil || s.Tracer.SampleEvery() > 0) {
 		root = obs.StartRemote("serve."+req.Op, obs.Attr{K: "trace", V: req.Trace})
 	}
-	exported := func() []wire.Span {
+	exported := func() []obs.SpanData {
 		if root == nil {
 			return nil
 		}
 		root.End()
 		s.Tracer.Record(root)
-		return spansToWire(root.Export(req.Span))
+		return root.Export(req.Span)
 	}
 	if req.Op == "add" {
 		// The one mutating op: it manages its own (read-side) locking, so
@@ -626,10 +626,7 @@ func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 		if req.Query == nil {
 			return w.send(wire.Response{Error: "eval: missing query"})
 		}
-		q, err := req.Query.ToCQ()
-		if err != nil {
-			return w.send(wire.Response{Error: err.Error()})
-		}
+		q := *req.Query
 		seen := map[string]bool{}
 		var bodyPreds []string
 		for _, a := range q.Body {
@@ -658,9 +655,10 @@ func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 }
 
 // kept copies v for an attribute of root's span tree. The strings of a
-// request's query and atom are substrings of its frame (wire.ReadRequest),
-// and a traced request's tree outlives the request in the Tracer's ring; an
-// untraced request keeps no span, so v is returned as is.
+// request's query and atom are substrings of its row block
+// (wire.ReadRequest), and a traced request's tree outlives the request in
+// the Tracer's ring; an untraced request keeps no span, so v is returned
+// as is.
 func kept(root *obs.Span, v string) string {
 	if root == nil {
 		return v
@@ -687,7 +685,7 @@ func kept(root *obs.Span, v string) string {
 // Append-only relations keep concurrent streams sound: a stream observes a
 // superset of its start-state and a subset of its end-state, which is
 // exactly right for monotone conjunctive queries.
-func (s *Server) handleAdd(req wire.Request, w *frameWriter, exported func() []wire.Span) error {
+func (s *Server) handleAdd(req wire.Request, w *frameWriter, exported func() []obs.SpanData) error {
 	if req.Pred == "" {
 		return w.send(wire.Response{Error: "add: missing pred"})
 	}
@@ -725,10 +723,7 @@ func bindProbeArgs(req wire.Request) (pred string, cols []int, keys [][]string, 
 	if req.Atom == nil {
 		return "", nil, nil, fmt.Errorf("bind: missing atom")
 	}
-	a, err := req.Atom.ToAtom()
-	if err != nil {
-		return "", nil, nil, err
-	}
+	a := *req.Atom
 	if len(req.BindCols) == 0 {
 		return "", nil, nil, fmt.Errorf("bind: no bound columns for %s", a.Pred)
 	}

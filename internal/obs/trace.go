@@ -182,17 +182,17 @@ func (s *Span) Duration() time.Duration {
 }
 
 // SpanData is the flattened, serializable form of one span — what crosses
-// the wire when a serving peer ships its spans back to the posing peer.
-// IDs are scoped to the exporting side's trace; Parent references either
-// another exported span or the requesting side's span named in the
-// request.
+// the wire, as JSON under these tags, when a serving peer ships its spans
+// back to the posing peer. IDs are scoped to the exporting side's trace;
+// Parent references either another exported span or the requesting side's
+// span named in the request.
 type SpanData struct {
-	ID     uint64
-	Parent uint64
-	Name   string
-	Start  int64 // UnixNano on the exporting peer's clock
-	Dur    int64 // nanoseconds
-	Attrs  []Attr
+	ID     uint64 `json:"id"`
+	Parent uint64 `json:"parent,omitempty"`
+	Name   string `json:"name"`
+	Start  int64  `json:"start,omitempty"` // UnixNano on the exporting peer's clock
+	Dur    int64  `json:"dur"`             // nanoseconds
+	Attrs  []Attr `json:"attrs,omitempty"`
 }
 
 // StartRemote starts a detached span tree for work done on behalf of a

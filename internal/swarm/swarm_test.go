@@ -13,6 +13,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/ppl"
 	"repro/internal/rel"
 	"repro/internal/store"
 	"repro/pdms"
@@ -45,7 +46,11 @@ func corpus(short bool) []Params {
 // correctness claim: for every corpus tuple, the answers obtained by
 // reformulating at a spec-only mediator and executing across N loopback
 // peer servers equal the answers of a single-process oracle holding the
-// same specification and all the data locally.
+// same specification and all the data locally, and the chase's certain
+// answers over that oracle. The oracle runs the same reformulation, so
+// only the chase sees a rewriting the tree misses; every tuple must be
+// PTIME, where the chase is the exact judge, so a tuple outside it fails
+// here rather than escaping the judge.
 func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 	for _, p := range corpus(testing.Short()) {
 		p := p
@@ -100,6 +105,17 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 			}
 			if !reflect.DeepEqual(checked, want) || !reflect.DeepEqual(oracleChecked, want) {
 				t.Fatalf("through the checked union: swarm %v, oracle %v, want %v", checked, oracleChecked, want)
+			}
+
+			if c, err := oracle.Classify(spec.Query); err != nil || c.Class != ppl.PTime {
+				t.Fatalf("corpus tuple classified %v (%v); the chase judges PTIME tuples only", c, err)
+			}
+			certain, err := oracle.CertainAnswers(spec.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if certain = rel.SortDistinct(certain); !reflect.DeepEqual(got, certain) {
+				t.Fatalf("swarm %d answers, chase %d\n got %v\nwant %v\nspec:\n%s", len(got), len(certain), got, certain, spec.Mediator)
 			}
 		})
 	}

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/lang"
 )
 
 // The frame codec. Every frame of the protocol — the envelope and row
@@ -24,9 +26,9 @@ import (
 // null, a non-integer number, a syntax error) goes to encoding/json, for
 // that one value or for the whole frame, so the semantics stay
 // encoding/json's without a second JSON parser. Spans ride only on final
-// frames of traced requests and always go through encoding/json. Rows are
-// never JSON: they travel in the row block after the envelope
-// (AppendBlockRow, DecodeRows).
+// frames of traced requests, which always go through encoding/json. Rows,
+// queries and atoms are never JSON: they travel in the row block after
+// the envelope (AppendBlockRow, DecodeRows, Request.split).
 
 // AppendResponse appends r's frame to dst: the envelope line, exactly the
 // bytes json.Encoder.Encode writes for r with its Rows left out and, when
@@ -83,7 +85,45 @@ func AppendResponse(dst []byte, r *Response, block []byte) []byte {
 func AppendBlockRow(block []byte, row []string) []byte {
 	block = binary.AppendUvarint(block, uint64(len(row)))
 	for _, v := range row {
-		block = append(binary.AppendUvarint(block, uint64(len(v))), v...)
+		block = appendValue(block, v)
+	}
+	return block
+}
+
+// appendValue appends one value of a row: uvarint(len(v)), then v.
+func appendValue(block []byte, v string) []byte {
+	return append(binary.AppendUvarint(block, uint64(len(v))), v...)
+}
+
+// appendTermValue appends t as one value: "?" and a variable's name, or
+// "=" and a constant's bytes.
+func appendTermValue(block []byte, t lang.Term) []byte {
+	kind := byte('?')
+	if t.IsConst() {
+		kind = '='
+	}
+	return append(append(binary.AppendUvarint(block, uint64(1+len(t.Name))), kind), t.Name...)
+}
+
+// appendAtomRow appends a's row: its predicate, then one value per term.
+func appendAtomRow(block []byte, a *lang.Atom) []byte {
+	block = appendValue(binary.AppendUvarint(block, uint64(1+len(a.Args))), a.Pred)
+	for _, t := range a.Args {
+		block = appendTermValue(block, t)
+	}
+	return block
+}
+
+// appendQueryRows appends q's rows: the head, the body atoms, then per
+// comparison a row of its operator and its two terms.
+func appendQueryRows(block []byte, q *lang.CQ) []byte {
+	block = appendAtomRow(block, &q.Head)
+	for i := range q.Body {
+		block = appendAtomRow(block, &q.Body[i])
+	}
+	for _, c := range q.Comps {
+		block = appendValue(append(block, 3), c.Op.String())
+		block = appendTermValue(appendTermValue(block, c.L), c.R)
 	}
 	return block
 }
@@ -110,15 +150,45 @@ func appendStrings(dst []byte, ss []string) []byte {
 	return append(dst, ']')
 }
 
-// blockLen is the length of the row block carrying rows: a uvarint takes
-// one byte per 7 bits of its value.
+// uvarintLen is the length of n as a uvarint: one byte per 7 bits.
+func uvarintLen(n int) int {
+	return (bits.Len(uint(n)|1) + 6) / 7
+}
+
+// valueLen is the length of a value of n bytes in a row.
+func valueLen(n int) int {
+	return uvarintLen(n) + n
+}
+
+// blockLen is the length of the row block carrying rows.
 func blockLen(rows [][]string) int {
 	n := 0
 	for _, row := range rows {
-		n += (bits.Len(uint(len(row))|1) + 6) / 7
+		n += uvarintLen(len(row))
 		for _, v := range row {
-			n += (bits.Len(uint(len(v))|1)+6)/7 + len(v)
+			n += valueLen(len(v))
 		}
+	}
+	return n
+}
+
+// atomLen is the length of a's row.
+func atomLen(a *lang.Atom) int {
+	n := uvarintLen(1+len(a.Args)) + valueLen(len(a.Pred))
+	for _, t := range a.Args {
+		n += valueLen(1 + len(t.Name))
+	}
+	return n
+}
+
+// queryLen is the length of q's rows.
+func queryLen(q *lang.CQ) int {
+	n := atomLen(&q.Head)
+	for i := range q.Body {
+		n += atomLen(&q.Body[i])
+	}
+	for _, c := range q.Comps {
+		n += 1 + valueLen(len(c.Op.String())) + valueLen(1+len(c.L.Name)) + valueLen(1+len(c.R.Name))
 	}
 	return n
 }
@@ -136,29 +206,36 @@ func appendInts(dst []byte, ns []int) []byte {
 }
 
 // AppendRequest appends r's frame to dst: the envelope line, exactly the
-// bytes json.Encoder.Encode writes for r with RowBytes set to the length
-// of the row block carrying r.Rows, escaped as AppendResponse escapes;
-// then that block. Op is always written; every other field only when set,
-// as its omitempty tag says. AppendRequest does not read r.RowBytes.
+// bytes json.Encoder.Encode writes for r with Body set to the number of
+// r.Query's body atoms and RowBytes to the length of the row block;
+// then that block: r.Query's rows, r.Atom's row and r.Rows, in that
+// order. Strings are escaped as AppendResponse escapes them. Op is always
+// written; every other field only when set, as its omitempty tag says.
+// AppendRequest does not read r.Body or r.RowBytes. A reader splits the
+// block by op, so only an eval carries a Query and only a bind an Atom.
 func AppendRequest(dst []byte, r *Request) []byte {
+	body, n := 0, blockLen(r.Rows)
+	if r.Query != nil {
+		body, n = len(r.Query.Body), n+queryLen(r.Query)
+	}
+	if r.Atom != nil {
+		n += atomLen(r.Atom)
+	}
 	dst = appendString(append(dst, `{"op":`...), r.Op)
 	if r.V != 0 {
 		dst = strconv.AppendInt(append(dst, `,"v":`...), int64(r.V), 10)
 	}
-	if r.Query != nil {
-		dst = appendCQ(append(dst, `,"query":`...), r.Query)
+	if body != 0 {
+		dst = strconv.AppendInt(append(dst, `,"body":`...), int64(body), 10)
 	}
 	if r.Pred != "" {
 		dst = appendString(append(dst, `,"pred":`...), r.Pred)
 	}
-	if r.Atom != nil {
-		dst = appendAtom(append(dst, `,"atom":`...), r.Atom)
-	}
 	if len(r.BindCols) > 0 {
 		dst = appendInts(append(dst, `,"bindCols":`...), r.BindCols)
 	}
-	if len(r.Rows) > 0 {
-		dst = strconv.AppendInt(append(dst, `,"rowBytes":`...), int64(blockLen(r.Rows)), 10)
+	if n > 0 {
+		dst = strconv.AppendInt(append(dst, `,"rowBytes":`...), int64(n), 10)
 	}
 	if r.Trace != "" {
 		dst = appendString(append(dst, `,"trace":`...), r.Trace)
@@ -170,67 +247,16 @@ func AppendRequest(dst []byte, r *Request) []byte {
 		dst = strconv.AppendUint(append(dst, `,"ifGen":`...), *r.IfGen, 10)
 	}
 	dst = append(dst, '}', '\n')
+	if r.Query != nil {
+		dst = appendQueryRows(dst, r.Query)
+	}
+	if r.Atom != nil {
+		dst = appendAtomRow(dst, r.Atom)
+	}
 	for _, row := range r.Rows {
 		dst = AppendBlockRow(dst, row)
 	}
 	return dst
-}
-
-// appendCQ appends q as encoding/json marshals a CQ: a nil Body is null,
-// and Comps appears only when non-empty.
-func appendCQ(dst []byte, q *CQ) []byte {
-	dst = appendAtom(append(dst, `{"head":`...), &q.Head)
-	dst = append(dst, `,"body":`...)
-	if q.Body == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range q.Body {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendAtom(dst, &q.Body[i])
-		}
-		dst = append(dst, ']')
-	}
-	if len(q.Comps) > 0 {
-		dst = append(dst, `,"comps":[`...)
-		for i, c := range q.Comps {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendString(append(dst, `{"op":`...), c.Op)
-			dst = appendTerm(append(dst, `,"l":`...), c.L)
-			dst = appendTerm(append(dst, `,"r":`...), c.R)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}')
-}
-
-// appendAtom appends a as encoding/json marshals an Atom: nil Args are
-// null.
-func appendAtom(dst []byte, a *Atom) []byte {
-	dst = appendString(append(dst, `{"p":`...), a.Pred)
-	dst = append(dst, `,"a":`...)
-	if a.Args == nil {
-		return append(dst, "null}"...)
-	}
-	dst = append(dst, '[')
-	for i, t := range a.Args {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendTerm(dst, t)
-	}
-	return append(dst, ']', '}')
-}
-
-func appendTerm(dst []byte, t Term) []byte {
-	dst = appendString(append(dst, `{"k":`...), t.Kind)
-	dst = appendString(append(dst, `,"v":`...), t.Value)
-	return append(dst, '}')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -358,10 +384,11 @@ const (
 	fieldPreds
 	fieldCards
 	fieldGens
-	fieldSpans
 )
 
-var responseKeys = []string{"error", "busy", "rows", "rowBytes", "more", "unchanged", "preds", "cards", "gens", "spans"}
+// responseKeys leaves "spans" out: a traced final frame is rare, so the
+// whole of it goes through encoding/json.
+var responseKeys = []string{"error", "busy", "rows", "rowBytes", "more", "unchanged", "preds", "cards", "gens"}
 
 // response is decodeResponse's hand-written path. It reports false
 // whenever the frame leaves its common shape, and sets *v1 on a "rows"
@@ -399,8 +426,6 @@ func (p *scanner) response(r *Response, v1 *bool) bool {
 			r.Cards, ok = p.ints()
 		case fieldGens:
 			r.Gens, ok = p.uints()
-		case fieldSpans:
-			ok = p.value(&r.Spans)
 		}
 		return ok
 	}) && p.end()
@@ -473,6 +498,125 @@ func uvarint(b []byte) (uint64, int) {
 	return x, n
 }
 
+// split takes an eval's query and a bind's atom off the front of a
+// request's rows, lowered to lang values, and leaves the rest in r.Rows:
+// an eval's block is the head row, r.Body body-atom rows and the
+// comparison rows; a bind's is the atom row and the key rows. Only a
+// request of this version is split, so one of another version keeps its
+// rows whole and a server answers it with the version error. The terms of
+// a query's atoms share one slice, each atom's capped at its end, and
+// every string is a substring of the block's.
+func (r *Request) split(rows [][]string) (err error) {
+	if r.V == Version {
+		switch r.Op {
+		case "eval":
+			if r.Body < 0 || r.Body > max(len(rows)-1, 0) {
+				return fmt.Errorf("wire: eval query of %d body atoms in %d rows", r.Body, len(rows))
+			}
+			if len(rows) > 0 {
+				r.Query, err = lowerQuery(rows, r.Body)
+			}
+			return err
+		case "bind":
+			if len(rows) > 0 {
+				a, _, err := lowerAtom(rows[0], make([]lang.Term, 0, max(len(rows[0])-1, 0)))
+				if err != nil {
+					return err
+				}
+				r.Atom, rows = &a, rows[1:]
+			}
+		}
+	}
+	if len(rows) > 0 {
+		r.Rows = rows
+	}
+	return nil
+}
+
+// lowerQuery lowers an eval's rows: the head, body body atoms, then the
+// comparisons.
+func lowerQuery(rows [][]string, body int) (*lang.CQ, error) {
+	atoms, comps := rows[:1+body], rows[1+body:]
+	n := 0
+	for _, row := range atoms {
+		n += max(len(row)-1, 0)
+	}
+	terms := make([]lang.Term, 0, n)
+	q := new(lang.CQ)
+	var err error
+	if q.Head, terms, err = lowerAtom(atoms[0], terms); err != nil {
+		return nil, err
+	}
+	if body > 0 {
+		q.Body = make([]lang.Atom, body)
+		for i, row := range atoms[1:] {
+			if q.Body[i], terms, err = lowerAtom(row, terms); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(comps) > 0 {
+		q.Comps = make([]lang.Comparison, len(comps))
+		for i, row := range comps {
+			if q.Comps[i], err = lowerComparison(row); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return q, nil
+}
+
+// lowerAtom lowers an atom row, appending its terms to terms.
+func lowerAtom(row []string, terms []lang.Term) (lang.Atom, []lang.Term, error) {
+	if len(row) == 0 {
+		return lang.Atom{}, terms, errors.New("wire: empty atom row")
+	}
+	start := len(terms)
+	for _, v := range row[1:] {
+		t, err := lowerTerm(v)
+		if err != nil {
+			return lang.Atom{}, terms, err
+		}
+		terms = append(terms, t)
+	}
+	return lang.Atom{Pred: row[0], Args: terms[start:len(terms):len(terms)]}, terms, nil
+}
+
+// lowerComparison lowers a comparison row: the operator as
+// lang.CompOp.String spells it, then the left and the right term.
+func lowerComparison(row []string) (lang.Comparison, error) {
+	if len(row) != 3 {
+		return lang.Comparison{}, fmt.Errorf("wire: comparison row of %d values, want 3", len(row))
+	}
+	op := lang.OpEQ
+	for op <= lang.OpGE && op.String() != row[0] {
+		op++
+	}
+	if op > lang.OpGE {
+		return lang.Comparison{}, fmt.Errorf("wire: unknown comparison operator %.8q", row[0])
+	}
+	l, err := lowerTerm(row[1])
+	if err != nil {
+		return lang.Comparison{}, err
+	}
+	r, err := lowerTerm(row[2])
+	return lang.Comparison{Op: op, L: l, R: r}, err
+}
+
+// lowerTerm lowers one term value: "?" and a variable's name, or "=" and
+// a constant's bytes.
+func lowerTerm(v string) (lang.Term, error) {
+	if v != "" {
+		switch v[0] {
+		case '?':
+			return lang.Var(v[1:]), nil
+		case '=':
+			return lang.Const(v[1:]), nil
+		}
+	}
+	return lang.Term{}, fmt.Errorf("wire: term %.8q is neither ?variable nor =constant", v)
+}
+
 // errJSONRows reports a request envelope with a "rows" or "bindRows" key,
 // as versions 1 and 2 sent rows.
 var errJSONRows = fmt.Errorf(`wire: request carries its rows as JSON, a protocol version 2 request; this peer speaks version %d`, Version)
@@ -481,10 +625,10 @@ var errJSONRows = fmt.Errorf(`wire: request carries its rows as JSON, a protocol
 // r, overwriting it: afterwards r holds exactly what json.Unmarshal(frame,
 // r) leaves in a zero Request, and the error is exactly json.Unmarshal's —
 // except that a "rows" or "bindRows" key, in any case, is errJSONRows and
-// a negative rowBytes is an error. The result does not alias frame. Op
-// and the strings of Query and Atom are substrings of one string holding
-// the frame, so whoever keeps one past the request copies it; Pred and
-// Trace, which a server keeps, get their own allocations.
+// a negative rowBytes is an error. The result does not alias frame. Op is
+// a substring of one string holding the frame, so whoever keeps it past
+// the request copies it; Pred and Trace, which a server keeps, get their
+// own allocations.
 func decodeRequest(frame []byte, r *Request) error {
 	*r = Request{}
 	p := scanner{s: string(frame), b: frame}
@@ -518,9 +662,8 @@ func decodeRequest(frame []byte, r *Request) error {
 const (
 	reqOp = iota
 	reqV
-	reqQuery
+	reqBody
 	reqPred
-	reqAtom
 	reqBindCols
 	reqRowBytes
 	reqTrace
@@ -528,38 +671,28 @@ const (
 	reqIfGen
 )
 
-var (
-	requestKeys = []string{"op", "v", "query", "pred", "atom", "bindCols", "rowBytes", "trace", "span", "ifGen"}
-	cqKeys      = []string{"head", "body", "comps"}
-	atomKeys    = []string{"p", "a"}
-	termKeys    = []string{"k", "v"}
-	compKeys    = []string{"op", "l", "r"}
-)
+var requestKeys = []string{"op", "v", "body", "pred", "bindCols", "rowBytes", "trace", "span", "ifGen"}
 
 // request is decodeRequest's hand-written path.
 func (p *scanner) request(r *Request) bool {
 	return p.object(requestKeys, func(f int) (ok bool) {
 		var v string
+		var n uint64
 		switch f {
 		case reqOp:
 			r.Op, ok = p.str()
 		case reqV:
-			var v uint64
-			v, ok = p.digits(18)
-			r.V = int(v)
-		case reqQuery:
-			r.Query = new(CQ)
-			ok = p.cq(r.Query)
+			n, ok = p.digits(18)
+			r.V = int(n)
+		case reqBody:
+			n, ok = p.digits(18)
+			r.Body = int(n)
 		case reqPred:
 			v, ok = p.str()
 			r.Pred = strings.Clone(v)
-		case reqAtom:
-			r.Atom = new(Atom)
-			ok = p.atom(r.Atom)
 		case reqBindCols:
 			r.BindCols, ok = p.ints()
 		case reqRowBytes:
-			var n uint64
 			n, ok = p.digits(18)
 			r.RowBytes = int(n)
 		case reqTrace:
@@ -570,66 +703,6 @@ func (p *scanner) request(r *Request) bool {
 		case reqIfGen:
 			r.IfGen = new(uint64)
 			*r.IfGen, ok = p.digits(19)
-		}
-		return ok
-	})
-}
-
-func (p *scanner) cq(q *CQ) bool {
-	return p.object(cqKeys, func(f int) bool {
-		switch f {
-		case 0:
-			return p.atom(&q.Head)
-		case 1:
-			q.Body = make([]Atom, 0) // [] decodes as empty, not nil
-			return p.array(func() bool {
-				q.Body = append(q.Body, Atom{})
-				return p.atom(&q.Body[len(q.Body)-1])
-			})
-		default:
-			q.Comps = make([]Comparison, 0)
-			return p.array(func() bool {
-				q.Comps = append(q.Comps, Comparison{})
-				return p.comparison(&q.Comps[len(q.Comps)-1])
-			})
-		}
-	})
-}
-
-func (p *scanner) atom(a *Atom) bool {
-	return p.object(atomKeys, func(f int) (ok bool) {
-		if f == 0 {
-			a.Pred, ok = p.str()
-			return ok
-		}
-		a.Args = make([]Term, 0, 4) // room for a typical atom's arguments
-		return p.array(func() bool {
-			a.Args = append(a.Args, Term{})
-			return p.term(&a.Args[len(a.Args)-1])
-		})
-	})
-}
-
-func (p *scanner) term(t *Term) bool {
-	return p.object(termKeys, func(f int) (ok bool) {
-		if f == 0 {
-			t.Kind, ok = p.str()
-		} else {
-			t.Value, ok = p.str()
-		}
-		return ok
-	})
-}
-
-func (p *scanner) comparison(c *Comparison) bool {
-	return p.object(compKeys, func(f int) (ok bool) {
-		switch f {
-		case 0:
-			c.Op, ok = p.str()
-		case 1:
-			ok = p.term(&c.L)
-		default:
-			ok = p.term(&c.R)
 		}
 		return ok
 	})
@@ -881,52 +954,4 @@ func (p *scanner) array(elem func() bool) bool {
 		}
 		p.space()
 	}
-}
-
-// value decodes the next JSON value into v through encoding/json.
-func (p *scanner) value(v any) bool {
-	start := p.i
-	return p.skip() && json.Unmarshal(p.b[start:p.i], v) == nil
-}
-
-// skip consumes one JSON value without checking it: a string, a bracketed
-// container, or a scalar running to the next delimiter. encoding/json
-// checks whatever it spans.
-func (p *scanner) skip() bool {
-	start, depth := p.i, 0
-	for p.i < len(p.s) {
-		switch p.s[p.i] {
-		case '"':
-			p.i++
-			for p.i < len(p.s) && p.s[p.i] != '"' {
-				if p.s[p.i] == '\\' {
-					p.i++
-				}
-				p.i++
-			}
-			if !p.eat('"') {
-				return false
-			}
-		case '[', '{':
-			depth++
-			p.i++
-		case ']', '}':
-			if depth == 0 {
-				return p.i > start
-			}
-			depth--
-			p.i++
-		case ',', ' ', '\t', '\n', '\r':
-			if depth == 0 {
-				return p.i > start
-			}
-			p.i++
-		default:
-			p.i++
-		}
-		if depth == 0 && (p.s[p.i-1] == '"' || p.s[p.i-1] == ']' || p.s[p.i-1] == '}') {
-			return true
-		}
-	}
-	return depth == 0 && p.i > start
 }

@@ -3,14 +3,19 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/lang"
+	"repro/internal/obs"
 )
 
 // encodeJSON is the reference encoding AppendResponse must reproduce.
@@ -134,7 +139,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		{Rows: [][]string{{"a", "b"}, {}, nil, {every.String()}}, More: true},
 		{Rows: [][]string{}, Preds: []string{}, Cards: []int{}, Gens: []uint64{}},
 		{Unchanged: true, Preds: []string{"A.r", "B.s"}, Cards: []int{0, -7, 1 << 62}, Gens: []uint64{0, 1<<64 - 1}},
-		{Spans: []Span{{ID: 1, Name: "scan<x>", Dur: 5, Attrs: []SpanAttr{{K: "k", V: "\u2028"}}}}},
+		{Spans: []obs.SpanData{{ID: 1, Name: "scan<x>", Dur: 5, Attrs: []obs.Attr{{K: "k", V: "\u2028"}}}}},
 		{Rows: [][]string{{}}, RowBytes: 99},
 	}
 	for _, s := range awkwardStrings {
@@ -148,6 +153,29 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		if got, want := AppendResponse(nil, &r, nil), encodeJSON(t, &r); !bytes.Equal(got, want) {
 			t.Fatalf("AppendResponse(%+v) = %q, want %q", r, got, want)
 		}
+	}
+}
+
+// TestTracedFrameBytesPinned pins a traced final frame's bytes: the spans
+// are obs.SpanData under their JSON tags, byte-identical to the frame the
+// wire's own span type wrote before obs.SpanData crossed the wire itself.
+func TestTracedFrameBytesPinned(t *testing.T) {
+	r := &Response{Preds: []string{"A.r"}, Cards: []int{2}, Gens: []uint64{5}, Spans: []obs.SpanData{
+		{ID: 1, Parent: 42, Name: "serve.eval", Start: 1700000000000000000, Dur: 1500, Attrs: []obs.Attr{{K: "trace", V: "t<1>"}}},
+		{ID: 2, Parent: 1, Name: "eval", Start: 1700000000000000100, Dur: 900, Attrs: []obs.Attr{{K: "head", V: "q\u2028"}, {K: "rows", V: "2"}}},
+		{ID: 3, Parent: 2, Name: "scan", Dur: 0},
+	}}
+	want := "{\"rowBytes\":5,\"preds\":[\"A.r\"],\"cards\":[2],\"gens\":[5],\"spans\":[" +
+		"{\"id\":1,\"parent\":42,\"name\":\"serve.eval\",\"start\":1700000000000000000,\"dur\":1500,\"attrs\":[{\"k\":\"trace\",\"v\":\"t\\u003c1\\u003e\"}]}," +
+		"{\"id\":2,\"parent\":1,\"name\":\"eval\",\"start\":1700000000000000100,\"dur\":900,\"attrs\":[{\"k\":\"head\",\"v\":\"q\\u2028\"},{\"k\":\"rows\",\"v\":\"2\"}]}," +
+		"{\"id\":3,\"parent\":2,\"name\":\"scan\",\"dur\":0}]}\n\x02\x01a\x01\xff"
+	got := AppendResponse(nil, r, blockOf([][]string{{"a", "\xff"}}))
+	if string(got) != want {
+		t.Fatalf("traced frame\n got %q\nwant %q", got, want)
+	}
+	back, err := readFrame(got, DefaultMaxFrame)
+	if err != nil || !reflect.DeepEqual(back.Spans, r.Spans) {
+		t.Fatalf("spans read back as %+v (%v)", back.Spans, err)
 	}
 }
 
@@ -225,7 +253,7 @@ func TestReadResponseRejects(t *testing.T) {
 			t.Fatalf("%s: read %+v, %v; want error %v", c.name, r, err, c.want)
 		}
 	}
-	if _, err := readFrame([]byte(`{"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 3") {
+	if _, err := readFrame([]byte(`{"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", Version)) {
 		t.Fatalf("version 1 frame error %q does not name both versions", err)
 	}
 	if r, err := readFrame(good, len(good)-1); err != nil || len(r.Rows) != 1 {
@@ -423,7 +451,7 @@ func unmarshalRequest(frame []byte) (r Request, jsonRows bool, err error) {
 func checkRequestDecode(t testing.TB, frame []byte) {
 	t.Helper()
 	want, jsonRows, wantErr := unmarshalRequest(frame)
-	got := Request{Op: "stale", Rows: [][]string{{"stale"}}, IfGen: new(uint64)}
+	got := Request{Op: "stale", Query: &lang.CQ{}, Atom: &lang.Atom{}, Rows: [][]string{{"stale"}}, IfGen: new(uint64)}
 	gotErr := decodeRequest(frame, &got)
 	var ok bool
 	switch {
@@ -447,33 +475,145 @@ func checkRequestDecode(t testing.TB, frame []byte) {
 	}
 }
 
+// termValue spells t as a row value: "?" and a variable's name, or "="
+// and a constant's bytes.
+func termValue(t lang.Term) string {
+	if t.IsConst() {
+		return "=" + t.Name
+	}
+	return "?" + t.Name
+}
+
+// atomValues is a's row: its predicate, then its terms.
+func atomValues(a *lang.Atom) []string {
+	row := []string{a.Pred}
+	for _, t := range a.Args {
+		row = append(row, termValue(t))
+	}
+	return row
+}
+
+// requestRows is every row of r's block, spelled out value by value — the
+// reference the codec's writer must match: the query's head, body atoms
+// and comparisons, the atom, then r.Rows.
+func requestRows(r *Request) [][]string {
+	var rows [][]string
+	if q := r.Query; q != nil {
+		rows = append(rows, atomValues(&q.Head))
+		for i := range q.Body {
+			rows = append(rows, atomValues(&q.Body[i]))
+		}
+		for _, c := range q.Comps {
+			rows = append(rows, []string{c.Op.String(), termValue(c.L), termValue(c.R)})
+		}
+	}
+	if r.Atom != nil {
+		rows = append(rows, atomValues(r.Atom))
+	}
+	return append(rows, r.Rows...)
+}
+
+// splits reports whether ReadRequest lowers the front of r's block: an
+// eval's or a bind's of this version.
+func splits(r *Request) bool {
+	return r.V == Version && (r.Op == "eval" || r.Op == "bind")
+}
+
+// termOffsets is the offset in block of each term value's kind byte, in
+// the rows r's op reads as a query or an atom.
+func termOffsets(block []byte, r *Request) []int {
+	nrows := 0
+	switch {
+	case r.Op == "eval" && r.Query != nil:
+		nrows = 1 + len(r.Query.Body) + len(r.Query.Comps)
+	case r.Op == "bind" && r.Atom != nil:
+		nrows = 1
+	}
+	var offs []int
+	i := 0
+	for range nrows {
+		arity, n := binary.Uvarint(block[i:])
+		i += n
+		for v := range int(arity) {
+			l, n := binary.Uvarint(block[i:])
+			i += n
+			if v > 0 { // a predicate or an operator is not a term
+				offs = append(offs, i)
+			}
+			i += int(l)
+		}
+	}
+	return offs
+}
+
 // checkAppendRequest fails unless AppendRequest writes, after a prefix it
-// must leave alone, exactly json.Encoder's bytes for r's envelope — r
-// without Rows and with RowBytes the block's length — followed by the
-// block, and unless ReadRequest gives r back: the envelope as
-// encoding/json reads it, the rows byte for byte.
+// must leave alone, exactly json.Encoder's bytes for r's envelope — with
+// Body the query's body count and RowBytes the block's length — followed
+// by the block of r's query, atom and rows, and unless ReadRequest gives r
+// back: the envelope as encoding/json reads it, the query and atom equal
+// field for field, the rows byte for byte. Of a request that splits is
+// false for, every row comes back in Rows. Every truncation of the frame
+// is an error, and so is every term kind byte garbled to another byte. r
+// must be a shape its op reads back: an eval carries no atom and no rows,
+// and a bind without an atom no rows.
 func checkAppendRequest(t testing.TB, r *Request) {
 	t.Helper()
-	block := blockOf(r.Rows)
+	all := requestRows(r)
+	block := blockOf(all)
 	env := *r
-	env.Rows, env.RowBytes = nil, len(block)
+	env.Rows, env.RowBytes, env.Body = nil, len(block), 0
+	if r.Query != nil {
+		env.Body = len(r.Query.Body)
+	}
 	envelope := encodeRequestJSON(t, &env)
 	got := AppendRequest([]byte("prefix"), r)
-	if !bytes.Equal(got[len("prefix"):], append(bytes.Clone(envelope), block...)) || string(got[:len("prefix")]) != "prefix" {
+	frame := got[len("prefix"):]
+	if !bytes.Equal(frame, append(bytes.Clone(envelope), block...)) || string(got[:len("prefix")]) != "prefix" {
 		t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q + block %q", r, got, envelope, block)
 	}
 	checkRequestDecode(t, envelope[:len(envelope)-1])
-	back, err := readRequest(got[len("prefix"):], DefaultMaxFrame)
 	want, _, _ := unmarshalRequest(envelope)
-	rows := back.Rows
-	back.Rows = nil
-	if err != nil || !sameRows(rows, r.Rows) || !reflect.DeepEqual(back, want) {
-		t.Fatalf("request %+v read back as %+v, rows %q (%v)", r, back, rows, err)
+	var wantQuery *lang.CQ
+	var wantAtom *lang.Atom
+	wantRows := all
+	if splits(r) {
+		wantQuery, wantAtom, wantRows = r.Query, r.Atom, r.Rows
+	}
+	back, err := readRequest(frame, DefaultMaxFrame)
+	query, atom, rows := back.Query, back.Atom, back.Rows
+	back.Query, back.Atom, back.Rows = nil, nil, nil
+	if err != nil || !sameCQ(query, wantQuery) || !sameAtom(atom, wantAtom) || !sameRows(rows, wantRows) || !reflect.DeepEqual(back, want) {
+		t.Fatalf("request %+v read back as %+v, query %v, atom %v, rows %q (%v)", r, back, query, atom, rows, err)
+	}
+	var src bytes.Reader
+	br := bufio.NewReader(&src)
+	for n := range len(frame) {
+		src.Reset(frame[:n])
+		br.Reset(&src)
+		var cut Request
+		if _, err := ReadRequest(br, nil, DefaultMaxFrame, &cut); err == nil {
+			t.Fatalf("frame cut to %d of %d bytes read as %+v", n, len(frame), cut)
+		}
+	}
+	if !splits(r) {
+		return
+	}
+	start := len(frame) - len(block)
+	for _, off := range termOffsets(block, r) {
+		for _, b := range []byte{0, 'x', '?' | 0x80, '=' + 1} {
+			garbled := bytes.Clone(frame)
+			garbled[start+off] = b
+			if _, err := readRequest(garbled, DefaultMaxFrame); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("term kind byte %d of %q garbled to %q: %v, want a bad request", off, block, b, err)
+			}
+		}
 	}
 }
 
 func TestAppendRequestMatchesEncodingJSON(t *testing.T) {
 	gen := uint64(0)
+	x, y := lang.Var("x"), lang.Var("y")
+	atom := lang.NewAtom("A.r", lang.Const("1"), y)
 	corpus := []Request{
 		{},
 		{Op: "catalog"},
@@ -482,36 +622,46 @@ func TestAppendRequestMatchesEncodingJSON(t *testing.T) {
 		{Op: "ping", V: -3},
 		{Op: "add", Pred: "A.r", Rows: [][]string{{"a", "b"}, {}, nil}},
 		{Op: "add", Rows: [][]string{}, RowBytes: 7},
-		{Op: "eval", Query: &CQ{}},
-		{Op: "eval", Query: &CQ{Head: Atom{Args: []Term{}}, Body: []Atom{}, Comps: []Comparison{}}},
-		{Op: "eval", Query: &CQ{
-			Head:  Atom{Pred: "q", Args: []Term{{Kind: "var", Value: "y"}}},
-			Body:  []Atom{{Pred: "P3.s", Args: []Term{{Kind: "const", Value: "v1"}, {Kind: "var", Value: "y"}}}, {Pred: "B"}},
-			Comps: []Comparison{{Op: "<=", L: Term{Kind: "var", Value: "y"}, R: Term{Kind: "const", Value: "9"}}},
+		{Op: "eval", V: Version, Query: &lang.CQ{}},
+		{Op: "eval", V: Version, Query: &lang.CQ{Head: lang.Atom{Args: []lang.Term{}}, Body: []lang.Atom{}, Comps: []lang.Comparison{}}, Body: 9},
+		{Op: "eval", V: Version, Query: &lang.CQ{
+			Head:  lang.NewAtom("q", y),
+			Body:  []lang.Atom{lang.NewAtom("P3.s", lang.Const("v1"), y), {Pred: "B"}},
+			Comps: []lang.Comparison{{Op: lang.OpLE, L: y, R: lang.Const("9")}},
 		}, IfGen: &gen},
-		{Op: "bind", Atom: &Atom{Pred: "A.r"}, BindCols: []int{0, -3, 1 << 62}, Rows: [][]string{{"k"}, {}, nil}},
-		{Op: "bind", Atom: &Atom{Args: []Term{}}, BindCols: []int{}, Rows: [][]string{}},
+		{Op: "eval", V: Version - 1, Query: &lang.CQ{Head: lang.NewAtom("q", x), Body: []lang.Atom{lang.NewAtom("A.r", x)}}, Rows: [][]string{{"k"}}},
+		{Op: "bind", V: Version, Atom: &atom, BindCols: []int{0, -3, 1 << 62}, Rows: [][]string{{"k"}, {}, nil}},
+		{Op: "bind", V: Version, Atom: &lang.Atom{Args: []lang.Term{}}, BindCols: []int{}, Rows: [][]string{}},
+		{Op: "bind", Atom: &atom, Rows: [][]string{{"k"}}},
 	}
 	for _, s := range awkwardStrings {
-		corpus = append(corpus, Request{
-			Op:    s,
-			Query: &CQ{Head: Atom{Pred: s, Args: []Term{{Kind: s, Value: s}}}, Comps: []Comparison{{Op: s}}},
-			Pred:  s,
-			Atom:  &Atom{Pred: s},
-			Rows:  [][]string{{s, s}, {s}},
-			Trace: s,
-		})
+		v, c := lang.Var(s), lang.Const(s)
+		a := lang.NewAtom(s, c, v)
+		corpus = append(corpus,
+			Request{Op: "eval", V: Version, Query: &lang.CQ{Head: lang.NewAtom(s, v), Body: []lang.Atom{a, a},
+				Comps: []lang.Comparison{{Op: lang.OpNE, L: c, R: v}}}, Pred: s, Trace: s},
+			Request{Op: "bind", V: Version, Atom: &a, Pred: s, Rows: [][]string{{s, s}, {s}}, Trace: s},
+			Request{Op: s, V: Version, Pred: s, Rows: [][]string{{s, s}, {s}}, Trace: s},
+		)
 	}
 	for i := range corpus {
 		checkAppendRequest(t, &corpus[i])
 	}
 }
 
+// rawRequest is a request frame of this version with the given op and
+// body count and the row block carrying rows, however malformed they are
+// as a query or an atom.
+func rawRequest(op string, body int, rows [][]string) []byte {
+	block := blockOf(rows)
+	return append(fmt.Appendf(nil, `{"op":%q,"v":%d,"body":%d,"rowBytes":%d}`+"\n", op, Version, body, len(block)), block...)
+}
+
 // TestReadRequest checks what ReadRequest does with requests it cannot
-// take: JSON rows and a malformed block are bad requests, a block over the
-// limit is read and dropped, and an envelope over it is consumed through
-// its newline. Each leaves the stream framed where the request's end is
-// known, so the next request reads intact.
+// take: JSON rows, a malformed block and a malformed query or atom are bad
+// requests, a block over the limit is read and dropped, and an envelope
+// over it is consumed through its newline. Each leaves the stream framed
+// where the request's end is known, so the next request reads intact.
 func TestReadRequest(t *testing.T) {
 	next := AppendRequest(nil, &Request{Op: "ping", V: Version})
 	add := AppendRequest(nil, &Request{Op: "add", V: Version, Pred: "A.r", Rows: [][]string{{"\xff\xfe", "a\nb"}}})
@@ -527,6 +677,15 @@ func TestReadRequest(t *testing.T) {
 		{"bad JSON", `{"op":` + "\n", DefaultMaxFrame, ErrBadRequest, 0},
 		{"parses short", "{\"op\":\"add\",\"rowBytes\":3}\n\x01\x00\x01", DefaultMaxFrame, ErrBadRequest, 0},
 		{"long uvarint", "{\"op\":\"add\",\"rowBytes\":4}\n\x01\x81\x00a", DefaultMaxFrame, ErrBadRequest, 0},
+		{"term without a kind", string(rawRequest("eval", 0, [][]string{{"q", "x"}})), DefaultMaxFrame, ErrBadRequest, 0},
+		{"empty term", string(rawRequest("bind", 0, [][]string{{"A.r", ""}, {"k"}})), DefaultMaxFrame, ErrBadRequest, 0},
+		{"unknown operator", string(rawRequest("eval", 0, [][]string{{"q", "?x"}, {"=<", "?x", "=1"}})), DefaultMaxFrame, ErrBadRequest, 0},
+		{"comparison of two values", string(rawRequest("eval", 0, [][]string{{"q", "?x"}, {"<", "?x"}})), DefaultMaxFrame, ErrBadRequest, 0},
+		{"empty atom row", string(rawRequest("eval", 0, [][]string{{}})), DefaultMaxFrame, ErrBadRequest, 0},
+		{"empty bind atom row", string(rawRequest("bind", 0, [][]string{{}, {"k"}})), DefaultMaxFrame, ErrBadRequest, 0},
+		{"body past the block", string(rawRequest("eval", 2, [][]string{{"q"}, {"A.r"}})), DefaultMaxFrame, ErrBadRequest, 0},
+		{"body without a block", string(rawRequest("eval", 1, nil)), DefaultMaxFrame, ErrBadRequest, 0},
+		{"negative body", string(rawRequest("eval", -1, [][]string{{"q"}})), DefaultMaxFrame, ErrBadRequest, 0},
 		{"block over the limit", string(add), len(add) - 2, ErrFrameTooLarge, len(add) - bytes.IndexByte(add, '\n') - 1},
 		{"envelope over the limit", string(add), 10, ErrFrameTooLarge, 0},
 	}
@@ -534,7 +693,7 @@ func TestReadRequest(t *testing.T) {
 		br := bufio.NewReader(bytes.NewReader(append([]byte(c.frame), next...)))
 		var r Request
 		_, err := ReadRequest(br, nil, c.limit, &r)
-		if !errors.Is(err, c.want) || r.Rows != nil || r.RowBytes != c.rowBytes {
+		if !errors.Is(err, c.want) || r.Rows != nil || r.Query != nil || r.Atom != nil || r.RowBytes != c.rowBytes {
 			t.Fatalf("%s: read %+v, %v; want error %v and rowBytes %d", c.name, r, err, c.want, c.rowBytes)
 		}
 		if c.name == "envelope over the limit" {
@@ -544,7 +703,7 @@ func TestReadRequest(t *testing.T) {
 			t.Fatalf("%s: the next request read as %+v, %v", c.name, r, err)
 		}
 	}
-	if _, err := readRequest([]byte(`{"op":"add","v":2,"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 3") {
+	if _, err := readRequest([]byte(`{"op":"add","v":2,"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", Version)) {
 		t.Fatalf("version 2 request error %q does not name both versions", err)
 	}
 	if r, err := readRequest(add, len(add)-1); err != nil || !sameRows(r.Rows, [][]string{{"\xff\xfe", "a\nb"}}) {
@@ -558,11 +717,14 @@ func TestReadRequest(t *testing.T) {
 // requestCorpus is the request envelopes decodeRequest must agree with
 // encoding/json on: every shape the hand-written path takes, and every way
 // of leaving it. An envelope with a "rows" or "bindRows" key is a version
-// 1 or 2 request.
+// 1 or 2 request; one with a "query" or "atom" key is a version 3 request,
+// whose keys both decoders skip as unknown.
 var requestCorpus = []string{
 	`{}`, ` { } `, `null`, ``, `[]`, `"x"`, `{"op":"ping"}`, `{"op":"ping","v":3}`, `{"v":0}`, `{"v":-1}`, `{"v":1.5}`, `{"v":"2"}`, `{"op":""}`, `{"op":1}`, `{"op":null}`,
 	`{"op":"scan","pred":"A.r","ifGen":0}`, `{"op":"scan","pred":"A.r","ifGen":null}`, `{"ifGen":-1}`, `{"ifGen":1.5}`,
 	`{"span":18446744073709551615}`, `{"span":18446744073709551616}`, `{"span":01}`, `{"span":-0}`, `{"span":1e3}`,
+	`{"op":"eval","v":4,"body":1,"rowBytes":20,"ifGen":7}`, `{"body":0}`, `{"body":-1}`, `{"body":1.5}`, `{"body":null}`, `{"Body":2}`,
+	`{"body":9223372036854775807}`, `{"body":1,"body":2}`, `{"body":"1"}`,
 	`{"op":"eval","query":{"head":{"p":"q","a":[{"k":"var","v":"y"}]},"body":[{"p":"P3.s","a":[{"k":"const","v":"v1"},{"k":"var","v":"y"}]}]},"ifGen":7}`,
 	`{"op":"eval","query":{}}`, `{"query":{"head":{}}}`, `{"query":{"body":[]}}`, `{"query":{"body":[{}]}}`, `{"query":{"comps":[]}}`,
 	`{"query":{"comps":[{"op":"<","l":{"k":"const","v":"1"},"r":{"k":"var","v":"x"}}]}}`, `{"query":{"comps":[{}]}}`,
@@ -581,6 +743,7 @@ var requestCorpus = []string{
 	`{"op":"eval","zzFromTheFuture":{"x":[1,"]"]}}`, `{"future":1,"op":"ping"}`, `{"op":"ping","trace":"abc","span":12}`,
 	"{\"op\":\"bad\xff\"}", "{\"op\":\"ctl\x01\"}", "{\"op\":\"sep\u2028\"}", `{"pred":"\ud800"}`, `{"trace":"a\\b\"c\/"}`,
 	" {\n\t\"op\" : \"eval\" ,\r\"query\" : { \"head\" : { \"p\" : \"q\" , \"a\" : [ ] } , \"body\" : [ ] } , \"ifGen\" : 3 } \n",
+	" {\n\t\"op\" : \"eval\" ,\r\"body\" : 2 , \"rowBytes\" : 9 } \n",
 	`{"op":"ping"} x`, `{"op":"ping",}`, `{"op":"ping"`, `{"op":"pi`, `{"op" "ping"}`, `{"op":"ping" "pred":"a"}`, `{,}`,
 	`{"query":{"body":[{"p":"a"},]}}`, `{"bindCols":[1,]}`, `{"op":"ping"}}`,
 }
@@ -592,34 +755,37 @@ func TestDecodeRequestMatchesUnmarshal(t *testing.T) {
 }
 
 // TestDecodeRequestOwnsKeptStrings checks which decoded strings may share
-// the frame's string: Op and the query's and atom's strings may; Pred and
-// Trace, which a server keeps, may not. The rows are substrings of the
-// block's own string, never of the envelope's or the read buffer.
+// the frame's strings: Op may share the envelope's; Pred and Trace, which
+// a server keeps, may not. The atom's strings and the rows are substrings
+// of the block's own string, never of the envelope's or the read buffer.
 func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
-	frame := AppendRequest(nil, &Request{Op: "add", Query: &CQ{Head: Atom{Pred: "q", Args: []Term{}}, Body: []Atom{}}, Pred: "A.r",
+	a := lang.NewAtom("B.s", lang.Var("x"), lang.Const("c1"))
+	frame := AppendRequest(nil, &Request{Op: "bind", V: Version, Atom: &a, Pred: "A.r",
 		Rows: [][]string{{"a", "bb"}, {"c"}}, Trace: "t1"})
 	var r Request
 	buf, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)), nil, DefaultMaxFrame, &r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Op is frame[7:10] on the hand-written path, so the envelope's string
+	ptr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	// Op is frame[7:11] on the hand-written path, so the envelope's string
 	// starts 7 bytes before Op's.
-	base := uintptr(unsafe.Pointer(unsafe.StringData(r.Op))) - 7
+	base := ptr(r.Op) - 7
 	env := uintptr(bytes.IndexByte(frame, '\n'))
 	inEnvelope := func(s string) bool {
-		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-		return p >= base && p < base+env
+		return ptr(s) >= base && ptr(s) < base+env
 	}
 	inBuf := func(s string) bool {
-		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
 		start := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
-		return p >= start && p < start+uintptr(cap(buf))
+		return ptr(s) >= start && ptr(s) < start+uintptr(cap(buf))
 	}
-	if !inEnvelope(r.Query.Head.Pred) {
-		t.Fatal("query strings were copied: the hand-written path was not taken")
+	// The block is [3]["B.s"]["?x"]["=c1"] [2]["a"]["bb"] [1]["c"], each
+	// value after its one-byte length: one string holds the atom and the
+	// rows.
+	if ptr(r.Atom.Args[1].Name) != ptr(r.Atom.Pred)+8 || ptr(r.Rows[0][0]) != ptr(r.Atom.Pred)+12 {
+		t.Fatal("the atom and the rows are not substrings of one block string")
 	}
-	for _, s := range []string{r.Pred, r.Trace, r.Rows[0][0], r.Rows[0][1], r.Rows[1][0]} {
+	for _, s := range []string{r.Pred, r.Trace, r.Atom.Pred, r.Atom.Args[0].Name, r.Rows[0][0], r.Rows[0][1], r.Rows[1][0]} {
 		if inEnvelope(s) || inBuf(s) {
 			t.Fatalf("%q is a substring of the envelope or the read buffer; it would pin it", s)
 		}
@@ -634,9 +800,10 @@ func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
 // constant, conditional on a cached generation.
 func evalRequest() *Request {
 	gen := uint64(7)
-	return &Request{Op: "eval", V: Version, Query: &CQ{
-		Head: Atom{Pred: "q", Args: []Term{{Kind: "var", Value: "y"}}},
-		Body: []Atom{{Pred: "P17.s", Args: []Term{{Kind: "const", Value: "v12"}, {Kind: "var", Value: "y"}}}},
+	y := lang.Var("y")
+	return &Request{Op: "eval", V: Version, Query: &lang.CQ{
+		Head: lang.NewAtom("q", y),
+		Body: []lang.Atom{lang.NewAtom("P17.s", lang.Const("v12"), y)},
 	}, IfGen: &gen}
 }
 
@@ -646,43 +813,29 @@ func bindRequest(n int) *Request {
 	for i := range rows {
 		rows[i] = []string{"k" + strconv.Itoa(10000000+i)}
 	}
-	return &Request{Op: "bind", V: Version, Atom: &Atom{Pred: "P3.s", Args: []Term{{Kind: "var", Value: "x"}, {Kind: "var", Value: "y"}}},
+	return &Request{Op: "bind", V: Version, Atom: &lang.Atom{Pred: "P3.s", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
 		BindCols: []int{0}, Rows: rows}
 }
 
-// version2Request is r as protocol version 2 framed it: rows in the JSON
-// envelope, under "rows" for add and "bindRows" for bind.
-type version2Request struct {
-	Request
-	Rows     [][]string `json:"rows,omitempty"`
-	BindRows [][]string `json:"bindRows,omitempty"`
-}
-
-func asVersion2(r *Request) *version2Request {
-	v2 := &version2Request{Request: *r}
-	v2.V, v2.Request.Rows = 2, nil
-	if r.Op == "bind" {
-		v2.BindRows = r.Rows
-	} else {
-		v2.Rows = r.Rows
-	}
-	return v2
-}
-
-// TestDecodeRequestAllocs pins the eval hop's decoding cost: the frame's
-// string, the query, its body slice and its two argument slices, and
-// ifGen.
+// TestDecodeRequestAllocs pins the eval hop's reading cost, the query's
+// lowering included: the envelope's string and ifGen; the block's string,
+// values and rows; the query, its terms and its body.
 func TestDecodeRequestAllocs(t *testing.T) {
 	frame := AppendRequest(nil, evalRequest())
-	frame = frame[:len(frame)-1]
+	var src bytes.Reader
+	br := bufio.NewReader(&src)
+	var buf []byte
 	var r Request
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := decodeRequest(frame, &r); err != nil {
-			t.Fatal(err)
+		src.Reset(frame)
+		br.Reset(&src)
+		var err error
+		if buf, err = ReadRequest(br, buf, DefaultMaxFrame, &r); err != nil || r.Query == nil {
+			t.Fatal(r, err)
 		}
 	})
-	if allocs > 6 {
-		t.Fatalf("decoding an eval request costs %v allocations, want at most 6", allocs)
+	if allocs > 8 {
+		t.Fatalf("reading an eval request costs %v allocations, want at most 8", allocs)
 	}
 }
 
@@ -696,37 +849,25 @@ var requestCases = []struct {
 	r    *Request
 }{{"eval", evalRequest()}, {"bind256", bindRequest(256)}}
 
-// BenchmarkAppendRequest encodes each request into a reused buffer through
-// the codec, and its version 2 JSON frame through a json.Encoder.
+// BenchmarkAppendRequest encodes each request, its query or atom
+// included, into a reused buffer.
 func BenchmarkAppendRequest(b *testing.B) {
 	for _, c := range requestCases {
-		b.Run(c.name+"/codec", func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				sinkBytes = AppendRequest(sinkBytes[:0], c.r)
 			}
 		})
-		b.Run(c.name+"/encoding_json", func(b *testing.B) {
-			b.ReportAllocs()
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			v2 := asVersion2(c.r)
-			for b.Loop() {
-				buf.Reset()
-				if err := enc.Encode(v2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
-// BenchmarkDecodeRequest reads each request through ReadRequest from a
-// reused reader into a reused buffer, as a server reads its connection,
-// and decodes its version 2 JSON frame through encoding/json.
+// BenchmarkDecodeRequest reads each request through ReadRequest, its query
+// or atom lowered to lang values, from a reused reader into a reused
+// buffer, as a server reads its connection.
 func BenchmarkDecodeRequest(b *testing.B) {
 	for _, c := range requestCases {
-		b.Run(c.name+"/codec", func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			frame := AppendRequest(nil, c.r)
 			b.SetBytes(int64(len(frame)))
@@ -740,18 +881,6 @@ func BenchmarkDecodeRequest(b *testing.B) {
 				if buf, err = ReadRequest(br, buf, DefaultMaxFrame, &sinkReq); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(c.name+"/encoding_json", func(b *testing.B) {
-			b.ReportAllocs()
-			frame, _ := json.Marshal(asVersion2(c.r))
-			b.SetBytes(int64(len(frame)))
-			for b.Loop() {
-				v2 := version2Request{}
-				if err := json.Unmarshal(frame, &v2); err != nil {
-					b.Fatal(err)
-				}
-				sinkReq = v2.Request
 			}
 		})
 	}

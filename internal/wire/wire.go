@@ -1,20 +1,20 @@
-// Package wire defines the message format peers use on the network:
-// serializable forms of terms, atoms, conjunctive queries and tuples, the
+// Package wire defines the message format peers use on the network: the
 // request/response envelopes of the peer protocol, and the binary row
-// block that carries the rows of requests and responses.
+// block that carries the rows of requests and responses and the queries
+// and atoms of requests.
 //
-// The protocol (version 3, Version) runs over TCP: one request frame at a
+// The protocol (version 4, Version) runs over TCP: one request frame at a
 // time, answered by a *stream* of one or more response frames. Every
-// request carries "v":3. Six request kinds:
+// request carries "v":4. Six request kinds:
 //
-//	{"op":"eval", "query":{…}}        evaluate a CQ over this peer's stored
-//	                                  relations, returning the head tuples
+//	{"op":"eval", "body":B,           evaluate a CQ over this peer's stored
+//	 "rowBytes":N} + query rows       relations, returning the head tuples
 //	{"op":"scan", "pred":"FH.doc"}    return all tuples of one relation
 //	{"op":"catalog"}                  list the stored relations served here,
 //	                                  with their current cardinalities and
 //	                                  per-relation generations
-//	{"op":"bind", "atom":{…},         bind-join probe: return the distinct
-//	 "bindCols":[…], "rowBytes":N}    tuples of the atom's relation that
+//	{"op":"bind", "bindCols":[…],     bind-join probe: return the distinct
+//	 "rowBytes":N} + atom row         tuples of the atom's relation that
 //	 + key rows                       match the atom's constants and, at the
 //	                                  bindCols positions, any one of the
 //	                                  shipped key rows
@@ -28,8 +28,11 @@
 // when the frame carries rows, "rowBytes":N in the envelope and exactly N
 // bytes of row block after its newline: per row uvarint(arity), then per
 // value uvarint(len) and the value's bytes. Values cross the wire byte for
-// byte, whatever they hold. The row block is also the payload of the
-// segment journal's tuple frames (internal/store).
+// byte, whatever they hold. An eval's query and a bind's atom are rows of
+// the block too: an atom is the predicate and one value per term, a
+// variable as "?" and its name, a constant as "=" and its bytes; a
+// comparison is its operator and its two terms. The row block is also the
+// payload of the segment journal's tuple frames (internal/store).
 //
 // A server under admission control may answer any request with a *busy*
 // error frame ({"error":…,"busy":true}): the request was shed before doing
@@ -62,14 +65,15 @@
 // time.
 //
 // Every frame goes through this package's own codec rather than
-// reflection: AppendRequest and ReadRequest write and read a request,
+// reflection: AppendRequest and ReadRequest write and read a request (and
+// ReadRequest lowers its query and atom rows to lang values),
 // AppendResponse and ReadResponse a response frame, AppendBlockRow builds
 // a row block one row at a time, and DecodeRows is the one decoder of a
 // row block, which both readers and the journal's replay share. Envelopes
 // are byte-identical to encoding/json in both directions — the codec
 // writes what json.Encoder writes and yields what json.Unmarshal yields,
 // handing anything outside the common shape to encoding/json itself — but
-// rows are never JSON: they travel in the row block.
+// rows, queries and atoms are never JSON: they travel in the row block.
 //
 // PROTOCOL.md in this directory is the normative specification: frame
 // layout, per-op request/response contracts, error-frame and streaming
@@ -85,152 +89,15 @@ import (
 	"slices"
 
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
-// Term is the serializable form of lang.Term.
-type Term struct {
-	// Kind is "var" or "const".
-	Kind string `json:"k"`
-	// Value is the variable name or constant lexical value.
-	Value string `json:"v"`
-}
-
-// FromTerm converts a lang.Term.
-func FromTerm(t lang.Term) Term {
-	k := "var"
-	if t.IsConst() {
-		k = "const"
-	}
-	return Term{Kind: k, Value: t.Name}
-}
-
-// ToTerm converts back to lang.Term.
-func (t Term) ToTerm() (lang.Term, error) {
-	switch t.Kind {
-	case "var":
-		return lang.Var(t.Value), nil
-	case "const":
-		return lang.Const(t.Value), nil
-	default:
-		return lang.Term{}, fmt.Errorf("wire: bad term kind %q", t.Kind)
-	}
-}
-
-// Atom is the serializable form of lang.Atom.
-type Atom struct {
-	Pred string `json:"p"`
-	Args []Term `json:"a"`
-}
-
-// FromAtom converts a lang.Atom.
-func FromAtom(a lang.Atom) Atom {
-	out := Atom{Pred: a.Pred, Args: make([]Term, len(a.Args))}
-	for i, t := range a.Args {
-		out.Args[i] = FromTerm(t)
-	}
-	return out
-}
-
-// ToAtom converts back to lang.Atom.
-func (a Atom) ToAtom() (lang.Atom, error) {
-	out := lang.Atom{Pred: a.Pred, Args: make([]lang.Term, len(a.Args))}
-	for i, t := range a.Args {
-		lt, err := t.ToTerm()
-		if err != nil {
-			return lang.Atom{}, err
-		}
-		out.Args[i] = lt
-	}
-	return out, nil
-}
-
-// Comparison is the serializable form of lang.Comparison.
-type Comparison struct {
-	Op string `json:"op"` // "=", "!=", "<", "<=", ">", ">="
-	L  Term   `json:"l"`
-	R  Term   `json:"r"`
-}
-
-var opNames = map[lang.CompOp]string{
-	lang.OpEQ: "=", lang.OpNE: "!=", lang.OpLT: "<",
-	lang.OpLE: "<=", lang.OpGT: ">", lang.OpGE: ">=",
-}
-
-var opValues = map[string]lang.CompOp{
-	"=": lang.OpEQ, "!=": lang.OpNE, "<": lang.OpLT,
-	"<=": lang.OpLE, ">": lang.OpGT, ">=": lang.OpGE,
-}
-
-// FromComparison converts a lang.Comparison.
-func FromComparison(c lang.Comparison) Comparison {
-	return Comparison{Op: opNames[c.Op], L: FromTerm(c.L), R: FromTerm(c.R)}
-}
-
-// ToComparison converts back to lang.Comparison.
-func (c Comparison) ToComparison() (lang.Comparison, error) {
-	op, ok := opValues[c.Op]
-	if !ok {
-		return lang.Comparison{}, fmt.Errorf("wire: bad comparison op %q", c.Op)
-	}
-	l, err := c.L.ToTerm()
-	if err != nil {
-		return lang.Comparison{}, err
-	}
-	r, err := c.R.ToTerm()
-	if err != nil {
-		return lang.Comparison{}, err
-	}
-	return lang.Comparison{Op: op, L: l, R: r}, nil
-}
-
-// CQ is the serializable form of lang.CQ.
-type CQ struct {
-	Head  Atom         `json:"head"`
-	Body  []Atom       `json:"body"`
-	Comps []Comparison `json:"comps,omitempty"`
-}
-
-// FromCQ converts a lang.CQ.
-func FromCQ(q lang.CQ) CQ {
-	out := CQ{Head: FromAtom(q.Head)}
-	for _, a := range q.Body {
-		out.Body = append(out.Body, FromAtom(a))
-	}
-	for _, c := range q.Comps {
-		out.Comps = append(out.Comps, FromComparison(c))
-	}
-	return out
-}
-
-// ToCQ converts back to lang.CQ.
-func (q CQ) ToCQ() (lang.CQ, error) {
-	head, err := q.Head.ToAtom()
-	if err != nil {
-		return lang.CQ{}, err
-	}
-	out := lang.CQ{Head: head}
-	for _, a := range q.Body {
-		la, err := a.ToAtom()
-		if err != nil {
-			return lang.CQ{}, err
-		}
-		out.Body = append(out.Body, la)
-	}
-	for _, c := range q.Comps {
-		lc, err := c.ToComparison()
-		if err != nil {
-			return lang.CQ{}, err
-		}
-		out.Comps = append(out.Comps, lc)
-	}
-	return out, nil
-}
-
 // Version is the protocol version this package speaks. Every request
-// carries it in V; a request without "v" is version 1. Version 2 carried
-// a request's rows as JSON, and version 1 a response's too.
-const Version = 3
+// carries it in V; a request without "v" is version 1. Version 3 carried
+// a request's query and atom as JSON, version 2 its rows too, and version
+// 1 a response's rows as well.
+const Version = 4
 
 // Request is one protocol request.
 type Request struct {
@@ -239,14 +106,20 @@ type Request struct {
 	// V is the protocol version the request speaks. A server answers any
 	// value other than Version with an error frame naming both versions.
 	V int `json:"v,omitempty"`
-	// Query is the CQ for eval.
-	Query *CQ `json:"query,omitempty"`
+	// Query is the CQ for eval. It travels in the frame's row block, never
+	// in the envelope: the head row, Body body-atom rows, then one row per
+	// comparison.
+	Query *lang.CQ `json:"-"`
+	// Body is the number of body-atom rows of an eval's query. AppendRequest
+	// writes it from Query, and ReadRequest splits the block by it.
+	Body int `json:"body,omitempty"`
 	// Pred is the relation for scan and add.
 	Pred string `json:"pred,omitempty"`
 	// Atom is the atom to probe for bind: constant arguments are pushed
 	// down as selections; variable arguments are unconstrained unless their
-	// position appears in BindCols.
-	Atom *Atom `json:"atom,omitempty"`
+	// position appears in BindCols. It is the first row of the frame's row
+	// block, ahead of the key rows.
+	Atom *lang.Atom `json:"-"`
 	// BindCols lists the variable positions of Atom bound by a bind
 	// request's key rows.
 	BindCols []int `json:"bindCols,omitempty"`
@@ -256,8 +129,8 @@ type Request struct {
 	// They travel in the frame's row block, never in the envelope.
 	Rows [][]string `json:"-"`
 	// RowBytes is the length of the row block that follows the envelope
-	// line. AppendRequest writes it from Rows, and ReadRequest reads that
-	// many bytes after the envelope.
+	// line. AppendRequest writes it from Query, Atom and Rows, and
+	// ReadRequest reads that many bytes after the envelope.
 	RowBytes int `json:"rowBytes,omitempty"`
 	// Trace optionally carries the caller's trace ID. A server that
 	// understands it times the request's server-side work and ships the
@@ -274,25 +147,6 @@ type Request struct {
 	// with the metadata and Unchanged set, and no rows. Presence, not
 	// value, marks the request — generation 0 is a valid stamp.
 	IfGen *uint64 `json:"ifGen,omitempty"`
-}
-
-// Span is the serializable form of one server-side trace span, shipped on
-// the final frame of a traced request. IDs are scoped to this response:
-// Parent references either another span in the same Spans slice or the
-// request's Span field.
-type Span struct {
-	ID     uint64     `json:"id"`
-	Parent uint64     `json:"parent,omitempty"`
-	Name   string     `json:"name"`
-	Start  int64      `json:"start,omitempty"` // UnixNano, serving peer's clock
-	Dur    int64      `json:"dur"`             // nanoseconds
-	Attrs  []SpanAttr `json:"attrs,omitempty"`
-}
-
-// SpanAttr is one key/value annotation on a Span.
-type SpanAttr struct {
-	K string `json:"k"`
-	V string `json:"v"`
 }
 
 // Response is one frame of a protocol response stream. Row-bearing ops
@@ -344,9 +198,10 @@ type Response struct {
 	Gens []uint64 `json:"gens,omitempty"`
 	// Spans carries the serving peer's trace spans for this request,
 	// present only on the final frame of a request that carried a Trace ID
-	// and only when the server sampled it. Clients that predate the field
-	// ignore it.
-	Spans []Span `json:"spans,omitempty"`
+	// and only when the server sampled it. IDs are scoped to this response:
+	// a Parent names another span here or the request's Span. Clients that
+	// predate the field ignore it.
+	Spans []obs.SpanData `json:"spans,omitempty"`
 }
 
 // ErrFrameTooLarge is returned by ReadFrame when one line exceeds the
@@ -492,16 +347,18 @@ func ReadResponse(br *bufio.Reader, buf []byte, limit int, r *Response) (_ []byt
 }
 
 // ReadRequest is ReadResponse for a request frame, with the rows decoded
-// into r.Rows. limit caps the frame, envelope and block together; both
-// over-limit cases are ErrFrameTooLarge. An envelope line over it is
-// consumed through its newline and r is zero: whether a block follows is
-// unknown, so a server closes the connection after answering. A block
-// that would pass it is read and dropped, and r keeps the envelope
-// (RowBytes set): the stream is still framed. A request read whole that
-// does not decode — an envelope with a "rows" or "bindRows" key, in any
-// case, is a version 2 request — is an error wrapping ErrBadRequest, and
-// the stream is still framed. After any other error but io.EOF it is
-// not, and r is zero.
+// and split as Request.split says: an eval's query and a bind's atom
+// lowered to lang values, the rest in r.Rows. limit caps the frame,
+// envelope and block together; both over-limit cases are
+// ErrFrameTooLarge. An envelope line over it is consumed through its
+// newline and r is zero: whether a block follows is unknown, so a server
+// closes the connection after answering. A block that would pass it is
+// read and dropped, and r keeps the envelope (RowBytes set): the stream
+// is still framed. A request read whole that does not decode — an
+// envelope with a "rows" or "bindRows" key, in any case, is a version 2
+// request, and a malformed query or atom row is a bad request too — is an
+// error wrapping ErrBadRequest, and the stream is still framed. After any
+// other error but io.EOF it is not, and r is zero.
 func ReadRequest(br *bufio.Reader, buf []byte, limit int, r *Request) (_ []byte, err error) {
 	*r = Request{}
 	buf, err = appendFrame(buf[:0], br, limit)
@@ -513,9 +370,6 @@ func ReadRequest(br *bufio.Reader, buf []byte, limit int, r *Request) (_ []byte,
 		return buf, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	n := r.RowBytes
-	if n == 0 {
-		return buf, nil
-	}
 	if n > limit-env {
 		if _, err := br.Discard(n); err != nil {
 			*r = Request{}
@@ -523,11 +377,18 @@ func ReadRequest(br *bufio.Reader, buf []byte, limit int, r *Request) (_ []byte,
 		}
 		return buf, ErrFrameTooLarge
 	}
-	if buf, err = appendBlock(buf, br, n); err != nil {
-		*r = Request{}
-		return buf, err
+	var rows [][]string
+	if n > 0 {
+		if buf, err = appendBlock(buf, br, n); err != nil {
+			*r = Request{}
+			return buf, err
+		}
+		rows, err = DecodeRows(buf[env:])
 	}
-	if r.Rows, err = DecodeRows(buf[env:]); err != nil {
+	if err == nil {
+		err = r.split(rows)
+	}
+	if err != nil {
 		*r = Request{}
 		return buf, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}

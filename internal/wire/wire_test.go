@@ -7,7 +7,10 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,54 +19,102 @@ import (
 	"repro/internal/rel"
 )
 
-func TestTermRoundTrip(t *testing.T) {
-	for _, lt := range []lang.Term{lang.Var("x"), lang.Const("5"), lang.Const("a b")} {
-		got, err := FromTerm(lt).ToTerm()
-		if err != nil || got != lt {
-			t.Fatalf("round trip %v -> %v (%v)", lt, got, err)
+// sameCQ reports whether two queries are equal field for field: the same
+// atoms, terms and comparisons, byte for byte.
+func sameCQ(a, b *lang.CQ) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if !a.Head.Equal(b.Head) || len(a.Body) != len(b.Body) || len(a.Comps) != len(b.Comps) {
+		return false
+	}
+	for i := range a.Body {
+		if !a.Body[i].Equal(b.Body[i]) {
+			return false
 		}
 	}
-	if _, err := (Term{Kind: "bogus"}).ToTerm(); err == nil {
-		t.Fatal("bad kind accepted")
+	for i := range a.Comps {
+		if a.Comps[i] != b.Comps[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameAtom is sameCQ for atoms.
+func sameAtom(a, b *lang.Atom) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Equal(*b)
+}
+
+// evalOf is the eval request of q, read back through its frame.
+func evalOf(t testing.TB, q lang.CQ) *lang.CQ {
+	t.Helper()
+	back, err := readRequest(AppendRequest(nil, &Request{Op: "eval", V: Version, Query: &q}), DefaultMaxFrame)
+	if err != nil || back.Query == nil {
+		t.Fatalf("eval of %s read back as %+v (%v)", q, back, err)
+	}
+	return back.Query
+}
+
+// TestTermRoundTrip sends terms as a bind atom's values: each comes back
+// the same kind with the same bytes, and a value that is empty or starts
+// with another byte than "?" or "=" is a bad request.
+func TestTermRoundTrip(t *testing.T) {
+	terms := []lang.Term{lang.Var("x"), lang.Const("5"), lang.Const("a b"), lang.Const("\xff\xfe"), lang.Var(""), lang.Const(""),
+		lang.Const("?x"), lang.Var("=y"), lang.Const("line\nbreak")}
+	a := lang.NewAtom("P.r", terms...)
+	back, err := readRequest(AppendRequest(nil, &Request{Op: "bind", V: Version, Atom: &a}), DefaultMaxFrame)
+	if err != nil || !sameAtom(back.Atom, &a) {
+		t.Fatalf("round trip %v -> %+v (%v)", a, back.Atom, err)
+	}
+	for _, bad := range []string{"", "x", "var", "\x00=a", "!x", strings.Repeat("x", 1<<20)} {
+		_, err := readRequest(rawRequest("bind", 0, [][]string{{"P.r", bad}}), DefaultMaxFrame)
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("term value %.20q: %v, want a bad request", bad, err)
+		}
+		// A server echoes the error in its answer: it quotes no more
+		// than the value's first bytes.
+		if len(err.Error()) > 100 {
+			t.Fatalf("term value of %d bytes: error of %d bytes", len(bad), len(err.Error()))
+		}
 	}
 }
 
+// TestCQRoundTripJSON sends a query as an eval request's rows: it comes
+// back equal field for field.
 func TestCQRoundTripJSON(t *testing.T) {
 	q := lang.CQ{
 		Head: lang.NewAtom("q", lang.Var("x"), lang.Const("tag")),
 		Body: []lang.Atom{
 			lang.NewAtom("A.r", lang.Var("x"), lang.Var("y")),
-			lang.NewAtom("B.s", lang.Var("y"), lang.Const("1")),
+			lang.NewAtom("B.s", lang.Var("y"), lang.Const("\xff\xfe")),
 		},
 		Comps: []lang.Comparison{{Op: lang.OpLE, L: lang.Var("y"), R: lang.Const("9")}},
 	}
-	data, err := json.Marshal(FromCQ(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wq CQ
-	if err := json.Unmarshal(data, &wq); err != nil {
-		t.Fatal(err)
-	}
-	got, err := wq.ToCQ()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != q.String() {
+	if got := evalOf(t, q); !sameCQ(got, &q) {
 		t.Fatalf("round trip: %s != %s", got, q)
 	}
 }
 
+// TestComparisonOps sends each operator in a comparison row; an operator
+// lang does not spell, and a comparison row without three values, are bad
+// requests.
 func TestComparisonOps(t *testing.T) {
 	for _, op := range []lang.CompOp{lang.OpEQ, lang.OpNE, lang.OpLT, lang.OpLE, lang.OpGT, lang.OpGE} {
 		c := lang.Comparison{Op: op, L: lang.Var("a"), R: lang.Const("b")}
-		got, err := FromComparison(c).ToComparison()
-		if err != nil || got != c {
-			t.Fatalf("op %v: %v (%v)", op, got, err)
+		q := lang.CQ{Head: lang.NewAtom("q", lang.Var("a")), Body: []lang.Atom{lang.NewAtom("A.r", lang.Var("a"))}, Comps: []lang.Comparison{c}}
+		if got := evalOf(t, q); len(got.Comps) != 1 || got.Comps[0] != c {
+			t.Fatalf("op %v: %v", op, got.Comps)
 		}
 	}
-	if _, err := (Comparison{Op: "~~"}).ToComparison(); err == nil {
-		t.Fatal("bad op accepted")
+	for _, comp := range [][]string{{"~~", "?a", "=b"}, {"==", "?a", "=b"}, {"<", "?a"}, {"<", "?a", "=b", "=c"}, {}} {
+		frame := rawRequest("eval", 0, [][]string{{"q", "?a"}, comp})
+		if _, err := readRequest(frame, DefaultMaxFrame); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("comparison row %q: %v, want a bad request", comp, err)
+		}
 	}
 }
 
@@ -76,9 +127,9 @@ func TestTupleHelpers(t *testing.T) {
 }
 
 // A bind request — atom plus bound-key batch — survives the round trip
-// through its JSON envelope and row block with every field intact.
+// through its envelope and row block with every field intact.
 func TestBindRequestRoundTripJSON(t *testing.T) {
-	a := FromAtom(lang.NewAtom("P.r", lang.Const("k"), lang.Var("x"), lang.Var("y")))
+	a := lang.NewAtom("P.r", lang.Const("\xff\xfe"), lang.Var("x"), lang.Var("y"))
 	req := Request{
 		Op:       "bind",
 		V:        Version,
@@ -90,12 +141,8 @@ func TestBindRequestRoundTripJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Op != "bind" || back.V != Version || back.Atom == nil {
-		t.Fatalf("round trip: %+v", back)
-	}
-	la, err := back.Atom.ToAtom()
-	if err != nil || la.Pred != "P.r" || la.Arity() != 3 {
-		t.Fatalf("atom: %v (%v)", la, err)
+	if back.Op != "bind" || back.V != Version || !sameAtom(back.Atom, &a) {
+		t.Fatalf("round trip: %+v, atom %v", back, back.Atom)
 	}
 	if len(back.BindCols) != 2 || back.BindCols[0] != 1 || back.BindCols[1] != 2 {
 		t.Fatalf("bindCols: %v", back.BindCols)
@@ -185,21 +232,14 @@ func TestReadFrameSpansBufferAndPartialTail(t *testing.T) {
 	}
 }
 
-// Property: random CQs survive the JSON round trip textually intact.
+// Property: random CQs, constants of arbitrary bytes included, survive
+// the eval request's round trip equal field for field.
 func TestCQRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomCQ(rng)
-		data, err := json.Marshal(FromCQ(q))
-		if err != nil {
-			return false
-		}
-		var wq CQ
-		if err := json.Unmarshal(data, &wq); err != nil {
-			return false
-		}
-		got, err := wq.ToCQ()
-		return err == nil && got.String() == q.String()
+		back, err := readRequest(AppendRequest(nil, &Request{Op: "eval", V: Version, Query: &q}), DefaultMaxFrame)
+		return err == nil && sameCQ(back.Query, &q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -210,7 +250,9 @@ func randomCQ(rng *rand.Rand) lang.CQ {
 	vars := []lang.Term{lang.Var("a"), lang.Var("b"), lang.Var("c")}
 	randT := func() lang.Term {
 		if rng.Intn(3) == 0 {
-			return lang.Const(string(rune('0' + rng.Intn(5))))
+			v := make([]byte, rng.Intn(4))
+			rng.Read(v)
+			return lang.Const(string(v))
 		}
 		return vars[rng.Intn(len(vars))]
 	}
@@ -224,4 +266,33 @@ func randomCQ(rng *rand.Rand) lang.CQ {
 		})
 	}
 	return q
+}
+
+// TestVersionPinnedInDocs fails unless the protocol documents name
+// wire.Version: PROTOCOL.md's Version bullet and every "v": followed by a
+// number in PROTOCOL.md and ARCHITECTURE.md.
+func TestVersionPinnedInDocs(t *testing.T) {
+	vs := regexp.MustCompile(`"v":\s*([0-9]+)`)
+	for _, doc := range []string{"PROTOCOL.md", "../../ARCHITECTURE.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := vs.FindAllSubmatch(text, -1)
+		if doc == "PROTOCOL.md" {
+			bullet := regexp.MustCompile(`\*\*Version\*\*:\s*([0-9]+)`).FindAllSubmatch(text, -1)
+			if len(bullet) != 1 {
+				t.Fatalf("PROTOCOL.md has %d Version bullets, want 1", len(bullet))
+			}
+			found = append(found, bullet...)
+		}
+		if len(found) == 0 {
+			t.Fatalf("%s names no protocol version", doc)
+		}
+		for _, m := range found {
+			if string(m[1]) != strconv.Itoa(Version) {
+				t.Fatalf("%s: %q, want version %d", doc, m[0], Version)
+			}
+		}
+	}
 }
