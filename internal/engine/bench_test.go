@@ -124,12 +124,10 @@ func BenchmarkProbeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStoredRowsGC times one forced garbage collection over a
-// bulk-shaped instance: three 75k-row relations of (id, key, 48-hex-digit
-// payload) rows over 30 keys, each with its column-1 index built. The
-// stored rows and their index buckets hold no pointer, so the collector's
-// work should not grow with the row count.
-func BenchmarkStoredRowsGC(b *testing.B) {
+// bulkInstance is bulk_stream's shape: three 75k-row relations A0.log,
+// A1.log and A2.log of (id, key, 48-hex-digit payload) rows over 30 keys,
+// inserted round-robin over the keys, so one key's rows are every 30th row.
+func bulkInstance() *rel.Instance {
 	const rels, rows, keys = 3, 75000, 30
 	ins := rel.NewInstance()
 	for k := range rels {
@@ -140,13 +138,25 @@ func BenchmarkStoredRowsGC(b *testing.B) {
 				fmt.Sprintf("%016x%016x%016x", x*0x9e3779b97f4a7c15, x*0xbf58476d1ce4e5b9, x*0x94d049bb133111eb))
 		}
 	}
-	e := New(ins)
-	for k := range rels {
-		q := lang.CQ{
-			Head: lang.NewAtom("q", lang.Var("i"), lang.Var("p")),
-			Body: []lang.Atom{lang.NewAtom(fmt.Sprintf("A%d.log", k), lang.Var("i"), lang.Const("k3"), lang.Var("p"))},
-		}
-		if out, err := e.EvalCQ(q); err != nil || len(out) != rows/keys {
+	return ins
+}
+
+// bulkKeyQuery selects one key's 2,500 rows of relation A<k>.log.
+func bulkKeyQuery(k, key int) lang.CQ {
+	return lang.CQ{
+		Head: lang.NewAtom("q", lang.Var("i"), lang.Var("p")),
+		Body: []lang.Atom{lang.NewAtom(fmt.Sprintf("A%d.log", k), lang.Var("i"), lang.Const(fmt.Sprintf("k%d", key)), lang.Var("p"))},
+	}
+}
+
+// BenchmarkStoredRowsGC times one forced garbage collection over
+// bulkInstance with each relation's column-1 index built. The stored rows
+// and their index buckets hold no pointer, so the collector's work should
+// not grow with the row count.
+func BenchmarkStoredRowsGC(b *testing.B) {
+	e := New(bulkInstance())
+	for k := range 3 {
+		if out, err := e.EvalCQ(bulkKeyQuery(k, 3)); err != nil || len(out) != 2500 {
 			b.Fatalf("fixture: %d rows (%v)", len(out), err)
 		}
 	}
@@ -157,4 +167,120 @@ func BenchmarkStoredRowsGC(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.KeepAlive(e)
+}
+
+// sink keeps benchmark consumers' reads from being optimized away.
+var sink []byte
+
+// BenchmarkProbeBulkKey is the server side of a bulk_stream query: StreamCQ
+// streams one key's 2,500 rows of bulkInstance to a consumer that copies
+// every value, as a response encoder does. Operations cycle over the three
+// relations and their 30 keys, so a key's rows are seldom in cache. The
+// rows of one key lie together once the first index has laid the relation
+// out.
+func BenchmarkProbeBulkKey(b *testing.B) {
+	e := New(bulkInstance())
+	var qs []lang.CQ
+	for key := range 30 {
+		for k := range 3 {
+			qs = append(qs, bulkKeyQuery(k, key))
+		}
+	}
+	read := func(t rel.Tuple) error {
+		sink = sink[:0]
+		for _, v := range t {
+			sink = append(sink, v...)
+		}
+		return nil
+	}
+	for _, q := range qs[:3] {
+		if err := e.StreamCQ(q, read); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.StreamCQ(qs[i%len(qs)], read); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2500), "ns/row")
+}
+
+// BenchmarkScanLaidOut: a full scan (StreamCQ of one atom, every value
+// copied) over 45,000 keys of 5 rows each, inserted round-robin over the
+// keys. "laid-out" probes column 0 first, which lays the relation out by
+// key; "insertion" scans a relation no index has laid out. A scan walks the
+// arena front to back either way, so the two should read alike.
+func BenchmarkScanLaidOut(b *testing.B) {
+	const keys, per = 45000, 5
+	q := lang.CQ{
+		Head: lang.NewAtom("q", lang.Var("x"), lang.Var("y")),
+		Body: []lang.Atom{lang.NewAtom("R", lang.Var("x"), lang.Var("y"))},
+	}
+	for _, laid := range []bool{true, false} {
+		name := "insertion"
+		if laid {
+			name = "laid-out"
+		}
+		b.Run(name, func(b *testing.B) {
+			ins := rel.NewInstance()
+			for j := range keys * per {
+				ins.MustAdd("R", fmt.Sprintf("k%d", j%keys), fmt.Sprintf("v%d", j))
+			}
+			e := New(ins)
+			if laid {
+				if _, err := e.ProbeByKeyBatch("R", []int{0}, [][]string{{"k7"}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if ins.Relation("R").Rows().LaidOut() != laid {
+				b.Fatalf("laid out = %v", !laid)
+			}
+			read := func(t rel.Tuple) error {
+				sink = sink[:0]
+				for _, v := range t {
+					sink = append(sink, v...)
+				}
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.StreamCQ(q, read); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys*per), "ns/row")
+		})
+	}
+}
+
+// BenchmarkFirstProbe times the first probe of an index, which builds it
+// and, over a relation no index has laid out, lays the relation out: on
+// one bulkInstance relation (75k rows, 30 keys, probed on column 1) and on
+// a join_mixed-shaped relation of 100k (id, location) rows over 20k
+// locations, probed on column 1. Every operation probes a fresh clone.
+func BenchmarkFirstProbe(b *testing.B) {
+	join := rel.NewInstance()
+	for j := range 100000 {
+		join.MustAdd("H0.doc", fmt.Sprintf("d0_%d", j), fmt.Sprintf("loc%d", (j+1234)%20000))
+	}
+	for _, c := range []struct {
+		name, pred, key string
+		ins             *rel.Instance
+	}{
+		{"bulk", "A0.log", "k3", bulkInstance()},
+		{"join", "H0.doc", "loc77", join},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := New(c.ins.Clone())
+				b.StartTimer()
+				if out, err := e.ProbeByKeyBatch(c.pred, []int{1}, [][]string{{c.key}}); err != nil || len(out) == 0 {
+					b.Fatalf("%d rows (%v)", len(out), err)
+				}
+			}
+		})
+	}
 }

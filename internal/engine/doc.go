@@ -12,14 +12,23 @@
 // Indexes. Each relation gets hash indexes lazily, one per bound-position
 // set actually probed: the key is a row's projection onto the probed
 // columns, the value a bucket of the matching rows' locations (rel.Loc:
-// chunk, offset, length — fixed size, no pointer). An index is maintained
-// incrementally under its own lock: a probe first folds in the rows of a
-// fresh rel.Rows snapshot past the last catch-up, then answers from the
-// buckets. The index keeps that snapshot, so a probe of a caught-up index
-// takes only the index's read lock, never the relation's. Tuples are
-// never deleted (set semantics, monotone growth), which is what makes the
-// catch-up complete. A plan step decodes from each candidate row's bytes
-// only the values up to the last position it checks or binds.
+// chunk, offset, length — fixed size, no pointer). A build decodes each
+// row once, in walk order, numbering keys by first appearance, and places
+// the locations group after group in one []rel.Loc, each bucket a capped
+// sub-slice of it. The first build on a relation lays the relation out by
+// its key (rel.Relation.LayOut), so one key's rows are adjacent bytes and
+// a probe streams them without a cache miss per row; the layout is then
+// that index's bucket table. Every key is a string of its own, so no key
+// pins the old arena. A relation is laid out once, so an index built on a
+// non-empty relation is never left on a superseded layout. An index is
+// maintained incrementally under its own lock: a probe first folds in the
+// rows of a fresh rel.Rows snapshot past the last catch-up, then answers
+// from the buckets. The index keeps that snapshot, so a probe of
+// a caught-up index takes only the index's read lock, never the
+// relation's. Tuples are never deleted (set semantics, monotone growth),
+// which is what makes the catch-up complete. A plan step decodes from
+// each candidate row's bytes only the values up to the last position it
+// checks or binds.
 //
 // Planning. A conjunctive query is compiled to a Plan: body atoms are
 // greedily reordered by estimated result size and each atom is lowered to
@@ -33,7 +42,8 @@
 // step that binds their variables, pruning as soon as possible.
 //
 // Execution. A plan runs sequentially on the calling goroutine: a full
-// scan walks a rel.Rows snapshot in insertion order, and
+// scan walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the
+// laid-out rows by group, then the rows inserted since), and
 // ProbeByKeyBatchYield probes its keys in order. EvalUCQ lets a bounded
 // number of goroutines claim independent disjuncts, the same concurrency
 // shape the distributed executor uses.

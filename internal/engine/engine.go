@@ -33,37 +33,130 @@ type index struct {
 	mu sync.RWMutex
 	// consumed is how many rows the index has folded in, guarded by mu.
 	consumed uint64
-	// rows is the relation snapshot of the last catch-up, guarded by mu:
-	// every bucket's locations lie in its chunks.
+	// rows is the relation snapshot of the last build or catch-up, guarded
+	// by mu: every bucket's locations lie in its chunks.
 	rows rel.Rows
-	// buckets maps composite probe keys to the locations of the matching
-	// rows, guarded by mu. A single-column key is the value itself, a
-	// substring of the relation's arena.
-	buckets map[string][]rel.Loc
+	// keys maps each probe key (appendProbeKey) to its bucket's number,
+	// guarded by mu. Every key is a string of its own, so no key pins an
+	// arena the relation has left.
+	keys map[string]uint32
+	// buckets holds each bucket's row locations, by number, guarded by mu.
+	// A build makes every bucket a capped sub-slice of one allocation.
+	buckets [][]rel.Loc
 }
 
-// catchUpLocked folds rows past idx.consumed into the buckets. vals is
-// scratch of at least idx.width values. Callers hold idx.mu.
+// appendKey appends the probe key (appendProbeKey) of the row decoded into
+// vals to dst.
+func (idx *index) appendKey(dst []byte, vals []string) []byte {
+	if len(idx.cols) == 1 {
+		return append(dst, vals[idx.cols[0]]...)
+	}
+	for _, c := range idx.cols {
+		dst = rel.AppendKeyPart(dst, vals[c])
+	}
+	return dst
+}
+
+// bucketLocked returns the locations of the rows whose probe key is k.
+// Callers hold idx.mu.
+func (idx *index) bucketLocked(k []byte) []rel.Loc {
+	if g, ok := idx.keys[string(k)]; ok {
+		return idx.buckets[g]
+	}
+	return nil
+}
+
+// refreshLocked brings the index up to date with r: an index that has
+// folded in no row yet is built, and the rows past it are then folded in.
+// A build of a non-empty relation leaves it laid out, and a relation is
+// laid out once, so the rows an index holds never lie on a superseded
+// layout. vals is scratch of at least idx.width values. Callers hold
+// idx.mu.
+func (idx *index) refreshLocked(r *rel.Relation, vals []string) {
+	rows := r.Rows()
+	if idx.consumed == 0 {
+		rows = idx.buildLocked(r, rows, vals)
+	}
+	idx.catchUpLocked(rows, vals)
+}
+
+// buildLocked fills the index from rows, a snapshot of r, and returns the
+// snapshot its buckets lie in. One decode of each row, in walk order, gives
+// the row's bucket: its key's, numbered by first appearance. The rows'
+// locations are then placed bucket after bucket in one []rel.Loc, each
+// bucket a capped sub-slice of it, so an append to a bucket reallocates it
+// instead of overwriting its neighbour. Over a relation not yet laid out,
+// that placement is the relation's layout (rel.Relation.LayOut): the build
+// lays the arena out by this index's key, and the buckets are the layout
+// itself. Callers hold idx.mu.
+func (idx *index) buildLocked(r *rel.Relation, rows rel.Rows, vals []string) rel.Rows {
+	vals = vals[:idx.width]
+	n := rows.Len()
+	group := make([]uint32, n)
+	idx.keys = map[string]uint32{}
+	var counts []int
+	var kb []byte
+	i := 0
+	for l := range rows.All() {
+		rel.SplitKey(rows.Key(l), vals)
+		kb = idx.appendKey(kb[:0], vals)
+		g, ok := idx.keys[string(kb)]
+		if !ok {
+			g = uint32(len(counts))
+			idx.keys[string(kb)] = g
+			counts = append(counts, 0)
+		}
+		group[i] = g
+		counts[g]++
+		i++
+	}
+	var locs []rel.Loc
+	if rows.LaidOut() || n == 0 {
+		locs = make([]rel.Loc, n)
+		next := make([]int, len(counts))
+		for g := 1; g < len(counts); g++ {
+			next[g] = next[g-1] + counts[g-1]
+		}
+		i = 0
+		for l := range rows.All() {
+			locs[next[group[i]]] = l
+			next[group[i]]++
+			i++
+		}
+	} else {
+		var ok bool
+		if rows, ok = r.LayOut(rows, group, counts); !ok {
+			// Another index laid r out since rows was taken.
+			return idx.buildLocked(r, r.Rows(), vals)
+		}
+		locs, _ = rows.Walk()
+	}
+	idx.buckets = make([][]rel.Loc, len(counts))
+	start := 0
+	for g, c := range counts {
+		idx.buckets[g] = locs[start : start+c : start+c]
+		start += c
+	}
+	idx.rows, idx.consumed = rows, uint64(n)
+	return rows
+}
+
+// catchUpLocked folds rows past idx.consumed, in id order, into the
+// buckets. vals is scratch of at least idx.width values. Callers hold
+// idx.mu.
 func (idx *index) catchUpLocked(rows rel.Rows, vals []string) {
 	vals = vals[:idx.width]
 	var kb []byte
-	for _, l := range rows.Locs()[idx.consumed:] {
+	for _, l := range rows.Since(int(idx.consumed)) {
 		rel.SplitKey(rows.Key(l), vals)
-		var k string
-		if len(idx.cols) == 1 {
-			k = vals[idx.cols[0]]
-		} else {
-			kb = kb[:0]
-			for _, c := range idx.cols {
-				kb = rel.AppendKeyPart(kb, vals[c])
-			}
-			if b, ok := idx.buckets[string(kb)]; ok {
-				idx.buckets[string(kb)] = append(b, l)
-				continue
-			}
-			k = string(kb)
+		kb = idx.appendKey(kb[:0], vals)
+		g, ok := idx.keys[string(kb)]
+		if !ok {
+			g = uint32(len(idx.buckets))
+			idx.keys[string(kb)] = g
+			idx.buckets = append(idx.buckets, nil)
 		}
-		idx.buckets[k] = append(idx.buckets[k], l)
+		idx.buckets[g] = append(idx.buckets[g], l)
 	}
 	idx.consumed = uint64(rows.Len())
 	idx.rows = rows
@@ -147,7 +240,7 @@ func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	}
 	idx = byCols[ck]
 	if idx == nil {
-		idx = &index{cols: cols, width: slices.Max(cols) + 1, buckets: map[string][]rel.Loc{}}
+		idx = &index{cols: cols, width: slices.Max(cols) + 1}
 		byCols[ck] = idx
 		e.indexesBuilt.Add(1)
 	}
@@ -156,21 +249,21 @@ func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 
 // probe returns the locations of r's rows whose projection onto cols has
 // the probe key k (appendProbeKey), and the snapshot they lie in: it
-// catches the index up with r if r has grown, then looks the key up. The
-// returned bucket is shared with the index and must not be mutated. vals
-// is scratch of r's arity.
+// refreshes the index if r has grown since, then looks
+// the key up. The returned bucket is shared with the index and must not be
+// mutated. vals is scratch of r's arity.
 func (e *Engine) probe(r *rel.Relation, cols []int, k []byte, vals []string) (rel.Rows, []rel.Loc) {
 	idx := e.getIndex(r, cols)
 	idx.mu.RLock()
 	if idx.consumed == r.Version() {
-		rows, b := idx.rows, idx.buckets[string(k)]
+		rows, b := idx.rows, idx.bucketLocked(k)
 		idx.mu.RUnlock()
 		return rows, b
 	}
 	idx.mu.RUnlock()
 	idx.mu.Lock()
-	idx.catchUpLocked(r.Rows(), vals)
-	rows, b := idx.rows, idx.buckets[string(k)]
+	idx.refreshLocked(r, vals)
+	rows, b := idx.rows, idx.bucketLocked(k)
 	idx.mu.Unlock()
 	return rows, b
 }
@@ -255,12 +348,15 @@ func (e *Engine) ProbeByKeyBatch(pred string, cols []int, keys [][]string) ([]re
 	return out, nil
 }
 
-// StreamScan invokes yield once per tuple of pred, in insertion order (no
-// sort, no materialization — the relation's rows are already distinct). It
-// is the streaming substrate for the netpeer server's "scan" op. The
-// yielded tuple is a view that is valid only during the call: a caller
-// that keeps it must copy it. Returning ErrStop from yield ends the stream
-// without error. An absent relation yields nothing.
+// StreamScan invokes yield once per tuple of pred, in the relation's walk
+// order (rel.Rows.All; no sort, no materialization — the relation's rows
+// are already distinct): once the relation's first index has laid it out,
+// that index's groups one after another, each in insertion order, then the
+// rows inserted since in insertion order; before, insertion order. It is
+// the streaming substrate for the netpeer server's "scan" op. The yielded
+// tuple is a view that is valid only during the call: a caller that keeps
+// it must copy it. Returning ErrStop from yield ends the stream without
+// error. An absent relation yields nothing.
 func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	r := e.data.Relation(pred)
 	if r == nil {
@@ -269,7 +365,7 @@ func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	e.scans.Add(1)
 	rows := r.Rows()
 	view := make(rel.Tuple, r.Arity())
-	for _, l := range rows.Locs() {
+	for l := range rows.All() {
 		rel.SplitKey(rows.Key(l), view)
 		if err := yield(view); err != nil {
 			if errors.Is(err, ErrStop) {

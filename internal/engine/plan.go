@@ -329,10 +329,14 @@ func (rc *runCtx) step(i int) error {
 		return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
 	}
 	if len(st.keyCols) == 0 {
-		// Full scan: the relation's rows are distinct.
+		// Full scan, in walk order: the relation's rows are distinct.
 		rc.e.scans.Add(1)
 		rows := r.Rows()
-		return rc.feed(i, st, rows, rows.Locs())
+		laid, tail := rows.Walk()
+		if err := rc.feed(i, st, rows, laid); err != nil {
+			return err
+		}
+		return rc.feed(i, st, rows, tail)
 	}
 	// Probe path: resolve the key parts, look up the index.
 	if cap(rc.vals) < len(st.keyParts) {
@@ -384,7 +388,8 @@ next:
 // run executes the plan, invoking yield with the slot array for every body
 // match. The slot array is reused across yields — callers must copy what
 // they keep. Execution is sequential: a scan walks the relation's rows in
-// insertion order, so match order is deterministic for a given instance.
+// walk order (rel.Rows.Walk), so match order is deterministic for a given
+// instance and sequence of probes.
 func (e *Engine) run(p *Plan, yield func(slots []string) error) error {
 	for _, c := range p.preComps {
 		if !c.eval(nil) {

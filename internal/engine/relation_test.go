@@ -301,28 +301,55 @@ func TestSkewedScanAndProbe(t *testing.T) {
 	}
 }
 
-// TestStreamScan: yields exactly the relation's tuples in insertion order,
-// honors ErrStop, and treats absent relations as empty. The yielded tuple
-// is a view valid during the call, so the test copies what it keeps.
+// TestStreamScan: yields exactly the relation's tuples in walk order —
+// insertion order until an index lays the relation out; then that index's
+// groups in the order their keys first appear, each in insertion order,
+// followed by the rows inserted since — honors ErrStop, and treats absent
+// relations as empty. The yielded tuple is a view valid during the call,
+// so the test copies what it keeps.
 func TestStreamScan(t *testing.T) {
 	ins := rel.NewInstance()
 	var want []rel.Tuple
 	for i := 0; i < 100; i++ {
-		tu := rel.Tuple{fmt.Sprintf("k%d", (i*37)%100), "v"}
+		tu := rel.Tuple{fmt.Sprintf("k%d", (i*37)%100), fmt.Sprintf("v%d", i%7)}
 		ins.MustAdd("R", tu...)
 		want = append(want, tu)
 	}
 	e := New(ins)
-	var got []rel.Tuple
-	if err := e.StreamScan("R", func(t rel.Tuple) error {
-		got = append(got, slices.Clone(t))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	scan := func() []rel.Tuple {
+		var got []rel.Tuple
+		if err := e.StreamScan("R", func(t rel.Tuple) error {
+			got = append(got, slices.Clone(t))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if !slices.EqualFunc(got, want, rel.Tuple.Equal) {
+	if got := scan(); !slices.EqualFunc(got, want, rel.Tuple.Equal) {
 		t.Fatalf("StreamScan yielded %v, want insertion order %v", got, want)
 	}
+
+	// A probe of column 1 lays the relation out by it: v0's rows, then
+	// v1's, and so on, since row i holds v(i mod 7).
+	if _, err := e.ProbeByKeyBatch("R", []int{1}, [][]string{{"v3"}}); err != nil {
+		t.Fatal(err)
+	}
+	var laid []rel.Tuple
+	for g := range 7 {
+		for i := g; i < len(want); i += 7 {
+			laid = append(laid, want[i])
+		}
+	}
+	for i := 100; i < 105; i++ {
+		tu := rel.Tuple{fmt.Sprintf("k%d", i), "v0"}
+		ins.MustAdd("R", tu...)
+		laid = append(laid, tu)
+	}
+	if got := scan(); !slices.EqualFunc(got, laid, rel.Tuple.Equal) {
+		t.Fatalf("StreamScan after the layout yielded %v, want %v", got, laid)
+	}
+
 	n := 0
 	if err := e.StreamScan("R", func(rel.Tuple) error { n++; return ErrStop }); err != nil || n != 1 {
 		t.Fatalf("ErrStop: n=%d err=%v", n, err)

@@ -615,9 +615,9 @@ func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 		// Liveness probe; deliberately touches no relation state.
 		return w.send(wire.Response{Spans: exported()})
 	case "scan":
-		// StreamScan walks the relation's insert log directly: no sort, no
+		// StreamScan walks the relation's rows directly: no sort, no
 		// sorted-view materialization, O(chunk) memory end to end. Row order
-		// is insertion order (unspecified by the protocol).
+		// is the relation's walk order (unspecified by the protocol).
 		sp := root.Child("scan", obs.Attr{K: "pred", V: req.Pred})
 		return s.streamRows(w, sp, req.IfGen, []string{req.Pred}, exported, func(yield func(rel.Tuple) error) error {
 			return s.eng.StreamScan(req.Pred, yield)

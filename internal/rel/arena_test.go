@@ -113,7 +113,7 @@ func TestAppendHookSeesStoredTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := r.Rows()
-	stored := rs.Key(rs.Locs()[0])
+	stored := rs.Key(rs.Since(0)[0])
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(stored)))
 	if !hooked.Equal(row) {
 		t.Fatalf("hook got %q, want %q", hooked, row)
@@ -150,12 +150,13 @@ func TestInsertAllocsPerRow(t *testing.T) {
 	t.Logf("%.0f allocations for %d rows (%.4f per row)", allocs, batch, perRow)
 }
 
-// TestStoredRowTablesPointerFree: the per-row tables — the location table,
-// the tuple set and the engine's index buckets, which hold Locs — are of
-// pointer-free element types, so the garbage collector never scans them.
+// TestStoredRowTablesPointerFree: the relation's per-row tables — the
+// location table, the layout and the tuple set — are of pointer-free
+// element types, so the garbage collector never scans them (the engine's
+// TestIndexTablesPointerFree checks its index buckets, which hold Locs).
 func TestStoredRowTablesPointerFree(t *testing.T) {
 	var r Relation
-	for _, typ := range []reflect.Type{reflect.TypeOf(r.locs), reflect.TypeOf(r.set)} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(r.locs), reflect.TypeOf(r.order), reflect.TypeOf(r.set)} {
 		if elem := typ.Elem(); hasPointers(elem) {
 			t.Fatalf("%v holds pointers", elem)
 		}

@@ -25,17 +25,37 @@
 //   - the tuple set is an open-addressing []uint64 of (hash tag, row id)
 //     entries, hashed with hash/maphash and compared against the arena
 //     bytes. A tag's top bits are its home slot, so the set doubles
-//     without rehashing a row.
+//     without rehashing a row;
+//   - the layout, once there is one, is the laid-out rows' Locs in layout
+//     order.
 //
 // Chunks start at the size of the relation's first row and double up to
 // 64 KiB; a longer row gets a chunk of its own. Tuples exist only at the
 // API edge: SplitKey decodes a row's values as substrings of its bytes,
 // Tuples builds its result on each call, and the append hook sees a view
 // valid only during the call. Insert's caller keeps its own row. Clone
-// shares the chunks and location table stored so far and copies the tuple
-// set; the clone's next row opens a chunk of its own, so neither side's
-// later inserts touch the other's chunks. A value a caller keeps pins its
-// whole chunk.
+// shares the chunks, location table and layout stored so far and copies
+// the tuple set; the clone's next row opens a chunk of its own, so neither
+// side's later inserts touch the other's chunks. A value a caller keeps
+// pins its whole chunk.
+//
+// # Layout
+//
+// LayOut, which the engine's first index build on a relation calls once,
+// copies the rows into one new block grouped by the caller's key: a
+// counting sort that reads the old arena once in id order and writes one
+// cursor per group, the groups one after another and each in id order,
+// then the rows inserted since the caller's snapshot. The block is split
+// into chunks before 4 GiB, so Loc offsets stay 32-bit. Row ids, the
+// tuple set and the generation do not change; the relation replaces its
+// chunk list and location table and keeps nothing of the old chunks,
+// which are never written again, so earlier snapshots and handed-out
+// values stay valid. A relation is laid out at most once. Rows.Walk is
+// the one order a read of a whole snapshot uses — the laid-out rows in
+// layout order, then the rows inserted since by id — so it reads the arena
+// front to back; Rows.All yields the same walk as an iterator. Rows.Since
+// reads rows by id, for an index's catch-up. A value read from a laid-out relation pins
+// the whole block.
 //
 // # Answer sets
 //
@@ -53,8 +73,8 @@
 // (pdms.Network) and the netpeer gens piggyback are keyed by. Derived
 // structures that must catch up incrementally — the engine's lazy hash
 // indexes — read the rows of a Rows snapshot past the version they last
-// saw: tuples are never deleted, so those rows are exactly what the
-// relation gained.
+// saw (Rows.Since): tuples are never deleted, so those rows are exactly
+// what the relation gained. A layout does not change the generation.
 //
 // The naive evaluators in this package remain the reference oracles:
 // internal/engine — the indexed evaluator used on every hot path

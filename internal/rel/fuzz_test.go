@@ -44,9 +44,10 @@ func decodeGroups(data []byte) [][]Tuple {
 }
 
 // encodeGroups is decodeGroups' inverse for seeds: every tuple has the
-// given arity and every value is shorter than 256 bytes.
-func encodeGroups(arity int, groups ...[]Tuple) []byte {
-	data := []byte{byte(arity)}
+// arity in the low two bits of head, the first byte, and every value is
+// shorter than 256 bytes.
+func encodeGroups(head int, groups ...[]Tuple) []byte {
+	data := []byte{byte(head)}
 	for g, ts := range groups {
 		if g > 0 {
 			data = append(data, groupBreak)
@@ -131,12 +132,40 @@ func widen(v string) string {
 	return v
 }
 
-// FuzzRelationRows judges the row codec and the relation's tables against
-// their definitions: every inserted tuple decodes back from a Rows
-// snapshot in insertion order, Insert reports a row new exactly when its
-// Tuple.Key is, the tuple set keeps answering as it grows, and a Clone
+// decodeRows decodes the rows of rs at locs.
+func decodeRows(rs Rows, arity int, locs []Loc) []Tuple {
+	out := make([]Tuple, 0, len(locs))
+	for _, l := range locs {
+		t := make(Tuple, arity)
+		SplitKey(rs.Key(l), t)
+		out = append(out, t)
+	}
+	return out
+}
+
+// walkLog decodes rs's rows in walk order.
+func walkLog(rs Rows, arity int) []Tuple {
+	return decodeRows(rs, arity, slices.Collect(rs.All()))
+}
+
+// FuzzRelationRows judges the row codec, the relation's tables and its
+// layout against their definitions: every inserted tuple decodes back from
+// a Rows snapshot in insertion order, Insert reports a row new exactly when
+// its Tuple.Key is, the tuple set keeps answering as it grows, and a Clone
 // taken at each group break holds the rows inserted so far and nothing
-// either side inserts later.
+// either side inserts later. At one group break the relation is laid out
+// by a grouping of its rows (LayOut), from a snapshot taken one group
+// earlier, so the rows in between are copied as they stand: ids, Version,
+// Contains and Tuples do not change, every earlier snapshot and handed-out
+// value still reads the same, and the walk yields each group's rows
+// together, in insertion order within the group, then the rest.
+//
+// The first input byte's low two bits are the arity; its high bits pick
+// the layout: bits 2–3 the group break at which the snapshot is taken,
+// bits 4–5 the number of groups less one (a row's group is its key's byte
+// sum modulo the number of groups, so a group may be empty), bits 6–7 the
+// most bytes a chunk of the layout's block holds (the 32-bit limit, 1, 16
+// or 100).
 func FuzzRelationRows(f *testing.F) {
 	// Empty strings, NUL, colons and leading digits — bytes of the key
 	// encoding itself — and a repeated row.
@@ -150,12 +179,29 @@ func FuzzRelationRows(f *testing.F) {
 	// Enough rows to grow the tuple set and the chunks several times, with
 	// repeats, and clones in between.
 	f.Add(encodeGroups(2, seedRows(40, 40, "k"), seedRows(200, 7, "k"), seedRows(300, 300, "x")))
+	// Laid out into four groups from the snapshot at the first break, with
+	// a block of 16-byte chunks and a row longer than a chunk.
+	f.Add(encodeGroups(2|1<<2|3<<4|2<<6, seedRows(30, 9, "k"), seedRows(20, 5, "k"),
+		[]Tuple{{"\xfel", "ong"}}, seedRows(10, 10, "t")))
+	// Laid out from an empty snapshot, into one group, one row per chunk.
+	f.Add(encodeGroups(1|1<<6, seedRows(5, 5, "a"), seedRows(5, 5, "b")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		groups := decodeGroups(data)
-		arity := 0
+		arity, at, ngroups := 0, 0, 1
+		chunkMax := uint64(maxBlockChunk)
 		if len(data) > 0 {
 			arity = int(data[0] % 4)
+			at = int(data[0] >> 2 & 3)
+			ngroups = int(data[0]>>4&3) + 1
+			chunkMax = []uint64{maxBlockChunk, 1, 16, 100}[data[0]>>6]
+		}
+		grp := func(row Tuple) uint32 {
+			sum := 0
+			for _, b := range []byte(row.Key()) {
+				sum += int(b)
+			}
+			return uint32(sum % ngroups)
 		}
 		ins := NewInstance()
 		r := ins.EnsureRelation("r", arity)
@@ -164,11 +210,61 @@ func FuzzRelationRows(f *testing.F) {
 		type clone struct {
 			ins  *Instance
 			rows int
+			laid bool
 		}
 		var clones []clone
+		type snapshot struct {
+			rs   Rows
+			rows int
+		}
+		var snaps []snapshot
+		// The layout: the snapshot it is placed from (an index into snaps),
+		// the values Tuples handed out before it, and how many rows it laid
+		// out.
+		from := -1
+		var before, beforeCopy []Tuple
+		laidRows := -1
+		layOut := func() {
+			t.Helper()
+			before = r.Tuples()
+			beforeCopy = make([]Tuple, len(before))
+			for i, row := range before {
+				beforeCopy[i] = make(Tuple, len(row))
+				for j, v := range row {
+					beforeCopy[i][j] = strings.Clone(v)
+				}
+			}
+			src := snaps[from]
+			group := make([]uint32, src.rs.Len())
+			counts := make([]int, ngroups)
+			for id, row := range want[:src.rows] {
+				group[id] = grp(row)
+				counts[group[id]]++
+			}
+			rs, ok := r.layOut(src.rs, group, counts, chunkMax)
+			if !ok || !rs.LaidOut() || !r.Rows().LaidOut() {
+				t.Fatalf("LayOut = %v, laid out %v %v", ok, rs.LaidOut(), r.Rows().LaidOut())
+			}
+			for l := range rs.All() {
+				if l.off > 0 && uint64(l.off)+uint64(l.n) > chunkMax {
+					t.Fatalf("a row ends at byte %d of its block chunk, past the %d-byte cap", l.off+l.n, chunkMax)
+				}
+			}
+			if _, again := r.LayOut(rs, make([]uint32, rs.Len()), []int{rs.Len()}); again {
+				t.Fatal("a second LayOut ran")
+			}
+			laidRows = src.rows
+		}
 		for g, rows := range groups {
+			if g == at+1 {
+				layOut()
+			}
 			if g > 0 && len(clones) < 4 {
-				clones = append(clones, clone{ins.Clone(), len(want)})
+				clones = append(clones, clone{ins.Clone(), len(want), laidRows >= 0})
+			}
+			snaps = append(snaps, snapshot{r.Rows(), len(want)})
+			if g == at {
+				from = len(snaps) - 1
 			}
 			for _, row := range rows {
 				for i := range row {
@@ -188,13 +284,38 @@ func FuzzRelationRows(f *testing.F) {
 				}
 			}
 		}
+		if laidRows < 0 {
+			if from < 0 {
+				snaps = append(snaps, snapshot{r.Rows(), len(want)})
+				from = len(snaps) - 1
+			}
+			layOut()
+		}
 		same := func(name string, got, want []Tuple) {
 			t.Helper()
 			if !slices.EqualFunc(got, want, Tuple.Equal) {
 				t.Fatalf("%s:\n got %q\nwant %q", name, got, want)
 			}
 		}
+		// walked is the walk of the first n rows: before the layout,
+		// insertion order; after it, the laid-out rows group by group, then
+		// the rest.
+		walked := func(n int, laid bool) []Tuple {
+			if !laid {
+				return want[:n]
+			}
+			var out []Tuple
+			for g := range ngroups {
+				for _, row := range want[:laidRows] {
+					if grp(row) == uint32(g) {
+						out = append(out, row)
+					}
+				}
+			}
+			return append(out, want[laidRows:n]...)
+		}
 		same("rows in insertion order", insertLog(r), want)
+		same("rows in walk order", walkLog(r.Rows(), arity), walked(len(want), true))
 		if r.Len() != len(want) || r.Version() != uint64(len(want)) {
 			t.Fatalf("Len %d, Version %d, want %d", r.Len(), r.Version(), len(want))
 		}
@@ -206,6 +327,11 @@ func FuzzRelationRows(f *testing.F) {
 		sorted := slices.Clone(want)
 		SortTuples(sorted)
 		same("Tuples", r.Tuples(), sorted)
+		same("values handed out before the layout", before, beforeCopy)
+		for _, s := range snaps {
+			same("an earlier snapshot's rows by id", decodeRows(s.rs, arity, s.rs.Since(0)), want[:s.rows])
+			same("an earlier snapshot's walk", walkLog(s.rs, arity), walked(s.rows, s.rs.LaidOut()))
+		}
 
 		// Each clone held the rows inserted before it, takes a row of its
 		// own, and neither side sees the other's later rows.
@@ -216,6 +342,7 @@ func FuzzRelationRows(f *testing.F) {
 		for _, c := range clones {
 			cr := c.ins.Relation("r")
 			same("clone's rows", insertLog(cr), want[:c.rows])
+			same("clone's walk", walkLog(cr.Rows(), arity), walked(c.rows, c.laid))
 			held := slices.ContainsFunc(want[:c.rows], own.Equal)
 			if fresh, err := cr.Insert(own); err != nil || fresh == held {
 				t.Fatalf("clone Insert(%q) = %v, %v", own, fresh, err)

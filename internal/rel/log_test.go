@@ -11,7 +11,7 @@ import (
 func insertLog(r *Relation) []Tuple {
 	rs := r.Rows()
 	out := make([]Tuple, 0, rs.Len())
-	for _, l := range rs.Locs() {
+	for _, l := range rs.Since(0) {
 		t := make(Tuple, r.Arity())
 		SplitKey(rs.Key(l), t)
 		out = append(out, t)
@@ -41,11 +41,11 @@ func TestInsertLogAndVersion(t *testing.T) {
 		t.Fatalf("Rows().Len() = %d, want 3", rs.Len())
 	}
 	r.Insert(Tuple{"d", "4"})
-	if rs.Len() != 3 || len(rs.Locs()) != 3 {
+	if rs.Len() != 3 || len(rs.Since(0)) != 3 {
 		t.Fatal("a snapshot grew with a later insert")
 	}
 	got := make(Tuple, 2)
-	SplitKey(r.Rows().Key(r.Rows().Locs()[3]), got)
+	SplitKey(r.Rows().Key(r.Rows().Since(3)[0]), got)
 	if !got.Equal(Tuple{"d", "4"}) {
 		t.Fatalf("the row past the snapshot = %v", got)
 	}

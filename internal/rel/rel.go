@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/maphash"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -108,23 +109,53 @@ var hashSeed = maphash.MakeSeed()
 // collector never scans a table of them.
 type Loc struct{ chunk, off, n uint32 }
 
-// Rows is a snapshot of a relation's first Len rows, in insertion order. A
-// snapshot never changes: it is read without the relation's lock while
-// inserts go on.
+// Rows is a snapshot of a relation's first Len rows. A snapshot never
+// changes: it is read without the relation's lock while inserts go on.
 type Rows struct {
 	// chunks are the arena chunks the rows lie in. A chunk's bytes are
 	// written once, before the row that holds them is published, and never
 	// again.
 	chunks []string
-	locs   []Loc
+	// locs maps row id to location.
+	locs []Loc
+	// order is the layout: the locations of the laid-out rows, the ids
+	// below len(order), in layout order. It is nil until the relation is
+	// laid out and non-nil after.
+	order []Loc
 }
 
 // Len returns the number of rows in the snapshot.
 func (rs Rows) Len() int { return len(rs.locs) }
 
-// Locs returns the rows' locations in insertion order. Callers must not
-// mutate the result.
-func (rs Rows) Locs() []Loc { return rs.locs }
+// Since returns the locations of the rows with id n and above, in id
+// (insertion) order: what the relation gained since Version n. Callers
+// must not mutate the result.
+func (rs Rows) Since(n int) []Loc { return rs.locs[n:] }
+
+// Walk returns every row of the snapshot in walk order, the one order a
+// read of a whole snapshot uses: the laid-out rows in layout order, then
+// the rows inserted since the layout in id order. Before the relation is
+// laid out every row is in tail. Either way the walk reads the arena front
+// to back. Callers must not mutate the results.
+func (rs Rows) Walk() (laid, tail []Loc) { return rs.order, rs.locs[len(rs.order):] }
+
+// All yields every row of the snapshot in walk order (Walk).
+func (rs Rows) All() iter.Seq[Loc] {
+	return func(yield func(Loc) bool) {
+		laid, tail := rs.Walk()
+		for _, part := range [2][]Loc{laid, tail} {
+			for _, l := range part {
+				if !yield(l) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// LaidOut reports whether the relation had been laid out (LayOut) when the
+// snapshot was taken.
+func (rs Rows) LaidOut() bool { return rs.order != nil }
 
 // Key returns the Tuple.Key encoding of the row at l; SplitKey decodes it.
 func (rs Rows) Key(l Loc) string { return rs.chunks[l.chunk][l.off : l.off+l.n] }
@@ -133,6 +164,7 @@ func (rs Rows) Key(l Loc) string { return rs.chunks[l.chunk][l.off : l.off+l.n] 
 // row is stored once, as its Tuple.Key bytes in an append-only chunked
 // arena; a location table indexed by row id (insertion order, so it is the
 // insert log) and an open-addressing tuple set of row ids hold no pointer.
+// LayOut copies the rows once into a block grouped by a caller's key.
 // Insert, Contains, Len, Tuples, Version and Rows are individually safe for
 // concurrent use; a reader that needs one atomic point-in-time view across
 // inserts still requires external synchronization, which is what
@@ -143,7 +175,7 @@ type Relation struct {
 
 	mu sync.Mutex
 	// chunks are the arena's chunks, guarded by mu. An element is set once,
-	// when its chunk is allocated.
+	// when its chunk is allocated; LayOut replaces the whole list.
 	chunks []string
 	// free is the unwritten tail of chunk freeChunk, which starts at byte
 	// freeOff; all three guarded by mu. Rows are copied into free.
@@ -155,8 +187,11 @@ type Relation struct {
 	// arenaChunkBytes.
 	size int
 	// locs maps row id to row location, guarded by mu. It only grows, and
-	// its elements are never written again.
+	// its elements are never written again; LayOut replaces the whole table.
 	locs []Loc
+	// order is the layout (Rows.order), guarded by mu: nil until LayOut,
+	// never written after it.
+	order []Loc
 	// set is the tuple set, guarded by mu: an open-addressing table of
 	// (hash tag << 32 | row id + 1) entries, 0 for an empty slot. The tag
 	// is the top 32 bits of the row's maphash, and an entry's home slot is
@@ -322,7 +357,101 @@ func (r *Relation) Version() uint64 { return r.gen.Load() }
 func (r *Relation) Rows() Rows {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Rows{chunks: r.chunks[:len(r.chunks):len(r.chunks)], locs: r.locs[:len(r.locs):len(r.locs)]}
+	return r.rowsLocked()
+}
+
+// rowsLocked is Rows for callers that hold r.mu.
+func (r *Relation) rowsLocked() Rows {
+	return Rows{
+		chunks: r.chunks[:len(r.chunks):len(r.chunks)],
+		locs:   r.locs[:len(r.locs):len(r.locs)],
+		order:  r.order,
+	}
+}
+
+// maxBlockChunk caps one chunk of a layout's block: a Loc's offset and the
+// end of its row are 32-bit.
+const maxBlockChunk = math.MaxUint32
+
+// LayOut lays the relation's arena out by group, once. rs is a snapshot of
+// r taken before any layout; group[id] is the group of row id for every id
+// below rs.Len(), and counts[g] the number of those rows in group g. The
+// rows are copied into one new block, group after group and in id order
+// within a group, followed by the rows inserted since rs, in id order: the
+// returned snapshot walks them in that order, and its layout (its first
+// Walk result) lists group g's rows at the offset of the counts before g.
+// The copy reads the old arena once, in id order, and writes one cursor
+// per group. Row ids, the tuple set and the generation do not change, and
+// the old chunks are never written again, so rs, every earlier snapshot
+// and every value handed out stay valid; the relation keeps none of them.
+// LayOut overwrites group. It reports false, and does nothing, when r has
+// been laid out already.
+func (r *Relation) LayOut(rs Rows, group []uint32, counts []int) (Rows, bool) {
+	return r.layOut(rs, group, counts, maxBlockChunk)
+}
+
+// layOut is LayOut with the block split into chunks of at most chunkMax
+// bytes each (a longer row gets a chunk of its own).
+func (r *Relation) layOut(rs Rows, group []uint32, counts []int, chunkMax uint64) (Rows, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.order != nil {
+		return Rows{}, false
+	}
+	n := rs.Len()
+	// Each row's position in the layout, in place of its group.
+	next := make([]uint32, len(counts))
+	p := 0
+	for g, c := range counts {
+		next[g] = uint32(p)
+		p += c
+	}
+	order := make([]Loc, n)
+	for id, g := range group[:n] {
+		group[id] = next[g]
+		order[next[g]].n = r.locs[id].n
+		next[g]++
+	}
+	// Byte offsets: the layout, then the rows inserted since rs.
+	locs := make([]Loc, len(r.locs))
+	var sizes []int
+	var off uint64
+	place := func(l *Loc) {
+		if off > 0 && off+uint64(l.n) > chunkMax {
+			sizes = append(sizes, int(off))
+			off = 0
+		}
+		l.chunk, l.off = uint32(len(sizes)), uint32(off)
+		off += uint64(l.n)
+	}
+	for i := range order {
+		place(&order[i])
+	}
+	for id := n; id < len(locs); id++ {
+		locs[id].n = r.locs[id].n
+		place(&locs[id])
+	}
+	sizes = append(sizes, int(off))
+	blocks := make([][]byte, len(sizes))
+	chunks := make([]string, len(sizes))
+	for i, size := range sizes {
+		blocks[i] = make([]byte, size)
+		chunks[i] = unsafe.String(unsafe.SliceData(blocks[i]), size)
+	}
+	for id, l := range r.locs {
+		d := locs[id]
+		if id < n {
+			d = order[group[id]]
+			locs[id] = d
+		}
+		copy(blocks[d.chunk][d.off:], r.chunks[l.chunk][l.off:l.off+l.n])
+	}
+	// New rows open a chunk of their own, and the hook's view lets go of
+	// the old chunks, so nothing the relation keeps points into them.
+	r.chunks, r.locs, r.order = chunks, locs, order
+	r.free, r.freeChunk, r.freeOff = nil, 0, 0
+	clear(r.view)
+	return r.rowsLocked(), true
 }
 
 // Contains reports tuple membership.
@@ -347,12 +476,13 @@ func (r *Relation) Len() int { return int(r.gen.Load()) }
 // relation's arena.
 func (r *Relation) Tuples() []Tuple {
 	rs := r.Rows()
-	out := make([]Tuple, rs.Len())
+	out := make([]Tuple, 0, rs.Len())
 	vals := make([]string, rs.Len()*r.arity)
-	for i, l := range rs.locs {
-		t := Tuple(vals[i*r.arity : (i+1)*r.arity : (i+1)*r.arity])
+	for l := range rs.All() {
+		t := Tuple(vals[:r.arity:r.arity])
+		vals = vals[r.arity:]
 		SplitKey(rs.Key(l), t)
-		out[i] = t
+		out = append(out, t)
 	}
 	SortTuples(out)
 	return out
@@ -422,14 +552,15 @@ func (ins *Instance) Clone() *Instance {
 		// Build the copy fully formed before publishing it: the fresh
 		// relation is unshared, so only the source's lock is needed.
 		r.mu.Lock()
-		// The copy shares the source's chunks and row locations, which are
-		// never written again; full-slice expressions make either side's
-		// later appends reallocate. Its free tail is empty, so its first
-		// row opens a chunk of its own.
+		// The copy shares the source's chunks, row locations and layout,
+		// which are never written again; full-slice expressions make either
+		// side's later appends reallocate. Its free tail is empty, so its
+		// first row opens a chunk of its own.
 		nr := &Relation{
 			name: name, arity: r.arity,
 			chunks: r.chunks[:len(r.chunks):len(r.chunks)],
 			locs:   r.locs[:len(r.locs):len(r.locs)],
+			order:  r.order,
 			set:    slices.Clone(r.set), setBits: r.setBits,
 			size: r.size,
 		}

@@ -18,7 +18,7 @@ import (
 func insertLog(r *rel.Relation) []rel.Tuple {
 	rs := r.Rows()
 	out := make([]rel.Tuple, 0, rs.Len())
-	for _, l := range rs.Locs() {
+	for _, l := range rs.Since(0) {
 		t := make(rel.Tuple, r.Arity())
 		rel.SplitKey(rs.Key(l), t)
 		out = append(out, t)
