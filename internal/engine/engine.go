@@ -52,7 +52,7 @@ func (idx *index) appendKey(dst []byte, vals []string) []byte {
 		return append(dst, vals[idx.cols[0]]...)
 	}
 	for _, c := range idx.cols {
-		dst = rel.AppendKeyPart(dst, vals[c])
+		dst = rel.AppendValue(dst, vals[c])
 	}
 	return dst
 }
@@ -98,7 +98,7 @@ func (idx *index) buildLocked(r *rel.Relation, rows rel.Rows, vals []string) rel
 	var kb []byte
 	i := 0
 	for l := range rows.All() {
-		rel.SplitKey(rows.Key(l), vals)
+		rel.SplitRow(rows.Key(l), vals)
 		kb = idx.appendKey(kb[:0], vals)
 		g, ok := idx.keys[string(kb)]
 		if !ok {
@@ -148,7 +148,7 @@ func (idx *index) catchUpLocked(rows rel.Rows, vals []string) {
 	vals = vals[:idx.width]
 	var kb []byte
 	for _, l := range rows.Since(int(idx.consumed)) {
-		rel.SplitKey(rows.Key(l), vals)
+		rel.SplitRow(rows.Key(l), vals)
 		kb = idx.appendKey(kb[:0], vals)
 		g, ok := idx.keys[string(kb)]
 		if !ok {
@@ -162,14 +162,16 @@ func (idx *index) catchUpLocked(rows rel.Rows, vals []string) {
 	idx.rows = rows
 }
 
-// appendProbeKey assembles the composite probe key for vals (one value per
-// probed column) into dst, in the encoding the index buckets use.
+// appendProbeKey assembles the probe key for vals (one value per probed
+// column) into dst, in the encoding the index buckets use: one value is its
+// own key, and several are their rel.AppendValue encodings one after
+// another.
 func appendProbeKey(dst []byte, vals []string) []byte {
 	if len(vals) == 1 {
 		return append(dst, vals[0]...)
 	}
 	for _, v := range vals {
-		dst = rel.AppendKeyPart(dst, v)
+		dst = rel.AppendValue(dst, v)
 	}
 	return dst
 }
@@ -314,7 +316,7 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 		}
 		rows, locs := e.probe(r, cols, kb, view)
 		for _, l := range locs {
-			rel.SplitKey(rows.Key(l), view)
+			rel.SplitRow(rows.Key(l), view)
 			if err := yield(view); err != nil {
 				if errors.Is(err, ErrStop) {
 					return nil
@@ -366,7 +368,7 @@ func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	rows := r.Rows()
 	view := make(rel.Tuple, r.Arity())
 	for l := range rows.All() {
-		rel.SplitKey(rows.Key(l), view)
+		rel.SplitRow(rows.Key(l), view)
 		if err := yield(view); err != nil {
 			if errors.Is(err, ErrStop) {
 				return nil

@@ -454,18 +454,27 @@ func TestProbeByKeyBatch(t *testing.T) {
 	}
 }
 
-// Composite batch keys must not collide for values containing the
-// length-prefix delimiter bytes (same guarantee bucketKey gives plans).
+// Composite batch keys must not collide for values containing the bytes
+// of a length prefix, decimal or uvarint (the same guarantee the plans'
+// multi-column probe keys give): each key finds exactly its own row.
 func TestProbeByKeyBatchNoCollision(t *testing.T) {
-	ins := rel.NewInstance()
-	ins.MustAdd("S", "1:a", "b")
-	ins.MustAdd("S", "a", "1:b")
-	e := New(ins)
-	got, err := e.ProbeByKeyBatch("S", []int{0, 1}, [][]string{{"1:a", "b"}})
-	if err != nil {
-		t.Fatal(err)
+	rows := [][]string{
+		{"1:a", "b"}, {"a", "1:b"},
+		{"\x01a", "b"}, {"a", "\x01b"}, {"\x01a\x01b", ""}, {"", "\x01a\x01b"},
+		{"\x03", "\x00"}, {"\x00", "\x03"}, {"\x03\x00", ""}, {"", "\x00\x03"},
 	}
-	if len(got) != 1 || got[0][0] != "1:a" {
-		t.Fatalf("got %v", got)
+	ins := rel.NewInstance()
+	for _, row := range rows {
+		ins.MustAdd("S", row...)
+	}
+	e := New(ins)
+	for _, row := range rows {
+		got, err := e.ProbeByKeyBatch("S", []int{0, 1}, [][]string{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !got[0].Equal(row) {
+			t.Fatalf("probe %q: got %q", row, got)
+		}
 	}
 }

@@ -364,7 +364,7 @@ func (rc *runCtx) feed(i int, st *planStep, rows rel.Rows, locs []rel.Loc) error
 	row := rc.row[:st.width]
 next:
 	for _, l := range locs {
-		rel.SplitKey(rows.Key(l), row)
+		rel.SplitRow(rows.Key(l), row)
 		for _, c := range st.checkPos {
 			if row[c.pos] != row[c.first] {
 				continue next

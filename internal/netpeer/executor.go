@@ -469,7 +469,7 @@ func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 // appendKey appends the join-key encoding of t's values at cols to b.
 func appendKey(b []byte, t rel.Tuple, cols []int) []byte {
 	for _, c := range cols {
-		b = rel.AppendKeyPart(b, t[c])
+		b = rel.AppendValue(b, t[c])
 	}
 	return b
 }

@@ -348,15 +348,15 @@ func (f *fragFetch) tap(final *wire.Response) {
 // selection fetch uses the bare pattern; bind fetches with different key
 // sets get distinct entries.
 func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, bind bool) string {
-	b := rel.AppendKeyPart([]byte(nil), addr)
+	b := rel.AppendValue([]byte(nil), addr)
 	b = append(b, '|')
-	b = rel.AppendKeyPart(b, a.Pred)
+	b = rel.AppendValue(b, a.Pred)
 	firstPos := map[string]int{}
 	for i, t := range a.Args {
 		b = append(b, '|')
 		if t.IsConst() {
 			b = append(b, '=')
-			b = rel.AppendKeyPart(b, t.Name)
+			b = rel.AppendValue(b, t.Name)
 			continue
 		}
 		if fp, ok := firstPos[t.Name]; ok {
@@ -377,11 +377,7 @@ func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, b
 	}
 	enc := make([]string, len(keyRows))
 	for i, row := range keyRows {
-		var kb []byte
-		for _, v := range row {
-			kb = rel.AppendKeyPart(kb, v)
-		}
-		enc[i] = string(kb)
+		enc[i] = rel.Tuple(row).Key()
 	}
 	sort.Strings(enc)
 	h := sha256.New()

@@ -122,7 +122,7 @@ type stubAction struct {
 func encodeFrame(r wire.Response) []byte {
 	var block []byte
 	for _, row := range r.Rows {
-		block = wire.AppendBlockRow(block, row)
+		block = rel.AppendRow(block, row)
 	}
 	return wire.AppendResponse(nil, &r, block)
 }

@@ -550,7 +550,7 @@ func (s *Server) streamRows(w *frameWriter, sp *obs.Span, ifGen *uint64, preds [
 	var sendErr error
 	err := produce(func(t rel.Tuple) error {
 		// t is a view valid only during the call; the block copies it.
-		w.block = wire.AppendBlockRow(w.block, t)
+		w.block = rel.AppendRow(w.block, t)
 		w.rows++
 		total++
 		if w.rows >= wire.ChunkMaxRows || len(w.block) >= wire.ChunkMaxBytes {

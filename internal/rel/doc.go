@@ -15,9 +15,22 @@
 // that lock briefly; stored bytes are never written again, so a Rows
 // snapshot is read without the lock while inserts go on.
 //
+// # The row encoding
+//
+// This package owns the one row codec (row.go): a row is uvarint(arity),
+// then per value uvarint(len) and the value's bytes, every uvarint in its
+// shortest form, so a tuple has exactly one spelling and byte equality of
+// rows is tuple equality. AppendValue and AppendRow write it, SplitRow
+// splits a row known to be well formed, and DecodeRows validates and
+// decodes a block of rows. A relation stores each row in it, the journal
+// (internal/store) frames a stored row as it is, and the wire protocol's
+// row block (internal/wire) is rows in it. Tuple.Key is a tuple's row, and
+// a composite key of a fixed number of values is their AppendValue
+// encodings one after another.
+//
 // # Rows
 //
-// A row is stored once, as its Tuple.Key bytes in the relation's chunked
+// A row is stored once, in the row encoding, in the relation's chunked
 // append-only byte arena, and nothing kept per row holds a pointer, so the
 // garbage collector never scans the rows:
 //   - the location table maps row id to a Loc (chunk, offset, length).
@@ -30,10 +43,14 @@
 //     order.
 //
 // Chunks start at the size of the relation's first row and double up to
-// 64 KiB; a longer row gets a chunk of its own. Tuples exist only at the
-// API edge: SplitKey decodes a row's values as substrings of its bytes,
-// Tuples builds its result on each call, and the append hook sees a view
-// valid only during the call. Insert's caller keeps its own row. Clone
+// 64 KiB; a longer row gets a chunk of its own. Insert encodes a tuple
+// once; InsertRow takes an encoded row, such as a journaled one, only if
+// it is exactly one shortest-form row of the relation's arity. Both go
+// through one internal path, so the arena holds only canonical rows and
+// byte equality in the tuple set is tuple equality. Tuples exist only at
+// the API edge: SplitRow decodes a row's values as substrings of its
+// bytes, Tuples builds its result on each call, and the append hook is
+// handed the stored row's bytes. Insert's caller keeps its own row. Clone
 // shares the chunks, location table and layout stored so far and copies
 // the tuple set; the clone's next row opens a chunk of its own, so neither
 // side's later inserts touch the other's chunks. A value a caller keeps
@@ -54,8 +71,8 @@
 // the one order a read of a whole snapshot uses — the laid-out rows in
 // layout order, then the rows inserted since by id — so it reads the arena
 // front to back; Rows.All yields the same walk as an iterator. Rows.Since
-// reads rows by id, for an index's catch-up. A value read from a laid-out relation pins
-// the whole block.
+// reads rows by id, for an index's catch-up. A value read from a laid-out
+// relation pins the whole block.
 //
 // # Answer sets
 //

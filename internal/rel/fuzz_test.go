@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"encoding/binary"
 	"slices"
 	"strconv"
 	"strings"
@@ -124,12 +125,29 @@ func FuzzSortDistinct(f *testing.F) {
 }
 
 // widen turns a value that starts with 0xfe into one longer than an arena
-// chunk, so fuzzed rows reach the own-chunk path.
+// chunk, so fuzzed rows reach the own-chunk path, and one that starts with
+// 0xfd into one 2^14 - 1 bytes longer than the rest of it, so a value of
+// 1<<14 bytes, the first whose length takes a three-byte uvarint, is one
+// byte away.
 func widen(v string) string {
 	if len(v) > 0 && v[0] == 0xfe {
 		return v[1:] + strings.Repeat("w", arenaChunkBytes)
 	}
+	if len(v) > 0 && v[0] == 0xfd {
+		return v[1:] + strings.Repeat("m", 1<<14-1)
+	}
 	return v
+}
+
+// spell is t in the row encoding, spelled value by value with
+// encoding/binary rather than by AppendRow: what the relation must store
+// for t.
+func spell(t Tuple) string {
+	b := binary.AppendUvarint(nil, uint64(len(t)))
+	for _, v := range t {
+		b = append(binary.AppendUvarint(b, uint64(len(v))), v...)
+	}
+	return string(b)
 }
 
 // decodeRows decodes the rows of rs at locs.
@@ -137,7 +155,7 @@ func decodeRows(rs Rows, arity int, locs []Loc) []Tuple {
 	out := make([]Tuple, 0, len(locs))
 	for _, l := range locs {
 		t := make(Tuple, arity)
-		SplitKey(rs.Key(l), t)
+		SplitRow(rs.Key(l), t)
 		out = append(out, t)
 	}
 	return out
@@ -150,15 +168,17 @@ func walkLog(rs Rows, arity int) []Tuple {
 
 // FuzzRelationRows judges the row codec, the relation's tables and its
 // layout against their definitions: every inserted tuple decodes back from
-// a Rows snapshot in insertion order, Insert reports a row new exactly when
-// its Tuple.Key is, the tuple set keeps answering as it grows, and a Clone
-// taken at each group break holds the rows inserted so far and nothing
-// either side inserts later. At one group break the relation is laid out
-// by a grouping of its rows (LayOut), from a snapshot taken one group
-// earlier, so the rows in between are copied as they stand: ids, Version,
-// Contains and Tuples do not change, every earlier snapshot and handed-out
-// value still reads the same, and the walk yields each group's rows
-// together, in insertion order within the group, then the rest.
+// a Rows snapshot in insertion order, its stored bytes and the bytes the
+// append hook is handed are its row-encoding spelling (spell), Insert
+// reports a row new exactly when its Tuple.Key is, the tuple set keeps
+// answering as it grows, and a Clone taken at each group break holds the
+// rows inserted so far and nothing either side inserts later. At one
+// group break the relation is laid out by a grouping of its rows
+// (LayOut), from a snapshot taken one group earlier, so the rows in
+// between are copied as they stand: ids, Version, Contains and Tuples do
+// not change, every earlier snapshot and handed-out value still reads the
+// same, and the walk yields each group's rows together, in insertion
+// order within the group, then the rest.
 //
 // The first input byte's low two bits are the arity; its high bits pick
 // the layout: bits 2–3 the group break at which the snapshot is taken,
@@ -185,6 +205,10 @@ func FuzzRelationRows(f *testing.F) {
 		[]Tuple{{"\xfel", "ong"}}, seedRows(10, 10, "t")))
 	// Laid out from an empty snapshot, into one group, one row per chunk.
 	f.Add(encodeGroups(1|1<<6, seedRows(5, 5, "a"), seedRows(5, 5, "b")))
+	// Values at the uvarint width boundaries: 127 and 128 bytes, and
+	// (widened) 16,383 and 16,384 bytes.
+	f.Add(encodeGroups(2, []Tuple{{strings.Repeat("x", 127), strings.Repeat("y", 128)},
+		{"\xfd", "\xfdz"}, {strings.Repeat("y", 128), "\xfd"}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		groups := decodeGroups(data)
@@ -205,6 +229,11 @@ func FuzzRelationRows(f *testing.F) {
 		}
 		ins := NewInstance()
 		r := ins.EnsureRelation("r", arity)
+		var hooked []string
+		r.SetAppendHook(func(row string, _ uint64) error {
+			hooked = append(hooked, row)
+			return nil
+		})
 		var want []Tuple
 		seen := map[string]bool{}
 		type clone struct {
@@ -315,6 +344,15 @@ func FuzzRelationRows(f *testing.F) {
 			return append(out, want[laidRows:n]...)
 		}
 		same("rows in insertion order", insertLog(r), want)
+		if len(hooked) != len(want) {
+			t.Fatalf("the append hook saw %d rows, want %d", len(hooked), len(want))
+		}
+		rs := r.Rows()
+		for id, l := range rs.Since(0) {
+			if w := spell(want[id]); rs.Key(l) != w || hooked[id] != w || want[id].Key() != w {
+				t.Fatalf("row %d %q: stored %q, hooked %q, Key %q, want %q", id, want[id], rs.Key(l), hooked[id], want[id].Key(), w)
+			}
+		}
 		same("rows in walk order", walkLog(r.Rows(), arity), walked(len(want), true))
 		if r.Len() != len(want) || r.Version() != uint64(len(want)) {
 			t.Fatalf("Len %d, Version %d, want %d", r.Len(), r.Version(), len(want))

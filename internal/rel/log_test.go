@@ -13,7 +13,7 @@ func insertLog(r *Relation) []Tuple {
 	out := make([]Tuple, 0, rs.Len())
 	for _, l := range rs.Since(0) {
 		t := make(Tuple, r.Arity())
-		SplitKey(rs.Key(l), t)
+		SplitRow(rs.Key(l), t)
 		out = append(out, t)
 	}
 	return out
@@ -45,7 +45,7 @@ func TestInsertLogAndVersion(t *testing.T) {
 		t.Fatal("a snapshot grew with a later insert")
 	}
 	got := make(Tuple, 2)
-	SplitKey(r.Rows().Key(r.Rows().Since(3)[0]), got)
+	SplitRow(r.Rows().Key(r.Rows().Since(3)[0]), got)
 	if !got.Equal(Tuple{"d", "4"}) {
 		t.Fatalf("the row past the snapshot = %v", got)
 	}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,32 +17,14 @@ import (
 // Tuple is a row of constant values.
 type Tuple []string
 
-// AppendKeyPart appends one key component with a length prefix, so
-// composite keys are collision-free even for values containing any
-// delimiter byte ("a\x00b","c" vs "a","b\x00c"). It is the one composite-key
-// encoding: Tuple.Key, the engine's index keys and netpeer's fragment and
-// join keys all build on it.
-func AppendKeyPart(dst []byte, v string) []byte {
-	dst = strconv.AppendInt(dst, int64(len(v)), 10)
-	dst = append(dst, ':')
-	return append(dst, v...)
-}
-
-// appendKey appends Key's encoding of t to dst.
-func (t Tuple) appendKey(dst []byte) []byte {
-	for _, v := range t {
-		dst = AppendKeyPart(dst, v)
-	}
-	return dst
-}
-
-// Key returns a map key for the tuple: its values, each length-prefixed
-// (AppendKeyPart), so distinct tuples always get distinct keys.
+// Key returns a map key for the tuple: its row in the row encoding
+// (AppendRow), the bytes a relation stores for it, so distinct tuples
+// always get distinct keys.
 func (t Tuple) Key() string {
 	// Encoding into a stack buffer leaves the string as the one allocation
 	// for keys up to its size.
 	var buf [128]byte
-	return string(t.appendKey(buf[:0]))
+	return string(AppendRow(buf[:0], t))
 }
 
 // Compare orders tuples column by column with strings.Compare, a tuple
@@ -73,24 +54,6 @@ func (t Tuple) Equal(u Tuple) bool {
 		}
 	}
 	return true
-}
-
-// SplitKey fills dst with the first len(dst) values of key, a Tuple.Key
-// encoding of at least that many values. The values are substrings of key.
-// It is Key's inverse, and it decodes no further than dst reaches.
-func SplitKey(key string, dst []string) {
-	off := 0
-	for i := range dst {
-		n := int(key[off] - '0')
-		off++
-		for c := key[off]; c != ':'; c = key[off] {
-			n = n*10 + int(c-'0')
-			off++
-		}
-		off++
-		dst[i] = key[off : off+n]
-		off += n
-	}
 }
 
 // arenaChunkBytes caps the size of one arena chunk; a longer row gets a
@@ -157,18 +120,20 @@ func (rs Rows) All() iter.Seq[Loc] {
 // snapshot was taken.
 func (rs Rows) LaidOut() bool { return rs.order != nil }
 
-// Key returns the Tuple.Key encoding of the row at l; SplitKey decodes it.
+// Key returns the stored row at l, its Tuple.Key bytes; SplitRow decodes
+// it.
 func (rs Rows) Key(l Loc) string { return rs.chunks[l.chunk][l.off : l.off+l.n] }
 
 // Relation is a named set of tuples of fixed arity, behind one mutex. Each
-// row is stored once, as its Tuple.Key bytes in an append-only chunked
-// arena; a location table indexed by row id (insertion order, so it is the
-// insert log) and an open-addressing tuple set of row ids hold no pointer.
-// LayOut copies the rows once into a block grouped by a caller's key.
-// Insert, Contains, Len, Tuples, Version and Rows are individually safe for
-// concurrent use; a reader that needs one atomic point-in-time view across
-// inserts still requires external synchronization, which is what
-// pdms.Network's and netpeer.Server's locks provide.
+// row is stored once, in the row encoding (its Tuple.Key bytes), in an
+// append-only chunked arena; a location table indexed by row id (insertion
+// order, so it is the insert log) and an open-addressing tuple set of row
+// ids hold no pointer. LayOut copies the rows once into a block grouped
+// by a caller's key. Insert, InsertRow, Contains, Len, Tuples, Version and
+// Rows are individually safe for concurrent use; a reader that needs one
+// atomic point-in-time view across inserts still requires external
+// synchronization, which is what pdms.Network's and netpeer.Server's locks
+// provide.
 type Relation struct {
 	name  string
 	arity int
@@ -202,8 +167,6 @@ type Relation struct {
 	// gen counts inserts (== len(locs)). Atomic so generation reads (cache
 	// keys, piggybacks) never take the lock.
 	gen atomic.Uint64
-	// view is the reused tuple the append hook sees, guarded by mu.
-	view Tuple
 
 	// hook, when non-nil, observes every successful insert (see
 	// SetAppendHook). It must be installed before the relation is shared
@@ -213,13 +176,13 @@ type Relation struct {
 
 // AppendHook observes one successful insert. It is invoked under the
 // relation's lock, after the row has been stored and the generation
-// bumped, with the stored row and the new generation — in exactly the
-// insertion order. The tuple is a view that is valid only during the call:
-// a hook that keeps it must copy it. A non-nil error aborts Insert with
-// that error; the tuple remains inserted in memory, so hook errors mean
-// "applied but possibly not durable" and callers (the storage tier) must
-// treat the backing journal as failed.
-type AppendHook func(t Tuple, gen uint64) error
+// bumped, with the stored row's bytes (Rows.Key) and the new generation —
+// in exactly the insertion order. The bytes are never written again, and a
+// hook that keeps them pins their arena chunk. A non-nil error aborts
+// Insert with that error; the tuple remains inserted in memory, so hook
+// errors mean "applied but possibly not durable" and callers (the storage
+// tier) must treat the backing journal as failed.
+type AppendHook func(row string, gen uint64) error
 
 // Name returns the relation's predicate name (fixed at creation).
 func (r *Relation) Name() string { return r.name }
@@ -237,7 +200,7 @@ func NewRelation(name string, arity int) *Relation {
 	return &Relation{name: name, arity: arity}
 }
 
-// keyLocked returns the stored Key bytes of row id. Callers hold r.mu.
+// keyLocked returns the stored row of row id. Callers hold r.mu.
 func (r *Relation) keyLocked(id uint64) string {
 	l := r.locs[id]
 	return r.chunks[l.chunk][l.off : l.off+l.n]
@@ -309,34 +272,47 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 		return false, fmt.Errorf("rel: %s arity %d, tuple %v has %d values", r.name, r.arity, t, len(t))
 	}
 	var buf [128]byte
-	k := t.appendKey(buf[:0])
-	h := maphash.Bytes(hashSeed, k)
+	return r.insert(AppendRow(buf[:0], t))
+}
+
+// InsertRow is Insert for a row already in the row encoding, such as a
+// journaled one: row must be exactly one row of the relation's arity with
+// every uvarint in its shortest form, or InsertRow stores nothing and
+// returns an error wrapping ErrBadBlock. The caller keeps ownership of row.
+func (r *Relation) InsertRow(row []byte) (bool, error) {
+	if arity, n := rowLen(row); n != len(row) || arity != r.arity {
+		return false, fmt.Errorf("%w: %s takes one row of %d values, not these %d bytes", ErrBadBlock, r.name, r.arity, len(row))
+	}
+	return r.insert(row)
+}
+
+// insert adds row, one well-formed row of r's arity in the row encoding.
+// Every row enters the arena through here, so the arena holds only
+// canonical rows and byte equality in the tuple set is tuple equality.
+func (r *Relation) insert(row []byte) (bool, error) {
+	h := maphash.Bytes(hashSeed, row)
 	r.mu.Lock()
-	if len(r.locs) >= maxRows || len(k) > math.MaxUint32 {
+	if len(r.locs) >= maxRows || len(row) > math.MaxUint32 {
 		r.mu.Unlock()
-		return false, fmt.Errorf("rel: %s: row of %d bytes does not fit after %d rows", r.name, len(k), len(r.locs))
+		return false, fmt.Errorf("rel: %s: row of %d bytes does not fit after %d rows", r.name, len(row), len(r.locs))
 	}
 	if 4*(len(r.locs)+1) > 3*len(r.set) {
 		r.growSetLocked()
 	}
-	slot, found := r.findLocked(k, h)
+	slot, found := r.findLocked(row, h)
 	if found {
 		r.mu.Unlock()
 		return false, nil
 	}
 	id := len(r.locs)
-	r.locs = append(r.locs, r.storeLocked(k))
+	r.locs = append(r.locs, r.storeLocked(row))
 	r.set[slot] = h>>32<<32 | uint64(id+1)
 	gen := r.gen.Add(1)
 	if hook := r.hook; hook != nil {
 		// Still under the lock: the hook sees inserts in exactly the
 		// insertion order, which is what lets the durable tier mirror the
 		// relation frame for frame.
-		if r.view == nil {
-			r.view = make(Tuple, r.arity)
-		}
-		SplitKey(r.keyLocked(uint64(id)), r.view)
-		if err := hook(r.view, gen); err != nil {
+		if err := hook(r.keyLocked(uint64(id)), gen); err != nil {
 			r.mu.Unlock()
 			return true, err
 		}
@@ -446,18 +422,17 @@ func (r *Relation) layOut(rs Rows, group []uint32, counts []int, chunkMax uint64
 		}
 		copy(blocks[d.chunk][d.off:], r.chunks[l.chunk][l.off:l.off+l.n])
 	}
-	// New rows open a chunk of their own, and the hook's view lets go of
-	// the old chunks, so nothing the relation keeps points into them.
+	// New rows open a chunk of their own, so nothing the relation keeps
+	// points into the old chunks.
 	r.chunks, r.locs, r.order = chunks, locs, order
 	r.free, r.freeChunk, r.freeOff = nil, 0, 0
-	clear(r.view)
 	return r.rowsLocked(), true
 }
 
 // Contains reports tuple membership.
 func (r *Relation) Contains(t Tuple) bool {
 	var buf [128]byte
-	k := t.appendKey(buf[:0])
+	k := AppendRow(buf[:0], t)
 	h := maphash.Bytes(hashSeed, k)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -481,7 +456,7 @@ func (r *Relation) Tuples() []Tuple {
 	for l := range rs.All() {
 		t := Tuple(vals[:r.arity:r.arity])
 		vals = vals[r.arity:]
-		SplitKey(rs.Key(l), t)
+		SplitRow(rs.Key(l), t)
 		out = append(out, t)
 	}
 	SortTuples(out)

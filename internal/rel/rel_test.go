@@ -28,13 +28,21 @@ func TestRelationInsertDedup(t *testing.T) {
 func TestTupleKeyCollisionResistance(t *testing.T) {
 	// Values may hold any byte, NUL included (wire PROTOCOL.md), so no
 	// separator choice can keep a joined key injective; the length-prefixed
-	// Key must tell every pair apart.
+	// Key must tell every pair apart, whatever prefix-like bytes they hold.
 	for _, pair := range [][2]Tuple{
 		{{"a", "b"}, {"a\x00b"}},
 		{{"a\x00b", "c"}, {"a", "b\x00c"}},
 		{{"", "\x00"}, {"\x00", ""}},
 		{{"1:a"}, {"a"}},
 		{{"1:a", ""}, {"a", "0:"}},
+		// Values holding the row encoding's own bytes.
+		{{"\x01a"}, {"a"}},
+		{{"\x01a", "b"}, {"\x01a\x01b"}},
+		{{"a", "\x01b"}, {"a\x01b"}},
+		{{"\x03"}, {"", "", ""}},
+		{{"\x00"}, {""}},
+		{{"\x00", ""}, {"", "\x00"}},
+		{{"\x02\x01a\x01b"}, {"a", "b"}},
 	} {
 		if a, b := pair[0], pair[1]; a.Key() == b.Key() {
 			t.Errorf("%q and %q share key %q", a, b, a.Key())

@@ -103,9 +103,10 @@ type relLog struct {
 
 func (rl *relLog) dir() string { return filepath.Join(rl.d.root, escapeRel(rl.pred)) }
 
-// append journals one insert; it runs inside rel's append hook, under the
-// relation's in-memory lock.
-func (rl *relLog) append(t rel.Tuple, gen uint64) error {
+// append journals one insert, framing row, the relation's stored bytes,
+// as it is; it runs inside rel's append hook, under the relation's
+// in-memory lock.
+func (rl *relLog) append(row string, gen uint64) error {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	if gen != rl.count+1 {
@@ -120,8 +121,9 @@ func (rl *relLog) append(t rel.Tuple, gen uint64) error {
 			return err
 		}
 	}
-	n, err := rl.w.appendTuple(t)
-	rl.d.bytesOut.Add(uint64(n))
+	before := rl.w.bytes
+	err := rl.w.writeFrame(row)
+	rl.d.bytesOut.Add(uint64(rl.w.bytes - before))
 	if err != nil {
 		rl.d.fail(err)
 		return err
@@ -249,7 +251,7 @@ func (d *Dir) Attach(ins *rel.Instance) {
 		if rl.arity != arity {
 			mismatch := fmt.Errorf("store: relation %s journaled with %d columns, attached with %d",
 				pred, rl.arity, arity)
-			return func(rel.Tuple, uint64) error { return mismatch }
+			return func(string, uint64) error { return mismatch }
 		}
 		return rl.append
 	})
@@ -414,16 +416,13 @@ func (d *Dir) recoverRelation(ins *rel.Instance, pred, dir string) (*RelRecovery
 			}
 			return nil
 		}
-		apply := func(t rel.Tuple) error {
-			if len(t) != hdr.Arity {
-				return fmt.Errorf("store: %s: replayed tuple %v has %d values, want %d", pred, t, len(t), hdr.Arity)
-			}
-			fresh, err := r.Insert(t)
+		apply := func(row []byte) error {
+			fresh, err := r.InsertRow(row)
 			if err != nil {
 				return err
 			}
 			if !fresh {
-				return fmt.Errorf("store: %s: duplicated tuple %v in journal", pred, t)
+				return fmt.Errorf("store: %s: duplicated tuple %q in journal", pred, row)
 			}
 			return nil
 		}

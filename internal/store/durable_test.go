@@ -20,7 +20,7 @@ func insertLog(r *rel.Relation) []rel.Tuple {
 	out := make([]rel.Tuple, 0, rs.Len())
 	for _, l := range rs.Since(0) {
 		t := make(rel.Tuple, r.Arity())
-		rel.SplitKey(rs.Key(l), t)
+		rel.SplitRow(rs.Key(l), t)
 		out = append(out, t)
 	}
 	return out
@@ -372,6 +372,58 @@ func TestJournalGapDetected(t *testing.T) {
 	}
 	if d.Err() == nil {
 		t.Fatalf("journal gap did not mark the Dir failed")
+	}
+}
+
+// nonCanonicalPayloads are tuple-frame payloads of a relation of arity 2
+// that are not exactly one shortest-form row of that arity; the first two
+// spell the tuple (a, b) with a longer uvarint than it needs.
+var nonCanonicalPayloads = []struct{ name, payload string }{
+	{"non-shortest arity", "\x82\x00\x01a\x01b"},
+	{"non-shortest value length", "\x02\x81\x00a\x01b"},
+	{"two rows", "\x02\x01c\x01d\x02\x01e\x01f"},
+	{"wrong arity", "\x03\x01c\x01d\x01e"},
+	{"trailing bytes", "\x02\x01c\x01dz"},
+}
+
+// TestReplayTakesOnlyCanonicalRows: a tuple frame whose payload is not
+// exactly one canonical row of the header's arity is a garbled frame. In
+// the final segment recovery cuts it as a torn tail, keeping only the
+// rows before it; in an earlier segment it fails recovery. No such payload
+// becomes a stored row, so (a, b) never enters the tuple set twice.
+func TestReplayTakesOnlyCanonicalRows(t *testing.T) {
+	for _, c := range nonCanonicalPayloads {
+		t.Run(c.name, func(t *testing.T) {
+			good := segmentBytes(2, rel.Tuple{"a", "b"})
+			seg := appendFrame(appendFrame(slices.Clone(good), c.payload), rel.Tuple{"g", "h"}.Key())
+
+			root := t.TempDir()
+			path := writeSegment(t, root, segFileName(0), seg)
+			d, err := Open(root, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, recs, err := d.Recover(0)
+			if err != nil {
+				t.Fatalf("final segment: %v", err)
+			}
+			if got := insertLog(ins.Relation("edge")); !slices.EqualFunc(got, []rel.Tuple{{"a", "b"}}, rel.Tuple.Equal) {
+				t.Fatalf("final segment replayed %q, want only (a, b)", got)
+			}
+			if after, err := os.ReadFile(path); err != nil || string(after) != string(good) || recs[0].TruncatedBytes == 0 {
+				t.Fatalf("final segment not cut back to its last canonical row (%v, %+v)", err, recs)
+			}
+
+			root = t.TempDir()
+			writeSegment(t, root, segFileName(0), seg)
+			writeSegment(t, root, segFileName(1), segmentBytes(2))
+			if d, err = Open(root, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if ins, _, err := d.Recover(0); err == nil {
+				t.Fatalf("an earlier segment's garbled frame recovered %v", ins)
+			}
+		})
 	}
 }
 

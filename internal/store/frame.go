@@ -13,21 +13,22 @@ import (
 //
 //	<decimal payload length> ':' <payload> '\n'
 //
-// A tuple's payload is the one-row block wire.AppendBlockRow writes, the
-// wire protocol's row encoding, so values are stored byte for byte; the
+// A tuple's payload is one row in package rel's row encoding (the wire
+// protocol's row encoding too): the stored row the relation's append hook
+// is handed, framed as it is, so values are stored byte for byte; the
 // header's payload is JSON. A frame is read by its length prefix, never by
 // its newline (a value may hold one): the newline after the payload is a
 // check byte, which catches a garbled length prefix.
 
 // appendFrame appends one encoded frame carrying payload to dst.
-func appendFrame(dst, payload []byte) []byte {
+func appendFrame(dst []byte, payload string) []byte {
 	dst = strconv.AppendInt(dst, int64(len(payload)), 10)
 	dst = append(dst, ':')
 	dst = append(dst, payload...)
 	return append(dst, '\n')
 }
 
-// errBadFrame reports a frame cut short or garbled, or a payload that does
+// errBadFrame reports a frame cut short or garbled, or a header that does
 // not decode — the signature of a torn segment tail.
 var errBadFrame = errors.New("store: torn or garbled segment frame")
 

@@ -8,16 +8,15 @@ import (
 	"testing"
 
 	"repro/internal/rel"
-	"repro/internal/wire"
 )
 
 // segmentBytes builds a well-formed segment of "edge", a relation of the
 // given arity, for seeding the fuzzer.
 func segmentBytes(arity int, tuples ...rel.Tuple) []byte {
 	hdr, _ := json.Marshal(segHeader{Magic: segMagic, Rel: "edge", Arity: arity, GenLo: 0})
-	out := appendFrame(nil, hdr)
+	out := appendFrame(nil, string(hdr))
 	for _, t := range tuples {
-		out = appendFrame(out, wire.AppendBlockRow(nil, t))
+		out = appendFrame(out, t.Key())
 	}
 	return out
 }
@@ -28,8 +27,10 @@ func segmentBytes(arity int, tuples ...rel.Tuple) []byte {
 // either succeed or fail cleanly: no panic, a failure leaves the file as it
 // was, and on success a second recovery of the (post-truncation) directory
 // must reproduce the identical instance, so no torn tuple is ever
-// resurrected. The committed corpus is in the pdms-seg1 format, so it
-// exercises the rejection.
+// resurrected, and every replayed row is stored in its tuple's one
+// spelling. The committed corpus holds segments in the pdms-seg1 format,
+// which exercise the rejection, and pdms-seg2 segments whose last payload
+// is not exactly one canonical row.
 func FuzzSegmentReplay(f *testing.F) {
 	whole := segmentBytes(2, rel.Tuple{"a", "b"}, rel.Tuple{"c", "d"}, rel.Tuple{"e", "f"})
 	f.Add(whole)
@@ -50,6 +51,11 @@ func FuzzSegmentReplay(f *testing.F) {
 	garbled[bytes.LastIndexByte(garbled, 'e')-1] = 0x81
 	f.Add(garbled)
 	f.Add(segmentBytes(2, rel.Tuple{"a\nb", "\xff\xfe"}, rel.Tuple{"\n", "9:"}))
+	// Payloads that are not exactly one canonical row of the arity, after
+	// a canonical (a, b).
+	for _, c := range nonCanonicalPayloads {
+		f.Add(appendFrame(segmentBytes(2, rel.Tuple{"a", "b"}), c.payload))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		segDir := filepath.Join(dir, escapeRel("edge"))
@@ -78,6 +84,15 @@ func FuzzSegmentReplay(f *testing.F) {
 			}
 			if r.Version() != rec.Gen || rec.Tuples != r.Len() {
 				t.Fatalf("recovery report disagrees with the instance: %+v vs gen %d len %d", rec, r.Version(), r.Len())
+			}
+			// Every stored row is its tuple's one spelling.
+			rs := r.Rows()
+			for _, l := range rs.Since(0) {
+				tu := make(rel.Tuple, r.Arity())
+				rel.SplitRow(rs.Key(l), tu)
+				if tu.Key() != rs.Key(l) {
+					t.Fatalf("replayed row %q is not %q's one spelling %q", rs.Key(l), tu, tu.Key())
+				}
 			}
 		}
 		// Idempotence / no-resurrection: the truncated-on-disk journal must

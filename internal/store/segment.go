@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/rel"
-	"repro/internal/wire"
 )
 
 // segMagic identifies the segment format; bumped on incompatible changes.
@@ -41,7 +38,6 @@ type segWriter struct {
 	bw    *bufio.Writer
 	bytes int64 // bytes appended so far, including the header frame
 	buf   []byte
-	row   []byte // the tuple's row block being framed, reused
 }
 
 // createSegment creates path (which must not exist) and writes its header.
@@ -56,28 +52,18 @@ func createSegment(path string, h segHeader) (*segWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	if err := w.writeFrame(payload); err != nil {
+	if err := w.writeFrame(string(payload)); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return w, nil
 }
 
-func (w *segWriter) writeFrame(payload []byte) error {
+func (w *segWriter) writeFrame(payload string) error {
 	w.buf = appendFrame(w.buf[:0], payload)
 	n, err := w.bw.Write(w.buf)
 	w.bytes += int64(n)
 	return err
-}
-
-// appendTuple appends one tuple frame and returns the frame's size.
-func (w *segWriter) appendTuple(t rel.Tuple) (int64, error) {
-	w.row = wire.AppendBlockRow(w.row[:0], t)
-	before := w.bytes
-	if err := w.writeFrame(w.row); err != nil {
-		return w.bytes - before, err
-	}
-	return w.bytes - before, nil
 }
 
 func (w *segWriter) flush() error { return w.bw.Flush() }
@@ -117,13 +103,15 @@ type segScan struct {
 }
 
 // scanSegment reads path frame by frame: onHeader sees the decoded header
-// before any tuple, then apply is called for each decoded tuple. The scan
-// stops at the first defect — framing, decoding, or an apply error —
-// recording it in segScan.err rather than failing, so the caller can apply
-// the torn-tail policy (truncate the final segment, reject corruption
-// anywhere else). The returned error is reserved for I/O failures, a
+// before any tuple, then apply is called with each tuple frame's payload,
+// valid only during the call, which apply must check is one row of the
+// header's arity (rel.Relation.InsertRow does). The scan stops at the
+// first defect — framing, a payload apply refuses, or any other apply
+// error — recording it in segScan.err rather than failing, so the caller
+// can apply the torn-tail policy (truncate the final segment, reject
+// corruption anywhere else). The returned error is reserved for I/O failures, a
 // pdms-seg1 header and onHeader rejections, which abort recovery outright.
-func scanSegment(path string, onHeader func(segHeader) error, apply func(rel.Tuple) error) (segScan, error) {
+func scanSegment(path string, onHeader func(segHeader) error, apply func(row []byte) error) (segScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return segScan{}, err
@@ -170,12 +158,7 @@ func scanSegment(path string, onHeader func(segHeader) error, apply func(rel.Tup
 			sc.err = err
 			return sc, nil
 		}
-		rows, err := wire.DecodeRows(payload)
-		if err != nil || len(rows) != 1 {
-			sc.err = errBadFrame
-			return sc, nil
-		}
-		if err := apply(rows[0]); err != nil {
+		if err := apply(payload); err != nil {
 			sc.err = err
 			return sc, nil
 		}

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 
 	"repro/internal/lang"
+	"repro/internal/rel"
 )
 
 // The frame codec. Every frame of the protocol — the envelope and row
@@ -28,14 +28,15 @@ import (
 // encoding/json's without a second JSON parser. Spans ride only on final
 // frames of traced requests, which always go through encoding/json. Rows,
 // queries and atoms are never JSON: they travel in the row block after
-// the envelope (AppendBlockRow, DecodeRows, Request.split).
+// the envelope, in rel's row encoding (rel.AppendRow, rel.DecodeRows,
+// Request.split).
 
 // AppendResponse appends r's frame to dst: the envelope line, exactly the
 // bytes json.Encoder.Encode writes for r with its Rows left out and, when
 // block is non-empty, RowBytes set to len(block); then block itself.
 // Strings are escaped HTML-safe (<, >, &, U+2028 and U+2029 as \u escapes,
 // invalid UTF-8 as U+FFFD). AppendResponse reads neither r.Rows nor
-// r.RowBytes: a frame's rows are the rows AppendBlockRow appended to block.
+// r.RowBytes: a frame's rows are the rows rel.AppendRow appended to block.
 func AppendResponse(dst []byte, r *Response, block []byte) []byte {
 	dst = append(dst, '{')
 	open := len(dst)
@@ -80,23 +81,9 @@ func AppendResponse(dst []byte, r *Response, block []byte) []byte {
 	return append(append(dst, '}', '\n'), block...)
 }
 
-// AppendBlockRow appends row to a row block: uvarint(len(row)), then for
-// each value uvarint(len(value)) and the value's bytes, whatever they are.
-func AppendBlockRow(block []byte, row []string) []byte {
-	block = binary.AppendUvarint(block, uint64(len(row)))
-	for _, v := range row {
-		block = appendValue(block, v)
-	}
-	return block
-}
-
-// appendValue appends one value of a row: uvarint(len(v)), then v.
-func appendValue(block []byte, v string) []byte {
-	return append(binary.AppendUvarint(block, uint64(len(v))), v...)
-}
-
-// appendTermValue appends t as one value: "?" and a variable's name, or
-// "=" and a constant's bytes.
+// appendTermValue appends t as one value (rel.AppendValue's encoding of
+// its kind byte and name, without building that string): "?" and a
+// variable's name, or "=" and a constant's bytes.
 func appendTermValue(block []byte, t lang.Term) []byte {
 	kind := byte('?')
 	if t.IsConst() {
@@ -105,9 +92,10 @@ func appendTermValue(block []byte, t lang.Term) []byte {
 	return append(append(binary.AppendUvarint(block, uint64(1+len(t.Name))), kind), t.Name...)
 }
 
-// appendAtomRow appends a's row: its predicate, then one value per term.
+// appendAtomRow appends a's row (rel.AppendRow's encoding): its arity, its
+// predicate, then one value per term.
 func appendAtomRow(block []byte, a *lang.Atom) []byte {
-	block = appendValue(binary.AppendUvarint(block, uint64(1+len(a.Args))), a.Pred)
+	block = rel.AppendValue(binary.AppendUvarint(block, uint64(1+len(a.Args))), a.Pred)
 	for _, t := range a.Args {
 		block = appendTermValue(block, t)
 	}
@@ -122,7 +110,7 @@ func appendQueryRows(block []byte, q *lang.CQ) []byte {
 		block = appendAtomRow(block, &q.Body[i])
 	}
 	for _, c := range q.Comps {
-		block = appendValue(append(block, 3), c.Op.String())
+		block = rel.AppendValue(append(block, 3), c.Op.String())
 		block = appendTermValue(appendTermValue(block, c.L), c.R)
 	}
 	return block
@@ -150,49 +138,6 @@ func appendStrings(dst []byte, ss []string) []byte {
 	return append(dst, ']')
 }
 
-// uvarintLen is the length of n as a uvarint: one byte per 7 bits.
-func uvarintLen(n int) int {
-	return (bits.Len(uint(n)|1) + 6) / 7
-}
-
-// valueLen is the length of a value of n bytes in a row.
-func valueLen(n int) int {
-	return uvarintLen(n) + n
-}
-
-// blockLen is the length of the row block carrying rows.
-func blockLen(rows [][]string) int {
-	n := 0
-	for _, row := range rows {
-		n += uvarintLen(len(row))
-		for _, v := range row {
-			n += valueLen(len(v))
-		}
-	}
-	return n
-}
-
-// atomLen is the length of a's row.
-func atomLen(a *lang.Atom) int {
-	n := uvarintLen(1+len(a.Args)) + valueLen(len(a.Pred))
-	for _, t := range a.Args {
-		n += valueLen(1 + len(t.Name))
-	}
-	return n
-}
-
-// queryLen is the length of q's rows.
-func queryLen(q *lang.CQ) int {
-	n := atomLen(&q.Head)
-	for i := range q.Body {
-		n += atomLen(&q.Body[i])
-	}
-	for _, c := range q.Comps {
-		n += 1 + valueLen(len(c.Op.String())) + valueLen(1+len(c.L.Name)) + valueLen(1+len(c.R.Name))
-	}
-	return n
-}
-
 // appendInts appends ns as a JSON array of integers.
 func appendInts(dst []byte, ns []int) []byte {
 	dst = append(dst, '[')
@@ -214,13 +159,30 @@ func appendInts(dst []byte, ns []int) []byte {
 // AppendRequest does not read r.Body or r.RowBytes. A reader splits the
 // block by op, so only an eval carries a Query and only a bind an Atom.
 func AppendRequest(dst []byte, r *Request) []byte {
-	body, n := 0, blockLen(r.Rows)
+	// The block is written first, where the frame starts, so its length is
+	// known; the envelope is then moved in front of it.
+	start, body := len(dst), 0
 	if r.Query != nil {
-		body, n = len(r.Query.Body), n+queryLen(r.Query)
+		body, dst = len(r.Query.Body), appendQueryRows(dst, r.Query)
 	}
 	if r.Atom != nil {
-		n += atomLen(r.Atom)
+		dst = appendAtomRow(dst, r.Atom)
 	}
+	for _, row := range r.Rows {
+		dst = rel.AppendRow(dst, row)
+	}
+	n := len(dst) - start
+	var buf [128]byte
+	env := appendRequestEnvelope(buf[:0], r, body, n)
+	dst = append(dst, env...)
+	copy(dst[start+len(env):], dst[start:start+n])
+	copy(dst[start:], env)
+	return dst
+}
+
+// appendRequestEnvelope appends r's envelope line to dst, with body and
+// a block of n bytes.
+func appendRequestEnvelope(dst []byte, r *Request, body, n int) []byte {
 	dst = appendString(append(dst, `{"op":`...), r.Op)
 	if r.V != 0 {
 		dst = strconv.AppendInt(append(dst, `,"v":`...), int64(r.V), 10)
@@ -246,17 +208,7 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	if r.IfGen != nil {
 		dst = strconv.AppendUint(append(dst, `,"ifGen":`...), *r.IfGen, 10)
 	}
-	dst = append(dst, '}', '\n')
-	if r.Query != nil {
-		dst = appendQueryRows(dst, r.Query)
-	}
-	if r.Atom != nil {
-		dst = appendAtomRow(dst, r.Atom)
-	}
-	for _, row := range r.Rows {
-		dst = AppendBlockRow(dst, row)
-	}
-	return dst
+	return append(dst, '}', '\n')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -329,10 +281,6 @@ func appendString(dst []byte, s string) []byte {
 // errVersion1 reports a response envelope with a "rows" key: the frame
 // of a peer that speaks protocol version 1, which sent rows as JSON.
 var errVersion1 = fmt.Errorf(`wire: response frame carries JSON "rows", a protocol version 1 frame; this peer speaks version %d`, Version)
-
-// errBadBlock reports a row block that does not parse to exactly its
-// announced length.
-var errBadBlock = errors.New("wire: malformed row block")
 
 // decodeResponse decodes one response envelope (without its newline) into
 // r, overwriting it: afterwards r holds exactly what json.Unmarshal(frame,
@@ -429,73 +377,6 @@ func (p *scanner) response(r *Response, v1 *bool) bool {
 		}
 		return ok
 	}) && p.end()
-}
-
-// DecodeRows decodes a row block that must parse to exactly len(block)
-// bytes, with every uvarint in its shortest form, so a block decodes to
-// one list of rows and that list encodes back to the same bytes. Every
-// value is a substring of one string holding the block, and the rows share
-// one []string of values, each row capped at its own end: a block costs
-// three allocations however many rows it carries, a retained row keeps
-// the whole block's string alive, and no row aliases block.
-func DecodeRows(block []byte) ([][]string, error) {
-	nrows, nvals, ok := scanBlock(block)
-	if !ok {
-		return nil, errBadBlock
-	}
-	s := string(block)
-	vals := make([]string, nvals)
-	rows := make([][]string, nrows)
-	i, v := 0, 0
-	for r := range rows {
-		arity, n := uvarint(block[i:])
-		i += n
-		start := v
-		for range arity {
-			l, n := uvarint(block[i:])
-			i += n
-			vals[v] = s[i : i+int(l)]
-			i += int(l)
-			v++
-		}
-		rows[r] = vals[start:v:v]
-	}
-	return rows, nil
-}
-
-// scanBlock checks that block is a whole number of well-formed rows and
-// counts them and their values.
-func scanBlock(block []byte) (nrows, nvals int, ok bool) {
-	for i := 0; i < len(block); nrows++ {
-		arity, n := uvarint(block[i:])
-		if n <= 0 || arity > uint64(len(block)-i-n) {
-			// Every value takes at least its length byte.
-			return 0, 0, false
-		}
-		i += n
-		for range arity {
-			l, n := uvarint(block[i:])
-			if n <= 0 || l > uint64(len(block)-i-n) {
-				return 0, 0, false
-			}
-			i += n + int(l)
-		}
-		nvals += int(arity)
-	}
-	return nrows, nvals, true
-}
-
-// uvarint is binary.Uvarint refusing any encoding longer than the
-// shortest: a final byte of zero after the first.
-func uvarint(b []byte) (uint64, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint64(b[0]), 1 // most lengths and arities
-	}
-	x, n := binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, 0
-	}
-	return x, n
 }
 
 // split takes an eval's query and a bind's atom off the front of a

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/obs"
+	"repro/internal/rel"
 )
 
 // encodeJSON is the reference encoding AppendResponse must reproduce.
@@ -32,7 +33,7 @@ func encodeJSON(t testing.TB, r *Response) []byte {
 func blockOf(rows [][]string) []byte {
 	var block []byte
 	for _, row := range rows {
-		block = AppendBlockRow(block, row)
+		block = rel.AppendRow(block, row)
 	}
 	return block
 }
@@ -243,9 +244,9 @@ func TestReadResponseRejects(t *testing.T) {
 		{"version 1", `{"rows":[["a"]],"more":true}` + "\n", DefaultMaxFrame, errVersion1},
 		{"over the limit", string(good), len(good) - 2, nil},
 		{"cut short", string(good[:len(good)-1]), DefaultMaxFrame, io.ErrUnexpectedEOF},
-		{"parses short", "{\"rowBytes\":3}\n\x01\x00\x01", DefaultMaxFrame, errBadBlock},
-		{"parses past", "{\"rowBytes\":2}\n\x01\x05ab", DefaultMaxFrame, errBadBlock},
-		{"long uvarint", "{\"rowBytes\":4}\n\x01\x81\x00a", DefaultMaxFrame, errBadBlock},
+		{"parses short", "{\"rowBytes\":3}\n\x01\x00\x01", DefaultMaxFrame, rel.ErrBadBlock},
+		{"parses past", "{\"rowBytes\":2}\n\x01\x05ab", DefaultMaxFrame, rel.ErrBadBlock},
+		{"long uvarint", "{\"rowBytes\":4}\n\x01\x81\x00a", DefaultMaxFrame, rel.ErrBadBlock},
 	}
 	for _, c := range cases {
 		r, err := readFrame([]byte(c.frame), c.limit)
@@ -273,25 +274,6 @@ func TestReadResponseAnnouncedBlockUnread(t *testing.T) {
 	}
 	if cap(buf) > 1<<20 {
 		t.Fatalf("buffer grew to %d bytes for a block that sent 3", cap(buf))
-	}
-}
-
-// TestDecodeRowsCapped checks that the rows sharing a block's values slice
-// are each capped at their own end, so an append to one cannot overwrite
-// the next.
-func TestDecodeRowsCapped(t *testing.T) {
-	rows, err := DecodeRows(blockOf([][]string{{"a", "b"}, {"c"}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = append(rows[0], "x")
-	if rows[1][0] != "c" || cap(rows[0]) != 2 {
-		t.Fatalf("appending to row 0 (cap %d) changed row 1 to %q", cap(rows[0]), rows[1])
-	}
-	// Every value is a substring of one string holding the block.
-	base := uintptr(unsafe.Pointer(unsafe.StringData(rows[0][0])))
-	if p := uintptr(unsafe.Pointer(unsafe.StringData(rows[1][0]))); p != base+5 {
-		t.Fatalf("row 1's value is at %d bytes from row 0's, want 5", p-base)
 	}
 }
 
@@ -395,7 +377,7 @@ func BenchmarkAppendResponse(b *testing.B) {
 		for b.Loop() {
 			block = block[:0]
 			for _, row := range r.Rows {
-				block = AppendBlockRow(block, row)
+				block = rel.AppendRow(block, row)
 			}
 			sinkBytes = AppendResponse(sinkBytes[:0], &Response{More: true}, block)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/lang"
+	"repro/internal/rel"
 )
 
 // FuzzReadFrame drives the frame reader with arbitrary byte streams and
@@ -343,7 +344,7 @@ func FuzzResponseCodec(f *testing.F) {
 			for _, mask := range []byte{0x01, 0x80, flags | 0x40} {
 				garbled := bytes.Clone(block)
 				garbled[i] ^= mask
-				if rows, err := DecodeRows(garbled); err == nil && !bytes.Equal(blockOf(rows), garbled) {
+				if rows, err := rel.DecodeRows(garbled); err == nil && !bytes.Equal(blockOf(rows), garbled) {
 					t.Fatalf("garbled block %q read as %q, which encodes to %q", garbled, rows, blockOf(rows))
 				}
 			}

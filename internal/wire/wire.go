@@ -31,8 +31,8 @@
 // byte, whatever they hold. An eval's query and a bind's atom are rows of
 // the block too: an atom is the predicate and one value per term, a
 // variable as "?" and its name, a constant as "=" and its bytes; a
-// comparison is its operator and its two terms. The row block is also the
-// payload of the segment journal's tuple frames (internal/store).
+// comparison is its operator and its two terms. A row of the block is
+// also the payload of a segment journal's tuple frame (internal/store).
 //
 // A server under admission control may answer any request with a *busy*
 // error frame ({"error":…,"busy":true}): the request was shed before doing
@@ -67,13 +67,15 @@
 // Every frame goes through this package's own codec rather than
 // reflection: AppendRequest and ReadRequest write and read a request (and
 // ReadRequest lowers its query and atom rows to lang values),
-// AppendResponse and ReadResponse a response frame, AppendBlockRow builds
-// a row block one row at a time, and DecodeRows is the one decoder of a
-// row block, which both readers and the journal's replay share. Envelopes
-// are byte-identical to encoding/json in both directions — the codec
-// writes what json.Encoder writes and yields what json.Unmarshal yields,
-// handing anything outside the common shape to encoding/json itself — but
-// rows, queries and atoms are never JSON: they travel in the row block.
+// AppendResponse and ReadResponse a response frame. The row block is
+// package rel's row encoding, which rel alone decodes (rel.DecodeRows) and
+// writes (rel.AppendRow): a relation stores each row in it and the journal
+// frames a stored row as it is, so this package keeps only the lowering of
+// query and atom rows. Envelopes are byte-identical to encoding/json in
+// both directions — the codec writes what json.Encoder writes and yields
+// what json.Unmarshal yields, handing anything outside the common shape to
+// encoding/json itself — but rows, queries and atoms are never JSON: they
+// travel in the row block.
 //
 // PROTOCOL.md in this directory is the normative specification: frame
 // layout, per-op request/response contracts, error-frame and streaming
@@ -313,7 +315,7 @@ func appendBlock(buf []byte, br *bufio.Reader, n int) ([]byte, error) {
 // limit caps the frame, envelope and block together. A block that would
 // pass it fails before any of it is read or allocated, and the block is
 // read in steps, so a peer that announces more than it sends costs at most
-// what it sent. The rows are decoded as DecodeRows says, so r.Rows never
+// what it sent. The rows are decoded as rel.DecodeRows says, so r.Rows never
 // aliases buf. A response envelope with a "rows" key is a version 1 frame
 // and an error. io.EOF is returned only at a clean frame boundary; a frame
 // cut short is io.ErrUnexpectedEOF. After an error r is zero, and after
@@ -342,7 +344,7 @@ func ReadResponse(br *bufio.Reader, buf []byte, limit int, r *Response) (_ []byt
 	if buf, err = appendBlock(buf, br, n); err != nil {
 		return buf, err
 	}
-	r.Rows, err = DecodeRows(buf[env:])
+	r.Rows, err = rel.DecodeRows(buf[env:])
 	return buf, err
 }
 
@@ -383,7 +385,7 @@ func ReadRequest(br *bufio.Reader, buf []byte, limit int, r *Request) (_ []byte,
 			*r = Request{}
 			return buf, err
 		}
-		rows, err = DecodeRows(buf[env:])
+		rows, err = rel.DecodeRows(buf[env:])
 	}
 	if err == nil {
 		err = r.split(rows)
