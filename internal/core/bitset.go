@@ -53,3 +53,13 @@ func (s bitset) subsetOf(o bitset) bool {
 	}
 	return true
 }
+
+// meets reports whether s and o share a member.
+func (s bitset) meets(o bitset) bool {
+	for w := range min(len(s), len(o)) {
+		if s[w]&o[w] != 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lang"
 	"repro/internal/ppl"
@@ -122,6 +123,10 @@ type predInfo struct {
 	// rooted at a goal over it, so ban sets restricted to this cone fully
 	// determine the subtree.
 	reach bitset
+	// plain reports that no description in reach mentions a constant or a
+	// comparison: a subtree under a goal over the predicate only carries the
+	// goal's constants along (see Reformulator.Parameterizable).
+	plain bool
 	// vclass is, for a minted V-predicate, the content class of its
 	// normalized inclusion, so replicated mappings' distinct V-predicates
 	// sign identically in childSig (see prune.go); -1 otherwise.
@@ -179,11 +184,18 @@ func newCatalog(n *ppl.PDMS) *catalog {
 	// next[d] lists the predicates description d's use introduces: a
 	// definitional rule's body, an inclusion's LHS body (via the V-rule).
 	var next [][]int32
+	// valued lists the descriptions that mention a constant or a
+	// comparison.
+	var valued []int
 	addDesc := func(id, kind string, cqs ...lang.CQ) int {
+		d := len(c.descs)
 		c.descs = append(c.descs, id)
 		c.descClass = append(c.descClass, classOf(canonContent(kind, cqs...)))
 		next = append(next, nil)
-		return len(c.descs) - 1
+		if slices.ContainsFunc(cqs, mentionsValue) {
+			valued = append(valued, d)
+		}
+		return d
 	}
 	addNext := func(d int, body []atom) {
 		for _, a := range body {
@@ -246,7 +258,20 @@ func newCatalog(n *ppl.PDMS) *catalog {
 	}
 	c.groundSet()
 	c.reachCones(next)
+	valuedSet := make(bitset, (len(c.descs)+63)/64)
+	for _, d := range valued {
+		valuedSet.set(d)
+	}
+	for p := range c.preds {
+		c.preds[p].plain = !c.preds[p].reach.meets(valuedSet)
+	}
 	return c
+}
+
+// mentionsValue reports whether q mentions a constant or a comparison.
+func mentionsValue(q lang.CQ) bool {
+	hasConst := func(a lang.Atom) bool { return slices.ContainsFunc(a.Args, lang.Term.IsConst) }
+	return len(q.Comps) > 0 || hasConst(q.Head) || slices.ContainsFunc(q.Body, hasConst)
 }
 
 // pred interns a predicate name.

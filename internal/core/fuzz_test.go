@@ -1,12 +1,17 @@
-package core
+package core_test
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/core"
+	"repro/internal/lang"
 	"repro/internal/parser"
 	"repro/internal/ppl"
 	"repro/internal/rel"
+	"repro/pdms"
 )
 
 // FuzzPPLReformulate is the reformulate-vs-chase differential under fuzzed
@@ -17,12 +22,19 @@ import (
 // (answers ⊆ canonical-instance answers) outside the tractable fragment.
 // The pruned and seed (unpruned) builds are both checked, so the fuzzer
 // also hunts for inputs where the deep-topology pruning changes answers.
+// Last, the query is posed at one pdms.Network twice, the second time with
+// fresh constants in its atoms, and each answer must equal a fresh
+// network's: a reformulation cached for the query's shape, with the
+// constants left out of the key, must give the second query what
+// reformulating it from scratch gives.
 //
 // Budget caps keep each exec fast; a build that hits the node or rewriting
 // cap is skipped rather than compared (a truncated union is legitimately
-// incomplete). The committed corpus under testdata/fuzz seeds the shapes
-// that matter: replicated mappings, decoy branches, equalities,
-// definitional layers, comparisons.
+// incomplete). The committed corpus under testdata/fuzz and the seeds below
+// cover the shapes that matter: replicated mappings, decoy branches,
+// equalities, definitional layers, comparisons, and constants the
+// specification shares with the query — in a definitional head, a view
+// body, a comparison bound — which must keep the constants in the key.
 func FuzzPPLReformulate(f *testing.F) {
 	type pair struct{ spec, query string }
 	for _, s := range []pair{
@@ -50,6 +62,26 @@ func FuzzPPLReformulate(f *testing.F) {
 			"storage P0.s(x, y) in A:R(x, y), x >= 0, x < 10\nstorage P1.s(x, y) in A:R(x, y), x >= 10, x < 20\nfact P0.s(\"5\", \"a\")\nfact P1.s(\"15\", \"b\")",
 			`q(x, y) :- A:R(x, y), x >= 10`,
 		},
+		{
+			"storage A.r(x, y) in A:R(x, y)\nfact A.r(\"1\", \"2\")\nfact A.r(\"3\", \"4\")",
+			`q(y) :- A:R("1", y), A:R(z, "2")`,
+		},
+		{
+			"storage H.doc(s) in H:Doctor(s)\nstorage F.sk(s) in FS:Medic(s)\ndefine DC:Skilled(s, \"Doctor\") :- H:Doctor(s)\ndefine DC:Skilled(s, \"EMT\") :- FS:Medic(s)\nfact H.doc(\"d1\")\nfact F.sk(\"f1\")",
+			`q(s) :- DC:Skilled(s, "EMT")`,
+		},
+		{
+			"storage S.a(x) in A:R(x, \"a\")\nstorage S.any(x, y) in A:R(x, y)\ninclude B:T(x) in A:R(x, \"b\")\nstorage S.t(x) in B:T(x)\nfact S.a(\"1\")\nfact S.any(\"2\", \"b\")\nfact S.t(\"3\")",
+			`q(x) :- A:R(x, "a")`,
+		},
+		{
+			"storage S.low(x, y) in A:T(x, y), x <= 10\nstorage S.high(x, y) in A:T(x, y), x > 10\nfact S.low(\"10\", \"l\")\nfact S.high(\"11\", \"h\")",
+			`q(y) :- A:T("10", y)`,
+		},
+		{
+			"storage S.r(x, y) in A:R(x, y)\ninclude B:S(x) in A:R(x, x)\nstorage S.s(x) in B:S(x)\nfact S.r(\"1\", \"1\")\nfact S.r(\"1\", \"2\")\nfact S.s(\"2\")",
+			`q(y) :- A:R("1", y), A:R(y, "1")`,
+		},
 	} {
 		f.Add(s.spec, s.query)
 	}
@@ -66,10 +98,10 @@ func FuzzPPLReformulate(f *testing.F) {
 			return
 		}
 		const maxNodes, maxRewritings = 20_000, 400
-		answers := func(opts Options) ([]rel.Tuple, bool) {
+		answers := func(q lang.CQ, opts core.Options) ([]rel.Tuple, bool) {
 			opts.MaxNodes = maxNodes
 			opts.MaxRewritings = maxRewritings
-			r, err := New(res.PDMS, opts)
+			r, err := core.New(res.PDMS, opts)
 			if err != nil {
 				return nil, false
 			}
@@ -86,12 +118,19 @@ func FuzzPPLReformulate(f *testing.F) {
 			}
 			return rel.DistinctSorted(got), true
 		}
-		got, ok := answers(Options{})
+		got, ok := answers(q, core.Options{})
 		if !ok {
 			return
 		}
-		if seed, ok := answers(Options{NoPruneSubsumed: true}); ok && !sameTuples(got, seed) {
+		if seed, ok := answers(q, core.Options{NoPruneSubsumed: true}); ok && !sameTuples(got, seed) {
 			t.Fatalf("pruning changed answers:\npruned   %v\nunpruned %v\nspec:\n%s\nquery: %s", got, seed, src, qsrc)
+		}
+		// Both queries' trees fit the budget, so the networks, which have
+		// none, finish them too.
+		if fresh, ok := freshConstants(q, res.Data); ok {
+			if gotFresh, ok := answers(fresh, core.Options{}); ok {
+				checkNetworkAnswers(t, src, []lang.CQ{q, fresh}, [][]rel.Tuple{got, gotFresh})
+			}
 		}
 		inst, err := chase.Chase(res.PDMS, res.Data, chase.Options{MaxRounds: 200})
 		if err != nil {
@@ -134,4 +173,77 @@ func sameTuples(a, b []rel.Tuple) bool {
 		}
 	}
 	return true
+}
+
+// freshConstants returns q with each of its atom constants replaced by
+// another value — a stored value where one is left, else a made-up one —
+// equal constants by equal values and distinct ones by distinct values, so
+// that the result has q's shape. It reports false when q has no atom
+// constant or the result does not print back to itself.
+func freshConstants(q lang.CQ, data *rel.Instance) (lang.CQ, bool) {
+	old := q.Params(nil)
+	if len(old) == 0 {
+		return q, false
+	}
+	var pool []string
+	for _, pred := range data.Relations() {
+		for _, t := range data.Relation(pred).Tuples() {
+			pool = append(pool, t...)
+		}
+	}
+	slices.Sort(pool)
+	for i := range old {
+		pool = append(pool, "fresh"+strconv.Itoa(i))
+	}
+	var picked []string
+	for _, c := range slices.Compact(pool) {
+		if len(picked) < len(old) && !slices.Contains(old, c) {
+			picked = append(picked, c)
+		}
+	}
+	out := q.Clone()
+	for _, a := range append([]lang.Atom{out.Head}, out.Body...) {
+		for i, t := range a.Args {
+			if t.IsConst() {
+				a.Args[i] = lang.Const(picked[slices.Index(old, t.Name)])
+			}
+		}
+	}
+	back, err := parser.ParseQuery(out.String())
+	if err != nil || back.String() != out.String() {
+		return q, false
+	}
+	return out, true
+}
+
+// checkNetworkAnswers poses qs — a query, then its shape over other
+// constants — in turn at one network loaded from src. Each answer must
+// equal want's, the answers of its reformulation from scratch, and that of a
+// network that has seen nothing else.
+func checkNetworkAnswers(t *testing.T, src string, qs []lang.CQ, want [][]rel.Tuple) {
+	shared, err := pdms.Load(src)
+	if err != nil {
+		return
+	}
+	for i, q := range qs {
+		text := q.String()
+		got, err := shared.Query(text)
+		if err != nil {
+			return // a query the network rejects, as a fresh one would
+		}
+		if got = rel.DistinctSorted(got); !sameTuples(got, want[i]) {
+			t.Fatalf("%s after %s on one network: %v, reformulated from scratch: %v\nspec:\n%s", text, qs[0], got, want[i], src)
+		}
+		alone, err := pdms.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := alone.Query(text)
+		if err != nil {
+			t.Fatalf("%s fails on a fresh network only: %v\nspec:\n%s", text, err, src)
+		}
+		if !sameTuples(got, rel.DistinctSorted(fresh)) {
+			t.Fatalf("%s after %s on one network: %v, on a fresh network: %v\nspec:\n%s", text, qs[0], got, fresh, src)
+		}
+	}
 }

@@ -88,7 +88,7 @@ func canonicalRewritings(t *testing.T, r *core.Reformulator, text string) string
 	}
 	lines := make([]string, len(res.UCQ.Disjuncts))
 	for i, d := range res.UCQ.Disjuncts {
-		lines[i] = d.Canonical()
+		lines[i] = goldenCanonical(d)
 	}
 	return strings.Join(lines, "\n")
 }

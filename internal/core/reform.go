@@ -30,6 +30,29 @@ func New(n *ppl.PDMS, opts Options) (*Reformulator, error) {
 	return &Reformulator{pdms: n, cat: newCatalog(n), opts: opts}, nil
 }
 
+// Parameterizable reports whether reformulating q commutes with
+// substituting its atom constants: q has no comparison, and no description
+// reachable from its body predicates mentions a constant or a comparison.
+// Then the rule-goal tree only carries q's constants along — it never
+// unifies one with anything but a variable or an equal query constant, and
+// never compares one — so the rewriting of q with its constants replaced by
+// distinct placeholders (equal constants by equal ones) is q's rewriting
+// with the placeholders in place of the constants: text, disjunct order,
+// Stats and Classification alike. A body predicate the specification does
+// not declare makes it false.
+func (r *Reformulator) Parameterizable(q lang.CQ) bool {
+	if len(q.Comps) > 0 {
+		return false
+	}
+	for _, a := range q.Body {
+		p, ok := r.cat.predID[a.Pred]
+		if !ok || !r.cat.preds[p].plain {
+			return false
+		}
+	}
+	return true
+}
+
 // Result is the outcome of a full reformulation.
 type Result struct {
 	// UCQ is the reformulated query: a union of conjunctive queries over

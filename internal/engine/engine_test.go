@@ -152,6 +152,31 @@ func TestPlanCacheReuse(t *testing.T) {
 	}
 }
 
+// TestPlanCacheTellsConstantsApart poses two queries whose constants, when
+// the plan cache's key wrote them raw, spelled one key: the second must get
+// its own plan, and so the answers a fresh engine gives it.
+func TestPlanCacheTellsConstantsApart(t *testing.T) {
+	ins := rel.NewInstance()
+	ins.MustAdd("A.r", "a,=b", "k")
+	ins.MustAdd("A.s", "k")
+	query := func(r1, r2 lang.Term) lang.CQ {
+		return lang.CQ{
+			Head: lang.NewAtom("q", lang.Var("y")),
+			Body: []lang.Atom{lang.NewAtom("A.r", r1, r2), lang.NewAtom("A.s", lang.Var("y"))},
+		}
+	}
+	first := query(lang.Const("a,=b"), lang.Var("y"))
+	second := query(lang.Const("a"), lang.Const("b,?0"))
+	want := mustEval(t, New(ins), second)
+	e := New(ins)
+	if got := mustEval(t, e, first); len(got) != 1 || got[0][0] != "k" {
+		t.Fatalf("first query: %v, want [(k)]", got)
+	}
+	if got := mustEval(t, e, second); !slices.EqualFunc(got, want, rel.Tuple.Equal) {
+		t.Fatalf("second query after the first: %v, want %v as on a fresh engine", got, want)
+	}
+}
+
 func TestUnsafeQueryRejected(t *testing.T) {
 	e := New(rel.NewInstance())
 	q := lang.CQ{Head: lang.NewAtom("q", lang.Var("x"))}

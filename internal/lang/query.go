@@ -132,52 +132,94 @@ func (q CQ) Preds() []string {
 
 // Canonical returns a canonical string for q under variable renaming of the
 // *head-argument pattern and body shape with variables numbered by first
-// occurrence*. Two queries with the same canonical string are identical up to
-// renaming (the converse does not hold for body reorderings; callers that
-// need order insensitivity should sort bodies first).
+// occurrence*. Constants are written with their length, so two queries with
+// the same canonical string are identical up to renaming (the converse does
+// not hold for body reorderings; callers that need order insensitivity
+// should sort bodies first).
 func (q CQ) Canonical() string {
-	// A variable's number is its index in vars, the names in order of
-	// first occurrence; queries have few, so a scan beats a map.
 	var arr [128]byte
-	var seen [16]string
-	buf, vars := arr[:0], seen[:0]
-	term := func(t Term) {
-		if t.IsConst() {
-			buf = append(append(buf, '='), t.Name...)
-			return
-		}
-		i := slices.Index(vars, t.Name)
+	return string(q.AppendCanonical(arr[:0], false))
+}
+
+// AppendCanonical appends q's canonical string to dst and returns the
+// extended slice. With params, each atom constant (head and body) is written
+// as a parameter "$n" instead, numbered by first occurrence as Params lists
+// them, so equal constants share a number; comparison constants are written
+// out either way. Two queries then share a string when they differ at most
+// in the values of their atom constants, equal ones staying equal.
+func (q CQ) AppendCanonical(dst []byte, params bool) []byte {
+	// A variable's number is its index in vars, the names in order of
+	// first occurrence, and a parameter's its index in ps; queries have
+	// few, so a scan beats a map.
+	var seenVars [16]string
+	var seenParams [8]string
+	vars, ps := seenVars[:0], seenParams[:0]
+	number := func(names []string, name string) ([]string, int) {
+		i := slices.Index(names, name)
 		if i < 0 {
-			i = len(vars)
-			vars = append(vars, t.Name)
+			i = len(names)
+			names = append(names, name)
 		}
-		buf = strconv.AppendInt(append(buf, '?'), int64(i), 10)
+		return names, i
+	}
+	term := func(t Term, inAtom bool) {
+		var i int
+		switch {
+		case t.IsVar():
+			vars, i = number(vars, t.Name)
+			dst = strconv.AppendInt(append(dst, '?'), int64(i), 10)
+		case params && inAtom:
+			ps, i = number(ps, t.Name)
+			dst = strconv.AppendInt(append(dst, '$'), int64(i), 10)
+		default:
+			dst = append(strconv.AppendInt(append(dst, '='), int64(len(t.Name)), 10), ':')
+			dst = append(dst, t.Name...)
+		}
 	}
 	atom := func(a Atom) {
-		buf = append(append(buf, a.Pred...), '(')
+		dst = append(append(dst, a.Pred...), '(')
 		for i, t := range a.Args {
 			if i > 0 {
-				buf = append(buf, ',')
+				dst = append(dst, ',')
 			}
-			term(t)
+			term(t, true)
 		}
-		buf = append(buf, ')')
+		dst = append(dst, ')')
 	}
 	atom(q.Head)
-	buf = append(buf, ":-"...)
+	dst = append(dst, ":-"...)
 	for i, a := range q.Body {
 		if i > 0 {
-			buf = append(buf, ',')
+			dst = append(dst, ',')
 		}
 		atom(a)
 	}
 	for _, c := range q.Comps {
-		buf = append(buf, ',')
-		term(c.L)
-		buf = append(buf, c.Op.String()...)
-		term(c.R)
+		dst = append(dst, ',')
+		term(c.L, false)
+		dst = append(dst, c.Op.String()...)
+		term(c.R, false)
 	}
-	return string(buf)
+	return dst
+}
+
+// Params appends q's atom constants (head, then body) to dst, each value
+// once, in order of first occurrence: parameter n of AppendCanonical's
+// parameterised string stands for the n-th of them.
+func (q CQ) Params(dst []string) []string {
+	base := len(dst)
+	add := func(a Atom) {
+		for _, t := range a.Args {
+			if t.IsConst() && !slices.Contains(dst[base:], t.Name) {
+				dst = append(dst, t.Name)
+			}
+		}
+	}
+	add(q.Head)
+	for _, a := range q.Body {
+		add(a)
+	}
+	return dst
 }
 
 // UCQ is a union of conjunctive queries sharing a head predicate and arity.

@@ -102,6 +102,25 @@ func BenchmarkMergeDistinct(b *testing.B) {
 	}
 }
 
+// BenchmarkSortTuplesFreshGoroutine sorts 512 rows, past the radix
+// threshold, in a new goroutine each iteration, as each EvalUnion worker
+// does: what a sort costs on a stack that has not grown yet.
+func BenchmarkSortTuplesFreshGoroutine(b *testing.B) {
+	src := answerGroups(1, 512)[0]
+	rows := make([]Tuple, len(src))
+	done := make(chan struct{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(rows, src)
+		go func() {
+			SortTuples(rows)
+			done <- struct{}{}
+		}()
+		<-done
+	}
+}
+
 // BenchmarkRelationInsert loads 10,000 bulk_stream-shaped rows (id, one
 // of 30 keys, 48-byte payload) into a fresh relation per op.
 func BenchmarkRelationInsert(b *testing.B) {

@@ -31,6 +31,10 @@ type sortScratch struct {
 	a, b  []radixEntry
 	rows  []Tuple
 	heads [][]Tuple
+	// counts[p] is SortTuples' histogram of key byte p, counted from the
+	// least significant. It lives here, not on the stack, so that a sort in
+	// a fresh goroutine does not first grow its stack by 8 KiB.
+	counts [8][256]uint32
 }
 
 // scratchPool is a free list of idle scratch under a mutex. Unlike a
@@ -96,9 +100,8 @@ func SortTuples(ts []Tuple) {
 		sc.rows = make([]Tuple, n)
 	}
 	src, dst := sc.a[:n], sc.b[:n]
-	// counts[p] is the histogram of key byte p, counted from the least
-	// significant.
-	var counts [8][256]uint32
+	counts := &sc.counts
+	clear(counts[:])
 	for i, t := range ts {
 		k := prefixKey(t)
 		src[i] = radixEntry{k, uint32(i)}

@@ -247,3 +247,51 @@ stored A.r(x, y)
 		t.Fatalf("rows = %v, want 2 (stale cache after failed Extend)", rows)
 	}
 }
+
+// TestCachesTellConstantsApart poses two queries that shared one cache key
+// while keys wrote constants raw, in both orders: each must get its own
+// rewriting and the chase oracle's answers.
+func TestCachesTellConstantsApart(t *testing.T) {
+	const spec = `
+storage A.r(a, b) in P:R(a, b)
+storage A.s(a) in P:S(a)
+fact A.r("a,=b", "k")
+fact A.s("k")
+`
+	texts := []string{`q(y) :- P:R("a,=b", y), P:S(y)`, `q(y) :- P:R("a", "b,?0"), P:S(y)`}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		net, err := Load(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range order {
+			text := texts[i]
+			got, err := net.Query(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := net.CertainAnswers(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Errorf("order %v: Query(%s) = %v, CertainAnswers = %v", order, text, got, want)
+			}
+			ref, err := net.Reformulate(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Load(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRef, err := fresh.Reformulate(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Rewriting.String() != wantRef.Rewriting.String() {
+				t.Errorf("order %v: Reformulate(%s) =\n%s\nwant\n%s", order, text, ref.Rewriting, wantRef.Rewriting)
+			}
+		}
+	}
+}

@@ -13,13 +13,20 @@
 //	    fact FH.doc("d1", "er")
 //	`)
 //	ans, err := net.Query(`q(s) :- H:Doctor(s, l)`)
+//
+// A network caches reformulations until its specification changes, and
+// answers until a relation they read changes. Where no mapping or storage
+// description the query can reach mentions a constant or a comparison, and
+// the query has no comparison, its constants cannot change the rewriting
+// beyond appearing in it: the reformulation is cached per query shape, with
+// the constants left out of the key, and each query of the shape gets the
+// cached rewriting with its own constants substituted.
 package pdms
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -75,14 +82,15 @@ type Network struct {
 	// duplicate inserts bump nothing and leave the cache warm.
 	invalidations obs.Counter
 	// answers and reforms count their lookups into these hit and miss
-	// counters.
+	// counters. reforms holds *reformEntry values.
 	answers, reforms                                   *engine.LRU
 	answerHits, answerMisses, reformHits, reformMisses obs.Counter
 	// reformer is the spec generation's core.Reformulator, shared by every
-	// reformulation-cache miss: the first miss after construction or Extend
-	// builds it (normalizing the whole specification), Extend drops it.
-	// Holders also hold mu, so the spec it was built from cannot move under
-	// them.
+	// query: each asks it whether the query's constants may leave the
+	// reformulation-cache key, and every miss reformulates on it. The first
+	// query after construction or Extend builds it (normalizing the whole
+	// specification), Extend drops it. Holders also hold mu, so the spec it
+	// was built from cannot move under them.
 	reformMu sync.Mutex
 	reformer *core.Reformulator // guarded by reformMu
 	// catalogBuilds counts reformer builds, nodesExpanded the rule-goal tree
@@ -325,14 +333,21 @@ type Reformulation struct {
 
 // Reformulate reformulates a textual query ("q(x) :- H:Doctor(x, l)") into
 // a union of conjunctive queries over stored relations. Results are cached
-// per canonicalized query until the specification changes (Extend); the
-// returned struct is the caller's, but its slices are shared — treat the
-// rewriting as read-only.
+// until the specification changes (Extend), per canonicalized query — per
+// query shape, with the constants left out, where the constants cannot
+// change the rewriting beyond appearing in it (see
+// core.Reformulator.Parameterizable). The returned struct is the caller's,
+// but its slices may be shared — treat the rewriting as read-only.
 func (n *Network) Reformulate(query string) (*Reformulation, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	_, ref, err := n.reformulateLocked(query, nil)
-	return ref, err
+	q, e, err := n.reformulateLocked(query, nil)
+	if err != nil {
+		return nil, err
+	}
+	ref := e.ref
+	ref.Rewriting = e.rewriting(q)
+	return &ref, nil
 }
 
 // testHookPostKey, when non-nil, runs right after reformulateLocked or
@@ -343,13 +358,13 @@ func (n *Network) Reformulate(query string) (*Reformulation, error) {
 // block until the computation (and its cache Put) finish.
 var testHookPostKey func()
 
-// reformulateLocked parses query and reformulates it under root's
-// "reformulate" child span (root may be nil), with n.mu held (any mode).
-// The generation snapshot, the cache probe, the computation and the cache
-// store all happen inside the caller's lock section: an Extend cannot
-// interleave, so an entry keyed with generation g always reflects
-// generation-g state.
-func (n *Network) reformulateLocked(query string, root *obs.Span) (q lang.CQ, _ *Reformulation, err error) {
+// reformulateLocked parses query and returns its reformulation-cache entry,
+// reformulating on a miss under root's "reformulate" child span (root may
+// be nil), with n.mu held (any mode). The generation snapshot, the cache
+// probe, the computation and the cache store all happen inside the caller's
+// lock section: an Extend cannot interleave, so an entry keyed with
+// generation g always reflects generation-g state.
+func (n *Network) reformulateLocked(query string, root *obs.Span) (q lang.CQ, _ *reformEntry, err error) {
 	if q, err = parser.ParseQuery(query); err != nil {
 		root.SetErr(err)
 		return q, nil, err
@@ -359,35 +374,31 @@ func (n *Network) reformulateLocked(query string, root *obs.Span) (q lang.CQ, _ 
 		sp.SetErr(err)
 		sp.End()
 	}()
-	key := fmt.Sprintf("%d|%s", n.specGen, q.Canonical())
-	if testHookPostKey != nil {
-		testHookPostKey()
-	}
-	if v, ok := n.reforms.Get(key); ok {
-		ref := v.(Reformulation)
-		sp.Set("cached", "true")
-		sp.SetInt("rewritings", int64(ref.Rewriting.Len()))
-		return q, &ref, nil
-	}
 	r, err := n.reformulatorLocked()
 	if err != nil {
 		return q, nil, err
 	}
+	params := r.Parameterizable(q)
+	key := reformKey(n.specGen, q, params)
+	if testHookPostKey != nil {
+		testHookPostKey()
+	}
+	if v, ok := n.reforms.Get(key); ok {
+		e := v.(*reformEntry)
+		sp.Set("cached", "true")
+		sp.SetInt("rewritings", int64(e.ref.Rewriting.Len()))
+		return q, e, nil
+	}
 	start := time.Now()
-	out, err := r.ReformulateSpan(q, sp)
+	e, err := newReformEntry(r, q, params, sp)
 	if err != nil {
 		return q, nil, err
 	}
 	n.reformHist.Observe(time.Since(start))
-	n.nodesExpanded.Add(uint64(out.Stats.Nodes()))
-	ref := Reformulation{
-		Rewriting:      out.UCQ,
-		Stats:          out.Stats,
-		Classification: out.Classification,
-	}
-	sp.SetInt("rewritings", int64(ref.Rewriting.Len()))
-	n.reforms.Put(key, ref)
-	return q, &ref, nil
+	n.nodesExpanded.Add(uint64(e.ref.Stats.Nodes()))
+	sp.SetInt("rewritings", int64(e.ref.Rewriting.Len()))
+	n.reforms.Put(key, e)
+	return q, e, nil
 }
 
 // reformulatorLocked returns the spec generation's Reformulator, building it
@@ -408,32 +419,20 @@ func (n *Network) reformulatorLocked() (*core.Reformulator, error) {
 }
 
 // answerKeyLocked builds the answer-cache key for q given its
-// reformulation, with n.mu held (any mode): the spec generation, then the
-// generation vector of exactly the stored relations the rewriting
-// mentions (sorted, so disjunct order cannot split cache entries), then
-// the canonicalized query. A mutation of relation R changes the key of
-// every query whose rewriting touches R — and only those — while old keys
-// never match again and age out of the LRU.
-func (n *Network) answerKeyLocked(q lang.CQ, ref *Reformulation) string {
-	seen := map[string]bool{}
-	var preds []string
-	for _, d := range ref.Rewriting.Disjuncts {
-		for _, p := range d.Preds() {
-			if !seen[p] {
-				seen[p] = true
-				preds = append(preds, p)
-			}
-		}
+// reformulation-cache entry, with n.mu held (any mode): the spec
+// generation, then the generation vector of exactly the stored relations
+// the rewriting mentions (sorted, so disjunct order cannot split cache
+// entries), then the canonicalized query. A mutation of relation R changes
+// the key of every query whose rewriting touches R — and only those — while
+// old keys never match again and age out of the LRU.
+func (n *Network) answerKeyLocked(q lang.CQ, e *reformEntry) string {
+	var arr [256]byte
+	buf := strconv.AppendUint(arr[:0], n.specGen, 10)
+	for _, p := range e.stored {
+		buf = append(append(append(buf, '|'), p...), '=')
+		buf = strconv.AppendUint(buf, n.data.Gen(p), 10)
 	}
-	sort.Strings(preds)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d", n.specGen)
-	for _, p := range preds {
-		fmt.Fprintf(&sb, "|%s=%d", p, n.data.Gen(p))
-	}
-	sb.WriteByte('|')
-	sb.WriteString(q.Canonical())
-	return sb.String()
+	return string(q.AppendCanonical(append(buf, '|'), false))
 }
 
 // Query reformulates and executes a textual query over the stored data,
@@ -482,17 +481,17 @@ func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
 	start := time.Now()
 	defer func() { n.queryHist.Observe(time.Since(start)) }()
 	n.mu.RLock()
-	q, ref, err := n.reformulateLocked(query, root)
+	q, e, err := n.reformulateLocked(query, root)
 	if err != nil {
 		n.mu.RUnlock()
 		return nil, err
 	}
 	if exec != n.eng {
 		n.mu.RUnlock()
-		return evalSpan(exec, ref.Rewriting, root)
+		return evalSpan(exec, e.rewriting(q), root)
 	}
 	defer n.mu.RUnlock()
-	key := n.answerKeyLocked(q, ref)
+	key := n.answerKeyLocked(q, e)
 	if testHookPostKey != nil {
 		testHookPostKey()
 	}
@@ -500,7 +499,7 @@ func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
 		root.Set("answer_cache", "hit")
 		return v.([]Answer), nil
 	}
-	out, err := evalSpan(exec, ref.Rewriting, root)
+	out, err := evalSpan(exec, e.rewriting(q), root)
 	if err != nil {
 		return nil, err
 	}
