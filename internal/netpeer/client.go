@@ -198,27 +198,42 @@ func (c *Client) roundTrip(req wire.Request, onRows func([][]string) error) (wir
 	return c.readStream(onRows)
 }
 
+// rowFrames collects a response stream's rows frame by frame, kept as the
+// decoder made them, to be gathered once the stream ends.
+type rowFrames struct {
+	frames [][][]string
+	n      int
+}
+
+func (f *rowFrames) add(rows [][]string) {
+	f.frames = append(f.frames, rows)
+	f.n += len(rows)
+}
+
+// tuples gathers the collected rows, in stream order, into one slice of
+// exactly their number.
+func (f *rowFrames) tuples() []rel.Tuple {
+	out := make([]rel.Tuple, 0, f.n)
+	for _, rows := range f.frames {
+		for _, r := range rows {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // fetch runs req and returns every row of its response stream, in stream
-// order, in one slice of exactly that size: the frames' rows are kept as
-// the decoder made them and gathered once the stream ends.
+// order (rowFrames).
 func (c *Client) fetch(req wire.Request) ([]rel.Tuple, error) {
-	var frames [][][]string
-	n := 0
+	var got rowFrames
 	_, err := c.roundTrip(req, func(rows [][]string) error {
-		frames = append(frames, rows)
-		n += len(rows)
+		got.add(rows)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]rel.Tuple, 0, n)
-	for _, rows := range frames {
-		for _, r := range rows {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return got.tuples(), nil
 }
 
 // rowsToYield adapts a per-tuple yield to readStream's per-frame callback.
@@ -296,7 +311,12 @@ func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
 // name a relation the peer serves — invoking yield once per distinct head
 // tuple as chunks arrive, in stream (not sorted) order.
 func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
-	_, err := c.roundTrip(wire.Request{Op: "eval", Query: &q, IfGen: c.ifGen}, rowsToYield(yield))
+	return c.evalFrames(q, rowsToYield(yield))
+}
+
+// evalFrames is EvalStream handing onRows each frame's rows as they arrive.
+func (c *Client) evalFrames(q lang.CQ, onRows func([][]string) error) error {
+	_, err := c.roundTrip(wire.Request{Op: "eval", Query: &q, IfGen: c.ifGen}, onRows)
 	return err
 }
 
@@ -349,6 +369,12 @@ func bindBatchStarts(rows [][]string) []int {
 // never sent. The stream may contain duplicates across batches — callers
 // deduplicate.
 func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yield func(rel.Tuple) error) error {
+	return c.bindFrames(a, bindCols, rows, rowsToYield(yield))
+}
+
+// bindFrames is BindEvalStream handing onRows each frame's rows as they
+// arrive.
+func (c *Client) bindFrames(a lang.Atom, bindCols []int, rows [][]string, onRows func([][]string) error) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -376,7 +402,7 @@ func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yi
 			BindCols: bindCols,
 			Rows:     rows[start:end],
 			IfGen:    ifGen,
-		}, rowsToYield(yield))
+		}, onRows)
 		bs.End()
 		if err != nil || final.Unchanged {
 			return err

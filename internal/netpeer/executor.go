@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,16 +43,20 @@ const (
 //     peer's advertised cardinality says the whole selection-pushed
 //     relation is smaller than the key set: then fetching it outright
 //     moves fewer bytes, and the executor adapts.
-//   - Fetched and probed fragments are cached *across queries* keyed by
-//     (peer, canonical atom pattern, bound-key-set hash) in a byte-bounded
-//     LRU, stamped with the relation's generation as reported by the
-//     fetch's own response frames (a fetch whose frames disagree — a
-//     mutation landed mid-fetch — is not cached). The next fetch of a
+//   - Every remote fetch is a fragment: an atom's selection-pushed fetch
+//     or bind probe, or a whole pushed-down rewriting. Fragments are cached
+//     *across queries* in a byte-bounded LRU, sorted and distinct, keyed by
+//     peer and either (canonical atom pattern, bound-key-set hash) or the
+//     pushed-down CQ's canonical string. An entry is stamped with its
+//     relation's generation as reported by the fetch's own response frames
+//     (a fetch whose frames disagree — a mutation landed mid-fetch — is not
+//     cached, and neither is a push-down that reads several relations: a
+//     peer answers unchanged for one relation only). The next fetch of a
 //     cached fragment carries its generation, and the peer answers
 //     "unchanged" with no rows while that generation is current: a repeat
-//     of an identical query ships zero rows in one request per atom,
-//     while mutations on the peer refresh exactly the fragments of the
-//     mutated relation.
+//     of an identical query ships zero rows in one request per atom or
+//     push-down, while mutations on the peer refresh exactly the fragments
+//     of the mutated relation.
 //   - Within one query, fetches are shared *across disjuncts* under the
 //     same key: the rewritings of one rule-goal tree share goal nodes, so
 //     one stored atom with one bound-key set turns up in several
@@ -94,7 +99,8 @@ type Executor struct {
 	// pinning shutdown behind seconds of backoff) and installs a fresh one,
 	// since a closed executor stays usable. Guarded by mu.
 	abort chan struct{}
-	// frags caches cross-peer atom fragments across queries.
+	// frags caches fetched fragments — atom fetches and push-downs —
+	// across queries.
 	frags *fragCache
 	// counters aggregates wire traffic across all pooled connections.
 	counters Counters
@@ -272,7 +278,9 @@ func (e *Executor) withClientOnce(addr string, fn func(*Client) error) error {
 // returning the distinct union of the disjuncts' answers, sorted.
 // Disjuncts are independent, so they fan out as engine.EvalUnion does; on
 // error the first failing disjunct (by position) among those that ran
-// wins.
+// wins. The returned slice is the caller's, but its tuples may be the
+// fragment cache's (a push-down served unchanged returns the cached rows):
+// callers must not mutate an answer's values.
 func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
 
 // EvalUCQSpan is EvalUCQ with tracing: one "eval.cq" child span per
@@ -281,10 +289,12 @@ func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSp
 // span evaluates identically with no overhead beyond the nil checks — it
 // satisfies pdms.UCQEvaluator.
 //
-// The disjuncts share one table of atom fetches (see fragment): each
-// distinct (peer, atom pattern, bound-key set) fetch is sent once per call,
-// and a disjunct that needs a fetch another one started waits for it; its
-// atom span reads src=shared. Fail-fast matters here: against a dead peer
+// The disjuncts share one table of fetches (see fragment): each distinct
+// (peer, atom pattern, bound-key set) fetch and each distinct push-down is
+// sent once per call, and a disjunct that needs a fetch another one started
+// waits for it; its atom or pushdown span reads src=shared. Like EvalUCQ's,
+// the answer's tuples may be shared with the fragment cache and must not be
+// mutated. Fail-fast matters here: against a dead peer
 // every disjunct not yet started would pay its own dial failure.
 func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	fl := &flights{}
@@ -293,13 +303,20 @@ func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	})
 }
 
-// EvalCQ evaluates one conjunctive rewriting over the network.
-func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.evalCQ(q, &flights{}, nil) }
+// EvalCQ evaluates one conjunctive rewriting over the network, returning
+// its distinct answers, sorted, in a slice of the caller's; as with
+// EvalUCQ, the tuples may be shared with the fragment cache.
+func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
+	rows, err := e.evalCQ(q, &flights{}, nil)
+	return slices.Clone(rows), err
+}
 
 // evalCQ is EvalCQ over the calling query's fetch table fl, with an
-// optional span: full push-down records one "pushdown" child (the serving
-// peer's remote spans adopt under it), cross-peer execution hands the span
-// to the bind-join's per-atom instrumentation.
+// optional span. A full push-down is one fragment (pushdownReq): it records
+// one "pushdown" child with the fragment's src and fetched counts, under
+// which the serving peer's remote spans adopt; its rows may be the cache's
+// own slice. Cross-peer execution hands the span to the bind-join's
+// per-atom instrumentation.
 func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
 	addrs := make([]string, len(q.Body)) // serving peer of each body atom
 	pushdown := len(q.Body) > 0
@@ -317,16 +334,11 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 	if !pushdown {
 		return e.evalStreamingBindJoin(q, addrs, fl, sp)
 	}
-	// Full push-down: one peer holds every atom.
+	// Full push-down: one peer holds every atom, and the whole CQ is one
+	// fragment.
 	ps := sp.Child("pushdown", obs.Attr{K: "addr", V: addrs[0]})
 	defer ps.End()
-	var rows []rel.Tuple
-	err := e.withClient(addrs[0], func(c *Client) (err error) {
-		c.traceSpan = ps
-		defer func() { c.traceSpan = nil }()
-		rows, err = c.Eval(q)
-		return err
-	})
+	rows, err := e.fragment(fl, pushdownReq(addrs[0], q), ps)
 	ps.SetErr(err)
 	ps.SetInt("rows", int64(len(rows)))
 	return rows, err
@@ -354,16 +366,18 @@ type stepShape struct {
 // variable bound so far.
 func shapeOf(a lang.Atom, varCol map[string]int) stepShape {
 	var sh stepShape
-	firstPos := map[string]int{}
+next:
 	for pos, t := range a.Args {
 		if t.IsConst() {
 			continue
 		}
-		if fp, ok := firstPos[t.Name]; ok {
-			sh.dupChecks = append(sh.dupChecks, [2]int{pos, fp})
-			continue
+		// Atoms are narrow: a scan of the earlier positions beats a map.
+		for fp := range pos {
+			if a.Args[fp] == t {
+				sh.dupChecks = append(sh.dupChecks, [2]int{pos, fp})
+				continue next
+			}
 		}
-		firstPos[t.Name] = pos
 		if col, bound := varCol[t.Name]; bound {
 			sh.keyPoss = append(sh.keyPoss, pos)
 			sh.joinCols = append(sh.joinCols, col)
@@ -458,7 +472,7 @@ func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 			as.SetInt("keys", int64(len(keyRows)))
 		}
 	}
-	rows, err := j.e.fragment(j.fl, addr, a, sh, keyRows, useBind, as)
+	rows, err := j.e.fragment(j.fl, atomReq(addr, a, sh, keyRows, useBind), as)
 	if err != nil {
 		return err
 	}

@@ -30,9 +30,10 @@ const (
 // evicts early rather than late. A row from the wire shares its values
 // with the rest of its response frame (wire.ReadResponse decodes a frame's
 // row block into substrings of one string holding the block), so a cached
-// row keeps that whole string alive. The estimate stays honest because a fragment keeps every row of
-// its frames: fragFetch.row drops a row only when a misbehaving server
-// sends one the atom rejects, or a duplicate across bind batches.
+// row keeps that whole string alive. The estimate stays honest because a
+// fragment keeps every row of its frames: a row is dropped only when a
+// misbehaving server sends one the request's pattern rejects (fragFetch.frame),
+// or as a duplicate across bind batches.
 func tupleBytes(t rel.Tuple) int64 {
 	n := int64(24) // slice header + growth slack
 	for _, v := range t {
@@ -41,9 +42,10 @@ func tupleBytes(t rel.Tuple) int64 {
 	return n
 }
 
-// fragEntry is one cached fragment: the post-filter, deduplicated remote
-// tuples of one (peer, atom pattern, bound-key set) fetch, stamped with the
-// serving peer's generation for the fragment's relation at fetch time.
+// fragEntry is one cached fragment: the post-filter remote rows of one
+// fetch (fragReq) — an atom's selection or bind, or a one-relation
+// push-down — sorted and distinct, stamped with the serving peer's
+// generation for the fragment's relation at fetch time.
 type fragEntry struct {
 	key   string
 	gen   uint64
@@ -64,13 +66,13 @@ type fragCache struct {
 	// under mu, and bytes is the budget's running total.
 	entries, bytes obs.Gauge
 
-	// hits counts atom fetches the serving peer answered unchanged, served
-	// from the cache; misses counts atom fetches whose rows crossed the
-	// wire. invalidations counts cached fragments dropped because the
-	// peer's generation for the fragment's relation had moved on, and
-	// evictions the entries dropped by the byte budget. shared counts atom
-	// fetches served by another fetch of the same query (see fragment);
-	// they reach neither the cache nor the wire.
+	// hits counts fetches (atom fetches and push-downs) the serving peer
+	// answered unchanged, served from the cache; misses counts fetches
+	// whose rows crossed the wire. invalidations counts cached fragments
+	// dropped because the peer's generation for the fragment's relation had
+	// moved on, and evictions the entries dropped by the byte budget.
+	// shared counts fetches served by another fetch of the same query (see
+	// fragment); they reach neither the cache nor the wire.
 	hits, misses, invalidations, evictions, shared obs.Counter
 }
 
@@ -175,7 +177,7 @@ func (fc *fragCache) removeLocked(el *list.Element) {
 	fc.entries.Set(int64(fc.ll.Len()))
 }
 
-// flights is one query's table of atom fetches, keyed by fragmentKey. The
+// flights is one query's table of fetches, keyed by fragReq.key. The
 // first disjunct to need a key fetches it; every other disjunct of the
 // query that needs the same key waits for that flight and reuses its rows
 // or its error. Safe for concurrent use.
@@ -210,83 +212,140 @@ func (fl *flights) join(key string) (f *flight, first bool) {
 	return f, true
 }
 
-// fragment returns the distinct tuples of atom a's relation that pass the
-// atom's constants and repeated variables and — when useBind — match one of
-// keyRows at the join positions. Within one query each distinct fetch
-// (same peer, atom pattern and bound-key set) goes out once: the first
-// caller runs fetchFragment, and every later caller with the same key waits
-// for that flight and reuses its rows or error, counted in shared and
-// labelled src=shared on its span. Sharing is sound because a union's
-// disjuncts already read their peers at different moments: a fetch made
-// during the query stays inside the query's monotone envelope whichever
-// disjunct consumes it. The rows are shared with the table and the cache —
-// callers must not mutate them.
-func (e *Executor) fragment(fl *flights, addr string, a lang.Atom, sh stepShape, keyRows [][]string, useBind bool, as *obs.Span) ([]rel.Tuple, error) {
-	key := fragmentKey(addr, a, sh.keyPoss, keyRows, useBind)
-	f, first := fl.join(key)
+// fragReq is one fragment fetch: what goes to the serving peer and what
+// every arriving row is checked against. An atom's selection or bind fetch
+// (atomReq) and a whole CQ pushed down to the one peer holding its
+// relations (pushdownReq) are both fragments: they go through the query's
+// flight table, the cache and its generation check alike.
+type fragReq struct {
+	// addr is the serving peer; key names the fetch in the flight table and
+	// the cache (fragmentKey, pushdownKey).
+	addr, key string
+	// pattern is what an arriving row must match — its arity, its constants
+	// and, at dupChecks, its repeated variables: the fetched atom, or the
+	// pushed-down CQ's head.
+	pattern   lang.Atom
+	dupChecks [][2]int
+	// pred is the one relation the fetch reads, whose generation the peer
+	// reports with the rows and confirms when they are unchanged; "" for a
+	// push-down over several relations, which shares its flight but is never
+	// cached (the peer answers unchanged only for one relation).
+	pred string
+	// src labels a wire fetch on its span: "fetch" or "bind".
+	src string
+	// send issues the request on c, handing onRows each arriving frame's
+	// rows.
+	send func(c *Client, onRows func([][]string) error) error
+}
+
+// atomReq is the fetch of the rows of atom a's relation that pass the atom's
+// constants and repeated variables and — when bind — match one of keyRows
+// at the join positions sh.keyPoss.
+func atomReq(addr string, a lang.Atom, sh stepShape, keyRows [][]string, bind bool) *fragReq {
+	r := &fragReq{
+		addr: addr, key: fragmentKey(addr, a, sh.keyPoss, keyRows, bind),
+		pattern: a, dupChecks: sh.dupChecks, pred: a.Pred, src: "fetch",
+		send: func(c *Client, onRows func([][]string) error) error {
+			return c.evalFrames(selectionQuery(a), onRows)
+		},
+	}
+	if bind {
+		r.src = "bind"
+		r.send = func(c *Client, onRows func([][]string) error) error {
+			return c.bindFrames(a, sh.keyPoss, keyRows, onRows)
+		}
+	}
+	return r
+}
+
+// pushdownReq is the fetch of q's answers from addr, the peer serving every
+// relation of q's body. It is cacheable when the body reads one distinct
+// relation: that is when the peer reports the generation the rows stand
+// for and answers a repeat unchanged.
+func pushdownReq(addr string, q lang.CQ) *fragReq {
+	pred := q.Body[0].Pred
+	for _, a := range q.Body[1:] {
+		if a.Pred != pred {
+			pred = ""
+			break
+		}
+	}
+	return &fragReq{
+		addr: addr, key: pushdownKey(addr, q),
+		pattern: q.Head, dupChecks: shapeOf(q.Head, nil).dupChecks, pred: pred, src: "fetch",
+		send: func(c *Client, onRows func([][]string) error) error {
+			return c.evalFrames(q, onRows)
+		},
+	}
+}
+
+// fragment returns the distinct rows of fetch r, sorted. Within one query
+// each distinct fetch (same key) goes out once: the first caller runs
+// fetchFragment, and every later caller with the same key waits for that
+// flight and reuses its rows or error, counted in shared and labelled
+// src=shared on its span. Sharing is sound because a union's disjuncts
+// already read their peers at different moments: a fetch made during the
+// query stays inside the query's monotone envelope whichever disjunct
+// consumes it. The rows are shared with the table and the cache — callers
+// must not mutate them.
+func (e *Executor) fragment(fl *flights, r *fragReq, sp *obs.Span) ([]rel.Tuple, error) {
+	f, first := fl.join(r.key)
 	if first {
-		f.rows, f.err = e.fetchFragment(key, addr, a, sh, keyRows, useBind, as)
+		f.rows, f.err = e.fetchFragment(r, sp)
 		close(f.done)
 		return f.rows, f.err
 	}
 	<-f.done
 	e.frags.shared.Inc()
-	as.Set("src", "shared")
-	as.SetInt("fetched", int64(len(f.rows)))
+	sp.Set("src", "shared")
+	sp.SetInt("fetched", int64(len(f.rows)))
 	return f.rows, f.err
 }
 
-// fetchFragment is one atom fetch under cache key key, over one borrowed
-// connection. When the fragment is cached the fetch carries the entry's
-// generation, and a peer that answers unchanged ships no rows: the cached
-// ones are served. Otherwise the rows stream in and are cached for the next
-// query.
-func (e *Executor) fetchFragment(key, addr string, a lang.Atom, sh stepShape, keyRows [][]string, useBind bool, as *obs.Span) ([]rel.Tuple, error) {
-	cached, gen, ok := e.frags.lookup(key)
-	f := fragFetch{a: a, sh: sh, seen: map[string]bool{}}
-	if useBind {
-		as.Set("src", "bind")
-	} else {
-		as.Set("src", "fetch")
-	}
-	err := e.withClient(addr, func(c *Client) error {
-		c.tapMeta, c.traceSpan = f.tap, as
+// fetchFragment is one fetch over one borrowed connection. When the
+// fragment is cached the fetch carries the entry's generation, and a peer
+// that answers unchanged ships no rows: the cached ones are served.
+// Otherwise the rows stream in, are sorted and deduplicated, and are cached
+// for the next query when every response frame reported one generation for
+// r.pred.
+func (e *Executor) fetchFragment(r *fragReq, sp *obs.Span) ([]rel.Tuple, error) {
+	cached, gen, ok := e.frags.lookup(r.key)
+	f := fragFetch{r: r}
+	sp.Set("src", r.src)
+	err := e.withClient(r.addr, func(c *Client) error {
+		c.tapMeta, c.traceSpan = f.tap, sp
 		if ok {
 			c.ifGen = &gen
 		}
 		defer func() { c.tapMeta, c.traceSpan, c.ifGen = nil, nil, nil }()
-		if useBind {
-			return c.BindEvalStream(a, sh.keyPoss, keyRows, f.row)
-		}
-		return c.EvalStream(selectionQuery(a), f.row)
+		return r.send(c, f.frame)
 	})
-	as.SetInt("fetched", int64(len(f.rows)))
+	sp.SetInt("fetched", int64(f.n))
 	if err != nil {
 		return nil, err
 	}
 	if ok && f.unchanged {
-		e.frags.hit(key)
-		as.Set("src", "fragcache")
-		as.SetInt("fetched", int64(len(cached)))
+		e.frags.hit(r.key)
+		sp.Set("src", "fragcache")
+		sp.SetInt("fetched", int64(len(cached)))
 		return cached, nil
 	}
-	e.frags.missed(key, ok)
+	e.frags.missed(r.key, ok)
+	rows := rel.SortDistinct(f.tuples())
 	if f.genSeen && !f.genMoved {
-		e.frags.put(key, f.gen, f.rows)
+		e.frags.put(r.key, f.gen, rows)
 	}
-	return f.rows, nil
+	return rows, nil
 }
 
-// fragFetch is the receiving end of one atom's wire fetch: it keeps the
-// arriving tuples that pass the atom's own checks, once each, and notes
-// the generation the fetch's response frames report for the relation.
+// fragFetch is the receiving end of one fetch: it keeps the arriving rows
+// that match the request's pattern, and notes the generation the fetch's
+// response frames report for its relation.
 type fragFetch struct {
-	a  lang.Atom
-	sh stepShape
-	// seen dedups across bind batches and makes the retries withClient may
-	// perform idempotent.
-	seen map[string]bool
-	rows []rel.Tuple
+	r *fragReq
+	// The kept rows may hold duplicates — across bind batches, or from a
+	// retry withClient performed — until fetchFragment sorts them distinct.
+	rowFrames
 	// gen is the generation stamp for the cached fragment. Distinct values
 	// across frames (genMoved) mean a mutation landed between bind batches:
 	// the fragment is not a point snapshot and must not be cached.
@@ -297,38 +356,44 @@ type fragFetch struct {
 	unchanged bool
 }
 
-// row filters and dedups one arriving remote tuple.
-func (f *fragFetch) row(t rel.Tuple) error {
-	if len(t) != f.a.Arity() {
-		return fmt.Errorf("netpeer: %s/%d: remote row has %d values", f.a.Pred, f.a.Arity(), len(t))
-	}
-	// The server already applied the pushed constants; re-checking keeps
-	// correctness independent of the transport.
-	for p, arg := range f.a.Args {
-		if arg.IsConst() && t[p] != arg.Name {
-			return nil
+// frame keeps the rows of one arriving frame that match the request's
+// pattern, filtering the decoder's slice in place.
+func (f *fragFetch) frame(rows [][]string) error {
+	p := &f.r.pattern
+	kept := rows[:0]
+next:
+	for _, t := range rows {
+		if len(t) != p.Arity() {
+			return fmt.Errorf("netpeer: %s/%d: remote row has %d values", p.Pred, p.Arity(), len(t))
 		}
-	}
-	for _, d := range f.sh.dupChecks {
-		if t[d[0]] != t[d[1]] {
-			return nil
+		// The server already applied the pushed constants; re-checking
+		// keeps correctness independent of the transport.
+		for i, arg := range p.Args {
+			if arg.IsConst() && t[i] != arg.Name {
+				continue next
+			}
 		}
+		for _, d := range f.r.dupChecks {
+			if t[d[0]] != t[d[1]] {
+				continue next
+			}
+		}
+		kept = append(kept, t)
 	}
-	k := t.Key()
-	if f.seen[k] {
-		return nil
-	}
-	f.seen[k] = true
-	f.rows = append(f.rows, t)
+	f.add(kept)
 	return nil
 }
 
 // tap observes the final frames of this fetch: the generations they
-// piggyback and whether the peer answered unchanged.
+// piggyback for the fetch's one relation and whether the peer answered
+// unchanged.
 func (f *fragFetch) tap(final *wire.Response) {
 	f.unchanged = final.Unchanged
+	if f.r.pred == "" {
+		return
+	}
 	for i, p := range final.Preds {
-		if p == f.a.Pred && i < len(final.Gens) {
+		if p == f.r.pred && i < len(final.Gens) {
 			f.genMoved = f.genMoved || (f.genSeen && final.Gens[i] != f.gen)
 			f.gen, f.genSeen = final.Gens[i], true
 		}
@@ -348,7 +413,7 @@ func (f *fragFetch) tap(final *wire.Response) {
 // selection fetch uses the bare pattern; bind fetches with different key
 // sets get distinct entries.
 func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, bind bool) string {
-	b := rel.AppendValue([]byte(nil), addr)
+	b := rel.AppendValue([]byte{'a'}, addr)
 	b = append(b, '|')
 	b = rel.AppendValue(b, a.Pred)
 	firstPos := map[string]int{}
@@ -388,4 +453,16 @@ func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, b
 	b = append(b, '|')
 	b = append(b, hex.EncodeToString(h.Sum(nil))...)
 	return string(b)
+}
+
+// pushdownKey is the flight and cache key of pushing q down to the peer at
+// addr: the address and q's canonical string. That string is exact — it
+// spells out head, body and comparisons and length-prefixes constants — so
+// two push-downs share a key only when they are the same query up to
+// variable names. The leading 'q' keeps it apart from every fragmentKey,
+// which begins with 'a'.
+func pushdownKey(addr string, q lang.CQ) string {
+	var arr [256]byte
+	b := append(rel.AppendValue(append(arr[:0], 'q'), addr), '|')
+	return string(q.AppendCanonical(b, false))
 }

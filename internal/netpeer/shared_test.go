@@ -195,7 +195,7 @@ func TestEvalUCQNoFalseSharing(t *testing.T) {
 		sh := shapeOf(atom, map[string]int{})
 		for _, v := range []string{"a", "b"} {
 			srv, addr := startServerH(t, map[string][]rel.Tuple{"R.r": {{v}}})
-			rows, err := ex.fragment(fl, addr, atom, sh, nil, false, nil)
+			rows, err := ex.fragment(fl, atomReq(addr, atom, sh, nil, false), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

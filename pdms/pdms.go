@@ -336,8 +336,10 @@ type Reformulation struct {
 // until the specification changes (Extend), per canonicalized query — per
 // query shape, with the constants left out, where the constants cannot
 // change the rewriting beyond appearing in it (see
-// core.Reformulator.Parameterizable). The returned struct is the caller's,
-// but its slices may be shared — treat the rewriting as read-only.
+// core.Reformulator.Parameterizable). Either way the rewriting is in the
+// query's own constants and variable names, as an uncached reformulation
+// would print it. The returned struct is the caller's, but its slices may
+// be shared — treat the rewriting as read-only.
 func (n *Network) Reformulate(query string) (*Reformulation, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -449,8 +451,11 @@ func (n *Network) Query(query string) ([]Answer, error) { return n.QueryVia(quer
 // bind-join batches, remote work) under sp, which is nil for an untraced
 // query. Both the local indexed engine (*engine.Engine) and the distributed
 // *netpeer.Executor implement it. An evaluator returns a fresh slice, but
-// QueryVia through the network's own engine may return a cached one shared
-// with other callers.
+// its tuples may be shared — the executor's answer to a push-down its
+// fragment cache served holds the cached rows — and QueryVia through the
+// network's own engine may return a cached slice shared with other
+// callers: callers must not mutate an answer's values, nor, from the
+// engine, the slice.
 type UCQEvaluator interface {
 	EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error)
 }
@@ -475,6 +480,9 @@ type UCQEvaluator interface {
 //     against the serving peers' generations instead), and the read lock
 //     is released before evaluating, because exec may do network I/O that
 //     must not hold up Extend and AddFact.
+//
+// Either way the answer's tuples may be shared with a cache (see
+// UCQEvaluator): treat their values as read-only.
 func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
 	root := n.tracer.StartTrace("query", obs.Attr{K: "q", V: query})
 	defer root.End()

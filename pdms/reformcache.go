@@ -18,19 +18,25 @@ import (
 // substituting them, on the query's shape (lang.CQ.AppendCanonical with
 // params): then ref holds the rewriting of the query with each constant
 // replaced by its parameter's placeholder, and every query of the shape
-// substitutes its own constants into it.
+// substitutes its own constants into it. Either key numbers variables
+// instead of naming them, so every query of the key also gets the rewriting
+// in its own variable names (rewriting).
 type reformEntry struct {
 	ref Reformulation
 	// stored lists the stored relations the rewriting mentions, sorted and
 	// distinct: the relations whose generations key the query's answers.
 	stored []string
+	// vars names the variables of the query ref was computed for, in the
+	// order the key numbers them (varNames).
+	vars []string
 	// params is nil where every query of the key gets the rewriting as it
 	// stands: the key wrote the constants out, or there are none. For a
 	// shape's entry it gives each argument of the rewriting — disjunct by
-	// disjunct, head atom first — its parameter number, -1 for a variable;
-	// natoms counts the rewriting's body atoms.
+	// disjunct, head atom first — its parameter number, -1 for a variable.
 	params []int32
-	natoms int
+	// nterms, natoms and ncomps count the rewriting's atom arguments, body
+	// atoms and comparisons: the sizes of a copy's backing arrays.
+	nterms, natoms, ncomps int
 }
 
 // reformKey is the reformulation-cache key of q under spec generation gen:
@@ -74,7 +80,9 @@ func newReformEntry(r *core.Reformulator, q lang.CQ, params bool, sp *obs.Span) 
 		}
 		return nil, err
 	}
-	return finishEntry(out, placeholders), nil
+	e := finishEntry(out, placeholders)
+	e.vars = varNames(q, nil)
+	return e, nil
 }
 
 // parameterize returns q with each atom constant replaced by the
@@ -114,6 +122,14 @@ func finishEntry(out core.Result, placeholders []string) *reformEntry {
 		}
 	}
 	slices.Sort(e.stored)
+	for _, d := range out.UCQ.Disjuncts {
+		e.nterms += len(d.Head.Args)
+		for _, a := range d.Body {
+			e.nterms += len(a.Args)
+		}
+		e.natoms += len(d.Body)
+		e.ncomps += len(d.Comps)
+	}
 	if len(placeholders) == 0 {
 		return e
 	}
@@ -137,33 +153,121 @@ func finishEntry(out core.Result, placeholders []string) *reformEntry {
 		for _, a := range d.Body {
 			number(a)
 		}
-		e.natoms += len(d.Body)
 	}
 	return e
 }
 
+// varNames appends the names of q's variables to dst in order of first
+// occurrence — head, body, comparisons — the order lang.CQ.AppendCanonical
+// numbers them in, so two queries of one key have their variables at the
+// same positions of their lists.
+func varNames(q lang.CQ, dst []string) []string {
+	add := func(t lang.Term) {
+		if t.IsVar() && !slices.Contains(dst, t.Name) {
+			dst = append(dst, t.Name)
+		}
+	}
+	for _, t := range q.Head.Args {
+		add(t)
+	}
+	for _, a := range q.Body {
+		for _, t := range a.Args {
+			add(t)
+		}
+	}
+	for _, c := range q.Comps {
+		add(c.L)
+		add(c.R)
+	}
+	return dst
+}
+
+// renaming maps the variables of the entry's query to names, those of a
+// query of its key, position by position, and renames apart each variable
+// of the rewriting's own — one reformulation introduced — that one of
+// names would capture.
+func (e *reformEntry) renaming(names []string) map[string]string {
+	ren := make(map[string]string, len(names))
+	for i, v := range e.vars {
+		ren[v] = names[i]
+	}
+	own := map[string]bool{}
+	vars := func(ts ...lang.Term) {
+		for _, t := range ts {
+			if t.IsVar() && !slices.Contains(e.vars, t.Name) {
+				own[t.Name] = true
+			}
+		}
+	}
+	for _, d := range e.ref.Rewriting.Disjuncts {
+		vars(d.Head.Args...)
+		for _, a := range d.Body {
+			vars(a.Args...)
+		}
+		for _, c := range d.Comps {
+			vars(c.L, c.R)
+		}
+	}
+	var clash []string
+	for v := range own {
+		if slices.Contains(names, v) {
+			clash = append(clash, v)
+		}
+	}
+	slices.Sort(clash)
+	for _, v := range clash {
+		w := v + "'"
+		for slices.Contains(names, w) || own[w] {
+			w += "'"
+		}
+		own[w] = true // taken by now, like the rewriting's own names
+		ren[v] = w
+	}
+	return ren
+}
+
 // rewriting returns the entry's rewriting for q, a query of its key: the
-// cached rewriting itself, or for a shape's entry a copy with q's constants
-// in place of the parameters, built in one backing array each for terms,
-// atoms and disjuncts.
+// cached rewriting itself when q names its variables as the entry's query
+// did and the key wrote the constants out; otherwise a copy with q's
+// variable names in place of the entry's query's (renaming) and, for a
+// shape's entry, q's constants in place of the parameters, built in one
+// backing array each for terms, atoms, comparisons and disjuncts.
 func (e *reformEntry) rewriting(q lang.CQ) lang.UCQ {
-	if e.params == nil {
+	var narr [16]string
+	names := varNames(q, narr[:0])
+	var ren map[string]string
+	if !slices.Equal(names, e.vars) {
+		ren = e.renaming(names)
+	} else if e.params == nil {
 		return e.ref.Rewriting
 	}
-	var arr [8]string
-	consts := q.Params(arr[:0])
+	var carr [8]string
+	var consts []string
+	if e.params != nil {
+		consts = q.Params(carr[:0])
+	}
 	src := e.ref.Rewriting.Disjuncts
-	terms := make([]lang.Term, len(e.params))
+	terms := make([]lang.Term, e.nterms)
 	atoms := make([]lang.Atom, e.natoms)
+	comps := make([]lang.Comparison, e.ncomps)
 	out := make([]lang.CQ, len(src))
+	rename := func(t lang.Term) lang.Term {
+		if t.IsVar() {
+			if n, ok := ren[t.Name]; ok {
+				t = lang.Var(n)
+			}
+		}
+		return t
+	}
 	k := 0
 	subst := func(a lang.Atom) lang.Atom {
-		args := terms[k : k+len(a.Args) : k+len(a.Args)]
+		args := terms[:len(a.Args):len(a.Args)]
+		terms = terms[len(a.Args):]
 		for i, t := range a.Args {
-			if p := e.params[k+i]; p >= 0 {
-				t = lang.Const(consts[p])
+			if e.params != nil && e.params[k+i] >= 0 {
+				t = lang.Const(consts[e.params[k+i]])
 			}
-			args[i] = t
+			args[i] = rename(t)
 		}
 		k += len(a.Args)
 		return lang.Atom{Pred: a.Pred, Args: args}
@@ -176,6 +280,14 @@ func (e *reformEntry) rewriting(q lang.CQ) lang.UCQ {
 			body[j] = subst(a)
 		}
 		out[i].Body = body
+		if len(d.Comps) > 0 {
+			cs := comps[:len(d.Comps):len(d.Comps)]
+			comps = comps[len(d.Comps):]
+			for j, c := range d.Comps {
+				cs[j] = lang.Comparison{Op: c.Op, L: rename(c.L), R: rename(c.R)}
+			}
+			out[i].Comps = cs
+		}
 	}
 	return lang.UCQ{Disjuncts: out}
 }
