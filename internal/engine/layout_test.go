@@ -194,23 +194,24 @@ func TestLayoutLeavesOldChunks(t *testing.T) {
 
 	// The old arena: the byte range of every chunk, and a cleanup on each
 	// chunk that counts its collection. A chunk starts where a row does not
-	// follow the row before it.
+	// follow the row before it. pin holds the old chunks until the address
+	// checks below are done: a chunk collected earlier could have its
+	// memory reused by a key built after the layout, which would then seem
+	// to lie in the old arena.
 	type span struct{ lo, hi uintptr }
 	var spans []span
 	var freed atomic.Int32
-	func() {
-		old := r.Rows()
-		for _, l := range old.Since(0) {
-			k := old.Key(l)
-			lo := uintptr(unsafe.Pointer(unsafe.StringData(k)))
-			if n := len(spans); n > 0 && spans[n-1].hi == lo {
-				spans[n-1].hi += uintptr(len(k))
-				continue
-			}
-			spans = append(spans, span{lo, lo + uintptr(len(k))})
-			runtime.AddCleanup(unsafe.StringData(k), func(int) { freed.Add(1) }, 0)
+	pin := r.Rows()
+	for _, l := range pin.Since(0) {
+		k := pin.Key(l)
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(k)))
+		if n := len(spans); n > 0 && spans[n-1].hi == lo {
+			spans[n-1].hi += uintptr(len(k))
+			continue
 		}
-	}()
+		spans = append(spans, span{lo, lo + uintptr(len(k))})
+		runtime.AddCleanup(unsafe.StringData(k), func(int) { freed.Add(1) }, 0)
+	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
 	inOld := func(s string) bool {
 		if s == "" {
@@ -260,6 +261,7 @@ func TestLayoutLeavesOldChunks(t *testing.T) {
 			}
 		}
 	}
+	runtime.KeepAlive(pin) // from here on, only the engine or the relation could keep them
 
 	for i := 0; i < 100 && int(freed.Load()) < len(spans); i++ {
 		runtime.GC()

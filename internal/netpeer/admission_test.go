@@ -3,7 +3,6 @@ package netpeer
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -266,12 +265,7 @@ func TestPipelinedResponsesStayOrdered(t *testing.T) {
 	const n = 40 // the whole burst sits in the socket before the first answer
 	var batch []byte
 	for i := 0; i < n; i++ {
-		b, err := json.Marshal(wire.Request{Op: "scan", V: wire.Version, Pred: fmt.Sprintf("p%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch = append(batch, b...)
-		batch = append(batch, '\n')
+		batch = wire.AppendRequest(batch, &wire.Request{Op: "scan", Pred: fmt.Sprintf("p%d", i)})
 	}
 	if _, err := conn.Write(batch); err != nil {
 		t.Fatal(err)
@@ -301,12 +295,7 @@ func TestDrainFinishesPipelinedWork(t *testing.T) {
 	defer conn.Close()
 	var batch []byte
 	for i := 0; i < 3; i++ {
-		b, err := json.Marshal(wire.Request{Op: "scan", V: wire.Version, Pred: fmt.Sprintf("p%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch = append(batch, b...)
-		batch = append(batch, '\n')
+		batch = wire.AppendRequest(batch, &wire.Request{Op: "scan", Pred: fmt.Sprintf("p%d", i)})
 	}
 	if _, err := conn.Write(batch); err != nil {
 		t.Fatal(err)

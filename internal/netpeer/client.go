@@ -43,7 +43,7 @@ type Client struct {
 	// reported and whether the peer answered unchanged.
 	tapMeta func(final *wire.Response)
 	// ifGen, when non-nil, makes the next fragment fetch conditional on a
-	// cached copy at that generation: EvalStream sends it, BindEvalStream
+	// cached copy at that generation: evalFrames sends it, bindFrames
 	// sends it with its first batch. Installed for one logical call, like
 	// tapMeta.
 	ifGen *uint64
@@ -123,9 +123,9 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 		c.frame = recycle(c.frame)
 		if err != nil {
 			// Includes an oversized frame, a short or garbled row block and
-			// a version 1 frame: the logical response stream is now missing
-			// a frame (possibly the final marker) or is out of step, so the
-			// connection cannot be trusted.
+			// a frame of another protocol version: the logical response
+			// stream is now missing a frame (possibly the final marker) or
+			// is out of step, so the connection cannot be trusted.
 			c.broken = true
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return wire.Response{}, fmt.Errorf("netpeer: connection closed")
@@ -133,7 +133,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 			return wire.Response{}, err
 		}
 		if c.counters != nil {
-			c.counters.bytesRecv.Add(uint64(n) + 1)
+			c.counters.bytesRecv.Add(uint64(n))
 			c.counters.maxFrame.Max(int64(n))
 		}
 		if resp.Error != "" {
@@ -180,7 +180,6 @@ func (c *Client) roundTrip(req wire.Request, onRows func([][]string) error) (wir
 	if c.counters != nil {
 		c.counters.requests.Add(1)
 	}
-	req.V = wire.Version
 	if c.traceSpan != nil {
 		req.Trace = c.traceSpan.TraceID()
 		req.Span = c.traceSpan.ID()
@@ -307,20 +306,15 @@ func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
 	return err
 }
 
-// EvalStream evaluates a conjunctive query remotely — every body atom must
-// name a relation the peer serves — invoking yield once per distinct head
-// tuple as chunks arrive, in stream (not sorted) order.
-func (c *Client) EvalStream(q lang.CQ, yield func(rel.Tuple) error) error {
-	return c.evalFrames(q, rowsToYield(yield))
-}
-
-// evalFrames is EvalStream handing onRows each frame's rows as they arrive.
+// evalFrames evaluates a conjunctive query remotely — every body atom must
+// name a relation the peer serves — handing onRows each frame's distinct
+// head tuples as they arrive, in stream (not sorted) order.
 func (c *Client) evalFrames(q lang.CQ, onRows func([][]string) error) error {
 	_, err := c.roundTrip(wire.Request{Op: "eval", Query: &q, IfGen: c.ifGen}, onRows)
 	return err
 }
 
-// Eval is EvalStream materialized: the distinct head tuples in rel.Compare
+// Eval is evalFrames materialized: the distinct head tuples in rel.Compare
 // order, sorted in place in the one slice fetch gathers them into.
 func (c *Client) Eval(q lang.CQ) ([]rel.Tuple, error) {
 	ts, err := c.fetch(wire.Request{Op: "eval", Query: &q})
@@ -360,20 +354,14 @@ func bindBatchStarts(rows [][]string) []int {
 	return starts
 }
 
-// BindEvalStream fetches the tuples of atom a that match the atom's
-// constants and, at the bindCols positions, at least one of the bound-key
-// rows, invoking yield as chunks arrive. Keys ship in row- and
+// bindFrames fetches the tuples of atom a that match the atom's constants
+// and, at the bindCols positions, at least one of the bound-key rows,
+// handing onRows each frame's rows as they arrive. Keys ship in row- and
 // byte-bounded batches, one request after another. A conditional call
 // (the borrower installed ifGen) sends the generation with the first batch
 // only: an unchanged answer ends the call, so the remaining batches are
 // never sent. The stream may contain duplicates across batches — callers
 // deduplicate.
-func (c *Client) BindEvalStream(a lang.Atom, bindCols []int, rows [][]string, yield func(rel.Tuple) error) error {
-	return c.bindFrames(a, bindCols, rows, rowsToYield(yield))
-}
-
-// bindFrames is BindEvalStream handing onRows each frame's rows as they
-// arrive.
 func (c *Client) bindFrames(a lang.Atom, bindCols []int, rows [][]string, onRows func([][]string) error) error {
 	if len(rows) == 0 {
 		return nil

@@ -3,6 +3,7 @@ package netpeer
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -46,8 +47,8 @@ func fuzzClient(data []byte) *Client {
 // counter, remote error frames leave the connection usable while
 // transport-level failures mark it broken, a clean return is always a
 // final frame, and an unchanged final frame leaves the connection usable
-// and delivers no rows, and a version 1 frame, an over-cap or short row
-// block all mark the connection broken.
+// and delivers no rows, and a JSON frame of versions 1 to 4, an over-cap
+// or short row block all mark the connection broken.
 func FuzzResponseStream(f *testing.F) {
 	seed := func(frames ...wire.Response) []byte {
 		var buf []byte
@@ -69,10 +70,10 @@ func FuzzResponseStream(f *testing.F) {
 		wire.Response{Rows: [][]string{{"a"}}, More: true},
 		wire.Response{Unchanged: true, Preds: []string{"p"}, Gens: []uint64{7}},
 	))
-	f.Add([]byte("not json\n"))
-	f.Add([]byte(`{"more":true}`))                                                               // truncated: no final frame
+	f.Add([]byte("\x05\x02\x01\x05"))                                                            // a block that parses past its length
+	f.Add(seed(wire.Response{More: true}))                                                       // truncated: no final frame
 	f.Add(seed(wire.Response{Rows: [][]string{{strings.Repeat("x", 1<<16)}}}))                   // over the fuzz frame cap
-	f.Add([]byte("{\"rowBytes\":65537}\n"))                                                      // a block announced above the cap
+	f.Add(binary.AppendUvarint([]byte{wire.Version}, 1<<16+1))                                   // a block announced above the cap
 	f.Add(bytes.TrimSuffix(seed(wire.Response{Rows: [][]string{{"abc", "def"}}}), []byte("ef"))) // a block cut mid-value
 	f.Add([]byte(`{"rows":[["a"]],"more":true}` + "\n" + `{"preds":["p"]}` + "\n"))              // a version 1 rows frame
 	f.Add(seed(wire.Response{Rows: [][]string{{"\xff\xfe", "\n\"<&>\x00\u2028", ""}, {}}}))

@@ -2,7 +2,6 @@ package netpeer
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -44,8 +43,7 @@ func slowConsumer(t *testing.T, addr, bigPred string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	b, _ := json.Marshal(wire.Request{Op: "scan", V: wire.Version, Pred: bigPred})
-	if _, err := conn.Write(append(b, '\n')); err != nil {
+	if _, err := conn.Write(wire.AppendRequest(nil, &wire.Request{Op: "scan", Pred: bigPred})); err != nil {
 		t.Fatal(err)
 	}
 	return conn

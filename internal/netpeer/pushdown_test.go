@@ -223,7 +223,7 @@ func TestPushdownStubIgnoringIfGenStaysExact(t *testing.T) {
 }
 
 // TestClientEvalWithoutIfGenStreamsRows: a Client with no ifGen installed
-// gets rows for every eval, repeated or not — Eval, EvalStream and a
+// gets rows for every eval, repeated or not — Eval, evalFrames and a
 // conditional-free roundTrip alike — never an unchanged answer.
 func TestClientEvalWithoutIfGenStreamsRows(t *testing.T) {
 	_, addr, _, facts := pushdownFixture(t)
@@ -246,11 +246,11 @@ func TestClientEvalWithoutIfGenStreamsRows(t *testing.T) {
 			t.Fatalf("Eval %d: %d rows, want %d", i, len(got), len(want))
 		}
 		n := 0
-		if err := c.EvalStream(q, func(rel.Tuple) error { n++; return nil }); err != nil {
+		if err := c.evalFrames(q, func(rows [][]string) error { n += len(rows); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if n != len(want) {
-			t.Fatalf("EvalStream %d: %d rows, want %d", i, n, len(want))
+			t.Fatalf("evalFrames %d: %d rows, want %d", i, n, len(want))
 		}
 		final, err := c.roundTrip(wire.Request{Op: "eval", Query: &q}, nil)
 		if err != nil {

@@ -127,7 +127,7 @@ func encodeFrame(r wire.Response) []byte {
 	return wire.AppendResponse(nil, &r, block)
 }
 
-// stubServer speaks raw newline-delimited frames with per-connection
+// stubServer speaks raw frames with per-connection
 // scripts: connection i (0-based) runs script[i] if present before falling
 // back to proper protocol handling for the rest of its life. Connections
 // beyond the script behave properly from the start.
@@ -204,16 +204,16 @@ func evalGoodRespond(req wire.Request) wire.Response {
 }
 
 // TestTransportErrorDropsDesyncedConnection pins the desync fix. The stub's
-// first connection answers the first request with a garbage line followed
-// by a queued well-formed (but stale) response frame. The garbage line is a
-// transport-level error, so the connection — which still has the stale
+// first connection answers the first request with a garbled frame (a row
+// block that parses past its length) followed by a queued well-formed (but
+// stale) response frame. The garbled frame is a transport-level error, so the connection — which still has the stale
 // frame unread — must be dropped, not pooled. The old executor kept it: the
 // next call read the stale frame as its response and silently returned
 // wrong rows ("stale" instead of "good").
 func TestTransportErrorDropsDesyncedConnection(t *testing.T) {
 	stale := encodeFrame(wire.Response{Rows: [][]string{{"stale"}}})
 	addr := startStub(t, [][]stubAction{
-		{{reply: "this is not json\n" + string(stale)}},
+		{{reply: "\x05\x02\x01\x05" + string(stale)}},
 	}, evalGoodRespond)
 
 	ex := NewExecutor()

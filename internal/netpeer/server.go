@@ -1,8 +1,8 @@
 // Package netpeer turns the PDMS into an actually distributed system: each
 // peer runs a Server exposing its stored relations over a TCP protocol of
-// JSON requests and JSON envelopes followed by binary row blocks (package
-// wire), and an Executor evaluates reformulated unions of conjunctive
-// queries across the network.
+// length-prefixed frames, each one binary row block whose first row is the
+// frame's envelope (package wire), and an Executor evaluates reformulated
+// unions of conjunctive queries across the network.
 //
 // The server answers the six ops of the peer protocol (package wire lists
 // the envelopes, wire/PROTOCOL.md is the normative specification):
@@ -140,13 +140,11 @@ type Server struct {
 	// the spec's ppl.PDMS.CheckFact. Set before Start.
 	CheckRow func(pred string, values []string) error
 
-	// maxRequestBytes caps one request frame, envelope and row block: an
-	// over-limit request is consumed (its block read and dropped) and
-	// answered with an in-band error, and the connection survives unless
-	// the envelope line itself was over. writeTimeout bounds each
-	// response-frame write, so a client that stops reading is disconnected
-	// instead of pinning the server's read lock. NewServer sets both from
-	// the defaults.
+	// maxRequestBytes caps one request frame: an over-limit request is
+	// read and dropped and answered with an in-band error, and the
+	// connection survives. writeTimeout bounds each response-frame write,
+	// so a client that stops reading is disconnected instead of pinning
+	// the server's read lock. NewServer sets both from the defaults.
 	maxRequestBytes int
 	writeTimeout    time.Duration
 
@@ -394,12 +392,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 
 	adm := s.gate()
 	for {
-		req, errMsg, closeAfter, ok := s.readRequest(conn, br, &in)
+		req, errMsg, ok := s.readRequest(conn, br, &in)
 		if !ok || ctx.Err() != nil {
 			return
 		}
 		if errMsg != "" {
-			if w.send(wire.Response{Error: errMsg}) != nil || closeAfter {
+			if w.send(wire.Response{Error: errMsg}) != nil {
 				return
 			}
 			continue
@@ -432,48 +430,51 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 // readRequest reads a connection's next request into *in, the
 // connection's reused request buffer, and decodes it. ok is false at a
 // clean disconnect or a terminal read failure. Recoverable failures (an
-// over-limit request, one that does not decode, another protocol version)
-// come back as errMsg, to be answered in-band so the stream stays framed;
-// after an envelope line over the limit, whose row block may follow
-// unread, closeAfter says to close the connection once that answer is out.
-func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req wire.Request, errMsg string, closeAfter, ok bool) {
+// over-limit request, one that does not decode) come back as errMsg, to be
+// answered in-band: the frame's length prefix keeps the stream framed. A
+// peer of another protocol version gets wire.VersionReply, and ok false.
+func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req wire.Request, errMsg string, ok bool) {
 	frame, err := wire.ReadRequest(br, *in, s.maxRequestBytes, &req)
 	*in = recycle(frame)
 	switch {
 	case err == nil, errors.Is(err, wire.ErrBadRequest):
 		s.requests.Add(1)
-		s.bytesRecv.Add(uint64(len(frame) + 1))
+		s.bytesRecv.Add(uint64(len(frame)))
 		if err != nil {
-			return req, err.Error(), false, true
+			return req, err.Error(), true
 		}
 	case errors.Is(err, wire.ErrFrameTooLarge):
-		// The over-limit request was consumed, so the stream is still
-		// framed when its envelope was read: answer in-band instead of
-		// dropping the connection silently.
+		// The over-limit request was read and dropped, so the stream is
+		// still framed: answer in-band instead of dropping the connection
+		// silently.
 		s.requests.Add(1)
 		s.readErrors.Add(1)
 		s.logw("netpeer: request frame over limit", "peer", conn.RemoteAddr(), "limit", s.maxRequestBytes)
-		return req, fmt.Sprintf("request frame exceeds %d bytes", s.maxRequestBytes), req.RowBytes == 0, true
+		return req, fmt.Sprintf("request frame exceeds %d bytes", s.maxRequestBytes), true
+	case errors.Is(err, wire.ErrVersion):
+		// An older peer's JSON line, or a later version's frame: the rest
+		// of its stream cannot be framed, so answer with the one line
+		// every JSON version reads as an error frame, and close.
+		s.readErrors.Add(1)
+		s.logw("netpeer: request of another protocol version", "peer", conn.RemoteAddr(), "err", err)
+		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+		_, _ = conn.Write([]byte(wire.VersionReply)) // the connection closes either way
+		return req, "", false
 	case errors.Is(err, io.EOF):
-		return req, "", false, false // clean disconnect at a frame boundary
+		return req, "", false // clean disconnect at a frame boundary
 	default:
 		var ne net.Error
 		if s.draining.Load() && errors.As(err, &ne) && ne.Timeout() {
 			// Drain's read-deadline nudge: the client is idle at a frame
 			// boundary (requests already in br were read above); wind the
 			// connection down quietly.
-			return req, "", false, false
+			return req, "", false
 		}
 		s.readErrors.Add(1)
 		s.logw("netpeer: reading request", "peer", conn.RemoteAddr(), "err", err)
-		return req, "", false, false
+		return req, "", false
 	}
-	if req.V != wire.Version {
-		// A request without "v" is version 1. The error frame is plain
-		// JSON, so an old client reads it and the connection stays framed.
-		return req, fmt.Sprintf("protocol version %d request; this server speaks version %d", max(req.V, 1), wire.Version), false, true
-	}
-	return req, "", false, true
+	return req, "", true
 }
 
 // frameWriter writes one connection's response frames. Each frame is

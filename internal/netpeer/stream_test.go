@@ -2,6 +2,7 @@ package netpeer
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"net"
@@ -81,9 +82,10 @@ func TestStreamLargeResultRegression(t *testing.T) {
 
 // TestOversizeRequestSurfacesError pins the serveConn fix: a request frame
 // over the server's limit used to kill the connection silently (the client
-// only ever saw "netpeer: connection closed"). Now the oversized line is
-// consumed through its newline, the server answers with an in-band error
-// and a diagnostic, and the connection stays usable.
+// only ever saw "netpeer: connection closed"). Now the oversized frame is
+// read and dropped, the server answers with an in-band error and a
+// diagnostic, and the connection stays usable — whether the frame's rows
+// pass the limit or its envelope does.
 func TestOversizeRequestSurfacesError(t *testing.T) {
 	data := rel.NewInstance()
 	data.MustAdd("S.r", "v")
@@ -107,27 +109,31 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []rel.Tuple
-	err = c.BindEvalStream(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}}, func(t rel.Tuple) error {
-		got = append(got, t)
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "request frame exceeds") {
-		t.Fatalf("err = %v, want in-band 'request frame exceeds' error", err)
+	oversized := []func() error{
+		func() error {
+			return c.bindFrames(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}}, func([][]string) error { return nil })
+		},
+		// An envelope over the limit: its pred alone is ~8KB.
+		func() error { _, err := c.Scan(strings.Repeat("p", 8*1024)); return err },
 	}
-	if c.Broken() {
-		t.Fatal("well-framed in-band error must not break the connection")
+	for i, send := range oversized {
+		if err := send(); err == nil || !strings.Contains(err.Error(), "request frame exceeds") {
+			t.Fatalf("oversized request %d: err = %v, want in-band 'request frame exceeds' error", i, err)
+		}
+		if c.Broken() {
+			t.Fatal("well-framed in-band error must not break the connection")
+		}
+		// The same connection keeps working.
+		preds, err := c.CatalogStats()
+		if err != nil || len(preds) != 1 {
+			t.Fatalf("connection unusable after oversize request %d: %v (%v)", i, preds, err)
+		}
 	}
-	// The same connection keeps working.
-	preds, err := c.CatalogStats()
-	if err != nil || len(preds) != 1 {
-		t.Fatalf("connection unusable after oversize request: %v (%v)", preds, err)
+	if n := srv.readErrors.Load(); n != 2 {
+		t.Fatalf("server.read_errors = %d, want 2", n)
 	}
-	if n := srv.readErrors.Load(); n != 1 {
-		t.Fatalf("server.read_errors = %d, want 1", n)
-	}
-	if msgs := logged.messages(); len(msgs) != 1 || !strings.Contains(msgs[0], "request frame over") {
-		t.Fatalf("server diagnostic missing: %q", msgs)
+	if msgs := logged.messages(); len(msgs) != 2 || !strings.Contains(msgs[0], "request frame over") || !strings.Contains(msgs[1], "request frame over") {
+		t.Fatalf("server diagnostics missing: %q", msgs)
 	}
 }
 
@@ -157,13 +163,13 @@ func (h *recordingHandler) messages() []string {
 // TestOversizeResponseBreaksClientCleanly: a response frame over the
 // client's limit cannot be trusted (the lost frame may have been the final
 // marker), so the client surfaces an error and marks the connection
-// broken instead of silently desyncing. That holds for an envelope line
-// over the limit and for a row block announced over it; the block fails
-// before any of it is read or allocated.
+// broken instead of silently desyncing. That holds for a frame that
+// arrives over the limit and for one only announced over it; the block
+// fails before any of it is read or allocated.
 func TestOversizeResponseBreaksClientCleanly(t *testing.T) {
 	addr := startStub(t, [][]stubAction{
-		{{reply: strings.Repeat("z", 64*1024) + "\n"}},
-		{{reply: fmt.Sprintf(`{"rowBytes":%d,"more":true}`+"\n", wire.DefaultMaxFrame)}},
+		{{reply: string(encodeFrame(wire.Response{Rows: [][]string{{strings.Repeat("z", 64*1024)}}}))}},
+		{{reply: string(binary.AppendUvarint([]byte{wire.Version}, wire.DefaultMaxFrame+1))}},
 	}, evalGoodRespond)
 	c, err := Dial(addr)
 	if err != nil {
@@ -354,7 +360,7 @@ func TestSlowClientCannotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stall.Close()
-	if _, err := stall.Write([]byte(`{"op":"scan","v":3,"pred":"W.big"}` + "\n")); err != nil {
+	if _, err := stall.Write(wire.AppendRequest(nil, &wire.Request{Op: "scan", Pred: "W.big"})); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the server fill the socket buffers

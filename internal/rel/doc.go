@@ -21,8 +21,9 @@
 // then per value uvarint(len) and the value's bytes, every uvarint in its
 // shortest form, so a tuple has exactly one spelling and byte equality of
 // rows is tuple equality. AppendValue and AppendRow write it, SplitRow
-// splits a row known to be well formed, and DecodeRows validates and
-// decodes a block of rows. A relation stores each row in it, the journal
+// splits a row known to be well formed, DecodeRows validates and decodes a
+// block of rows, and DecodeRow one row held in a string (the wire
+// envelope's nested lists). A relation stores each row in it, the journal
 // (internal/store) frames a stored row as it is, and the wire protocol's
 // row block (internal/wire) is rows in it. Tuple.Key is a tuple's row, and
 // a composite key of a fixed number of values is their AppendValue

@@ -3,6 +3,7 @@ package rel
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // ErrBadBlock reports bytes that are not a whole number of rows in the
@@ -87,9 +88,24 @@ func DecodeRows(block []byte) ([][]string, error) {
 	return rows, nil
 }
 
+// DecodeRow decodes row, which must be exactly one row with every uvarint
+// in its shortest form, appending its values to dst. The values are
+// substrings of row, so a value that holds a nested row decodes without
+// a copy.
+func DecodeRow(row string, dst []string) ([]string, error) {
+	arity, n := rowLen(row)
+	if n != len(row) {
+		return dst, ErrBadBlock
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, arity)[:start+arity]
+	SplitRow(row, dst[start:])
+	return dst, nil
+}
+
 // rowLen checks that b opens with one well-formed row and returns the
 // row's arity and length in bytes, or a length of -1.
-func rowLen(b []byte) (arity, n int) {
+func rowLen[B []byte | string](b B) (arity, n int) {
 	a, i := uvarint(b)
 	// Every value takes at least its length byte.
 	if i <= 0 || a > uint64(len(b)-i) {
@@ -105,15 +121,24 @@ func rowLen(b []byte) (arity, n int) {
 	return int(a), i
 }
 
-// uvarint is binary.Uvarint refusing any encoding longer than the
-// shortest: a final byte of zero after the first.
-func uvarint(b []byte) (uint64, int) {
+// uvarint is binary.Uvarint, over a block's bytes or a value's string,
+// refusing any encoding longer than the shortest (a final byte of zero
+// after the first) and any that overflows: its length is 0 on every
+// failure.
+func uvarint[B []byte | string](b B) (uint64, int) {
 	if len(b) > 0 && b[0] < 0x80 {
 		return uint64(b[0]), 1 // most lengths and arities
 	}
-	x, n := binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, 0
+	var x uint64
+	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
+		c := b[i]
+		if c < 0x80 {
+			if (i > 0 && c == 0) || (i == binary.MaxVarintLen64-1 && c > 1) {
+				return 0, 0
+			}
+			return x | uint64(c)<<(7*i), i + 1
+		}
+		x |= uint64(c&0x7f) << (7 * i)
 	}
-	return x, n
+	return 0, 0
 }

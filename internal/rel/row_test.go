@@ -57,3 +57,23 @@ func TestInsertRowTakesOneCanonicalRow(t *testing.T) {
 		t.Fatal("the row InsertRow stored is not the tuple's")
 	}
 }
+
+// TestDecodeRowTakesOneCanonicalRow: DecodeRow appends the values of
+// exactly one row in its shortest spelling, substrings of the row, and
+// refuses everything else, as InsertRow does, leaving dst as it was.
+func TestDecodeRowTakesOneCanonicalRow(t *testing.T) {
+	for _, row := range []string{"\x82\x00\x01a", "\x01\x81\x00a", "\x01\x01a\x01\x01b", "\x01\x01az", "\x01\x02a", "\x02\x01a", "",
+		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"} {
+		if got, err := DecodeRow(row, []string{"kept"}); !errors.Is(err, ErrBadBlock) || len(got) != 1 || got[0] != "kept" {
+			t.Errorf("DecodeRow(%q) = %q, %v; want ErrBadBlock and dst unchanged", row, got, err)
+		}
+	}
+	row := string(AppendRow(nil, []string{"ab", "", "c"}))
+	got, err := DecodeRow(row, []string{"kept"})
+	if err != nil || len(got) != 4 || got[0] != "kept" || got[1] != "ab" || got[2] != "" || got[3] != "c" {
+		t.Fatalf("DecodeRow(%q) = %q, %v", row, got, err)
+	}
+	if unsafe.StringData(got[1]) != unsafe.StringData(row[2:]) {
+		t.Fatal("a decoded value is not a substring of the row")
+	}
+}

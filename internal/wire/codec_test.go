@@ -19,16 +19,6 @@ import (
 	"repro/internal/rel"
 )
 
-// encodeJSON is the reference encoding AppendResponse must reproduce.
-func encodeJSON(t testing.TB, r *Response) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // blockOf is the row block carrying rows.
 func blockOf(rows [][]string) []byte {
 	var block []byte
@@ -38,7 +28,79 @@ func blockOf(rows [][]string) []byte {
 	return block
 }
 
-// frameOf is r's frame, its rows in the row block.
+// rawFrame is the frame whose envelope row is env and whose rows are rows,
+// however malformed either is: the version byte, the block's length, then
+// the block.
+func rawFrame(env []string, rows [][]string) []byte {
+	block := blockOf(append([][]string{env}, rows...))
+	return append(binary.AppendUvarint([]byte{Version}, uint64(len(block))), block...)
+}
+
+// splitFrame is rawFrame's inverse, for a frame the codec wrote.
+func splitFrame(t testing.TB, frame []byte) (env []string, rows [][]string) {
+	t.Helper()
+	n, w := binary.Uvarint(frame[1:])
+	all, err := rel.DecodeRows(frame[1+w:])
+	if frame[0] != Version || int(n) != len(frame)-1-w || err != nil || len(all) == 0 {
+		t.Fatalf("frame %q does not split (%v)", frame, err)
+	}
+	return all[0], all[1:]
+}
+
+// uintValueOf is an integer value's bytes.
+func uintValueOf(x uint64) string {
+	return string(binary.AppendUvarint(nil, x))
+}
+
+// intsValueOf is a list value's bytes: one nested row of integer values.
+func intsValueOf[T int | uint64](ns []T) string {
+	vals := make([]string, len(ns))
+	for i, n := range ns {
+		vals[i] = uintValueOf(uint64(n))
+	}
+	return string(rel.AppendRow(nil, vals))
+}
+
+// responseEnvelope is r's envelope spelled out value by value — the
+// reference the codec's writer must match: each set field under its key,
+// in PROTOCOL.md's order.
+func responseEnvelope(r *Response) []string {
+	var env []string
+	if r.Error != "" {
+		env = append(env, "error", r.Error)
+	}
+	for _, f := range []struct {
+		key string
+		set bool
+	}{{"busy", r.Busy}, {"more", r.More}, {"unchanged", r.Unchanged}} {
+		if f.set {
+			env = append(env, f.key, "")
+		}
+	}
+	if len(r.Preds) > 0 {
+		env = append(env, "preds", string(rel.AppendRow(nil, r.Preds)))
+	}
+	if len(r.Cards) > 0 {
+		env = append(env, "cards", intsValueOf(r.Cards))
+	}
+	if len(r.Gens) > 0 {
+		env = append(env, "gens", intsValueOf(r.Gens))
+	}
+	if len(r.Spans) > 0 {
+		var rows [][]string
+		for _, s := range r.Spans {
+			row := []string{uintValueOf(s.ID), uintValueOf(s.Parent), s.Name, uintValueOf(uint64(s.Start)), uintValueOf(uint64(s.Dur))}
+			for _, a := range s.Attrs {
+				row = append(row, a.K, a.V)
+			}
+			rows = append(rows, row)
+		}
+		env = append(env, "spans", string(blockOf(rows)))
+	}
+	return env
+}
+
+// frameOf is r's frame, its rows after the envelope.
 func frameOf(r *Response) []byte {
 	return AppendResponse(nil, r, blockOf(r.Rows))
 }
@@ -69,67 +131,133 @@ func sameRows(a, b [][]string) bool {
 	return true
 }
 
-// checkAppend fails unless AppendResponse writes, after a prefix it must
-// leave alone, exactly json.Encoder's bytes for r's envelope — r without
-// Rows and with RowBytes the block's length — followed by the block, and
-// unless ReadResponse gives r's rows back byte for byte.
-func checkAppend(t testing.TB, r *Response) {
+// nilIfEmpty is s, or nil when it is empty: an empty list is not written,
+// so it reads back as none.
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
+// decoded is what reading r's frame must give, less its rows: every empty
+// list as nil.
+func decoded(r *Response) Response {
+	want := *r
+	want.Rows = nil
+	want.Preds, want.Cards, want.Gens = nilIfEmpty(r.Preds), nilIfEmpty(r.Cards), nilIfEmpty(r.Gens)
+	want.Spans = nil
+	for _, s := range r.Spans {
+		s.Attrs = nilIfEmpty(s.Attrs)
+		want.Spans = append(want.Spans, s)
+	}
+	return want
+}
+
+// sameResponse reports whether two responses are equal field for field,
+// their rows byte for byte.
+func sameResponse(a, b *Response) bool {
+	x, y := *a, *b
+	x.Rows, y.Rows = nil, nil
+	return sameRows(a.Rows, b.Rows) && reflect.DeepEqual(x, y)
+}
+
+// withUnknownKeys is frame with a pair of a key this reader does not know
+// inserted before every pair of its envelope and after the last one.
+func withUnknownKeys(t testing.TB, frame []byte) []byte {
+	env, rows := splitFrame(t, frame)
+	var out []string
+	for i := 0; i <= len(env); i += 2 {
+		out = append(out, "zzFuture"+strconv.Itoa(i), strings.Repeat("\x80", i))
+		out = append(out, env[i:min(i+2, len(env))]...)
+	}
+	return rawFrame(out, rows)
+}
+
+// checkMangled reads every truncation of frame, the frame under every
+// other length up to two past its own, and the frame with every byte
+// garbled: read must fail, or read back a well-formed frame — one whose
+// re-encoding reads back the same and is canonical. Nothing panics.
+func checkMangled(t testing.TB, frame []byte, read func([]byte) (reencoded []byte, err error)) {
 	t.Helper()
-	block := blockOf(r.Rows)
-	env := *r
-	env.Rows, env.RowBytes = nil, len(block)
-	want := append(encodeJSON(t, &env), block...)
-	got := AppendResponse([]byte("prefix"), r, block)
-	if !bytes.Equal(got[len("prefix"):], want) || string(got[:len("prefix")]) != "prefix" {
+	for n := range len(frame) {
+		if _, err := read(frame[:n]); err == nil {
+			t.Fatalf("frame cut to %d of %d bytes read back", n, len(frame))
+		}
+	}
+	_, w := binary.Uvarint(frame[1:])
+	block := frame[1+w:]
+	for n := 0; n <= len(block)+2; n++ {
+		if n != len(block) {
+			checkWellFormed(t, append(binary.AppendUvarint([]byte{Version}, uint64(n)), block...), read)
+		}
+	}
+	for i := range frame {
+		for _, mask := range []byte{0x01, 0x80} {
+			garbled := bytes.Clone(frame)
+			garbled[i] ^= mask
+			checkWellFormed(t, garbled, read)
+		}
+	}
+}
+
+// checkWellFormed fails if frame reads back as a frame whose re-encoding
+// reads back differently, or is not canonical.
+func checkWellFormed(t testing.TB, frame []byte, read func([]byte) ([]byte, error)) {
+	t.Helper()
+	again, err := read(frame)
+	if err != nil {
+		return
+	}
+	if third, err := read(again); err != nil || !bytes.Equal(third, again) {
+		t.Fatalf("frame %q read back, re-encoded as %q, which reads back as %q (%v)", frame, again, third, err)
+	}
+}
+
+// reencodeResponse reads a response frame and encodes what it read.
+func reencodeResponse(frame []byte) ([]byte, error) {
+	r, err := readFrame(frame, DefaultMaxFrame)
+	if err != nil {
+		return nil, err
+	}
+	return frameOf(&r), nil
+}
+
+// checkResponse fails unless AppendResponse writes, after a prefix it must
+// leave alone, exactly the reference frame of r — responseEnvelope and r's
+// rows — and unless reading it gives r back field for field, its rows byte
+// for byte, with keys it does not know inserted anywhere; and every
+// mangling of the frame is an error or a well-formed frame (checkMangled).
+func checkResponse(t testing.TB, r *Response) {
+	t.Helper()
+	want := rawFrame(responseEnvelope(r), r.Rows)
+	got := AppendResponse([]byte("prefix"), r, blockOf(r.Rows))
+	frame := got[len("prefix"):]
+	if !bytes.Equal(frame, want) || string(got[:len("prefix")]) != "prefix" {
 		t.Fatalf("AppendResponse(%+v)\n got %q\nwant %q", r, got, want)
 	}
-	back, err := readFrame(got[len("prefix"):], DefaultMaxFrame)
-	if err != nil || !sameRows(back.Rows, r.Rows) || back.RowBytes != len(block) {
-		t.Fatalf("frame of %+v read back as %+v (%v)", r, back, err)
+	wantBack := decoded(r)
+	wantBack.Rows = r.Rows
+	for _, f := range [][]byte{frame, withUnknownKeys(t, frame)} {
+		back, err := readFrame(f, DefaultMaxFrame)
+		if err != nil || !sameResponse(&back, &wantBack) {
+			t.Fatalf("frame %q of %+v read back as %+v (%v)", f, r, back, err)
+		}
 	}
+	checkMangled(t, frame, reencodeResponse)
 }
 
-// unmarshalEnvelope is what encoding/json makes of an envelope, and
-// whether it has a "rows" key in any case: a version 1 frame.
-func unmarshalEnvelope(frame []byte) (r Response, v1 bool, err error) {
-	env := struct {
-		*Response
-		Rows json.RawMessage `json:"rows"`
-	}{Response: &r}
-	err = json.Unmarshal(frame, &env)
-	return r, env.Rows != nil, err
-}
-
-// checkDecode fails unless decodeResponse agrees with json.Unmarshal on an
-// envelope: it fails exactly when json.Unmarshal does, the envelope has a
-// "rows" key or a negative rowBytes, and the results are deeply equal
-// otherwise.
-func checkDecode(t testing.TB, frame []byte) {
-	t.Helper()
-	want, v1, wantErr := unmarshalEnvelope(frame)
-	bad := wantErr != nil || v1 || want.RowBytes < 0
-	got := Response{Error: "stale", Rows: [][]string{{"stale"}}, More: true}
-	gotErr := decodeResponse(frame, &got)
-	if (gotErr != nil) != bad || (v1 && wantErr == nil && gotErr != errVersion1) {
-		t.Fatalf("frame %q: decodeResponse err %v; json.Unmarshal err %v, rows key %v", frame, gotErr, wantErr, v1)
-	}
-	if bad {
-		want = Response{}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("frame %q:\ndecodeResponse %#v\njson.Unmarshal %#v", frame, got, want)
-	}
-}
-
-// awkwardStrings are values whose JSON encoding differs from their bytes,
-// or which the decoder must not take verbatim.
+// awkwardStrings are values a JSON envelope would not carry byte for
+// byte, or which a decoder must not take verbatim.
 var awkwardStrings = []string{
 	"", "plain", "k42", "NUL\x00byte", "<a href=\"x\">&amp;</a>", "tab\tnl\ncr\r",
 	"\b\f\x1f\x7f", "back\\slash", "sep\u2028para\u2029", "bad\xffutf8\xc3", "\xed\xa0\x80",
-	"\u00e9\U0001f600", "\ufffd", strings.Repeat("long", 40),
+	"\u00e9\U0001f600", "\ufffd", "\x05\x01{", strings.Repeat("long", 40),
 }
 
-func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
+// TestResponseRoundTrip runs checkResponse over every field set, unset and
+// empty, and awkward strings in every string field.
+func TestResponseRoundTrip(t *testing.T) {
 	var every strings.Builder
 	for b := 0; b < 256; b++ {
 		every.WriteByte(byte(b))
@@ -140,36 +268,32 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		{Rows: [][]string{{"a", "b"}, {}, nil, {every.String()}}, More: true},
 		{Rows: [][]string{}, Preds: []string{}, Cards: []int{}, Gens: []uint64{}},
 		{Unchanged: true, Preds: []string{"A.r", "B.s"}, Cards: []int{0, -7, 1 << 62}, Gens: []uint64{0, 1<<64 - 1}},
-		{Spans: []obs.SpanData{{ID: 1, Name: "scan<x>", Dur: 5, Attrs: []obs.Attr{{K: "k", V: "\u2028"}}}}},
-		{Rows: [][]string{{}}, RowBytes: 99},
+		{Spans: []obs.SpanData{{ID: 1, Name: "scan<x>", Start: -1, Dur: 5, Attrs: []obs.Attr{{K: "k", V: " "}}}, {Attrs: []obs.Attr{}}}},
+		{Preds: []string{""}, Cards: []int{0}, Gens: []uint64{0}},
 	}
 	for _, s := range awkwardStrings {
-		corpus = append(corpus, Response{Error: s, Rows: [][]string{{s, s + s}}, Preds: []string{s}})
+		corpus = append(corpus, Response{Error: s, Rows: [][]string{{s, s + s}}, Preds: []string{s, s}},
+			Response{Spans: []obs.SpanData{{Name: s, Attrs: []obs.Attr{{K: s, V: s}}}}})
 	}
 	for i := range corpus {
-		checkAppend(t, &corpus[i])
-	}
-	// A frame without rows is exactly what encoding/json writes for it.
-	for _, r := range []Response{{}, {Error: "e"}, {More: true, Preds: []string{"<p>"}, Gens: []uint64{3}}} {
-		if got, want := AppendResponse(nil, &r, nil), encodeJSON(t, &r); !bytes.Equal(got, want) {
-			t.Fatalf("AppendResponse(%+v) = %q, want %q", r, got, want)
-		}
+		checkResponse(t, &corpus[i])
 	}
 }
 
-// TestTracedFrameBytesPinned pins a traced final frame's bytes: the spans
-// are obs.SpanData under their JSON tags, byte-identical to the frame the
-// wire's own span type wrote before obs.SpanData crossed the wire itself.
+// TestTracedFrameBytesPinned pins a traced final frame's bytes: the
+// envelope's lists and spans as nested rows, then the frame's row.
 func TestTracedFrameBytesPinned(t *testing.T) {
 	r := &Response{Preds: []string{"A.r"}, Cards: []int{2}, Gens: []uint64{5}, Spans: []obs.SpanData{
 		{ID: 1, Parent: 42, Name: "serve.eval", Start: 1700000000000000000, Dur: 1500, Attrs: []obs.Attr{{K: "trace", V: "t<1>"}}},
-		{ID: 2, Parent: 1, Name: "eval", Start: 1700000000000000100, Dur: 900, Attrs: []obs.Attr{{K: "head", V: "q\u2028"}, {K: "rows", V: "2"}}},
+		{ID: 2, Parent: 1, Name: "eval", Start: 1700000000000000100, Dur: 900, Attrs: []obs.Attr{{K: "head", V: "q "}, {K: "rows", V: "2"}}},
 		{ID: 3, Parent: 2, Name: "scan", Dur: 0},
 	}}
-	want := "{\"rowBytes\":5,\"preds\":[\"A.r\"],\"cards\":[2],\"gens\":[5],\"spans\":[" +
-		"{\"id\":1,\"parent\":42,\"name\":\"serve.eval\",\"start\":1700000000000000000,\"dur\":1500,\"attrs\":[{\"k\":\"trace\",\"v\":\"t\\u003c1\\u003e\"}]}," +
-		"{\"id\":2,\"parent\":1,\"name\":\"eval\",\"start\":1700000000000000100,\"dur\":900,\"attrs\":[{\"k\":\"head\",\"v\":\"q\\u2028\"},{\"k\":\"rows\",\"v\":\"2\"}]}," +
-		"{\"id\":3,\"parent\":2,\"name\":\"scan\",\"dur\":0}]}\n\x02\x01a\x01\xff"
+	want := "\x05\x8a\x01\x08" + // the version, the block's length and the envelope's arity
+		"\x05preds\x05\x01\x03A.r\x05cards\x03\x01\x01\x02\x04gens\x03\x01\x01\x05\x05spans^" +
+		"\x07\x01\x01\x01*\nserve.eval\t\x80\x80\xa8\xb1\xe3\x9f\xe7\xcb\x17\x02\xdc\x0b\x05trace\x04t<1>" +
+		"\t\x01\x02\x01\x01\x04eval\t\xe4\x80\xa8\xb1\xe3\x9f\xe7\xcb\x17\x02\x84\x07\x04head\x04q\u2028\x04rows\x012" +
+		"\x05\x01\x03\x01\x02\x04scan\x01\x00\x01\x00" +
+		"\x02\x01a\x01\xff" // the frame's row
 	got := AppendResponse(nil, r, blockOf([][]string{{"a", "\xff"}}))
 	if string(got) != want {
 		t.Fatalf("traced frame\n got %q\nwant %q", got, want)
@@ -192,10 +316,11 @@ func TestBlockLayout(t *testing.T) {
 	}
 }
 
-// decodeCorpus is the envelopes the decoder must agree with encoding/json
-// on: every shape the hand-written path takes, and every way of leaving
-// it. An envelope with a "rows" key is a version 1 frame.
-var decodeCorpus = []string{
+// legacyResponses are response envelopes of versions 1 to 4, JSON lines
+// and malformed ones: sent as a frame, with or without the rows versions
+// 2 to 4 sent after the newline, every one is a version error to this
+// reader, whose first byte is not Version.
+var legacyResponses = []string{
 	`{}`, ` { } `, `null`, ``, `[]`, `"x"`, `{"rows":[]}`, `{"rows":[[]]}`, `{"rows":[[],["a"]]}`,
 	`{"rows":[["a","b"],["c","d"]],"more":true}`,
 	`{"rows":null}`, `{"rows":[null]}`, `{"rows":[["a",null]]}`, `{"rows":[["a"],null]}`,
@@ -217,22 +342,13 @@ var decodeCorpus = []string{
 	`{"more":true "busy":true}`, `{,}`, `{"preds":["a"],]}`, `{"preds":["a",]}`,
 }
 
-func TestDecodeMatchesUnmarshal(t *testing.T) {
-	for _, frame := range decodeCorpus {
-		checkDecode(t, []byte(frame))
-	}
-	// Every envelope AppendResponse writes decodes back to what
-	// encoding/json makes of it.
-	for _, s := range awkwardStrings {
-		frame := AppendResponse(nil, &Response{Error: s, Preds: []string{s}, Cards: []int{-1}}, blockOf([][]string{{s}, {}}))
-		checkDecode(t, frame[:bytes.IndexByte(frame, '\n')])
-	}
-}
-
-// TestReadResponseRejects checks the frames ReadResponse refuses: a
-// version 1 frame, a block over the frame limit, a block cut short, one
-// that parses short of or past its announced length, and a length in a
-// longer uvarint than it needs.
+// TestReadResponseRejects checks the frames ReadResponse refuses: a JSON
+// frame of versions 1 to 4 and a frame of another version byte, naming
+// both versions; a block over the frame limit; a frame cut short; a
+// length in a longer uvarint than it needs; a block that parses short of
+// or past its length, or holds a longer uvarint than it needs; a frame
+// without an envelope, or with an odd one; and values that are not what
+// their key holds.
 func TestReadResponseRejects(t *testing.T) {
 	good := frameOf(&Response{Rows: [][]string{{"a", "b"}}, More: true})
 	cases := []struct {
@@ -241,23 +357,44 @@ func TestReadResponseRejects(t *testing.T) {
 		limit int
 		want  error
 	}{
-		{"version 1", `{"rows":[["a"]],"more":true}` + "\n", DefaultMaxFrame, errVersion1},
-		{"over the limit", string(good), len(good) - 2, nil},
+		{"version 1", `{"rows":[["a"]],"more":true}` + "\n", DefaultMaxFrame, ErrVersion},
+		{"version 4", "{\"rowBytes\":3}\n\x01\x01a", DefaultMaxFrame, ErrVersion},
+		{"version 6", "\x06\x01\x00", DefaultMaxFrame, ErrVersion},
+		{"over the limit", string(good), len(good) - 1, ErrFrameTooLarge},
 		{"cut short", string(good[:len(good)-1]), DefaultMaxFrame, io.ErrUnexpectedEOF},
-		{"parses short", "{\"rowBytes\":3}\n\x01\x00\x01", DefaultMaxFrame, rel.ErrBadBlock},
-		{"parses past", "{\"rowBytes\":2}\n\x01\x05ab", DefaultMaxFrame, rel.ErrBadBlock},
-		{"long uvarint", "{\"rowBytes\":4}\n\x01\x81\x00a", DefaultMaxFrame, rel.ErrBadBlock},
+		{"length cut short", "\x05\x80", DefaultMaxFrame, io.ErrUnexpectedEOF},
+		{"long length", "\x05\x81\x00\x00", DefaultMaxFrame, nil},
+		{"length past an int", "\x05\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", DefaultMaxFrame, nil},
+		{"parses short", "\x05\x04\x00\x01\x00\x01", DefaultMaxFrame, rel.ErrBadBlock},
+		{"parses past", "\x05\x04\x00\x01\x05a", DefaultMaxFrame, rel.ErrBadBlock},
+		{"long uvarint", "\x05\x05\x00\x01\x81\x00a", DefaultMaxFrame, rel.ErrBadBlock},
+		{"no envelope", "\x05\x00", DefaultMaxFrame, nil},
+		{"odd envelope", string(rawFrame([]string{"more"}, nil)), DefaultMaxFrame, nil},
+		{"flag with a value", string(rawFrame([]string{"more", "1"}, nil)), DefaultMaxFrame, nil},
+		{"long card", string(rawFrame([]string{"cards", "\x01\x02\x81\x00"}, nil)), DefaultMaxFrame, nil},
+		{"card past 64 bits", string(rawFrame([]string{"cards", "\x01\x0a\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"}, nil)), DefaultMaxFrame, nil},
+		{"empty gen", string(rawFrame([]string{"gens", "\x01\x00"}, nil)), DefaultMaxFrame, nil},
+		{"preds not a row", string(rawFrame([]string{"preds", "\x02\x01a"}, nil)), DefaultMaxFrame, nil},
+		{"short span", string(rawFrame([]string{"spans", "\x04\x01\x01\x01\x00\x01x\x01\x00"}, nil)), DefaultMaxFrame, nil},
+		{"span with an odd attribute", string(rawFrame([]string{"spans", "\x06\x01\x01\x01\x00\x01x\x01\x00\x01\x00\x01k"}, nil)), DefaultMaxFrame, nil},
 	}
 	for _, c := range cases {
 		r, err := readFrame([]byte(c.frame), c.limit)
-		if err == nil || (c.want != nil && !errors.Is(err, c.want)) || r.Rows != nil {
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) || !reflect.DeepEqual(r, Response{}) {
 			t.Fatalf("%s: read %+v, %v; want error %v", c.name, r, err, c.want)
 		}
 	}
-	if _, err := readFrame([]byte(`{"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", Version)) {
-		t.Fatalf("version 1 frame error %q does not name both versions", err)
+	for _, frame := range legacyResponses {
+		for _, f := range []string{frame + "\n", frame + "\n\x01\x01a"} {
+			if _, err := readFrame([]byte(f), DefaultMaxFrame); !errors.Is(err, ErrVersion) {
+				t.Fatalf("JSON frame %q: %v, want a version error", f, err)
+			}
+		}
 	}
-	if r, err := readFrame(good, len(good)-1); err != nil || len(r.Rows) != 1 {
+	if _, err := readFrame([]byte(`{"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "versions 1 to 4") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", Version)) {
+		t.Fatalf("JSON frame error %q does not name both versions", err)
+	}
+	if r, err := readFrame(good, len(good)); err != nil || len(r.Rows) != 1 {
 		t.Fatalf("a frame at the limit: %+v, %v", r, err)
 	}
 }
@@ -266,14 +403,15 @@ func TestReadResponseRejects(t *testing.T) {
 // never sent costs no more than what arrived: ReadResponse grows its
 // buffer as bytes come in, not to the announced size.
 func TestReadResponseAnnouncedBlockUnread(t *testing.T) {
-	data := []byte("{\"rowBytes\":1000000000}\n\x01\x01a")
+	data := binary.AppendUvarint([]byte{Version}, 1000000000)
+	data = append(data, 0, 1, 1, 'a')
 	var r Response
 	buf, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil, DefaultMaxFrame, &r)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
 	if cap(buf) > 1<<20 {
-		t.Fatalf("buffer grew to %d bytes for a block that sent 3", cap(buf))
+		t.Fatalf("buffer grew to %d bytes for a block that sent 4", cap(buf))
 	}
 }
 
@@ -314,8 +452,7 @@ func (f *frameReader) read(r *Response) error {
 
 // TestDecodeAllocsConstant pins the decoder's allocation profile: with a
 // reused buffer a row frame costs the same few allocations at 10 rows as
-// at 1024 (the envelope's string, the block's string, one values slice,
-// one rows slice).
+// at 1024 (the block's string, one values slice, one rows slice).
 func TestDecodeAllocsConstant(t *testing.T) {
 	allocs := func(n int) float64 {
 		f := newFrameReader(frameOf(rowFrame(n)))
@@ -327,8 +464,8 @@ func TestDecodeAllocsConstant(t *testing.T) {
 		})
 	}
 	small, big := allocs(10), allocs(ChunkMaxRows)
-	if small != big || big > 4 {
-		t.Fatalf("allocs per frame: %v at 10 rows, %v at %d rows; want the same, at most 4", small, big, ChunkMaxRows)
+	if small != big || big > 3 {
+		t.Fatalf("allocs per frame: %v at 10 rows, %v at %d rows; want the same, at most 3", small, big, ChunkMaxRows)
 	}
 }
 
@@ -340,7 +477,7 @@ var (
 
 // BenchmarkDecodeResponse reads one full bulk_stream-shaped frame (1024
 // rows of an 8-byte id and a 48-byte payload) through ReadResponse, and
-// decodes the same rows from a version 1 JSON frame through encoding/json.
+// decodes the same rows from a JSON line through encoding/json.
 func BenchmarkDecodeResponse(b *testing.B) {
 	r := rowFrame(ChunkMaxRows)
 	b.Run("codec", func(b *testing.B) {
@@ -395,66 +532,11 @@ func BenchmarkAppendResponse(b *testing.B) {
 	})
 }
 
-// encodeRequestJSON is the reference encoding of an envelope AppendRequest
-// must reproduce.
-func encodeRequestJSON(t testing.TB, r *Request) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // readRequest reads one request frame from data through ReadRequest.
 func readRequest(data []byte, limit int) (Request, error) {
 	var r Request
 	_, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)), nil, limit, &r)
 	return r, err
-}
-
-// unmarshalRequest is what encoding/json makes of a request envelope, and
-// whether it has a "rows" or "bindRows" key in any case: JSON rows, as
-// versions 1 and 2 sent them.
-func unmarshalRequest(frame []byte) (r Request, jsonRows bool, err error) {
-	env := struct {
-		*Request
-		Rows     json.RawMessage `json:"rows"`
-		BindRows json.RawMessage `json:"bindRows"`
-	}{Request: &r}
-	err = json.Unmarshal(frame, &env)
-	return r, env.Rows != nil || env.BindRows != nil, err
-}
-
-// checkRequestDecode fails unless decodeRequest agrees with json.Unmarshal
-// on an envelope: it fails with json.Unmarshal's error when there is one,
-// with errJSONRows on an otherwise valid envelope with JSON rows, and on a
-// negative rowBytes; and otherwise gives a deeply equal Request.
-func checkRequestDecode(t testing.TB, frame []byte) {
-	t.Helper()
-	want, jsonRows, wantErr := unmarshalRequest(frame)
-	got := Request{Op: "stale", Query: &lang.CQ{}, Atom: &lang.Atom{}, Rows: [][]string{{"stale"}}, IfGen: new(uint64)}
-	gotErr := decodeRequest(frame, &got)
-	var ok bool
-	switch {
-	case wantErr != nil:
-		ok = gotErr != nil && gotErr.Error() == wantErr.Error()
-	case jsonRows:
-		ok = gotErr == errJSONRows
-	case want.RowBytes < 0:
-		ok = gotErr != nil
-	default:
-		ok = gotErr == nil
-	}
-	if !ok {
-		t.Fatalf("frame %q: decodeRequest err %v; json.Unmarshal err %v, JSON rows %v", frame, gotErr, wantErr, jsonRows)
-	}
-	if gotErr != nil {
-		want = Request{}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("frame %q:\ndecodeRequest  %#v\njson.Unmarshal %#v", frame, got, want)
-	}
 }
 
 // termValue spells t as a row value: "?" and a variable's name, or "="
@@ -475,9 +557,34 @@ func atomValues(a *lang.Atom) []string {
 	return row
 }
 
-// requestRows is every row of r's block, spelled out value by value — the
-// reference the codec's writer must match: the query's head, body atoms
-// and comparisons, the atom, then r.Rows.
+// requestEnvelope is r's envelope spelled out value by value, the
+// reference the codec's writer must match, as responseEnvelope is.
+func requestEnvelope(r *Request) []string {
+	env := []string{"op", r.Op}
+	if r.Query != nil && len(r.Query.Body) > 0 {
+		env = append(env, "body", uintValueOf(uint64(len(r.Query.Body))))
+	}
+	if r.Pred != "" {
+		env = append(env, "pred", r.Pred)
+	}
+	if len(r.BindCols) > 0 {
+		env = append(env, "bindCols", intsValueOf(r.BindCols))
+	}
+	if r.Trace != "" {
+		env = append(env, "trace", r.Trace)
+	}
+	if r.Span != 0 {
+		env = append(env, "span", uintValueOf(r.Span))
+	}
+	if r.IfGen != nil {
+		env = append(env, "ifGen", uintValueOf(*r.IfGen))
+	}
+	return env
+}
+
+// requestRows is every row of r's frame after the envelope, spelled out
+// value by value: the query's head, body atoms and comparisons, the atom,
+// then r.Rows.
 func requestRows(r *Request) [][]string {
 	var rows [][]string
 	if q := r.Query; q != nil {
@@ -495,31 +602,32 @@ func requestRows(r *Request) [][]string {
 	return append(rows, r.Rows...)
 }
 
-// splits reports whether ReadRequest lowers the front of r's block: an
-// eval's or a bind's of this version.
+// splits reports whether ReadRequest lowers the front of r's rows: an
+// eval's or a bind's.
 func splits(r *Request) bool {
-	return r.V == Version && (r.Op == "eval" || r.Op == "bind")
+	return r.Op == "eval" || r.Op == "bind"
 }
 
 // termOffsets is the offset in block of each term value's kind byte, in
-// the rows r's op reads as a query or an atom.
+// the rows r's op reads as a query or an atom; block starts with the
+// envelope row.
 func termOffsets(block []byte, r *Request) []int {
-	nrows := 0
+	nrows := 1
 	switch {
 	case r.Op == "eval" && r.Query != nil:
-		nrows = 1 + len(r.Query.Body) + len(r.Query.Comps)
+		nrows += 1 + len(r.Query.Body) + len(r.Query.Comps)
 	case r.Op == "bind" && r.Atom != nil:
-		nrows = 1
+		nrows++
 	}
 	var offs []int
 	i := 0
-	for range nrows {
+	for row := range nrows {
 		arity, n := binary.Uvarint(block[i:])
 		i += n
 		for v := range int(arity) {
 			l, n := binary.Uvarint(block[i:])
 			i += n
-			if v > 0 { // a predicate or an operator is not a term
+			if row > 0 && v > 0 { // a predicate or an operator is not a term
 				offs = append(offs, i)
 			}
 			i += int(l)
@@ -528,71 +636,75 @@ func termOffsets(block []byte, r *Request) []int {
 	return offs
 }
 
-// checkAppendRequest fails unless AppendRequest writes, after a prefix it
-// must leave alone, exactly json.Encoder's bytes for r's envelope — with
-// Body the query's body count and RowBytes the block's length — followed
-// by the block of r's query, atom and rows, and unless ReadRequest gives r
-// back: the envelope as encoding/json reads it, the query and atom equal
-// field for field, the rows byte for byte. Of a request that splits is
-// false for, every row comes back in Rows. Every truncation of the frame
-// is an error, and so is every term kind byte garbled to another byte. r
-// must be a shape its op reads back: an eval carries no atom and no rows,
-// and a bind without an atom no rows.
-func checkAppendRequest(t testing.TB, r *Request) {
-	t.Helper()
-	all := requestRows(r)
-	block := blockOf(all)
-	env := *r
-	env.Rows, env.RowBytes, env.Body = nil, len(block), 0
-	if r.Query != nil {
-		env.Body = len(r.Query.Body)
+// sameRequest reports whether two requests are equal field for field:
+// queries and atoms as sameCQ and sameAtom say, rows byte for byte.
+func sameRequest(a, b *Request) bool {
+	x, y := *a, *b
+	x.Query, x.Atom, x.Rows, y.Query, y.Atom, y.Rows = nil, nil, nil, nil, nil, nil
+	return sameCQ(a.Query, b.Query) && sameAtom(a.Atom, b.Atom) && sameRows(a.Rows, b.Rows) && reflect.DeepEqual(x, y)
+}
+
+// reencodeRequest reads a request frame and encodes what it read.
+func reencodeRequest(frame []byte) ([]byte, error) {
+	r, err := readRequest(frame, DefaultMaxFrame)
+	if err != nil {
+		return nil, err
 	}
-	envelope := encodeRequestJSON(t, &env)
+	return AppendRequest(nil, &r), nil
+}
+
+// checkRequest fails unless AppendRequest writes, after a prefix it must
+// leave alone, exactly the reference frame of r — requestEnvelope, then
+// requestRows — and unless reading it, with keys it does not know inserted
+// anywhere, gives r back: the envelope's fields, Body the query's body
+// count and empty lists none; the query and atom equal field for field and
+// the rows byte for byte. Of a request that splits is false for, every row
+// comes back in Rows. Every mangling of the frame is an error or a
+// well-formed frame (checkMangled), and every term kind byte garbled to
+// another byte is a bad request. r must be a shape its op reads back: an
+// eval carries no atom and no rows, and a bind without an atom no rows.
+func checkRequest(t testing.TB, r *Request) {
+	t.Helper()
+	want := rawFrame(requestEnvelope(r), requestRows(r))
 	got := AppendRequest([]byte("prefix"), r)
 	frame := got[len("prefix"):]
-	if !bytes.Equal(frame, append(bytes.Clone(envelope), block...)) || string(got[:len("prefix")]) != "prefix" {
-		t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q + block %q", r, got, envelope, block)
+	if !bytes.Equal(frame, want) || string(got[:len("prefix")]) != "prefix" {
+		t.Fatalf("AppendRequest(%+v)\n got %q\nwant %q", r, got, want)
 	}
-	checkRequestDecode(t, envelope[:len(envelope)-1])
-	want, _, _ := unmarshalRequest(envelope)
-	var wantQuery *lang.CQ
-	var wantAtom *lang.Atom
-	wantRows := all
-	if splits(r) {
-		wantQuery, wantAtom, wantRows = r.Query, r.Atom, r.Rows
+	wantBack := *r
+	wantBack.Body, wantBack.BindCols = 0, nilIfEmpty(r.BindCols)
+	if r.Query != nil {
+		wantBack.Body = len(r.Query.Body)
 	}
-	back, err := readRequest(frame, DefaultMaxFrame)
-	query, atom, rows := back.Query, back.Atom, back.Rows
-	back.Query, back.Atom, back.Rows = nil, nil, nil
-	if err != nil || !sameCQ(query, wantQuery) || !sameAtom(atom, wantAtom) || !sameRows(rows, wantRows) || !reflect.DeepEqual(back, want) {
-		t.Fatalf("request %+v read back as %+v, query %v, atom %v, rows %q (%v)", r, back, query, atom, rows, err)
+	if !splits(r) {
+		wantBack.Query, wantBack.Atom, wantBack.Rows = nil, nil, requestRows(r)
 	}
-	var src bytes.Reader
-	br := bufio.NewReader(&src)
-	for n := range len(frame) {
-		src.Reset(frame[:n])
-		br.Reset(&src)
-		var cut Request
-		if _, err := ReadRequest(br, nil, DefaultMaxFrame, &cut); err == nil {
-			t.Fatalf("frame cut to %d of %d bytes read as %+v", n, len(frame), cut)
+	for _, f := range [][]byte{frame, withUnknownKeys(t, frame)} {
+		back, err := readRequest(f, DefaultMaxFrame)
+		if err != nil || !sameRequest(&back, &wantBack) {
+			t.Fatalf("frame %q of %+v read back as %+v, query %v, atom %v (%v)", f, r, back, back.Query, back.Atom, err)
 		}
 	}
+	checkMangled(t, frame, reencodeRequest)
 	if !splits(r) {
 		return
 	}
-	start := len(frame) - len(block)
-	for _, off := range termOffsets(block, r) {
+	_, w := binary.Uvarint(frame[1:])
+	start := 1 + w
+	for _, off := range termOffsets(frame[start:], r) {
 		for _, b := range []byte{0, 'x', '?' | 0x80, '=' + 1} {
 			garbled := bytes.Clone(frame)
 			garbled[start+off] = b
 			if _, err := readRequest(garbled, DefaultMaxFrame); !errors.Is(err, ErrBadRequest) {
-				t.Fatalf("term kind byte %d of %q garbled to %q: %v, want a bad request", off, block, b, err)
+				t.Fatalf("term kind byte %d of %q garbled to %q: %v, want a bad request", off, frame, b, err)
 			}
 		}
 	}
 }
 
-func TestAppendRequestMatchesEncodingJSON(t *testing.T) {
+// TestRequestRoundTrip runs checkRequest over every op's shape, fields
+// set, unset and empty, and awkward strings in every string field.
+func TestRequestRoundTrip(t *testing.T) {
 	gen := uint64(0)
 	x, y := lang.Var("x"), lang.Var("y")
 	atom := lang.NewAtom("A.r", lang.Const("1"), y)
@@ -600,95 +712,94 @@ func TestAppendRequestMatchesEncodingJSON(t *testing.T) {
 		{},
 		{Op: "catalog"},
 		{Op: "ping", Trace: "t<1>", Span: 1<<64 - 1},
-		{Op: "scan", V: Version, Pred: "A.r", IfGen: &gen},
-		{Op: "ping", V: -3},
+		{Op: "scan", Pred: "A.r", IfGen: &gen},
 		{Op: "add", Pred: "A.r", Rows: [][]string{{"a", "b"}, {}, nil}},
-		{Op: "add", Rows: [][]string{}, RowBytes: 7},
-		{Op: "eval", V: Version, Query: &lang.CQ{}},
-		{Op: "eval", V: Version, Query: &lang.CQ{Head: lang.Atom{Args: []lang.Term{}}, Body: []lang.Atom{}, Comps: []lang.Comparison{}}, Body: 9},
-		{Op: "eval", V: Version, Query: &lang.CQ{
+		{Op: "add", Rows: [][]string{}},
+		{Op: "eval", Query: &lang.CQ{}},
+		{Op: "eval", Query: &lang.CQ{Head: lang.Atom{Args: []lang.Term{}}, Body: []lang.Atom{}, Comps: []lang.Comparison{}}, Body: 9},
+		{Op: "eval", Query: &lang.CQ{
 			Head:  lang.NewAtom("q", y),
 			Body:  []lang.Atom{lang.NewAtom("P3.s", lang.Const("v1"), y), {Pred: "B"}},
 			Comps: []lang.Comparison{{Op: lang.OpLE, L: y, R: lang.Const("9")}},
 		}, IfGen: &gen},
-		{Op: "eval", V: Version - 1, Query: &lang.CQ{Head: lang.NewAtom("q", x), Body: []lang.Atom{lang.NewAtom("A.r", x)}}, Rows: [][]string{{"k"}}},
-		{Op: "bind", V: Version, Atom: &atom, BindCols: []int{0, -3, 1 << 62}, Rows: [][]string{{"k"}, {}, nil}},
-		{Op: "bind", V: Version, Atom: &lang.Atom{Args: []lang.Term{}}, BindCols: []int{}, Rows: [][]string{}},
-		{Op: "bind", Atom: &atom, Rows: [][]string{{"k"}}},
+		{Op: "scan", Query: &lang.CQ{Head: lang.NewAtom("q", x), Body: []lang.Atom{lang.NewAtom("A.r", x)}}, Atom: &atom, Rows: [][]string{{"k"}}},
+		{Op: "bind", Atom: &atom, BindCols: []int{0, -3, 1 << 62}, Rows: [][]string{{"k"}, {}, nil}},
+		{Op: "bind", Atom: &lang.Atom{Args: []lang.Term{}}, BindCols: []int{}, Rows: [][]string{}},
 	}
 	for _, s := range awkwardStrings {
 		v, c := lang.Var(s), lang.Const(s)
 		a := lang.NewAtom(s, c, v)
 		corpus = append(corpus,
-			Request{Op: "eval", V: Version, Query: &lang.CQ{Head: lang.NewAtom(s, v), Body: []lang.Atom{a, a},
+			Request{Op: "eval", Query: &lang.CQ{Head: lang.NewAtom(s, v), Body: []lang.Atom{a, a},
 				Comps: []lang.Comparison{{Op: lang.OpNE, L: c, R: v}}}, Pred: s, Trace: s},
-			Request{Op: "bind", V: Version, Atom: &a, Pred: s, Rows: [][]string{{s, s}, {s}}, Trace: s},
-			Request{Op: s, V: Version, Pred: s, Rows: [][]string{{s, s}, {s}}, Trace: s},
+			Request{Op: "bind", Atom: &a, Pred: s, Rows: [][]string{{s, s}, {s}}, Trace: s},
+			Request{Op: s, Pred: s, Rows: [][]string{{s, s}, {s}}, Trace: s},
 		)
 	}
 	for i := range corpus {
-		checkAppendRequest(t, &corpus[i])
+		checkRequest(t, &corpus[i])
 	}
 }
 
-// rawRequest is a request frame of this version with the given op and
-// body count and the row block carrying rows, however malformed they are
-// as a query or an atom.
+// rawRequest is a request frame with the given op and body count and the
+// rows rows, however malformed they are as a query or an atom.
 func rawRequest(op string, body int, rows [][]string) []byte {
-	block := blockOf(rows)
-	return append(fmt.Appendf(nil, `{"op":%q,"v":%d,"body":%d,"rowBytes":%d}`+"\n", op, Version, body, len(block)), block...)
+	return rawFrame([]string{"op", op, "body", uintValueOf(uint64(body))}, rows)
 }
 
 // TestReadRequest checks what ReadRequest does with requests it cannot
-// take: JSON rows, a malformed block and a malformed query or atom are bad
-// requests, a block over the limit is read and dropped, and an envelope
-// over it is consumed through its newline. Each leaves the stream framed
-// where the request's end is known, so the next request reads intact.
+// take: a malformed envelope, block, query or atom is a bad request, and a
+// frame over the limit is read and dropped, whether its envelope or its
+// rows pass it. Each leaves the stream framed, so the next request reads
+// intact. A JSON line of versions 1 to 4 is a version error.
 func TestReadRequest(t *testing.T) {
-	next := AppendRequest(nil, &Request{Op: "ping", V: Version})
-	add := AppendRequest(nil, &Request{Op: "add", V: Version, Pred: "A.r", Rows: [][]string{{"\xff\xfe", "a\nb"}}})
+	next := AppendRequest(nil, &Request{Op: "ping"})
+	add := AppendRequest(nil, &Request{Op: "add", Pred: "A.r", Rows: [][]string{{"\xff\xfe", "a\nb"}}})
+	bigEnvelope := AppendRequest(nil, &Request{Op: "ping", Pred: strings.Repeat("p", 2048)})
 	cases := []struct {
-		name     string
-		frame    string
-		limit    int
-		want     error
-		rowBytes int
+		name  string
+		frame string
+		limit int
+		want  error
 	}{
-		{"version 2 add", `{"op":"add","v":2,"pred":"A.r","rows":[["a"]]}` + "\n", DefaultMaxFrame, ErrBadRequest, 0},
-		{"version 2 bind", `{"op":"bind","v":2,"BINDROWS":[["a"]]}` + "\n", DefaultMaxFrame, ErrBadRequest, 0},
-		{"bad JSON", `{"op":` + "\n", DefaultMaxFrame, ErrBadRequest, 0},
-		{"parses short", "{\"op\":\"add\",\"rowBytes\":3}\n\x01\x00\x01", DefaultMaxFrame, ErrBadRequest, 0},
-		{"long uvarint", "{\"op\":\"add\",\"rowBytes\":4}\n\x01\x81\x00a", DefaultMaxFrame, ErrBadRequest, 0},
-		{"term without a kind", string(rawRequest("eval", 0, [][]string{{"q", "x"}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"empty term", string(rawRequest("bind", 0, [][]string{{"A.r", ""}, {"k"}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"unknown operator", string(rawRequest("eval", 0, [][]string{{"q", "?x"}, {"=<", "?x", "=1"}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"comparison of two values", string(rawRequest("eval", 0, [][]string{{"q", "?x"}, {"<", "?x"}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"empty atom row", string(rawRequest("eval", 0, [][]string{{}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"empty bind atom row", string(rawRequest("bind", 0, [][]string{{}, {"k"}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"body past the block", string(rawRequest("eval", 2, [][]string{{"q"}, {"A.r"}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"body without a block", string(rawRequest("eval", 1, nil)), DefaultMaxFrame, ErrBadRequest, 0},
-		{"negative body", string(rawRequest("eval", -1, [][]string{{"q"}})), DefaultMaxFrame, ErrBadRequest, 0},
-		{"block over the limit", string(add), len(add) - 2, ErrFrameTooLarge, len(add) - bytes.IndexByte(add, '\n') - 1},
-		{"envelope over the limit", string(add), 10, ErrFrameTooLarge, 0},
+		{"odd envelope", string(rawFrame([]string{"op"}, nil)), DefaultMaxFrame, ErrBadRequest},
+		{"no envelope", "\x05\x00", DefaultMaxFrame, ErrBadRequest},
+		{"long body", string(rawFrame([]string{"op", "eval", "body", "\x81\x00"}, [][]string{{"q"}, {"A.r"}})), DefaultMaxFrame, ErrBadRequest},
+		{"span past 64 bits", string(rawFrame([]string{"op", "ping", "span", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"}, nil)), DefaultMaxFrame, ErrBadRequest},
+		{"empty ifGen", string(rawFrame([]string{"op", "scan", "ifGen", ""}, nil)), DefaultMaxFrame, ErrBadRequest},
+		{"bindCols not a row", string(rawFrame([]string{"op", "bind", "bindCols", "\x01"}, nil)), DefaultMaxFrame, ErrBadRequest},
+		{"parses short", "\x05\x09\x02\x02op\x03add\x01", DefaultMaxFrame, ErrBadRequest},
+		{"long uvarint", "\x05\x0c\x02\x02op\x03add\x01\x81\x00a", DefaultMaxFrame, ErrBadRequest},
+		{"term without a kind", string(rawRequest("eval", 0, [][]string{{"q", "x"}})), DefaultMaxFrame, ErrBadRequest},
+		{"empty term", string(rawRequest("bind", 0, [][]string{{"A.r", ""}, {"k"}})), DefaultMaxFrame, ErrBadRequest},
+		{"unknown operator", string(rawRequest("eval", 0, [][]string{{"q", "?x"}, {"=<", "?x", "=1"}})), DefaultMaxFrame, ErrBadRequest},
+		{"comparison of two values", string(rawRequest("eval", 0, [][]string{{"q", "?x"}, {"<", "?x"}})), DefaultMaxFrame, ErrBadRequest},
+		{"empty atom row", string(rawRequest("eval", 0, [][]string{{}})), DefaultMaxFrame, ErrBadRequest},
+		{"empty bind atom row", string(rawRequest("bind", 0, [][]string{{}, {"k"}})), DefaultMaxFrame, ErrBadRequest},
+		{"body past the rows", string(rawRequest("eval", 2, [][]string{{"q"}, {"A.r"}})), DefaultMaxFrame, ErrBadRequest},
+		{"body without rows", string(rawRequest("eval", 1, nil)), DefaultMaxFrame, ErrBadRequest},
+		{"negative body", string(rawRequest("eval", -1, [][]string{{"q"}})), DefaultMaxFrame, ErrBadRequest},
+		{"rows over the limit", string(add), len(add) - 1, ErrFrameTooLarge},
+		{"envelope over the limit", string(bigEnvelope), 1024, ErrFrameTooLarge},
 	}
 	for _, c := range cases {
 		br := bufio.NewReader(bytes.NewReader(append([]byte(c.frame), next...)))
 		var r Request
 		_, err := ReadRequest(br, nil, c.limit, &r)
-		if !errors.Is(err, c.want) || r.Rows != nil || r.Query != nil || r.Atom != nil || r.RowBytes != c.rowBytes {
-			t.Fatalf("%s: read %+v, %v; want error %v and rowBytes %d", c.name, r, err, c.want, c.rowBytes)
-		}
-		if c.name == "envelope over the limit" {
-			continue // the block is still unread: a server closes
+		if !errors.Is(err, c.want) || !reflect.DeepEqual(r, Request{}) {
+			t.Fatalf("%s: read %+v, %v; want error %v", c.name, r, err, c.want)
 		}
 		if _, err := ReadRequest(br, nil, DefaultMaxFrame, &r); err != nil || r.Op != "ping" {
 			t.Fatalf("%s: the next request read as %+v, %v", c.name, r, err)
 		}
 	}
-	if _, err := readRequest([]byte(`{"op":"add","v":2,"rows":[["a"]]}`+"\n"), DefaultMaxFrame); !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", Version)) {
-		t.Fatalf("version 2 request error %q does not name both versions", err)
+	for _, line := range []string{`{"op":"add","v":2,"rows":[["a"]]}`, `{"op":"scan","pred":"A.r"}`, `{"op":"ping","v":4}`} {
+		if _, err := readRequest([]byte(line+"\n"), DefaultMaxFrame); !errors.Is(err, ErrVersion) || errors.Is(err, ErrBadRequest) ||
+			!strings.Contains(err.Error(), "versions 1 to 4") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", Version)) {
+			t.Fatalf("JSON request %s: %v, want a version error naming both versions", line, err)
+		}
 	}
-	if r, err := readRequest(add, len(add)-1); err != nil || !sameRows(r.Rows, [][]string{{"\xff\xfe", "a\nb"}}) {
+	if r, err := readRequest(add, len(add)); err != nil || !sameRows(r.Rows, [][]string{{"\xff\xfe", "a\nb"}}) {
 		t.Fatalf("a request at the limit: %+v, %v", r, err)
 	}
 	if _, err := readRequest(add[:len(add)-1], DefaultMaxFrame); !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -696,53 +807,13 @@ func TestReadRequest(t *testing.T) {
 	}
 }
 
-// requestCorpus is the request envelopes decodeRequest must agree with
-// encoding/json on: every shape the hand-written path takes, and every way
-// of leaving it. An envelope with a "rows" or "bindRows" key is a version
-// 1 or 2 request; one with a "query" or "atom" key is a version 3 request,
-// whose keys both decoders skip as unknown.
-var requestCorpus = []string{
-	`{}`, ` { } `, `null`, ``, `[]`, `"x"`, `{"op":"ping"}`, `{"op":"ping","v":3}`, `{"v":0}`, `{"v":-1}`, `{"v":1.5}`, `{"v":"2"}`, `{"op":""}`, `{"op":1}`, `{"op":null}`,
-	`{"op":"scan","pred":"A.r","ifGen":0}`, `{"op":"scan","pred":"A.r","ifGen":null}`, `{"ifGen":-1}`, `{"ifGen":1.5}`,
-	`{"span":18446744073709551615}`, `{"span":18446744073709551616}`, `{"span":01}`, `{"span":-0}`, `{"span":1e3}`,
-	`{"op":"eval","v":4,"body":1,"rowBytes":20,"ifGen":7}`, `{"body":0}`, `{"body":-1}`, `{"body":1.5}`, `{"body":null}`, `{"Body":2}`,
-	`{"body":9223372036854775807}`, `{"body":1,"body":2}`, `{"body":"1"}`,
-	`{"op":"eval","query":{"head":{"p":"q","a":[{"k":"var","v":"y"}]},"body":[{"p":"P3.s","a":[{"k":"const","v":"v1"},{"k":"var","v":"y"}]}]},"ifGen":7}`,
-	`{"op":"eval","query":{}}`, `{"query":{"head":{}}}`, `{"query":{"body":[]}}`, `{"query":{"body":[{}]}}`, `{"query":{"comps":[]}}`,
-	`{"query":{"comps":[{"op":"<","l":{"k":"const","v":"1"},"r":{"k":"var","v":"x"}}]}}`, `{"query":{"comps":[{}]}}`,
-	`{"query":null}`, `{"query":{"head":{"p":"q","a":null}}}`, `{"query":{"body":null}}`, `{"query":{"body":[null]}}`,
-	`{"query":{"head":{"p":"q"}},"query":{"body":[]}}`, `{"query":{"Head":{"p":"q"}}}`, `{"query":{"head":{"P":"q"}}}`,
-	`{"query":{"head":{"p":"q","a":[{"k":"var","v":"x","x":1}]}}}`, `{"query":{"head":{"p":"q","a":[{"k":"var","k":"const"}]}}}`,
-	`{"query":[]}`, `{"query":{"head":[]}}`, `{"query":{"head":{"p":"q","a":[[]]}}}`, `{"query":{"head":{"p":"q","a":{}}}}`,
-	`{"op":"bind","v":3,"atom":{"p":"A.r","a":[{"k":"const","v":"1"},{"k":"var","v":"y"}]},"bindCols":[1],"rowBytes":6}`,
-	`{"atom":null}`, `{"atom":{}}`, `{"bindCols":[]}`, `{"bindCols":[-1,0,9223372036854775807]}`, `{"bindCols":[9223372036854775808]}`,
-	`{"bindCols":[1.0]}`, `{"bindCols":["1"]}`,
-	`{"rowBytes":0}`, `{"rowBytes":-1}`, `{"rowBytes":1.0}`, `{"rowBytes":null}`, `{"rowBytes":9223372036854775807}`, `{"rowbytes":3}`, `{"rowBytes":1,"rowBytes":2}`,
-	`{"op":"add","pred":"A.r","rows":[["a","b"],[]]}`, `{"rows":[]}`, `{"rows":null}`, `{"rows":[null]}`, `{"Rows":[["a"]]}`, `{"r\u006fws":[]}`,
-	`{"op":"bind","atom":{"p":"A.r","a":[{"k":"const","v":"1"},{"k":"var","v":"y"}]},"bindCols":[1],"bindRows":[["a"],["b"]]}`,
-	`{"bindRows":[]}`, `{"bindRows":null}`, `{"BINDROWS":[["a"]]}`, `{"bindrows":1,"op":"x"}`, `{"rows":[["a"]],"op":`, `{"op":1,"rows":[]}`,
-	`{"OP":"ping"}`, `{"Op":"ping","op":"scan"}`, `{"op":"ping","op":"scan"}`, `{"o\u0070":"ping"}`, `{"op":"p\u0069ng"}`,
-	`{"op":"eval","zzFromTheFuture":{"x":[1,"]"]}}`, `{"future":1,"op":"ping"}`, `{"op":"ping","trace":"abc","span":12}`,
-	"{\"op\":\"bad\xff\"}", "{\"op\":\"ctl\x01\"}", "{\"op\":\"sep\u2028\"}", `{"pred":"\ud800"}`, `{"trace":"a\\b\"c\/"}`,
-	" {\n\t\"op\" : \"eval\" ,\r\"query\" : { \"head\" : { \"p\" : \"q\" , \"a\" : [ ] } , \"body\" : [ ] } , \"ifGen\" : 3 } \n",
-	" {\n\t\"op\" : \"eval\" ,\r\"body\" : 2 , \"rowBytes\" : 9 } \n",
-	`{"op":"ping"} x`, `{"op":"ping",}`, `{"op":"ping"`, `{"op":"pi`, `{"op" "ping"}`, `{"op":"ping" "pred":"a"}`, `{,}`,
-	`{"query":{"body":[{"p":"a"},]}}`, `{"bindCols":[1,]}`, `{"op":"ping"}}`,
-}
-
-func TestDecodeRequestMatchesUnmarshal(t *testing.T) {
-	for _, frame := range requestCorpus {
-		checkRequestDecode(t, []byte(frame))
-	}
-}
-
 // TestDecodeRequestOwnsKeptStrings checks which decoded strings may share
-// the frame's strings: Op may share the envelope's; Pred and Trace, which
-// a server keeps, may not. The atom's strings and the rows are substrings
-// of the block's own string, never of the envelope's or the read buffer.
+// the frame's: Op, the atom's strings and the rows are substrings of the
+// block's own string, never of the read buffer; Pred and Trace, which a
+// server keeps, are not, so they never pin the frame.
 func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
 	a := lang.NewAtom("B.s", lang.Var("x"), lang.Const("c1"))
-	frame := AppendRequest(nil, &Request{Op: "bind", V: Version, Atom: &a, Pred: "A.r",
+	frame := AppendRequest(nil, &Request{Op: "bind", Atom: &a, Pred: "A.r",
 		Rows: [][]string{{"a", "bb"}, {"c"}}, Trace: "t1"})
 	var r Request
 	buf, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)), nil, DefaultMaxFrame, &r)
@@ -750,26 +821,30 @@ func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
 		t.Fatal(err)
 	}
 	ptr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
-	// Op is frame[7:11] on the hand-written path, so the envelope's string
-	// starts 7 bytes before Op's.
-	base := ptr(r.Op) - 7
-	env := uintptr(bytes.IndexByte(frame, '\n'))
-	inEnvelope := func(s string) bool {
-		return ptr(s) >= base && ptr(s) < base+env
+	// The block opens with the envelope's arity and "op"'s length and
+	// bytes, each length one byte: Op starts 5 bytes into the block's
+	// string, which is as long as the frame less its two header bytes.
+	base := ptr(r.Op) - 5
+	inBlock := func(s string) bool {
+		return ptr(s) >= base && ptr(s) < base+uintptr(len(frame)-2)
 	}
 	inBuf := func(s string) bool {
 		start := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
 		return ptr(s) >= start && ptr(s) < start+uintptr(cap(buf))
 	}
-	// The block is [3]["B.s"]["?x"]["=c1"] [2]["a"]["bb"] [1]["c"], each
-	// value after its one-byte length: one string holds the atom and the
-	// rows.
-	if ptr(r.Atom.Args[1].Name) != ptr(r.Atom.Pred)+8 || ptr(r.Rows[0][0]) != ptr(r.Atom.Pred)+12 {
-		t.Fatal("the atom and the rows are not substrings of one block string")
+	// The rows are [3]["B.s"]["?x"]["=c1"] [2]["a"]["bb"] [1]["c"], each
+	// value after its one-byte length.
+	if !inBlock(r.Atom.Pred) || ptr(r.Atom.Args[1].Name) != ptr(r.Atom.Pred)+8 || ptr(r.Rows[0][0]) != ptr(r.Atom.Pred)+12 {
+		t.Fatal("the atom and the rows are not substrings of the block's string")
 	}
-	for _, s := range []string{r.Pred, r.Trace, r.Atom.Pred, r.Atom.Args[0].Name, r.Rows[0][0], r.Rows[0][1], r.Rows[1][0]} {
-		if inEnvelope(s) || inBuf(s) {
-			t.Fatalf("%q is a substring of the envelope or the read buffer; it would pin it", s)
+	for _, s := range []string{r.Op, r.Atom.Pred, r.Atom.Args[0].Name, r.Rows[0][0], r.Rows[0][1], r.Rows[1][0]} {
+		if inBuf(s) {
+			t.Fatalf("%q is a substring of the read buffer", s)
+		}
+	}
+	for _, s := range []string{r.Pred, r.Trace} {
+		if inBlock(s) || inBuf(s) {
+			t.Fatalf("%q is a substring of the block or the read buffer; it would pin it", s)
 		}
 	}
 	_ = append(r.Rows[0], "x")
@@ -783,7 +858,7 @@ func TestDecodeRequestOwnsKeptStrings(t *testing.T) {
 func evalRequest() *Request {
 	gen := uint64(7)
 	y := lang.Var("y")
-	return &Request{Op: "eval", V: Version, Query: &lang.CQ{
+	return &Request{Op: "eval", Query: &lang.CQ{
 		Head: lang.NewAtom("q", y),
 		Body: []lang.Atom{lang.NewAtom("P17.s", lang.Const("v12"), y)},
 	}, IfGen: &gen}
@@ -795,13 +870,13 @@ func bindRequest(n int) *Request {
 	for i := range rows {
 		rows[i] = []string{"k" + strconv.Itoa(10000000+i)}
 	}
-	return &Request{Op: "bind", V: Version, Atom: &lang.Atom{Pred: "P3.s", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
+	return &Request{Op: "bind", Atom: &lang.Atom{Pred: "P3.s", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
 		BindCols: []int{0}, Rows: rows}
 }
 
 // TestDecodeRequestAllocs pins the eval hop's reading cost, the query's
-// lowering included: the envelope's string and ifGen; the block's string,
-// values and rows; the query, its terms and its body.
+// lowering included: the block's string, values and rows; ifGen; the
+// query, its terms and its body.
 func TestDecodeRequestAllocs(t *testing.T) {
 	frame := AppendRequest(nil, evalRequest())
 	var src bytes.Reader
@@ -816,8 +891,8 @@ func TestDecodeRequestAllocs(t *testing.T) {
 			t.Fatal(r, err)
 		}
 	})
-	if allocs > 8 {
-		t.Fatalf("reading an eval request costs %v allocations, want at most 8", allocs)
+	if allocs > 7 {
+		t.Fatalf("reading an eval request costs %v allocations, want at most 7", allocs)
 	}
 }
 

@@ -3,13 +3,13 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
@@ -79,109 +79,96 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// legacyResponse mirrors Response as compiled before the Unchanged and
-// Spans fields existed. Decoding into it simulates a client running the
-// old binary.
-type legacyResponse struct {
-	Error string     `json:"error,omitempty"`
-	Busy  bool       `json:"busy,omitempty"`
-	Rows  [][]string `json:"rows,omitempty"`
-	More  bool       `json:"more,omitempty"`
-	Preds []string   `json:"preds,omitempty"`
-	Cards []int      `json:"cards,omitempty"`
-	Gens  []uint64   `json:"gens,omitempty"`
-}
-
-// legacyRequest mirrors Request as compiled before IfGen existed. Decoding
-// into it simulates a server running the old binary.
-type legacyRequest struct {
-	Op       string `json:"op"`
-	Pred     string `json:"pred,omitempty"`
-	BindCols []int  `json:"bindCols,omitempty"`
+// renameKey is frame with its envelope's key from renamed to to: what a
+// reader that does not know from makes of the frame is what this reader
+// makes of the renamed one, which skips to as unknown.
+func renameKey(t testing.TB, frame []byte, from, to string) []byte {
+	env, rows := splitFrame(t, frame)
+	for i := 0; i < len(env); i += 2 {
+		if env[i] == from {
+			env[i] = to
+		}
+	}
+	return rawFrame(env, rows)
 }
 
 // FuzzIfGenUnchanged pins the compatibility contract of the conditional
-// fetch in both directions. New client → old server: a request carrying
-// ifGen decodes into the pre-ifGen shape with every other field intact, so
-// the old server serves it as an ordinary fetch. Old client → new server:
-// a request without the field decodes with IfGen nil, and any value that
-// is sent — 0 included — survives as present. New server → old client: an
-// unchanged frame decodes with its metadata intact. Old server → new
-// client: a frame without the field never claims unchanged.
+// fetch in both directions, through the unknown-key rule. New client → old
+// server: a request carrying ifGen, read by a server that does not know
+// the key, decodes with every other field intact, so the old server serves
+// it as an ordinary fetch. Old client → new server: a request without the
+// key decodes with IfGen nil, and any value that is sent — 0 included —
+// survives as present. New server → old client: an unchanged frame read
+// by a client that does not know the key decodes with its metadata intact
+// and claims nothing. Old server → new client: a frame without the key
+// never claims unchanged.
 func FuzzIfGenUnchanged(f *testing.F) {
 	f.Add("scan", "A.r", uint64(0), true)
 	f.Add("bind", "B.s", uint64(1<<63), false)
 	f.Add("", "", uint64(7), true)
 	f.Fuzz(func(t *testing.T, op, pred string, gen uint64, unchanged bool) {
-		data, err := json.Marshal(Request{Op: op, Pred: pred, BindCols: []int{0}, IfGen: &gen})
-		if err != nil {
-			t.Fatal(err)
+		req := Request{Op: op, Pred: pred, BindCols: []int{0}, IfGen: &gen}
+		if op == "eval" || op == "bind" {
+			req.Op = "scan" // an eval or a bind needs its query or atom
 		}
-		var back Request
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("new server rejects new client request: %v", err)
+		frame := AppendRequest(nil, &req)
+		back, err := readRequest(frame, DefaultMaxFrame)
+		if err != nil || back.IfGen == nil || *back.IfGen != gen {
+			t.Fatalf("ifGen %d did not round-trip as present: %+v (%v)", gen, back, err)
 		}
-		if back.IfGen == nil || *back.IfGen != gen {
-			t.Fatalf("ifGen %d did not round-trip as present: %v", gen, back.IfGen)
+		old, err := readRequest(renameKey(t, frame, "ifGen", "ifGen?"), DefaultMaxFrame)
+		if err != nil || old.IfGen != nil || old.Op != back.Op || old.Pred != back.Pred || len(old.BindCols) != 1 || old.BindCols[0] != back.BindCols[0] {
+			t.Fatalf("a server without ifGen read %+v as %+v (%v)", back, old, err)
 		}
-		var old legacyRequest
-		if err := json.Unmarshal(data, &old); err != nil {
-			t.Fatalf("old server rejects new client request: %v", err)
-		}
-		if old.Op != back.Op || old.Pred != back.Pred || len(old.BindCols) != 1 || old.BindCols[0] != back.BindCols[0] {
-			t.Fatalf("ifGen disturbed legacy request fields: %+v vs %+v", old, back)
-		}
-		oldData, err := json.Marshal(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fresh Request
-		if err := json.Unmarshal(oldData, &fresh); err != nil {
-			t.Fatalf("new server rejects old client request %q: %v", oldData, err)
-		}
-		if fresh.IfGen != nil || fresh.Op != back.Op || fresh.Pred != back.Pred {
-			t.Fatalf("old client request decoded as %+v", fresh)
+		req.IfGen = nil
+		if fresh, err := readRequest(AppendRequest(nil, &req), DefaultMaxFrame); err != nil || fresh.IfGen != nil || fresh.Op != back.Op || fresh.Pred != back.Pred {
+			t.Fatalf("old client request decoded as %+v (%v)", fresh, err)
 		}
 
-		data = AppendResponse(nil, &Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}}, nil)
-		var resp Response
-		if err := decodeResponse(data, &resp); err != nil || resp.Unchanged != unchanged || resp.Gens[0] != gen {
+		want := Response{Unchanged: unchanged, Preds: []string{pred}, Cards: []int{1}, Gens: []uint64{gen}}
+		if pred == "" {
+			want.Preds = nil // an empty list is not written
+		}
+		frame = frameOf(&want)
+		if resp, err := readFrame(frame, DefaultMaxFrame); err != nil || !sameResponse(&resp, &want) {
 			t.Fatalf("response did not round-trip: %+v (%v)", resp, err)
 		}
-		var oldResp legacyResponse
-		if err := json.Unmarshal(data, &oldResp); err != nil {
-			t.Fatalf("old client rejects new server frame: %v", err)
+		fromOld, err := readFrame(renameKey(t, frame, "unchanged", "unchanged?"), DefaultMaxFrame)
+		want.Unchanged = false
+		if err != nil || !sameResponse(&fromOld, &want) {
+			t.Fatalf("a client without unchanged read %+v (%v)", fromOld, err)
 		}
-		if len(oldResp.Rows) != 0 || len(oldResp.Gens) != 1 || oldResp.Gens[0] != gen || oldResp.Preds[0] != resp.Preds[0] {
-			t.Fatalf("unchanged disturbed legacy response fields: %+v", oldResp)
-		}
-		oldData, err = json.Marshal(oldResp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fromOld Response
-		if err := decodeResponse(oldData, &fromOld); err != nil || fromOld.Unchanged {
-			t.Fatalf("old server frame %q decoded as %+v (%v)", oldData, fromOld, err)
+		if fromOld, err := readFrame(frameOf(&want), DefaultMaxFrame); err != nil || fromOld.Unchanged {
+			t.Fatalf("old server frame decoded as %+v (%v)", fromOld, err)
 		}
 	})
 }
 
-// FuzzRequestDecode checks the request codec against encoding/json and
-// against itself, on the decoding path the server runs on every request.
-// Decoding: for arbitrary envelope bytes, decodeRequest and json.Unmarshal
-// give the same error (or none) and deeply equal Requests, except that a
-// "rows" or "bindRows" key in any case, and a negative rowBytes, are
-// errors; and read as a whole frame, a query or an atom ReadRequest lowers
-// passes checkAppendRequest. Encoding: for an eval, a bind, another op,
-// or another version's request built from the fuzzed strings and
-// integers, its query and atom holding invalid UTF-8, empty names, a
-// newline and values starting with "?" or "=", with flags choosing which
-// fields are unset, nil or empty, checkAppendRequest holds: AppendRequest
-// writes exactly json.Encoder.Encode's bytes for the envelope followed by
-// the row block, ReadRequest gives the envelope back as encoding/json
-// reads it, the query and atom equal field for field and the rows byte
-// for byte, and every truncation and every garbled term kind byte is an
-// error.
+// checkArbitrary checks a reader on arbitrary frame bytes: a frame that
+// does not start with Version is a version error; one that reads back is
+// well-formed (checkWellFormed). Nothing panics.
+func checkArbitrary(t *testing.T, frame []byte, read func([]byte) ([]byte, error)) {
+	if len(frame) > 0 && frame[0] != Version {
+		if _, err := read(frame); !errors.Is(err, ErrVersion) {
+			t.Fatalf("frame %q of version byte %d: %v, want a version error", frame, frame[0], err)
+		}
+	}
+	checkWellFormed(t, frame, read)
+}
+
+// FuzzRequestDecode checks the request codec, on the decoding path the
+// server runs on every request. Decoding: arbitrary frame bytes are a
+// version error when their first byte is not Version, and otherwise an
+// error or a well-formed request (checkArbitrary); the JSON lines of
+// versions 1 to 4 are among the seeds. Encoding: for an eval, a bind or
+// another op's request built from the fuzzed strings and integers, its
+// query and atom holding invalid UTF-8, empty names, a newline and values
+// starting with "?" or "=", with flags choosing which fields are unset,
+// nil or empty, checkRequest holds: AppendRequest writes exactly the
+// reference frame, ReadRequest gives the request back field for field and
+// the rows byte for byte, keys it does not know are skipped, and every
+// truncation, bad length and garbled byte is an error or a well-formed
+// frame, every garbled term kind byte a bad request.
 func FuzzRequestDecode(f *testing.F) {
 	for _, frame := range []string{
 		`{"op":"catalog"}`,
@@ -196,31 +183,29 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"op":"add","pred":"A.r","rows":[["a"],[]]}`), "sep\u2028", "bad\xff\xc3", -7, uint64(1<<63), byte(0xff))
 	y := lang.Var("y")
 	for i, r := range []Request{
-		{Op: "eval", V: Version, Query: &lang.CQ{Head: lang.NewAtom("q", y), Body: []lang.Atom{lang.NewAtom("A.r", lang.Const("\xff\xfe"), y)},
+		{Op: "eval", Query: &lang.CQ{Head: lang.NewAtom("q", y), Body: []lang.Atom{lang.NewAtom("A.r", lang.Const("\xff\xfe"), y)},
 			Comps: []lang.Comparison{{Op: lang.OpGE, L: y, R: lang.Const("=1")}}}},
-		{Op: "bind", V: Version, Atom: &lang.Atom{Pred: "A.r", Args: []lang.Term{lang.Const("?x"), y}}, BindCols: []int{1}, Rows: [][]string{{"\n"}}},
+		{Op: "bind", Atom: &lang.Atom{Pred: "A.r", Args: []lang.Term{lang.Const("?x"), y}}, BindCols: []int{1}, Rows: [][]string{{"\n"}}},
+		{Op: "scan", Pred: "A.r", Trace: "t", Span: 3},
 	} {
 		f.Add(AppendRequest(nil, &r), "eval", "bind", Version, uint64(i), byte(i))
 	}
 	f.Fuzz(func(t *testing.T, frame []byte, s, u string, n int, g uint64, flags byte) {
-		checkRequestDecode(t, frame)
-		if r, err := readRequest(frame, DefaultMaxFrame); err == nil && (r.Query != nil || r.Atom != nil) {
-			checkAppendRequest(t, &Request{Op: r.Op, V: r.V, Query: r.Query, Atom: r.Atom, Rows: r.Rows})
-		}
+		checkArbitrary(t, frame, reencodeRequest)
 
-		// checkAppendRequest reads every truncation of the frame, so its
-		// cost grows with the square of the values' length: 256 bytes
-		// still take two-byte lengths.
-		r := fuzzRequest(s[:min(len(s), 256)], u[:min(len(u), 256)], n, g, flags)
-		checkAppendRequest(t, &r)
+		// checkRequest reads every truncation and garbling of the frame,
+		// so its cost grows with the square of the values' length: 160
+		// bytes still take two-byte lengths.
+		r := fuzzRequest(s[:min(len(s), 160)], u[:min(len(u), 160)], n, g, flags)
+		checkRequest(t, &r)
 	})
 }
 
 // fuzzRequest builds a Request touching every field from the fuzzed
 // values. The low two flag bits pick its shape — an eval with a query, a
-// bind with an atom and key rows, another op with rows, or another
-// version carrying all three — and each other bit unsets, nils or empties
-// some fields.
+// bind with an atom and key rows, another op with rows, or another op
+// carrying all three — and each other bit unsets, nils or empties some
+// fields.
 func fuzzRequest(s, u string, n int, g uint64, flags byte) Request {
 	q := &lang.CQ{
 		Head: lang.NewAtom(s, lang.Var(u), lang.Var("")),
@@ -233,7 +218,6 @@ func fuzzRequest(s, u string, n int, g uint64, flags byte) Request {
 	a := lang.NewAtom(u, lang.Const(u), lang.Var(s), lang.Const("="+u))
 	r := Request{
 		Op:       s,
-		V:        Version,
 		Pred:     u,
 		BindCols: []int{n, 0},
 		Rows:     [][]string{{s, u}, {}, nil, {u}},
@@ -259,44 +243,48 @@ func fuzzRequest(s, u string, n int, g uint64, flags byte) Request {
 	if flags&128 != 0 {
 		r.Trace, r.Span = "", 0
 	}
+	if flags&3 >= 2 && (s == "eval" || s == "bind") {
+		r.Op = "scan"
+	}
 	switch flags & 3 {
 	case 0:
 		r.Op, r.Query, r.Rows = "eval", q, nil
 	case 1:
 		r.Op, r.Atom = "bind", &a
-	case 2:
-		if s == "eval" || s == "bind" {
-			r.Op = "scan"
-		}
-	default:
-		r.V, r.Query, r.Atom = n, q, &a
-		if n == Version {
-			r.V = -n
-		}
+	case 3:
+		r.Query, r.Atom = q, &a
 	}
 	return r
 }
 
-// FuzzResponseCodec checks the response codec. Envelopes: for arbitrary
-// frame bytes, decodeResponse and json.Unmarshal both fail or both
-// succeed and leave deeply equal Responses, except that a "rows" key is a
-// version 1 frame and an error. Frames: for a Response built from the
-// fuzzed strings, card, generation and flags, AppendResponse writes
-// exactly json.Marshal's bytes for the envelope — for the whole frame when
-// it has no rows — and reading the frame gives its rows back byte for
-// byte. Every truncation of the frame is an error. A single-byte garble
-// of the block is an error or a different well-formed block, one that
-// encodes back to exactly the garbled bytes: the decoder never panics and
-// never accepts a block it has read only part of.
+// FuzzResponseCodec checks the response codec. Decoding: arbitrary frame
+// bytes are a version error when their first byte is not Version, and
+// otherwise an error or a well-formed response (checkArbitrary); the
+// JSON envelopes of versions 1 to 4 are among the seeds. Encoding: for a
+// Response built from the fuzzed strings, card, generation and flags,
+// checkResponse holds: AppendResponse writes exactly the reference frame,
+// reading it gives the response back field for field and its rows byte
+// for byte, keys it does not know are skipped, and every truncation, bad
+// length and garbled byte is an error or a well-formed frame. A
+// single-byte garble of the rows alone is an error or a different
+// well-formed block, one that encodes back to exactly the garbled bytes.
 func FuzzResponseCodec(f *testing.F) {
-	for _, frame := range decodeCorpus {
+	for _, frame := range legacyResponses {
 		f.Add([]byte(frame), "a", "<&>", 1, uint64(2), byte(0))
 	}
 	f.Add([]byte(`{"rowBytes":3}`), "sep\u2028", "bad\xff\xc3", -7, uint64(1<<63), byte(0xff))
 	f.Add([]byte(`{"more":true}`), strings.Repeat("x", 200), "\x00\n\"", 0, uint64(0), byte(16))
+	for i, r := range []Response{
+		{Rows: [][]string{{"a", "b"}}, More: true},
+		{Preds: []string{"A.r"}, Cards: []int{3}, Gens: []uint64{7}, Spans: []obs.SpanData{{ID: 1, Name: "eval", Attrs: []obs.Attr{{K: "k", V: "v"}}}}},
+		{Error: "boom", Busy: true},
+	} {
+		f.Add(frameOf(&r), "s", "u", i, uint64(i), byte(i))
+	}
 	f.Fuzz(func(t *testing.T, frame []byte, s, u string, card int, gen uint64, flags byte) {
-		checkDecode(t, frame)
+		checkArbitrary(t, frame, reencodeResponse)
 
+		s, u = s[:min(len(s), 160)], u[:min(len(u), 160)] // as in FuzzRequestDecode
 		r := Response{
 			Rows:      [][]string{{s, u}, {u}},
 			More:      flags&1 != 0,
@@ -314,32 +302,11 @@ func FuzzResponseCodec(f *testing.F) {
 		if flags&32 != 0 {
 			r.Rows, r.Preds, r.Cards, r.Gens = nil, nil, nil, nil
 		}
+		if flags&64 != 0 {
+			r.Spans = []obs.SpanData{{ID: gen, Parent: uint64(card), Name: s, Start: int64(gen), Dur: int64(card), Attrs: []obs.Attr{{K: u, V: s}}}}
+		}
+		checkResponse(t, &r)
 		block := blockOf(r.Rows)
-		env := r
-		env.Rows, env.RowBytes = nil, len(block)
-		want, err := json.Marshal(&env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := AppendResponse(nil, &r, block)
-		if !bytes.Equal(got, append(append(want, '\n'), block...)) {
-			t.Fatalf("AppendResponse(%+v)\n got %q\nwant %q", r, got, want)
-		}
-		if len(block) == 0 {
-			if plain, _ := json.Marshal(&r); !bytes.Equal(got, append(plain, '\n')) {
-				t.Fatalf("frame without rows %q differs from encoding/json's %q", got, plain)
-			}
-		}
-		checkDecode(t, want)
-		back, err := readFrame(got, DefaultMaxFrame)
-		if err != nil || !sameRows(back.Rows, r.Rows) {
-			t.Fatalf("rows %q read back as %q (%v)", r.Rows, back.Rows, err)
-		}
-		for n := range len(got) {
-			if cut, err := readFrame(got[:n], DefaultMaxFrame); err == nil {
-				t.Fatalf("frame cut to %d of %d bytes read as %+v", n, len(got), cut)
-			}
-		}
 		for i := range block {
 			for _, mask := range []byte{0x01, 0x80, flags | 0x40} {
 				garbled := bytes.Clone(block)

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -52,7 +51,7 @@ func sameAtom(a, b *lang.Atom) bool {
 // evalOf is the eval request of q, read back through its frame.
 func evalOf(t testing.TB, q lang.CQ) *lang.CQ {
 	t.Helper()
-	back, err := readRequest(AppendRequest(nil, &Request{Op: "eval", V: Version, Query: &q}), DefaultMaxFrame)
+	back, err := readRequest(AppendRequest(nil, &Request{Op: "eval", Query: &q}), DefaultMaxFrame)
 	if err != nil || back.Query == nil {
 		t.Fatalf("eval of %s read back as %+v (%v)", q, back, err)
 	}
@@ -66,7 +65,7 @@ func TestTermRoundTrip(t *testing.T) {
 	terms := []lang.Term{lang.Var("x"), lang.Const("5"), lang.Const("a b"), lang.Const("\xff\xfe"), lang.Var(""), lang.Const(""),
 		lang.Const("?x"), lang.Var("=y"), lang.Const("line\nbreak")}
 	a := lang.NewAtom("P.r", terms...)
-	back, err := readRequest(AppendRequest(nil, &Request{Op: "bind", V: Version, Atom: &a}), DefaultMaxFrame)
+	back, err := readRequest(AppendRequest(nil, &Request{Op: "bind", Atom: &a}), DefaultMaxFrame)
 	if err != nil || !sameAtom(back.Atom, &a) {
 		t.Fatalf("round trip %v -> %+v (%v)", a, back.Atom, err)
 	}
@@ -132,7 +131,6 @@ func TestBindRequestRoundTripJSON(t *testing.T) {
 	a := lang.NewAtom("P.r", lang.Const("\xff\xfe"), lang.Var("x"), lang.Var("y"))
 	req := Request{
 		Op:       "bind",
-		V:        Version,
 		Atom:     &a,
 		BindCols: []int{1, 2},
 		Rows:     [][]string{{"v1", "w1"}, {"v|2", "w=3"}, {"\xff\xfe", "\n"}},
@@ -141,7 +139,7 @@ func TestBindRequestRoundTripJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Op != "bind" || back.V != Version || !sameAtom(back.Atom, &a) {
+	if back.Op != "bind" || !sameAtom(back.Atom, &a) {
 		t.Fatalf("round trip: %+v, atom %v", back, back.Atom)
 	}
 	if len(back.BindCols) != 2 || back.BindCols[0] != 1 || back.BindCols[1] != 2 {
@@ -152,19 +150,16 @@ func TestBindRequestRoundTripJSON(t *testing.T) {
 	}
 }
 
-// Catalog responses carry cardinalities parallel to the predicate list.
+// Catalog responses carry cardinalities parallel to the predicate list,
+// and both come back through the codec as nested rows.
 func TestCatalogCardsRoundTripJSON(t *testing.T) {
 	resp := Response{Preds: []string{"A.r", "B.s"}, Cards: []int{10, 3}}
-	data, err := json.Marshal(resp)
+	back, err := readFrame(frameOf(&resp), DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Response
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Preds) != 2 || len(back.Cards) != 2 || back.Cards[0] != 10 || back.Cards[1] != 3 {
-		t.Fatalf("round trip: %+v", back)
+	if !reflect.DeepEqual(back, resp) {
+		t.Fatalf("round trip: %+v, want %+v", back, resp)
 	}
 }
 
@@ -238,7 +233,7 @@ func TestCQRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomCQ(rng)
-		back, err := readRequest(AppendRequest(nil, &Request{Op: "eval", V: Version, Query: &q}), DefaultMaxFrame)
+		back, err := readRequest(AppendRequest(nil, &Request{Op: "eval", Query: &q}), DefaultMaxFrame)
 		return err == nil && sameCQ(back.Query, &q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -269,10 +264,10 @@ func randomCQ(rng *rand.Rand) lang.CQ {
 }
 
 // TestVersionPinnedInDocs fails unless the protocol documents name
-// wire.Version: PROTOCOL.md's Version bullet and every "v": followed by a
-// number in PROTOCOL.md and ARCHITECTURE.md.
+// wire.Version: PROTOCOL.md's Version bullet and every "version byte N"
+// in either document must say Version.
 func TestVersionPinnedInDocs(t *testing.T) {
-	vs := regexp.MustCompile(`"v":\s*([0-9]+)`)
+	vs := regexp.MustCompile(`version byte ([0-9]+)`)
 	for _, doc := range []string{"PROTOCOL.md", "../../ARCHITECTURE.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
