@@ -1,19 +1,21 @@
-package obs
+package main
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
-// Handler returns the operational front door: the registry's snapshot at
+// handler returns the operational front door: the registry's snapshot at
 // /metrics (JSON by default, Prometheus text with ?format=prometheus),
 // recent sampled traces at /debug/traces (?n= caps the count, ?sample=
 // adjusts the tracer's sampling knob at runtime), and the standard
 // net/http/pprof endpoints under /debug/pprof/. Either argument may be
 // nil; the corresponding endpoints degrade gracefully.
-func Handler(reg *Registry, tracer *Tracer) http.Handler {
+func handler(reg *obs.Registry, tracer *obs.Tracer) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -201,7 +201,7 @@ func start(path string, opts options) (*daemon, error) {
 		}
 		d.httpAddr = lis.Addr().String()
 		d.httpSrv = &http.Server{
-			Handler: obs.Handler(d.registry, d.tracer),
+			Handler: handler(d.registry, d.tracer),
 			// Without these a single slow-loris client (or an abandoned
 			// keep-alive connection) pins an http goroutine forever.
 			ReadHeaderTimeout: httpReadHeaderTimeout,

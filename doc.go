@@ -3,13 +3,12 @@
 // 2003) — the Piazza PDMS schema-mediation layer — grown into a
 // production-shaped distributed query system.
 //
-// The public API lives in package repro/pdms; the root package holds Go
-// benchmarks over the paper's evaluation workloads (Figures 3 and 4 and the
-// node-rate claim; the Section 4.3 optimizations always run, so there is no
-// ablation sweep), timing internal/workload's generator and internal/core
-// directly. cmd/figures (over internal/experiments) prints the figure
-// series themselves, and cmd/bench is the repository's end-to-end
-// benchmark.
+// The public API lives in package repro/pdms; the root package holds only
+// this overview. The paper's evaluation (Figures 3 and 4) is a pair of shape
+// tests in internal/swarm over its Strata topology, the Section 5 workload
+// model: tree nodes and rewritings grow with the PDMS diameter, asserted in
+// counts. The Section 4.3 optimizations always run, so there is no ablation
+// sweep. cmd/bench is the repository's end-to-end benchmark.
 // ARCHITECTURE.md at the repository root is the top-to-bottom guide to
 // every layer (mediator → reformulation → engine → wire → executor) with
 // per-layer dataflow diagrams and code pointers; the peer wire protocol is

@@ -1,7 +1,7 @@
 // Scaleout: the storage walkthrough described in README.md. It builds a
 // relation store (default one million rows), runs a filtered scan and a
 // 10k-key probe batch over it, and prints the engine counters. The -rows flag sets the store size. The paper's
-// Figure 3/4 sweeps are cmd/figures.
+// Figure 3/4 sweeps are shape tests in internal/swarm.
 package main
 
 import (

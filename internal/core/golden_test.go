@@ -17,7 +17,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/ppl"
 	"repro/internal/swarm"
-	"repro/internal/workload"
 )
 
 // goldenPath holds the rewritings the reformulator produced for the golden
@@ -102,7 +101,7 @@ storage S0.s(x, y) in P0:R(x, y)
 const cyclicQuery = `q(x, z) :- P2:R(x, y), P2:R(y, z)`
 
 // goldenCorpus lists every golden case: swarm topologies with their
-// per-peer queries, the §5 workload generator, the interning traps, the
+// per-peer queries, the §5 strata topology, the interning traps, the
 // cyclic memo spec, and FuzzPPLReformulate's committed corpus (replicated
 // mappings, decoys, equalities, definitional layers, comparisons).
 func goldenCorpus(tb testing.TB) []goldenCase {
@@ -133,21 +132,18 @@ func goldenCorpus(tb testing.TB) []goldenCase {
 			out = append(out, goldenCase{fmt.Sprintf("swarm %s/%d peers/qlen %d/seed %d: %s", p.Topology, p.Peers, p.QueryLen, p.Seed, text), res.PDMS, mustQuery(tb, text)})
 		}
 	}
-	wps := []workload.Params{{Peers: 12, Diameter: 3, DefRatio: 0.25, QueryLen: 3, Seed: 7}}
+	sps := []swarm.Params{{Peers: 12, Topology: swarm.Strata, Diameter: 3, DefRatio: 0.25, QueryLen: 3, Seed: 7}}
 	for seed := int64(0); seed < 6; seed++ {
-		wps = append(wps,
-			workload.Params{Peers: 12, Diameter: 3, DefRatio: 0, Seed: seed},
-			workload.Params{Peers: 20, Diameter: 5, DefRatio: 0, StoreCoverage: 0.4, Seed: seed},
-			workload.Params{Peers: 12, Diameter: 4, DefRatio: 0.25, StoreCoverage: 0.5, Seed: seed},
-			workload.Params{Peers: 16, Diameter: 4, DefRatio: 0.5, StoreCoverage: 0.7, Replication: 3, Seed: seed},
+		sps = append(sps,
+			swarm.Params{Peers: 12, Topology: swarm.Strata, Diameter: 3, DefRatio: 0, Seed: seed},
+			swarm.Params{Peers: 20, Topology: swarm.Strata, Diameter: 5, DefRatio: 0, StoreCoverage: 0.4, Seed: seed},
+			swarm.Params{Peers: 12, Topology: swarm.Strata, Diameter: 4, DefRatio: 0.25, StoreCoverage: 0.5, Seed: seed},
+			swarm.Params{Peers: 16, Topology: swarm.Strata, Diameter: 4, DefRatio: 0.5, StoreCoverage: 0.7, Replication: 3, Seed: seed},
 		)
 	}
-	for _, p := range wps {
-		w, err := workload.Generate(p)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, goldenCase{fmt.Sprintf("workload %+v", p), w.PDMS, w.Query})
+	for _, p := range sps {
+		n, _, q := strata(tb, p)
+		out = append(out, goldenCase{fmt.Sprintf("workload %+v", p), n, q})
 	}
 	for _, ts := range trapSpecs {
 		res, err := parser.Parse(ts.spec)

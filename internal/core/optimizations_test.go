@@ -1,15 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/chase"
-	"repro/internal/lang"
-	"repro/internal/parser"
-	"repro/internal/ppl"
-	"repro/internal/rel"
-	"repro/internal/workload"
-)
+import "testing"
 
 // The Section 4.3 optimizations always run, so each test here judges the
 // default build against the chase and pins the optimization's counter and
@@ -79,98 +70,6 @@ fact S.mid("20")
 	}
 }
 
-// judge reformulates q under opts and checks its answers against the
-// chase: equal to the certain answers when (n, q) is in the tractable
-// fragment, a subset of the canonical instance's answers otherwise.
-func judge(t *testing.T, n *ppl.PDMS, data *rel.Instance, q lang.CQ, opts Options) Stats {
-	t.Helper()
-	r, err := New(n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := r.Reformulate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rel.EvalUCQ(out.UCQ, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Classify(q).Class == ppl.PTime {
-		want, err := chase.CertainAnswers(n, data, q, chase.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameTuples(t, got, want, "reformulation vs chase oracle")
-		return out.Stats
-	}
-	inst, err := chase.Chase(n, data, chase.Options{MaxRounds: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := rel.EvalCQ(q, inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have := map[string]bool{}
-	for _, tup := range canon {
-		have[tup.Key()] = true
-	}
-	for _, tup := range got {
-		if !have[tup.Key()] {
-			t.Fatalf("unsound answer %v: not in the canonical instance's %v", tup, canon)
-		}
-	}
-	return out.Stats
-}
-
-// TestUnsatPruningNeutralWithoutComparisons: on comparison-free workloads
-// the constraint machinery (unsatisfiable-label pruning during
-// construction, unsatisfiable-rewriting discards during extraction) must
-// never fire, and the answers must be the chase's.
-func TestUnsatPruningNeutralWithoutComparisons(t *testing.T) {
-	w, err := workload.Generate(workload.Params{
-		Peers: 12, Diameter: 3, DefRatio: 0.25, FactsPerStore: 3, DomainSize: 3, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := judge(t, w.PDMS, w.Data, w.Query, Options{})
-	if st.PrunedUnsat != 0 || st.DiscardUnsat != 0 {
-		t.Fatalf("constraint pruning fired without comparisons: %+v", st)
-	}
-}
-
-// TestMemoFiresOnCyclicSpec pins the unproductive-memo under the default
-// options. The spec's inclusions form a cycle over R, so the same goal
-// contexts recur under growing ban sets and three of them are answered
-// from the memo: 57 nodes, where building each again makes 66. The spec
-// is outside the tractable fragment (Classify calls it undecidable), so
-// soundness against the chase's canonical instance is the judge.
-func TestMemoFiresOnCyclicSpec(t *testing.T) {
-	src := `
-include P0:R(x, y) in P1:R(y, x)
-include P2:R(x, y), P1:R(y, z) in P0:R(x, z)
-include P1:R(x, y), P1:R(y, z) in P2:R(x, z)
-storage S0.s(x, y) in P0:R(x, y)
-fact S0.s("a", "b")
-fact S0.s("b", "a")
-fact S0.s("b", "c")
-fact S0.s("c", "c")
-`
-	res, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := parser.ParseQuery(`q(x, z) :- P2:R(x, y), P2:R(y, z)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := judge(t, res.PDMS, res.Data, q, Options{}); st.MemoHits != 3 || st.Nodes() != 57 {
-		t.Fatalf("stats = %+v (nodes %d), want 3 memo hits, 57 nodes", st, st.Nodes())
-	}
-}
-
 // TestMemoSkipsDeadEndsUnderComparisons: B:S(x) is a dead end below the
 // first rule, whose x < 5 contradicts the storage description's x > 10,
 // and a live goal below the second rule, whose context is otherwise the
@@ -188,40 +87,4 @@ fact S.s("20")
 	if len(rows) != 1 || out.Stats.MemoHits != 0 {
 		t.Fatalf("rows %v, stats %+v; want the certain answer (20) and no memo hit", rows, out.Stats)
 	}
-}
-
-// TestMemoFiresOnDeadEndWorkload: with reduced store coverage, repeated
-// dead-end patterns produce memo hits once the hopeless-predicate prune
-// (which otherwise kills them first, leaving a 4-node tree) is off: 13 hits
-// and 120 nodes, where building each again makes 300. The memo key is the
-// full expansion context (self label, siblings, the variables the context
-// needs), so contexts must actually recur for hits: pure-inclusion
-// workloads (dd=0) have single-child rule nodes below the query, whose
-// contexts repeat across replicated paths. The key names no parent goal, so
-// a dead context found under one parent answers for every other.
-func TestMemoFiresOnDeadEndWorkload(t *testing.T) {
-	w, err := workload.Generate(workload.Params{
-		Peers: 20, Diameter: 5, DefRatio: 0, StoreCoverage: 0.4, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := judge(t, w.PDMS, w.Data, w.Query, Options{NoPruneSubsumed: true}); st.MemoHits != 13 || st.Nodes() != 120 {
-		t.Fatalf("stats = %+v (nodes %d), want 13 memo hits, 120 nodes", st, st.Nodes())
-	}
-}
-
-// TestMemoPreservesAnswersOnDeadEndWorkload: on a workload with storeless
-// bottom relations, the answers are the chase's whether the dead ends are
-// pruned as hopeless or left to the memo.
-func TestMemoPreservesAnswersOnDeadEndWorkload(t *testing.T) {
-	w, err := workload.Generate(workload.Params{
-		Peers: 16, Diameter: 3, DefRatio: 0, StoreCoverage: 0.5,
-		FactsPerStore: 3, DomainSize: 3, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	judge(t, w.PDMS, w.Data, w.Query, Options{})
-	judge(t, w.PDMS, w.Data, w.Query, Options{NoPruneSubsumed: true})
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,24 +6,27 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/lang"
 	"repro/internal/parser"
+	"repro/internal/ppl"
 	"repro/internal/rel"
-	"repro/internal/workload"
+	"repro/internal/swarm"
 )
 
-// reformulateAnswers reformulates w.Query under opts and evaluates the
-// rewriting on w.Data.
-func reformulateAnswers(t *testing.T, w *workload.Workload, opts Options) ([]rel.Tuple, Stats) {
+// reformulateAnswers reformulates q under opts and evaluates the rewriting
+// on data.
+func reformulateAnswers(t *testing.T, n *ppl.PDMS, data *rel.Instance, q lang.CQ, opts core.Options) ([]rel.Tuple, core.Stats) {
 	t.Helper()
-	r, err := New(w.PDMS, opts)
+	r, err := core.New(n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Reformulate(w.Query)
+	out, err := r.Reformulate(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rel.EvalUCQ(out.UCQ, w.Data)
+	got, err := rel.EvalUCQ(out.UCQ, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +37,13 @@ func reformulateAnswers(t *testing.T, w *workload.Workload, opts Options) ([]rel
 // deep-topology subtree pruning: the same query over the same PDMS answers
 // identically with Options.NoPruneSubsumed off (pruning on, the default)
 // and on (the seed behavior).
-func comparePrunedUnpruned(t *testing.T, w *workload.Workload) (pruned, unpruned Stats) {
+func comparePrunedUnpruned(t *testing.T, n *ppl.PDMS, data *rel.Instance, q lang.CQ) (pruned, unpruned core.Stats) {
 	t.Helper()
-	got, ps := reformulateAnswers(t, w, Options{})
-	want, us := reformulateAnswers(t, w, Options{NoPruneSubsumed: true})
+	got, ps := reformulateAnswers(t, n, data, q, core.Options{})
+	want, us := reformulateAnswers(t, n, data, q, core.Options{NoPruneSubsumed: true})
 	if len(got) != len(want) {
 		t.Fatalf("pruned %d answers, unpruned %d\npruned   %v\nunpruned %v\nquery %s",
-			len(got), len(want), got, want, w.Query)
+			len(got), len(want), got, want, q)
 	}
 	for i := range got {
 		if !got[i].Equal(want[i]) {
@@ -61,7 +64,8 @@ func TestPruningPreservesAnswersOnRandomPDMS(t *testing.T) {
 			seed, dd := seed, dd
 			t.Run(fmt.Sprintf("seed=%d/dd=%.2f", seed, dd), func(t *testing.T) {
 				t.Parallel()
-				w, err := workload.Generate(workload.Params{
+				n, data, q := strata(t, swarm.Params{
+					Topology:      swarm.Strata,
 					Peers:         9,
 					Diameter:      3,
 					DefRatio:      dd,
@@ -70,10 +74,7 @@ func TestPruningPreservesAnswersOnRandomPDMS(t *testing.T) {
 					DomainSize:    3,
 					Seed:          seed,
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				comparePrunedUnpruned(t, w)
+				comparePrunedUnpruned(t, n, data, q)
 			})
 		}
 	}
@@ -84,7 +85,7 @@ func TestPruningPreservesAnswersOnRandomPDMS(t *testing.T) {
 // peers map in a decoy relation nothing stores — exactly the waste the
 // duplicate-description and hopeless-predicate prunes remove. The query is
 // a chain of length qlen over the entry relation.
-func replicatedSpec(t *testing.T, peers, copies, qlen int, rng *rand.Rand) *workload.Workload {
+func replicatedSpec(t *testing.T, peers, copies, qlen int, rng *rand.Rand) (*ppl.PDMS, *rel.Instance, lang.CQ) {
 	t.Helper()
 	var src strings.Builder
 	for i := 0; i+1 < peers; i++ {
@@ -123,7 +124,7 @@ func replicatedSpec(t *testing.T, peers, copies, qlen int, rng *rand.Rand) *work
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &workload.Workload{PDMS: res.PDMS, Data: res.Data, Query: q}
+	return res.PDMS, res.Data, q
 }
 
 // TestPruningPreservesAnswersOnReplicatedChains drives the differential
@@ -139,8 +140,8 @@ func TestPruningPreservesAnswersOnReplicatedChains(t *testing.T) {
 			peers := 4 + rng.Intn(4)
 			copies := 2 + rng.Intn(2)
 			qlen := 1 + rng.Intn(2)
-			w := replicatedSpec(t, peers, copies, qlen, rng)
-			ps, us := comparePrunedUnpruned(t, w)
+			n, data, q := replicatedSpec(t, peers, copies, qlen, rng)
+			ps, us := comparePrunedUnpruned(t, n, data, q)
 			if ps.Nodes() > us.Nodes() {
 				t.Fatalf("pruned tree larger: %d > %d", ps.Nodes(), us.Nodes())
 			}
@@ -156,8 +157,8 @@ func TestPruningPreservesAnswersOnReplicatedChains(t *testing.T) {
 // regress to a no-op).
 func TestPruningCutsReplicatedFixture(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	w := replicatedSpec(t, 8, 3, 1, rng)
-	ps, us := comparePrunedUnpruned(t, w)
+	n, data, q := replicatedSpec(t, 8, 3, 1, rng)
+	ps, us := comparePrunedUnpruned(t, n, data, q)
 	if ps.PrunedSubsumed == 0 {
 		t.Fatalf("replicated mappings but PrunedSubsumed = 0: %+v", ps)
 	}

@@ -88,41 +88,6 @@ func (s Subst) String() string {
 	return sb.String()
 }
 
-// Unify computes a most-general unifier of atoms a and b, extending base
-// (which may be nil). It returns the extended substitution and true on
-// success, or nil and false if the atoms do not unify. base is not modified.
-func Unify(a, b Atom, base Subst) (Subst, bool) {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return nil, false
-	}
-	s := base.Clone()
-	if s == nil {
-		s = NewSubst()
-	}
-	for i := range a.Args {
-		if !unifyTerm(s, a.Args[i], b.Args[i]) {
-			return nil, false
-		}
-	}
-	return s, true
-}
-
-func unifyTerm(s Subst, x, y Term) bool {
-	x, y = s.Apply(x), s.Apply(y)
-	switch {
-	case x == y:
-		return true
-	case x.IsVar():
-		s[x.Name] = y
-		return true
-	case y.IsVar():
-		s[y.Name] = x
-		return true
-	default: // distinct constants
-		return false
-	}
-}
-
 // Match computes a one-way matcher from pattern onto target: a substitution s
 // binding only variables of pattern such that s(pattern) == target. Variables
 // in target are treated as constants (they may be bound *to*, not bound).

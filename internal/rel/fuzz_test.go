@@ -128,16 +128,29 @@ func FuzzSortDistinct(f *testing.F) {
 // chunk, so fuzzed rows reach the own-chunk path, and one that starts with
 // 0xfd into one 2^14 - 1 bytes longer than the rest of it, so a value of
 // 1<<14 bytes, the first whose length takes a three-byte uvarint, is one
-// byte away.
-func widen(v string) string {
-	if len(v) > 0 && v[0] == 0xfe {
-		return v[1:] + strings.Repeat("w", arenaChunkBytes)
+// byte away. It draws the bytes it adds from *budget and leaves v as it is
+// once the budget cannot pay for them, so no input grows by more than its
+// starting budget: an input of many such values would otherwise build rows
+// of megabytes on every run, and its minimization stall the fuzzer.
+func widen(v string, budget *int) string {
+	var pad string
+	switch {
+	case len(v) > 0 && v[0] == 0xfe:
+		pad = strings.Repeat("w", arenaChunkBytes)
+	case len(v) > 0 && v[0] == 0xfd:
+		pad = strings.Repeat("m", 1<<14-1)
 	}
-	if len(v) > 0 && v[0] == 0xfd {
-		return v[1:] + strings.Repeat("m", 1<<14-1)
+	if pad == "" || len(pad) > *budget {
+		return v
 	}
-	return v
+	*budget -= len(pad)
+	return v[1:] + pad
 }
+
+// widenBudget is the bytes widen may add to one input: three values longer
+// than an arena chunk (the most a seed holds: two long rows and a repeat of
+// one), or twelve at the uvarint width boundary.
+const widenBudget = 3 * arenaChunkBytes
 
 // spell is t in the row encoding, spelled value by value with
 // encoding/binary rather than by AppendRow: what the relation must store
@@ -284,6 +297,7 @@ func FuzzRelationRows(f *testing.F) {
 			}
 			laidRows = src.rows
 		}
+		budget := widenBudget
 		for g, rows := range groups {
 			if g == at+1 {
 				layOut()
@@ -297,7 +311,7 @@ func FuzzRelationRows(f *testing.F) {
 			}
 			for _, row := range rows {
 				for i := range row {
-					row[i] = widen(row[i])
+					row[i] = widen(row[i], &budget)
 				}
 				k := row.Key()
 				fresh, err := r.Insert(row)

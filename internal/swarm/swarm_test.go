@@ -20,12 +20,22 @@ import (
 )
 
 // corpus is the deep-topology differential corpus: seeded parameter tuples
-// covering every topology at reformulation depth ≥ 5 (chain and small
-// world; the star is the shallow wide contrast). Quick by construction —
-// the whole table boots well under a hundred loopback servers — so it runs
-// under -race in CI; any failure replays from its tuple alone.
+// covering every topology, chain and small world at reformulation depth ≥ 5
+// (the star is the shallow wide contrast), and small strata specs whose
+// definitional mappings run through the distributed executor. Quick by
+// construction — the whole table boots well under a hundred loopback
+// servers — so it runs under -race in CI; any failure replays from its
+// tuple alone.
 func corpus(short bool) []Params {
-	var ps []Params
+	// Strata seeds are picked where the spec is PTIME, so the chase judges
+	// it, and where the answers need the definitional mappings: without
+	// its define statements each answers 24 → 14, 16 → 0, 40 → 0 and 7 → 3.
+	ps := []Params{
+		{Peers: 6, Topology: Strata, Diameter: 3, DefRatio: 0.25, Seed: 33},
+		{Peers: 8, Topology: Strata, Diameter: 2, DefRatio: 0.5, Seed: 5},
+		{Peers: 10, Topology: Strata, Diameter: 3, DefRatio: 0.25, Seed: 12},
+		{Peers: 6, Topology: Strata, Diameter: 3, DefRatio: 0.5, Seed: 12},
+	}
 	seeds := []int64{1, 2, 3}
 	if short {
 		seeds = seeds[:1]
@@ -60,8 +70,11 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Topology != Star && spec.Depth < 5 {
+			if (p.Topology == Chain || p.Topology == SmallWorld) && spec.Depth < 5 {
 				t.Fatalf("corpus tuple not deep: depth %d < 5", spec.Depth)
+			}
+			if p.Topology == Strata && !strings.Contains(spec.Mediator, "define ") {
+				t.Fatalf("strata tuple has no definitional mapping:\n%s", spec.Mediator)
 			}
 			n, err := Boot(spec)
 			if err != nil {
@@ -273,6 +286,307 @@ func TestParamsValidation(t *testing.T) {
 	for _, p := range bad {
 		if _, err := Generate(p); err == nil {
 			t.Fatalf("Generate(%+v) succeeded, want error", p)
+		}
+	}
+}
+
+// TestStrataValidation pins the Section 5 model's rejections: too few
+// peers, no diameter, a diameter above the peer count, and a definitional
+// share outside [0, 1].
+func TestStrataValidation(t *testing.T) {
+	bad := []Params{
+		{Peers: 1, Topology: Strata, Diameter: 1},
+		{Peers: 4, Topology: Strata},
+		{Peers: 4, Topology: Strata, Diameter: 9},
+		{Peers: 4, Topology: Strata, Diameter: 2, DefRatio: 1.5},
+		{Peers: 4, Topology: Strata, Diameter: 2, DefRatio: -0.5},
+	}
+	for _, p := range bad {
+		if _, err := Generate(p); err == nil {
+			t.Fatalf("Generate(%+v) succeeded, want error", p)
+		}
+	}
+}
+
+// TestGenerateDeterministic: the same Params give the same Spec, field for
+// field.
+func TestGenerateDeterministic(t *testing.T) {
+	for _, p := range []Params{
+		{Peers: 12, Topology: SmallWorld, Seed: 7},
+		{Peers: 12, Topology: Strata, Diameter: 3, DefRatio: 0.25, Seed: 7},
+	} {
+		a, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: two specs differ:\n%s\n%s", p, a.Mediator, b.Mediator)
+		}
+	}
+}
+
+// strataTree parses spec and returns a default Reformulator over it, the
+// parsed specification and the query.
+func strataTree(t *testing.T, spec *Spec) (*core.Reformulator, *ppl.PDMS, lang.CQ) {
+	t.Helper()
+	res, err := parser.Parse(spec.Mediator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := parser.ParseQuery(spec.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.New(res.PDMS, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, res.PDMS, q
+}
+
+// strataCases are the Section 5 specs the strata tests below inspect.
+var strataCases = []Params{
+	{Peers: 96, Topology: Strata, Diameter: 4, DefRatio: 0.25, Seed: 3},
+	{Peers: 24, Topology: Strata, Diameter: 4, DefRatio: 0.5, Seed: 11},
+	{Peers: 24, Topology: Strata, Diameter: 4, DefRatio: 0, Seed: 11},
+	{Peers: 6, Topology: Strata, Diameter: 2, FactsPerStore: 5, Seed: 2},
+	{Peers: 13, Topology: Strata, Diameter: 3, DefRatio: 0.25, StoreCoverage: 0.5, Replication: 3, Seed: 1},
+}
+
+// TestStrataShape pins what the Section 5 model builds: Diameter strata of
+// near-equal size, top first; Replication mappings per lower-stratum
+// relation, a DefRatio share of them definitional; one storage description
+// per stored peer; and a query over the top stratum.
+func TestStrataShape(t *testing.T) {
+	for _, p := range strataCases {
+		spec, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := spec.Params
+		at := fmt.Sprintf("%+v", p)
+		_, n, q := strataTree(t, spec)
+		sizes := make([]int, p.Diameter)
+		for _, d := range spec.Depths {
+			sizes[d]++
+		}
+		for d := 1; d < p.Diameter; d++ {
+			if sizes[d] > sizes[d-1] || sizes[0]-sizes[d] > 1 {
+				t.Fatalf("%s: strata sizes %v", at, sizes)
+			}
+		}
+		if spec.Depth != p.Diameter-1 {
+			t.Fatalf("%s: depth %d", at, spec.Depth)
+		}
+		st := n.Stats()
+		mappings := p.Replication * (p.Peers - sizes[0])
+		if st.Definitional+st.Inclusions != mappings {
+			t.Fatalf("%s: mappings %d+%d, want %d", at, st.Definitional, st.Inclusions, mappings)
+		}
+		if ratio := float64(st.Definitional) / float64(mappings); p.DefRatio == 0 && ratio != 0 ||
+			mappings >= 100 && (ratio < p.DefRatio-0.15 || ratio > p.DefRatio+0.15) {
+			t.Fatalf("%s: definitional ratio %v", at, ratio)
+		}
+		stores := 0
+		for _, stored := range spec.Stored {
+			if stored {
+				stores++
+			}
+		}
+		if stores == 0 || st.StorageDescrs != stores {
+			t.Fatalf("%s: %d storage descriptions for %d stored peers", at, st.StorageDescrs, stores)
+		}
+		for _, a := range q.Body {
+			var i int
+			if _, err := fmt.Sscanf(a.Pred, "P%d:R", &i); err != nil || spec.Depths[i] != 0 {
+				t.Fatalf("%s: query atom %v not over the top stratum", at, a)
+			}
+		}
+		if len(q.Body) != p.QueryLen {
+			t.Fatalf("%s: query %s", at, spec.Query)
+		}
+		if err := n.ValidateQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStrataAcyclicAndClassified: strata only feed adjacent levels, so a
+// Section 5 specification is always acyclic; with pure inclusions it is
+// moreover PTIME, and it is never undecidable (a definitional head on an
+// inclusion's right-hand side is co-NP).
+func TestStrataAcyclicAndClassified(t *testing.T) {
+	for _, p := range strataCases {
+		spec, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := spec.Params
+		at := fmt.Sprintf("%+v", p)
+		_, n, q := strataTree(t, spec)
+		if ok, cyc := n.AcyclicInclusions(); !ok {
+			t.Fatalf("%s: cyclic: %v", at, cyc)
+		}
+		if cl := n.Classify(q); cl.Class == ppl.Undecidable || p.DefRatio == 0 && cl.Class != ppl.PTime {
+			t.Fatalf("%s: classified %v", at, cl)
+		}
+	}
+}
+
+// TestStrataFactsPopulated: storage and FactsPerStore facts sit at the
+// covered bottom peers and nowhere else, and some peer is stored.
+func TestStrataFactsPopulated(t *testing.T) {
+	for _, p := range strataCases {
+		spec, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := spec.Params
+		at := fmt.Sprintf("%+v", p)
+		stores := 0
+		for i, stored := range spec.Stored {
+			bottom := spec.Depths[i] == p.Diameter-1
+			if stored && !bottom || !stored && bottom && p.StoreCoverage == 1 || spec.Decoy[i] {
+				t.Fatalf("%s: peer %d (stratum %d) stored %v, decoy %v", at, i, spec.Depths[i], stored, spec.Decoy[i])
+			}
+			want := 0
+			if stored {
+				want = p.FactsPerStore
+				stores++
+			}
+			if len(spec.Facts[i]) != want {
+				t.Fatalf("%s: peer %d holds %d facts, want %d", at, i, len(spec.Facts[i]), want)
+			}
+		}
+		if stores == 0 {
+			t.Fatalf("%s: no stored peer", at)
+		}
+	}
+}
+
+// TestStrataEndToEndReformulation boots a Section 5 spec with definitional
+// mappings across loopback peers: the rule-goal tree is not empty, and the
+// distributed answers equal the single-process oracle's.
+func TestStrataEndToEndReformulation(t *testing.T) {
+	spec, err := Generate(Params{Peers: 12, Topology: Strata, Diameter: 3, DefRatio: 0.3, Seed: 5, FactsPerStore: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, q := strataTree(t, spec)
+	out, err := r.Reformulate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Stats.Nodes() == 0 {
+		t.Fatal("no tree built")
+	}
+	n, err := Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	got, err := n.Answers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := OracleAnswers(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("swarm %v, oracle %v\nspec:\n%s", got, want, spec.Mediator)
+	}
+}
+
+// TestStrataTreeGrowsWithDiameter is Figure 3's headline shape on one small
+// seed: the tree never shrinks sharply as the diameter grows.
+func TestStrataTreeGrowsWithDiameter(t *testing.T) {
+	prev := 0
+	for _, d := range []int{1, 2, 3, 4} {
+		spec, err := Generate(Params{Peers: 24, Topology: Strata, Diameter: d, DefRatio: 0.1, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, q := strataTree(t, spec)
+		st, err := r.BuildTree(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d > 1 && st.Nodes() <= prev/4 {
+			t.Fatalf("tree shrank sharply at diameter %d: %d vs %d", d, st.Nodes(), prev)
+		}
+		prev = st.Nodes()
+	}
+}
+
+// fig34Seeds are the generator seeds each Figure 3 and 4 point sums over.
+const fig34Seeds = 3
+
+// TestFigure3Shape asserts the shape of the paper's Figure 3 — rule-goal
+// tree size against diameter, one series per share of definitional
+// mappings — on 96-peer strata specs, in node counts, never times. On every
+// series the tree grows strictly with diameter over 1..6, and diameter 6 is
+// at least ten times diameter 2. The series are not ordered by %dd (at
+// diameter 3, 10 % makes 110.3 nodes on average and 25 % 94.0), so nothing
+// is asserted across them. The 0 % series reads 12, 41.3, 74.7, 158.7,
+// 184.0 and 824.0 nodes.
+func TestFigure3Shape(t *testing.T) {
+	for _, dd := range []float64{0, 0.10, 0.25, 0.50} {
+		var nodes []int // summed over the seeds, by diameter - 1
+		for d := 1; d <= 6; d++ {
+			sum := 0
+			for seed := int64(0); seed < fig34Seeds; seed++ {
+				spec, err := Generate(Params{Peers: 96, Topology: Strata, Diameter: d, DefRatio: dd, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, _, q := strataTree(t, spec)
+				st, err := r.BuildTree(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += st.Nodes()
+			}
+			nodes = append(nodes, sum)
+		}
+		for d := 2; d <= 6; d++ {
+			if nodes[d-1] <= nodes[d-2] {
+				t.Errorf("dd %g: tree does not grow from diameter %d to %d: %v nodes over %d seeds", dd, d-1, d, nodes, fig34Seeds)
+			}
+		}
+		if nodes[5] < 10*nodes[1] {
+			t.Errorf("dd %g: diameter 6 under ten times diameter 2: %v nodes over %d seeds", dd, nodes, fig34Seeds)
+		}
+	}
+}
+
+// TestFigure4Shape asserts the count side of the paper's Figure 4 at 10 %
+// definitional mappings on 96-peer strata specs: the number of rewritings
+// the tree yields grows strictly with diameter from 2 on. On average over
+// the seeds it reads 1, 2, 14, 95 and 513 for diameters 1 to 5.
+func TestFigure4Shape(t *testing.T) {
+	var rewritings []int // summed over the seeds, by diameter - 1
+	for d := 1; d <= 5; d++ {
+		sum := 0
+		for seed := int64(0); seed < fig34Seeds; seed++ {
+			spec, err := Generate(Params{Peers: 96, Topology: Strata, Diameter: d, DefRatio: 0.10, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, _, q := strataTree(t, spec)
+			if _, err := r.Stream(q, func(lang.CQ) bool { sum++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rewritings = append(rewritings, sum)
+	}
+	for d := 3; d <= 5; d++ {
+		if rewritings[d-1] <= rewritings[d-2] {
+			t.Errorf("rewritings do not grow from diameter %d to %d: %v over %d seeds", d-1, d, rewritings, fig34Seeds)
 		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 )
 
-// Topology selects the shape of the mapping graph a swarm generates. All
-// topologies are rooted at the entry peer (peer 0): every mapping edge is
-// directed parent → child with the parent strictly closer to the entry, so
-// a query posed at the entry reformulates outward hop by hop and the graph
-// is a DAG (reformulation depth is bounded by the entry's eccentricity).
+// Topology selects the shape of the mapping graph a swarm generates. Chain,
+// Star and SmallWorld are rooted at the entry peer (peer 0): every mapping
+// edge is directed parent → child with the parent strictly closer to the
+// entry, so a query posed at the entry reformulates outward hop by hop and
+// the graph is a DAG (reformulation depth is bounded by the entry's
+// eccentricity). Strata's top stratum plays the entry's part: its mappings
+// point one stratum down, so it is a DAG of depth Diameter-1.
 type Topology int
 
 const (
@@ -25,6 +27,11 @@ const (
 	// reconvergent "diamonds" so subtrees are reachable — and explored —
 	// along more than one semantic path.
 	SmallWorld
+	// Strata is the paper's Section 5 model: Diameter strata of peers,
+	// mappings only across adjacent strata, a DefRatio share of them
+	// definitional, storage at the bottom stratum and the query over the
+	// top one (see the package comment).
+	Strata
 )
 
 // String returns the topology's name.
@@ -36,6 +43,8 @@ func (t Topology) String() string {
 		return "star"
 	case SmallWorld:
 		return "smallworld"
+	case Strata:
+		return "strata"
 	}
 	return fmt.Sprintf("topology(%d)", int(t))
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/ppl"
 	"repro/internal/swarm"
-	"repro/internal/workload"
 	"repro/pdms"
 )
 
@@ -95,18 +94,23 @@ func TestShapeEntriesMatchUncachedReformulation(t *testing.T) {
 		corpora = append(corpora, c)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		for _, p := range []workload.Params{
-			{Peers: 12, Diameter: 3, DefRatio: 0, Seed: seed},
-			{Peers: 12, Diameter: 4, DefRatio: 0.25, StoreCoverage: 0.5, Seed: seed},
-			{Peers: 12, Diameter: 3, DefRatio: 0.25, QueryLen: 2, Seed: seed},
+		for _, p := range []swarm.Params{
+			{Peers: 12, Topology: swarm.Strata, Diameter: 3, DefRatio: 0, Seed: seed},
+			{Peers: 12, Topology: swarm.Strata, Diameter: 4, DefRatio: 0.25, StoreCoverage: 0.5, Seed: seed},
+			{Peers: 12, Topology: swarm.Strata, Diameter: 3, DefRatio: 0.25, QueryLen: 2, Seed: seed},
 		} {
-			w, err := workload.Generate(p)
+			spec, err := swarm.Generate(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, last := w.Query.Head.Args[0].Name, w.Query.Head.Args[1].Name
-			c := corpus{label: fmt.Sprintf("workload %+v", p), spec: w.PDMS}
-			for _, g := range append(constantVariants(w.Query, first, ""), constantVariants(w.Query, first, last)...) {
+			res, err := parser.Parse(spec.Mediator)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := mustParse(t, spec.Query)
+			first, last := q.Head.Args[0].Name, q.Head.Args[1].Name
+			c := corpus{label: fmt.Sprintf("strata %+v", p), spec: res.PDMS}
+			for _, g := range append(constantVariants(q, first, ""), constantVariants(q, first, last)...) {
 				c.groups = append(c.groups, liftGroup{queries: g, lifts: true})
 			}
 			corpora = append(corpora, c)
