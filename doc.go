@@ -49,7 +49,8 @@
 // bind-joins — the executor ships the distinct join keys bound
 // so far and the remote peer probes its hash indexes, so only
 // tuples that can join cross the wire. UCQ disjuncts fan out through the
-// engine's one union loop on per-address connection pools, redialing a dead reused connection,
+// engine's one union loop on per-address connection pools, with one
+// retry loop that redials a dead reused connection once per call,
 // and share one fetch of each distinct atom fragment per query;
 // pdms.Network.QueryVia plugs the mediator into that executor.
 package repro

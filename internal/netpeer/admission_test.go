@@ -270,7 +270,7 @@ func TestPipelinedResponsesStayOrdered(t *testing.T) {
 	if _, err := conn.Write(batch); err != nil {
 		t.Fatal(err)
 	}
-	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame, counters: &Counters{}}
 	for i := 0; i < n; i++ {
 		resp, err := c.readStream(nil)
 		if err != nil {
@@ -306,7 +306,7 @@ func TestDrainFinishesPipelinedWork(t *testing.T) {
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- srv.Drain(5 * time.Second) }()
 
-	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame, counters: &Counters{}}
 	for i := 0; i < 3; i++ {
 		resp, err := c.readStream(nil)
 		if err != nil {
@@ -488,10 +488,10 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 func TestPoolHandsConnectionToWaiter(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
-	p := newPool(addr, ctrs, nil, 1)
+	p := newPool(addr, ctrs, 1)
 	t.Cleanup(func() { p.close() })
 
-	c, reused, err := p.get()
+	c, reused, err := p.get(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestPoolHandsConnectionToWaiter(t *testing.T) {
 	}
 	got := make(chan borrow, 1)
 	go func() {
-		c2, r2, err2 := p.get()
+		c2, r2, err2 := p.get(false)
 		got <- borrow{c2, r2, err2}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -544,29 +544,30 @@ func TestPoolHandsConnectionToWaiter(t *testing.T) {
 	p.put(b.c)
 }
 
-// TestRedialWaitHandsOffAndCountsOnce covers the broken-connection retry
-// path waiting at the cap: a healthy connection returned meanwhile is
-// handed to the waiting redial, which must close it (it specifically needs
-// a fresh dial), reuse its slot, and count exactly one pool wait for the
-// whole call.
-func TestRedialWaitHandsOffAndCountsOnce(t *testing.T) {
+// TestFreshGetWaitHandsOffAndCountsOnce covers the broken-connection
+// retry's borrow, get(true), waiting at the cap: a healthy connection
+// returned meanwhile is handed to the waiting borrower, which must close it
+// (it specifically needs a fresh dial), reuse its slot, and count exactly
+// one pool wait for the whole call.
+func TestFreshGetWaitHandsOffAndCountsOnce(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
-	p := newPool(addr, ctrs, nil, 1)
+	p := newPool(addr, ctrs, 1)
 	t.Cleanup(func() { p.close() })
 
-	c, _, err := p.get()
+	c, _, err := p.get(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type redialed struct {
-		c   *Client
-		err error
+	type borrow struct {
+		c      *Client
+		reused bool
+		err    error
 	}
-	got := make(chan redialed, 1)
+	got := make(chan borrow, 1)
 	go func() {
-		c2, err2 := p.redial()
-		got <- redialed{c2, err2}
+		c2, r2, err2 := p.get(true)
+		got <- borrow{c2, r2, err2}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -577,28 +578,146 @@ func TestRedialWaitHandsOffAndCountsOnce(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("redial never queued at the cap")
+			t.Fatal("fresh borrower never queued at the cap")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	p.put(c)
-	r := <-got
-	if r.err != nil {
-		t.Fatal(r.err)
+	b := <-got
+	if b.err != nil {
+		t.Fatal(b.err)
 	}
-	if r.c == c {
-		t.Fatal("redial reused the pooled connection instead of dialing fresh")
+	if b.c == c || b.reused {
+		t.Fatal("fresh borrower reused the pooled connection instead of dialing fresh")
 	}
 	if got := ctrs.poolWaits.Load(); got != 1 {
-		t.Fatalf("poolWaits = %d for one blocked redial, want 1", got)
+		t.Fatalf("poolWaits = %d for one blocked fresh borrow, want 1", got)
 	}
 	p.mu.Lock()
 	active := p.active
 	p.mu.Unlock()
 	if active != 1 {
-		t.Fatalf("active = %d after handoff redial, want 1 (slot accounting drifted)", active)
+		t.Fatalf("active = %d after handoff to a fresh borrow, want 1 (slot accounting drifted)", active)
 	}
-	p.put(r.c)
+	p.put(b.c)
+}
+
+// TestFreshGetAtCapClosesIdle: a fresh borrow at the cap while the only
+// connections are idle must not wait — no borrower would ever return one
+// to hand it — but close an idle connection and dial on its slot.
+func TestFreshGetAtCapClosesIdle(t *testing.T) {
+	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
+	ctrs := &Counters{}
+	p := newPool(addr, ctrs, 1)
+	t.Cleanup(func() { p.close() })
+	c, _, err := p.get(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.put(c)
+	got := make(chan *Client, 1)
+	go func() {
+		c2, reused, err := p.get(true)
+		if err != nil || reused {
+			t.Errorf("fresh get at the cap: reused=%v, %v", reused, err)
+		}
+		got <- c2
+	}()
+	select {
+	case c2 := <-got:
+		if c2 == c {
+			t.Fatal("fresh get returned the idle connection")
+		}
+		p.put(c2)
+	case <-time.After(5 * time.Second):
+		p.close() // wakes the stuck borrower
+		t.Fatal("fresh get at the cap waited behind an idle connection")
+	}
+	p.mu.Lock()
+	active, idle := p.active, len(p.idle)
+	p.mu.Unlock()
+	if active != 1 || idle != 1 || ctrs.poolWaits.Load() != 0 || ctrs.dials.Load() != 2 {
+		t.Fatalf("active %d, idle %d, %d waits, %d dials; want 1, 1, 0 and 2", active, idle, ctrs.poolWaits.Load(), ctrs.dials.Load())
+	}
+}
+
+// TestWithClientFreshRetryOncePerCall pins withClient's contract: a
+// reused connection that breaks is retried on a fresh connection at most
+// once per call, even when a busy retry follows and the next reused
+// connection breaks too; and a fresh dial that fails reports fn's error,
+// not the dial's. fn never touches the wire, so a bare listener serves.
+func TestWithClientFreshRetryOncePerCall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 16) // more than the test ever dials
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		for {
+			select {
+			case conn := <-accepted:
+				conn.Close()
+			default:
+				return
+			}
+		}
+	})
+	addr := ln.Addr().String()
+	ex := NewExecutor()
+	ex.busyBackoff = time.Millisecond
+	t.Cleanup(func() { ex.Close() })
+	idle := func() { // leaves one idle pooled connection
+		if err := ex.withClient(addr, func(*Client) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errBroke := errors.New("connection broke")
+	idle()
+
+	// Break a reused connection, get shed on the fresh one, then break the
+	// reused connection the busy retry borrows: the call ends there.
+	calls, dials := 0, ex.counters.dials.Load()
+	err = ex.withClient(addr, func(c *Client) error {
+		calls++
+		switch calls {
+		case 1, 3:
+			c.broken = true
+			return errBroke
+		case 2:
+			return fmt.Errorf("%w: shed", ErrBusy)
+		}
+		return nil
+	})
+	if !errors.Is(err, errBroke) || calls != 3 {
+		t.Fatalf("withClient returned %v after %d calls, want the break after 3: a second fresh retry ran", err, calls)
+	}
+	if d := ex.counters.dials.Load() - dials; d != 1 {
+		t.Fatalf("%d dials in one call, want 1 fresh connection", d)
+	}
+	if n := ex.counters.busyRetries.Load(); n != 1 {
+		t.Fatalf("wire.busy_retries = %d, want 1", n)
+	}
+
+	// The fresh dial fails once the listener is gone: fn's error surfaces.
+	idle()
+	ln.Close()
+	err = ex.withClient(addr, func(c *Client) error {
+		c.broken = true
+		return errBroke
+	})
+	if !errors.Is(err, errBroke) {
+		t.Fatalf("withClient with a failed fresh dial returned %v, want fn's error", err)
+	}
 }
 
 // TestCloseAbortsBusyBackoff pins the only admission slot with a slow

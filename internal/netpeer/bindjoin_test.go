@@ -80,6 +80,52 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 	}
 }
 
+// TestSelectionFetchAppliesRepeatedVariables: the first atom in plan
+// order, A.r(x, x), is fetched without keys as the push-down of its
+// selection, so the peer applies the repeated variable and only A.r's
+// three self-agreeing rows cross the wire, not all ten.
+func TestSelectionFetchAppliesRepeatedVariables(t *testing.T) {
+	a := map[string][]rel.Tuple{"A.r": nil}
+	b := map[string][]rel.Tuple{"B.s": nil}
+	for i := 0; i < 10; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if i < 3 {
+			a["A.r"] = append(a["A.r"], rel.Tuple{k, k})
+		} else {
+			a["A.r"] = append(a["A.r"], rel.Tuple{k, fmt.Sprintf("x%d", i)})
+		}
+	}
+	for i := 0; i < 100; i++ {
+		b["B.s"] = append(b["B.s"], rel.Tuple{fmt.Sprintf("k%d", i%10), fmt.Sprintf("p%d", i)})
+	}
+	q := parseCQ(t, `q(x, y) :- A.r(x, x), B.s(x, y)`)
+	want, err := engine.New(instanceOf(a, b)).EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, addr := range []string{startServer(t, a), startServer(t, b)} {
+		if err := ex.Discover(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if order := ex.planOrder(q); order[0] != 0 {
+		t.Fatalf("plan order %v, want A.r first", order)
+	}
+	got, err := ex.EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tuplesEqual(got, want) || len(want) != 30 {
+		t.Fatalf("answer %v, want the oracle's 30 rows %v", got, want)
+	}
+	// Three rows of A.r, then B.s's ten rows for each of their three keys.
+	if fetched := ex.counters.rowsFetched.Load(); fetched != 3+30 {
+		t.Fatalf("wire.rows_fetched = %d, want 33: A.r(x, x) shipped rows that disagree with themselves", fetched)
+	}
+}
+
 // TestFetchNameCollisionRegression pins that two atoms on the same
 // predicate whose selection patterns would collide under an unescaped
 // "pred|pos=const..." encoding — R with constant "x|1=y" at position 0

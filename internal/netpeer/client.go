@@ -13,9 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Client is a connection to one peer server. A Client is not safe for
-// concurrent use: the Executor multiplexes concurrent work over a
-// per-address pool of Clients, borrowing one per in-flight request.
+// Client is a connection to one peer server. It holds only connection
+// state: a call's generation and final-frame callback are arguments. A
+// Client is not safe for concurrent use: the Executor borrows one per
+// in-flight request from a per-address pool, whose Clients share its
+// Counters.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -30,23 +32,9 @@ type Client struct {
 	// together (wire.DefaultMaxFrame); chunked streaming keeps real frames
 	// around wire.ChunkMaxBytes.
 	maxFrame int
-	// counters, when non-nil, aggregates this client's traffic (set by the
-	// executor's pool so all pooled connections share one Counters).
+	// counters aggregates this client's traffic: its own for a Client from
+	// Dial, the pool's for a pooled one.
 	counters *Counters
-	// onMeta, when non-nil, receives the cardinalities piggybacked on final
-	// response frames (set by the executor's pool so estimates refresh
-	// continuously).
-	onMeta func(preds []string, cards []int)
-	// tapMeta, when non-nil, receives the same final frames for the
-	// duration of one logical call — the executor installs it around a
-	// fragment fetch to learn the generation its own response frames
-	// reported and whether the peer answered unchanged.
-	tapMeta func(final *wire.Response)
-	// ifGen, when non-nil, makes the next fragment fetch conditional on a
-	// cached copy at that generation: evalFrames sends it, bindFrames
-	// sends it with its first batch. Installed for one logical call, like
-	// tapMeta.
-	ifGen *uint64
 	// traceSpan, when non-nil, marks requests on this client as traced:
 	// each request carries the span's trace ID and span ID, and the spans
 	// shipped back on final frames are adopted under it, labeled with the
@@ -64,8 +52,8 @@ type Client struct {
 // ErrBusy marks a shed request: the server's admission gate refused to
 // start it (in-flight limit reached, wait queue full or wait bound
 // exceeded). The request did no work, the connection stays usable, and a
-// retry after a jittered backoff is safe for any op (the executor's pool
-// does this automatically). Test with errors.Is.
+// retry after a jittered backoff is safe for any op (the Executor does
+// this automatically). Test with errors.Is.
 var ErrBusy = errors.New("netpeer: server busy")
 
 // maxKeptFrameBytes caps the frame buffers a connection keeps between
@@ -89,7 +77,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}, nil
+	return &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame, counters: &Counters{}}, nil
 }
 
 // Close closes the connection.
@@ -132,10 +120,8 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 			}
 			return wire.Response{}, err
 		}
-		if c.counters != nil {
-			c.counters.bytesRecv.Add(uint64(n))
-			c.counters.maxFrame.Max(int64(n))
-		}
+		c.counters.bytesRecv.Add(uint64(n))
+		c.counters.maxFrame.Max(int64(n))
 		if resp.Error != "" {
 			// A remote error frame is final and well-framed: the stream
 			// stays in sync and the connection remains usable. A busy frame
@@ -146,9 +132,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 			}
 			return wire.Response{}, fmt.Errorf("netpeer: remote: %s", resp.Error)
 		}
-		if c.counters != nil {
-			c.counters.rowsFetched.Add(uint64(len(resp.Rows)))
-		}
+		c.counters.rowsFetched.Add(uint64(len(resp.Rows)))
 		if onRows != nil && len(resp.Rows) > 0 && !resp.Unchanged {
 			if err := onRows(resp.Rows); err != nil {
 				c.broken = true
@@ -157,14 +141,6 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 			}
 		}
 		if !resp.More {
-			if len(resp.Preds) > 0 {
-				if c.onMeta != nil {
-					c.onMeta(resp.Preds, resp.Cards)
-				}
-				if c.tapMeta != nil {
-					c.tapMeta(&resp)
-				}
-			}
 			if c.traceSpan != nil && len(resp.Spans) > 0 {
 				c.traceSpan.AdoptRemote(c.conn.RemoteAddr().String(), resp.Spans)
 			}
@@ -177,9 +153,7 @@ func (c *Client) readStream(onRows func([][]string) error) (wire.Response, error
 // counted Write, and consumes its response stream, handing each frame's
 // rows to onRows (nil drops them: the op returns none).
 func (c *Client) roundTrip(req wire.Request, onRows func([][]string) error) (wire.Response, error) {
-	if c.counters != nil {
-		c.counters.requests.Add(1)
-	}
+	c.counters.requests.Add(1)
 	if c.traceSpan != nil {
 		req.Trace = c.traceSpan.TraceID()
 		req.Span = c.traceSpan.ID()
@@ -187,9 +161,7 @@ func (c *Client) roundTrip(req wire.Request, onRows func([][]string) error) (wir
 	c.out = wire.AppendRequest(c.out, &req)
 	n, err := c.conn.Write(c.out)
 	c.out = recycle(c.out)
-	if c.counters != nil {
-		c.counters.bytesSent.Add(uint64(n))
-	}
+	c.counters.bytesSent.Add(uint64(n))
 	if err != nil {
 		c.broken = true
 		return wire.Response{}, err
@@ -308,9 +280,15 @@ func (c *Client) ScanStream(pred string, yield func(rel.Tuple) error) error {
 
 // evalFrames evaluates a conjunctive query remotely — every body atom must
 // name a relation the peer serves — handing onRows each frame's distinct
-// head tuples as they arrive, in stream (not sorted) order.
-func (c *Client) evalFrames(q lang.CQ, onRows func([][]string) error) error {
-	_, err := c.roundTrip(wire.Request{Op: "eval", Query: &q, IfGen: c.ifGen}, onRows)
+// head tuples as they arrive, in stream (not sorted) order, and onFinal
+// (when non-nil) the final frame. A non-nil ifGen makes the call
+// conditional on a cached copy at that generation: the peer may answer
+// unchanged, with no rows.
+func (c *Client) evalFrames(q lang.CQ, ifGen *uint64, onRows func([][]string) error, onFinal func(*wire.Response)) error {
+	final, err := c.roundTrip(wire.Request{Op: "eval", Query: &q, IfGen: ifGen}, onRows)
+	if err == nil && onFinal != nil {
+		onFinal(&final)
+	}
 	return err
 }
 
@@ -356,13 +334,13 @@ func bindBatchStarts(rows [][]string) []int {
 
 // bindFrames fetches the tuples of atom a that match the atom's constants
 // and, at the bindCols positions, at least one of the bound-key rows,
-// handing onRows each frame's rows as they arrive. Keys ship in row- and
-// byte-bounded batches, one request after another. A conditional call
-// (the borrower installed ifGen) sends the generation with the first batch
-// only: an unchanged answer ends the call, so the remaining batches are
-// never sent. The stream may contain duplicates across batches — callers
-// deduplicate.
-func (c *Client) bindFrames(a lang.Atom, bindCols []int, rows [][]string, onRows func([][]string) error) error {
+// handing onRows each frame's rows as they arrive and onFinal (when
+// non-nil) each batch's final frame. Keys ship in row- and byte-bounded
+// batches, one request after another. A conditional call (non-nil ifGen)
+// sends the generation with the first batch only: an unchanged answer ends
+// the call, so the remaining batches are never sent. The stream may
+// contain duplicates across batches — callers deduplicate.
+func (c *Client) bindFrames(a lang.Atom, bindCols []int, rows [][]string, ifGen *uint64, onRows func([][]string) error, onFinal func(*wire.Response)) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -371,7 +349,6 @@ func (c *Client) bindFrames(a lang.Atom, bindCols []int, rows [][]string, onRows
 	// of the serving peer's spans while the batch's response streams back.
 	parent := c.traceSpan
 	defer func() { c.traceSpan = parent }()
-	ifGen := c.ifGen
 	for i, start := range starts {
 		end := len(rows)
 		if i+1 < len(starts) {
@@ -381,9 +358,7 @@ func (c *Client) bindFrames(a lang.Atom, bindCols []int, rows [][]string, onRows
 		bs.SetInt("batch", int64(i))
 		bs.SetInt("keys", int64(end-start))
 		c.traceSpan = bs
-		if c.counters != nil {
-			c.counters.bindBatches.Add(1)
-		}
+		c.counters.bindBatches.Add(1)
 		final, err := c.roundTrip(wire.Request{
 			Op:       "bind",
 			Atom:     &a,
@@ -392,8 +367,14 @@ func (c *Client) bindFrames(a lang.Atom, bindCols []int, rows [][]string, onRows
 			IfGen:    ifGen,
 		}, onRows)
 		bs.End()
-		if err != nil || final.Unchanged {
+		if err != nil {
 			return err
+		}
+		if onFinal != nil {
+			onFinal(&final)
+		}
+		if final.Unchanged {
+			return nil
 		}
 		ifGen = nil
 	}

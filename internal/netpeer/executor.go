@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -43,11 +44,13 @@ const (
 //     peer's advertised cardinality says the whole selection-pushed
 //     relation is smaller than the key set: then fetching it outright
 //     moves fewer bytes, and the executor adapts.
-//   - Every remote fetch is a fragment: an atom's selection-pushed fetch
-//     or bind probe, or a whole pushed-down rewriting. Fragments are cached
+//   - Every remote fetch is a fragment, of one of two kinds: a push-down —
+//     a whole rewriting, or an atom fetched without keys, which is the
+//     push-down of its selection (constants and repeated variables, both
+//     applied by the peer) — or an atom's bind probe. Fragments are cached
 //     *across queries* in a byte-bounded LRU, sorted and distinct, keyed by
-//     peer and either (canonical atom pattern, bound-key-set hash) or the
-//     pushed-down CQ's canonical string. An entry is stamped with its
+//     peer and either the pushed-down CQ's canonical string or (canonical
+//     atom pattern, bound-key-set hash). An entry is stamped with its
 //     relation's generation as reported by the fetch's own response frames
 //     (a fetch whose frames disagree — a mutation landed mid-fetch — is not
 //     cached, and neither is a push-down that reads several relations: a
@@ -67,12 +70,13 @@ const (
 //
 // UCQ disjuncts are evaluated concurrently (engine.EvalUnion); all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
-// connection pools (a single Client is not safe for concurrent use). A
-// pooled connection that fails at the transport level — say, because the
-// peer restarted while it sat idle — is retried once on a fresh dial for
-// the idempotent read ops (see withClientOnce). A request shed by a peer's
-// admission gate is retried after a full-jitter exponential backoff — it
-// never started, so the retry is safe for any op.
+// connection pools (a single Client is not safe for concurrent use). Every
+// remote call — Discover's catalog and each fragment fetch — goes through
+// withClient, the one place that borrows a connection, dials, retries and
+// gives up: a reused connection that fails at the transport level (say,
+// because the peer restarted while it sat idle) is retried once per call
+// on a fresh connection, and a request shed by a peer's admission gate is
+// retried after a full-jitter exponential backoff that Close ends.
 type Executor struct {
 	// maxConnsPerAddr, busyRetries and busyBackoff hold the default*
 	// constants of the same names; NewExecutor sets them, and tests shrink
@@ -94,12 +98,7 @@ type Executor struct {
 	card map[string]int
 	// pools holds one connection pool per peer address. Guarded by mu.
 	pools map[string]*pool
-	// abort interrupts in-flight busy-retry backoff sleeps: Close closes
-	// the current channel (surfacing the busy error to sleepers instead of
-	// pinning shutdown behind seconds of backoff) and installs a fresh one,
-	// since a closed executor stays usable. Guarded by mu.
-	abort chan struct{}
-	// frags caches fetched fragments — atom fetches and push-downs —
+	// frags caches fetched fragments — push-downs and binds —
 	// across queries.
 	frags *fragCache
 	// counters aggregates wire traffic across all pooled connections.
@@ -115,7 +114,6 @@ func NewExecutor() *Executor {
 		addr:            map[string]string{},
 		card:            map[string]int{},
 		pools:           map[string]*pool{},
-		abort:           make(chan struct{}),
 		frags:           newFragCache(defaultFragBytes),
 	}
 }
@@ -171,17 +169,16 @@ func (e *Executor) cardOf(pred string) (int, bool) {
 	return n, ok
 }
 
-// Close closes all pooled connections, aborts in-flight busy-retry
-// backoff sleeps (their callers see the busy error immediately instead of
-// pinning Close behind up to seconds of backoff), and drops the fragment
-// cache. The executor stays usable: later calls dial fresh connections,
-// refill the cache, and retry busy errors as usual.
+// Close closes all pooled connections and drops the fragment cache.
+// Closing a pool ends the busy-retry backoff of every call borrowing from
+// it: the caller sees the busy error immediately instead of pinning Close
+// behind up to seconds of backoff. The executor stays usable: later calls
+// get new pools, dial fresh connections, refill the cache, and retry busy
+// errors as usual.
 func (e *Executor) Close() error {
 	e.mu.Lock()
 	pools := e.pools
 	e.pools = map[string]*pool{}
-	close(e.abort)
-	e.abort = make(chan struct{})
 	e.mu.Unlock()
 	e.frags.clear()
 	var first error
@@ -199,79 +196,66 @@ func (e *Executor) pool(addr string) *pool {
 	defer e.mu.Unlock()
 	p, ok := e.pools[addr]
 	if !ok {
-		p = newPool(addr, &e.counters, e.updateMeta, e.maxConnsPerAddr)
+		p = newPool(addr, &e.counters, e.maxConnsPerAddr)
 		e.pools[addr] = p
 	}
 	return p
 }
 
-// withClient borrows a pooled connection to addr and runs fn on it,
-// retrying (with full-jitter exponential backoff) when the peer sheds the
-// request with an in-band busy error. A shed request never started, so the
-// retry is safe for any op; fn may run several times and streaming callers
-// must tolerate re-delivery (the executor's join state dedups remote
-// tuples, which makes replays idempotent). Close aborts the backoff sleep:
-// the pending busy error surfaces immediately rather than holding the
-// caller (and shutdown) for the remaining backoff budget.
+// withClient borrows a pooled connection to addr, runs fn on it and
+// returns it: the executor's one call path to a peer. It retries fn for
+// two reasons. A reused connection that failed at the transport level may
+// have died while idle, so fn runs again on a fresh connection, once per
+// call (every request the executor sends is an idempotent read); if that
+// dial fails, fn's error is reported. A request the peer shed with a busy
+// error never started, so fn runs again after a full-jitter exponential
+// backoff, up to busyRetries times; closing the pool (Close) ends the
+// backoff, and the busy error surfaces at once. Streaming callers must
+// tolerate re-delivery (the join state dedups remote tuples). Broken
+// connections never return to the pool (put closes them).
 func (e *Executor) withClient(addr string, fn func(*Client) error) error {
-	// Captured once at call start: a Close during any later backoff (or
-	// between attempts) of this call closes exactly this channel, while
-	// calls arriving after Close get the replacement and retry as usual.
-	e.mu.Lock()
-	abort := e.abort
-	e.mu.Unlock()
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = e.withClientOnce(addr, fn)
-		if err == nil || !errors.Is(err, ErrBusy) || attempt >= e.busyRetries {
-			return err
-		}
-		e.counters.busyRetries.Add(1)
-		// Full jitter: a uniform sleep in (0, busyBackoff<<attempt]
-		// decorrelates the retries of a shed burst instead of replaying it
-		// in lockstep. The step is capped so high retry budgets neither
-		// overflow the shift nor sleep unboundedly.
-		step := e.busyBackoff
-		for i := 0; i < attempt && step < maxBusyBackoff; i++ {
-			step <<= 1
-		}
-		if step > maxBusyBackoff {
-			step = maxBusyBackoff
-		}
-		timer := time.NewTimer(time.Duration(1 + rand.Int64N(int64(step))))
-		select {
-		case <-timer.C:
-		case <-abort:
-			timer.Stop()
-			return err
-		}
-	}
-}
-
-// withClientOnce is one borrow-run-return cycle. Every protocol request
-// except add is an idempotent read, so when a *reused* connection fails at
-// the transport level (it may have died or desynced while idle) the call
-// retries once on a freshly-dialed connection. Broken connections are
-// never returned to the pool (put closes them), so a transport error can
-// never leave a desynced stream for a later borrower.
-func (e *Executor) withClientOnce(addr string, fn func(*Client) error) error {
 	p := e.pool(addr)
-	c, reused, err := p.get()
-	if err != nil {
-		return err
-	}
-	err = fn(c)
-	broken := c.broken
-	p.put(c)
-	if err != nil && broken && reused {
-		c2, derr := p.redial()
-		if derr != nil {
+	var err error // fn's last error
+	fresh, freshUsed := false, false
+	for busy := 0; ; {
+		c, reused, gerr := p.get(fresh)
+		if gerr != nil {
+			if fresh {
+				return err
+			}
+			return gerr
+		}
+		err = fn(c)
+		broken := c.broken
+		p.put(c)
+		fresh = false
+		switch {
+		case err == nil:
+			return nil
+		case broken && reused && !freshUsed:
+			fresh, freshUsed = true, true
+		case errors.Is(err, ErrBusy) && busy < e.busyRetries:
+			e.counters.busyRetries.Add(1)
+			// Full jitter: a uniform sleep in (0, busyBackoff<<busy]
+			// decorrelates the retries of a shed burst instead of replaying
+			// it in lockstep. The step is capped so high retry budgets
+			// neither overflow the shift nor sleep unboundedly.
+			step := e.busyBackoff
+			for i := 0; i < busy && step < maxBusyBackoff; i++ {
+				step <<= 1
+			}
+			timer := time.NewTimer(time.Duration(1 + rand.Int64N(int64(min(step, maxBusyBackoff)))))
+			select {
+			case <-timer.C:
+			case <-p.done:
+				timer.Stop()
+				return err
+			}
+			busy++
+		default:
 			return err
 		}
-		err = fn(c2)
-		p.put(c2)
 	}
-	return err
 }
 
 // EvalUCQ evaluates a union of conjunctive rewritings over the network,
@@ -460,19 +444,20 @@ func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
 	}()
 	sh := shapeOf(a, j.varCol)
 	// The distinct bound keys are the semi-join payload. Ship them — or,
-	// when the relation's advertised cardinality is smaller than the key
-	// set, fetch the (selection-pushed) relation instead.
-	useBind := len(sh.joinCols) > 0
-	var keyRows [][]string
-	if useBind {
-		keyRows = j.distinctKeys(sh.joinCols)
-		if card, ok := j.e.cardOf(a.Pred); ok && card < len(keyRows) {
-			useBind = false
-		} else {
+	// with no key bound or when the relation's advertised cardinality is
+	// smaller than the key set, push the atom's selection down instead.
+	var r *fragReq
+	if len(sh.joinCols) > 0 {
+		keyRows := j.distinctKeys(sh.joinCols)
+		if card, ok := j.e.cardOf(a.Pred); !ok || card >= len(keyRows) {
 			as.SetInt("keys", int64(len(keyRows)))
+			r = bindReq(addr, a, sh, keyRows)
 		}
 	}
-	rows, err := j.e.fragment(j.fl, atomReq(addr, a, sh, keyRows, useBind), as)
+	if r == nil {
+		r = pushdownReq(addr, selectionQuery(a))
+	}
+	rows, err := j.e.fragment(j.fl, r, as)
 	if err != nil {
 		return err
 	}
@@ -608,15 +593,15 @@ func evalComp(c lang.Comparison, varCol map[string]int, row rel.Tuple) bool {
 	return c.Op.EvalConst(resolve(c.L), resolve(c.R))
 }
 
-// selectionQuery builds the remote fetch query for atom a: head and body
-// carry one fresh variable (or the constant itself) per position, constants
-// kept in the body for push-down, so the peer returns full rows of the
-// selection.
+// selectionQuery builds the push-down that fetches atom a without keys:
+// head and body carry the constant itself or, per variable, one variable
+// named after its first position, so the peer applies both the constants
+// and the repeated variables and returns full rows of the selection.
 func selectionQuery(a lang.Atom) lang.CQ {
 	args := make([]lang.Term, len(a.Args))
 	for i, t := range a.Args {
 		if !t.IsConst() {
-			t = lang.Var(fmt.Sprintf("c%d", i))
+			t = lang.Var("c" + strconv.Itoa(slices.Index(a.Args, t)))
 		}
 		args[i] = t
 	}

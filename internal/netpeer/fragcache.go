@@ -43,8 +43,8 @@ func tupleBytes(t rel.Tuple) int64 {
 }
 
 // fragEntry is one cached fragment: the post-filter remote rows of one
-// fetch (fragReq) — an atom's selection or bind, or a one-relation
-// push-down — sorted and distinct, stamped with the serving peer's
+// fetch (fragReq) — a one-relation push-down or an atom's bind — sorted
+// and distinct, stamped with the serving peer's
 // generation for the fragment's relation at fetch time.
 type fragEntry struct {
 	key   string
@@ -66,7 +66,7 @@ type fragCache struct {
 	// under mu, and bytes is the budget's running total.
 	entries, bytes obs.Gauge
 
-	// hits counts fetches (atom fetches and push-downs) the serving peer
+	// hits counts fetches (push-downs and binds) the serving peer
 	// answered unchanged, served from the cache; misses counts fetches
 	// whose rows crossed the wire. invalidations counts cached fragments
 	// dropped because the peer's generation for the fragment's relation had
@@ -213,17 +213,18 @@ func (fl *flights) join(key string) (f *flight, first bool) {
 }
 
 // fragReq is one fragment fetch: what goes to the serving peer and what
-// every arriving row is checked against. An atom's selection or bind fetch
-// (atomReq) and a whole CQ pushed down to the one peer holding its
-// relations (pushdownReq) are both fragments: they go through the query's
-// flight table, the cache and its generation check alike.
+// every arriving row is checked against. A fragment is either a CQ pushed
+// down to the one peer holding its relations (pushdownReq) — a whole
+// rewriting, or an atom fetched without keys (selectionQuery) — or an
+// atom's bind (bindReq): both go through the query's flight table, the
+// cache and its generation check alike.
 type fragReq struct {
 	// addr is the serving peer; key names the fetch in the flight table and
-	// the cache (fragmentKey, pushdownKey).
+	// the cache (pushdownKey, bindKey).
 	addr, key string
 	// pattern is what an arriving row must match — its arity, its constants
-	// and, at dupChecks, its repeated variables: the fetched atom, or the
-	// pushed-down CQ's head.
+	// and, at dupChecks, its repeated variables: the pushed-down CQ's head,
+	// or the bound atom.
 	pattern   lang.Atom
 	dupChecks [][2]int
 	// pred is the one relation the fetch reads, whose generation the peer
@@ -233,29 +234,23 @@ type fragReq struct {
 	pred string
 	// src labels a wire fetch on its span: "fetch" or "bind".
 	src string
-	// send issues the request on c, handing onRows each arriving frame's
-	// rows.
-	send func(c *Client, onRows func([][]string) error) error
+	// q is a push-down's query. keyPoss and keys are a bind's join
+	// positions in pattern and its bound-key rows; keys is nil for a
+	// push-down.
+	q       lang.CQ
+	keyPoss []int
+	keys    [][]string
 }
 
-// atomReq is the fetch of the rows of atom a's relation that pass the atom's
-// constants and repeated variables and — when bind — match one of keyRows
-// at the join positions sh.keyPoss.
-func atomReq(addr string, a lang.Atom, sh stepShape, keyRows [][]string, bind bool) *fragReq {
-	r := &fragReq{
-		addr: addr, key: fragmentKey(addr, a, sh.keyPoss, keyRows, bind),
-		pattern: a, dupChecks: sh.dupChecks, pred: a.Pred, src: "fetch",
-		send: func(c *Client, onRows func([][]string) error) error {
-			return c.evalFrames(selectionQuery(a), onRows)
-		},
+// bindReq is the fetch of the rows of atom a's relation that pass the
+// atom's constants and repeated variables and match one of keyRows at the
+// join positions sh.keyPoss.
+func bindReq(addr string, a lang.Atom, sh stepShape, keyRows [][]string) *fragReq {
+	return &fragReq{
+		addr: addr, key: bindKey(addr, a, sh.keyPoss, keyRows),
+		pattern: a, dupChecks: sh.dupChecks, pred: a.Pred, src: "bind",
+		keyPoss: sh.keyPoss, keys: keyRows,
 	}
-	if bind {
-		r.src = "bind"
-		r.send = func(c *Client, onRows func([][]string) error) error {
-			return c.bindFrames(a, sh.keyPoss, keyRows, onRows)
-		}
-	}
-	return r
 }
 
 // pushdownReq is the fetch of q's answers from addr, the peer serving every
@@ -272,10 +267,7 @@ func pushdownReq(addr string, q lang.CQ) *fragReq {
 	}
 	return &fragReq{
 		addr: addr, key: pushdownKey(addr, q),
-		pattern: q.Head, dupChecks: shapeOf(q.Head, nil).dupChecks, pred: pred, src: "fetch",
-		send: func(c *Client, onRows func([][]string) error) error {
-			return c.evalFrames(q, onRows)
-		},
+		pattern: q.Head, dupChecks: shapeOf(q.Head, nil).dupChecks, pred: pred, src: "fetch", q: q,
 	}
 }
 
@@ -307,18 +299,26 @@ func (e *Executor) fragment(fl *flights, r *fragReq, sp *obs.Span) ([]rel.Tuple,
 // that answers unchanged ships no rows: the cached ones are served.
 // Otherwise the rows stream in, are sorted and deduplicated, and are cached
 // for the next query when every response frame reported one generation for
-// r.pred.
+// r.pred. Every final frame's cardinalities refresh the estimate table.
 func (e *Executor) fetchFragment(r *fragReq, sp *obs.Span) ([]rel.Tuple, error) {
 	cached, gen, ok := e.frags.lookup(r.key)
-	f := fragFetch{r: r}
 	sp.Set("src", r.src)
+	var ifGen *uint64
+	if ok {
+		ifGen = &gen
+	}
+	f := fragFetch{r: r}
+	onFinal := func(final *wire.Response) {
+		e.updateMeta(final.Preds, final.Cards)
+		f.tap(final)
+	}
 	err := e.withClient(r.addr, func(c *Client) error {
-		c.tapMeta, c.traceSpan = f.tap, sp
-		if ok {
-			c.ifGen = &gen
+		c.TraceOn(sp)
+		defer c.TraceOn(nil)
+		if r.keys != nil {
+			return c.bindFrames(r.pattern, r.keyPoss, r.keys, ifGen, f.frame, onFinal)
 		}
-		defer func() { c.tapMeta, c.traceSpan, c.ifGen = nil, nil, nil }()
-		return r.send(c, f.frame)
+		return c.evalFrames(r.q, ifGen, f.frame, onFinal)
 	})
 	sp.SetInt("fetched", int64(f.n))
 	if err != nil {
@@ -400,19 +400,18 @@ func (f *fragFetch) tap(final *wire.Response) {
 	}
 }
 
-// fragmentKey builds the cache key of one atom fetch: the serving peer's
+// bindKey builds the cache key of one atom's bind: the serving peer's
 // address, the atom's *canonical pattern* — per position a constant
 // (length-prefix encoded), a back-reference to the first occurrence of a
-// repeated variable, or a fresh-variable marker — and, on the bind path,
-// the bound column positions plus a hash of the *sorted* distinct
-// bound-key set (the key rows arrive in join-discovery order, which varies
-// run to run, so the hash must not depend on it). The pattern must cover
-// repeated variables, not just constants: cached rows are post-filter, and
-// R(x, x) keeps only the tuples agreeing with themselves while R(x, y)
-// keeps all of them — a constants-only key would alias the two. A full
-// selection fetch uses the bare pattern; bind fetches with different key
-// sets get distinct entries.
-func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, bind bool) string {
+// repeated variable, or a fresh-variable marker — the bound column
+// positions, and a hash of the *sorted* distinct bound-key set (the key
+// rows arrive in join-discovery order, which varies run to run, so the
+// hash must not depend on it). The pattern must cover repeated variables,
+// not just constants: cached rows are post-filter, and R(x, x) keeps only
+// the tuples agreeing with themselves while R(x, y) keeps all of them — a
+// constants-only key would alias the two. Binds with different key sets
+// get distinct entries.
+func bindKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string) string {
 	b := rel.AppendValue([]byte{'a'}, addr)
 	b = append(b, '|')
 	b = rel.AppendValue(b, a.Pred)
@@ -431,9 +430,6 @@ func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, b
 		}
 		firstPos[t.Name] = i
 		b = append(b, '?')
-	}
-	if !bind {
-		return string(append(b, "|full"...))
 	}
 	b = append(b, "|bind"...)
 	for _, c := range bindCols {
@@ -459,8 +455,8 @@ func fragmentKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string, b
 // addr: the address and q's canonical string. That string is exact — it
 // spells out head, body and comparisons and length-prefixes constants — so
 // two push-downs share a key only when they are the same query up to
-// variable names. The leading 'q' keeps it apart from every fragmentKey,
-// which begins with 'a'.
+// variable names. The leading 'q' keeps it apart from every bindKey, which
+// begins with 'a'.
 func pushdownKey(addr string, q lang.CQ) string {
 	var arr [256]byte
 	b := append(rel.AppendValue(append(arr[:0], 'q'), addr), '|')

@@ -42,7 +42,7 @@ func fuzzClient(data []byte) *Client {
 
 // FuzzResponseStream feeds arbitrary bytes to the client-side response
 // stream consumer — the frame loop, final-marker handling, rows callback,
-// and the cardinality/generation/span piggyback paths — and checks its
+// and the span piggyback path — and checks its
 // invariants: no panic, rows handed to onRows exactly match the fetched
 // counter, remote error frames leave the connection usable while
 // transport-level failures mark it broken, a clean return is always a

@@ -83,7 +83,7 @@ func pinServerSlots(t *testing.T, srv *Server, addr, bigPred string, n int) (rel
 				// Drain exactly one response stream: readStream returns at
 				// the scan's final frame, at which point the server has
 				// released the slot.
-				c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame}
+				c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), maxFrame: wire.DefaultMaxFrame, counters: &Counters{}}
 				if _, err := c.readStream(nil); err != nil {
 					t.Errorf("draining pinned scan: %v", err)
 				}

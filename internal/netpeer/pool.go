@@ -2,6 +2,7 @@ package netpeer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -33,11 +34,11 @@ const defaultMaxConnsPerAddr = 64
 type pool struct {
 	addr     string
 	counters *Counters
-	// onMeta propagates response-piggybacked cardinalities from every
-	// pooled connection back to the executor's estimate table.
-	onMeta func(preds []string, cards []int)
 	// maxConns caps total open connections (idle + borrowed) to addr.
 	maxConns int
+	// done closes when the pool closes: it ends the busy-retry backoff of
+	// every call borrowing from this pool (Executor.withClient).
+	done chan struct{}
 
 	mu      sync.Mutex
 	idle    []*Client    // guarded by mu
@@ -56,59 +57,62 @@ type grant struct {
 	slot bool    // a connection slot is reserved for you; dial it
 }
 
-func newPool(addr string, counters *Counters, onMeta func(preds []string, cards []int), maxConns int) *pool {
-	return &pool{addr: addr, counters: counters, onMeta: onMeta, maxConns: maxConns}
+func newPool(addr string, counters *Counters, maxConns int) *pool {
+	return &pool{addr: addr, counters: counters, maxConns: maxConns, done: make(chan struct{})}
 }
 
-// get returns a connection to the pool's address, reusing an idle one when
-// available. With no idle connection and the per-address cap reached, get
-// blocks until a returned connection or freed slot is handed to it (FIFO;
-// one wire.pool_waits count however long the wait). reused reports whether
-// the connection predates this call: a reused connection may have died
-// while idle, so callers issuing idempotent requests may retry once on a
-// fresh dial (see Executor.withClientOnce).
-func (p *pool) get() (c *Client, reused bool, err error) {
+// get returns a connection to the pool's address: an idle one when
+// available, unless fresh asks for a new one (withClient's retry after a
+// reused connection broke). With nothing idle and the per-address cap
+// reached, get blocks until a returned connection or freed slot is handed
+// to it (FIFO; one wire.pool_waits count however long the wait). A fresh
+// borrower at the cap closes an idle or handed-over connection and dials
+// on its slot. reused reports whether the connection predates this call.
+func (p *pool) get(fresh bool) (c *Client, reused bool, err error) {
 	p.mu.Lock()
-	if p.closed {
+	n := len(p.idle)
+	switch {
+	case p.closed:
 		p.mu.Unlock()
-		return nil, false, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
-	}
-	if n := len(p.idle); n > 0 {
+		return nil, false, p.errClosed()
+	case n > 0 && (!fresh || p.active >= p.maxConns):
 		c = p.idle[n-1]
 		p.idle[n-1] = nil
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		return c, true, nil
-	}
-	if p.active < p.maxConns {
+		if !fresh {
+			return c, true, nil
+		}
+		c.Close()
+	case p.active < p.maxConns:
 		p.active++
 		p.mu.Unlock()
-		c, err = p.dial()
-		return c, false, err
-	}
-	// Cap reached and nothing idle: queue for a handed-off connection or
-	// slot. Whatever arrives is already ours — no retry race with borrowers
-	// that show up while we were asleep.
-	w := make(chan grant, 1)
-	p.waiters = append(p.waiters, w)
-	p.mu.Unlock()
-	p.counters.poolWaits.Add(1)
-	g := <-w
-	switch {
-	case g.c != nil:
-		return g.c, true, nil
-	case g.slot:
-		c, err = p.dial()
-		return c, false, err
 	default:
-		return nil, false, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
+		// Cap reached and nothing idle: queue for a handed-off connection
+		// or slot. Whatever arrives is already ours — no retry race with
+		// borrowers that show up while we were asleep.
+		w := make(chan grant, 1)
+		p.waiters = append(p.waiters, w)
+		p.mu.Unlock()
+		p.counters.poolWaits.Add(1)
+		switch g := <-w; {
+		case g.c != nil && !fresh:
+			return g.c, true, nil
+		case g.c != nil:
+			g.c.Close()
+		case !g.slot:
+			return nil, false, p.errClosed()
+		}
 	}
+	c, err = p.dial()
+	return c, false, err
 }
 
-// dial opens a fresh connection wired to the pool's shared counters and
-// meta feedback hook. The caller must already hold a connection slot
-// (get's cap check, or redial's explicit acquire), which a failed dial
-// releases.
+func (p *pool) errClosed() error { return fmt.Errorf("netpeer: pool for %s is closed", p.addr) }
+
+// dial opens a fresh connection wired to the pool's shared counters: the
+// pool's one dial site. The caller must already hold a connection slot,
+// which a failed dial releases.
 func (p *pool) dial() (*Client, error) {
 	c, err := Dial(p.addr)
 	if err != nil {
@@ -117,39 +121,7 @@ func (p *pool) dial() (*Client, error) {
 	}
 	p.counters.dials.Add(1)
 	c.counters = p.counters
-	c.onMeta = p.onMeta
 	return c, nil
-}
-
-// redial acquires a connection slot (waiting under the cap like get, one
-// wire.pool_waits count per call) and dials fresh, bypassing the idle list
-// — the broken-reused-connection retry path, where the borrower
-// specifically must not get another stale pooled connection. A pooled connection handed
-// to a waiting redial is closed and its slot reused for the fresh dial.
-func (p *pool) redial() (*Client, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
-	}
-	if p.active < p.maxConns {
-		p.active++
-		p.mu.Unlock()
-		return p.dial()
-	}
-	w := make(chan grant, 1)
-	p.waiters = append(p.waiters, w)
-	p.mu.Unlock()
-	p.counters.poolWaits.Add(1)
-	g := <-w
-	if g.c != nil {
-		// This borrower must not reuse a pooled connection: close the one
-		// handed over and dial fresh on its slot.
-		g.c.Close()
-	} else if !g.slot {
-		return nil, fmt.Errorf("netpeer: pool for %s is closed", p.addr)
-	}
-	return p.dial()
 }
 
 // releaseSlot returns one connection slot, handing it to the oldest waiter
@@ -173,9 +145,7 @@ func (p *pool) popWaiterLocked() chan grant {
 		return nil
 	}
 	w := p.waiters[0]
-	copy(p.waiters, p.waiters[1:])
-	p.waiters[len(p.waiters)-1] = nil
-	p.waiters = p.waiters[:len(p.waiters)-1]
+	p.waiters = slices.Delete(p.waiters, 0, 1)
 	return w
 }
 
@@ -209,11 +179,15 @@ func (p *pool) put(c *Client) {
 	p.mu.Unlock()
 }
 
-// close closes every idle connection and marks the pool closed; in-flight
-// borrowers finish their request and their put closes the connection.
-// Waiters are all woken and observe the closed flag.
+// close closes every idle connection, marks the pool closed and closes
+// done; in-flight borrowers finish their request and their put closes the
+// connection. Waiters are all woken and observe the closed flag. Closing
+// twice is harmless.
 func (p *pool) close() error {
 	p.mu.Lock()
+	if !p.closed {
+		close(p.done)
+	}
 	idle := p.idle
 	p.idle = nil
 	p.active -= len(idle)

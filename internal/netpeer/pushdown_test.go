@@ -222,8 +222,8 @@ func TestPushdownStubIgnoringIfGenStaysExact(t *testing.T) {
 	}
 }
 
-// TestClientEvalWithoutIfGenStreamsRows: a Client with no ifGen installed
-// gets rows for every eval, repeated or not — Eval, evalFrames and a
+// TestClientEvalWithoutIfGenStreamsRows: a Client sending no ifGen gets
+// rows for every eval, repeated or not — Eval, evalFrames and a
 // conditional-free roundTrip alike — never an unchanged answer.
 func TestClientEvalWithoutIfGenStreamsRows(t *testing.T) {
 	_, addr, _, facts := pushdownFixture(t)
@@ -246,7 +246,7 @@ func TestClientEvalWithoutIfGenStreamsRows(t *testing.T) {
 			t.Fatalf("Eval %d: %d rows, want %d", i, len(got), len(want))
 		}
 		n := 0
-		if err := c.evalFrames(q, func(rows [][]string) error { n += len(rows); return nil }); err != nil {
+		if err := c.evalFrames(q, nil, func(rows [][]string) error { n += len(rows); return nil }, nil); err != nil {
 			t.Fatal(err)
 		}
 		if n != len(want) {

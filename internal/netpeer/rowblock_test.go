@@ -79,13 +79,13 @@ func TestRowsComeBackByteExact(t *testing.T) {
 		bound = append(bound, tu)
 		return nil
 	})
-	if err := c.bindFrames(lang.NewAtom("A.r", x, y, z), []int{0}, keys, collect); err != nil {
+	if err := c.bindFrames(lang.NewAtom("A.r", x, y, z), []int{0}, keys, nil, collect, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("bind", bound)
 
 	bound = bound[:0]
-	if err := c.bindFrames(lang.NewAtom("A.r", x, y, z), []int{1}, [][]string{{"\xff\xfe"}}, collect); err != nil {
+	if err := c.bindFrames(lang.NewAtom("A.r", x, y, z), []int{1}, [][]string{{"\xff\xfe"}}, nil, collect, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(bound) != 1 || !bound[0].Equal(stored[0]) {
@@ -104,7 +104,7 @@ func TestRowsComeBackByteExact(t *testing.T) {
 	}
 
 	bound = bound[:0]
-	if err := c.bindFrames(lang.NewAtom("A.r", x, lang.Const("\xff\xfe"), z), []int{0}, keys, collect); err != nil {
+	if err := c.bindFrames(lang.NewAtom("A.r", x, lang.Const("\xff\xfe"), z), []int{0}, keys, nil, collect, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(bound) != 1 || !bound[0].Equal(stored[0]) {
@@ -159,10 +159,10 @@ func TestWireCountersMatchSocket(t *testing.T) {
 		keys[i] = []string{fmt.Sprintf("id%06d", i)}
 	}
 	var bound int
-	if err := c.bindFrames(lang.NewAtom("A.r", lang.Var("x"), lang.Var("y")), []int{0}, keys, func(rows [][]string) error {
+	if err := c.bindFrames(lang.NewAtom("A.r", lang.Var("x"), lang.Var("y")), []int{0}, keys, nil, func(rows [][]string) error {
 		bound += len(rows)
 		return nil
-	}); err != nil || bound != len(keys) {
+	}, nil); err != nil || bound != len(keys) {
 		t.Fatalf("bind: %d rows, %v", bound, err)
 	}
 	if batches := c.counters.bindBatches.Load(); batches != 3 {

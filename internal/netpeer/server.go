@@ -66,6 +66,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -266,7 +267,7 @@ func (s *Server) ServeListener(lis net.Listener) {
 }
 
 // Close stops the listener, disconnects every client, and waits for the
-// connection goroutines. In-flight requests are aborted (their connections
+// connection goroutines. In-flight requests are cut off (their connections
 // close under them); use Drain first for a graceful stop. It is safe to
 // call from a goroutine other than the one that called Start.
 func (s *Server) Close() error {
@@ -628,11 +629,10 @@ func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 			return w.send(wire.Response{Error: "eval: missing query"})
 		}
 		q := *req.Query
-		seen := map[string]bool{}
 		var bodyPreds []string
 		for _, a := range q.Body {
-			if !seen[a.Pred] {
-				seen[a.Pred] = true
+			// A body holds few atoms: a scan beats a map.
+			if !slices.Contains(bodyPreds, a.Pred) {
 				bodyPreds = append(bodyPreds, a.Pred)
 			}
 		}

@@ -192,10 +192,9 @@ func TestEvalUCQNoFalseSharing(t *testing.T) {
 		defer ex.Close()
 		fl := &flights{}
 		atom := lang.NewAtom("R.r", lang.Var("x"))
-		sh := shapeOf(atom, map[string]int{})
 		for _, v := range []string{"a", "b"} {
 			srv, addr := startServerH(t, map[string][]rel.Tuple{"R.r": {{v}}})
-			rows, err := ex.fragment(fl, atomReq(addr, atom, sh, nil, false), nil)
+			rows, err := ex.fragment(fl, pushdownReq(addr, selectionQuery(atom)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -111,7 +111,7 @@ func TestOversizeRequestSurfacesError(t *testing.T) {
 	}
 	oversized := []func() error{
 		func() error {
-			return c.bindFrames(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}}, func([][]string) error { return nil })
+			return c.bindFrames(a.Body[0], []int{0}, [][]string{{strings.Repeat("k", 8*1024)}}, nil, func([][]string) error { return nil }, nil)
 		},
 		// An envelope over the limit: its pred alone is ~8KB.
 		func() error { _, err := c.Scan(strings.Repeat("p", 8*1024)); return err },

@@ -62,11 +62,12 @@ func nextUvarint(s string, off int) (int, int) {
 // DecodeRows decodes a block that must parse to exactly len(block) bytes,
 // with every uvarint in its shortest form, so a block decodes to one list
 // of rows and that list encodes back to the same bytes. Every value is a
-// substring of one string holding the block, and the rows share one
-// []string of values, each row capped at its own end: a block costs three
-// allocations however many rows it carries, a retained row keeps the
-// whole block's string alive, and no row aliases block.
-func DecodeRows(block []byte) ([][]string, error) {
+// substring of one string holding the block — a copy of a []byte block, a
+// string block itself — and the rows share one []string of values, each
+// row capped at its own end: a block costs three allocations however many
+// rows it carries (two for a string), a retained row keeps the whole
+// block's string alive, and no row aliases a []byte block.
+func DecodeRows[B []byte | string](block B) ([][]string, error) {
 	nrows, nvals := 0, 0
 	for i := 0; i < len(block); nrows++ {
 		arity, n := rowLen(block[i:])

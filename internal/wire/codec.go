@@ -206,22 +206,47 @@ func appendQueryRows(block []byte, q *lang.CQ) []byte {
 }
 
 // decodeFrame decodes a frame's row block into its envelope's key/value
-// pairs and the frame's rows. The values are substrings of one string
-// holding the block (rel.DecodeRows).
-func decodeFrame(block []byte) (env []string, rows [][]string, err error) {
-	rows, err = rel.DecodeRows(block)
+// pairs, appended to env, and the frame's rows. The envelope is decoded on
+// its own, so the rows' values and row slices hold the rows alone. Every
+// value is a substring of one string holding the block (rel.DecodeRows).
+func decodeFrame(block []byte, env []string) ([]string, [][]string, error) {
+	if len(block) == 0 {
+		return nil, nil, errors.New("wire: frame without an envelope")
+	}
+	n := rowEnd(block)
+	if n < 0 {
+		return nil, nil, rel.ErrBadBlock
+	}
+	s := string(block)
+	env, err := rel.DecodeRow(s[:n], env)
 	switch {
 	case err != nil:
 		return nil, nil, err
-	case len(rows) == 0:
-		return nil, nil, errors.New("wire: frame without an envelope")
-	case len(rows[0])%2 != 0:
-		return nil, nil, fmt.Errorf("wire: envelope of %d values", len(rows[0]))
+	case len(env)%2 != 0:
+		return nil, nil, fmt.Errorf("wire: envelope of %d values", len(env))
+	case n == len(s):
+		return env, nil, nil
 	}
-	if len(rows) == 1 {
-		return rows[0], nil, nil
+	rows, err := rel.DecodeRows(s[n:])
+	return env, rows, err
+}
+
+// rowEnd returns the length of the row that block opens with, or -1 when
+// block does not open with a whole row. It checks only the lengths:
+// rel.DecodeRow checks the rest.
+func rowEnd(block []byte) int {
+	arity, i := binary.Uvarint(block)
+	if i <= 0 {
+		return -1
 	}
-	return rows[0], rows[1:], nil
+	for ; arity > 0; arity-- {
+		n, w := binary.Uvarint(block[i:])
+		if w <= 0 || n > uint64(len(block)-i-w) {
+			return -1
+		}
+		i += w + int(n)
+	}
+	return i
 }
 
 // errValue reports a value that is not what its key holds.
@@ -293,7 +318,8 @@ func spansValue(v string) ([]obs.SpanData, bool) {
 // and Preds outlive the frame (in error messages and the executor's
 // estimates), so they get strings of their own.
 func (r *Response) decode(block []byte) error {
-	env, rows, err := decodeFrame(block)
+	var scratch [16]string
+	env, rows, err := decodeFrame(block, scratch[:0])
 	if err != nil {
 		return err
 	}
@@ -333,7 +359,8 @@ func (r *Response) decode(block []byte) error {
 // keeps it past the request copies it; Pred and Trace, which a server
 // keeps, get strings of their own.
 func (r *Request) decode(block []byte) error {
-	env, rows, err := decodeFrame(block)
+	var scratch [16]string
+	env, rows, err := decodeFrame(block, scratch[:0])
 	if err != nil {
 		return err
 	}

@@ -469,6 +469,26 @@ func TestDecodeAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestDecodeUnchangedAllocs pins the cost of the frame most repeated
+// fetches end with, a row-free unchanged final frame and its metadata: the
+// block's string, the preds' own copy and their slice, the cards and the
+// gens. The envelope is decoded on its own, into no slice of the heap.
+func TestDecodeUnchangedAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's instrumentation changes the count")
+	}
+	f := newFrameReader(frameOf(&Response{Unchanged: true, Preds: []string{"P3.s"}, Cards: []int{4096}, Gens: []uint64{77}}))
+	var r Response
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := f.read(&r); err != nil || !r.Unchanged || len(r.Gens) != 1 {
+			t.Fatal(r, err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("reading an unchanged final frame costs %v allocations, want at most 5", allocs)
+	}
+}
+
 // sinkBytes and sinkResp keep benchmark results live.
 var (
 	sinkBytes []byte
