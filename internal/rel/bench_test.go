@@ -85,20 +85,37 @@ func BenchmarkDistinctSorted(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeDistinct merges the same three groups as
-// BenchmarkDistinctSorted, each first sorted and made distinct, as
-// EvalUnion receives them.
+// BenchmarkMergeDistinct merges groups, each sorted and distinct as
+// EvalUnion receives them, in four shapes:
+//   - interleaved: the same three groups as BenchmarkDistinctSorted, whose
+//     rows interleave one by one;
+//   - disjoint: three groups of 2,500 rows over separate id ranges,
+//     bulk_stream's shape, where each storing peer's keys are its own;
+//   - blocks5: three groups of 2,500 rows taking turns in blocks of 5,
+//     one row past minGallop, where galloping gains least;
+//   - 84groups: adhoc_swarm's 84 small overlapping groups.
 func BenchmarkMergeDistinct(b *testing.B) {
-	groups := answerGroups(3, 2500)
-	for i, g := range groups {
-		groups[i] = SortDistinct(slices.Clone(g))
+	interleaved := answerGroups(3, 2500)
+	for i, g := range interleaved {
+		interleaved[i] = SortDistinct(slices.Clone(g))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := MergeDistinct(groups...); len(out) == 0 {
-			b.Fatal("empty union")
-		}
+	for _, c := range []struct {
+		name   string
+		groups [][]Tuple
+	}{
+		{"interleaved", interleaved},
+		{"disjoint", blockGroups(3, 2500, 2500)},
+		{"blocks5", blockGroups(3, 2500, 5)},
+		{"84groups", overlapGroups(84)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if out := MergeDistinct(c.groups...); len(out) == 0 {
+					b.Fatal("empty union")
+				}
+			}
+		})
 	}
 }
 

@@ -82,7 +82,10 @@
 // zero-padded) that calls Compare only inside runs of equal keys.
 // SortDistinct and DistinctSorted build on it. MergeDistinct unions groups
 // that are each already sorted and distinct — the disjuncts' answers in
-// engine.EvalUnion — with a k-way heap merge instead of a re-sort.
+// engine.EvalUnion — with a galloping merge instead of a re-sort: a k-way
+// heap merge that copies a group's run below the other groups' smallest
+// head in one step, found by exponential and binary search, once the
+// group has given the smallest row a few times in a row.
 //
 // # Generations
 //

@@ -96,6 +96,17 @@ func FuzzSortDistinct(f *testing.F) {
 	// Groups just below and just above the radix threshold.
 	f.Add(encodeGroups(2, seedRows(radixMinRows-1, 200, "k"), seedRows(radixMinRows, 300, "k")))
 	f.Add(encodeGroups(1, seedRows(radixMinRows+1, 1000, "")))
+	// Runs long enough for MergeDistinct to gallop, each starting on the
+	// row the run before it ended on; a gallop bounded by the heap's
+	// second child; one group much longer than the others, which repeat
+	// its rows at both ends of their runs; and groups taking turns in
+	// blocks one row longer than minGallop, sharing their ends.
+	f.Add(encodeGroups(1, span(0, 40), span(39, 80), span(79, 120)))
+	f.Add(encodeGroups(1, span(0, 20), span(30, 40), span(10, 12)))
+	f.Add(encodeGroups(1, span(0, 100), vals(0, 9, 10, 49, 50), vals(4, 5, 98, 99)))
+	f.Add(encodeGroups(1,
+		slices.Concat(span(0, 5), span(10, 15), span(20, 25)),
+		slices.Concat(span(4, 10), span(14, 20), span(24, 30))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		groups := decodeGroups(data)

@@ -161,10 +161,22 @@ func DistinctSorted(groups ...[]Tuple) []Tuple {
 	return SortDistinct(slices.Concat(groups...))
 }
 
+// minGallop is the number of rows one group must give in a row before
+// MergeDistinct gallops through it.
+const minGallop = 4
+
 // MergeDistinct returns the distinct union of groups that are each
-// distinct and in Compare order, itself in Compare order: a k-way heap
-// merge into one new slice of exactly the union's size (nil for an empty
-// union). The groups are left untouched.
+// distinct and in Compare order, itself in Compare order, in one new slice
+// of exactly the union's size (nil for an empty union). The groups are
+// left untouched.
+//
+// It is a galloping merge: a k-way heap merge that, once one group has
+// given the smallest row minGallop times in a row, finds by exponential
+// and then binary search where that group's rows reach the smallest head
+// of the other groups, and copies the rows before it in one step. Groups
+// that each hold their own range of rows thus cost a few searches, not a
+// heap step per row. A repeat can only start a run of rows from one group,
+// so only a run's first row is checked against the last row written.
 func MergeDistinct(groups ...[]Tuple) []Tuple {
 	total := 0
 	for _, g := range groups {
@@ -187,16 +199,32 @@ func MergeDistinct(groups ...[]Tuple) []Tuple {
 		siftDown(h, i)
 	}
 	buf := sc.rows[:0]
+	wins := 0 // rows the group at h[0] has given in a row
 	for len(h) > 1 {
-		if t := h[0][0]; len(buf) == 0 || !buf[len(buf)-1].Equal(t) {
-			buf = append(buf, t)
+		g, n := h[0], 1
+		if wins < minGallop {
+			if wins > 0 || len(buf) == 0 || !buf[len(buf)-1].Equal(g[0]) {
+				buf = append(buf, g[0])
+			}
+		} else {
+			b := h[1][0]
+			if len(h) > 2 && Compare(h[2][0], b) < 0 {
+				b = h[2][0]
+			}
+			n = gallop(g, b)
+			buf = append(buf, g[:n]...)
 		}
-		if h[0] = h[0][1:]; len(h[0]) == 0 {
+		if h[0] = g[n:]; len(h[0]) == 0 {
 			last := len(h) - 1
 			h[0], h[last] = h[last], nil
 			h = h[:last]
+			siftDown(h, 0)
+			wins = 0
+		} else if siftDown(h, 0) == 0 {
+			wins++
+		} else {
+			wins = 0
 		}
-		siftDown(h, 0)
 	}
 	rest := h[0]
 	if len(buf) > 0 && buf[len(buf)-1].Equal(rest[0]) {
@@ -211,9 +239,30 @@ func MergeDistinct(groups ...[]Tuple) []Tuple {
 	return out
 }
 
+// gallop returns the length of the run that opens g: its first row, which
+// the caller takes whatever it is, and the rows after it below b. It
+// doubles a probe until it reaches b or the end of g, then binary-searches
+// the rows after the last probe below b.
+func gallop(g []Tuple, b Tuple) int {
+	lo, hi := 1, 1 // g[:lo] is the run so far
+	for hi < len(g) && Compare(g[hi], b) < 0 {
+		lo, hi = hi+1, 2*hi
+	}
+	hi = min(hi, len(g))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if Compare(g[m], b) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // siftDown restores the min-heap order, by each group's first row, below
-// position i.
-func siftDown(h [][]Tuple, i int) {
+// position i, and returns the position the group at i ends at.
+func siftDown(h [][]Tuple, i int) int {
 	for {
 		m := i
 		if l := 2*i + 1; l < len(h) && Compare(h[l][0], h[m][0]) < 0 {
@@ -223,7 +272,7 @@ func siftDown(h [][]Tuple, i int) {
 			m = r
 		}
 		if m == i {
-			return
+			return i
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
