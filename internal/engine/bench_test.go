@@ -284,3 +284,40 @@ func BenchmarkFirstProbe(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBindJoin measures BindJoin's own work on join_mixed's shape,
+// without sockets: two atoms joined on a location, I.inc(i, l) with 15
+// rows and H.doc(d, l) with 50 over five locations, one comparison between
+// them, 150 answer rows. fetch serves each relation's rows from memory:
+// I.inc's whole, and H.doc's whole for its bind, since the partial holds
+// every location.
+func BenchmarkBindJoin(b *testing.B) {
+	rows := map[string][]rel.Tuple{}
+	for i := range 15 {
+		rows["I.inc"] = append(rows["I.inc"], rel.Tuple{fmt.Sprintf("i%02d", i), fmt.Sprintf("l%d", i%5)})
+	}
+	for d := range 50 {
+		rows["H.doc"] = append(rows["H.doc"], rel.Tuple{fmt.Sprintf("d%02d", d), fmt.Sprintf("l%d", d%5)})
+	}
+	rel.SortTuples(rows["I.inc"])
+	rel.SortTuples(rows["H.doc"])
+	q := lang.CQ{
+		Head: lang.NewAtom("q", lang.Var("i"), lang.Var("d")),
+		Body: []lang.Atom{
+			lang.NewAtom("I.inc", lang.Var("i"), lang.Var("l")),
+			lang.NewAtom("H.doc", lang.Var("d"), lang.Var("l")),
+		},
+		Comps: []lang.Comparison{{Op: lang.OpNE, L: lang.Var("i"), R: lang.Var("d")}},
+	}
+	card := func(pred string) int { return len(rows[pred]) }
+	fetch := func(a lang.Atom, _ []int, _ [][]string) ([]rel.Tuple, error) { return rows[a.Pred], nil }
+	if out, err := BindJoin(q, card, fetch); err != nil || len(out) != 150 {
+		b.Fatalf("degenerate fixture: %d rows (%v)", len(out), err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BindJoin(q, card, fetch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

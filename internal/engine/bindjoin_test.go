@@ -1,0 +1,342 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/lang"
+	"repro/internal/parser"
+	"repro/internal/rel"
+)
+
+// fetchCall records one call BindJoin made to its fetch: what it was
+// handed, a copy taken at the call, and the rows it got back with a copy
+// of them, so a later write to either side shows.
+type fetchCall struct {
+	atom            lang.Atom
+	keyPos, keyPos0 []int
+	keys, keys0     [][]string
+	rows, rows0     []rel.Tuple
+}
+
+// refFetch serves BindJoin's fetch from ins, by a naive scan that shares
+// no code with it: the rows of a's relation that agree with a's constants
+// and repeated variables and, when keys is non-nil, with one key row at
+// keyPos. With junk set it also returns rows the atom rejects: the
+// relation's other rows (wrong constants, repeats or keys), a repeat of
+// every row, and for every key one row a value too long whose prefix
+// passes every check. The result is shuffled. Each call is appended to
+// calls.
+func refFetch(ins *rel.Instance, rng *rand.Rand, junk bool, calls *[]fetchCall) func(lang.Atom, []int, [][]string) ([]rel.Tuple, error) {
+	return func(a lang.Atom, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
+		var rows []rel.Tuple
+		if r := ins.Relation(a.Pred); r != nil {
+			for _, t := range r.Tuples() {
+				if atomAdmits(a, t) && keyAdmits(t, keyPos, keys) {
+					rows = append(rows, t)
+				} else if junk {
+					rows = append(rows, t)
+				}
+			}
+		}
+		if junk {
+			rows = append(rows, rows...)
+			fabricate := func(key []string) {
+				t := make(rel.Tuple, a.Arity(), a.Arity()+1)
+				for i, arg := range a.Args {
+					t[i] = "junk-" + arg.Name
+					if arg.IsConst() {
+						t[i] = arg.Name
+					}
+					if j := slices.Index(keyPos, slices.Index(a.Args, arg)); j >= 0 {
+						t[i] = key[j]
+					}
+				}
+				rows = append(rows, append(t, "extra"))
+			}
+			if keys == nil {
+				fabricate(nil)
+			}
+			for _, k := range keys {
+				fabricate(k)
+			}
+		}
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		*calls = append(*calls, fetchCall{
+			atom: a, keyPos: keyPos, keyPos0: slices.Clone(keyPos),
+			keys: keys, keys0: cloneRows(keys),
+			rows: rows, rows0: cloneRows(rows),
+		})
+		return rows, nil
+	}
+}
+
+func cloneRows[T ~[]string](rows []T) []T {
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+	}
+	return out
+}
+
+// atomAdmits reports whether t, of a's arity, agrees with a's constants and
+// repeated variables.
+func atomAdmits(a lang.Atom, t rel.Tuple) bool {
+	for i, x := range a.Args {
+		if x.IsConst() && t[i] != x.Name {
+			return false
+		}
+		for j, y := range a.Args {
+			if x.IsVar() && x == y && t[i] != t[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// keyAdmits reports whether t matches one of keys at keyPos (any t when
+// keys is nil).
+func keyAdmits(t rel.Tuple, keyPos []int, keys [][]string) bool {
+	if keys == nil {
+		return true
+	}
+	for _, k := range keys {
+		ok := true
+		for j, p := range keyPos {
+			ok = ok && t[p] == k[j]
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// greedyOrder is the join order BindJoin must fetch in, computed apart
+// from the engine: repeatedly the atom with the least (card + 1) / 8^b,
+// b its positions holding a constant or a variable of an atom taken
+// earlier, the first in body order on a tie.
+func greedyOrder(body []lang.Atom, card map[string]int) []int {
+	var order []int
+	bound := map[string]bool{}
+	for len(order) < len(body) {
+		best, bestCost := -1, 0.0
+		for i, a := range body {
+			if slices.Contains(order, i) {
+				continue
+			}
+			cost := float64(card[a.Pred] + 1)
+			for _, t := range a.Args {
+				if t.IsConst() || bound[t.Name] {
+					cost /= 8
+				}
+			}
+			if best < 0 || cost < bestCost {
+				best, bestCost = i, cost
+			}
+		}
+		order = append(order, best)
+		for _, v := range body[best].Vars(nil) {
+			bound[v.Name] = true
+		}
+	}
+	return order
+}
+
+// prefixQuery is q cut to the atoms at order[:n]: every variable in the
+// head, and the comparisons whose variables those atoms all hold.
+func prefixQuery(q lang.CQ, order []int) lang.CQ {
+	p := lang.CQ{Head: lang.Atom{Pred: "prefix"}}
+	for _, i := range order {
+		p.Body = append(p.Body, q.Body[i])
+		p.Head.Args = q.Body[i].Vars(p.Head.Args)
+	}
+	for _, c := range q.Comps {
+		if !slices.ContainsFunc(c.Vars(nil), func(v lang.Term) bool { return !slices.Contains(p.Head.Args, v) }) {
+			p.Comps = append(p.Comps, c)
+		}
+	}
+	return p
+}
+
+// bindJoinPreds are the relations the randomized judge draws from, and
+// bindJoinArities their arities.
+var (
+	bindJoinPreds   = []string{"A", "B", "C", "D"}
+	bindJoinArities = map[string]int{"A": 2, "B": 2, "C": 1, "D": 3}
+)
+
+// randomBindJoinCQ draws a safe CQ of one to four atoms over A–D and the
+// variables x, y, z and u: constants, variables repeated inside one atom
+// (bound by an earlier atom or not), all-constant atoms, comparisons
+// between variables of different atoms, against a constant or between two
+// constants, and comparisons on w, a variable no atom binds.
+func randomBindJoinCQ(rng *rand.Rand) lang.CQ {
+	vars := []string{"x", "y", "z", "u"}
+	var q lang.CQ
+	for n := 1 + rng.Intn(4); len(q.Body) < n; {
+		a := lang.Atom{Pred: bindJoinPreds[rng.Intn(len(bindJoinPreds))]}
+		allConst := rng.Intn(8) == 0
+		for range bindJoinArities[a.Pred] {
+			if allConst || rng.Intn(5) == 0 {
+				a.Args = append(a.Args, lang.Const(fmt.Sprint(rng.Intn(4))))
+			} else {
+				a.Args = append(a.Args, lang.Var(vars[rng.Intn(len(vars))]))
+			}
+		}
+		q.Body = append(q.Body, a)
+	}
+	var bodyVars []lang.Term
+	for _, a := range q.Body {
+		bodyVars = a.Vars(bodyVars)
+	}
+	q.Head = lang.Atom{Pred: "q"}
+	for _, v := range bodyVars {
+		if rng.Intn(3) > 0 {
+			q.Head.Args = append(q.Head.Args, v)
+		}
+	}
+	if rng.Intn(4) == 0 {
+		q.Head.Args = append(q.Head.Args, lang.Const("h"))
+	}
+	term := func() lang.Term {
+		if len(bodyVars) == 0 || rng.Intn(3) == 0 {
+			return lang.Const(fmt.Sprint(rng.Intn(4)))
+		}
+		return bodyVars[rng.Intn(len(bodyVars))]
+	}
+	for range rng.Intn(3) {
+		c := lang.Comparison{Op: lang.CompOp(rng.Intn(6)), L: term(), R: term()}
+		switch rng.Intn(6) {
+		case 0:
+			c.L = lang.Var("w")
+		case 1:
+			c.L, c.R = lang.Const(fmt.Sprint(rng.Intn(4))), lang.Const(fmt.Sprint(rng.Intn(4)))
+		}
+		q.Comps = append(q.Comps, c)
+	}
+	return q
+}
+
+// TestBindJoinMatchesReference judges BindJoin by the naive reference
+// evaluator (rel.EvalCQ) over randomized CQs and instances, empty
+// relations among them, with fetch served by refFetch, which on half the
+// calls also returns rows the atom rejects. Besides the answer (or the
+// error: an unbound comparison is one exactly when a complete match
+// exists) it checks the fetches themselves:
+//   - they run in the cardinality order (greedyOrder);
+//   - every atom fetched after the first joins a non-empty prefix, and a
+//     join that stops early stops on an empty one;
+//   - a false variable-free comparison fetches nothing;
+//   - the keys are distinct, and neither what BindJoin handed fetch nor
+//     what fetch returned was written to afterwards.
+func TestBindJoinMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for trial := range 3000 {
+		ins := rel.NewInstance()
+		card := map[string]int{}
+		for _, pred := range bindJoinPreds {
+			arity := bindJoinArities[pred]
+			ins.EnsureRelation(pred, arity)
+			for range min(rng.Intn(5), 1) * rng.Intn(16) {
+				t := make(rel.Tuple, arity)
+				for i := range t {
+					t[i] = fmt.Sprint(rng.Intn(4))
+				}
+				ins.MustAdd(pred, t...)
+			}
+			card[pred] = rng.Intn(40)
+		}
+		q := randomBindJoinCQ(rng)
+		want, wantErr := rel.EvalCQ(q, ins)
+		var calls []fetchCall
+		got, err := BindJoin(q, func(p string) int { return card[p] }, refFetch(ins, rng, rng.Intn(2) == 0, &calls))
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("trial %d, %s over\n%s:\n%s", trial, q, ins, fmt.Sprintf(format, args...))
+		}
+		if (err != nil) != (wantErr != nil) {
+			fail("error %v, reference's %v", err, wantErr)
+		}
+		if err == nil && !slices.EqualFunc(got, want, rel.Tuple.Equal) {
+			fail("answer %v, reference's %v", got, want)
+		}
+
+		order := greedyOrder(q.Body, card)
+		for _, c := range q.Comps {
+			if len(c.Vars(nil)) == 0 && !c.Op.EvalConst(c.L, c.R) && len(calls) > 0 {
+				fail("%d fetches under the false comparison %s", len(calls), c)
+			}
+		}
+		for i, c := range calls {
+			if !slices.Equal(c.keyPos, c.keyPos0) || !slices.EqualFunc(c.keys, c.keys0, slices.Equal) ||
+				!slices.EqualFunc(c.rows, c.rows0, rel.Tuple.Equal) {
+				fail("fetch %d of %s: its keys or rows were written to", i, c.atom)
+			}
+			if next := q.Body[order[i]]; !slices.Equal(c.atom.Args, next.Args) || c.atom.Pred != next.Pred {
+				fail("fetch %d is %s, the cardinality order's is %s", i, c.atom, next)
+			}
+			seen := map[string]bool{}
+			for _, k := range c.keys {
+				if len(k) != len(c.keyPos) || seen[strings.Join(k, "\x00")] {
+					fail("fetch %d of %s: keys %v at %v", i, c.atom, c.keys, c.keyPos)
+				}
+				seen[strings.Join(k, "\x00")] = true
+			}
+			if i > 0 {
+				if rows, _ := rel.EvalCQ(prefixQuery(q, order[:i]), ins); len(rows) == 0 {
+					fail("fetch %d of %s after the partial emptied", i, c.atom)
+				}
+			}
+		}
+		if n := len(calls); err == nil && n > 0 && n < len(q.Body) {
+			if rows, _ := rel.EvalCQ(prefixQuery(q, order[:n]), ins); len(rows) > 0 {
+				fail("the join stopped after %d fetches on a non-empty partial", n)
+			}
+		}
+	}
+}
+
+// TestBindJoinDropsWhatTheAtomRejects pins each of BindJoin's own checks
+// on one fetch that returns a row the atom rejects, and its comparison
+// gates: a false variable-free comparison fetches nothing, and a
+// comparison on a variable the body never binds is an error exactly when
+// a complete match exists.
+func TestBindJoinDropsWhatTheAtomRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name, q string
+		rows    []rel.Tuple // what every fetch returns
+		want    []rel.Tuple
+		fetches int
+		err     bool
+	}{
+		{"constant", `q(x) :- A(x, "c")`, []rel.Tuple{{"1", "c"}, {"2", "d"}}, []rel.Tuple{{"1"}}, 1, false},
+		{"arity", `q(x) :- A(x)`, []rel.Tuple{{"1"}, {"2", "extra"}}, []rel.Tuple{{"1"}}, 1, false},
+		{"repeat", `q(x) :- A(x, x)`, []rel.Tuple{{"1", "1"}, {"2", "3"}}, []rel.Tuple{{"1"}}, 1, false},
+		{"key", `q(x, y) :- A(x), B(x, y)`, []rel.Tuple{{"1"}, {"1", "y"}, {"2", "z"}}, []rel.Tuple{{"1", "y"}}, 2, false},
+		{"false constants", `q(x) :- A(x), "a" = "b"`, []rel.Tuple{{"1"}}, nil, 0, false},
+		{"true constants", `q(x) :- A(x), "a" < "b"`, []rel.Tuple{{"1"}}, []rel.Tuple{{"1"}}, 1, false},
+		{"unbound, matched", `q(x) :- A(x), w < "5"`, []rel.Tuple{{"1"}}, nil, 1, true},
+		{"unbound, unmatched", `q(x) :- A(x, "c"), w < "5"`, []rel.Tuple{{"1", "d"}}, nil, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := parser.ParseQuery(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetches := 0
+			got, err := BindJoin(q, func(string) int { return 1 }, func(lang.Atom, []int, [][]string) ([]rel.Tuple, error) {
+				fetches++
+				return tc.rows, nil
+			})
+			if (err != nil) != tc.err || fetches != tc.fetches || !slices.EqualFunc(got, tc.want, rel.Tuple.Equal) {
+				t.Fatalf("answer %v, error %v after %d fetches; want %v, error %v after %d",
+					got, err, fetches, tc.want, tc.err, tc.fetches)
+			}
+		})
+	}
+}

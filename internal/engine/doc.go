@@ -1,9 +1,10 @@
 // Package engine is the indexed query-execution subsystem: it evaluates
 // conjunctive queries (CQs) and unions of conjunctive queries (UCQs) over
-// rel.Instance data using hash indexes and cardinality join orders
-// (OrderBody), replacing the naive nested-loop evaluator in package rel on
-// every hot path (pdms.Query, the netpeer server and executor, the chase
-// oracle, cmd/reform). rel.EvalCQ remains the reference oracle the engine
+// rel.Instance data using hash indexes and cardinality join orders,
+// replacing the naive nested-loop evaluator in package rel on every hot
+// path (pdms.Query, the netpeer server and executor, the chase oracle,
+// cmd/reform); BindJoin runs the same plans over rows a callback fetches,
+// the netpeer executor's bind-join. rel.EvalCQ remains the reference oracle the engine
 // is differentially tested against over randomized corpora (diff_test.go,
 // relation_test.go).
 //
@@ -33,13 +34,16 @@
 // Planning. A conjunctive query is compiled to a Plan: body atoms are
 // greedily reordered by estimated result size and each atom is lowered to
 // either an index probe (some positions bound by constants or earlier
-// steps) or a full scan (none). The cost model (OrderBody) is a relation's
-// cardinality scaled by 1/8 for every bound position; the netpeer executor
-// orders its bind-joins with the same function, fed the cardinalities the
-// serving peers advertise. Estimates affect ordering only, never
-// correctness. Variable bindings live in a flat slot array rather than
-// substitution maps; comparison predicates are attached to the earliest
-// step that binds their variables, pruning as soon as possible.
+// steps) or a full scan (none). The cost model is a relation's cardinality
+// scaled by 1/8 for every bound position. Estimates affect ordering only,
+// never correctness. Variable bindings live in a flat slot array rather
+// than substitution maps; comparison predicates are attached to the
+// earliest step that binds their variables, pruning as soon as possible.
+// compile is the one lowering of a conjunctive query: BindJoin compiles
+// with it too, with the cardinalities the netpeer executor's serving peers
+// advertise, and runs the plan's steps breadth-first over a partial join of
+// slot rows, fetching each step's rows through its caller's callback with
+// the distinct values the partial holds at the atom's bound positions.
 //
 // Execution. A plan runs sequentially on the calling goroutine: a full
 // scan walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the

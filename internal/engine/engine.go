@@ -48,10 +48,16 @@ type index struct {
 // appendKey appends the probe key (appendProbeKey) of the row decoded into
 // vals to dst.
 func (idx *index) appendKey(dst []byte, vals []string) []byte {
-	if len(idx.cols) == 1 {
-		return append(dst, vals[idx.cols[0]]...)
+	return appendColsKey(dst, vals, idx.cols)
+}
+
+// appendColsKey appends the probe key (appendProbeKey) of vals' values at
+// cols to dst.
+func appendColsKey(dst []byte, vals []string, cols []int) []byte {
+	if len(cols) == 1 {
+		return append(dst, vals[cols[0]]...)
 	}
-	for _, c := range idx.cols {
+	for _, c := range cols {
 		dst = rel.AppendValue(dst, vals[c])
 	}
 	return dst
@@ -178,7 +184,7 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 
 // Engine evaluates conjunctive queries and unions of conjunctive queries
 // over a rel.Instance using lazily-built hash indexes and
-// cardinality join ordering (OrderBody). It is the indexed replacement for
+// cardinality join ordering (compile). It is the indexed replacement for
 // the naive evaluator in package rel (which remains the reference oracle).
 //
 // Concurrency: concurrent evaluations are safe with each other, and the
@@ -437,13 +443,7 @@ func (e *Engine) stream(p *Plan, yield func(rel.Tuple) error) error {
 	}
 	head := make(rel.Tuple, len(p.head))
 	err := e.run(p, func(slots []string) error {
-		for i, h := range p.head {
-			if h.slot >= 0 {
-				head[i] = slots[h.slot]
-			} else {
-				head[i] = h.constVal
-			}
-		}
+		p.project(head, slots)
 		if seen != nil {
 			k := head.Key()
 			if seen[k] {

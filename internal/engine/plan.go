@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -40,6 +41,17 @@ type outPart struct {
 	constVal string
 }
 
+// project writes the head tuple of the match in slots into head.
+func (p *Plan) project(head rel.Tuple, slots []string) {
+	for i, h := range p.head {
+		if h.slot >= 0 {
+			head[i] = slots[h.slot]
+		} else {
+			head[i] = h.constVal
+		}
+	}
+}
+
 // posSlot pairs a tuple position with a slot.
 type posSlot struct {
 	pos, slot int
@@ -53,6 +65,8 @@ type posPos struct {
 type planStep struct {
 	pred  string
 	arity int
+	// atom is the step's position in the query body.
+	atom int
 	// Probe path (len(keyCols) > 0): the index key is the projection onto
 	// keyCols — every position holding a constant or a variable bound by an
 	// earlier step — assembled from keyParts. With no such position the
@@ -94,25 +108,24 @@ func (c compiledComp) eval(slots []string) bool {
 // a relation.
 const boundSel = 1.0 / 8
 
-// OrderBody returns an evaluation order for the body atoms under the
+// orderBody returns an evaluation order for the body atoms under the
 // engine's greedy selectivity heuristic: repeatedly take the atom with the
 // lowest estimated result size, (card(pred) + 1) · (1/8)^bound, where bound
 // counts the atom's positions bound by a constant or by a variable of an
-// earlier atom. Ties keep body order.
-func OrderBody(body []lang.Atom, card func(pred string) int) []int {
-	bound := map[string]bool{}
-	var order []int
-	taken := make([]bool, len(body))
+// earlier atom. Ties keep body order. Bodies are short and atoms narrow,
+// so the atoms taken are scanned rather than kept in a set.
+func orderBody(body []lang.Atom, card func(pred string) int) []int {
+	order := make([]int, 0, len(body))
 	for len(order) < len(body) {
 		best := -1
 		bestCost := 0.0
 		for i, a := range body {
-			if taken[i] {
+			if slices.Contains(order, i) {
 				continue
 			}
 			cost := float64(card(a.Pred)) + 1
 			for _, t := range a.Args {
-				if t.IsConst() || bound[t.Name] {
+				if t.IsConst() || boundBy(body, order, t) {
 					cost *= boundSel
 				}
 			}
@@ -121,14 +134,19 @@ func OrderBody(body []lang.Atom, card func(pred string) int) []int {
 			}
 		}
 		order = append(order, best)
-		taken[best] = true
-		for _, t := range body[best].Args {
-			if t.IsVar() {
-				bound[t.Name] = true
-			}
-		}
 	}
 	return order
+}
+
+// boundBy reports whether variable v occurs in one of the atoms of body
+// that order has taken.
+func boundBy(body []lang.Atom, order []int, v lang.Term) bool {
+	for _, j := range order {
+		if slices.Contains(body[j].Args, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // ownStrings returns a deep copy of q whose predicate names, variable
@@ -152,121 +170,108 @@ func ownStrings(q lang.CQ) lang.CQ {
 	return q
 }
 
-// compile builds a plan for q.
+// compile builds a plan for q over the engine's instance: the package's
+// compile, ordered by the relations' cardinalities, after checking each
+// atom's arity against its relation.
 func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 	e.plansCompiled.Add(1)
-	if !q.IsSafe() {
-		return nil, fmt.Errorf("engine: unsafe query %s", q)
+	p, err := compile(q, e.card)
+	if err != nil {
+		return nil, err
 	}
 	for _, a := range q.Body {
 		if r := e.data.Relation(a.Pred); r != nil && r.Arity() != a.Arity() {
 			return nil, fmt.Errorf("engine: atom %s arity %d, relation has %d", a, a.Arity(), r.Arity())
 		}
 	}
-
-	p := &Plan{headPred: q.Head.Pred}
-	slotOf := map[string]int{}
-	getSlot := func(name string) int {
-		if s, ok := slotOf[name]; ok {
-			return s
-		}
-		s := len(p.slotNames)
-		slotOf[name] = s
-		p.slotNames = append(p.slotNames, name)
-		return s
-	}
-
-	// Lower each atom to a step.
-	boundSlots := map[string]bool{} // vars bound by *earlier* steps
-	for _, bi := range OrderBody(q.Body, e.card) {
-		a := q.Body[bi]
-		st := planStep{pred: a.Pred, arity: a.Arity()}
-		firstPos := map[string]int{} // var -> position of first in-step occurrence
-		for pos, t := range a.Args {
-			switch {
-			case t.IsConst():
-				st.keyCols = append(st.keyCols, pos)
-				st.keyParts = append(st.keyParts, outPart{slot: -1, constVal: t.Name})
-			case boundSlots[t.Name]:
-				st.keyCols = append(st.keyCols, pos)
-				st.keyParts = append(st.keyParts, outPart{slot: getSlot(t.Name)})
-			default:
-				if fp, ok := firstPos[t.Name]; ok {
-					st.checkPos = append(st.checkPos, posPos{pos: pos, first: fp})
-				} else {
-					firstPos[t.Name] = pos
-					st.binds = append(st.binds, posSlot{pos: pos, slot: getSlot(t.Name)})
-				}
-				st.width = pos + 1
-			}
-		}
-		for v := range firstPos {
-			boundSlots[v] = true
-		}
-		p.maxArity = max(p.maxArity, st.arity)
-		p.steps = append(p.steps, st)
-	}
-
-	// Attach comparisons to the earliest point at which they are ground.
-	for _, c := range q.Comps {
-		vars := c.Vars(nil)
-		if len(vars) == 0 {
-			p.preComps = append(p.preComps, compileComp(c, slotOf))
-			continue
-		}
-		attached := false
-		seen := map[string]bool{}
-		for i := range p.steps {
-			for _, b := range p.steps[i].binds {
-				seen[p.slotNames[b.slot]] = true
-			}
-			ok := true
-			for _, v := range vars {
-				if !seen[v.Name] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				cc := compileComp(c, slotOf)
-				p.steps[i].comps = append(p.steps[i].comps, cc)
-				attached = true
-				break
-			}
-		}
-		if !attached {
-			p.lateComps = append(p.lateComps, c)
-		}
-	}
-
-	// Head emission. Safety guarantees every head variable is bound.
-	p.head = make([]outPart, len(q.Head.Args))
-	headSlots := map[int]bool{}
-	for i, t := range q.Head.Args {
-		if t.IsConst() {
-			p.head[i] = outPart{slot: -1, constVal: t.Name}
-		} else {
-			s, ok := slotOf[t.Name]
-			if !ok {
-				return nil, fmt.Errorf("engine: unbound head variable %s in %s", t, q)
-			}
-			p.head[i] = outPart{slot: s}
-			headSlots[s] = true
-		}
-	}
-	p.nslots = len(p.slotNames)
-	p.headBindsAll = len(headSlots) == p.nslots
 	return p, nil
 }
 
-func compileComp(c lang.Comparison, slotOf map[string]int) compiledComp {
+// compile lowers q to a plan, its body in orderBody's order under card. It
+// is the one lowering of a conjunctive query: Engine runs the plan over its
+// instance, BindJoin over fetched rows. Atoms are narrow and queries short,
+// so variables are found by scanning the slots and the atom rather than
+// through maps.
+func compile(q lang.CQ, card func(pred string) int) (*Plan, error) {
+	p := &Plan{headPred: q.Head.Pred}
+	slotOf := func(t lang.Term) int { return slices.Index(p.slotNames, t.Name) }
+	// bindStep[s] is the step that binds slot s.
+	var bindStep []int
+
+	// Lower each atom to a step.
+	order := orderBody(q.Body, card)
+	p.steps = make([]planStep, len(order))
+	for i, bi := range order {
+		a := q.Body[bi]
+		st := &p.steps[i]
+		st.pred, st.arity, st.atom = a.Pred, a.Arity(), bi
+		bound := len(p.slotNames) // the slots earlier steps bind
+		for pos, t := range a.Args {
+			if t.IsConst() {
+				st.keyCols = append(st.keyCols, pos)
+				st.keyParts = append(st.keyParts, outPart{slot: -1, constVal: t.Name})
+				continue
+			}
+			switch s := slotOf(t); {
+			case s >= 0 && s < bound:
+				st.keyCols = append(st.keyCols, pos)
+				st.keyParts = append(st.keyParts, outPart{slot: s})
+				continue
+			case s >= 0:
+				// Bound at an earlier position of this atom: the first.
+				st.checkPos = append(st.checkPos, posPos{pos: pos, first: slices.Index(a.Args, t)})
+			default:
+				st.binds = append(st.binds, posSlot{pos: pos, slot: len(p.slotNames)})
+				p.slotNames = append(p.slotNames, t.Name)
+				bindStep = append(bindStep, i)
+			}
+			st.width = pos + 1
+		}
+		p.maxArity = max(p.maxArity, st.arity)
+	}
+
+	// Attach comparisons to the earliest step at which they are ground.
 	part := func(t lang.Term) outPart {
 		if t.IsConst() {
 			return outPart{slot: -1, constVal: t.Name}
 		}
-		return outPart{slot: slotOf[t.Name]}
+		return outPart{slot: slotOf(t)}
 	}
-	return compiledComp{op: c.Op, l: part(c.L), r: part(c.R)}
+	for _, c := range q.Comps {
+		cc := compiledComp{op: c.Op, l: part(c.L), r: part(c.R)}
+		at := -1 // the step that grounds c; -1 while no variable is seen
+		for _, o := range [2]outPart{cc.l, cc.r} {
+			if o.slot >= 0 {
+				at = max(at, bindStep[o.slot])
+			}
+		}
+		switch {
+		case (c.L.IsVar() && cc.l.slot < 0) || (c.R.IsVar() && cc.r.slot < 0):
+			p.lateComps = append(p.lateComps, c)
+		case at < 0:
+			p.preComps = append(p.preComps, cc)
+		default:
+			p.steps[at].comps = append(p.steps[at].comps, cc)
+		}
+	}
+
+	// Head emission. A head variable no atom binds makes q unsafe.
+	p.head = make([]outPart, len(q.Head.Args))
+	for i, t := range q.Head.Args {
+		p.head[i] = part(t)
+		if t.IsVar() && p.head[i].slot < 0 {
+			return nil, fmt.Errorf("engine: unsafe query %s", q)
+		}
+	}
+	p.nslots = len(p.slotNames)
+	p.headBindsAll = true
+	for s := range p.nslots {
+		if !slices.ContainsFunc(p.head, func(o outPart) bool { return o.slot == s }) {
+			p.headBindsAll = false
+			break
+		}
+	}
+	return p, nil
 }
 
 // runCtx is the per-evaluation state of one plan execution: the slot
@@ -362,27 +367,37 @@ func (rc *runCtx) step(i int) error {
 // those it reads.
 func (rc *runCtx) feed(i int, st *planStep, rows rel.Rows, locs []rel.Loc) error {
 	row := rc.row[:st.width]
-next:
 	for _, l := range locs {
 		rel.SplitRow(rows.Key(l), row)
-		for _, c := range st.checkPos {
-			if row[c.pos] != row[c.first] {
-				continue next
-			}
-		}
-		for _, b := range st.binds {
-			rc.slots[b.slot] = row[b.pos]
-		}
-		for _, c := range st.comps {
-			if !c.eval(rc.slots) {
-				continue next
-			}
+		if !st.admit(row, rc.slots) {
+			continue
 		}
 		if err := rc.step(i + 1); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// admit reports whether row, a candidate for the step's atom, extends the
+// match in slots: its repeated variables agree, its binds are written into
+// slots, and the comparisons the step grounds hold. The key columns are
+// the caller's to check. row holds at least st.width values.
+func (st *planStep) admit(row, slots []string) bool {
+	for _, c := range st.checkPos {
+		if row[c.pos] != row[c.first] {
+			return false
+		}
+	}
+	for _, b := range st.binds {
+		slots[b.slot] = row[b.pos]
+	}
+	for _, c := range st.comps {
+		if !c.eval(slots) {
+			return false
+		}
+	}
+	return true
 }
 
 // run executes the plan, invoking yield with the slot array for every body

@@ -461,7 +461,7 @@ func TestOrderBodyCardinalityOnly(t *testing.T) {
 		lang.NewAtom("Lean", lang.Var("y"), lang.Var("w")),
 	}
 	cards := map[string]int{"A": 10, "Fat": 50000, "Lean": 50000}
-	order := OrderBody(body, func(p string) int { return cards[p] })
+	order := orderBody(body, func(p string) int { return cards[p] })
 	if !slices.Equal(order, []int{0, 1, 2}) {
 		t.Fatalf("order = %v, want [0 1 2] (A first, then Fat and Lean tied in body order)", order)
 	}
@@ -471,7 +471,7 @@ func TestOrderBodyCardinalityOnly(t *testing.T) {
 		lang.NewAtom("Big", lang.Const("c"), lang.Var("x")),
 	}
 	cards = map[string]int{"Small": 100, "Big": 400}
-	if got := OrderBody(sel, func(p string) int { return cards[p] }); !slices.Equal(got, []int{1, 0}) {
+	if got := orderBody(sel, func(p string) int { return cards[p] }); !slices.Equal(got, []int{1, 0}) {
 		t.Fatalf("order = %v, want [1 0] (the selection leads)", got)
 	}
 }

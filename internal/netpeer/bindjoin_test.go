@@ -3,11 +3,10 @@ package netpeer
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/rel"
 )
@@ -52,7 +51,7 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.New(oracle).EvalCQ(q)
+	want, err := rel.EvalCQ(q, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,8 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 // TestSelectionFetchAppliesRepeatedVariables: the first atom in plan
 // order, A.r(x, x), is fetched without keys as the push-down of its
 // selection, so the peer applies the repeated variable and only A.r's
-// three self-agreeing rows cross the wire, not all ten.
+// three self-agreeing rows cross the wire, not all ten. The plan order is
+// read from the forced trace: its first atom span is A.r's.
 func TestSelectionFetchAppliesRepeatedVariables(t *testing.T) {
 	a := map[string][]rel.Tuple{"A.r": nil}
 	b := map[string][]rel.Tuple{"B.s": nil}
@@ -99,7 +99,7 @@ func TestSelectionFetchAppliesRepeatedVariables(t *testing.T) {
 		b["B.s"] = append(b["B.s"], rel.Tuple{fmt.Sprintf("k%d", i%10), fmt.Sprintf("p%d", i)})
 	}
 	q := parseCQ(t, `q(x, y) :- A.r(x, x), B.s(x, y)`)
-	want, err := engine.New(instanceOf(a, b)).EvalCQ(q)
+	want, err := rel.EvalCQ(q, instanceOf(a, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,14 @@ func TestSelectionFetchAppliesRepeatedVariables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if order := ex.planOrder(q); order[0] != 0 {
-		t.Fatalf("plan order %v, want A.r first", order)
-	}
-	got, err := ex.EvalCQ(q)
+	root := obs.NewTracer(1).ForceTrace("query")
+	got, err := ex.EvalUCQSpan(lang.UCQ{Disjuncts: []lang.CQ{q}}, root)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if atoms := spansNamed(root, "atom"); len(atoms) != 2 || atoms[0].AttrMap()["pred"] != "A.r" {
+		t.Fatalf("plan order does not lead with A.r:\n%s", root.Render())
 	}
 	if !tuplesEqual(got, want) || len(want) != 30 {
 		t.Fatalf("answer %v, want the oracle's 30 rows %v", got, want)
@@ -227,7 +229,7 @@ func TestBindJoinRepeatedVarAndConsts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.New(oracle).EvalCQ(q)
+	want, err := rel.EvalCQ(q, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +242,11 @@ func TestBindJoinRepeatedVarAndConsts(t *testing.T) {
 	}
 }
 
-// TestBindJoinDifferentialRandomized pins bind-join answers to the
-// single-instance engine oracle across randomized data partitions,
-// cross-peer CQs and UCQs (including constants, comparisons, repeated
-// atoms, and empty relations), with and without learned cardinalities.
+// TestBindJoinDifferentialRandomized pins bind-join answers to the naive
+// reference evaluator over one instance (rel.EvalUCQ) across randomized
+// data partitions, cross-peer CQs and UCQs (including constants,
+// comparisons, repeated atoms, bound variables repeated inside an atom and
+// empty relations), with and without learned cardinalities.
 func TestBindJoinDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	preds := []string{"X.p", "X.q", "Y.r", "Y.s", "Z.t"}
@@ -287,7 +290,7 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 			for d := 0; d < 1+rng.Intn(3); d++ {
 				u.Add(randomChainCQ(rng, preds))
 			}
-			want, err := engine.New(oracle).EvalUCQ(u)
+			want, err := rel.EvalUCQ(u, oracle)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,8 +309,8 @@ func TestBindJoinDifferentialRandomized(t *testing.T) {
 
 // TestBindJoinComparisonsAndCacheRepeat runs cross-peer queries with
 // comparisons (exercising the filter-into-the-next-partial pruning path)
-// twice each: both rounds must equal the oracle, and the repeat must be
-// served from the fragment cache.
+// twice each: both rounds must equal the reference evaluator, and the
+// repeat must be served from the fragment cache.
 func TestBindJoinComparisonsAndCacheRepeat(t *testing.T) {
 	left := map[string][]rel.Tuple{"SP.left": nil}
 	right := map[string][]rel.Tuple{"SP.right": nil}
@@ -318,7 +321,7 @@ func TestBindJoinComparisonsAndCacheRepeat(t *testing.T) {
 			right["SP.right"] = append(right["SP.right"], rel.Tuple{k, fmt.Sprintf("payload-right-%06d-%02d", i, j)})
 		}
 	}
-	e := engine.New(instanceOf(left, right))
+	oracle := instanceOf(left, right)
 	queries := []string{
 		`q(x, p, r) :- SP.left(x, p), SP.right(x, r), x != "k3"`,
 		`q(x) :- SP.left(x, p), SP.right(x, r), p < r`,
@@ -337,7 +340,7 @@ func TestBindJoinComparisonsAndCacheRepeat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e.EvalCQ(q)
+			want, err := rel.EvalCQ(q, oracle)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,9 +360,11 @@ func TestBindJoinComparisonsAndCacheRepeat(t *testing.T) {
 
 // randomChainCQ builds a chain join q(x0, xk) :- p(x0, x1), p(x1, x2), ...
 // with random predicates, occasional constants at interior positions, an
-// occasional comparison against a constant and an occasional comparison
+// occasional comparison against a constant, an occasional comparison
 // between two variables (x < y: ground only once both sides are bound,
-// usually by different atoms).
+// usually by different atoms), an occasional atom p(xi, xi) repeating a
+// chain variable (usually bound by an earlier atom) and an occasional
+// variable-free comparison.
 func randomChainCQ(rng *rand.Rand, preds []string) lang.CQ {
 	k := 2 + rng.Intn(3)
 	vars := make([]lang.Term, k+1)
@@ -398,30 +403,52 @@ func randomChainCQ(rng *rand.Rand, preds []string) lang.CQ {
 	if rng.Intn(3) == 0 {
 		q.Comps = append(q.Comps, lang.Comparison{Op: lang.OpLT, L: vars[0], R: vars[k]})
 	}
+	if rng.Intn(3) == 0 {
+		v := vars[rng.Intn(k+1)]
+		q.Body = append(q.Body, lang.NewAtom(preds[rng.Intn(len(preds))], v, v))
+	}
+	if rng.Intn(4) == 0 {
+		q.Comps = append(q.Comps, lang.Comparison{
+			Op: lang.CompOp(rng.Intn(6)),
+			L:  lang.Const(fmt.Sprintf("v%d", rng.Intn(8))),
+			R:  lang.Const(fmt.Sprintf("v%d", rng.Intn(8))),
+		})
+	}
 	return q
 }
 
-// TestPlanOrderIsCardinalityOnly pins the executor's join order to the
-// engine's cost model over the serving peers' cardinalities: A.r's
-// constant earns a 1/8 discount (cost ~12.6 < 41), so A.r leads.
-func TestPlanOrderIsCardinalityOnly(t *testing.T) {
-	q := lang.CQ{
-		Head: lang.Atom{Pred: "q", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
-		Body: []lang.Atom{
-			{Pred: "A.r", Args: []lang.Term{lang.Const("c"), lang.Var("x")}},
-			{Pred: "B.s", Args: []lang.Term{lang.Var("x"), lang.Var("y")}},
-		},
+// TestBindJoinComparisonGates: across peers, a false variable-free
+// comparison answers empty without sending a request, and a comparison on
+// a variable the body never binds is an error once a complete match
+// exists, and only then.
+func TestBindJoinComparisonGates(t *testing.T) {
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, addr := range []string{
+		startServer(t, map[string][]rel.Tuple{"A.r": {{"1", "2"}}}),
+		startServer(t, map[string][]rel.Tuple{"B.s": {{"2", "3"}}}),
+	} {
+		if err := ex.Discover(addr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e := NewExecutor()
-	defer e.Close()
-	e.card["A.r"], e.card["B.s"] = 100, 40
-
-	got := e.planOrder(q)
-	want := engine.OrderBody(q.Body, func(pred string) int { return e.card[pred] })
-	if !slices.Equal(got, want) {
-		t.Fatalf("planOrder %v, cardinality-only model says %v", got, want)
+	before := ex.counters.requests.Load()
+	q := parseCQ(t, `q(x, z) :- A.r(x, y), B.s(y, z)`)
+	q.Comps = []lang.Comparison{{Op: lang.OpEQ, L: lang.Const("a"), R: lang.Const("b")}}
+	if rows, err := ex.EvalCQ(q); err != nil || len(rows) != 0 {
+		t.Fatalf("false variable-free comparison: rows %v, error %v", rows, err)
 	}
-	if got[0] != 0 {
-		t.Fatalf("cardinality-only order should lead with A.r: %v", got)
+	if n := ex.counters.requests.Load() - before; n != 0 {
+		t.Fatalf("false variable-free comparison sent %d requests, want 0", n)
+	}
+	unbound := lang.Comparison{Op: lang.OpLT, L: lang.Var("w"), R: lang.Const("5")}
+	q.Comps = []lang.Comparison{unbound}
+	if rows, err := ex.EvalCQ(q); err == nil {
+		t.Fatalf("comparison on unbound w over a complete match: rows %v, no error", rows)
+	}
+	q = parseCQ(t, `q(x, z) :- A.r(x, y), B.s(z, y)`)
+	q.Comps = []lang.Comparison{unbound}
+	if rows, err := ex.EvalCQ(q); err != nil || len(rows) != 0 {
+		t.Fatalf("comparison on unbound w, no complete match: rows %v, error %v", rows, err)
 	}
 }

@@ -30,20 +30,19 @@ const (
 // Executor evaluates reformulated unions of conjunctive queries across the
 // peer network. It routes each conjunctive rewriting to the single peer
 // serving all its stored relations when possible (full push-down); when a
-// rewriting spans peers it runs a streaming, adaptive bind-join:
+// rewriting spans peers it runs an adaptive bind-join:
 //
-//   - Atoms are ordered by the engine planner's selectivity heuristic
-//     (cardinalities learned at Discover time and refreshed from the
-//     estimates piggybacked on every response).
-//   - The partial join is materialized once and extended incrementally per
-//     atom: the atom's remote rows are grouped by join key and one
-//     sequential pass over the partial extends every match, so no per-step
-//     prefix re-evaluation happens.
-//   - Per atom the executor ships the distinct join-key values bound so
-//     far ("bind" op) in batches, one request after another, unless the
-//     peer's advertised cardinality says the whole selection-pushed
-//     relation is smaller than the key set: then fetching it outright
-//     moves fewer bytes, and the executor adapts.
+//   - The join itself is engine.BindJoin: the engine compiles the
+//     rewriting as it compiles a local plan, its atoms ordered by the
+//     planner's selectivity heuristic over the cardinalities learned at
+//     Discover time and refreshed from the estimates piggybacked on every
+//     response, and extends a partial join step by step. The executor
+//     routes, and supplies the fetch callback (fetchAtom).
+//   - Per atom the executor ships the distinct values the partial holds at
+//     the atom's bound positions ("bind" op) in batches, one request after
+//     another, unless the peer's advertised cardinality says the whole
+//     selection-pushed relation is smaller than the key set: then fetching
+//     it outright moves fewer bytes, and the executor adapts.
 //   - Every remote fetch is a fragment, of one of two kinds: a push-down —
 //     a whole rewriting, or an atom fetched without keys, which is the
 //     push-down of its selection (constants and repeated variables, both
@@ -299,8 +298,11 @@ func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
 // optional span. A full push-down is one fragment (pushdownReq): it records
 // one "pushdown" child with the fragment's src and fetched counts, under
 // which the serving peer's remote spans adopt; its rows may be the cache's
-// own slice. Cross-peer execution hands the span to the bind-join's
-// per-atom instrumentation.
+// own slice. A cross-peer rewriting is engine.BindJoin over fetchAtom,
+// which records one "atom" child of sp per fetched atom, annotated with the
+// peer address, the source (fragcache / bind / fetch / shared), the key
+// count of a bind and the rows fetched; the serving peer's remote spans
+// (and the per-batch bind spans) adopt under it.
 func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
 	addrs := make([]string, len(q.Body)) // serving peer of each body atom
 	pushdown := len(q.Body) > 0
@@ -316,7 +318,14 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 	}
 	e.mu.Unlock()
 	if !pushdown {
-		return e.evalStreamingBindJoin(q, addrs, fl, sp)
+		card := func(pred string) int {
+			n, _ := e.cardOf(pred)
+			return n
+		}
+		return engine.BindJoin(q, card, func(a lang.Atom, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
+			addr := addrs[slices.IndexFunc(q.Body, func(b lang.Atom) bool { return b.Pred == a.Pred })]
+			return e.fetchAtom(fl, addr, a, keyPos, keys, sp)
+		})
 	}
 	// Full push-down: one peer holds every atom, and the whole CQ is one
 	// fragment.
@@ -328,269 +337,25 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 	return rows, err
 }
 
-// stepShape is the per-atom lowering of the streaming join: how one remote
-// tuple is checked against the atom's repeated variables, which positions
-// join against the partial result, and which bind new variables.
-type stepShape struct {
-	// dupChecks pair a position with the first occurrence of the same
-	// variable inside the atom: the tuple must agree with itself.
-	dupChecks [][2]int
-	// keyPoss are the first-occurrence positions of already-bound
-	// variables (the join key); joinCols are those variables' columns in
-	// the partial's rows, in the same order.
-	keyPoss  []int
-	joinCols []int
-	// newPoss are the first-occurrence positions of new variables,
-	// parallel to newVars.
-	newPoss []int
-	newVars []string
-}
-
-// shapeOf classifies atom a's positions given varCol, the column of each
-// variable bound so far.
-func shapeOf(a lang.Atom, varCol map[string]int) stepShape {
-	var sh stepShape
-next:
-	for pos, t := range a.Args {
-		if t.IsConst() {
-			continue
-		}
-		// Atoms are narrow: a scan of the earlier positions beats a map.
-		for fp := range pos {
-			if a.Args[fp] == t {
-				sh.dupChecks = append(sh.dupChecks, [2]int{pos, fp})
-				continue next
-			}
-		}
-		if col, bound := varCol[t.Name]; bound {
-			sh.keyPoss = append(sh.keyPoss, pos)
-			sh.joinCols = append(sh.joinCols, col)
-		} else {
-			sh.newPoss = append(sh.newPoss, pos)
-			sh.newVars = append(sh.newVars, t.Name)
-		}
-	}
-	return sh
-}
-
-// bindJoin is the state of one cross-peer rewriting's execution: the join of
-// the atoms processed so far, as rows over the variables bound so far.
-type bindJoin struct {
-	e *Executor
-	q lang.CQ
-	// fl is the fetch table of the query this rewriting belongs to.
-	fl *flights
-	// varCol maps each bound variable to its column in partial's rows.
-	varCol  map[string]int
-	partial []rel.Tuple
-	// compApplied marks the comparisons already enforced on partial.
-	compApplied []bool
-}
-
-// evalStreamingBindJoin runs a cross-peer rewriting (addrs names each body
-// atom's serving peer) as the bind-join the Executor type describes: atoms
-// in planner order, one step each. Comparisons apply at the first step that
-// grounds them, so impossible keys are never shipped.
-//
-// Under a non-nil span each atom gets one "atom" child annotated with the
-// peer address, the source (fragcache / bind / fetch / shared), key and
-// partial-row counts; the serving peer's remote spans (and the per-batch
-// bind spans) adopt under it.
-func (e *Executor) evalStreamingBindJoin(q lang.CQ, addrs []string, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
-	if !q.IsSafe() {
-		return nil, fmt.Errorf("netpeer: unsafe query %s", q)
-	}
-	j := &bindJoin{e: e, q: q, fl: fl, varCol: map[string]int{}, compApplied: make([]bool, len(q.Comps))}
-	// Variable-free comparisons gate the whole query, exactly once.
-	for ci, c := range q.Comps {
-		if len(c.Vars(nil)) == 0 {
-			j.compApplied[ci] = true
-			if !c.Op.EvalConst(c.L, c.R) {
-				return nil, nil
-			}
-		}
-	}
-	// Seeded with the unit row: identity of the join.
-	j.partial = []rel.Tuple{{}}
-	for _, bi := range e.planOrder(q) {
-		if err := j.step(q.Body[bi], addrs[bi], sp); err != nil {
-			return nil, err
-		}
-		if len(j.partial) == 0 {
-			// The partial join is already empty, so the full join is too:
-			// skip the remaining fetches entirely.
-			return nil, nil
-		}
-	}
-	// Mirror the engine: a comparison whose variables the body never binds
-	// is an error — but only observable when a complete match exists.
-	for ci, c := range q.Comps {
-		if !j.compApplied[ci] {
-			return nil, fmt.Errorf("netpeer: comparison %s not bound by body", c)
-		}
-	}
-	return j.project(), nil
-}
-
-// step joins one atom into the partial: distinct bound keys, bind or fetch,
-// the atom's remote rows (another disjunct's fetch, cache or wire), one pass
-// extending the partial.
-func (j *bindJoin) step(a lang.Atom, addr string, sp *obs.Span) (err error) {
+// fetchAtom is the bind-join's fetch of atom a from the peer at addr
+// (engine.BindJoin's fetch): with keys bound at keyPos, a bind shipping
+// them, unless the relation's advertised cardinality is smaller than the
+// key set; otherwise, or with no key bound, the push-down of a's selection.
+// It records one "atom" child of sp.
+func (e *Executor) fetchAtom(fl *flights, addr string, a lang.Atom, keyPos []int, keys [][]string, sp *obs.Span) (rows []rel.Tuple, err error) {
 	as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred}, obs.Attr{K: "addr", V: addr})
 	defer func() {
-		as.SetInt("partial", int64(len(j.partial)))
 		as.SetErr(err)
 		as.End()
 	}()
-	sh := shapeOf(a, j.varCol)
-	// The distinct bound keys are the semi-join payload. Ship them — or,
-	// with no key bound or when the relation's advertised cardinality is
-	// smaller than the key set, push the atom's selection down instead.
 	var r *fragReq
-	if len(sh.joinCols) > 0 {
-		keyRows := j.distinctKeys(sh.joinCols)
-		if card, ok := j.e.cardOf(a.Pred); !ok || card >= len(keyRows) {
-			as.SetInt("keys", int64(len(keyRows)))
-			r = bindReq(addr, a, sh, keyRows)
-		}
-	}
-	if r == nil {
+	if card, ok := e.cardOf(a.Pred); keys != nil && (!ok || card >= len(keys)) {
+		as.SetInt("keys", int64(len(keys)))
+		r = bindReq(addr, a, keyPos, keys)
+	} else {
 		r = pushdownReq(addr, selectionQuery(a))
 	}
-	rows, err := j.e.fragment(j.fl, r, as)
-	if err != nil {
-		return err
-	}
-	j.extend(sh, rows)
-	return nil
-}
-
-// appendKey appends the join-key encoding of t's values at cols to b.
-func appendKey(b []byte, t rel.Tuple, cols []int) []byte {
-	for _, c := range cols {
-		b = rel.AppendValue(b, t[c])
-	}
-	return b
-}
-
-// distinctKeys returns the distinct values of the partial's joinCols, in
-// first-seen order.
-func (j *bindJoin) distinctKeys(joinCols []int) [][]string {
-	var kb []byte
-	var keys [][]string
-	seen := map[string]bool{}
-	for _, row := range j.partial {
-		kb = appendKey(kb[:0], row, joinCols)
-		if seen[string(kb)] {
-			continue
-		}
-		seen[string(kb)] = true
-		key := make([]string, len(joinCols))
-		for i, c := range joinCols {
-			key[i] = row[c]
-		}
-		keys = append(keys, key)
-	}
-	return keys
-}
-
-// extend replaces the partial with its join against one atom's remote rows.
-// The rows — the semi-join-reduced side — are grouped by join key; one
-// sequential pass over the partial then appends every match, widened by the
-// atom's new variables, to the next partial. Comparisons the new variables
-// ground filter the widened rows on the way in, pruning the partial before
-// its keys are shipped to the next peer.
-func (j *bindJoin) extend(sh stepShape, rows []rel.Tuple) {
-	var kb []byte
-	// Chains, not a slice per key: head[k] is the first row with join key k,
-	// succ[i] the next row with rows[i]'s key (0 ends a chain: row 0 heads
-	// one, so it never follows), last[h] the end of the chain row h heads.
-	head := map[string]int{}
-	succ, last := make([]int, len(rows)), make([]int, len(rows))
-	for i, t := range rows {
-		kb = appendKey(kb[:0], t, sh.keyPoss)
-		if h, ok := head[string(kb)]; ok {
-			succ[last[h]], last[h] = i, i
-		} else {
-			head[string(kb)], last[i] = i, i
-		}
-	}
-	width := len(j.varCol)
-	for i, v := range sh.newVars {
-		j.varCol[v] = width + i
-	}
-	ready := j.newlyGround()
-	var next []rel.Tuple
-	for _, row := range j.partial {
-		kb = appendKey(kb[:0], row, sh.joinCols)
-		i, ok := head[string(kb)]
-	match:
-		for ; ok; i, ok = succ[i], succ[i] != 0 {
-			t := rows[i]
-			nr := make(rel.Tuple, width+len(sh.newPoss))
-			copy(nr, row)
-			for k, p := range sh.newPoss {
-				nr[width+k] = t[p]
-			}
-			for _, c := range ready {
-				if !evalComp(c, j.varCol, nr) {
-					continue match
-				}
-			}
-			next = append(next, nr)
-		}
-	}
-	j.partial = next
-}
-
-// newlyGround marks and returns the comparisons not yet applied whose
-// variables are all bound now.
-func (j *bindJoin) newlyGround() []lang.Comparison {
-	var ready []lang.Comparison
-next:
-	for ci, c := range j.q.Comps {
-		if j.compApplied[ci] {
-			continue
-		}
-		for _, v := range c.Vars(nil) {
-			if _, bound := j.varCol[v.Name]; !bound {
-				continue next
-			}
-		}
-		j.compApplied[ci] = true
-		ready = append(ready, c)
-	}
-	return ready
-}
-
-// project maps the completed join onto the query head: distinct, sorted
-// in place.
-func (j *bindJoin) project() []rel.Tuple {
-	head := j.q.Head.Args
-	out := make([]rel.Tuple, 0, len(j.partial))
-	for _, row := range j.partial {
-		h := make(rel.Tuple, len(head))
-		for i, t := range head {
-			if t.IsConst() {
-				h[i] = t.Name
-			} else {
-				h[i] = row[j.varCol[t.Name]]
-			}
-		}
-		out = append(out, h)
-	}
-	return rel.SortDistinct(out)
-}
-
-// evalComp evaluates comparison c over one partial-join row.
-func evalComp(c lang.Comparison, varCol map[string]int, row rel.Tuple) bool {
-	resolve := func(t lang.Term) lang.Term {
-		if !t.IsConst() {
-			t = lang.Const(row[varCol[t.Name]])
-		}
-		return t
-	}
-	return c.Op.EvalConst(resolve(c.L), resolve(c.R))
+	return e.fragment(fl, r, as)
 }
 
 // selectionQuery builds the push-down that fetches atom a without keys:
@@ -609,14 +374,4 @@ func selectionQuery(a lang.Atom) lang.CQ {
 		Head: lang.Atom{Pred: "fetch", Args: args},
 		Body: []lang.Atom{{Pred: a.Pred, Args: args}},
 	}
-}
-
-// planOrder orders q's body atoms with the engine planner's greedy
-// selectivity heuristic (engine.OrderBody), feeding it the serving peers'
-// cardinalities (advertised at Discover time, refreshed from the piggyback
-// on every response).
-func (e *Executor) planOrder(q lang.CQ) []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return engine.OrderBody(q.Body, func(pred string) int { return e.card[pred] })
 }

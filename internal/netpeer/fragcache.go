@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -223,10 +224,9 @@ type fragReq struct {
 	// the cache (pushdownKey, bindKey).
 	addr, key string
 	// pattern is what an arriving row must match — its arity, its constants
-	// and, at dupChecks, its repeated variables: the pushed-down CQ's head,
-	// or the bound atom.
-	pattern   lang.Atom
-	dupChecks [][2]int
+	// and its repeated variables: the pushed-down CQ's head, or the bound
+	// atom.
+	pattern lang.Atom
 	// pred is the one relation the fetch reads, whose generation the peer
 	// reports with the rows and confirms when they are unchanged; "" for a
 	// push-down over several relations, which shares its flight but is never
@@ -244,12 +244,12 @@ type fragReq struct {
 
 // bindReq is the fetch of the rows of atom a's relation that pass the
 // atom's constants and repeated variables and match one of keyRows at the
-// join positions sh.keyPoss.
-func bindReq(addr string, a lang.Atom, sh stepShape, keyRows [][]string) *fragReq {
+// join positions keyPoss.
+func bindReq(addr string, a lang.Atom, keyPoss []int, keyRows [][]string) *fragReq {
 	return &fragReq{
-		addr: addr, key: bindKey(addr, a, sh.keyPoss, keyRows),
-		pattern: a, dupChecks: sh.dupChecks, pred: a.Pred, src: "bind",
-		keyPoss: sh.keyPoss, keys: keyRows,
+		addr: addr, key: bindKey(addr, a, keyPoss, keyRows),
+		pattern: a, pred: a.Pred, src: "bind",
+		keyPoss: keyPoss, keys: keyRows,
 	}
 }
 
@@ -267,7 +267,7 @@ func pushdownReq(addr string, q lang.CQ) *fragReq {
 	}
 	return &fragReq{
 		addr: addr, key: pushdownKey(addr, q),
-		pattern: q.Head, dupChecks: shapeOf(q.Head, nil).dupChecks, pred: pred, src: "fetch", q: q,
+		pattern: q.Head, pred: pred, src: "fetch", q: q,
 	}
 }
 
@@ -366,15 +366,15 @@ next:
 		if len(t) != p.Arity() {
 			return fmt.Errorf("netpeer: %s/%d: remote row has %d values", p.Pred, p.Arity(), len(t))
 		}
-		// The server already applied the pushed constants; re-checking
-		// keeps correctness independent of the transport.
+		// The server already applied the pushed constants and repeated
+		// variables; re-checking keeps correctness independent of the
+		// transport. Patterns are narrow: a repeat is found by a scan.
 		for i, arg := range p.Args {
-			if arg.IsConst() && t[i] != arg.Name {
-				continue next
-			}
-		}
-		for _, d := range f.r.dupChecks {
-			if t[d[0]] != t[d[1]] {
+			if arg.IsConst() {
+				if t[i] != arg.Name {
+					continue next
+				}
+			} else if fp := slices.Index(p.Args[:i], arg); fp >= 0 && t[i] != t[fp] {
 				continue next
 			}
 		}

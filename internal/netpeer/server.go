@@ -43,7 +43,8 @@
 // counted and reported through the optional Server.Logger.
 //
 // Single-peer rewritings push down whole; cross-peer rewritings execute
-// as a streaming, adaptive bind-join over per-address connection pools,
+// as an adaptive bind-join (engine.BindJoin, the engine's plan over rows
+// the executor fetches) over per-address connection pools,
 // with the fetched fragments cached across queries and validated by
 // generation — the distributed half of the system's two-level cache
 // architecture (the local half is pdms.Network's generation-vector answer
