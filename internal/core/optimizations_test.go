@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/constraints"
+)
 
 // The Section 4.3 optimizations always run, so each test here judges the
 // default build against the chase and pins the optimization's counter and
@@ -86,5 +90,33 @@ fact S.s("20")
 	rows, out := oracleCheck(t, src, `q(x) :- A:R(x)`, Options{})
 	if len(rows) != 1 || out.Stats.MemoHits != 0 {
 		t.Fatalf("rows %v, stats %+v; want the certain answer (20) and no memo hit", rows, out.Stats)
+	}
+}
+
+// TestExtractionDropsUnsatisfiableRewriting pins extraction's
+// satisfiability check. Each storage description carries a range that the
+// other contradicts, and no goal node sees both, so the tree prunes
+// nothing: only extraction, which gathers every comparison of a candidate
+// rewriting, can tell that q(x) :- S1.r(x), S2.s(x), x < 5, x > 7 has no
+// answer. The answers are empty either way, so this test reads the
+// rewritings.
+func TestExtractionDropsUnsatisfiableRewriting(t *testing.T) {
+	src := `
+storage S1.r(x) in A:R(x), x < 5
+storage S2.s(x) in A:S(x), x > 7
+fact S1.r("3")
+fact S2.s("9")
+`
+	rows, out := oracleCheck(t, src, `q(x) :- A:R(x), A:S(x)`, Options{})
+	if len(rows) != 0 {
+		t.Fatalf("rows = %v, want none (ranges disjoint)", rows)
+	}
+	for _, d := range out.UCQ.Disjuncts {
+		if !constraints.Satisfiable(d.Comps) {
+			t.Errorf("unsatisfiable rewriting kept: %s", d)
+		}
+	}
+	if out.UCQ.Len() != 0 || out.Stats.DiscardUnsat != 1 {
+		t.Fatalf("%d rewritings, %d discarded as unsatisfiable; want 0 and 1", out.UCQ.Len(), out.Stats.DiscardUnsat)
 	}
 }

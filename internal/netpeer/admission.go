@@ -16,12 +16,14 @@ import (
 // retry after a backoff.
 var errShed = errors.New("netpeer: admission queue full")
 
-// admission is the server's global concurrency gate: at most maxInflight
-// requests execute at once, up to maxQueue more wait in FIFO order for at
-// most maxWait each, and everything beyond that is shed. Slots released
-// while the queue is non-empty transfer directly to the oldest waiter, so
-// admission order is the order acquire was called in (no barging: a new
-// arrival never overtakes a waiter).
+// admission is netpeer's one FIFO gate: at most maxInflight holders at
+// once, up to maxQueue more wait in FIFO order for at most maxWait each,
+// and everything beyond that is shed. Slots released while the queue is
+// non-empty transfer directly to the oldest waiter, so admission order is
+// the order acquire was called in (no barging: a new arrival never
+// overtakes a waiter). The server's gate admits requests; a pool's admits
+// borrowers, one per open connection, with a queue that has no bound on
+// its length (maxQueue < 0) or its wait (maxWait 0).
 type admission struct {
 	maxInflight int
 	maxQueue    int
@@ -49,14 +51,9 @@ type admissionMetrics struct {
 }
 
 // newAdmission builds a gate updating m; maxInflight must be positive (a
-// nil gate is the admission-off mode).
+// nil gate is the admission-off mode). A negative maxQueue leaves the
+// queue unbounded, and a zero maxWait leaves a wait unbounded.
 func newAdmission(maxInflight, maxQueue int, maxWait time.Duration, m *admissionMetrics) *admission {
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	if maxWait <= 0 {
-		maxWait = defaultQueueWait
-	}
 	return &admission{
 		maxInflight: maxInflight,
 		maxQueue:    maxQueue,
@@ -68,10 +65,11 @@ func newAdmission(maxInflight, maxQueue int, maxWait time.Duration, m *admission
 // acquire blocks until a slot is granted, the queue-wait bound expires, or
 // ctx is done. It returns nil when admitted (the caller must release),
 // errShed when the request must be answered busy, and ctx.Err() on
-// shutdown. A nil gate admits everything.
-func (g *admission) acquire(ctx context.Context) error {
+// shutdown; queued reports whether the call waited in the queue, whatever
+// its outcome. A nil gate admits everything.
+func (g *admission) acquire(ctx context.Context) (queued bool, err error) {
 	if g == nil {
-		return nil
+		return false, nil
 	}
 	g.mu.Lock()
 	// Fast path only when nobody is queued, so a burst cannot barge past
@@ -79,12 +77,12 @@ func (g *admission) acquire(ctx context.Context) error {
 	if g.m.inflight.Load() < int64(g.maxInflight) && len(g.queue) == 0 {
 		g.m.inflight.Add(1)
 		g.mu.Unlock()
-		return nil
+		return false, nil
 	}
-	if len(g.queue) >= g.maxQueue {
+	if g.maxQueue >= 0 && len(g.queue) >= g.maxQueue {
 		g.mu.Unlock()
 		g.m.shed.Inc()
-		return errShed
+		return false, errShed
 	}
 	granted := make(chan struct{})
 	g.queue = append(g.queue, granted)
@@ -92,13 +90,17 @@ func (g *admission) acquire(ctx context.Context) error {
 	g.mu.Unlock()
 
 	start := time.Now()
-	timer := time.NewTimer(g.maxWait)
-	defer timer.Stop()
+	var expired <-chan time.Time
+	if g.maxWait > 0 {
+		timer := time.NewTimer(g.maxWait)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	select {
 	case <-granted:
 		g.m.wait.Observe(time.Since(start))
-		return nil
-	case <-timer.C:
+		return true, nil
+	case <-expired:
 	case <-ctx.Done():
 	}
 	// Timed out or shutting down: withdraw from the queue — unless a grant
@@ -111,16 +113,16 @@ func (g *admission) acquire(ctx context.Context) error {
 			g.m.queued.Set(int64(len(g.queue)))
 			g.mu.Unlock()
 			if err := ctx.Err(); err != nil {
-				return err
+				return true, err
 			}
 			g.m.shed.Inc()
-			return errShed
+			return true, errShed
 		}
 	}
 	g.mu.Unlock()
 	<-granted // already closed
 	g.m.wait.Observe(time.Since(start))
-	return nil
+	return true, nil
 }
 
 // release frees one slot: the oldest waiter (if any) inherits it, else the

@@ -25,7 +25,7 @@ import (
 // immediately.
 func TestAdmissionGateFIFO(t *testing.T) {
 	g := newAdmission(1, 3, 5*time.Second, &admissionMetrics{})
-	if err := g.acquire(context.Background()); err != nil {
+	if _, err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -34,7 +34,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 		i := i
 		prev := g.m.queued.Load()
 		go func() {
-			if err := g.acquire(context.Background()); err != nil {
+			if _, err := g.acquire(context.Background()); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
@@ -59,7 +59,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 
 	// Queue full: the next acquire sheds without blocking.
 	start := time.Now()
-	if err := g.acquire(context.Background()); !errors.Is(err, errShed) {
+	if _, err := g.acquire(context.Background()); !errors.Is(err, errShed) {
 		t.Fatalf("over-queue acquire = %v, want errShed", err)
 	}
 	if time.Since(start) > time.Second {
@@ -92,11 +92,11 @@ func TestAdmissionGateFIFO(t *testing.T) {
 // the bound, and honors context cancellation while queued.
 func TestAdmissionGateWaitBound(t *testing.T) {
 	g := newAdmission(1, 2, 50*time.Millisecond, &admissionMetrics{})
-	if err := g.acquire(context.Background()); err != nil {
+	if _, err := g.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := g.acquire(context.Background()); !errors.Is(err, errShed) {
+	if _, err := g.acquire(context.Background()); !errors.Is(err, errShed) {
 		t.Fatalf("timed-out acquire = %v, want errShed", err)
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond || elapsed > 5*time.Second {
@@ -105,12 +105,52 @@ func TestAdmissionGateWaitBound(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	if err := g.acquire(ctx); err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, errShed) {
+	if _, err := g.acquire(ctx); err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, errShed) {
 		t.Fatalf("cancelled acquire = %v", err)
 	}
 	g.release()
 	if inflight, queued := g.m.inflight.Load(), g.m.queued.Load(); inflight != 0 || queued != 0 {
 		t.Fatalf("load = (%d, %d) after drain, want (0, 0)", inflight, queued)
+	}
+}
+
+// TestAdmissionGateUnboundedQueue drives the gate as a pool uses it: with
+// no queue bound and no wait bound, waiters past any count queue and none
+// is shed, every acquire that waited says so, and only ctx ends a wait.
+func TestAdmissionGateUnboundedQueue(t *testing.T) {
+	g := newAdmission(1, -1, 0, &admissionMetrics{})
+	if queued, err := g.acquire(context.Background()); queued || err != nil {
+		t.Fatalf("first acquire: queued %v, %v", queued, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	const waiters = 8
+	results := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			queued, err := g.acquire(ctx)
+			if !queued {
+				err = fmt.Errorf("acquire at the cap did not queue (%v)", err)
+			}
+			results <- err
+		}()
+	}
+	waitFor(t, "every waiter queued", func() bool { return g.m.queued.Load() == waiters })
+	g.release() // the oldest waiter inherits the slot
+	if err := <-results; err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond) // no wait bound: nobody else gives up
+	if n := g.m.queued.Load(); n != waiters-1 || g.m.shed.Load() != 0 {
+		t.Fatalf("%d still queued and %d shed, want %d and 0", n, g.m.shed.Load(), waiters-1)
+	}
+	cancel()
+	for i := 1; i < waiters; i++ {
+		if err := <-results; !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter after cancel: %v, want context.Canceled", err)
+		}
+	}
+	if inflight, queued := g.m.inflight.Load(), g.m.queued.Load(); inflight != 1 || queued != 0 {
+		t.Fatalf("load = (%d, %d), want (1, 0): the granted waiter still holds its slot", inflight, queued)
 	}
 }
 
@@ -480,11 +520,31 @@ func TestBusyRetryMasksShedding(t *testing.T) {
 	}
 }
 
-// TestPoolHandsConnectionToWaiter pins the FIFO ownership transfer: a
-// connection returned while a borrower waits at the cap must be handed to
-// that waiter directly — under wake-and-retry the woken waiter raced every
-// new arrival for the idle list and could lose (and re-queue at the back)
-// indefinitely.
+// poolBorrow is the outcome of one pool.get.
+type poolBorrow struct {
+	c      *Client
+	reused bool
+	err    error
+}
+
+// borrowAsync starts p.get(fresh) in a goroutine and waits until it has
+// queued for a slot (the pool gate's queued gauge reaches queued).
+func borrowAsync(t *testing.T, p *pool, fresh bool, queued int64) <-chan poolBorrow {
+	t.Helper()
+	got := make(chan poolBorrow, 1)
+	go func() {
+		c, reused, err := p.get(fresh)
+		got <- poolBorrow{c, reused, err}
+	}()
+	waitFor(t, "a borrower queued at the cap", func() bool { return p.slots.m.queued.Load() == queued })
+	return got
+}
+
+// TestPoolHandsConnectionToWaiter pins the FIFO hand-off: a connection
+// returned while borrowers wait at the cap goes to the oldest waiter, then
+// to the next, with no dial and one wire.pool_waits per blocked borrow —
+// under wake-and-retry a woken waiter raced every new arrival for the idle
+// list and could lose (and re-queue at the back) indefinitely.
 func TestPoolHandsConnectionToWaiter(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
@@ -498,57 +558,36 @@ func TestPoolHandsConnectionToWaiter(t *testing.T) {
 	if reused {
 		t.Fatal("first borrow reported reused")
 	}
-	type borrow struct {
-		c      *Client
-		reused bool
-		err    error
-	}
-	got := make(chan borrow, 1)
-	go func() {
-		c2, r2, err2 := p.get(false)
-		got <- borrow{c2, r2, err2}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p.mu.Lock()
-		n := len(p.waiters)
-		p.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("borrower never queued at the cap")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	first := borrowAsync(t, p, false, 1)
+	second := borrowAsync(t, p, false, 2)
 	p.put(c)
-	b := <-got
+	b := <-first
 	if b.err != nil {
 		t.Fatal(b.err)
 	}
-	if b.c != c {
-		t.Fatal("waiter got a different connection: returned one was not handed off")
+	if b.c != c || !b.reused {
+		t.Fatalf("oldest waiter got %p (reused %v), want the returned %p", b.c, b.reused, c)
 	}
-	if !b.reused {
-		t.Fatal("handed-off connection not reported as reused")
-	}
-	p.mu.Lock()
-	idle := len(p.idle)
-	p.mu.Unlock()
-	if idle != 0 {
-		t.Fatalf("idle list holds %d connections during a handoff, want 0", idle)
-	}
-	if got := ctrs.poolWaits.Load(); got != 1 {
-		t.Fatalf("poolWaits = %d for one blocked borrow, want 1", got)
+	select {
+	case b2 := <-second:
+		t.Fatalf("second waiter served while the first holds the only connection: %+v", b2)
+	default:
 	}
 	p.put(b.c)
+	if b = <-second; b.err != nil || b.c != c || !b.reused {
+		t.Fatalf("next waiter got %p (reused %v, %v), want the returned %p", b.c, b.reused, b.err, c)
+	}
+	p.put(b.c)
+	if waits, dials := ctrs.poolWaits.Load(), ctrs.dials.Load(); waits != 2 || dials != 1 {
+		t.Fatalf("%d pool waits and %d dials, want 2 (one per blocked borrow) and 1", waits, dials)
+	}
 }
 
 // TestFreshGetWaitHandsOffAndCountsOnce covers the broken-connection
-// retry's borrow, get(true), waiting at the cap: a healthy connection
-// returned meanwhile is handed to the waiting borrower, which must close it
-// (it specifically needs a fresh dial), reuse its slot, and count exactly
-// one pool wait for the whole call.
+// retry's borrow, get(true), waiting at the cap: the healthy connection
+// returned meanwhile reaches the waiting borrower, which must close it (it
+// specifically needs a fresh dial), dial on its slot, and count exactly
+// one pool wait for the whole call. The cap still holds afterwards.
 func TestFreshGetWaitHandsOffAndCountsOnce(t *testing.T) {
 	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
 	ctrs := &Counters{}
@@ -559,29 +598,7 @@ func TestFreshGetWaitHandsOffAndCountsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type borrow struct {
-		c      *Client
-		reused bool
-		err    error
-	}
-	got := make(chan borrow, 1)
-	go func() {
-		c2, r2, err2 := p.get(true)
-		got <- borrow{c2, r2, err2}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p.mu.Lock()
-		n := len(p.waiters)
-		p.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fresh borrower never queued at the cap")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	got := borrowAsync(t, p, true, 1)
 	p.put(c)
 	b := <-got
 	if b.err != nil {
@@ -593,13 +610,25 @@ func TestFreshGetWaitHandsOffAndCountsOnce(t *testing.T) {
 	if got := ctrs.poolWaits.Load(); got != 1 {
 		t.Fatalf("poolWaits = %d for one blocked fresh borrow, want 1", got)
 	}
-	p.mu.Lock()
-	active := p.active
-	p.mu.Unlock()
-	if active != 1 {
-		t.Fatalf("active = %d after handoff to a fresh borrow, want 1 (slot accounting drifted)", active)
+	if err := c.Ping(); err == nil {
+		t.Fatal("the connection the fresh borrower replaced is still open")
 	}
+	// The slot passed on exactly once: the fresh connection is the pool's
+	// only one, and a borrower beyond it waits until the pool closes.
 	p.put(b.c)
+	c2, reused, err := p.get(false)
+	if err != nil || c2 != b.c || !reused {
+		t.Fatalf("next borrow: %p reused %v, %v; want the fresh %p", c2, reused, err, b.c)
+	}
+	over := borrowAsync(t, p, false, 1)
+	p.close()
+	if b := <-over; b.err == nil {
+		t.Fatal("a borrower beyond the cap was served: slot accounting drifted")
+	}
+	p.put(c2)
+	if waits, dials := ctrs.poolWaits.Load(), ctrs.dials.Load(); waits != 2 || dials != 2 {
+		t.Fatalf("%d pool waits and %d dials, want 2 and 2", waits, dials)
+	}
 }
 
 // TestFreshGetAtCapClosesIdle: a fresh borrow at the cap while the only
@@ -623,8 +652,9 @@ func TestFreshGetAtCapClosesIdle(t *testing.T) {
 		}
 		got <- c2
 	}()
+	var c2 *Client
 	select {
-	case c2 := <-got:
+	case c2 = <-got:
 		if c2 == c {
 			t.Fatal("fresh get returned the idle connection")
 		}
@@ -633,11 +663,16 @@ func TestFreshGetAtCapClosesIdle(t *testing.T) {
 		p.close() // wakes the stuck borrower
 		t.Fatal("fresh get at the cap waited behind an idle connection")
 	}
-	p.mu.Lock()
-	active, idle := p.active, len(p.idle)
-	p.mu.Unlock()
-	if active != 1 || idle != 1 || ctrs.poolWaits.Load() != 0 || ctrs.dials.Load() != 2 {
-		t.Fatalf("active %d, idle %d, %d waits, %d dials; want 1, 1, 0 and 2", active, idle, ctrs.poolWaits.Load(), ctrs.dials.Load())
+	if err := c.Ping(); err == nil {
+		t.Fatal("the idle connection the fresh get replaced is still open")
+	}
+	// The fresh connection went idle in place of the closed one: the next
+	// borrow reuses it without a dial or a wait.
+	if c3, reused, err := p.get(false); err != nil || c3 != c2 || !reused {
+		t.Fatalf("next borrow: %p reused %v, %v; want the fresh %p", c3, reused, err, c2)
+	}
+	if waits, dials := ctrs.poolWaits.Load(), ctrs.dials.Load(); waits != 0 || dials != 2 {
+		t.Fatalf("%d waits, %d dials; want 0 and 2", waits, dials)
 	}
 }
 
@@ -717,6 +752,26 @@ func TestWithClientFreshRetryOncePerCall(t *testing.T) {
 	})
 	if !errors.Is(err, errBroke) {
 		t.Fatalf("withClient with a failed fresh dial returned %v, want fn's error", err)
+	}
+}
+
+// TestCloseDuringBusyRetryReportsBusy: Close can land while a shed call's
+// backoff is ending, so the retry's borrow finds the pool closed. The call
+// must still report the busy error, as it does when Close ends the sleep
+// itself. fn closes the executor before it reports the shed, and the
+// backoff is one nanosecond, so the retry races Close on every call.
+func TestCloseDuringBusyRetryReportsBusy(t *testing.T) {
+	_, addr := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "a"}}})
+	for i := 0; i < 100; i++ {
+		ex := NewExecutor()
+		ex.busyBackoff = time.Nanosecond
+		err := ex.withClient(addr, func(*Client) error {
+			ex.Close()
+			return fmt.Errorf("%w: shed", ErrBusy)
+		})
+		if !errors.Is(err, ErrBusy) {
+			t.Fatalf("call %d: a shed call closed mid-retry returned %v, want ErrBusy", i, err)
+		}
 	}
 }
 

@@ -88,3 +88,55 @@ func TestSlowStreamDoesNotConvoyServer(t *testing.T) {
 		t.Fatal("add+scan convoyed behind the stalled stream")
 	}
 }
+
+// TestShutdownDoesNotWaitOnStalledStream pins a write-blocked stream under
+// the default write timeout (60 s) and requires Close, and Drain with a
+// 200 ms grace period, each to return within a second. Streams used to
+// hold the server's read lock end to end while Close and Drain took the
+// write side for the listener, so a peer could not leave until the stalled
+// write timed out.
+func TestShutdownDoesNotWaitOnStalledStream(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		fn   func(*Server) error
+	}{
+		{"Close", (*Server).Close},
+		{"Drain", func(s *Server) error { return s.Drain(200 * time.Millisecond) }},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			data := rel.NewInstance()
+			addPinnable(t, data, "A.big")
+			srv := NewServer(data)
+			if srv.writeTimeout != defaultWriteTimeout {
+				t.Fatalf("write timeout %v, want the default", srv.writeTimeout)
+			}
+			addr, err := srv.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			slowConsumer(t, addr, "A.big")
+			var prev uint64
+			waitFor(t, "the big scan to write-block", func() bool {
+				time.Sleep(50 * time.Millisecond)
+				cur := srv.bytesSent.Load()
+				stalled := cur > 0 && cur == prev
+				prev = cur
+				return stalled
+			})
+
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() { done <- stop.fn(srv) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%s returned in %v", stop.name, time.Since(start))
+			case <-time.After(time.Second):
+				t.Fatalf("%s waited on the stalled stream", stop.name)
+			}
+		})
+	}
+}

@@ -102,6 +102,9 @@ type Executor struct {
 	frags *fragCache
 	// counters aggregates wire traffic across all pooled connections.
 	counters Counters
+	// bindJoinCompiles counts the plans engine.BindJoin compiles, one per
+	// cross-peer rewriting evaluated.
+	bindJoinCompiles obs.Counter
 }
 
 // NewExecutor creates an executor with an empty routing table.
@@ -205,11 +208,12 @@ func (e *Executor) pool(addr string) *pool {
 // returns it: the executor's one call path to a peer. It retries fn for
 // two reasons. A reused connection that failed at the transport level may
 // have died while idle, so fn runs again on a fresh connection, once per
-// call (every request the executor sends is an idempotent read); if that
-// dial fails, fn's error is reported. A request the peer shed with a busy
-// error never started, so fn runs again after a full-jitter exponential
-// backoff, up to busyRetries times; closing the pool (Close) ends the
-// backoff, and the busy error surfaces at once. Streaming callers must
+// call (every request the executor sends is an idempotent read). A request
+// the peer shed with a busy error never started, so fn runs again after a
+// full-jitter exponential backoff, up to busyRetries times; closing the
+// pool (Close) ends the backoff, and the busy error surfaces at once. A
+// retry whose borrow fails (the fresh dial, or a pool closed meanwhile)
+// reports fn's last error. Streaming callers must
 // tolerate re-delivery (the join state dedups remote tuples). Broken
 // connections never return to the pool (put closes them).
 func (e *Executor) withClient(addr string, fn func(*Client) error) error {
@@ -219,8 +223,8 @@ func (e *Executor) withClient(addr string, fn func(*Client) error) error {
 	for busy := 0; ; {
 		c, reused, gerr := p.get(fresh)
 		if gerr != nil {
-			if fresh {
-				return err
+			if err != nil {
+				return err // a retry's borrow failed: report why fn is retried
 			}
 			return gerr
 		}
@@ -246,7 +250,7 @@ func (e *Executor) withClient(addr string, fn func(*Client) error) error {
 			timer := time.NewTimer(time.Duration(1 + rand.Int64N(int64(min(step, maxBusyBackoff)))))
 			select {
 			case <-timer.C:
-			case <-p.done:
+			case <-p.ctx.Done():
 				timer.Stop()
 				return err
 			}
@@ -322,6 +326,7 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 			n, _ := e.cardOf(pred)
 			return n
 		}
+		e.bindJoinCompiles.Add(1)
 		return engine.BindJoin(q, card, func(a lang.Atom, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
 			addr := addrs[slices.IndexFunc(q.Body, func(b lang.Atom) bool { return b.Pred == a.Pred })]
 			return e.fetchAtom(fl, addr, a, keyPos, keys, sp)

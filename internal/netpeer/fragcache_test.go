@@ -126,6 +126,41 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	}
 }
 
+// TestBindKeyTellsRepeatedVariablesApart pins bindKey's repeated-variable
+// marker: a bind of A.r(y, x, x) and one of A.r(y, x, z) over the same
+// keys ship the same request, but their cached rows differ (the first
+// keeps only rows whose last two values agree), so they must not share a
+// cache entry. The second query answers all three of A.r's rows.
+func TestBindKeyTellsRepeatedVariablesApart(t *testing.T) {
+	_, addrA := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "2", "2"}, {"1", "2", "3"}, {"1", "4", "5"}}})
+	_, addrB := startServerH(t, map[string][]rel.Tuple{"B.s": {{"1"}}})
+	ex := NewExecutor()
+	t.Cleanup(func() { ex.Close() })
+	for _, a := range []string{addrA, addrB} {
+		if err := ex.Discover(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		q    string
+		want []rel.Tuple
+	}{
+		{`q(y, x) :- B.s(y), A.r(y, x, x)`, []rel.Tuple{{"1", "2"}}},
+		{`q(y, x, z) :- B.s(y), A.r(y, x, z)`, []rel.Tuple{{"1", "2", "2"}, {"1", "2", "3"}, {"1", "4", "5"}}},
+	} {
+		got, err := ex.EvalCQ(parseCQ(t, c.q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tuplesEqual(got, c.want) {
+			t.Fatalf("%s answered %v, want %v", c.q, got, c.want)
+		}
+	}
+	if n := ex.counters.bindBatches.Load(); n != 2 {
+		t.Fatalf("%d bind batches, want 2: each query binds A.r on its own key", n)
+	}
+}
+
 // TestRepliesCarryGeneration: every reply that names a relation carries
 // its generation — add and bind replies, and a scan conditional on the
 // current generation, which is answered unchanged.

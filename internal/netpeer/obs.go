@@ -28,9 +28,11 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 }
 
 // RegisterMetrics registers the executor's wire counters, aggregated over
-// every pooled connection, on reg under the wire.* names, and its fragment
-// cache's under fragcache.*.
+// every pooled connection, on reg under the wire.* names, its fragment
+// cache's under fragcache.*, and its bind-join plan compiles as
+// engine.bindjoin_compiles.
 func (e *Executor) RegisterMetrics(reg *obs.Registry) {
+	reg.RegisterCounter("engine.bindjoin_compiles", &e.bindJoinCompiles)
 	ct := &e.counters
 	reg.RegisterCounter("wire.requests", &ct.requests)
 	reg.RegisterCounter("wire.rows_fetched", &ct.rowsFetched)

@@ -1,8 +1,8 @@
 package netpeer
 
 import (
+	"context"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -22,87 +22,72 @@ const defaultMaxConnsPerAddr = 64
 // later borrower can never read a stale frame.
 //
 // The pool bounds *total* connections per address (maxConns), idle and
-// borrowed alike, and nothing else: every open connection holds a slot, a
-// returned connection stays idle until reused, and a borrower finding no
-// idle connection either dials (slot free) or waits for one (cap reached,
-// counted in wire.pool_waits). Waiters are served strict FIFO by direct
-// ownership transfer: a returned connection or a released slot is handed
-// to the oldest waiter while the pool lock is held, never parked where a
-// newly arriving borrower could steal it — wake-and-retry would let
-// arrivals barge past woken waiters indefinitely under sustained
-// contention.
+// borrowed alike, and nothing else. A borrower first takes one of maxConns
+// slots from slots, the admission gate with an unbounded queue and no wait
+// bound; blocked borrowers wait there in FIFO order (one wire.pool_waits
+// each). Holding a slot, it pops an idle connection or, with none idle,
+// dials: a dial happens only when every open connection is borrowed, so
+// open connections never exceed the slots. put returns a connection to the
+// idle stack before it releases its slot, and the gate hands that slot to
+// the oldest waiter, so the returned connection goes to the next borrower
+// in line: an arrival never barges past a waiter.
 type pool struct {
 	addr     string
 	counters *Counters
-	// maxConns caps total open connections (idle + borrowed) to addr.
-	maxConns int
-	// done closes when the pool closes: it ends the busy-retry backoff of
-	// every call borrowing from this pool (Executor.withClient).
-	done chan struct{}
+	// slots admits borrowers, maxConns at a time (see pool).
+	slots *admission
+	// ctx is cancelled when the pool closes: it ends every wait for a
+	// slot and the busy-retry backoff of every call borrowing from this
+	// pool (Executor.withClient).
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu      sync.Mutex
-	idle    []*Client    // guarded by mu
-	active  int          // guarded by mu (open connections: idle + borrowed)
-	waiters []chan grant // guarded by mu (FIFO; head handed each returned conn or released slot)
-	closed  bool         // guarded by mu
-}
-
-// grant is what a pool waiter is handed when capacity frees up: a pooled
-// connection (ownership transferred directly, so no later arrival can
-// steal it), a reserved connection slot (active already counts it; the
-// receiver dials, and must releaseSlot on dial failure), or — as the zero
-// value, delivered by closing the channel — notice that the pool closed.
-type grant struct {
-	c    *Client // non-nil: this pooled connection is yours
-	slot bool    // a connection slot is reserved for you; dial it
+	mu   sync.Mutex
+	idle []*Client // guarded by mu
 }
 
 func newPool(addr string, counters *Counters, maxConns int) *pool {
-	return &pool{addr: addr, counters: counters, maxConns: maxConns, done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pool{
+		addr:     addr,
+		counters: counters,
+		slots:    newAdmission(maxConns, -1, 0, &admissionMetrics{}),
+		ctx:      ctx,
+		cancel:   cancel,
+	}
 }
 
 // get returns a connection to the pool's address: an idle one when
 // available, unless fresh asks for a new one (withClient's retry after a
-// reused connection broke). With nothing idle and the per-address cap
-// reached, get blocks until a returned connection or freed slot is handed
-// to it (FIFO; one wire.pool_waits count however long the wait). A fresh
-// borrower at the cap closes an idle or handed-over connection and dials
+// reused connection broke). It first waits for a slot, in FIFO order, when
+// the per-address cap is reached (one wire.pool_waits count however long
+// the wait). A fresh borrower closes the idle connection it pops and dials
 // on its slot. reused reports whether the connection predates this call.
 func (p *pool) get(fresh bool) (c *Client, reused bool, err error) {
-	p.mu.Lock()
-	n := len(p.idle)
-	switch {
-	case p.closed:
-		p.mu.Unlock()
+	queued, err := p.slots.acquire(p.ctx)
+	if queued {
+		p.counters.poolWaits.Add(1)
+	}
+	if err != nil {
 		return nil, false, p.errClosed()
-	case n > 0 && (!fresh || p.active >= p.maxConns):
+	}
+	p.mu.Lock()
+	if p.ctx.Err() != nil {
+		p.mu.Unlock()
+		p.slots.release()
+		return nil, false, p.errClosed()
+	}
+	if n := len(p.idle); n > 0 {
 		c = p.idle[n-1]
 		p.idle[n-1] = nil
 		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
+	}
+	p.mu.Unlock()
+	if c != nil {
 		if !fresh {
 			return c, true, nil
 		}
 		c.Close()
-	case p.active < p.maxConns:
-		p.active++
-		p.mu.Unlock()
-	default:
-		// Cap reached and nothing idle: queue for a handed-off connection
-		// or slot. Whatever arrives is already ours — no retry race with
-		// borrowers that show up while we were asleep.
-		w := make(chan grant, 1)
-		p.waiters = append(p.waiters, w)
-		p.mu.Unlock()
-		p.counters.poolWaits.Add(1)
-		switch g := <-w; {
-		case g.c != nil && !fresh:
-			return g.c, true, nil
-		case g.c != nil:
-			g.c.Close()
-		case !g.slot:
-			return nil, false, p.errClosed()
-		}
 	}
 	c, err = p.dial()
 	return c, false, err
@@ -111,12 +96,12 @@ func (p *pool) get(fresh bool) (c *Client, reused bool, err error) {
 func (p *pool) errClosed() error { return fmt.Errorf("netpeer: pool for %s is closed", p.addr) }
 
 // dial opens a fresh connection wired to the pool's shared counters: the
-// pool's one dial site. The caller must already hold a connection slot,
-// which a failed dial releases.
+// pool's one dial site. The caller must already hold a slot, which a
+// failed dial releases.
 func (p *pool) dial() (*Client, error) {
 	c, err := Dial(p.addr)
 	if err != nil {
-		p.releaseSlot()
+		p.slots.release()
 		return nil, err
 	}
 	p.counters.dials.Add(1)
@@ -124,80 +109,35 @@ func (p *pool) dial() (*Client, error) {
 	return c, nil
 }
 
-// releaseSlot returns one connection slot, handing it to the oldest waiter
-// if one is queued (the slot stays counted in active for the recipient).
-func (p *pool) releaseSlot() {
-	p.mu.Lock()
-	p.active--
-	if w := p.popWaiterLocked(); w != nil {
-		p.active++
-		p.mu.Unlock()
-		w <- grant{slot: true}
-		return
-	}
-	p.mu.Unlock()
-}
-
-// popWaiterLocked dequeues the oldest waiter, or returns nil. Callers hold
-// p.mu.
-func (p *pool) popWaiterLocked() chan grant {
-	if len(p.waiters) == 0 {
-		return nil
-	}
-	w := p.waiters[0]
-	p.waiters = slices.Delete(p.waiters, 0, 1)
-	return w
-}
-
-// put returns a connection for reuse. With a borrower waiting, a healthy
-// connection transfers to it directly (never parked on the idle list where
-// an arrival could steal it); broken connections, and any returned after
-// the pool closed, are closed instead and their slot released (which in
-// turn may hand the slot to a waiter).
+// put returns a borrowed connection and its slot. A healthy connection
+// goes onto the idle stack first, so the borrower the slot passes to finds
+// it there; a broken one, or any returned after the pool closed, is closed
+// instead.
 func (p *pool) put(c *Client) {
 	if c == nil {
 		return
 	}
-	if c.broken {
-		c.Close()
-		p.releaseSlot()
-		return
-	}
 	p.mu.Lock()
-	if p.closed {
+	if c.broken || p.ctx.Err() != nil {
 		p.mu.Unlock()
 		c.Close()
-		p.releaseSlot()
-		return
-	}
-	if w := p.popWaiterLocked(); w != nil {
+	} else {
+		p.idle = append(p.idle, c)
 		p.mu.Unlock()
-		w <- grant{c: c}
-		return
 	}
-	p.idle = append(p.idle, c)
-	p.mu.Unlock()
+	p.slots.release()
 }
 
-// close closes every idle connection, marks the pool closed and closes
-// done; in-flight borrowers finish their request and their put closes the
-// connection. Waiters are all woken and observe the closed flag. Closing
-// twice is harmless.
+// close cancels the pool's context, which ends every wait for a slot and
+// every busy backoff, and closes every idle connection; in-flight
+// borrowers finish their request and their put closes the connection.
+// Closing twice is harmless.
 func (p *pool) close() error {
+	p.cancel()
 	p.mu.Lock()
-	if !p.closed {
-		close(p.done)
-	}
 	idle := p.idle
 	p.idle = nil
-	p.active -= len(idle)
-	waiters := p.waiters
-	p.waiters = nil
-	p.closed = true
 	p.mu.Unlock()
-	for _, w := range waiters {
-		close(w)
-	}
 	var first error
 	for _, c := range idle {
 		if err := c.Close(); err != nil && first == nil {

@@ -262,6 +262,55 @@ func TestClientEvalWithoutIfGenStreamsRows(t *testing.T) {
 	}
 }
 
+// TestUnchangedNeedsOneRelation pins the server's unchanged guard at the
+// wire: ifGen names one relation's generation, so an eval over two
+// relations is answered with rows even when its ifGen equals the first
+// relation's generation. After a write to the second relation, an
+// unchanged answer would be stale. The executor never sends ifGen for such
+// a push-down, so only a request written by hand reaches the guard.
+func TestUnchangedNeedsOneRelation(t *testing.T) {
+	_, addr, _, facts := pushdownFixture(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := parseCQ(t, `q(i, t) :- A.log(i, k, "p3"), A.tag(k, t)`)
+	first, err := c.roundTrip(wire.Request{Op: "eval", Query: &q}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Preds) != 2 || first.Preds[0] != "A.log" {
+		t.Fatalf("eval metadata names %v, want A.log then A.tag", first.Preds)
+	}
+	added := rel.Tuple{"k1", "tnew"}
+	if _, err := c.Add("A.tag", [][]string{added}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.New(instanceOf(facts, map[string][]rel.Tuple{"A.tag": {added}})).EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifGen := first.Gens[0] // A.log's generation, which the add left alone
+	var got []rel.Tuple
+	final, err := c.roundTrip(wire.Request{Op: "eval", Query: &q, IfGen: &ifGen}, func(rows [][]string) error {
+		for _, r := range rows {
+			got = append(got, rel.Tuple(r))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Unchanged {
+		t.Fatal("an eval over two relations was answered unchanged on its first relation's generation")
+	}
+	rel.SortTuples(got)
+	if !tuplesEqual(got, want) {
+		t.Fatalf("eval after the add streamed %v, want %v", got, want)
+	}
+}
+
 // TestPushdownAnswersSharedAcrossGoroutines: a push-down hit returns the
 // cached tuples, so concurrent queries share them. Eight goroutines repeat
 // one two-peer union of push-downs and check every answer against the

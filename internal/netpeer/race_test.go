@@ -273,8 +273,8 @@ func TestIdleConnectionRedialOnReuse(t *testing.T) {
 }
 
 // TestAddFactConcurrentCreation pins the first-use relation-creation race
-// on the serving side: AddFact (like wire-level adds) runs under the
-// server's read lock, so concurrent adds targeting brand-new predicates
+// on the serving side: AddFact (like wire-level adds) takes no server
+// lock, so concurrent adds targeting brand-new predicates
 // race each other — and catalog requests — on the instance's relation map
 // unless rel.Instance serializes creation internally. Before it did, two
 // creators could lose a freshly made relation (dropping tuples) or panic

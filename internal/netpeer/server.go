@@ -13,7 +13,7 @@
 // one atom plus a batch of bound join-key rows answered by one indexed
 // probe per key (engine.ProbeByKeyBatchYield) instead of a full scan;
 // "ping" is a liveness probe that touches no relation; "add" inserts a
-// batch of tuples under the same read-side locking as Server.AddFact.
+// batch of tuples through the same check-and-insert path as Server.AddFact.
 //
 // The server practices admission control (Server.MaxInflight, MaxQueue,
 // QueueWait): requests beyond the in-flight limit wait in a bounded FIFO
@@ -22,7 +22,13 @@
 // connection is one loop — read a request, admit it, answer it — so
 // requests a client pipelines wait in the socket and are held back by TCP
 // flow control, not server memory. Graceful shutdown (Drain) stops
-// accepting, lets queued and in-flight requests finish, then closes.
+// accepting, lets queued and in-flight requests finish, then closes. The
+// executor's connection pools wait in the same FIFO gate: a pool admits
+// one borrower per open connection, at most 64 per peer.
+//
+// The server holds no lock over its data: the instance and its engine are
+// fixed at NewServer, and relations synchronize themselves, so a response
+// stream, an insert and a shutdown never wait for one another.
 //
 // Responses STREAM (see package wire): a row-bearing op answers with
 // bounded chunks followed by a final frame, produced through the engine's
@@ -86,12 +92,10 @@ import (
 // (the client-side response sanity cap) to bound per-connection buffering.
 const defaultMaxRequestBytes = 64 << 20
 
-// defaultWriteTimeout bounds one response-frame write. Responses stream
-// under the server's read lock, so a client that stops reading would
-// otherwise hold the lock (and, once a writer queues, every other
-// connection) indefinitely; the deadline converts that into a dropped
-// connection. A legitimate slow reader only has to drain one bounded
-// chunk per timeout.
+// defaultWriteTimeout bounds one response-frame write. A client that stops
+// reading would otherwise hold its connection goroutine and admission slot
+// indefinitely; the deadline converts that into a dropped connection. A
+// legitimate slow reader only has to drain one bounded chunk per timeout.
 const defaultWriteTimeout = 60 * time.Second
 
 // defaultQueueWait bounds one request's admission-queue wait when the
@@ -146,22 +150,15 @@ type Server struct {
 	// read and dropped and answered with an in-band error, and the
 	// connection survives. writeTimeout bounds each response-frame write,
 	// so a client that stops reading is disconnected instead of pinning
-	// the server's read lock. NewServer sets both from the defaults.
+	// its connection. NewServer sets both from the defaults.
 	maxRequestBytes int
 	writeTimeout    time.Duration
 
-	// mu guards the lifecycle fields below (lis, cancel, adm) with brief
-	// exclusive sections; data paths — streams and inserts alike — only
-	// ever take the read side. Nothing data-bearing may take the write
-	// lock: a stream holds RLock for its whole response, so one stalled
-	// consumer plus one pending writer would convoy every later reader
-	// behind this write-preferring RWMutex (see handleAdd). Read-side
-	// inserts are safe because the instance itself self-synchronizes:
-	// each relation carries its own lock and rel.Instance serializes
-	// first-use relation creation internally, so this RLock only pins the
-	// instance pointer.
-	mu   sync.RWMutex
-	data *rel.Instance // guarded by mu (all access under RLock; instance self-synchronizes)
+	// data and eng are set by NewServer and never change, so they are read
+	// without a lock: the instance synchronizes itself (each relation
+	// carries its own lock, and rel.Instance serializes first-use relation
+	// creation), and streams and inserts run side by side (see addRows).
+	data *rel.Instance
 	eng  *engine.Engine
 
 	// reqHist times every admitted request (dequeue to final frame
@@ -170,12 +167,13 @@ type Server struct {
 	// admMetrics are the admission gate's instruments, held here so they
 	// register (at zero) whether or not the gate exists.
 	admMetrics admissionMetrics
-	// adm is the admission gate, built by ServeListener from MaxInflight/
-	// MaxQueue/QueueWait (nil = admission off).
-	adm *admission // guarded by mu (ServeListener publishes; read via gate)
 
-	lis    net.Listener       // guarded by mu (Start publishes, Close consumes)
-	cancel context.CancelFunc // guarded by mu
+	// mu guards the lifecycle fields lis, cancel and conns, in brief
+	// sections that never span a request.
+	mu     sync.Mutex
+	lis    net.Listener          // guarded by mu (Start publishes, Close consumes)
+	cancel context.CancelFunc    // guarded by mu
+	conns  map[net.Conn]struct{} // guarded by mu (live connections, for Drain's read-deadline nudge)
 	wg     sync.WaitGroup
 
 	// draining is set by Drain: the listener is gone, connections finish
@@ -183,8 +181,6 @@ type Server struct {
 	// their read buffer) and unblocked idle reads exit cleanly instead of
 	// counting as errors.
 	draining atomic.Bool
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{} // guarded by connMu (live connections, for Drain's read-deadline nudge)
 
 	// requests counts protocol requests handled (including errors) and
 	// rowsServed the tuples returned across all response frames; bytesSent
@@ -200,16 +196,8 @@ type Server struct {
 	acceptRetries obs.Counter
 }
 
-// gate returns the admission gate (nil while the server has not started
-// or runs without admission control).
-func (s *Server) gate() *admission {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.adm
-}
-
-// NewServer creates a server over the given instance (which the server
-// reads under its own lock; use AddFact for concurrent-safe insertion).
+// NewServer creates a server over the given instance; AddFact inserts
+// into it safely while the server runs.
 func NewServer(data *rel.Instance) *Server {
 	if data == nil {
 		data = rel.NewInstance()
@@ -223,20 +211,10 @@ func NewServer(data *rel.Instance) *Server {
 	}
 }
 
-// AddFact inserts a tuple into a served relation. Inserts self-synchronize
-// inside the instance — under each relation's lock for tuples, under
-// rel.Instance's own lock for first-use relation creation — so this never
-// waits for (or convoys behind) an in-flight response stream; the read
-// lock only pins the instance pointer.
+// AddFact inserts a tuple into a served relation, judged by CheckRow
+// first. It never waits for an in-flight response stream (see addRows).
 func (s *Server) AddFact(pred string, t rel.Tuple) error {
-	if s.CheckRow != nil {
-		if err := s.CheckRow(pred, t); err != nil {
-			return err
-		}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, err := s.data.Add(pred, t)
+	_, err := s.addRows(pred, [][]string{t})
 	return err
 }
 
@@ -254,17 +232,24 @@ func (s *Server) Start(addr string) (string, error) {
 // ServeListener serves the peer protocol on a caller-provided listener
 // (tests inject fault-injecting listeners here; Start wraps it with a TCP
 // listen). It returns immediately; Close or Drain stop it and close lis.
+// The admission gate is built here from MaxInflight, MaxQueue and
+// QueueWait (nil = admission off).
 func (s *Server) ServeListener(lis net.Listener) {
+	var adm *admission
+	if s.MaxInflight > 0 {
+		wait := s.QueueWait
+		if wait <= 0 {
+			wait = defaultQueueWait
+		}
+		adm = newAdmission(s.MaxInflight, max(s.MaxQueue, 0), wait, &s.admMetrics)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.lis = lis
 	s.cancel = cancel
-	if s.MaxInflight > 0 {
-		s.adm = newAdmission(s.MaxInflight, s.MaxQueue, s.QueueWait, &s.admMetrics)
-	}
 	s.mu.Unlock()
 	s.wg.Add(1)
-	go s.acceptLoop(ctx, lis)
+	go s.acceptLoop(ctx, lis, adm)
 }
 
 // Close stops the listener, disconnects every client, and waits for the
@@ -309,11 +294,11 @@ func (s *Server) Drain(timeout time.Duration) error {
 	// requests still drain from the bufio layer, but a connection waiting
 	// at a frame boundary sees a timeout, which the read loop treats as a
 	// clean disconnect while draining.
-	s.connMu.Lock()
+	s.mu.Lock()
 	for c := range s.conns {
 		c.SetReadDeadline(time.Now())
 	}
-	s.connMu.Unlock()
+	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -328,16 +313,16 @@ func (s *Server) Drain(timeout time.Duration) error {
 
 // trackConn registers a live connection for Drain's read-deadline nudge.
 func (s *Server) trackConn(conn net.Conn, add bool) {
-	s.connMu.Lock()
+	s.mu.Lock()
 	if add {
 		s.conns[conn] = struct{}{}
 	} else {
 		delete(s.conns, conn)
 	}
-	s.connMu.Unlock()
+	s.mu.Unlock()
 }
 
-func (s *Server) acceptLoop(ctx context.Context, lis net.Listener) {
+func (s *Server) acceptLoop(ctx context.Context, lis net.Listener, adm *admission) {
 	defer s.wg.Done()
 	var backoff time.Duration
 	for {
@@ -371,7 +356,7 @@ func (s *Server) acceptLoop(ctx context.Context, lis net.Listener) {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
-			s.serveConn(ctx, conn)
+			s.serveConn(ctx, conn, adm)
 		}()
 	}
 }
@@ -380,7 +365,7 @@ func (s *Server) acceptLoop(ctx context.Context, lis net.Listener) {
 // it, repeat. Requests a client pipelines wait in the socket and br, so
 // TCP flow control — not server memory — holds back an over-eager
 // pipeliner, and responses leave strictly in request order.
-func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
+func (s *Server) serveConn(ctx context.Context, conn net.Conn, adm *admission) {
 	// Close the connection when the server shuts down so the read below
 	// unblocks and Close's WaitGroup drains even with idle clients.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
@@ -392,7 +377,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	var in []byte
 	w := &frameWriter{s: s, conn: conn}
 
-	adm := s.gate()
 	for {
 		req, errMsg, ok := s.readRequest(conn, br, &in)
 		if !ok || ctx.Err() != nil {
@@ -407,7 +391,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		// Admission: acquire a global execution slot (or queue for one)
 		// before any work happens. A shed request is answered with a
 		// retryable in-band busy frame and costs the server nothing else.
-		if err := adm.acquire(ctx); err != nil {
+		if _, err := adm.acquire(ctx); err != nil {
 			if errors.Is(err, errShed) {
 				if w.send(wire.Response{
 					Error: fmt.Sprintf("server busy: %d in flight, %d queued", s.MaxInflight, s.MaxQueue),
@@ -481,9 +465,8 @@ func (s *Server) readRequest(conn net.Conn, br *bufio.Reader, in *[]byte) (req w
 
 // frameWriter writes one connection's response frames. Each frame is
 // encoded into out and written in one call, so the client makes progress
-// chunk by chunk, under its own write deadline: response streams run under
-// the server's read lock, and a client that stops draining must cost a
-// dropped connection, not a wedged lock.
+// chunk by chunk, under its own write deadline: a client that stops
+// draining costs a dropped connection.
 type frameWriter struct {
 	s    *Server
 	conn net.Conn
@@ -505,16 +488,15 @@ func (w *frameWriter) send(resp wire.Response) error {
 	return err
 }
 
-// metaOfLocked assembles the piggyback frame for the touched relations:
+// meta assembles the piggyback frame for the touched relations:
 // cardinality (a join-ordering hint) and generation (the fragment cache's
-// staleness token). Callers hold the read lock. Streaming ops capture it
-// BEFORE row production: with adds landing concurrently, a generation read
+// staleness token). Streaming ops capture it BEFORE row production: with adds landing concurrently, a generation read
 // after the stream could include a tuple the stream already walked past,
 // and a fragment tagged with it would claim completeness it doesn't have.
 // Captured up front, the tag is a floor — the append-only logs guarantee
 // the stream carries everything at or before it, and rows that land
 // mid-stream are true tuples monotone queries absorb.
-func (s *Server) metaOfLocked(preds ...string) wire.Response {
+func (s *Server) meta(preds ...string) wire.Response {
 	m := wire.Response{
 		Preds: preds,
 		Cards: make([]int, len(preds)),
@@ -542,7 +524,7 @@ func (s *Server) metaOfLocked(preds ...string) wire.Response {
 // connection.
 func (s *Server) streamRows(w *frameWriter, sp *obs.Span, ifGen *uint64, preds []string,
 	exported func() []obs.SpanData, produce func(yield func(rel.Tuple) error) error) error {
-	meta := s.metaOfLocked(preds...)
+	meta := s.meta(preds...)
 	if ifGen != nil && len(preds) == 1 && meta.Gens[0] == *ifGen {
 		sp.Set("unchanged", "true")
 		sp.End()
@@ -577,9 +559,8 @@ func (s *Server) streamRows(w *frameWriter, sp *obs.Span, ifGen *uint64, preds [
 
 // handleStream answers one request as a stream of frames through w. It
 // returns the first transport error, or nil once the response — success or
-// in-band error — is fully written. Row production runs under the read
-// lock, and so do concurrent adds: handleAdd says why that is sound and
-// what it spares the server.
+// in-band error — is fully written. Row production takes no server lock,
+// and adds land while it runs: addRows says why that is sound.
 func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 	// A traced request (req.Trace set) gets a detached server-side span
 	// tree; exported finishes it and flattens it for the success final
@@ -601,17 +582,23 @@ func (s *Server) handleStream(req wire.Request, w *frameWriter) error {
 		s.Tracer.Record(root)
 		return root.Export(req.Span)
 	}
-	if req.Op == "add" {
-		// The one mutating op: it manages its own (read-side) locking, so
-		// it branches off before the read lock the streaming ops hold for
-		// their whole response.
-		return s.handleAdd(req, w, exported)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	switch req.Op {
 	case "catalog":
-		resp := s.metaOfLocked(s.data.Relations()...)
+		resp := s.meta(s.data.Relations()...)
+		resp.Spans = exported()
+		return w.send(resp)
+	case "add":
+		// The piggyback metadata is read after the last insert, so the
+		// client's fragment cache sees a generation at least as new as its
+		// own write.
+		if req.Pred == "" {
+			return w.send(wire.Response{Error: "add: missing pred"})
+		}
+		inserted, err := s.addRows(req.Pred, req.Rows)
+		if err != nil {
+			return w.send(wire.Response{Error: fmt.Sprintf("add: row %d of %d: %v", inserted, len(req.Rows), err)})
+		}
+		resp := s.meta(req.Pred)
 		resp.Spans = exported()
 		return w.send(resp)
 	case "ping":
@@ -668,50 +655,30 @@ func kept(root *obs.Span, v string) string {
 	return strings.Clone(v)
 }
 
-// handleAdd applies one add request: insert req.Rows into req.Pred (rows
-// become visible individually as each insert lands — the batch is not an
-// atomic unit of visibility), then answer with a single final
-// frame whose piggyback metadata (cardinality, generation) is read after
-// the last insert, so the client's fragment cache sees a generation at
-// least as new as its own write. A failed row — one CheckRow rejects, or
-// one of the wrong arity — stops the batch; rows before it stay inserted
-// (the in-band error reports how many landed).
+// addRows is the one check-and-insert path, of AddFact and the add op: it
+// judges each row by CheckRow and inserts it into pred, stopping at the
+// first row that fails (one CheckRow rejects, or one of the wrong arity).
+// It returns how many rows landed before that. Rows become visible one by
+// one as each insert lands; a batch is not an atomic unit of visibility.
 //
-// Inserts deliberately run under the read lock (tuple inserts synchronize
-// under each relation's lock, and rel.Instance internally serializes the
-// map write when a new predicate materializes a relation): an exclusive lock here
-// would convoy the whole server behind any stalled response stream —
-// streams hold the read lock end to end, so one slow consumer plus one
-// pending writer would block every later reader on this write-preferring
-// RWMutex for as long as the stall lasts (bounded only by writeTimeout).
-// Append-only relations keep concurrent streams sound: a stream observes a
-// superset of its start-state and a subset of its end-state, which is
-// exactly right for monotone conjunctive queries.
-func (s *Server) handleAdd(req wire.Request, w *frameWriter, exported func() []obs.SpanData) error {
-	if req.Pred == "" {
-		return w.send(wire.Response{Error: "add: missing pred"})
-	}
-	s.mu.RLock()
-	var inserted int
-	var addErr error
-	for _, row := range req.Rows {
+// Inserts take no server lock: tuple inserts synchronize under each
+// relation's lock, and rel.Instance serializes first-use relation
+// creation. Append-only relations keep concurrent streams sound: a stream
+// observes a superset of its start state and a subset of its end state,
+// which is exactly right for monotone conjunctive queries.
+func (s *Server) addRows(pred string, rows [][]string) (inserted int, err error) {
+	for _, row := range rows {
 		if s.CheckRow != nil {
-			if addErr = s.CheckRow(req.Pred, row); addErr != nil {
-				break
+			if err = s.CheckRow(pred, row); err != nil {
+				return inserted, err
 			}
 		}
-		if _, addErr = s.data.Add(req.Pred, rel.Tuple(row)); addErr != nil {
-			break
+		if _, err = s.data.Add(pred, rel.Tuple(row)); err != nil {
+			return inserted, err
 		}
 		inserted++
 	}
-	resp := s.metaOfLocked(req.Pred)
-	s.mu.RUnlock()
-	if addErr != nil {
-		return w.send(wire.Response{Error: fmt.Sprintf("add: row %d of %d: %v", inserted, len(req.Rows), addErr)})
-	}
-	resp.Spans = exported()
-	return w.send(resp)
+	return inserted, nil
 }
 
 // bindProbeArgs validates one bind request and lowers it to a probe: the

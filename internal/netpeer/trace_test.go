@@ -248,4 +248,7 @@ func TestStatsReadWhileServing(t *testing.T) {
 	if snap.Counters["wire.requests"] == 0 {
 		t.Fatal("wire.requests stayed zero under load")
 	}
+	if n := snap.Counters["engine.bindjoin_compiles"]; n != queriers*iters {
+		t.Fatalf("engine.bindjoin_compiles = %d, want %d: one per cross-peer query", n, queriers*iters)
+	}
 }

@@ -599,6 +599,7 @@ var metricCatalogue = map[string]string{
 	"core.catalog_builds":       "counter",
 	"core.nodes_expanded":       "counter",
 	"core.reformulate_seconds":  "histogram",
+	"engine.bindjoin_compiles":  "counter",
 	"engine.indexes_built":      "counter",
 	"engine.plan_cache.hits":    "counter",
 	"engine.plan_cache.misses":  "counter",
