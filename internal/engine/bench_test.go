@@ -309,14 +309,14 @@ func BenchmarkBindJoin(b *testing.B) {
 		},
 		Comps: []lang.Comparison{{Op: lang.OpNE, L: lang.Var("i"), R: lang.Var("d")}},
 	}
-	card := func(pred string) int { return len(rows[pred]) }
-	fetch := func(a lang.Atom, _ []int, _ [][]string) ([]rel.Tuple, error) { return rows[a.Pred], nil }
-	if out, err := BindJoin(q, card, fetch); err != nil || len(out) != 150 {
+	cards := []int{len(rows["I.inc"]), len(rows["H.doc"])}
+	fetch := func(i int, _ []int, _ [][]string) ([]rel.Tuple, error) { return rows[q.Body[i].Pred], nil }
+	if out, err := BindJoin(q, cards, fetch); err != nil || len(out) != 150 {
 		b.Fatalf("degenerate fixture: %d rows (%v)", len(out), err)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := BindJoin(q, card, fetch); err != nil {
+		if _, err := BindJoin(q, cards, fetch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,10 +10,11 @@ import (
 // BindJoin evaluates q over rows that fetch supplies atom by atom: the
 // local half of a bind-join (Haas, Kossmann, Wimmers and Yang, "Optimizing
 // Queries across Diverse Data Sources", VLDB 1997), whose remote half is
-// fetch. q is compiled as the engine compiles it, its body ordered by card,
-// and the plan's steps run breadth-first over the partial join, held as
-// slot rows. Each step calls fetch(a, keyPos, keys) for its atom a: keyPos
-// are a's positions that earlier steps bound, and keys the distinct values
+// fetch. q is compiled as the engine compiles it, its body ordered by
+// cards, one cardinality estimate per body position, and the plan's steps
+// run breadth-first over the partial join, held as slot rows. Each step
+// calls fetch(i, keyPos, keys) for its atom q.Body[i]: keyPos are the
+// atom's positions that earlier steps bound, and keys the distinct values
 // the partial holds there, one row per key in keyPos's order (both nil
 // when no position is bound). The fetched rows are chained by key, and one
 // pass over the partial extends each of its rows by the rows of its key,
@@ -29,8 +30,8 @@ import (
 // comparison on a variable the body never binds is an error once a
 // complete match exists, as in Engine.EvalCQ. The answer is distinct and
 // in rel.Compare order, in a slice of the caller's.
-func BindJoin(q lang.CQ, card func(pred string) int, fetch func(a lang.Atom, keyPos []int, keys [][]string) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
-	p, err := compile(q, card)
+func BindJoin(q lang.CQ, cards []int, fetch func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
+	p, err := compile(q, cards)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func BindJoin(q lang.CQ, card func(pred string) int, fetch func(a lang.Atom, key
 				kid[r] = k
 			}
 		}
-		rows, err := fetch(q.Body[st.atom], keyPos, keys)
+		rows, err := fetch(st.atom, keyPos, keys)
 		if err != nil {
 			return nil, err
 		}

@@ -13,25 +13,28 @@ import (
 )
 
 // fetchCall records one call BindJoin made to its fetch: what it was
-// handed, a copy taken at the call, and the rows it got back with a copy
-// of them, so a later write to either side shows.
+// handed (atom is the body position), a copy taken at the call, and the
+// rows it got back with a copy of them, so a later write to either side
+// shows.
 type fetchCall struct {
-	atom            lang.Atom
+	atom            int
 	keyPos, keyPos0 []int
 	keys, keys0     [][]string
 	rows, rows0     []rel.Tuple
 }
 
-// refFetch serves BindJoin's fetch from ins, by a naive scan that shares
-// no code with it: the rows of a's relation that agree with a's constants
-// and repeated variables and, when keys is non-nil, with one key row at
+// refFetch serves BindJoin's fetch of q's atoms from ins, by a naive scan
+// that shares no code with it: for body position i and a = q.Body[i], the
+// rows of a's relation that agree with a's constants and repeated
+// variables and, when keys is non-nil, with one key row at
 // keyPos. With junk set it also returns rows the atom rejects: the
 // relation's other rows (wrong constants, repeats or keys), a repeat of
 // every row, and for every key one row a value too long whose prefix
 // passes every check. The result is shuffled. Each call is appended to
 // calls.
-func refFetch(ins *rel.Instance, rng *rand.Rand, junk bool, calls *[]fetchCall) func(lang.Atom, []int, [][]string) ([]rel.Tuple, error) {
-	return func(a lang.Atom, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
+func refFetch(q lang.CQ, ins *rel.Instance, rng *rand.Rand, junk bool, calls *[]fetchCall) func(int, []int, [][]string) ([]rel.Tuple, error) {
+	return func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
+		a := q.Body[i]
 		var rows []rel.Tuple
 		if r := ins.Relation(a.Pred); r != nil {
 			for _, t := range r.Tuples() {
@@ -66,7 +69,7 @@ func refFetch(ins *rel.Instance, rng *rand.Rand, junk bool, calls *[]fetchCall) 
 		}
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 		*calls = append(*calls, fetchCall{
-			atom: a, keyPos: keyPos, keyPos0: slices.Clone(keyPos),
+			atom: i, keyPos: keyPos, keyPos0: slices.Clone(keyPos),
 			keys: keys, keys0: cloneRows(keys),
 			rows: rows, rows0: cloneRows(rows),
 		})
@@ -117,10 +120,10 @@ func keyAdmits(t rel.Tuple, keyPos []int, keys [][]string) bool {
 }
 
 // greedyOrder is the join order BindJoin must fetch in, computed apart
-// from the engine: repeatedly the atom with the least (card + 1) / 8^b,
-// b its positions holding a constant or a variable of an atom taken
-// earlier, the first in body order on a tie.
-func greedyOrder(body []lang.Atom, card map[string]int) []int {
+// from the engine: repeatedly the atom i with the least
+// (cards[i] + 1) / 8^b, b its positions holding a constant or a variable
+// of an atom taken earlier, the first in body order on a tie.
+func greedyOrder(body []lang.Atom, cards []int) []int {
 	var order []int
 	bound := map[string]bool{}
 	for len(order) < len(body) {
@@ -129,7 +132,7 @@ func greedyOrder(body []lang.Atom, card map[string]int) []int {
 			if slices.Contains(order, i) {
 				continue
 			}
-			cost := float64(card[a.Pred] + 1)
+			cost := float64(cards[i] + 1)
 			for _, t := range a.Args {
 				if t.IsConst() || bound[t.Name] {
 					cost /= 8
@@ -228,7 +231,8 @@ func randomBindJoinCQ(rng *rand.Rand) lang.CQ {
 // calls also returns rows the atom rejects. Besides the answer (or the
 // error: an unbound comparison is one exactly when a complete match
 // exists) it checks the fetches themselves:
-//   - they run in the cardinality order (greedyOrder);
+//   - they run in the cardinality order (greedyOrder), compared by body
+//     position, so two equal atoms are told apart;
 //   - every atom fetched after the first joins a non-empty prefix, and a
 //     join that stops early stops on an empty one;
 //   - a false variable-free comparison fetches nothing;
@@ -252,9 +256,13 @@ func TestBindJoinMatchesReference(t *testing.T) {
 			card[pred] = rng.Intn(40)
 		}
 		q := randomBindJoinCQ(rng)
+		cards := make([]int, len(q.Body))
+		for i, a := range q.Body {
+			cards[i] = card[a.Pred]
+		}
 		want, wantErr := rel.EvalCQ(q, ins)
 		var calls []fetchCall
-		got, err := BindJoin(q, func(p string) int { return card[p] }, refFetch(ins, rng, rng.Intn(2) == 0, &calls))
+		got, err := BindJoin(q, cards, refFetch(q, ins, rng, rng.Intn(2) == 0, &calls))
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("trial %d, %s over\n%s:\n%s", trial, q, ins, fmt.Sprintf(format, args...))
@@ -266,7 +274,7 @@ func TestBindJoinMatchesReference(t *testing.T) {
 			fail("answer %v, reference's %v", got, want)
 		}
 
-		order := greedyOrder(q.Body, card)
+		order := greedyOrder(q.Body, cards)
 		for _, c := range q.Comps {
 			if len(c.Vars(nil)) == 0 && !c.Op.EvalConst(c.L, c.R) && len(calls) > 0 {
 				fail("%d fetches under the false comparison %s", len(calls), c)
@@ -275,21 +283,21 @@ func TestBindJoinMatchesReference(t *testing.T) {
 		for i, c := range calls {
 			if !slices.Equal(c.keyPos, c.keyPos0) || !slices.EqualFunc(c.keys, c.keys0, slices.Equal) ||
 				!slices.EqualFunc(c.rows, c.rows0, rel.Tuple.Equal) {
-				fail("fetch %d of %s: its keys or rows were written to", i, c.atom)
+				fail("fetch %d of %s: its keys or rows were written to", i, q.Body[c.atom])
 			}
-			if next := q.Body[order[i]]; !slices.Equal(c.atom.Args, next.Args) || c.atom.Pred != next.Pred {
-				fail("fetch %d is %s, the cardinality order's is %s", i, c.atom, next)
+			if c.atom != order[i] {
+				fail("fetch %d is atom %d, %s; the cardinality order's is atom %d, %s", i, c.atom, q.Body[c.atom], order[i], q.Body[order[i]])
 			}
 			seen := map[string]bool{}
 			for _, k := range c.keys {
 				if len(k) != len(c.keyPos) || seen[strings.Join(k, "\x00")] {
-					fail("fetch %d of %s: keys %v at %v", i, c.atom, c.keys, c.keyPos)
+					fail("fetch %d of %s: keys %v at %v", i, q.Body[c.atom], c.keys, c.keyPos)
 				}
 				seen[strings.Join(k, "\x00")] = true
 			}
 			if i > 0 {
 				if rows, _ := rel.EvalCQ(prefixQuery(q, order[:i]), ins); len(rows) == 0 {
-					fail("fetch %d of %s after the partial emptied", i, c.atom)
+					fail("fetch %d of %s after the partial emptied", i, q.Body[c.atom])
 				}
 			}
 		}
@@ -329,7 +337,7 @@ func TestBindJoinDropsWhatTheAtomRejects(t *testing.T) {
 				t.Fatal(err)
 			}
 			fetches := 0
-			got, err := BindJoin(q, func(string) int { return 1 }, func(lang.Atom, []int, [][]string) ([]rel.Tuple, error) {
+			got, err := BindJoin(q, make([]int, len(q.Body)), func(int, []int, [][]string) ([]rel.Tuple, error) {
 				fetches++
 				return tc.rows, nil
 			})

@@ -39,11 +39,15 @@
 // never correctness. Variable bindings live in a flat slot array rather
 // than substitution maps; comparison predicates are attached to the
 // earliest step that binds their variables, pruning as soon as possible.
-// compile is the one lowering of a conjunctive query: BindJoin compiles
-// with it too, with the cardinalities the netpeer executor's serving peers
-// advertise, and runs the plan's steps breadth-first over a partial join of
-// slot rows, fetching each step's rows through its caller's callback with
-// the distinct values the partial holds at the atom's bound positions.
+// compile takes the estimates as data, one cardinality per body position:
+// an Engine reads them from its instance in the loop that checks each
+// atom's arity against its relation. compile is the one lowering of a
+// conjunctive query: BindJoin compiles with it too, with the cardinalities
+// its caller passes (the netpeer executor's, as the serving peers reported
+// them when the rewriting started), and runs the plan's steps breadth-first
+// over a partial join of slot rows, fetching each step's rows through its
+// caller's callback, which names the atom by body position, with the
+// distinct values the partial holds at the atom's bound positions.
 //
 // Execution. A plan runs sequentially on the calling goroutine: a full
 // scan walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the

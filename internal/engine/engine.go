@@ -220,15 +220,6 @@ func New(ins *rel.Instance) *Engine {
 	return e
 }
 
-// card returns pred's cardinality, the planner's one statistic; an absent
-// relation has none.
-func (e *Engine) card(pred string) int {
-	if r := e.data.Relation(pred); r != nil {
-		return r.Len()
-	}
-	return 0
-}
-
 // getIndex returns (creating if needed) the index of r for the
 // bound-position set cols.
 func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {

@@ -110,11 +110,12 @@ const boundSel = 1.0 / 8
 
 // orderBody returns an evaluation order for the body atoms under the
 // engine's greedy selectivity heuristic: repeatedly take the atom with the
-// lowest estimated result size, (card(pred) + 1) · (1/8)^bound, where bound
-// counts the atom's positions bound by a constant or by a variable of an
-// earlier atom. Ties keep body order. Bodies are short and atoms narrow,
-// so the atoms taken are scanned rather than kept in a set.
-func orderBody(body []lang.Atom, card func(pred string) int) []int {
+// lowest estimated result size, (cards[i] + 1) · (1/8)^bound, where
+// cards[i] estimates atom i's relation and bound counts the atom's
+// positions bound by a constant or by a variable of an earlier atom. Ties
+// keep body order. Bodies are short and atoms narrow, so the atoms taken
+// are scanned rather than kept in a set.
+func orderBody(body []lang.Atom, cards []int) []int {
 	order := make([]int, 0, len(body))
 	for len(order) < len(body) {
 		best := -1
@@ -123,7 +124,7 @@ func orderBody(body []lang.Atom, card func(pred string) int) []int {
 			if slices.Contains(order, i) {
 				continue
 			}
-			cost := float64(card(a.Pred)) + 1
+			cost := float64(cards[i]) + 1
 			for _, t := range a.Args {
 				if t.IsConst() || boundBy(body, order, t) {
 					cost *= boundSel
@@ -171,35 +172,37 @@ func ownStrings(q lang.CQ) lang.CQ {
 }
 
 // compile builds a plan for q over the engine's instance: the package's
-// compile, ordered by the relations' cardinalities, after checking each
-// atom's arity against its relation.
+// compile, ordered by the relations' cardinalities, the planner's one
+// statistic (an absent relation has none). Each atom's arity is checked
+// against its relation first, so a query that is also unsafe gets the
+// arity error.
 func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 	e.plansCompiled.Add(1)
-	p, err := compile(q, e.card)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range q.Body {
-		if r := e.data.Relation(a.Pred); r != nil && r.Arity() != a.Arity() {
-			return nil, fmt.Errorf("engine: atom %s arity %d, relation has %d", a, a.Arity(), r.Arity())
+	cards := make([]int, len(q.Body))
+	for i, a := range q.Body {
+		if r := e.data.Relation(a.Pred); r != nil {
+			if r.Arity() != a.Arity() {
+				return nil, fmt.Errorf("engine: atom %s arity %d, relation has %d", a, a.Arity(), r.Arity())
+			}
+			cards[i] = r.Len()
 		}
 	}
-	return p, nil
+	return compile(q, cards)
 }
 
-// compile lowers q to a plan, its body in orderBody's order under card. It
-// is the one lowering of a conjunctive query: Engine runs the plan over its
-// instance, BindJoin over fetched rows. Atoms are narrow and queries short,
-// so variables are found by scanning the slots and the atom rather than
-// through maps.
-func compile(q lang.CQ, card func(pred string) int) (*Plan, error) {
+// compile lowers q to a plan, its body in orderBody's order under cards,
+// one cardinality estimate per body position. It is the one lowering of a
+// conjunctive query: Engine runs the plan over its instance, BindJoin over
+// fetched rows. Atoms are narrow and queries short, so variables are found
+// by scanning the slots and the atom rather than through maps.
+func compile(q lang.CQ, cards []int) (*Plan, error) {
 	p := &Plan{headPred: q.Head.Pred}
 	slotOf := func(t lang.Term) int { return slices.Index(p.slotNames, t.Name) }
 	// bindStep[s] is the step that binds slot s.
 	var bindStep []int
 
 	// Lower each atom to a step.
-	order := orderBody(q.Body, card)
+	order := orderBody(q.Body, cards)
 	p.steps = make([]planStep, len(order))
 	for i, bi := range order {
 		a := q.Body[bi]

@@ -9,17 +9,15 @@ import (
 )
 
 // TestSlowStreamDoesNotConvoyServer is the regression test for a convoy
-// the open-loop load generator flushed out: response streams hold the
-// server's read lock end to end, and mutations used to take the write
-// lock — so one slow consumer (stream write-blocked on a full socket
-// buffer) plus one pending add left every later request stuck behind the
-// write-preferring RWMutex until the stall resolved, bounded only by
+// the open-loop load generator flushed out: one slow consumer (a stream
+// write-blocked on a full socket buffer) plus one pending add once left
+// every later request stuck until the stall resolved, bounded only by
 // WriteTimeout (60s by default). The admission gate cannot help: the
 // convoyed requests already hold their slots.
 //
-// With inserts moved to the read side (relations self-synchronize), a stalled
-// stream costs only its own connection. The test pins a stream, then
-// requires a mutation and an unrelated scan to complete promptly.
+// A stalled stream costs only its own connection. The test pins a stream,
+// then requires another client's insert and an unrelated scan to complete
+// promptly while it stays stalled.
 func TestSlowStreamDoesNotConvoyServer(t *testing.T) {
 	data := rel.NewInstance()
 	for i := 0; i < 16; i++ {

@@ -37,12 +37,15 @@ const (
 //     planner's selectivity heuristic over the cardinalities learned at
 //     Discover time and refreshed from the estimates piggybacked on every
 //     response, and extends a partial join step by step. The executor
-//     routes, and supplies the fetch callback (fetchAtom).
+//     routes, and supplies the fetch callback (fetchAtom). A rewriting
+//     reads its atoms' routes, cardinalities included, once, at its start:
+//     the join order and every bind-versus-fetch choice use that copy.
 //   - Per atom the executor ships the distinct values the partial holds at
 //     the atom's bound positions ("bind" op) in batches, one request after
 //     another, unless the peer's advertised cardinality says the whole
 //     selection-pushed relation is smaller than the key set: then fetching
-//     it outright moves fewer bytes, and the executor adapts.
+//     it outright moves fewer bytes, and the executor adapts. A relation
+//     whose peer has reported no cardinality is bound.
 //   - Every remote fetch is a fragment, of one of two kinds: a push-down —
 //     a whole rewriting, or an atom fetched without keys, which is the
 //     push-down of its selection (constants and repeated variables, both
@@ -86,15 +89,9 @@ type Executor struct {
 	busyBackoff     time.Duration
 
 	mu sync.Mutex
-	// addr maps each stored relation to the address of the serving peer.
-	// Guarded by mu.
-	addr map[string]string
-	// card holds per-relation cardinality estimates, seeded by Discover
-	// and refreshed from the estimates piggybacked on every response.
-	// They feed the join-order heuristic and the adaptive bind-vs-fetch
-	// choice (stale values shift the plan, never the answer). Guarded by
-	// mu.
-	card map[string]int
+	// routes maps each stored relation to its serving peer and
+	// cardinality estimate. Guarded by mu.
+	routes map[string]route
 	// pools holds one connection pool per peer address. Guarded by mu.
 	pools map[string]*pool
 	// frags caches fetched fragments — push-downs and binds —
@@ -113,18 +110,30 @@ func NewExecutor() *Executor {
 		maxConnsPerAddr: defaultMaxConnsPerAddr,
 		busyRetries:     defaultBusyRetries,
 		busyBackoff:     defaultBusyBackoff,
-		addr:            map[string]string{},
-		card:            map[string]int{},
+		routes:          map[string]route{},
 		pools:           map[string]*pool{},
 		frags:           newFragCache(defaultFragBytes),
 	}
 }
 
+// route is where a stored relation is served: the serving peer's address,
+// and the relation's cardinality estimate, seeded by Discover and
+// refreshed from the estimates piggybacked on every response (-1 until a
+// peer has reported one). The estimate feeds the join-order heuristic and
+// the adaptive bind-vs-fetch choice; a stale one shifts the plan, never
+// the answer.
+type route struct {
+	addr string
+	card int
+}
+
 // Route declares that the peer at addr serves the given stored relation.
+// The relation has no cardinality estimate until a response from that
+// peer reports one.
 func (e *Executor) Route(pred, addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.addr[pred] = addr
+	e.routes[pred] = route{addr: addr, card: -1}
 }
 
 // Discover connects to addr, asks for its catalog, and routes every served
@@ -140,35 +149,23 @@ func (e *Executor) Discover(addr string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for p, n := range cards {
-		e.addr[p] = addr
-		e.card[p] = n
+		e.routes[p] = route{addr: addr, card: n}
 	}
 	return nil
 }
 
-// updateMeta folds cardinalities piggybacked on responses into the
-// estimate table (only for relations already known, so a response cannot
-// invent routes).
+// updateMeta folds cardinalities piggybacked on responses into the route
+// table (only for relations already routed, so a response cannot invent
+// routes).
 func (e *Executor) updateMeta(preds []string, cards []int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, p := range preds {
-		if _, ok := e.addr[p]; !ok {
-			continue
-		}
-		if i < len(cards) {
-			e.card[p] = cards[i]
+	for i, p := range preds[:min(len(preds), len(cards))] {
+		if r, ok := e.routes[p]; ok {
+			r.card = cards[i]
+			e.routes[p] = r
 		}
 	}
-}
-
-// cardOf returns the current cardinality estimate for pred and whether one
-// is known.
-func (e *Executor) cardOf(pred string) (int, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n, ok := e.card[pred]
-	return n, ok
 }
 
 // Close closes all pooled connections and drops the fragment cache.
@@ -306,59 +303,63 @@ func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
 // which records one "atom" child of sp per fetched atom, annotated with the
 // peer address, the source (fragcache / bind / fetch / shared), the key
 // count of a bind and the rows fetched; the serving peer's remote spans
-// (and the per-batch bind spans) adopt under it.
+// (and the per-batch bind spans) adopt under it. The body atoms' routes are
+// copied under one lock at the start, and the join order and fetchAtom's
+// bind-versus-fetch choice both read that copy.
 func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
-	addrs := make([]string, len(q.Body)) // serving peer of each body atom
+	routes := make([]route, len(q.Body)) // each body atom's route
 	pushdown := len(q.Body) > 0
 	e.mu.Lock()
 	for i, a := range q.Body {
-		addr, ok := e.addr[a.Pred]
+		r, ok := e.routes[a.Pred]
 		if !ok {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("netpeer: no route for stored relation %s", a.Pred)
 		}
-		addrs[i] = addr
-		pushdown = pushdown && addr == addrs[0]
+		routes[i] = r
+		pushdown = pushdown && r.addr == routes[0].addr
 	}
 	e.mu.Unlock()
 	if !pushdown {
-		card := func(pred string) int {
-			n, _ := e.cardOf(pred)
-			return n
+		cards := make([]int, len(routes)) // an unknown estimate orders as 0
+		for i, r := range routes {
+			cards[i] = max(r.card, 0)
 		}
 		e.bindJoinCompiles.Add(1)
-		return engine.BindJoin(q, card, func(a lang.Atom, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
-			addr := addrs[slices.IndexFunc(q.Body, func(b lang.Atom) bool { return b.Pred == a.Pred })]
-			return e.fetchAtom(fl, addr, a, keyPos, keys, sp)
+		return engine.BindJoin(q, cards, func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
+			return e.fetchAtom(fl, q.Body[i], routes[i], keyPos, keys, sp)
 		})
 	}
 	// Full push-down: one peer holds every atom, and the whole CQ is one
 	// fragment.
-	ps := sp.Child("pushdown", obs.Attr{K: "addr", V: addrs[0]})
+	addr := routes[0].addr
+	ps := sp.Child("pushdown", obs.Attr{K: "addr", V: addr})
 	defer ps.End()
-	rows, err := e.fragment(fl, pushdownReq(addrs[0], q), ps)
+	rows, err := e.fragment(fl, pushdownReq(addr, q), ps)
 	ps.SetErr(err)
 	ps.SetInt("rows", int64(len(rows)))
 	return rows, err
 }
 
-// fetchAtom is the bind-join's fetch of atom a from the peer at addr
-// (engine.BindJoin's fetch): with keys bound at keyPos, a bind shipping
-// them, unless the relation's advertised cardinality is smaller than the
-// key set; otherwise, or with no key bound, the push-down of a's selection.
-// It records one "atom" child of sp.
-func (e *Executor) fetchAtom(fl *flights, addr string, a lang.Atom, keyPos []int, keys [][]string, sp *obs.Span) (rows []rel.Tuple, err error) {
-	as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred}, obs.Attr{K: "addr", V: addr})
+// fetchAtom is the bind-join's fetch of atom a over its route rt, as the
+// rewriting copied it at its start (engine.BindJoin's fetch): with keys
+// bound at keyPos, a bind shipping them, unless the relation's reported
+// cardinality is smaller than the key set; otherwise, or with no key
+// bound, the push-down of a's selection. A relation with no reported
+// cardinality is bound. It takes no lock, and records one "atom" child of
+// sp.
+func (e *Executor) fetchAtom(fl *flights, a lang.Atom, rt route, keyPos []int, keys [][]string, sp *obs.Span) (rows []rel.Tuple, err error) {
+	as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred}, obs.Attr{K: "addr", V: rt.addr})
 	defer func() {
 		as.SetErr(err)
 		as.End()
 	}()
 	var r *fragReq
-	if card, ok := e.cardOf(a.Pred); keys != nil && (!ok || card >= len(keys)) {
+	if keys != nil && (rt.card < 0 || rt.card >= len(keys)) {
 		as.SetInt("keys", int64(len(keys)))
-		r = bindReq(addr, a, keyPos, keys)
+		r = bindReq(rt.addr, a, keyPos, keys)
 	} else {
-		r = pushdownReq(addr, selectionQuery(a))
+		r = pushdownReq(rt.addr, selectionQuery(a))
 	}
 	return e.fragment(fl, r, as)
 }

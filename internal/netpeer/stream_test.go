@@ -264,6 +264,52 @@ func TestAdaptiveFullFetchWhenRemoteSmaller(t *testing.T) {
 	}
 }
 
+// TestUnreportedCardinalityBinds: a relation routed by Route has no
+// cardinality until a peer reports one, and a bound atom over it is
+// fetched by bind, never by pushing its whole selection down. Both
+// relations are unknown, so the body order stands: A.r first, then B.s
+// bound by its three y values.
+func TestUnreportedCardinalityBinds(t *testing.T) {
+	peerA := map[string][]rel.Tuple{"A.r": nil}
+	peerB := map[string][]rel.Tuple{"B.s": nil}
+	oracle := rel.NewInstance()
+	add := func(m map[string][]rel.Tuple, pred string, tu rel.Tuple) {
+		m[pred] = append(m[pred], tu)
+		oracle.MustAdd(pred, tu...)
+	}
+	for i := range 3 {
+		add(peerA, "A.r", rel.Tuple{fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i)})
+	}
+	for i := range 100 {
+		add(peerB, "B.s", rel.Tuple{fmt.Sprintf("y%d", i%10), fmt.Sprintf("z%d", i)})
+	}
+	ex := NewExecutor()
+	defer ex.Close()
+	ex.Route("A.r", startServer(t, peerA))
+	ex.Route("B.s", startServer(t, peerB))
+	q, err := parser.ParseQuery(`q(x, z) :- A.r(x, y), B.s(y, z)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rel.EvalCQ(q, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ex.EvalCQ(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tuplesEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if n := ex.counters.bindBatches.Load(); n != 1 {
+		t.Fatalf("wire.bind_batches = %d, want 1: B.s, of unreported cardinality, must be bound", n)
+	}
+	if n := ex.counters.rowsFetched.Load(); n != 3+30 {
+		t.Fatalf("wire.rows_fetched = %d, want %d", n, 3+30)
+	}
+}
+
 // TestMultiBatchBind: a bound side spanning several bind batches ships
 // them one request after another and answers exactly. A warm repeat sends
 // the cached generation with the first batch only, and the peer's
@@ -334,12 +380,11 @@ func TestMultiBatchBind(t *testing.T) {
 	}
 }
 
-// TestSlowClientCannotWedgeServer: response streams run under the
-// server's read lock, so a client that requests a large scan and then
-// stops reading used to be able to block a queued writer — and with it
-// every other connection — indefinitely. The per-frame write deadline
-// must convert that into a dropped connection: AddFact completes and
-// other clients keep working.
+// TestSlowClientCannotWedgeServer: a client that requests a large scan
+// and then stops reading stalls its own stream and nothing else. While
+// that stream is write-blocked, AddFact completes and a fresh client's
+// catalog request is answered; the per-frame write deadline then drops
+// the stalled connection.
 func TestSlowClientCannotWedgeServer(t *testing.T) {
 	data := rel.NewInstance()
 	pad := strings.Repeat("w", 8*1024)
@@ -423,8 +468,8 @@ func TestCardinalityRefreshFromResponses(t *testing.T) {
 	if err := ex.Discover(addr); err != nil {
 		t.Fatal(err)
 	}
-	if n, ok := ex.cardOf("E.r"); !ok || n != 2 {
-		t.Fatalf("discovered card = %d (%v), want 2", n, ok)
+	if r, ok := routeOf(ex, "E.r"); !ok || r.card != 2 {
+		t.Fatalf("discovered route = %+v (%v), want card 2", r, ok)
 	}
 	for i := 0; i < 7; i++ {
 		if err := srv.AddFact("E.r", rel.Tuple{fmt.Sprintf("x%d", i), "9"}); err != nil {
@@ -438,7 +483,35 @@ func TestCardinalityRefreshFromResponses(t *testing.T) {
 	if _, err := ex.EvalCQ(q); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ex.cardOf("E.r"); n != 9 {
-		t.Fatalf("card after piggybacked refresh = %d, want 9", n)
+	if r, _ := routeOf(ex, "E.r"); r.card != 9 || r.addr != addr {
+		t.Fatalf("route after piggybacked refresh = %+v, want card 9 at %s", r, addr)
+	}
+}
+
+// routeOf reads pred's entry in ex's route table.
+func routeOf(ex *Executor, pred string) (route, bool) {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	r, ok := ex.routes[pred]
+	return r, ok
+}
+
+// TestResponseCannotInventRoute: cardinalities piggybacked on a response
+// refresh only relations already routed. One that names an unrouted
+// relation adds no entry to the route table, so a query over that relation
+// still fails for want of a route rather than dialling an empty address.
+func TestResponseCannotInventRoute(t *testing.T) {
+	ex := NewExecutor()
+	defer ex.Close()
+	ex.updateMeta([]string{"Z.ghost"}, []int{5})
+	if r, ok := routeOf(ex, "Z.ghost"); ok {
+		t.Fatalf("a response invented the route %+v", r)
+	}
+	q, err := parser.ParseQuery(`q(x) :- Z.ghost(x)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.EvalCQ(q); err == nil || !strings.Contains(err.Error(), "no route") {
+		t.Fatalf("EvalCQ over an unrouted relation: %v, want a no-route error", err)
 	}
 }

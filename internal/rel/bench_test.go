@@ -94,24 +94,31 @@ func BenchmarkDistinctSorted(b *testing.B) {
 //   - blocks5: three groups of 2,500 rows taking turns in blocks of 5,
 //     one row past minGallop, where galloping gains least;
 //   - 84groups: adhoc_swarm's 84 small overlapping groups.
+//
+// Each shape's groups are built inside its own sub-benchmark, so no
+// sub-benchmark runs beside another shape's live groups: each op allocates
+// a whole answer, and GC paces it by the live heap.
 func BenchmarkMergeDistinct(b *testing.B) {
-	interleaved := answerGroups(3, 2500)
-	for i, g := range interleaved {
-		interleaved[i] = SortDistinct(slices.Clone(g))
-	}
 	for _, c := range []struct {
 		name   string
-		groups [][]Tuple
+		groups func() [][]Tuple
 	}{
-		{"interleaved", interleaved},
-		{"disjoint", blockGroups(3, 2500, 2500)},
-		{"blocks5", blockGroups(3, 2500, 5)},
-		{"84groups", overlapGroups(84)},
+		{"interleaved", func() [][]Tuple {
+			groups := answerGroups(3, 2500)
+			for i, g := range groups {
+				groups[i] = SortDistinct(slices.Clone(g))
+			}
+			return groups
+		}},
+		{"disjoint", func() [][]Tuple { return blockGroups(3, 2500, 2500) }},
+		{"blocks5", func() [][]Tuple { return blockGroups(3, 2500, 5) }},
+		{"84groups", func() [][]Tuple { return overlapGroups(84) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			groups := c.groups()
 			b.ReportAllocs()
 			for b.Loop() {
-				if out := MergeDistinct(c.groups...); len(out) == 0 {
+				if out := MergeDistinct(groups...); len(out) == 0 {
 					b.Fatal("empty union")
 				}
 			}
