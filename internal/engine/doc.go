@@ -59,7 +59,11 @@
 // Plan cache. Compiled plans are cached in an LRU keyed by the query's
 // canonical form (lang.CQ.Canonical), so repeated evaluation of identical
 // rewritings — the common case once reformulation fans a query into a UCQ —
-// skips planning entirely.
+// skips planning entirely. LRU is the one cache type of the system: it is
+// generic in its values and bounded by a cost budget, with its own hit,
+// miss and eviction counters and entry and cost gauges. The plan cache and
+// pdms's answer and reformulation caches give each entry cost 1, so their
+// budget is a count; netpeer's fragment cache gives each fragment its bytes.
 //
 // Tracing. EvalCQSpan and EvalUCQSpan are the evaluators; EvalCQ and
 // EvalUCQ call them with a nil span, so a traced evaluation does the same

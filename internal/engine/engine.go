@@ -194,8 +194,9 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 // netpeer.Server). Indexes catch up with inserts on the next probe.
 type Engine struct {
 	data *rel.Instance
-	// plans caches compiled plans keyed by canonicalized query.
-	plans *LRU
+	// plans caches compiled plans keyed by canonicalized query, one cost
+	// unit each.
+	plans *LRU[*Plan]
 
 	// mu guards the two-level index map. Probes take the read lock only to
 	// locate the *index for their (relation, column-set); all bucket state
@@ -206,18 +207,15 @@ type Engine struct {
 	// probes counts index-probe step entries and scans full-scan step
 	// entries.
 	probes, scans obs.Counter
-	// plansCompiled counts plan compilations; planHits and planMisses count
-	// the plan cache's lookups.
-	plansCompiled, planHits, planMisses obs.Counter
+	// plansCompiled counts plan compilations.
+	plansCompiled obs.Counter
 	// indexesBuilt counts distinct (relation, column-set) indexes created.
 	indexesBuilt obs.Counter
 }
 
 // New returns an engine over ins.
 func New(ins *rel.Instance) *Engine {
-	e := &Engine{data: ins, indexes: map[string]map[string]*index{}}
-	e.plans = NewLRU(1024, &e.planHits, &e.planMisses)
-	return e
+	return &Engine{data: ins, plans: NewLRU[*Plan](1024), indexes: map[string]map[string]*index{}}
 }
 
 // getIndex returns (creating if needed) the index of r for the
@@ -395,14 +393,14 @@ func colsKey(cols []int) string {
 // substrings of a whole request frame (wire.ReadRequest), so it is
 // compiled from a copy that owns its strings.
 func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
-	if v, ok := e.plans.Get(key); ok {
-		return v.(*Plan), nil
+	if p, ok := e.plans.Get(key); ok {
+		return p, nil
 	}
 	p, err := e.compile(ownStrings(q))
 	if err != nil {
 		return nil, err
 	}
-	e.plans.Put(key, p)
+	e.plans.Put(key, p, 1)
 	return p, nil
 }
 

@@ -14,8 +14,8 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("engine.scans", &e.scans)
 	reg.RegisterCounter("engine.plans_compiled", &e.plansCompiled)
 	reg.RegisterCounter("engine.indexes_built", &e.indexesBuilt)
-	reg.RegisterCounter("engine.plan_cache.hits", &e.planHits)
-	reg.RegisterCounter("engine.plan_cache.misses", &e.planMisses)
+	reg.RegisterCounter("engine.plan_cache.hits", &e.plans.Hits)
+	reg.RegisterCounter("engine.plan_cache.misses", &e.plans.Misses)
 }
 
 // describe summarizes the plan's step order for trace annotations:

@@ -29,11 +29,10 @@ func TestCachedPlanOwnsItsStrings(t *testing.T) {
 	if rows := mustEval(t, e, q); len(rows) != 1 {
 		t.Fatalf("rows = %v", rows)
 	}
-	v, ok := e.plans.Get(q.Canonical())
+	p, ok := e.plans.Get(q.Canonical())
 	if !ok {
 		t.Fatal("plan not cached")
 	}
-	p := v.(*Plan)
 	base := uintptr(unsafe.Pointer(unsafe.StringData(frame)))
 	check := func(what, s string) {
 		if s == "" {

@@ -48,7 +48,7 @@ func BenchmarkBindJoin(b *testing.B) {
 	base := executorCounts(ex)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex.frags.clear()
+		ex.frags.lru.Clear()
 		rows, err := ex.EvalCQ(q)
 		if err != nil {
 			b.Fatal(err)
@@ -220,7 +220,7 @@ func BenchmarkBindJoinUCQFanout(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex.frags.clear() // measure the fan-out, not the cache
+		ex.frags.lru.Clear() // measure the fan-out, not the cache
 		rows, err := ex.EvalUCQ(u)
 		if err != nil {
 			b.Fatal(err)
@@ -353,7 +353,7 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if mode.cold {
-					ex.frags.clear()
+					ex.frags.lru.Clear()
 				}
 				rows, err := ex.EvalCQ(q)
 				if err != nil {
@@ -485,7 +485,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			tr.SetSampleEvery(mode.sample)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ex.frags.clear() // measure the wire path every iteration
+				ex.frags.lru.Clear() // measure the wire path every iteration
 				root := tr.StartTrace("query")
 				rows, err := ex.EvalUCQSpan(u, root)
 				root.End()

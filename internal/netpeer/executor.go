@@ -46,13 +46,13 @@ const (
 //     selection-pushed relation is smaller than the key set: then fetching
 //     it outright moves fewer bytes, and the executor adapts. A relation
 //     whose peer has reported no cardinality is bound.
-//   - Every remote fetch is a fragment, of one of two kinds: a push-down —
-//     a whole rewriting, or an atom fetched without keys, which is the
-//     push-down of its selection (constants and repeated variables, both
-//     applied by the peer) — or an atom's bind probe. Fragments are cached
-//     *across queries* in a byte-bounded LRU, sorted and distinct, keyed by
-//     peer and either the pushed-down CQ's canonical string or (canonical
-//     atom pattern, bound-key-set hash). An entry is stamped with its
+//   - Every remote fetch is a fragment: a pushed-down CQ — a whole
+//     rewriting, or an atom's selection (constants and repeated variables,
+//     both applied by the peer) — and, for an atom's bind probe, the key
+//     set bound into that selection. Fragments are cached *across queries*
+//     in an engine.LRU whose entries cost their bytes, sorted and distinct,
+//     keyed by peer, the CQ's canonical string and, for a bind, the bound
+//     positions and the key set's hash (fragKey). An entry is stamped with its
 //     relation's generation as reported by the fetch's own response frames
 //     (a fetch whose frames disagree — a mutation landed mid-fetch — is not
 //     cached, and neither is a push-down that reads several relations: a
@@ -127,9 +127,9 @@ type route struct {
 	card int
 }
 
-// Route declares that the peer at addr serves the given stored relation.
-// The relation has no cardinality estimate until a response from that
-// peer reports one.
+// Route declares that the peer at addr serves the given stored relation,
+// overriding any route it had. The relation has no cardinality estimate
+// until a response from that peer reports one.
 func (e *Executor) Route(pred, addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -137,7 +137,11 @@ func (e *Executor) Route(pred, addr string) {
 }
 
 // Discover connects to addr, asks for its catalog, and routes every served
-// relation to it, recording cardinalities for join ordering.
+// relation to it, recording cardinalities for join ordering. A relation
+// already routed to another peer is an error naming both, and then none of
+// the catalog's relations is routed: a second owner would silently answer
+// for the first one's rows. Re-discovering the same peer refreshes its
+// estimates; Route is the explicit override.
 func (e *Executor) Discover(addr string) error {
 	var cards map[string]int
 	if err := e.withClient(addr, func(c *Client) (err error) {
@@ -148,6 +152,11 @@ func (e *Executor) Discover(addr string) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for p := range cards {
+		if r, ok := e.routes[p]; ok && r.addr != addr {
+			return fmt.Errorf("netpeer: %s is served by %s and by %s", p, r.addr, addr)
+		}
+	}
 	for p, n := range cards {
 		e.routes[p] = route{addr: addr, card: n}
 	}
@@ -179,7 +188,7 @@ func (e *Executor) Close() error {
 	pools := e.pools
 	e.pools = map[string]*pool{}
 	e.mu.Unlock()
-	e.frags.clear()
+	e.frags.lru.Clear()
 	var first error
 	for _, p := range pools {
 		if err := p.close(); err != nil && first == nil {
@@ -296,7 +305,7 @@ func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
 }
 
 // evalCQ is EvalCQ over the calling query's fetch table fl, with an
-// optional span. A full push-down is one fragment (pushdownReq): it records
+// optional span. A full push-down is one fragment (newFragReq): it records
 // one "pushdown" child with the fragment's src and fetched counts, under
 // which the serving peer's remote spans adopt; its rows may be the cache's
 // own slice. A cross-peer rewriting is engine.BindJoin over fetchAtom,
@@ -335,7 +344,7 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 	addr := routes[0].addr
 	ps := sp.Child("pushdown", obs.Attr{K: "addr", V: addr})
 	defer ps.End()
-	rows, err := e.fragment(fl, pushdownReq(addr, q), ps)
+	rows, err := e.fragment(fl, newFragReq(addr, q, nil, nil), ps)
 	ps.SetErr(err)
 	ps.SetInt("rows", int64(len(rows)))
 	return rows, err
@@ -345,29 +354,29 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 // rewriting copied it at its start (engine.BindJoin's fetch): with keys
 // bound at keyPos, a bind shipping them, unless the relation's reported
 // cardinality is smaller than the key set; otherwise, or with no key
-// bound, the push-down of a's selection. A relation with no reported
-// cardinality is bound. It takes no lock, and records one "atom" child of
-// sp.
+// bound, the push-down of a's selection. Either way the fragment's query
+// is a's selection (selectionQuery), and a bind adds its keys. A relation
+// with no reported cardinality is bound. It takes no lock, and records one
+// "atom" child of sp.
 func (e *Executor) fetchAtom(fl *flights, a lang.Atom, rt route, keyPos []int, keys [][]string, sp *obs.Span) (rows []rel.Tuple, err error) {
 	as := sp.Child("atom", obs.Attr{K: "pred", V: a.Pred}, obs.Attr{K: "addr", V: rt.addr})
 	defer func() {
 		as.SetErr(err)
 		as.End()
 	}()
-	var r *fragReq
 	if keys != nil && (rt.card < 0 || rt.card >= len(keys)) {
 		as.SetInt("keys", int64(len(keys)))
-		r = bindReq(rt.addr, a, keyPos, keys)
 	} else {
-		r = pushdownReq(rt.addr, selectionQuery(a))
+		keyPos, keys = nil, nil
 	}
-	return e.fragment(fl, r, as)
+	return e.fragment(fl, newFragReq(rt.addr, selectionQuery(a), keyPos, keys), as)
 }
 
-// selectionQuery builds the push-down that fetches atom a without keys:
-// head and body carry the constant itself or, per variable, one variable
-// named after its first position, so the peer applies both the constants
-// and the repeated variables and returns full rows of the selection.
+// selectionQuery builds the push-down of atom a's selection: head and body
+// carry the constant itself or, per variable, one variable named after its
+// first position, so the peer applies both the constants and the repeated
+// variables and returns full rows of the selection. A bind of a ships the
+// body's atom, and its fragment key reads the repeats from these names.
 func selectionQuery(a lang.Atom) lang.CQ {
 	args := make([]lang.Term, len(a.Args))
 	for i, t := range a.Args {

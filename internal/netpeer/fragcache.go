@@ -1,7 +1,7 @@
 package netpeer
 
 import (
-	"container/list"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/rel"
@@ -33,7 +34,7 @@ const (
 // row block into substrings of one string holding the block), so a cached
 // row keeps that whole string alive. The estimate stays honest because a
 // fragment keeps every row of its frames: a row is dropped only when a
-// misbehaving server sends one the request's pattern rejects (fragFetch.frame),
+// misbehaving server sends one the request's head rejects (fragFetch.frame),
 // or as a duplicate across bind batches.
 func tupleBytes(t rel.Tuple) int64 {
 	n := int64(24) // slice header + growth slack
@@ -44,138 +45,67 @@ func tupleBytes(t rel.Tuple) int64 {
 }
 
 // fragEntry is one cached fragment: the post-filter remote rows of one
-// fetch (fragReq) — a one-relation push-down or an atom's bind — sorted
-// and distinct, stamped with the serving peer's
-// generation for the fragment's relation at fetch time.
+// fetch (fragReq) — a push-down or an atom's bind — sorted and distinct,
+// stamped with the serving peer's generation for the fragment's relation at
+// fetch time.
 type fragEntry struct {
-	key   string
-	gen   uint64
-	bytes int64
-	rows  []rel.Tuple
+	gen  uint64
+	rows []rel.Tuple
 }
 
-// fragCache is a byte-bounded LRU of fragEntries, safe for concurrent use.
-// Staleness is the serving peer's call — the executor sends an entry's
-// generation with the fetch that would refresh it — so the cache only
-// stores generations and records the outcome.
+// fragCache is the executor's cross-query fragment cache: an engine.LRU
+// whose entries cost their estimated bytes, plus the generation protocol's
+// counters. Staleness is the serving peer's call — the executor sends an
+// entry's generation with the fetch that would refresh it — so the cache
+// only stores generations and records the outcome. The LRU's own gauges
+// and evictions describe its contents.
 type fragCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	ll       *list.List
-	items    map[string]*list.Element
-	// entries and bytes describe the current contents; they are written
-	// under mu, and bytes is the budget's running total.
-	entries, bytes obs.Gauge
+	lru *engine.LRU[fragEntry]
 
 	// hits counts fetches (push-downs and binds) the serving peer
 	// answered unchanged, served from the cache; misses counts fetches
 	// whose rows crossed the wire. invalidations counts cached fragments
 	// dropped because the peer's generation for the fragment's relation had
-	// moved on, and evictions the entries dropped by the byte budget.
-	// shared counts fetches served by another fetch of the same query (see
-	// fragment); they reach neither the cache nor the wire.
-	hits, misses, invalidations, evictions, shared obs.Counter
+	// moved on. shared counts fetches served by another fetch of the same
+	// query (see fragment); they reach neither the cache nor the wire.
+	hits, misses, invalidations, shared obs.Counter
 }
 
 func newFragCache(maxBytes int64) *fragCache {
-	return &fragCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
-	}
+	return &fragCache{lru: engine.NewLRU[fragEntry](maxBytes)}
 }
 
-// lookup returns the entry under key without deciding whether it is fresh:
-// the caller sends gen with its fetch and then reports the outcome via hit
-// or missed. The returned rows are shared — callers must not mutate them.
+// lookup returns the entry under key, promoting it to most-recently-used,
+// without deciding whether it is fresh: the caller sends gen with its fetch
+// and counts an unchanged answer in hits, or reports the outcome via
+// missed. The returned rows are shared — callers must not mutate them.
 func (fc *fragCache) lookup(key string) (rows []rel.Tuple, gen uint64, ok bool) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	el, ok := fc.items[key]
-	if !ok {
-		return nil, 0, false
-	}
-	ent := el.Value.(*fragEntry)
-	return ent.rows, ent.gen, true
-}
-
-// hit records a fetch the serving peer answered unchanged and promotes the
-// entry to most-recently-used.
-func (fc *fragCache) hit(key string) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if el, ok := fc.items[key]; ok {
-		fc.ll.MoveToFront(el)
-	}
-	fc.hits.Inc()
+	ent, ok := fc.lru.Get(key)
+	return ent.rows, ent.gen, ok
 }
 
 // missed records a fetch whose rows crossed the wire. A stale entry — one
 // the fetch carried the generation of, which the peer did not confirm — is
 // dropped and counted as an invalidation.
 func (fc *fragCache) missed(key string, stale bool) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
 	fc.misses.Inc()
-	if el, ok := fc.items[key]; stale && ok {
-		fc.removeLocked(el)
+	if stale && fc.lru.Remove(key) {
 		fc.invalidations.Inc()
 	}
 }
 
-// put stores a fragment, evicting least-recently-used entries while over
-// the byte budget. Oversized fragments are dropped silently: caching them
-// would wipe the rest of the working set.
+// put stores a fragment at its accounted bytes, evicting least-recently-used
+// entries while over the byte budget; a refetch after invalidation replaces
+// the entry in place. Oversized fragments are dropped silently: caching
+// them would wipe the rest of the working set.
 func (fc *fragCache) put(key string, gen uint64, rows []rel.Tuple) {
 	bytes := int64(len(key))
 	for _, t := range rows {
 		bytes += tupleBytes(t)
 	}
-	if bytes > maxFragEntryBytes {
-		return
+	if bytes <= maxFragEntryBytes {
+		fc.lru.Put(key, fragEntry{gen: gen, rows: rows}, bytes)
 	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if el, ok := fc.items[key]; ok {
-		// Replace in place (a refetch after invalidation reuses the key).
-		ent := el.Value.(*fragEntry)
-		fc.bytes.Add(bytes - ent.bytes)
-		ent.gen, ent.rows, ent.bytes = gen, rows, bytes
-		fc.ll.MoveToFront(el)
-	} else {
-		fc.items[key] = fc.ll.PushFront(&fragEntry{key: key, gen: gen, rows: rows, bytes: bytes})
-		fc.bytes.Add(bytes)
-		fc.entries.Set(int64(fc.ll.Len()))
-	}
-	fc.evictOverLocked()
-}
-
-func (fc *fragCache) evictOverLocked() {
-	for fc.bytes.Load() > fc.maxBytes {
-		oldest := fc.ll.Back()
-		if oldest == nil {
-			return
-		}
-		fc.removeLocked(oldest)
-		fc.evictions.Inc()
-	}
-}
-
-// clear drops every entry. Counters survive.
-func (fc *fragCache) clear() {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	for el := fc.ll.Back(); el != nil; el = fc.ll.Back() {
-		fc.removeLocked(el)
-	}
-}
-
-func (fc *fragCache) removeLocked(el *list.Element) {
-	ent := el.Value.(*fragEntry)
-	fc.ll.Remove(el)
-	delete(fc.items, ent.key)
-	fc.bytes.Add(-ent.bytes)
-	fc.entries.Set(int64(fc.ll.Len()))
 }
 
 // flights is one query's table of fetches, keyed by fragReq.key. The
@@ -214,19 +144,19 @@ func (fl *flights) join(key string) (f *flight, first bool) {
 }
 
 // fragReq is one fragment fetch: what goes to the serving peer and what
-// every arriving row is checked against. A fragment is either a CQ pushed
-// down to the one peer holding its relations (pushdownReq) — a whole
-// rewriting, or an atom fetched without keys (selectionQuery) — or an
-// atom's bind (bindReq): both go through the query's flight table, the
-// cache and its generation check alike.
+// every arriving row is checked against. A fragment is a CQ pushed down to
+// the one peer holding its relations — a whole rewriting, or an atom's
+// selection (selectionQuery) — and, for an atom's bind, the key rows bound
+// at positions of the selection's one atom. Both kinds go through the
+// query's flight table, the cache and its generation check alike.
 type fragReq struct {
 	// addr is the serving peer; key names the fetch in the flight table and
-	// the cache (pushdownKey, bindKey).
+	// the cache (fragKey).
 	addr, key string
-	// pattern is what an arriving row must match — its arity, its constants
-	// and its repeated variables: the pushed-down CQ's head, or the bound
-	// atom.
-	pattern lang.Atom
+	// q is the pushed-down query: every arriving row must match its head —
+	// its arity, its constants and its repeated variables. A bind ships
+	// q.Body[0].
+	q lang.CQ
 	// pred is the one relation the fetch reads, whose generation the peer
 	// reports with the rows and confirms when they are unchanged; "" for a
 	// push-down over several relations, which shares its flight but is never
@@ -234,30 +164,19 @@ type fragReq struct {
 	pred string
 	// src labels a wire fetch on its span: "fetch" or "bind".
 	src string
-	// q is a push-down's query. keyPoss and keys are a bind's join
-	// positions in pattern and its bound-key rows; keys is nil for a
-	// push-down.
-	q       lang.CQ
-	keyPoss []int
-	keys    [][]string
+	// keyPos and keys are a bind's join positions in q.Body[0] and its
+	// bound-key rows; keys is nil for a push-down.
+	keyPos []int
+	keys   [][]string
 }
 
-// bindReq is the fetch of the rows of atom a's relation that pass the
-// atom's constants and repeated variables and match one of keyRows at the
-// join positions keyPoss.
-func bindReq(addr string, a lang.Atom, keyPoss []int, keyRows [][]string) *fragReq {
-	return &fragReq{
-		addr: addr, key: bindKey(addr, a, keyPoss, keyRows),
-		pattern: a, pred: a.Pred, src: "bind",
-		keyPoss: keyPoss, keys: keyRows,
-	}
-}
-
-// pushdownReq is the fetch of q's answers from addr, the peer serving every
-// relation of q's body. It is cacheable when the body reads one distinct
-// relation: that is when the peer reports the generation the rows stand
-// for and answers a repeat unchanged.
-func pushdownReq(addr string, q lang.CQ) *fragReq {
+// newFragReq is the fetch of q's answers from addr, the peer serving every
+// relation of q's body, or, with keys non-nil, the bind of q's one atom:
+// the rows of its relation that pass its constants and repeated variables
+// and match one of keys at positions keyPos. A fetch is cacheable when the
+// body reads one distinct relation: that is when the peer reports the
+// generation the rows stand for and answers a repeat unchanged.
+func newFragReq(addr string, q lang.CQ, keyPos []int, keys [][]string) *fragReq {
 	pred := q.Body[0].Pred
 	for _, a := range q.Body[1:] {
 		if a.Pred != pred {
@@ -265,9 +184,13 @@ func pushdownReq(addr string, q lang.CQ) *fragReq {
 			break
 		}
 	}
+	src := "fetch"
+	if keys != nil {
+		src = "bind"
+	}
 	return &fragReq{
-		addr: addr, key: pushdownKey(addr, q),
-		pattern: q.Head, pred: pred, src: "fetch", q: q,
+		addr: addr, key: fragKey(addr, q, keyPos, keys),
+		q: q, pred: pred, src: src, keyPos: keyPos, keys: keys,
 	}
 }
 
@@ -316,7 +239,7 @@ func (e *Executor) fetchFragment(r *fragReq, sp *obs.Span) ([]rel.Tuple, error) 
 		c.TraceOn(sp)
 		defer c.TraceOn(nil)
 		if r.keys != nil {
-			return c.bindFrames(r.pattern, r.keyPoss, r.keys, ifGen, f.frame, onFinal)
+			return c.bindFrames(r.q.Body[0], r.keyPos, r.keys, ifGen, f.frame, onFinal)
 		}
 		return c.evalFrames(r.q, ifGen, f.frame, onFinal)
 	})
@@ -325,7 +248,7 @@ func (e *Executor) fetchFragment(r *fragReq, sp *obs.Span) ([]rel.Tuple, error) 
 		return nil, err
 	}
 	if ok && f.unchanged {
-		e.frags.hit(r.key)
+		e.frags.hits.Inc()
 		sp.Set("src", "fragcache")
 		sp.SetInt("fetched", int64(len(cached)))
 		return cached, nil
@@ -339,7 +262,7 @@ func (e *Executor) fetchFragment(r *fragReq, sp *obs.Span) ([]rel.Tuple, error) 
 }
 
 // fragFetch is the receiving end of one fetch: it keeps the arriving rows
-// that match the request's pattern, and notes the generation the fetch's
+// that match the request's head, and notes the generation the fetch's
 // response frames report for its relation.
 type fragFetch struct {
 	r *fragReq
@@ -357,14 +280,16 @@ type fragFetch struct {
 }
 
 // frame keeps the rows of one arriving frame that match the request's
-// pattern, filtering the decoder's slice in place.
+// head, filtering the decoder's slice in place.
 func (f *fragFetch) frame(rows [][]string) error {
-	p := &f.r.pattern
+	p := &f.r.q.Head
 	kept := rows[:0]
 next:
 	for _, t := range rows {
 		if len(t) != p.Arity() {
-			return fmt.Errorf("netpeer: %s/%d: remote row has %d values", p.Pred, p.Arity(), len(t))
+			// Name the fetch's one relation where it has one: a selection's
+			// and a bind's head is the placeholder "fetch".
+			return fmt.Errorf("netpeer: %s/%d: remote row has %d values", cmp.Or(f.r.pred, p.Pred), p.Arity(), len(t))
 		}
 		// The server already applied the pushed constants and repeated
 		// variables; re-checking keeps correctness independent of the
@@ -400,44 +325,32 @@ func (f *fragFetch) tap(final *wire.Response) {
 	}
 }
 
-// bindKey builds the cache key of one atom's bind: the serving peer's
-// address, the atom's *canonical pattern* — per position a constant
-// (length-prefix encoded), a back-reference to the first occurrence of a
-// repeated variable, or a fresh-variable marker — the bound column
-// positions, and a hash of the *sorted* distinct bound-key set (the key
-// rows arrive in join-discovery order, which varies run to run, so the
-// hash must not depend on it). The pattern must cover repeated variables,
-// not just constants: cached rows are post-filter, and R(x, x) keeps only
-// the tuples agreeing with themselves while R(x, y) keeps all of them — a
-// constants-only key would alias the two. Binds with different key sets
-// get distinct entries.
-func bindKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string) string {
-	b := rel.AppendValue([]byte{'a'}, addr)
-	b = append(b, '|')
-	b = rel.AppendValue(b, a.Pred)
-	firstPos := map[string]int{}
-	for i, t := range a.Args {
-		b = append(b, '|')
-		if t.IsConst() {
-			b = append(b, '=')
-			b = rel.AppendValue(b, t.Name)
-			continue
-		}
-		if fp, ok := firstPos[t.Name]; ok {
-			b = append(b, '@')
-			b = strconv.AppendInt(b, int64(fp), 10)
-			continue
-		}
-		firstPos[t.Name] = i
-		b = append(b, '?')
+// fragKey is the flight and cache key of a fragment: the serving peer's
+// address, then q's canonical string, then, for a bind, the bound positions
+// and a hash of the *sorted* distinct key set. The canonical string is
+// exact — it spells out head, body and comparisons, numbers variables by
+// first occurrence and length-prefixes constants — so two push-downs share
+// a key only when they are the same query up to variable names. For a
+// bind's selection it carries the atom's constants and its repeated
+// variables, which selectionQuery names alike: cached rows are post-filter,
+// and R(x, x) keeps only the tuples agreeing with themselves while R(x, y)
+// keeps all of them. The key rows arrive in join-discovery order, which
+// varies run to run, so the hash must not depend on it; binds with
+// different key sets get distinct entries.
+func fragKey(addr string, q lang.CQ, keyPos []int, keys [][]string) string {
+	var arr [256]byte
+	b := append(rel.AppendValue(arr[:0], addr), '|')
+	b = q.AppendCanonical(b, false)
+	if keys == nil {
+		return string(b)
 	}
 	b = append(b, "|bind"...)
-	for _, c := range bindCols {
+	for _, c := range keyPos {
 		b = append(b, ',')
 		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	enc := make([]string, len(keyRows))
-	for i, row := range keyRows {
+	enc := make([]string, len(keys))
+	for i, row := range keys {
 		enc[i] = rel.Tuple(row).Key()
 	}
 	sort.Strings(enc)
@@ -447,18 +360,6 @@ func bindKey(addr string, a lang.Atom, bindCols []int, keyRows [][]string) strin
 		h.Write([]byte{0})
 	}
 	b = append(b, '|')
-	b = append(b, hex.EncodeToString(h.Sum(nil))...)
+	b = hex.AppendEncode(b, h.Sum(nil))
 	return string(b)
-}
-
-// pushdownKey is the flight and cache key of pushing q down to the peer at
-// addr: the address and q's canonical string. That string is exact — it
-// spells out head, body and comparisons and length-prefixes constants — so
-// two push-downs share a key only when they are the same query up to
-// variable names. The leading 'q' keeps it apart from every bindKey, which
-// begins with 'a'.
-func pushdownKey(addr string, q lang.CQ) string {
-	var arr [256]byte
-	b := append(rel.AppendValue(append(arr[:0], 'q'), addr), '|')
-	return string(q.AppendCanonical(b, false))
 }

@@ -126,11 +126,14 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	}
 }
 
-// TestBindKeyTellsRepeatedVariablesApart pins bindKey's repeated-variable
-// marker: a bind of A.r(y, x, x) and one of A.r(y, x, z) over the same
-// keys ship the same request, but their cached rows differ (the first
-// keeps only rows whose last two values agree), so they must not share a
-// cache entry. The second query answers all three of A.r's rows.
+// TestBindKeyTellsRepeatedVariablesApart pins the repeated-variable marker
+// in a bind's fragment key: a bind of A.r(y, x, x) and one of A.r(y, x, z)
+// over the same keys make the same probe on the peer, which reads only the
+// atom's constants and bound columns, but their cached rows differ (the
+// first keeps only rows whose last two values agree), so they must not
+// share a cache entry. The marker is selectionQuery's naming of each
+// variable after its first position, read through the canonical string
+// fragKey starts with. The second query answers all three of A.r's rows.
 func TestBindKeyTellsRepeatedVariablesApart(t *testing.T) {
 	_, addrA := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1", "2", "2"}, {"1", "2", "3"}, {"1", "4", "5"}}})
 	_, addrB := startServerH(t, map[string][]rel.Tuple{"B.s": {{"1"}}})
@@ -277,21 +280,21 @@ func TestFragmentCacheEviction(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		ex.frags.put(key(i), 1, rows)
 	}
-	if n, ev := ex.frags.entries.Load(), ex.frags.evictions.Load(); n != 600 || ev != 0 {
+	if n, ev := ex.frags.lru.Entries.Load(), ex.frags.lru.Evictions.Load(); n != 600 || ev != 0 {
 		t.Fatalf("600 one-row fragments under the default budget: %d entries, %d evictions", n, ev)
 	}
 
 	// Room for 100 entries: 150 puts evict 50, least recently used first —
-	// key 0 was hit after the first 100 puts, so keys 1..50 go.
+	// key 0 was looked up after the first 100 puts, so keys 1..50 go.
 	per := int64(len(key(0))) + tupleBytes(rows[0])
 	fc := newFragCache(100 * per)
 	for i := 0; i < 150; i++ {
 		if i == 100 {
-			fc.hit(key(0))
+			fc.lookup(key(0))
 		}
 		fc.put(key(i), 1, rows)
 	}
-	if n, ev, bytes := fc.entries.Load(), fc.evictions.Load(), fc.bytes.Load(); n != 100 || ev != 50 || bytes != 100*per {
+	if n, ev, bytes := fc.lru.Entries.Load(), fc.lru.Evictions.Load(), fc.lru.Cost.Load(); n != 100 || ev != 50 || bytes != 100*per {
 		t.Fatalf("after 150 puts into room for 100: %d entries, %d evictions, %d bytes", n, ev, bytes)
 	}
 	for i := 0; i < 150; i++ {

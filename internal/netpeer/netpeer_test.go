@@ -188,6 +188,54 @@ func TestExecutorNoRoute(t *testing.T) {
 	}
 }
 
+// TestDiscoverRefusesSecondOwner: a peer advertising a relation that
+// another peer already serves is refused with an error naming the relation
+// and both peers, and none of its catalog is routed, so a join keeps
+// reading the first owner's rows. Re-discovering the first owner refreshes
+// its estimates, and Route still overrides.
+func TestDiscoverRefusesSecondOwner(t *testing.T) {
+	srvA, addrA := startServerH(t, map[string][]rel.Tuple{"A.r": {{"1"}, {"2"}}, "B.s": {{"1", "a"}, {"2", "b"}}})
+	_, addrB := startServerH(t, map[string][]rel.Tuple{"B.s": {{"1", "z"}}, "C.t": {{"1"}}})
+	ex := NewExecutor()
+	defer ex.Close()
+	if err := ex.Discover(addrA); err != nil {
+		t.Fatal(err)
+	}
+	err := ex.Discover(addrB)
+	if err == nil {
+		t.Fatal("a second owner of B.s was routed without error")
+	}
+	for _, want := range []string{"B.s", addrA, addrB} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+	if r, ok := routeOf(ex, "C.t"); ok {
+		t.Fatalf("the refused catalog's C.t was routed: %+v", r)
+	}
+	got, err := ex.EvalCQ(parseCQ(t, `q(x, y) :- A.r(x), B.s(x, y)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []rel.Tuple{{"1", "a"}, {"2", "b"}}; !tuplesEqual(got, want) {
+		t.Fatalf("join answered %v, want the first owner's %v", got, want)
+	}
+
+	if err := srvA.AddFact("A.r", rel.Tuple{"3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Discover(addrA); err != nil {
+		t.Fatalf("re-discovering the same peer: %v", err)
+	}
+	if r, _ := routeOf(ex, "A.r"); r.addr != addrA || r.card != 3 {
+		t.Fatalf("A.r route after re-discovery = %+v, want card 3 at %s", r, addrA)
+	}
+	ex.Route("B.s", addrB)
+	if r, _ := routeOf(ex, "B.s"); r.addr != addrB {
+		t.Fatalf("Route did not override B.s: %+v", r)
+	}
+}
+
 // TestEvalUCQFailsFast: once a disjunct has failed the union is an error, so
 // the disjuncts not yet handed to a worker must never start — here the
 // unrouted disjunct 0 fails at once, and of the 40 routed ones (one request

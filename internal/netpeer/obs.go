@@ -48,7 +48,7 @@ func (e *Executor) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("fragcache.shared", &fc.shared)
 	reg.RegisterCounter("fragcache.misses", &fc.misses)
 	reg.RegisterCounter("fragcache.invalidations", &fc.invalidations)
-	reg.RegisterCounter("fragcache.evictions", &fc.evictions)
-	reg.RegisterGauge("fragcache.entries", &fc.entries)
-	reg.RegisterGauge("fragcache.bytes", &fc.bytes)
+	reg.RegisterCounter("fragcache.evictions", &fc.lru.Evictions)
+	reg.RegisterGauge("fragcache.entries", &fc.lru.Entries)
+	reg.RegisterGauge("fragcache.bytes", &fc.lru.Cost)
 }

@@ -155,7 +155,7 @@ func TestPushdownMultiRelationNeverStale(t *testing.T) {
 	u := lang.UCQ{Disjuncts: []lang.CQ{parseCQ(t, `q(i, t) :- A.log(i, k, "p3"), A.tag(k, t)`)}}
 	evalAgainstOracle(t, ex, u, instanceOf(facts))
 	evalAgainstOracle(t, ex, u, instanceOf(facts))
-	if n := ex.frags.entries.Load(); n != 0 {
+	if n := ex.frags.lru.Entries.Load(); n != 0 {
 		t.Fatalf("a two-relation push-down left %d cache entries, want 0", n)
 	}
 	if n := ex.frags.hits.Load(); n != 0 {
@@ -418,7 +418,7 @@ func TestPushdownKeyTellsQueriesApart(t *testing.T) {
 			evalAgainstOracle(t, ex, lang.UCQ{Disjuncts: []lang.CQ{parseCQ(t, text)}}, oracle)
 		}
 	}
-	if hits, entries := ex.frags.hits.Load(), ex.frags.entries.Load(); hits != uint64(len(texts)) || entries != int64(len(texts)) {
+	if hits, entries := ex.frags.hits.Load(), ex.frags.lru.Entries.Load(); hits != uint64(len(texts)) || entries != int64(len(texts)) {
 		t.Fatalf("%d hits over %d cache entries, want %d of each", hits, entries, len(texts))
 	}
 }

@@ -194,7 +194,7 @@ func TestEvalUCQNoFalseSharing(t *testing.T) {
 		atom := lang.NewAtom("R.r", lang.Var("x"))
 		for _, v := range []string{"a", "b"} {
 			srv, addr := startServerH(t, map[string][]rel.Tuple{"R.r": {{v}}})
-			rows, err := ex.fragment(fl, pushdownReq(addr, selectionQuery(atom)), nil)
+			rows, err := ex.fragment(fl, newFragReq(addr, selectionQuery(atom), nil, nil), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

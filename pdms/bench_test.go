@@ -84,7 +84,7 @@ func BenchmarkQueryUnderMutation(b *testing.B) {
 		if _, err := net.Query(q); err != nil {
 			b.Fatal(err)
 		}
-		hits0, misses0, inv0 := net.answerHits.Load(), net.answerMisses.Load(), net.invalidations.Load()
+		hits0, misses0, inv0 := net.answers.Hits.Load(), net.answers.Misses.Load(), net.invalidations.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := net.AddFact("W.w", fmt.Sprintf("log%d", i)); err != nil {
@@ -102,7 +102,7 @@ func BenchmarkQueryUnderMutation(b *testing.B) {
 		if _, err := net.Query(q); err != nil {
 			b.Fatal(err)
 		}
-		hits0, misses0, inv0 := net.answerHits.Load(), net.answerMisses.Load(), net.invalidations.Load()
+		hits0, misses0, inv0 := net.answers.Hits.Load(), net.answers.Misses.Load(), net.invalidations.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := net.AddFact("P0.r", fmt.Sprintf("extra%d", i), "v9"); err != nil {
@@ -120,7 +120,7 @@ func BenchmarkQueryUnderMutation(b *testing.B) {
 // reportHitRate reports net's answer-cache hit rate and invalidation count
 // since the given counter readings, normalized per benchmark op.
 func reportHitRate(b *testing.B, net *Network, hits0, misses0, inv0 uint64) {
-	hits, misses := net.answerHits.Load()-hits0, net.answerMisses.Load()-misses0
+	hits, misses := net.answers.Hits.Load()-hits0, net.answers.Misses.Load()-misses0
 	if hits+misses > 0 {
 		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
 	}

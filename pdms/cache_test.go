@@ -26,7 +26,7 @@ fact A.r("1")
 	if !reflect.DeepEqual(first, again) {
 		t.Fatalf("cached answer differs: %v vs %v", first, again)
 	}
-	hits := net.answerHits.Load()
+	hits := net.answers.Hits.Load()
 	if hits == 0 {
 		t.Fatal("expected an answer-cache hit")
 	}
@@ -38,7 +38,7 @@ fact A.r("1")
 	if !reflect.DeepEqual(first, renamed) {
 		t.Fatalf("alpha-equivalent query differs: %v vs %v", first, renamed)
 	}
-	if hits2 := net.answerHits.Load(); hits2 != hits+1 {
+	if hits2 := net.answers.Hits.Load(); hits2 != hits+1 {
 		t.Fatalf("alpha-equivalent query missed the cache: hits %d -> %d", hits, hits2)
 	}
 }
@@ -96,7 +96,7 @@ fact B.s("1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0, inv0 := net.answerHits.Load(), net.invalidations.Load()
+	hits0, inv0 := net.answers.Hits.Load(), net.invalidations.Load()
 	if err := net.AddFact("B.s", "2"); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ fact B.s("1")
 	if !reflect.DeepEqual(first, again) {
 		t.Fatalf("answer changed across an unrelated mutation: %v vs %v", first, again)
 	}
-	if hits1 := net.answerHits.Load(); hits1 != hits0+1 {
+	if hits1 := net.answers.Hits.Load(); hits1 != hits0+1 {
 		t.Fatalf("unrelated AddFact invalidated the cached answer: hits %d -> %d", hits0, hits1)
 	}
 	if inv1 := net.invalidations.Load(); inv1 != inv0+1 {
@@ -149,7 +149,7 @@ fact D.w("d1")
 	if len(union) != 2 {
 		t.Fatalf("union rows = %v", union)
 	}
-	hits0 := net.answerHits.Load()
+	hits0 := net.answers.Hits.Load()
 	if err := net.AddFact("D.w", "d2"); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ fact D.w("d1")
 	if _, err := net.Query(`q(x) :- A:R(x)`); err != nil {
 		t.Fatal(err)
 	}
-	hits1 := net.answerHits.Load()
+	hits1 := net.answers.Hits.Load()
 	if hits1 != hits0+1 {
 		t.Fatalf("A:R answer lost to a D.w mutation: hits %d -> %d", hits0, hits1)
 	}
@@ -169,7 +169,7 @@ fact D.w("d1")
 	if len(union) != 3 {
 		t.Fatalf("union rows after mutation = %v, want 3 (stale union served?)", union)
 	}
-	if hits2 := net.answerHits.Load(); hits2 != hits1 {
+	if hits2 := net.answers.Hits.Load(); hits2 != hits1 {
 		t.Fatalf("union query was served stale from the cache: hits %d -> %d", hits1, hits2)
 	}
 }

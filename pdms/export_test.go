@@ -21,11 +21,10 @@ func (n *Network) CachedEntry(q lang.CQ) (rewriting lang.UCQ, params int, ok boo
 		return lang.UCQ{}, 0, false
 	}
 	shape := r.Parameterizable(q)
-	v, ok := n.reforms.Get(reformKey(n.specGen, q, shape))
+	e, ok := n.reforms.Get(reformKey(n.specGen, q, shape))
 	if !ok {
 		return lang.UCQ{}, 0, false
 	}
-	e := v.(*reformEntry)
 	if e.params != nil {
 		params = len(q.Params(nil))
 	}

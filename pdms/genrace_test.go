@@ -104,7 +104,7 @@ fact B.s("1")
 	}
 	<-done
 	testHookPostKey = nil
-	hits0 := net.answerHits.Load()
+	hits0 := net.answers.Hits.Load()
 	rows, err = net.Query(`q(x) :- A:R(x)`)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ fact B.s("1")
 	if len(rows) != 1 {
 		t.Fatalf("A:R rows after unrelated mutation = %v", rows)
 	}
-	if hits1 := net.answerHits.Load(); hits1 != hits0+1 {
+	if hits1 := net.answers.Hits.Load(); hits1 != hits0+1 {
 		t.Fatalf("unrelated B.s mutation invalidated the A:R entry: hits %d -> %d", hits0, hits1)
 	}
 	rows, err = net.Query(`q(x) :- B:S(x)`)

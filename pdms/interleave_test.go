@@ -278,11 +278,11 @@ fact D.w("seedD")
 	// Deterministic epilogue for the stats: a repeated query with no
 	// intervening mutation must hit, and the run must have recorded
 	// generation-bumping mutations.
-	hits0 := net.answerHits.Load()
+	hits0 := net.answers.Hits.Load()
 	if _, err := net.Query(queries[0].text); err != nil {
 		t.Fatal(err)
 	}
-	if hits1 := net.answerHits.Load(); hits1 != hits0+1 {
+	if hits1 := net.answers.Hits.Load(); hits1 != hits0+1 {
 		t.Fatalf("quiesced repeat query did not hit: hits %d -> %d", hits0, hits1)
 	}
 	if net.invalidations.Load() == 0 {

@@ -81,10 +81,9 @@ type Network struct {
 	// the keys of the cached answers touching the mutated relation(s);
 	// duplicate inserts bump nothing and leave the cache warm.
 	invalidations obs.Counter
-	// answers and reforms count their lookups into these hit and miss
-	// counters. reforms holds *reformEntry values.
-	answers, reforms                                   *engine.LRU
-	answerHits, answerMisses, reformHits, reformMisses obs.Counter
+	// answers and reforms are count-bounded: every entry costs 1.
+	answers *engine.LRU[[]Answer]
+	reforms *engine.LRU[*reformEntry]
 	// reformer is the spec generation's core.Reformulator, shared by every
 	// query: each asks it whether the query's constants may leave the
 	// reformulation-cache key, and every miss reformulates on it. The first
@@ -109,17 +108,16 @@ type Network struct {
 }
 
 func newNetwork(spec *ppl.PDMS, data *rel.Instance) *Network {
-	n := &Network{
+	return &Network{
 		spec:       spec,
 		data:       data,
 		eng:        engine.New(data),
+		answers:    engine.NewLRU[[]Answer](answerCacheSize),
+		reforms:    engine.NewLRU[*reformEntry](reformCacheSize),
 		tracer:     obs.NewTracer(traceRingSize),
 		queryHist:  obs.NewHistogram(),
 		reformHist: obs.NewHistogram(),
 	}
-	n.answers = engine.NewLRU(answerCacheSize, &n.answerHits, &n.answerMisses)
-	n.reforms = engine.NewLRU(reformCacheSize, &n.reformHits, &n.reformMisses)
-	return n
 }
 
 // Options holds a network's deployment settings: where, if anywhere, its
@@ -385,8 +383,7 @@ func (n *Network) reformulateLocked(query string, root *obs.Span) (q lang.CQ, _ 
 	if testHookPostKey != nil {
 		testHookPostKey()
 	}
-	if v, ok := n.reforms.Get(key); ok {
-		e := v.(*reformEntry)
+	if e, ok := n.reforms.Get(key); ok {
 		sp.Set("cached", "true")
 		sp.SetInt("rewritings", int64(e.ref.Rewriting.Len()))
 		return q, e, nil
@@ -399,7 +396,7 @@ func (n *Network) reformulateLocked(query string, root *obs.Span) (q lang.CQ, _ 
 	n.reformHist.Observe(time.Since(start))
 	n.nodesExpanded.Add(uint64(e.ref.Stats.Nodes()))
 	sp.SetInt("rewritings", int64(e.ref.Rewriting.Len()))
-	n.reforms.Put(key, e)
+	n.reforms.Put(key, e, 1)
 	return q, e, nil
 }
 
@@ -503,15 +500,15 @@ func (n *Network) QueryVia(query string, exec UCQEvaluator) ([]Answer, error) {
 	if testHookPostKey != nil {
 		testHookPostKey()
 	}
-	if v, ok := n.answers.Get(key); ok {
+	if out, ok := n.answers.Get(key); ok {
 		root.Set("answer_cache", "hit")
-		return v.([]Answer), nil
+		return out, nil
 	}
 	out, err := evalSpan(exec, e.rewriting(q), root)
 	if err != nil {
 		return nil, err
 	}
-	n.answers.Put(key, out)
+	n.answers.Put(key, out, 1)
 	return out, nil
 }
 
@@ -544,11 +541,11 @@ func (n *Network) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterHistogram("core.reformulate_seconds", n.reformHist)
 	reg.RegisterCounter("core.catalog_builds", &n.catalogBuilds)
 	reg.RegisterCounter("core.nodes_expanded", &n.nodesExpanded)
-	reg.RegisterCounter("pdms.answer_cache.hits", &n.answerHits)
-	reg.RegisterCounter("pdms.answer_cache.misses", &n.answerMisses)
+	reg.RegisterCounter("pdms.answer_cache.hits", &n.answers.Hits)
+	reg.RegisterCounter("pdms.answer_cache.misses", &n.answers.Misses)
 	reg.RegisterCounter("pdms.invalidations", &n.invalidations)
-	reg.RegisterCounter("pdms.reform_cache.hits", &n.reformHits)
-	reg.RegisterCounter("pdms.reform_cache.misses", &n.reformMisses)
+	reg.RegisterCounter("pdms.reform_cache.hits", &n.reforms.Hits)
+	reg.RegisterCounter("pdms.reform_cache.misses", &n.reforms.Misses)
 }
 
 // CertainAnswers computes certain answers directly via the chase oracle
