@@ -9,59 +9,35 @@ import (
 	"repro/internal/rel"
 )
 
-// BenchmarkEngineUCQFanout measures the local UCQ disjunct fan-out (the
-// same bounded worker pool the netpeer executor uses): 16 disjuncts, each
-// a two-atom indexed join, evaluated through the parallel EvalUCQ versus a
-// sequential disjunct loop over the same engine.
-func BenchmarkEngineUCQFanout(b *testing.B) {
-	const (
-		rows      = 20000
-		disjuncts = 16
-	)
-	ins := rel.NewInstance()
-	for i := 0; i < rows; i++ {
-		ins.MustAdd("E.big", fmt.Sprintf("k%d", i%1000), fmt.Sprintf("p%d", i))
-	}
-	for d := 0; d < disjuncts; d++ {
-		ins.MustAdd(fmt.Sprintf("E.k%d", d), fmt.Sprintf("k%d", d*37))
-	}
-	var u lang.UCQ
-	for d := 0; d < disjuncts; d++ {
-		u.Add(lang.CQ{
-			Head: lang.NewAtom("q", lang.Var("x"), lang.Var("y")),
-			Body: []lang.Atom{
-				lang.NewAtom(fmt.Sprintf("E.k%d", d), lang.Var("x")),
-				lang.NewAtom("E.big", lang.Var("x"), lang.Var("y")),
-			},
-		})
-	}
-	e := New(ins)
-	if rows, err := e.EvalUCQ(u); err != nil || len(rows) == 0 {
-		b.Fatalf("degenerate fixture: %d rows (%v)", len(rows), err)
-	}
-
-	b.Run("fanout", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := e.EvalUCQ(u); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			groups := make([][]rel.Tuple, len(u.Disjuncts))
-			for j, q := range u.Disjuncts {
-				rows, err := e.EvalCQ(q)
-				if err != nil {
+// BenchmarkEngineUnion measures a warm union on local_durable's two shapes
+// (durableUnions over 2,000 locations): a 3-disjunct selection and a
+// 6-disjunct two-atom join. "caller" is EvalUCQ, which runs the disjuncts on
+// the calling goroutine; "fanout" is EvalUnion at the executor's width
+// (MaxUnionFanout) over the same EvalCQSpan, so the cost of handing
+// microsecond disjuncts to other goroutines stays measurable.
+func BenchmarkEngineUnion(b *testing.B) {
+	e, sel, join := durableUnions(b, 2000)
+	for _, c := range []struct {
+		name string
+		u    lang.UCQ
+	}{{"selection", sel}, {"join", join}} {
+		b.Run(c.name+"/caller", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := e.EvalUCQ(c.u); err != nil {
 					b.Fatal(err)
 				}
-				groups[j] = rows
 			}
-			if out := rel.DistinctSorted(groups...); len(out) == 0 {
-				b.Fatal("no rows")
+		})
+		b.Run(c.name+"/fanout", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := EvalUnion(c.u, nil, MaxUnionFanout, e.EvalCQSpan); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkScanJoin: a scan-driven hash join — R and S have equal

@@ -206,9 +206,11 @@ func TestDifferentialUCQWideFanout(t *testing.T) {
 
 // sortedDistinctUnion is EvalUnion over evalCQ, failing t unless every
 // disjunct's answer holds distinct tuples in rel.Compare order — the
-// precondition EvalUnion merges on.
+// precondition EvalUnion merges on. It runs at the executor's width
+// (MaxUnionFanout), so the corpus also evaluates the engine's disjuncts
+// concurrently, as EvalUCQ no longer does.
 func sortedDistinctUnion(t *testing.T, u lang.UCQ, evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
-	return EvalUnion(u, nil, func(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+	return EvalUnion(u, nil, MaxUnionFanout, func(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 		rows, err := evalCQ(q, sp)
 		for i := 1; i < len(rows); i++ {
 			if rel.Compare(rows[i-1], rows[i]) >= 0 {

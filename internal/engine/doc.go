@@ -52,9 +52,12 @@
 // Execution. A plan runs sequentially on the calling goroutine: a full
 // scan walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the
 // laid-out rows by group, then the rows inserted since), and
-// ProbeByKeyBatchYield probes its keys in order. EvalUCQ lets a bounded
-// number of goroutines claim independent disjuncts, the same concurrency
-// shape the distributed executor uses.
+// ProbeByKeyBatchYield probes its keys in order. EvalUCQ runs its disjuncts
+// one after another on the calling goroutine: each is an index probe or a
+// small join that takes microseconds, less than handing it to another
+// goroutine costs. The distributed executor runs the same union loop,
+// EvalUnion, on up to MaxUnionFanout goroutines, so that its disjuncts'
+// round trips overlap.
 //
 // Plan cache. Compiled plans are cached in an LRU keyed by the query's
 // canonical form (lang.CQ.Canonical), so repeated evaluation of identical

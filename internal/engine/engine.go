@@ -494,9 +494,12 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	return out, nil
 }
 
-// MaxUnionFanout caps the goroutines EvalUnion runs a union's disjuncts
-// on, the caller's among them; the engine and the distributed executor
-// share it, so local and remote unions have the same concurrency shape.
+// MaxUnionFanout is the number of goroutines, the caller's among them, the
+// distributed executor runs a union's disjuncts on. Each of its disjuncts
+// waits on round trips to peers, so running several at once overlaps them.
+// The engine's own disjuncts are index probes and small joins that take
+// microseconds, less than handing one to another goroutine costs, so
+// Engine.EvalUCQSpan runs them on the caller's goroutine.
 const MaxUnionFanout = 8
 
 // EvalUCQ evaluates a union of conjunctive queries, returning the distinct
@@ -506,9 +509,11 @@ func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan
 
 // EvalUCQSpan is EvalUCQ under an optional trace span: EvalUnion over the
 // engine's EvalCQSpan, so each disjunct's "eval.cq" span holds its
-// plan/exec sub-spans.
+// plan/exec sub-spans. The disjuncts are CPU-bound and short, so they run
+// one after another on the calling goroutine: the union starts no
+// goroutine.
 func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
-	return EvalUnion(u, sp, e.EvalCQSpan)
+	return EvalUnion(u, sp, 1, e.EvalCQSpan)
 }
 
 // testHookClaimed and testHookFailed, when non-nil, run inside EvalUnion:
@@ -528,13 +533,13 @@ var (
 // evaluator:
 // sp (nil for an untraced query) gets the "disjuncts" and "rows"
 // attributes and one "eval.cq" child per disjunct, which evalCQ receives
-// and which carries that disjunct's error. evalCQ must be safe for
-// concurrent calls: up to MaxUnionFanout goroutines — the caller's among
-// them, so a single disjunct starts none — claim the disjuncts in position
-// order. One failed disjunct fails the union: nothing is claimed after it,
-// and the error returned is the lowest-position one among the disjuncts
-// that ran.
-func EvalUnion(u lang.UCQ, sp *obs.Span, evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
+// and which carries that disjunct's error. Up to width goroutines — the
+// caller's among them, so a width of 1 or a single disjunct starts none —
+// claim the disjuncts in position order; with a width above 1, evalCQ must
+// be safe for concurrent calls. One failed disjunct fails the union:
+// nothing is claimed after it, and the error returned is the
+// lowest-position one among the disjuncts that ran.
+func EvalUnion(u lang.UCQ, sp *obs.Span, width int, evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
 	if err := u.Validate(); err != nil {
 		sp.SetErr(err)
 		return nil, err
@@ -567,7 +572,7 @@ func EvalUnion(u lang.UCQ, sp *obs.Span, evalCQ func(lang.CQ, *obs.Span) ([]rel.
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(n, MaxUnionFanout); w++ {
+	for w := 1; w < min(n, width); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -369,7 +370,10 @@ func TestEvalUCQ(t *testing.T) {
 
 // TestEvalUCQFailsFast: one failed disjunct fails the union, so disjuncts not
 // yet claimed when it failed are never evaluated, and the error returned is
-// the lowest-position one.
+// the lowest-position one. On the caller's goroutine (EvalUCQ) nothing after
+// disjunct 0 is compiled; at the executor's width (EvalUnion at
+// MaxUnionFanout, over the engine's EvalCQSpan) at most one claim per other
+// goroutine is.
 func TestEvalUCQFailsFast(t *testing.T) {
 	ins := rel.NewInstance()
 	ins.MustAdd("E", "a", "b")
@@ -389,10 +393,21 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("arity-mismatched disjunct accepted")
 	}
-	// The worst schedule, made deterministic: every claim after disjunct 0
-	// waits until disjunct 0's failure has stopped new claims, as if the
-	// goroutine evaluating disjunct 0 were descheduled while the others
-	// claimed on.
+
+	// Serial: disjunct 0 is claimed, compiled and fails before any other is
+	// claimed.
+	before := e.plansCompiled.Load()
+	if _, err := e.EvalUCQ(u); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("EvalUCQ error = %v, want disjunct 0's: %v", err, wantErr)
+	}
+	if n := e.plansCompiled.Load() - before; n != 1 {
+		t.Fatalf("EvalUCQ compiled %d plans after disjunct 0 failed, want 1", n)
+	}
+
+	// Concurrent, in the worst schedule made deterministic: every claim
+	// after disjunct 0 waits until disjunct 0's failure has stopped new
+	// claims, as if the goroutine evaluating disjunct 0 were descheduled
+	// while the others claimed on.
 	failedCh := make(chan struct{})
 	testHookClaimed = func(i int) {
 		if i > 0 {
@@ -400,11 +415,11 @@ func TestEvalUCQFailsFast(t *testing.T) {
 		}
 	}
 	testHookFailed = func() { close(failedCh) }
-	before := e.plansCompiled.Load()
-	_, err := e.EvalUCQ(u)
+	before = e.plansCompiled.Load()
+	_, err := EvalUnion(u, nil, MaxUnionFanout, e.EvalCQSpan)
 	testHookClaimed, testHookFailed = nil, nil
 	if err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("EvalUCQ error = %v, want disjunct 0's: %v", err, wantErr)
+		t.Fatalf("EvalUnion error = %v, want disjunct 0's: %v", err, wantErr)
 	}
 	// Disjunct 0 plus at most one in-flight claim per other goroutine, with
 	// slack for claims that raced the failure flag.
@@ -427,6 +442,74 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	}
 	if len(failedSpans) != 1 || failedSpans[0] != wantErr.Error() {
 		t.Fatalf("eval.cq spans with an error = %q, want disjunct 0's alone:\n%s", failedSpans, root.Render())
+	}
+}
+
+// durableUnions builds local_durable's two union shapes over one engine:
+// three hospitals' H<k>.doc(id, location) and two fire districts'
+// FD<k>.medic(id, location), each with 5 rows at each of locs locations.
+// sel is a doctor selection at one location, 3 one-atom disjuncts; join
+// pairs its doctors and medics, 6 disjuncts of two atoms. Both are
+// evaluated once, so their plans and indexes are warm.
+func durableUnions(tb testing.TB, locs int) (e *Engine, sel, join lang.UCQ) {
+	tb.Helper()
+	ins := rel.NewInstance()
+	for j := range 5 * locs {
+		l := fmt.Sprintf("loc%d", j%locs)
+		for k := range 3 {
+			ins.MustAdd(fmt.Sprintf("H%d.doc", k), fmt.Sprintf("d%d_%d", k, j), l)
+		}
+		for k := range 2 {
+			ins.MustAdd(fmt.Sprintf("FD%d.medic", k), fmt.Sprintf("m%d_%d", k, j), l)
+		}
+	}
+	l := lang.Const(fmt.Sprintf("loc%d", locs/2))
+	for h := range 3 {
+		doc := lang.NewAtom(fmt.Sprintf("H%d.doc", h), lang.Var("d"), l)
+		sel.Add(lang.CQ{Head: lang.NewAtom("q", lang.Var("d")), Body: []lang.Atom{doc}})
+		for f := range 2 {
+			join.Add(lang.CQ{
+				Head: lang.NewAtom("q", lang.Var("d"), lang.Var("m")),
+				Body: []lang.Atom{doc, lang.NewAtom(fmt.Sprintf("FD%d.medic", f), lang.Var("m"), l)},
+			})
+		}
+	}
+	e = New(ins)
+	// 15 doctors at the location, and 10 medics for each of them.
+	for _, c := range []struct {
+		u    lang.UCQ
+		want int
+	}{{sel, 15}, {join, 150}} {
+		if rows, err := e.EvalUCQ(c.u); err != nil || len(rows) != c.want {
+			tb.Fatalf("degenerate fixture: %d rows (%v), want %d, for\n%s", len(rows), err, c.want, c.u)
+		}
+	}
+	return e, sel, join
+}
+
+// TestEvalUCQRunsOnCaller: the engine's union starts no goroutine. Every
+// claim of a 6-disjunct union runs while the goroutine count is what it was
+// before the union, and the claims arrive in position order. Run on up to
+// MaxUnionFanout goroutines instead, some claim would see a helper alive:
+// helpers start before the caller's first claim, and one that claimed
+// nothing exits only after every disjunct has been claimed.
+func TestEvalUCQRunsOnCaller(t *testing.T) {
+	e, _, join := durableUnions(t, 50)
+	var claims []int
+	base := runtime.NumGoroutine()
+	testHookClaimed = func(i int) {
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("disjunct %d claimed with %d goroutines, %d before the union", i, n, base)
+		}
+		claims = append(claims, i)
+	}
+	_, err := e.EvalUCQ(join)
+	testHookClaimed = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(claims, want) {
+		t.Fatalf("claims %v, want %v", claims, want)
 	}
 }
 

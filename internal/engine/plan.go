@@ -195,11 +195,24 @@ func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 // conjunctive query: Engine runs the plan over its instance, BindJoin over
 // fetched rows. Atoms are narrow and queries short, so variables are found
 // by scanning the slots and the atom rather than through maps.
+//
+// A step's key columns, key parts and binds each hold at most one entry
+// per position of its atom, and the plan binds at most one slot per
+// position of its body, so each is carved from one slice per plan sized by
+// the body's total arity. Every step's share is its atom's positions,
+// capped there: an append never reaches a neighbour's.
 func compile(q lang.CQ, cards []int) (*Plan, error) {
 	p := &Plan{headPred: q.Head.Pred}
+	width := 0 // the body's total arity
+	for _, a := range q.Body {
+		width += a.Arity()
+	}
+	p.slotNames = make([]string, 0, width)
+	keyCols, keyParts, binds := make([]int, width), make([]outPart, width), make([]posSlot, width)
+	off := 0 // where the step's share of keyCols, keyParts and binds starts
 	slotOf := func(t lang.Term) int { return slices.Index(p.slotNames, t.Name) }
 	// bindStep[s] is the step that binds slot s.
-	var bindStep []int
+	bindStep := make([]int, 0, width)
 
 	// Lower each atom to a step.
 	order := orderBody(q.Body, cards)
@@ -208,6 +221,9 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 		a := q.Body[bi]
 		st := &p.steps[i]
 		st.pred, st.arity, st.atom = a.Pred, a.Arity(), bi
+		end := off + st.arity
+		st.keyCols, st.keyParts, st.binds = keyCols[off:off:end], keyParts[off:off:end], binds[off:off:end]
+		off = end
 		bound := len(p.slotNames) // the slots earlier steps bind
 		for pos, t := range a.Args {
 			if t.IsConst() {

@@ -70,7 +70,8 @@ const (
 //     its rows or error. A query sends one request per distinct fetch, not
 //     one per disjunct's atom.
 //
-// UCQ disjuncts are evaluated concurrently (engine.EvalUnion); all methods
+// UCQ disjuncts are evaluated concurrently, on up to engine.MaxUnionFanout
+// goroutines (engine.EvalUnion), so their round trips overlap; all methods
 // are safe for concurrent use, multiplexing wire traffic over per-address
 // connection pools (a single Client is not safe for concurrent use). Every
 // remote call — Discover's catalog and each fragment fetch — goes through
@@ -269,9 +270,10 @@ func (e *Executor) withClient(addr string, fn func(*Client) error) error {
 
 // EvalUCQ evaluates a union of conjunctive rewritings over the network,
 // returning the distinct union of the disjuncts' answers, sorted.
-// Disjuncts are independent, so they fan out as engine.EvalUnion does; on
-// error the first failing disjunct (by position) among those that ran
-// wins. The returned slice is the caller's, but its tuples may be the
+// Disjuncts are independent and each waits on round trips, so up to
+// engine.MaxUnionFanout of them run at once (engine.EvalUnion); on error
+// the first failing disjunct (by position) among those that ran wins. The
+// returned slice is the caller's, but its tuples may be the
 // fragment cache's (a push-down served unchanged returns the cached rows):
 // callers must not mutate an answer's values.
 func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
@@ -291,7 +293,7 @@ func (e *Executor) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSp
 // every disjunct not yet started would pay its own dial failure.
 func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	fl := &flights{}
-	return engine.EvalUnion(u, sp, func(q lang.CQ, cs *obs.Span) ([]rel.Tuple, error) {
+	return engine.EvalUnion(u, sp, engine.MaxUnionFanout, func(q lang.CQ, cs *obs.Span) ([]rel.Tuple, error) {
 		return e.evalCQ(q, fl, cs)
 	})
 }
@@ -316,23 +318,27 @@ func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
 // copied under one lock at the start, and the join order and fetchAtom's
 // bind-versus-fetch choice both read that copy.
 func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
-	routes := make([]route, len(q.Body)) // each body atom's route
+	// Each body atom's route and cardinality, on the stack for a body of
+	// up to shortBody atoms.
+	var routeArr [shortBody]route
+	var cardArr [shortBody]int
+	routes := routeArr[:0]
 	pushdown := len(q.Body) > 0
 	e.mu.Lock()
-	for i, a := range q.Body {
+	for _, a := range q.Body {
 		r, ok := e.routes[a.Pred]
 		if !ok {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("netpeer: no route for stored relation %s", a.Pred)
 		}
-		routes[i] = r
+		routes = append(routes, r)
 		pushdown = pushdown && r.addr == routes[0].addr
 	}
 	e.mu.Unlock()
 	if !pushdown {
-		cards := make([]int, len(routes)) // an unknown estimate orders as 0
-		for i, r := range routes {
-			cards[i] = max(r.card, 0)
+		cards := cardArr[:0]
+		for _, r := range routes {
+			cards = append(cards, max(r.card, 0)) // an unknown estimate orders as 0
 		}
 		e.bindJoinCompiles.Add(1)
 		return engine.BindJoin(q, cards, func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
@@ -349,6 +355,10 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 	ps.SetInt("rows", int64(len(rows)))
 	return rows, err
 }
+
+// shortBody is the longest rewriting body whose routes and cardinalities
+// evalCQ keeps in arrays on its stack; a longer one spills to the heap.
+const shortBody = 8
 
 // fetchAtom is the bind-join's fetch of atom a over its route rt, as the
 // rewriting copied it at its start (engine.BindJoin's fetch): with keys

@@ -127,8 +127,9 @@ func BenchmarkMergeDistinct(b *testing.B) {
 }
 
 // BenchmarkSortTuplesFreshGoroutine sorts 512 rows, past the radix
-// threshold, in a new goroutine each iteration, as each EvalUnion worker
-// does: what a sort costs on a stack that has not grown yet.
+// threshold, in a new goroutine each iteration, as each helper goroutine of
+// the executor's union does: what a sort costs on a stack that has not
+// grown yet.
 func BenchmarkSortTuplesFreshGoroutine(b *testing.B) {
 	src := answerGroups(1, 512)[0]
 	rows := make([]Tuple, len(src))

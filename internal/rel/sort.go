@@ -15,7 +15,8 @@ const radixMinRows = 256
 const maxPooledRows = 1 << 14
 
 // maxIdleScratch caps how many sortScratch values wait for reuse: enough
-// for EvalUnion's fan-out and a server's concurrent requests.
+// for the executor's union fan-out (engine.MaxUnionFanout) and a server's
+// concurrent requests.
 const maxIdleScratch = 8
 
 // radixEntry is one row's sort key and its position in the input.

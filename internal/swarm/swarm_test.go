@@ -100,9 +100,10 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 			}
 
 			// Both sides again, every disjunct's answer checked for
-			// EvalUnion's precondition: the executor's evalCQ on the swarm
-			// side, the engine's on the oracle side.
-			checked, err := n.Mediator.QueryVia(spec.Query, sortedDistinctUnion{t, func(q lang.CQ, _ *obs.Span) ([]rel.Tuple, error) {
+			// EvalUnion's precondition: the executor's evalCQ at its width
+			// on the swarm side, the engine's on the caller's goroutine on
+			// the oracle side.
+			checked, err := n.Mediator.QueryVia(spec.Query, sortedDistinctUnion{t, engine.MaxUnionFanout, func(q lang.CQ, _ *obs.Span) ([]rel.Tuple, error) {
 				return n.Exec.EvalCQ(q)
 			}})
 			if err != nil {
@@ -112,7 +113,7 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracleChecked, err := oracle.QueryVia(spec.Query, sortedDistinctUnion{t, engine.New(oracle.Data()).EvalCQSpan})
+			oracleChecked, err := oracle.QueryVia(spec.Query, sortedDistinctUnion{t, 1, engine.New(oracle.Data()).EvalCQSpan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,15 +136,17 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 }
 
 // sortedDistinctUnion is a pdms.UCQEvaluator running engine.EvalUnion
-// over evalCQ, failing t unless every disjunct's answer holds distinct
-// tuples in rel.Compare order — the precondition EvalUnion merges on.
+// over evalCQ at width goroutines, failing t unless every disjunct's
+// answer holds distinct tuples in rel.Compare order — the precondition
+// EvalUnion merges on.
 type sortedDistinctUnion struct {
 	t      *testing.T
+	width  int
 	evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)
 }
 
 func (c sortedDistinctUnion) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
-	return engine.EvalUnion(u, sp, func(q lang.CQ, cs *obs.Span) ([]rel.Tuple, error) {
+	return engine.EvalUnion(u, sp, c.width, func(q lang.CQ, cs *obs.Span) ([]rel.Tuple, error) {
 		rows, err := c.evalCQ(q, cs)
 		for i := 1; i < len(rows); i++ {
 			if rel.Compare(rows[i-1], rows[i]) >= 0 {
