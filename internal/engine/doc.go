@@ -52,12 +52,21 @@
 // Execution. A plan runs sequentially on the calling goroutine: a full
 // scan walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the
 // laid-out rows by group, then the rows inserted since), and
-// ProbeByKeyBatchYield probes its keys in order. EvalUCQ runs its disjuncts
-// one after another on the calling goroutine: each is an index probe or a
-// small join that takes microseconds, less than handing it to another
-// goroutine costs. The distributed executor runs the same union loop,
-// EvalUnion, on up to MaxUnionFanout goroutines, so that its disjuncts'
-// round trips overlap.
+// ProbeByKeyBatchYield looks its index up once and probes its keys in
+// order. A run resolves each step's relation, and a probe step's index, on
+// the step's first entry, by the index key the plan holds. Each step
+// remembers its last probe for the length of the run, the key with the
+// snapshot and bucket it matched, and a step entered again with that key
+// reuses them: a constant key is looked up once per run, and a join key
+// once per run of outer rows that repeat it. A reused bucket was taken
+// during the run and only ever grows, so a run under concurrent inserts
+// still answers between the instance at its start and at its end; the
+// memo ends with the run, when its pooled context is released. EvalUCQ
+// runs its disjuncts one after another on the calling goroutine: each is
+// an index probe or a small join that takes microseconds, less than
+// handing it to another goroutine costs. The distributed executor runs
+// the same union loop, EvalUnion, on up to MaxUnionFanout goroutines, so
+// that its disjuncts' round trips overlap.
 //
 // Plan cache. Compiled plans are cached in an LRU keyed by the query's
 // canonical form (lang.CQ.Canonical), so repeated evaluation of identical
@@ -78,11 +87,14 @@
 // materializing nothing beyond the dedup set, so results larger than
 // memory-comfortable frames flow out incrementally. All three share one
 // contract: each yields one reused view, valid only during the call, so a
-// caller that keeps a tuple copies it (EvalCQSpan copies the head tuples
-// into one exact-size slice of values, ProbeByKeyBatch into blocks).
+// caller that keeps a tuple copies it (EvalCQSpan collects the head values
+// into pooled scratch that keeps its capacity from one disjunct to the
+// next, then copies them into one exact-size slice; ProbeByKeyBatch copies
+// into blocks).
 //
 // Invalidation. The engine itself never serves stale data — indexes
-// catch up from the relations' rows on every probe. Answer-level
+// catch up from the relations' rows on each new key within a run, and on
+// every run. Answer-level
 // caching (and its generation-vector invalidation) lives one layer up, in
 // pdms.Network; see ARCHITECTURE.md at the repository root for the
 // full-stack picture.

@@ -204,8 +204,10 @@ type Engine struct {
 	mu      sync.RWMutex
 	indexes map[string]map[string]*index // pred -> column-set key -> index; guarded by mu
 
-	// probes counts index-probe step entries and scans full-scan step
-	// entries.
+	// probes counts the index lookups made: a plan step entered with the
+	// key of its last lookup in the same run reuses that lookup's rows and
+	// is not counted, nor is a repeated key of one ProbeByKeyBatchYield
+	// call. scans counts full-scan step entries.
 	probes, scans obs.Counter
 	// plansCompiled counts plan compilations.
 	plansCompiled obs.Counter
@@ -219,9 +221,8 @@ func New(ins *rel.Instance) *Engine {
 }
 
 // getIndex returns (creating if needed) the index of r for the
-// bound-position set cols.
-func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
-	ck := colsKey(cols)
+// bound-position set cols, whose colsKey is ck.
+func (e *Engine) getIndex(r *rel.Relation, cols []int, ck string) *index {
 	e.mu.RLock()
 	idx := e.indexes[r.Name()][ck]
 	e.mu.RUnlock()
@@ -244,13 +245,13 @@ func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	return idx
 }
 
-// probe returns the locations of r's rows whose projection onto cols has
-// the probe key k (appendProbeKey), and the snapshot they lie in: it
-// refreshes the index if r has grown since, then looks
-// the key up. The returned bucket is shared with the index and must not be
-// mutated. vals is scratch of r's arity.
-func (e *Engine) probe(r *rel.Relation, cols []int, k []byte, vals []string) (rel.Rows, []rel.Loc) {
-	idx := e.getIndex(r, cols)
+// probe returns the locations of r's rows whose projection onto idx.cols
+// has the probe key k (appendProbeKey), and the snapshot they lie in: it
+// refreshes the index if r has grown since, then looks the key up. The
+// returned bucket is shared with the index and must not be mutated: it is
+// a capped sub-slice or a prefix of one that later rows only extend, so it
+// stays valid as the index catches up. vals is scratch of r's arity.
+func (idx *index) probe(r *rel.Relation, k []byte, vals []string) (rel.Rows, []rel.Loc) {
 	idx.mu.RLock()
 	if idx.consumed == r.Version() {
 		rows, b := idx.rows, idx.bucketLocked(k)
@@ -270,8 +271,9 @@ func (e *Engine) probe(r *rel.Relation, cols []int, k []byte, vals []string) (re
 // catching up) the same lazy hash indexes that regular probe steps use.
 // Every key must supply len(cols) values. Tuples stream out as the keys are
 // probed — nothing beyond the set of keys seen is materialized — which is
-// the server-side substrate for netpeer's chunked bind responses. Keys are
-// probed one after another, in order. The yielded tuple is a view that is
+// the server-side substrate for netpeer's chunked bind responses. The
+// index is looked up once per call, and the keys are probed through it one
+// after another, in order. The yielded tuple is a view that is
 // valid only during the call: a caller that keeps it must copy it.
 // Returning ErrStop from yield ends the stream without error.
 func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, yield func(rel.Tuple) error) error {
@@ -292,6 +294,10 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 			return fmt.Errorf("engine: ProbeByKeyBatch key %v has %d values, want %d", key, len(key), len(cols))
 		}
 	}
+	if len(keys) == 0 {
+		return nil
+	}
+	idx := e.getIndex(r, cols, colsKey(cols))
 	// A row has one projection onto cols, so distinct keys match disjoint
 	// rows: skipping repeated keys is what keeps the tuples distinct.
 	var seen map[string]struct{}
@@ -301,7 +307,6 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 	var kb []byte
 	view := make(rel.Tuple, r.Arity())
 	for _, key := range keys {
-		e.probes.Add(1)
 		kb = appendProbeKey(kb[:0], key)
 		if seen != nil {
 			if _, ok := seen[string(kb)]; ok {
@@ -309,7 +314,8 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 			}
 			seen[string(kb)] = struct{}{}
 		}
-		rows, locs := e.probe(r, cols, kb, view)
+		e.probes.Add(1)
+		rows, locs := idx.probe(r, kb, view)
 		for _, l := range locs {
 			rel.SplitRow(rows.Key(l), view)
 			if err := yield(view); err != nil {
@@ -374,6 +380,7 @@ func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	return nil
 }
 
+// colsKey names the bound-position set cols in an engine's index map.
 func colsKey(cols []int) string {
 	var sb strings.Builder
 	for i, c := range cols {
@@ -470,21 +477,24 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	}
 
 	es := sp.Child("exec")
-	var vals []string // every head tuple's values, back to back
-	n := 0
+	sc := answerPool.Get().(*answerScratch)
 	err = e.stream(p, func(t rel.Tuple) error {
-		vals = append(vals, t...)
-		n++
+		sc.vals = append(sc.vals, t...)
+		sc.n++
 		return nil
 	})
+	n := sc.n
 	es.SetErr(err)
 	es.SetInt("rows", int64(n))
 	es.End()
 	if err != nil || n == 0 {
+		sc.release()
 		return nil, err
 	}
 	// One exact-size copy, so the answers keep no slack.
-	vals = append(make([]string, 0, len(vals)), vals...)
+	vals := make([]string, len(sc.vals))
+	copy(vals, sc.vals)
+	sc.release()
 	out := make([]rel.Tuple, n)
 	a := len(p.head)
 	for i := range out {
@@ -492,6 +502,32 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	}
 	rel.SortTuples(out)
 	return out, nil
+}
+
+// answerScratch is where EvalCQSpan collects a disjunct's head values, back
+// to back, before its one exact-size copy: n head tuples in vals. Idle
+// scratch waits in answerPool, so a warm disjunct collects without growing
+// a buffer.
+type answerScratch struct {
+	vals []string
+	n    int
+}
+
+// maxPooledVals caps the values an idle answerScratch keeps capacity for,
+// so one huge answer does not stay pinned between calls.
+const maxPooledVals = 1 << 14
+
+var answerPool = sync.Pool{New: func() any { return new(answerScratch) }}
+
+// release clears sc, so that idle scratch pins no rows, and returns it to
+// answerPool unless it has grown past maxPooledVals.
+func (sc *answerScratch) release() {
+	if cap(sc.vals) > maxPooledVals {
+		return
+	}
+	clear(sc.vals)
+	sc.vals, sc.n = sc.vals[:0], 0
+	answerPool.Put(sc)
 }
 
 // MaxUnionFanout is the number of goroutines, the caller's among them, the

@@ -8,7 +8,10 @@ import (
 )
 
 // RegisterMetrics registers the engine's cumulative counters, and its plan
-// cache's, on reg under the engine.* names.
+// cache's, on reg under the engine.* names. engine.probes counts the index
+// lookups made: a plan step that reuses its last lookup in the same run
+// (its key repeats) makes none, and neither does a repeated key of one
+// ProbeByKeyBatchYield call. engine.scans counts full-scan step entries.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("engine.probes", &e.probes)
 	reg.RegisterCounter("engine.scans", &e.scans)

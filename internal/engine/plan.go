@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -73,6 +74,9 @@ type planStep struct {
 	// step is a full scan.
 	keyCols  []int
 	keyParts []outPart
+	// indexKey is keyCols' colsKey, the step's index in its engine's index
+	// map; Engine.compile sets it for the probe steps of its plans.
+	indexKey string
 	// checkPos are repeated variables within the atom — the two tuple
 	// positions must agree (checked on the tuple itself, since the slot is
 	// not written until the binds below run).
@@ -173,9 +177,9 @@ func ownStrings(q lang.CQ) lang.CQ {
 
 // compile builds a plan for q over the engine's instance: the package's
 // compile, ordered by the relations' cardinalities, the planner's one
-// statistic (an absent relation has none). Each atom's arity is checked
-// against its relation first, so a query that is also unsafe gets the
-// arity error.
+// statistic (an absent relation has none), with each probe step's index
+// key. Each atom's arity is checked against its relation first, so a query
+// that is also unsafe gets the arity error.
 func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 	e.plansCompiled.Add(1)
 	cards := make([]int, len(q.Body))
@@ -187,7 +191,16 @@ func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 			cards[i] = r.Len()
 		}
 	}
-	return compile(q, cards)
+	p, err := compile(q, cards)
+	if err != nil {
+		return nil, err
+	}
+	for i := range p.steps {
+		if st := &p.steps[i]; len(st.keyCols) > 0 {
+			st.indexKey = colsKey(st.keyCols)
+		}
+	}
+	return p, nil
 }
 
 // compile lowers q to a plan, its body in orderBody's order under cards,
@@ -294,9 +307,9 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 }
 
 // runCtx is the per-evaluation state of one plan execution: the slot
-// array, reusable key buffers and the scratch a candidate row decodes
-// into. Contexts are pooled, so the buffers carry over from one run to the
-// next.
+// array, reusable key buffers, the scratch a candidate row decodes into and
+// what the run remembers of each step. Contexts are pooled, so the buffers
+// carry over from one run to the next; what a run remembers does not.
 type runCtx struct {
 	e     *Engine
 	p     *Plan
@@ -305,6 +318,23 @@ type runCtx struct {
 	key   []byte
 	vals  []string
 	row   []string
+	steps []stepMemo // by plan step
+}
+
+// stepMemo is what one run remembers of one plan step: the relation, and a
+// probe step's index, resolved on the step's first entry that finds the
+// relation, and the step's last probe, its key with the snapshot and
+// locations it matched. A step entered again with that key reuses them: a
+// constant key is probed once per run, and a join key is probed once per
+// run of outer rows that repeat it.
+type stepMemo struct {
+	r   *rel.Relation // nil until resolved
+	idx *index        // nil for a scan step
+	// probed reports that key, rows and locs hold the step's last probe.
+	probed bool
+	key    []byte
+	rows   rel.Rows
+	locs   []rel.Loc
 }
 
 var runCtxPool = sync.Pool{New: func() any { return new(runCtx) }}
@@ -322,15 +352,24 @@ func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
 		rc.row = make([]string, p.maxArity)
 	}
 	rc.row = rc.row[:p.maxArity]
+	if cap(rc.steps) < len(p.steps) {
+		rc.steps = make([]stepMemo, len(p.steps))
+	}
+	rc.steps = rc.steps[:len(p.steps)]
 	return rc
 }
 
 // release clears what rc holds of the run, so a pooled context pins no
-// rows, and returns it to the pool.
+// rows and its next run starts with no step resolved or probed, and
+// returns it to the pool. Each step keeps only its key buffer.
 func (rc *runCtx) release() {
 	clear(rc.slots)
 	clear(rc.vals)
 	clear(rc.row)
+	for i := range rc.steps {
+		m := &rc.steps[i]
+		*m = stepMemo{key: m.key[:0]}
+	}
 	rc.e, rc.p, rc.yield = nil, nil, nil
 	runCtxPool.Put(rc)
 }
@@ -344,25 +383,32 @@ func (rc *runCtx) step(i int) error {
 		}
 		return rc.yield(rc.slots)
 	}
-	st := &p.steps[i]
-	r := rc.e.data.Relation(st.pred)
-	if r == nil {
-		return nil
+	st, m := &p.steps[i], &rc.steps[i]
+	if m.r == nil {
+		r := rc.e.data.Relation(st.pred)
+		if r == nil {
+			return nil
+		}
+		if r.Arity() != st.arity {
+			return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
+		}
+		if len(st.keyCols) > 0 {
+			m.idx = rc.e.getIndex(r, st.keyCols, st.indexKey)
+		}
+		m.r = r
 	}
-	if r.Arity() != st.arity {
-		return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
-	}
-	if len(st.keyCols) == 0 {
+	if m.idx == nil {
 		// Full scan, in walk order: the relation's rows are distinct.
 		rc.e.scans.Add(1)
-		rows := r.Rows()
+		rows := m.r.Rows()
 		laid, tail := rows.Walk()
 		if err := rc.feed(i, st, rows, laid); err != nil {
 			return err
 		}
 		return rc.feed(i, st, rows, tail)
 	}
-	// Probe path: resolve the key parts, look up the index.
+	// Probe path: resolve the key parts, and look the key up unless it is
+	// the step's last.
 	if cap(rc.vals) < len(st.keyParts) {
 		rc.vals = make([]string, len(st.keyParts))
 	}
@@ -375,9 +421,13 @@ func (rc *runCtx) step(i int) error {
 		}
 	}
 	rc.key = appendProbeKey(rc.key[:0], vals)
-	rc.e.probes.Add(1)
-	rows, locs := rc.e.probe(r, st.keyCols, rc.key, rc.row)
-	return rc.feed(i, st, rows, locs)
+	if !m.probed || !bytes.Equal(rc.key, m.key) {
+		rc.e.probes.Add(1)
+		m.rows, m.locs = m.idx.probe(m.r, rc.key, rc.row)
+		m.key, rc.key = rc.key, m.key
+		m.probed = true
+	}
+	return rc.feed(i, st, m.rows, m.locs)
 }
 
 // feed applies step i's checks and binds to each candidate row of rows at
