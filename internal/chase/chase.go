@@ -197,12 +197,22 @@ func buildTGDs(n *ppl.PDMS) ([]*tgd, error) {
 }
 
 // findMatches enumerates substitutions grounding the TGD body via the
-// engine's indexed joins. Comparisons must be fully ground at match time
-// and must not involve nulls (a comparison over an unknown value is not
-// certainly true).
+// engine's indexed joins: the query _match(v1, …, vk) :- body, its body's
+// variables in order of first occurrence, whose head tuples give vi its
+// i-th value. Comparisons must be fully ground at match time and must not
+// involve nulls (a comparison over an unknown value is not certainly true).
 func findMatches(d *tgd, eng *engine.Engine) ([]lang.Subst, error) {
+	var vars []lang.Term
+	for _, a := range d.body {
+		vars = a.Vars(vars)
+	}
+	q := lang.CQ{Head: lang.Atom{Pred: "_match", Args: vars}, Body: d.body}
 	var out []lang.Subst
-	err := eng.Enumerate(d.body, nil, func(s lang.Subst) error {
+	err := eng.StreamCQ(q, func(t rel.Tuple) error {
+		s := lang.NewSubst()
+		for i, v := range vars {
+			s[v.Name] = lang.Const(t[i])
+		}
 		for _, c := range d.comps {
 			g := s.ApplyComparison(c)
 			if g.L.IsVar() || g.R.IsVar() {

@@ -3,6 +3,7 @@ package chase
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/lang"
@@ -93,6 +94,62 @@ func TestChaseAgreesWithDatalogOnGAVSpecs(t *testing.T) {
 			for i := range got {
 				if !got[i].Equal(want[i]) {
 					t.Fatalf("chase %v != datalog %v\nspec:\n%s", got, want, src)
+				}
+			}
+		})
+	}
+}
+
+// TestChaseAlphaEquivalentBodiesAgreeWithDatalog: two definitional rules
+// whose bodies are equal up to variable renaming share one cached plan in
+// the chase's engine, and each must still bind its own variables. The
+// second body names its variables in reverse alphabetical order and its
+// head reverses the first's, so pairing a match's values with the
+// variables in any order but the body's first-occurrence order shows in
+// the chase's answers.
+func TestChaseAlphaEquivalentBodiesAgreeWithDatalog(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			src := "storage St0.r(x, y) in A:P(x, y)\n" +
+				"storage St1.r(x, y) in A:Q(x, y)\n" +
+				"define B:R(x, z) :- A:P(x, y), A:Q(y, z)\n" +
+				"define B:S(a, c) :- A:P(c, b), A:Q(b, a)\n"
+			for i := 0; i < 6; i++ {
+				src += fmt.Sprintf("fact St0.r(\"p%d\", \"m%d\")\n", rng.Intn(4), rng.Intn(3))
+				src += fmt.Sprintf("fact St1.r(\"m%d\", \"q%d\")\n", rng.Intn(3), rng.Intn(4))
+			}
+			res, err := parser.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rules []lang.CQ
+			for _, s := range res.PDMS.Storages() {
+				rules = append(rules, lang.CQ{Head: s.Query.Body[0], Body: []lang.Atom{s.Stored}})
+			}
+			for _, m := range res.PDMS.Mappings() {
+				rules = append(rules, m.Rule)
+			}
+			lfp, err := rel.EvalDatalog(rules, res.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pred := range []string{"B:R", "B:S"} {
+				query := lang.CQ{
+					Head: lang.NewAtom("q", lang.Var("x"), lang.Var("y")),
+					Body: []lang.Atom{lang.NewAtom(pred, lang.Var("x"), lang.Var("y"))},
+				}
+				want, err := rel.EvalCQ(query, lfp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := CertainAnswers(res.PDMS, res.Data, query, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rel.SortTuples(got)
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: chase %v, datalog %v\nspec:\n%s", pred, got, want, src)
 				}
 			}
 		})

@@ -49,33 +49,39 @@
 // caller's callback, which names the atom by body position, with the
 // distinct values the partial holds at the atom's bound positions.
 //
-// Execution. A plan runs sequentially on the calling goroutine: a full
-// scan walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the
-// laid-out rows by group, then the rows inserted since), and
-// ProbeByKeyBatchYield looks its index up once and probes its keys in
-// order. A run resolves each step's relation, and a probe step's index, on
-// the step's first entry, by the index key the plan holds. Each step
-// remembers its last probe for the length of the run, the key with the
-// snapshot and bucket it matched, and a step entered again with that key
-// reuses them: a constant key is looked up once per run, and a join key
-// once per run of outer rows that repeat it. A reused bucket was taken
-// during the run and only ever grows, so a run under concurrent inserts
-// still answers between the instance at its start and at its end; the
-// memo ends with the run, when its pooled context is released. EvalUCQ
-// runs its disjuncts one after another on the calling goroutine: each is
-// an index probe or a small join that takes microseconds, less than
-// handing it to another goroutine costs. The distributed executor runs
-// the same union loop, EvalUnion, on up to MaxUnionFanout goroutines, so
-// that its disjuncts' round trips overlap.
+// Execution. A plan runs sequentially on the calling goroutine: a full scan
+// walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the laid-out rows
+// by group, then the rows inserted since), and ProbeByKeyBatchYield looks
+// its index up once and probes its keys in order. A run resolves each
+// step's relation, and a probe step's index, on the step's first entry: a
+// relation has a short list of indexes, each holding its own copy of its
+// column list, and the step's key columns pick one out by slices.Equal.
+// Each step remembers its last probe for the length of the run, the key
+// with the snapshot and bucket it matched, and a step entered again with
+// that key reuses them: a constant key is looked up once per run, and a
+// join key once per run of outer rows that repeat it. A reused bucket was
+// taken during the run and only ever grows, so a run under concurrent
+// inserts still answers between the instance at its start and at its end;
+// the memo ends with the run, when its pooled context is released. EvalUCQ
+// runs its disjuncts one after another on the calling goroutine: each is an
+// index probe or a small join that takes microseconds, less than handing it
+// to another goroutine costs. The distributed executor runs the same union
+// loop, EvalUnion, on up to MaxUnionFanout goroutines, so that its
+// disjuncts' round trips overlap.
 //
-// Plan cache. Compiled plans are cached in an LRU keyed by the query's
-// canonical form (lang.CQ.Canonical), so repeated evaluation of identical
-// rewritings — the common case once reformulation fans a query into a UCQ —
-// skips planning entirely. LRU is the one cache type of the system: it is
-// generic in its values and bounded by a cost budget, with its own hit,
-// miss and eviction counters and entry and cost gauges. The plan cache and
-// pdms's answer and reformulation caches give each entry cost 1, so their
-// budget is a count; netpeer's fragment cache gives each fragment its bytes.
+// Plan cache. Compiled plans are cached in an LRU under one key, the
+// query's canonical form (lang.CQ.Canonical), so repeated evaluation of
+// identical rewritings — the common case once reformulation fans a query
+// into a UCQ — skips planning entirely. A plan keeps no variable name, so
+// alpha-equivalent queries share it. A run that finds a step's relation
+// more than driftFactor times larger or smaller than the size the plan was
+// ordered by drops the plan from the cache, so the next query compiles in
+// the order the live sizes give. LRU is the one cache type of the system:
+// it is generic in its values and bounded by a cost budget, with its own
+// hit, miss and eviction counters and entry and cost gauges. The plan cache
+// and pdms's answer and reformulation caches give each entry cost 1, so
+// their budget is a count; netpeer's fragment cache gives each fragment its
+// bytes.
 //
 // Tracing. EvalCQSpan and EvalUCQSpan are the evaluators; EvalCQ and
 // EvalUCQ call them with a nil span, so a traced evaluation does the same

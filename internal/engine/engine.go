@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,8 +12,8 @@ import (
 	"repro/internal/rel"
 )
 
-// ErrStop is returned by an Enumerate yield callback to stop enumeration
-// early without error.
+// ErrStop is returned by a yield callback of StreamCQ, StreamScan or
+// ProbeByKeyBatchYield to end the stream early without error.
 var ErrStop = errors.New("engine: stop enumeration")
 
 // index is a hash index over one relation for one bound-position set: the
@@ -23,7 +21,7 @@ var ErrStop = errors.New("engine: stop enumeration")
 // locations. Indexes are built lazily on first probe and maintained
 // incrementally from the relation's rows past the last catch-up.
 type index struct {
-	cols []int
+	cols []int // the index's own copy
 	// width is the number of leading columns a row decodes to reach every
 	// column of cols.
 	width int
@@ -198,11 +196,11 @@ type Engine struct {
 	// unit each.
 	plans *LRU[*Plan]
 
-	// mu guards the two-level index map. Probes take the read lock only to
-	// locate the *index for their (relation, column-set); all bucket state
-	// is then guarded by the index's own lock.
+	// mu guards the index map. Probes take the read lock only to locate
+	// the *index for their (relation, column list); all bucket state is
+	// then guarded by the index's own lock.
 	mu      sync.RWMutex
-	indexes map[string]map[string]*index // pred -> column-set key -> index; guarded by mu
+	indexes map[string][]*index // pred -> its indexes, one per column list; guarded by mu
 
 	// probes counts the index lookups made: a plan step entered with the
 	// key of its last lookup in the same run reuses that lookup's rows and
@@ -217,32 +215,37 @@ type Engine struct {
 
 // New returns an engine over ins.
 func New(ins *rel.Instance) *Engine {
-	return &Engine{data: ins, plans: NewLRU[*Plan](1024), indexes: map[string]map[string]*index{}}
+	return &Engine{data: ins, plans: NewLRU[*Plan](1024), indexes: map[string][]*index{}}
 }
 
-// getIndex returns (creating if needed) the index of r for the
-// bound-position set cols, whose colsKey is ck.
-func (e *Engine) getIndex(r *rel.Relation, cols []int, ck string) *index {
+// getIndex returns (creating if needed) the index of r for the column list
+// cols. A relation has few indexes, so its list is scanned.
+func (e *Engine) getIndex(r *rel.Relation, cols []int) *index {
 	e.mu.RLock()
-	idx := e.indexes[r.Name()][ck]
+	idx := findIndex(e.indexes[r.Name()], cols)
 	e.mu.RUnlock()
 	if idx != nil {
 		return idx
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	byCols := e.indexes[r.Name()]
-	if byCols == nil {
-		byCols = map[string]*index{}
-		e.indexes[r.Name()] = byCols
-	}
-	idx = byCols[ck]
-	if idx == nil {
-		idx = &index{cols: cols, width: slices.Max(cols) + 1}
-		byCols[ck] = idx
+	idxs := e.indexes[r.Name()]
+	if idx = findIndex(idxs, cols); idx == nil {
+		idx = &index{cols: slices.Clone(cols), width: slices.Max(cols) + 1}
+		e.indexes[r.Name()] = append(idxs, idx)
 		e.indexesBuilt.Add(1)
 	}
 	return idx
+}
+
+// findIndex returns the index of idxs over the column list cols, or nil.
+func findIndex(idxs []*index, cols []int) *index {
+	for _, idx := range idxs {
+		if slices.Equal(idx.cols, cols) {
+			return idx
+		}
+	}
+	return nil
 }
 
 // probe returns the locations of r's rows whose projection onto idx.cols
@@ -297,7 +300,7 @@ func (e *Engine) ProbeByKeyBatchYield(pred string, cols []int, keys [][]string, 
 	if len(keys) == 0 {
 		return nil
 	}
-	idx := e.getIndex(r, cols, colsKey(cols))
+	idx := e.getIndex(r, cols)
 	// A row has one projection onto cols, so distinct keys match disjoint
 	// rows: skipping repeated keys is what keeps the tuples distinct.
 	var seen map[string]struct{}
@@ -380,26 +383,14 @@ func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	return nil
 }
 
-// colsKey names the bound-position set cols in an engine's index map.
-func colsKey(cols []int) string {
-	var sb strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(c))
-	}
-	return sb.String()
-}
-
-// plan fetches a compiled plan from the cache under key, compiling q on a
-// miss. EvalCQ/EvalUCQ key by the alpha-renamed canonical form (answers are
-// invariant under variable renaming and emission is slot-based); Enumerate
-// must key by the literal query instead, because its substitutions expose
-// the plan's variable names. A cached plan outlives q, whose strings may be
-// substrings of a whole request frame (wire.ReadRequest), so it is
+// plan fetches q's compiled plan from the cache, keyed by q's canonical
+// form (lang.CQ.Canonical), and compiles q on a miss. Alpha-equivalent
+// queries share the key and the plan: a plan keeps no slot's variable
+// name, and its head emits slots by position. A cached plan outlives q, whose strings
+// may be substrings of a whole request frame (wire.ReadRequest), so it is
 // compiled from a copy that owns its strings.
-func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
+func (e *Engine) plan(q lang.CQ) (*Plan, error) {
+	key := q.Canonical()
 	if p, ok := e.plans.Get(key); ok {
 		return p, nil
 	}
@@ -407,8 +398,32 @@ func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.plans.Put(key, p, 1)
+	// A comparison on a variable the body never binds fails the run with an
+	// error that names the variable, so its plan is not shared.
+	if len(p.lateComps) == 0 {
+		p.key = key
+		e.plans.Put(key, p, 1)
+	}
 	return p, nil
+}
+
+// compile is the package's compile over the engine's instance: q's body is
+// ordered by its relations' current cardinalities, the planner's one
+// statistic (an absent relation has none). Each atom's arity is checked
+// against its relation first, so a query that is also unsafe gets the
+// arity error.
+func (e *Engine) compile(q lang.CQ) (*Plan, error) {
+	e.plansCompiled.Add(1)
+	cards := make([]int, len(q.Body))
+	for i, a := range q.Body {
+		if r := e.data.Relation(a.Pred); r != nil {
+			if r.Arity() != a.Arity() {
+				return nil, fmt.Errorf("engine: atom %s arity %d, relation has %d", a, a.Arity(), r.Arity())
+			}
+			cards[i] = r.Len()
+		}
+	}
+	return compile(q, cards)
 }
 
 // StreamCQ invokes yield once per distinct head tuple of q, in discovery
@@ -420,7 +435,7 @@ func (e *Engine) plan(key string, q lang.CQ) (*Plan, error) {
 // one reused view that is valid only during the call, as StreamScan's and
 // ProbeByKeyBatchYield's are: a caller that keeps it must copy it.
 func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
-	p, err := e.plan(q.Canonical(), q)
+	p, err := e.plan(q)
 	if err != nil {
 		return err
 	}
@@ -466,7 +481,7 @@ func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.EvalCQSpan(q,
 // with the distinct-row count).
 func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	ps := sp.Child("plan")
-	p, err := e.plan(q.Canonical(), q)
+	p, err := e.plan(q)
 	ps.SetErr(err)
 	if ps != nil && err == nil {
 		ps.Set("steps", p.describe())
@@ -595,7 +610,10 @@ func EvalUnion(u lang.UCQ, sp *obs.Span, width int, evalCQ func(lang.CQ, *obs.Sp
 			if testHookClaimed != nil {
 				testHookClaimed(i)
 			}
-			cs := sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
+			var cs *obs.Span // built only under a trace: Child's attributes escape
+			if sp != nil {
+				cs = sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
+			}
 			groups[i], errs[i] = evalCQ(u.Disjuncts[i], cs)
 			cs.SetErr(errs[i])
 			cs.End()
@@ -627,48 +645,13 @@ func EvalUnion(u lang.UCQ, sp *obs.Span, width int, evalCQ func(lang.CQ, *obs.Sp
 	return out, nil
 }
 
-// Enumerate invokes yield once per substitution grounding every atom of
-// body in the instance (comparisons in comps are applied as filters once
-// bound). Returning ErrStop from yield ends the enumeration without error.
-// This is the indexed substrate for callers that need raw matches rather
-// than head tuples (the chase's TGD matching).
-func (e *Engine) Enumerate(body []lang.Atom, comps []lang.Comparison, yield func(lang.Subst) error) error {
-	var head []lang.Term
-	for _, a := range body {
-		head = a.Vars(head)
-	}
-	q := lang.CQ{Head: lang.Atom{Pred: "_enum", Args: head}, Body: body, Comps: comps}
-	// Literal key, NOT Canonical(): two alpha-equivalent bodies with
-	// different variable names must not share a plan here, since the
-	// yielded substitutions carry the plan's variable names.
-	p, err := e.plan("enum|"+q.String(), q)
-	if err != nil {
-		return err
-	}
-	err = e.run(p, func(slots []string) error {
-		s := lang.NewSubst()
-		for i, name := range p.slotNames {
-			s[name] = lang.Const(slots[i])
-		}
-		return yield(s)
-	})
-	if errors.Is(err, ErrStop) {
-		return nil
-	}
-	return err
-}
-
 // ExistsMatch reports whether at least one substitution grounds every atom
-// in the instance. Unlike Enumerate it never caches the plan: its intended
-// callers (the chase's head-satisfaction test) embed per-match constants,
-// so each query is one-shot and caching would only churn the plan LRU.
+// in the instance. It is the one entry that never caches its plan: its
+// intended callers (the chase's head-satisfaction test) embed per-match
+// constants, so each query is one-shot and caching would only churn the
+// plan LRU.
 func (e *Engine) ExistsMatch(atoms []lang.Atom) (bool, error) {
-	var head []lang.Term
-	for _, a := range atoms {
-		head = a.Vars(head)
-	}
-	q := lang.CQ{Head: lang.Atom{Pred: "_exists", Args: head}, Body: atoms}
-	p, err := e.compile(q)
+	p, err := e.compile(lang.CQ{Head: lang.Atom{Pred: "_exists"}, Body: atoms})
 	if err != nil {
 		return false, err
 	}

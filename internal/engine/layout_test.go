@@ -244,19 +244,20 @@ func TestLayoutLeavesOldChunks(t *testing.T) {
 			t.Fatal("the first index did not lay the relation out")
 		}
 	}
-	for ck, idx := range e.indexes["R"] {
+	for _, idx := range e.indexes["R"] {
+		ck := idx.cols
 		for l := range idx.rows.All() {
 			if inOld(idx.rows.Key(l)) {
-				t.Fatalf("index %s: its snapshot reads a row in the old arena", ck)
+				t.Fatalf("index %v: its snapshot reads a row in the old arena", ck)
 			}
 		}
 		for k, g := range idx.keys {
 			if inOld(k) {
-				t.Fatalf("index %s: bucket key %q lies in the old arena", ck, k)
+				t.Fatalf("index %v: bucket key %q lies in the old arena", ck, k)
 			}
 			for _, l := range idx.buckets[g] {
 				if inOld(idx.rows.Key(l)) {
-					t.Fatalf("index %s: bucket %q locates a row in the old arena", ck, k)
+					t.Fatalf("index %v: bucket %q locates a row in the old arena", ck, k)
 				}
 			}
 		}

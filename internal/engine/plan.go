@@ -15,17 +15,20 @@ import (
 // reordered by estimated selectivity, each lowered to an index probe (when
 // any of its positions are bound at that point) or a full scan, with
 // comparison predicates attached to the earliest step that grounds them.
-// Variables live in a flat slot array instead of substitution maps. A plan
-// depends only on the query shape (plus the relations' cardinalities at
-// compile time, which affect ordering but never correctness), so plans are
-// cached and reused across evaluations.
+// Variables live in a flat slot array instead of substitution maps, and a
+// plan keeps no slot's variable name: it depends only on the query's shape
+// (plus the relations' cardinalities at compile time, which affect ordering
+// but never correctness), so alpha-equivalent queries share one cached plan.
 type Plan struct {
-	steps     []planStep
-	nslots    int
-	maxArity  int      // the widest step's arity, the size of a row's scratch
-	slotNames []string // slot -> variable name
-	headPred  string
-	head      []outPart
+	steps    []planStep
+	nslots   int
+	maxArity int // the widest step's arity, the size of a row's scratch
+	// key is the plan's entry in its engine's plan cache, which a run
+	// drops when a step's relation has drifted from the size the plan was
+	// ordered by. An uncached plan's empty key names no entry.
+	key      string
+	headPred string
+	head     []outPart
 	// headBindsAll reports that the head reads every slot: distinct body
 	// matches then emit distinct head tuples.
 	headBindsAll bool
@@ -74,9 +77,9 @@ type planStep struct {
 	// step is a full scan.
 	keyCols  []int
 	keyParts []outPart
-	// indexKey is keyCols' colsKey, the step's index in its engine's index
-	// map; Engine.compile sets it for the probe steps of its plans.
-	indexKey string
+	// card is the cardinality estimate of the step's relation that the
+	// plan was ordered by.
+	card int
 	// checkPos are repeated variables within the atom — the two tuple
 	// positions must agree (checked on the tuple itself, since the slot is
 	// not written until the binds below run).
@@ -175,34 +178,6 @@ func ownStrings(q lang.CQ) lang.CQ {
 	return q
 }
 
-// compile builds a plan for q over the engine's instance: the package's
-// compile, ordered by the relations' cardinalities, the planner's one
-// statistic (an absent relation has none), with each probe step's index
-// key. Each atom's arity is checked against its relation first, so a query
-// that is also unsafe gets the arity error.
-func (e *Engine) compile(q lang.CQ) (*Plan, error) {
-	e.plansCompiled.Add(1)
-	cards := make([]int, len(q.Body))
-	for i, a := range q.Body {
-		if r := e.data.Relation(a.Pred); r != nil {
-			if r.Arity() != a.Arity() {
-				return nil, fmt.Errorf("engine: atom %s arity %d, relation has %d", a, a.Arity(), r.Arity())
-			}
-			cards[i] = r.Len()
-		}
-	}
-	p, err := compile(q, cards)
-	if err != nil {
-		return nil, err
-	}
-	for i := range p.steps {
-		if st := &p.steps[i]; len(st.keyCols) > 0 {
-			st.indexKey = colsKey(st.keyCols)
-		}
-	}
-	return p, nil
-}
-
 // compile lowers q to a plan, its body in orderBody's order under cards,
 // one cardinality estimate per body position. It is the one lowering of a
 // conjunctive query: Engine runs the plan over its instance, BindJoin over
@@ -220,10 +195,10 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 	for _, a := range q.Body {
 		width += a.Arity()
 	}
-	p.slotNames = make([]string, 0, width)
+	names := make([]string, 0, width) // slot -> variable name
 	keyCols, keyParts, binds := make([]int, width), make([]outPart, width), make([]posSlot, width)
 	off := 0 // where the step's share of keyCols, keyParts and binds starts
-	slotOf := func(t lang.Term) int { return slices.Index(p.slotNames, t.Name) }
+	slotOf := func(t lang.Term) int { return slices.Index(names, t.Name) }
 	// bindStep[s] is the step that binds slot s.
 	bindStep := make([]int, 0, width)
 
@@ -233,11 +208,11 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 	for i, bi := range order {
 		a := q.Body[bi]
 		st := &p.steps[i]
-		st.pred, st.arity, st.atom = a.Pred, a.Arity(), bi
+		st.pred, st.arity, st.atom, st.card = a.Pred, a.Arity(), bi, cards[bi]
 		end := off + st.arity
 		st.keyCols, st.keyParts, st.binds = keyCols[off:off:end], keyParts[off:off:end], binds[off:off:end]
 		off = end
-		bound := len(p.slotNames) // the slots earlier steps bind
+		bound := len(names) // the slots earlier steps bind
 		for pos, t := range a.Args {
 			if t.IsConst() {
 				st.keyCols = append(st.keyCols, pos)
@@ -253,8 +228,8 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 				// Bound at an earlier position of this atom: the first.
 				st.checkPos = append(st.checkPos, posPos{pos: pos, first: slices.Index(a.Args, t)})
 			default:
-				st.binds = append(st.binds, posSlot{pos: pos, slot: len(p.slotNames)})
-				p.slotNames = append(p.slotNames, t.Name)
+				st.binds = append(st.binds, posSlot{pos: pos, slot: len(names)})
+				names = append(names, t.Name)
 				bindStep = append(bindStep, i)
 			}
 			st.width = pos + 1
@@ -295,7 +270,7 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 			return nil, fmt.Errorf("engine: unsafe query %s", q)
 		}
 	}
-	p.nslots = len(p.slotNames)
+	p.nslots = len(names)
 	p.headBindsAll = true
 	for s := range p.nslots {
 		if !slices.ContainsFunc(p.head, func(o outPart) bool { return o.slot == s }) {
@@ -374,7 +349,17 @@ func (rc *runCtx) release() {
 	runCtxPool.Put(rc)
 }
 
-// step executes plan step i and everything below it.
+// driftFactor is how far a relation's size may drift from the one its
+// plan was ordered by: once one exceeds driftFactor times the other, each
+// counted as size + 1 so that an empty relation counts too, the plan is
+// retired.
+const driftFactor = 2
+
+// step executes plan step i and everything below it. On the step's first
+// entry in the run it resolves the step's relation, and drops the plan
+// from its engine's cache if the relation has drifted from the size the
+// plan was ordered by: the run goes on with this plan, and the next query
+// compiles in the order the live sizes give.
 func (rc *runCtx) step(i int) error {
 	p := rc.p
 	if i == len(p.steps) {
@@ -392,8 +377,11 @@ func (rc *runCtx) step(i int) error {
 		if r.Arity() != st.arity {
 			return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
 		}
+		if n := r.Len(); max(st.card, n)+1 > driftFactor*(min(st.card, n)+1) {
+			rc.e.plans.Remove(p.key)
+		}
 		if len(st.keyCols) > 0 {
-			m.idx = rc.e.getIndex(r, st.keyCols, st.indexKey)
+			m.idx = rc.e.getIndex(r, st.keyCols)
 		}
 		m.r = r
 	}

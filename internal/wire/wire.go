@@ -173,12 +173,15 @@ type Response struct {
 	// response, they may still go stale without affecting correctness.
 	Cards []int
 	// Gens carries per-relation generations (monotonic insert counters)
-	// parallel to Preds, read under the same server lock as the rows of
-	// the frame. Unlike Cards they carry a correctness contract: a cached
-	// fragment of relation R stamped with generation g holds exactly R's
-	// matching tuples for as long as R's generation stays g, so the
-	// executor's fragment cache serves an entry only after the serving peer
-	// answers a fetch carrying IfGen g with Unchanged.
+	// parallel to Preds. The server reads them before it produces any row
+	// of the response, so each is a floor: the rows hold every matching
+	// tuple of that generation, and perhaps some inserted since. Unlike
+	// Cards they carry a correctness contract: a cached fragment of
+	// relation R stamped with generation g holds exactly R's matching
+	// tuples for as long as R's generation stays g (a generation still g
+	// means no tuple was inserted after it was read), so the executor's
+	// fragment cache serves an entry only after the serving peer answers a
+	// fetch carrying IfGen g with Unchanged.
 	Gens []uint64
 	// Spans carries the serving peer's trace spans for this request,
 	// present only on the final frame of a request that carried a Trace ID
