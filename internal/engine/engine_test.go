@@ -203,6 +203,52 @@ func TestComparisons(t *testing.T) {
 	}
 }
 
+// enumerate grounds body the way the chase does: it streams the query
+// _match(v1, …, vk) :- body, its body's variables in order of first
+// occurrence, and gives yield each head tuple as a substitution binding vi
+// to its i-th value.
+func enumerate(e *Engine, body []lang.Atom, yield func(lang.Subst) error) error {
+	var vars []lang.Term
+	for _, a := range body {
+		vars = a.Vars(vars)
+	}
+	q := lang.CQ{Head: lang.Atom{Pred: "_match", Args: vars}, Body: body}
+	return e.StreamCQ(q, func(t rel.Tuple) error {
+		s := lang.NewSubst()
+		for i, v := range vars {
+			s[v.Name] = lang.Const(t[i])
+		}
+		return yield(s)
+	})
+}
+
+func TestEnumerateAndStop(t *testing.T) {
+	ins := rel.NewInstance()
+	ins.MustAdd("E", "a", "b")
+	ins.MustAdd("E", "b", "c")
+	e := New(ins)
+	body := []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))}
+	n := 0
+	err := enumerate(e, body, func(s lang.Subst) error {
+		if s.Apply(lang.Var("x")).IsVar() {
+			t.Fatal("x unbound in enumerated substitution")
+		}
+		n++
+		return nil
+	})
+	if err != nil || n != 2 {
+		t.Fatalf("n = %d, err = %v", n, err)
+	}
+	n = 0
+	err = enumerate(e, body, func(s lang.Subst) error {
+		n++
+		return ErrStop
+	})
+	if err != nil || n != 1 {
+		t.Fatalf("ErrStop: n = %d, err = %v", n, err)
+	}
+}
+
 // StreamCQ must yield exactly EvalCQ's distinct rows (order aside), stop
 // early on ErrStop, and propagate yield errors.
 func TestStreamCQ(t *testing.T) {
@@ -275,6 +321,35 @@ func TestProbeByKeyBatchYield(t *testing.T) {
 		return ErrStop
 	}); err != nil || n != 1 {
 		t.Fatalf("ErrStop: n = %d, err = %v", n, err)
+	}
+}
+
+// TestEnumerateAlphaEquivalentBodies is a regression test: two bodies that
+// are identical up to variable renaming must each get substitutions under
+// their OWN variable names, not the first-compiled plan's (the plan cache
+// must not alias them).
+func TestEnumerateAlphaEquivalentBodies(t *testing.T) {
+	ins := rel.NewInstance()
+	ins.MustAdd("E", "a", "b")
+	e := New(ins)
+	if err := enumerate(e, []lang.Atom{lang.NewAtom("E", lang.Var("x"), lang.Var("y"))},
+		func(s lang.Subst) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err := enumerate(e, []lang.Atom{lang.NewAtom("E", lang.Var("u"), lang.Var("v"))},
+		func(s lang.Subst) error {
+			n++
+			if got := s.Apply(lang.Var("u")); got != lang.Const("a") {
+				t.Fatalf("u bound to %v, want \"a\" (cached plan's variable names leaked)", got)
+			}
+			if got := s.Apply(lang.Var("v")); got != lang.Const("b") {
+				t.Fatalf("v bound to %v, want \"b\"", got)
+			}
+			return nil
+		})
+	if err != nil || n != 1 {
+		t.Fatalf("n = %d, err = %v", n, err)
 	}
 }
 
