@@ -261,12 +261,12 @@ func BenchmarkFirstProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkBindJoin measures BindJoin's own work on join_mixed's shape,
-// without sockets: two atoms joined on a location, I.inc(i, l) with 15
-// rows and H.doc(d, l) with 50 over five locations, one comparison between
-// them, 150 answer rows. fetch serves each relation's rows from memory:
-// I.inc's whole, and H.doc's whole for its bind, since the partial holds
-// every location.
+// BenchmarkBindJoin measures a warm cross-peer rewriting's local work, its
+// plan lookup and BindJoin, on join_mixed's shape, without sockets: two
+// atoms joined on a location, I.inc(i, l) with 15 rows and H.doc(d, l) with
+// 50 over five locations, one comparison between them, 150 answer rows.
+// fetch serves each relation's rows from memory: I.inc's whole, and
+// H.doc's whole for its bind, since the partial holds every location.
 func BenchmarkBindJoin(b *testing.B) {
 	rows := map[string][]rel.Tuple{}
 	for i := range 15 {
@@ -287,12 +287,20 @@ func BenchmarkBindJoin(b *testing.B) {
 	}
 	cards := []int{len(rows["I.inc"]), len(rows["H.doc"])}
 	fetch := func(i int, _ []int, _ [][]string) ([]rel.Tuple, error) { return rows[q.Body[i].Pred], nil }
-	if out, err := BindJoin(q, cards, fetch); err != nil || len(out) != 150 {
+	pc := NewPlanCache()
+	join := func() ([]rel.Tuple, error) {
+		p, err := pc.Plan(q, cards)
+		if err != nil {
+			return nil, err
+		}
+		return BindJoin(p, q, fetch)
+	}
+	if out, err := join(); err != nil || len(out) != 150 {
 		b.Fatalf("degenerate fixture: %d rows (%v)", len(out), err)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := BindJoin(q, cards, fetch); err != nil {
+		if _, err := join(); err != nil {
 			b.Fatal(err)
 		}
 	}

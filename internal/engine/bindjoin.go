@@ -7,18 +7,19 @@ import (
 	"repro/internal/rel"
 )
 
-// BindJoin evaluates q over rows that fetch supplies atom by atom: the
+// BindJoin runs plan p over rows that fetch supplies atom by atom: the
 // local half of a bind-join (Haas, Kossmann, Wimmers and Yang, "Optimizing
 // Queries across Diverse Data Sources", VLDB 1997), whose remote half is
-// fetch. q is compiled as the engine compiles it, its body ordered by
-// cards, one cardinality estimate per body position, and the plan's steps
-// run breadth-first over the partial join, held as slot rows. Each step
-// calls fetch(i, keyPos, keys) for its atom q.Body[i]: keyPos are the
+// fetch. p is q's plan, from a PlanCache as the engine's own runs get
+// theirs: BindJoin compiles nothing. The plan's steps run breadth-first
+// over the partial join, held as slot rows, whose parameters are q's. Each
+// step calls fetch(i, keyPos, keys) for its atom q.Body[i]: keyPos are the
 // atom's positions that earlier steps bound, and keys the distinct values
 // the partial holds there, one row per key in keyPos's order (both nil
-// when no position is bound). The fetched rows are chained by key, and one
+// when no position is bound). An atom's constants are never among them:
+// fetch applies them itself. The fetched rows are chained by key, and one
 // pass over the partial extends each of its rows by the rows of its key,
-// applying the step's constants, repeated variables, binds and comparisons.
+// applying the step's repeated variables, binds and comparisons.
 //
 // fetch may return more than the atom admits: a row of another arity, or
 // one that disagrees with the atom's constants, its repeated variables or
@@ -30,28 +31,24 @@ import (
 // comparison on a variable the body never binds is an error once a
 // complete match exists, as in Engine.EvalCQ. The answer is distinct and
 // in rel.Compare order, in a slice of the caller's.
-func BindJoin(q lang.CQ, cards []int, fetch func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
-	p, err := compile(q, cards)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range p.preComps {
-		if !c.eval(nil) {
-			return nil, nil
-		}
+func BindJoin(p *Plan, q lang.CQ, fetch func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
+	if p.unsat {
+		return nil, nil
 	}
 	w := p.nslots
 	// The partial join is n slot rows of w values each, back to back. It
 	// starts as the unit row, the join's identity.
 	partial, n := make([]string, w), 1
+	p.seed(partial, q)
+	seed := partial // every partial row holds the parameters seed holds
 	var kb []byte
 	for i := range p.steps {
 		st := &p.steps[i]
 		var keyPos, keySlots []int
-		for j, part := range st.keyParts {
-			if part.slot >= 0 {
+		for j, s := range st.keyParts {
+			if s >= p.vars {
 				keyPos = append(keyPos, st.keyCols[j])
-				keySlots = append(keySlots, part.slot)
+				keySlots = append(keySlots, s)
 			}
 		}
 		// The partial's distinct keys, numbered by first appearance, and
@@ -97,8 +94,8 @@ func BindJoin(q lang.CQ, cards []int, fetch func(i int, keyPos []int, keys [][]s
 			if len(t) != st.arity {
 				continue
 			}
-			for j, part := range st.keyParts {
-				if part.slot < 0 && t[st.keyCols[j]] != part.constVal {
+			for j, s := range st.keyParts {
+				if s < p.vars && t[st.keyCols[j]] != seed[s] {
 					continue chain
 				}
 			}

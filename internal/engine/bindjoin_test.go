@@ -166,6 +166,35 @@ func prefixQuery(q lang.CQ, order []int) lang.CQ {
 	return p
 }
 
+// bindJoin is BindJoin over q's plan for cards, from a fresh plan cache.
+func bindJoin(q lang.CQ, cards []int, fetch func(int, []int, [][]string) ([]rel.Tuple, error)) ([]rel.Tuple, error) {
+	p, err := NewPlanCache().Plan(q, cards)
+	if err != nil {
+		return nil, err
+	}
+	return BindJoin(p, q, fetch)
+}
+
+// permuteConstants returns q with every atom constant drawn as a digit
+// (randomBindJoinCQ's) moved to the next digit mod 4: equal constants stay
+// equal and distinct ones distinct, so the result has q's shape, and the
+// comparisons are q's own.
+func permuteConstants(q lang.CQ) lang.CQ {
+	q = q.Clone()
+	perm := func(a *lang.Atom) {
+		for i, t := range a.Args {
+			if d := strings.IndexByte("0123", t.Name[0]); t.IsConst() && len(t.Name) == 1 && d >= 0 {
+				a.Args[i] = lang.Const(fmt.Sprint((d + 1) % 4))
+			}
+		}
+	}
+	perm(&q.Head)
+	for i := range q.Body {
+		perm(&q.Body[i])
+	}
+	return q
+}
+
 // bindJoinPreds are the relations the randomized judge draws from, and
 // bindJoinArities their arities.
 var (
@@ -236,8 +265,12 @@ func randomBindJoinCQ(rng *rand.Rand) lang.CQ {
 //   - every atom fetched after the first joins a non-empty prefix, and a
 //     join that stops early stops on an empty one;
 //   - a false variable-free comparison fetches nothing;
-//   - the keys are distinct, and neither what BindJoin handed fetch nor
-//     what fetch returned was written to afterwards.
+//   - the keys are distinct, no key position holds one of the atom's
+//     constants, and neither what BindJoin handed fetch nor what fetch
+//     returned was written to afterwards.
+//
+// Each query's sibling, its atom constants permuted (permuteConstants),
+// must then get the same plan from the cache and the reference's answer.
 func TestBindJoinMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for trial := range 3000 {
@@ -262,7 +295,12 @@ func TestBindJoinMatchesReference(t *testing.T) {
 		}
 		want, wantErr := rel.EvalCQ(q, ins)
 		var calls []fetchCall
-		got, err := BindJoin(q, cards, refFetch(q, ins, rng, rng.Intn(2) == 0, &calls))
+		pc := NewPlanCache()
+		p, err := pc.Plan(q, cards)
+		if err != nil {
+			t.Fatalf("trial %d, %s: %v", trial, q, err)
+		}
+		got, err := BindJoin(p, q, refFetch(q, ins, rng, rng.Intn(2) == 0, &calls))
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("trial %d, %s over\n%s:\n%s", trial, q, ins, fmt.Sprintf(format, args...))
@@ -272,6 +310,16 @@ func TestBindJoinMatchesReference(t *testing.T) {
 		}
 		if err == nil && !slices.EqualFunc(got, want, rel.Tuple.Equal) {
 			fail("answer %v, reference's %v", got, want)
+		}
+		q2 := permuteConstants(q)
+		want2, wantErr2 := rel.EvalCQ(q2, ins)
+		if p2, err := pc.Plan(q2, cards); err != nil || (p2 != p) != (len(p.lateComps) > 0) {
+			fail("sibling %s: plan %p (%v), the first's %p", q2, p2, err, p)
+		}
+		var calls2 []fetchCall
+		got2, err := BindJoin(p, q2, refFetch(q2, ins, rng, rng.Intn(2) == 0, &calls2))
+		if (err != nil) != (wantErr2 != nil) || (err == nil && !slices.EqualFunc(got2, want2, rel.Tuple.Equal)) {
+			fail("sibling %s: answer %v (%v), reference's %v (%v)", q2, got2, err, want2, wantErr2)
 		}
 
 		order := greedyOrder(q.Body, cards)
@@ -287,6 +335,9 @@ func TestBindJoinMatchesReference(t *testing.T) {
 			}
 			if c.atom != order[i] {
 				fail("fetch %d is atom %d, %s; the cardinality order's is atom %d, %s", i, c.atom, q.Body[c.atom], order[i], q.Body[order[i]])
+			}
+			if slices.ContainsFunc(c.keyPos, func(p int) bool { return q.Body[c.atom].Args[p].IsConst() }) {
+				fail("fetch %d of %s: a constant's position among the key positions %v", i, q.Body[c.atom], c.keyPos)
 			}
 			seen := map[string]bool{}
 			for _, k := range c.keys {
@@ -337,7 +388,7 @@ func TestBindJoinDropsWhatTheAtomRejects(t *testing.T) {
 				t.Fatal(err)
 			}
 			fetches := 0
-			got, err := BindJoin(q, make([]int, len(q.Body)), func(int, []int, [][]string) ([]rel.Tuple, error) {
+			got, err := bindJoin(q, make([]int, len(q.Body)), func(int, []int, [][]string) ([]rel.Tuple, error) {
 				fetches++
 				return tc.rows, nil
 			})

@@ -36,47 +36,45 @@
 // either an index probe (some positions bound by constants or earlier
 // steps) or a full scan (none). The cost model is a relation's cardinality
 // scaled by 1/8 for every bound position. Estimates affect ordering only,
-// never correctness. Variable bindings live in a flat slot array rather
-// than substitution maps; comparison predicates are attached to the
-// earliest step that binds their variables, pruning as soon as possible.
-// compile takes the estimates as data, one cardinality per body position:
-// an Engine reads them from its instance in the loop that checks each
-// atom's arity against its relation. compile is the one lowering of a
-// conjunctive query: BindJoin compiles with it too, with the cardinalities
-// its caller passes (the netpeer executor's, as the serving peers reported
-// them when the rewriting started), and runs the plan's steps breadth-first
-// over a partial join of slot rows, fetching each step's rows through its
-// caller's callback, which names the atom by body position, with the
-// distinct values the partial holds at the atom's bound positions.
+// never correctness. Every operand lives in a flat slot array rather than
+// substitution maps: the query's atom constants (lang.CQ.Params), its
+// comparison constants, then its variables; a run seeds the first from
+// its own query. Comparison predicates are attached to the earliest step
+// that binds their variables, pruning as soon as possible. compile takes
+// the estimates as data, one cardinality per body position. It is the one
+// lowering of a conjunctive query: BindJoin runs its plans too, with the
+// cardinalities the serving peers reported, breadth-first over a partial
+// join of slot rows, fetching each step's rows through its caller's
+// callback, which names the atom by body position, with the distinct
+// values the partial holds at the positions earlier steps bound.
 //
 // Execution. A plan runs sequentially on the calling goroutine: a full scan
 // walks a rel.Rows snapshot in walk order (rel.Rows.Walk: the laid-out rows
 // by group, then the rows inserted since), and ProbeByKeyBatchYield looks
-// its index up once and probes its keys in order. A run resolves each
-// step's relation, and a probe step's index, on the step's first entry: a
-// relation has a short list of indexes, each holding its own copy of its
-// column list, and the step's key columns pick one out by slices.Equal.
-// Each step remembers its last probe for the length of the run, the key
-// with the snapshot and bucket it matched, and a step entered again with
-// that key reuses them: a constant key is looked up once per run, and a
-// join key once per run of outer rows that repeat it. A reused bucket was
-// taken during the run and only ever grows, so a run under concurrent
-// inserts still answers between the instance at its start and at its end;
-// the memo ends with the run, when its pooled context is released. EvalUCQ
-// runs its disjuncts one after another on the calling goroutine: each is an
-// index probe or a small join that takes microseconds, less than handing it
-// to another goroutine costs. The distributed executor runs the same union
-// loop, EvalUnion, on up to MaxUnionFanout goroutines, so that its
-// disjuncts' round trips overlap.
+// its index up once and probes its keys in order. A run gets each body
+// atom's relation resolved, and finds a probe step's index on the step's
+// first entry: a relation has a short list of indexes, each holding its own
+// copy of its column list, and the step's key columns pick one out by
+// slices.Equal. Each step remembers its last probe for the length of the
+// run, the key with the snapshot and bucket it matched, and a step entered
+// again with that key reuses them: a key of parameters is looked up once
+// per run, and a join key once per run of outer rows that repeat it. A
+// reused bucket was taken during the run and only ever grows, so a run
+// under concurrent inserts still answers between the instance at its start
+// and at its end; the memo ends with the run, when its pooled context is
+// released. EvalUCQ runs its disjuncts one after another on the calling
+// goroutine: each is an index probe or a small join that takes
+// microseconds, less than handing it to another goroutine costs. The
+// distributed executor runs the same union loop, EvalUnion, on up to
+// MaxUnionFanout goroutines, so that its disjuncts' round trips overlap.
 //
-// Plan cache. Compiled plans are cached in an LRU under one key, the
-// query's canonical form (lang.CQ.Canonical), so repeated evaluation of
-// identical rewritings — the common case once reformulation fans a query
-// into a UCQ — skips planning entirely. A plan keeps no variable name, so
-// alpha-equivalent queries share it. A run that finds a step's relation
-// more than driftFactor times larger or smaller than the size the plan was
-// ordered by drops the plan from the cache, so the next query compiles in
-// the order the live sizes give. LRU is the one cache type of the system:
+// Plan cache. A PlanCache keys compiled plans by the query's shape, its
+// canonical form with atom constants as parameters, so rewritings that
+// differ only in variable names and atom constants skip planning. Each
+// Engine has one, and the netpeer executor one for BindJoin. A lookup takes
+// the live sizes, and compiles again when one has drifted more than
+// driftFactor from the size the plan was ordered by. LRU is the one cache
+// type of the system:
 // it is generic in its values and bounded by a cost budget, with its own
 // hit, miss and eviction counters and entry and cost gauges. The plan cache
 // and pdms's answer and reformulation caches give each entry cost 1, so

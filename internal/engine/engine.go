@@ -191,10 +191,8 @@ func appendProbeKey(dst []byte, vals []string) []byte {
 // across mutations still serialize them externally (pdms.Network,
 // netpeer.Server). Indexes catch up with inserts on the next probe.
 type Engine struct {
-	data *rel.Instance
-	// plans caches compiled plans keyed by canonicalized query, one cost
-	// unit each.
-	plans *LRU[*Plan]
+	data  *rel.Instance
+	plans *PlanCache
 
 	// mu guards the index map. Probes take the read lock only to locate
 	// the *index for their (relation, column list); all bucket state is
@@ -207,15 +205,13 @@ type Engine struct {
 	// is not counted, nor is a repeated key of one ProbeByKeyBatchYield
 	// call. scans counts full-scan step entries.
 	probes, scans obs.Counter
-	// plansCompiled counts plan compilations.
-	plansCompiled obs.Counter
 	// indexesBuilt counts distinct (relation, column-set) indexes created.
 	indexesBuilt obs.Counter
 }
 
 // New returns an engine over ins.
 func New(ins *rel.Instance) *Engine {
-	return &Engine{data: ins, plans: NewLRU[*Plan](1024), indexes: map[string][]*index{}}
+	return &Engine{data: ins, plans: NewPlanCache(), indexes: map[string][]*index{}}
 }
 
 // getIndex returns (creating if needed) the index of r for the column list
@@ -383,47 +379,69 @@ func (e *Engine) StreamScan(pred string, yield func(rel.Tuple) error) error {
 	return nil
 }
 
-// plan fetches q's compiled plan from the cache, keyed by q's canonical
-// form (lang.CQ.Canonical), and compiles q on a miss. Alpha-equivalent
-// queries share the key and the plan: a plan keeps no slot's variable
-// name, and its head emits slots by position. A cached plan outlives q, whose strings
-// may be substrings of a whole request frame (wire.ReadRequest), so it is
-// compiled from a copy that owns its strings.
-func (e *Engine) plan(q lang.CQ) (*Plan, error) {
-	key := q.Canonical()
-	if p, ok := e.plans.Get(key); ok {
+// PlanCache caches compiled plans by query shape: the query's canonical
+// form with its atom constants as parameters (lang.CQ.AppendCanonical), so
+// queries that differ only in variable names and atom constants share one
+// plan. It serves both joins: an Engine's runs over its instance, and the
+// netpeer executor's BindJoin over fetched rows. Safe for concurrent use.
+type PlanCache struct {
+	lru      *LRU[*Plan]
+	compiles obs.Counter // misses, drifted entries and uncached plans
+}
+
+// NewPlanCache returns an empty plan cache of 1,024 plans.
+func NewPlanCache() *PlanCache {
+	return &PlanCache{lru: NewLRU[*Plan](1024)}
+}
+
+// Compiles returns the counter of the plans c has compiled.
+func (c *PlanCache) Compiles() *obs.Counter { return &c.compiles }
+
+// Plan returns q's plan for sizes, one size per body position: the cached
+// plan of q's shape unless a step's size has drifted past driftFactor from
+// the one it was ordered by, else a plan newly compiled in the order sizes
+// give, which replaces it. A comparison on a variable the body never binds
+// fails the run with an error that names the variable, so its plan is
+// returned uncached.
+func (c *PlanCache) Plan(q lang.CQ, sizes []int) (*Plan, error) {
+	var arr [128]byte
+	key := q.AppendCanonical(arr[:0], true)
+	if p, ok := c.lru.Get(string(key)); ok && !p.drifted(sizes) {
 		return p, nil
 	}
-	p, err := e.compile(ownStrings(q))
+	c.compiles.Add(1)
+	p, err := compile(q, sizes)
 	if err != nil {
 		return nil, err
 	}
-	// A comparison on a variable the body never binds fails the run with an
-	// error that names the variable, so its plan is not shared.
 	if len(p.lateComps) == 0 {
-		p.key = key
-		e.plans.Put(key, p, 1)
+		c.lru.Put(string(key), p, 1)
 	}
 	return p, nil
 }
 
-// compile is the package's compile over the engine's instance: q's body is
-// ordered by its relations' current cardinalities, the planner's one
-// statistic (an absent relation has none). Each atom's arity is checked
-// against its relation first, so a query that is also unsafe gets the
-// arity error.
-func (e *Engine) compile(q lang.CQ) (*Plan, error) {
-	e.plansCompiled.Add(1)
-	cards := make([]int, len(q.Body))
-	for i, a := range q.Body {
-		if r := e.data.Relation(a.Pred); r != nil {
+// shortBody is the longest body whose relations and sizes an evaluation
+// keeps in arrays on its stack; a longer one spills to the heap.
+const shortBody = 8
+
+// plan appends the relation of each atom of q's body to rels (nil for an
+// absent one, of size 0), checking its arity first, and returns q's plan
+// for the relations' current sizes.
+func (e *Engine) plan(q lang.CQ, rels []*rel.Relation) (*Plan, []*rel.Relation, error) {
+	var sizeArr [shortBody]int
+	sizes := sizeArr[:0]
+	for _, a := range q.Body {
+		r, n := e.data.Relation(a.Pred), 0
+		if r != nil {
 			if r.Arity() != a.Arity() {
-				return nil, fmt.Errorf("engine: atom %s arity %d, relation has %d", a, a.Arity(), r.Arity())
+				return nil, nil, fmt.Errorf("engine: atom %s arity %d, relation has %d", a, a.Arity(), r.Arity())
 			}
-			cards[i] = r.Len()
+			n = r.Len()
 		}
+		rels, sizes = append(rels, r), append(sizes, n)
 	}
-	return compile(q, cards)
+	p, err := e.plans.Plan(q, sizes)
+	return p, rels, err
 }
 
 // StreamCQ invokes yield once per distinct head tuple of q, in discovery
@@ -435,25 +453,26 @@ func (e *Engine) compile(q lang.CQ) (*Plan, error) {
 // one reused view that is valid only during the call, as StreamScan's and
 // ProbeByKeyBatchYield's are: a caller that keeps it must copy it.
 func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
-	p, err := e.plan(q)
+	var relArr [shortBody]*rel.Relation
+	p, rels, err := e.plan(q, relArr[:0])
 	if err != nil {
 		return err
 	}
-	return e.stream(p, yield)
+	return e.stream(p, rels, q, yield)
 }
 
-// stream is StreamCQ for an already-resolved plan. Every body match is a
-// distinct slot assignment, so when the head binds every slot
-// (p.headBindsAll) distinct matches are distinct head tuples and no dedup
-// set is kept; a projection that drops a variable keeps one. Every head
-// tuple is yielded through one reused view.
-func (e *Engine) stream(p *Plan, yield func(rel.Tuple) error) error {
+// stream is StreamCQ for q's already-resolved plan and relations (run).
+// Every body match is a distinct slot assignment, so when the head binds
+// every slot (p.headBindsAll) distinct matches are distinct head tuples and
+// no dedup set is kept; a projection that drops a variable keeps one. Every
+// head tuple is yielded through one reused view.
+func (e *Engine) stream(p *Plan, rels []*rel.Relation, q lang.CQ, yield func(rel.Tuple) error) error {
 	var seen map[string]bool
 	if !p.headBindsAll {
 		seen = map[string]bool{}
 	}
 	head := make(rel.Tuple, len(p.head))
-	err := e.run(p, func(slots []string) error {
+	err := e.run(p, rels, q, func(slots []string) error {
 		p.project(head, slots)
 		if seen != nil {
 			k := head.Key()
@@ -480,8 +499,9 @@ func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.EvalCQSpan(q,
 // step order) and an "exec" child covering the scan/probe run (annotated
 // with the distinct-row count).
 func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+	var relArr [shortBody]*rel.Relation
 	ps := sp.Child("plan")
-	p, err := e.plan(q)
+	p, rels, err := e.plan(q, relArr[:0])
 	ps.SetErr(err)
 	if ps != nil && err == nil {
 		ps.Set("steps", p.describe())
@@ -493,7 +513,7 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 
 	es := sp.Child("exec")
 	sc := answerPool.Get().(*answerScratch)
-	err = e.stream(p, func(t rel.Tuple) error {
+	err = e.stream(p, rels, q, func(t rel.Tuple) error {
 		sc.vals = append(sc.vals, t...)
 		sc.n++
 		return nil
@@ -597,71 +617,78 @@ func EvalUnion(u lang.UCQ, sp *obs.Span, width int, evalCQ func(lang.CQ, *obs.Sp
 	}
 	n := len(u.Disjuncts)
 	sp.SetInt("disjuncts", int64(n))
-	groups := make([][]rel.Tuple, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	claim := func() {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if testHookClaimed != nil {
-				testHookClaimed(i)
-			}
-			var cs *obs.Span // built only under a trace: Child's attributes escape
-			if sp != nil {
-				cs = sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
-			}
-			groups[i], errs[i] = evalCQ(u.Disjuncts[i], cs)
-			cs.SetErr(errs[i])
-			cs.End()
-			if errs[i] != nil {
-				failed.Store(true)
-				if testHookFailed != nil {
-					testHookFailed()
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
+	un := new(union)
+	// Each extends the struct's own array, reallocating past its length.
+	un.groups = append(un.groupArr[:0], make([][]rel.Tuple, n)...)
+	un.errs = append(un.errArr[:0], make([]error, n)...)
 	for w := 1; w < min(n, width); w++ {
-		wg.Add(1)
+		un.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			claim()
+			defer un.wg.Done()
+			un.claim(u, sp, evalCQ)
 		}()
 	}
-	claim()
-	wg.Wait()
-	for _, err := range errs {
+	un.claim(u, sp, evalCQ)
+	un.wg.Wait()
+	for _, err := range un.errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	out := rel.MergeDistinct(groups...)
+	out := rel.MergeDistinct(un.groups...)
 	sp.SetInt("rows", int64(len(out)))
 	return out, nil
 }
 
-// ExistsMatch reports whether at least one substitution grounds every atom
-// in the instance. It is the one entry that never caches its plan: its
-// intended callers (the chase's head-satisfaction test) embed per-match
-// constants, so each query is one-shot and caching would only churn the
-// plan LRU.
-func (e *Engine) ExistsMatch(atoms []lang.Atom) (bool, error) {
-	p, err := e.compile(lang.CQ{Head: lang.Atom{Pred: "_exists"}, Body: atoms})
-	if err != nil {
-		return false, err
+// union is the bookkeeping of one EvalUnion call, in one allocation: each
+// disjunct's rows and error (held in the struct itself for a union of up to
+// 8 disjuncts), the number of disjuncts claimed, and whether one has failed.
+type union struct {
+	groups   [][]rel.Tuple
+	errs     []error
+	groupArr [8][]rel.Tuple
+	errArr   [8]error
+	next     atomic.Int64
+	failed   atomic.Bool
+	wg       sync.WaitGroup
+}
+
+// claim evaluates u's disjuncts through evalCQ in position order, one claim
+// at a time, until every disjunct is claimed or one has failed.
+func (un *union) claim(u lang.UCQ, sp *obs.Span, evalCQ func(lang.CQ, *obs.Span) ([]rel.Tuple, error)) {
+	for !un.failed.Load() {
+		i := int(un.next.Add(1)) - 1
+		if i >= len(un.groups) {
+			return
+		}
+		if testHookClaimed != nil {
+			testHookClaimed(i)
+		}
+		var cs *obs.Span // built only under a trace: Child's attributes escape
+		if sp != nil {
+			cs = sp.Child("eval.cq", obs.Attr{K: "head", V: u.Disjuncts[i].Head.Pred})
+		}
+		un.groups[i], un.errs[i] = evalCQ(u.Disjuncts[i], cs)
+		cs.SetErr(un.errs[i])
+		cs.End()
+		if un.errs[i] != nil {
+			un.failed.Store(true)
+			if testHookFailed != nil {
+				testHookFailed()
+			}
+		}
 	}
+}
+
+// ExistsMatch reports whether at least one substitution grounds every atom
+// in the instance. Its intended callers (the chase's head-satisfaction
+// test) embed per-match constants, which are parameters of the plan's key:
+// one plan serves every match of a body.
+func (e *Engine) ExistsMatch(atoms []lang.Atom) (bool, error) {
 	found := false
-	err = e.run(p, func([]string) error {
+	err := e.StreamCQ(lang.CQ{Head: lang.Atom{Pred: "_exists"}, Body: atoms}, func(rel.Tuple) error {
 		found = true
 		return ErrStop
 	})
-	if err != nil && !errors.Is(err, ErrStop) {
-		return false, err
-	}
-	return found, nil
+	return found, err
 }

@@ -148,7 +148,7 @@ func TestPlanCacheReuse(t *testing.T) {
 		Body: []lang.Atom{lang.NewAtom("E", lang.Var("u"), lang.Var("v"))},
 	}
 	mustEval(t, e, q2)
-	if n := e.plansCompiled.Load(); n != 1 {
+	if n := e.plans.compiles.Load(); n != 1 {
 		t.Fatalf("plans compiled = %d, want 1", n)
 	}
 }
@@ -391,10 +391,11 @@ func TestEvalUCQ(t *testing.T) {
 
 // TestEvalUCQFailsFast: one failed disjunct fails the union, so disjuncts not
 // yet claimed when it failed are never evaluated, and the error returned is
-// the lowest-position one. On the caller's goroutine (EvalUCQ) nothing after
-// disjunct 0 is compiled; at the executor's width (EvalUnion at
-// MaxUnionFanout, over the engine's EvalCQSpan) at most one claim per other
-// goroutine is.
+// the lowest-position one. The disjuncts after 0 share one plan, so what
+// counts them is their probes, one each. On the caller's goroutine
+// (EvalUCQ) nothing after disjunct 0 is evaluated; at the executor's width
+// (EvalUnion at MaxUnionFanout, over the engine's EvalCQSpan) at most one
+// claim per other goroutine is.
 func TestEvalUCQFailsFast(t *testing.T) {
 	ins := rel.NewInstance()
 	ins.MustAdd("E", "a", "b")
@@ -415,14 +416,13 @@ func TestEvalUCQFailsFast(t *testing.T) {
 		t.Fatal("arity-mismatched disjunct accepted")
 	}
 
-	// Serial: disjunct 0 is claimed, compiled and fails before any other is
-	// claimed.
-	before := e.plansCompiled.Load()
+	// Serial: disjunct 0 is claimed and fails before any other is claimed.
+	before := e.probes.Load()
 	if _, err := e.EvalUCQ(u); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("EvalUCQ error = %v, want disjunct 0's: %v", err, wantErr)
 	}
-	if n := e.plansCompiled.Load() - before; n != 1 {
-		t.Fatalf("EvalUCQ compiled %d plans after disjunct 0 failed, want 1", n)
+	if n := e.probes.Load() - before; n != 0 {
+		t.Fatalf("EvalUCQ evaluated %d disjuncts after disjunct 0 failed, want 0", n)
 	}
 
 	// Concurrent, in the worst schedule made deterministic: every claim
@@ -436,16 +436,16 @@ func TestEvalUCQFailsFast(t *testing.T) {
 		}
 	}
 	testHookFailed = func() { close(failedCh) }
-	before = e.plansCompiled.Load()
+	before = e.probes.Load()
 	_, err := EvalUnion(u, nil, MaxUnionFanout, e.EvalCQSpan)
 	testHookClaimed, testHookFailed = nil, nil
 	if err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("EvalUnion error = %v, want disjunct 0's: %v", err, wantErr)
 	}
-	// Disjunct 0 plus at most one in-flight claim per other goroutine, with
-	// slack for claims that raced the failure flag.
-	if n := e.plansCompiled.Load() - before; n > MaxUnionFanout+4 {
-		t.Fatalf("compiled %d disjuncts after disjunct 0 failed, want <= %d", n, MaxUnionFanout+4)
+	// At most one in-flight claim per other goroutine, with slack for
+	// claims that raced the failure flag.
+	if n := e.probes.Load() - before; n > MaxUnionFanout+4 {
+		t.Fatalf("evaluated %d disjuncts after disjunct 0 failed, want <= %d", n, MaxUnionFanout+4)
 	}
 	// Traced, the failing disjunct's own eval.cq span carries its error,
 	// not just the plan span under it; disjunct 0 is the only one that can

@@ -179,7 +179,7 @@ func TestEngineUnionAllocs(t *testing.T) {
 		name string
 		u    lang.UCQ
 		max  float64
-	}{{"selection", sel, 26}, {"join", join, 44}} {
+	}{{"selection", sel, 18}, {"join", join, 39}} {
 		var err error
 		n := testing.AllocsPerRun(100, func() {
 			if _, uerr := e.EvalUCQ(c.u); uerr != nil {

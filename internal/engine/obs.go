@@ -15,10 +15,10 @@ import (
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("engine.probes", &e.probes)
 	reg.RegisterCounter("engine.scans", &e.scans)
-	reg.RegisterCounter("engine.plans_compiled", &e.plansCompiled)
+	reg.RegisterCounter("engine.plans_compiled", &e.plans.compiles)
 	reg.RegisterCounter("engine.indexes_built", &e.indexesBuilt)
-	reg.RegisterCounter("engine.plan_cache.hits", &e.plans.Hits)
-	reg.RegisterCounter("engine.plan_cache.misses", &e.plans.Misses)
+	reg.RegisterCounter("engine.plan_cache.hits", &e.plans.lru.Hits)
+	reg.RegisterCounter("engine.plan_cache.misses", &e.plans.lru.Misses)
 }
 
 // describe summarizes the plan's step order for trace annotations:

@@ -29,7 +29,7 @@ func TestCachedPlanOwnsItsStrings(t *testing.T) {
 	if rows := mustEval(t, e, q); len(rows) != 1 {
 		t.Fatalf("rows = %v", rows)
 	}
-	p, ok := e.plans.Get(q.Canonical())
+	p, ok := e.plans.lru.Get(string(q.AppendCanonical(nil, true)))
 	if !ok {
 		t.Fatal("plan not cached")
 	}
@@ -42,19 +42,13 @@ func TestCachedPlanOwnsItsStrings(t *testing.T) {
 			t.Fatalf("plan's %s %q is a substring of the query's frame", what, s)
 		}
 	}
-	check("cache key", p.key)
-	check("head predicate", p.headPred)
-	for _, h := range p.head {
-		check("head constant", h.constVal)
-	}
 	for _, st := range p.steps {
 		check("step predicate", st.pred)
-		for _, k := range st.keyParts {
-			check("key constant", k.constVal)
-		}
-		for _, c := range st.comps {
-			check("comparison constant", c.l.constVal)
-			check("comparison constant", c.r.constVal)
-		}
+	}
+	if len(p.lits) != 1 {
+		t.Fatalf("plan literals %q, want the comparison's constant alone", p.lits)
+	}
+	for _, l := range p.lits {
+		check("comparison constant", l)
 	}
 }

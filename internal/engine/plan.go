@@ -15,44 +15,42 @@ import (
 // reordered by estimated selectivity, each lowered to an index probe (when
 // any of its positions are bound at that point) or a full scan, with
 // comparison predicates attached to the earliest step that grounds them.
-// Variables live in a flat slot array instead of substitution maps, and a
-// plan keeps no slot's variable name: it depends only on the query's shape
-// (plus the relations' cardinalities at compile time, which affect ordering
-// but never correctness), so alpha-equivalent queries share one cached plan.
+// Every operand is a slot of one flat array: the query's atom constants
+// (lang.CQ.Params), its comparison constants (the plan's literals), then
+// its variables. A plan keeps no variable name and no atom constant: it
+// depends only on the query's shape (plus the relations' cardinalities at
+// compile time, which affect ordering but never correctness), so queries
+// that differ in variable names and atom constants share one cached plan.
 type Plan struct {
-	steps    []planStep
+	steps []planStep
+	// lits are the comparison constants, in the slots after the
+	// parameters'; vars is the first variable slot.
+	lits     []string
+	vars     int
 	nslots   int
-	maxArity int // the widest step's arity, the size of a row's scratch
-	// key is the plan's entry in its engine's plan cache, which a run
-	// drops when a step's relation has drifted from the size the plan was
-	// ordered by. An uncached plan's empty key names no entry.
-	key      string
-	headPred string
-	head     []outPart
-	// headBindsAll reports that the head reads every slot: distinct body
-	// matches then emit distinct head tuples.
+	maxArity int   // the widest step's arity, the size of a row's scratch
+	head     []int // the slot of each head position
+	// headBindsAll reports that the head reads every variable slot:
+	// distinct body matches then emit distinct head tuples.
 	headBindsAll bool
-	// preComps are variable-free comparisons, checked once per run.
-	preComps []compiledComp
+	// unsat reports a false variable-free comparison: the query has no
+	// answer.
+	unsat bool
 	// lateComps are comparisons with variables never bound by the body;
 	// evaluating them on a complete match is an error (mirrors rel.EvalCQ).
 	lateComps []lang.Comparison
 }
 
-// outPart emits one head position: from a slot (slot >= 0) or a constant.
-type outPart struct {
-	slot     int
-	constVal string
+// seed writes the slots a run of q's plan starts from: q's parameters,
+// then the plan's literals.
+func (p *Plan) seed(slots []string, q lang.CQ) {
+	copy(slots[len(q.Params(slots[:0])):], p.lits)
 }
 
 // project writes the head tuple of the match in slots into head.
 func (p *Plan) project(head rel.Tuple, slots []string) {
-	for i, h := range p.head {
-		if h.slot >= 0 {
-			head[i] = slots[h.slot]
-		} else {
-			head[i] = h.constVal
-		}
+	for i, s := range p.head {
+		head[i] = slots[s]
 	}
 }
 
@@ -72,11 +70,11 @@ type planStep struct {
 	// atom is the step's position in the query body.
 	atom int
 	// Probe path (len(keyCols) > 0): the index key is the projection onto
-	// keyCols — every position holding a constant or a variable bound by an
-	// earlier step — assembled from keyParts. With no such position the
-	// step is a full scan.
+	// keyCols — every position holding a parameter or a variable bound by
+	// an earlier step — read from the slots keyParts. With no such
+	// position the step is a full scan.
 	keyCols  []int
-	keyParts []outPart
+	keyParts []int
 	// card is the cardinality estimate of the step's relation that the
 	// plan was ordered by.
 	card int
@@ -93,21 +91,32 @@ type planStep struct {
 	comps []compiledComp
 }
 
-// compiledComp is a comparison with both sides resolved to a slot or const.
+// compiledComp is a comparison between two slots.
 type compiledComp struct {
 	op   lang.CompOp
-	l, r outPart
+	l, r int
 }
 
 func (c compiledComp) eval(slots []string) bool {
-	lv, rv := c.l.constVal, c.r.constVal
-	if c.l.slot >= 0 {
-		lv = slots[c.l.slot]
+	return c.op.EvalConst(lang.Const(slots[c.l]), lang.Const(slots[c.r]))
+}
+
+// driftFactor is how far a relation's size may drift from the one its
+// plan was ordered by: once one exceeds driftFactor times the other, each
+// counted as size + 1 so that an empty relation counts too, the plan is
+// compiled again.
+const driftFactor = 2
+
+// drifted reports whether some step's relation, of size sizes[i] for body
+// position i, has drifted past driftFactor from the size it was ordered by.
+func (p *Plan) drifted(sizes []int) bool {
+	for i := range p.steps {
+		st := &p.steps[i]
+		if n := sizes[st.atom]; max(st.card, n)+1 > driftFactor*(min(st.card, n)+1) {
+			return true
+		}
 	}
-	if c.r.slot >= 0 {
-		rv = slots[c.r.slot]
-	}
-	return c.op.EvalConst(lang.Const(lv), lang.Const(rv))
+	return false
 }
 
 // boundSel is the selectivity of one bound position: binding an argument
@@ -157,49 +166,55 @@ func boundBy(body []lang.Atom, order []int, v lang.Term) bool {
 	return false
 }
 
-// ownStrings returns a deep copy of q whose predicate names, variable
-// names and constants each have an allocation of their own.
-func ownStrings(q lang.CQ) lang.CQ {
-	q = q.Clone()
-	own := func(a *lang.Atom) {
-		a.Pred = strings.Clone(a.Pred)
-		for i := range a.Args {
-			a.Args[i].Name = strings.Clone(a.Args[i].Name)
-		}
-	}
-	own(&q.Head)
-	for i := range q.Body {
-		own(&q.Body[i])
-	}
-	for i := range q.Comps {
-		q.Comps[i].L.Name = strings.Clone(q.Comps[i].L.Name)
-		q.Comps[i].R.Name = strings.Clone(q.Comps[i].R.Name)
-	}
-	return q
-}
-
 // compile lowers q to a plan, its body in orderBody's order under cards,
 // one cardinality estimate per body position. It is the one lowering of a
 // conjunctive query: Engine runs the plan over its instance, BindJoin over
-// fetched rows. Atoms are narrow and queries short, so variables are found
-// by scanning the slots and the atom rather than through maps.
+// fetched rows. Atoms are narrow and queries short, so variables, parameters
+// and literals are found by scanning short lists rather than through maps.
 //
 // A step's key columns, key parts and binds each hold at most one entry
 // per position of its atom, and the plan binds at most one slot per
 // position of its body, so each is carved from one slice per plan sized by
 // the body's total arity. Every step's share is its atom's positions,
 // capped there: an append never reaches a neighbour's.
+//
+// A cached plan outlives q, whose strings may be substrings of a whole
+// request frame (wire.ReadRequest), so the strings a plan keeps are
+// copies.
 func compile(q lang.CQ, cards []int) (*Plan, error) {
-	p := &Plan{headPred: q.Head.Pred}
+	params := q.Params(nil)
+	p := &Plan{}
+	for _, c := range q.Comps {
+		for _, t := range [2]lang.Term{c.L, c.R} {
+			if t.IsConst() && !slices.Contains(p.lits, t.Name) {
+				p.lits = append(p.lits, strings.Clone(t.Name))
+			}
+		}
+	}
+	p.vars = len(params) + len(p.lits)
 	width := 0 // the body's total arity
 	for _, a := range q.Body {
 		width += a.Arity()
 	}
-	names := make([]string, 0, width) // slot -> variable name
-	keyCols, keyParts, binds := make([]int, width), make([]outPart, width), make([]posSlot, width)
+	names := make([]string, 0, width) // variable slot - p.vars -> name
+	keyCols, keyParts, binds := make([]int, width), make([]int, width), make([]posSlot, width)
 	off := 0 // where the step's share of keyCols, keyParts and binds starts
-	slotOf := func(t lang.Term) int { return slices.Index(names, t.Name) }
-	// bindStep[s] is the step that binds slot s.
+	// slotOf returns t's slot, or -1 for a variable no step binds yet; an
+	// atom's constant is a parameter, a comparison's a literal.
+	slotOf := func(t lang.Term, inAtom bool) int {
+		switch {
+		case t.IsVar():
+			if s := slices.Index(names, t.Name); s >= 0 {
+				return p.vars + s
+			}
+			return -1
+		case inAtom:
+			return slices.Index(params, t.Name)
+		default:
+			return len(params) + slices.Index(p.lits, t.Name)
+		}
+	}
+	// bindStep[s - p.vars] is the step that binds variable slot s.
 	bindStep := make([]int, 0, width)
 
 	// Lower each atom to a step.
@@ -208,27 +223,22 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 	for i, bi := range order {
 		a := q.Body[bi]
 		st := &p.steps[i]
-		st.pred, st.arity, st.atom, st.card = a.Pred, a.Arity(), bi, cards[bi]
+		st.pred, st.arity, st.atom, st.card = strings.Clone(a.Pred), a.Arity(), bi, cards[bi]
 		end := off + st.arity
 		st.keyCols, st.keyParts, st.binds = keyCols[off:off:end], keyParts[off:off:end], binds[off:off:end]
 		off = end
-		bound := len(names) // the slots earlier steps bind
+		bound := p.vars + len(names) // the parameters and the slots earlier steps bind
 		for pos, t := range a.Args {
-			if t.IsConst() {
-				st.keyCols = append(st.keyCols, pos)
-				st.keyParts = append(st.keyParts, outPart{slot: -1, constVal: t.Name})
-				continue
-			}
-			switch s := slotOf(t); {
+			switch s := slotOf(t, true); {
 			case s >= 0 && s < bound:
 				st.keyCols = append(st.keyCols, pos)
-				st.keyParts = append(st.keyParts, outPart{slot: s})
+				st.keyParts = append(st.keyParts, s)
 				continue
 			case s >= 0:
 				// Bound at an earlier position of this atom: the first.
 				st.checkPos = append(st.checkPos, posPos{pos: pos, first: slices.Index(a.Args, t)})
 			default:
-				st.binds = append(st.binds, posSlot{pos: pos, slot: len(names)})
+				st.binds = append(st.binds, posSlot{pos: pos, slot: p.vars + len(names)})
 				names = append(names, t.Name)
 				bindStep = append(bindStep, i)
 			}
@@ -238,42 +248,35 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 	}
 
 	// Attach comparisons to the earliest step at which they are ground.
-	part := func(t lang.Term) outPart {
-		if t.IsConst() {
-			return outPart{slot: -1, constVal: t.Name}
-		}
-		return outPart{slot: slotOf(t)}
-	}
 	for _, c := range q.Comps {
-		cc := compiledComp{op: c.Op, l: part(c.L), r: part(c.R)}
-		at := -1 // the step that grounds c; -1 while no variable is seen
-		for _, o := range [2]outPart{cc.l, cc.r} {
-			if o.slot >= 0 {
-				at = max(at, bindStep[o.slot])
-			}
-		}
+		cc := compiledComp{op: c.Op, l: slotOf(c.L, false), r: slotOf(c.R, false)}
 		switch {
-		case (c.L.IsVar() && cc.l.slot < 0) || (c.R.IsVar() && cc.r.slot < 0):
+		case cc.l < 0 || cc.r < 0:
 			p.lateComps = append(p.lateComps, c)
-		case at < 0:
-			p.preComps = append(p.preComps, cc)
+		case cc.l < p.vars && cc.r < p.vars:
+			p.unsat = p.unsat || !c.Op.EvalConst(c.L, c.R)
 		default:
+			at := 0 // the step that grounds c
+			for _, s := range [2]int{cc.l, cc.r} {
+				if s >= p.vars {
+					at = max(at, bindStep[s-p.vars])
+				}
+			}
 			p.steps[at].comps = append(p.steps[at].comps, cc)
 		}
 	}
 
 	// Head emission. A head variable no atom binds makes q unsafe.
-	p.head = make([]outPart, len(q.Head.Args))
+	p.head = make([]int, len(q.Head.Args))
 	for i, t := range q.Head.Args {
-		p.head[i] = part(t)
-		if t.IsVar() && p.head[i].slot < 0 {
+		if p.head[i] = slotOf(t, true); p.head[i] < 0 {
 			return nil, fmt.Errorf("engine: unsafe query %s", q)
 		}
 	}
-	p.nslots = len(names)
+	p.nslots = p.vars + len(names)
 	p.headBindsAll = true
-	for s := range p.nslots {
-		if !slices.ContainsFunc(p.head, func(o outPart) bool { return o.slot == s }) {
+	for s := p.vars; s < p.nslots; s++ {
+		if !slices.Contains(p.head, s) {
 			p.headBindsAll = false
 			break
 		}
@@ -296,15 +299,15 @@ type runCtx struct {
 	steps []stepMemo // by plan step
 }
 
-// stepMemo is what one run remembers of one plan step: the relation, and a
-// probe step's index, resolved on the step's first entry that finds the
-// relation, and the step's last probe, its key with the snapshot and
-// locations it matched. A step entered again with that key reuses them: a
-// constant key is probed once per run, and a join key is probed once per
-// run of outer rows that repeat it.
+// stepMemo is what one run remembers of one plan step: its relation, a
+// probe step's index, resolved on the step's first entry, and the step's
+// last probe, its key with the snapshot and locations it matched. A step
+// entered again with that key reuses them: a key of parameters alone is
+// probed once per run, and a join key once per run of outer rows that
+// repeat it.
 type stepMemo struct {
-	r   *rel.Relation // nil until resolved
-	idx *index        // nil for a scan step
+	r   *rel.Relation
+	idx *index // nil until resolved, and for a scan step
 	// probed reports that key, rows and locs hold the step's last probe.
 	probed bool
 	key    []byte
@@ -314,15 +317,17 @@ type stepMemo struct {
 
 var runCtxPool = sync.Pool{New: func() any { return new(runCtx) }}
 
-// newRunCtx takes a context from the pool and sets it up for one run of p;
-// release returns it.
-func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
+// newRunCtx takes a context from the pool and sets it up for one run of
+// q's plan p over rels, the relation of each body position. release returns
+// the context.
+func newRunCtx(e *Engine, p *Plan, rels []*rel.Relation, q lang.CQ, yield func([]string) error) *runCtx {
 	rc := runCtxPool.Get().(*runCtx)
 	rc.e, rc.p, rc.yield = e, p, yield
 	if cap(rc.slots) < p.nslots {
 		rc.slots = make([]string, p.nslots)
 	}
 	rc.slots = rc.slots[:p.nslots]
+	p.seed(rc.slots, q)
 	if cap(rc.row) < p.maxArity {
 		rc.row = make([]string, p.maxArity)
 	}
@@ -331,6 +336,9 @@ func newRunCtx(e *Engine, p *Plan, yield func([]string) error) *runCtx {
 		rc.steps = make([]stepMemo, len(p.steps))
 	}
 	rc.steps = rc.steps[:len(p.steps)]
+	for i := range rc.steps {
+		rc.steps[i].r = rels[p.steps[i].atom]
+	}
 	return rc
 }
 
@@ -349,17 +357,8 @@ func (rc *runCtx) release() {
 	runCtxPool.Put(rc)
 }
 
-// driftFactor is how far a relation's size may drift from the one its
-// plan was ordered by: once one exceeds driftFactor times the other, each
-// counted as size + 1 so that an empty relation counts too, the plan is
-// retired.
-const driftFactor = 2
-
-// step executes plan step i and everything below it. On the step's first
-// entry in the run it resolves the step's relation, and drops the plan
-// from its engine's cache if the relation has drifted from the size the
-// plan was ordered by: the run goes on with this plan, and the next query
-// compiles in the order the live sizes give.
+// step executes plan step i and everything below it. A probe step finds
+// its index on its first entry in the run.
 func (rc *runCtx) step(i int) error {
 	p := rc.p
 	if i == len(p.steps) {
@@ -369,23 +368,7 @@ func (rc *runCtx) step(i int) error {
 		return rc.yield(rc.slots)
 	}
 	st, m := &p.steps[i], &rc.steps[i]
-	if m.r == nil {
-		r := rc.e.data.Relation(st.pred)
-		if r == nil {
-			return nil
-		}
-		if r.Arity() != st.arity {
-			return fmt.Errorf("engine: atom %s/%d, relation has arity %d", st.pred, st.arity, r.Arity())
-		}
-		if n := r.Len(); max(st.card, n)+1 > driftFactor*(min(st.card, n)+1) {
-			rc.e.plans.Remove(p.key)
-		}
-		if len(st.keyCols) > 0 {
-			m.idx = rc.e.getIndex(r, st.keyCols)
-		}
-		m.r = r
-	}
-	if m.idx == nil {
+	if len(st.keyCols) == 0 {
 		// Full scan, in walk order: the relation's rows are distinct.
 		rc.e.scans.Add(1)
 		rows := m.r.Rows()
@@ -395,18 +378,17 @@ func (rc *runCtx) step(i int) error {
 		}
 		return rc.feed(i, st, rows, tail)
 	}
-	// Probe path: resolve the key parts, and look the key up unless it is
+	if m.idx == nil {
+		m.idx = rc.e.getIndex(m.r, st.keyCols)
+	}
+	// Probe path: read the key from its slots, and look it up unless it is
 	// the step's last.
 	if cap(rc.vals) < len(st.keyParts) {
 		rc.vals = make([]string, len(st.keyParts))
 	}
 	vals := rc.vals[:len(st.keyParts)]
-	for j, part := range st.keyParts {
-		if part.slot >= 0 {
-			vals[j] = rc.slots[part.slot]
-		} else {
-			vals[j] = part.constVal
-		}
+	for j, s := range st.keyParts {
+		vals[j] = rc.slots[s]
 	}
 	rc.key = appendProbeKey(rc.key[:0], vals)
 	if !m.probed || !bytes.Equal(rc.key, m.key) {
@@ -457,18 +439,17 @@ func (st *planStep) admit(row, slots []string) bool {
 	return true
 }
 
-// run executes the plan, invoking yield with the slot array for every body
-// match. The slot array is reused across yields — callers must copy what
-// they keep. Execution is sequential: a scan walks the relation's rows in
-// walk order (rel.Rows.Walk), so match order is deterministic for a given
-// instance and sequence of probes.
-func (e *Engine) run(p *Plan, yield func(slots []string) error) error {
-	for _, c := range p.preComps {
-		if !c.eval(nil) {
-			return nil
-		}
+// run executes q's plan p over rels, the relation of each body position
+// (nil for an absent one), invoking yield with the slot array for every
+// body match. The slot array is reused across yields — callers must copy
+// what they keep. Execution is sequential: a scan walks the relation's rows
+// in walk order (rel.Rows.Walk), so match order is deterministic for a
+// given instance and sequence of probes.
+func (e *Engine) run(p *Plan, rels []*rel.Relation, q lang.CQ, yield func(slots []string) error) error {
+	if p.unsat || slices.Contains(rels, nil) {
+		return nil
 	}
-	rc := newRunCtx(e, p, yield)
+	rc := newRunCtx(e, p, rels, q, yield)
 	err := rc.step(0)
 	rc.release()
 	return err

@@ -6,18 +6,21 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/lang"
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
 // TestCachedPlanRetiresOnDrift: a plan ordered while B held 1 row scans B
-// and probes A once per B row. Once B has grown to 20,000 rows, a run of
-// that plan retires it, and from the second query after the growth on, a
-// query makes no more index lookups than a fresh engine's, which scans A
-// and probes B once per A row. B grows while queries run, so a run may
-// retire a plan under concurrent runs and inserts.
+// and probes A once per B row. Once B has grown to 20,000 rows, the plan
+// cache's lookup finds B's size drifted and compiles again, so from the
+// first query after the growth on, a query makes no more index lookups than
+// a fresh engine's, which scans A and probes B once per A row. B grows
+// while queries run, so lookups replace the plan under concurrent runs and
+// inserts.
 func TestCachedPlanRetiresOnDrift(t *testing.T) {
 	const as, bs = 1000, 20000
 	ins := rel.NewInstance()
@@ -33,7 +36,7 @@ func TestCachedPlanRetiresOnDrift(t *testing.T) {
 	if rows := mustEval(t, e, q); len(rows) != 1 {
 		t.Fatalf("%d answers before the growth, want 1", len(rows))
 	}
-	if got := e.plans.Entries.Load(); got != 1 {
+	if got := e.plans.lru.Entries.Load(); got != 1 {
 		t.Fatalf("%d cached plans, want 1", got)
 	}
 
@@ -83,7 +86,7 @@ func TestCachedPlanRetiresOnDrift(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d after the growth: %d answers, fresh engine %d", n, len(got), len(want))
 		}
-		if n >= 2 && probes > freshProbes {
+		if probes > freshProbes {
 			t.Fatalf("query %d after the growth made %d probes, a fresh engine %d: the plan ordered by B's first size was kept", n, probes, freshProbes)
 		}
 	}
@@ -133,7 +136,7 @@ func TestAlphaEquivalentStreamsShareAPlan(t *testing.T) {
 			t.Fatalf("ErrStop: n = %d, err = %v", n, err)
 		}
 	}
-	if n := e.plansCompiled.Load(); n != 1 {
+	if n := e.plans.compiles.Load(); n != 1 {
 		t.Fatalf("engine.plans_compiled = %d, want 1: alpha-equivalent bodies did not share a plan", n)
 	}
 }
@@ -154,5 +157,115 @@ func TestUnboundComparisonNamesItsOwnVariable(t *testing.T) {
 		if _, err := e.EvalCQ(q); err == nil || !strings.Contains(err.Error(), v+"1 != ") {
 			t.Fatalf("%s: error %v, want one naming %s1", q, err, v)
 		}
+	}
+}
+
+// compiled reads engine.plans_compiled off reg.
+func compiled(reg *obs.Registry) uint64 { return reg.Snapshot().Counters["engine.plans_compiled"] }
+
+// TestPlanSharedAcrossConstants: q(y) :- E("a", y) and q(y) :- E("b", y)
+// differ only in an atom constant, so they share one plan, and each answers
+// as on a fresh engine. Then, while E grows under concurrent inserts, two
+// goroutines pose the two queries over the shared plans: each answer holds
+// only its own constant's rows, as many as E held of them at some point of
+// the run, so no run reads another's parameter. Quiesced, each answers as
+// on a fresh engine again.
+func TestPlanSharedAcrossConstants(t *testing.T) {
+	ins := rel.NewInstance()
+	for i := range 10 {
+		ins.MustAdd("E", "a", fmt.Sprintf("a%d", i))
+		ins.MustAdd("E", "b", fmt.Sprintf("b%d", i))
+	}
+	e := New(ins)
+	reg := obs.NewRegistry()
+	e.RegisterMetrics(reg)
+	query := func(c string) lang.CQ {
+		return lang.CQ{
+			Head: lang.NewAtom("q", lang.Var("y")),
+			Body: []lang.Atom{lang.NewAtom("E", lang.Const(c), lang.Var("y"))},
+		}
+	}
+	asFresh := func(when string) {
+		t.Helper()
+		for _, c := range []string{"a", "b"} {
+			want := mustEval(t, New(ins.Clone()), query(c))
+			if got := mustEval(t, e, query(c)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s answers %v, a fresh engine %v", when, query(c), got, want)
+			}
+		}
+	}
+	asFresh("before the inserts")
+	if n := compiled(reg); n != 1 {
+		t.Fatalf("engine.plans_compiled = %d, want 1: the two constants did not share a plan", n)
+	}
+
+	// E holds from added[k] to started[k] rows of constant k: the inserter
+	// counts a row in started before it adds it, and in added after.
+	var started, added [2]atomic.Int64
+	for k := range 2 {
+		started[k].Store(10)
+		added[k].Store(10)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := (g + i) % 2
+				c := "ab"[k : k+1]
+				lo := added[k].Load()
+				rows, err := e.EvalCQ(query(c))
+				hi := started[k].Load()
+				if err != nil || int64(len(rows)) < lo || int64(len(rows)) > hi {
+					t.Errorf("%s: %d answers (%v) while %s's rows grew from %d to %d", query(c), len(rows), err, c, lo, hi)
+					return
+				}
+				for _, r := range rows {
+					if !strings.HasPrefix(r[0], c) {
+						t.Errorf("%s answers %v, a row of another constant", query(c), r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 10; i < 3000; i++ {
+		for k, c := range []string{"a", "b"} {
+			started[k].Add(1)
+			ins.MustAdd("E", c, fmt.Sprintf("%s%d", c, i))
+			added[k].Add(1)
+		}
+	}
+	close(done)
+	wg.Wait()
+	asFresh("after the inserts")
+}
+
+// TestExistsMatchCompilesOnce: the chase's head-satisfaction test poses one
+// body with per-match constants, and those are the plan's parameters, so
+// ten matches compile one plan and each gets its own answer.
+func TestExistsMatchCompilesOnce(t *testing.T) {
+	ins := rel.NewInstance()
+	for i := range 5 {
+		ins.MustAdd("E", fmt.Sprintf("c%d", i), "x")
+	}
+	e := New(ins)
+	reg := obs.NewRegistry()
+	e.RegisterMetrics(reg)
+	for i := range 10 {
+		ok, err := e.ExistsMatch([]lang.Atom{lang.NewAtom("E", lang.Const(fmt.Sprintf("c%d", i)), lang.Var("w"))})
+		if err != nil || ok != (i < 5) {
+			t.Fatalf("ExistsMatch(E(c%d, w)) = %v, %v; want %v", i, ok, err, i < 5)
+		}
+	}
+	if n := compiled(reg); n != 1 {
+		t.Fatalf("engine.plans_compiled = %d after ten matches of one body, want 1", n)
 	}
 }

@@ -132,7 +132,7 @@ func TestStreamDedupSetSkipped(t *testing.T) {
 				t.Fatalf("fixture too small: %d answers", len(want))
 			}
 			e := New(ins)
-			p, err := e.plan(q)
+			p, _, err := e.plan(q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

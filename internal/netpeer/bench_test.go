@@ -49,7 +49,7 @@ func BenchmarkBindJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex.frags.lru.Clear()
-		rows, err := ex.EvalCQ(q)
+		rows, err := evalOne(ex, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkStreamLargeResult(b *testing.B) {
 	base := executorCounts(ex)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ans, err := ex.EvalCQ(q)
+		ans, err := evalOne(ex, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 			}
 			// Warm run: every mode pays the first fetch; the benchmark
 			// then measures the steady repeat.
-			if _, err := ex.EvalCQ(q); err != nil {
+			if _, err := evalOne(ex, q); err != nil {
 				b.Fatal(err)
 			}
 			base := executorCounts(ex)
@@ -355,7 +355,7 @@ func BenchmarkFragmentCacheRepeat(b *testing.B) {
 				if mode.cold {
 					ex.frags.lru.Clear()
 				}
-				rows, err := ex.EvalCQ(q)
+				rows, err := evalOne(ex, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -411,7 +411,7 @@ func BenchmarkFragmentCacheUnderMutation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, err := ex.EvalCQ(q); err != nil {
+			if _, err := evalOne(ex, q); err != nil {
 				b.Fatal(err)
 			}
 			base := executorCounts(ex)
@@ -424,7 +424,7 @@ func BenchmarkFragmentCacheUnderMutation(b *testing.B) {
 				if err := srvLarge.AddFact(mode.pred, tu); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := ex.EvalCQ(q); err != nil {
+				if _, err := evalOne(ex, q); err != nil {
 					b.Fatal(err)
 				}
 			}

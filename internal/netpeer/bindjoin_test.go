@@ -3,6 +3,7 @@ package netpeer
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/lang"
@@ -67,7 +68,7 @@ func TestBindJoinFetchesFewerRows(t *testing.T) {
 		}
 	}
 	before := ex.counters.rowsFetched.Load()
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestFetchNameCollisionRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestBindJoinEmptyBoundSideShortCircuits(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ex.counters.rowsFetched.Load()
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestBindJoinRepeatedVarAndConsts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ex.EvalCQ(q)
+	got, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestBindJoinComparisonsAndCacheRepeat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ex.EvalCQ(q)
+			got, err := evalOne(ex, q)
 			if err != nil {
 				t.Fatalf("round %d %s: %v", round, qs, err)
 			}
@@ -435,7 +436,7 @@ func TestBindJoinComparisonGates(t *testing.T) {
 	before := ex.counters.requests.Load()
 	q := parseCQ(t, `q(x, z) :- A.r(x, y), B.s(y, z)`)
 	q.Comps = []lang.Comparison{{Op: lang.OpEQ, L: lang.Const("a"), R: lang.Const("b")}}
-	if rows, err := ex.EvalCQ(q); err != nil || len(rows) != 0 {
+	if rows, err := evalOne(ex, q); err != nil || len(rows) != 0 {
 		t.Fatalf("false variable-free comparison: rows %v, error %v", rows, err)
 	}
 	if n := ex.counters.requests.Load() - before; n != 0 {
@@ -443,12 +444,131 @@ func TestBindJoinComparisonGates(t *testing.T) {
 	}
 	unbound := lang.Comparison{Op: lang.OpLT, L: lang.Var("w"), R: lang.Const("5")}
 	q.Comps = []lang.Comparison{unbound}
-	if rows, err := ex.EvalCQ(q); err == nil {
+	if rows, err := evalOne(ex, q); err == nil {
 		t.Fatalf("comparison on unbound w over a complete match: rows %v, no error", rows)
 	}
 	q = parseCQ(t, `q(x, z) :- A.r(x, y), B.s(z, y)`)
 	q.Comps = []lang.Comparison{unbound}
-	if rows, err := ex.EvalCQ(q); err != nil || len(rows) != 0 {
+	if rows, err := evalOne(ex, q); err != nil || len(rows) != 0 {
 		t.Fatalf("comparison on unbound w, no complete match: rows %v, error %v", rows, err)
+	}
+}
+
+// TestBindJoinPlansSharedAcrossConstants: a cross-peer union of two
+// rewriting shapes, A.r(x, c) joined with B.s or with B.t, is posed for 20
+// constants c by two concurrent queriers after one warm query. The
+// rewritings of one shape differ only in c, so they share one plan, and
+// engine.bindjoin_compiles reads 2, one per shape; every answer is the
+// oracle's.
+func TestBindJoinPlansSharedAcrossConstants(t *testing.T) {
+	const consts = 20
+	a := map[string][]rel.Tuple{}
+	b := map[string][]rel.Tuple{}
+	for i := range consts {
+		for j := range 3 {
+			k := fmt.Sprintf("k%d_%d", i, j)
+			a["A.r"] = append(a["A.r"], rel.Tuple{k, fmt.Sprintf("c%d", i)})
+			b["B.s"] = append(b["B.s"], rel.Tuple{k, "s" + k})
+			b["B.t"] = append(b["B.t"], rel.Tuple{k, "t" + k})
+		}
+	}
+	oracle := instanceOf(a, b)
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, addr := range []string{startServer(t, a), startServer(t, b)} {
+		if err := ex.Discover(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	ex.RegisterMetrics(reg)
+	var queries []lang.UCQ
+	var wants [][]rel.Tuple
+	for i := range consts {
+		u := lang.UCQ{Disjuncts: []lang.CQ{
+			parseCQ(t, fmt.Sprintf(`q(y) :- A.r(x, "c%d"), B.s(x, y)`, i)),
+			parseCQ(t, fmt.Sprintf(`q(y) :- A.r(x, "c%d"), B.t(x, y)`, i)),
+		}}
+		want, err := rel.EvalUCQ(u, oracle)
+		if err != nil || len(want) != 6 {
+			t.Fatalf("oracle: %v (%v), want 6 rows", want, err)
+		}
+		queries, wants = append(queries, u), append(wants, want)
+	}
+	check := func(i int) {
+		if got, err := ex.EvalUCQ(queries[i]); err != nil || !tuplesEqual(got, wants[i]) {
+			t.Errorf("constant c%d: %v (%v), want %v", i, got, err, wants[i])
+		}
+	}
+	check(0)
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range consts {
+				check([]int{i, consts - 1 - i}[g])
+			}
+		}()
+	}
+	wg.Wait()
+	if n := reg.Snapshot().Counters["engine.bindjoin_compiles"]; n != 2 {
+		t.Fatalf("engine.bindjoin_compiles = %d over %d constants, want 2: one per rewriting shape", n, consts)
+	}
+}
+
+// TestBindJoinPlanFollowsDriftedEstimate: a rewriting posed twice over
+// unchanged estimates compiles its plan once, and its fetches lead with
+// A.r, the smaller side. Once a response reports A.r three times larger
+// (updateMeta), the next rewriting compiles again, and its fetches lead
+// with B.s, now the smaller side. The plan order is read from the forced
+// trace's atom spans.
+func TestBindJoinPlanFollowsDriftedEstimate(t *testing.T) {
+	a := map[string][]rel.Tuple{}
+	b := map[string][]rel.Tuple{}
+	for i := range 10 {
+		a["A.r"] = append(a["A.r"], rel.Tuple{fmt.Sprintf("k%d", i)})
+	}
+	for i := range 20 {
+		b["B.s"] = append(b["B.s"], rel.Tuple{fmt.Sprintf("k%d", i%10), fmt.Sprintf("p%d", i)})
+	}
+	q := parseCQ(t, `q(x, y) :- A.r(x), B.s(x, y)`)
+	want, err := rel.EvalCQ(q, instanceOf(a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExecutor()
+	defer ex.Close()
+	for _, addr := range []string{startServer(t, a), startServer(t, b)} {
+		if err := ex.Discover(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	ex.RegisterMetrics(reg)
+	// lead poses q and returns the predicate of its first fetch and the
+	// plans compiled so far.
+	lead := func() (string, uint64) {
+		t.Helper()
+		root := obs.NewTracer(1).ForceTrace("query")
+		got, err := ex.EvalUCQSpan(lang.UCQ{Disjuncts: []lang.CQ{q}}, root)
+		root.End()
+		if err != nil || !tuplesEqual(got, want) {
+			t.Fatalf("answer %v (%v), want %v", got, err, want)
+		}
+		atoms := spansNamed(root, "atom")
+		if len(atoms) != 2 {
+			t.Fatalf("%d atom spans, want 2:\n%s", len(atoms), root.Render())
+		}
+		return atoms[0].AttrMap()["pred"], reg.Snapshot().Counters["engine.bindjoin_compiles"]
+	}
+	for i := range 2 {
+		if pred, n := lead(); pred != "A.r" || n != 1 {
+			t.Fatalf("query %d: leads with %s after %d compiles, want A.r after 1", i, pred, n)
+		}
+	}
+	ex.updateMeta([]string{"A.r"}, []int{30})
+	if pred, n := lead(); pred != "B.s" || n != 2 {
+		t.Fatalf("after A.r's estimate tripled: leads with %s after %d compiles, want B.s after 2", pred, n)
 	}
 }

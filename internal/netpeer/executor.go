@@ -32,14 +32,14 @@ const (
 // serving all its stored relations when possible (full push-down); when a
 // rewriting spans peers it runs an adaptive bind-join:
 //
-//   - The join itself is engine.BindJoin: the engine compiles the
-//     rewriting as it compiles a local plan, its atoms ordered by the
-//     planner's selectivity heuristic over the cardinalities learned at
-//     Discover time and refreshed from the estimates piggybacked on every
-//     response, and extends a partial join step by step. The executor
-//     routes, and supplies the fetch callback (fetchAtom). A rewriting
-//     reads its atoms' routes, cardinalities included, once, at its start:
-//     the join order and every bind-versus-fetch choice use that copy.
+//   - The join itself is engine.BindJoin, over the rewriting's plan from
+//     the executor's engine.PlanCache (by shape, so rewritings that differ
+//     in constants share it), its atoms ordered by the cardinalities
+//     learned at Discover time and refreshed from the estimates
+//     piggybacked on every response. The executor routes, and supplies the
+//     fetch callback (fetchAtom). A rewriting reads its atoms' routes,
+//     cardinalities included, once, at its start: the plan lookup and
+//     every bind-versus-fetch choice use that copy.
 //   - Per atom the executor ships the distinct values the partial holds at
 //     the atom's bound positions ("bind" op) in batches, one request after
 //     another, unless the peer's advertised cardinality says the whole
@@ -100,9 +100,8 @@ type Executor struct {
 	frags *fragCache
 	// counters aggregates wire traffic across all pooled connections.
 	counters Counters
-	// bindJoinCompiles counts the plans engine.BindJoin compiles, one per
-	// cross-peer rewriting evaluated.
-	bindJoinCompiles obs.Counter
+	// plans caches the plans of cross-peer rewritings, which BindJoin runs.
+	plans *engine.PlanCache
 }
 
 // NewExecutor creates an executor with an empty routing table.
@@ -114,6 +113,7 @@ func NewExecutor() *Executor {
 		routes:          map[string]route{},
 		pools:           map[string]*pool{},
 		frags:           newFragCache(defaultFragBytes),
+		plans:           engine.NewPlanCache(),
 	}
 }
 
@@ -298,25 +298,18 @@ func (e *Executor) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
 	})
 }
 
-// EvalCQ evaluates one conjunctive rewriting over the network, returning
-// its distinct answers, sorted, in a slice of the caller's; as with
-// EvalUCQ, the tuples may be shared with the fragment cache.
-func (e *Executor) EvalCQ(q lang.CQ) ([]rel.Tuple, error) {
-	rows, err := e.evalCQ(q, &flights{}, nil)
-	return slices.Clone(rows), err
-}
-
-// evalCQ is EvalCQ over the calling query's fetch table fl, with an
-// optional span. A full push-down is one fragment (newFragReq): it records
-// one "pushdown" child with the fragment's src and fetched counts, under
-// which the serving peer's remote spans adopt; its rows may be the cache's
-// own slice. A cross-peer rewriting is engine.BindJoin over fetchAtom,
-// which records one "atom" child of sp per fetched atom, annotated with the
-// peer address, the source (fragcache / bind / fetch / shared), the key
-// count of a bind and the rows fetched; the serving peer's remote spans
-// (and the per-batch bind spans) adopt under it. The body atoms' routes are
-// copied under one lock at the start, and the join order and fetchAtom's
-// bind-versus-fetch choice both read that copy.
+// evalCQ evaluates one conjunctive rewriting over the network, returning
+// its distinct answers, sorted, through the calling query's fetch table
+// fl, with an optional span. A full push-down is one fragment (newFragReq):
+// it records one "pushdown" child with the fragment's src and fetched
+// counts, under which the serving peer's remote spans adopt; its rows may
+// be the cache's own slice. A cross-peer rewriting is engine.BindJoin over
+// fetchAtom, which records one "atom" child of sp per fetched atom,
+// annotated with the peer address, the source (fragcache / bind / fetch /
+// shared), the key count of a bind and the rows fetched; the serving
+// peer's remote spans (and the per-batch bind spans) adopt under it. The
+// body atoms' routes are copied under one lock at the start, and the plan
+// lookup and fetchAtom's bind-versus-fetch choice both read that copy.
 func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, error) {
 	// Each body atom's route and cardinality, on the stack for a body of
 	// up to shortBody atoms.
@@ -340,8 +333,11 @@ func (e *Executor) evalCQ(q lang.CQ, fl *flights, sp *obs.Span) ([]rel.Tuple, er
 		for _, r := range routes {
 			cards = append(cards, max(r.card, 0)) // an unknown estimate orders as 0
 		}
-		e.bindJoinCompiles.Add(1)
-		return engine.BindJoin(q, cards, func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
+		p, err := e.plans.Plan(q, cards)
+		if err != nil {
+			return nil, err
+		}
+		return engine.BindJoin(p, q, func(i int, keyPos []int, keys [][]string) ([]rel.Tuple, error) {
 			return e.fetchAtom(fl, q.Body[i], routes[i], keyPos, keys, sp)
 		})
 	}

@@ -93,7 +93,7 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	// query.
 	ct := &ex.counters
 	startBytes := ct.bytesRecv.Load()
-	first, err := ex.EvalCQ(q)
+	first, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFragmentCacheRepeatQueryShipsNoRows(t *testing.T) {
 	midRows, midReqs, midBytes := ct.rowsFetched.Load(), ct.requests.Load(), ct.bytesRecv.Load()
 	firstBytes := midBytes - startBytes
 
-	again, err := ex.EvalCQ(q)
+	again, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBindKeyTellsRepeatedVariablesApart(t *testing.T) {
 		{`q(y, x) :- B.s(y), A.r(y, x, x)`, []rel.Tuple{{"1", "2"}}},
 		{`q(y, x, z) :- B.s(y), A.r(y, x, z)`, []rel.Tuple{{"1", "2", "2"}, {"1", "2", "3"}, {"1", "4", "5"}}},
 	} {
-		got, err := ex.EvalCQ(parseCQ(t, c.q))
+		got, err := evalOne(ex, parseCQ(t, c.q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,14 +203,14 @@ func TestFragmentCacheInvalidatedByMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := ex.EvalCQ(q)
+	first, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := large.AddFact("L.rows", rel.Tuple{"k0", "fresh"}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := ex.EvalCQ(q)
+	again, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFragmentCacheSurvivesUnrelatedMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := ex.EvalCQ(q)
+	first, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFragmentCacheSurvivesUnrelatedMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	midInv, midHits := ex.frags.invalidations.Load(), ex.frags.hits.Load()
-	again, err := ex.EvalCQ(q)
+	again, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestFragmentCacheStaleEntryCostsOneRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.EvalCQ(q); err != nil {
+	if _, err := evalOne(ex, q); err != nil {
 		t.Fatal(err)
 	}
 	if err := large.AddFact("L.rows", rel.Tuple{"k1", "fresh"}); err != nil {
@@ -327,7 +327,7 @@ func TestFragmentCacheStaleEntryCostsOneRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ex.counters.requests.Load()
-	got, err := ex.EvalCQ(q)
+	got, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestIfGenCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		got, err := ex.EvalCQ(q)
+		got, err := evalOne(ex, q)
 		if err != nil {
 			t.Fatal(err)
 		}

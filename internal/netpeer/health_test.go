@@ -33,7 +33,7 @@ func TestServerRestartRedialsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil || len(rows) != 1 || rows[0][0] != "alive" {
 		t.Fatalf("first query: %v (%v)", rows, err)
 	}
@@ -50,7 +50,7 @@ func TestServerRestartRedialsOnce(t *testing.T) {
 	defer srv2.Close()
 
 	dials := ex.counters.dials.Load()
-	rows, err = ex.EvalCQ(q)
+	rows, err = evalOne(ex, q)
 	if err != nil {
 		t.Fatalf("query after restart surfaced an error: %v", err)
 	}

@@ -256,7 +256,7 @@ func TestExecutorMutationInterleaving(t *testing.T) {
 			}
 		}
 		hits0 := ex.frags.hits.Load()
-		if _, err := ex.EvalCQ(queries[0].u.Disjuncts[0]); err != nil {
+		if _, err := evalOne(ex, queries[0].u.Disjuncts[0]); err != nil {
 			t.Fatal(err)
 		}
 		if hits1 := ex.frags.hits.Load(); hits1 <= hits0 {

@@ -11,6 +11,12 @@ import (
 	"repro/internal/rel"
 )
 
+// evalOne evaluates the one rewriting q through EvalUCQ, as a union of one
+// disjunct.
+func evalOne(ex *Executor, q lang.CQ) ([]rel.Tuple, error) {
+	return ex.EvalUCQ(lang.UCQ{Disjuncts: []lang.CQ{q}})
+}
+
 // startServer spins up a peer server over the given facts and returns its
 // address and a cleanup-registered server.
 func startServer(t testing.TB, facts map[string][]rel.Tuple) string {
@@ -115,7 +121,7 @@ func TestExecutorPushdownSinglePeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +149,7 @@ func TestExecutorCrossPeerJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +176,7 @@ func TestExecutorSelectionPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestExecutorNoRoute(t *testing.T) {
 	ex := NewExecutor()
 	defer ex.Close()
 	q, _ := parser.ParseQuery(`q(x) :- Nowhere.r(x)`)
-	if _, err := ex.EvalCQ(q); err == nil || !strings.Contains(err.Error(), "no route") {
+	if _, err := evalOne(ex, q); err == nil || !strings.Contains(err.Error(), "no route") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -213,7 +219,7 @@ func TestDiscoverRefusesSecondOwner(t *testing.T) {
 	if r, ok := routeOf(ex, "C.t"); ok {
 		t.Fatalf("the refused catalog's C.t was routed: %+v", r)
 	}
-	got, err := ex.EvalCQ(parseCQ(t, `q(x, y) :- A.r(x), B.s(x, y)`))
+	got, err := evalOne(ex, parseCQ(t, `q(x, y) :- A.r(x), B.s(x, y)`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +339,7 @@ func TestExecutorRepeatedAtomSharedFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,10 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 
 // RegisterMetrics registers the executor's wire counters, aggregated over
 // every pooled connection, on reg under the wire.* names, its fragment
-// cache's under fragcache.*, and its bind-join plan compiles as
-// engine.bindjoin_compiles.
+// cache's under fragcache.*, and the compiles of its bind-join plan cache
+// (misses and drift) as engine.bindjoin_compiles.
 func (e *Executor) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCounter("engine.bindjoin_compiles", &e.bindJoinCompiles)
+	reg.RegisterCounter("engine.bindjoin_compiles", e.plans.Compiles())
 	ct := &e.counters
 	reg.RegisterCounter("wire.requests", &ct.requests)
 	reg.RegisterCounter("wire.rows_fetched", &ct.rowsFetched)

@@ -50,11 +50,11 @@ func TestExecutorConcurrentHammer(t *testing.T) {
 	ucq := lang.UCQ{Disjuncts: []lang.CQ{cq1, cq3}}
 
 	// Expected answers, computed once up front.
-	want1, err := ex.EvalCQ(cq1)
+	want1, err := evalOne(ex, cq1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := ex.EvalCQ(cq2)
+	want2, err := evalOne(ex, cq2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,13 @@ func TestExecutorConcurrentHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					rows, err := ex.EvalCQ(cq1)
+					rows, err := evalOne(ex, cq1)
 					if err != nil || !tuplesEqual(rows, want1) {
 						errc <- orMismatch(err, "cq1")
 						return
 					}
 				case 1:
-					rows, err := ex.EvalCQ(cq2)
+					rows, err := evalOne(ex, cq2)
 					if err != nil || !tuplesEqual(rows, want2) {
 						errc <- orMismatch(err, "cq2")
 						return
@@ -225,12 +225,12 @@ func TestTransportErrorDropsDesyncedConnection(t *testing.T) {
 	}
 	// First call hits the garbage frame: a transport error must surface
 	// (the connection was freshly dialed, so there is nothing to retry).
-	if _, err := ex.EvalCQ(q); err == nil {
+	if _, err := evalOne(ex, q); err == nil {
 		t.Fatal("garbled response did not surface an error")
 	}
 	// Second call must run on a fresh connection and see the real answer,
 	// not the stale frame still queued on the first connection.
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +256,14 @@ func TestIdleConnectionRedialOnReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ex.EvalCQ(q)
+	rows, err := evalOne(ex, q)
 	if err != nil || len(rows) != 1 || rows[0][0] != "good" {
 		t.Fatalf("first call: %v (%v)", rows, err)
 	}
 	// The pooled connection is now dead on the server side. The executor
 	// must detect the transport failure on the reused connection and retry
 	// once on a fresh dial instead of failing.
-	rows, err = ex.EvalCQ(q)
+	rows, err = evalOne(ex, q)
 	if err != nil {
 		t.Fatalf("reused-connection failure not retried: %v", err)
 	}

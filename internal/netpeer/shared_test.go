@@ -121,7 +121,7 @@ func TestEvalUCQSharesFetchesAcrossDisjuncts(t *testing.T) {
 	}
 	var groups [][]rel.Tuple
 	for _, q := range u.Disjuncts {
-		rows, err := ex.EvalCQ(q)
+		rows, err := evalOne(ex, q)
 		if err != nil {
 			t.Fatal(err)
 		}

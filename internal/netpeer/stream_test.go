@@ -68,7 +68,7 @@ func TestStreamLargeResultRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ex.EvalCQ(q)
+	ans, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatalf("eval of >16MB result failed: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestAdaptiveFullFetchWhenRemoteSmaller(t *testing.T) {
 	if len(want) != 40 {
 		t.Fatalf("oracle rows = %d, want 40", len(want))
 	}
-	got, err := ex.EvalCQ(q)
+	got, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestUnreportedCardinalityBinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ex.EvalCQ(q)
+	got, err := evalOne(ex, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestMultiBatchBind(t *testing.T) {
 	} {
 		requests := srv.requests.Load()
 		batches, rows := ex.counters.bindBatches.Load(), ex.counters.rowsFetched.Load()
-		got, err := ex.EvalCQ(q)
+		got, err := evalOne(ex, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +480,7 @@ func TestCardinalityRefreshFromResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.EvalCQ(q); err != nil {
+	if _, err := evalOne(ex, q); err != nil {
 		t.Fatal(err)
 	}
 	if r, _ := routeOf(ex, "E.r"); r.card != 9 || r.addr != addr {
@@ -511,7 +511,7 @@ func TestResponseCannotInventRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.EvalCQ(q); err == nil || !strings.Contains(err.Error(), "no route") {
+	if _, err := evalOne(ex, q); err == nil || !strings.Contains(err.Error(), "no route") {
 		t.Fatalf("EvalCQ over an unrouted relation: %v, want a no-route error", err)
 	}
 }

@@ -213,7 +213,7 @@ func TestStatsReadWhileServing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := ex.EvalCQ(q); err != nil {
+				if _, err := evalOne(ex, q); err != nil {
 					t.Error(err)
 					return
 				}
@@ -248,7 +248,9 @@ func TestStatsReadWhileServing(t *testing.T) {
 	if snap.Counters["wire.requests"] == 0 {
 		t.Fatal("wire.requests stayed zero under load")
 	}
-	if n := snap.Counters["engine.bindjoin_compiles"]; n != queriers*iters {
-		t.Fatalf("engine.bindjoin_compiles = %d, want %d: one per cross-peer query", n, queriers*iters)
+	// The queries share one shape and the estimates never change, so only
+	// the queriers whose first lookups miss together compile its plan.
+	if n := snap.Counters["engine.bindjoin_compiles"]; n < 1 || n > queriers {
+		t.Fatalf("engine.bindjoin_compiles = %d, want 1 to %d: one per querier whose first lookup missed", n, queriers)
 	}
 }

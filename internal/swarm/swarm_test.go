@@ -100,11 +100,11 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 			}
 
 			// Both sides again, every disjunct's answer checked for
-			// EvalUnion's precondition: the executor's evalCQ at its width
-			// on the swarm side, the engine's on the caller's goroutine on
-			// the oracle side.
+			// EvalUnion's precondition: the executor's, each disjunct
+			// posed alone through EvalUCQ, at its width on the swarm side,
+			// the engine's on the caller's goroutine on the oracle side.
 			checked, err := n.Mediator.QueryVia(spec.Query, sortedDistinctUnion{t, engine.MaxUnionFanout, func(q lang.CQ, _ *obs.Span) ([]rel.Tuple, error) {
-				return n.Exec.EvalCQ(q)
+				return n.Exec.EvalUCQ(lang.UCQ{Disjuncts: []lang.CQ{q}})
 			}})
 			if err != nil {
 				t.Fatal(err)
