@@ -1,7 +1,8 @@
 // Command peerd runs one peer's storage server: it loads the facts from a
 // PPL specification file and serves the stored relations over the TCP
-// peer protocol (see internal/wire: JSON requests, JSON response envelopes
-// and binary row blocks), which the distributed executor consumes.
+// peer protocol (see internal/wire: binary frames whose first row is the
+// envelope and whose other rows are the frame's rows), which the
+// distributed executor consumes.
 //
 // Usage:
 //

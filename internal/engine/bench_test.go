@@ -13,7 +13,7 @@ import (
 // (durableUnions over 2,000 locations): a 3-disjunct selection and a
 // 6-disjunct two-atom join. "caller" is EvalUCQ, which runs the disjuncts on
 // the calling goroutine; "fanout" is EvalUnion at the executor's width
-// (MaxUnionFanout) over the same EvalCQSpan, so the cost of handing
+// (MaxUnionFanout) over the same evalCQ, so the cost of handing
 // microsecond disjuncts to other goroutines stays measurable.
 func BenchmarkEngineUnion(b *testing.B) {
 	e, sel, join := durableUnions(b, 2000)
@@ -32,7 +32,7 @@ func BenchmarkEngineUnion(b *testing.B) {
 		b.Run(c.name+"/fanout", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := EvalUnion(c.u, nil, MaxUnionFanout, e.EvalCQSpan); err != nil {
+				if _, err := EvalUnion(c.u, nil, MaxUnionFanout, e.evalCQ); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,13 +261,25 @@ func BenchmarkFirstProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkBindJoin measures a warm cross-peer rewriting's local work, its
-// plan lookup and BindJoin, on join_mixed's shape, without sockets: two
-// atoms joined on a location, I.inc(i, l) with 15 rows and H.doc(d, l) with
-// 50 over five locations, one comparison between them, 150 answer rows.
+// BenchmarkBindJoin measures a warm cross-peer rewriting's local work
+// (warmBindJoin).
+func BenchmarkBindJoin(b *testing.B) {
+	join := warmBindJoin(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := join(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// warmBindJoin returns a warm cross-peer rewriting's local work, its plan
+// lookup and BindJoin, on join_mixed's shape, without sockets: two atoms
+// joined on a location, I.inc(i, l) with 15 rows and H.doc(d, l) with 50
+// over five locations, one comparison between them, 150 answer rows.
 // fetch serves each relation's rows from memory: I.inc's whole, and
 // H.doc's whole for its bind, since the partial holds every location.
-func BenchmarkBindJoin(b *testing.B) {
+func warmBindJoin(tb testing.TB) func() ([]rel.Tuple, error) {
 	rows := map[string][]rel.Tuple{}
 	for i := range 15 {
 		rows["I.inc"] = append(rows["I.inc"], rel.Tuple{fmt.Sprintf("i%02d", i), fmt.Sprintf("l%d", i%5)})
@@ -296,12 +308,7 @@ func BenchmarkBindJoin(b *testing.B) {
 		return BindJoin(p, q, fetch)
 	}
 	if out, err := join(); err != nil || len(out) != 150 {
-		b.Fatalf("degenerate fixture: %d rows (%v)", len(out), err)
+		tb.Fatalf("degenerate fixture: %d rows (%v)", len(out), err)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := join(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return join
 }

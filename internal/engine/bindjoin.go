@@ -53,12 +53,15 @@ func BindJoin(p *Plan, q lang.CQ, fetch func(i int, keyPos []int, keys [][]strin
 		}
 		// The partial's distinct keys, numbered by first appearance, and
 		// the number of each partial row's key. With no bound position
-		// every row has key 0.
+		// every row has key 0. There are at most n keys, so the keys and
+		// their values are carved from slices of that size.
 		var keys [][]string
 		var ids map[string]int
 		kid := make([]int, n)
 		if len(keyPos) > 0 {
 			ids = map[string]int{}
+			keys = make([][]string, 0, n)
+			vals := make([]string, 0, n*len(keySlots))
 			for r := range n {
 				row := partial[r*w : (r+1)*w]
 				kb = appendColsKey(kb[:0], row, keySlots)
@@ -66,11 +69,10 @@ func BindJoin(p *Plan, q lang.CQ, fetch func(i int, keyPos []int, keys [][]strin
 				if !ok {
 					k = len(keys)
 					ids[string(kb)] = k
-					key := make([]string, len(keySlots))
-					for j, s := range keySlots {
-						key[j] = row[s]
+					for _, s := range keySlots {
+						vals = append(vals, row[s])
 					}
-					keys = append(keys, key)
+					keys = append(keys, vals[len(vals)-len(keySlots):len(vals):len(vals)])
 				}
 				kid[r] = k
 			}
@@ -111,17 +113,14 @@ func BindJoin(p *Plan, q lang.CQ, fetch func(i int, keyPos []int, keys [][]strin
 			size[k]++
 		}
 
-		// One pass over the partial extends each row by its key's rows. A
-		// step that checks nothing keeps every chained row, so the next
-		// partial's size is known; one that does grows it as rows pass.
-		var next []string
-		if len(st.checkPos)+len(st.comps) == 0 {
-			rowsOut := 0
-			for _, k := range kid {
-				rowsOut += size[k]
-			}
-			next = make([]string, 0, rowsOut*w)
+		// One pass over the partial extends each row by its key's rows. No
+		// more rows than the chains hold pass, so the next partial is
+		// sized for them all.
+		rowsOut := 0
+		for _, k := range kid {
+			rowsOut += size[k]
 		}
+		next := make([]string, 0, rowsOut*w)
 		m := 0
 		for r, k := range kid {
 			row := partial[r*w : (r+1)*w]

@@ -162,7 +162,7 @@ func TestDifferentialUCQ(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: mismatch on\n%s\nnaive  %v\nengine %v", seed, u, want, got)
 		}
-		if checked, err := sortedDistinctUnion(t, u, e.EvalCQSpan); err != nil || !reflect.DeepEqual(checked, want) {
+		if checked, err := sortedDistinctUnion(t, u, e.evalCQ); err != nil || !reflect.DeepEqual(checked, want) {
 			t.Fatalf("seed %d: through the checked union: %v, %v; want %v", seed, checked, err, want)
 		}
 	}
@@ -198,7 +198,7 @@ func TestDifferentialUCQWideFanout(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: mismatch on\n%s\nnaive  %v\nengine %v", seed, u, want, got)
 		}
-		if checked, err := sortedDistinctUnion(t, u, e.EvalCQSpan); err != nil || !reflect.DeepEqual(checked, want) {
+		if checked, err := sortedDistinctUnion(t, u, e.evalCQ); err != nil || !reflect.DeepEqual(checked, want) {
 			t.Fatalf("seed %d: through the checked union: %v, %v; want %v", seed, checked, err, want)
 		}
 	}

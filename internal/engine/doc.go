@@ -81,20 +81,20 @@
 // their budget is a count; netpeer's fragment cache gives each fragment its
 // bytes.
 //
-// Tracing. EvalCQSpan and EvalUCQSpan are the evaluators; EvalCQ and
-// EvalUCQ call them with a nil span, so a traced evaluation does the same
-// work as an untraced one plus the span bookkeeping.
+// Tracing. EvalUCQSpan and the unexported evalCQ are the evaluators;
+// EvalUCQ and EvalCQ call them with a nil span, so a traced evaluation
+// does the same work as an untraced one plus the span bookkeeping.
 //
 // Streaming. StreamCQ, StreamScan and ProbeByKeyBatchYield are the
 // enumeration hooks behind the netpeer server's chunked responses: they
 // yield distinct tuples as the plan runs (or the rows are walked),
 // materializing nothing beyond the dedup set, so results larger than
-// memory-comfortable frames flow out incrementally. All three share one
-// contract: each yields one reused view, valid only during the call, so a
-// caller that keeps a tuple copies it (EvalCQSpan collects the head values
-// into pooled scratch that keeps its capacity from one disjunct to the
-// next, then copies them into one exact-size slice; ProbeByKeyBatch copies
-// into blocks).
+// memory-comfortable frames flow out incrementally. Each yields one reused
+// view, valid only during the call, so a caller that keeps a tuple copies
+// it (ProbeByKeyBatch copies into blocks). A run's pooled context projects
+// each match into that view, deduplicates it, and hands it to StreamCQ's
+// yield, or collects it for EvalCQ into an answer buffer that keeps its
+// capacity from one run to the next and is copied into one exact-size slice.
 //
 // Invalidation. The engine itself never serves stale data — indexes
 // catch up from the relations' rows on each new key within a run, and on

@@ -455,34 +455,9 @@ func (e *Engine) plan(q lang.CQ, rels []*rel.Relation) (*Plan, []*rel.Relation, 
 func (e *Engine) StreamCQ(q lang.CQ, yield func(rel.Tuple) error) error {
 	var relArr [shortBody]*rel.Relation
 	p, rels, err := e.plan(q, relArr[:0])
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = e.run(p, rels, q, yield)
 	}
-	return e.stream(p, rels, q, yield)
-}
-
-// stream is StreamCQ for q's already-resolved plan and relations (run).
-// Every body match is a distinct slot assignment, so when the head binds
-// every slot (p.headBindsAll) distinct matches are distinct head tuples and
-// no dedup set is kept; a projection that drops a variable keeps one. Every
-// head tuple is yielded through one reused view.
-func (e *Engine) stream(p *Plan, rels []*rel.Relation, q lang.CQ, yield func(rel.Tuple) error) error {
-	var seen map[string]bool
-	if !p.headBindsAll {
-		seen = map[string]bool{}
-	}
-	head := make(rel.Tuple, len(p.head))
-	err := e.run(p, rels, q, func(slots []string) error {
-		p.project(head, slots)
-		if seen != nil {
-			k := head.Key()
-			if seen[k] {
-				return nil
-			}
-			seen[k] = true
-		}
-		return yield(head)
-	})
 	if errors.Is(err, ErrStop) {
 		return nil
 	}
@@ -492,13 +467,13 @@ func (e *Engine) stream(p *Plan, rels []*rel.Relation, q lang.CQ, yield func(rel
 // EvalCQ evaluates a conjunctive query with set semantics and returns the
 // distinct head tuples in column-wise (rel.Compare) order — the indexed
 // equivalent of rel.EvalCQ.
-func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.EvalCQSpan(q, nil) }
+func (e *Engine) EvalCQ(q lang.CQ) ([]rel.Tuple, error) { return e.evalCQ(q, nil) }
 
-// EvalCQSpan is EvalCQ under an optional trace span: a non-nil span gets a
+// evalCQ is EvalCQ under an optional trace span: a non-nil span gets a
 // "plan" child covering plan fetch/compilation (annotated with the chosen
 // step order) and an "exec" child covering the scan/probe run (annotated
 // with the distinct-row count).
-func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
+func (e *Engine) evalCQ(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	var relArr [shortBody]*rel.Relation
 	ps := sp.Child("plan")
 	p, rels, err := e.plan(q, relArr[:0])
@@ -512,57 +487,15 @@ func (e *Engine) EvalCQSpan(q lang.CQ, sp *obs.Span) ([]rel.Tuple, error) {
 	}
 
 	es := sp.Child("exec")
-	sc := answerPool.Get().(*answerScratch)
-	err = e.stream(p, rels, q, func(t rel.Tuple) error {
-		sc.vals = append(sc.vals, t...)
-		sc.n++
-		return nil
-	})
-	n := sc.n
+	out, err := e.run(p, rels, q, nil)
 	es.SetErr(err)
-	es.SetInt("rows", int64(n))
+	es.SetInt("rows", int64(len(out)))
 	es.End()
-	if err != nil || n == 0 {
-		sc.release()
+	if err != nil {
 		return nil, err
-	}
-	// One exact-size copy, so the answers keep no slack.
-	vals := make([]string, len(sc.vals))
-	copy(vals, sc.vals)
-	sc.release()
-	out := make([]rel.Tuple, n)
-	a := len(p.head)
-	for i := range out {
-		out[i] = vals[i*a : (i+1)*a : (i+1)*a]
 	}
 	rel.SortTuples(out)
 	return out, nil
-}
-
-// answerScratch is where EvalCQSpan collects a disjunct's head values, back
-// to back, before its one exact-size copy: n head tuples in vals. Idle
-// scratch waits in answerPool, so a warm disjunct collects without growing
-// a buffer.
-type answerScratch struct {
-	vals []string
-	n    int
-}
-
-// maxPooledVals caps the values an idle answerScratch keeps capacity for,
-// so one huge answer does not stay pinned between calls.
-const maxPooledVals = 1 << 14
-
-var answerPool = sync.Pool{New: func() any { return new(answerScratch) }}
-
-// release clears sc, so that idle scratch pins no rows, and returns it to
-// answerPool unless it has grown past maxPooledVals.
-func (sc *answerScratch) release() {
-	if cap(sc.vals) > maxPooledVals {
-		return
-	}
-	clear(sc.vals)
-	sc.vals, sc.n = sc.vals[:0], 0
-	answerPool.Put(sc)
 }
 
 // MaxUnionFanout is the number of goroutines, the caller's among them, the
@@ -579,12 +512,12 @@ const MaxUnionFanout = 8
 func (e *Engine) EvalUCQ(u lang.UCQ) ([]rel.Tuple, error) { return e.EvalUCQSpan(u, nil) }
 
 // EvalUCQSpan is EvalUCQ under an optional trace span: EvalUnion over the
-// engine's EvalCQSpan, so each disjunct's "eval.cq" span holds its
+// engine's evalCQ, so each disjunct's "eval.cq" span holds its
 // plan/exec sub-spans. The disjuncts are CPU-bound and short, so they run
 // one after another on the calling goroutine: the union starts no
 // goroutine.
 func (e *Engine) EvalUCQSpan(u lang.UCQ, sp *obs.Span) ([]rel.Tuple, error) {
-	return EvalUnion(u, sp, 1, e.EvalCQSpan)
+	return EvalUnion(u, sp, 1, e.evalCQ)
 }
 
 // testHookClaimed and testHookFailed, when non-nil, run inside EvalUnion:

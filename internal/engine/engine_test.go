@@ -394,7 +394,7 @@ func TestEvalUCQ(t *testing.T) {
 // the lowest-position one. The disjuncts after 0 share one plan, so what
 // counts them is their probes, one each. On the caller's goroutine
 // (EvalUCQ) nothing after disjunct 0 is evaluated; at the executor's width
-// (EvalUnion at MaxUnionFanout, over the engine's EvalCQSpan) at most one
+// (EvalUnion at MaxUnionFanout, over the engine's evalCQ) at most one
 // claim per other goroutine is.
 func TestEvalUCQFailsFast(t *testing.T) {
 	ins := rel.NewInstance()
@@ -437,7 +437,7 @@ func TestEvalUCQFailsFast(t *testing.T) {
 	}
 	testHookFailed = func() { close(failedCh) }
 	before = e.probes.Load()
-	_, err := EvalUnion(u, nil, MaxUnionFanout, e.EvalCQSpan)
+	_, err := EvalUnion(u, nil, MaxUnionFanout, e.evalCQ)
 	testHookClaimed, testHookFailed = nil, nil
 	if err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("EvalUnion error = %v, want disjunct 0's: %v", err, wantErr)

@@ -168,29 +168,40 @@ func TestProbeMemoUnderConcurrentInserts(t *testing.T) {
 }
 
 // TestEngineUnionAllocs pins the allocations of BenchmarkEngineUnion's warm
-// unions on the caller's goroutine. The race detector makes sync.Pool drop
-// items at random, so the counts hold only without it.
+// unions on the caller's goroutine, a union's bookkeeping, the evalCQ
+// method value, the merged answer and each disjunct's answer, and of
+// BenchmarkBindJoin's warm join, whose steps size their keys and next
+// partial before filling them. The race detector makes sync.Pool drop items
+// at random, so the counts hold only without it.
 func TestEngineUnionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool reuse is randomised under -race")
 	}
 	e, sel, join := durableUnions(t, 2000)
+	union := func(u lang.UCQ) func() error {
+		return func() error { _, err := e.EvalUCQ(u); return err }
+	}
+	bindJoin := warmBindJoin(t)
 	for _, c := range []struct {
 		name string
-		u    lang.UCQ
+		run  func() error
 		max  float64
-	}{{"selection", sel, 18}, {"join", join, 39}} {
+	}{
+		{"selection", union(sel), 9},
+		{"join", union(join), 21},
+		{"bindjoin", func() error { _, err := bindJoin(); return err }, 24},
+	} {
 		var err error
 		n := testing.AllocsPerRun(100, func() {
-			if _, uerr := e.EvalUCQ(c.u); uerr != nil {
-				err = uerr
+			if rerr := c.run(); rerr != nil {
+				err = rerr
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n > c.max {
-			t.Errorf("%s: %.0f allocs per union, want at most %.0f", c.name, n, c.max)
+			t.Errorf("%s: %.0f allocs per op, want at most %.0f", c.name, n, c.max)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 }
 
-// TestEvalCQSpanTrace checks the traced path records plan and exec child
+// TestEvalCQSpanTrace checks evalCQ's traced path records plan and exec child
 // spans (the plan span annotated with the chosen step order) and returns
 // the same answer as the untraced path.
 func TestEvalCQSpanTrace(t *testing.T) {
@@ -64,12 +64,12 @@ func TestEvalCQSpanTrace(t *testing.T) {
 	}
 	tr := obs.NewTracer(2)
 	root := tr.ForceTrace("query")
-	traced, err := e.EvalCQSpan(q, root)
+	traced, err := e.evalCQ(q, root)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := e.EvalCQSpan(q, nil)
+	plain, err := e.evalCQ(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

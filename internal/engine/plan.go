@@ -285,18 +285,26 @@ func compile(q lang.CQ, cards []int) (*Plan, error) {
 }
 
 // runCtx is the per-evaluation state of one plan execution: the slot
-// array, reusable key buffers, the scratch a candidate row decodes into and
-// what the run remembers of each step. Contexts are pooled, so the buffers
-// carry over from one run to the next; what a run remembers does not.
+// array, reusable key buffers, the scratch a candidate row decodes into,
+// what the run remembers of each step, and what it makes of a complete
+// match (emit). Contexts are pooled, so the buffers carry over from one run
+// to the next; what a run remembers and the answer it collects do not.
 type runCtx struct {
 	e     *Engine
 	p     *Plan
-	yield func(slots []string) error
 	slots []string
 	key   []byte
 	vals  []string
 	row   []string
 	steps []stepMemo // by plan step
+	head  rel.Tuple  // the one view every head tuple is projected into
+	// seen is the run's dedup set, nil when p.headBindsAll.
+	seen map[string]bool
+	// sink receives each head tuple; a nil sink collects the tuples' values
+	// into out, back to back, n tuples in all.
+	sink func(rel.Tuple) error
+	out  []string
+	n    int
 }
 
 // stepMemo is what one run remembers of one plan step: its relation, a
@@ -317,43 +325,91 @@ type stepMemo struct {
 
 var runCtxPool = sync.Pool{New: func() any { return new(runCtx) }}
 
+// maxPooledVals caps the answer values an idle context keeps capacity for,
+// so one huge answer does not stay pinned between runs.
+const maxPooledVals = 1 << 14
+
+// run executes q's plan p over rels, the relation of each body position
+// (nil for an absent one), handing each distinct head tuple to sink, or,
+// if sink is nil, returning them. A plan whose comparisons are
+// unsatisfiable, or over an absent relation, answers empty without a step.
+// A scan walks its rows in walk order (rel.Rows.Walk), so the tuples' order
+// is deterministic for a given instance and sequence of probes.
+func (e *Engine) run(p *Plan, rels []*rel.Relation, q lang.CQ, sink func(rel.Tuple) error) ([]rel.Tuple, error) {
+	if p.unsat || slices.Contains(rels, nil) {
+		return nil, nil
+	}
+	rc := newRunCtx(e, p, rels, q, sink)
+	err := rc.step(0)
+	var out []rel.Tuple
+	if err == nil {
+		out = rc.answer()
+	}
+	rc.release()
+	return out, err
+}
+
 // newRunCtx takes a context from the pool and sets it up for one run of
-// q's plan p over rels, the relation of each body position. release returns
-// the context.
-func newRunCtx(e *Engine, p *Plan, rels []*rel.Relation, q lang.CQ, yield func([]string) error) *runCtx {
+// q's plan p over rels, none absent. release returns the context.
+func newRunCtx(e *Engine, p *Plan, rels []*rel.Relation, q lang.CQ, sink func(rel.Tuple) error) *runCtx {
 	rc := runCtxPool.Get().(*runCtx)
-	rc.e, rc.p, rc.yield = e, p, yield
-	if cap(rc.slots) < p.nslots {
-		rc.slots = make([]string, p.nslots)
+	rc.e, rc.p, rc.sink, rc.seen = e, p, sink, nil
+	if !p.headBindsAll {
+		rc.seen = map[string]bool{}
 	}
-	rc.slots = rc.slots[:p.nslots]
+	rc.slots = resize(rc.slots, p.nslots)
 	p.seed(rc.slots, q)
-	if cap(rc.row) < p.maxArity {
-		rc.row = make([]string, p.maxArity)
-	}
-	rc.row = rc.row[:p.maxArity]
-	if cap(rc.steps) < len(p.steps) {
-		rc.steps = make([]stepMemo, len(p.steps))
-	}
-	rc.steps = rc.steps[:len(p.steps)]
+	rc.row = resize(rc.row, p.maxArity)
+	rc.head = resize(rc.head, len(p.head))
+	rc.steps = resize(rc.steps, len(p.steps))
 	for i := range rc.steps {
 		rc.steps[i].r = rels[p.steps[i].atom]
 	}
 	return rc
 }
 
+// resize returns s with length n, reallocated if its capacity is short.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
+// answer returns the tuples a run with a nil sink collected, nil if none,
+// in one exact-size copy of their values, so the answer keeps no slack.
+func (rc *runCtx) answer() []rel.Tuple {
+	if rc.n == 0 {
+		return nil
+	}
+	vals := append(make([]string, 0, len(rc.out)), rc.out...)
+	out, a := make([]rel.Tuple, rc.n), len(rc.head)
+	for i := range out {
+		out[i] = vals[i*a : (i+1)*a : (i+1)*a]
+	}
+	return out
+}
+
 // release clears what rc holds of the run, so a pooled context pins no
-// rows and its next run starts with no step resolved or probed, and
-// returns it to the pool. Each step keeps only its key buffer.
+// rows and its next run starts with no step resolved or probed and no
+// answer collected, and returns it to the pool. Each step keeps only its
+// key buffer, and out its capacity up to maxPooledVals; newRunCtx replaces
+// the dedup set.
 func (rc *runCtx) release() {
 	clear(rc.slots)
 	clear(rc.vals)
 	clear(rc.row)
+	clear(rc.head)
 	for i := range rc.steps {
 		m := &rc.steps[i]
 		*m = stepMemo{key: m.key[:0]}
 	}
-	rc.e, rc.p, rc.yield = nil, nil, nil
+	if cap(rc.out) > maxPooledVals {
+		rc.out = nil
+	}
+	clear(rc.out)
+	rc.out, rc.n = rc.out[:0], 0
+	rc.e, rc.p, rc.sink = nil, nil, nil
 	runCtxPool.Put(rc)
 }
 
@@ -365,7 +421,7 @@ func (rc *runCtx) step(i int) error {
 		if len(p.lateComps) > 0 {
 			return fmt.Errorf("engine: comparison %s not bound by body", p.lateComps[0])
 		}
-		return rc.yield(rc.slots)
+		return rc.emit()
 	}
 	st, m := &p.steps[i], &rc.steps[i]
 	if len(st.keyCols) == 0 {
@@ -439,18 +495,22 @@ func (st *planStep) admit(row, slots []string) bool {
 	return true
 }
 
-// run executes q's plan p over rels, the relation of each body position
-// (nil for an absent one), invoking yield with the slot array for every
-// body match. The slot array is reused across yields — callers must copy
-// what they keep. Execution is sequential: a scan walks the relation's rows
-// in walk order (rel.Rows.Walk), so match order is deterministic for a
-// given instance and sequence of probes.
-func (e *Engine) run(p *Plan, rels []*rel.Relation, q lang.CQ, yield func(slots []string) error) error {
-	if p.unsat || slices.Contains(rels, nil) {
+// emit projects the complete match in the slots into head and hands it on,
+// unless the dedup set has seen it. Distinct body matches are distinct slot
+// assignments, so a head that binds every slot needs no dedup set.
+func (rc *runCtx) emit() error {
+	rc.p.project(rc.head, rc.slots)
+	if rc.seen != nil {
+		k := rc.head.Key()
+		if rc.seen[k] {
+			return nil
+		}
+		rc.seen[k] = true
+	}
+	if rc.sink == nil {
+		rc.out = append(rc.out, rc.head...)
+		rc.n++
 		return nil
 	}
-	rc := newRunCtx(e, p, rels, q, yield)
-	err := rc.step(0)
-	rc.release()
-	return err
+	return rc.sink(rc.head)
 }

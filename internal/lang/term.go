@@ -204,24 +204,6 @@ func (a Atom) String() string {
 	return sb.String()
 }
 
-// Key returns a canonical map key for the atom (used for memoization and
-// set membership). Distinct atoms have distinct keys.
-func (a Atom) Key() string {
-	var sb strings.Builder
-	sb.WriteString(a.Pred)
-	sb.WriteByte('/')
-	for _, t := range a.Args {
-		if t.IsVar() {
-			sb.WriteByte('?')
-		} else {
-			sb.WriteByte('=')
-		}
-		sb.WriteString(t.Name)
-		sb.WriteByte(';')
-	}
-	return sb.String()
-}
-
 func containsTerm(ts []Term, t Term) bool {
 	for _, x := range ts {
 		if x == t {

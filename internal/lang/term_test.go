@@ -89,17 +89,6 @@ func TestAtomBasics(t *testing.T) {
 	}
 }
 
-func TestAtomKeyDistinguishesVarConst(t *testing.T) {
-	a := NewAtom("R", Var("x"))
-	b := NewAtom("R", Const("x"))
-	if a.Key() == b.Key() {
-		t.Fatal("Key must distinguish Var(x) from Const(x)")
-	}
-	if a.Key() != NewAtom("R", Var("x")).Key() {
-		t.Fatal("Key must be deterministic")
-	}
-}
-
 func TestCompOpFlipNegate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ops := []CompOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE}

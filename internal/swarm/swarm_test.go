@@ -113,7 +113,10 @@ func TestSwarmMatchesOracleOnDeepTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracleChecked, err := oracle.QueryVia(spec.Query, sortedDistinctUnion{t, 1, engine.New(oracle.Data()).EvalCQSpan})
+			oe := engine.New(oracle.Data())
+			oracleChecked, err := oracle.QueryVia(spec.Query, sortedDistinctUnion{t, 1, func(q lang.CQ, _ *obs.Span) ([]rel.Tuple, error) {
+				return oe.EvalCQ(q)
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}

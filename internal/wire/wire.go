@@ -228,7 +228,7 @@ const (
 
 // ReadFrame reads one newline-terminated line from br, without the
 // newline. It exists only for cmd/bench's probeWire, which times a JSON
-// line through it; ROADMAP item 12's benchmark change deletes it. A line
+// line through it; ROADMAP item 19's benchmark change deletes it. A line
 // longer than max is consumed through its terminating newline and
 // reported as ErrFrameTooLarge, so the stream remains framed. io.EOF is
 // returned only at a line boundary; a partial trailing line is
@@ -399,7 +399,7 @@ func ReadRequest(br *bufio.Reader, buf []byte, limit int, r *Request) (_ []byte,
 }
 
 // TuplesToRows converts tuples for a response. It exists only for
-// cmd/bench's probeWire; ROADMAP item 12's benchmark change deletes it.
+// cmd/bench's probeWire; ROADMAP item 19's benchmark change deletes it.
 func TuplesToRows(ts []rel.Tuple) [][]string {
 	out := make([][]string, len(ts))
 	for i, t := range ts {
